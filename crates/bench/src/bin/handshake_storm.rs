@@ -1,15 +1,17 @@
 //! Handshake-storm scale bench: drive a portal login wave — ~10k
 //! sessions from a modest set of distinct clients — through the
-//! batched, precomputed acceptor path ([`HandshakeMill`]) and through
-//! the per-session PR-5 baseline (fresh [`AcceptorContext`] per hello,
-//! precomp registry cleared), and report both rates.
+//! batched, pooled acceptor path ([`HandshakeMill`]) and through a
+//! pool-less per-session baseline (fresh [`AcceptorContext`] per
+//! hello), and report both rates. Both run the one Montgomery kernel
+//! with the tables their keys and group own; the ratio is what pooling
+//! and batching themselves buy.
 //!
 //! Every metric except the wall-time figures is a pure function of the
 //! seed and the scale parameters, so CI runs a reduced-scale version
 //! twice and byte-compares the `--metrics-out` render plus
 //! `BENCH_handshake_storm.json` (see `scripts/verify.sh`). Wall times
-//! and the speedup ratio go to stdout only; the ≥2× perf gate lives in
-//! `perf_guard`, which medians over repeated waves.
+//! and the speedup ratio go to stdout only; the not-slower perf gate
+//! lives in `perf_guard`, which medians over repeated waves.
 //!
 //! Usage:
 //!
@@ -25,7 +27,6 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use gridsec_bench::{dn, KEY_BITS};
-use gridsec_bignum::precomp;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
 use gridsec_gssapi::mill::HandshakeMill;
@@ -161,11 +162,8 @@ fn main() {
 
     let world = build_world(&opts);
 
-    // ---- Baseline: per-session acceptor, no pool, no precomp --------
-    // PR-5 shape: every hello gets a fresh AcceptorContext with a plain
-    // config; the precomp registry is cleared so `Montgomery::new` runs
-    // the unamortized path.
-    precomp::clear();
+    // ---- Baseline: per-session acceptor, no pool --------------------
+    // Every hello gets a fresh AcceptorContext with a plain config.
     let mut rng = ChaChaRng::from_seed_bytes(format!("storm baseline {:#x}", opts.seed).as_bytes());
     let mut baseline_hellos = make_hellos(&world, &mut rng, opts.baseline_sessions);
     let plain_cfg = TlsConfig::new(world.service.clone(), world.trust.clone(), 100);

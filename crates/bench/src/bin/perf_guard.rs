@@ -6,20 +6,18 @@
 //! 2. **Session resumption**: the abbreviated handshake beats the full
 //!    asymmetric handshake.
 //! 3. **Batched acceptance**: a [`HandshakeMill`] wave (pooled
-//!    validator, shared verify contexts, precomp registry populated)
-//!    accepts hellos at ≥2× the per-session baseline rate (fresh
-//!    acceptor per hello, precomp registry cleared) — the headline
-//!    claim behind `handshake_storm`.
+//!    validator, shared verify contexts) accepts hellos no slower than
+//!    a pool-less per-session acceptor (fresh acceptor per hello) —
+//!    the claim behind `handshake_storm`.
 //! 4. **Striping**: four pinned stripes finish the 32 KiB reference
 //!    fetch at 5% loss in ≤2/3 the simulated ticks of a single stream
 //!    (≥1.5× goodput) — the headline claim behind `striped_xfer`.
 //!    Claim 4 is tick-model arithmetic, deterministic by seed.
 //! 5. **Mill-batched poll establishment**: the full three-leg poll
 //!    establishment (hello → ServerHello → Finished) through a
-//!    [`WaveAcceptor`] wave runs the acceptor side at ≥2× the
-//!    per-session baseline (fresh [`AcceptorContext`] per hello,
-//!    precomp registry cleared) — the headline claim behind
-//!    `crypto_storm`.
+//!    [`WaveAcceptor`] wave runs the acceptor side no slower than a
+//!    pool-less per-session acceptor (fresh [`AcceptorContext`] per
+//!    hello) — the claim behind `crypto_storm`.
 //! 6. **Storm scale**: the recorded `crypto_storm` run covers ≥5× the
 //!    recorded `vo_storm` population with real per-principal handshake
 //!    crypto, at a live-task high-water mark (the peak-RSS proxy) at
@@ -27,10 +25,13 @@
 //!    residency. Claim 6 reads the recorded artifacts; it measures the
 //!    repo's evidence, not this machine.
 //!
-//! Claims 1–3 and 5 use median-of-N wall times on identical inputs,
-//! with a safety factor so scheduler noise cannot flake CI: a real win
-//! is several-fold, so requiring only `faster < slower` (or a 2× floor
-//! on a ~3× win for claims 3 and 5) leaves margin.
+//! Claims 1–3 and 5 use median-of-N wall times on identical inputs
+//! and require only `faster < slower`, so scheduler noise cannot flake
+//! CI. Both arms of claims 3 and 5 run the one Montgomery kernel with
+//! the tables their keys and group own, so those ratios are what
+//! pooling and batching themselves buy (validator hits, shared verify
+//! contexts); absolute acceptor speed is gated by gridbench's
+//! `ops_per_s` on `establish_storm`.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
 //! recorded bench artifact it gates (`BENCH_*.json`), pass or fail.
@@ -40,7 +41,6 @@ use std::time::Instant;
 use gridsec_bench::bench_world;
 use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_world};
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
-use gridsec_bignum::precomp;
 use gridsec_bignum::prime::random_bits;
 use gridsec_bignum::BigUint;
 use gridsec_crypto::rng::ChaChaRng;
@@ -142,11 +142,9 @@ fn main() {
         "c1_establishment",
     );
 
-    // --- Claim 3: batched wave ≥2× the per-session baseline. ---
-    // One wave of hellos, accepted two ways. The baseline runs first,
-    // with the precomp registry cleared, so `Montgomery::new` takes the
-    // unamortized path a fresh PR-5-era acceptor would take; the mill
-    // then registers its precomp and gets a warm-up wave so the timed
+    // --- Claim 3: batched wave not slower than per-session. ---
+    // One wave of hellos, accepted two ways: a fresh pool-less acceptor
+    // per hello, then a mill, which gets a warm-up wave so the timed
     // waves measure the steady state a login storm settles into.
     const WAVE: usize = 24;
     let mut w = bench_world(b"perf guard wave");
@@ -159,7 +157,6 @@ fn main() {
         .collect();
     let hello_refs: Vec<&[u8]> = hellos.iter().map(|h| h.as_slice()).collect();
 
-    precomp::clear();
     let per_session = median_ns(7, || {
         for hello in &hello_refs {
             let mut acceptor = AcceptorContext::new(server_cfg.clone());
@@ -181,7 +178,7 @@ fn main() {
         &mut failures,
         "batched-wave-vs-per-session",
         per_session as f64 / batched as f64,
-        2.0,
+        1.0,
         "handshake_storm",
     );
 
@@ -211,14 +208,14 @@ fn main() {
         "striped_xfer",
     );
 
-    // --- Claim 5: mill-batched poll establishment ≥2× per-session. ---
+    // --- Claim 5: mill-batched poll establishment not slower than
+    // per-session. ---
     // Full three-leg establishment, acceptor side timed: hello wave
     // (or per-session hello step) plus Finished processing. Client-side
     // work — initiator creation and ServerHello feeding — happens off
     // the clock in both arms, so the ratio isolates the acceptor path
-    // the storm gateways run. Baseline first with the precomp registry
-    // cleared (the unamortized path); the WaveAcceptor then gets a
-    // warm-up wave so the timed waves measure the steady state.
+    // the storm gateways run. The WaveAcceptor gets a warm-up wave so
+    // the timed waves measure the steady state.
     const POLL_WAVE: usize = 24;
     let mut w = bench_world(b"perf guard poll wave");
     let server_cfg = TlsConfig::new(w.service.clone(), w.trust.clone(), 10);
@@ -255,7 +252,7 @@ fn main() {
         }
         acceptor_ns + t.elapsed().as_nanos()
     };
-    run_wave(&mut wave_acceptor, &mut w); // warm-up: registers precomp
+    run_wave(&mut wave_acceptor, &mut w); // warm-up: fills the pool
     let batched = {
         let mut times: Vec<u128> = (0..7)
             .map(|_| run_wave(&mut wave_acceptor, &mut w))
@@ -264,8 +261,7 @@ fn main() {
         times[times.len() / 2]
     };
     // Baseline the same way (acceptor-side only) for a like-for-like
-    // ratio: fresh acceptor per session, precomp registry cleared.
-    precomp::clear();
+    // ratio: fresh pool-less acceptor per session.
     let per_session_acceptor = {
         let mut times: Vec<u128> = (0..7)
             .map(|_| {
@@ -298,7 +294,7 @@ fn main() {
         &mut failures,
         "mill-batched-poll-vs-per-session",
         per_session_acceptor as f64 / batched as f64,
-        2.0,
+        1.0,
         "crypto_storm",
     );
 

@@ -1,25 +1,25 @@
-//! Const-generic fixed-limb Montgomery kernels for the hot operand
-//! widths.
+//! The Montgomery kernel: const-generic CIOS multiplication on
+//! fixed-limb stack arrays.
 //!
-//! The dynamic CIOS multiply in [`crate::montgomery`] allocates a
-//! scratch vector per multiplication and loops over a runtime limb
-//! count. For the widths that dominate handshake traffic — 4 limbs
-//! (the 256-bit DH test group, RSA-512 CRT primes) and 8 limbs
-//! (512-bit RSA moduli) — this module provides kernels whose buffers
-//! are stack arrays `[u64; K]` with compile-time trip counts, after
+//! Every `base^exp mod n` with an odd modulus in this workspace runs
+//! here. Buffers are `[u64; K]` with compile-time trip counts, after
 //! the `limbs_to_biguint` / `biguint_to_limbs` fixed-limb conversion
-//! idiom. The compiler can unroll the inner loops and nothing touches
-//! the heap per multiply.
-//!
-//! The fixed kernels are deliberately only reachable through
-//! [`Montgomery::new_precomputed`](crate::montgomery::Montgomery::new_precomputed)
-//! — and therefore through the [`crate::precomp`] registry and the
-//! shared verify contexts layered on it. Contexts built with the plain
-//! constructor keep the dynamic kernel, which preserves the
-//! per-session baseline that `perf_guard` measures the batch path
-//! against.
+//! idiom, so the compiler can unroll the inner loops and nothing
+//! touches the heap per multiply. [`crate::montgomery::Montgomery`]
+//! picks `K` — the modulus' limb count rounded up to a power of two —
+//! and zero-pads the operands: with `R = 2^(64K)` any odd `n < R`
+//! works, and the canonical result does not depend on `K`.
 
 use crate::BigUint;
+
+/// Window width in bits for fixed-base tables. With `w = 4` a 256-bit
+/// exponent costs at most 64 table multiplies; the table for one base
+/// holds `ceil(bits/4) * 15` Montgomery-form entries (~30 KiB at 4
+/// limbs).
+const WINDOW: usize = 4;
+
+/// Table entries per window position: the non-zero digits `1..=15`.
+const DIGITS: usize = (1 << WINDOW) - 1;
 
 /// Split a [`BigUint`] into exactly `K` little-endian limbs, or `None`
 /// when the value does not fit in `K` limbs.
@@ -39,13 +39,11 @@ pub fn limbs_to_biguint<const K: usize>(limbs: &[u64; K]) -> BigUint {
     BigUint::from_limbs(limbs.to_vec())
 }
 
-/// A Montgomery context specialised to a compile-time limb count `K`.
-///
-/// Mirrors the state of [`crate::montgomery::Montgomery`] (modulus
-/// limbs, `-n^-1 mod 2^64`, `R^2 mod n`) with every buffer a stack
-/// array. Produces bit-identical results to the dynamic kernel: the
-/// CIOS recurrence and the exponent scan are the same algorithms with
-/// the limb count fixed at compile time.
+/// Montgomery parameters for one odd modulus at a compile-time limb
+/// count `K`: the modulus limbs, `-n^-1 mod 2^64` and `R^2 mod n` for
+/// `R = 2^(64K)`. A CIOS multiply maps `(aR, bR) -> abR mod n` without
+/// any long division.
+#[derive(Debug)]
 pub(crate) struct FixedMont<const K: usize> {
     n: [u64; K],
     n0inv: u64,
@@ -53,49 +51,106 @@ pub(crate) struct FixedMont<const K: usize> {
 }
 
 impl<const K: usize> FixedMont<K> {
-    /// Wrap precomputed Montgomery parameters; `None` unless the
-    /// modulus occupies exactly `K` limbs.
-    pub(crate) fn new(n: &[u64], n0inv: u64, rr: &[u64]) -> Option<FixedMont<K>> {
-        if n.len() != K || rr.len() != K {
-            return None;
+    /// Parameters for an odd `modulus > 1` of at most `K` limbs (the
+    /// caller, [`Montgomery::new`], has checked all three).
+    ///
+    /// [`Montgomery::new`]: crate::montgomery::Montgomery::new
+    pub(crate) fn new(modulus: &BigUint) -> FixedMont<K> {
+        let n = biguint_to_limbs::<K>(modulus).expect("K chosen to fit the modulus");
+        // Newton–Hensel lifting: each step doubles the number of correct
+        // low bits of n[0]^-1 mod 2^64; n[0] is odd so n[0] itself is
+        // correct to 3 bits and six doublings exceed 64.
+        let mut inv: u64 = n[0];
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
         }
-        let mut nf = [0u64; K];
-        nf.copy_from_slice(n);
-        let mut rrf = [0u64; K];
-        rrf.copy_from_slice(rr);
-        Some(FixedMont {
-            n: nf,
-            n0inv,
-            rr: rrf,
-        })
+        let rr = (&BigUint::one() << (128 * K)).rem_ref(modulus);
+        FixedMont {
+            n,
+            n0inv: inv.wrapping_neg(),
+            rr: biguint_to_limbs(&rr).expect("reduced below the modulus"),
+        }
     }
 
     /// `base^exp mod n` for `0 < base < n` and `exp > 0` — the caller
     /// (the dispatching [`Montgomery::pow`]) has already handled the
     /// degenerate cases.
     ///
+    /// The exponent scan is sized to the exponent: anything fitting in
+    /// a `u64` (the RSA verify exponents 3 and 65537) takes plain
+    /// square-and-multiply with no table at all, full-width RSA/DH
+    /// exponents a sliding window over an odd-powers table.
+    ///
     /// [`Montgomery::pow`]: crate::montgomery::Montgomery::pow
     pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let bm0 = biguint_to_limbs::<K>(base).expect("base reduced below the modulus");
-        let bm = self.mul(&bm0, &self.rr); // into Montgomery form
+        let bm = self.to_mont(base);
         let acc = match exp.to_u64() {
             Some(e) => self.pow_u64(&bm, e),
             None => self.pow_window(&bm, exp),
         };
-        let mut one = [0u64; K];
-        one[0] = 1;
-        limbs_to_biguint(&self.mul(&acc, &one))
+        self.demont(&acc)
     }
 
-    /// Montgomery multiply on general limb slices: convert, multiply,
-    /// convert back. Used by the fixed-base table builder, where the
-    /// copy cost is amortised over the table's lifetime.
-    pub(crate) fn mul_slices(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut af = [0u64; K];
-        af.copy_from_slice(a);
-        let mut bf = [0u64; K];
-        bf.copy_from_slice(b);
-        self.mul(&af, &bf).to_vec()
+    /// Fixed-base table for `0 < base < n` covering exponents up to
+    /// `max_exp_bits` bits: for each window position `i`, the `DIGITS`
+    /// values `base^(j << (WINDOW*i))`, `j` in `1..=15`, in Montgomery
+    /// form — position-major, `K` limbs each, flattened.
+    pub(crate) fn fixed_base_table(&self, base: &BigUint, max_exp_bits: usize) -> Vec<u64> {
+        let positions = max_exp_bits.div_ceil(WINDOW);
+        let mut table = Vec::with_capacity(positions * DIGITS * K);
+        // cur = base^(2^(WINDOW*pos)) in Montgomery form.
+        let mut cur = self.to_mont(base);
+        for _pos in 0..positions {
+            let mut entry = cur; // j = 1
+            table.extend_from_slice(&entry);
+            for _j in 2..=DIGITS {
+                entry = self.mul(&entry, &cur);
+                table.extend_from_slice(&entry);
+            }
+            for _ in 0..WINDOW {
+                cur = self.mul(&cur, &cur);
+            }
+        }
+        table
+    }
+
+    /// `base^exp mod n` from a [`Self::fixed_base_table`] of the same
+    /// kernel, for `exp > 0` no wider than the table: one entry per
+    /// non-zero nibble of `exp` — multiplies only, no squarings.
+    pub(crate) fn fixed_base_pow(&self, table: &[u64], exp: &BigUint) -> BigUint {
+        let mut acc: Option<[u64; K]> = None;
+        for pos in 0..exp.bit_len().div_ceil(WINDOW) {
+            let mut nibble = 0usize;
+            for b in 0..WINDOW {
+                if exp.bit(pos * WINDOW + b) {
+                    nibble |= 1 << b;
+                }
+            }
+            if nibble == 0 {
+                continue;
+            }
+            let at = (pos * DIGITS + nibble - 1) * K;
+            let entry: &[u64; K] = table[at..at + K].try_into().expect("K-limb table entry");
+            acc = Some(match acc {
+                None => *entry,
+                Some(a) => self.mul(&a, entry),
+            });
+        }
+        self.demont(&acc.expect("non-zero exponent has a non-zero nibble"))
+    }
+
+    /// Convert `x < n` into Montgomery form.
+    fn to_mont(&self, x: &BigUint) -> [u64; K] {
+        let x = biguint_to_limbs::<K>(x).expect("operand reduced below the modulus");
+        self.mul(&x, &self.rr)
+    }
+
+    /// Convert a Montgomery-form value back to a canonical [`BigUint`]:
+    /// multiply by literal 1.
+    fn demont(&self, m: &[u64; K]) -> BigUint {
+        let mut one = [0u64; K];
+        one[0] = 1;
+        limbs_to_biguint(&self.mul(m, &one))
     }
 
     /// Left-to-right binary exponentiation for `e >= 1` fitting a word.
@@ -110,8 +165,8 @@ impl<const K: usize> FixedMont<K> {
         acc
     }
 
-    /// Sliding-window exponentiation, window sizes matching the dynamic
-    /// kernel so both scan the exponent identically.
+    /// Sliding-window exponentiation with an odd-powers table of at
+    /// most `2^(w-1)` entries, `w` sized to the exponent's bit length.
     fn pow_window(&self, bm: &[u64; K], exp: &BigUint) -> [u64; K] {
         let bits = exp.bit_len();
         let w = match bits {
@@ -137,6 +192,7 @@ impl<const K: usize> FixedMont<K> {
                 i -= 1;
                 continue;
             }
+            // Greedily take the longest window ending on a set bit.
             let mut j = (i - w as isize + 1).max(0);
             while !exp.bit(j as usize) {
                 j += 1;
@@ -160,9 +216,12 @@ impl<const K: usize> FixedMont<K> {
         acc.expect("exponent is non-zero")
     }
 
-    /// CIOS Montgomery multiply on `K`-limb stack arrays — the same
-    /// recurrence as the dynamic kernel with the `t[k]`/`t[k+1]`
-    /// overflow limbs held in scalars.
+    /// CIOS Montgomery multiply: `(aR, bR) -> abR mod n`.
+    ///
+    /// Both inputs are `< n`; the interleaved reduction keeps the
+    /// accumulator under `2n`, so a single conditional subtraction at
+    /// the end suffices. The two overflow limbs above `t[K-1]` are held
+    /// in scalars.
     fn mul(&self, a: &[u64; K], b: &[u64; K]) -> [u64; K] {
         let mut t = [0u64; K];
         let mut tk = 0u64;
@@ -176,8 +235,8 @@ impl<const K: usize> FixedMont<K> {
             }
             let v = tk as u128 + carry as u128;
             tk = v as u64;
-            // The limb the dynamic kernel calls t[k+1]: written and
-            // consumed within one outer iteration.
+            // The limb above `tk`: written and consumed within one
+            // outer iteration.
             let tk1 = (v >> 64) as u64;
 
             // t = (t + m*n) / 2^64 with m chosen so t becomes divisible.

@@ -11,17 +11,21 @@
 //!   operations (Knuth Algorithm D division, Karatsuba multiplication above
 //!   a threshold).
 //! * [`modular`] — modular exponentiation and modular inverse (extended
-//!   Euclid). Odd moduli dispatch to the Montgomery kernel; even moduli
-//!   use the classic 4-bit-window division-per-step kernel.
-//! * [`montgomery`] — Montgomery-form (CIOS) modular multiplication and
-//!   sliding-window exponentiation for odd moduli: the hot kernel under
-//!   every RSA sign/verify and DH agreement in the workspace.
-//! * [`fixed`] — const-generic fixed-limb CIOS kernels for the hot
-//!   operand widths (4 and 8 limbs), attached to contexts built with
-//!   [`montgomery::Montgomery::new_precomputed`].
-//! * [`precomp`] — fixed-base windowed tables and a per-thread registry
-//!   of precomputed contexts consulted by [`modular::mod_pow`], so hot
-//!   keys (DH generator, CA verify key, CRT primes) skip per-call setup.
+//!   Euclid). [`modular::mod_pow`] is a pure function: odd moduli up to
+//!   2048 bits go through a [`montgomery::Montgomery`] context, the
+//!   rest through the classic 4-bit-window division-per-step kernel,
+//!   which is also the differential-testing reference.
+//! * [`montgomery`] — the one Montgomery context type: picks the kernel
+//!   width for a modulus and exponentiates under it. The hot path under
+//!   every RSA sign/verify, DH agreement and Miller–Rabin round in the
+//!   workspace.
+//! * [`fixed`] — the one kernel: const-generic CIOS multiplication and
+//!   sliding-window exponentiation on `[u64; K]` stack arrays, `K` in
+//!   {1, 2, 4, 8, 16, 32}.
+//! * [`precomp`] — [`precomp::FixedBaseTable`], a windowed table for
+//!   squaring-free `g^x` under one `(base, modulus)` pair. Contexts and
+//!   tables are plain values, held by the key or group they are a
+//!   function of.
 //! * [`prime`] — Miller–Rabin probabilistic primality testing with a small
 //!   prime sieve front end, and random prime generation suitable for RSA
 //!   and DH parameter creation.

@@ -8,29 +8,18 @@ use crate::BigUint;
 
 /// `base^exp mod modulus`.
 ///
-/// When the calling thread has registered `(base, modulus)` or
-/// `modulus` in the [`crate::precomp`] registry, the call is served
-/// from the precomputed fixed-base table or shared Montgomery context
-/// (identical results, no per-call setup). Otherwise odd moduli
-/// (every RSA and DH modulus in this workspace) take the Montgomery
-/// CIOS kernel in [`crate::montgomery`]: one conversion in and out,
-/// division-free multiplies in between, and an exponent scan sized to
-/// the exponent. Even moduli fall back to the classic
-/// division-per-step window kernel, [`mod_pow_classic`]. All paths
+/// A pure function of its arguments. Odd moduli up to 2048 bits (every
+/// RSA and DH modulus in this workspace) take the Montgomery CIOS
+/// kernel through a [`Montgomery`] context built for this one call:
+/// one conversion in and out, division-free multiplies in between, and
+/// an exponent scan sized to the exponent. A caller that exponentiates
+/// under one modulus many times should hold a [`Montgomery`] itself
+/// and skip the per-call build. Even or wider moduli fall back to the
+/// classic division-per-step window kernel, [`mod_pow_classic`]. Both
 /// produce identical results.
 ///
 /// Panics if `modulus` is zero. `x mod 1` is zero for all `x`.
 pub fn mod_pow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
-    assert!(!modulus.is_zero(), "mod_pow with zero modulus");
-    if modulus.is_one() {
-        return BigUint::zero();
-    }
-    if exp.is_zero() {
-        return BigUint::one();
-    }
-    if let Some(hit) = crate::precomp::lookup_pow(base, exp, modulus) {
-        return hit;
-    }
     match Montgomery::new(modulus) {
         Some(ctx) => ctx.pow(base, exp),
         None => mod_pow_classic(base, exp, modulus),
@@ -41,7 +30,8 @@ pub fn mod_pow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
 /// a long division after every square and multiply.
 ///
 /// This is the pre-Montgomery kernel, kept as the differential-testing
-/// reference, the even-modulus fallback, and the baseline the perf
+/// reference, the fallback for moduli the Montgomery kernel does not
+/// take (even, or wider than 2048 bits), and the baseline the perf
 /// guard in `scripts/verify.sh` measures the CIOS kernel against. The
 /// power table is sized to the largest window the exponent actually
 /// uses, so short exponents (3, 65537) no longer precompute all 16

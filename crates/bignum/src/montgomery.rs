@@ -6,94 +6,88 @@
 //! One conversion into Montgomery form on entry and one out on exit
 //! amortize across the whole exponentiation.
 //!
-//! The exponent scan is a sliding window sized to the exponent: short
-//! exponents (anything fitting in a `u64`, e.g. the RSA verify
-//! exponents 3 and 65537) take a plain square-and-multiply path with no
-//! table at all, while full-width RSA/DH exponents use an odd-powers
-//! table of at most 2^(w-1) entries.
+//! There is one context type over one kernel, the const-generic
+//! [`crate::fixed`] CIOS multiply. The context picks the kernel width
+//! from the modulus: its limb count rounded up to one of
+//! {1, 2, 4, 8, 16, 32}, operands zero-padded. Building a context costs
+//! one long division (`R^2 mod n`), well under a microsecond at 256
+//! bits, so [`crate::modular::mod_pow`] builds one per call; a value
+//! that exponentiates under one modulus many times — an RSA key's CRT
+//! primes, a DH group, a CA verify key — holds its own.
 
 use crate::fixed::FixedMont;
 use crate::BigUint;
 
-/// Width-specialised CIOS kernel attached to a context built with
-/// [`Montgomery::new_precomputed`]; contexts from [`Montgomery::new`]
-/// carry `None` and keep the dynamic kernel.
-enum FixedKernel {
-    /// 4-limb operands: the 256-bit DH test group, RSA-512 CRT primes.
-    F4(FixedMont<4>),
-    /// 8-limb operands: 512-bit RSA moduli.
-    F8(FixedMont<8>),
+/// The kernel at each instantiated width. Held inline: a context is
+/// built at most once per exponentiation, beside which writing the
+/// enum's half kilobyte is nothing, and the parameters the multiply
+/// loop reads stay off the heap.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum Kernel {
+    K1(FixedMont<1>),
+    K2(FixedMont<2>),
+    K4(FixedMont<4>),
+    K8(FixedMont<8>),
+    K16(FixedMont<16>),
+    K32(FixedMont<32>),
 }
 
-/// Precomputed Montgomery context for a fixed odd modulus `n > 1`.
-///
-/// With `k` limbs and `R = 2^(64k)`, the context stores `-n^-1 mod 2^64`
-/// and `R^2 mod n`; a CIOS multiply maps `(aR, bR) -> abR mod n` without
-/// any long division.
+/// `$body` with `$k` bound to the `FixedMont<K>` inside `$kernel`.
+macro_rules! with_kernel {
+    ($kernel:expr, $k:ident => $body:expr) => {
+        match $kernel {
+            Kernel::K1($k) => $body,
+            Kernel::K2($k) => $body,
+            Kernel::K4($k) => $body,
+            Kernel::K8($k) => $body,
+            Kernel::K16($k) => $body,
+            Kernel::K32($k) => $body,
+        }
+    };
+}
+
+/// Precomputed Montgomery context for a fixed odd modulus `n > 1` of at
+/// most 2048 bits.
+#[derive(Debug)]
 pub struct Montgomery {
     modulus: BigUint,
-    /// Modulus limbs, little endian, length `k` (no trailing zeros).
-    n: Vec<u64>,
-    /// `-n[0]^-1 mod 2^64`.
-    n0inv: u64,
-    /// `R^2 mod n`, padded to `k` limbs; multiplying by it converts into
-    /// Montgomery form.
-    rr: Vec<u64>,
-    /// Fixed-limb kernel for the hot widths (see [`crate::fixed`]).
-    kernel: Option<FixedKernel>,
+    kernel: Kernel,
 }
 
 impl Montgomery {
     /// Build a context, or `None` when the modulus is even or `<= 1`
-    /// (Montgomery reduction needs `gcd(n, 2^64) = 1`).
+    /// (Montgomery reduction needs `gcd(n, 2^64) = 1`) or wider than
+    /// 2048 bits (no kernel that wide); callers fall back to
+    /// [`crate::modular::mod_pow_classic`].
     pub fn new(modulus: &BigUint) -> Option<Montgomery> {
         if modulus.is_zero() || modulus.is_one() || modulus.is_even() {
             return None;
         }
-        let n: Vec<u64> = modulus.limbs().to_vec();
-        let k = n.len();
-        // Newton–Hensel lifting: each step doubles the number of correct
-        // low bits of n[0]^-1 mod 2^64; n[0] is odd so n[0] itself is
-        // correct to 3 bits and six doublings exceed 64.
-        let mut inv: u64 = n[0];
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
-        }
-        let rr_big = (&BigUint::one() << (128 * k)).rem_ref(modulus);
-        let mut rr = rr_big.limbs().to_vec();
-        rr.resize(k, 0);
+        let kernel = match modulus.limbs().len() {
+            1 => Kernel::K1(FixedMont::new(modulus)),
+            2 => Kernel::K2(FixedMont::new(modulus)),
+            3..=4 => Kernel::K4(FixedMont::new(modulus)),
+            5..=8 => Kernel::K8(FixedMont::new(modulus)),
+            9..=16 => Kernel::K16(FixedMont::new(modulus)),
+            17..=32 => Kernel::K32(FixedMont::new(modulus)),
+            _ => return None,
+        };
         Some(Montgomery {
             modulus: modulus.clone(),
-            n,
-            n0inv: inv.wrapping_neg(),
-            rr,
-            kernel: None,
+            kernel,
         })
     }
 
-    /// Build a context intended to be cached and reused across many
-    /// exponentiations: same parameters as [`Montgomery::new`], plus a
-    /// const-generic fixed-limb kernel (see [`crate::fixed`]) when the
-    /// modulus is one of the hot widths (4 or 8 limbs). Other widths
-    /// keep the dynamic kernel. Results are bit-identical either way.
+    /// Identical to [`Montgomery::new`]; the name survives only because
+    /// the frozen `benchmark/` crate calls it.
     pub fn new_precomputed(modulus: &BigUint) -> Option<Montgomery> {
-        let mut ctx = Montgomery::new(modulus)?;
-        ctx.kernel = match ctx.n.len() {
-            4 => FixedMont::<4>::new(&ctx.n, ctx.n0inv, &ctx.rr).map(FixedKernel::F4),
-            8 => FixedMont::<8>::new(&ctx.n, ctx.n0inv, &ctx.rr).map(FixedKernel::F8),
-            _ => None,
-        };
-        Some(ctx)
+        Montgomery::new(modulus)
     }
 
     /// The modulus this context was built for.
     pub fn modulus(&self) -> &BigUint {
         &self.modulus
-    }
-
-    /// Whether this context dispatches to a fixed-limb kernel.
-    pub fn has_fixed_kernel(&self) -> bool {
-        self.kernel.is_some()
     }
 
     /// `base^exp mod n` with the same semantics as
@@ -106,174 +100,20 @@ impl Montgomery {
         if base.is_zero() {
             return BigUint::zero();
         }
-        match &self.kernel {
-            Some(FixedKernel::F4(f)) => return f.pow(&base, exp),
-            Some(FixedKernel::F8(f)) => return f.pow(&base, exp),
-            None => {}
-        }
-        let mut bm = base.limbs().to_vec();
-        bm.resize(self.n.len(), 0);
-        let bm = self.mul(&bm, &self.rr); // into Montgomery form
-        let acc = match exp.to_u64() {
-            // Short-exponent fast path: plain square-and-multiply, no
-            // table. Covers the RSA verify exponents (3, 65537).
-            Some(e) => self.pow_u64(&bm, e),
-            None => self.pow_window(&bm, exp),
-        };
-        // Out of Montgomery form: multiply by literal 1.
-        let mut one = vec![0u64; self.n.len()];
-        one[0] = 1;
-        BigUint::from_limbs(self.mul(&acc, &one))
+        with_kernel!(&self.kernel, k => k.pow(&base, exp))
     }
 
-    /// Convert `x < n` into Montgomery form (`k` limbs).
-    pub(crate) fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        let mut xm = x.limbs().to_vec();
-        xm.resize(self.n.len(), 0);
-        self.mont_mul(&xm, &self.rr)
+    /// Fixed-base table entries for `0 < base < n` (see
+    /// [`crate::precomp::FixedBaseTable`]).
+    pub(crate) fn fixed_base_table(&self, base: &BigUint, max_exp_bits: usize) -> Vec<u64> {
+        with_kernel!(&self.kernel, k => k.fixed_base_table(base, max_exp_bits))
     }
 
-    /// Convert a Montgomery-form value back to a canonical [`BigUint`].
-    pub(crate) fn demont(&self, m: &[u64]) -> BigUint {
-        let mut one = vec![0u64; self.n.len()];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(m, &one))
-    }
-
-    /// Montgomery multiply on `k`-limb slices, routed through the fixed
-    /// kernel when one is attached. Used by the fixed-base table in
-    /// [`crate::precomp`].
-    pub(crate) fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        match &self.kernel {
-            Some(FixedKernel::F4(f)) => f.mul_slices(a, b),
-            Some(FixedKernel::F8(f)) => f.mul_slices(a, b),
-            None => self.mul(a, b),
-        }
-    }
-
-    /// Left-to-right binary exponentiation for `e >= 1` fitting a word.
-    fn pow_u64(&self, bm: &[u64], e: u64) -> Vec<u64> {
-        let mut acc = bm.to_vec();
-        for i in (0..63 - e.leading_zeros() as usize).rev() {
-            acc = self.mul(&acc, &acc);
-            if (e >> i) & 1 == 1 {
-                acc = self.mul(&acc, bm);
-            }
-        }
-        acc
-    }
-
-    /// Sliding-window exponentiation with an odd-powers table sized to
-    /// the exponent's bit length.
-    fn pow_window(&self, bm: &[u64], exp: &BigUint) -> Vec<u64> {
-        let bits = exp.bit_len();
-        let w = match bits {
-            0..=96 => 3,
-            97..=384 => 4,
-            _ => 5,
-        };
-        // table[t] = base^(2t+1) in Montgomery form.
-        let bsq = self.mul(bm, bm);
-        let mut table = Vec::with_capacity(1 << (w - 1));
-        table.push(bm.to_vec());
-        for t in 1..(1 << (w - 1)) {
-            let prev: &Vec<u64> = &table[t - 1];
-            table.push(self.mul(prev, &bsq));
-        }
-
-        let mut acc: Option<Vec<u64>> = None;
-        let mut i = bits as isize - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                let a = acc.expect("window scan starts on a set bit");
-                acc = Some(self.mul(&a, &a));
-                i -= 1;
-                continue;
-            }
-            // Greedily take the longest window ending on a set bit.
-            let mut j = (i - w as isize + 1).max(0);
-            while !exp.bit(j as usize) {
-                j += 1;
-            }
-            let mut val = 0usize;
-            for b in (j..=i).rev() {
-                val = (val << 1) | exp.bit(b as usize) as usize;
-            }
-            let width = (i - j + 1) as usize;
-            acc = Some(match acc {
-                None => table[val >> 1].clone(),
-                Some(mut a) => {
-                    for _ in 0..width {
-                        a = self.mul(&a, &a);
-                    }
-                    self.mul(&a, &table[val >> 1])
-                }
-            });
-            i = j - 1;
-        }
-        acc.expect("exponent is non-zero")
-    }
-
-    /// CIOS Montgomery multiply: `(aR, bR) -> abR mod n`.
-    ///
-    /// Both inputs are `k` limbs and `< n`; the interleaved reduction
-    /// keeps the accumulator under `2n`, so a single conditional
-    /// subtraction at the end suffices.
-    fn mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n.len();
-        let mut t = vec![0u64; k + 2];
-        for &bi in b {
-            // t += a * bi
-            let mut carry = 0u64;
-            for j in 0..k {
-                let v = t[j] as u128 + (a[j] as u128) * (bi as u128) + carry as u128;
-                t[j] = v as u64;
-                carry = (v >> 64) as u64;
-            }
-            let v = t[k] as u128 + carry as u128;
-            t[k] = v as u64;
-            t[k + 1] = (v >> 64) as u64;
-
-            // t = (t + m*n) / 2^64 with m chosen so t becomes divisible.
-            let m = t[0].wrapping_mul(self.n0inv);
-            let v = t[0] as u128 + (m as u128) * (self.n[0] as u128);
-            let mut carry = (v >> 64) as u64;
-            for j in 1..k {
-                let v = t[j] as u128 + (m as u128) * (self.n[j] as u128) + carry as u128;
-                t[j - 1] = v as u64;
-                carry = (v >> 64) as u64;
-            }
-            let v = t[k] as u128 + carry as u128;
-            t[k - 1] = v as u64;
-            t[k] = t[k + 1] + ((v >> 64) as u64);
-            t[k + 1] = 0;
-        }
-        let mut out = t[..k].to_vec();
-        if t[k] != 0 || ge(&out, &self.n) {
-            sub_in_place(&mut out, &self.n);
-        }
-        out
-    }
-}
-
-/// `a >= b` on equal-length little-endian limb slices.
-fn ge(a: &[u64], b: &[u64]) -> bool {
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
-        }
-    }
-    true
-}
-
-/// `a -= b` on equal-length little-endian limb slices; `a >= b` holds.
-fn sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for (ai, &bi) in a.iter_mut().zip(b) {
-        let (d1, b1) = ai.overflowing_sub(bi);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *ai = d2;
-        borrow = (b1 | b2) as u64;
+    /// `base^exp mod n` from this context's own
+    /// [`Montgomery::fixed_base_table`], for `exp > 0` no wider than
+    /// the table.
+    pub(crate) fn fixed_base_pow(&self, table: &[u64], exp: &BigUint) -> BigUint {
+        with_kernel!(&self.kernel, k => k.fixed_base_pow(table, exp))
     }
 }
 

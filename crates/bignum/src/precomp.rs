@@ -1,85 +1,50 @@
-//! Fixed-base precomputation and the per-thread modexp acceleration
-//! registry.
+//! Fixed-base precomputation.
 //!
-//! A VO-scale login wave repeats exponentiations against the *same*
-//! small set of operands: the DH generator under the group modulus
-//! (every keypair), the CA verify key (every chain), a server's CRT
-//! primes (every signature). This module amortises that repetition two
-//! ways:
+//! A VO-scale login wave computes `g^x mod p` for the *same* generator
+//! and group modulus once per keypair. [`FixedBaseTable`] is a windowed
+//! table of `base^(j·2^(w·i))` built once for such a `(base, modulus)`
+//! pair; exponentiation then needs only table multiplies, no
+//! squarings: ~64 multiplies for a 256-bit exponent against ~340 for
+//! the sliding-window scan.
 //!
-//! * [`FixedBaseTable`] — a windowed table of `base^(j·2^(w·i))` built
-//!   once per hot `(base, modulus)` pair. Exponentiation then needs
-//!   only table multiplies, no squarings: ~64 multiplies for a 256-bit
-//!   exponent against ~340 for the sliding-window scan.
-//! * A thread-local **registry** consulted by
-//!   [`mod_pow`](crate::modular::mod_pow): callers register hot bases
-//!   (→ fixed-base table) and hot moduli (→ cached
-//!   [`Montgomery::new_precomputed`] context, fixed-limb kernel
-//!   included), and every `mod_pow` anywhere in the thread that matches
-//!   a registration takes the precomputed path. Everything else falls
-//!   through to the stock kernels unchanged.
-//!
-//! Registration is explicit and so is teardown: [`clear`] (or the
-//! paired `unregister_*` calls) restores baseline behaviour, which the
-//! perf guard relies on when it measures the per-session baseline.
-//! Results are bit-identical with or without registrations — pinned by
-//! the differential property suite in `tests/precomp_props.rs`.
-
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::Rc;
+//! A table is an ordinary value, owned by whatever it is a function of
+//! (`gridsec_crypto::dh::DhGroup` holds the one for its generator).
+//! Results are bit-identical with or without one — pinned by the
+//! differential property suite in `tests/precomp_props.rs`.
 
 use crate::montgomery::Montgomery;
 use crate::BigUint;
 
-/// Window width in bits for fixed-base tables. With `w = 4` a 256-bit
-/// exponent costs at most 64 table multiplies; the table for one base
-/// holds `ceil(bits/4) * 15` Montgomery-form entries (~30 KiB at 4
-/// limbs).
-const WINDOW: usize = 4;
-
 /// Precomputed powers of one fixed base under one fixed odd modulus.
 ///
-/// Entry `(i, j)` holds `base^(j << (WINDOW*i)) mod n` in Montgomery
-/// form for `j in 1..=15`, so `base^e` for any exponent up to
-/// `max_exp_bits` is the product of one entry per non-zero nibble of
-/// `e` — multiplies only, no squarings.
+/// `base^e` for any exponent up to `max_exp_bits` is the product of one
+/// table entry per non-zero nibble of `e` — multiplies only, no
+/// squarings.
+#[derive(Debug)]
 pub struct FixedBaseTable {
     base: BigUint,
     mont: Montgomery,
     max_exp_bits: usize,
-    /// `positions * 15` Montgomery-form values, position-major.
-    entries: Vec<Vec<u64>>,
+    /// Montgomery-form entries, laid out by `mont`'s kernel.
+    entries: Vec<u64>,
 }
 
 impl FixedBaseTable {
     /// Build a table for `base^e mod modulus`, `e` up to `max_exp_bits`
     /// bits.
     ///
-    /// Returns `None` when the modulus is even or `<= 1` (no Montgomery
-    /// context), when `base ≡ 0 (mod modulus)` (the table cannot
-    /// represent zero — callers fall back to the generic path, which
-    /// handles it), or when `max_exp_bits` is zero.
+    /// Returns `None` when the modulus admits no Montgomery context
+    /// (even, `<= 1`, wider than 2048 bits), when `base ≡ 0 (mod
+    /// modulus)` (the table cannot represent zero — callers fall back
+    /// to the generic path, which handles it), or when `max_exp_bits`
+    /// is zero.
     pub fn build(base: &BigUint, modulus: &BigUint, max_exp_bits: usize) -> Option<FixedBaseTable> {
-        let mont = Montgomery::new_precomputed(modulus)?;
+        let mont = Montgomery::new(modulus)?;
         let reduced = base.rem_ref(modulus);
         if reduced.is_zero() || max_exp_bits == 0 {
             return None;
         }
-        let positions = max_exp_bits.div_ceil(WINDOW);
-        let mut entries: Vec<Vec<u64>> = Vec::with_capacity(positions * 15);
-        // cur = base^(2^(WINDOW*pos)) in Montgomery form.
-        let mut cur = mont.to_mont(&reduced);
-        for _pos in 0..positions {
-            entries.push(cur.clone()); // j = 1
-            for _j in 2..=15 {
-                let prev = entries.last().expect("pushed j=1 above");
-                entries.push(mont.mont_mul(prev, &cur));
-            }
-            for _ in 0..WINDOW {
-                cur = mont.mont_mul(&cur, &cur);
-            }
-        }
+        let entries = mont.fixed_base_table(&reduced, max_exp_bits);
         Some(FixedBaseTable {
             base: base.clone(),
             mont,
@@ -116,194 +81,14 @@ impl FixedBaseTable {
         if exp.is_zero() {
             return Some(BigUint::one());
         }
-        let positions = self.max_exp_bits.div_ceil(WINDOW);
-        let mut acc: Option<Vec<u64>> = None;
-        for pos in 0..positions {
-            let mut nibble = 0usize;
-            for b in 0..WINDOW {
-                if exp.bit(pos * WINDOW + b) {
-                    nibble |= 1 << b;
-                }
-            }
-            if nibble == 0 {
-                continue;
-            }
-            let entry = &self.entries[pos * 15 + nibble - 1];
-            acc = Some(match acc {
-                None => entry.clone(),
-                Some(a) => self.mont.mont_mul(&a, entry),
-            });
-        }
-        let acc = acc.expect("non-zero exponent has a non-zero nibble");
-        Some(self.mont.demont(&acc))
+        Some(self.mont.fixed_base_pow(&self.entries, exp))
     }
-}
-
-/// Counters and sizes describing the calling thread's registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrecompStats {
-    /// Registered fixed-base tables.
-    pub tables: usize,
-    /// Registered shared Montgomery contexts.
-    pub contexts: usize,
-    /// `mod_pow` calls served by a fixed-base table.
-    pub fixed_base_hits: u64,
-    /// `mod_pow` calls served by a shared context.
-    pub context_hits: u64,
-}
-
-#[derive(Default)]
-struct Registry {
-    /// Keyed by (base limbs, modulus limbs), both as registered.
-    tables: HashMap<(Vec<u64>, Vec<u64>), Rc<FixedBaseTable>>,
-    /// Keyed by modulus limbs.
-    contexts: HashMap<Vec<u64>, Rc<Montgomery>>,
-    fixed_base_hits: u64,
-    context_hits: u64,
-}
-
-thread_local! {
-    /// Fast emptiness flag so an empty registry costs one `Cell` read
-    /// per `mod_pow`.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
-}
-
-fn refresh_active(r: &Registry) {
-    ACTIVE.with(|a| a.set(!r.tables.is_empty() || !r.contexts.is_empty()));
-}
-
-/// Register a fixed-base table for `(base, modulus)` covering exponents
-/// up to `max_exp_bits` bits. Returns `false` (and registers nothing)
-/// for operands a table cannot represent — even or trivial moduli,
-/// `base ≡ 0` — in which case `mod_pow` simply keeps its generic path.
-///
-/// Idempotent: re-registering the same pair with the same or smaller
-/// width reuses the existing table; a wider request rebuilds it.
-pub fn register_fixed_base(base: &BigUint, modulus: &BigUint, max_exp_bits: usize) -> bool {
-    let key = (base.limbs().to_vec(), modulus.limbs().to_vec());
-    let existing = REGISTRY.with(|r| {
-        r.borrow()
-            .tables
-            .get(&key)
-            .map(|t| t.max_exp_bits() >= max_exp_bits)
-    });
-    if existing == Some(true) {
-        return true;
-    }
-    // Build outside the registry borrow: table construction runs the
-    // Montgomery kernel, and keeping the borrow scope tight keeps the
-    // module trivially re-entrant.
-    let Some(table) = FixedBaseTable::build(base, modulus, max_exp_bits) else {
-        return false;
-    };
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        r.tables.insert(key, Rc::new(table));
-        refresh_active(&r);
-    });
-    true
-}
-
-/// Drop the fixed-base table for `(base, modulus)`, if any.
-pub fn unregister_fixed_base(base: &BigUint, modulus: &BigUint) {
-    let key = (base.limbs().to_vec(), modulus.limbs().to_vec());
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        r.tables.remove(&key);
-        refresh_active(&r);
-    });
-}
-
-/// Register a shared Montgomery context (fixed-limb kernel included
-/// when the width allows) for `modulus`, so every `mod_pow` against it
-/// skips the per-call context build. Returns `false` for even or
-/// trivial moduli. Idempotent.
-pub fn register_modulus(modulus: &BigUint) -> bool {
-    let key = modulus.limbs().to_vec();
-    if REGISTRY.with(|r| r.borrow().contexts.contains_key(&key)) {
-        return true;
-    }
-    let Some(ctx) = Montgomery::new_precomputed(modulus) else {
-        return false;
-    };
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        r.contexts.insert(key, Rc::new(ctx));
-        refresh_active(&r);
-    });
-    true
-}
-
-/// Drop the shared context for `modulus`, if any.
-pub fn unregister_modulus(modulus: &BigUint) {
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        r.contexts.remove(modulus.limbs());
-        refresh_active(&r);
-    });
-}
-
-/// Drop every registration and reset the hit counters, restoring
-/// baseline `mod_pow` behaviour for this thread.
-pub fn clear() {
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        *r = Registry::default();
-        refresh_active(&r);
-    });
-}
-
-/// Snapshot of this thread's registry sizes and hit counters.
-pub fn stats() -> PrecompStats {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        PrecompStats {
-            tables: r.tables.len(),
-            contexts: r.contexts.len(),
-            fixed_base_hits: r.fixed_base_hits,
-            context_hits: r.context_hits,
-        }
-    })
-}
-
-/// Registry lookup for [`mod_pow`](crate::modular::mod_pow): serve
-/// `base^exp mod modulus` from a registered table or context, or
-/// `None` to fall through to the generic kernels.
-///
-/// The caller has already handled `modulus <= 1` and `exp = 0`;
-/// registered moduli are odd and `> 1`, so both precomputed paths
-/// agree with the generic ones on everything that reaches here.
-pub(crate) fn lookup_pow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> Option<BigUint> {
-    if !ACTIVE.with(|a| a.get()) {
-        return None;
-    }
-    REGISTRY.with(|r| {
-        let table = {
-            let reg = r.borrow();
-            reg.tables
-                .get(&(base.limbs().to_vec(), modulus.limbs().to_vec()))
-                .cloned()
-        };
-        if let Some(t) = table {
-            if let Some(v) = t.pow(exp) {
-                r.borrow_mut().fixed_base_hits += 1;
-                return Some(v);
-            }
-        }
-        let ctx = r.borrow().contexts.get(modulus.limbs()).cloned();
-        if let Some(ctx) = ctx {
-            r.borrow_mut().context_hits += 1;
-            return Some(ctx.pow(base, exp));
-        }
-        None
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modular::{mod_pow, mod_pow_classic};
+    use crate::modular::mod_pow_classic;
 
     fn n(s: &str) -> BigUint {
         BigUint::from_decimal(s).unwrap()
@@ -329,39 +114,5 @@ mod tests {
         assert!(FixedBaseTable::build(&BigUint::zero(), &n("97"), 64).is_none());
         assert!(FixedBaseTable::build(&n("97"), &n("97"), 64).is_none()); // base ≡ 0
         assert!(FixedBaseTable::build(&n("5"), &n("97"), 0).is_none());
-    }
-
-    #[test]
-    fn registry_serves_and_clears() {
-        clear();
-        let m = n("1000000007");
-        let g = n("2");
-        assert!(register_fixed_base(&g, &m, 128));
-        assert!(register_modulus(&m));
-        let before = stats();
-        assert_eq!((before.tables, before.contexts), (1, 1));
-
-        let e = n("123456789");
-        assert_eq!(mod_pow(&g, &e, &m), mod_pow_classic(&g, &e, &m));
-        // A different base under the registered modulus takes the
-        // shared-context path.
-        assert_eq!(mod_pow(&n("7"), &e, &m), mod_pow_classic(&n("7"), &e, &m));
-        let after = stats();
-        assert_eq!(after.fixed_base_hits, 1);
-        assert_eq!(after.context_hits, 1);
-
-        clear();
-        assert_eq!(stats(), PrecompStats::default());
-    }
-
-    #[test]
-    fn degenerate_registrations_are_refused() {
-        clear();
-        assert!(!register_fixed_base(&n("2"), &n("16"), 64));
-        assert!(!register_modulus(&n("16")));
-        assert!(!register_modulus(&BigUint::one()));
-        assert_eq!(stats().tables + stats().contexts, 0);
-        // And mod_pow still works on those operands via the fallback.
-        assert_eq!(mod_pow(&n("7"), &n("5"), &n("16")), n("7"));
     }
 }

@@ -68,9 +68,9 @@ impl HmacSha256 {
 /// key (every HKDF-Expand block is keyed by the same PRK; a TLS key
 /// schedule MACs its Finished messages and derives its resumption
 /// ticket under the same master secret), priming once and cloning the
-/// two states per MAC skips that rework — the same fixed-base
-/// amortization `gridsec_bignum::precomp` applies to modular
-/// exponentiation, applied to the symmetric side.
+/// two states per MAC skips that rework — the amortization a
+/// [`DhGroup`](crate::dh::DhGroup) applies to `g^x` with its fixed-base
+/// table, applied to the symmetric side.
 ///
 /// Byte-identity with the one-shot path is pinned by tests here and in
 /// `gridsec-tls` (the RFC 4231/5869 vectors run through this type via

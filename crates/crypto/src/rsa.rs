@@ -18,12 +18,13 @@
 //!   [`RsaVerifyCtx::verify_batch`] verifying N signatures under one
 //!   shared Montgomery context and attributing any failures by index.
 
+use std::sync::Arc;
+
 use crate::ct::ct_eq;
 use crate::sha256::sha256;
 use crate::CryptoError;
 use gridsec_bignum::modular::{mod_inv, mod_pow};
 use gridsec_bignum::montgomery::Montgomery;
-use gridsec_bignum::precomp;
 use gridsec_bignum::prime::{generate_prime, EntropySource};
 use gridsec_bignum::BigUint;
 
@@ -168,8 +169,7 @@ impl BatchOutcome {
 /// [`RsaPublicKey::verify_pkcs1_sha256`] rebuilds the Montgomery
 /// context — including the `R^2 mod n` division — on every call. For a
 /// key that verifies thousands of signatures per login wave (the CA
-/// verify key, a portal server's key) this context builds it once, with
-/// the fixed-limb kernel attached when the modulus width allows, and
+/// verify key, a portal server's key) this context builds it once and
 /// reuses it for every verification.
 ///
 /// `verify_batch` evaluates the **same predicate** as N individual
@@ -183,8 +183,8 @@ impl BatchOutcome {
 /// DESIGN.md §13.)
 pub struct RsaVerifyCtx {
     key: RsaPublicKey,
-    /// Shared context; `None` for degenerate (even/trivial) moduli,
-    /// which keep the plain `mod_pow` fallback.
+    /// Shared context; `None` for moduli that admit none (even,
+    /// trivial, over-wide), which keep the plain `mod_pow` fallback.
     mont: Option<Montgomery>,
 }
 
@@ -195,7 +195,7 @@ impl RsaVerifyCtx {
     pub fn new(key: &RsaPublicKey) -> Self {
         RsaVerifyCtx {
             key: key.clone(),
-            mont: Montgomery::new_precomputed(&key.n),
+            mont: Montgomery::new(&key.n),
         }
     }
 
@@ -206,10 +206,7 @@ impl RsaVerifyCtx {
 
     /// `s^e mod n` through the shared context.
     fn public_op(&self, s: &BigUint) -> BigUint {
-        match &self.mont {
-            Some(m) => m.pow(s, &self.key.e),
-            None => mod_pow(s, &self.key.e, &self.key.n),
-        }
+        pow_with(&self.mont, s, &self.key.e, &self.key.n)
     }
 
     /// Verify one EMSA-PKCS1-v1_5 / SHA-256 signature — the same
@@ -271,6 +268,20 @@ pub struct RsaKeyPair {
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
+    /// Montgomery contexts for `p` and `q`, built once with the key
+    /// and shared by its clones; `None` for a prime that admits none
+    /// (possible only for hostile [`RsaKeyPair::from_components`]
+    /// input).
+    crt: Arc<[Option<Montgomery>; 2]>,
+}
+
+/// `base^exp mod modulus` through `ctx`, the context held for
+/// `modulus`, or through `mod_pow` when the modulus admits none.
+fn pow_with(ctx: &Option<Montgomery>, base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
+    match ctx {
+        Some(m) => m.pow(base, exp),
+        None => mod_pow(base, exp, modulus),
+    }
 }
 
 impl RsaKeyPair {
@@ -279,41 +290,22 @@ impl RsaKeyPair {
     pub fn generate<E: EntropySource>(rng: &mut E, bits: usize) -> Self {
         assert!(bits >= 128, "RSA modulus must be at least 128 bits");
         let e = BigUint::from(65537u64);
-        let one = BigUint::one();
         loop {
             let p = generate_prime(rng, bits / 2, 16);
             let q = generate_prime(rng, bits - bits / 2, 16);
-            if p == q {
+            if p == q || p.mul_ref(&q).bit_len() != bits {
                 continue;
             }
-            let n = p.mul_ref(&q);
-            if n.bit_len() != bits {
-                continue;
+            match Self::from_components(p, q, e.clone()) {
+                Ok(key) => return key,
+                Err(_) => continue, // gcd(e, phi) != 1; re-draw primes
             }
-            let p1 = p.sub_ref(&one);
-            let q1 = q.sub_ref(&one);
-            let phi = p1.mul_ref(&q1);
-            let d = match mod_inv(&e, &phi) {
-                Some(d) => d,
-                None => continue, // gcd(e, phi) != 1; re-draw primes
-            };
-            let dp = d.rem_ref(&p1);
-            let dq = d.rem_ref(&q1);
-            let qinv = mod_inv(&q, &p).expect("p, q distinct primes");
-            return RsaKeyPair {
-                public: RsaPublicKey::new(n, e),
-                d,
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-            };
         }
     }
 
     /// Reconstruct a key pair from its primes and public exponent
-    /// (used by key (de)serialization in `gridsec-pki`).
+    /// (used by key (de)serialization in `gridsec-pki`), deriving the
+    /// CRT parameters and the per-prime Montgomery contexts.
     pub fn from_components(p: BigUint, q: BigUint, e: BigUint) -> Result<Self, CryptoError> {
         let one = BigUint::one();
         let n = p.mul_ref(&q);
@@ -324,6 +316,7 @@ impl RsaKeyPair {
         let dp = d.rem_ref(&p1);
         let dq = d.rem_ref(&q1);
         let qinv = mod_inv(&q, &p).ok_or(CryptoError::InvalidKey("p and q not coprime"))?;
+        let crt = Arc::new([Montgomery::new(&p), Montgomery::new(&q)]);
         Ok(RsaKeyPair {
             public: RsaPublicKey::new(n, e),
             d,
@@ -332,6 +325,7 @@ impl RsaKeyPair {
             dp,
             dq,
             qinv,
+            crt,
         })
     }
 
@@ -351,29 +345,11 @@ impl RsaKeyPair {
         &self.d
     }
 
-    /// Register this key's CRT prime moduli in the calling thread's
-    /// [`precomp`] registry, so repeated signing (a busy server during
-    /// a login wave) reuses one Montgomery context per prime instead of
-    /// rebuilding both per signature. Pair with
-    /// [`RsaKeyPair::unregister_signing_precomp`]; returns `false` if
-    /// either prime was refused (never the case for generated keys).
-    pub fn register_signing_precomp(&self) -> bool {
-        let p_ok = precomp::register_modulus(&self.p);
-        let q_ok = precomp::register_modulus(&self.q);
-        p_ok && q_ok
-    }
-
-    /// Remove the registrations made by
-    /// [`RsaKeyPair::register_signing_precomp`].
-    pub fn unregister_signing_precomp(&self) {
-        precomp::unregister_modulus(&self.p);
-        precomp::unregister_modulus(&self.q);
-    }
-
     /// Private-key operation using the Chinese Remainder Theorem.
     fn raw_private_op(&self, c: &BigUint) -> BigUint {
-        let m1 = mod_pow(&c.rem_ref(&self.p), &self.dp, &self.p);
-        let m2 = mod_pow(&c.rem_ref(&self.q), &self.dq, &self.q);
+        let [ctx_p, ctx_q] = &*self.crt;
+        let m1 = pow_with(ctx_p, &c.rem_ref(&self.p), &self.dp, &self.p);
+        let m2 = pow_with(ctx_q, &c.rem_ref(&self.q), &self.dq, &self.q);
         // h = qinv * (m1 - m2) mod p
         let diff = if m1 >= m2 {
             m1.sub_ref(&m2)
@@ -551,6 +527,18 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes(b"fp other");
         let other = RsaKeyPair::generate(&mut rng, 512);
         assert_ne!(key.public().fingerprint(), other.public().fingerprint());
+    }
+
+    #[test]
+    fn clone_signs_identically_and_shares_crt_contexts() {
+        let key = test_key();
+        let clone = key.clone();
+        assert!(key.crt.iter().all(Option::is_some));
+        assert!(Arc::ptr_eq(&key.crt, &clone.crt), "shared, not rebuilt");
+        assert_eq!(
+            key.sign_pkcs1_sha256(b"cloned"),
+            clone.sign_pkcs1_sha256(b"cloned")
+        );
     }
 
     #[test]

@@ -110,27 +110,6 @@ impl GridFtpServer {
         })
     }
 
-    /// Serve one session on an accepted raw stream: handshake, then
-    /// commands until `QUIT` or EOF. Returns the number of transfers.
-    ///
-    /// Blocking compatibility shim over the sans-io
-    /// [`poll::ServerSession`] machine, which holds all the protocol
-    /// logic.
-    pub fn serve_session<S: Read + Write, E: EntropySource>(
-        &mut self,
-        stream: S,
-        rng: &mut E,
-        now: u64,
-    ) -> Result<u64, FtpError> {
-        use gridsec_testbed::faults::CrashPlan;
-        let mut machine =
-            poll::ServerSession::new(self, poll::Dialect::Classic, now, CrashPlan::disabled());
-        let mut stream = stream;
-        let out = poll::drive_blocking(&mut machine, &mut stream, rng);
-        self.transfers += machine.completed();
-        out
-    }
-
     /// Shared OS handle (for test assertions).
     pub fn os(&self) -> &SimOs {
         &self.os

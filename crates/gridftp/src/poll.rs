@@ -1,12 +1,10 @@
 //! Sans-io GridFTP server sessions: one frame-driven state machine per
 //! connection, runnable as a discrete-event scheduler task.
 //!
-//! The blocking session loops ([`GridFtpServer::serve_session`],
-//! [`GridFtpServer::serve_resumable`](crate::resume),
-//! [`serve_striped`](crate::stripe::serve_striped)) are now thin shims
-//! over [`ServerSession`]: the protocol logic — handshake, rights
-//! split, grid-map authorization, command dispatch, restart markers,
-//! stripe credit windows, kill points — lives here as a pure
+//! Every server session — classic, resumable, striped — is a
+//! [`ServerSession`]: the protocol logic — handshake, rights split,
+//! grid-map authorization, command dispatch, restart markers, stripe
+//! credit windows, kill points — lives here as a pure
 //! feed-bytes-in/frames-out machine with no blocking reads. That is
 //! what retires the GT2 threading exception (DESIGN.md §12.4): a
 //! GridFTP stripe is a [`Scheduler`] task woken by stream readability,
@@ -26,7 +24,6 @@
 //! as it observed a dying server thread.
 
 use std::cell::RefCell;
-use std::io::{Read, Write};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -38,7 +35,7 @@ use gridsec_testbed::net::{Network, SimStream};
 use gridsec_testbed::os::{FileMode, SimOs, Uid};
 use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::records::{frame, Accepted, RecordSession, ServerAcceptor};
+use gridsec_tls::records::{Accepted, RecordSession, ServerAcceptor};
 use gridsec_tls::stream::write_frame;
 use gridsec_tls::TlsError;
 
@@ -789,42 +786,6 @@ impl ServerSession {
         }
         self.say(&format!("STORED {sha}"));
         self.complete_one();
-    }
-}
-
-/// Drive a [`ServerSession`] over a blocking byte stream — the engine
-/// behind the `serve_*` compatibility shims. Reads one frame at a
-/// time, feeds it, writes every queued reply, and returns the
-/// machine's outcome.
-pub(crate) fn drive_blocking<S: Read + Write, E: EntropySource>(
-    machine: &mut ServerSession,
-    stream: &mut S,
-    rng: &mut E,
-) -> Result<u64, FtpError> {
-    loop {
-        machine.drive(rng);
-        for f in machine.take_output() {
-            if let Err(e) = write_frame(stream, &f) {
-                // A reply the blocking loops sent best-effort (BYE,
-                // the prologue refusals) never masks the resolved
-                // outcome; any other torn write is a channel error.
-                return machine
-                    .take_outcome()
-                    .unwrap_or_else(|| Err(FtpError::Channel(e.to_string())));
-            }
-        }
-        if let Some(out) = machine.take_outcome() {
-            return out;
-        }
-        match gridsec_tls::stream::read_frame(stream) {
-            Ok(payload) => machine.feed(&frame(&payload)),
-            Err(_) => {
-                machine.on_transport_close();
-                return machine
-                    .take_outcome()
-                    .expect("transport close resolves the session");
-            }
-        }
     }
 }
 

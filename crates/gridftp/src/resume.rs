@@ -41,7 +41,6 @@ use std::io::{Read, Write};
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::sha256::sha256;
-use gridsec_testbed::faults::CrashPlan;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::retry::{connect_with_retry, is_transient};
 use gridsec_tls::stream::SecureStream;
@@ -49,7 +48,7 @@ use gridsec_tls::TlsError;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace;
 
-use crate::{FtpError, GridFtpServer};
+use crate::FtpError;
 
 /// Data-record size: every `CHUNK` bytes delivered is a restart marker.
 pub const CHUNK: usize = 256;
@@ -57,37 +56,6 @@ pub const CHUNK: usize = 256;
 /// Lowercase hex of a digest.
 pub(crate) fn hex(d: &[u8]) -> String {
     d.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-impl GridFtpServer {
-    /// Serve one *resumable* session: handshake, then `GETR`/`PUTR`/
-    /// `QUIT` until the peer closes. `plan` is consulted at the
-    /// `xfer.get.chunk` and `xfer.put.chunk` injection points; a fired
-    /// point kills this session's process mid-transfer (the connection
-    /// dies with it), leaving recovery to the durable staging file and
-    /// the client's restart markers.
-    ///
-    /// Blocking compatibility shim over the sans-io
-    /// [`poll::ServerSession`](crate::poll::ServerSession) machine,
-    /// which holds the restart-marker protocol logic.
-    pub fn serve_resumable<S: Read + Write, E: EntropySource>(
-        &mut self,
-        stream: S,
-        rng: &mut E,
-        now: u64,
-        plan: &CrashPlan,
-    ) -> Result<u64, FtpError> {
-        let mut machine = crate::poll::ServerSession::new(
-            self,
-            crate::poll::Dialect::Resumable,
-            now,
-            plan.clone(),
-        );
-        let mut stream = stream;
-        let out = crate::poll::drive_blocking(&mut machine, &mut stream, rng);
-        self.transfers += machine.completed();
-        out
-    }
 }
 
 pub(crate) fn parse_two(rest: &str) -> Option<(String, usize)> {
@@ -374,12 +342,14 @@ pub(crate) fn parse_field<T: std::str::FromStr>(f: Option<&str>) -> Result<T, Se
 mod tests {
     use super::*;
     use crate::poll::{Dialect, SessionTask};
+    use crate::GridFtpServer;
     use gridsec_authz::gridmap::GridMapFile;
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
+    use gridsec_testbed::faults::CrashPlan;
     use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;

@@ -41,11 +41,9 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::Mutex;
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::sha256::sha256;
-use gridsec_testbed::faults::CrashPlan;
 use gridsec_testbed::net::StreamStats;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::retry::connect_with_retry;
@@ -57,7 +55,7 @@ use gridsec_util::trace;
 
 use crate::congestion::{AimdConfig, AimdController};
 use crate::resume::{greet, hex, parse_field, recv_text, tls_err, SessionErr, CHUNK};
-use crate::{FtpError, GridFtpServer};
+use crate::FtpError;
 
 /// Simulated-tick costs of the transfer primitives. Goodput is measured
 /// against this model, so it is a pure function of the seeds rather
@@ -167,34 +165,6 @@ pub fn merge_ranges(total: usize, parts: &[(usize, Vec<u8>)]) -> Result<Vec<u8>,
         )));
     }
     Ok(out)
-}
-
-/// Serve one striped data channel: handshake, then `SIZE`/`GETS`/
-/// `PUTS`/`FINS`/`QUIT` until the peer closes. Takes the shared server
-/// behind a mutex so N channels can serve one [`GridFtpServer`]
-/// concurrently: the lock is held only for the handshake prologue and
-/// the transfer counter — file operations run on a cloned
-/// [`SimOs`](gridsec_testbed::os::SimOs) handle, and per-range staging
-/// files never collide across stripes.
-///
-/// Blocking compatibility shim over the sans-io
-/// [`poll::ServerSession`](crate::poll::ServerSession) machine, which
-/// holds the stripe credit-window protocol logic.
-pub fn serve_striped<S: Read + Write, E: EntropySource>(
-    server: &Mutex<GridFtpServer>,
-    stream: S,
-    rng: &mut E,
-    now: u64,
-    plan: &CrashPlan,
-) -> Result<u64, FtpError> {
-    let mut machine = {
-        let guard = server.lock().expect("gridftp server mutex");
-        crate::poll::ServerSession::new(&guard, crate::poll::Dialect::Striped, now, plan.clone())
-    };
-    let mut stream = stream;
-    let out = crate::poll::drive_blocking(&mut machine, &mut stream, rng);
-    server.lock().expect("gridftp server mutex").transfers += machine.completed();
-    out
 }
 
 /// `"0-1024,1024-2048"` → pairs; `"-"` → no ranges (empty file).
@@ -970,12 +940,14 @@ where
 mod tests {
     use super::*;
     use crate::poll::{Dialect, SessionTask};
+    use crate::GridFtpServer;
     use gridsec_authz::gridmap::GridMapFile;
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
+    use gridsec_testbed::faults::CrashPlan;
     use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;

@@ -4,11 +4,13 @@
 //! tokens: hundreds of users, each with a chain hanging off the same
 //! handful of CAs, all arriving at once. [`HandshakeMill`] is the
 //! acceptor-side driver for that shape. It owns a
-//! [`CryptoPool`] — precomputed DH tables and signing contexts for the
-//! service credential, a chain-validation cache with shared per-issuer
-//! verify contexts — and accepts hellos in batches so certificate
+//! [`CryptoPool`] — a chain-validation cache with shared per-issuer
+//! verify contexts, and verify contexts for returning peers' binding
+//! signatures — and accepts hellos in batches so certificate
 //! signature checks group by issuer key
-//! ([`gridsec_pki::validate::CachedValidator::validate_batch`]).
+//! ([`gridsec_pki::validate::CachedValidator::validate_batch`]). The
+//! DH table and the service credential's signing contexts belong to
+//! the config's group and key, not to the mill.
 //!
 //! Every verdict is identical to what a fresh [`AcceptorContext`] would
 //! have produced for the same token; the mill only changes *how fast*
@@ -32,22 +34,14 @@ pub struct HandshakeMill {
 }
 
 impl HandshakeMill {
-    /// Build a mill around `config`: creates a [`CryptoPool`],
-    /// registers the config's DH group (fixed-base table + modulus
-    /// context) and credential (CRT signing contexts) in the thread's
-    /// precomp registry, and attaches the pool to the config. If the
-    /// config already carries a pool, that pool is reused (and the
-    /// group/credential registered into the registry all the same).
+    /// Build a mill around `config`: creates a [`CryptoPool`] and
+    /// attaches it to the config. If the config already carries a
+    /// pool, that pool is reused.
     pub fn new(config: TlsConfig) -> Self {
         let pool = config
             .pool
             .clone()
             .unwrap_or_else(|| Arc::new(Mutex::new(CryptoPool::new())));
-        {
-            let mut p = pool.lock().expect("crypto pool lock");
-            p.register_group(&config.group);
-            p.register_signer(&config.credential);
-        }
         let config = config.with_pool(Arc::clone(&pool));
         HandshakeMill {
             config,
@@ -230,6 +224,87 @@ mod tests {
             let mut acceptor = AcceptorContext::new(cfg(&w, &w.service));
             let individual = acceptor.step(&mut w.rng, hello);
             assert_eq!(individual.is_ok(), wave[i].is_ok(), "token {i}");
+        }
+    }
+
+    /// One wave — every user plus a garbage hello — through `mill`,
+    /// each accepted session finished and used: the bytes of every
+    /// token and sealed message (or the refusal), then what the shared
+    /// rng yields next.
+    fn wave_outcome(w: &mut World, mill: &mut HandshakeMill) -> (Vec<String>, u64) {
+        use gridsec_util::rng::RngCore;
+        let users = w.users.clone();
+        let mut inits = Vec::new();
+        let mut hellos = Vec::new();
+        for user in &users {
+            let cfg = cfg(w, user).with_pool(mill.pool());
+            let (init, hello) = InitiatorContext::new(cfg, &mut w.rng);
+            inits.push(Some(init));
+            hellos.push(hello);
+        }
+        inits.push(None);
+        hellos.push(b"not a token".to_vec());
+        let hello_refs: Vec<&[u8]> = hellos.iter().map(|h| h.as_slice()).collect();
+        let wave = mill.accept_wave(&mut w.rng, &hello_refs);
+        let mut out = Vec::new();
+        for (init, accepted) in inits.into_iter().zip(wave) {
+            let (server_hello, mut acceptor) = match accepted {
+                Ok(ok) => ok,
+                Err(e) => {
+                    out.push(format!("refused: {e}"));
+                    continue;
+                }
+            };
+            let mut init = init.expect("only real initiators are accepted");
+            let (finished, mut ictx) = match init.step(&server_hello).unwrap() {
+                StepResult::Established { token, context } => (token.unwrap(), context),
+                StepResult::ContinueWith(_) => panic!("initiator should finish"),
+            };
+            let mut actx = match acceptor.step(&mut w.rng, &finished).unwrap() {
+                StepResult::Established { context, .. } => context,
+                StepResult::ContinueWith(_) => panic!("acceptor should finish"),
+            };
+            let sealed = ictx.wrap(b"request");
+            assert_eq!(actx.unwrap(&sealed).unwrap(), b"request");
+            let reply = actx.wrap(b"ok");
+            assert_eq!(ictx.unwrap(&reply).unwrap(), b"ok");
+            out.push(format!(
+                "{server_hello:?} {finished:?} {sealed:?} {reply:?}"
+            ));
+        }
+        (out, w.rng.next_u64())
+    }
+
+    #[test]
+    fn dropping_an_older_pool_leaves_a_younger_one_untouched() {
+        // Reference: one world, two waves, no other pool ever built.
+        let mut alone = world(3);
+        let mut mill = HandshakeMill::new(cfg(&alone, &alone.service));
+        let want = [
+            wave_outcome(&mut alone, &mut mill),
+            wave_outcome(&mut alone, &mut mill),
+        ];
+        assert!(want[0].0.iter().any(|o| o.starts_with("refused")));
+        assert_eq!(mill.accepted(), 6);
+
+        // Two pooled worlds over the same keys and group, alive at
+        // once; each runs a wave, one pool is dropped — the older, then
+        // in a second pass the younger — and the survivor runs another.
+        for drop_older in [true, false] {
+            let mut older = world(3);
+            let mut older_mill = HandshakeMill::new(cfg(&older, &older.service));
+            let mut younger = world(3);
+            let mut younger_mill = HandshakeMill::new(cfg(&younger, &younger.service));
+            assert_eq!(wave_outcome(&mut older, &mut older_mill), want[0]);
+            assert_eq!(wave_outcome(&mut younger, &mut younger_mill), want[0]);
+            let (mut kept, mut kept_mill) = if drop_older {
+                drop(older_mill);
+                (younger, younger_mill)
+            } else {
+                drop(younger_mill);
+                (older, older_mill)
+            };
+            assert_eq!(wave_outcome(&mut kept, &mut kept_mill), want[1]);
         }
     }
 

@@ -376,18 +376,10 @@ pub fn run_crypto_storm(opts: &CryptoStormOpts) -> CryptoStormReport {
     let mut trust = TrustStore::new();
     trust.add_root(ca.certificate().clone());
 
-    // One shared client-side pool: the DH fixed-base table once, a CRT
-    // signing context per pooled credential — the initiator-side
-    // amortization the mill's pool provides acceptor-side.
+    // One shared client-side pool — the initiator-side amortization
+    // (validated gateway chain, binding-verify context) the mill's pool
+    // provides acceptor-side.
     let client_pool = Arc::new(Mutex::new(CryptoPool::new()));
-    {
-        let probe = TlsConfig::new(users[0].clone(), trust.clone(), 100);
-        let mut p = client_pool.lock().expect("client pool lock");
-        p.register_group(&probe.group);
-        for u in &users {
-            p.register_signer(u);
-        }
-    }
 
     // ---- Gateways ----------------------------------------------------
     let gateways = opts.gateways.max(1);

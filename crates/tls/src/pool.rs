@@ -1,29 +1,23 @@
 //! Shared crypto state for high-fan-in handshake endpoints.
 //!
-//! A service accepting thousands of contexts repeats the same expensive
-//! asymmetric steps with the same parameters: every chain it validates
-//! hangs off a handful of CA keys, every DH share lives in one group,
-//! and every outgoing signature uses its own credential. [`CryptoPool`]
-//! ties the per-parameter amortizations built lower in the stack into
-//! one handle a handshake endpoint threads through [`TlsConfig`]:
+//! A service accepting thousands of contexts validates chains that all
+//! hang off a handful of CA keys and checks hello-binding signatures
+//! from peers that come back. [`CryptoPool`] is the state that is a
+//! function of *which peers this endpoint has seen*, in one handle a
+//! handshake endpoint threads through [`TlsConfig`]:
 //!
 //! * a [`CachedValidator`] memoizing chain walks and sharing per-issuer
 //!   [`RsaVerifyCtx`]s (Montgomery state built once per CA key);
-//! * thread-local [`gridsec_bignum::precomp`] registrations — a
-//!   fixed-base table for the DH generator (squaring-free share
-//!   generation), a Montgomery context for the group modulus
-//!   (accelerated agreement), and contexts for the credential's CRT
-//!   primes (accelerated signing);
 //! * shared verify contexts for the hello-binding signatures keyed on
 //!   the peer's leaf key.
 //!
-//! The pool itself is plain data (shared through `Arc<Mutex<_>>` in
-//! [`TlsConfig`]), but the precomp registrations are *thread-local*:
-//! they accelerate `mod_pow` on the thread that called the register
-//! methods — exactly the shape of the single-threaded deterministic
-//! simulation harness. Dropping the pool (or calling
-//! [`CryptoPool::release`]) unregisters everything it registered, on
-//! the dropping thread.
+//! That is all it owns. Precomputation that is a function of a value —
+//! a credential's CRT-prime contexts, a DH group's modulus context and
+//! fixed-base table — lives in that value
+//! ([`gridsec_crypto::rsa::RsaKeyPair`], [`DhGroup`]) and is there with
+//! or without a pool, so pools hold nothing another pool could remove
+//! and any number can be alive, and dropped, in any order. The pool is
+//! plain data, shared through `Arc<Mutex<_>>` in [`TlsConfig`].
 //!
 //! [`TlsConfig`]: crate::handshake::TlsConfig
 
@@ -46,12 +40,10 @@ pub const DEFAULT_VALIDATOR_CAPACITY: usize = 256;
 /// map (deterministic, mirroring the validator's context policy).
 const MAX_BINDING_CTXS: usize = 64;
 
-/// Shared, reusable crypto state for many handshakes on one thread.
+/// Shared, reusable crypto state for many handshakes.
 pub struct CryptoPool {
     validator: CachedValidator,
     binding_ctxs: HashMap<[u8; 32], Arc<RsaVerifyCtx>>,
-    groups: Vec<DhGroup>,
-    signers: Vec<Credential>,
     binding_hits: u64,
     binding_misses: u64,
 }
@@ -67,37 +59,22 @@ impl CryptoPool {
         CryptoPool {
             validator: CachedValidator::new(capacity),
             binding_ctxs: HashMap::new(),
-            groups: Vec::new(),
-            signers: Vec::new(),
             binding_hits: 0,
             binding_misses: 0,
         }
     }
 
-    /// Register `group` in the thread's precomp registry (fixed-base
-    /// table for the generator, shared context for the modulus), and
-    /// remember it for release. Idempotent per group.
-    pub fn register_group(&mut self, group: &DhGroup) -> bool {
-        let ok = group.register_precomp();
-        if !self.groups.contains(group) {
-            self.groups.push(group.clone());
-        }
-        ok
+    /// Builds `group`'s fixed-base table now, so the cost lands in
+    /// set-up. Nothing is recorded in the pool; the method survives
+    /// only because the frozen `benchmark/` crate calls it.
+    pub fn register_group(&mut self, group: &DhGroup) {
+        group.precompute();
     }
 
-    /// Register `credential`'s signing key (CRT prime contexts) in the
-    /// thread's precomp registry and remember it for release.
-    pub fn register_signer(&mut self, credential: &Credential) -> bool {
-        let ok = credential.key().register_signing_precomp();
-        if !self
-            .signers
-            .iter()
-            .any(|c| c.certificate().fingerprint() == credential.certificate().fingerprint())
-        {
-            self.signers.push(credential.clone());
-        }
-        ok
-    }
+    /// Does nothing — a credential's signing contexts are built with
+    /// its key. Survives only because the frozen `benchmark/` crate
+    /// calls it.
+    pub fn register_signer(&mut self, _credential: &Credential) {}
 
     /// Validate a peer chain through the pooled [`CachedValidator`].
     /// Semantically identical to
@@ -167,18 +144,6 @@ impl CryptoPool {
     pub fn binding_misses(&self) -> u64 {
         self.binding_misses
     }
-
-    /// Unregister every precomp registration this pool made and drop
-    /// the shared contexts. Called automatically on drop.
-    pub fn release(&mut self) {
-        for group in self.groups.drain(..) {
-            group.unregister_precomp();
-        }
-        for signer in self.signers.drain(..) {
-            signer.key().unregister_signing_precomp();
-        }
-        self.binding_ctxs.clear();
-    }
 }
 
 impl Default for CryptoPool {
@@ -187,46 +152,15 @@ impl Default for CryptoPool {
     }
 }
 
-impl Drop for CryptoPool {
-    fn drop(&mut self) {
-        self.release();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsec_bignum::precomp;
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
-    }
-
-    #[test]
-    fn pool_registers_and_releases_precomp() {
-        precomp::clear();
-        let mut rng = ChaChaRng::from_seed_bytes(b"pool test");
-        let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
-        let user = ca.issue_identity(&mut rng, dn("/O=G/CN=U"), 512, 0, 100_000);
-        let group = DhGroup::test_group_256();
-
-        {
-            let mut pool = CryptoPool::new();
-            assert!(pool.register_group(&group));
-            assert!(pool.register_signer(&user));
-            let stats = precomp::stats();
-            assert_eq!(stats.tables, 1, "one fixed-base table for g");
-            assert_eq!(stats.contexts, 3, "group modulus plus two CRT primes");
-            // Re-registration is idempotent.
-            assert!(pool.register_group(&group));
-            assert_eq!(precomp::stats().tables, 1);
-        }
-        // Drop released everything.
-        let stats = precomp::stats();
-        assert_eq!((stats.tables, stats.contexts), (0, 0));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * `RemoteGram::handle` (job management),
 //! * the batch/precomputed crypto entry points (`RsaVerifyCtx`,
 //!   `verify_batch`, `CachedValidator::validate_batch`,
-//!   `HandshakeMill::accept_wave`, fixed-base/modulus precomputation) —
-//!   mutated signatures, degenerate keys and group parameters.
+//!   `HandshakeMill::accept_wave`, Montgomery contexts, fixed-base
+//!   tables and DH groups) — mutated signatures, degenerate keys and
+//!   group parameters.
 //!
 //! All mutations derive from one `DetRng` seed, so a failure replays
 //! exactly. The assertion is simply that every call returns: a panic
@@ -221,7 +222,12 @@ fn no_wire_facing_handler_panics_on_malformed_input() {
 /// input.
 #[test]
 fn batch_crypto_entry_points_absorb_malformed_input() {
-    use gridsec_bignum::{precomp, BigUint};
+    use gridsec_bignum::modular::mod_pow_classic;
+    use gridsec_bignum::montgomery::Montgomery;
+    use gridsec_bignum::precomp::FixedBaseTable;
+    use gridsec_bignum::prime::random_below;
+    use gridsec_bignum::BigUint;
+    use gridsec_crypto::dh::{DhGroup, DhKeyPair};
     use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaVerifyCtx};
     use gridsec_gssapi::mill::HandshakeMill;
     use gridsec_gssapi::InitiatorContext;
@@ -288,9 +294,11 @@ fn batch_crypto_entry_points_absorb_malformed_input() {
         }
     }
 
-    // Target: fixed-base/modulus precomputation with degenerate group
-    // parameters. Registration must refuse (or absorb) them and the
-    // registry must stay consistent.
+    // Target: contexts, fixed-base tables and DH groups over degenerate
+    // group parameters. Building must refuse (or absorb) them, and
+    // whatever a group then computes must be what the reference kernel
+    // computes — including a group whose fields were changed after its
+    // table was built.
     let one = BigUint::from(1u64);
     let cases = [
         (BigUint::from(0u64), BigUint::from(0u64)),
@@ -298,17 +306,54 @@ fn batch_crypto_entry_points_absorb_malformed_input() {
         (one.clone(), BigUint::from(2u64)),
         (BigUint::from(7u64), BigUint::from(4u64)), // even modulus
         (BigUint::from(9u64), BigUint::from(7u64)), // base >= modulus
+        (BigUint::from(14u64), BigUint::from(7u64)), // base ≡ 0
         (BigUint::from(3u64), BigUint::from(7u64)), // fine but tiny
     ];
+    // `generate` and `agree` on `group` against `mod_pow_classic`, the
+    // private exponent recovered by replaying `generate`'s one draw.
+    let agrees_with_classic = |group: &DhGroup, label: &str| {
+        let kp = DhKeyPair::generate(&mut ChaChaRng::from_seed_bytes(b"dh fuzz"), group);
+        let range = group.p.sub_ref(&BigUint::from(3u64));
+        let x = random_below(&mut ChaChaRng::from_seed_bytes(b"dh fuzz"), &range)
+            .add_ref(&BigUint::from(2u64));
+        assert_eq!(
+            kp.public,
+            mod_pow_classic(&group.g, &x, &group.p),
+            "{label}"
+        );
+        let peer = BigUint::from(2u64);
+        if let Some(secret) = kp.agree(&peer) {
+            let want = mod_pow_classic(&peer, &x, &group.p);
+            assert_eq!(
+                secret,
+                want.to_bytes_be_padded(group.modulus_len()),
+                "{label}"
+            );
+        }
+    };
     for (base, modulus) in &cases {
-        let _ = precomp::register_fixed_base(base, modulus, 0);
-        let _ = precomp::register_fixed_base(base, modulus, 4096);
-        precomp::unregister_fixed_base(base, modulus);
-        let _ = precomp::register_modulus(modulus);
-        precomp::unregister_modulus(modulus);
+        let _ = Montgomery::new(modulus);
+        assert!(FixedBaseTable::build(base, modulus, 0).is_none()); // zero-bit table
+        let _ = FixedBaseTable::build(base, modulus, 4096);
+        let group = DhGroup::new(modulus.clone(), base.clone());
+        group.precompute();
+        // Private exponents are drawn from [2, p-2]: below 4 there are
+        // none to draw.
+        if *modulus >= BigUint::from(4u64) {
+            agrees_with_classic(&group, &format!("g={base} p={modulus}"));
+        }
     }
-    precomp::clear();
-    assert_eq!(precomp::stats().tables, 0);
+    let mut group = DhGroup::test_group_256();
+    group.precompute();
+    agrees_with_classic(&group, "untouched group");
+    group.g = BigUint::from(3u64);
+    agrees_with_classic(&group, "g mutated after its table was built");
+    group.p = BigUint::from(1_000_000_007u64);
+    agrees_with_classic(&group, "p mutated after its context was built");
+    agrees_with_classic(
+        &DhGroup::test_group_256(),
+        "the shared constant is unaffected",
+    );
 
     // Target: CachedValidator::validate_batch over chains whose
     // signature bytes are mutated wholesale. Verdicts must match the
