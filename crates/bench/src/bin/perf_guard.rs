@@ -18,12 +18,20 @@
 //!    [`WaveAcceptor`] wave runs the acceptor side no slower than a
 //!    pool-less per-session acceptor (fresh [`AcceptorContext`] per
 //!    hello) — the claim behind `crypto_storm`.
-//! 6. **Storm scale**: the recorded `crypto_storm` run covers ≥5× the
-//!    recorded `vo_storm` population with real per-principal handshake
-//!    crypto, at a live-task high-water mark (the peak-RSS proxy) at
-//!    least 20× smaller than the population — cohort admission bounds
-//!    residency. Claim 6 reads the recorded artifacts; it measures the
-//!    repo's evidence, not this machine.
+//! 6. **Storm scale** (two ratios, counted as claims 6 and 7): the
+//!    recorded `crypto_storm` run covers ≥5× the recorded `vo_storm`
+//!    population with real per-principal handshake crypto, at a
+//!    live-task high-water mark (the peak-RSS proxy) at least 20×
+//!    smaller than the population — cohort admission bounds residency.
+//!    They read the recorded artifacts; they measure the repo's
+//!    evidence, not this machine.
+//! 8. **Protected-message byte path**: on a `wssc::establish`ed pair,
+//!    opening a protected 16 KiB envelope takes at most twice what
+//!    protecting it took, and `b64::decode` runs at ≥0.3× the
+//!    throughput of `b64::encode` on the same 16 KiB. Each is the
+//!    ratio of two readings taken back to back in this process: the
+//!    receive side once cost 3.6× the send side because its base64
+//!    decoder allocated per quad, and no ledger line showed it.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -49,6 +57,11 @@ use gridsec_gssapi::mill::HandshakeMill;
 use gridsec_gssapi::poll::{PollInitiator, WaveAcceptor};
 use gridsec_tls::handshake::{handshake_in_memory, TlsConfig};
 use gridsec_tls::session::{resume_client, ClientSession, ServerSessionCache};
+use gridsec_util::rng::RngCore;
+use gridsec_wsse::b64;
+use gridsec_wsse::soap::Envelope;
+use gridsec_wsse::wssc::{establish, WsscResponder};
+use gridsec_xml::Element;
 
 /// Median wall time in nanoseconds of `rounds` runs of `f`.
 fn median_ns(rounds: usize, mut f: impl FnMut()) -> u128 {
@@ -343,6 +356,52 @@ fn main() {
             failures += 1;
         }
     }
+
+    // --- Claim 8: the receive side of a protected message costs what
+    // the send side does. ---
+    const BODY: usize = 16 * 1024;
+    let mut w = bench_world(b"perf guard wssc");
+    let mut responder = WsscResponder::new(TlsConfig::new(w.service.clone(), w.trust.clone(), 10));
+    let client_cfg = TlsConfig::new(w.user.clone(), w.trust.clone(), 10);
+    let mut session = establish(client_cfg, &mut responder, &mut w.rng).expect("establishment");
+    let env = Envelope::request("invoke", Element::new("p").with_text("x".repeat(BODY)));
+    // Sequence numbers bind the order: protect a run of messages, then
+    // open them in that order.
+    let mut protected = Vec::new();
+    let protect = median_ns(31, || protected.push(session.protect(&env)));
+    let mut in_order = protected.iter();
+    let unprotect = median_ns(31, || {
+        let (_, inner) = responder
+            .unprotect(in_order.next().expect("one per round"))
+            .expect("in order");
+        assert_eq!(inner.body, env.body);
+    });
+    println!("[perf_guard] protected 16 KiB: protect {protect}ns vs unprotect {unprotect}ns");
+    claim(
+        &mut failures,
+        "wssc-protect-vs-unprotect",
+        protect as f64 / unprotect as f64,
+        0.5,
+        "c1_message_protection",
+    );
+    let mut blob = vec![0u8; BODY];
+    w.rng.fill_bytes(&mut blob);
+    let text = b64::encode(&blob);
+    assert_eq!(b64::decode(&text).as_deref(), Some(&blob[..]));
+    let encode = median_ns(31, || {
+        std::hint::black_box(b64::encode(std::hint::black_box(&blob)));
+    });
+    let decode = median_ns(31, || {
+        std::hint::black_box(b64::decode(std::hint::black_box(&text)));
+    });
+    println!("[perf_guard] base64 16 KiB: encode {encode}ns vs decode {decode}ns");
+    claim(
+        &mut failures,
+        "b64-decode-vs-encode",
+        encode as f64 / decode as f64,
+        0.3,
+        "c1_message_protection",
+    );
 
     if failures > 0 {
         eprintln!("[perf_guard] {failures} perf claim(s) regressed");

@@ -10,14 +10,12 @@ use crate::poly1305::{Poly1305, TAG_LEN};
 use crate::CryptoError;
 
 /// Seal `plaintext` with `key`/`nonce`, binding `aad`. Returns
-/// `ciphertext || tag`.
+/// `ciphertext || tag`, allocated once and encrypted in place.
 pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    // One-time Poly1305 key = first 32 bytes of block 0 keystream.
-    let block0 = chacha20::block(key, 0, nonce);
-    let otk: [u8; 32] = block0[..32].try_into().unwrap();
-
-    let mut out = chacha20::apply(key, nonce, 1, plaintext);
-    let tag = compute_tag(&otk, aad, &out);
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
+    chacha20::xor_stream(key, nonce, 1, &mut out);
+    let tag = compute_tag(&one_time_key(key, nonce), aad, &out);
     out.extend_from_slice(&tag);
     out
 }
@@ -33,30 +31,32 @@ pub fn open(
         return Err(CryptoError::Malformed("AEAD input shorter than tag"));
     }
     let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let block0 = chacha20::block(key, 0, nonce);
-    let otk: [u8; 32] = block0[..32].try_into().unwrap();
-    let expect = compute_tag(&otk, aad, ct);
+    let expect = compute_tag(&one_time_key(key, nonce), aad, ct);
     if !ct_eq(&expect, tag) {
         return Err(CryptoError::VerificationFailed);
     }
     Ok(chacha20::apply(key, nonce, 1, ct))
 }
 
+/// One-time Poly1305 key = first 32 bytes of block 0 keystream.
+fn one_time_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
+    let block0 = chacha20::block(key, 0, nonce);
+    block0[..32].try_into().expect("32 of the block's 64 bytes")
+}
+
 /// MAC input layout per RFC 8439: aad, pad16, ct, pad16, len(aad) LE64,
 /// len(ct) LE64.
 fn compute_tag(otk: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+    const ZEROS: [u8; 16] = [0; 16];
+    let pad16 = |len: usize| &ZEROS[..(16 - len % 16) % 16];
     let mut mac = Poly1305::new(otk);
     mac.update(aad);
-    mac.update(&zero_pad(aad.len()));
+    mac.update(pad16(aad.len()));
     mac.update(ct);
-    mac.update(&zero_pad(ct.len()));
+    mac.update(pad16(ct.len()));
     mac.update(&(aad.len() as u64).to_le_bytes());
     mac.update(&(ct.len() as u64).to_le_bytes());
     mac.finalize()
-}
-
-fn zero_pad(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - len % 16) % 16]
 }
 
 #[cfg(test)]

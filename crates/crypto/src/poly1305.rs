@@ -1,53 +1,52 @@
 //! The Poly1305 one-time authenticator (RFC 8439).
 //!
-//! Implemented in the classic five-26-bit-limb style ("poly1305-donna"),
-//! using only safe 64-bit arithmetic. Verified against the RFC 8439 test
-//! vector.
+//! The accumulator is three limbs of 44, 44 and 42 bits ("poly1305-donna"
+//! 64-bit style): nine `u64 × u64 → u128` products per 16-byte block, in
+//! safe arithmetic, reading each block straight from the caller's slice.
+//! Verified against the RFC 8439 §2.5.2 and Appendix A.3 vectors and
+//! against `gridsec_bignum` arithmetic mod 2^130 − 5.
 
 /// Key length in bytes (r || s).
 pub const KEY_LEN: usize = 32;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-const MASK26: u64 = (1 << 26) - 1;
+const BLOCK: usize = 16;
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
+/// 2^128 as it sits in the 42-bit top limb (bit 128 − 88): added to every
+/// full block; a final partial block carries its own 0x01 byte instead.
+const HIBIT: u64 = 1 << 40;
 
 /// Streaming Poly1305 authenticator. One key must never authenticate two
 /// different messages; [`crate::aead`] derives a fresh key per nonce.
 pub struct Poly1305 {
-    r: [u64; 5],
-    s: [u64; 4],
-    h: [u64; 5],
-    buf: [u8; 16],
+    r: [u64; 3],
+    s: [u64; 2],
+    h: [u64; 3],
+    buf: [u8; BLOCK],
     buf_len: usize,
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8 bytes"))
 }
 
 impl Poly1305 {
     /// Create an authenticator from a 32-byte one-time key.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        // r with clamping per RFC 8439 §2.5.
-        let t0 = u32::from_le_bytes(key[0..4].try_into().unwrap()) as u64;
-        let t1 = u32::from_le_bytes(key[4..8].try_into().unwrap()) as u64;
-        let t2 = u32::from_le_bytes(key[8..12].try_into().unwrap()) as u64;
-        let t3 = u32::from_le_bytes(key[12..16].try_into().unwrap()) as u64;
-
+        // r with clamping per RFC 8439 §2.5, cut into 44/44/42 bits.
+        let (t0, t1) = (le64(&key[0..8]), le64(&key[8..16]));
         let r = [
-            t0 & 0x3ffffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x3ffff03,
-            ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff,
-            ((t2 >> 14) | (t3 << 18)) & 0x3f03fff,
-            (t3 >> 8) & 0x00fffff,
-        ];
-        let s = [
-            u32::from_le_bytes(key[16..20].try_into().unwrap()) as u64,
-            u32::from_le_bytes(key[20..24].try_into().unwrap()) as u64,
-            u32::from_le_bytes(key[24..28].try_into().unwrap()) as u64,
-            u32::from_le_bytes(key[28..32].try_into().unwrap()) as u64,
+            t0 & 0xffc0fffffff,
+            ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff,
+            (t1 >> 24) & 0x00ffffffc0f,
         ];
         Poly1305 {
             r,
-            s,
-            h: [0; 5],
-            buf: [0; 16],
+            s: [le64(&key[16..24]), le64(&key[24..32])],
+            h: [0; 3],
+            buf: [0; BLOCK],
             buf_len: 0,
         }
     }
@@ -55,158 +54,102 @@ impl Poly1305 {
     /// Absorb message bytes.
     pub fn update(&mut self, mut data: &[u8]) {
         if self.buf_len > 0 {
-            let take = (16 - self.buf_len).min(data.len());
+            let take = (BLOCK - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 16 {
-                let block = self.buf;
-                self.process_block(&block, 1 << 24);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK {
+                return;
             }
+            let block = self.buf;
+            self.blocks(&block, HIBIT);
+            self.buf_len = 0;
         }
-        while data.len() >= 16 {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&data[..16]);
-            self.process_block(&block, 1 << 24);
-            data = &data[16..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let whole = data.len() - data.len() % BLOCK;
+        self.blocks(&data[..whole], HIBIT);
+        let tail = &data[whole..];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    /// h = (h + block + hibit·2^128) · r  mod 2^130 - 5
-    fn process_block(&mut self, block: &[u8; 16], hibit: u64) {
-        let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap()) as u64;
-        let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap()) as u64;
-        let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap()) as u64;
-        let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap()) as u64;
+    /// For every 16-byte block of `data` (a whole number of them):
+    /// h = (h + block + hibit·2^88) · r  mod 2^130 − 5, kept partially
+    /// reduced (limbs within their widths but for a few carry bits in h1).
+    fn blocks(&mut self, data: &[u8], hibit: u64) {
+        let [r0, r1, r2] = self.r.map(u128::from);
+        // 2^132 ≡ 20 (mod 2^130 − 5): what a product landing at limb 3 or
+        // 4 is worth two limbs further down.
+        let (s1, s2) = (r1 * 20, r2 * 20);
+        let [mut h0, mut h1, mut h2] = self.h;
 
-        self.h[0] += t0 & MASK26;
-        self.h[1] += ((t0 >> 26) | (t1 << 6)) & MASK26;
-        self.h[2] += ((t1 >> 20) | (t2 << 12)) & MASK26;
-        self.h[3] += ((t2 >> 14) | (t3 << 18)) & MASK26;
-        self.h[4] += (t3 >> 8) | hibit;
+        for block in data.chunks_exact(BLOCK) {
+            let (t0, t1) = (le64(&block[..8]), le64(&block[8..]));
+            h0 += t0 & MASK44;
+            h1 += ((t0 >> 44) | (t1 << 20)) & MASK44;
+            h2 += (t1 >> 24) | hibit;
 
-        let [r0, r1, r2, r3, r4] = self.r;
-        let (s1, s2, s3, s4) = (r1 * 5, r2 * 5, r3 * 5, r4 * 5);
-        let [h0, h1, h2, h3, h4] = self.h;
+            let (w0, w1, w2) = (h0 as u128, h1 as u128, h2 as u128);
+            let d0 = w0 * r0 + w1 * s2 + w2 * s1;
+            let d1 = w0 * r1 + w1 * r0 + w2 * s2;
+            let d2 = w0 * r2 + w1 * r1 + w2 * r0;
 
-        let d0 = (h0 as u128) * r0 as u128
-            + (h1 as u128) * s4 as u128
-            + (h2 as u128) * s3 as u128
-            + (h3 as u128) * s2 as u128
-            + (h4 as u128) * s1 as u128;
-        let d1 = (h0 as u128) * r1 as u128
-            + (h1 as u128) * r0 as u128
-            + (h2 as u128) * s4 as u128
-            + (h3 as u128) * s3 as u128
-            + (h4 as u128) * s2 as u128;
-        let d2 = (h0 as u128) * r2 as u128
-            + (h1 as u128) * r1 as u128
-            + (h2 as u128) * r0 as u128
-            + (h3 as u128) * s4 as u128
-            + (h4 as u128) * s3 as u128;
-        let d3 = (h0 as u128) * r3 as u128
-            + (h1 as u128) * r2 as u128
-            + (h2 as u128) * r1 as u128
-            + (h3 as u128) * r0 as u128
-            + (h4 as u128) * s4 as u128;
-        let d4 = (h0 as u128) * r4 as u128
-            + (h1 as u128) * r3 as u128
-            + (h2 as u128) * r2 as u128
-            + (h3 as u128) * r1 as u128
-            + (h4 as u128) * r0 as u128;
-
-        // Carry propagation.
-        let mut c: u64;
-        let mut d1 = d1;
-        let mut d2 = d2;
-        let mut d3 = d3;
-        let mut d4 = d4;
-
-        c = (d0 >> 26) as u64;
-        self.h[0] = (d0 as u64) & MASK26;
-        d1 += c as u128;
-        c = (d1 >> 26) as u64;
-        self.h[1] = (d1 as u64) & MASK26;
-        d2 += c as u128;
-        c = (d2 >> 26) as u64;
-        self.h[2] = (d2 as u64) & MASK26;
-        d3 += c as u128;
-        c = (d3 >> 26) as u64;
-        self.h[3] = (d3 as u64) & MASK26;
-        d4 += c as u128;
-        c = (d4 >> 26) as u64;
-        self.h[4] = (d4 as u64) & MASK26;
-        self.h[0] += c * 5;
-        c = self.h[0] >> 26;
-        self.h[0] &= MASK26;
-        self.h[1] += c;
+            // Carry propagation; the carry out of the top wraps as ·5.
+            h0 = d0 as u64 & MASK44;
+            let d1 = d1 + (d0 >> 44);
+            h1 = d1 as u64 & MASK44;
+            let d2 = d2 + (d1 >> 44);
+            h2 = d2 as u64 & MASK42;
+            h0 += (d2 >> 42) as u64 * 5;
+            h1 += h0 >> 44;
+            h0 &= MASK44;
+        }
+        self.h = [h0, h1, h2];
     }
 
     /// Finalize, consuming the authenticator, and return the 16-byte tag.
     pub fn finalize(mut self) -> [u8; TAG_LEN] {
         if self.buf_len > 0 {
-            // Final partial block: append 0x01 then zero-pad; hibit = 0.
-            let mut block = [0u8; 16];
+            // Final partial block: append 0x01 then zero-pad; no hibit.
+            let mut block = [0u8; BLOCK];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1;
-            self.process_block(&block, 0);
+            self.blocks(&block, 0);
         }
 
         // Full carry on h.
-        let mut h = self.h;
-        let mut c = h[1] >> 26;
-        h[1] &= MASK26;
-        h[2] += c;
-        c = h[2] >> 26;
-        h[2] &= MASK26;
-        h[3] += c;
-        c = h[3] >> 26;
-        h[3] &= MASK26;
-        h[4] += c;
-        c = h[4] >> 26;
-        h[4] &= MASK26;
-        h[0] += c * 5;
-        c = h[0] >> 26;
-        h[0] &= MASK26;
-        h[1] += c;
+        let [mut h0, mut h1, mut h2] = self.h;
+        h2 += h1 >> 44;
+        h1 &= MASK44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= MASK42;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
+        h2 += h1 >> 44;
+        h1 &= MASK44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= MASK42;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
 
-        // Compute g = h + 5 - 2^130 (i.e. h - p). If that does not borrow,
-        // h >= p and the reduced value is g; otherwise it is h itself.
-        let mut g = [0u64; 5];
-        c = 5;
-        for i in 0..4 {
-            g[i] = h[i] + c;
-            c = g[i] >> 26;
-            g[i] &= MASK26;
-        }
-        g[4] = h[4].wrapping_add(c).wrapping_sub(1 << 26);
-        // Borrow shows up as the sign bit of g[4].
-        let mask = if (g[4] >> 63) == 0 { u64::MAX } else { 0 };
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = (h[i] & !mask) | (g[i] & mask);
-        }
-        out[4] &= MASK26;
+        // Compute g = h + 5 − 2^130 (i.e. h − p). If that does not borrow,
+        // h ≥ p and the reduced value is g; otherwise it is h itself.
+        let g0 = h0 + 5;
+        let g1 = h1 + (g0 >> 44);
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        // Borrow shows up as the sign bit of g2.
+        let keep_g = (g2 >> 63).wrapping_sub(1);
+        let h0 = (h0 & !keep_g) | (g0 & MASK44 & keep_g);
+        let h1 = (h1 & !keep_g) | (g1 & MASK44 & keep_g);
+        let h2 = (h2 & !keep_g) | (g2 & MASK42 & keep_g);
 
-        // h += s (mod 2^128), serializing into 4 little-endian u32 words.
-        let h0 = out[0] | (out[1] << 26);
-        let h1 = (out[1] >> 6) | (out[2] << 20);
-        let h2 = (out[2] >> 12) | (out[3] << 14);
-        let h3 = (out[3] >> 18) | (out[4] << 8);
-        let words = [h0 as u32, h1 as u32, h2 as u32, h3 as u32];
-
+        // tag = (h + s) mod 2^128, little-endian.
+        let lo = h0 | (h1 << 44);
+        let hi = (h1 >> 20) | (h2 << 24);
+        let (lo, carry) = lo.overflowing_add(self.s[0]);
+        let hi = hi.wrapping_add(self.s[1]).wrapping_add(carry as u64);
         let mut tag = [0u8; TAG_LEN];
-        let mut carry = 0u64;
-        for i in 0..4 {
-            let v = words[i] as u64 + self.s[i] + carry;
-            tag[i * 4..i * 4 + 4].copy_from_slice(&(v as u32).to_le_bytes());
-            carry = v >> 32;
-        }
+        tag[..8].copy_from_slice(&lo.to_le_bytes());
+        tag[8..].copy_from_slice(&hi.to_le_bytes());
         tag
     }
 }

@@ -350,8 +350,9 @@ impl<T: Transport> OgsaClient<T> {
             .with_child(payload);
         let reply = self.call_secure(Envelope::request("invoke", body))?;
         reply
-            .payload()
-            .cloned()
+            .body
+            .into_iter()
+            .next()
             .ok_or(OgsaError::Malformed("empty invoke reply"))
     }
 
@@ -362,8 +363,9 @@ impl<T: Transport> OgsaClient<T> {
             .with_attr("name", name);
         let reply = self.call_secure(Envelope::request("queryServiceData", body))?;
         reply
-            .payload()
-            .cloned()
+            .body
+            .into_iter()
+            .next()
             .ok_or(OgsaError::Malformed("empty query reply"))
     }
 

@@ -8,6 +8,8 @@
 //! messages, call out to the authorization policy (step 5), write audit
 //! records, and only then let the application service see the request.
 
+use std::borrow::Cow;
+
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::{CrlStore, TrustStore};
@@ -271,7 +273,8 @@ impl HostingEnvironment {
                     now,
                     handle: handle.to_string(),
                 };
-                let inner = inner.cloned().unwrap_or_else(|| Element::new("ogsa:Empty"));
+                let inner =
+                    inner.map_or_else(|| Cow::Owned(Element::new("ogsa:Empty")), Cow::Borrowed);
                 let out = self.registry.invoke(handle, &ctx, op, &inner)?;
                 Ok(Envelope::request("invokeResponse", out))
             }

@@ -86,39 +86,77 @@ impl Envelope {
             .with_child(body)
     }
 
-    /// Serialize to XML text.
+    /// Serialize to XML text: header and body children are written
+    /// straight into one buffer, byte-identical to
+    /// `self.to_element().to_xml()` without building that tree.
     pub fn to_xml(&self) -> String {
-        self.to_element().to_xml()
+        // The fixed tags, `wsa:Action`'s included, come to under 192 bytes;
+        // the elements size the rest, so a large body is written once.
+        let elements = self.headers.iter().chain(&self.body);
+        let mut out = String::with_capacity(
+            192 + self.action.as_ref().map_or(0, String::len)
+                + elements.map(Element::xml_len_hint).sum::<usize>(),
+        );
+        out.push_str("<soap:Envelope xmlns:soap=\"");
+        out.push_str(SOAP_NS);
+        out.push_str("\">");
+        if self.action.is_none() && self.headers.is_empty() {
+            out.push_str("<soap:Header/>");
+        } else {
+            out.push_str("<soap:Header>");
+            if let Some(action) = &self.action {
+                Element::new("wsa:Action")
+                    .with_text(action.as_str())
+                    .write_xml(&mut out);
+            }
+            for h in &self.headers {
+                h.write_xml(&mut out);
+            }
+            out.push_str("</soap:Header>");
+        }
+        out.push_str("<soap:Body wsu:Id=\"Body\"");
+        if self.body.is_empty() {
+            out.push_str("/>");
+        } else {
+            out.push('>');
+            for b in &self.body {
+                b.write_xml(&mut out);
+            }
+            out.push_str("</soap:Body>");
+        }
+        out.push_str("</soap:Envelope>");
+        out
     }
 
-    /// Parse an envelope from XML text.
+    /// Parse an envelope from XML text. Header and body children are
+    /// moved out of the parsed tree, not cloned.
     pub fn parse(xml: &str) -> Result<Envelope, WsseError> {
         let root = Element::parse(xml)?;
-        Self::from_element(&root)
-    }
-
-    /// Extract an envelope from a parsed element.
-    pub fn from_element(root: &Element) -> Result<Envelope, WsseError> {
         if root.local_name() != "Envelope" {
             return Err(WsseError::Missing("soap:Envelope"));
         }
-        let header = root.find("Header");
-        let body = root.find("Body").ok_or(WsseError::Missing("soap:Body"))?;
+        let (mut header, mut body) = (None, None);
+        for child in root.into_child_elements() {
+            match child.local_name() {
+                "Header" if header.is_none() => header = Some(child),
+                "Body" if body.is_none() => body = Some(child),
+                _ => {}
+            }
+        }
+        let body = body.ok_or(WsseError::Missing("soap:Body"))?;
         let mut action = None;
         let mut headers = Vec::new();
-        if let Some(h) = header {
-            for child in h.child_elements() {
-                if child.local_name() == "Action" {
-                    action = Some(child.text_content());
-                } else {
-                    headers.push(child.clone());
-                }
+        for child in header.into_iter().flat_map(Element::into_child_elements) {
+            if child.local_name() == "Action" {
+                action = Some(child.text_content());
+            } else {
+                headers.push(child);
             }
         }
         Ok(Envelope {
             action,
             headers,
-            body: body.child_elements().cloned().collect(),
+            body: body.into_child_elements().collect(),
         })
     }
 

@@ -386,9 +386,10 @@ impl WsscResponder {
 // ----------------------------------------------------------------------
 
 fn protect_with(ctx: &mut EstablishedContext, ctx_id: &str, env: &Envelope) -> Envelope {
-    let mut body_xml = String::new();
+    let mut body_xml =
+        String::with_capacity(env.body.iter().map(Element::xml_len_hint).sum::<usize>());
     for el in &env.body {
-        body_xml.push_str(&el.to_xml());
+        el.write_xml(&mut body_xml);
     }
     let sealed = ctx.wrap(body_xml.as_bytes());
     let mut out = Envelope::new();
@@ -433,7 +434,7 @@ fn unprotect_with(
         .and_then(|a| a.strip_prefix(SECURED_ACTION_PREFIX))
         .filter(|a| !a.is_empty())
         .map(|a| a.to_string());
-    inner.body = wrapper.child_elements().cloned().collect();
+    inner.body = wrapper.into_child_elements().collect();
     Ok((id, inner))
 }
 

@@ -18,6 +18,15 @@
 //!   Canonicalization plays under real XML-Signature: both signer and
 //!   verifier derive identical bytes from equivalent infosets.
 //!
+//! Writer and parser work on runs, in one pass, into one buffer: the
+//! writer sizes its output from the tree, finds the next character that
+//! needs escaping 32 bytes at a time and copies everything before it
+//! whole ([`Element::write_xml`] appends, so an envelope and its parts
+//! share a buffer); the parser finds `<`, the closing quote and `&` by
+//! slice search and unescapes straight from the input `&str` into the
+//! node's `String`. A megabyte of text costs each of them one look and
+//! one copy per byte.
+//!
 //! Namespace prefixes are kept as literal parts of names (`wsse:Security`)
 //! — sufficient for a closed protocol suite where we control both ends,
 //! and documented as a simplification in `DESIGN.md`.
@@ -169,6 +178,15 @@ impl Element {
         })
     }
 
+    /// Direct child elements, by value: how a consumer takes a parsed
+    /// tree apart without cloning its subtrees.
+    pub fn into_child_elements(self) -> impl Iterator<Item = Element> {
+        self.children.into_iter().filter_map(|n| match n {
+            Node::Element(e) => Some(e),
+            Node::Text(_) => None,
+        })
+    }
+
     /// Concatenated text of direct text children.
     pub fn text_content(&self) -> String {
         let mut out = String::new();
@@ -214,40 +232,60 @@ impl Element {
 
     /// Compact serialization, attributes in document order.
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, false);
+        let mut out = String::with_capacity(self.xml_len_hint());
+        self.write_xml(&mut out);
         out
+    }
+
+    /// Append the compact serialization to `out` — what [`Element::to_xml`]
+    /// returns, without a buffer of its own, so a caller writing several
+    /// elements (or an envelope around them) fills one `String`.
+    pub fn write_xml(&self, out: &mut String) {
+        self.write(out, false);
     }
 
     /// Canonical serialization: attributes sorted by name, fixed quoting,
     /// explicit end tags. Equivalent infosets yield identical bytes, which
     /// is the property XML-Signature digesting requires.
     pub fn canonical_xml(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.xml_len_hint());
         self.write(&mut out, true);
         out
+    }
+
+    /// Serialized length when nothing needs escaping (canonical form with
+    /// its explicit end tags; the compact form is at most that): what to
+    /// reserve before [`Element::write_xml`] so that a large text node is
+    /// not copied again by the buffer growing under it.
+    pub fn xml_len_hint(&self) -> usize {
+        let attrs: usize = self
+            .attributes
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 4)
+            .sum();
+        let children: usize = self
+            .children
+            .iter()
+            .map(|c| match c {
+                Node::Element(e) => e.xml_len_hint(),
+                Node::Text(t) => t.len(),
+            })
+            .sum();
+        2 * self.name.len() + 5 + attrs + children
     }
 
     fn write(&self, out: &mut String, canonical: bool) {
         out.push('<');
         out.push_str(&self.name);
-        if canonical {
-            let mut attrs = self.attributes.clone();
+        if canonical && self.attributes.len() > 1 {
+            let mut attrs: Vec<&(String, String)> = self.attributes.iter().collect();
             attrs.sort();
-            for (k, v) in &attrs {
-                out.push(' ');
-                out.push_str(k);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(v));
-                out.push('"');
+            for (k, v) in attrs {
+                write_attr(out, k, v);
             }
         } else {
             for (k, v) in &self.attributes {
-                out.push(' ');
-                out.push_str(k);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(v));
-                out.push('"');
+                write_attr(out, k, v);
             }
         }
         if self.children.is_empty() && !canonical {
@@ -258,7 +296,7 @@ impl Element {
         for c in &self.children {
             match c {
                 Node::Element(e) => e.write(out, canonical),
-                Node::Text(t) => out.push_str(&escape_text(t)),
+                Node::Text(t) => escape_into(out, t, false),
             }
         }
         out.push_str("</");
@@ -272,32 +310,48 @@ impl Element {
     }
 }
 
-fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
-    out
+fn write_attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    escape_into(out, value, true);
+    out.push('"');
 }
 
-fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
+/// The one escaper: append `s` to `out` with `&`, `<`, `>` (and, in an
+/// attribute value, both quotes) replaced by their entities. Runs between
+/// specials are copied whole; all five specials are ASCII, so every run
+/// boundary is a character boundary.
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let mut rest = s;
+    while let Some(i) = first_special(rest.as_bytes(), attr) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => "&apos;",
+        });
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
+}
+
+/// Index of the first byte that must be escaped. Asks of 32 bytes at a
+/// time whether any is special, without a branch per byte: base64 text is
+/// made of near misses (`+`, `/` and the digits sit between `&` and `>`),
+/// which a byte-at-a-time test mispredicts on every few characters.
+fn first_special(s: &[u8], attr: bool) -> Option<usize> {
+    let special = |b: &u8| matches!(b, b'&' | b'<' | b'>') || (attr && matches!(b, b'"' | b'\''));
+    let mut base = 0;
+    for chunk in s.chunks(32) {
+        if chunk.iter().fold(false, |any, b| any | special(b)) {
+            return chunk.iter().position(special).map(|i| base + i);
+        }
+        base += chunk.len();
+    }
+    None
 }
 
 #[cfg(test)]

@@ -35,8 +35,11 @@ impl std::error::Error for XmlError {}
 /// magnitude of headroom while bounding recursion.
 pub const MAX_DEPTH: usize = 128;
 
+/// The cursor. `pos` only ever moves past ASCII bytes or to the position
+/// of one, so it is always a character boundary of `input` and text is
+/// taken from it by slicing, never re-validated or copied on the way.
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -44,7 +47,7 @@ struct Parser<'a> {
 /// Parse a document into its root element.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
-        input: input.as_bytes(),
+        input,
         pos: 0,
         depth: 0,
     };
@@ -65,12 +68,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.rest().starts_with(s)
     }
 
     fn skip_ws(&mut self) {
@@ -83,7 +90,7 @@ impl<'a> Parser<'a> {
     fn skip_prolog(&mut self) -> Result<(), XmlError> {
         self.skip_ws();
         if self.starts_with("<?xml") {
-            match self.input[self.pos..].windows(2).position(|w| w == b"?>") {
+            match self.rest().find("?>") {
                 Some(rel) => self.pos += rel + 2,
                 None => return Err(self.err("unterminated XML declaration")),
             }
@@ -100,10 +107,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<!--") {
-                if let Some(rel) = self.input[self.pos + 4..]
-                    .windows(3)
-                    .position(|w| w == b"-->")
-                {
+                if let Some(rel) = self.input[self.pos + 4..].find("-->") {
                     self.pos += 4 + rel + 3;
                     continue;
                 }
@@ -114,19 +118,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b':' | b'_' | b'-' | b'.') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
+        let rest = self.rest();
+        let len = rest
+            .bytes()
+            .position(|c| !(c.is_ascii_alphanumeric() || matches!(c, b':' | b'_' | b'-' | b'.')))
+            .unwrap_or(rest.len());
+        if len == 0 {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        self.pos += len;
+        Ok(&rest[..len])
     }
 
     fn expect(&mut self, c: u8) -> Result<(), XmlError> {
@@ -178,26 +180,24 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("attribute value must be quoted")),
                     };
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == quote {
-                            break;
-                        }
-                        if c == b'<' {
+                    let rest = self.rest();
+                    let len = match rest.bytes().position(|c| c == quote || c == b'<') {
+                        Some(i) if rest.as_bytes()[i] == b'<' => {
+                            self.pos += i;
                             return Err(self.err("'<' in attribute value"));
                         }
-                        self.pos += 1;
-                    }
-                    if self.peek() != Some(quote) {
-                        return Err(self.err("unterminated attribute value"));
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    self.pos += 1;
-                    let value = unescape(&raw).map_err(|m| self.err(m))?;
-                    if el.attr(&attr_name).is_some() {
+                        Some(i) => i,
+                        None => {
+                            self.pos = self.input.len();
+                            return Err(self.err("unterminated attribute value"));
+                        }
+                    };
+                    self.pos += len + 1;
+                    let value = unescape(&rest[..len]).map_err(|m| self.err(m))?;
+                    if el.attr(attr_name).is_some() {
                         return Err(self.err(format!("duplicate attribute {attr_name:?}")));
                     }
-                    el.attributes.push((attr_name, value));
+                    el.attributes.push((attr_name.to_string(), value));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -215,10 +215,9 @@ impl<'a> Parser<'a> {
             }
             if self.starts_with("<![CDATA[") {
                 let start = self.pos + 9;
-                match self.input[start..].windows(3).position(|w| w == b"]]>") {
+                match self.input[start..].find("]]>") {
                     Some(rel) => {
-                        let text =
-                            String::from_utf8_lossy(&self.input[start..start + rel]).into_owned();
+                        let text = self.input[start..start + rel].to_string();
                         el.children.push(Node::Text(text));
                         self.pos = start + rel + 3;
                         continue;
@@ -245,21 +244,13 @@ impl<'a> Parser<'a> {
                     el.children.push(Node::Element(child));
                 }
                 Some(_) => {
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    let text = unescape(&raw).map_err(|m| self.err(m))?;
+                    let rest = self.rest();
+                    let raw = &rest[..rest.find('<').unwrap_or(rest.len())];
+                    self.pos += raw.len();
+                    let text = unescape(raw).map_err(|m| self.err(m))?;
                     // Whitespace-only runs between elements are not
-                    // significant for our protocols; keep them only when
-                    // the element has no element children yet mixed text.
-                    if (!text.trim().is_empty() || el.children.is_empty())
-                        && !text.trim().is_empty()
-                    {
+                    // significant for our protocols.
+                    if !text.trim().is_empty() {
                         el.children.push(Node::Text(text));
                     }
                 }
@@ -269,19 +260,14 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Decode the predefined entities and numeric character references.
+/// Decode the predefined entities and numeric character references:
+/// the runs between references are copied whole from the input.
 fn unescape(s: &str) -> Result<String, String> {
-    if !s.contains('&') {
-        return Ok(s.to_string());
-    }
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        let rest = &s[i + 1..];
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp + 1..];
         let semi = rest.find(';').ok_or("unterminated entity reference")?;
         let entity = &rest[..semi];
         match entity {
@@ -303,11 +289,9 @@ fn unescape(s: &str) -> Result<String, String> {
             }
             other => return Err(format!("unknown entity &{other};")),
         }
-        // Skip the consumed entity body.
-        for _ in 0..semi + 1 {
-            chars.next();
-        }
+        rest = &rest[semi + 1..];
     }
+    out.push_str(rest);
     Ok(out)
 }
 

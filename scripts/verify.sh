@@ -10,8 +10,9 @@
 # credential-lifetime suite (expiry-storm renewal waves + portal armed
 # kills with exactly-once proxy issuance) — the
 # perf claims must hold, the storm/striped bench metrics must be
-# two-run byte-identical, and the committed EXPERIMENTS.md tables must
-# match what the pinned seed regenerates (drift gate).
+# two-run byte-identical, a one-slice gridbench run must come out
+# correct, and the committed EXPERIMENTS.md tables must match what the
+# pinned seed regenerates (drift gate).
 #
 # The pipeline is a sequence of named stages. Each stage is timed; the
 # wall-clock table is printed at the end and written to
@@ -392,6 +393,32 @@ stage_crypto_storm() {
     echo "ok: $(head -1 "$tdir/cstorm.1") (byte-identical across two runs)"
 }
 
+# One slice per segment of the two gridbench workloads that cross the
+# protected-message byte path and the AEAD record path (BENCHMARK.json;
+# the numbers themselves are the benchmark driver's business). The last
+# stdout line is the result: every output digest must have matched and
+# no op may have failed. Building it also proves the frozen `benchmark/`
+# crate still compiles against the workspace's public signatures.
+stage_gridbench_smoke() {
+    local w last
+    for w in ogsa_request bulk_xfer; do
+        if ! bash benchmark/run.sh --workload "$w" --seed 1 --slices 1 \
+            > "$tdir/gridbench.$w.out"; then
+            echo "FAIL: gridbench $w exited nonzero:" >&2
+            tail -n 3 "$tdir/gridbench.$w.out" >&2
+            exit 1
+        fi
+        last=$(tail -n 1 "$tdir/gridbench.$w.out")
+        if ! grep -q '"correct": true' <<< "$last" || \
+           ! grep -Eq '"failed": 0[,}]' <<< "$last"; then
+            echo "FAIL: gridbench $w did not report correct/failed=0:" >&2
+            echo "${last:0:200}" >&2
+            exit 1
+        fi
+        echo "ok: gridbench $w ${last%%, \"metrics\"*}}"
+    done
+}
+
 # Replay the chaos flows from the pinned seed, regenerate the
 # flow-metrics tables, and require the committed EXPERIMENTS.md to
 # already match — deterministic metrics mean any diff is real drift.
@@ -413,7 +440,7 @@ stage_drift() {
 
 ALL_STAGES="grep_guard fmt build clippy test examples chaos crash_chaos \
 striped_chaos cred_chaos perf_guard vo_storm handshake_storm striped_xfer \
-crypto_storm drift"
+crypto_storm gridbench_smoke drift"
 if [ "${GRIDSEC_VERIFY_DEEP:-0}" = "1" ]; then
     ALL_STAGES="$ALL_STAGES deep_matrix"
 fi
