@@ -5,32 +5,30 @@
 //!
 //! `perf_guard` re-times the 512-bit sign shape with `Instant` and fails
 //! CI if Montgomery ever regresses below classic; this bench records the
-//! same comparison (and the 1024-bit point) in `BENCH_k1_modexp.json`
-//! for EXPERIMENTS.md.
+//! same comparison in `BENCH_k1_modexp.json` for EXPERIMENTS.md, from
+//! 256 bits — the width every protocol modexp runs at: an RSA-512 CRT
+//! half, a DH-256 agreement, a Miller–Rabin witness on a 256-bit prime
+//! candidate — to 1024.
+//!
+//! `prime_search/256` and `rsa_keygen/512` are what those witnesses add
+//! up to. Search length is geometric, so each of their samples is one
+//! search (one key) from its own seeded stream: the same searches on
+//! every run, median and p95 over the distribution of searches.
 
+use gridsec_bench::sign_shape;
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
-use gridsec_bignum::prime::random_bits;
+use gridsec_bignum::prime::generate_prime;
 use gridsec_bignum::BigUint;
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-/// RSA-sign-shaped operands: odd modulus, full-width base and exponent.
-fn sign_shape(rng: &mut ChaChaRng, bits: usize) -> (BigUint, BigUint, BigUint) {
-    let mut modulus = random_bits(rng, bits);
-    if modulus.is_even() {
-        modulus = modulus + BigUint::from(1u64);
-    }
-    let base = &random_bits(rng, bits) % &modulus;
-    let exp = random_bits(rng, bits);
-    (base, exp, modulus)
-}
+use gridsec_crypto::rsa::RsaKeyPair;
+use gridsec_util::bench::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 fn modexp(c: &mut Criterion) {
     let mut group = c.benchmark_group("k1_modexp");
     group.sample_size(10);
     let mut rng = ChaChaRng::from_seed_bytes(b"k1 modexp");
 
-    for bits in [512usize, 1024] {
+    for bits in [256usize, 512, 1024] {
         let (base, exp, modulus) = sign_shape(&mut rng, bits);
         group.bench_with_input(BenchmarkId::new("montgomery_sign", bits), &(), |b, ()| {
             b.iter(|| mod_pow(&base, &exp, &modulus))
@@ -48,6 +46,28 @@ fn modexp(c: &mut Criterion) {
     });
     group.bench_function("classic_verify_e65537/512", |b| {
         b.iter(|| mod_pow_classic(&base, &e, &modulus))
+    });
+
+    // One sample = one search from its own seeded stream.
+    group.sample_size(64);
+    let mut seed = 0u64;
+    let mut next_rng = move || {
+        seed += 1;
+        ChaChaRng::from_seed_bytes(format!("k1 prime search {seed}").as_bytes())
+    };
+    group.bench_function("prime_search/256", |b| {
+        b.iter_batched(
+            &mut next_rng,
+            |mut rng| generate_prime(&mut rng, 256, 16),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("rsa_keygen/512", |b| {
+        b.iter_batched(
+            &mut next_rng,
+            |mut rng| RsaKeyPair::generate(&mut rng, 512),
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
 }

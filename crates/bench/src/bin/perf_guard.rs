@@ -32,6 +32,18 @@
 //!    ratio of two readings taken back to back in this process: the
 //!    receive side once cost 3.6× the send side because its base64
 //!    decoder allocated per quad, and no ledger line showed it.
+//! 9. **The protocol width stays in its loop**: a full-exponent
+//!    256-bit `mod_pow` — an RSA-512 CRT half, a DH-256 agreement, a
+//!    Miller–Rabin witness on a 256-bit candidate — costs at most
+//!    0.16× a 512-bit one. By multiply-add count it is 0.126×; it read
+//!    0.16–0.19× while the four-limb CIOS multiply was compiled out of
+//!    line and passed its operands through memory, which `k1_modexp`,
+//!    benching 512 and 1024 bits only, could not show.
+//! 10. **The prime search sieves**: 64 seeded `generate_prime(256, 16)`
+//!     cost at most 60 of those 256-bit `mod_pow`s each. The floor is
+//!     the 29 witnesses that confirm the prime plus one for each of the
+//!     ≈12 composites that survive the sieve; a search that sends every
+//!     candidate to Miller–Rabin pays ≈120.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -39,18 +51,19 @@
 //! the tables their keys and group own, so those ratios are what
 //! pooling and batching themselves buy (validator hits, shared verify
 //! contexts); absolute acceptor speed is gated by gridbench's
-//! `ops_per_s` on `establish_storm`.
+//! `ops_per_s` on `establish_storm`. Claims 9 and 10 are medians of
+//! per-round ratios, the two arms of a round interleaved, so a slow
+//! phase of the machine lands on numerator and denominator alike.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
 //! recorded bench artifact it gates (`BENCH_*.json`), pass or fail.
 
 use std::time::Instant;
 
-use gridsec_bench::bench_world;
 use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_world};
+use gridsec_bench::{bench_world, sign_shape};
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
-use gridsec_bignum::prime::random_bits;
-use gridsec_bignum::BigUint;
+use gridsec_bignum::prime::generate_prime;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
 use gridsec_gssapi::mill::HandshakeMill;
@@ -76,6 +89,20 @@ fn median_ns(rounds: usize, mut f: impl FnMut()) -> u128 {
     times[times.len() / 2]
 }
 
+/// Wall time in nanoseconds of one run of `f`.
+fn time_ns(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_nanos() as f64
+}
+
+/// Median of `rounds` readings of `ratio`.
+fn median_ratio(rounds: usize, mut ratio: impl FnMut() -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..rounds).map(|_| ratio()).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 /// Uniform claim verdict: prints measured ratio, threshold, and the
 /// recorded `BENCH_*.json` the claim gates — pass or fail — and counts
 /// the failure.
@@ -98,12 +125,7 @@ fn main() {
 
     // --- Claim 1: Montgomery beats classic on 512-bit sign shapes. ---
     let mut rng = ChaChaRng::from_seed_bytes(b"perf guard modexp");
-    let mut modulus = random_bits(&mut rng, 512);
-    if modulus.is_even() {
-        modulus = modulus + BigUint::from(1u64);
-    }
-    let base = &random_bits(&mut rng, 512) % &modulus;
-    let exp = random_bits(&mut rng, 512);
+    let (base, exp, modulus) = sign_shape(&mut rng, 512);
     assert_eq!(
         mod_pow(&base, &exp, &modulus),
         mod_pow_classic(&base, &exp, &modulus),
@@ -401,6 +423,63 @@ fn main() {
         encode as f64 / decode as f64,
         0.3,
         "c1_message_protection",
+    );
+
+    // --- Claim 9: the 256-bit multiply stays inside its loop. ---
+    let mut rng = ChaChaRng::from_seed_bytes(b"perf guard widths");
+    let (b256, e256, m256) = sign_shape(&mut rng, 256);
+    let (b512, e512, m512) = sign_shape(&mut rng, 512);
+    let modexp_256 = || {
+        std::hint::black_box(mod_pow(std::hint::black_box(&b256), &e256, &m256));
+    };
+    let modexp_512 = || {
+        std::hint::black_box(mod_pow(std::hint::black_box(&b512), &e512, &m512));
+    };
+    let wide_vs_narrow = median_ratio(31, || {
+        let narrow = time_ns(|| (0..64).for_each(|_| modexp_256()));
+        let wide = time_ns(|| (0..8).for_each(|_| modexp_512()));
+        (wide / 8.0) / (narrow / 64.0)
+    });
+    println!(
+        "[perf_guard] modexp widths: one 512-bit costs {wide_vs_narrow:.2} 256-bit ones \
+         (256-bit at {:.3}x)",
+        1.0 / wide_vs_narrow
+    );
+    claim(
+        &mut failures,
+        "modexp-512-vs-256",
+        wide_vs_narrow,
+        1.0 / 0.16,
+        "k1_modexp",
+    );
+
+    // --- Claim 10: a prime search costs its witnesses, not its
+    // candidates. ---
+    const SEARCHES: u64 = 64;
+    const MODEXP_BUDGET: f64 = 60.0;
+    let modexps_per_search = median_ratio(5, || {
+        // A few modexps beside each search, so both sums sample the
+        // same stretches of the run.
+        let (mut modexps, mut searches) = (0.0, 0.0);
+        for seed in 0..SEARCHES {
+            modexps += time_ns(|| (0..4).for_each(|_| modexp_256()));
+            let mut rng = ChaChaRng::from_seed_bytes(format!("perf guard prime {seed}").as_bytes());
+            searches += time_ns(|| {
+                std::hint::black_box(generate_prime(&mut rng, 256, 16));
+            });
+        }
+        searches / (modexps / 4.0)
+    });
+    println!(
+        "[perf_guard] prime search: generate_prime(256, 16) costs {modexps_per_search:.1} \
+         256-bit modexps (mean of {SEARCHES} seeded searches), budget {MODEXP_BUDGET:.0}"
+    );
+    claim(
+        &mut failures,
+        "prime-search-within-modexp-budget",
+        MODEXP_BUDGET / modexps_per_search,
+        1.0,
+        "k1_modexp",
     );
 
     if failures > 0 {

@@ -14,6 +14,8 @@
 
 #![forbid(unsafe_code)]
 
+use gridsec_bignum::prime::random_bits;
+use gridsec_bignum::BigUint;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
@@ -70,6 +72,16 @@ pub fn bench_world(seed: &[u8]) -> BenchWorld {
         service,
         host,
     }
+}
+
+/// RSA-sign-shaped modexp operands `(base, exp, modulus)`: odd modulus,
+/// full-width base and exponent (`k1_modexp`, `perf_guard`).
+pub fn sign_shape(rng: &mut ChaChaRng, bits: usize) -> (BigUint, BigUint, BigUint) {
+    let mut modulus = random_bits(rng, bits);
+    modulus.set_bit(0, true);
+    let base = &random_bits(rng, bits) % &modulus;
+    let exp = random_bits(rng, bits);
+    (base, exp, modulus)
 }
 
 pub mod least_privilege;

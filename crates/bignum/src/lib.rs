@@ -26,9 +26,10 @@
 //!   squaring-free `g^x` under one `(base, modulus)` pair. Contexts and
 //!   tables are plain values, held by the key or group they are a
 //!   function of.
-//! * [`prime`] — Miller–Rabin probabilistic primality testing with a small
-//!   prime sieve front end, and random prime generation suitable for RSA
-//!   and DH parameter creation.
+//! * [`prime`] — Miller–Rabin probabilistic primality testing behind
+//!   trial division by the primes below 2^11, and random prime generation
+//!   suitable for RSA and DH parameter creation: a sieved scan from a
+//!   random start, one Montgomery context per surviving candidate.
 //!
 //! The implementation favours clarity and reviewability over raw speed: it
 //! is the foundation of a *research* security stack, not a production

@@ -13,7 +13,8 @@
 //! one long division (`R^2 mod n`), well under a microsecond at 256
 //! bits, so [`crate::modular::mod_pow`] builds one per call; a value
 //! that exponentiates under one modulus many times — an RSA key's CRT
-//! primes, a DH group, a CA verify key — holds its own.
+//! primes, a DH group, a CA verify key, a prime candidate facing its
+//! Miller–Rabin witnesses — holds its own.
 
 use crate::fixed::FixedMont;
 use crate::BigUint;

@@ -4,7 +4,8 @@
 //! Diffie–Hellman groups in tests. The entropy source is abstracted behind
 //! a simple trait so the crypto crate can plug in its deterministic CSPRNG.
 
-use crate::modular::mod_pow;
+use crate::modular::mod_pow_classic;
+use crate::montgomery::Montgomery;
 use crate::BigUint;
 
 /// Minimal entropy-source abstraction: fills a byte slice with random data.
@@ -23,12 +24,34 @@ impl<T: gridsec_util::rng::RngCore> EntropySource for T {
     }
 }
 
-/// Small primes used for fast trial-division rejection before Miller–Rabin.
-const SMALL_PRIMES: [u64; 60] = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
-    197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281,
-];
+/// Trial division stops here: a candidate with an odd prime factor below
+/// this never reaches Miller–Rabin. Past about 2^12 the residues of a
+/// random start cost more than the witnesses they save (DESIGN.md §11.5).
+const SIEVE_BOUND: u64 = 1 << 11;
+
+/// The odd primes below [`SIEVE_BOUND`], ascending.
+const SIEVE_PRIMES: [u64; 308] = {
+    let mut primes = [0u64; 308];
+    let (mut len, mut n) = (0, 3);
+    while n < SIEVE_BOUND {
+        let (mut d, mut is_prime) = (3, true);
+        while d * d <= n {
+            is_prime &= n % d != 0;
+            d += 2;
+        }
+        if is_prime {
+            primes[len] = n;
+            len += 1;
+        }
+        n += 2;
+    }
+    assert!(len == primes.len());
+    primes
+};
+
+/// Odd candidates [`generate_prime`] scans from one random start before
+/// it draws another.
+const SCAN_WINDOW: usize = 4096;
 
 /// Deterministic Miller–Rabin witnesses sufficient for all n < 3.3 * 10^24,
 /// applied before random rounds for small inputs.
@@ -39,7 +62,11 @@ const DETERMINISTIC_WITNESSES: [u64; 13] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 
 pub enum Primality {
     /// Definitely composite.
     Composite,
-    /// Probably prime (error probability ≤ 4^-rounds).
+    /// Passed trial division, the 13 fixed Miller–Rabin bases
+    /// 2, 3, …, 41 and then `rounds` random ones. Below 42 bits the
+    /// fixed bases alone are conclusive and no random round runs; above,
+    /// a composite survives the random rounds with probability at most
+    /// `4^-rounds`.
     ProbablyPrime,
 }
 
@@ -63,8 +90,8 @@ pub fn random_below<E: EntropySource>(rng: &mut E, bound: &BigUint) -> BigUint {
     let bits = bound.bit_len();
     let nbytes = bits.div_ceil(8);
     let excess = nbytes * 8 - bits;
+    let mut buf = vec![0u8; nbytes];
     loop {
-        let mut buf = vec![0u8; nbytes];
         rng.fill_bytes(&mut buf);
         buf[0] &= 0xFFu8 >> excess;
         let candidate = BigUint::from_bytes_be(&buf);
@@ -74,47 +101,68 @@ pub fn random_below<E: EntropySource>(rng: &mut E, bound: &BigUint) -> BigUint {
     }
 }
 
-/// Miller–Rabin primality test with `rounds` random witnesses.
+/// Call `each(p, n mod p)` for every `p` of `primes`, in order: one
+/// allocation-free [`BigUint::rem_limb`] per run of primes whose product
+/// fits a limb, word arithmetic from there.
+fn residues(n: &BigUint, mut primes: &[u64], mut each: impl FnMut(u64, u64)) {
+    while !primes.is_empty() {
+        let (mut product, mut run) = (1u64, 0);
+        while let Some(wider) = primes.get(run).and_then(|&p| product.checked_mul(p)) {
+            product = wider;
+            run += 1;
+        }
+        let r = n.rem_limb(product);
+        for &p in &primes[..run] {
+            each(p, r % p);
+        }
+        primes = &primes[run..];
+    }
+}
+
+/// Primality test: trial division by the primes below 2^11, then
+/// Miller–Rabin with the 13 fixed bases 2, 3, …, 41.
 ///
 /// For candidates below 42 bits the deterministic witness set is decisive;
 /// above that, it is followed by `rounds` random witnesses.
 pub fn is_probably_prime<E: EntropySource>(n: &BigUint, rounds: usize, rng: &mut E) -> Primality {
-    // Handle tiny cases.
+    // Below the sieve bound the table is the answer.
     if let Some(v) = n.to_u64() {
-        if v < 2 {
-            return Primality::Composite;
-        }
-        if SMALL_PRIMES.contains(&v) {
-            return Primality::ProbablyPrime;
-        }
-    }
-    if n.is_even() {
-        return Primality::Composite;
-    }
-    // Trial division by small primes.
-    for &p in &SMALL_PRIMES {
-        let (_, r) = n.div_rem_limb(p);
-        if r == 0 {
-            return if n.to_u64() == Some(p) {
+        if v < SIEVE_BOUND {
+            return if v == 2 || SIEVE_PRIMES.contains(&v) {
                 Primality::ProbablyPrime
             } else {
                 Primality::Composite
             };
         }
     }
+    // Trial division by small primes.
+    let mut has_small_factor = n.is_even();
+    residues(n, &SIEVE_PRIMES, |_, r| has_small_factor |= r == 0);
+    if has_small_factor {
+        return Primality::Composite;
+    }
+    miller_rabin(n, rounds, rng)
+}
 
+/// The one witness loop: Miller–Rabin on an odd `n > 41` under one
+/// Montgomery context built for `n`.
+fn miller_rabin<E: EntropySource>(n: &BigUint, rounds: usize, rng: &mut E) -> Primality {
     // Write n-1 = d * 2^s with d odd.
     let one = BigUint::one();
     let n_minus_1 = n.sub_ref(&one);
     let s = n_minus_1.trailing_zeros().expect("n > 2 is odd");
     let d = &n_minus_1 >> s;
 
+    let ctx = Montgomery::new(n);
     let witness_passes = |a: &BigUint| -> bool {
         let a = a.rem_ref(n);
         if a.is_zero() || a.is_one() {
             return true;
         }
-        let mut x = mod_pow(&a, &d, n);
+        let mut x = match &ctx {
+            Some(ctx) => ctx.pow(&a, &d),
+            None => mod_pow_classic(&a, &d, n), // wider than 2048 bits
+        };
         if x.is_one() || x == n_minus_1 {
             return true;
         }
@@ -151,25 +199,46 @@ pub fn is_probably_prime<E: EntropySource>(n: &BigUint, rounds: usize, rng: &mut
 ///
 /// The candidate stream is: random `bits`-bit odd integer, then increment
 /// by 2 until a probable prime is found (restarting if the bit length
-/// overflows). `rounds` Miller–Rabin rounds are applied (20 gives a
-/// 2^-40 error bound, ample for a research stack).
+/// overflows, or after 4096 candidates). A sieve over the primes below
+/// 2^11 strikes candidates out of that stream; each survivor, in
+/// increasing order, faces the 13 fixed Miller–Rabin bases 2, 3, …, 41
+/// and then `rounds` random witnesses — below 42 bits the fixed bases
+/// are conclusive and none is drawn. RSA key generation passes
+/// `rounds = 16`: a `4^-16` bound on top of the fixed bases, ample for a
+/// research stack.
+///
+/// The sieve removes only candidates the witness loop would have
+/// rejected on its fixed bases, which draw nothing from `rng`, so the
+/// prime returned and the bytes drawn are those of the unsieved scan.
 pub fn generate_prime<E: EntropySource>(rng: &mut E, bits: usize, rounds: usize) -> BigUint {
     assert!(bits >= 8, "prime generation needs at least 8 bits");
-    let two = BigUint::from(2u64);
+    // Sieve only with primes below every `bits`-bit number, so that a
+    // multiple of one inside the window is a proper multiple.
+    let below_range = SIEVE_PRIMES.partition_point(|&p| ((p.ilog2() + 1) as usize) < bits);
     loop {
-        let mut candidate = random_bits(rng, bits);
-        if candidate.is_even() {
-            candidate = candidate.add_ref(&BigUint::one());
+        let mut start = random_bits(rng, bits);
+        if start.is_even() {
+            start = start.add_ref(&BigUint::one());
         }
-        // Scan a window of odd candidates from the random start.
-        for _ in 0..4096 {
+        // struck[k]: start + 2k has a factor among the sieve primes.
+        let mut struck = [false; SCAN_WINDOW];
+        residues(&start, &SIEVE_PRIMES[..below_range], |p, r| {
+            // Least k with start + 2k = 0 (mod p), for odd p: whichever
+            // of p - r and 2p - r is even, halved.
+            let to_multiple = (p - r) % p;
+            let first = (to_multiple + (to_multiple % 2) * p) / 2;
+            for k in (first as usize..SCAN_WINDOW).step_by(p as usize) {
+                struck[k] = true;
+            }
+        });
+        for k in (0..SCAN_WINDOW).filter(|&k| !struck[k]) {
+            let candidate = start.add_ref(&BigUint::from(2 * k as u64));
             if candidate.bit_len() != bits {
                 break; // wrapped past the top of the range; re-randomize
             }
-            if is_probably_prime(&candidate, rounds, rng) == Primality::ProbablyPrime {
+            if miller_rabin(&candidate, rounds, rng) == Primality::ProbablyPrime {
                 return candidate;
             }
-            candidate = candidate.add_ref(&two);
         }
     }
 }
@@ -197,9 +266,27 @@ mod tests {
     }
 
     #[test]
+    fn sieve_table_holds_the_odd_primes_below_the_bound() {
+        assert_eq!(SIEVE_PRIMES[..5], [3, 5, 7, 11, 13]);
+        assert_eq!(SIEVE_PRIMES[SIEVE_PRIMES.len() - 1], 2039);
+        assert!(SIEVE_PRIMES.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn residues_match_one_division_per_prime() {
+        let n = random_bits(&mut rng(), 300);
+        let mut seen = Vec::new();
+        residues(&n, &SIEVE_PRIMES, |p, r| {
+            assert_eq!(r, n.rem_limb(p), "p={p}");
+            seen.push(p);
+        });
+        assert_eq!(seen, SIEVE_PRIMES);
+    }
+
+    #[test]
     fn small_primes_detected() {
         let mut r = rng();
-        for p in [2u64, 3, 5, 7, 11, 13, 97, 281] {
+        for p in [2u64, 3, 5, 7, 11, 13, 97, 281, 283, 2039, 2053] {
             assert_eq!(
                 is_probably_prime(&BigUint::from(p), 5, &mut r),
                 Primality::ProbablyPrime,
@@ -211,7 +298,7 @@ mod tests {
     #[test]
     fn small_composites_detected() {
         let mut r = rng();
-        for c in [0u64, 1, 4, 6, 9, 15, 100, 561, 41041, 825265] {
+        for c in [0u64, 1, 4, 6, 9, 15, 100, 561, 2047, 2049, 41041, 825265] {
             // 561, 41041, 825265 are Carmichael numbers.
             assert_eq!(
                 is_probably_prime(&BigUint::from(c), 5, &mut r),

@@ -418,6 +418,17 @@ impl BigUint {
         (BigUint::from_limbs(out), rem as u64)
     }
 
+    /// `self mod d` for a single limb `d`, without building the quotient
+    /// [`BigUint::div_rem_limb`] returns: nothing is allocated.
+    pub fn rem_limb(&self, d: u64) -> u64 {
+        assert!(d != 0, "BigUint division by zero");
+        let mut rem = 0u128;
+        for &limb in self.limbs.iter().rev() {
+            rem = ((rem << 64) | limb as u128) % d as u128;
+        }
+        rem as u64
+    }
+
     /// Knuth Algorithm D (TAOCP 4.3.1) for multi-limb divisors.
     fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         // Normalize: shift so the divisor's top limb has its high bit set.
@@ -830,6 +841,16 @@ mod tests {
         let (q, r) = a.div_rem(&a);
         assert!(q.is_one());
         assert!(r.is_zero());
+    }
+
+    #[test]
+    fn rem_limb_matches_div_rem_limb() {
+        let a = n("340282366920938463463374607431768211457123456789");
+        for d in [1u64, 2, 3, 281, 65_537, u64::MAX - 58, u64::MAX] {
+            assert_eq!(a.rem_limb(d), a.div_rem_limb(d).1, "d={d}");
+        }
+        assert_eq!(BigUint::zero().rem_limb(7), 0);
+        assert_eq!(BigUint::from(6u64).rem_limb(7), 6);
     }
 
     #[test]

@@ -278,7 +278,9 @@ stage_deep_matrix() {
 # Montgomery modexp beats the classic window reference, the resumed
 # handshake beats the full handshake, a HandshakeMill batched wave is
 # not slower than a pool-less per-session acceptor, and four stripes
-# beat one stream >=1.5x at 5% loss (tick-model, deterministic). Every claim
+# beat one stream >=1.5x at 5% loss (tick-model, deterministic); a
+# 256-bit modexp costs <=0.16x a 512-bit one and a 256-bit prime search
+# <=60 modexps (DESIGN.md §11.4). Every claim
 # prints measured ratio, threshold and source BENCH json, pass or fail.
 stage_perf_guard() {
     cargo run -q --offline --release -p gridsec-bench --bin perf_guard
@@ -393,15 +395,18 @@ stage_crypto_storm() {
     echo "ok: $(head -1 "$tdir/cstorm.1") (byte-identical across two runs)"
 }
 
-# One slice per segment of the two gridbench workloads that cross the
-# protected-message byte path and the AEAD record path (BENCHMARK.json;
-# the numbers themselves are the benchmark driver's business). The last
+# One slice per segment of the gridbench workloads that cross the
+# protected-message byte path (ogsa_request), the AEAD record path
+# (bulk_xfer), the prime search under every delegated proxy
+# (gram_submit) and the 256-bit modexp under every handshake
+# (establish_storm) (BENCHMARK.json; the numbers themselves are the
+# benchmark driver's business). The last
 # stdout line is the result: every output digest must have matched and
 # no op may have failed. Building it also proves the frozen `benchmark/`
 # crate still compiles against the workspace's public signatures.
 stage_gridbench_smoke() {
     local w last
-    for w in ogsa_request bulk_xfer; do
+    for w in ogsa_request bulk_xfer gram_submit establish_storm; do
         if ! bash benchmark/run.sh --workload "$w" --seed 1 --slices 1 \
             > "$tdir/gridbench.$w.out"; then
             echo "FAIL: gridbench $w exited nonzero:" >&2
