@@ -25,8 +25,8 @@ use std::sync::Arc;
 pub const OP_ISSUE: &str = "cas-issue";
 
 /// The CAS server behind an RPC endpoint: plug [`CasService::handle`]
-/// into an [`RpcServer::poll`][gridsec_testbed::rpc::RpcServer::poll]
-/// handler. Issuance timestamps come from the shared [`SimClock`], so a
+/// into a [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an
+/// `RpcServer`. Issuance timestamps come from the shared [`SimClock`], so a
 /// retransmitted request answered from the reply cache carries the
 /// validity window of the *first* execution — exactly what a client
 /// that saw the first reply get lost expects.
@@ -133,10 +133,9 @@ mod tests {
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_testbed::net::{FaultProfile, Network};
-    use gridsec_testbed::rpc::{RpcClient, RpcServer};
+    use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -158,10 +157,23 @@ mod tests {
         (cas, user)
     }
 
+    /// `cas` served as a task on the returned scheduler.
+    fn serve(net: &Network, cas: Arc<CasServer>, clock: SimClock) -> Scheduler {
+        let mut service = CasService::new(cas, clock);
+        let mut sched = Scheduler::new(net);
+        sched.spawn_mailbox(
+            "cas",
+            ServerTask::new(
+                RpcServer::new(net.register("cas")),
+                move |from: &str, body: &[u8]| service.handle(from, body),
+            ),
+        );
+        sched
+    }
+
     fn fetch_over(net: &Network, clock: SimClock) -> (CasAssertion, Arc<CasServer>) {
         let (cas, user) = cas_world();
-        let service = Rc::new(RefCell::new(CasService::new(cas.clone(), clock)));
-        let rpc_server = Rc::new(RefCell::new(RpcServer::new(net.register("cas"))));
+        let _sched = serve(net, cas.clone(), clock);
         let mut rpc = RpcClient::new(
             net.register("alice"),
             "cas",
@@ -172,13 +184,6 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let hook_server = rpc_server.clone();
-        let hook_service = service.clone();
-        rpc.set_pump(move || {
-            hook_server
-                .borrow_mut()
-                .poll(&mut |from, body| hook_service.borrow_mut().handle(from, body))
-        });
         let assertion = fetch_assertion(&mut rpc, &user).unwrap();
         (assertion, cas)
     }
@@ -209,16 +214,8 @@ mod tests {
     fn non_member_is_refused_not_transport_error() {
         let net = Network::new();
         let (cas, _user) = cas_world();
-        let service = Rc::new(RefCell::new(CasService::new(cas, SimClock::new())));
-        let rpc_server = Rc::new(RefCell::new(RpcServer::new(net.register("cas"))));
+        let _sched = serve(&net, cas, SimClock::new());
         let mut rpc = RpcClient::new(net.register("mallory"), "cas", RetryPolicy::default());
-        let hook_server = rpc_server.clone();
-        let hook_service = service.clone();
-        rpc.set_pump(move || {
-            hook_server
-                .borrow_mut()
-                .poll(&mut |from, body| hook_service.borrow_mut().handle(from, body))
-        });
         match fetch_assertion(&mut rpc, &dn("/O=G/CN=Mallory")) {
             Err(AuthzError::Refused(_)) => {}
             other => panic!("expected Refused, got {other:?}"),

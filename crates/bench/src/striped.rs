@@ -7,8 +7,6 @@
 //! and reports the tick-model outcome. Everything is a pure function of
 //! the seeds — no wall clock enters the goodput figures.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use gridsec_authz::gridmap::GridMapFile;
@@ -20,7 +18,7 @@ use gridsec_gridftp::GridFtpServer;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair, StreamStats};
+use gridsec_testbed::net::{Network, SimStream, StreamPair, StreamStats};
 use gridsec_testbed::os::{FileMode, SimOs};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
@@ -68,11 +66,10 @@ pub fn seed_file(w: &StripedWorld, path: &str, data: &[u8]) {
 }
 
 /// Dialer spawning one sans-io striped server task per dial over a
-/// seeded lossy pair. `base_seed` isolates cells from each other.
+/// seeded lossy pair, on a scheduler it owns (the client's reads find
+/// it through the pair). `base_seed` isolates cells from each other.
 fn dialer(
     w: &StripedWorld,
-    sched: &Rc<RefCell<Scheduler>>,
-    net: &Network,
     base_seed: u64,
     drop: f64,
 ) -> impl FnMut(usize, u32) -> Result<(SimStream, StreamStats), TlsError> {
@@ -82,21 +79,15 @@ fn dialer(
         now: 100,
         plan: CrashPlan::disabled(),
     };
-    let sched = Rc::clone(sched);
-    let net = net.clone();
+    let net = Network::new();
+    let mut sched = Scheduler::new(&net);
     let mut n = 0u64;
     move |slot, _attempt| {
         n += 1;
         let seed = base_seed.wrapping_add(n).wrapping_add((slot as u64) << 32);
         let (a, b, stats) = StreamPair::lossy(seed, drop);
         let mailbox = format!("bench-stripe-{base_seed:x}-{slot}-{n}");
-        task.spawn(
-            &mut sched.borrow_mut(),
-            &net,
-            &mailbox,
-            b,
-            &seed.to_be_bytes(),
-        );
+        task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
         Ok((a, stats))
     }
 }
@@ -122,17 +113,9 @@ pub fn run_get_cell(
         seed: base_seed ^ 0x57A1_BE11,
         ..StripeOpts::default()
     };
-    let net = Network::new();
-    let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
     let mut rng = ChaChaRng::from_seed_bytes(&base_seed.to_be_bytes());
     let config = TlsConfig::new(w.user.clone(), w.trust.clone(), 100);
-    let dial = dialer(w, &sched, &net, base_seed, drop);
-    let pump = Rc::clone(&sched);
-    with_stream_pump(
-        move || pump.borrow_mut().pump(),
-        move || {
-            striped_get(&config, &mut rng, RetryPolicy::default(), dial, path, opts)
-                .expect("striped bench cell completes")
-        },
-    )
+    let dial = dialer(w, base_seed, drop);
+    striped_get(&config, &mut rng, RetryPolicy::default(), dial, path, opts)
+        .expect("striped bench cell completes")
 }

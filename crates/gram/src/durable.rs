@@ -351,7 +351,8 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::RpcClient;
+    use gridsec_testbed::rpc::{RpcClient, ServerTask};
+    use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
 
     fn dn(s: &str) -> DistinguishedName {
@@ -389,10 +390,12 @@ mod tests {
 
     struct Rig {
         durable: Rc<RefCell<DurableGram>>,
-        server: Rc<RefCell<CrashableServer>>,
+        plan: CrashPlan,
         resource: Rc<RefCell<GramResource>>,
         rpc: RpcClient,
         os: SimOs,
+        /// Hosts the MJS task the client's calls drive.
+        _sched: Scheduler,
     }
 
     fn rig(w: &World, plan: CrashPlan) -> Rig {
@@ -419,14 +422,16 @@ mod tests {
         )));
         let net = Network::new();
         net.enable_faults(w.clock.clone(), 0x6AAF, FaultProfile::default());
-        let server = Rc::new(RefCell::new(CrashableServer::new(
+        let server = CrashableServer::new(
             net.register("mjs-host"),
             "gram",
-            plan,
+            plan.clone(),
             durable.borrow().journal.clone(),
             true,
-        )));
-        let mut rpc = RpcClient::new(
+        );
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable.clone()));
+        let rpc = RpcClient::new(
             net.register("jane"),
             "mjs-host",
             RetryPolicy {
@@ -436,15 +441,13 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let hook_server = server.clone();
-        let hook_app = durable.clone();
-        rpc.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
         Rig {
             durable,
-            server,
+            plan,
             resource,
             rpc,
             os,
+            _sched: sched,
         }
     }
 
@@ -482,7 +485,7 @@ mod tests {
         plan.arm("gram.session.exec", 2);
         let mut r = rig(&w, plan);
         let job = submit(&w, &mut r);
-        assert_eq!(r.server.borrow().restarts(), 1, "service was reborn");
+        assert_eq!(r.plan.restarts(), 1, "service was reborn");
         assert_eq!(
             r.resource.borrow().job_state(&job.handle).unwrap(),
             JobState::Active
@@ -505,7 +508,7 @@ mod tests {
         plan.arm("gram.start.journaled", 1);
         let mut r = rig(&w, plan);
         let job = submit(&w, &mut r);
-        assert_eq!(r.server.borrow().restarts(), 1);
+        assert_eq!(r.plan.restarts(), 1);
         assert_eq!(
             r.resource.borrow().job_state(&job.handle).unwrap(),
             JobState::Active

@@ -382,11 +382,11 @@ struct Session {
 }
 
 /// A [`GramResource`] served behind an RPC endpoint: plug
-/// [`RemoteGram::handle`] into an
-/// [`RpcServer::poll`][gridsec_testbed::rpc::RpcServer::poll] handler.
+/// [`RemoteGram::handle`] into a
+/// [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an `RpcServer`.
 /// The resource is shared via `Rc<RefCell<..>>` so the test scaffold
 /// (or a chaos harness) can still advance its clock and inspect jobs
-/// between polls.
+/// between calls.
 pub struct RemoteGram {
     resource: Rc<RefCell<GramResource>>,
     rng: ChaChaRng,
@@ -576,7 +576,8 @@ mod tests {
     use gridsec_testbed::clock::SimClock;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::SimOs;
-    use gridsec_testbed::rpc::{RpcClient, RpcServer};
+    use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
 
     fn dn(s: &str) -> DistinguishedName {
@@ -626,9 +627,17 @@ mod tests {
         .unwrap()
     }
 
-    fn rpc_pair(net: &Network, service: Rc<RefCell<RemoteGram>>) -> RpcClient {
-        let server = Rc::new(RefCell::new(RpcServer::new(net.register("mjs-host"))));
-        let mut rpc = RpcClient::new(
+    /// `service` as a task on the returned scheduler, plus a client of it.
+    fn rpc_pair(net: &Network, mut service: RemoteGram) -> (RpcClient, Scheduler) {
+        let mut sched = Scheduler::new(net);
+        sched.spawn_mailbox(
+            "mjs-host",
+            ServerTask::new(
+                RpcServer::new(net.register("mjs-host")),
+                move |from: &str, body: &[u8]| service.handle(from, body),
+            ),
+        );
+        let rpc = RpcClient::new(
             net.register("jane"),
             "mjs-host",
             RetryPolicy {
@@ -638,18 +647,15 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        rpc.set_pump(move || {
-            server
-                .borrow_mut()
-                .poll(&mut |from, body| service.borrow_mut().handle(from, body))
-        });
-        rpc
+        (rpc, sched)
     }
 
-    fn submit_over(net: &Network, w: &World) -> (ActiveJob, Rc<RefCell<GramResource>>, RpcClient) {
+    fn submit_over(
+        net: &Network,
+        w: &World,
+    ) -> (ActiveJob, Rc<RefCell<GramResource>>, RpcClient, Scheduler) {
         let shared = Rc::new(RefCell::new(resource(w)));
-        let service = Rc::new(RefCell::new(RemoteGram::new(shared.clone(), b"mjs rng")));
-        let mut rpc = rpc_pair(net, service);
+        let (mut rpc, sched) = rpc_pair(net, RemoteGram::new(shared.clone(), b"mjs rng"));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let host = dn("/O=G/CN=host compute1");
         let job = submit_job_remote(
@@ -660,14 +666,14 @@ mod tests {
             w.clock.now(),
         )
         .unwrap();
-        (job, shared, rpc)
+        (job, shared, rpc, sched)
     }
 
     #[test]
     fn full_chain_over_perfect_network() {
         let w = world();
         let net = Network::new();
-        let (job, shared, mut rpc) = submit_over(&net, &w);
+        let (job, shared, mut rpc, _sched) = submit_over(&net, &w);
         assert!(job.cold_start);
         assert_eq!(job.account, "jdoe");
         assert_eq!(
@@ -685,7 +691,7 @@ mod tests {
         let w = world();
         let net = Network::new();
         net.enable_faults(w.clock.clone(), 0x6AA4, FaultProfile::lossy_wan());
-        let (job, shared, mut rpc) = submit_over(&net, &w);
+        let (job, shared, mut rpc, _sched) = submit_over(&net, &w);
         assert_eq!(
             shared.borrow().job_state(&job.handle).unwrap(),
             JobState::Active
@@ -706,8 +712,7 @@ mod tests {
         let w = world();
         let net = Network::new();
         let shared = Rc::new(RefCell::new(resource(&w)));
-        let service = Rc::new(RefCell::new(RemoteGram::new(shared, b"mjs rng")));
-        let mut rpc = rpc_pair(&net, service);
+        let (mut rpc, _sched) = rpc_pair(&net, RemoteGram::new(shared, b"mjs rng"));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let err = submit_job_remote(
             &mut jane,
@@ -730,8 +735,7 @@ mod tests {
         net.enable_faults(w.clock.clone(), 0x6AA5, FaultProfile::default());
         net.partition("jane", "mjs-host");
         let shared = Rc::new(RefCell::new(resource(&w)));
-        let service = Rc::new(RefCell::new(RemoteGram::new(shared.clone(), b"mjs rng")));
-        let mut rpc = rpc_pair(&net, service);
+        let (mut rpc, _sched) = rpc_pair(&net, RemoteGram::new(shared.clone(), b"mjs rng"));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let err = submit_job_remote(
             &mut jane,

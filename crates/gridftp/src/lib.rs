@@ -207,11 +207,9 @@ mod tests {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::proxy::{issue_proxy, ProxyType};
     use gridsec_testbed::faults::CrashPlan;
-    use gridsec_testbed::net::{with_stream_pump, Network, StreamPair};
+    use gridsec_testbed::net::{Network, StreamPair};
     use gridsec_testbed::os::{FileMode, ROOT_UID};
     use gridsec_testbed::sched::Scheduler;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use std::sync::{Arc, Mutex};
 
     fn dn(s: &str) -> DistinguishedName {
@@ -251,8 +249,7 @@ mod tests {
     }
 
     /// Run client ops against the server on a stream pair; the server
-    /// runs as a sans-io scheduler task, pumped whenever the blocking
-    /// client waits for bytes.
+    /// runs as a sans-io scheduler task, inside the client's reads.
     fn with_session<F, R>(
         w: &mut World,
         cred: Credential,
@@ -262,7 +259,7 @@ mod tests {
         F: FnOnce(&mut GridFtpClient<gridsec_testbed::net::SimStream>) -> Result<R, FtpError>,
     {
         let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
+        let mut sched = Scheduler::new(&net);
         let (a, b, _) = StreamPair::new();
         let task = poll::SessionTask {
             server: Arc::clone(&w.server),
@@ -270,28 +267,17 @@ mod tests {
             now: 100,
             plan: CrashPlan::disabled(),
         };
-        let served = task.spawn(
-            &mut sched.borrow_mut(),
-            &net,
-            "ftp-classic",
-            b,
-            b"server side",
-        );
-        let trust = w.trust.clone();
+        let served = task.spawn(&mut sched, &net, "ftp-classic", b, b"server side");
         let mut client_rng = ChaChaRng::from_seed_bytes(b"client side");
-        let pump = Rc::clone(&sched);
-        let result = with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                let mut client = GridFtpClient::connect(a, cred, trust, 100, &mut client_rng)?;
+        let result = GridFtpClient::connect(a, cred, w.trust.clone(), 100, &mut client_rng)
+            .and_then(|mut client| {
                 let out = f(&mut client)?;
                 client.quit()?;
                 Ok(out)
-            },
-        );
+            });
         // Drain the scheduler so the server task observes the client's
         // close and resolves its outcome.
-        while sched.borrow_mut().pump() > 0 {}
+        sched.run();
         let served = served.borrow_mut().take().expect("server session resolved");
         (result, served)
     }

@@ -6,7 +6,7 @@
 //! grid-map authorization, command dispatch, restart markers, stripe
 //! credit windows, kill points — lives here as a pure
 //! feed-bytes-in/frames-out machine with no blocking reads. That is
-//! what retires the GT2 threading exception (DESIGN.md §12.4): a
+//! what retired the GT2 threading exception (DESIGN.md §16): a
 //! GridFTP stripe is a [`Scheduler`] task woken by stream readability,
 //! not a spawned server thread.
 //!
@@ -113,9 +113,9 @@ pub struct ServerSession {
 
 impl ServerSession {
     /// Snapshot a server's identity, trust, grid-map, and OS handle
-    /// into a fresh session machine. `plan` is consulted at the same
-    /// kill points as the blocking loops; pass
-    /// [`CrashPlan::disabled`] for the classic dialect.
+    /// into a fresh session machine. `plan` is consulted at the
+    /// dialect's `xfer.*` kill points; pass [`CrashPlan::disabled`] for
+    /// the classic dialect.
     pub fn new(server: &GridFtpServer, dialect: Dialect, now: u64, plan: CrashPlan) -> Self {
         let config = TlsConfig::new(server.credential.clone(), server.trust.clone(), now);
         ServerSession {
@@ -194,8 +194,7 @@ impl ServerSession {
     }
 
     /// The session's result, once resolved: transfers served on a
-    /// clean close, or the refusal/tear/kill error — the same values
-    /// the blocking loops returned.
+    /// clean close, or the refusal/tear/kill error.
     pub fn outcome(&self) -> Option<&Result<u64, FtpError>> {
         self.done.as_ref()
     }
@@ -789,8 +788,8 @@ impl ServerSession {
     }
 }
 
-/// Spawns [`ServerSession`]s as scheduler tasks — the replacement for
-/// the per-connection server threads the dialers used to detach.
+/// Spawns [`ServerSession`]s as scheduler tasks, one per dialed
+/// connection.
 pub struct SessionTask {
     /// The shared server all sessions serve; its
     /// [`transfers`](GridFtpServer::transfers) counter is kept in sync

@@ -34,8 +34,8 @@
 //!
 //! Tracing is client-side only (`xfer.get` / `xfer.put` spans,
 //! `xfer.resume` events, `xfer.bytes_*` / `xfer.resumes` counters), so
-//! flight-recorder dumps stay deterministic: server sessions run on
-//! detached threads with no installed tracer.
+//! flight-recorder dumps carry one side of the story: server sessions
+//! are scheduler tasks on the same thread and emit no trace events.
 
 use std::io::{Read, Write};
 
@@ -132,7 +132,7 @@ where
             trace::event("xfer.resume", &format!("get {path} offset={}", buf.len()));
             trace::add("xfer.resumes", 1);
         }
-        let mut stream = match connect_with_retry(config, rng, policy, &mut dial, |_, _| {}) {
+        let mut stream = match connect_with_retry(config, rng, policy, &mut dial) {
             Ok((s, _)) => s,
             Err(e) if is_transient(&e) => continue,
             Err(e) => {
@@ -248,7 +248,7 @@ where
             trace::event("xfer.resume", &format!("put {path}"));
             trace::add("xfer.resumes", 1);
         }
-        let mut stream = match connect_with_retry(config, rng, policy, &mut dial, |_, _| {}) {
+        let mut stream = match connect_with_retry(config, rng, policy, &mut dial) {
             Ok((s, _)) => s,
             Err(e) if is_transient(&e) => continue,
             Err(e) => {
@@ -350,12 +350,10 @@ mod tests {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
     use gridsec_testbed::faults::CrashPlan;
-    use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{Network, SimStream, StreamPair};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::trace::{install, Tracer};
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use std::sync::{Arc, Mutex};
 
     fn dn(s: &str) -> DistinguishedName {
@@ -398,12 +396,12 @@ mod tests {
     }
 
     /// A dialer that spawns one sans-io server task per dial over a
-    /// seeded lossy pair. Each dial gets a distinct loss schedule
-    /// (`base_seed + n`) and a distinct, deterministic server rng.
+    /// seeded lossy pair, on a scheduler of its own (the client's reads
+    /// find it through the pair). Each dial gets a distinct loss
+    /// schedule (`base_seed + n`) and a distinct, deterministic server
+    /// rng.
     fn dialer(
         w: &World,
-        sched: &Rc<RefCell<Scheduler>>,
-        net: &Network,
         plan: CrashPlan,
         base_seed: u64,
         drop: f64,
@@ -414,21 +412,15 @@ mod tests {
             now: 100,
             plan,
         };
-        let sched = Rc::clone(sched);
-        let net = net.clone();
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
         let mut n = 0u64;
         move |_| {
             n += 1;
             let seed = base_seed.wrapping_add(n);
             let (a, b, _) = StreamPair::lossy(seed, drop);
             let mailbox = format!("resume-{base_seed:x}-{n}");
-            task.spawn(
-                &mut sched.borrow_mut(),
-                &net,
-                &mailbox,
-                b,
-                &seed.to_be_bytes(),
-            );
+            task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
             Ok(a)
         }
     }
@@ -442,18 +434,10 @@ mod tests {
     }
 
     fn run_get(w: &World, plan: CrashPlan, seed: u64, drop: f64, path: &str) -> XferOutcome {
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
         let mut rng = ChaChaRng::from_seed_bytes(b"resume client");
         let config = TlsConfig::new(w.jane.clone(), w.trust.clone(), 100);
-        let dial = dialer(w, &sched, &net, plan, seed, drop);
-        let pump = Rc::clone(&sched);
-        with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                resumable_get(&config, &mut rng, RetryPolicy::default(), dial, path, 64).unwrap()
-            },
-        )
+        let dial = dialer(w, plan, seed, drop);
+        resumable_get(&config, &mut rng, RetryPolicy::default(), dial, path, 64).unwrap()
     }
 
     fn run_put(
@@ -464,27 +448,11 @@ mod tests {
         path: &str,
         data: &[u8],
     ) -> XferOutcome {
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
         let mut rng = ChaChaRng::from_seed_bytes(b"resume client");
         let config = TlsConfig::new(w.jane.clone(), w.trust.clone(), 100);
-        let dial = dialer(w, &sched, &net, plan, seed, drop);
-        let pump = Rc::clone(&sched);
-        with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                resumable_put(
-                    &config,
-                    &mut rng,
-                    RetryPolicy::default(),
-                    dial,
-                    path,
-                    data,
-                    64,
-                )
-                .unwrap()
-            },
-        )
+        let dial = dialer(w, plan, seed, drop);
+        let policy = RetryPolicy::default();
+        resumable_put(&config, &mut rng, policy, dial, path, data, 64).unwrap()
     }
 
     #[test]

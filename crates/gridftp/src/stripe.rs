@@ -322,17 +322,11 @@ where
     D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
 {
     let mut pair_stats: Option<StreamStats> = None;
-    let result = connect_with_retry(
-        config,
-        rng,
-        policy,
-        |attempt| {
-            let (s, st) = dial(slot, attempt)?;
-            pair_stats = Some(st);
-            Ok(s)
-        },
-        |_, _| {},
-    );
+    let result = connect_with_retry(config, rng, policy, |attempt| {
+        let (s, st) = dial(slot, attempt)?;
+        pair_stats = Some(st);
+        Ok(s)
+    });
     match result {
         Ok((mut stream, cstats)) => {
             greet(&mut stream)?;
@@ -948,11 +942,9 @@ mod tests {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
     use gridsec_testbed::faults::CrashPlan;
-    use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{Network, SimStream, StreamPair};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use std::sync::{Arc, Mutex};
 
     fn dn(s: &str) -> DistinguishedName {
@@ -993,12 +985,12 @@ mod tests {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
     }
 
-    /// One sans-io striped server task per dial, over a seeded lossy
-    /// pair whose stats handle goes back to the client engine.
+    /// One sans-io striped server task per dial (on a scheduler the
+    /// dialer owns; the client's reads find it through the pair), over a
+    /// seeded lossy pair whose stats handle goes back to the client
+    /// engine.
     fn dialer(
         w: &World,
-        sched: &Rc<RefCell<Scheduler>>,
-        net: &Network,
         plan: CrashPlan,
         base_seed: u64,
         drop: f64,
@@ -1009,21 +1001,15 @@ mod tests {
             now: 100,
             plan,
         };
-        let sched = Rc::clone(sched);
-        let net = net.clone();
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
         let mut n = 0u64;
         move |slot, _attempt| {
             n += 1;
             let seed = base_seed.wrapping_add(n).wrapping_add((slot as u64) << 32);
             let (a, b, stats) = StreamPair::lossy(seed, drop);
             let mailbox = format!("stripe-{base_seed:x}-{slot}-{n}");
-            task.spawn(
-                &mut sched.borrow_mut(),
-                &net,
-                &mailbox,
-                b,
-                &seed.to_be_bytes(),
-            );
+            task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
             Ok((a, stats))
         }
     }
@@ -1044,18 +1030,10 @@ mod tests {
         path: &str,
         opts: StripeOpts,
     ) -> StripedOutcome {
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
         let mut rng = ChaChaRng::from_seed_bytes(b"stripe client");
         let config = TlsConfig::new(w.jane.clone(), w.trust.clone(), 100);
-        let dial = dialer(w, &sched, &net, plan, seed, drop);
-        let pump = Rc::clone(&sched);
-        with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                striped_get(&config, &mut rng, RetryPolicy::default(), dial, path, opts).unwrap()
-            },
-        )
+        let dial = dialer(w, plan, seed, drop);
+        striped_get(&config, &mut rng, RetryPolicy::default(), dial, path, opts).unwrap()
     }
 
     fn run_put(
@@ -1067,27 +1045,11 @@ mod tests {
         data: &[u8],
         opts: StripeOpts,
     ) -> StripedOutcome {
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
         let mut rng = ChaChaRng::from_seed_bytes(b"stripe client");
         let config = TlsConfig::new(w.jane.clone(), w.trust.clone(), 100);
-        let dial = dialer(w, &sched, &net, plan, seed, drop);
-        let pump = Rc::clone(&sched);
-        with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                striped_put(
-                    &config,
-                    &mut rng,
-                    RetryPolicy::default(),
-                    dial,
-                    path,
-                    data,
-                    opts,
-                )
-                .unwrap()
-            },
-        )
+        let dial = dialer(w, plan, seed, drop);
+        let policy = RetryPolicy::default();
+        striped_put(&config, &mut rng, policy, dial, path, data, opts).unwrap()
     }
 
     #[test]

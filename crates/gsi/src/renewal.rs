@@ -28,8 +28,7 @@ use std::rc::Rc;
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::RsaKeyPair;
-use gridsec_services::myproxy::{self, MyProxyServer, OP_RENEW};
-use gridsec_testbed::faults::CrashableServer;
+use gridsec_services::myproxy::{self, OP_RENEW};
 use gridsec_testbed::net::Endpoint;
 use gridsec_testbed::rpc::{CallPoll, PollingCall};
 use gridsec_testbed::sched::{Step, Task, TaskCx};
@@ -280,28 +279,6 @@ impl Task for RenewalAgent {
     }
 }
 
-/// Hosts a [`MyProxyServer`] inside the scheduler: pumps its
-/// [`CrashableServer`] supervisor whenever mail arrives (including the
-/// client retransmissions that nudge a crashed server back up).
-pub struct RepositoryTask {
-    server: Rc<RefCell<CrashableServer>>,
-    app: Rc<RefCell<MyProxyServer>>,
-}
-
-impl RepositoryTask {
-    /// Wrap a supervised repository for `Scheduler::spawn_mailbox`.
-    pub fn new(server: Rc<RefCell<CrashableServer>>, app: Rc<RefCell<MyProxyServer>>) -> Self {
-        RepositoryTask { server, app }
-    }
-}
-
-impl Task for RepositoryTask {
-    fn step(&mut self, _cx: &TaskCx) -> Step {
-        self.server.borrow_mut().poll(&mut *self.app.borrow_mut());
-        Step::WaitMail { deadline: None }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,11 +288,12 @@ mod tests {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
     use gridsec_pki::validate::validate_chain;
+    use gridsec_services::myproxy::MyProxyServer;
     use gridsec_testbed::clock::SimClock;
-    use gridsec_testbed::faults::{CrashPlan, Journal};
+    use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::RpcClient;
+    use gridsec_testbed::rpc::{RpcClient, ServerTask};
     use gridsec_testbed::sched::Scheduler;
 
     fn dn(s: &str) -> DistinguishedName {
@@ -329,11 +307,13 @@ mod tests {
         rng: ChaChaRng,
         jane: Credential,
         app: Rc<RefCell<MyProxyServer>>,
-        server: Rc<RefCell<CrashableServer>>,
         plan: CrashPlan,
+        /// Hosts the repository task; [`spawn_world`] adds the agent.
+        sched: Scheduler,
     }
 
-    /// A repository with Jane's credential stored, on a faulty network.
+    /// A repository task with Jane's credential stored, on a faulty
+    /// network.
     fn rig(plan: CrashPlan) -> Rig {
         let mut rng = ChaChaRng::from_seed_bytes(b"renewal tests");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
@@ -354,13 +334,14 @@ mod tests {
         )));
         let net = Network::new();
         net.enable_faults(clock.clone(), 0x7E4E, FaultProfile::default());
-        let server = Rc::new(RefCell::new(CrashableServer::new(
-            net.register("repo"),
-            "myproxy",
-            plan.clone(),
-            journal,
-            true,
-        )));
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox(
+            "repo",
+            ServerTask::new(
+                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal, true),
+                app.clone(),
+            ),
+        );
 
         // Seed the store with Jane's credential via a plain RPC client.
         let mut rpc = RpcClient::new(
@@ -373,9 +354,6 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let hook_server = server.clone();
-        let hook_app = app.clone();
-        rpc.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
         myproxy::store_credential(&mut rpc, &mut rng, "jane", "s3cret", &jane, 0, 400_000).unwrap();
 
         Rig {
@@ -385,8 +363,8 @@ mod tests {
             rng,
             jane,
             app,
-            server,
             plan,
+            sched,
         }
     }
 
@@ -395,7 +373,7 @@ mod tests {
         config: RenewalConfig,
         passphrase: &str,
         initial_lifetime: u64,
-    ) -> (Rc<RefCell<Session>>, Rc<RefCell<RenewalStatus>>, Scheduler) {
+    ) -> (Rc<RefCell<Session>>, Rc<RefCell<RenewalStatus>>) {
         let session = grid_proxy_init(
             &mut r.rng,
             &r.jane,
@@ -408,9 +386,7 @@ mod tests {
         .unwrap();
         let session = Rc::new(RefCell::new(session));
         let status = Rc::new(RefCell::new(RenewalStatus::default()));
-        let mut sched = Scheduler::new(&r.net);
-        sched.spawn_mailbox("repo", RepositoryTask::new(r.server.clone(), r.app.clone()));
-        sched.spawn_mailbox(
+        r.sched.spawn_mailbox(
             "agent",
             RenewalAgent::new(
                 r.net.register("agent"),
@@ -423,7 +399,7 @@ mod tests {
                 config,
             ),
         );
-        (session, status, sched)
+        (session, status)
     }
 
     #[test]
@@ -435,8 +411,8 @@ mod tests {
             run_until: 20_000,
             ..RenewalConfig::default()
         };
-        let (session, status, mut sched) = spawn_world(&mut r, config, "s3cret", 2_000);
-        sched.run();
+        let (session, status) = spawn_world(&mut r, config, "s3cret", 2_000);
+        r.sched.run();
         let st = status.borrow();
         assert_eq!(st.state, AgentState::Completed, "{st:?}");
         assert!(st.fault.is_none());
@@ -461,8 +437,8 @@ mod tests {
         };
         // Wrong passphrase: every renewal is refused; the job rides its
         // remaining lifetime, then fails closed — no panic, no hang.
-        let (session, status, mut sched) = spawn_world(&mut r, config, "wrong", 2_000);
-        sched.run();
+        let (session, status) = spawn_world(&mut r, config, "wrong", 2_000);
+        r.sched.run();
         let st = status.borrow();
         assert_eq!(st.state, AgentState::FailedClosed, "{st:?}");
         assert!(st.failed_attempts > 0, "degraded mode was visited: {st:?}");
@@ -493,8 +469,8 @@ mod tests {
             run_until: 6_000,
             ..RenewalConfig::default()
         };
-        let (_session, status, mut sched) = spawn_world(&mut r, config, "s3cret", 2_000);
-        sched.run();
+        let (_session, status) = spawn_world(&mut r, config, "s3cret", 2_000);
+        r.sched.run();
         let st = status.borrow();
         assert_eq!(st.state, AgentState::Completed, "{st:?}");
         assert!(st.renewals >= 1);

@@ -92,8 +92,8 @@ fn parse_reply(bytes: &[u8]) -> Result<Vec<u8>, GssError> {
 }
 
 /// Establish a GSS context as the initiator, exchanging tokens through
-/// `rpc` (which carries the retry policy and, in single-threaded
-/// scenarios, the pump hook that runs the acceptor's service loop).
+/// `rpc` (which carries the retry policy; the acceptor runs as a task
+/// on the scheduler bound to `rpc`'s network, inside each call).
 pub fn establish_initiator<E: EntropySource>(
     rpc: &mut RpcClient,
     config: TlsConfig,
@@ -220,8 +220,8 @@ pub fn establish_initiator_resilient<E: EntropySource>(
 }
 
 /// The acceptor side as a pollable service: plug
-/// [`AcceptorService::handle`] into an
-/// [`RpcServer::poll`][gridsec_testbed::rpc::RpcServer::poll] handler.
+/// [`AcceptorService::handle`] into a
+/// [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an `RpcServer`.
 /// One in-progress handshake is tracked per calling endpoint name;
 /// a fresh token 1 from the same caller abandons the old attempt
 /// (the client gave up and started over).
@@ -417,7 +417,8 @@ mod tests {
     use gridsec_pki::store::TrustStore;
     use gridsec_testbed::clock::SimClock;
     use gridsec_testbed::net::{FaultProfile, Network};
-    use gridsec_testbed::rpc::{RpcClient, RpcServer};
+    use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -448,30 +449,43 @@ mod tests {
         }
     }
 
-    fn establish_over(net: &Network) -> (EstablishedContext, EstablishedContext) {
-        let mut w = world();
+    const PATIENT: RetryPolicy = RetryPolicy {
+        max_attempts: 8,
+        base_timeout: 16,
+        multiplier: 2,
+        max_timeout: 64,
+    };
+
+    /// One acceptor service as a task on the returned scheduler, and an
+    /// RPC client of it.
+    fn rig(
+        net: &Network,
+        w: &World,
+    ) -> (
+        Rc<RefCell<AcceptorService<ChaChaRng>>>,
+        RpcClient,
+        Scheduler,
+    ) {
         let service = Rc::new(RefCell::new(AcceptorService::new(
             TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
             ChaChaRng::from_seed_bytes(b"acceptor"),
         )));
-        let rpc_server = Rc::new(RefCell::new(RpcServer::new(net.register("mjs"))));
-        let mut rpc = RpcClient::new(
-            net.register("alice"),
+        let mut sched = Scheduler::new(net);
+        let hosted = service.clone();
+        sched.spawn_mailbox(
             "mjs",
-            RetryPolicy {
-                max_attempts: 8,
-                base_timeout: 16,
-                multiplier: 2,
-                max_timeout: 64,
-            },
+            ServerTask::new(
+                RpcServer::new(net.register("mjs")),
+                move |from: &str, body: &[u8]| hosted.borrow_mut().handle(from, body),
+            ),
         );
-        let hook_server = rpc_server.clone();
-        let hook_service = service.clone();
-        rpc.set_pump(move || {
-            hook_server
-                .borrow_mut()
-                .poll(&mut |from, body| hook_service.borrow_mut().handle(from, body))
-        });
+        let rpc = RpcClient::new(net.register("alice"), "mjs", PATIENT);
+        (service, rpc, sched)
+    }
+
+    fn establish_over(net: &Network) -> (EstablishedContext, EstablishedContext) {
+        let mut w = world();
+        let (service, mut rpc, _sched) = rig(net, &w);
         let init_ctx = establish_initiator(
             &mut rpc,
             TlsConfig::new(w.alice.clone(), w.trust.clone(), 100),
@@ -511,8 +525,8 @@ mod tests {
         net.enable_faults(clock, 1, FaultProfile::default());
         let mut w = world();
         let _server_ep = net.register("mjs");
+        let _sched = Scheduler::new(&net);
         let mut rpc = RpcClient::new(net.register("alice"), "mjs", RetryPolicy::default());
-        rpc.set_pump(|| 0);
         net.partition("alice", "mjs");
         let result = establish_initiator(
             &mut rpc,
@@ -546,30 +560,15 @@ mod tests {
             b"crashable acceptor",
             plan.clone(),
         )));
-        let server = Rc::new(RefCell::new(CrashableServer::new(
-            net.register("mjs"),
-            "gss",
-            plan.clone(),
-            journal,
-            false,
-        )));
-        let mut rpc = RpcClient::new(
-            net.register("alice"),
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox(
             "mjs",
-            RetryPolicy {
-                max_attempts: 8,
-                base_timeout: 16,
-                multiplier: 2,
-                max_timeout: 64,
-            },
+            ServerTask::new(
+                CrashableServer::new(net.register("mjs"), "gss", plan.clone(), journal, false),
+                acceptor.clone(),
+            ),
         );
-        let hook_server = server.clone();
-        let hook_acceptor = acceptor.clone();
-        rpc.set_pump(move || {
-            hook_server
-                .borrow_mut()
-                .poll(&mut *hook_acceptor.borrow_mut())
-        });
+        let mut rpc = RpcClient::new(net.register("alice"), "mjs", PATIENT);
         let mut ic = establish_initiator_resilient(
             &mut rpc,
             TlsConfig::new(w.alice.clone(), w.trust.clone(), 100),
@@ -578,7 +577,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.crashes(), 1, "the armed kill fired");
-        assert_eq!(server.borrow().restarts(), 1, "the service was reborn");
+        assert_eq!(plan.restarts(), 1, "the service was reborn");
         // The re-established context is fully functional end to end.
         let mut ac = acceptor
             .borrow_mut()
@@ -589,8 +588,7 @@ mod tests {
         assert_eq!(ac.unwrap(&t).unwrap(), b"survived a crash");
     }
 
-    /// Shared rig: one acceptor service behind an RPC pump, plus a
-    /// client-side session cache.
+    /// [`rig`] plus a client-side session cache.
     fn cached_rig(
         net: &Network,
     ) -> (
@@ -598,37 +596,17 @@ mod tests {
         Rc<RefCell<AcceptorService<ChaChaRng>>>,
         RpcClient,
         ClientSessionCache,
+        Scheduler,
     ) {
         let w = world();
-        let service = Rc::new(RefCell::new(AcceptorService::new(
-            TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
-            ChaChaRng::from_seed_bytes(b"acceptor"),
-        )));
-        let rpc_server = Rc::new(RefCell::new(RpcServer::new(net.register("mjs"))));
-        let mut rpc = RpcClient::new(
-            net.register("alice"),
-            "mjs",
-            RetryPolicy {
-                max_attempts: 8,
-                base_timeout: 16,
-                multiplier: 2,
-                max_timeout: 64,
-            },
-        );
-        let hook_server = rpc_server.clone();
-        let hook_service = service.clone();
-        rpc.set_pump(move || {
-            hook_server
-                .borrow_mut()
-                .poll(&mut |from, body| hook_service.borrow_mut().handle(from, body))
-        });
-        (w, service, rpc, ClientSessionCache::new(4))
+        let (service, rpc, sched) = rig(net, &w);
+        (w, service, rpc, ClientSessionCache::new(4), sched)
     }
 
     #[test]
     fn second_establishment_resumes_via_session_cache() {
         let net = Network::new();
-        let (mut w, service, mut rpc, mut cache) = cached_rig(&net);
+        let (mut w, service, mut rpc, mut cache, _sched) = cached_rig(&net);
         let cfg = TlsConfig::new(w.alice.clone(), w.trust.clone(), 100);
 
         // First establishment: full handshake, session stored both sides.
@@ -653,7 +631,7 @@ mod tests {
     #[test]
     fn unknown_ticket_falls_back_to_full_handshake() {
         let net = Network::new();
-        let (mut w, service, mut rpc, mut cache) = cached_rig(&net);
+        let (mut w, service, mut rpc, mut cache, _sched) = cached_rig(&net);
         let cfg = TlsConfig::new(w.alice.clone(), w.trust.clone(), 100);
         let _ctx1 =
             establish_initiator_cached(&mut rpc, cfg.clone(), &mut w.rng, &mut cache, 4).unwrap();
@@ -681,7 +659,7 @@ mod tests {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock, 0x5E55, FaultProfile::lossy_wan());
-        let (mut w, service, mut rpc, mut cache) = cached_rig(&net);
+        let (mut w, service, mut rpc, mut cache, _sched) = cached_rig(&net);
         let cfg = TlsConfig::new(w.alice.clone(), w.trust.clone(), 100);
         let _ctx1 =
             establish_initiator_cached(&mut rpc, cfg.clone(), &mut w.rng, &mut cache, 4).unwrap();

@@ -45,12 +45,10 @@ use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::store::TrustStore;
 use gridsec_services::audit::AuditLog;
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
-use gridsec_testbed::net::{
-    with_stream_pump, FaultProfile, FaultStats, Network, SimStream, StreamPair,
-};
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
+use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network, SimStream, StreamPair};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
-use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
@@ -137,6 +135,23 @@ pub fn policy() -> RetryPolicy {
     }
 }
 
+/// Host `app` on `sched` behind the crashable RPC endpoint `endpoint`
+/// (transcript name `service`). The figure's straight-line client code
+/// parks in `sched` on every call, so it must outlive the flow.
+fn spawn_crashable<A: CrashRecover + 'static>(
+    sched: &mut Scheduler,
+    endpoint: Endpoint,
+    service: &str,
+    plan: &CrashPlan,
+    journal: Journal,
+    persist_replies: bool,
+    app: &Rc<RefCell<A>>,
+) {
+    let mailbox = endpoint.id();
+    let server = CrashableServer::new(endpoint, service, plan.clone(), journal, persist_replies);
+    sched.spawn_mailbox_id(mailbox, ServerTask::new(server, app.clone()));
+}
+
 /// Per-scenario observability rig: tracer on the scenario clock, audit
 /// log as the event sink, optional flight path.
 struct Rig {
@@ -208,21 +223,10 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     )));
     // persist_replies = false: an ephemeral handshake reply must not be
     // replayed into a post-restart acceptor that lost the session.
-    let server = Rc::new(RefCell::new(CrashableServer::new(
-        net.register("service"),
-        "gss",
-        plan.clone(),
-        journal,
-        false,
-    )));
+    let mut sched = Scheduler::new(&net);
+    let ep = net.register("service");
+    spawn_crashable(&mut sched, ep, "gss", &plan, journal, false, &service);
     let mut rpc = RpcClient::new(net.register("user"), "service", policy());
-    let hook_server = server.clone();
-    let hook_service = service.clone();
-    rpc.set_pump(move || {
-        hook_server
-            .borrow_mut()
-            .poll(&mut *hook_service.borrow_mut())
-    });
 
     if opts.partition_all {
         net.partition("user", "service");
@@ -320,21 +324,10 @@ pub fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         Effect::Permit,
     );
 
-    let server = Rc::new(RefCell::new(CrashableServer::new(
-        net.register("cas"),
-        "cas",
-        plan.clone(),
-        journal,
-        true,
-    )));
+    let mut sched = Scheduler::new(&net);
+    let ep = net.register("cas");
+    spawn_crashable(&mut sched, ep, "cas", &plan, journal, true, &durable);
     let mut rpc = RpcClient::new(net.register("alice"), "cas", policy());
-    let hook_server = server.clone();
-    let hook_service = durable.clone();
-    rpc.set_pump(move || {
-        hook_server
-            .borrow_mut()
-            .poll(&mut *hook_service.borrow_mut())
-    });
 
     if opts.partition_all {
         net.partition("alice", "cas");
@@ -446,14 +439,9 @@ pub fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         .register_factory("echo", Box::new(|_ctx, _args| Ok(Box::new(EchoService))));
     let env = Rc::new(RefCell::new(env));
 
-    let service = Rc::new(RefCell::new(RpcService::new(
-        &net,
-        "echo-host",
-        env.clone(),
-    )));
-    let mut transport = RetryTransport::connect(&net, "user", "echo-host", policy());
-    let hook = service.clone();
-    transport.set_pump(move || hook.borrow_mut().poll());
+    let mut sched = Scheduler::new(&net);
+    sched.spawn_mailbox("echo-host", RpcService::new(&net, "echo-host", env.clone()));
+    let transport = RetryTransport::connect(&net, "user", "echo-host", policy());
     let mut client = OgsaClient::new(transport, w.trust.clone(), clock, b"chaos fig3 client");
     client.add_source(Box::new(StaticCredential(w.user.clone())));
 
@@ -531,21 +519,10 @@ pub fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         plan.clone(),
         journal.clone(),
     )));
-    let server = Rc::new(RefCell::new(CrashableServer::new(
-        net.register("mjs-host"),
-        "gram",
-        plan.clone(),
-        journal,
-        true,
-    )));
+    let mut sched = Scheduler::new(&net);
+    let ep = net.register("mjs-host");
+    spawn_crashable(&mut sched, ep, "gram", &plan, journal, true, &durable);
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
-    let hook_server = server.clone();
-    let hook_service = durable.clone();
-    rpc.set_pump(move || {
-        hook_server
-            .borrow_mut()
-            .poll(&mut *hook_service.borrow_mut())
-    });
 
     let mut jane = Requestor::new(jane, trust, b"chaos jane");
 
@@ -643,12 +620,13 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         uid
     };
 
-    // One sans-io server session task per dial; the session mutex
-    // serializes machine construction, and tears propagate symmetrically
-    // (a torn write resets the peer), so the shared crash plan draws
-    // stay deterministic. The scheduler is drained before reporting.
+    // One sans-io server session task per dial, run inside the client's
+    // blocking reads; the session mutex serializes machine construction,
+    // and tears propagate symmetrically (a torn write resets the peer),
+    // so the shared crash plan draws stay deterministic. The scheduler
+    // is drained before reporting.
     let task_net = Network::new();
-    let sched = Rc::new(RefCell::new(Scheduler::new(&task_net)));
+    let mut sched = Scheduler::new(&task_net);
     let drop_rate = if opts.partition_all { 1.0 } else { 0.10 };
     let mk_dial = |label: u64| {
         let task = SessionTask {
@@ -657,7 +635,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             now: 100,
             plan: plan.clone(),
         };
-        let sched = Rc::clone(&sched);
+        let mut sched = sched.clone();
         let net = task_net.clone();
         let mut n = 0u64;
         move |_attempt: u32| {
@@ -667,21 +645,12 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
                 .wrapping_add(n);
             let (a, b, _) = StreamPair::lossy(stream_seed, drop_rate);
             let mailbox = format!("fig5-{label}-{n}");
-            task.spawn(
-                &mut sched.borrow_mut(),
-                &net,
-                &mailbox,
-                b,
-                &stream_seed.to_be_bytes(),
-            );
+            task.spawn(&mut sched, &net, &mailbox, b, &stream_seed.to_be_bytes());
             Ok::<SimStream, gridsec_tls::TlsError>(a)
         }
     };
     let config = TlsConfig::new(jane, trust, 100);
     let mut client_rng = ChaChaRng::from_seed_bytes(b"chaos fig5 client");
-    let drain_all = |sched: &Rc<RefCell<Scheduler>>| {
-        while sched.borrow_mut().pump() > 0 {}
-    };
     let finish = |r: Rig, completed: bool, lines: Vec<String>, stats: FaultStats| {
         assert!(r.audit.verify().is_ok(), "fig5: audit hash chain verifies");
         let mut lines = lines;
@@ -699,22 +668,16 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     };
 
     if opts.partition_all {
-        let pump = Rc::clone(&sched);
-        let res = with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            || {
-                resumable_get(
-                    &config,
-                    &mut client_rng,
-                    policy(),
-                    mk_dial(1),
-                    "/home/jdoe/results.dat",
-                    3,
-                )
-            },
+        let res = resumable_get(
+            &config,
+            &mut client_rng,
+            policy(),
+            mk_dial(1),
+            "/home/jdoe/results.dat",
+            3,
         );
         assert!(res.is_err(), "total loss must exhaust the resume budget");
-        drain_all(&sched);
+        sched.run();
         let stats = FaultStats {
             blocked: 1,
             ..FaultStats::default()
@@ -722,40 +685,28 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         return finish(r, false, vec!["fig5 xfer blocked".to_string()], stats);
     }
 
-    let pump = Rc::clone(&sched);
-    let got = with_stream_pump(
-        move || pump.borrow_mut().pump(),
-        || {
-            resumable_get(
-                &config,
-                &mut client_rng,
-                policy(),
-                mk_dial(1),
-                "/home/jdoe/results.dat",
-                64,
-            )
-        },
+    let got = resumable_get(
+        &config,
+        &mut client_rng,
+        policy(),
+        mk_dial(1),
+        "/home/jdoe/results.dat",
+        64,
     )
     .expect("figure 5 GET must complete under lossy streams + crashes");
     assert_eq!(got.bytes, data, "GET bytes hash-equal");
 
-    let pump = Rc::clone(&sched);
-    let put = with_stream_pump(
-        move || pump.borrow_mut().pump(),
-        || {
-            resumable_put(
-                &config,
-                &mut client_rng,
-                policy(),
-                mk_dial(2),
-                "/home/jdoe/upload.dat",
-                &data,
-                64,
-            )
-        },
+    let put = resumable_put(
+        &config,
+        &mut client_rng,
+        policy(),
+        mk_dial(2),
+        "/home/jdoe/upload.dat",
+        &data,
+        64,
     )
     .expect("figure 5 PUT must complete under lossy streams + crashes");
-    drain_all(&sched);
+    sched.run();
 
     {
         let s = server.lock().unwrap();
@@ -860,7 +811,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     };
 
     let task_net = Network::new();
-    let sched = Rc::new(RefCell::new(Scheduler::new(&task_net)));
+    let mut sched = Scheduler::new(&task_net);
     let drop_rate = if opts.partition_all { 1.0 } else { 0.10 };
     // Dialer per direction: one sans-io striped server task per dial.
     // The client engine drives one stripe exchange at a time, so
@@ -872,7 +823,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             now: 100,
             plan: plan.clone(),
         };
-        let sched = Rc::clone(&sched);
+        let mut sched = sched.clone();
         let net = task_net.clone();
         let mut n = 0u64;
         move |slot: usize, _attempt: u32| {
@@ -883,21 +834,12 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
                 .wrapping_add(n);
             let (a, b, stats) = StreamPair::lossy(stream_seed, drop_rate);
             let mailbox = format!("fig5s-{label}-{slot}-{n}");
-            task.spawn(
-                &mut sched.borrow_mut(),
-                &net,
-                &mailbox,
-                b,
-                &stream_seed.to_be_bytes(),
-            );
+            task.spawn(&mut sched, &net, &mailbox, b, &stream_seed.to_be_bytes());
             Ok::<_, gridsec_tls::TlsError>((a, stats))
         }
     };
     let config = TlsConfig::new(jane, trust, 100);
     let mut client_rng = ChaChaRng::from_seed_bytes(b"chaos fig5s client");
-    let drain_all = |sched: &Rc<RefCell<Scheduler>>| {
-        while sched.borrow_mut().pump() > 0 {}
-    };
     let finish = |r: Rig, completed: bool, lines: Vec<String>, stats: FaultStats| {
         assert!(r.audit.verify().is_ok(), "fig5s: audit hash chain verifies");
         let mut lines = lines;
@@ -921,25 +863,19 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     };
 
     if opts.partition_all {
-        let pump = Rc::clone(&sched);
-        let res = with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            || {
-                striped_get(
-                    &config,
-                    &mut client_rng,
-                    policy(),
-                    mk_dial(1),
-                    "/home/jdoe/striped.dat",
-                    StripeOpts {
-                        max_sessions: 3,
-                        ..opts_for(1)
-                    },
-                )
+        let res = striped_get(
+            &config,
+            &mut client_rng,
+            policy(),
+            mk_dial(1),
+            "/home/jdoe/striped.dat",
+            StripeOpts {
+                max_sessions: 3,
+                ..opts_for(1)
             },
         );
         assert!(res.is_err(), "total loss must exhaust the stripe budget");
-        drain_all(&sched);
+        sched.run();
         let stats = FaultStats {
             blocked: 1,
             ..FaultStats::default()
@@ -947,40 +883,28 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         return finish(r, false, vec!["fig5s xfer blocked".to_string()], stats);
     }
 
-    let pump = Rc::clone(&sched);
-    let got = with_stream_pump(
-        move || pump.borrow_mut().pump(),
-        || {
-            striped_get(
-                &config,
-                &mut client_rng,
-                policy(),
-                mk_dial(1),
-                "/home/jdoe/striped.dat",
-                opts_for(1),
-            )
-        },
+    let got = striped_get(
+        &config,
+        &mut client_rng,
+        policy(),
+        mk_dial(1),
+        "/home/jdoe/striped.dat",
+        opts_for(1),
     )
     .expect("striped GET must complete under lossy streams + crashes");
     assert_eq!(got.bytes, data, "striped GET bytes hash-equal");
 
-    let pump = Rc::clone(&sched);
-    let put = with_stream_pump(
-        move || pump.borrow_mut().pump(),
-        || {
-            striped_put(
-                &config,
-                &mut client_rng,
-                policy(),
-                mk_dial(2),
-                "/home/jdoe/striped-up.dat",
-                &data,
-                opts_for(2),
-            )
-        },
+    let put = striped_put(
+        &config,
+        &mut client_rng,
+        policy(),
+        mk_dial(2),
+        "/home/jdoe/striped-up.dat",
+        &data,
+        opts_for(2),
     )
     .expect("striped PUT must complete under lossy streams + crashes");
-    drain_all(&sched);
+    sched.run();
 
     {
         let s = server.lock().unwrap();
@@ -1089,21 +1013,10 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         plan.clone(),
         journal.clone(),
     )));
-    let server = Rc::new(RefCell::new(CrashableServer::new(
-        net.register("cluster1"),
-        "gram",
-        plan.clone(),
-        journal,
-        true,
-    )));
+    let mut sched = Scheduler::new(&net);
+    let ep = net.register("cluster1");
+    spawn_crashable(&mut sched, ep, "gram", &plan, journal, true, &durable);
     let mut rpc = RpcClient::new(net.register("user0"), "cluster1", policy());
-    let hook_server = server.clone();
-    let hook_service = durable.clone();
-    rpc.set_pump(move || {
-        hook_server
-            .borrow_mut()
-            .poll(&mut *hook_service.borrow_mut())
-    });
 
     // The siteA user signs on; trusting siteB's CA for the GRIM check
     // is their own unilateral act.

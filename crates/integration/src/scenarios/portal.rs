@@ -27,6 +27,7 @@
 //! record.
 
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use gridsec_crypto::rng::ChaChaRng;
@@ -45,13 +46,14 @@ use gridsec_pki::store::TrustStore;
 use gridsec_pki::validate::validate_chain;
 use gridsec_services::myproxy::{self, MyProxyServer, OP_GET, OP_RENEW};
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
+use gridsec_testbed::faults::{CrashPlan, Journal};
 use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
 use gridsec_testbed::rpc::{CallPoll, PollingCall, RpcClient};
+use gridsec_testbed::sched::{self, Scheduler};
 use gridsec_util::trace;
 
-use super::{crash_plan, policy, report, rig, ChaosOpts, ScenarioReport};
+use super::{crash_plan, policy, report, rig, spawn_crashable, ChaosOpts, ScenarioReport};
 use crate::dn;
 
 /// Portal journal tags.
@@ -139,35 +141,25 @@ fn replay_portal_journal(journal: &Journal) -> Recovered {
 struct Portal<'w> {
     ep: Endpoint,
     clock: &'w SimClock,
-    repo_server: Rc<RefCell<CrashableServer>>,
-    repo_app: Rc<RefCell<MyProxyServer>>,
     journal: Journal,
     plan: CrashPlan,
 }
 
 impl Portal<'_> {
-    fn pump(&self) -> usize {
-        self.repo_server
-            .borrow_mut()
-            .poll(&mut *self.repo_app.borrow_mut())
-    }
-
-    /// Drive one credential-repository call to completion, advancing
-    /// the sim clock along the retry schedule (the blocking-client
-    /// loop, re-expressed around an explicit call id so a reborn
-    /// incarnation can re-send the identical frame).
+    /// Drive one credential-repository call to completion, parked in
+    /// the world's scheduler ([`RpcClient::call`] around an explicit
+    /// call id, so a reborn incarnation can re-send the identical
+    /// frame).
     fn call(&self, id: u64, payload: &[u8]) -> Result<Vec<u8>, String> {
         let mut call = PollingCall::new("repo", id, payload, policy());
-        loop {
-            self.pump();
-            match call.poll(&self.ep, self.clock.now()) {
-                CallPoll::Ready(reply) => return Ok(reply),
-                CallPoll::Wait { deadline } => {
-                    self.clock.set(deadline.max(self.clock.now()));
-                }
-                CallPoll::Exhausted => return Err("retry budget exhausted".into()),
-            }
-        }
+        sched::wait(self.ep.network(), |now| match call.poll(&self.ep, now) {
+            CallPoll::Ready(reply) => ControlFlow::Break(Some(reply)),
+            CallPoll::Wait { deadline } => ControlFlow::Continue(Some(deadline)),
+            CallPoll::Exhausted => ControlFlow::Break(None),
+        })
+        .ok()
+        .flatten()
+        .ok_or_else(|| "retry budget exhausted".to_string())
     }
 
     /// `fires` + death: returns `Err(Killed)` when the armed point hits.
@@ -240,14 +232,11 @@ fn run_intent(portal: &Portal<'_>, intent: &Intent) -> Result<Credential, String
 /// One incarnation of the portal process, from journal replay to a
 /// verified running job. `Err(Killed)` means an armed kill point fired
 /// and the supervisor should restart us.
-#[allow(clippy::too_many_arguments)]
 fn run_incarnation(
     portal: &Portal<'_>,
     incarnation: u64,
     seed: u64,
     net: &Network,
-    gram_server: &Rc<RefCell<CrashableServer>>,
-    gram_app: &Rc<RefCell<DurableGram>>,
     jane: &Credential,
     trust: &TrustStore,
 ) -> Result<Result<(Credential, String), String>, Killed> {
@@ -323,9 +312,6 @@ fn run_incarnation(
         None => {
             let gram_ep = net.register(&format!("portal-g{incarnation}"));
             let mut rpc = RpcClient::new(gram_ep, "mjs-host", policy());
-            let hook_server = gram_server.clone();
-            let hook_app = gram_app.clone();
-            rpc.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
             let mut requestor = Requestor::new(credential.clone(), trust.clone(), b"portal req");
             let job = match submit_job_resilient(
                 &mut requestor,
@@ -433,13 +419,17 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         gram_plan.clone(),
         gram_journal.clone(),
     )));
-    let gram_server = Rc::new(RefCell::new(CrashableServer::new(
-        net.register("mjs-host"),
+    let mut sched = Scheduler::new(&net);
+    let gram_ep = net.register("mjs-host");
+    spawn_crashable(
+        &mut sched,
+        gram_ep,
         "gram",
-        gram_plan.clone(),
+        &gram_plan,
         gram_journal,
         true,
-    )));
+        &gram_app,
+    );
 
     // The MyProxy repository.
     let repo_plan = crash_plan(opts, seed, 0xC4A8, 0.02, 1);
@@ -451,13 +441,16 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         repo_journal.clone(),
         100_000,
     )));
-    let repo_server = Rc::new(RefCell::new(CrashableServer::new(
-        net.register("repo"),
+    let repo_ep = net.register("repo");
+    spawn_crashable(
+        &mut sched,
+        repo_ep,
         "myproxy",
-        repo_plan,
+        &repo_plan,
         repo_journal,
         true,
-    )));
+        &repo_app,
+    );
 
     // The portal process itself: the crashing *client*.
     let portal_plan = crash_plan(opts, seed, 0xC4A9, 0.05, 3);
@@ -468,8 +461,6 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         let portal = Portal {
             ep: net.register("portal-cred"),
             clock: &clock,
-            repo_server,
-            repo_app,
             journal: portal_journal,
             plan: portal_plan.clone(),
         };
@@ -487,21 +478,10 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         let portal = Portal {
             ep: net.register("portal-cred"),
             clock: &clock,
-            repo_server: repo_server.clone(),
-            repo_app: repo_app.clone(),
             journal: portal_journal.clone(),
             plan: portal_plan.clone(),
         };
-        match run_incarnation(
-            &portal,
-            incarnation,
-            seed,
-            &net,
-            &gram_server,
-            &gram_app,
-            &jane,
-            &trust,
-        ) {
+        match run_incarnation(&portal, incarnation, seed, &net, &jane, &trust) {
             Ok(Ok(done)) => break done,
             Ok(Err(e)) => panic!("portal incarnation {incarnation} failed: {e}"),
             Err(Killed) => {
@@ -518,9 +498,6 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         .expect("renewed portal proxy validates");
     assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
     let mut rpc = RpcClient::new(net.register("portal-verify"), "mjs-host", policy());
-    let hook_server = gram_server.clone();
-    let hook_app = gram_app.clone();
-    rpc.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
     assert_eq!(
         job_state_remote(&mut rpc, &handle).expect("state query"),
         JobState::Active

@@ -8,7 +8,7 @@
 //!
 //! Both are implemented here, key-free: the [`Firewall`] classifies
 //! envelopes purely from their observable structure (security headers,
-//! token-exchange actions), and [`run_router`] forwards envelopes along
+//! token-exchange actions), and [`RouterTask`] forwards envelopes along
 //! their `wsr:path` through the simulated network — so a service behind
 //! a perimeter is reachable without the perimeter holding any
 //! credentials or terminating any security context.
@@ -19,12 +19,11 @@ use std::rc::Rc;
 
 use gridsec_testbed::net::{Endpoint, Message, Network};
 use gridsec_testbed::sched::{Step, Task, TaskCx};
-use gridsec_testbed::TestbedError;
 use gridsec_wsse::routing;
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::wssc::RST_ACTION;
 
-use crate::transport::Transport;
+use crate::transport::{exchange, Transport};
 use crate::OgsaError;
 
 /// What a firewall decided about one message.
@@ -112,58 +111,13 @@ impl<T: Transport> Transport for FirewalledTransport<T> {
     }
 }
 
-/// Run a WS-Routing intermediary on the simulated network: receive an
-/// envelope, apply the firewall, pop the next hop, forward, and relay
-/// the reply back. Serves `max_requests` messages, then exits.
-pub fn run_router(
-    network: &Network,
-    name: &str,
-    mut firewall: Firewall,
-    max_requests: usize,
-) -> FirewallStats {
-    let endpoint = network.register(name);
-    for _ in 0..max_requests {
-        let Ok(msg) = endpoint.recv() else { break };
-        let xml = String::from_utf8_lossy(&msg.payload).into_owned();
-        let reply = match firewall.inspect(&xml) {
-            Verdict::Deny(reason) => crate::hosting::fault_envelope(&OgsaError::Transport(
-                format!("dropped by firewall: {reason}"),
-            ))
-            .to_xml(),
-            Verdict::Allow(_) => {
-                // Route to the next hop and relay its reply.
-                match Envelope::parse(&xml) {
-                    Ok(mut env) => match routing::advance(&mut env) {
-                        Ok(Some(next)) => match endpoint.call(&next, env.to_xml().into_bytes()) {
-                            Ok(reply) => String::from_utf8_lossy(&reply.payload).into_owned(),
-                            Err(e) => {
-                                crate::hosting::fault_envelope(&OgsaError::Transport(e.to_string()))
-                                    .to_xml()
-                            }
-                        },
-                        _ => crate::hosting::fault_envelope(&OgsaError::Malformed(
-                            "router received unrouted message",
-                        ))
-                        .to_xml(),
-                    },
-                    Err(e) => crate::hosting::fault_envelope(&OgsaError::Wsse(e)).to_xml(),
-                }
-            }
-        };
-        let _ = endpoint.send(&msg.from, reply.into_bytes());
-    }
-    firewall.stats
-}
-
-/// [`run_router`] as a resumable discrete-event task: drain the
-/// mailbox, forward allowed envelopes to their next hop *without
-/// blocking*, and relay each hop's replies back to the original
-/// senders. Spawn it with
+/// A WS-Routing intermediary as a discrete-event task: drain the
+/// mailbox, apply the firewall, forward allowed envelopes to their next
+/// hop *without waiting*, and relay each hop's replies back to the
+/// original senders. Spawn it with
 /// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
-/// under the router's endpoint name; this replaces the
-/// thread-per-router loop in scheduler-driven scenarios. The firewall
-/// is shared so a harness can read its counters while the task lives on
-/// the scheduler.
+/// under the router's endpoint name. The firewall is shared so a
+/// harness can read its counters while the task lives on the scheduler.
 pub struct RouterTask {
     endpoint: Endpoint,
     firewall: Rc<RefCell<Firewall>>,
@@ -234,7 +188,6 @@ impl Task for RouterTask {
 pub struct RoutedTransport {
     endpoint: Endpoint,
     path: routing::RoutingPath,
-    pump: Option<Box<dyn FnMut() -> usize>>,
 }
 
 impl RoutedTransport {
@@ -243,33 +196,6 @@ impl RoutedTransport {
         RoutedTransport {
             endpoint: network.register(client_name),
             path,
-            pump: None,
-        }
-    }
-
-    /// Install a pump hook (typically `|| scheduler.poll()`): instead of
-    /// blocking on the reply, each call drives the hook until the reply
-    /// arrives, so routers and services scheduled on the same thread
-    /// make progress inside the client's wait.
-    pub fn set_pump(&mut self, hook: impl FnMut() -> usize + 'static) {
-        self.pump = Some(Box::new(hook));
-    }
-
-    /// One request/reply exchange: blocking without a pump, pump-driven
-    /// with one. A quiescent pump with no reply means the message died
-    /// inside the perimeter — surfaced as a timeout, not a hang.
-    fn exchange(&mut self, to: &str, payload: Vec<u8>) -> Result<Message, TestbedError> {
-        self.endpoint.send(to, payload)?;
-        match &mut self.pump {
-            None => self.endpoint.recv(),
-            Some(pump) => loop {
-                if let Some(m) = self.endpoint.try_recv() {
-                    return Ok(m);
-                }
-                if pump() == 0 {
-                    return Err(TestbedError::Timeout);
-                }
-            },
         }
     }
 }
@@ -285,21 +211,10 @@ impl Transport for RoutedTransport {
             .first()
             .cloned()
             .unwrap_or_else(|| self.path.to.clone());
-        // The envelope we send must have the first hop already consumed
-        // when going direct; for routed paths the router pops hops.
-        if self.path.via.is_empty() {
-            let mut direct = env.clone();
-            let _ = routing::advance(&mut direct).map_err(OgsaError::Wsse)?;
-            let reply = self
-                .exchange(&first, direct.to_xml().into_bytes())
-                .map_err(|e| OgsaError::Transport(e.to_string()))?;
-            return String::from_utf8(reply.payload)
-                .map_err(|_| OgsaError::Transport("non-UTF8".into()));
-        }
-        // Pop the entry router from the path before sending to it.
+        // Whoever receives the envelope — entry router or, going direct,
+        // the service itself — must find its own hop already consumed.
         let _ = routing::advance(&mut env).map_err(OgsaError::Wsse)?;
-        let reply = self
-            .exchange(&first, env.to_xml().into_bytes())
+        let reply = exchange(&self.endpoint, &first, env.to_xml().into_bytes())
             .map_err(|e| OgsaError::Transport(e.to_string()))?;
         String::from_utf8(reply.payload).map_err(|_| OgsaError::Transport("non-UTF8".into()))
     }

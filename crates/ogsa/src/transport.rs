@@ -3,9 +3,9 @@
 //! * [`InProcessTransport`] — direct function call into a shared hosting
 //!   environment (single-threaded benches and tests).
 //! * [`NetworkTransport`] — request/response over the `gridsec-testbed`
-//!   message network; pair with [`serve`] running the environment behind
-//!   an endpoint (multi-host scenarios, GRAM). Assumes a perfect
-//!   network: one send, one blocking receive.
+//!   message network; pair with a [`ServeTask`] running the environment
+//!   behind an endpoint (multi-host scenarios, GRAM). Assumes a perfect
+//!   network: one send, one reply.
 //! * [`RetryTransport`] / [`RpcService`] — the fault-tolerant pair:
 //!   requests ride the at-most-once RPC layer
 //!   ([`gridsec_testbed::rpc`]), so lost envelopes are retransmitted
@@ -14,11 +14,13 @@
 //!   operation like `createService`.
 
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
-use gridsec_testbed::net::{Endpoint, Network};
+use gridsec_testbed::net::{Endpoint, Message, Network};
 use gridsec_testbed::rpc::{RpcCallStats, RpcClient, RpcServer};
-use gridsec_testbed::sched::{Step, Task, TaskCx};
+use gridsec_testbed::sched::{self, Step, Task, TaskCx};
+use gridsec_testbed::TestbedError;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace;
 
@@ -50,14 +52,27 @@ impl Transport for InProcessTransport {
     }
 }
 
+/// Send `payload` to `to` and wait for the next message on `endpoint`,
+/// parked in the scheduler bound to its network so the peer (and any
+/// intermediaries) run inside the wait. A world that goes quiet without
+/// answering surfaces as a timeout, not a hang.
+pub(crate) fn exchange(
+    endpoint: &Endpoint,
+    to: &str,
+    payload: Vec<u8>,
+) -> Result<Message, TestbedError> {
+    endpoint.send(to, payload)?;
+    sched::wait(endpoint.network(), |_| match endpoint.try_recv() {
+        Some(reply) => ControlFlow::Break(reply),
+        None => ControlFlow::Continue(None),
+    })
+}
+
 /// Request/response over the simulated network. Each call sends to the
-/// server endpoint and waits for the reply — blocking (thread-per-server
-/// scenarios) or, with [`NetworkTransport::set_pump`], by driving a
-/// scheduler until the reply lands.
+/// server endpoint and waits for the reply.
 pub struct NetworkTransport {
     endpoint: Endpoint,
     server: String,
-    pump: Option<Box<dyn FnMut() -> usize>>,
 }
 
 impl NetworkTransport {
@@ -66,36 +81,14 @@ impl NetworkTransport {
         NetworkTransport {
             endpoint: network.register(client_name),
             server: server.to_string(),
-            pump: None,
         }
-    }
-
-    /// Install a pump hook (typically `|| scheduler.poll()`): each call
-    /// drives the hook instead of blocking, so a [`ServeTask`] scheduled
-    /// on the same thread answers inside the client's wait. A quiescent
-    /// pump with no reply surfaces as a transport timeout, not a hang.
-    pub fn set_pump(&mut self, hook: impl FnMut() -> usize + 'static) {
-        self.pump = Some(Box::new(hook));
     }
 }
 
 impl Transport for NetworkTransport {
     fn call(&mut self, request_xml: String) -> Result<String, OgsaError> {
-        self.endpoint
-            .send(&self.server, request_xml.into_bytes())
+        let reply = exchange(&self.endpoint, &self.server, request_xml.into_bytes())
             .map_err(|e| OgsaError::Transport(e.to_string()))?;
-        let reply = match &mut self.pump {
-            None => self.endpoint.recv(),
-            Some(pump) => loop {
-                if let Some(m) = self.endpoint.try_recv() {
-                    break Ok(m);
-                }
-                if pump() == 0 {
-                    break Err(gridsec_testbed::TestbedError::Timeout);
-                }
-            },
-        }
-        .map_err(|e| OgsaError::Transport(e.to_string()))?;
         String::from_utf8(reply.payload).map_err(|_| OgsaError::Transport("non-UTF8".into()))
     }
 }
@@ -119,14 +112,6 @@ impl RetryTransport {
         RetryTransport {
             rpc: RpcClient::new(network.register(client_name), server, policy),
         }
-    }
-
-    /// Install the wait-loop pump hook (see
-    /// [`RpcClient::set_pump`]): single-threaded scenarios poll their
-    /// [`RpcService`]s here so server work happens inside the client's
-    /// retry loop, deterministically.
-    pub fn set_pump(&mut self, hook: impl FnMut() -> usize + 'static) {
-        self.rpc.set_pump(hook);
     }
 
     /// Retransmission/timeout counters for this transport.
@@ -154,10 +139,8 @@ impl Transport for RetryTransport {
 }
 
 /// A hosting environment served behind an at-most-once RPC endpoint.
-/// Poll it from the client's pump hook (single-threaded scenarios) or a
-/// dedicated loop. The shared `Rc<RefCell<..>>` environment means test
-/// scaffolding can still reach in (advance clocks, inspect state)
-/// between polls.
+/// The shared `Rc<RefCell<..>>` environment means test scaffolding can
+/// still reach in (advance clocks, inspect state) between calls.
 pub struct RpcService {
     server: RpcServer,
     env: Rc<RefCell<HostingEnvironment>>,
@@ -175,32 +158,26 @@ impl RpcService {
             env,
         }
     }
+}
 
-    /// Answer every queued request frame; returns how many were
-    /// answered (cache hits included).
-    pub fn poll(&mut self) -> usize {
+/// An [`RpcService`] is a discrete-event task: answer every queued
+/// request frame (cache hits included), then park until the next
+/// delivery. Spawn it with
+/// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
+/// under its endpoint name so deliveries wake it.
+impl Task for RpcService {
+    fn step(&mut self, _cx: &TaskCx) -> Step {
         let env = &self.env;
         self.server.poll(&mut |from, body| {
             let _sp = trace::span_with("ogsa.dispatch", &format!("from={from}"));
             let request = String::from_utf8_lossy(body).into_owned();
             env.borrow_mut().handle_message(&request).into_bytes()
-        })
-    }
-}
-
-/// An [`RpcService`] is a natural discrete-event task: drain the
-/// mailbox, then park until the next delivery. Spawn it with
-/// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
-/// under its endpoint name so deliveries wake it; this replaces the
-/// thread-per-service [`serve`] loop in scheduler-driven scenarios.
-impl Task for RpcService {
-    fn step(&mut self, _cx: &TaskCx) -> Step {
-        self.poll();
+        });
         Step::WaitMail { deadline: None }
     }
 }
 
-/// [`serve`] as a resumable discrete-event task: answer each raw
+/// A hosting environment behind a bare endpoint: answer each raw
 /// envelope from the mailbox, then park until the next delivery. Spawn
 /// with
 /// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
@@ -230,33 +207,5 @@ impl Task for ServeTask {
             let _ = self.endpoint.send(&msg.from, reply.into_bytes());
         }
         Step::WaitMail { deadline: None }
-    }
-}
-
-/// Run a hosting environment behind a network endpoint until the endpoint
-/// is unregistered or the process count hits `max_requests` (`None` =
-/// forever). Intended to run on its own thread.
-pub fn serve(
-    mut env: HostingEnvironment,
-    network: &Network,
-    endpoint_name: &str,
-    max_requests: Option<usize>,
-) {
-    let endpoint = network.register(endpoint_name);
-    let mut served = 0usize;
-    loop {
-        let msg = match endpoint.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        let request = String::from_utf8_lossy(&msg.payload).into_owned();
-        let reply = env.handle_message(&request);
-        let _ = endpoint.send(&msg.from, reply.into_bytes());
-        served += 1;
-        if let Some(max) = max_requests {
-            if served >= max {
-                return;
-            }
-        }
     }
 }

@@ -156,17 +156,14 @@ fn ws_routing_through_firewalled_intermediary() {
         "perimeter",
         RouterTask::new(&network, "perimeter", fw.clone()),
     );
-    let sched = Rc::new(RefCell::new(sched));
 
-    // Client outside the perimeter, routing via it; the pump hook runs
-    // the scheduler inside each call's wait.
-    let mut transport = RoutedTransport::connect(
+    // Client outside the perimeter, routing via it; each call parks in
+    // the scheduler, so router and service run inside its wait.
+    let transport = RoutedTransport::connect(
         &network,
         "outside-client",
         RoutingPath::through(&["perimeter"], "inner-host"),
     );
-    let s = sched.clone();
-    transport.set_pump(move || s.borrow_mut().poll());
     let mut client = OgsaClient::new(transport, w.trust.clone(), w.clock.clone(), b"routed");
     client.add_source(Box::new(StaticCredential(w.user.clone())));
 
@@ -194,10 +191,40 @@ fn router_drops_unsecured_messages() {
     let mut env = naked;
     gridsec_wsse::routing::set_path(&mut env, &RoutingPath::through(&[], "inner-host"));
     client.send("perimeter", env.to_xml().into_bytes()).unwrap();
-    sched.poll();
+    sched.run();
     let reply = client.try_recv().expect("router replied with a fault");
     let text = String::from_utf8_lossy(&reply.payload).into_owned();
     assert!(text.contains("fault"));
     assert!(text.contains("firewall"));
     assert_eq!(fw.borrow().stats.denied, 1);
+}
+
+#[test]
+fn transports_to_an_unserved_endpoint_time_out_instead_of_parking() {
+    use gridsec_ogsa::transport::{NetworkTransport, Transport};
+
+    // "inner-host" and "perimeter" are registered, but nothing serves
+    // them: the reply can never come, whether or not a scheduler is
+    // bound to look for it.
+    let request = gridsec_wsse::soap::Envelope::request("invoke", Element::new("x")).to_xml();
+    for driven in [true, false] {
+        let network = Network::new();
+        let _unserved = (
+            network.register("inner-host"),
+            network.register("perimeter"),
+        );
+        let _sched = driven.then(|| Scheduler::new(&network));
+        let mut direct = NetworkTransport::connect(&network, "c1", "inner-host");
+        let mut routed = RoutedTransport::connect(
+            &network,
+            "c2",
+            RoutingPath::through(&["perimeter"], "inner-host"),
+        );
+        for err in [
+            direct.call(request.clone()).unwrap_err(),
+            routed.call(request.clone()).unwrap_err(),
+        ] {
+            assert_eq!(err, OgsaError::Transport("operation timed out".into()));
+        }
+    }
 }

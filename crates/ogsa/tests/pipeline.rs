@@ -353,18 +353,15 @@ fn network_transport_end_to_end() {
     let w = world();
     let network = Network::new();
     // The service is a task on a deterministic scheduler — no server
-    // thread, no registration race, no request cap. The pump hook runs
-    // the scheduler inside the client's wait (raw-envelope transport).
+    // thread, no registration race, no request cap — and runs inside
+    // the client's wait (raw-envelope transport).
     let mut sched = Scheduler::new(&network);
     sched.spawn_mailbox(
         "echo-host",
         ServeTask::new(&network, "echo-host", make_env(&w, &["xml-signature"])),
     );
-    let sched = Rc::new(RefCell::new(sched));
 
-    let mut transport = NetworkTransport::connect(&network, "client-1", "echo-host");
-    let s = sched.clone();
-    transport.set_pump(move || s.borrow_mut().poll());
+    let transport = NetworkTransport::connect(&network, "client-1", "echo-host");
     let mut client = OgsaClient::new(transport, w.trust.clone(), w.clock.clone(), b"net client");
     client.add_source(Box::new(StaticCredential(w.alice.clone())));
     let handle = client.create_service("echo", Element::new("args")).unwrap();
@@ -382,9 +379,8 @@ fn scheduled_rpc_service_end_to_end() {
     let env = Rc::new(RefCell::new(make_env(&w, &["xml-signature"])));
     let mut sched = Scheduler::new(&network);
     sched.spawn_mailbox("echo-host", RpcService::new(&network, "echo-host", env));
-    let sched = Rc::new(RefCell::new(sched));
 
-    let mut transport = RetryTransport::connect(
+    let transport = RetryTransport::connect(
         &network,
         "client-1",
         "echo-host",
@@ -395,8 +391,6 @@ fn scheduled_rpc_service_end_to_end() {
             max_timeout: 32,
         },
     );
-    let s = sched.clone();
-    transport.set_pump(move || s.borrow_mut().poll());
     let mut client = OgsaClient::new(transport, w.trust.clone(), w.clock.clone(), b"rpc client");
     client.add_source(Box::new(StaticCredential(w.alice.clone())));
     let handle = client.create_service("echo", Element::new("args")).unwrap();

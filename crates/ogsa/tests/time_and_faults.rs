@@ -17,6 +17,7 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::net::{FaultProfile, Network};
+use gridsec_testbed::sched::{Scheduler, Task, TaskCx};
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
 use gridsec_xml::Element;
@@ -188,31 +189,30 @@ fn timeout_expiry_mid_handshake_recovers_after_heal() {
     net.enable_faults(clock.clone(), 0x11ED, FaultProfile::default());
 
     let (env, trust, user) = build_env(&clock, "gsi-secure-conversation", 10_000_000);
-    let service = Rc::new(RefCell::new(RpcService::new(&net, "time-host", env)));
+    let mut service = RpcService::new(&net, "time-host", env);
     let policy = RetryPolicy {
         max_attempts: 4,
         base_timeout: 8,
         multiplier: 2,
         max_timeout: 32,
     };
-    let mut transport = RetryTransport::connect(&net, "u-client", "time-host", policy);
-    // Cut the link after the second served request: the policy fetch
-    // and the first conversation token get through, then the handshake
-    // is left dangling mid-exchange.
-    let served = Rc::new(Cell::new(0usize));
+    let transport = RetryTransport::connect(&net, "u-client", "time-host", policy);
+    // Cut the link after the second served request (each reply is one
+    // send on this duplicate-free network): the policy fetch and the
+    // first conversation token get through, then the handshake is left
+    // dangling mid-exchange.
     let cut = Rc::new(Cell::new(false));
     let hook_net = net.clone();
-    let hook_service = service.clone();
-    let hook_served = served.clone();
     let hook_cut = cut.clone();
-    transport.set_pump(move || {
-        let n = hook_service.borrow_mut().poll();
-        hook_served.set(hook_served.get() + n);
-        if hook_served.get() >= 2 && !hook_cut.get() {
+    let mut sched = Scheduler::new(&net);
+    sched.spawn_mailbox("time-host", move |cx: &TaskCx| {
+        let step = service.step(cx);
+        // Two requests in, two replies out.
+        if !hook_cut.get() && hook_net.fault_stats().expect("faults armed").sent >= 4 {
             hook_cut.set(true);
             hook_net.partition("u-client", "time-host");
         }
-        n
+        step
     });
     let mut client = OgsaClient::new(transport, trust, clock.clone(), b"time client");
     client.add_source(Box::new(StaticCredential(user)));

@@ -253,6 +253,8 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
+    use gridsec_testbed::rpc::ServerTask;
+    use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -329,13 +331,14 @@ mod tests {
         let clock = SimClock::new();
         let net = Network::new();
         net.enable_faults(clock, 0x1D3A, FaultProfile::default());
-        let server = Rc::new(RefCell::new(CrashableServer::new(
-            net.register("idmap-host"),
-            "idmap",
-            plan.clone(),
-            j,
-            true,
-        )));
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox(
+            "idmap-host",
+            ServerTask::new(
+                CrashableServer::new(net.register("idmap-host"), "idmap", plan.clone(), j, true),
+                durable.clone(),
+            ),
+        );
         let mut rpc = RpcClient::new(
             net.register("admin"),
             "idmap-host",
@@ -346,15 +349,12 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let hook_server = server.clone();
-        let hook_app = durable.clone();
-        rpc.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
 
         // The armed kill fires after the journal append: the client's
         // retransmit rides through the restart and still gets "ok".
         remote_add(&mut rpc, &dn("/O=G/CN=Jane"), "jdoe", "SITE.A").unwrap();
         assert_eq!(plan.crashes(), 1);
-        assert_eq!(server.borrow().restarts(), 1);
+        assert_eq!(plan.restarts(), 1);
         assert_eq!(
             remote_to_principal(&mut rpc, &dn("/O=G/CN=Jane")).unwrap(),
             Some("jdoe@SITE.A".to_string())

@@ -593,6 +593,8 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
+    use gridsec_testbed::rpc::ServerTask;
+    use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -624,9 +626,10 @@ mod tests {
 
     struct Rig {
         app: Rc<RefCell<MyProxyServer>>,
-        server: Rc<RefCell<CrashableServer>>,
         rpc: RpcClient,
         plan: CrashPlan,
+        /// Hosts the repository task the client's calls drive.
+        _sched: Scheduler,
     }
 
     fn rig(w: &World, plan: CrashPlan) -> Rig {
@@ -642,14 +645,15 @@ mod tests {
         )));
         let net = Network::new();
         net.enable_faults(w.clock.clone(), 0x3A9D, FaultProfile::default());
-        let server = Rc::new(RefCell::new(CrashableServer::new(
-            net.register("repo"),
-            "myproxy",
-            plan.clone(),
-            journal,
-            true,
-        )));
-        let mut rpc = RpcClient::new(
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox(
+            "repo",
+            ServerTask::new(
+                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal, true),
+                app.clone(),
+            ),
+        );
+        let rpc = RpcClient::new(
             net.register("portal"),
             "repo",
             RetryPolicy {
@@ -659,14 +663,11 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let hook_server = server.clone();
-        let hook_app = app.clone();
-        rpc.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
         Rig {
             app,
-            server,
             rpc,
             plan,
+            _sched: sched,
         }
     }
 
@@ -759,7 +760,7 @@ mod tests {
         r.plan.arm("myproxy.issue.journaled", 1);
         let proxy = acquire(&mut r.rpc, &mut w.rng, "jane", "s3cret", 512, 3_600).unwrap();
         assert_eq!(r.plan.crashes(), 1, "the kill fired");
-        assert_eq!(r.server.borrow().restarts(), 1);
+        assert_eq!(r.plan.restarts(), 1);
         assert_eq!(r.app.borrow().issued_count(), 1, "exactly one issuance");
         assert_eq!(
             r.app.borrow().issued_serials(),

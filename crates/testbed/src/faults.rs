@@ -25,11 +25,12 @@
 //! `plan.fires("point")` at each injection point and **returns
 //! immediately** (any reply value) when it fires — code after a fired
 //! point models instructions the dead process never executed. The
-//! supervisor ([`CrashableServer::poll`]) then discards the reply,
-//! drops the in-memory state via [`CrashRecover::crash`], and marks the
-//! process down until `restart_delay` sim-seconds pass. Durable effects
-//! a handler wants to survive must be appended to the journal *before*
-//! the next crash point (write-ahead); on restart,
+//! supervisor ([`CrashableServer`]) then discards the reply, drops the
+//! in-memory state via [`CrashRecover::crash`], and marks the process
+//! down until `restart_delay` sim-seconds pass, when its
+//! [`ServerTask`](crate::rpc::ServerTask) wakes and restarts it.
+//! Durable effects a handler wants to survive must be appended to the
+//! journal *before* the next crash point (write-ahead); on restart,
 //! [`CrashRecover::recover`] folds the journal back into fresh state.
 //! The window where an application record is durable but the reply
 //! record is not is closed by application-level dedup: re-execution
@@ -38,11 +39,14 @@
 
 use crate::net::Endpoint;
 use crate::os::{FileMode, Pid, SimOs, Uid, ROOT_UID};
-use crate::rpc::{decode_request, encode_reply};
+use crate::rpc::{decode_request, encode_reply, ServerTask};
+use crate::sched::{Step, Task, TaskCx};
 use crate::TestbedError;
 use gridsec_util::rng::{DetRng, RngCore};
 use gridsec_util::sync::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// What an attacker controls after compromising one process.
@@ -470,7 +474,6 @@ pub struct CrashableServer {
     persist_replies: bool,
     seen: HashMap<(String, u64), Vec<u8>>,
     down_until: Option<u64>,
-    restarts: u64,
 }
 
 impl CrashableServer {
@@ -495,43 +498,17 @@ impl CrashableServer {
             persist_replies,
             seen: HashMap::new(),
             down_until: None,
-            restarts: 0,
         }
     }
 
-    fn now(&self) -> u64 {
-        self.endpoint.network().fault_clock().map_or(0, |c| c.now())
-    }
-
-    /// `true` while the process is dead and mail is evaporating.
-    pub fn is_down(&self) -> bool {
-        self.down_until.is_some()
-    }
-
-    /// Restarts completed so far.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Distinct requests currently answerable from the reply cache.
-    pub fn executed(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// The shared crash schedule.
-    pub fn plan(&self) -> &CrashPlan {
-        &self.plan
-    }
-
-    /// Drain the mailbox once, driving `app`. Returns the number of
-    /// frames answered (cache hits included). While down, arriving mail
-    /// is discarded and 0 is returned; once sim time passes the restart
+    /// Drain the mailbox once at sim time `now`, driving `app`. While
+    /// down, arriving mail is discarded; once `now` reaches the restart
     /// deadline, the process comes back up first.
-    pub fn poll(&mut self, app: &mut dyn CrashRecover) -> usize {
+    fn poll(&mut self, app: &mut dyn CrashRecover, now: u64) {
         if let Some(until) = self.down_until {
-            if self.now() < until {
+            if now < until {
                 while self.endpoint.try_recv().is_some() {}
-                return 0;
+                return;
             }
             // Restart: reply cache from the journal, app state via the
             // application's own replay.
@@ -546,12 +523,9 @@ impl CrashableServer {
                 }
             }
             app.recover();
-            self.restarts += 1;
-            self.plan
-                .note_restart(&self.name, self.now(), self.seen.len());
+            self.plan.note_restart(&self.name, now, self.seen.len());
             self.down_until = None;
         }
-        let mut handled = 0;
         while let Some(m) = self.endpoint.try_recv() {
             let Some((id, body)) = decode_request(&m.payload) else {
                 continue;
@@ -559,7 +533,6 @@ impl CrashableServer {
             let key = (m.from.clone(), id);
             if let Some(cached) = self.seen.get(&key) {
                 let _ = self.endpoint.send(&m.from, encode_reply(id, cached));
-                handled += 1;
                 continue;
             }
             let reply = app.handle(&m.from, id, body);
@@ -567,12 +540,11 @@ impl CrashableServer {
                 // The process died mid-request: no reply, nothing
                 // cached; volatile state is gone and unread mail
                 // evaporates with the mailbox.
-                let t = self.now();
-                self.plan.note_crash(&self.name, &point, t);
+                self.plan.note_crash(&self.name, &point, now);
                 app.crash();
-                self.down_until = Some(t + self.plan.restart_delay());
+                self.down_until = Some(now + self.plan.restart_delay());
                 while self.endpoint.try_recv().is_some() {}
-                return handled;
+                return;
             }
             if self.persist_replies {
                 // Write-ahead: the reply is durable before it is sent.
@@ -582,9 +554,19 @@ impl CrashableServer {
             }
             self.seen.insert(key, reply.clone());
             let _ = self.endpoint.send(&m.from, encode_reply(id, &reply));
-            handled += 1;
         }
-        handled
+    }
+}
+
+/// The application stays shared with the scenario (which inspects it
+/// between calls), and a dead process wakes itself: it comes back at
+/// `down_until` whether or not a retransmission is there to nudge it.
+impl<A: CrashRecover> Task for ServerTask<CrashableServer, Rc<RefCell<A>>> {
+    fn step(&mut self, cx: &TaskCx) -> Step {
+        self.server.poll(&mut *self.app.borrow_mut(), cx.now());
+        Step::WaitMail {
+            deadline: self.server.down_until,
+        }
     }
 }
 
@@ -804,9 +786,8 @@ mod tests {
     use crate::clock::SimClock;
     use crate::net::{FaultProfile, Network};
     use crate::rpc::RpcClient;
+    use crate::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn journal_on(os: &SimOs) -> Journal {
         os.add_host("jh");
@@ -921,33 +902,30 @@ mod tests {
         }
     }
 
-    fn crash_rig(
-        plan: CrashPlan,
-    ) -> (
-        RpcClient,
-        Rc<RefCell<CrashableServer>>,
-        Rc<RefCell<CountingApp>>,
-        SimOs,
-    ) {
+    /// The counting service as a task on the returned scheduler, and a
+    /// client of it, over a fault-armed (but fault-free) network.
+    fn crash_rig(plan: CrashPlan) -> (RpcClient, Rc<RefCell<CountingApp>>, Scheduler, SimClock) {
         let os = SimOs::new();
         os.add_host("svc-host");
-        let journal = Journal::open(os.clone(), "svc-host", "/var/journal/count.wal", ROOT_UID);
+        let journal = Journal::open(os, "svc-host", "/var/journal/count.wal", ROOT_UID);
         let net = Network::new();
         let clock = SimClock::new();
-        net.enable_faults(clock, 0xC0DE, FaultProfile::default());
-        let server = Rc::new(RefCell::new(CrashableServer::new(
+        net.enable_faults(clock.clone(), 0xC0DE, FaultProfile::default());
+        let server = CrashableServer::new(
             net.register("svc"),
             "svc",
             plan.clone(),
             journal.clone(),
             true,
-        )));
+        );
         let app = Rc::new(RefCell::new(CountingApp {
             plan,
             journal,
             count: 0,
         }));
-        let mut client = RpcClient::new(
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox("svc", ServerTask::new(server, app.clone()));
+        let client = RpcClient::new(
             net.register("client"),
             "svc",
             RetryPolicy {
@@ -957,20 +935,17 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let hook_server = server.clone();
-        let hook_app = app.clone();
-        client.set_pump(move || hook_server.borrow_mut().poll(&mut *hook_app.borrow_mut()));
-        (client, server, app, os)
+        (client, app, sched, clock)
     }
 
     #[test]
     fn crash_before_side_effect_retries_to_exactly_one() {
         let plan = CrashPlan::manual(2);
         plan.arm("app.exec", 1);
-        let (mut client, server, app, _os) = crash_rig(plan.clone());
+        let (mut client, app, _sched, _clock) = crash_rig(plan.clone());
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         assert_eq!(app.borrow().count, 1, "one increment despite the kill");
-        assert_eq!(server.borrow().restarts(), 1);
+        assert_eq!(plan.restarts(), 1);
         assert_eq!(plan.crashes(), 1);
         assert!(plan.transcript()[0].contains("crash svc=svc point=app.exec"));
     }
@@ -979,7 +954,7 @@ mod tests {
     fn crash_after_journal_before_reply_does_not_duplicate() {
         let plan = CrashPlan::manual(2);
         plan.arm("app.journaled", 1);
-        let (mut client, _server, app, _os) = crash_rig(plan);
+        let (mut client, app, _sched, _clock) = crash_rig(plan);
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         // The side effect was journaled, the reply was lost; the
         // retransmission re-executed the handler, which found its own
@@ -999,7 +974,7 @@ mod tests {
     #[test]
     fn reply_cache_rebuilds_from_journal_across_restart() {
         let plan = CrashPlan::manual(2);
-        let (mut client, server, app, _os) = crash_rig(plan.clone());
+        let (mut client, app, _sched, _clock) = crash_rig(plan.clone());
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         assert_eq!(app.borrow().count, 2);
@@ -1008,11 +983,10 @@ mod tests {
         plan.arm("app.exec", 3);
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         assert_eq!(app.borrow().count, 3);
-        assert_eq!(server.borrow().restarts(), 1);
-        assert!(
-            server.borrow().executed() >= 3,
-            "rebuilt replies + new one, got {}",
-            server.borrow().executed()
+        assert_eq!(
+            plan.transcript()[1],
+            "[t=2] restart svc=svc replayed=2",
+            "the two completed replies came back from the journal"
         );
     }
 
@@ -1020,13 +994,48 @@ mod tests {
     fn mail_evaporates_while_down_and_client_survives() {
         let plan = CrashPlan::manual(40);
         plan.arm("app.exec", 1);
-        let (mut client, server, app, _os) = crash_rig(plan);
+        let (mut client, app, _sched, _clock) = crash_rig(plan.clone());
         // Long downtime: several retransmissions evaporate before the
         // restart, then the call still completes within the budget.
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         assert_eq!(app.borrow().count, 1);
-        assert_eq!(server.borrow().restarts(), 1);
+        assert_eq!(plan.restarts(), 1);
         assert!(client.stats().retransmissions >= 1);
+    }
+
+    #[test]
+    fn crashed_server_restarts_at_down_until_without_mail() {
+        let plan = CrashPlan::manual(5);
+        plan.arm("app.journaled", 1);
+        let (mut client, app, mut sched, clock) = crash_rig(plan.clone());
+        // The kill lands after the increment is journaled, at t=0; the
+        // client's first retransmission is not due until t=16. Nothing
+        // else is in flight, so only the server's own wake can bring it
+        // back at t=5 — and the retransmission it then answers must not
+        // count a second time.
+        assert_eq!(client.call(b"incr").unwrap(), b"ok");
+        assert_eq!(
+            plan.transcript(),
+            vec![
+                "[t=0] crash svc=svc point=app.journaled",
+                "[t=5] restart svc=svc replayed=0",
+            ]
+        );
+        assert_eq!(clock.now(), 16, "answered on the first retransmission");
+        assert_eq!(client.stats().retransmissions, 1);
+        assert_eq!(app.borrow().count, 1, "exactly once across the restart");
+        // The reply made it into the journal this time: a late duplicate
+        // of the same frame is answered from it without re-executing.
+        let ep = client.endpoint();
+        ep.send("svc", crate::rpc::encode_request(1, b"incr"))
+            .unwrap();
+        sched.run();
+        let reply = ep.try_recv().expect("duplicate answered");
+        assert_eq!(
+            crate::rpc::decode_reply(&reply.payload),
+            Some((1, &b"ok"[..]))
+        );
+        assert_eq!(app.borrow().count, 1);
     }
 
     #[test]

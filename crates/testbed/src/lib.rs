@@ -10,7 +10,7 @@
 //!   ticket lifetimes, and CRL freshness are deterministic.
 //! * [`net`] — an in-memory message network with per-link byte/message
 //!   accounting (the "bytes on the wire" series in experiment C1) and a
-//!   blocking byte-stream abstraction for the TLS record layer.
+//!   byte-stream abstraction for the TLS record layer.
 //! * [`os`] — a simulated operating system: hosts, accounts, files with
 //!   owners and modes, and a process table that tracks *which code runs
 //!   with which privilege* — the measurement substrate for the paper's
@@ -23,9 +23,10 @@
 //!   client paths survive the seeded drop/duplicate/reorder faults of
 //!   [`net::Network::enable_faults`].
 //! * [`sched`] — a deterministic discrete-event scheduler: a run queue
-//!   of resumable tasks over [`net`] and [`clock::SimClock`], replacing
-//!   thread-per-endpoint so one process hosts 10⁵–10⁶ endpoints with
-//!   seed-replayable interleavings.
+//!   of resumable tasks over [`net`] and [`clock::SimClock`], so one
+//!   process hosts 10⁵–10⁶ endpoints with seed-replayable
+//!   interleavings. It is the only code that moves the clock while
+//!   something waits: call-shaped code parks in [`sched::wait`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

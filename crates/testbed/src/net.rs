@@ -5,9 +5,9 @@
 //! * [`Network`] / [`Endpoint`] — datagram-style message passing between
 //!   named endpoints, with global byte/message accounting. GT3's
 //!   SOAP-based exchanges run over this.
-//! * [`StreamPair`] — a pair of connected, blocking byte streams
-//!   implementing [`std::io::Read`]/[`std::io::Write`]. GT2's TLS channel
-//!   runs over this.
+//! * [`StreamPair`] — a pair of connected byte streams implementing
+//!   [`std::io::Read`]/[`std::io::Write`]. GT2's TLS channel runs over
+//!   this.
 //!
 //! The accounting counters feed experiment C1 (bytes on the wire for
 //! GT2-TLS vs. GT3-WS-SecureConversation context establishment).
@@ -21,8 +21,8 @@
 //! produces the same [`Network::transcript`]. Latencies are measured on
 //! the shared [`SimClock`]; delayed messages sit in a pending queue
 //! until [`Network::pump`] is called with the clock at or past their
-//! delivery time. [`Endpoint::recv_timeout`] drives the clock forward
-//! itself (pump → try_recv → advance-to-next-event), which is how
+//! delivery time. The network never moves the clock itself: the
+//! [`Scheduler`](crate::sched::Scheduler) bound to it does, which is how
 //! client retry loops experience timeouts without wall-clock sleeps.
 //! [`Network::partition`] severs a host pair bidirectionally until
 //! healed. None of this affects a network whose faults were never
@@ -30,6 +30,7 @@
 
 use crate::clock::SimClock;
 use crate::names::{NameId, NameTable};
+use crate::sched;
 use crate::TestbedError;
 use gridsec_util::channel::{unbounded, Receiver, Sender, TryRecvError};
 use gridsec_util::rng::{DetRng, RngCore};
@@ -38,6 +39,8 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{self, Read, Write};
+use std::ops::ControlFlow;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -319,6 +322,11 @@ struct NetworkInner {
     counters: Counters,
     faults: Mutex<Option<FaultState>>,
     wakes: Mutex<WakeLog>,
+    /// The scheduler that drives this world ([`Scheduler::new`] binds
+    /// it). Weak: the scheduler's tasks own endpoints of this network.
+    ///
+    /// [`Scheduler::new`]: crate::sched::Scheduler::new
+    driver: Mutex<Weak<RefCell<sched::Core>>>,
 }
 
 /// Delivery notifications for the discrete-event scheduler
@@ -453,6 +461,17 @@ impl Network {
         std::mem::take(&mut self.inner.wakes.lock().ids)
     }
 
+    /// Name `core` as the scheduler foreground waits on this network
+    /// park in, replacing any earlier binding.
+    pub(crate) fn bind_driver(&self, core: Weak<RefCell<sched::Core>>) {
+        *self.inner.driver.lock() = core;
+    }
+
+    /// The bound scheduler, if it is still alive.
+    pub(crate) fn driver(&self) -> Option<Rc<RefCell<sched::Core>>> {
+        self.inner.driver.lock().upgrade()
+    }
+
     /// Append a synthetic delivery notification for `id`, exactly as if
     /// a message had just been delivered to that mailbox. This is how
     /// non-datagram wake sources (e.g. a [`SimStream`] becoming
@@ -566,7 +585,7 @@ impl Network {
     }
 
     /// Scheduled time of the earliest pending delivery, if any.
-    pub fn next_event_at(&self) -> Option<u64> {
+    pub(crate) fn next_event_at(&self) -> Option<u64> {
         self.inner
             .faults
             .lock()
@@ -668,54 +687,9 @@ impl Endpoint {
         self.network.send(self.id, &self.name, to, payload)
     }
 
-    /// Block until a message arrives.
-    pub fn recv(&self) -> Result<Message, TestbedError> {
-        self.rx.recv().map_err(|_| TestbedError::Disconnected)
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
         self.rx.try_recv().ok()
-    }
-
-    /// Receive with a timeout of `timeout` SimClock seconds.
-    ///
-    /// With the fault layer armed this is the single-threaded event
-    /// loop: pump due deliveries, poll the mailbox, then advance the
-    /// shared clock to the earlier of the next scheduled delivery and
-    /// the deadline; at the deadline it returns
-    /// [`TestbedError::Timeout`]. Without faults there is no simulated
-    /// latency — anything sent is already in the mailbox — so this
-    /// returns immediately (mail or `Timeout`).
-    pub fn recv_timeout(&self, timeout: u64) -> Result<Message, TestbedError> {
-        let clock = match self.network.fault_clock() {
-            Some(c) => c,
-            None => return self.try_recv().ok_or(TestbedError::Timeout),
-        };
-        let deadline = clock.now().saturating_add(timeout);
-        loop {
-            self.network.pump();
-            if let Some(m) = self.try_recv() {
-                return Ok(m);
-            }
-            let now = clock.now();
-            if now >= deadline {
-                return Err(TestbedError::Timeout);
-            }
-            let next = self
-                .network
-                .next_event_at()
-                .map(|t| t.clamp(now + 1, deadline))
-                .unwrap_or(deadline);
-            clock.set(next);
-        }
-    }
-
-    /// Send a request and block for the next message (simple RPC idiom for
-    /// single-threaded scenarios where the callee answers synchronously).
-    pub fn call(&self, to: &str, payload: Vec<u8>) -> Result<Message, TestbedError> {
-        self.send(to, payload)?;
-        self.recv()
     }
 }
 
@@ -736,8 +710,10 @@ struct StreamFault {
 /// stream direction: the reader installs `(network, mailbox id)` via
 /// [`SimStream::wake_on_readable`]; the writer notifies it after every
 /// chunk (and on drop) so a scheduler task parked in `WaitMail` wakes
-/// when bytes — or EOF — become observable.
-type WakeSlot = Arc<Mutex<Option<(Network, NameId)>>>;
+/// when bytes — or EOF — become observable. The registration also tells
+/// the writer's half which world its peer lives in: that is where its
+/// own blocking reads park.
+type WakeSlot = Rc<RefCell<Option<(Network, NameId)>>>;
 
 /// One direction of a byte stream.
 struct StreamHalf {
@@ -754,61 +730,22 @@ struct StreamHalf {
     write_wake: WakeSlot,
 }
 
-/// A connected, blocking, in-memory byte stream (one side of a pair).
+/// A connected in-memory byte stream (one side of a pair).
 ///
-/// Two read disciplines coexist:
+/// Both read forms take what the peer has already written and differ
+/// only in what an empty channel means:
 ///
-/// * **Blocking** ([`Read::read`]) — parks on the channel until the
-///   peer writes, as a real socket would. If a *stream pump* is
-///   installed on the current thread ([`with_stream_pump`]), an empty
-///   channel instead drives the pump (typically
-///   [`Scheduler::pump`](crate::sched::Scheduler::pump)) until data
-///   appears or the pump reports quiescence — which is how blocking
-///   client code talks to a peer that is a scheduler task on the *same*
-///   thread without deadlocking.
-/// * **Non-blocking** ([`SimStream::try_read`]) — for scheduler tasks
-///   themselves, which must never park; they return
-///   [`Step::WaitMail`](crate::sched::Step::WaitMail) and rely on
-///   [`SimStream::wake_on_readable`] notifications instead.
+/// * [`SimStream::try_read`] — for scheduler tasks, which must never
+///   wait inside a step: it reports "nothing yet" and the task parks in
+///   [`Step::WaitMail`](crate::sched::Step::WaitMail), woken through
+///   [`SimStream::wake_on_readable`].
+/// * [`Read::read`] — for call-shaped code whose peer is such a task:
+///   it parks in [`sched::wait`] on the network the peer registered its
+///   wake with, so the peer runs inside the read. A peer that never
+///   registered, or a world with nothing left to run, fails the read
+///   with `ConnectionReset` ("stream stalled") instead of hanging.
 pub struct SimStream {
     half: StreamHalf,
-}
-
-std::thread_local! {
-    /// Stack of installed stream pumps for this thread (innermost last).
-    static STREAM_PUMPS: RefCell<Vec<Box<dyn FnMut() -> usize>>> = RefCell::new(Vec::new());
-}
-
-/// Install `pump` as the stream pump for the current thread while `f`
-/// runs. A blocking [`SimStream`] read that finds its channel empty
-/// calls the pump in a loop instead of parking; the pump returns the
-/// number of task steps it executed, and a return of `0` with still no
-/// data means the simulated world is quiescent — the read then fails
-/// with `ConnectionReset` ("stalled") rather than deadlocking the
-/// thread. Nests: the innermost pump wins.
-pub fn with_stream_pump<R>(pump: impl FnMut() -> usize + 'static, f: impl FnOnce() -> R) -> R {
-    STREAM_PUMPS.with(|s| s.borrow_mut().push(Box::new(pump)));
-    struct PopGuard;
-    impl Drop for PopGuard {
-        fn drop(&mut self) {
-            STREAM_PUMPS.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
-    let _guard = PopGuard;
-    f()
-}
-
-/// Run the innermost installed pump once, returning `Some(steps)` or
-/// `None` if no pump is installed. The pump is removed from the stack
-/// while it runs, so stream reads *inside* pumped tasks fall back to
-/// channel blocking (tasks must use [`SimStream::try_read`] anyway).
-fn run_stream_pump() -> Option<usize> {
-    let mut pump = STREAM_PUMPS.with(|s| s.borrow_mut().pop())?;
-    let steps = pump();
-    STREAM_PUMPS.with(|s| s.borrow_mut().push(pump));
-    Some(steps)
 }
 
 /// Create a connected stream pair with shared byte accounting.
@@ -840,8 +777,8 @@ impl StreamPair {
         let (b2a_tx, b2a_rx) = unbounded();
         let counters = Arc::new(Counters::default());
         // One wake slot per direction, shared by its writer and reader.
-        let a_reads: WakeSlot = Arc::new(Mutex::new(None));
-        let b_reads: WakeSlot = Arc::new(Mutex::new(None));
+        let a_reads = WakeSlot::default();
+        let b_reads = WakeSlot::default();
         let mk_fault = |dir: u64| {
             fault.map(|(seed, drop)| StreamFault {
                 rng: DetRng::seed_from_u64(seed ^ dir),
@@ -913,16 +850,16 @@ impl SimStream {
     /// woken when bytes are observable via [`SimStream::try_read`].
     pub fn wake_on_readable(&self, net: &Network, mailbox: &str) {
         let id = net.intern(mailbox);
-        *self.half.read_wake.lock() = Some((net.clone(), id));
+        *self.half.read_wake.borrow_mut() = Some((net.clone(), id));
     }
 
     fn notify_peer(&self) {
-        if let Some((net, id)) = self.half.write_wake.lock().as_ref() {
+        if let Some((net, id)) = self.half.write_wake.borrow().as_ref() {
             net.notify_wake(*id);
         }
     }
 
-    /// Pull one buffered chunk into the read buffer. `Ok(true)` means
+    /// Make the read buffer non-empty from `chunk`. `Ok(true)` means
     /// bytes are now available; `Ok(false)` means EOF (peer dropped).
     fn accept_chunk(&mut self, chunk: Result<Chunk, TryRecvError>) -> io::Result<bool> {
         match chunk {
@@ -949,6 +886,27 @@ impl SimStream {
         buf[..n].copy_from_slice(&available[..n]);
         self.half.read_pos += n;
         n
+    }
+
+    /// Park in the scheduler of the peer's world until the peer writes
+    /// or hangs up. The peer named that world when it registered
+    /// [`SimStream::wake_on_readable`] on its half.
+    fn await_chunk(&self) -> io::Result<Result<Chunk, TryRecvError>> {
+        let world = self.half.write_wake.borrow().as_ref().map(|w| w.0.clone());
+        world
+            .and_then(|net| {
+                sched::wait(&net, |_| match self.half.rx.try_recv() {
+                    Err(TryRecvError::Empty) => ControlFlow::Continue(None),
+                    arrived => ControlFlow::Break(arrived),
+                })
+                .ok()
+            })
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::ConnectionReset,
+                    "stream stalled: scheduler quiescent with no data",
+                )
+            })
     }
 
     /// Non-blocking read for scheduler tasks. Returns:
@@ -990,39 +948,12 @@ impl Read for SimStream {
             return Err(reset_err());
         }
         if self.half.read_pos == self.half.read_buf.len() {
-            loop {
-                match self.half.rx.try_recv() {
-                    Err(TryRecvError::Empty) => match run_stream_pump() {
-                        // Pump made progress: the peer task may have
-                        // written; poll the channel again.
-                        Some(steps) if steps > 0 => continue,
-                        // Pump quiescent and still nothing: the peer
-                        // will never write. Fail instead of parking a
-                        // thread that is also the peer's executor.
-                        Some(_) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionReset,
-                                "stream stalled: scheduler quiescent with no data",
-                            ))
-                        }
-                        // No pump installed: true blocking semantics.
-                        None => match self.half.rx.recv() {
-                            Ok(chunk) => {
-                                if !self.accept_chunk(Ok(chunk))? {
-                                    return Ok(0);
-                                }
-                                break;
-                            }
-                            Err(_) => return Ok(0), // EOF: peer dropped
-                        },
-                    },
-                    other => {
-                        if !self.accept_chunk(other)? {
-                            return Ok(0);
-                        }
-                        break;
-                    }
-                }
+            let chunk = match self.half.rx.try_recv() {
+                Err(TryRecvError::Empty) => self.await_chunk()?,
+                arrived => arrived,
+            };
+            if !self.accept_chunk(chunk)? {
+                return Ok(0);
             }
         }
         Ok(self.copy_out(buf))
@@ -1070,7 +1001,19 @@ impl Write for SimStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{Scheduler, Step, TaskCx};
     use std::io::{Read, Write};
+
+    /// Foreground receive: park in the scheduler bound to `ep`'s network
+    /// until mail arrives or `timeout` sim-seconds pass.
+    fn recv_within(ep: &Endpoint, timeout: u64) -> Result<Message, TestbedError> {
+        let clock = ep.network().fault_clock().expect("faults armed");
+        let deadline = clock.now().saturating_add(timeout);
+        sched::wait(ep.network(), |_| match ep.try_recv() {
+            Some(m) => ControlFlow::Break(m),
+            None => ControlFlow::Continue(Some(deadline)),
+        })
+    }
 
     #[test]
     fn message_delivery() {
@@ -1080,7 +1023,7 @@ mod tests {
         a.send("bob", b"hi".to_vec()).unwrap();
         let b = net.register("bob"); // re-register drops old mailbox
         a.send("bob", b"hi again".to_vec()).unwrap();
-        let m = b.recv().unwrap();
+        let m = b.try_recv().unwrap();
         assert_eq!(m.from, "alice");
         assert_eq!(m.payload, b"hi again");
     }
@@ -1096,9 +1039,9 @@ mod tests {
         a.send("bob", b"before".to_vec()).unwrap();
         let new = net.register("bob");
         a.send("bob", b"after".to_vec()).unwrap();
-        assert_eq!(old.recv().unwrap().payload, b"before");
-        assert_eq!(old.recv(), Err(TestbedError::Disconnected));
-        assert_eq!(new.recv().unwrap().payload, b"after");
+        assert_eq!(old.try_recv().unwrap().payload, b"before");
+        assert!(old.try_recv().is_none());
+        assert_eq!(new.try_recv().unwrap().payload, b"after");
         assert!(new.try_recv().is_none());
     }
 
@@ -1113,7 +1056,7 @@ mod tests {
         // The original endpoint is untouched by the failed attempt.
         let b = net.register("bob");
         b.send("alice", b"still here".to_vec()).unwrap();
-        assert_eq!(a.recv().unwrap().payload, b"still here");
+        assert_eq!(a.try_recv().unwrap().payload, b"still here");
         // After unregister the name is free again.
         net.unregister("alice");
         assert!(net.try_register("alice").is_ok());
@@ -1184,14 +1127,14 @@ mod tests {
         let b = net.register("bob");
         a.send("bob", b"delayed".to_vec()).unwrap();
         assert!(b.try_recv().is_none(), "latency holds the message");
-        assert_eq!(net.next_event_at(), Some(3));
+        assert_eq!(net.pump(), 0, "not due before t=3");
         clock.set(3);
         assert_eq!(net.pump(), 1);
-        assert_eq!(b.recv().unwrap().payload, b"delayed");
+        assert_eq!(b.try_recv().unwrap().payload, b"delayed");
     }
 
     #[test]
-    fn recv_timeout_advances_clock_to_delivery() {
+    fn foreground_wait_advances_clock_to_delivery() {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(
@@ -1203,144 +1146,117 @@ mod tests {
                 ..FaultProfile::default()
             },
         );
+        let _sched = Scheduler::new(&net);
         let a = net.register("alice");
         let b = net.register("bob");
         a.send("bob", b"m".to_vec()).unwrap();
-        let m = b.recv_timeout(10).unwrap();
+        let m = recv_within(&b, 10).unwrap();
         assert_eq!(m.payload, b"m");
         assert_eq!(clock.now(), 2, "clock advanced exactly to delivery");
         // Nothing further: timeout fires and the clock lands on the deadline.
-        assert_eq!(b.recv_timeout(5), Err(TestbedError::Timeout));
+        assert_eq!(recv_within(&b, 5), Err(TestbedError::Timeout));
         assert_eq!(clock.now(), 7);
     }
 
-    /// Receive outcome plus the clock value observed at return.
-    type RecvOutcome = (Result<Vec<u8>, TestbedError>, u64);
-
-    /// Run one receive under the legacy direct path (`recv_timeout`)
-    /// and the identical scenario as a scheduler task, returning
-    /// `(outcome payload, clock at return)` for each. The scheduler
-    /// must be behaviorally indistinguishable from the loop it
-    /// generalizes.
-    fn legacy_vs_scheduled(
+    /// One foreground receive on a fresh world: optionally send one
+    /// message, let `pre_advance` seconds pass before the receiver shows
+    /// up, then wait `timeout` more. Returns the outcome and the clock
+    /// at return.
+    fn foreground_recv(
         profile: FaultProfile,
         send: bool,
         timeout: u64,
         pre_advance: u64,
-    ) -> (RecvOutcome, RecvOutcome) {
-        use crate::sched::{Scheduler, Step, TaskCx};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let run_legacy = || {
-            let net = Network::new();
-            let clock = SimClock::new();
-            net.enable_faults(clock.clone(), 11, profile);
-            let a = net.register("alice");
-            let b = net.register("bob");
-            if send {
-                a.send("bob", b"m".to_vec()).unwrap();
-            }
-            clock.advance(pre_advance);
-            let deadline = clock.now().saturating_add(timeout);
-            let r = match b.recv_timeout(timeout.saturating_sub(pre_advance.min(timeout))) {
-                Ok(m) => Ok(m.payload),
-                Err(e) => Err(e),
-            };
-            // recv_timeout takes a relative window; the scenario fixes
-            // the absolute deadline so both paths race the same instant.
-            let _ = deadline;
-            (r, clock.now())
-        };
-        let run_scheduled = || {
-            let net = Network::new();
-            let clock = SimClock::new();
-            net.enable_faults(clock.clone(), 11, profile);
-            let a = net.register("alice");
-            let b = net.register("bob");
-            if send {
-                a.send("bob", b"m".to_vec()).unwrap();
-            }
-            clock.advance(pre_advance);
-            let deadline = clock
-                .now()
-                .saturating_add(timeout.saturating_sub(pre_advance));
-            let mut sched = Scheduler::new(&net);
-            type Slot = Rc<RefCell<Option<Result<Vec<u8>, TestbedError>>>>;
-            let out: Slot = Rc::new(RefCell::new(None));
-            let out2 = out.clone();
-            sched.spawn_mailbox("bob", move |cx: &TaskCx| {
-                if let Some(m) = b.try_recv() {
-                    *out2.borrow_mut() = Some(Ok(m.payload));
-                    return Step::Done;
-                }
-                if cx.now() >= deadline {
-                    *out2.borrow_mut() = Some(Err(TestbedError::Timeout));
-                    return Step::Done;
-                }
-                Step::WaitMail {
-                    deadline: Some(deadline),
-                }
-            });
-            sched.run();
-            let r = out.borrow_mut().take().expect("task reached a verdict");
-            (r, clock.now())
-        };
-        (run_legacy(), run_scheduled())
+    ) -> (Result<Vec<u8>, TestbedError>, u64) {
+        let net = Network::new();
+        let clock = SimClock::new();
+        net.enable_faults(clock.clone(), 11, profile);
+        let _sched = Scheduler::new(&net);
+        let a = net.register("alice");
+        let b = net.register("bob");
+        if send {
+            a.send("bob", b"m".to_vec()).unwrap();
+        }
+        clock.advance(pre_advance);
+        (recv_within(&b, timeout).map(|m| m.payload), clock.now())
     }
 
     #[test]
-    fn zero_timeout_identical_under_scheduler_and_legacy_path() {
-        // recv_timeout(0): due mail (zero-latency profile) is still
-        // returned — the deadline gets one final pump-and-poll — and an
-        // empty mailbox times out without moving the clock. Both paths,
-        // same verdicts, same clocks.
+    fn zero_timeout_foreground_wait_takes_due_mail_and_never_moves_time() {
+        // A zero window still gets one poll-and-probe: due mail
+        // (zero-latency profile) is returned, an empty mailbox times out,
+        // and neither moves the clock.
         let due = FaultProfile::default();
-        let (legacy, scheduled) = legacy_vs_scheduled(due, true, 0, 0);
-        assert_eq!(legacy.0.as_deref().unwrap(), b"m");
-        assert_eq!(legacy, scheduled);
-        assert_eq!(legacy.1, 0, "no clock movement for due mail");
-
-        let (legacy, scheduled) = legacy_vs_scheduled(due, false, 0, 0);
-        assert_eq!(legacy.0, Err(TestbedError::Timeout));
-        assert_eq!(legacy, scheduled);
-        assert_eq!(legacy.1, 0, "timeout at t=0 does not advance time");
+        assert_eq!(foreground_recv(due, true, 0, 0), (Ok(b"m".to_vec()), 0));
+        assert_eq!(
+            foreground_recv(due, false, 0, 0),
+            (Err(TestbedError::Timeout), 0)
+        );
     }
 
     #[test]
-    fn past_deadline_identical_under_scheduler_and_legacy_path() {
-        // The clock has already moved past the whole timeout window
-        // before the receiver gets to wait (pre_advance > timeout). The
-        // wait must resolve immediately — delivering mail that is
-        // already due, or timing out — never hang or move time.
+    fn past_deadline_foreground_wait_resolves_at_once() {
+        // The receiver shows up at t=7 with a window that is already
+        // over. The wait must resolve immediately — delivering mail that
+        // became due at t=2, or timing out — never hang or move time.
         let latency2 = FaultProfile {
             min_latency: 2,
             max_latency: 2,
             ..FaultProfile::default()
         };
-        // Message became due at t=2; receiver shows up at t=7 with an
-        // expired window: the final pump still hands over the mail.
-        let (legacy, scheduled) = legacy_vs_scheduled(latency2, true, 5, 7);
-        assert_eq!(legacy.0.as_deref().unwrap(), b"m");
-        assert_eq!(legacy, scheduled);
-        assert_eq!(legacy.1, 7, "no further clock movement");
-        // No mail at all: immediate timeout at the current time.
-        let (legacy, scheduled) = legacy_vs_scheduled(latency2, false, 5, 7);
-        assert_eq!(legacy.0, Err(TestbedError::Timeout));
-        assert_eq!(legacy, scheduled);
-        assert_eq!(legacy.1, 7);
+        assert_eq!(
+            foreground_recv(latency2, true, 0, 7),
+            (Ok(b"m".to_vec()), 7)
+        );
+        assert_eq!(
+            foreground_recv(latency2, false, 0, 7),
+            (Err(TestbedError::Timeout), 7)
+        );
+        // A deadline that has not passed yet is honoured to the second.
+        assert_eq!(
+            foreground_recv(latency2, false, 5, 7),
+            (Err(TestbedError::Timeout), 12)
+        );
+    }
+
+    #[test]
+    fn undriven_or_quiescent_wait_times_out_instead_of_parking() {
+        // No scheduler bound: the probe gets one look, then Timeout.
+        let net = Network::new();
+        let a = net.register("alice");
+        let b = net.register("bob");
+        let look = |ep: &Endpoint| {
+            sched::wait(ep.network(), |_| match ep.try_recv() {
+                Some(m) => ControlFlow::Break(m.payload),
+                None => ControlFlow::Continue(None),
+            })
+        };
+        assert_eq!(look(&b), Err(TestbedError::Timeout));
+        a.send("bob", b"already here".to_vec()).unwrap();
+        assert_eq!(look(&b).unwrap(), b"already here");
+        // A bound scheduler with nothing left to run is no different,
+        // and neither is a task that tries to wait inside its own step.
+        let mut sched = Scheduler::new(&net);
+        assert_eq!(look(&b), Err(TestbedError::Timeout));
+        let inner = std::rc::Rc::new(RefCell::new(None));
+        let seen = inner.clone();
+        sched.spawn(move |_cx: &TaskCx| {
+            *seen.borrow_mut() = Some(look(&b));
+            Step::Done
+        });
+        sched.run();
+        assert_eq!(*inner.borrow(), Some(Err(TestbedError::Timeout)));
     }
 
     #[test]
     fn two_tasks_racing_one_delivery_tick_is_deterministic() {
-        use crate::sched::{Scheduler, Step, TaskCx};
-        use std::cell::RefCell;
         use std::rc::Rc;
         // Two messages to two different waiters, both scheduled for the
-        // same delivery tick. Wake order must follow delivery order
-        // (pending-queue (deliver_at, seq)), identical across runs, and
-        // identical to what the legacy path observes (both messages due
-        // at t=3).
+        // same delivery tick, driven by a foreground waiter whose own
+        // mail lands on that tick too. Wake order must follow delivery
+        // order (pending-queue (deliver_at, seq)), identical across
+        // runs, and both tasks run before the foreground probe sees its
+        // mail.
         let run = || {
             let net = Network::new();
             let clock = SimClock::new();
@@ -1371,9 +1287,14 @@ mod tests {
             }
             // Send b-then-a: delivery order is send order (same tick,
             // ascending seq), regardless of spawn order.
+            let fg = net.register("foreground");
             tx.send("racer-b", b"first-sent".to_vec()).unwrap();
             tx.send("racer-a", b"second-sent".to_vec()).unwrap();
-            sched.run();
+            tx.send("foreground", b"third-sent".to_vec()).unwrap();
+            let mine = recv_within(&fg, 10).unwrap();
+            order
+                .borrow_mut()
+                .push((String::from_utf8(mine.payload).unwrap(), clock.now()));
             let observed = order.borrow().clone();
             observed
         };
@@ -1384,9 +1305,10 @@ mod tests {
             o1,
             vec![
                 ("first-sent".to_string(), 3),
-                ("second-sent".to_string(), 3)
+                ("second-sent".to_string(), 3),
+                ("third-sent".to_string(), 3)
             ],
-            "both woke on the same tick, in delivery (seq) order"
+            "all woke on the same tick, tasks in delivery (seq) order first"
         );
     }
 
@@ -1395,14 +1317,15 @@ mod tests {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock.clone(), 1, FaultProfile::default());
+        let _sched = Scheduler::new(&net);
         let a = net.register("alice");
         let b = net.register("bob");
         net.partition("alice", "bob");
         a.send("bob", b"lost".to_vec()).unwrap();
-        assert_eq!(b.recv_timeout(5), Err(TestbedError::Timeout));
+        assert_eq!(recv_within(&b, 5), Err(TestbedError::Timeout));
         net.heal("alice", "bob");
         a.send("bob", b"through".to_vec()).unwrap();
-        assert_eq!(b.recv_timeout(5).unwrap().payload, b"through");
+        assert_eq!(recv_within(&b, 5).unwrap().payload, b"through");
         let stats = net.fault_stats().unwrap();
         assert_eq!(stats.blocked, 1);
         assert_eq!(stats.delivered, 1);
@@ -1414,11 +1337,12 @@ mod tests {
             let net = Network::new();
             let clock = SimClock::new();
             net.enable_faults(clock.clone(), seed, FaultProfile::lossy_wan());
+            let _sched = Scheduler::new(&net);
             let a = net.register("alice");
             let b = net.register("bob");
             for i in 0..50u32 {
                 a.send("bob", vec![0u8; i as usize % 7 + 1]).unwrap();
-                let _ = b.recv_timeout(2);
+                let _ = recv_within(&b, 2);
             }
             (net.transcript(), net.fault_stats().unwrap())
         };
@@ -1500,18 +1424,33 @@ mod tests {
     }
 
     #[test]
-    fn stream_threads() {
+    fn read_on_a_silent_peer_stalls_instead_of_parking() {
+        // No scheduled peer at all: nothing could ever write.
+        let (mut a, _b, _) = StreamPair::new();
+        let mut buf = [0u8; 1];
+        let err = a.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        assert!(err.to_string().contains("stream stalled"), "{err}");
+
+        // A scheduled peer that wakes, reads, and never answers: the
+        // read drives it to quiescence, then fails.
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
         let (mut a, mut b, _) = StreamPair::new();
-        let t = std::thread::spawn(move || {
-            let mut buf = [0u8; 5];
-            b.read_exact(&mut buf).unwrap();
-            b.write_all(&buf).unwrap();
+        b.wake_on_readable(&net, "mute");
+        sched.spawn_mailbox("mute", move |_cx: &TaskCx| {
+            let mut sink = [0u8; 16];
+            while let Ok(Some(n)) = b.try_read(&mut sink) {
+                if n == 0 {
+                    return Step::Done;
+                }
+            }
+            Step::WaitMail { deadline: None }
         });
-        a.write_all(b"echo!").unwrap();
-        let mut buf = [0u8; 5];
-        a.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"echo!");
-        t.join().unwrap();
+        a.write_all(b"anyone?").unwrap();
+        let err = a.read(&mut buf).unwrap_err();
+        assert!(err.to_string().contains("stream stalled"), "{err}");
+        assert!(sched.stats().steps >= 1, "the peer did run");
     }
 
     #[test]

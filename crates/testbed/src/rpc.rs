@@ -1,30 +1,33 @@
 //! At-most-once request/reply over the simulated [`crate::net`] layer.
 //!
 //! The fault layer ([`crate::net::Network::enable_faults`]) drops,
-//! duplicates, and reorders datagrams, so the bare
-//! [`Endpoint::call`][crate::net::Endpoint::call] idiom (send, block for
-//! the next message) is no longer safe. This module supplies what every
-//! protocol crate's client path needs instead:
+//! duplicates, and reorders datagrams, so a bare send-then-receive is
+//! not safe. This module supplies what every protocol crate's client
+//! path needs instead:
 //!
 //! * **Framing** — requests and replies carry a magic tag and a 64-bit
 //!   call id, so duplicated or reordered datagrams can be matched to the
 //!   call that sent them (and stale ones discarded).
-//! * **[`RpcClient`]** — retransmits with exponential backoff per a
-//!   [`RetryPolicy`], driving the shared `SimClock` forward through the
-//!   network's pending-delivery queue while it waits. An optional *pump
-//!   hook* lets single-threaded scenarios interleave server polling with
-//!   the client's wait loop (no threads, fully deterministic).
+//! * **[`PollingCall`]** — the one retransmit loop: a resumable call
+//!   that retransmits with exponential backoff per a [`RetryPolicy`].
+//!   A scheduler task polls it from its `step`; call-shaped code uses
+//!   [`RpcClient::call`], which polls one to completion from inside
+//!   [`sched::wait`].
 //! * **[`RpcServer`]** — executes each distinct `(caller, id)` request
 //!   exactly once and caches the reply, so retransmissions and network
 //!   duplicates of non-idempotent operations (GSS token steps, job
 //!   submission) are answered from the cache instead of re-executed.
-//!   This is the classic at-most-once RPC discipline.
+//!   This is the classic at-most-once RPC discipline. [`ServerTask`]
+//!   hosts one (or a [`crate::faults::CrashableServer`]) on the
+//!   scheduler.
 
-use crate::net::{Endpoint, Network};
+use crate::net::Endpoint;
+use crate::sched::{self, Step, Task, TaskCx};
 use crate::TestbedError;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 const REQ_MAGIC: &[u8; 4] = b"GRQ1";
 const REP_MAGIC: &[u8; 4] = b"GRP1";
@@ -83,13 +86,13 @@ pub struct RpcCallStats {
     pub timeouts: u64,
 }
 
-/// A retrying RPC client bound to one server endpoint name.
+/// A retrying RPC client bound to one server endpoint name: the
+/// call-shaped face of [`PollingCall`].
 pub struct RpcClient {
     endpoint: Endpoint,
     server: String,
     policy: RetryPolicy,
     next_id: u64,
-    pump: Option<Box<dyn FnMut() -> usize>>,
     stats: RpcCallStats,
 }
 
@@ -101,19 +104,8 @@ impl RpcClient {
             server: server.to_string(),
             policy,
             next_id: 1,
-            pump: None,
             stats: RpcCallStats::default(),
         }
-    }
-
-    /// Install a pump hook: a closure invoked inside the wait loop that
-    /// should perform any synchronous server-side work now possible
-    /// (e.g. [`RpcServer::poll`] for every service in the scenario) and
-    /// return how much work it did. The client pumps the network and
-    /// this hook to a fixed point before advancing the clock, which is
-    /// what makes single-threaded chaos scenarios deterministic.
-    pub fn set_pump(&mut self, hook: impl FnMut() -> usize + 'static) {
-        self.pump = Some(Box::new(hook));
     }
 
     /// The client's own endpoint.
@@ -136,115 +128,75 @@ impl RpcClient {
         self.stats
     }
 
-    /// Issue `request` and return the server's reply, retransmitting
-    /// with exponential backoff until the policy is exhausted
-    /// ([`TestbedError::Timeout`]). Safe under message duplication: the
-    /// call id matches replies to this call, and the server's reply
-    /// cache keeps the handler at-most-once.
+    /// Issue `request` and return the server's reply: one
+    /// [`PollingCall`] polled to completion from [`sched::wait`], so the
+    /// server (a task on the scheduler bound to this client's network)
+    /// runs inside the call. Fails with the send error if the server
+    /// endpoint is gone, or [`TestbedError::Timeout`] once the policy is
+    /// exhausted or nothing is left that could answer. Safe under
+    /// message duplication: the call id matches replies to this call,
+    /// and the server's reply cache keeps the handler at-most-once.
     pub fn call(&mut self, request: &[u8]) -> Result<Vec<u8>, TestbedError> {
         self.stats.calls += 1;
         let id = self.next_id;
         self.next_id += 1;
-        let frame = encode_request(id, request);
+        let mut call = PollingCall::new(&self.server, id, request, self.policy);
+        let frame_len = call.frame.len() as u64;
         let mut sp = trace::span_with("rpc.call", &format!("server={} id={id}", self.server));
         trace::add("rpc.calls", 1);
-        trace::add("rpc.bytes_sent", frame.len() as u64);
-        let mut last_err = TestbedError::Timeout;
-        let schedule: Vec<(u32, u64)> = self.policy.schedule().collect();
-        for (attempt, timeout) in schedule {
-            if attempt > 0 {
-                self.stats.retransmissions += 1;
+        trace::add("rpc.bytes_sent", frame_len);
+        let (endpoint, policy, stats) = (&self.endpoint, self.policy, &mut self.stats);
+        let timed_out = |stats: &mut RpcCallStats| {
+            stats.timeouts += 1;
+            trace::add("rpc.timeouts", 1);
+        };
+        let mut attempt = 0u32;
+        let outcome = sched::wait(endpoint.network(), |now| {
+            let polled = call.poll(endpoint, now);
+            // Each retransmission the poll made means the attempt before
+            // it timed out.
+            while u64::from(attempt) < call.retransmissions {
+                attempt += 1;
+                timed_out(stats);
+                stats.retransmissions += 1;
                 trace::add("rpc.retransmissions", 1);
-                trace::add("rpc.bytes_sent", frame.len() as u64);
+                trace::add("rpc.bytes_sent", frame_len);
+                let timeout = policy.timeout_for(attempt);
                 trace::event(
                     "rpc.retransmit",
                     &format!("id={id} attempt={attempt} timeout={timeout}"),
                 );
             }
-            self.endpoint.send(&self.server, frame.clone())?;
-            match self.wait_reply(id, timeout) {
-                Ok(reply) => {
-                    trace::add("rpc.bytes_received", 12 + reply.len() as u64);
-                    return Ok(reply);
-                }
-                Err(TestbedError::Timeout) => {
-                    self.stats.timeouts += 1;
-                    trace::add("rpc.timeouts", 1);
-                    last_err = TestbedError::Timeout;
-                }
-                Err(e) => {
-                    sp.fail("send");
-                    return Err(e);
-                }
-            }
-        }
-        // Retry budget exhausted: ship the recent trace ring so the
-        // failure is diagnosable without rerunning the scenario.
-        sp.fail("retry budget exhausted");
-        trace::event("rpc.exhausted", &format!("id={id} server={}", self.server));
-        trace::flight_dump(&format!(
-            "rpc retry budget exhausted (server={} id={id})",
-            self.server
-        ));
-        Err(last_err)
-    }
-
-    /// Pump the network and the service hook until neither makes
-    /// progress.
-    fn drain(&mut self) {
-        loop {
-            let mut n = self.endpoint.network().pump();
-            if let Some(hook) = self.pump.as_mut() {
-                n += hook();
-            }
-            if n == 0 {
-                return;
-            }
-        }
-    }
-
-    fn wait_reply(&mut self, id: u64, timeout: u64) -> Result<Vec<u8>, TestbedError> {
-        let network: Network = self.endpoint.network().clone();
-        let clock = network.fault_clock();
-        let deadline = clock.as_ref().map(|c| c.now().saturating_add(timeout));
-        loop {
-            self.drain();
-            while let Some(m) = self.endpoint.try_recv() {
-                if let Some((rid, body)) = decode_reply(&m.payload) {
-                    if rid == id {
-                        return Ok(body.to_vec());
+            match polled {
+                CallPoll::Ready(reply) => ControlFlow::Break(Ok(reply)),
+                CallPoll::Wait { deadline } => ControlFlow::Continue(Some(deadline)),
+                CallPoll::Exhausted => ControlFlow::Break(Err(match call.send_error.take() {
+                    Some(e) => e,
+                    None => {
+                        timed_out(stats);
+                        TestbedError::Timeout
                     }
-                    // Stale reply from an earlier call (or a duplicate
-                    // of one): discard.
-                }
+                })),
             }
-            match (&clock, deadline) {
-                (Some(c), Some(deadline)) => {
-                    let now = c.now();
-                    if now >= deadline {
-                        return Err(TestbedError::Timeout);
-                    }
-                    let next = network
-                        .next_event_at()
-                        .map(|t| t.clamp(now + 1, deadline))
-                        .unwrap_or(deadline);
-                    c.set(next);
-                }
-                _ => {
-                    if self.pump.is_some() {
-                        // No clock and the hook is quiescent: nothing can
-                        // produce the reply anymore.
-                        return Err(TestbedError::Timeout);
-                    }
-                    // Perfect network, threaded server: block.
-                    let m = self.endpoint.recv()?;
-                    if let Some((rid, body)) = decode_reply(&m.payload) {
-                        if rid == id {
-                            return Ok(body.to_vec());
-                        }
-                    }
-                }
+        });
+        match outcome.and_then(|done| done) {
+            Ok(reply) => {
+                trace::add("rpc.bytes_received", 12 + reply.len() as u64);
+                Ok(reply)
             }
+            Err(TestbedError::Timeout) => {
+                // Retry budget exhausted: ship the recent trace ring so
+                // the failure is diagnosable without rerunning the
+                // scenario.
+                sp.fail("retry budget exhausted");
+                trace::event("rpc.exhausted", &format!("id={id} server={}", self.server));
+                trace::flight_dump(&format!(
+                    "rpc retry budget exhausted (server={} id={id})",
+                    self.server
+                ));
+                Err(TestbedError::Timeout)
+            }
+            Err(e) => Err(e),
         }
     }
 }
@@ -259,27 +211,25 @@ pub enum CallPoll {
     Exhausted,
     /// Still waiting on the in-flight attempt. The caller should wake
     /// when its mailbox receives mail or at `deadline` (the attempt's
-    /// timeout), whichever is first — i.e. return
-    /// [`Step::WaitMail`](crate::sched::Step::WaitMail) with this
-    /// deadline from a scheduled task.
+    /// timeout), whichever is first — i.e. return [`Step::WaitMail`]
+    /// with this deadline from a scheduled task.
     Wait {
         /// Absolute sim time at which the current attempt times out.
         deadline: u64,
     },
 }
 
-/// A non-blocking, resumable RPC call: [`RpcClient::call`]'s
-/// retransmit-with-backoff loop re-expressed as a poll-style state
-/// machine, so it can run *inside* a [`crate::sched::Scheduler`] task
-/// instead of owning the clock. Semantics mirror `RpcClient` exactly —
-/// same [`RetryPolicy`] schedule, same per-attempt deadlines, same
-/// stale-reply discarding — the only difference is who advances time:
-/// the blocking client drives the clock itself, a `PollingCall` asks
-/// the scheduler to wake it.
+/// A non-blocking, resumable RPC call — the workspace's one
+/// retransmit-with-backoff loop, as a poll-style state machine: the
+/// [`RetryPolicy`] schedule, per-attempt deadlines and stale-reply
+/// discarding all live here. It never touches the clock; whoever polls
+/// it says what time it is. A scheduled task polls it from `step` and
+/// returns [`Step::WaitMail`] with the deadline it reports;
+/// [`RpcClient::call`] polls it from [`sched::wait`].
 ///
 /// The embedding task owns the [`Endpoint`] and passes it to each
-/// [`PollingCall::poll`]; calls on one endpoint must be sequential
-/// (matching `RpcClient`), with unique ids per `(caller, id)` pair.
+/// [`PollingCall::poll`]; calls on one endpoint must be sequential,
+/// with unique ids per `(caller, id)` pair.
 pub struct PollingCall {
     server: String,
     id: u64,
@@ -288,6 +238,9 @@ pub struct PollingCall {
     next_attempt: usize,
     attempt_deadline: Option<u64>,
     retransmissions: u64,
+    /// Why the call is [`CallPoll::Exhausted`], when it was a failed
+    /// send rather than the schedule running out.
+    send_error: Option<TestbedError>,
 }
 
 impl PollingCall {
@@ -302,6 +255,7 @@ impl PollingCall {
             next_attempt: 0,
             attempt_deadline: None,
             retransmissions: 0,
+            send_error: None,
         }
     }
 
@@ -313,9 +267,9 @@ impl PollingCall {
     /// Advance the call: drain `ep`'s mailbox for the matching reply,
     /// and (re)transmit when the current attempt's deadline has passed.
     /// Non-matching frames (stale or duplicate replies of earlier
-    /// calls) are discarded, as in [`RpcClient`]. A deadline already in
-    /// the past triggers the next attempt on this very poll — it never
-    /// silently extends the wait.
+    /// calls) are discarded. A deadline already in the past triggers
+    /// the next attempt on this very poll — it never silently extends
+    /// the wait.
     pub fn poll(&mut self, ep: &Endpoint, now: u64) -> CallPoll {
         while let Some(m) = ep.try_recv() {
             if let Some((rid, body)) = decode_reply(&m.payload) {
@@ -338,7 +292,8 @@ impl PollingCall {
             if attempt > 0 {
                 self.retransmissions += 1;
             }
-            if ep.send(&self.server, self.frame.clone()).is_err() {
+            if let Err(e) = ep.send(&self.server, self.frame.clone()) {
+                self.send_error = Some(e);
                 return CallPoll::Exhausted;
             }
             self.attempt_deadline = Some(now.saturating_add(timeout));
@@ -369,11 +324,8 @@ impl RpcServer {
 
     /// Drain the mailbox, answering every request frame: fresh
     /// `(caller, id)` pairs go through `handler`, repeats are answered
-    /// from the reply cache. Non-RPC frames are ignored. Returns the
-    /// number of frames answered (cache hits included, so callers can
-    /// use the count as a progress signal).
-    pub fn poll(&mut self, handler: &mut dyn FnMut(&str, &[u8]) -> Vec<u8>) -> usize {
-        let mut handled = 0;
+    /// from the reply cache. Non-RPC frames are ignored.
+    pub fn poll(&mut self, handler: &mut dyn FnMut(&str, &[u8]) -> Vec<u8>) {
         while let Some(m) = self.endpoint.try_recv() {
             let Some((id, body)) = decode_request(&m.payload) else {
                 continue;
@@ -390,14 +342,35 @@ impl RpcServer {
             // The caller may have unregistered; a lost reply is the
             // retransmission layer's problem, not ours.
             let _ = self.endpoint.send(&m.from, encode_reply(id, &reply));
-            handled += 1;
         }
-        handled
     }
+}
 
-    /// Number of distinct requests executed (reply-cache size).
-    pub fn executed(&self) -> usize {
-        self.seen.len()
+/// A mailbox server and its application as one scheduler task: answer
+/// everything queued on every wake, then park until mail arrives — or,
+/// for a crashed [`CrashableServer`](crate::faults::CrashableServer),
+/// until its restart time. Spawn it with
+/// [`Scheduler::spawn_mailbox`](sched::Scheduler::spawn_mailbox) under
+/// the server's endpoint name.
+pub struct ServerTask<S, A> {
+    pub(crate) server: S,
+    pub(crate) app: A,
+}
+
+impl<S, A> ServerTask<S, A> {
+    /// Host `app` behind `server`: a request handler closure for an
+    /// [`RpcServer`], a shared
+    /// [`CrashRecover`](crate::faults::CrashRecover) application for a
+    /// `CrashableServer`.
+    pub fn new(server: S, app: A) -> Self {
+        ServerTask { server, app }
+    }
+}
+
+impl<F: FnMut(&str, &[u8]) -> Vec<u8>> Task for ServerTask<RpcServer, F> {
+    fn step(&mut self, _cx: &TaskCx) -> Step {
+        self.server.poll(&mut self.app);
+        Step::WaitMail { deadline: None }
     }
 }
 
@@ -406,23 +379,41 @@ mod tests {
     use super::*;
     use crate::clock::SimClock;
     use crate::net::{FaultProfile, Network};
-    use crate::sched::{Scheduler, Step};
-    use std::cell::RefCell;
+    use crate::sched::Scheduler;
+    use std::cell::Cell;
     use std::rc::Rc;
 
-    fn echo_upper() -> impl FnMut(&str, &[u8]) -> Vec<u8> {
-        |_from: &str, body: &[u8]| body.to_ascii_uppercase()
-    }
+    /// The policy the lossy tests share: timeout windows larger than the
+    /// worst-case round trip, so an attempt only fails when a copy was
+    /// actually lost.
+    const PATIENT: RetryPolicy = RetryPolicy {
+        max_attempts: 8,
+        base_timeout: 16,
+        multiplier: 2,
+        max_timeout: 64,
+    };
 
-    /// Build a client/server pair where the client's pump hook polls the
-    /// server inline (single-threaded scenario shape).
-    fn pumped_pair(net: &Network, policy: RetryPolicy) -> (RpcClient, Rc<RefCell<RpcServer>>) {
-        let server = Rc::new(RefCell::new(RpcServer::new(net.register("server"))));
-        let mut client = RpcClient::new(net.register("client"), "server", policy);
-        let hook_server = server.clone();
-        let mut handler = echo_upper();
-        client.set_pump(move || hook_server.borrow_mut().poll(&mut handler));
-        (client, server)
+    /// An uppercase-echo server task on `sched` plus a client of it. The
+    /// counter reports how many requests the handler actually executed.
+    fn served_pair(
+        net: &Network,
+        sched: &mut Scheduler,
+        policy: RetryPolicy,
+    ) -> (RpcClient, Rc<Cell<u32>>) {
+        let executed = Rc::new(Cell::new(0));
+        let count = executed.clone();
+        sched.spawn_mailbox(
+            "server",
+            ServerTask::new(
+                RpcServer::new(net.register("server")),
+                move |_from: &str, body: &[u8]| {
+                    count.set(count.get() + 1);
+                    body.to_ascii_uppercase()
+                },
+            ),
+        );
+        let client = RpcClient::new(net.register("client"), "server", policy);
+        (client, executed)
     }
 
     #[test]
@@ -441,7 +432,8 @@ mod tests {
     #[test]
     fn call_over_perfect_network() {
         let net = Network::new();
-        let (mut client, _server) = pumped_pair(&net, RetryPolicy::default());
+        let mut sched = Scheduler::new(&net);
+        let (mut client, _) = served_pair(&net, &mut sched, RetryPolicy::default());
         assert_eq!(client.call(b"hello").unwrap(), b"HELLO");
         assert_eq!(client.stats().retransmissions, 0);
     }
@@ -449,9 +441,8 @@ mod tests {
     #[test]
     fn retransmits_through_heavy_loss() {
         let net = Network::new();
-        let clock = SimClock::new();
         net.enable_faults(
-            clock.clone(),
+            SimClock::new(),
             0xBEEF,
             FaultProfile {
                 drop: 0.25,
@@ -460,15 +451,8 @@ mod tests {
                 ..FaultProfile::lossy_wan()
             },
         );
-        // Timeout windows larger than the worst-case round trip, so an
-        // attempt only fails when a copy was actually lost.
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            base_timeout: 16,
-            multiplier: 2,
-            max_timeout: 64,
-        };
-        let (mut client, server) = pumped_pair(&net, policy);
+        let mut sched = Scheduler::new(&net);
+        let (mut client, executed) = served_pair(&net, &mut sched, PATIENT);
         for i in 0..20u32 {
             let req = format!("msg-{i}");
             assert_eq!(
@@ -479,15 +463,14 @@ mod tests {
         // 25% drop over 20 calls forces at least one retransmission,
         // and at-most-once holds regardless.
         assert!(client.stats().retransmissions > 0);
-        assert_eq!(server.borrow().executed(), 20);
+        assert_eq!(executed.get(), 20);
     }
 
     #[test]
     fn duplicated_requests_execute_once() {
         let net = Network::new();
-        let clock = SimClock::new();
         net.enable_faults(
-            clock.clone(),
+            SimClock::new(),
             7,
             FaultProfile {
                 duplicate: 1.0,
@@ -495,20 +478,12 @@ mod tests {
                 ..FaultProfile::default()
             },
         );
-        let server = Rc::new(RefCell::new(RpcServer::new(net.register("server"))));
-        let mut client = RpcClient::new(net.register("client"), "server", RetryPolicy::default());
-        let hook_server = server.clone();
-        let executions = Rc::new(RefCell::new(0u32));
-        let exec_count = executions.clone();
-        let mut handler = move |_from: &str, body: &[u8]| {
-            *exec_count.borrow_mut() += 1;
-            body.to_vec()
-        };
-        client.set_pump(move || hook_server.borrow_mut().poll(&mut handler));
-        assert_eq!(client.call(b"once").unwrap(), b"once");
+        let mut sched = Scheduler::new(&net);
+        let (mut client, executed) = served_pair(&net, &mut sched, RetryPolicy::default());
+        assert_eq!(client.call(b"once").unwrap(), b"ONCE");
         // Every duplicate reached the server, but the handler ran once.
-        assert_eq!(*executions.borrow(), 1);
-        assert_eq!(server.borrow().executed(), 1);
+        assert!(net.fault_stats().unwrap().duplicated >= 1);
+        assert_eq!(executed.get(), 1);
     }
 
     #[test]
@@ -516,7 +491,8 @@ mod tests {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock.clone(), 1, FaultProfile::default());
-        let (mut client, _server) = pumped_pair(&net, RetryPolicy::default());
+        let mut sched = Scheduler::new(&net);
+        let (mut client, _) = served_pair(&net, &mut sched, RetryPolicy::default());
         net.partition("client", "server");
         let t0 = clock.now();
         assert_eq!(client.call(b"void"), Err(TestbedError::Timeout));
@@ -533,21 +509,12 @@ mod tests {
 
     #[test]
     fn scheduled_server_without_faults_still_works() {
-        // Formerly a thread::spawn server racing yield_now: the server
-        // now runs as a scheduler task, driven from the client's pump
-        // hook — same observable behavior, zero threads, deterministic.
+        // No fault layer, so no shared clock: the scheduler's own clock
+        // times the call, and the server task stays parked between
+        // calls.
         let net = Network::new();
-        let server_ep = net.register("server");
-        let mut client = RpcClient::new(net.register("client"), "server", RetryPolicy::default());
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
-        let mut server = RpcServer::new(server_ep);
-        let mut handler = |_from: &str, body: &[u8]| body.to_ascii_uppercase();
-        sched.borrow_mut().spawn_mailbox("server", move |_cx: &_| {
-            server.poll(&mut handler);
-            Step::WaitMail { deadline: None }
-        });
-        let hook = sched.clone();
-        client.set_pump(move || hook.borrow_mut().poll());
+        let mut sched = Scheduler::new(&net);
+        let (mut client, _) = served_pair(&net, &mut sched, RetryPolicy::default());
         for msg in ["a", "b", "c"] {
             assert_eq!(
                 client.call(msg.as_bytes()).unwrap(),
@@ -555,102 +522,183 @@ mod tests {
             );
         }
         assert_eq!(client.stats().retransmissions, 0);
-        assert_eq!(sched.borrow().live(), 1, "server task still waiting");
+        assert_eq!(sched.live(), 1, "server task still waiting");
     }
 
     #[test]
-    fn polling_call_matches_blocking_client_through_loss() {
-        // The same lossy-WAN call sequence, once through the blocking
-        // RpcClient (which owns the clock) and once as PollingCall state
-        // machines inside scheduler tasks: both must complete all calls
-        // with identical retransmission counts and identical fault
-        // transcripts — the state machine is the loop, re-expressed.
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            base_timeout: 16,
-            multiplier: 2,
-            max_timeout: 64,
-        };
+    fn call_to_an_unserved_endpoint_times_out_instead_of_parking() {
+        // The server name is registered but nothing serves it, on a
+        // fault-free network: the call retransmits into the void on the
+        // scheduler's clock and exhausts. With no scheduler bound at all
+        // it gives up after the first transmission.
+        let policy = RetryPolicy::default();
+        for driven in [true, false] {
+            let net = Network::new();
+            let _unserved = net.register("server");
+            let sched = driven.then(|| Scheduler::new(&net));
+            let mut client = RpcClient::new(net.register("client"), "server", policy);
+            assert_eq!(client.call(b"anyone?"), Err(TestbedError::Timeout));
+            let sent = if driven { policy.max_attempts } else { 1 };
+            assert_eq!(net.stats().messages, u64::from(sent));
+            if let Some(sched) = sched {
+                assert_eq!(sched.now(), policy.worst_case_total());
+            }
+        }
+    }
+
+    #[test]
+    fn vanished_server_is_a_send_error_not_a_timeout() {
+        let net = Network::new();
+        net.enable_faults(SimClock::new(), 1, FaultProfile::default());
+        let mut sched = Scheduler::new(&net);
+        let (mut client, _) = served_pair(&net, &mut sched, RetryPolicy::default());
+        // Gone before the first transmission.
+        net.unregister("server");
+        assert_eq!(
+            client.call(b"x"),
+            Err(TestbedError::NoSuchEndpoint("server".into()))
+        );
+        assert_eq!(client.stats().timeouts, 0);
+        // Gone between the first transmission and its retransmission.
+        let _silent = net.register("server");
+        net.partition("client", "server");
+        let ep = net.register("probe");
+        let mut call = PollingCall::new("server", 1, b"x", RetryPolicy::default());
+        assert!(matches!(call.poll(&ep, 0), CallPoll::Wait { deadline: 2 }));
+        net.unregister("server");
+        assert_eq!(call.poll(&ep, 2), CallPoll::Exhausted);
+        assert_eq!(
+            call.send_error,
+            Some(TestbedError::NoSuchEndpoint("server".into()))
+        );
+        assert_eq!(call.retransmissions(), 1);
+    }
+
+    /// Everything the sweep compares between the two drivers of one
+    /// call sequence.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        retransmissions: u64,
+        transcript: Vec<String>,
+        final_clock: u64,
+    }
+
+    fn lossy_world(seed: u64, drop: f64) -> (Network, SimClock) {
+        let net = Network::new();
+        let clock = SimClock::new();
         let profile = FaultProfile {
-            drop: 0.25,
+            drop,
             min_latency: 1,
             max_latency: 3,
             ..FaultProfile::lossy_wan()
         };
-        let calls = 12u64;
+        net.enable_faults(clock.clone(), seed, profile);
+        (net, clock)
+    }
 
-        let blocking = {
-            let net = Network::new();
-            let clock = SimClock::new();
-            net.enable_faults(clock.clone(), 0xBEEF, profile);
-            let (mut client, _server) = pumped_pair(&net, policy);
-            for i in 0..calls {
-                let req = format!("msg-{i}");
-                assert_eq!(
-                    client.call(req.as_bytes()).unwrap(),
-                    req.to_ascii_uppercase().as_bytes()
-                );
+    const CALLS: u64 = 12;
+
+    /// The call sequence through foreground [`RpcClient::call`]. A call
+    /// that exhausts its budget ends the sequence (both drivers stop at
+    /// the same one).
+    fn foreground_run(seed: u64, drop: f64, policy: RetryPolicy) -> Run {
+        let (net, clock) = lossy_world(seed, drop);
+        let mut sched = Scheduler::new(&net);
+        let (mut client, _) = served_pair(&net, &mut sched, policy);
+        for i in 0..CALLS {
+            let req = format!("msg-{i}");
+            match client.call(req.as_bytes()) {
+                Ok(reply) => assert_eq!(reply, req.to_ascii_uppercase().as_bytes()),
+                Err(e) => {
+                    assert_eq!(e, TestbedError::Timeout);
+                    break;
+                }
             }
-            (client.stats().retransmissions, net.transcript())
-        };
+        }
+        // Let copies still in flight land, as the task's `run` does.
+        sched.run();
+        Run {
+            retransmissions: client.stats().retransmissions,
+            transcript: net.transcript(),
+            final_clock: clock.now(),
+        }
+    }
 
-        let scheduled = {
-            let net = Network::new();
-            let clock = SimClock::new();
-            net.enable_faults(clock.clone(), 0xBEEF, profile);
-            let mut sched = Scheduler::new(&net);
-            let mut server = RpcServer::new(net.register("server"));
-            let mut handler = echo_upper();
-            sched.spawn_mailbox("server", move |_cx: &_| {
-                server.poll(&mut handler);
-                Step::WaitMail { deadline: None }
+    /// The same sequence as [`PollingCall`]s inside a spawned task.
+    fn scheduled_run(seed: u64, drop: f64, policy: RetryPolicy) -> Run {
+        let (net, clock) = lossy_world(seed, drop);
+        let mut sched = Scheduler::new(&net);
+        let (client, _) = served_pair(&net, &mut sched, policy);
+        let retransmissions = Rc::new(Cell::new(0u64));
+        let total = retransmissions.clone();
+        let mut call: Option<PollingCall> = None;
+        let mut next = 0u64;
+        sched.spawn_mailbox("client", move |cx: &TaskCx| loop {
+            let ep = client.endpoint();
+            let c = call.get_or_insert_with(|| {
+                next += 1;
+                let req = format!("msg-{}", next - 1);
+                PollingCall::new("server", next, req.as_bytes(), policy)
             });
-            let ep = net.register("client");
-            let done = Rc::new(RefCell::new((0u64, 0u64))); // (completed, retransmissions)
-            let done2 = done.clone();
-            let mut call: Option<PollingCall> = None;
-            let mut next = 0u64;
-            sched.spawn_mailbox("client", move |cx: &crate::sched::TaskCx| loop {
-                if call.is_none() {
-                    if next == calls {
+            match c.poll(ep, cx.now()) {
+                CallPoll::Ready(reply) => {
+                    assert_eq!(reply, format!("MSG-{}", next - 1).as_bytes());
+                    total.set(total.get() + c.retransmissions());
+                    call = None;
+                    if next == CALLS {
                         return Step::Done;
                     }
-                    next += 1;
-                    let req = format!("msg-{}", next - 1);
-                    call = Some(PollingCall::new("server", next, req.as_bytes(), policy));
                 }
-                let c = call.as_mut().unwrap();
-                match c.poll(&ep, cx.now()) {
-                    CallPoll::Ready(reply) => {
-                        assert_eq!(
-                            reply,
-                            format!("MSG-{}", next - 1).as_bytes(),
-                            "reply matches the call"
-                        );
-                        let mut d = done2.borrow_mut();
-                        d.0 += 1;
-                        d.1 += c.retransmissions();
-                        call = None;
-                    }
-                    CallPoll::Wait { deadline } => {
-                        return Step::WaitMail {
-                            deadline: Some(deadline),
-                        };
-                    }
-                    CallPoll::Exhausted => panic!("retry budget exhausted"),
+                CallPoll::Wait { deadline } => {
+                    return Step::WaitMail {
+                        deadline: Some(deadline),
+                    };
                 }
-            });
-            sched.run();
-            let (completed, retx) = *done.borrow();
-            assert_eq!(completed, calls);
-            (retx, net.transcript())
-        };
+                CallPoll::Exhausted => {
+                    total.set(total.get() + c.retransmissions());
+                    return Step::Done;
+                }
+            }
+        });
+        sched.run();
+        Run {
+            retransmissions: retransmissions.get(),
+            transcript: net.transcript(),
+            final_clock: clock.now(),
+        }
+    }
 
-        assert_eq!(
-            blocking.0, scheduled.0,
-            "same retransmission count either way"
-        );
-        assert_eq!(blocking.1, scheduled.1, "byte-identical fault transcript");
-        assert!(blocking.0 > 0, "25% drop over 12 calls retransmits");
+    #[test]
+    fn foreground_call_matches_scheduled_polling_call_across_seeds_and_loss() {
+        // One retransmit loop, two drivers: the scheduler polling a
+        // task's PollingCall, and `sched::wait` polling RpcClient's.
+        // Fault transcript, retransmission count and final clock must
+        // not depend on which. (Both policies keep every timeout above
+        // the worst round trip, 12 s here. A foreground waiter is probed
+        // after the tasks woken on the same tick, a task in delivery
+        // order; only a timeout that fires while a reply is still in
+        // flight can tell the two apart.)
+        let eager = RetryPolicy {
+            max_attempts: 5,
+            base_timeout: 13,
+            multiplier: 3,
+            max_timeout: 120,
+        };
+        let mut retransmitted = 0;
+        for seed in 0..8u64 {
+            for drop in [0.0, 0.10, 0.25, 0.50] {
+                for policy in [PATIENT, eager] {
+                    let seed = 0xBEEF ^ (seed * 0x9E37_79B9);
+                    let foreground = foreground_run(seed, drop, policy);
+                    assert_eq!(
+                        foreground,
+                        scheduled_run(seed, drop, policy),
+                        "seed={seed:#x} drop={drop} policy={policy:?}"
+                    );
+                    retransmitted += foreground.retransmissions;
+                }
+            }
+        }
+        assert!(retransmitted > 0, "the sweep exercised the retry path");
     }
 }

@@ -1,12 +1,13 @@
-//! Deterministic discrete-event scheduler.
+//! Deterministic discrete-event scheduler — the one owner of simulated
+//! time.
 //!
-//! Thread-per-endpoint capped the simulated world at a few hundred
-//! principals: every GSS acceptor, GRAM service, and client retry loop
-//! burned an OS thread, and cross-thread interleavings made transcripts
-//! seed-dependent only by luck. This module replaces that model with a
-//! single-threaded run queue of resumable tasks over the simulated
-//! [`Network`] and [`SimClock`] — one process hosts 10⁵–10⁶ endpoints,
-//! and every interleaving is a pure function of the seed.
+//! One process hosts 10⁵–10⁶ endpoints as a single-threaded run queue of
+//! resumable tasks over the simulated [`Network`] and [`SimClock`], and
+//! every interleaving is a pure function of the seed. Nothing else in
+//! the workspace advances the clock while waiting or spins for
+//! progress: scheduled code returns a [`Step`], and call-shaped code
+//! that must wait for a scheduled peer parks in [`wait`], which drives
+//! this same queue from the caller's frame.
 //!
 //! # Execution model
 //!
@@ -20,10 +21,7 @@
 //! * [`Step::Sleep`] — wake at an absolute sim time.
 //! * [`Step::WaitMail`] — wake when the task's registered mailbox
 //!   receives a delivery, or at an optional deadline, whichever is
-//!   first. This is the scheduled generalization of
-//!   [`Endpoint::recv_timeout`]'s pump → try_recv → advance loop: what
-//!   that loop does for one blocking receiver, the scheduler does for
-//!   all tasks at once.
+//!   first.
 //! * [`Step::Done`] — the task is finished and is dropped.
 //!
 //! The main loop ([`Scheduler::run`]) runs ready tasks in FIFO order,
@@ -35,17 +33,27 @@
 //! totally ordered (FIFO ready queue, `(time, seq)` timer heap,
 //! delivery-order wake log), so a run is deterministic per seed.
 //!
-//! Blocking client code (e.g. [`crate::rpc::RpcClient`]) can drive a
-//! scheduler from its pump hook via [`Scheduler::poll`], which runs
-//! ready tasks and releases due timers without advancing the clock.
+//! # Foreground waits
 //!
-//! [`Endpoint::recv_timeout`]: crate::net::Endpoint::recv_timeout
+//! A flow that reads top to bottom ([`crate::rpc::RpcClient::call`], a
+//! blocking [`SimStream`](crate::net::SimStream) read, an OGSA
+//! transport) does not own a loop of its own. It calls [`wait`] with a
+//! *probe*; the scheduler bound to the flow's [`Network`] (by
+//! [`Scheduler::new`]) runs the same loop as [`Scheduler::run`] with
+//! the probe as one more participant: poll ready tasks, probe, stop at
+//! the probe's deadline, otherwise advance to the next timer or
+//! delivery. A world with nothing left to do ends the wait with
+//! [`TestbedError::Timeout`] — never a parked thread.
 
 use crate::clock::SimClock;
 use crate::names::NameId;
 use crate::net::Network;
+use crate::TestbedError;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::ops::ControlFlow;
+use std::rc::Rc;
 
 /// What a task wants next, returned from [`Task::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,11 +68,10 @@ pub enum Step {
     Sleep(u64),
     /// Wake when the task's registered mailbox receives a delivery, or
     /// at `deadline`, whichever comes first. A deadline at or before
-    /// *now* reschedules immediately, mirroring
-    /// [`recv_timeout(0)`](crate::net::Endpoint::recv_timeout): the
-    /// task gets exactly one more chance to drain mail that is already
-    /// due before it treats the wait as timed out. Tasks spawned
-    /// without a mailbox may still use this as a pure timer.
+    /// *now* reschedules immediately: the task gets exactly one more
+    /// chance to drain mail that is already due before it treats the
+    /// wait as timed out. Tasks spawned without a mailbox may still use
+    /// this as a pure timer.
     WaitMail {
         /// Absolute sim time at which to wake even without mail.
         deadline: Option<u64>,
@@ -140,6 +147,10 @@ pub struct SchedStats {
 
 /// A deterministic run queue of [`Task`]s over one [`Network`].
 ///
+/// The value is a handle: clones share one queue, and the network holds
+/// a weak reference to it (bound by [`Scheduler::new`]) so foreground
+/// [`wait`]s on that network find their driver without being told.
+///
 /// Task slots form a free-list arena: a slot vacated by [`Step::Done`]
 /// is reused by the next spawn (LIFO), so a storm that spawns 10⁶
 /// short-lived tasks holds memory proportional to the *live*
@@ -147,7 +158,14 @@ pub struct SchedStats {
 /// reuse — they are bumped on every step *and* on every respawn — so a
 /// stale timer registered by a slot's previous occupant can never wake
 /// its current one.
+#[derive(Clone)]
 pub struct Scheduler {
+    core: Rc<RefCell<Core>>,
+}
+
+/// The queue itself, borrowed once per [`Scheduler::run`] or [`wait`]
+/// and never per step.
+pub(crate) struct Core {
     net: Network,
     clock: SimClock,
     slots: Vec<Option<Slot>>,
@@ -167,16 +185,16 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Create a scheduler over `net`. Uses the network's fault clock if
-    /// the fault layer is armed (so sends, timers, and traces share one
-    /// timeline), a fresh [`SimClock`] otherwise. Enables the network's
-    /// delivery wake log.
+    /// Create a scheduler over `net` and bind it as that network's
+    /// driver (replacing any earlier one). Uses the network's fault
+    /// clock if the fault layer is armed (so sends, timers, and traces
+    /// share one timeline), a fresh [`SimClock`] otherwise. Enables the
+    /// network's delivery wake log.
     pub fn new(net: &Network) -> Self {
         net.enable_wake_log();
-        let clock = net.fault_clock().unwrap_or_default();
-        Scheduler {
+        let core = Rc::new(RefCell::new(Core {
             net: net.clone(),
-            clock,
+            clock: net.fault_clock().unwrap_or_default(),
             slots: Vec::new(),
             free: Vec::new(),
             epochs: Vec::new(),
@@ -186,32 +204,34 @@ impl Scheduler {
             mailboxes: HashMap::new(),
             live: 0,
             stats: SchedStats::default(),
-        }
+        }));
+        net.bind_driver(Rc::downgrade(&core));
+        Scheduler { core }
     }
 
     /// The scheduler's clock (shared with the fault layer when armed).
     pub fn clock(&self) -> SimClock {
-        self.clock.clone()
+        self.core.borrow().clock.clone()
     }
 
     /// Current sim time.
     pub fn now(&self) -> u64 {
-        self.clock.now()
+        self.core.borrow().clock.now()
     }
 
     /// Number of live (not yet `Done`) tasks.
     pub fn live(&self) -> usize {
-        self.live
+        self.core.borrow().live
     }
 
     /// Counters so far.
     pub fn stats(&self) -> SchedStats {
-        self.stats
+        self.core.borrow().stats
     }
 
     /// Spawn a task with no mailbox. It starts ready.
     pub fn spawn(&mut self, task: impl Task + 'static) -> TaskId {
-        self.spawn_slot(None, Box::new(task))
+        self.core.borrow_mut().spawn_slot(None, Box::new(task))
     }
 
     /// Spawn a task that waits on deliveries to `mailbox` (the name of
@@ -220,17 +240,66 @@ impl Scheduler {
     /// replaces the first as the wake target (mirroring
     /// [`Network::register`]'s replace semantics). It starts ready.
     pub fn spawn_mailbox(&mut self, mailbox: &str, task: impl Task + 'static) -> TaskId {
-        let id = self.net.intern(mailbox);
-        self.spawn_slot(Some(id), Box::new(task))
+        let mut core = self.core.borrow_mut();
+        let id = core.net.intern(mailbox);
+        core.spawn_slot(Some(id), Box::new(task))
     }
 
     /// Like [`Scheduler::spawn_mailbox`] but with the mailbox name
     /// already interned ([`Network::intern`]) — the storm generators'
     /// hot path, which avoids re-hashing the name string per spawn.
     pub fn spawn_mailbox_id(&mut self, mailbox: NameId, task: impl Task + 'static) -> TaskId {
-        self.spawn_slot(Some(mailbox), Box::new(task))
+        self.core
+            .borrow_mut()
+            .spawn_slot(Some(mailbox), Box::new(task))
     }
 
+    /// Run to quiescence: no task runnable, no timer pending, no
+    /// delivery scheduled. Returns the final counters. Tasks that are
+    /// still blocked at quiescence (e.g. a server in `WaitMail` with no
+    /// deadline and no traffic left) remain live and simply never run
+    /// again; [`Scheduler::live`] reports them.
+    pub fn run(&mut self) -> SchedStats {
+        let mut core = self.core.borrow_mut();
+        // A wait for nothing, without a deadline: it ends at quiescence.
+        core.wait(|_| ControlFlow::<(), _>::Continue(None));
+        core.stats
+    }
+}
+
+/// Park call-shaped code in the scheduler bound to `net` until `probe`
+/// is satisfied.
+///
+/// `probe(now)` looks for whatever the caller is waiting for (and may
+/// send, e.g. a retransmission): [`ControlFlow::Break`] ends the wait
+/// with its value; [`ControlFlow::Continue`] asks to be probed again
+/// after more of the world has run, at the latest at the given absolute
+/// deadline. Each round polls ready tasks to quiescence, probes, and —
+/// only if the probe made nothing runnable — advances the clock to the
+/// earliest of the next timer, the next delivery and the deadline.
+///
+/// Fails with [`TestbedError::Timeout`] when nothing can satisfy the
+/// probe any more: the world is quiescent and the probe named no
+/// deadline, the deadline it named is already over, no live scheduler is
+/// bound to `net`, or the caller *is* a task mid-step (a task must
+/// return a [`Step`], not wait). In the last two cases the probe still
+/// gets one look at what has already arrived.
+pub fn wait<T>(
+    net: &Network,
+    mut probe: impl FnMut(u64) -> ControlFlow<T, Option<u64>>,
+) -> Result<T, TestbedError> {
+    let driver = net.driver();
+    let found = match driver.as_ref().map(|core| core.try_borrow_mut()) {
+        Some(Ok(mut core)) => core.wait(probe),
+        _ => match probe(net.fault_clock().map_or(0, |c| c.now())) {
+            ControlFlow::Break(value) => Some(value),
+            ControlFlow::Continue(_) => None,
+        },
+    };
+    found.ok_or(TestbedError::Timeout)
+}
+
+impl Core {
     fn spawn_slot(&mut self, mailbox: Option<NameId>, task: Box<dyn Task>) -> TaskId {
         let id = match self.free.pop() {
             Some(id) => id,
@@ -351,11 +420,8 @@ impl Scheduler {
     /// Run every currently-runnable task to quiescence *without*
     /// advancing the clock. Due timers and pending deliveries at or
     /// before *now* are honored. Returns the number of task steps
-    /// executed — a pump hook can use it as a progress signal (e.g.
-    /// [`RpcClient::set_pump`](crate::rpc::RpcClient::set_pump)), which
-    /// lets legacy blocking client code drive scheduled services while
-    /// the blocking side owns the clock.
-    pub fn poll(&mut self) -> usize {
+    /// executed.
+    fn poll(&mut self) -> usize {
         let mut steps = 0;
         loop {
             self.absorb_wakes();
@@ -367,28 +433,11 @@ impl Scheduler {
         }
     }
 
-    /// One pump round for blocking client code waiting on scheduled
-    /// peers (the [`with_stream_pump`](crate::net::with_stream_pump)
-    /// hook): poll ready tasks; if none ran, advance the clock to the
-    /// next event and poll again. Returns the number of task steps
-    /// executed — `0` means the world is quiescent and whatever the
-    /// caller is waiting for will never happen.
-    pub fn pump(&mut self) -> usize {
-        loop {
-            let steps = self.poll();
-            if steps > 0 {
-                return steps;
-            }
-            if !self.advance() {
-                return 0;
-            }
-        }
-    }
-
-    /// Advance the clock to the next event (earliest timer or scheduled
-    /// network delivery). Returns `false` if there is none — the world
-    /// is quiescent.
-    fn advance(&mut self) -> bool {
+    /// Advance the clock to the next event: the earliest of the next
+    /// timer, the next scheduled network delivery and `limit` (a
+    /// foreground waiter's deadline). Returns `false` if there is none
+    /// — the world is quiescent.
+    fn advance(&mut self, limit: Option<u64>) -> bool {
         // Discard stale timer heads so they cannot force a pointless
         // clock stop.
         while let Some(Reverse((_, _, id, epoch))) = self.timers.peek().copied() {
@@ -403,30 +452,35 @@ impl Scheduler {
         }
         let next_timer = self.timers.peek().map(|Reverse((at, ..))| *at);
         let next_net = self.net.next_event_at();
-        let target = match (next_timer, next_net) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
+        let Some(target) = [next_timer, next_net, limit].into_iter().flatten().min() else {
+            return false;
         };
-        let now = self.clock.now();
-        if target > now {
+        if target > self.clock.now() {
             self.clock.set(target);
         }
         self.stats.clock_advances += 1;
         true
     }
 
-    /// Run to quiescence: no task runnable, no timer pending, no
-    /// delivery scheduled. Returns the final counters. Tasks that are
-    /// still blocked at quiescence (e.g. a server in `WaitMail` with no
-    /// deadline and no traffic left) remain live and simply never run
-    /// again; [`Scheduler::live`] reports them.
-    pub fn run(&mut self) -> SchedStats {
+    /// The one wait loop: poll ready tasks to quiescence, probe, and —
+    /// only if the probe made nothing runnable — advance the clock to
+    /// the next timer, delivery or `probe`'s deadline. `None` when there
+    /// is nothing left to advance to, or the deadline is already over.
+    fn wait<T>(&mut self, mut probe: impl FnMut(u64) -> ControlFlow<T, Option<u64>>) -> Option<T> {
         loop {
             self.poll();
-            if !self.advance() {
-                return self.stats;
+            let deadline = match probe(self.clock.now()) {
+                ControlFlow::Break(value) => return Some(value),
+                ControlFlow::Continue(deadline) => deadline,
+            };
+            // Whatever the probe's sends made runnable goes before time
+            // does, and gets probed again.
+            if self.poll() > 0 {
+                continue;
+            }
+            let over = deadline.is_some_and(|d| d <= self.clock.now());
+            if over || !self.advance(deadline) {
+                return None;
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Sans-io TLS record layer: feed bytes in, get events out.
 //!
-//! The blocking drivers in [`crate::stream`] own their transport — they
-//! call `read_exact` and park the thread, which is why every GT2-style
-//! server used to burn an OS thread per connection (DESIGN.md §12.4).
+//! The call-shaped drivers in [`crate::stream`] own their transport —
+//! they call `read_exact` and wait for it, which is why every GT2-style
+//! server used to burn an OS thread per connection (DESIGN.md §16).
 //! This module factors the protocol out of the I/O: a [`FrameBuf`]
 //! turns an arbitrary byte arrival schedule into complete
 //! length-prefixed frames, and the [`ClientConnector`] /

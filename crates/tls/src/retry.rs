@@ -11,9 +11,8 @@
 //! the [`RetryPolicy`].
 //!
 //! This crate stays transport-agnostic: `dial` is any closure producing
-//! a fresh `Read + Write` connection, and `on_backoff` lets the caller
-//! account the wait (the testbed advances its `SimClock`; production
-//! would sleep).
+//! a fresh `Read + Write` connection. Each redial's scheduled wait is
+//! recorded as a `tls.redial` trace event; nothing sleeps here.
 
 use crate::handshake::TlsConfig;
 use crate::stream::{client_connect, SecureStream};
@@ -44,8 +43,7 @@ pub fn is_transient(e: &TlsError) -> bool {
 /// the handshake on transport errors until `policy` is exhausted.
 ///
 /// `dial` produces a fresh connection per attempt (attempt index
-/// passed so seeded testbed dials can vary deterministically);
-/// `on_backoff(attempt, wait_secs)` is invoked before each redial.
+/// passed so seeded testbed dials can vary deterministically).
 /// Returns the stream plus attempt statistics, or the last error once
 /// the policy is exhausted / a non-transient error occurs.
 pub fn connect_with_retry<S, E, D>(
@@ -53,7 +51,6 @@ pub fn connect_with_retry<S, E, D>(
     rng: &mut E,
     policy: RetryPolicy,
     mut dial: D,
-    mut on_backoff: impl FnMut(u32, u64),
 ) -> Result<(SecureStream<S>, ConnectStats), TlsError>
 where
     S: Read + Write,
@@ -67,7 +64,6 @@ where
         if attempt > 0 {
             trace::add("tls.redials", 1);
             trace::event("tls.redial", &format!("attempt={attempt} wait={wait}"));
-            on_backoff(attempt, wait);
         }
         stats.attempts += 1;
         let result = dial(attempt).and_then(|stream| client_connect(stream, config.clone(), rng));
@@ -104,8 +100,9 @@ mod tests {
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
-    use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{Network, SimStream, StreamPair};
     use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
+    use gridsec_util::trace::Tracer;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -134,12 +131,11 @@ mod tests {
     }
 
     /// Spawn an uppercase-echo TLS server as a scheduler task over
-    /// `stream`: sans-io accept, one request/reply, then done — the
-    /// scheduled replacement for the old per-dial server thread. Any
+    /// `stream`: sans-io accept, one request/reply, then done. Any
     /// tear or protocol error just ends this connection's task; the
     /// client redials with a fresh pair and a fresh task.
     fn spawn_upper_server(
-        sched: &Rc<RefCell<Scheduler>>,
+        sched: &mut Scheduler,
         net: &Network,
         mailbox: &str,
         mut stream: SimStream,
@@ -149,69 +145,71 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes(b"server side");
         let mut acceptor = Some(ServerAcceptor::new(config));
         let mut session: Option<RecordSession> = None;
-        sched
-            .borrow_mut()
-            .spawn_mailbox(mailbox, move |_cx: &TaskCx| {
-                let mut tmp = [0u8; 4096];
+        sched.spawn_mailbox(mailbox, move |_cx: &TaskCx| {
+            let mut tmp = [0u8; 4096];
+            loop {
+                match stream.try_read(&mut tmp) {
+                    Ok(Some(0)) | Err(_) => return Step::Done,
+                    Ok(Some(n)) => match (&mut session, &mut acceptor) {
+                        (Some(s), _) => s.feed(&tmp[..n]),
+                        (None, Some(a)) => a.feed(&tmp[..n]),
+                        (None, None) => unreachable!("acceptor lives until establishment"),
+                    },
+                    Ok(None) => break,
+                }
+            }
+            if session.is_none() {
                 loop {
-                    match stream.try_read(&mut tmp) {
-                        Ok(Some(0)) | Err(_) => return Step::Done,
-                        Ok(Some(n)) => match (&mut session, &mut acceptor) {
-                            (Some(s), _) => s.feed(&tmp[..n]),
-                            (None, Some(a)) => a.feed(&tmp[..n]),
-                            (None, None) => unreachable!("acceptor lives until establishment"),
-                        },
-                        Ok(None) => break,
-                    }
-                }
-                if session.is_none() {
-                    loop {
-                        match acceptor.as_mut().unwrap().advance(&mut rng) {
-                            Err(_) => return Step::Done,
-                            Ok(Accepted::Pending) => break,
-                            Ok(Accepted::Respond(token)) => {
-                                if write_frame(&mut stream, &token).is_err() {
-                                    return Step::Done;
-                                }
-                            }
-                            Ok(Accepted::Established(s)) => {
-                                session = Some(*s);
-                                acceptor = None;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if let Some(s) = session.as_mut() {
-                    match s.next_message() {
+                    match acceptor.as_mut().unwrap().advance(&mut rng) {
                         Err(_) => return Step::Done,
-                        Ok(Some(msg)) => {
-                            let sealed = s.send(&msg.to_ascii_uppercase());
-                            let _ = write_frame(&mut stream, &sealed);
-                            return Step::Done;
+                        Ok(Accepted::Pending) => break,
+                        Ok(Accepted::Respond(token)) => {
+                            if write_frame(&mut stream, &token).is_err() {
+                                return Step::Done;
+                            }
                         }
-                        Ok(None) => {}
+                        Ok(Accepted::Established(s)) => {
+                            session = Some(*s);
+                            acceptor = None;
+                            break;
+                        }
                     }
                 }
-                Step::WaitMail { deadline: None }
-            });
+            }
+            if let Some(s) = session.as_mut() {
+                match s.next_message() {
+                    Err(_) => return Step::Done,
+                    Ok(Some(msg)) => {
+                        let sealed = s.send(&msg.to_ascii_uppercase());
+                        let _ = write_frame(&mut stream, &sealed);
+                        return Step::Done;
+                    }
+                    Ok(None) => {}
+                }
+            }
+            Step::WaitMail { deadline: None }
+        });
     }
 
     /// Dial a lossy pair and run the server side as a scheduler task;
     /// each attempt gets a fresh connection with a seed derived from
     /// the attempt index, so the whole retry sequence is deterministic.
+    /// The returned dialer owns the scheduler its server tasks live on
+    /// (the client's blocking reads find it through `net`), so it must
+    /// outlive the connection.
     fn lossy_dialer(
-        sched: Rc<RefCell<Scheduler>>,
-        net: Network,
+        net: &Network,
         server_cfg: TlsConfig,
         base_seed: u64,
         drop_rate: f64,
     ) -> impl FnMut(u32) -> Result<SimStream, TlsError> {
+        let mut sched = Scheduler::new(net);
+        let net = net.clone();
         move |attempt| {
             let (client_side, server_side, _) =
                 StreamPair::lossy(base_seed.wrapping_add(u64::from(attempt)), drop_rate);
             spawn_upper_server(
-                &sched,
+                &mut sched,
                 &net,
                 &format!("retry-server-{base_seed:x}-{attempt}"),
                 server_side,
@@ -224,67 +222,50 @@ mod tests {
     #[test]
     fn clean_transport_connects_first_try() {
         let mut w = world();
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
-        let dialer = lossy_dialer(sched.clone(), net, w.server_cfg.clone(), 1, 0.0);
-        let policy = RetryPolicy::default();
-        let pump = sched.clone();
-        with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                let (mut stream, stats) = connect_with_retry(
-                    &w.client_cfg.clone(),
-                    &mut w.rng,
-                    policy,
-                    dialer,
-                    |_, _| {},
-                )
-                .unwrap();
-                assert_eq!(stats.attempts, 1);
-                stream.send(b"gt2 job").unwrap();
-                assert_eq!(stream.recv().unwrap(), b"GT2 JOB");
-            },
-        );
+        let mut dialer = lossy_dialer(&Network::new(), w.server_cfg.clone(), 1, 0.0);
+        let (mut stream, stats) = connect_with_retry(
+            &w.client_cfg,
+            &mut w.rng,
+            RetryPolicy::default(),
+            &mut dialer,
+        )
+        .unwrap();
+        assert_eq!(stats.attempts, 1);
+        stream.send(b"gt2 job").unwrap();
+        assert_eq!(stream.recv().unwrap(), b"GT2 JOB");
     }
 
     #[test]
     fn retries_through_torn_connections_deterministically() {
         let run = || {
             let mut w = world();
-            let net = Network::new();
-            let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
-            let dialer = lossy_dialer(sched.clone(), net, w.server_cfg.clone(), 0xD1A1, 0.05);
+            let mut dialer = lossy_dialer(&Network::new(), w.server_cfg.clone(), 0xD1A1, 0.05);
             let policy = RetryPolicy {
                 max_attempts: 10,
                 base_timeout: 1,
                 multiplier: 2,
                 max_timeout: 8,
             };
-            let pump = sched.clone();
-            with_stream_pump(
-                move || pump.borrow_mut().pump(),
-                move || {
-                    let mut waited = 0u64;
-                    let (mut stream, stats) = connect_with_retry(
-                        &w.client_cfg.clone(),
-                        &mut w.rng,
-                        policy,
-                        dialer,
-                        |_, wait| waited += wait,
-                    )
-                    .unwrap();
-                    // The stream stays lossy after the handshake, so the
-                    // app exchange may still tear; only a non-transport
-                    // error is a test failure here (the retry driver's
-                    // contract covers establishment, not the application
-                    // conversation).
-                    match stream.send(b"payload").and_then(|()| stream.recv()) {
-                        Ok(msg) => assert_eq!(msg, b"PAYLOAD"),
-                        Err(e) => assert!(is_transient(&e), "{e:?}"),
-                    }
-                    (stats, waited)
-                },
-            )
+            let tracer = Tracer::new();
+            let _installed = trace::install(&tracer);
+            let (mut stream, stats) =
+                connect_with_retry(&w.client_cfg, &mut w.rng, policy, &mut dialer).unwrap();
+            // The stream stays lossy after the handshake, so the app
+            // exchange may still tear; only a non-transport error is a
+            // test failure here (the retry driver's contract covers
+            // establishment, not the application conversation).
+            match stream.send(b"payload").and_then(|()| stream.recv()) {
+                Ok(msg) => assert_eq!(msg, b"PAYLOAD"),
+                Err(e) => assert!(is_transient(&e), "{e:?}"),
+            }
+            // Each redial's backoff is on record as a `tls.redial` event.
+            let waits: Vec<u64> = tracer
+                .dump()
+                .lines()
+                .filter(|l| l.contains("tls.redial"))
+                .map(|l| l.rsplit("wait=").next().unwrap().trim().parse().unwrap())
+                .collect();
+            (stats, waits)
         };
         let (s1, w1) = run();
         let (s2, w2) = run();
@@ -292,30 +273,23 @@ mod tests {
         assert_eq!(w1, w2);
         // Backoff accounting matches the failure count.
         assert_eq!(s1.attempts, s1.transport_failures + 1);
+        assert_eq!(w1.len() as u32, s1.transport_failures);
     }
 
     #[test]
     fn exhausted_policy_returns_last_io_error() {
         let mut w = world();
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
         // drop rate 1.0: the very first client write dies, every attempt.
-        let dialer = lossy_dialer(sched.clone(), net, w.server_cfg.clone(), 3, 1.0);
+        let mut dialer = lossy_dialer(&Network::new(), w.server_cfg.clone(), 3, 1.0);
         let policy = RetryPolicy {
             max_attempts: 3,
             base_timeout: 1,
             multiplier: 2,
             max_timeout: 4,
         };
-        let pump = sched.clone();
-        let err = with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                connect_with_retry(&w.client_cfg.clone(), &mut w.rng, policy, dialer, |_, _| {})
-                    .map(|_| ())
-                    .unwrap_err()
-            },
-        );
+        let err = connect_with_retry(&w.client_cfg, &mut w.rng, policy, &mut dialer)
+            .map(|_| ())
+            .unwrap_err();
         assert!(is_transient(&err), "{err:?}");
     }
 
@@ -334,40 +308,22 @@ mod tests {
         let mut rogue_trust = w.client_cfg.trust.clone();
         rogue_trust.add_root(rogue_ca.certificate().clone());
         let rogue_cfg = TlsConfig::new(rogue, rogue_trust, 100);
-        let net = Network::new();
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
         let attempts = Rc::new(RefCell::new(0u32));
-        let dialer = {
-            let sched = sched.clone();
-            let net = net.clone();
+        let mut dialer = {
+            let mut dial = lossy_dialer(&Network::new(), rogue_cfg, 7, 0.0);
             let attempts = attempts.clone();
             move |attempt: u32| {
                 *attempts.borrow_mut() += 1;
-                let (client_side, server_side, _) = StreamPair::new();
-                spawn_upper_server(
-                    &sched,
-                    &net,
-                    &format!("rogue-server-{attempt}"),
-                    server_side,
-                    rogue_cfg.clone(),
-                );
-                Ok(client_side)
+                dial(attempt)
             }
         };
-        let pump = sched.clone();
-        let result = with_stream_pump(
-            move || pump.borrow_mut().pump(),
-            move || {
-                connect_with_retry(
-                    &w.client_cfg.clone(),
-                    &mut w.rng,
-                    RetryPolicy::default(),
-                    dialer,
-                    |_, _| {},
-                )
-                .map(|_| ())
-            },
-        );
+        let result = connect_with_retry(
+            &w.client_cfg,
+            &mut w.rng,
+            RetryPolicy::default(),
+            &mut dialer,
+        )
+        .map(|_| ());
         assert!(result.is_err());
         assert_eq!(
             *attempts.borrow(),

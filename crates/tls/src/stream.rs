@@ -119,7 +119,7 @@ mod tests {
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
-    use gridsec_testbed::net::{with_stream_pump, Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{Network, SimStream, StreamPair};
     use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -200,28 +200,15 @@ mod tests {
         let net = Network::new();
         let (a, b, stats) = StreamPair::new();
         let seen = Rc::new(RefCell::new(None));
-        let sched = Rc::new(RefCell::new(Scheduler::new(&net)));
-        spawn_echo_server(
-            &mut sched.borrow_mut(),
-            &net,
-            "tls-server",
-            b,
-            server_cfg,
-            seen.clone(),
-        );
-        let pump_sched = sched.clone();
-        let (reply, peer) = with_stream_pump(
-            move || pump_sched.borrow_mut().pump(),
-            move || {
-                let mut rng = ChaChaRng::from_seed_bytes(b"client rng");
-                let mut cs = client_connect(a, client_cfg, &mut rng).unwrap();
-                cs.send(b"submit job").unwrap();
-                let reply = cs.recv().unwrap();
-                (reply, cs.peer().base_identity.to_string())
-            },
-        );
-        assert_eq!(reply, b"job accepted");
-        assert_eq!(peer, "/O=G/CN=Srv");
+        let mut sched = Scheduler::new(&net);
+        spawn_echo_server(&mut sched, &net, "tls-server", b, server_cfg, seen.clone());
+        // The client's blocking reads park in `sched`, found through the
+        // wake the server task registered on its half of the pair.
+        let mut rng = ChaChaRng::from_seed_bytes(b"client rng");
+        let mut cs = client_connect(a, client_cfg, &mut rng).unwrap();
+        cs.send(b"submit job").unwrap();
+        assert_eq!(cs.recv().unwrap(), b"job accepted");
+        assert_eq!(cs.peer().base_identity.to_string(), "/O=G/CN=Srv");
         assert_eq!(
             seen.borrow().as_deref(),
             Some("/O=G/CN=Alice"),

@@ -76,17 +76,33 @@ stage_grep_guard() {
         ' "$manifest")
     done
     [ "$bad" -eq 0 ] || exit 1
-    # The TLS/GridFTP data path is sans-io and scheduler-driven: no code
-    # in those crates may spawn or scope a thread (doc comments excepted).
-    if grep -rEn 'thread::(spawn|scope)\(' crates/tls/src crates/gridftp/src \
-        | grep -vE '^[^:]+:[0-9]+: *//'; then
-        echo "FAIL: thread spawn/scope in the TLS/GridFTP data path above" >&2
+    # Everything runs on the testbed scheduler: no crate but `util` (whose
+    # sync/channel shims test themselves across threads) may spawn or
+    # scope a thread (doc comments excepted).
+    local src
+    src=$(ls -d crates/*/src | grep -v '^crates/util/src$')
+    # shellcheck disable=SC2086
+    if grep -rEn 'thread::(spawn|scope)\(' $src | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: thread spawn/scope outside crates/util above" >&2
+        exit 1
+    fi
+    # The scheduler is the one clock owner and wait loop (DESIGN.md
+    # §12.1): the per-object pump hooks and the private wait loops it
+    # replaced must not come back, and only it may ask the network when
+    # the next delivery is due.
+    if grep -rEn 'set_pump|with_stream_pump|recv_timeout|fn wait_reply' \
+        crates tests examples; then
+        echo "FAIL: a retired pump hook or wait loop is back (above)" >&2
+        exit 1
+    fi
+    if grep -rEn 'next_event_at\(' crates tests examples \
+        | grep -vE '^crates/testbed/src/sched\.rs:|fn next_event_at\('; then
+        echo "FAIL: next_event_at called outside testbed::sched (above)" >&2
         exit 1
     fi
     # Crypto precomputation is owned by the key or group it is a function
     # of (DESIGN.md §11.1): no per-thread state may come back under the
-    # crypto stack (doc comments excepted). `util::trace` and
-    # `testbed::net`'s stream pump keep theirs.
+    # crypto stack (doc comments excepted). `util::trace` keeps its own.
     if grep -rEn 'thread_local!' crates/bignum/src crates/crypto/src crates/pki/src \
         crates/tls/src crates/gssapi/src | grep -vE '^[^:]+:[0-9]+: *//'; then
         echo "FAIL: thread_local! in the crypto stack above" >&2
