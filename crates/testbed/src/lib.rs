@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod buckets;
 pub mod clock;
 pub mod faults;
 pub mod names;

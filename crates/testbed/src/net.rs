@@ -16,9 +16,9 @@
 //!
 //! [`Network::enable_faults`] arms a seed-driven fault layer: every
 //! message is subject to per-link latency, drop, duplication, and
-//! reorder decisions drawn from one [`DetRng`] under a single lock, in
-//! send order, so a given `(seed, profile, send sequence)` always
-//! produces the same [`Network::transcript`]. Latencies are measured on
+//! reorder decisions drawn from one [`DetRng`], in send order, so a
+//! given `(seed, profile, send sequence)` always produces the same
+//! [`Network::transcript`]. Latencies are measured on
 //! the shared [`SimClock`]; delayed messages sit in a pending queue
 //! until [`Network::pump`] is called with the clock at or past their
 //! delivery time. The network never moves the clock itself: the
@@ -27,22 +27,28 @@
 //! [`Network::partition`] severs a host pair bidirectionally until
 //! healed. None of this affects a network whose faults were never
 //! enabled: the legacy zero-latency direct-delivery path is unchanged.
+//!
+//! # One owner
+//!
+//! A world is single-threaded (the scheduler bound to it is an
+//! `Rc<RefCell<_>>`), so everything a [`Network`] knows lives in one
+//! state behind one `Rc<RefCell<_>>`, borrowed once per operation and
+//! never across a call into task code; mailboxes and stream directions
+//! are plain queues shared by the side that fills them and the side
+//! that drains them (DESIGN.md §12.5).
 
+use crate::buckets::TimeBuckets;
 use crate::clock::SimClock;
 use crate::names::{NameId, NameTable};
 use crate::sched;
 use crate::TestbedError;
-use gridsec_util::channel::{unbounded, Receiver, Sender, TryRecvError};
 use gridsec_util::rng::{DetRng, RngCore};
-use gridsec_util::sync::Mutex;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::ops::ControlFlow;
 use std::rc::{Rc, Weak};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A network-wide traffic accounting snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -53,32 +59,10 @@ pub struct TrafficStats {
     pub bytes: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    write_attempts: AtomicU64,
-    torn_writes: AtomicU64,
-    resets_seen: AtomicU64,
-}
-
-impl Counters {
-    fn record(&self, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-    fn snapshot(&self) -> TrafficStats {
-        TrafficStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-    fn loss(&self) -> LossStats {
-        LossStats {
-            write_attempts: self.write_attempts.load(Ordering::Relaxed),
-            torn_writes: self.torn_writes.load(Ordering::Relaxed),
-            resets_seen: self.resets_seen.load(Ordering::Relaxed),
-        }
+impl TrafficStats {
+    fn record(&mut self, bytes: usize) {
+        self.messages += 1;
+        self.bytes += bytes as u64;
     }
 }
 
@@ -183,13 +167,9 @@ pub struct FaultStats {
     pub blocked: u64,
 }
 
-/// One scheduled delivery in the pending queue. Ordered by
-/// `(deliver_at, seq)`; `seq` is unique per copy, so the heap order is
-/// total and deterministic.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// One scheduled delivery in the pending queue, which hands copies back
+/// in `(deliver_at, push order)` order — total and deterministic.
 struct PendingDelivery {
-    deliver_at: u64,
-    seq: u64,
     from: NameId,
     to: NameId,
     payload: Vec<u8>,
@@ -201,8 +181,7 @@ struct FaultState {
     profile: FaultProfile,
     link_profiles: HashMap<(NameId, NameId), FaultProfile>,
     partitions: HashSet<(NameId, NameId)>,
-    pending: BinaryHeap<Reverse<PendingDelivery>>,
-    seq: u64,
+    pending: TimeBuckets<PendingDelivery>,
     transcript: Vec<String>,
     record_transcript: bool,
     stats: FaultStats,
@@ -246,6 +225,11 @@ impl FaultState {
     /// Decide the fate of one sent message and queue its copies. The
     /// caller supplies the endpoint names alongside their ids so
     /// transcript lines (when recording is on) need no table lookup.
+    ///
+    /// Every transcript hangs off the order of draws here — latency,
+    /// reorder unit, jitter if reordered, duplicate unit, extra count if
+    /// duplicated, then each extra copy's arrival — and off copies
+    /// entering the queue in the order their arrivals were drawn.
     fn inject(&mut self, from: NameId, to: NameId, names: (&str, &str), payload: Vec<u8>) {
         self.stats.sent += 1;
         let now = self.clock.now();
@@ -272,32 +256,33 @@ impl FaultState {
             }
             return;
         }
-        let mut arrivals = vec![self.draw_arrival(now, &prof)];
-        if self.draw_unit() < prof.duplicate {
-            let extra = self.draw_in(1, u64::from(prof.max_extra_copies.max(1))) as u32;
-            self.stats.duplicated += u64::from(extra);
-            for _ in 0..extra {
-                let t = self.draw_arrival(now, &prof);
-                arrivals.push(t);
-            }
-        }
-        if self.record_transcript {
-            let times: Vec<String> = arrivals.iter().map(|t| format!("@{t}")).collect();
-            self.transcript.push(format!(
-                "[t={now}] #{id} {from_name}->{to_name} {len}B deliver{}",
-                times.join(",")
-            ));
-        }
-        for deliver_at in arrivals {
-            self.seq += 1;
-            self.pending.push(Reverse(PendingDelivery {
-                deliver_at,
-                seq: self.seq,
+        let mut deliver_at = self.draw_arrival(now, &prof);
+        let extra = if self.draw_unit() < prof.duplicate {
+            self.draw_in(1, u64::from(prof.max_extra_copies.max(1)))
+        } else {
+            0
+        };
+        self.stats.duplicated += extra;
+        let mut line = self
+            .record_transcript
+            .then(|| format!("[t={now}] #{id} {from_name}->{to_name} {len}B deliver@{deliver_at}"));
+        // Only the extra copies clone; the last (usually only) copy
+        // takes the payload itself.
+        for _ in 0..extra {
+            let copy = PendingDelivery {
                 from,
                 to,
                 payload: payload.clone(),
-            }));
+            };
+            self.pending.push(deliver_at, copy);
+            deliver_at = self.draw_arrival(now, &prof);
+            if let Some(line) = &mut line {
+                let _ = write!(line, ",@{deliver_at}");
+            }
         }
+        self.pending
+            .push(deliver_at, PendingDelivery { from, to, payload });
+        self.transcript.extend(line);
     }
 }
 
@@ -309,24 +294,52 @@ fn normalize_pair(a: NameId, b: NameId) -> (NameId, NameId) {
     }
 }
 
+/// A mailbox: a plain queue shared by its endpoint slot (which fills
+/// it) and its [`Endpoint`] handle (which drains it).
+type Mailbox = Rc<RefCell<VecDeque<Message>>>;
+
+/// What the network holds for one interned name.
+#[derive(Default)]
+enum Slot {
+    /// Never registered, or unregistered: sends fail with
+    /// [`TestbedError::NoSuchEndpoint`], copies in flight evaporate.
+    #[default]
+    Vacant,
+    /// Registered, handle alive.
+    Live(Mailbox),
+    /// Tombstone: the handle was dropped (and its queue freed with it).
+    /// The name stays addressable — sends are accepted and draw their
+    /// fate like any other, so no later fault decision shifts — but
+    /// every copy that arrives counts as dropped and wakes nobody.
+    Gone,
+}
+
 /// A named message network.
 #[derive(Clone, Default)]
 pub struct Network {
-    inner: Arc<NetworkInner>,
+    inner: Rc<RefCell<NetState>>,
 }
 
 #[derive(Default)]
-struct NetworkInner {
-    names: Mutex<NameTable>,
-    endpoints: Mutex<HashMap<NameId, Sender<Message>>>,
-    counters: Counters,
-    faults: Mutex<Option<FaultState>>,
-    wakes: Mutex<WakeLog>,
+struct NetState {
+    names: NameTable,
+    boxes: Mailboxes,
+    faults: Option<FaultState>,
     /// The scheduler that drives this world ([`Scheduler::new`] binds
     /// it). Weak: the scheduler's tasks own endpoints of this network.
     ///
     /// [`Scheduler::new`]: crate::sched::Scheduler::new
-    driver: Mutex<Weak<RefCell<sched::Core>>>,
+    driver: Weak<RefCell<sched::Core>>,
+}
+
+/// The receiving side of the network: where a copy lands, and what is
+/// counted and logged when it does.
+#[derive(Default)]
+struct Mailboxes {
+    /// Indexed by [`NameId::index`]; names past the end are vacant.
+    slots: Vec<Slot>,
+    traffic: TrafficStats,
+    wakes: WakeLog,
 }
 
 /// Delivery notifications for the discrete-event scheduler
@@ -341,6 +354,70 @@ struct WakeLog {
     ids: Vec<NameId>,
 }
 
+impl WakeLog {
+    fn record(&mut self, to: NameId) {
+        if self.enabled {
+            self.ids.push(to);
+        }
+    }
+}
+
+impl Mailboxes {
+    fn is_vacant(&self, id: NameId) -> bool {
+        matches!(self.slots.get(id.index()), None | Some(Slot::Vacant))
+    }
+
+    fn set(&mut self, id: NameId, slot: Slot) {
+        if self.slots.len() <= id.index() {
+            self.slots.resize_with(id.index() + 1, Slot::default);
+        }
+        self.slots[id.index()] = slot;
+    }
+
+    /// Put a message in `to`'s mailbox and log the wake. `false` if
+    /// nobody can receive it: a vacant slot, or a tombstone — which
+    /// still counts the traffic, as the wire to a host whose process
+    /// died still carries the packets.
+    fn deliver(&mut self, from: &str, to: NameId, payload: Vec<u8>) -> bool {
+        match self.slots.get(to.index()) {
+            Some(Slot::Live(mailbox)) => {
+                self.traffic.record(payload.len());
+                mailbox.borrow_mut().push_back(Message {
+                    from: from.to_string(),
+                    payload,
+                });
+                self.wakes.record(to);
+                true
+            }
+            Some(Slot::Gone) => {
+                self.traffic.record(payload.len());
+                false
+            }
+            Some(Slot::Vacant) | None => false,
+        }
+    }
+}
+
+impl NetState {
+    fn pump(&mut self) -> usize {
+        let Some(fs) = self.faults.as_mut() else {
+            return 0;
+        };
+        let now = fs.clock.now();
+        let mut delivered = 0;
+        while let Some(copy) = fs.pending.pop_due(now) {
+            let from = self.names.resolve(copy.from);
+            if self.boxes.deliver(from, copy.to, copy.payload) {
+                fs.stats.delivered += 1;
+                delivered += 1;
+            } else {
+                fs.stats.dropped += 1;
+            }
+        }
+        delivered
+    }
+}
+
 impl Network {
     /// Create an empty network.
     pub fn new() -> Self {
@@ -351,70 +428,68 @@ impl Network {
     /// [`NameId`]. Idempotent; the id is valid for the network's
     /// lifetime.
     pub fn intern(&self, name: &str) -> NameId {
-        self.inner.names.lock().intern(name)
+        self.inner.borrow_mut().names.intern(name)
     }
 
     /// Look up an already-interned name without interning it.
     pub fn lookup(&self, name: &str) -> Option<NameId> {
-        self.inner.names.lock().get(name)
+        self.inner.borrow().names.get(name)
     }
 
     /// Resolve an interned id back to its name (owned, since the table
-    /// lives behind a lock).
+    /// lives inside the network's state).
     pub fn resolve(&self, id: NameId) -> String {
-        self.inner.names.lock().resolve(id).to_string()
+        self.inner.borrow().names.resolve(id).to_string()
     }
 
     /// Register an endpoint name, returning its handle. Re-registering a
     /// name replaces the previous endpoint: the old handle keeps any mail
-    /// already in its mailbox but receives nothing further (its receiver
-    /// reports `Disconnected` once drained). Use [`Network::try_register`]
-    /// to refuse instead of replace.
+    /// already in its mailbox but receives nothing further. Use
+    /// [`Network::try_register`] to refuse instead of replace.
     pub fn register(&self, name: &str) -> Endpoint {
-        let id = self.intern(name);
-        let (tx, rx) = unbounded();
-        self.inner.endpoints.lock().insert(id, tx);
-        Endpoint {
-            name: name.to_string(),
-            id,
-            network: self.clone(),
-            rx,
-        }
+        let mut st = self.inner.borrow_mut();
+        let id = st.names.intern(name);
+        self.install(&mut st, name, id)
     }
 
     /// Register an endpoint name, erroring with
     /// [`TestbedError::EndpointInUse`] if the name is already taken
     /// (instead of silently replacing it as [`Network::register`] does).
+    /// A name whose handle was dropped without [`Network::unregister`]
+    /// is still taken.
     pub fn try_register(&self, name: &str) -> Result<Endpoint, TestbedError> {
-        let id = self.intern(name);
-        let mut map = self.inner.endpoints.lock();
-        if map.contains_key(&id) {
+        let mut st = self.inner.borrow_mut();
+        let id = st.names.intern(name);
+        if !st.boxes.is_vacant(id) {
             return Err(TestbedError::EndpointInUse(name.to_string()));
         }
-        let (tx, rx) = unbounded();
-        map.insert(id, tx);
-        drop(map);
-        Ok(Endpoint {
+        Ok(self.install(&mut st, name, id))
+    }
+
+    fn install(&self, st: &mut NetState, name: &str, id: NameId) -> Endpoint {
+        let mailbox = Mailbox::default();
+        st.boxes.set(id, Slot::Live(mailbox.clone()));
+        Endpoint {
             name: name.to_string(),
             id,
             network: self.clone(),
-            rx,
-        })
+            mailbox,
+        }
     }
 
-    /// Remove an endpoint (its receiver starts reporting `Disconnected`).
+    /// Remove an endpoint: sends to the name fail until it is registered
+    /// again, and its handle receives nothing further.
     pub fn unregister(&self, name: &str) {
-        if let Some(id) = self.lookup(name) {
-            self.inner.endpoints.lock().remove(&id);
+        let mut st = self.inner.borrow_mut();
+        if let Some(id) = st.names.get(name) {
+            st.boxes.set(id, Slot::Vacant);
         }
     }
 
     /// `true` iff an endpoint with this name is registered.
     pub fn is_registered(&self, name: &str) -> bool {
-        match self.lookup(name) {
-            Some(id) => self.inner.endpoints.lock().contains_key(&id),
-            None => false,
-        }
+        let st = self.inner.borrow();
+        st.names.get(name).is_some_and(|id| !st.boxes.is_vacant(id))
     }
 
     /// Arm the deterministic fault layer. All subsequent sends draw
@@ -423,18 +498,22 @@ impl Network {
     /// delivered by [`Network::pump`]. Calling this again resets the
     /// fault state (fresh RNG, empty queue, empty transcript).
     pub fn enable_faults(&self, clock: SimClock, seed: u64, profile: FaultProfile) {
-        *self.inner.faults.lock() = Some(FaultState {
+        self.inner.borrow_mut().faults = Some(FaultState {
             clock,
             rng: DetRng::seed_from_u64(seed),
             profile,
             link_profiles: HashMap::new(),
             partitions: HashSet::new(),
-            pending: BinaryHeap::new(),
-            seq: 0,
+            pending: TimeBuckets::default(),
             transcript: Vec::new(),
             record_transcript: true,
             stats: FaultStats::default(),
         });
+    }
+
+    /// Run `f` on the fault state, if armed.
+    fn with_faults<R>(&self, f: impl FnOnce(&mut FaultState) -> R) -> Option<R> {
+        self.inner.borrow_mut().faults.as_mut().map(f)
     }
 
     /// Turn fault-transcript recording on or off. Storm-scale runs
@@ -444,32 +523,35 @@ impl Network {
     /// *decisions* (RNG draws, stats) are unaffected, so a run is
     /// byte-identical per seed whether or not the transcript is kept.
     pub fn set_transcript_recording(&self, on: bool) {
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
-            fs.record_transcript = on;
-        }
+        self.with_faults(|fs| fs.record_transcript = on);
     }
 
-    /// Start recording delivery notifications for [`Network::take_wakes`].
-    pub fn enable_wake_log(&self) {
-        self.inner.wakes.lock().enabled = true;
+    /// Start recording delivery notifications for the scheduler.
+    pub(crate) fn enable_wake_log(&self) {
+        self.inner.borrow_mut().boxes.wakes.enabled = true;
     }
 
-    /// Drain the delivery notification log: the interned ids of
-    /// endpoints that received mail since the last call, in delivery
-    /// order. Empty unless [`Network::enable_wake_log`] was called.
-    pub fn take_wakes(&self) -> Vec<NameId> {
-        std::mem::take(&mut self.inner.wakes.lock().ids)
+    /// One scheduler round's worth of network work under one borrow:
+    /// deliver what is due ([`Network::pump`]), then move the delivery
+    /// notification log — the interned ids of endpoints that received
+    /// mail since the last call, in delivery order — into `wakes`
+    /// (which must come in empty; the two buffers trade places, so
+    /// neither is re-grown per batch).
+    pub(crate) fn absorb(&self, wakes: &mut Vec<NameId>) {
+        let mut st = self.inner.borrow_mut();
+        st.pump();
+        std::mem::swap(&mut st.boxes.wakes.ids, wakes);
     }
 
     /// Name `core` as the scheduler foreground waits on this network
     /// park in, replacing any earlier binding.
     pub(crate) fn bind_driver(&self, core: Weak<RefCell<sched::Core>>) {
-        *self.inner.driver.lock() = core;
+        self.inner.borrow_mut().driver = core;
     }
 
     /// The bound scheduler, if it is still alive.
     pub(crate) fn driver(&self) -> Option<Rc<RefCell<sched::Core>>> {
-        self.inner.driver.lock().upgrade()
+        self.inner.borrow().driver.upgrade()
     }
 
     /// Append a synthetic delivery notification for `id`, exactly as if
@@ -478,32 +560,23 @@ impl Network {
     /// readable, see [`SimStream::wake_on_readable`]) reach a scheduler
     /// task parked in `WaitMail`.
     pub fn notify_wake(&self, id: NameId) {
-        self.record_delivery(id);
-    }
-
-    fn record_delivery(&self, to: NameId) {
-        let mut log = self.inner.wakes.lock();
-        if log.enabled {
-            log.ids.push(to);
-        }
+        self.inner.borrow_mut().boxes.wakes.record(id);
     }
 
     /// `true` iff [`Network::enable_faults`] has armed the fault layer.
     pub fn faults_enabled(&self) -> bool {
-        self.inner.faults.lock().is_some()
+        self.inner.borrow().faults.is_some()
     }
 
     /// The clock the fault layer schedules on, if armed.
     pub fn fault_clock(&self) -> Option<SimClock> {
-        self.inner.faults.lock().as_ref().map(|f| f.clock.clone())
+        self.with_faults(|fs| fs.clock.clone())
     }
 
     /// Override the fault profile for one directed link `from -> to`.
     pub fn set_link_profile(&self, from: &str, to: &str, profile: FaultProfile) {
         let key = (self.intern(from), self.intern(to));
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
-            fs.link_profiles.insert(key, profile);
-        }
+        self.with_faults(|fs| fs.link_profiles.insert(key, profile));
     }
 
     /// Sever the pair `(a, b)` in both directions. Messages sent across
@@ -511,103 +584,43 @@ impl Network {
     /// [`FaultStats::blocked`]); copies already in flight still arrive.
     pub fn partition(&self, a: &str, b: &str) {
         let key = normalize_pair(self.intern(a), self.intern(b));
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
-            fs.partitions.insert(key);
-        }
+        self.with_faults(|fs| fs.partitions.insert(key));
     }
 
     /// Heal the partition between `a` and `b`, if any.
     pub fn heal(&self, a: &str, b: &str) {
         let key = normalize_pair(self.intern(a), self.intern(b));
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
-            fs.partitions.remove(&key);
-        }
+        self.with_faults(|fs| fs.partitions.remove(&key));
     }
 
     /// Heal all partitions.
     pub fn heal_all(&self) {
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
-            fs.partitions.clear();
-        }
+        self.with_faults(|fs| fs.partitions.clear());
     }
 
     /// Deliver every pending copy whose scheduled time is at or before
     /// the fault clock's now. Returns the number of copies delivered.
     /// A no-op (returning 0) when faults are not armed.
     pub fn pump(&self) -> usize {
-        let mut delivered = 0;
-        loop {
-            // Pop one due entry under the fault lock, then deliver it
-            // with only the endpoints lock held (fixed faults→endpoints
-            // order; never both across a call boundary).
-            let entry = {
-                let mut guard = self.inner.faults.lock();
-                let fs = match guard.as_mut() {
-                    Some(fs) => fs,
-                    None => return delivered,
-                };
-                let now = fs.clock.now();
-                match fs.pending.peek() {
-                    Some(Reverse(head)) if head.deliver_at <= now => {
-                        let Reverse(e) = fs.pending.pop().expect("peeked");
-                        e
-                    }
-                    _ => return delivered,
-                }
-            };
-            let tx = self.inner.endpoints.lock().get(&entry.to).cloned();
-            let ok = match tx {
-                Some(tx) => {
-                    self.inner.counters.record(entry.payload.len());
-                    tx.send(Message {
-                        from: self.resolve(entry.from),
-                        payload: entry.payload,
-                    })
-                    .is_ok()
-                }
-                // Destination vanished between send and delivery: the
-                // copy evaporates, like packets to a dead host.
-                None => false,
-            };
-            if ok {
-                self.record_delivery(entry.to);
-            }
-            let mut guard = self.inner.faults.lock();
-            if let Some(fs) = guard.as_mut() {
-                if ok {
-                    fs.stats.delivered += 1;
-                    delivered += 1;
-                } else {
-                    fs.stats.dropped += 1;
-                }
-            }
-        }
+        self.inner.borrow_mut().pump()
     }
 
     /// Scheduled time of the earliest pending delivery, if any.
     pub(crate) fn next_event_at(&self) -> Option<u64> {
-        self.inner
-            .faults
-            .lock()
-            .as_ref()
-            .and_then(|fs| fs.pending.peek().map(|Reverse(e)| e.deliver_at))
+        self.inner.borrow().faults.as_ref()?.pending.next_at()
     }
 
     /// The fault event transcript so far: one line per send decision,
     /// in send order. Byte-identical across runs with the same seed,
     /// profile, and send sequence — the chaos suite's replay check.
     pub fn transcript(&self) -> Vec<String> {
-        self.inner
-            .faults
-            .lock()
-            .as_ref()
-            .map(|fs| fs.transcript.clone())
+        self.with_faults(|fs| fs.transcript.clone())
             .unwrap_or_default()
     }
 
     /// Fault-layer counters, if armed.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.inner.faults.lock().as_ref().map(|fs| fs.stats)
+        self.with_faults(|fs| fs.stats)
     }
 
     fn send(
@@ -617,44 +630,29 @@ impl Network {
         to: &str,
         payload: Vec<u8>,
     ) -> Result<(), TestbedError> {
-        let to_id = self
-            .lookup(to)
-            .ok_or_else(|| TestbedError::NoSuchEndpoint(to.to_string()))?;
-        {
-            let map = self.inner.endpoints.lock();
-            if !map.contains_key(&to_id) {
-                return Err(TestbedError::NoSuchEndpoint(to.to_string()));
-            }
-        }
-        {
-            let mut guard = self.inner.faults.lock();
-            if let Some(fs) = guard.as_mut() {
-                fs.inject(from, to_id, (from_name, to), payload);
-                drop(guard);
-                // Zero-latency copies may already be due.
-                self.pump();
-                return Ok(());
-            }
-        }
-        let tx = {
-            let map = self.inner.endpoints.lock();
-            map.get(&to_id)
-                .cloned()
-                .ok_or_else(|| TestbedError::NoSuchEndpoint(to.to_string()))?
+        let mut st = self.inner.borrow_mut();
+        // A tombstone is still an address: only a vacant slot refuses,
+        // and it refuses before anything is drawn.
+        let to_id = match st.names.get(to) {
+            Some(id) if !st.boxes.is_vacant(id) => id,
+            _ => return Err(TestbedError::NoSuchEndpoint(to.to_string())),
         };
-        self.inner.counters.record(payload.len());
-        tx.send(Message {
-            from: from_name.to_string(),
-            payload,
-        })
-        .map_err(|_| TestbedError::Disconnected)?;
-        self.record_delivery(to_id);
-        Ok(())
+        if let Some(fs) = st.faults.as_mut() {
+            fs.inject(from, to_id, (from_name, to), payload);
+            // Zero-latency copies may already be due.
+            st.pump();
+            return Ok(());
+        }
+        if st.boxes.deliver(from_name, to_id, payload) {
+            Ok(())
+        } else {
+            Err(TestbedError::Disconnected)
+        }
     }
 
     /// Traffic accounting since creation.
     pub fn stats(&self) -> TrafficStats {
-        self.inner.counters.snapshot()
+        self.inner.borrow().boxes.traffic
     }
 }
 
@@ -663,7 +661,7 @@ pub struct Endpoint {
     name: String,
     id: NameId,
     network: Network,
-    rx: Receiver<Message>,
+    mailbox: Mailbox,
 }
 
 impl Endpoint {
@@ -689,21 +687,77 @@ impl Endpoint {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
+        self.mailbox.borrow_mut().pop_front()
     }
 }
 
-/// A chunk on one direction of a stream: payload bytes, or a simulated
-/// connection reset injected by the loss layer.
-enum Chunk {
-    Data(Vec<u8>),
-    Reset,
+impl Drop for Endpoint {
+    /// Leave a tombstone where this handle's mailbox was, so the queue
+    /// is freed with the handle instead of pinned for the life of the
+    /// world. Not [`Network::unregister`]: a send to a finished
+    /// principal must still be accepted and still draw its fate, or
+    /// every later fault decision in the run would shift. A slot that
+    /// was re-registered or unregistered meanwhile is not this handle's
+    /// to touch.
+    fn drop(&mut self) {
+        // Nothing holds the state across a call that could drop an
+        // endpoint; if something ever does, leaking the slot beats a
+        // panic inside `drop`.
+        if let Ok(mut st) = self.network.inner.try_borrow_mut() {
+            if let Some(slot) = st.boxes.slots.get_mut(self.id.index()) {
+                if matches!(slot, Slot::Live(mailbox) if Rc::ptr_eq(mailbox, &self.mailbox)) {
+                    *slot = Slot::Gone;
+                }
+            }
+        }
+    }
 }
 
 /// Seeded write-side loss for one stream direction.
 struct StreamFault {
     rng: DetRng,
     drop: f64,
+}
+
+/// One direction of a byte stream: a plain queue of written chunks
+/// shared by its writer and its reader, plus the two ways it ends.
+#[derive(Default)]
+struct Pipe {
+    chunks: VecDeque<Vec<u8>>,
+    /// The other side hung up. To the reader: EOF once `chunks` is
+    /// drained. To the writer: `BrokenPipe`.
+    closed: bool,
+    /// The loss layer tore the connection on a write: the reader sees
+    /// `ConnectionReset` once it has drained what was written before.
+    reset: bool,
+}
+
+/// What a reader finds at the head of its [`Pipe`].
+enum Head {
+    Data(Vec<u8>),
+    Reset,
+    Eof,
+}
+
+impl Pipe {
+    /// Take the head; `None` means nothing yet, and the writer is
+    /// still there.
+    fn take(&mut self) -> Option<Head> {
+        match self.chunks.pop_front() {
+            Some(data) => Some(Head::Data(data)),
+            None if self.reset => Some(Head::Reset),
+            None if self.closed => Some(Head::Eof),
+            None => None,
+        }
+    }
+}
+
+/// Byte and loss accounting shared by both halves of a pair and its
+/// [`StreamStats`].
+#[derive(Default)]
+struct StreamCounters {
+    traffic: TrafficStats,
+    loss: LossStats,
 }
 
 /// A readable-side wake registration, shared by both halves of one
@@ -715,13 +769,13 @@ struct StreamFault {
 /// own blocking reads park.
 type WakeSlot = Rc<RefCell<Option<(Network, NameId)>>>;
 
-/// One direction of a byte stream.
+/// One side of a byte stream pair.
 struct StreamHalf {
-    tx: Sender<Chunk>,
-    rx: Receiver<Chunk>,
+    tx: Rc<RefCell<Pipe>>,
+    rx: Rc<RefCell<Pipe>>,
     read_buf: Vec<u8>,
     read_pos: usize,
-    counters: Arc<Counters>,
+    counters: Rc<RefCell<StreamCounters>>,
     fault: Option<StreamFault>,
     dead: bool,
     /// Wake slot for *this* half's read direction (we are the reader).
@@ -733,7 +787,7 @@ struct StreamHalf {
 /// A connected in-memory byte stream (one side of a pair).
 ///
 /// Both read forms take what the peer has already written and differ
-/// only in what an empty channel means:
+/// only in what an empty pipe means:
 ///
 /// * [`SimStream::try_read`] — for scheduler tasks, which must never
 ///   wait inside a step: it reports "nothing yet" and the task parks in
@@ -753,7 +807,7 @@ pub struct StreamPair;
 
 impl StreamPair {
     /// Create two connected [`SimStream`]s. Bytes written to one can be
-    /// read from the other. The returned [`Arc`]d stats reflect all bytes
+    /// read from the other. The returned stats handle reflects all bytes
     /// written on either side.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> (SimStream, SimStream, StreamStats) {
@@ -773,9 +827,9 @@ impl StreamPair {
     }
 
     fn build(fault: Option<(u64, f64)>) -> (SimStream, SimStream, StreamStats) {
-        let (a2b_tx, a2b_rx) = unbounded();
-        let (b2a_tx, b2a_rx) = unbounded();
-        let counters = Arc::new(Counters::default());
+        let a2b = Rc::<RefCell<Pipe>>::default();
+        let b2a = Rc::<RefCell<Pipe>>::default();
+        let counters = Rc::<RefCell<StreamCounters>>::default();
         // One wake slot per direction, shared by its writer and reader.
         let a_reads = WakeSlot::default();
         let b_reads = WakeSlot::default();
@@ -787,8 +841,8 @@ impl StreamPair {
         };
         let a = SimStream {
             half: StreamHalf {
-                tx: a2b_tx,
-                rx: b2a_rx,
+                tx: a2b.clone(),
+                rx: b2a.clone(),
                 read_buf: Vec::new(),
                 read_pos: 0,
                 counters: counters.clone(),
@@ -800,8 +854,8 @@ impl StreamPair {
         };
         let b = SimStream {
             half: StreamHalf {
-                tx: b2a_tx,
-                rx: a2b_rx,
+                tx: b2a,
+                rx: a2b,
                 read_buf: Vec::new(),
                 read_pos: 0,
                 counters: counters.clone(),
@@ -818,19 +872,19 @@ impl StreamPair {
 /// Shared traffic statistics for a stream pair.
 #[derive(Clone)]
 pub struct StreamStats {
-    counters: Arc<Counters>,
+    counters: Rc<RefCell<StreamCounters>>,
 }
 
 impl StreamStats {
     /// Snapshot of writes/bytes across both directions.
     pub fn snapshot(&self) -> TrafficStats {
-        self.counters.snapshot()
+        self.counters.borrow().traffic
     }
 
     /// Snapshot of loss accounting across both directions: attempted
     /// writes, seeded tears, and observed resets.
     pub fn loss(&self) -> LossStats {
-        self.counters.loss()
+        self.counters.borrow().loss
     }
 }
 
@@ -859,24 +913,21 @@ impl SimStream {
         }
     }
 
-    /// Make the read buffer non-empty from `chunk`. `Ok(true)` means
+    /// Make the read buffer non-empty from `head`. `Ok(true)` means
     /// bytes are now available; `Ok(false)` means EOF (peer dropped).
-    fn accept_chunk(&mut self, chunk: Result<Chunk, TryRecvError>) -> io::Result<bool> {
-        match chunk {
-            Ok(Chunk::Data(data)) => {
+    fn accept(&mut self, head: Head) -> io::Result<bool> {
+        match head {
+            Head::Data(data) => {
                 self.half.read_buf = data;
                 self.half.read_pos = 0;
                 Ok(true)
             }
-            Ok(Chunk::Reset) => {
+            Head::Reset => {
                 self.half.dead = true;
-                self.half
-                    .counters
-                    .resets_seen
-                    .fetch_add(1, Ordering::Relaxed);
+                self.half.counters.borrow_mut().loss.resets_seen += 1;
                 Err(reset_err())
             }
-            Err(_) => Ok(false), // EOF: peer dropped
+            Head::Eof => Ok(false),
         }
     }
 
@@ -891,13 +942,13 @@ impl SimStream {
     /// Park in the scheduler of the peer's world until the peer writes
     /// or hangs up. The peer named that world when it registered
     /// [`SimStream::wake_on_readable`] on its half.
-    fn await_chunk(&self) -> io::Result<Result<Chunk, TryRecvError>> {
+    fn await_head(&self) -> io::Result<Head> {
         let world = self.half.write_wake.borrow().as_ref().map(|w| w.0.clone());
         world
             .and_then(|net| {
-                sched::wait(&net, |_| match self.half.rx.try_recv() {
-                    Err(TryRecvError::Empty) => ControlFlow::Continue(None),
-                    arrived => ControlFlow::Break(arrived),
+                sched::wait(&net, |_| match self.half.rx.borrow_mut().take() {
+                    None => ControlFlow::Continue(None),
+                    Some(arrived) => ControlFlow::Break(arrived),
                 })
                 .ok()
             })
@@ -921,13 +972,11 @@ impl SimStream {
             return Err(reset_err());
         }
         if self.half.read_pos == self.half.read_buf.len() {
-            match self.half.rx.try_recv() {
-                Err(TryRecvError::Empty) => return Ok(None),
-                other => {
-                    if !self.accept_chunk(other)? {
-                        return Ok(Some(0));
-                    }
-                }
+            let Some(head) = self.half.rx.borrow_mut().take() else {
+                return Ok(None);
+            };
+            if !self.accept(head)? {
+                return Ok(Some(0));
             }
         }
         Ok(Some(self.copy_out(buf)))
@@ -936,8 +985,17 @@ impl SimStream {
 
 impl Drop for SimStream {
     fn drop(&mut self) {
-        // The peer's next read sees EOF; wake it so a parked scheduler
-        // task observes the close instead of waiting forever.
+        // Hang up both directions: the peer's next read sees EOF after
+        // what was written, its next write `BrokenPipe`, and what it
+        // wrote that nobody will read is freed now.
+        self.half.tx.borrow_mut().closed = true;
+        {
+            let mut rx = self.half.rx.borrow_mut();
+            rx.closed = true;
+            rx.chunks = VecDeque::new();
+        }
+        // Wake the peer so a parked scheduler task observes the close
+        // instead of waiting forever.
         self.notify_peer();
     }
 }
@@ -948,11 +1006,12 @@ impl Read for SimStream {
             return Err(reset_err());
         }
         if self.half.read_pos == self.half.read_buf.len() {
-            let chunk = match self.half.rx.try_recv() {
-                Err(TryRecvError::Empty) => self.await_chunk()?,
-                arrived => arrived,
+            let head = self.half.rx.borrow_mut().take();
+            let head = match head {
+                Some(arrived) => arrived,
+                None => self.await_head()?,
             };
-            if !self.accept_chunk(chunk)? {
+            if !self.accept(head)? {
                 return Ok(0);
             }
         }
@@ -965,19 +1024,13 @@ impl Write for SimStream {
         if self.half.dead {
             return Err(reset_err());
         }
-        self.half
-            .counters
-            .write_attempts
-            .fetch_add(1, Ordering::Relaxed);
+        self.half.counters.borrow_mut().loss.write_attempts += 1;
         if let Some(f) = &mut self.half.fault {
             let draw = (f.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             if draw < f.drop {
                 self.half.dead = true;
-                self.half
-                    .counters
-                    .torn_writes
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = self.half.tx.send(Chunk::Reset);
+                self.half.counters.borrow_mut().loss.torn_writes += 1;
+                self.half.tx.borrow_mut().reset = true;
                 self.notify_peer();
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionReset,
@@ -985,11 +1038,17 @@ impl Write for SimStream {
                 ));
             }
         }
-        self.half.counters.record(buf.len());
-        self.half
-            .tx
-            .send(Chunk::Data(buf.to_vec()))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer disconnected"))?;
+        self.half.counters.borrow_mut().traffic.record(buf.len());
+        {
+            let mut tx = self.half.tx.borrow_mut();
+            if tx.closed {
+                return Err(io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "peer disconnected",
+                ));
+            }
+            tx.chunks.push_back(buf.to_vec());
+        }
         self.notify_peer();
         Ok(buf.len())
     }
@@ -1031,7 +1090,7 @@ mod tests {
     #[test]
     fn reregister_keeps_old_mail_but_disconnects_handle() {
         // The documented replace semantics: the old handle drains what it
-        // already had, then reports Disconnected; new mail goes to the
+        // already had and then stays empty; new mail goes to the
         // replacement only.
         let net = Network::new();
         let a = net.register("alice");

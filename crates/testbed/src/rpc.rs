@@ -234,7 +234,7 @@ pub struct PollingCall {
     server: String,
     id: u64,
     frame: Vec<u8>,
-    schedule: Vec<(u32, u64)>,
+    policy: RetryPolicy,
     next_attempt: usize,
     attempt_deadline: Option<u64>,
     retransmissions: u64,
@@ -251,7 +251,7 @@ impl PollingCall {
             server: server.to_string(),
             id,
             frame: encode_request(id, payload),
-            schedule: policy.schedule().collect(),
+            policy,
             next_attempt: 0,
             attempt_deadline: None,
             retransmissions: 0,
@@ -285,7 +285,7 @@ impl PollingCall {
                 }
             }
             // First transmission, or the in-flight attempt timed out.
-            let Some(&(attempt, timeout)) = self.schedule.get(self.next_attempt) else {
+            let Some((attempt, timeout)) = self.policy.schedule().nth(self.next_attempt) else {
                 return CallPoll::Exhausted;
             };
             self.next_attempt += 1;

@@ -30,8 +30,9 @@
 //! when nothing is runnable advances the shared clock to the earliest
 //! of the next timer and the next scheduled network delivery. Time
 //! never moves while any task is runnable, and each wake source is
-//! totally ordered (FIFO ready queue, `(time, seq)` timer heap,
-//! delivery-order wake log), so a run is deterministic per seed.
+//! totally ordered (FIFO ready queue, `(time, registration order)`
+//! timer queue, delivery-order wake log), so a run is deterministic per
+//! seed.
 //!
 //! # Foreground waits
 //!
@@ -45,13 +46,13 @@
 //! delivery. A world with nothing left to do ends the wait with
 //! [`TestbedError::Timeout`] — never a parked thread.
 
+use crate::buckets::TimeBuckets;
 use crate::clock::SimClock;
 use crate::names::NameId;
 use crate::net::Network;
 use crate::TestbedError;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
@@ -175,11 +176,14 @@ pub(crate) struct Core {
     /// across vacancy and reuse.
     epochs: Vec<u64>,
     ready: VecDeque<TaskId>,
-    /// Min-heap of `(wake_at, seq, task, epoch)`; `seq` makes the order
-    /// total, `epoch` invalidates entries for waits that already ended.
-    timers: BinaryHeap<Reverse<(u64, u64, TaskId, u64)>>,
-    timer_seq: u64,
-    mailboxes: HashMap<NameId, TaskId>,
+    /// `(task, epoch)` by wake time, in registration order within a
+    /// tick; `epoch` invalidates entries for waits that already ended.
+    timers: TimeBuckets<(TaskId, u64)>,
+    /// The task waiting on each mailbox, indexed by [`NameId::index`].
+    mailboxes: Vec<Option<TaskId>>,
+    /// Scratch for one round's delivery notifications; trades places
+    /// with the network's log so neither is re-grown per round.
+    wakes: Vec<NameId>,
     live: usize,
     stats: SchedStats,
 }
@@ -199,9 +203,9 @@ impl Scheduler {
             free: Vec::new(),
             epochs: Vec::new(),
             ready: VecDeque::new(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
-            mailboxes: HashMap::new(),
+            timers: TimeBuckets::default(),
+            mailboxes: Vec::new(),
+            wakes: Vec::new(),
             live: 0,
             stats: SchedStats::default(),
         }));
@@ -309,11 +313,14 @@ impl Core {
                 self.slots.len() - 1
             }
         };
-        // Invalidate any timer still in the heap from the slot's
-        // previous occupant.
+        // Invalidate any timer still queued from the slot's previous
+        // occupant.
         self.epochs[id] += 1;
         if let Some(mb) = mailbox {
-            self.mailboxes.insert(mb, id);
+            if self.mailboxes.len() <= mb.index() {
+                self.mailboxes.resize(mb.index() + 1, None);
+            }
+            self.mailboxes[mb.index()] = Some(id);
         }
         self.slots[id] = Some(Slot {
             task,
@@ -329,11 +336,12 @@ impl Core {
 
     /// Route pending deliveries and due timers to their tasks: pump the
     /// network, wake mailbox waiters in delivery order, then release
-    /// every timer at or before *now* in `(time, seq)` order.
+    /// every timer at or before *now* in `(time, registration)` order.
     fn absorb_wakes(&mut self) {
-        self.net.pump();
-        for name in self.net.take_wakes() {
-            if let Some(&id) = self.mailboxes.get(&name) {
+        let mut wakes = std::mem::take(&mut self.wakes);
+        self.net.absorb(&mut wakes);
+        for name in wakes.drain(..) {
+            if let Some(&Some(id)) = self.mailboxes.get(name.index()) {
                 if let Some(slot) = self.slots[id].as_mut() {
                     if slot.state == State::WaitingMail {
                         slot.state = State::Ready;
@@ -343,12 +351,9 @@ impl Core {
                 }
             }
         }
+        self.wakes = wakes;
         let now = self.clock.now();
-        while let Some(Reverse((at, _, id, epoch))) = self.timers.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
+        while let Some((id, epoch)) = self.timers.pop_due(now) {
             if let Some(slot) = self.slots[id].as_mut() {
                 if self.epochs[id] == epoch && slot.state != State::Ready {
                     slot.state = State::Ready;
@@ -374,9 +379,9 @@ impl Core {
             Step::Done => {
                 self.live -= 1;
                 self.stats.completed += 1;
-                if let Some(mb) = &slot.mailbox {
-                    if self.mailboxes.get(mb) == Some(&id) {
-                        self.mailboxes.remove(mb);
+                if let Some(mb) = slot.mailbox {
+                    if self.mailboxes[mb.index()] == Some(id) {
+                        self.mailboxes[mb.index()] = None;
                     }
                 }
                 // The slot stays vacated (the task is dropped here) and
@@ -394,9 +399,7 @@ impl Core {
                     self.ready.push_back(id);
                 } else {
                     slot.state = State::Sleeping;
-                    self.timer_seq += 1;
-                    self.timers
-                        .push(Reverse((at, self.timer_seq, id, self.epochs[id])));
+                    self.timers.push(at, (id, self.epochs[id]));
                 }
             }
             Step::WaitMail { deadline } => match deadline {
@@ -407,9 +410,7 @@ impl Core {
                 other => {
                     slot.state = State::WaitingMail;
                     if let Some(d) = other {
-                        self.timer_seq += 1;
-                        self.timers
-                            .push(Reverse((d, self.timer_seq, id, self.epochs[id])));
+                        self.timers.push(d, (id, self.epochs[id]));
                     }
                 }
             },
@@ -440,7 +441,7 @@ impl Core {
     fn advance(&mut self, limit: Option<u64>) -> bool {
         // Discard stale timer heads so they cannot force a pointless
         // clock stop.
-        while let Some(Reverse((_, _, id, epoch))) = self.timers.peek().copied() {
+        while let Some(&(id, epoch)) = self.timers.peek() {
             let stale = match &self.slots[id] {
                 Some(slot) => self.epochs[id] != epoch || slot.state == State::Ready,
                 None => true,
@@ -448,9 +449,9 @@ impl Core {
             if !stale {
                 break;
             }
-            self.timers.pop();
+            self.timers.pop_due(u64::MAX);
         }
-        let next_timer = self.timers.peek().map(|Reverse((at, ..))| *at);
+        let next_timer = self.timers.next_at();
         let next_net = self.net.next_event_at();
         let Some(target) = [next_timer, next_net, limit].into_iter().flatten().min() else {
             return false;
@@ -517,7 +518,7 @@ mod tests {
         assert_eq!(
             *log.borrow(),
             vec!["early@10", "also-early@10", "mid@20", "late@30"],
-            "timer heap is (time, registration seq) ordered"
+            "timer queue is (time, registration) ordered"
         );
         assert_eq!(stats.completed, 4);
         assert_eq!(sched.live(), 0);

@@ -7,8 +7,6 @@
 //!
 //! * [`sync`] — non-poisoning [`sync::Mutex`]/[`sync::RwLock`] wrappers over
 //!   `std::sync` with the `parking_lot` guard-returning signatures.
-//! * [`channel`] — unbounded MPSC channel over `std::sync::mpsc` with the
-//!   `crossbeam::channel` surface used by the testbed.
 //! * [`chacha`] — the ChaCha20 block core (RFC 8439), shared by
 //!   `gridsec-crypto`'s cipher/AEAD/DRBG and by [`rng::DetRng`].
 //! * [`rng`] — the [`rng::RngCore`] entropy abstraction, a deterministic
@@ -28,7 +26,6 @@
 
 pub mod bench;
 pub mod chacha;
-pub mod channel;
 pub mod check;
 pub mod retry;
 pub mod rng;

@@ -1,104 +1,9 @@
-//! Property tests for the in-tree shims the rest of the workspace
-//! leans on: `channel` (FIFO order, disconnect semantics, multi-
-//! producer interleaving) and `rng::DetRng` (seed determinism, stream
-//! independence). These were the only untested `gridsec-util` modules;
-//! the fault layer and the RPC retry loop are built directly on them,
-//! so a bug here would masquerade as a protocol bug three crates up.
+//! Property tests for `rng::DetRng` (seed determinism, stream
+//! independence), the in-tree shim the fault layer draws every decision
+//! from: a bug here would masquerade as a protocol bug three crates up.
 
-use gridsec_util::channel::{self, TryRecvError};
 use gridsec_util::check::check;
 use gridsec_util::rng::{DetRng, RngCore};
-
-#[test]
-fn channel_preserves_fifo_order() {
-    check("channel_fifo", 200, |g| {
-        let (tx, rx) = channel::unbounded();
-        let items = g.vec(0..64, |g| g.u64());
-        for &x in &items {
-            tx.send(x).unwrap();
-        }
-        let received: Vec<u64> = rx.try_iter().collect();
-        assert_eq!(received, items);
-    });
-}
-
-#[test]
-fn channel_drains_queued_items_after_sender_drop() {
-    check("channel_drain_then_disconnect", 200, |g| {
-        let (tx, rx) = channel::unbounded();
-        let items = g.vec(0..32, |g| g.u32());
-        for &x in &items {
-            tx.send(x).unwrap();
-        }
-        drop(tx);
-        // Everything queued before the disconnect is still delivered...
-        for &x in &items {
-            assert_eq!(rx.try_recv().unwrap(), x);
-        }
-        // ...and only then does the channel report disconnection.
-        assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
-        assert!(rx.recv().is_err());
-    });
-}
-
-#[test]
-fn channel_send_fails_once_receiver_is_gone() {
-    check("channel_send_after_receiver_drop", 50, |g| {
-        let (tx, rx) = channel::unbounded();
-        drop(rx);
-        let v = g.u64();
-        // The error returns the rejected value, so callers can recover it.
-        let err = tx.send(v).unwrap_err();
-        assert_eq!(err.0, v);
-    });
-}
-
-#[test]
-fn channel_empty_try_recv_is_empty_not_disconnected() {
-    let (tx, rx) = channel::unbounded::<u8>();
-    assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
-    tx.send(7).unwrap();
-    assert_eq!(rx.try_recv().unwrap(), 7);
-    assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
-}
-
-#[test]
-fn channel_multi_producer_interleaving_loses_nothing() {
-    check("channel_multi_producer", 100, |g| {
-        let (tx, rx) = channel::unbounded();
-        let producers = g.usize_in(1..5);
-        let per_producer = g.usize_in(0..32);
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    tx.send((p, i)).unwrap();
-                }
-            }));
-        }
-        drop(tx);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut got: Vec<(usize, usize)> = Vec::new();
-        while let Ok(x) = rx.recv() {
-            got.push(x);
-        }
-        // Every (producer, index) pair arrives exactly once, and each
-        // producer's own messages stay in their send order even though
-        // the global interleaving is scheduler-dependent.
-        assert_eq!(got.len(), producers * per_producer);
-        for p in 0..producers {
-            let from_p: Vec<usize> = got
-                .iter()
-                .filter(|(q, _)| *q == p)
-                .map(|&(_, i)| i)
-                .collect();
-            assert_eq!(from_p, (0..per_producer).collect::<Vec<_>>());
-        }
-    });
-}
 
 #[test]
 fn detrng_same_seed_same_stream() {

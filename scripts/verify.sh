@@ -77,8 +77,8 @@ stage_grep_guard() {
     done
     [ "$bad" -eq 0 ] || exit 1
     # Everything runs on the testbed scheduler: no crate but `util` (whose
-    # sync/channel shims test themselves across threads) may spawn or
-    # scope a thread (doc comments excepted).
+    # sync shim tests itself across threads) may spawn or scope a thread
+    # (doc comments excepted).
     local src
     src=$(ls -d crates/*/src | grep -v '^crates/util/src$')
     # shellcheck disable=SC2086
@@ -98,6 +98,19 @@ stage_grep_guard() {
     if grep -rEn 'next_event_at\(' crates tests examples \
         | grep -vE '^crates/testbed/src/sched\.rs:|fn next_event_at\('; then
         echo "FAIL: next_event_at called outside testbed::sched (above)" >&2
+        exit 1
+    fi
+    # A world is single-threaded, so the message path is single-owner
+    # (DESIGN.md §12.5): one `Rc<RefCell<_>>` state, plain-queue
+    # mailboxes, one time-bucketed FIFO for deliveries and timers. The
+    # locks, channels and heaps it replaced must not come back.
+    if grep -En 'mpsc|util::channel|sync::Mutex|BinaryHeap' \
+        crates/testbed/src/{net,sched,rpc,names,buckets}.rs; then
+        echo "FAIL: thread-era machinery is back on the message path (above)" >&2
+        exit 1
+    fi
+    if [ -e crates/util/src/channel.rs ]; then
+        echo "FAIL: crates/util/src/channel.rs is back; nothing may use it" >&2
         exit 1
     fi
     # Crypto precomputation is owned by the key or group it is a function
@@ -411,18 +424,19 @@ stage_crypto_storm() {
     echo "ok: $(head -1 "$tdir/cstorm.1") (byte-identical across two runs)"
 }
 
-# One slice per segment of the gridbench workloads that cross the
+# One slice per segment of every gridbench workload: the
 # protected-message byte path (ogsa_request), the AEAD record path
 # (bulk_xfer), the prime search under every delegated proxy
-# (gram_submit) and the 256-bit modexp under every handshake
-# (establish_storm) (BENCHMARK.json; the numbers themselves are the
+# (gram_submit), the 256-bit modexp under every handshake
+# (establish_storm) and the scheduler/network/RPC message path
+# (vo_flows) (BENCHMARK.json; the numbers themselves are the
 # benchmark driver's business). The last
 # stdout line is the result: every output digest must have matched and
 # no op may have failed. Building it also proves the frozen `benchmark/`
 # crate still compiles against the workspace's public signatures.
 stage_gridbench_smoke() {
     local w last
-    for w in ogsa_request bulk_xfer gram_submit establish_storm; do
+    for w in ogsa_request bulk_xfer gram_submit establish_storm vo_flows; do
         if ! bash benchmark/run.sh --workload "$w" --seed 1 --slices 1 \
             > "$tdir/gridbench.$w.out"; then
             echo "FAIL: gridbench $w exited nonzero:" >&2
