@@ -44,6 +44,12 @@
 //!     the 29 witnesses that confirm the prime plus one for each of the
 //!     ≈12 composites that survive the sieve; a search that sends every
 //!     candidate to Miller–Rabin pays ≈120.
+//! 11. **A key is two prime searches** — a count, not a time: over 256
+//!     seeded 512-bit keys, replaying each seed's stream through bare
+//!     `generate_prime` pairs until the key's primes come out takes
+//!     exactly 2.000 searches per key. It took 3.234 on these seeds
+//!     while only the top bit of each prime was forced and a pair whose
+//!     product came out one bit short was thrown away whole.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -54,6 +60,7 @@
 //! `ops_per_s` on `establish_storm`. Claims 9 and 10 are medians of
 //! per-round ratios, the two arms of a round interleaved, so a slow
 //! phase of the machine lands on numerator and denominator alike.
+//! Claim 11 reads no clock: one run, the same count on every machine.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
 //! recorded bench artifact it gates (`BENCH_*.json`), pass or fail.
@@ -65,6 +72,7 @@ use gridsec_bench::{bench_world, sign_shape};
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
 use gridsec_bignum::prime::generate_prime;
 use gridsec_crypto::rng::ChaChaRng;
+use gridsec_crypto::rsa::RsaKeyPair;
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
 use gridsec_gssapi::mill::HandshakeMill;
 use gridsec_gssapi::poll::{PollInitiator, WaveAcceptor};
@@ -478,6 +486,37 @@ fn main() {
         &mut failures,
         "prime-search-within-modexp-budget",
         MODEXP_BUDGET / modexps_per_search,
+        1.0,
+        "k1_modexp",
+    );
+
+    // --- Claim 11: a 512-bit key is two prime searches. ---
+    const KEYS: u64 = 256;
+    let mut searches = 0u64;
+    for seed in 0..KEYS {
+        let seed = format!("perf guard keygen {seed}");
+        let key = RsaKeyPair::generate(&mut ChaChaRng::from_seed_bytes(seed.as_bytes()), 512);
+        // The same stream again, one bare pair of searches at a time,
+        // until the pair `generate` kept comes out.
+        let mut replay = ChaChaRng::from_seed_bytes(seed.as_bytes());
+        loop {
+            searches += 2;
+            let p = generate_prime(&mut replay, 256, 16);
+            let q = generate_prime(&mut replay, 256, 16);
+            if (&p, &q) == key.primes() {
+                break;
+            }
+        }
+    }
+    let searches_per_key = searches as f64 / KEYS as f64;
+    println!(
+        "[perf_guard] keygen: {searches_per_key:.3} prime searches per 512-bit key \
+         (mean of {KEYS} seeded keys, counted by stream replay), must be 2.000"
+    );
+    claim(
+        &mut failures,
+        "keygen-512-is-two-searches",
+        2.0 / searches_per_key,
         1.0,
         "k1_modexp",
     );

@@ -71,7 +71,9 @@ pub enum Primality {
 }
 
 /// Generate a uniformly random [`BigUint`] with exactly `bits` significant
-/// bits (top bit set).
+/// bits: bit `bits - 1` is forced on and no other, so the value is
+/// uniform on `[2^(bits-1), 2^bits)`. [`generate_prime`] forces two more
+/// bits on its start draw; operands drawn here directly keep this range.
 pub fn random_bits<E: EntropySource>(rng: &mut E, bits: usize) -> BigUint {
     assert!(bits > 0, "random_bits needs at least one bit");
     let nbytes = bits.div_ceil(8);
@@ -195,11 +197,17 @@ fn miller_rabin<E: EntropySource>(n: &BigUint, rounds: usize, rng: &mut E) -> Pr
     Primality::ProbablyPrime
 }
 
-/// Generate a random probable prime with exactly `bits` bits.
+/// Generate a random probable prime with exactly `bits` bits and its top
+/// two bits set: a prime in `[3·2^(bits-2), 2^bits)`.
 ///
-/// The candidate stream is: random `bits`-bit odd integer, then increment
-/// by 2 until a probable prime is found (restarting if the bit length
-/// overflows, or after 4096 candidates). A sieve over the primes below
+/// The candidate stream is: one random start with bits `bits - 1`,
+/// `bits - 2` and 0 forced on, then increment by 2 until a probable
+/// prime is found (restarting if the bit length overflows, or after 4096
+/// candidates). Bit `bits - 2` is what FIPS 186-4 B.3.3's
+/// `p, q ≥ √2·2^(k-1)` comes to in practice: two such primes of widths
+/// `a` and `b` multiply to at least `9/16·2^(a+b)`, so their product has
+/// exactly `a + b` bits and `RsaKeyPair::generate` never redraws a pair
+/// for length (DESIGN.md §11.5). A sieve over the primes below
 /// 2^11 strikes candidates out of that stream; each survivor, in
 /// increasing order, faces the 13 fixed Miller–Rabin bases 2, 3, …, 41
 /// and then `rounds` random witnesses — below 42 bits the fixed bases
@@ -216,10 +224,11 @@ pub fn generate_prime<E: EntropySource>(rng: &mut E, bits: usize, rounds: usize)
     // multiple of one inside the window is a proper multiple.
     let below_range = SIEVE_PRIMES.partition_point(|&p| ((p.ilog2() + 1) as usize) < bits);
     loop {
+        // The one start draw: top bit from `random_bits`, then the
+        // second-highest and the low bit.
         let mut start = random_bits(rng, bits);
-        if start.is_even() {
-            start = start.add_ref(&BigUint::one());
-        }
+        start.set_bit(bits - 2, true);
+        start.set_bit(0, true);
         // struck[k]: start + 2k has a factor among the sieve primes.
         let mut struck = [false; SCAN_WINDOW];
         residues(&start, &SIEVE_PRIMES[..below_range], |p, r| {
@@ -353,6 +362,7 @@ mod tests {
         let mut r = rng();
         let p = generate_prime(&mut r, 128, 10);
         assert_eq!(p.bit_len(), 128);
+        assert!(p.bit(126), "top two bits set");
         assert!(p.is_odd());
         assert_eq!(is_probably_prime(&p, 20, &mut r), Primality::ProbablyPrime);
     }

@@ -6,6 +6,10 @@
 //! witness. The sieved search must return the same prime *and* leave
 //! the RNG at the same stream position, because every seeded key,
 //! certificate and transcript in the workspace hangs off that stream.
+//!
+//! One line of the oracle follows the kernel: its start draw forces bit
+//! `bits - 2` as the search's does, so both scan `[3·2^(bits-2), 2^bits)`.
+//! The range itself is asserted here on its own, not through the oracle.
 
 use gridsec_bignum::prime::{generate_prime, is_probably_prime, random_bits, Primality};
 use gridsec_bignum::BigUint;
@@ -115,6 +119,7 @@ mod reference {
         let two = BigUint::from(2u64);
         loop {
             let mut candidate = random_bits(rng, bits);
+            candidate.set_bit(bits - 2, true); // the one line that is not the parent's
             if candidate.is_even() {
                 candidate = candidate.add_ref(&BigUint::one());
             }
@@ -143,6 +148,10 @@ fn assert_same_search<R: RngCore + Clone>(rng: R, bits: usize, rounds: usize, wh
     let want = reference::generate_prime(&mut ref_rng, bits, rounds);
     assert_eq!(got, want, "{what}: bits={bits} rounds={rounds}");
     assert_eq!(got.bit_len(), bits, "{what}: bits={bits}");
+    assert!(
+        got.bit(bits - 2),
+        "{what}: bits={bits}: {got} < 3·2^(bits-2)"
+    );
     assert_eq!(
         new_rng.next_u64(),
         ref_rng.next_u64(),
@@ -173,37 +182,96 @@ fn sieved_search_finds_the_reference_prime_at_the_same_stream_position() {
     }
 }
 
-/// Hands out all-ones for its first draw, then a seeded stream: the
-/// first random start is `2^bits - 1`, the top of the range, so the
-/// scan walks off it after one candidate and must re-randomise.
+/// Hands out `first` for its first draw, then a seeded stream.
 #[derive(Clone)]
-struct TopOfRangeFirst {
-    first: bool,
+struct FirstDraw {
+    first: Option<Vec<u8>>,
     rest: DetRng,
 }
 
-impl RngCore for TopOfRangeFirst {
+impl FirstDraw {
+    /// The first random start, before any bit is forced, is `value`.
+    fn of(value: &BigUint, bits: usize, seed: u64) -> Self {
+        FirstDraw {
+            first: Some(value.to_bytes_be_padded(bits.div_ceil(8))),
+            rest: DetRng::seed_from_u64(seed),
+        }
+    }
+}
+
+impl RngCore for FirstDraw {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        if std::mem::take(&mut self.first) {
-            dest.fill(0xff);
-        } else {
-            self.rest.fill_bytes(dest);
+        match self.first.take() {
+            Some(first) => dest.copy_from_slice(&first),
+            None => self.rest.fill_bytes(dest),
         }
     }
 }
 
 #[test]
 fn walking_off_the_top_of_the_range_rerandomises_like_the_reference() {
+    // An all-ones draw starts at 2^bits - 1, the top of the range, so
+    // the scan walks off it after one candidate and must re-randomise.
     // 2^bits - 1 is prime at 13, 17, 19, 31, 61 and 127 (returned at
     // once) and composite at the others (one candidate, then a redraw).
     for bits in [8, 9, 13, 16, 17, 31, 32, 61, 64, 65, 127, 128, 256] {
+        let all_ones = (&BigUint::one() << bits) - &BigUint::one();
         for seed in 0..3 {
-            let rng = TopOfRangeFirst {
-                first: true,
-                rest: DetRng::seed_from_u64(0x70FF + seed),
-            };
+            let rng = FirstDraw::of(&all_ones, bits, 0x70FF + seed);
             assert_same_search(rng, bits, 16, "top of range");
         }
+    }
+}
+
+#[test]
+fn a_first_draw_with_the_second_bit_clear_or_set_starts_inside_the_range() {
+    for bits in [8, 9, 16, 33, 64, 65, 128, 256] {
+        let bottom = &BigUint::from(3u64) << (bits - 2);
+        // (draw, the even number its forced start is one more than).
+        // Bit `bits - 2` clear: the all-zero draw, and 2^(bits-3), which
+        // stays on under the two forced bits. Bit `bits - 2` set:
+        // 2^(bits-2) alone, which the top bit completes to the bottom.
+        let draws = [
+            (BigUint::zero(), bottom.clone()),
+            (
+                &BigUint::one() << (bits - 3),
+                &bottom + &(&BigUint::one() << (bits - 3)),
+            ),
+            (&BigUint::one() << (bits - 2), bottom.clone()),
+        ];
+        for (draw, floor) in draws {
+            let mut rng = FirstDraw::of(&draw, bits, 0xB172);
+            assert_same_search(rng.clone(), bits, 16, "second bit");
+            // The scan only climbs, and none of these starts is within
+            // a window of the top: the prime sits above its start.
+            let got = generate_prime(&mut rng, bits, 16);
+            assert!(got > floor, "bits={bits}: {got} below its start");
+        }
+    }
+}
+
+#[test]
+fn the_smallest_widths_search_like_the_reference_and_stay_in_range() {
+    // [192, 256) and [384, 512): the sieve primes that count as below
+    // the range stop at 127 and 251, just under it.
+    for bits in [8, 9] {
+        for seed in 0..64 {
+            let rng = DetRng::seed_from_u64(0x5A11 + ((bits as u64) << 8) + seed);
+            assert_same_search(rng, bits, 16, "smallest widths");
+        }
+    }
+}
+
+#[test]
+fn ten_thousand_seeded_primes_have_their_top_two_bits_set() {
+    let mut rng = DetRng::seed_from_u64(0x7072);
+    for i in 0..10_000 {
+        let bits = 16 + i % 49; // 16..=64
+        let p = generate_prime(&mut rng, bits, 16);
+        assert!(
+            p.bit_len() == bits && p.bit(bits - 2) && p.is_odd(),
+            "bits={bits}: {p} outside [3·2^(bits-2), 2^bits)"
+        );
     }
 }
 

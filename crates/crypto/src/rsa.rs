@@ -285,19 +285,29 @@ fn pow_with(ctx: &Option<Montgomery>, base: &BigUint, exp: &BigUint, modulus: &B
 }
 
 impl RsaKeyPair {
-    /// Generate a fresh key pair with a modulus of `bits` bits
+    /// Generate a fresh key pair with a modulus of exactly `bits` bits
     /// (`e = 65537`). Test code typically uses 512-bit keys for speed.
+    ///
+    /// A key is two prime searches, `p` of `bits / 2` bits and then `q`
+    /// of the rest. [`generate_prime`] sets the top two bits of each, so
+    /// `p·q ≥ 9/16·2^bits > 2^(bits-1)` whether the widths are equal
+    /// (even `bits`) or one apart (odd `bits`), and the modulus is never
+    /// a bit short. The pair is redrawn only for `p == q` or
+    /// `gcd(e, φ) ≠ 1` — about 2 in 65 537 keys.
     pub fn generate<E: EntropySource>(rng: &mut E, bits: usize) -> Self {
         assert!(bits >= 128, "RSA modulus must be at least 128 bits");
         let e = BigUint::from(65537u64);
         loop {
             let p = generate_prime(rng, bits / 2, 16);
             let q = generate_prime(rng, bits - bits / 2, 16);
-            if p == q || p.mul_ref(&q).bit_len() != bits {
+            if p == q {
                 continue;
             }
             match Self::from_components(p, q, e.clone()) {
-                Ok(key) => return key,
+                Ok(key) => {
+                    assert_eq!(key.public.n.bit_len(), bits, "p, q >= 3/4 of their width");
+                    return key;
+                }
                 Err(_) => continue, // gcd(e, phi) != 1; re-draw primes
             }
         }

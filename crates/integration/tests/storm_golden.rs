@@ -2,9 +2,12 @@
 //! rebuilt on other data structures, what a seeded storm observes may
 //! not move.
 //!
-//! Every digest below was recorded at the commit *before* the message
-//! path left `Mutex` / `mpsc` / `BinaryHeap` (PR 16's tree). Each pins
-//! the SHA-256 of a whole deterministic render, so a single reordered
+//! Every `storm.*` pin in `tests/golden.pins` was recorded at the commit
+//! *before* the message path left `Mutex` / `mpsc` / `BinaryHeap` (PR
+//! 16's tree) and has not moved since: the renders hold counts and
+//! simulated times, no key bytes, so `scripts/repin.sh` must leave them
+//! as they are whenever only seeded keys change. Each pins the SHA-256
+//! and length of a whole deterministic render, so a single reordered
 //! wake, shifted fault draw or miscounted drop anywhere in a run of
 //! 10⁴–10⁵ messages changes it. The last test keeps the fault
 //! transcript on and pins it line for line together with the three
@@ -19,51 +22,37 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
 use gridsec_testbed::rpc::{self, CallPoll, PollingCall};
 use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
+use gridsec_util::pins;
 use gridsec_util::rng::{DetRng, RngCore};
 
-fn digest(text: &str) -> String {
-    sha256(text.as_bytes())
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
+/// Hold `render` to the pin `name`; a failing run prints it.
+fn check_render(name: &str, render: &str) {
+    println!("{name}:\n{render}");
+    pins::check(name, sha256(render.as_bytes()), render.len());
 }
 
 #[test]
 fn vo_storm_render_is_the_recorded_one() {
     // verify.sh's smoke size, under the bench bin's seed and one more.
-    for (seed, want) in [
-        (
-            0x0057_0A11,
-            "a66eb8cdb8d6c525f20b123877f7305c9846a40a49382a969018b62b96b54e68",
-        ),
-        (
-            0x0057_0A12,
-            "2aa342008bb5aae2048f2bb9c3743f3127171307cafd7bbe15f1f2f8f5c86cb4",
-        ),
+    for (seed, name) in [
+        (0x0057_0A11, "storm.vo_2000.570a11"),
+        (0x0057_0A12, "storm.vo_2000.570a12"),
     ] {
         let render = run_vo_storm(&StormOpts::new(2_000, seed)).deterministic_render();
-        assert_eq!(digest(&render), want, "seed {seed:#x}:\n{render}");
+        check_render(name, &render);
     }
 }
 
 #[test]
 fn crypto_storm_render_is_the_recorded_one() {
     let render = run_crypto_storm(&CryptoStormOpts::new(1_500, 0x0C57)).deterministic_render();
-    assert_eq!(
-        digest(&render),
-        "bc4085a139283f3d728d232aae10eb88ec664276e05dde4a9da82c1e0b84b205",
-        "{render}"
-    );
+    check_render("storm.crypto_1500", &render);
 }
 
 #[test]
 fn expiry_storm_render_is_the_recorded_one() {
     let render = run_expiry_storm(&ExpiryOpts::new(400, 0xC4A0_5EED)).deterministic_render();
-    assert_eq!(
-        digest(&render),
-        "34074d601d4bf24a2e71f18799f7853b0acd27eac3a57f587a525ef6099a597a",
-        "{render}"
-    );
+    check_render("storm.expiry_400", &render);
 }
 
 /// A stateless echo gateway on `ep`: answers every request frame with
@@ -148,10 +137,10 @@ fn lossy_wan_storm_transcript_and_stats_are_the_recorded_ones() {
          FaultStats { sent: 2001, delivered: 2014, dropped: 260, duplicated: 273, blocked: 0 }\n\
          TrafficStats { messages: 2062, bytes: 183749 }\n",
     );
-    assert_eq!(
-        digest(&transcript.join("\n")),
-        "f6862ea8a569f3744d9b49c7f62bc1ecc74003936da3898abb01cb361643b1c6",
-        "first lines:\n{}",
-        transcript[..8].join("\n")
+    let transcript = transcript.join("\n");
+    pins::check(
+        "storm.lossy_wan_200.transcript",
+        sha256(transcript.as_bytes()),
+        transcript.len(),
     );
 }

@@ -15,6 +15,8 @@
 //!   failing-seed reporting, shrink-by-replay).
 //! * [`bench`] — a criterion-shaped micro-benchmark runner emitting
 //!   median/p95 JSON reports (`BENCH_*.json`).
+//! * [`pins`] — the golden tests' pinned digests, read from the one
+//!   checked-in `tests/golden.pins` that `scripts/repin.sh` rewrites.
 //! * [`retry`] — the shared exponential-backoff [`retry::RetryPolicy`]
 //!   used by every client path that crosses the simulated network.
 //! * [`throttle`] — a deterministic token-bucket bandwidth limiter
@@ -27,6 +29,7 @@
 pub mod bench;
 pub mod chacha;
 pub mod check;
+pub mod pins;
 pub mod retry;
 pub mod rng;
 pub mod sync;

@@ -113,6 +113,14 @@ stage_grep_guard() {
         echo "FAIL: crates/util/src/channel.rs is back; nothing may use it" >&2
         exit 1
     fi
+    # Golden digests live in tests/golden.pins, where scripts/repin.sh
+    # can re-record and tabulate them (DESIGN.md §11.6): a 64-hex literal
+    # in a golden test is a pin the tool cannot see.
+    if grep -En '[0-9a-f]{64}' crates/crypto/tests/golden_key.rs \
+        crates/wsse/tests/golden_wire.rs crates/integration/tests/storm_golden.rs; then
+        echo "FAIL: digest literal in a golden test above; pins belong in tests/golden.pins" >&2
+        exit 1
+    fi
     # Crypto precomputation is owned by the key or group it is a function
     # of (DESIGN.md §11.1): no per-thread state may come back under the
     # crypto stack (doc comments excepted). `util::trace` keeps its own.
@@ -309,7 +317,8 @@ stage_deep_matrix() {
 # not slower than a pool-less per-session acceptor, and four stripes
 # beat one stream >=1.5x at 5% loss (tick-model, deterministic); a
 # 256-bit modexp costs <=0.16x a 512-bit one and a 256-bit prime search
-# <=60 modexps (DESIGN.md §11.4). Every claim
+# <=60 modexps (DESIGN.md §11.4); a 512-bit key is exactly 2.000 prime
+# searches, counted by stream replay (DESIGN.md §11.5). Every claim
 # prints measured ratio, threshold and source BENCH json, pass or fail.
 stage_perf_guard() {
     cargo run -q --offline --release -p gridsec-bench --bin perf_guard
@@ -463,7 +472,8 @@ stage_drift() {
         scripts/regen_experiments.sh > /dev/null
     if ! git diff --exit-code -- EXPERIMENTS.md; then
         echo "FAIL: EXPERIMENTS.md flow metrics drifted from the pinned seed;" >&2
-        echo "      run scripts/regen_experiments.sh and commit the result" >&2
+        echo "      scripts/repin.sh re-records them beside the golden pins and" >&2
+        echo "      prints what moved; commit the result if the move is meant" >&2
         exit 1
     fi
     echo "ok: EXPERIMENTS.md matches regenerated flow metrics"
