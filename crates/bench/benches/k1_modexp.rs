@@ -10,10 +10,12 @@
 //! half, a DH-256 agreement, a Miller–Rabin witness on a 256-bit prime
 //! candidate — to 1024.
 //!
-//! `prime_search/256` and `rsa_keygen/512` are what those witnesses add
-//! up to. Search length is geometric, so each of their samples is one
-//! search (one key) from its own seeded stream: the same searches on
-//! every run, median and p95 over the distribution of searches.
+//! `prime_search/256` and `rsa_keygen/512` are what those
+//! exponentiations add up to in a constructed, proven prime (the row
+//! keeps the name it was first recorded under). The walk to a prime is
+//! geometric in length, so each of their samples is one prime (one key)
+//! from its own seeded stream: the same primes on every run, median and
+//! p95 over their distribution.
 
 use gridsec_bench::sign_shape;
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
@@ -48,7 +50,7 @@ fn modexp(c: &mut Criterion) {
         b.iter(|| mod_pow_classic(&base, &e, &modulus))
     });
 
-    // One sample = one search from its own seeded stream.
+    // One sample = one prime from its own seeded stream.
     group.sample_size(64);
     let mut seed = 0u64;
     let mut next_rng = move || {

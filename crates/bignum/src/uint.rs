@@ -509,15 +509,36 @@ impl BigUint {
         let common = za.min(zb);
         a = &a >> za;
         b = &b >> zb;
+        // Both odd from here. Each round is `b -= a` and a shift, in
+        // place: a round per bit or so, none of which allocates.
         loop {
             if a > b {
                 std::mem::swap(&mut a, &mut b);
             }
-            b = b.sub_ref(&a);
-            if b.is_zero() {
-                return &a << common;
+            let mut borrow = false;
+            for (i, limb) in b.limbs.iter_mut().enumerate() {
+                let (d, b1) = limb.overflowing_sub(a.limbs.get(i).copied().unwrap_or(0));
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                (*limb, borrow) = (d, b1 | b2);
             }
-            b = &b >> b.trailing_zeros().unwrap();
+            let Some(zeros) = b.trailing_zeros() else {
+                return &a << common;
+            };
+            b.limbs.drain(..zeros / LIMB_BITS);
+            shr_bits(&mut b.limbs, zeros % LIMB_BITS);
+            b.normalize();
+        }
+    }
+}
+
+/// Shift `limbs` right by `bit_shift < 64` bits in place.
+fn shr_bits(limbs: &mut [u64], bit_shift: usize) {
+    if bit_shift != 0 {
+        let mut carry = 0u64;
+        for l in limbs.iter_mut().rev() {
+            let new_carry = *l << (LIMB_BITS - bit_shift);
+            *l = (*l >> bit_shift) | carry;
+            carry = new_carry;
         }
     }
 }
@@ -651,14 +672,7 @@ impl Shr<usize> for &BigUint {
             return BigUint::zero();
         }
         let mut limbs: Vec<u64> = self.limbs[limb_shift..].to_vec();
-        if bit_shift != 0 {
-            let mut carry = 0u64;
-            for l in limbs.iter_mut().rev() {
-                let new_carry = *l << (LIMB_BITS - bit_shift);
-                *l = (*l >> bit_shift) | carry;
-                carry = new_carry;
-            }
-        }
+        shr_bits(&mut limbs, bit_shift);
         BigUint::from_limbs(limbs)
     }
 }

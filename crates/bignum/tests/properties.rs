@@ -119,6 +119,20 @@ fn gcd_divides_both() {
 }
 
 #[test]
+fn gcd_matches_euclid_by_division() {
+    check("gcd_matches_euclid_by_division", CASES, |g| {
+        // A planted common factor, so the answer is rarely 1.
+        let common = biguint_nonzero(g);
+        let (a, b) = (biguint(g).mul_ref(&common), biguint(g).mul_ref(&common));
+        let (mut x, mut y) = (a.clone(), b.clone());
+        while !y.is_zero() {
+            (x, y) = (y.clone(), x.rem_ref(&y));
+        }
+        assert_eq!(a.gcd(&b), x, "gcd({a}, {b})");
+    });
+}
+
+#[test]
 fn mod_pow_product_rule() {
     check("mod_pow_product_rule", CASES, |g| {
         let a = biguint(g);

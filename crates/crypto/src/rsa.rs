@@ -288,8 +288,16 @@ impl RsaKeyPair {
     /// Generate a fresh key pair with a modulus of exactly `bits` bits
     /// (`e = 65537`). Test code typically uses 512-bit keys for speed.
     ///
-    /// A key is two prime searches, `p` of `bits / 2` bits and then `q`
-    /// of the rest. [`generate_prime`] sets the top two bits of each, so
+    /// A key is two calls of [`generate_prime`], `p` of `bits / 2` bits
+    /// and then `q` of the rest, and both primes are *proven*: each is
+    /// built as `2kr + 1` on a proven prime `r` of half its width and
+    /// carries a Pocklington proof (FIPS 186-4 B.3.2, "provably prime"),
+    /// so `p − 1` and `q − 1` each have a prime factor of a quarter of
+    /// the modulus' width and no error probability attaches to the key.
+    /// The `16` passed as `rounds` buys none of that: it is the number
+    /// of random-base Miller–Rabin rounds a debug build cross-checks
+    /// every prime with, off the caller's stream. [`generate_prime`]
+    /// sets the top two bits of each prime, so
     /// `p·q ≥ 9/16·2^bits > 2^(bits-1)` whether the widths are equal
     /// (even `bits`) or one apart (odd `bits`), and the modulus is never
     /// a bit short. The pair is redrawn only for `p == q` or
