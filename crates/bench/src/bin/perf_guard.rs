@@ -5,19 +5,20 @@
 //!    window reference on 512-bit RSA-sign-shaped operands.
 //! 2. **Session resumption**: the abbreviated handshake beats the full
 //!    asymmetric handshake.
-//! 3. **Batched acceptance**: a [`HandshakeMill`] wave (pooled
-//!    validator, shared verify contexts) accepts hellos no slower than
-//!    a pool-less per-session acceptor (fresh acceptor per hello) —
-//!    the claim behind `handshake_storm`.
+//! 3. **Pooled acceptance**: a [`HandshakeMill`] wave on a warm
+//!    verdict cache accepts hellos no slower than a pool-less
+//!    per-session acceptor (fresh acceptor per hello) — the claim
+//!    behind `handshake_storm`. A wave is a loop over the single
+//!    acceptance, so the ratio prices a cache hit against a chain walk.
 //! 4. **Striping**: four pinned stripes finish the 32 KiB reference
 //!    fetch at 5% loss in ≤2/3 the simulated ticks of a single stream
 //!    (≥1.5× goodput) — the headline claim behind `striped_xfer`.
 //!    Claim 4 is tick-model arithmetic, deterministic by seed.
-//! 5. **Mill-batched poll establishment**: the full three-leg poll
+//! 5. **Pooled poll establishment**: the full three-leg poll
 //!    establishment (hello → ServerHello → Finished) through a
-//!    [`WaveAcceptor`] wave runs the acceptor side no slower than a
-//!    pool-less per-session acceptor (fresh [`AcceptorContext`] per
-//!    hello) — the claim behind `crypto_storm`.
+//!    [`WaveAcceptor`] wave on a warm verdict cache runs the acceptor
+//!    side no slower than a pool-less per-session acceptor (fresh
+//!    [`AcceptorContext`] per hello) — the claim behind `crypto_storm`.
 //! 6. **Storm scale** (two ratios, counted as claims 6 and 7): the
 //!    recorded `crypto_storm` run covers ≥5× the recorded `vo_storm`
 //!    population with real per-principal handshake crypto, at a
@@ -58,12 +59,12 @@
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
 //! CI. Both arms of claims 3 and 5 run the one Montgomery kernel with
-//! the tables their keys and group own, so those ratios are what
-//! pooling and batching themselves buy (validator hits, shared verify
-//! contexts); absolute acceptor speed is gated by gridbench's
-//! `ops_per_s` on `establish_storm`. Claims 9 and 10 are medians of
-//! per-round ratios, the two arms of a round interleaved, so a slow
-//! phase of the machine lands on numerator and denominator alike.
+//! the tables their keys and group own and the one hello acceptance,
+//! so those ratios are what the pool buys (validator hits: a digest in
+//! place of a chain walk); absolute acceptor speed is gated by
+//! gridbench's `ops_per_s` on `establish_storm`. Claims 9 and 10 are
+//! medians of per-round ratios, the two arms of a round interleaved, so
+//! a slow phase of the machine lands on numerator and denominator alike.
 //! Claim 11 reads no clock: one run, the same count on every machine.
 //!
 //! Every claim prints its measured ratio, its threshold, and the

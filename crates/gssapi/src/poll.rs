@@ -15,14 +15,14 @@
 //! - [`WaveAcceptor`] is the gateway-side collector: hellos submitted
 //!   by many tasks accumulate until the gateway task reaches mail
 //!   quiescence, then one [`WaveAcceptor::flush_wave`] call drives the
-//!   whole accumulated wave through the [`HandshakeMill`] so
-//!   certificate signature checks group by issuer key and DH/signing
-//!   state comes from the shared [`gridsec_tls::pool::CryptoPool`].
+//!   whole accumulated wave through the [`HandshakeMill`]: in order,
+//!   each hello getting what a single session gets, with chain verdicts
+//!   memoized in the shared [`gridsec_tls::pool::CryptoPool`].
 //!
 //! Every verdict is identical to the one-at-a-time [`AcceptorContext`]
-//! loop; batching only changes how fast the same answers arrive. The
-//! wave boundary is the scheduler's quiescence point, so wave sizes —
-//! and therefore the amortization — are a pure function of the seed.
+//! loop — a wave *is* that loop; collecting one only moves the
+//! acceptor's work to the scheduler's quiescence point, so wave sizes
+//! are a pure function of the seed.
 
 use std::collections::HashMap;
 

@@ -4,9 +4,15 @@
 //!
 //! Every `storm.*` pin in `tests/golden.pins` was recorded at the commit
 //! *before* the message path left `Mutex` / `mpsc` / `BinaryHeap` (PR
-//! 16's tree) and has not moved since: the renders hold counts and
-//! simulated times, no key bytes, so `scripts/repin.sh` must leave them
-//! as they are whenever only seeded keys change. Each pins the SHA-256
+//! 16's tree), and all but one have not moved since: the renders hold
+//! counts and simulated times, no key bytes, so `scripts/repin.sh` must
+//! leave them as they are whenever only seeded keys change. The one
+//! move is `storm.crypto_1500` in PR 20, by one line of its render
+//! (`validator misses=491 hits=994` → `misses=484 hits=1001`): the
+//! render counts chain walks, and the batch validator deleted there
+//! walked a chain once per occurrence in a wave before caching it,
+//! where a wave accepted as a loop walks it once. No message, wake,
+//! verdict or simulated time in it moved. Each pins the SHA-256
 //! and length of a whole deterministic render, so a single reordered
 //! wake, shifted fault draw or miscounted drop anywhere in a run of
 //! 10⁴–10⁵ messages changes it. The last test keeps the fault

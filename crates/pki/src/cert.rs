@@ -8,7 +8,7 @@
 use crate::encoding::{Codec, Decoder, Encoder};
 use crate::name::DistinguishedName;
 use crate::PkiError;
-use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey, RsaVerifyCtx};
+use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use gridsec_crypto::sha256::sha256;
 
 /// Key usage bit flags (subset relevant to GSI).
@@ -125,14 +125,6 @@ impl Certificate {
     /// Verify this certificate's signature against a candidate issuer key.
     pub fn verify_signature(&self, issuer_key: &RsaPublicKey) -> bool {
         issuer_key.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
-    }
-
-    /// Like [`Certificate::verify_signature`], but through a shared
-    /// [`RsaVerifyCtx`] so repeated verifications under one issuer key
-    /// (every chain signed by the same CA) skip the per-call Montgomery
-    /// setup. The verdict is identical by construction.
-    pub fn verify_signature_with(&self, issuer_ctx: &RsaVerifyCtx) -> bool {
-        issuer_ctx.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
     }
 
     /// `true` iff marked as a CA via basic constraints.

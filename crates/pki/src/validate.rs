@@ -22,17 +22,17 @@
 //! digest and the trust/CRL store generations, so services that see the
 //! same chain repeatedly (per-message XML signatures, repeated context
 //! establishment) pay the RSA verification cost once per chain rather
-//! than once per use. Negative results are never cached.
+//! than once per use. Negative results are never cached. There is one
+//! walk and one memoized form of it; [`CachedValidator::validate_batch`]
+//! returns, in order, each what the single form returns.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
 use crate::cert::{key_usage, Certificate, ProxyPolicy};
-use crate::encoding::Codec;
 use crate::name::DistinguishedName;
 use crate::store::{CrlStore, TrustStore};
 use crate::PkiError;
-use gridsec_crypto::rsa::{RsaPublicKey, RsaVerifyCtx};
+use gridsec_crypto::rsa::RsaPublicKey;
 use gridsec_crypto::sha256::sha256;
 
 /// The rights the validated chain conveys relative to its base identity.
@@ -86,23 +86,6 @@ pub fn validate_chain_with_crls(
     crls: &CrlStore,
     now: u64,
 ) -> Result<ValidatedIdentity, PkiError> {
-    validate_chain_inner(chain, trust, crls, now, &mut |cert, key| {
-        cert.verify_signature(key)
-    })
-}
-
-/// The chain walk with the signature check abstracted: `verify(cert,
-/// issuer_key)` decides each certificate's signature. The plain entry
-/// points pass `Certificate::verify_signature`; [`CachedValidator`]
-/// passes shared per-issuer [`RsaVerifyCtx`]s, and its batch path
-/// passes a collector that defers the checks entirely.
-fn validate_chain_inner(
-    chain: &[Certificate],
-    trust: &TrustStore,
-    crls: &CrlStore,
-    now: u64,
-    verify: &mut dyn FnMut(&Certificate, &RsaPublicKey) -> bool,
-) -> Result<ValidatedIdentity, PkiError> {
     if chain.is_empty() {
         return Err(PkiError::InvalidChain("empty chain"));
     }
@@ -150,7 +133,7 @@ fn validate_chain_inner(
                 not_after: cert.tbs.validity.not_after,
             });
         }
-        if !verify(cert, &parent_key) {
+        if !cert.verify_signature(&parent_key) {
             return Err(PkiError::BadSignature);
         }
         if crls.is_revoked(cert.issuer(), cert.tbs.serial, now) {
@@ -288,35 +271,8 @@ pub struct CachedValidator {
     crl_generation: u64,
     entries: HashMap<[u8; 32], CachedEntry>,
     order: VecDeque<[u8; 32]>,
-    /// Shared per-issuer-key verify contexts (precomputed Montgomery
-    /// state), keyed on a digest of the public key. Cleared together
-    /// with the result cache on any store-generation bump: the contexts
-    /// are pure functions of the keys, but tying their lifetime to the
-    /// trust/CRL epoch keeps "what is precomputed" a function of the
-    /// current stores — and bounds staleness the same way the result
-    /// cache does.
-    verify_ctxs: HashMap<[u8; 32], Arc<RsaVerifyCtx>>,
     hits: u64,
     misses: u64,
-}
-
-/// Digest identifying a public key (length-prefixed `n` and `e`).
-fn key_digest(key: &RsaPublicKey) -> [u8; 32] {
-    let n = key.modulus().to_bytes_be();
-    let e = key.exponent().to_bytes_be();
-    let mut data = Vec::with_capacity(n.len() + e.len() + 8);
-    data.extend_from_slice(&(n.len() as u32).to_be_bytes());
-    data.extend_from_slice(&n);
-    data.extend_from_slice(&(e.len() as u32).to_be_bytes());
-    data.extend_from_slice(&e);
-    sha256(&data)
-}
-
-/// One deferred signature check collected during a batch walk.
-struct SigJob {
-    chain_idx: usize,
-    msg: Vec<u8>,
-    sig: Vec<u8>,
 }
 
 impl CachedValidator {
@@ -329,48 +285,20 @@ impl CachedValidator {
             crl_generation: 0,
             entries: HashMap::new(),
             order: VecDeque::new(),
-            verify_ctxs: HashMap::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Bound on retained verify contexts; reaching it clears the map
-    /// (deterministic, like the FIFO result cache, and far above the
-    /// issuer-key population of any realistic deployment).
-    const MAX_VERIFY_CTXS: usize = 64;
-
-    /// Shared verify context for `key`, creating (and memoizing) one on
-    /// first sight. Associated fn so callers can split-borrow the map
-    /// while iterating other fields.
-    fn ctx_for(
-        ctxs: &mut HashMap<[u8; 32], Arc<RsaVerifyCtx>>,
-        key: &RsaPublicKey,
-    ) -> Arc<RsaVerifyCtx> {
-        let digest = key_digest(key);
-        if let Some(ctx) = ctxs.get(&digest) {
-            return Arc::clone(ctx);
-        }
-        if ctxs.len() >= Self::MAX_VERIFY_CTXS {
-            ctxs.clear();
-        }
-        let ctx = Arc::new(key.verify_ctx());
-        ctxs.insert(digest, Arc::clone(&ctx));
-        ctx
-    }
-
-    /// Drop every memoized result and verify context if either store's
-    /// generation moved since the last call.
+    /// Drop every memoized result if either store's generation moved
+    /// since the last call.
     fn refresh_generations(&mut self, trust: &TrustStore, crls: &CrlStore) {
         if trust.generation() != self.trust_generation || crls.generation() != self.crl_generation {
             // A store changed underneath us: every cached result is
             // suspect (a new CRL may revoke, a removed anchor may
-            // untrust), so drop them all — including the precomputed
-            // verify contexts, whose issuer population belonged to the
-            // old epoch.
+            // untrust), so drop them all.
             self.entries.clear();
             self.order.clear();
-            self.verify_ctxs.clear();
             self.trust_generation = trust.generation();
             self.crl_generation = crls.generation();
         }
@@ -416,7 +344,9 @@ impl CachedValidator {
             }
         }
 
-        if self.entries.len() == self.capacity && !self.entries.contains_key(&key) {
+        // Only reached after a miss, so `key` is in neither `entries`
+        // nor `order`: the two stay one-to-one and the bound holds.
+        if self.entries.len() == self.capacity {
             if let Some(oldest) = self.order.pop_front() {
                 self.entries.remove(&oldest);
             }
@@ -460,30 +390,15 @@ impl CachedValidator {
         }
         self.misses += 1;
 
-        // Walk with shared per-issuer verify contexts: chains under one
-        // CA reuse its Montgomery state across calls. The verdicts are
-        // identical to `Certificate::verify_signature` by construction.
-        let ctxs = &mut self.verify_ctxs;
-        let identity = validate_chain_inner(chain, trust, crls, now, &mut |cert, issuer_key| {
-            cert.verify_signature_with(&Self::ctx_for(ctxs, issuer_key))
-        })?;
-
+        let identity = validate_chain_with_crls(chain, trust, crls, now)?;
         self.cache_insert(key, chain, trust, &identity);
         Ok(identity)
     }
 
-    /// Validate many chains at once, grouping all deferred signature
-    /// checks by issuer key and running each group through
-    /// [`RsaVerifyCtx::verify_batch`]. Results are positionally aligned
-    /// with `chains` and each is identical to what [`Self::validate`]
-    /// would return for that chain alone:
-    ///
-    /// * chains whose structural walk and batched signature checks all
-    ///   pass are cached and returned `Ok` directly;
-    /// * any chain with a structural error *or* a failed batched
-    ///   signature is re-run through the individual path, so the exact
-    ///   error — including the walk-order position of a bad signature
-    ///   relative to other defects — matches the one-at-a-time API.
+    /// Validate `chains` in order, each exactly what [`Self::validate`]
+    /// returns for it at that point — so a chain that occurs twice in
+    /// one call is walked once and hit thereafter. A loop, kept only
+    /// because the frozen `benchmark/` crate calls it.
     pub fn validate_batch(
         &mut self,
         chains: &[&[Certificate]],
@@ -491,91 +406,9 @@ impl CachedValidator {
         crls: &CrlStore,
         now: u64,
     ) -> Vec<Result<ValidatedIdentity, PkiError>> {
-        self.refresh_generations(trust, crls);
-
-        // Phase 1: per-chain structural walk with signature checks
-        // deferred into per-issuer groups. `None` marks a chain that
-        // still needs the individual path (cache-stale, structural
-        // failure, or later a batch signature failure).
-        let mut results: Vec<Option<Result<ValidatedIdentity, PkiError>>> =
-            Vec::with_capacity(chains.len());
-        let mut walked: Vec<Option<ValidatedIdentity>> = vec![None; chains.len()];
-        let mut groups: BTreeMap<[u8; 32], (RsaPublicKey, Vec<SigJob>)> = BTreeMap::new();
-        for (i, chain) in chains.iter().enumerate() {
-            let key = Self::chain_digest(chain);
-            if let Some(identity) = self.cache_lookup(&key, now) {
-                results.push(Some(Ok(identity)));
-                continue;
-            }
-            let walk = validate_chain_inner(chain, trust, crls, now, &mut |cert, issuer_key| {
-                let entry = groups
-                    .entry(key_digest(issuer_key))
-                    .or_insert_with(|| (issuer_key.clone(), Vec::new()));
-                entry.1.push(SigJob {
-                    chain_idx: i,
-                    msg: cert.tbs.to_bytes(),
-                    sig: cert.signature.clone(),
-                });
-                true
-            });
-            match walk {
-                Ok(identity) => {
-                    walked[i] = Some(identity);
-                    results.push(None);
-                }
-                Err(_) => {
-                    // Structural failure. Drop the jobs this walk
-                    // queued — the individual re-run below decides
-                    // whether a deferred bad signature should have
-                    // preempted the structural error.
-                    for (_, jobs) in groups.values_mut() {
-                        jobs.retain(|j| j.chain_idx != i);
-                    }
-                    results.push(None);
-                }
-            }
-        }
-
-        // Phase 2: one batched verification per issuer key. BTreeMap
-        // order keeps context creation deterministic.
-        let mut sig_failed = vec![false; chains.len()];
-        for (key, jobs) in groups.values() {
-            if jobs.is_empty() {
-                continue;
-            }
-            let ctx = Self::ctx_for(&mut self.verify_ctxs, key);
-            let items: Vec<(&[u8], &[u8])> = jobs
-                .iter()
-                .map(|j| (j.msg.as_slice(), j.sig.as_slice()))
-                .collect();
-            let outcome = ctx.verify_batch(&items);
-            for (job, &ok) in jobs.iter().zip(outcome.valid()) {
-                if !ok {
-                    sig_failed[job.chain_idx] = true;
-                }
-            }
-        }
-
-        // Phase 3: settle each chain. All-pass walks become cached
-        // positives; everything else re-runs individually for the
-        // exact one-at-a-time verdict.
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, settled)| {
-                if let Some(done) = settled {
-                    return done;
-                }
-                match (&walked[i], sig_failed[i]) {
-                    (Some(identity), false) => {
-                        self.misses += 1;
-                        let key = Self::chain_digest(chains[i]);
-                        self.cache_insert(key, chains[i], trust, identity);
-                        Ok(identity.clone())
-                    }
-                    _ => self.validate(chains[i], trust, crls, now),
-                }
-            })
+        chains
+            .iter()
+            .map(|chain| self.validate(chain, trust, crls, now))
             .collect()
     }
 
@@ -587,12 +420,6 @@ impl CachedValidator {
     /// Cache misses (full walks) so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of issuer keys with a retained precomputed verify
-    /// context (drops to zero on any store-generation bump).
-    pub fn precomputed_keys(&self) -> usize {
-        self.verify_ctxs.len()
     }
 
     /// Number of memoized chains.

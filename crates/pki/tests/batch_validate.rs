@@ -1,8 +1,8 @@
 //! Interaction tests for `CachedValidator::validate_batch`: the batch
-//! path must agree chain-for-chain with the individual path, attribute
-//! failures to the right positions, and drop its precomputed verify
-//! contexts the moment a trust/CRL generation bump makes the old epoch
-//! suspect.
+//! form must agree chain-for-chain with the individual form (it is a
+//! loop over it), attribute failures to the right positions, honour a
+//! trust/CRL generation bump between batches, and keep the cache's
+//! counters and bound when a chain occurs more than once.
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::ca::CertificateAuthority;
@@ -100,14 +100,10 @@ fn batch_matches_individual_on_mixed_chains() {
         assert!(batch_v.validate(refs[i], &w.trust, &crls, 600).is_ok());
     }
     assert_eq!(batch_v.misses(), misses);
-
-    // All chains share one issuer (plus the user EEC for the proxy), so
-    // the context map stays small.
-    assert!(batch_v.precomputed_keys() >= 1);
 }
 
 #[test]
-fn generation_bump_mid_batch_drops_precomputed_contexts() {
+fn generation_bump_between_batches_revokes_and_empties_cache() {
     let mut w = world(4);
     let mut crls = CrlStore::new();
     let mut v = CachedValidator::new(16);
@@ -117,13 +113,10 @@ fn generation_bump_mid_batch_drops_precomputed_contexts() {
 
     let first = v.validate_batch(&refs, &w.trust, &crls, 500);
     assert!(first.iter().all(|r| r.is_ok()));
-    let built = v.precomputed_keys();
-    assert!(built >= 1, "batch built verify contexts");
     assert_eq!(v.len(), 4);
 
     // Revoke one user between batches: the CRL generation bump must
-    // clear both the result cache and every precomputed context before
-    // the next batch touches them.
+    // clear the result cache before the next batch touches it.
     let serial = w.users[2].certificate().tbs.serial;
     assert!(crls.add(
         w.ca.issue_crl(vec![serial], 100, 10_000),
@@ -138,24 +131,18 @@ fn generation_bump_mid_batch_drops_precomputed_contexts() {
         &PkiError::Revoked { serial }
     );
     assert!(second[3].is_ok());
-
-    // The old epoch's contexts were discarded, then rebuilt during the
-    // second batch — never served across the bump.
-    assert!(v.precomputed_keys() >= 1);
     assert_eq!(v.len(), 3, "revoked chain is not cached");
 
-    // Direct observation of the drop: bump the trust generation and
-    // probe before any validation runs contexts back in.
+    // Direct observation of the drop: bump the trust generation, and a
+    // one-chain batch leaves exactly that chain memoized.
     w.trust.add_root(
         CertificateAuthority::create_root(&mut w.rng, dn("/O=Other/CN=CA2"), 512, 0, 1_000_000)
             .certificate()
             .clone(),
     );
-    let _ = v.validate_batch(&refs[..1], &w.trust, &crls, 500);
-    // After the bump the map was cleared; the single-chain batch
-    // rebuilt exactly the contexts that chain needed.
-    assert!(v.precomputed_keys() >= 1);
-    assert!(v.precomputed_keys() <= built);
+    let third = v.validate_batch(&refs[..1], &w.trust, &crls, 500);
+    assert!(third[0].is_ok());
+    assert_eq!(v.len(), 1, "trust bump emptied the verdict cache");
 }
 
 #[test]
@@ -188,12 +175,30 @@ fn empty_and_duplicate_batches() {
     assert!(v.validate_batch(&[], &w.trust, &crls, 500).is_empty());
 
     // The same chain three times: first walk validates, the rest of the
-    // behaviour (cache state, verdicts) matches three individual calls.
+    // behaviour (cache state, counters, verdicts) matches three
+    // individual calls — one walk, then two hits.
     let chain = w.users[0].chain();
     let out = v.validate_batch(&[chain, chain, chain], &w.trust, &crls, 500);
     assert!(out.iter().all(|r| r.is_ok()));
     assert_eq!(v.len(), 1);
+    assert_eq!((v.misses(), v.hits()), (1, 2));
     let hits = v.hits();
     assert!(v.validate(chain, &w.trust, &crls, 500).is_ok());
     assert_eq!(v.hits(), hits + 1);
+}
+
+#[test]
+fn duplicates_in_a_batch_do_not_break_the_capacity_bound() {
+    // A repeat must not queue its key for eviction a second time: a
+    // later eviction would pop the stale key, remove nothing, and the
+    // cache would outgrow its capacity for good.
+    let w = world(4);
+    let crls = CrlStore::new();
+    let mut v = CachedValidator::new(2);
+    let chain = w.users[0].chain();
+    let _ = v.validate_batch(&[chain, chain, chain], &w.trust, &crls, 500);
+    for user in &w.users[1..] {
+        assert!(v.validate(user.chain(), &w.trust, &crls, 500).is_ok());
+        assert!(v.len() <= 2, "validator holds {} of 2", v.len());
+    }
 }

@@ -423,26 +423,30 @@ impl ServerHandshake {
         rng: &mut E,
         client_hello_token: &[u8],
     ) -> Result<(Vec<u8>, ServerAwaitFinished), TlsError> {
-        let ch = ClientHello::from_bytes(client_hello_token)
-            .map_err(|_| TlsError::Protocol("malformed ClientHello"))?;
-
-        // Authenticate the client (GSI is always mutual).
-        let peer = self.config.validate_peer(&ch.chain)?;
-        let payload = client_signature_payload(&ch.client_random, &ch.dh_public);
-        if !self
-            .config
-            .verify_binding(&peer.public_key, &payload, &ch.signature)
-        {
-            return Err(TlsError::BadPeerSignature);
-        }
-
-        server_respond(&self.config, rng, &ch, client_hello_token, peer)
+        accept_hello(&self.config, rng, client_hello_token)
     }
 }
 
+/// Accept one ClientHello: parse it, authenticate the client (GSI is
+/// always mutual), check the hello binding, respond. The one path
+/// behind [`ServerHandshake::step`] and [`server_accept_batch`].
+fn accept_hello<E: EntropySource>(
+    config: &TlsConfig,
+    rng: &mut E,
+    client_hello_token: &[u8],
+) -> Result<(Vec<u8>, ServerAwaitFinished), TlsError> {
+    let ch = ClientHello::from_bytes(client_hello_token)
+        .map_err(|_| TlsError::Protocol("malformed ClientHello"))?;
+    let peer = config.validate_peer(&ch.chain)?;
+    let payload = client_signature_payload(&ch.client_random, &ch.dh_public);
+    if !config.verify_binding(&peer.public_key, &payload, &ch.signature) {
+        return Err(TlsError::BadPeerSignature);
+    }
+    server_respond(config, rng, &ch, client_hello_token, peer)
+}
+
 /// The server's second half: mint the DH share, derive the schedule,
-/// sign the binding, and build the ServerHello. Shared by
-/// [`ServerHandshake::step`] and [`server_accept_batch`].
+/// sign the binding, and build the ServerHello.
 fn server_respond<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,
@@ -492,82 +496,20 @@ fn server_respond<E: EntropySource>(
     ))
 }
 
-/// Accept a wave of ClientHello tokens at once.
-///
-/// With a pool attached to `config`, every parsed chain in the wave
-/// goes through [`CachedValidator::validate_batch`], which groups the
-/// certificate signature checks by issuer key and verifies each group
-/// under one shared Montgomery context ([`RsaVerifyCtx::verify_batch`])
-/// — the portal-login-wave shape where thousands of chains hang off one
-/// CA. Without a pool it degrades to per-token validation.
-///
-/// Results are positionally aligned with `hellos`, and each entry is
-/// exactly what [`ServerHandshake::step`] would have produced for that
-/// token alone (same verdicts, same rng consumption order for the
-/// successful responses).
-///
-/// [`CachedValidator::validate_batch`]: gridsec_pki::validate::CachedValidator::validate_batch
-/// [`RsaVerifyCtx::verify_batch`]: gridsec_crypto::rsa::RsaVerifyCtx::verify_batch
+/// Accept a wave of ClientHello tokens: in order, each exactly what
+/// [`ServerHandshake::step`] returns for that token — same verdict,
+/// and `rng` is drawn from in wave order and only by accepted hellos.
+/// A loop, kept only because the frozen `benchmark/` crate and the mill
+/// call it; what a pool attached to `config` buys a wave is what it
+/// buys a single session, the verdict cache.
 pub fn server_accept_batch<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,
     hellos: &[&[u8]],
 ) -> Vec<Result<(Vec<u8>, ServerAwaitFinished), TlsError>> {
-    // Parse phase.
-    let parsed: Vec<Result<ClientHello, TlsError>> = hellos
+    hellos
         .iter()
-        .map(|token| {
-            ClientHello::from_bytes(token).map_err(|_| TlsError::Protocol("malformed ClientHello"))
-        })
-        .collect();
-
-    // Chain validation: batched through the pool when present.
-    let mut identities: Vec<Option<Result<ValidatedIdentity, TlsError>>> =
-        (0..hellos.len()).map(|_| None).collect();
-    if let Some(pool) = &config.pool {
-        let mut idx = Vec::new();
-        let mut chains: Vec<&[Certificate]> = Vec::new();
-        for (i, p) in parsed.iter().enumerate() {
-            if let Ok(ch) = p {
-                idx.push(i);
-                chains.push(&ch.chain);
-            }
-        }
-        let verdicts = pool.lock().expect("crypto pool lock").validate_batch(
-            &chains,
-            &config.trust,
-            &config.crls,
-            config.now,
-        );
-        for (i, verdict) in idx.into_iter().zip(verdicts) {
-            identities[i] = Some(verdict.map_err(TlsError::from));
-        }
-    } else {
-        for (i, p) in parsed.iter().enumerate() {
-            if let Ok(ch) = p {
-                identities[i] = Some(
-                    validate_chain_with_crls(&ch.chain, &config.trust, &config.crls, config.now)
-                        .map_err(TlsError::from),
-                );
-            }
-        }
-    }
-
-    // Binding verification + response, in wave order.
-    parsed
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let ch = p?;
-            let peer = identities[i]
-                .take()
-                .expect("parsed hello has a validation verdict")?;
-            let payload = client_signature_payload(&ch.client_random, &ch.dh_public);
-            if !config.verify_binding(&peer.public_key, &payload, &ch.signature) {
-                return Err(TlsError::BadPeerSignature);
-            }
-            server_respond(config, rng, &ch, hellos[i], peer)
-        })
+        .map(|token| accept_hello(config, rng, token))
         .collect()
 }
 

@@ -6,14 +6,17 @@
 //! function of *which peers this endpoint has seen*, in one handle a
 //! handshake endpoint threads through [`TlsConfig`]:
 //!
-//! * a [`CachedValidator`] memoizing chain walks and sharing per-issuer
-//!   [`RsaVerifyCtx`]s (Montgomery state built once per CA key);
-//! * shared verify contexts for the hello-binding signatures keyed on
-//!   the peer's leaf key.
+//! * a [`CachedValidator`] memoizing chain walks — what pooling buys:
+//!   a returning chain costs a digest, not its RSA verifications;
+//! * [`RsaVerifyCtx`]s for the hello-binding signatures keyed on the
+//!   peer's leaf key. A context now costs less to build than the key
+//!   hash that finds it; the map survives only because the frozen
+//!   `benchmark/` crate requires `binding_hits` to move.
 //!
-//! That is all it owns. Precomputation that is a function of a value —
-//! a credential's CRT-prime contexts, a DH group's modulus context and
-//! fixed-base table — lives in that value
+//! That is all it owns, and a wave of hellos goes through it in order,
+//! each getting what a single session gets. Precomputation that is a
+//! function of a value — a credential's CRT-prime contexts, a DH
+//! group's modulus context and fixed-base table — lives in that value
 //! ([`gridsec_crypto::rsa::RsaKeyPair`], [`DhGroup`]) and is there with
 //! or without a pool, so pools hold nothing another pool could remove
 //! and any number can be alive, and dropped, in any order. The pool is
@@ -37,7 +40,8 @@ use gridsec_pki::PkiError;
 pub const DEFAULT_VALIDATOR_CAPACITY: usize = 256;
 
 /// Bound on retained binding-verify contexts; reaching it clears the
-/// map (deterministic, mirroring the validator's context policy).
+/// map (deterministic: what is held stays a function of the call
+/// sequence, as with the validator's FIFO eviction).
 const MAX_BINDING_CTXS: usize = 64;
 
 /// Shared, reusable crypto state for many handshakes.
@@ -49,15 +53,11 @@ pub struct CryptoPool {
 }
 
 impl CryptoPool {
-    /// Pool with the default validation-cache capacity.
+    /// Pool memoizing at most [`DEFAULT_VALIDATOR_CAPACITY`] validated
+    /// chains.
     pub fn new() -> Self {
-        Self::with_validator_capacity(DEFAULT_VALIDATOR_CAPACITY)
-    }
-
-    /// Pool memoizing at most `capacity` validated chains.
-    pub fn with_validator_capacity(capacity: usize) -> Self {
         CryptoPool {
-            validator: CachedValidator::new(capacity),
+            validator: CachedValidator::new(DEFAULT_VALIDATOR_CAPACITY),
             binding_ctxs: HashMap::new(),
             binding_hits: 0,
             binding_misses: 0,
@@ -89,19 +89,6 @@ impl CryptoPool {
         self.validator.validate(chain, trust, crls, now)
     }
 
-    /// Validate many peer chains at once through the pooled validator,
-    /// grouping signature checks by issuer key (see
-    /// [`CachedValidator::validate_batch`]).
-    pub fn validate_batch(
-        &mut self,
-        chains: &[&[Certificate]],
-        trust: &TrustStore,
-        crls: &CrlStore,
-        now: u64,
-    ) -> Vec<Result<ValidatedIdentity, PkiError>> {
-        self.validator.validate_batch(chains, trust, crls, now)
-    }
-
     /// Verify a hello-binding signature through a shared per-key
     /// context. Identical verdict to
     /// [`RsaPublicKey::verify_pkcs1_sha256`].
@@ -130,7 +117,7 @@ impl CryptoPool {
         ctx.verify_pkcs1_sha256(msg, sig)
     }
 
-    /// The pooled validator (hit/miss counters, precomputed-key count).
+    /// The pooled validator (hit/miss counters, occupancy).
     pub fn validator(&self) -> &CachedValidator {
         &self.validator
     }

@@ -129,6 +129,15 @@ stage_grep_guard() {
         echo "FAIL: thread_local! in the crypto stack above" >&2
         exit 1
     fi
+    # A batch is a loop over the single form (DESIGN.md §13.2): one chain
+    # walk with no signature callback, one hello acceptance, and no
+    # per-issuer context map that hashes a key to find what is cheaper
+    # to build. The deferred-signature batch validator must not return.
+    if grep -rEn 'verify_signature_with|fn ctx_for|fn key_digest|struct SigJob|verify_ctxs|fn validate_chain_inner' \
+        crates/pki/src crates/tls/src; then
+        echo "FAIL: the batch validator's machinery is back in pki/tls (above)" >&2
+        exit 1
+    fi
 }
 
 stage_fmt() {
@@ -317,10 +326,11 @@ stage_deep_matrix() {
     echo "ok: crash seed matrix complete (incl. credential-lifetime suite + crypto_storm)"
 }
 
-# Offline micro-gate on the perf claims (DESIGN.md §13.4, §14):
+# Offline micro-gate on the perf claims (DESIGN.md §13.3, §14):
 # Montgomery modexp beats the classic window reference, the resumed
-# handshake beats the full handshake, a HandshakeMill batched wave is
-# not slower than a pool-less per-session acceptor, and four stripes
+# handshake beats the full handshake, a HandshakeMill wave on a warm
+# verdict cache is not slower than a pool-less per-session acceptor
+# (a wave is a loop over the single acceptance), and four stripes
 # beat one stream >=1.5x at 5% loss (tick-model, deterministic); a
 # 256-bit modexp costs <=0.16x a 512-bit one and a proven 256-bit prime
 # <=40 modexps (DESIGN.md §11.4); a 512-bit key is exactly 2.000 calls
@@ -355,7 +365,7 @@ stage_vo_storm() {
     echo "ok: $(head -1 "$tdir/storm.1") (byte-identical across two runs)"
 }
 
-# Reduced-scale run of the batched-handshake storm (the bench bin
+# Reduced-scale run of the pooled-handshake storm (the bench bin
 # defaults to 10^4 sessions; bench-results/after/BENCH_handshake_storm.json
 # records the full-scale run — the timing claim itself is gated by
 # perf_guard). Every metric except wall time must be a pure function of
