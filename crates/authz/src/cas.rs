@@ -20,7 +20,7 @@ use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::PkiError;
-use gridsec_util::sync::RwLock;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A right granted by the VO: (resource pattern, action pattern).
@@ -115,9 +115,9 @@ pub struct CasServer {
     vo: String,
     credential: Credential,
     /// user base identity → group tags.
-    membership: RwLock<HashMap<String, Vec<String>>>,
+    membership: RefCell<HashMap<String, Vec<String>>>,
     /// The VO's policy over its users and groups.
-    policy: RwLock<PolicySet>,
+    policy: RefCell<PolicySet>,
     /// Default assertion lifetime.
     assertion_lifetime: u64,
 }
@@ -128,8 +128,8 @@ impl CasServer {
         CasServer {
             vo: vo.to_string(),
             credential,
-            membership: RwLock::new(HashMap::new()),
-            policy: RwLock::new(PolicySet::new(CombiningAlg::DenyOverrides)),
+            membership: RefCell::new(HashMap::new()),
+            policy: RefCell::new(PolicySet::new(CombiningAlg::DenyOverrides)),
             assertion_lifetime,
         }
     }
@@ -146,27 +146,29 @@ impl CasServer {
 
     /// Enroll a user with group tags.
     pub fn enroll(&self, user: &DistinguishedName, groups: Vec<String>) {
-        self.membership.write().insert(user.to_string(), groups);
+        self.membership
+            .borrow_mut()
+            .insert(user.to_string(), groups);
     }
 
     /// Add a VO policy rule.
     pub fn add_rule(&self, rule: crate::policy::Rule) {
-        self.policy.write().add(rule);
+        self.policy.borrow_mut().add(rule);
     }
 
     /// Number of enrolled users.
     pub fn member_count(&self) -> usize {
-        self.membership.read().len()
+        self.membership.borrow().len()
     }
 
     /// Step 1 of Figure 2: issue an assertion to an authenticated user.
     /// Returns `None` if the user is not a VO member.
     pub fn issue_assertion(&self, user: &DistinguishedName, now: u64) -> Option<CasAssertion> {
-        let membership = self.membership.read();
+        let membership = self.membership.borrow();
         let groups = membership.get(&user.to_string())?;
         let rights: Vec<Right> = self
             .policy
-            .read()
+            .borrow()
             .permitted_rights(&user.to_string(), groups)
             .into_iter()
             .map(|(resource, action)| Right { resource, action })

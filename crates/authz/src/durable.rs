@@ -33,7 +33,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
 use gridsec_util::trace;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Journal tag for an enrollment record.
 pub const TAG_ENROLL: &str = "cas-enroll";
@@ -55,7 +55,7 @@ pub struct DurableCas {
     clock: SimClock,
     plan: CrashPlan,
     journal: Journal,
-    cas: Arc<CasServer>,
+    cas: Rc<CasServer>,
     service: CasService,
     /// (caller, call-id) → exact reply bytes already issued.
     issued: HashMap<(String, u64), Vec<u8>>,
@@ -73,7 +73,7 @@ impl DurableCas {
         plan: CrashPlan,
         journal: Journal,
     ) -> Self {
-        let cas = Arc::new(CasServer::new(vo, credential.clone(), assertion_lifetime));
+        let cas = Rc::new(CasServer::new(vo, credential.clone(), assertion_lifetime));
         let service = CasService::new(cas.clone(), clock.clone());
         let mut durable = DurableCas {
             vo: vo.to_string(),
@@ -91,7 +91,7 @@ impl DurableCas {
     }
 
     /// The live (possibly freshly recovered) CAS server.
-    pub fn cas(&self) -> &Arc<CasServer> {
+    pub fn cas(&self) -> &Rc<CasServer> {
         &self.cas
     }
 
@@ -222,7 +222,7 @@ impl CrashRecover for DurableCas {
 
     fn crash(&mut self) {
         // The process dies: every in-memory structure is gone.
-        self.cas = Arc::new(CasServer::new(
+        self.cas = Rc::new(CasServer::new(
             &self.vo,
             self.credential.clone(),
             self.assertion_lifetime,

@@ -19,7 +19,7 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::rpc::RpcClient;
 use gridsec_util::trace;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Op tag for assertion issuance.
 pub const OP_ISSUE: &str = "cas-issue";
@@ -31,13 +31,13 @@ pub const OP_ISSUE: &str = "cas-issue";
 /// validity window of the *first* execution — exactly what a client
 /// that saw the first reply get lost expects.
 pub struct CasService {
-    cas: Arc<CasServer>,
+    cas: Rc<CasServer>,
     clock: SimClock,
 }
 
 impl CasService {
     /// Serve `cas`, stamping assertions with `clock` time.
-    pub fn new(cas: Arc<CasServer>, clock: SimClock) -> Self {
+    pub fn new(cas: Rc<CasServer>, clock: SimClock) -> Self {
         CasService { cas, clock }
     }
 
@@ -141,11 +141,11 @@ mod tests {
         DistinguishedName::parse(s).unwrap()
     }
 
-    fn cas_world() -> (Arc<CasServer>, DistinguishedName) {
+    fn cas_world() -> (Rc<CasServer>, DistinguishedName) {
         let mut rng = ChaChaRng::from_seed_bytes(b"cas net tests");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=VO/CN=CA"), 512, 0, 1_000_000);
         let cred = ca.issue_identity(&mut rng, dn("/O=VO/CN=CAS"), 512, 0, 100_000);
-        let cas = Arc::new(CasServer::new("physics-vo", cred, 3600));
+        let cas = Rc::new(CasServer::new("physics-vo", cred, 3600));
         let user = dn("/O=G/CN=Alice");
         cas.enroll(&user, vec!["group:analysts".into()]);
         cas.add_rule(Rule::new(
@@ -158,7 +158,7 @@ mod tests {
     }
 
     /// `cas` served as a task on the returned scheduler.
-    fn serve(net: &Network, cas: Arc<CasServer>, clock: SimClock) -> Scheduler {
+    fn serve(net: &Network, cas: Rc<CasServer>, clock: SimClock) -> Scheduler {
         let mut service = CasService::new(cas, clock);
         let mut sched = Scheduler::new(net);
         sched.spawn_mailbox(
@@ -171,7 +171,7 @@ mod tests {
         sched
     }
 
-    fn fetch_over(net: &Network, clock: SimClock) -> (CasAssertion, Arc<CasServer>) {
+    fn fetch_over(net: &Network, clock: SimClock) -> (CasAssertion, Rc<CasServer>) {
         let (cas, user) = cas_world();
         let _sched = serve(net, cas.clone(), clock);
         let mut rpc = RpcClient::new(

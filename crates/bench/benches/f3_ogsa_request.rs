@@ -10,7 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Monotonic seed counter shared across the bench runner's repeated routine
 /// invocations (a per-closure counter would reset and replay nonces).
@@ -155,14 +154,14 @@ fn kca_conversion_path(c: &mut Criterion) {
 
     let kdc = Kdc::new(&mut w.rng, "SITE.K", 1_000_000);
     kdc.add_principal("alice", "pw");
-    let kca = Arc::new(KerberosCa::new(
+    let kca = Rc::new(KerberosCa::new(
         &mut w.rng,
         &kdc,
         KEY_BITS,
         u64::MAX / 4,
         50_000,
     ));
-    let kdc = Arc::new(kdc);
+    let kdc = Rc::new(kdc);
     // The service must trust the KCA.
     let mut trust = w.trust.clone();
     trust.add_root(kca.certificate().clone());

@@ -7,7 +7,8 @@
 //! and reports the tick-model outcome. Everything is a pure function of
 //! the seeds — no wall clock enters the goodput figures.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
@@ -34,7 +35,7 @@ pub struct StripedWorld {
     /// Client credential (maps to `jdoe` via the grid-mapfile).
     pub user: Credential,
     /// The server, shared by every spawned data-channel session.
-    pub server: Arc<Mutex<GridFtpServer>>,
+    pub server: Rc<RefCell<GridFtpServer>>,
 }
 
 /// Build the striped bench world: single CA, host `node1`, user mapped
@@ -47,7 +48,7 @@ pub fn striped_world(seed: &[u8]) -> StripedWorld {
     StripedWorld {
         trust: w.trust,
         user: w.user,
-        server: Arc::new(Mutex::new(server)),
+        server: Rc::new(RefCell::new(server)),
     }
 }
 
@@ -58,7 +59,7 @@ pub fn striped_payload(len: usize) -> Vec<u8> {
 
 /// Seed `path` on the server with `data`, owned by `jdoe`.
 pub fn seed_file(w: &StripedWorld, path: &str, data: &[u8]) {
-    let s = w.server.lock().expect("server lock");
+    let s = w.server.borrow();
     let uid = s.os().uid_of("node1", "jdoe").expect("jdoe uid");
     s.os()
         .write_file("node1", path, uid, FileMode::private(), data.to_vec())
@@ -74,7 +75,7 @@ fn dialer(
     drop: f64,
 ) -> impl FnMut(usize, u32) -> Result<(SimStream, StreamStats), TlsError> {
     let task = SessionTask {
-        server: Arc::clone(&w.server),
+        server: Rc::clone(&w.server),
         dialect: Dialect::Striped,
         now: 100,
         plan: CrashPlan::disabled(),

@@ -24,6 +24,7 @@ pub struct DhGroup {
     pub p: BigUint,
     /// The generator.
     pub g: BigUint,
+    /// `Arc`, not `Rc`: the constant groups are `static OnceLock`s.
     precomp: Arc<GroupPrecomp>,
 }
 

@@ -271,7 +271,8 @@ pub struct RsaKeyPair {
     /// Montgomery contexts for `p` and `q`, built once with the key
     /// and shared by its clones; `None` for a prime that admits none
     /// (possible only for hostile [`RsaKeyPair::from_components`]
-    /// input).
+    /// input). `Arc`, not `Rc`: credential fixtures live in `static
+    /// OnceLock`s that cargo's test threads share, so a key is `Sync`.
     crt: Arc<[Option<Montgomery>; 2]>,
 }
 

@@ -210,7 +210,8 @@ mod tests {
     use gridsec_testbed::net::{Network, StreamPair};
     use gridsec_testbed::os::{FileMode, ROOT_UID};
     use gridsec_testbed::sched::Scheduler;
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -220,7 +221,7 @@ mod tests {
         rng: ChaChaRng,
         trust: TrustStore,
         jane: Credential,
-        server: Arc<Mutex<GridFtpServer>>,
+        server: Rc<RefCell<GridFtpServer>>,
     }
 
     fn world() -> World {
@@ -244,7 +245,7 @@ mod tests {
             rng,
             trust,
             jane,
-            server: Arc::new(Mutex::new(server)),
+            server: Rc::new(RefCell::new(server)),
         }
     }
 
@@ -262,7 +263,7 @@ mod tests {
         let mut sched = Scheduler::new(&net);
         let (a, b, _) = StreamPair::new();
         let task = poll::SessionTask {
-            server: Arc::clone(&w.server),
+            server: Rc::clone(&w.server),
             dialect: poll::Dialect::Classic,
             now: 100,
             plan: CrashPlan::disabled(),
@@ -293,7 +294,7 @@ mod tests {
         assert_eq!(result.unwrap(), b"simulation output");
         assert_eq!(served.unwrap(), 2);
         // File landed under the mapped account's uid.
-        let srv = w.server.lock().unwrap();
+        let srv = w.server.borrow();
         let uid = srv.os().uid_of("data1", "jdoe").unwrap();
         assert!(srv
             .os()
@@ -334,8 +335,7 @@ mod tests {
         let ca2 = CertificateAuthority::create_root(&mut rng, dn("/O=G2/CN=CA"), 512, 0, 1000);
         // Trusted CA but unmapped user: add CA2 to server trust first.
         w.server
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .trust
             .add_root(ca2.certificate().clone());
         let mut trust2 = w.trust.clone();
@@ -352,8 +352,7 @@ mod tests {
         let mut w = world();
         // A root-owned private file is invisible to jdoe.
         w.server
-            .lock()
-            .unwrap()
+            .borrow()
             .os()
             .write_file(
                 "data1",

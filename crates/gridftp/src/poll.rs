@@ -25,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
@@ -791,10 +790,11 @@ impl ServerSession {
 /// Spawns [`ServerSession`]s as scheduler tasks, one per dialed
 /// connection.
 pub struct SessionTask {
-    /// The shared server all sessions serve; its
-    /// [`transfers`](GridFtpServer::transfers) counter is kept in sync
-    /// as transfers complete.
-    pub server: Arc<Mutex<GridFtpServer>>,
+    /// The server every spawned session serves, shared with the scenario
+    /// that built it. Each session adds its completed transfers to the
+    /// server's [`transfers`](GridFtpServer::transfers) counter, which the
+    /// scenario reads after the run.
+    pub server: Rc<RefCell<GridFtpServer>>,
     /// Command set for spawned sessions.
     pub dialect: Dialect,
     /// Validation time handed to each session's `TlsConfig`.
@@ -819,13 +819,13 @@ impl SessionTask {
         let outcome = Rc::new(RefCell::new(None));
         let sink = Rc::clone(&outcome);
         let mut machine = ServerSession::new(
-            &self.server.lock().expect("gridftp server mutex"),
+            &self.server.borrow(),
             self.dialect,
             self.now,
             self.plan.clone(),
         );
         let mut rng = ChaChaRng::from_seed_bytes(rng_seed);
-        let server = Arc::clone(&self.server);
+        let server = Rc::clone(&self.server);
         let mut synced = 0u64;
         stream.wake_on_readable(net, mailbox);
         let mut stream = Some(stream);
@@ -859,7 +859,7 @@ impl SessionTask {
             }
             let completed = machine.completed();
             if completed > synced {
-                server.lock().expect("gridftp server mutex").transfers += completed - synced;
+                server.borrow_mut().transfers += completed - synced;
                 synced = completed;
             }
             if machine.outcome().is_some() || write_failed {

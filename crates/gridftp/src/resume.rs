@@ -354,7 +354,8 @@ mod tests {
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::trace::{install, Tracer};
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -363,7 +364,7 @@ mod tests {
     struct World {
         trust: TrustStore,
         jane: Credential,
-        server: Arc<Mutex<GridFtpServer>>,
+        server: Rc<RefCell<GridFtpServer>>,
     }
 
     fn world() -> World {
@@ -386,7 +387,7 @@ mod tests {
         World {
             trust,
             jane,
-            server: Arc::new(Mutex::new(server)),
+            server: Rc::new(RefCell::new(server)),
         }
     }
 
@@ -407,7 +408,7 @@ mod tests {
         drop: f64,
     ) -> impl FnMut(u32) -> Result<SimStream, TlsError> {
         let task = SessionTask {
-            server: Arc::clone(&w.server),
+            server: Rc::clone(&w.server),
             dialect: Dialect::Resumable,
             now: 100,
             plan,
@@ -426,7 +427,7 @@ mod tests {
     }
 
     fn seed_file(w: &World, path: &str, data: &[u8]) {
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         s.os()
             .write_file("data1", path, uid, FileMode::private(), data.to_vec())
@@ -512,7 +513,7 @@ mod tests {
         );
         assert_eq!(out.sha256, hex(&sha256(&data)));
         assert!(out.resumes >= 1, "expected tears, got {}", out.resumes);
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         let stored = s.os().read_file("data1", "/home/jdoe/up.dat", uid).unwrap();
         assert_eq!(stored, data, "no lost or duplicated bytes");
@@ -550,7 +551,7 @@ mod tests {
         let out = run_put(&w, plan.clone(), 0x78, 0.0, "/home/jdoe/g.dat", &data);
         assert_eq!(plan.crashes(), 1);
         assert_eq!(out.sessions, 2);
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         let stored = s.os().read_file("data1", "/home/jdoe/g.dat", uid).unwrap();
         assert_eq!(stored, data, "resume must not lose or duplicate bytes");
@@ -582,7 +583,7 @@ mod tests {
         );
         assert_eq!(again.sha256, hex(&sha256(&data)));
         assert_eq!(again.sessions, 1);
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         assert_eq!(
             s.os().read_file("data1", "/home/jdoe/h.dat", uid).unwrap(),

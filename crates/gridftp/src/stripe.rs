@@ -945,7 +945,8 @@ mod tests {
     use gridsec_testbed::net::{Network, SimStream, StreamPair};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -954,7 +955,7 @@ mod tests {
     struct World {
         trust: TrustStore,
         jane: Credential,
-        server: Arc<Mutex<GridFtpServer>>,
+        server: Rc<RefCell<GridFtpServer>>,
     }
 
     fn world() -> World {
@@ -977,7 +978,7 @@ mod tests {
         World {
             trust,
             jane,
-            server: Arc::new(Mutex::new(server)),
+            server: Rc::new(RefCell::new(server)),
         }
     }
 
@@ -996,7 +997,7 @@ mod tests {
         drop: f64,
     ) -> impl FnMut(usize, u32) -> Result<(SimStream, StreamStats), TlsError> {
         let task = SessionTask {
-            server: Arc::clone(&w.server),
+            server: Rc::clone(&w.server),
             dialect: Dialect::Striped,
             now: 100,
             plan,
@@ -1015,7 +1016,7 @@ mod tests {
     }
 
     fn seed_file(w: &World, path: &str, data: &[u8]) {
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         s.os()
             .write_file("data1", path, uid, FileMode::private(), data.to_vec())
@@ -1141,7 +1142,7 @@ mod tests {
         );
         assert_eq!(out.sha256, hex(&sha256(&data)));
         assert!(out.tears >= 1, "expected tears, got {}", out.tears);
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         let stored = s.os().read_file("data1", "/home/jdoe/up.dat", uid).unwrap();
         assert_eq!(stored, data, "no lost or duplicated bytes");
@@ -1198,7 +1199,7 @@ mod tests {
         );
         assert_eq!(out.sha256, hex(&sha256(&data)));
         assert_eq!(plan.crashes(), 2, "both armed kills fired");
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         let stored = s.os().read_file("data1", "/home/jdoe/km.dat", uid).unwrap();
         assert_eq!(stored, data, "kills must not lose or duplicate bytes");
@@ -1287,7 +1288,7 @@ mod tests {
             StripeOpts::default(),
         );
         assert_eq!(put.sha256, hex(&sha256(b"")));
-        let s = w.server.lock().unwrap();
+        let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         assert_eq!(
             s.os()

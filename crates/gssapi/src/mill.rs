@@ -52,8 +52,9 @@ impl HandshakeMill {
         }
     }
 
-    /// The shared pool (for stats, or to attach to initiator configs on
-    /// the same thread).
+    /// The shared pool (for stats, or to attach to initiator configs).
+    /// Its `Arc<Mutex<_>>` type is frozen for the `benchmark/` crate; it
+    /// turns single-owner with ROADMAP item 1(a).
     pub fn pool(&self) -> Arc<Mutex<CryptoPool>> {
         Arc::clone(&self.pool)
     }

@@ -15,7 +15,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::durable::DurableCas;
@@ -56,8 +55,6 @@ use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace::{self, MetricsSnapshot, Tracer};
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
 use gridsec_xml::Element;
-
-use std::sync::Mutex;
 
 use crate::{basic_world, dn};
 
@@ -599,14 +596,14 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let mut trust = TrustStore::new();
     trust.add_root(ca.certificate().clone());
     let gridmap = gridsec_authz::gridmap::GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();
-    let server = Arc::new(Mutex::new(
+    let server = Rc::new(RefCell::new(
         GridFtpServer::new(SimOs::new(), "data1", host_cred, trust.clone(), gridmap).unwrap(),
     ));
 
     // Deterministic 4 KiB payload, seeded into the mapped account.
     let data: Vec<u8> = (0..4096usize).map(|i| (i * 31 % 251) as u8).collect();
     let uid = {
-        let s = server.lock().unwrap();
+        let s = server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         s.os()
             .write_file(
@@ -630,7 +627,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let drop_rate = if opts.partition_all { 1.0 } else { 0.10 };
     let mk_dial = |label: u64| {
         let task = SessionTask {
-            server: Arc::clone(&server),
+            server: Rc::clone(&server),
             dialect: Dialect::Resumable,
             now: 100,
             plan: plan.clone(),
@@ -709,7 +706,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     sched.run();
 
     {
-        let s = server.lock().unwrap();
+        let s = server.borrow();
         let stored = s
             .os()
             .read_file("data1", "/home/jdoe/upload.dat", uid)
@@ -789,14 +786,14 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let mut trust = TrustStore::new();
     trust.add_root(ca.certificate().clone());
     let gridmap = gridsec_authz::gridmap::GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();
-    let server = Arc::new(Mutex::new(
+    let server = Rc::new(RefCell::new(
         GridFtpServer::new(SimOs::new(), "data1", host_cred, trust.clone(), gridmap).unwrap(),
     ));
 
     // Deterministic 8 KiB payload, seeded into the mapped account.
     let data: Vec<u8> = (0..8192usize).map(|i| (i * 31 % 251) as u8).collect();
     let uid = {
-        let s = server.lock().unwrap();
+        let s = server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         s.os()
             .write_file(
@@ -818,7 +815,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     // crash-plan and loss draws stay causally ordered (deterministic).
     let mk_dial = |label: u64| {
         let task = SessionTask {
-            server: Arc::clone(&server),
+            server: Rc::clone(&server),
             dialect: Dialect::Striped,
             now: 100,
             plan: plan.clone(),
@@ -907,7 +904,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     sched.run();
 
     {
-        let s = server.lock().unwrap();
+        let s = server.borrow();
         let stored = s
             .os()
             .read_file("data1", "/home/jdoe/striped-up.dat", uid)

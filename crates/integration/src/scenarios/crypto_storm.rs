@@ -378,7 +378,8 @@ pub fn run_crypto_storm(opts: &CryptoStormOpts) -> CryptoStormReport {
 
     // One shared client-side pool — the initiator-side amortization
     // (validated gateway chain, binding-verify context) the mill's pool
-    // provides acceptor-side.
+    // provides acceptor-side. `Arc<Mutex<_>>` is the pool handle type
+    // `TlsConfig::with_pool` takes, frozen for `benchmark/` (`tls::pool`).
     let client_pool = Arc::new(Mutex::new(CryptoPool::new()));
 
     // ---- Gateways ----------------------------------------------------

@@ -10,7 +10,7 @@ use crate::messages::{
 use crate::{string_to_key, KrbError};
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::encoding::Codec;
-use gridsec_util::sync::Mutex;
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 /// A Kerberos client: principal name plus the password-derived key.
@@ -76,7 +76,7 @@ pub struct ServiceVerifier {
     pub service: String,
     key: Key,
     max_skew: u64,
-    seen: Mutex<HashSet<(String, u64, u64)>>,
+    seen: RefCell<HashSet<(String, u64, u64)>>,
 }
 
 /// Result of accepting a client: the authenticated principal and the
@@ -100,7 +100,7 @@ impl ServiceVerifier {
             service: service.to_string(),
             key,
             max_skew: 300,
-            seen: Mutex::new(HashSet::new()),
+            seen: RefCell::new(HashSet::new()),
         }
     }
 
@@ -136,7 +136,7 @@ impl ServiceVerifier {
         }
         // Replay cache keyed on (client, timestamp, nonce).
         let replay_key = (auth.client.clone(), auth.timestamp, auth.nonce);
-        if !self.seen.lock().insert(replay_key) {
+        if !self.seen.borrow_mut().insert(replay_key) {
             return Err(KrbError::Replay);
         }
         Ok(AcceptedClient {

@@ -6,7 +6,7 @@ use crate::messages::{
 };
 use crate::{string_to_key, KrbError};
 use gridsec_bignum::prime::EntropySource;
-use gridsec_util::sync::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Principal name of the ticket-granting service.
@@ -16,7 +16,7 @@ pub const TGS_PRINCIPAL: &str = "krbtgt";
 pub struct Kdc {
     realm: String,
     /// Long-term keys by principal name.
-    principals: Mutex<HashMap<String, Key>>,
+    principals: RefCell<HashMap<String, Key>>,
     /// The TGS key (under which TGTs are sealed).
     tgs_key: Key,
     /// Maximum ticket lifetime the KDC will grant.
@@ -28,16 +28,12 @@ impl Kdc {
     pub fn new<E: EntropySource>(rng: &mut E, realm: &str, max_life: u64) -> Self {
         let mut tgs_key = [0u8; 32];
         rng.fill_bytes(&mut tgs_key);
-        let kdc = Kdc {
+        Kdc {
             realm: realm.to_string(),
-            principals: Mutex::new(HashMap::new()),
+            principals: RefCell::new(HashMap::from([(TGS_PRINCIPAL.to_string(), tgs_key)])),
             tgs_key,
             max_life,
-        };
-        kdc.principals
-            .lock()
-            .insert(TGS_PRINCIPAL.to_string(), tgs_key);
-        kdc
+        }
     }
 
     /// The realm name.
@@ -49,7 +45,9 @@ impl Kdc {
     /// long-term key (the client keeps it).
     pub fn add_principal(&self, principal: &str, password: &str) -> Key {
         let key = string_to_key(principal, &self.realm, password);
-        self.principals.lock().insert(principal.to_string(), key);
+        self.principals
+            .borrow_mut()
+            .insert(principal.to_string(), key);
         key
     }
 
@@ -58,7 +56,9 @@ impl Kdc {
     pub fn add_service<E: EntropySource>(&self, rng: &mut E, service: &str) -> Key {
         let mut key = [0u8; 32];
         rng.fill_bytes(&mut key);
-        self.principals.lock().insert(service.to_string(), key);
+        self.principals
+            .borrow_mut()
+            .insert(service.to_string(), key);
         key
     }
 
@@ -68,13 +68,13 @@ impl Kdc {
     /// trust; experiment F1 counts these pairwise agreements.
     pub fn register_cross_realm_key(&self, other_realm: &str, key: Key) {
         self.principals
-            .lock()
+            .borrow_mut()
             .insert(format!("{TGS_PRINCIPAL}/{other_realm}"), key);
     }
 
     fn lookup(&self, principal: &str) -> Result<Key, KrbError> {
         self.principals
-            .lock()
+            .borrow()
             .get(principal)
             .copied()
             .ok_or_else(|| KrbError::UnknownPrincipal(principal.to_string()))
@@ -148,7 +148,7 @@ impl Kdc {
         let principal = principal_map(&identity.base_identity)
             .ok_or_else(|| KrbError::NoMapping(identity.base_identity.to_string()))?;
         // Principal must exist (or be implicitly registered as PKINIT-only).
-        if !self.principals.lock().contains_key(&principal) {
+        if !self.principals.borrow().contains_key(&principal) {
             return Err(KrbError::UnknownPrincipal(principal));
         }
 

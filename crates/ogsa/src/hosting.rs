@@ -41,7 +41,7 @@ pub struct AuditEvent {
 }
 
 /// Audit callback type.
-pub type AuditSink = Box<dyn FnMut(AuditEvent) + Send>;
+pub type AuditSink = Box<dyn FnMut(AuditEvent)>;
 
 /// A container hosting Grid services behind a security pipeline.
 pub struct HostingEnvironment {

@@ -24,7 +24,7 @@ pub struct RequestContext {
 }
 
 /// A stateful Grid service instance.
-pub trait GridService: Send {
+pub trait GridService {
     /// The service type name (factory key).
     fn service_type(&self) -> &str;
 
@@ -51,7 +51,7 @@ pub trait GridService: Send {
 
 /// A factory closure: creates a service instance from creation arguments.
 pub type Factory =
-    Box<dyn FnMut(&RequestContext, &Element) -> Result<Box<dyn GridService>, OgsaError> + Send>;
+    Box<dyn FnMut(&RequestContext, &Element) -> Result<Box<dyn GridService>, OgsaError>>;
 
 /// The instance registry inside one hosting environment.
 #[derive(Default)]

@@ -258,18 +258,17 @@ fn restarted_service_forces_full_handshake_fallback() {
 fn unauthorized_caller_denied_but_authenticated() {
     let w = world();
     let env = Rc::new(RefCell::new(make_env(&w, &["xml-signature"])));
-    // Capture audit records through a channel (the sink must be Send).
-    let (tx, rx) = std::sync::mpsc::channel::<AuditEvent>();
-    env.borrow_mut().set_audit(Box::new(move |e| {
-        let _ = tx.send(e);
-    }));
+    let audit: Rc<RefCell<Vec<AuditEvent>>> = Rc::default();
+    let sink = audit.clone();
+    env.borrow_mut()
+        .set_audit(Box::new(move |e| sink.borrow_mut().push(e)));
     let mut client = make_client(&w, env.clone(), &w.eve);
     let err = client
         .create_service("echo", Element::new("args"))
         .unwrap_err();
     assert!(matches!(err, OgsaError::NotAuthorized { .. }));
     // The denial was audited with the authenticated identity.
-    let event = rx.try_recv().unwrap();
+    let event = audit.borrow()[0].clone();
     assert_eq!(event.caller, "/O=G/CN=Eve");
     assert_eq!(event.outcome, "deny");
 }

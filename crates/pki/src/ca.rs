@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct CertificateAuthority {
     certificate: Certificate,
     key: RsaKeyPair,
+    /// Atomic, not a `Cell`: CA fixtures live in `static OnceLock`s that
+    /// cargo's test threads share, so a CA is `Sync`.
     next_serial: AtomicU64,
 }
 

@@ -7,8 +7,8 @@
 
 use gridsec_crypto::sha256::sha256;
 use gridsec_ogsa::hosting::AuditEvent;
-use gridsec_util::sync::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One chained audit record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,10 +37,12 @@ fn record_hash(seq: u64, event: &AuditEvent, prev_hash: &[u8; 32]) -> [u8; 32] {
     sha256(&data)
 }
 
-/// A tamper-evident audit log, shareable across hosting environments.
+/// A tamper-evident audit log. Clones share one chain: every hosting
+/// environment's [`AuditLog::sink`] and the tracer's
+/// [`AuditLog::trace_sink`] append to the log the scenario verifies.
 #[derive(Clone, Default)]
 pub struct AuditLog {
-    inner: Arc<Mutex<Vec<AuditRecord>>>,
+    inner: Rc<RefCell<Vec<AuditRecord>>>,
 }
 
 impl AuditLog {
@@ -51,7 +53,7 @@ impl AuditLog {
 
     /// Append an event, chaining it to the previous record.
     pub fn append(&self, event: AuditEvent) {
-        let mut log = self.inner.lock();
+        let mut log = self.inner.borrow_mut();
         let seq = log.len() as u64;
         let prev_hash = log.last().map(|r| r.hash).unwrap_or([0u8; 32]);
         let hash = record_hash(seq, &event, &prev_hash);
@@ -65,23 +67,23 @@ impl AuditLog {
 
     /// Snapshot of all records.
     pub fn records(&self) -> Vec<AuditRecord> {
-        self.inner.lock().clone()
+        self.inner.borrow().clone()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.borrow().len()
     }
 
     /// `true` if no records.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.borrow().is_empty()
     }
 
     /// Verify the whole chain; returns the index of the first bad record,
     /// or `Ok(())`.
     pub fn verify(&self) -> Result<(), usize> {
-        let log = self.inner.lock();
+        let log = self.inner.borrow();
         let mut prev = [0u8; 32];
         for (i, rec) in log.iter().enumerate() {
             if rec.seq != i as u64
@@ -160,10 +162,7 @@ mod tests {
         log.append(ev("a", "x", "permit"));
         log.append(ev("b", "y", "deny"));
         // Rewrite history in place.
-        {
-            let mut inner = log.inner.lock();
-            inner[0].event.outcome = "deny".to_string();
-        }
+        log.inner.borrow_mut()[0].event.outcome = "deny".to_string();
         assert_eq!(log.verify(), Err(0));
     }
 
@@ -173,10 +172,7 @@ mod tests {
         log.append(ev("a", "x", "permit"));
         log.append(ev("b", "y", "permit"));
         log.append(ev("c", "z", "permit"));
-        {
-            let mut inner = log.inner.lock();
-            inner.remove(1); // drop a middle record
-        }
+        log.inner.borrow_mut().remove(1); // drop a middle record
         assert!(log.verify().is_err());
     }
 

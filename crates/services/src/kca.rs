@@ -17,6 +17,7 @@ use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::cert::Certificate;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
+use std::rc::Rc;
 
 /// The KCA service principal registered with the KDC.
 pub const KCA_SERVICE: &str = "kca/grid";
@@ -103,11 +104,13 @@ impl KerberosCa {
 }
 
 /// A [`CredentialSource`] backed by a Kerberos login + the KCA — the
-/// client half of Figure 3 step 2. Holds shared handles so it satisfies
-/// the `'static` bound `OgsaClient` places on sources.
+/// client half of Figure 3 step 2. It shares the realm's KDC and KCA with
+/// the scenario that registers principals there (and with every other
+/// source of that realm) through `Rc` handles, which also satisfies the
+/// `'static` bound `OgsaClient` places on sources.
 pub struct KcaCredentialSource {
-    kdc: std::sync::Arc<Kdc>,
-    kca: std::sync::Arc<KerberosCa>,
+    kdc: Rc<Kdc>,
+    kca: Rc<KerberosCa>,
     client: KrbClient,
     key_bits: usize,
     rng: gridsec_crypto::rng::ChaChaRng,
@@ -117,8 +120,8 @@ pub struct KcaCredentialSource {
 impl KcaCredentialSource {
     /// Create a source for a Kerberos user (`principal`/`password`).
     pub fn new(
-        kdc: std::sync::Arc<Kdc>,
-        kca: std::sync::Arc<KerberosCa>,
+        kdc: Rc<Kdc>,
+        kca: Rc<KerberosCa>,
         principal: &str,
         password: &str,
         key_bits: usize,
@@ -201,12 +204,10 @@ mod tests {
     use gridsec_pki::store::TrustStore;
     use gridsec_pki::validate::validate_chain;
 
-    use std::sync::Arc;
-
     struct World {
         rng: ChaChaRng,
-        kdc: Arc<Kdc>,
-        kca: Arc<KerberosCa>,
+        kdc: Rc<Kdc>,
+        kca: Rc<KerberosCa>,
     }
 
     fn world() -> World {
@@ -216,8 +217,8 @@ mod tests {
         let kca = KerberosCa::new(&mut rng, &kdc, 512, 1_000_000, 43_200);
         World {
             rng,
-            kdc: Arc::new(kdc),
-            kca: Arc::new(kca),
+            kdc: Rc::new(kdc),
+            kca: Rc::new(kca),
         }
     }
 

@@ -4,13 +4,15 @@
 //! advancing it moves certificate validity, ticket lifetimes, and CRL
 //! freshness forward deterministically.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
-/// A shared monotonic logical clock (seconds).
+/// A shared monotonic logical clock (seconds). Clones share one time:
+/// the world's scheduler advances it, and its services, clients and
+/// tracer read their clones.
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
-    seconds: Arc<AtomicU64>,
+    seconds: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -22,23 +24,24 @@ impl SimClock {
     /// A clock starting at `start` seconds.
     pub fn starting_at(start: u64) -> Self {
         let c = SimClock::new();
-        c.seconds.store(start, Ordering::SeqCst);
+        c.seconds.set(start);
         c
     }
 
     /// Current time in seconds.
     pub fn now(&self) -> u64 {
-        self.seconds.load(Ordering::SeqCst)
+        self.seconds.get()
     }
 
     /// Advance by `secs` and return the new time.
     pub fn advance(&self, secs: u64) -> u64 {
-        self.seconds.fetch_add(secs, Ordering::SeqCst) + secs
+        self.seconds.set(self.seconds.get() + secs);
+        self.now()
     }
 
     /// Set the time to `t`, which must not move backwards.
     pub fn set(&self, t: u64) {
-        let prev = self.seconds.swap(t, Ordering::SeqCst);
+        let prev = self.seconds.replace(t);
         assert!(t >= prev, "SimClock must not move backwards");
     }
 }

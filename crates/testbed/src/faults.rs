@@ -43,11 +43,9 @@ use crate::rpc::{decode_request, encode_reply, ServerTask};
 use crate::sched::{Step, Task, TaskCx};
 use crate::TestbedError;
 use gridsec_util::rng::{DetRng, RngCore};
-use gridsec_util::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// What an attacker controls after compromising one process.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -182,18 +180,20 @@ struct PlanState {
 /// function of the seed and the (deterministic) order of `fires` calls,
 /// so combined network + crash chaos replays byte-identically.
 ///
-/// Cloning shares the schedule (it is one process's fate, possibly
-/// consulted from several code paths).
+/// Cloning shares the schedule: it is one process's fate. The service's
+/// handler holds a clone to fire kill points, its [`CrashableServer`]
+/// supervisor holds one to take the kill, and the scenario holds one to
+/// read the transcript.
 #[derive(Clone)]
 pub struct CrashPlan {
-    state: Arc<Mutex<PlanState>>,
+    state: Rc<RefCell<PlanState>>,
 }
 
 impl CrashPlan {
     /// A plan that never fires (the no-chaos configuration).
     pub fn disabled() -> Self {
         CrashPlan {
-            state: Arc::new(Mutex::new(PlanState::default())),
+            state: Rc::new(RefCell::new(PlanState::default())),
         }
     }
 
@@ -203,7 +203,7 @@ impl CrashPlan {
     /// process stays down after each kill.
     pub fn seeded(seed: u64, probability: f64, max_crashes: u64, restart_delay: u64) -> Self {
         CrashPlan {
-            state: Arc::new(Mutex::new(PlanState {
+            state: Rc::new(RefCell::new(PlanState {
                 rng: Some(DetRng::seed_from_u64(seed)),
                 probability,
                 remaining: max_crashes,
@@ -216,7 +216,7 @@ impl CrashPlan {
     /// A plan that fires only at explicitly [`arm`](Self::arm)ed points.
     pub fn manual(restart_delay: u64) -> Self {
         CrashPlan {
-            state: Arc::new(Mutex::new(PlanState {
+            state: Rc::new(RefCell::new(PlanState {
                 remaining: u64::MAX,
                 restart_delay,
                 ..PlanState::default()
@@ -227,7 +227,7 @@ impl CrashPlan {
     /// Arm a kill at the `nth` (1-based) hit of `point`.
     pub fn arm(&self, point: &str, nth: u64) {
         self.state
-            .lock()
+            .borrow_mut()
             .armed
             .entry(point.to_string())
             .or_default()
@@ -240,7 +240,7 @@ impl CrashPlan {
     /// process never ran. Once latched, every further point in the same
     /// request also reports `true`.
     pub fn fires(&self, point: &str) -> bool {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         if s.pending.is_some() {
             return true;
         }
@@ -272,31 +272,31 @@ impl CrashPlan {
     /// Consume the latched kill, if any: returns the point that fired.
     /// Called by the supervisor after the handler returns.
     pub fn take_pending(&self) -> Option<String> {
-        self.state.lock().pending.take()
+        self.state.borrow_mut().pending.take()
     }
 
     /// Downtime after each kill, in sim-seconds.
     pub fn restart_delay(&self) -> u64 {
-        self.state.lock().restart_delay
+        self.state.borrow().restart_delay
     }
 
     /// Total kills delivered so far.
     pub fn crashes(&self) -> u64 {
-        self.state.lock().crashes
+        self.state.borrow().crashes
     }
 
     /// Total restarts completed so far.
     pub fn restarts(&self) -> u64 {
-        self.state.lock().restarts
+        self.state.borrow().restarts
     }
 
     /// Deterministic event log (`crash …` / `restart …` lines).
     pub fn transcript(&self) -> Vec<String> {
-        self.state.lock().transcript.clone()
+        self.state.borrow().transcript.clone()
     }
 
     fn note_crash(&self, service: &str, point: &str, t: u64) {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         s.crashes += 1;
         s.transcript
             .push(format!("[t={t}] crash svc={service} point={point}"));
@@ -319,18 +319,15 @@ impl CrashPlan {
     /// (returns `false`) unless a kill is still unacknowledged, so
     /// callers can invoke it unconditionally at session start.
     pub fn confirm_restart(&self, service: &str, t: u64, replayed: usize) -> bool {
-        {
-            let s = self.state.lock();
-            if s.restarts >= s.crashes {
-                return false;
-            }
+        if self.restarts() >= self.crashes() {
+            return false;
         }
         self.note_restart(service, t, replayed);
         true
     }
 
     fn note_restart(&self, service: &str, t: u64, replayed: usize) {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         s.restarts += 1;
         s.transcript
             .push(format!("[t={t}] restart svc={service} replayed={replayed}"));

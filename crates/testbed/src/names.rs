@@ -15,7 +15,7 @@
 //! properties pinned in `tests/name_props.rs`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A dense handle for an interned endpoint name. Ids are allocated
 /// sequentially from 0 by a [`NameTable`]; comparing ids from different
@@ -33,8 +33,8 @@ impl NameId {
 /// An append-only intern table mapping names to dense [`NameId`]s.
 #[derive(Default)]
 pub struct NameTable {
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    names: Vec<Rc<str>>,
+    index: HashMap<Rc<str>, u32>,
 }
 
 impl NameTable {
@@ -50,7 +50,7 @@ impl NameTable {
             return NameId(id);
         }
         let id = u32::try_from(self.names.len()).expect("name table overflow");
-        let shared: Arc<str> = Arc::from(name);
+        let shared: Rc<str> = Rc::from(name);
         self.names.push(shared.clone());
         self.index.insert(shared, id);
         NameId(id)

@@ -9,10 +9,9 @@
 //! GT2 gatekeeper vs. GT3 GRAM architectures.
 
 use crate::TestbedError;
-use gridsec_util::sync::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A numeric user id. `0` is root.
 pub type Uid = u32;
@@ -112,16 +111,18 @@ struct Host {
     processes: HashMap<Pid, Process>,
 }
 
-/// The simulated OS: a set of hosts sharing a pid namespace.
+/// The simulated OS: a set of hosts sharing a pid namespace. Clones
+/// share the one host table and pid counter: a world's services, their
+/// journals and the scenario that audits privilege each hold one.
 #[derive(Clone, Default)]
 pub struct SimOs {
-    inner: Arc<SimOsInner>,
+    inner: Rc<RefCell<SimOsState>>,
 }
 
 #[derive(Default)]
-struct SimOsInner {
-    hosts: Mutex<HashMap<String, Host>>,
-    next_pid: AtomicU64,
+struct SimOsState {
+    hosts: HashMap<String, Host>,
+    next_pid: Pid,
 }
 
 impl SimOs {
@@ -132,8 +133,8 @@ impl SimOs {
 
     /// Create a host; the `root` account (uid 0) is preinstalled.
     pub fn add_host(&self, name: &str) {
-        let mut hosts = self.inner.hosts.lock();
-        let host = hosts.entry(name.to_string()).or_default();
+        let mut st = self.inner.borrow_mut();
+        let host = st.hosts.entry(name.to_string()).or_default();
         host.accounts.insert("root".to_string(), ROOT_UID);
         host.next_uid = host.next_uid.max(1000);
     }
@@ -143,11 +144,19 @@ impl SimOs {
         host: &str,
         f: impl FnOnce(&mut Host) -> Result<T, TestbedError>,
     ) -> Result<T, TestbedError> {
-        let mut hosts = self.inner.hosts.lock();
-        let h = hosts
+        let mut st = self.inner.borrow_mut();
+        let h = st
+            .hosts
             .get_mut(host)
             .ok_or_else(|| TestbedError::NoSuchHost(host.to_string()))?;
         f(h)
+    }
+
+    /// Allocate the next pid (drawn even if the spawn then fails).
+    fn next_pid(&self) -> Pid {
+        let mut st = self.inner.borrow_mut();
+        st.next_pid += 1;
+        st.next_pid
     }
 
     /// Create an unprivileged account, returning its uid.
@@ -272,7 +281,7 @@ impl SimOs {
     /// Spawn an ordinary process under `account`.
     pub fn spawn(&self, host: &str, name: &str, account: &str) -> Result<Pid, TestbedError> {
         let uid = self.uid_of(host, account)?;
-        let pid = self.inner.next_pid.fetch_add(1, Ordering::Relaxed) + 1;
+        let pid = self.next_pid();
         self.with_host(host, |h| {
             h.processes.insert(
                 pid,
@@ -294,7 +303,7 @@ impl SimOs {
     /// Spawn a process that runs with root privileges from the start
     /// (models GT2's gatekeeper, started by init as root).
     pub fn spawn_privileged(&self, host: &str, name: &str) -> Result<Pid, TestbedError> {
-        let pid = self.inner.next_pid.fetch_add(1, Ordering::Relaxed) + 1;
+        let pid = self.next_pid();
         self.with_host(host, |h| {
             h.processes.insert(
                 pid,
@@ -332,7 +341,7 @@ impl SimOs {
         caller_pid: Pid,
         binary: &str,
     ) -> Result<Pid, TestbedError> {
-        let pid = self.inner.next_pid.fetch_add(1, Ordering::Relaxed) + 1;
+        let pid = self.next_pid();
         self.with_host(host, |h| {
             let caller = h
                 .processes
@@ -373,7 +382,7 @@ impl SimOs {
         account: &str,
     ) -> Result<Pid, TestbedError> {
         let target_uid = self.uid_of(host, account)?;
-        let pid = self.inner.next_pid.fetch_add(1, Ordering::Relaxed) + 1;
+        let pid = self.next_pid();
         self.with_host(host, |h| {
             let caller = h
                 .processes

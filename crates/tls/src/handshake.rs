@@ -59,7 +59,9 @@ pub struct TlsConfig {
     /// Optional shared crypto state (see [`crate::pool`]). When set,
     /// chain validation and binding-signature verification route
     /// through the pool's cached validator and shared verify contexts;
-    /// verdicts are identical to the pool-less path.
+    /// verdicts are identical to the pool-less path. The handle type is
+    /// frozen for the `benchmark/` crate, which builds it itself; it
+    /// turns single-owner with ROADMAP item 1(a).
     pub pool: Option<Arc<Mutex<CryptoPool>>>,
 }
 

@@ -20,7 +20,9 @@
 //! ([`gridsec_crypto::rsa::RsaKeyPair`], [`DhGroup`]) and is there with
 //! or without a pool, so pools hold nothing another pool could remove
 //! and any number can be alive, and dropped, in any order. The pool is
-//! plain data, shared through `Arc<Mutex<_>>` in [`TlsConfig`].
+//! plain data. [`TlsConfig`] shares it as `Arc<Mutex<_>>`, the one lock
+//! left above the testbed: the frozen `benchmark/` crate builds that
+//! type itself, so the handle turns single-owner with ROADMAP item 1(a).
 //!
 //! [`TlsConfig`]: crate::handshake::TlsConfig
 

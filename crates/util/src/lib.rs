@@ -5,8 +5,6 @@
 //! with zero registry access (the hosting-environment argument of Welch et
 //! al. §4: security infrastructure should own its dependency closure).
 //!
-//! * [`sync`] — non-poisoning [`sync::Mutex`]/[`sync::RwLock`] wrappers over
-//!   `std::sync` with the `parking_lot` guard-returning signatures.
 //! * [`chacha`] — the ChaCha20 block core (RFC 8439), shared by
 //!   `gridsec-crypto`'s cipher/AEAD/DRBG and by [`rng::DetRng`].
 //! * [`rng`] — the [`rng::RngCore`] entropy abstraction, a deterministic
@@ -32,6 +30,5 @@ pub mod check;
 pub mod pins;
 pub mod retry;
 pub mod rng;
-pub mod sync;
 pub mod throttle;
 pub mod trace;

@@ -33,11 +33,10 @@
 //! external sink ([`Tracer::set_sink`]) — `gridsec-services` plugs its
 //! hash-chained audit log in there.
 
-use crate::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Default flight-recorder capacity (entries kept).
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
@@ -143,7 +142,10 @@ pub struct SinkRecord {
 }
 
 /// The sink callback type: receives every span event as it is recorded.
-pub type TraceSink = Box<dyn FnMut(SinkRecord) + Send>;
+/// It runs while the tracer holds its sink, so it must not emit events
+/// into the tracer that feeds it (a nested event panics with
+/// `BorrowMutError`).
+pub type TraceSink = Box<dyn FnMut(SinkRecord)>;
 
 /// Exponential-bucket histogram over `u64` values.
 ///
@@ -380,20 +382,20 @@ impl TraceState {
     }
 }
 
-type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
+type ClockFn = Rc<dyn Fn() -> u64>;
 
 #[derive(Default)]
 struct TracerInner {
-    state: Mutex<TraceState>,
-    clock: Mutex<Option<ClockFn>>,
-    sink: Mutex<Option<TraceSink>>,
-    flight_path: Mutex<Option<String>>,
+    state: RefCell<TraceState>,
+    clock: RefCell<Option<ClockFn>>,
+    sink: RefCell<Option<TraceSink>>,
+    flight_path: RefCell<Option<String>>,
 }
 
 /// A cloneable handle to one trace context (shared ring + metrics).
 #[derive(Clone, Default)]
 pub struct Tracer {
-    inner: Arc<TracerInner>,
+    inner: Rc<TracerInner>,
 }
 
 impl Tracer {
@@ -406,7 +408,7 @@ impl Tracer {
     /// A tracer whose flight ring keeps at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         let t = Tracer::new();
-        t.inner.state.lock().ring_capacity = capacity.max(1);
+        t.inner.state.borrow_mut().ring_capacity = capacity.max(1);
         t
     }
 
@@ -414,25 +416,25 @@ impl Tracer {
     /// `tracer.set_clock(move || clock.now())`). Timestamps and span
     /// durations are read from it, so a simulated clock yields fully
     /// deterministic traces.
-    pub fn set_clock(&self, clock: impl Fn() -> u64 + Send + Sync + 'static) {
-        *self.inner.clock.lock() = Some(Arc::new(clock));
+    pub fn set_clock(&self, clock: impl Fn() -> u64 + 'static) {
+        *self.inner.clock.borrow_mut() = Some(Rc::new(clock));
     }
 
     /// Install the event sink: every span *event* (not open/close) is
     /// mirrored out as a [`SinkRecord`]. `gridsec-services` uses this
     /// to feed its hash-chained audit log.
     pub fn set_sink(&self, sink: TraceSink) {
-        *self.inner.sink.lock() = Some(sink);
+        *self.inner.sink.borrow_mut() = Some(sink);
     }
 
     /// Write automatic flight dumps ([`Tracer::flight_dump`]) to this
     /// path as well as stderr.
     pub fn set_flight_path(&self, path: impl Into<String>) {
-        *self.inner.flight_path.lock() = Some(path.into());
+        *self.inner.flight_path.borrow_mut() = Some(path.into());
     }
 
     fn now(&self) -> u64 {
-        let clock = self.inner.clock.lock().clone();
+        let clock = self.inner.clock.borrow().clone();
         clock.map(|c| c()).unwrap_or(0)
     }
 
@@ -445,7 +447,7 @@ impl Tracer {
     /// Open a span carrying a detail string (peer name, op, …).
     pub fn span_with(&self, name: &str, detail: &str) -> SpanGuard {
         let t = self.now();
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         st.next_id += 1;
         let id = st.next_id;
         let parent = st.stack.last().copied().unwrap_or(0);
@@ -473,7 +475,7 @@ impl Tracer {
 
     fn close_span(&self, id: SpanId) {
         let t = self.now();
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.borrow_mut();
         let Some(span) = st.open.remove(&id) else {
             return;
         };
@@ -499,8 +501,8 @@ impl Tracer {
     /// none), and mirror it to the sink if one is installed.
     pub fn event(&self, name: &str, detail: &str) {
         let t = self.now();
-        let (span_id, span_name) = {
-            let mut st = self.inner.state.lock();
+        let span_name = {
+            let mut st = self.inner.state.borrow_mut();
             let span_id = st.stack.last().copied().unwrap_or(0);
             let span_name = st
                 .open
@@ -513,10 +515,9 @@ impl Tracer {
                 name: name.to_string(),
                 detail: detail.to_string(),
             });
-            (span_id, span_name)
+            span_name
         };
-        let _ = span_id;
-        let mut sink = self.inner.sink.lock();
+        let mut sink = self.inner.sink.borrow_mut();
         if let Some(sink) = sink.as_mut() {
             sink(SinkRecord {
                 t,
@@ -532,7 +533,7 @@ impl Tracer {
         *self
             .inner
             .state
-            .lock()
+            .borrow_mut()
             .counters
             .entry(counter.to_string())
             .or_insert(0) += delta;
@@ -542,7 +543,7 @@ impl Tracer {
     pub fn record(&self, hist: &str, value: u64) {
         self.inner
             .state
-            .lock()
+            .borrow_mut()
             .hists
             .entry(hist.to_string())
             .or_default()
@@ -551,7 +552,7 @@ impl Tracer {
 
     /// Snapshot counters and histograms.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.borrow();
         MetricsSnapshot {
             counters: st.counters.clone(),
             hists: st
@@ -565,7 +566,7 @@ impl Tracer {
     /// The ring contents as canonical dump lines (oldest first). The
     /// first line reports how many earlier entries were evicted.
     pub fn dump(&self) -> String {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.borrow();
         let mut out = format!("trace entries={} evicted={}\n", st.ring.len(), st.evicted);
         for e in &st.ring {
             out.push_str(&e.render());
@@ -583,7 +584,7 @@ impl Tracer {
         out.push_str(&self.metrics().render());
         out.push_str("=== end flight recorder dump ===\n");
         eprintln!("{out}");
-        let path = self.inner.flight_path.lock().clone();
+        let path = self.inner.flight_path.borrow().clone();
         if let Some(path) = path {
             if let Err(e) = std::fs::write(&path, &out) {
                 eprintln!("trace: could not write flight dump to {path}: {e}");
@@ -618,7 +619,7 @@ impl SpanGuard {
     /// instead of `ok`.
     pub fn fail(&mut self, detail: &str) {
         if let Some(t) = &self.tracer {
-            if let Some(span) = t.inner.state.lock().open.get_mut(&self.id) {
+            if let Some(span) = t.inner.state.borrow_mut().open.get_mut(&self.id) {
                 span.outcome = Some(format!("err:{detail}"));
             }
         }
@@ -796,12 +797,12 @@ mod tests {
     #[test]
     fn clock_drives_timestamps_and_durations() {
         let tr = Tracer::new();
-        let t = Arc::new(std::sync::atomic::AtomicU64::new(10));
+        let t = Rc::new(std::cell::Cell::new(10));
         let tt = t.clone();
-        tr.set_clock(move || tt.load(std::sync::atomic::Ordering::SeqCst));
+        tr.set_clock(move || tt.get());
         {
             let _s = tr.span("timed");
-            t.store(17, std::sync::atomic::Ordering::SeqCst);
+            t.set(17);
         }
         let dump = tr.dump();
         assert!(dump.contains("[t=10] open #1"), "{dump}");
@@ -813,13 +814,13 @@ mod tests {
     #[test]
     fn sink_mirrors_events() {
         let tr = Tracer::new();
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let seen2 = seen.clone();
-        tr.set_sink(Box::new(move |r| seen2.lock().push(r)));
+        tr.set_sink(Box::new(move |r| seen2.borrow_mut().push(r)));
         let _g = install(&tr);
         let _s = span("flow");
         event("decision", "permit");
-        let records = seen.lock().clone();
+        let records = seen.borrow().clone();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].span, "flow");
         assert_eq!(records[0].name, "decision");

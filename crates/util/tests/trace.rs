@@ -2,15 +2,14 @@
 //! parent-id invariants, histogram bucket math, ring bounding, metric
 //! snapshots, and byte-identical dumps under a manual clock.
 
-use gridsec_util::sync::Mutex;
 use gridsec_util::trace::{self, bucket_index, bucket_upper, Histogram, MetricsSnapshot, Tracer};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-fn manual_clock(tracer: &Tracer) -> Arc<AtomicU64> {
-    let t = Arc::new(AtomicU64::new(0));
+fn manual_clock(tracer: &Tracer) -> Rc<Cell<u64>> {
+    let t = Rc::new(Cell::new(0));
     let tt = t.clone();
-    tracer.set_clock(move || tt.load(Ordering::SeqCst));
+    tracer.set_clock(move || tt.get());
     t
 }
 
@@ -184,13 +183,13 @@ fn identical_runs_produce_byte_identical_dumps() {
         let _g = trace::install(&tr);
         {
             let mut s = trace::span_with("handshake", "peer=svc");
-            clock.store(3, Ordering::SeqCst);
+            clock.set(3);
             trace::event("token", "len=42");
             trace::add("bytes", 42);
-            clock.store(5, Ordering::SeqCst);
+            clock.set(5);
             s.fail("timeout");
         }
-        clock.store(8, Ordering::SeqCst);
+        clock.set(8);
         {
             let _s = trace::span("retry");
             trace::record("backoff.secs", 16);
@@ -245,11 +244,12 @@ fn panic_guard_dumps_ring_on_unwind() {
     let path = dir.join(format!("panic-{}.txt", std::process::id()));
     tr.set_flight_path(path.to_string_lossy().to_string());
     let tr2 = tr.clone();
-    let result = std::panic::catch_unwind(move || {
+    // A `RefCell` is not `RefUnwindSafe`; the tracer is only read after the unwind.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         let _dump = trace::dump_on_panic(&tr2, "chaos scenario");
         tr2.event("about-to-fail", "");
         panic!("assertion failed");
-    });
+    }));
     assert!(result.is_err());
     let on_disk = std::fs::read_to_string(&path).unwrap();
     assert!(on_disk.contains("panic in chaos scenario"), "{on_disk}");
@@ -285,18 +285,18 @@ fn write_bench_json_emits_metrics_rows() {
 fn sink_sees_events_with_span_names() {
     let tr = Tracer::new();
     let clock = manual_clock(&tr);
-    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen = Rc::new(RefCell::new(Vec::new()));
     let seen2 = seen.clone();
     tr.set_sink(Box::new(move |r| {
-        seen2.lock().push((r.t, r.span, r.name, r.detail));
+        seen2.borrow_mut().push((r.t, r.span, r.name, r.detail));
     }));
     let _g = trace::install(&tr);
     {
         let _s = trace::span("cas.fetch");
-        clock.store(4, Ordering::SeqCst);
+        clock.set(4);
         trace::event("assertion.issued", "user=alice");
     }
-    let records = seen.lock().clone();
+    let records = seen.borrow().clone();
     assert_eq!(
         records,
         vec![(

@@ -11,7 +11,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use gridsec_gsi::prelude::*;
 use gridsec_kerberos::client::{KrbClient, ServiceVerifier};
@@ -53,8 +52,8 @@ fn main() {
     let kdc = Kdc::new(&mut rng, "SITE.A", 36_000);
     kdc.add_principal("alice", "alice-password");
     let kca = KerberosCa::new(&mut rng, &kdc, 512, 100_000_000, 43_200);
-    let kdc = Arc::new(kdc);
-    let kca = Arc::new(kca);
+    let kdc = Rc::new(kdc);
+    let kca = Rc::new(kca);
 
     let grid_ca = CertificateAuthority::create_root(
         &mut rng,

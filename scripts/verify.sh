@@ -76,14 +76,10 @@ stage_grep_guard() {
         ' "$manifest")
     done
     [ "$bad" -eq 0 ] || exit 1
-    # Everything runs on the testbed scheduler: no crate but `util` (whose
-    # sync shim tests itself across threads) may spawn or scope a thread
-    # (doc comments excepted).
-    local src
-    src=$(ls -d crates/*/src | grep -v '^crates/util/src$')
-    # shellcheck disable=SC2086
-    if grep -rEn 'thread::(spawn|scope)\(' $src | grep -vE '^[^:]+:[0-9]+: *//'; then
-        echo "FAIL: thread spawn/scope outside crates/util above" >&2
+    # Everything runs on the testbed scheduler: no crate may spawn or
+    # scope a thread (doc comments excepted).
+    if grep -rEn 'thread::(spawn|scope)\(' crates/*/src | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: thread spawn/scope above" >&2
         exit 1
     fi
     # The scheduler is the one clock owner and wait loop (DESIGN.md
@@ -100,19 +96,43 @@ stage_grep_guard() {
         echo "FAIL: next_event_at called outside testbed::sched (above)" >&2
         exit 1
     fi
-    # A world is single-threaded, so the message path is single-owner
-    # (DESIGN.md §12.5): one `Rc<RefCell<_>>` state, plain-queue
-    # mailboxes, one time-bucketed FIFO for deliveries and timers. The
-    # locks, channels and heaps it replaced must not come back.
-    if grep -En 'mpsc|util::channel|sync::Mutex|BinaryHeap' \
-        crates/testbed/src/{net,sched,rpc,names,buckets}.rs; then
-        echo "FAIL: thread-era machinery is back on the message path (above)" >&2
+    # A world is single-threaded, so its state has one owner all the way
+    # up (DESIGN.md §12.5): `Rc<RefCell<_>>` or plain ownership, one
+    # time-bucketed FIFO for deliveries and timers. No lock, channel or
+    # `Arc` may come back (doc comments excepted) but on two allow-lists:
+    # the crypto-pool handle, whose `Arc<Mutex<CryptoPool>>` type the
+    # frozen benchmark/ crate builds itself (ROADMAP 1(a)), and, for
+    # `Arc` alone, the immutable precomputation in crypto::{rsa,dh},
+    # which `static OnceLock` fixtures share across test threads.
+    local scope='crates/*/src crates/*/tests crates/*/benches tests examples'
+    local pool_files='crates/(tls/src/(handshake|pool)|gssapi/src/mill|integration/src/scenarios/crypto_storm)\.rs'
+    local pool_lines='use std::sync::|CryptoPool|RsaVerifyCtx|verify_ctx\(\)|Arc::clone\(&?(self\.)?(pool|client_pool|ctx)\)'
+    # shellcheck disable=SC2086
+    if grep -rEn 'Mutex|RwLock|mpsc|util::(sync|channel)' $scope \
+        | grep -vE '^[^:]+:[0-9]+: *//' \
+        | grep -vE "^$pool_files:[0-9]+:.*($pool_lines)"; then
+        echo "FAIL: a lock or channel is back above (one owner: Rc<RefCell<_>>)" >&2
         exit 1
     fi
-    if [ -e crates/util/src/channel.rs ]; then
-        echo "FAIL: crates/util/src/channel.rs is back; nothing may use it" >&2
+    # shellcheck disable=SC2086
+    if grep -rEn '\bArc\b' $scope \
+        | grep -vE '^[^:]+:[0-9]+: *//' \
+        | grep -vE "^$pool_files:[0-9]+:.*($pool_lines)" \
+        | grep -vE '^crates/crypto/src/(rsa|dh)\.rs:'; then
+        echo "FAIL: an Arc is back above (one owner: Rc)" >&2
         exit 1
     fi
+    if grep -En 'BinaryHeap' crates/testbed/src/{net,sched,rpc,names,buckets}.rs; then
+        echo "FAIL: a heap is back on the message path (above)" >&2
+        exit 1
+    fi
+    local gone
+    for gone in crates/util/src/channel.rs crates/util/src/sync.rs; do
+        if [ -e "$gone" ]; then
+            echo "FAIL: $gone is back; nothing may use it" >&2
+            exit 1
+        fi
+    done
     # Golden digests live in tests/golden.pins, where scripts/repin.sh
     # can re-record and tabulate them (DESIGN.md §11.6): a 64-hex literal
     # in a golden test is a pin the tool cannot see.

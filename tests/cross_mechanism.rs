@@ -1,7 +1,7 @@
 //! Cross-mechanism integration: Kerberos sites and PKI sites
 //! interoperating through the paper's §3 gateways, end to end.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_gram::resource::{GramConfig, GramResource};
@@ -26,8 +26,8 @@ fn kerberos_user_runs_grid_job_via_kca() {
     // Kerberos site with a KCA.
     let kdc = Kdc::new(&mut rng, "HEP.SITE", 36_000);
     kdc.add_principal("alice", "pw");
-    let kca = Arc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 43_200));
-    let kdc = Arc::new(kdc);
+    let kca = Rc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 43_200));
+    let kdc = Rc::new(kdc);
 
     // PKI grid site whose GRAM resource unilaterally trusts the KCA.
     let grid_ca =
@@ -85,8 +85,8 @@ fn bidirectional_bridge_round_trip() {
     let kdc = Kdc::new(&mut rng, "SITE.K", 36_000);
     kdc.add_principal("kuser", "kpw");
     kdc.add_principal("gbob", "unused");
-    let kca = Arc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 43_200));
-    let kdc = Arc::new(kdc);
+    let kca = Rc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 43_200));
+    let kdc = Rc::new(kdc);
 
     let grid_ca =
         CertificateAuthority::create_root(&mut rng, dn("/O=Grid/CN=CA"), 512, 0, 10_000_000);
@@ -123,8 +123,8 @@ fn kca_conversion_failure_modes() {
     let mut rng = gridsec_crypto::rng::ChaChaRng::from_seed_bytes(b"xmech failures");
     let kdc = Kdc::new(&mut rng, "SITE.K", 36_000);
     kdc.add_principal("alice", "pw");
-    let kca = Arc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 43_200));
-    let kdc = Arc::new(kdc);
+    let kca = Rc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 43_200));
+    let kdc = Rc::new(kdc);
 
     // Wrong password.
     let mut bad_pw = KcaCredentialSource::new(kdc.clone(), kca.clone(), "alice", "nope", 512, b"x");
@@ -147,8 +147,8 @@ fn kca_credentials_are_short_lived_grid_side() {
     let mut rng = gridsec_crypto::rng::ChaChaRng::from_seed_bytes(b"xmech expiry");
     let kdc = Kdc::new(&mut rng, "SITE.K", 360_000);
     kdc.add_principal("alice", "pw");
-    let kca = Arc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 1_000));
-    let kdc = Arc::new(kdc);
+    let kca = Rc::new(KerberosCa::new(&mut rng, &kdc, 512, 10_000_000, 1_000));
+    let kdc = Rc::new(kdc);
     let mut source = KcaCredentialSource::new(kdc, kca.clone(), "alice", "pw", 512, b"s");
     let cred = source.obtain(100).unwrap();
 

@@ -25,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use gridsec_authz::cas::CasServer;
 use gridsec_authz::gridmap::GridMapFile;
@@ -184,7 +183,7 @@ fn no_wire_facing_handler_panics_on_malformed_input() {
     }
 
     // Target: CAS service.
-    let cas = Arc::new(CasServer::new("vo-fuzz", w.service.clone(), 600));
+    let cas = Rc::new(CasServer::new("vo-fuzz", w.service.clone(), 600));
     let mut cas_svc = CasService::new(cas, clock.clone());
     for i in 0..CASES_PER_TARGET {
         let base = &corpus[i % corpus.len()];
