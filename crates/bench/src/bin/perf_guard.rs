@@ -55,6 +55,12 @@
 //!     exactly 2.000 searches per key. It took 3.234 on these seeds
 //!     while only the top bit of each prime was forced and a pair whose
 //!     product came out one bit short was thrown away whole.
+//! 12. **A sign-on pays for one step-7 handshake** — a count, not a
+//!     time: a seeded sign-on submitting 16 Figure-4 jobs to one
+//!     resource runs exactly 1 full and 15 resumed step-7 handshakes, as
+//!     the resource's `GramStats` counts them. Before resumption every
+//!     job ran the full RSA/DH handshake with an LMJFS the requestor had
+//!     authenticated one job earlier: 16 and 0.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -65,22 +71,29 @@
 //! gridbench's `ops_per_s` on `establish_storm`. Claims 9 and 10 are
 //! medians of per-round ratios, the two arms of a round interleaved, so
 //! a slow phase of the machine lands on numerator and denominator alike.
-//! Claim 11 reads no clock: one run, the same count on every machine.
+//! Claims 11 and 12 read no clock: one run, the same count on every
+//! machine.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
 //! recorded bench artifact it gates (`BENCH_*.json`), pass or fail.
 
 use std::time::Instant;
 
+use gridsec_authz::gridmap::GridMapFile;
 use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_world};
 use gridsec_bench::{bench_world, sign_shape};
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
 use gridsec_bignum::prime::generate_prime;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::RsaKeyPair;
+use gridsec_gram::resource::{GramConfig, GramResource};
+use gridsec_gram::{JobDescription, Requestor};
+use gridsec_gsi::sso::{grid_proxy_init, ProxyOptions};
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
 use gridsec_gssapi::mill::HandshakeMill;
 use gridsec_gssapi::poll::{PollInitiator, WaveAcceptor};
+use gridsec_testbed::clock::SimClock;
+use gridsec_testbed::os::SimOs;
 use gridsec_tls::handshake::{handshake_in_memory, TlsConfig};
 use gridsec_tls::session::{resume_client, ClientSession, ServerSessionCache};
 use gridsec_util::rng::RngCore;
@@ -524,6 +537,50 @@ fn main() {
         2.0 / searches_per_key,
         1.0,
         "k1_modexp",
+    );
+
+    // --- Claim 12: a sign-on's jobs resume its first step-7 context. ---
+    const JOBS: u64 = 16;
+    let mut w = bench_world(b"perf guard gram sign-on");
+    let mut resource = GramResource::install(
+        SimOs::new(),
+        SimClock::starting_at(100),
+        "node",
+        w.trust.clone(),
+        w.host.clone(),
+        &GridMapFile::parse("\"/O=B/CN=User\" u1\n").unwrap(),
+        GramConfig::default(),
+    )
+    .unwrap();
+    let sign_on = grid_proxy_init(&mut w.rng, &w.user, ProxyOptions::default(), 100).unwrap();
+    let mut requestor = Requestor::new(
+        sign_on.credential().clone(),
+        w.trust.clone(),
+        b"perf guard requestor",
+    );
+    for n in 0..JOBS {
+        let job = JobDescription::new("/bin/simulate").with_args(&[&n.to_string()]);
+        requestor.submit_job(&mut resource, &job, 100).unwrap();
+    }
+    let (full, resumed) = (
+        resource.stats.full_handshakes,
+        resource.stats.resumed_handshakes,
+    );
+    println!(
+        "[perf_guard] gram sign-on of {JOBS} jobs: {full} full + {resumed} resumed step-7 \
+         handshakes, must be 1 + {}",
+        JOBS - 1
+    );
+    claim(
+        &mut failures,
+        "gram-sign-on-is-one-full-handshake",
+        if (full, resumed) == (1, JOBS - 1) {
+            1.0
+        } else {
+            0.0
+        },
+        1.0,
+        "f4_gram",
     );
 
     if failures > 0 {

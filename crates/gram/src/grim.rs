@@ -9,7 +9,7 @@
 //!
 //! The embedding uses a restricted proxy with policy language
 //! `grim-policy-v1`; [`GrimPolicy`] is the payload. The requestor-side
-//! check lives in [`crate::requestor`].
+//! check is [`authorize_mjs`].
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::credential::Credential;
@@ -94,6 +94,40 @@ pub fn extract_grim_policy(identity: &ValidatedIdentity) -> Option<GrimPolicy> {
         .iter()
         .find(|(lang, _)| lang == GRIM_POLICY_LANGUAGE)
         .and_then(|(_, bytes)| GrimPolicy::from_bytes(bytes).ok())
+}
+
+/// Step 7's client-side authorization of the MJS, run on every context,
+/// full or resumed: "the requestor authorizes the MJS as having a GRIM
+/// credential issued from an appropriate host credential and containing
+/// a Grid identity matching its own." `host` is the host identity the
+/// requestor meant to contact, `user` its own grid identity; `account`,
+/// when known, must be the account the GRIM credential names — the
+/// paper's "running not only on the right host but also in an
+/// appropriate account".
+pub fn authorize_mjs(
+    peer: &ValidatedIdentity,
+    host: &DistinguishedName,
+    user: &DistinguishedName,
+    account: Option<&str>,
+) -> Result<GrimPolicy, GramError> {
+    let policy = extract_grim_policy(peer)
+        .ok_or(GramError::GrimRejected("peer presented no GRIM credential"))?;
+    if peer.base_identity != *host {
+        return Err(GramError::GrimRejected(
+            "GRIM credential chains to the wrong host",
+        ));
+    }
+    if policy.user_identity != *user {
+        return Err(GramError::GrimRejected(
+            "GRIM credential embeds a different user identity",
+        ));
+    }
+    if account.is_some_and(|a| a != policy.account) {
+        return Err(GramError::GrimRejected(
+            "GRIM credential names a different account",
+        ));
+    }
+    Ok(policy)
 }
 
 #[cfg(test)]

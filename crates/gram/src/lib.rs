@@ -22,7 +22,8 @@
 //!    registers with the router.
 //! 6. The LMJFS re-verifies the signed request and authorizes the user
 //!    for its account, then creates an **MJS**.
-//! 7. The requestor and MJS mutually authenticate; the requestor accepts
+//! 7. The requestor and MJS mutually authenticate — after a user's first
+//!    job, by resuming the session its LMJFS banked; the requestor accepts
 //!    the MJS *only* if it presents a GRIM credential from the right host
 //!    embedding the requestor's own identity; then delegates job
 //!    credentials and starts the job.
@@ -72,6 +73,13 @@ pub enum GramError {
     /// The network path to the resource failed (retries exhausted or a
     /// malformed reply). Remote submissions only.
     Transport(String),
+}
+
+impl GramError {
+    /// A step-7 security-context failure described by `e`.
+    pub(crate) fn context(e: impl core::fmt::Display) -> Self {
+        GramError::Context(e.to_string())
+    }
 }
 
 impl core::fmt::Display for GramError {

@@ -7,38 +7,39 @@
 //! drop/duplicate/reorder faults with retransmission and exponential
 //! backoff. The server-side reply cache is what makes this safe: a
 //! retransmitted `gram-submit` must not start a second LMJFS, and a
-//! duplicated `gram-tok3` must not re-step an established context.
+//! duplicated `gram-tok1`/`gram-tok3` must not re-step a handshake.
 //!
 //! Wire format (via [`gridsec_pki::encoding`]): every request is
 //! `op ‖ mjs-handle ‖ body`; replies are `"ok" ‖ body` or
-//! `"err" ‖ reason`. The delegation tokens cross the wire in exactly
-//! the order of the in-process flow — they are wrapped on the secured
-//! GSS channel, whose sequence numbers make any other order fail.
+//! `"err" ‖ reason`. `gram-tok1` carries a ClientHello or, for a
+//! requestor resuming an earlier job's session, a ResumeHello; an `err`
+//! reply to a ResumeHello sends the requestor back to the full token
+//! loop. The delegation tokens cross the wire in exactly the order of
+//! the in-process flow — they are wrapped on the secured GSS channel,
+//! whose sequence numbers make any other order fail.
 //!
-//! The requestor's client-side GRIM authorization is unchanged but
-//! remote-aware: the caller names the host it *intended* to contact
-//! (`expected_host`), and the MJS's GRIM credential must chain to that
-//! identity — the remote analogue of checking
-//! `resource.host_identity()` in process.
+//! The requestor's client-side GRIM authorization is the in-process one
+//! ([`crate::grim::authorize_mjs`]), remote-aware: the caller names the
+//! host it *intended* to contact (`expected_host`), and the MJS's GRIM
+//! credential must chain to that identity — the remote analogue of
+//! checking `resource.host_identity()` in process.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::EstablishedContext;
 use gridsec_gssapi::delegation::{self, PendingDelegation};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
 use gridsec_testbed::rpc::RpcClient;
-use gridsec_tls::handshake::TlsConfig;
 use gridsec_util::trace;
 
-use crate::grim::extract_grim_policy;
-use crate::requestor::{ActiveJob, Requestor};
-use crate::resource::GramResource;
+use crate::requestor::{ActiveJob, MjsLink, Requestor};
+use crate::resource::{GramResource, MjsAcceptor};
 use crate::types::{JobDescription, JobState};
 use crate::GramError;
 
@@ -177,53 +178,24 @@ fn connect_and_start_inner(
 ) -> Result<(), GramError> {
     let ctxerr = |m: &str| GramError::Context(m.to_string());
 
-    // Mutual authentication: the token loop, each leg an RPC call.
-    // Validation time is re-read from the clock: the submission's
-    // retransmissions may have pushed wall time past `now`, and the
-    // GRIM proxy we are about to verify was minted at server-side now.
+    // Mutual authentication: the token loop — full or resumed — each
+    // leg an RPC call. Validation time is re-read from the clock: the
+    // submission's retransmissions may have pushed wall time past `now`,
+    // and the GRIM proxy we are about to verify was minted at
+    // server-side now.
     let now = wall_now(rpc, now);
-    let config = TlsConfig::new(requestor.credential.clone(), requestor.trust.clone(), now);
     let gss_sp = trace::span_with("gram.gss_loop", &format!("handle={handle}"));
-    let (mut initiator, token1) = InitiatorContext::new(config, &mut requestor.rng);
-    let token2 = round(rpc, OP_TOKEN1, handle, &token1, GramError::Context)?;
-    let (token3, mut my_ctx) = match initiator
-        .step(&token2)
-        .map_err(|e| ctxerr(&e.to_string()))?
-    {
-        StepResult::Established { token, context } => {
-            (token.ok_or(ctxerr("missing finished token"))?, context)
-        }
-        _ => return Err(ctxerr("initiator should finish")),
-    };
-    round(rpc, OP_TOKEN3, handle, &token3, GramError::Context)?;
+    let mut link = OverRpc { rpc, handle };
+    let mut my_ctx = requestor.authenticate_mjs(&mut link, expected_host, expected_account, now)?;
+    let rpc = link.rpc;
     trace::event("gram.context.established", &format!("handle={handle}"));
     drop(gss_sp);
 
-    // Client-side authorization of the MJS (unchanged from in-process,
-    // except the host identity is the one the caller intended).
-    let peer = my_ctx.peer().clone();
-    let policy = extract_grim_policy(&peer)
-        .ok_or(GramError::GrimRejected("peer presented no GRIM credential"))?;
-    if peer.base_identity != *expected_host {
-        trace::event("gram.grim.rejected", "wrong host");
-        return Err(GramError::GrimRejected(
-            "GRIM credential chains to the wrong host",
-        ));
-    }
-    if &policy.user_identity != requestor.identity() {
-        trace::event("gram.grim.rejected", "wrong user identity");
-        return Err(GramError::GrimRejected(
-            "GRIM credential embeds a different user identity",
-        ));
-    }
-    if let Some(acct) = expected_account {
-        if policy.account != acct {
-            trace::event("gram.grim.rejected", "wrong account");
-            return Err(GramError::GrimRejected(
-                "GRIM credential names a different account",
-            ));
-        }
-    }
+    // Client-side authorization of the MJS (as in process, except the
+    // host identity is the one the caller intended).
+    let policy = requestor
+        .authorize_mjs(&my_ctx, expected_host, expected_account)
+        .inspect_err(|e| trace::event("gram.grim.rejected", &e.to_string()))?;
     trace::event(
         "gram.grim.authorized",
         &format!("account={}", policy.account),
@@ -261,6 +233,22 @@ fn connect_and_start_inner(
     round(rpc, OP_START, handle, &start, GramError::Context)?;
     trace::event("gram.job.started", &format!("handle={handle}"));
     Ok(())
+}
+
+/// Step 7's handshake tokens as `gram-tok1` / `gram-tok3` rounds.
+struct OverRpc<'a> {
+    rpc: &'a mut RpcClient,
+    handle: &'a str,
+}
+
+impl MjsLink for OverRpc<'_> {
+    fn hello(&mut self, _: &mut ChaChaRng, token: &[u8]) -> Result<Vec<u8>, GramError> {
+        round(self.rpc, OP_TOKEN1, self.handle, token, GramError::Context)
+    }
+
+    fn finished(&mut self, _: &mut ChaChaRng, token: &[u8]) -> Result<(), GramError> {
+        round(self.rpc, OP_TOKEN3, self.handle, token, GramError::Context).map(drop)
+    }
 }
 
 /// Remote steps 1–7 with crash resilience: like [`submit_job_remote`],
@@ -375,7 +363,7 @@ pub fn job_state_remote(rpc: &mut RpcClient, handle: &str) -> Result<JobState, G
 
 /// Step-7 session state the service keeps per (caller, MJS handle).
 struct Session {
-    acceptor: Option<AcceptorContext>,
+    acceptor: Option<MjsAcceptor>,
     ctx: Option<Box<EstablishedContext>>,
     pending: Option<PendingDelegation>,
     delegated: Option<Credential>,
@@ -452,17 +440,14 @@ impl RemoteGram {
                 Ok(reply_ok(&e.finish()))
             }
             OP_TOKEN1 => {
-                // A fresh token 1 always starts a fresh session: a
-                // requestor that timed out mid-handshake and started
-                // over must not collide with its abandoned half.
-                let mut acceptor = self.resource.borrow_mut().mjs_begin_accept(handle)?;
-                let token2 = match acceptor
-                    .step(&mut self.rng, body)
-                    .map_err(|e| ctxerr(&e.to_string()))?
-                {
-                    StepResult::ContinueWith(t) => t,
-                    _ => return Err(ctxerr("unexpected acceptor state")),
-                };
+                // A fresh token 1 — ClientHello or ResumeHello — always
+                // starts a fresh session: a requestor that timed out
+                // mid-handshake and started over must not collide with
+                // its abandoned half.
+                let (token2, acceptor) =
+                    self.resource
+                        .borrow_mut()
+                        .mjs_accept_hello(handle, &mut self.rng, body)?;
                 self.sessions.insert(
                     key,
                     Session {
@@ -479,18 +464,15 @@ impl RemoteGram {
                     .sessions
                     .get_mut(&key)
                     .ok_or(ctxerr("no handshake in progress"))?;
-                let mut acceptor = session
+                let acceptor = session
                     .acceptor
                     .take()
                     .ok_or(ctxerr("handshake already finished"))?;
-                let ctx = match acceptor
-                    .step(&mut self.rng, body)
-                    .map_err(|e| ctxerr(&e.to_string()))?
-                {
-                    StepResult::Established { context, .. } => context,
-                    _ => return Err(ctxerr("acceptor should finish")),
-                };
-                session.ctx = Some(ctx);
+                session.ctx = Some(self.resource.borrow_mut().mjs_accept_finished(
+                    acceptor,
+                    &mut self.rng,
+                    body,
+                )?);
                 Ok(reply_ok(&[]))
             }
             OP_DELEG_REQ => {

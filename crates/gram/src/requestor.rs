@@ -3,6 +3,12 @@
 //! Implements step 1 (sign the job description) and step 7 (mutual
 //! authentication with the MJS, *client-side authorization of the MJS via
 //! its GRIM credential*, credential delegation, and job start).
+//!
+//! Step 7's context is paid for once per LMJFS, then resumed: the
+//! requestor keeps the session of every MJS it authorized, keyed by the
+//! (host identity, account) it authorized, and its next job there sends
+//! a ResumeHello instead of a ClientHello. Authorization and delegation
+//! run on every job all the same.
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{EstablishedContext, InitiatorContext, StepResult};
@@ -12,11 +18,14 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
 use gridsec_pki::store::TrustStore;
 use gridsec_tls::handshake::TlsConfig;
+use gridsec_tls::session::{
+    resume_client, ClientSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
+};
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::xmlsig;
 
-use crate::grim::extract_grim_policy;
-use crate::resource::GramResource;
+use crate::grim::{self, GrimPolicy};
+use crate::resource::{GramResource, MjsAcceptor};
 use crate::types::{JobDescription, JobState};
 use crate::GramError;
 
@@ -39,6 +48,23 @@ pub struct Requestor {
     pub(crate) request_ttl: u64,
     pub(crate) delegation_key_bits: usize,
     pub(crate) delegation_lifetime: u64,
+    /// Step-7 sessions with MJSs already authorized, by
+    /// [`session_key`].
+    sessions: ClientSessionCache,
+}
+
+/// How step 7's two handshake tokens reach the MJS: in process, or over
+/// RPC ([`crate::remote`]).
+pub(crate) trait MjsLink {
+    /// Deliver token 1 (a ClientHello or a ResumeHello); returns token 2.
+    fn hello(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<Vec<u8>, GramError>;
+    /// Deliver token 3; the MJS's half of the context is then established.
+    fn finished(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<(), GramError>;
+}
+
+/// The client cache key for the MJSs of `account` on `host`.
+fn session_key(host: &DistinguishedName, account: &str) -> String {
+    format!("{host}\n{account}")
 }
 
 impl Requestor {
@@ -52,6 +78,7 @@ impl Requestor {
             request_ttl: 300,
             delegation_key_bits: 512,
             delegation_lifetime: 43_200,
+            sessions: ClientSessionCache::new(DEFAULT_SESSION_CAPACITY),
         }
     }
 
@@ -88,12 +115,78 @@ impl Requestor {
         })
     }
 
+    /// Step 7's mutual authentication with the MJS behind `link`. When a
+    /// live session for (`host`, `account`) is cached, the abbreviated
+    /// handshake resumes it; otherwise — or when the MJS refuses the
+    /// ticket (unknown, expired, its LMJFS's cache emptied) — the full
+    /// token loop runs. A ticket is taken out of the cache when offered,
+    /// so one that fails is never offered again.
+    pub(crate) fn authenticate_mjs(
+        &mut self,
+        link: &mut impl MjsLink,
+        host: &DistinguishedName,
+        account: Option<&str>,
+        now: u64,
+    ) -> Result<Box<EstablishedContext>, GramError> {
+        let cached = account.and_then(|a| {
+            let key = session_key(host, a);
+            let session = self.sessions.lookup(&key, now);
+            self.sessions.invalidate(&key);
+            session
+        });
+        if let Some(session) = cached {
+            let (resume, token1) =
+                resume_client(session, now, DEFAULT_SESSION_LIFETIME, &mut self.rng);
+            match link.hello(&mut self.rng, &token1) {
+                Ok(token2) => {
+                    let (token3, channel) = resume.step(&token2).map_err(GramError::context)?;
+                    link.finished(&mut self.rng, &token3)?;
+                    return Ok(Box::new(EstablishedContext::from_channel(channel)));
+                }
+                Err(e @ GramError::Transport(_)) => return Err(e),
+                // The ticket was refused: fall through to the full loop.
+                Err(_) => {}
+            }
+        }
+        let config = TlsConfig::new(self.credential.clone(), self.trust.clone(), now);
+        let (mut initiator, token1) = InitiatorContext::new(config, &mut self.rng);
+        let token2 = link.hello(&mut self.rng, &token1)?;
+        let (token3, context) = match initiator.step(&token2).map_err(GramError::context)? {
+            StepResult::Established { token, context } => (
+                token.ok_or_else(|| GramError::context("missing finished token"))?,
+                context,
+            ),
+            StepResult::ContinueWith(_) => {
+                return Err(GramError::context("initiator should finish"))
+            }
+        };
+        link.finished(&mut self.rng, &token3)?;
+        Ok(context)
+    }
+
+    /// Step 7's client-side authorization of the MJS
+    /// ([`grim::authorize_mjs`]), run on every context, full or resumed.
+    /// An authorized context's session is kept for the next job to the
+    /// same host and account.
+    pub(crate) fn authorize_mjs(
+        &mut self,
+        context: &EstablishedContext,
+        host: &DistinguishedName,
+        account: Option<&str>,
+    ) -> Result<GrimPolicy, GramError> {
+        let policy = grim::authorize_mjs(context.peer(), host, self.identity(), account)?;
+        self.sessions
+            .store(&session_key(host, &policy.account), context.channel());
+        Ok(policy)
+    }
+
     /// Step 7: connect to the MJS, mutually authenticate, authorize the
     /// MJS via its GRIM credential, delegate, and start the job.
     ///
     /// `expected_account`, when known, is checked against the account the
     /// GRIM credential names — the paper's "running not only on the right
-    /// host but also in an appropriate account".
+    /// host but also in an appropriate account" — and lets the context
+    /// resume the session of an earlier job in that account.
     pub fn connect_and_start(
         &mut self,
         resource: &mut GramResource,
@@ -101,65 +194,21 @@ impl Requestor {
         expected_account: Option<&str>,
         now: u64,
     ) -> Result<(), GramError> {
-        let ctxerr = |m: &str| GramError::Context(m.to_string());
-
-        // Mutual authentication (token loop, in process).
-        let config = TlsConfig::new(self.credential.clone(), self.trust.clone(), now);
-        let (mut initiator, token1) = InitiatorContext::new(config, &mut self.rng);
-        let mut acceptor = resource.mjs_begin_accept(handle)?;
-
-        let token2 = match acceptor
-            .step(&mut self.rng, &token1)
-            .map_err(|e| ctxerr(&e.to_string()))?
-        {
-            StepResult::ContinueWith(t) => t,
-            _ => return Err(ctxerr("unexpected acceptor state")),
-        };
-        let (token3, mut my_ctx) = match initiator
-            .step(&token2)
-            .map_err(|e| ctxerr(&e.to_string()))?
-        {
-            StepResult::Established { token, context } => {
-                (token.ok_or(ctxerr("missing finished token"))?, context)
-            }
-            _ => return Err(ctxerr("initiator should finish")),
-        };
-        let mut mjs_ctx: Box<EstablishedContext> = match acceptor
-            .step(&mut self.rng, &token3)
-            .map_err(|e| ctxerr(&e.to_string()))?
-        {
-            StepResult::Established { context, .. } => context,
-            _ => return Err(ctxerr("acceptor should finish")),
-        };
-
-        // Client-side authorization of the MJS: "the requestor authorizes
-        // the MJS as having a GRIM credential issued from an appropriate
-        // host credential and containing a Grid identity matching its
-        // own."
-        let peer = my_ctx.peer().clone();
-        let policy = extract_grim_policy(&peer)
-            .ok_or(GramError::GrimRejected("peer presented no GRIM credential"))?;
         // Right host: the GRIM chain must bottom out at the resource's
         // host identity (the client knows which host it contacted).
-        if peer.base_identity != *resource.host_identity() {
-            return Err(GramError::GrimRejected(
-                "GRIM credential chains to the wrong host",
-            ));
-        }
-        // Right user: the embedded identity must be our own.
-        if &policy.user_identity != self.identity() {
-            return Err(GramError::GrimRejected(
-                "GRIM credential embeds a different user identity",
-            ));
-        }
-        // Appropriate account.
-        if let Some(acct) = expected_account {
-            if policy.account != acct {
-                return Err(GramError::GrimRejected(
-                    "GRIM credential names a different account",
-                ));
-            }
-        }
+        let host = resource.host_identity().clone();
+        let mut link = InProcess {
+            resource,
+            handle,
+            acceptor: None,
+            established: None,
+        };
+        let mut my_ctx = self.authenticate_mjs(&mut link, &host, expected_account, now)?;
+        let mut mjs_ctx = link
+            .established
+            .ok_or_else(|| GramError::context("acceptor should finish"))?;
+        let resource = link.resource;
+        self.authorize_mjs(&my_ctx, &host, expected_account)?;
 
         // Delegation: the MJS generates a key locally; we sign a proxy.
         let d1 = delegation::request_delegation(&mut my_ctx);
@@ -169,7 +218,7 @@ impl Requestor {
             &d1,
             self.delegation_key_bits,
         )
-        .map_err(|e| ctxerr(&e.to_string()))?;
+        .map_err(GramError::context)?;
         let d3 = delegation::deliver_proxy(
             &mut my_ctx,
             &mut self.rng,
@@ -179,16 +228,16 @@ impl Requestor {
             now,
             self.delegation_lifetime,
         )
-        .map_err(|e| ctxerr(&e.to_string()))?;
+        .map_err(GramError::context)?;
         let delegated = pending
             .finish(&mut mjs_ctx, &d3)
-            .map_err(|e| ctxerr(&e.to_string()))?;
+            .map_err(GramError::context)?;
 
         // Start command over the secured channel.
         let start = my_ctx.wrap(b"start-job");
-        let start_plain = mjs_ctx.unwrap(&start).map_err(|e| ctxerr(&e.to_string()))?;
+        let start_plain = mjs_ctx.unwrap(&start).map_err(GramError::context)?;
         if start_plain != b"start-job" {
-            return Err(ctxerr("start command corrupted"));
+            return Err(GramError::context("start command corrupted"));
         }
         let requestor_identity = mjs_ctx.peer().base_identity.clone();
         resource.mjs_start_job(handle, &requestor_identity, delegated)?;
@@ -204,5 +253,32 @@ impl Requestor {
     pub fn cancel(&mut self, resource: &mut GramResource, handle: &str) -> Result<(), GramError> {
         let me = self.identity().clone();
         resource.cancel(handle, &me)
+    }
+}
+
+/// Step 7's tokens delivered in process to an MJS on `resource`; the
+/// MJS's half of the context lands in `established`.
+struct InProcess<'a> {
+    resource: &'a mut GramResource,
+    handle: &'a str,
+    acceptor: Option<MjsAcceptor>,
+    established: Option<Box<EstablishedContext>>,
+}
+
+impl MjsLink for InProcess<'_> {
+    fn hello(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<Vec<u8>, GramError> {
+        let (token2, acceptor) = self.resource.mjs_accept_hello(self.handle, rng, token)?;
+        self.acceptor = Some(acceptor);
+        Ok(token2)
+    }
+
+    fn finished(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<(), GramError> {
+        let acceptor = self
+            .acceptor
+            .take()
+            .ok_or_else(|| GramError::context("no handshake in progress"))?;
+        let context = self.resource.mjs_accept_finished(acceptor, rng, token)?;
+        self.established = Some(context);
+        Ok(())
     }
 }

@@ -5,8 +5,9 @@
 use std::collections::HashMap;
 
 use gridsec_authz::gridmap::GridMapFile;
+use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::AcceptorContext;
+use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, StepResult};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::CrlStore;
@@ -14,6 +15,10 @@ use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::os::{FileMode, Pid, SimOs, ROOT_UID};
 use gridsec_tls::handshake::TlsConfig;
+use gridsec_tls::session::{
+    is_resume_hello, ServerResumeAwait, ServerSessionCache, DEFAULT_SESSION_CAPACITY,
+    DEFAULT_SESSION_LIFETIME,
+};
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::xmlsig;
 
@@ -62,12 +67,38 @@ pub struct GramStats {
     pub warm_starts: u64,
     /// Rejected requests.
     pub denied: u64,
+    /// Step-7 contexts established by the full handshake.
+    pub full_handshakes: u64,
+    /// Step-7 contexts resumed from an LMJFS session cache.
+    pub resumed_handshakes: u64,
 }
 
 struct LmjfsInstance {
     pid: Pid,
     user_identity: DistinguishedName,
     credential: Credential,
+    /// Step-7 sessions established under `credential`, by ticket. It
+    /// lives beside the GRIM credential, never host-wide: a ticket is
+    /// honoured only by the LMJFS whose credential authenticated it.
+    sessions: ServerSessionCache,
+}
+
+fn lmjfs_sessions() -> ServerSessionCache {
+    ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME)
+}
+
+/// An MJS half-way through step 7: token 2 has been answered, the
+/// requestor's finished token is awaited
+/// ([`GramResource::mjs_accept_finished`]). It names the LMJFS whose
+/// cache the established session goes to.
+pub struct MjsAcceptor {
+    account: String,
+    acceptance: Acceptance,
+}
+
+enum Acceptance {
+    Full(AcceptorContext),
+    Resumed(Box<ServerResumeAwait>),
 }
 
 struct MjsInstance {
@@ -177,9 +208,15 @@ impl GramResource {
         })
     }
 
-    /// Install revocation state checked on request verification.
+    /// Install revocation state, checked on request verification and on
+    /// step 7's full handshake. Every LMJFS session cache is emptied: a
+    /// resumed context skips chain validation, so no session
+    /// authenticated under the old revocation state may be resumed.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
+        for lmjfs in self.lmjfs.values_mut() {
+            lmjfs.sessions = lmjfs_sessions();
+        }
     }
 
     /// Pid of the MMJFS (for fault injection).
@@ -195,6 +232,11 @@ impl GramResource {
     /// Pid of a resident LMJFS, if any.
     pub fn lmjfs_pid(&self, account: &str) -> Option<Pid> {
         self.lmjfs.get(account).map(|l| l.pid)
+    }
+
+    /// The step-7 session cache of a resident LMJFS, if any.
+    pub fn lmjfs_sessions(&self, account: &str) -> Option<&ServerSessionCache> {
+        self.lmjfs.get(account).map(|l| &l.sessions)
     }
 
     /// Shared OS handle (for privilege audits).
@@ -380,21 +422,101 @@ impl GramResource {
                 pid: lmjfs_pid,
                 user_identity: user_dn.clone(),
                 credential,
+                sessions: lmjfs_sessions(),
             },
         );
         Ok(())
     }
 
-    /// Step 7 server side: begin accepting a mutually-authenticated
-    /// context on an MJS. The acceptor authenticates with the MJS's GRIM
-    /// credential.
-    pub fn mjs_begin_accept(&mut self, handle: &str) -> Result<AcceptorContext, GramError> {
+    /// Step 7 server side, token 1. A ClientHello starts the full
+    /// mutually-authenticated handshake under the MJS's GRIM credential;
+    /// a ResumeHello is answered from the session cache of the LMJFS
+    /// hosting the MJS, and from no other. An unknown or expired ticket
+    /// is a [`GramError::Context`] the requestor answers with the full
+    /// handshake. Returns token 2.
+    pub fn mjs_accept_hello<E: EntropySource>(
+        &mut self,
+        handle: &str,
+        rng: &mut E,
+        token: &[u8],
+    ) -> Result<(Vec<u8>, MjsAcceptor), GramError> {
+        let now = self.clock.now();
         let mjs = self
             .mjs
             .get(handle)
             .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))?;
-        let config = TlsConfig::new(mjs.credential.clone(), self.trust.clone(), self.clock.now());
-        Ok(AcceptorContext::new(config))
+        let account = mjs.account.clone();
+        if is_resume_hello(token) {
+            let lmjfs = self
+                .lmjfs
+                .get_mut(&account)
+                .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
+            let (token2, await_finished) = lmjfs
+                .sessions
+                .accept(token, now, rng)
+                .map_err(GramError::context)?;
+            let acceptance = Acceptance::Resumed(Box::new(await_finished));
+            return Ok((
+                token2,
+                MjsAcceptor {
+                    account,
+                    acceptance,
+                },
+            ));
+        }
+        let config = TlsConfig::new(mjs.credential.clone(), self.trust.clone(), now)
+            .with_crls(self.crls.clone());
+        let mut acceptor = AcceptorContext::new(config);
+        match acceptor.step(rng, token).map_err(GramError::context)? {
+            StepResult::ContinueWith(token2) => {
+                let acceptance = Acceptance::Full(acceptor);
+                Ok((
+                    token2,
+                    MjsAcceptor {
+                        account,
+                        acceptance,
+                    },
+                ))
+            }
+            StepResult::Established { .. } => Err(GramError::context("unexpected acceptor state")),
+        }
+    }
+
+    /// Step 7 server side, token 3: the MJS's half of the context is
+    /// established, and its session stored in the cache of the LMJFS
+    /// that hosts the MJS, so the requestor's next job there can resume
+    /// it.
+    pub fn mjs_accept_finished<E: EntropySource>(
+        &mut self,
+        acceptor: MjsAcceptor,
+        rng: &mut E,
+        token: &[u8],
+    ) -> Result<Box<EstablishedContext>, GramError> {
+        let account = acceptor.account;
+        let lmjfs = self
+            .lmjfs
+            .get_mut(&account)
+            .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
+        let context = match acceptor.acceptance {
+            Acceptance::Full(mut acceptor) => {
+                match acceptor.step(rng, token).map_err(GramError::context)? {
+                    StepResult::Established { context, .. } => {
+                        self.stats.full_handshakes += 1;
+                        context
+                    }
+                    StepResult::ContinueWith(_) => {
+                        return Err(GramError::context("acceptor should finish"))
+                    }
+                }
+            }
+            Acceptance::Resumed(await_finished) => {
+                let channel = await_finished.step(token).map_err(GramError::context)?;
+                self.stats.resumed_handshakes += 1;
+                Box::new(EstablishedContext::from_channel(channel))
+            }
+        };
+        lmjfs.sessions.store(context.channel());
+        Ok(context)
     }
 
     /// Step 7 completion, MJS side: after the context is established and
