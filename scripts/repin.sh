@@ -40,6 +40,7 @@ done <<'EOF'
 gridsec-crypto golden_key
 gridsec-wsse golden_wire
 gridsec-integration storm_golden
+gridsec-integration xfer_golden
 EOF
 
 # Old file order and comments kept; a pin recorded for the first time

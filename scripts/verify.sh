@@ -137,7 +137,8 @@ stage_grep_guard() {
     # can re-record and tabulate them (DESIGN.md §11.6): a 64-hex literal
     # in a golden test is a pin the tool cannot see.
     if grep -En '[0-9a-f]{64}' crates/crypto/tests/golden_key.rs \
-        crates/wsse/tests/golden_wire.rs crates/integration/tests/storm_golden.rs; then
+        crates/wsse/tests/golden_wire.rs crates/integration/tests/storm_golden.rs \
+        crates/integration/tests/xfer_golden.rs; then
         echo "FAIL: digest literal in a golden test above; pins belong in tests/golden.pins" >&2
         exit 1
     fi
