@@ -3,7 +3,7 @@
 //! counts {1, 2, 4, 8} — plus the adaptive AIMD controller at 5% loss,
 //! and record the tick-model goodput of every cell.
 //!
-//! Time is simulated ticks (see `gridsec_gridftp::stripe::TickModel`),
+//! Time is simulated ticks (see `gridsec_gridftp::stripe`'s tick costs),
 //! so **every** figure in `BENCH_striped_xfer.json` is a pure function
 //! of the seed: CI runs a reduced-scale version twice and byte-compares
 //! the `--metrics-out` render. Wall time goes to stdout only. The

@@ -22,34 +22,12 @@
 
 use gridsec_util::rng::{DetRng, RngCore};
 
-/// Bounds and starting points for the controller.
-#[derive(Clone, Copy, Debug)]
+/// The controller's one setting: how many stripes may run. The default
+/// is adaptive — between 1 and 4 concurrently active stripes, starting
+/// from 2; [`AimdConfig::pinned_stripes`] fixes the count instead.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AimdConfig {
-    /// Smallest pull window (chunks per request round).
-    pub min_window: u32,
-    /// Largest pull window.
-    pub max_window: u32,
-    /// Initial pull window.
-    pub init_window: u32,
-    /// Fewest concurrently active stripes.
-    pub min_stripes: u32,
-    /// Most concurrently active stripes.
-    pub max_stripes: u32,
-    /// Initial stripe count.
-    pub init_stripes: u32,
-}
-
-impl Default for AimdConfig {
-    fn default() -> Self {
-        AimdConfig {
-            min_window: 1,
-            max_window: 16,
-            init_window: 4,
-            min_stripes: 1,
-            max_stripes: 4,
-            init_stripes: 2,
-        }
-    }
+    pinned: Option<u32>,
 }
 
 impl AimdConfig {
@@ -57,14 +35,25 @@ impl AimdConfig {
     /// fixed stripe counts; only the window still adapts).
     pub fn pinned_stripes(n: u32) -> Self {
         AimdConfig {
-            min_stripes: n.max(1),
-            max_stripes: n.max(1),
-            init_stripes: n.max(1),
-            ..AimdConfig::default()
+            pinned: Some(n.max(1)),
+        }
+    }
+
+    /// `(fewest, most, initial)` concurrently active stripes.
+    pub(crate) fn stripes(self) -> (u32, u32, u32) {
+        match self.pinned {
+            Some(n) => (n, n, n),
+            None => (1, 4, 2),
         }
     }
 }
 
+/// Smallest pull window (chunks per request round).
+const MIN_WINDOW: u32 = 1;
+/// Largest pull window.
+const MAX_WINDOW: u32 = 16;
+/// Initial pull window.
+const INIT_WINDOW: u32 = 4;
 /// Clean-window streak length required before a stripe may be added.
 const GROW_STREAK: u32 = 4;
 /// Probability (in 1/256ths) of adding a stripe once the streak allows.
@@ -77,40 +66,27 @@ const SHED_P256: u64 = 128;
 /// Additive-increase / multiplicative-decrease controller over the
 /// striped engine's window size and stripe count.
 pub struct AimdController {
-    cfg: AimdConfig,
+    min_stripes: u32,
+    max_stripes: u32,
     window: u32,
     stripes: u32,
     clean_streak: u32,
     rng: DetRng,
     decisions: Vec<String>,
-    tears: u64,
-    clean_rounds: u64,
 }
 
 impl AimdController {
-    /// Create a controller from bounds and a replay seed.
+    /// Create a controller from its stripe setting and a replay seed.
     pub fn new(cfg: AimdConfig, seed: u64) -> Self {
-        let cfg = AimdConfig {
-            min_window: cfg.min_window.max(1),
-            max_window: cfg.max_window.max(cfg.min_window.max(1)),
-            init_window: cfg
-                .init_window
-                .clamp(cfg.min_window.max(1), cfg.max_window.max(1)),
-            min_stripes: cfg.min_stripes.max(1),
-            max_stripes: cfg.max_stripes.max(cfg.min_stripes.max(1)),
-            init_stripes: cfg
-                .init_stripes
-                .clamp(cfg.min_stripes.max(1), cfg.max_stripes.max(1)),
-        };
+        let (min_stripes, max_stripes, stripes) = cfg.stripes();
         AimdController {
-            window: cfg.init_window,
-            stripes: cfg.init_stripes,
+            min_stripes,
+            max_stripes,
+            window: INIT_WINDOW,
+            stripes,
             clean_streak: 0,
             rng: DetRng::seed_from_u64(seed ^ 0xA1_4D_C0_47),
             decisions: Vec::new(),
-            tears: 0,
-            clean_rounds: 0,
-            cfg,
         }
     }
 
@@ -122,16 +98,6 @@ impl AimdController {
     /// Stripe count the engine should be running right now.
     pub fn target_stripes(&self) -> u32 {
         self.stripes
-    }
-
-    /// Tears reported so far.
-    pub fn tears(&self) -> u64 {
-        self.tears
-    }
-
-    /// Clean windows reported so far.
-    pub fn clean_rounds(&self) -> u64 {
-        self.clean_rounds
     }
 
     /// The decision log: one line per state change, deterministic per
@@ -149,16 +115,15 @@ impl AimdController {
     /// the fault layer. Multiplicative decrease on the window, and on a
     /// badly lossy stripe possibly one fewer stripe.
     pub fn on_tear(&mut self, stripe: usize, loss_permille: u64, now: u64) {
-        self.tears += 1;
         self.clean_streak = 0;
         let old_w = self.window;
-        self.window = (self.window / 2).max(self.cfg.min_window);
+        self.window = (self.window / 2).max(MIN_WINDOW);
         let mut line = format!(
             "t={now} stripe={stripe} tear loss={loss_permille}\u{2030} window {old_w}->{}",
             self.window
         );
         if loss_permille > SHED_LOSS_PERMILLE
-            && self.stripes > self.cfg.min_stripes
+            && self.stripes > self.min_stripes
             && self.draw256() < SHED_P256
         {
             let old_s = self.stripes;
@@ -172,17 +137,16 @@ impl AimdController {
     /// Additive increase on the window; after a clean streak the
     /// controller may add a stripe.
     pub fn on_clean_round(&mut self, stripe: usize, now: u64) {
-        self.clean_rounds += 1;
         self.clean_streak += 1;
         let old_w = self.window;
-        self.window = (self.window + 1).min(self.cfg.max_window);
+        self.window = (self.window + 1).min(MAX_WINDOW);
         let mut changed = self.window != old_w;
         let mut line = format!(
             "t={now} stripe={stripe} clean window {old_w}->{}",
             self.window
         );
         if self.clean_streak >= GROW_STREAK
-            && self.stripes < self.cfg.max_stripes
+            && self.stripes < self.max_stripes
             && self.draw256() < GROW_P256
         {
             let old_s = self.stripes;

@@ -42,11 +42,11 @@ use std::io::{Read, Write};
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::sha256::sha256;
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::retry::{connect_with_retry, is_transient};
+use gridsec_tls::retry::{connect_with_retry, is_transient, ConnectStats};
 use gridsec_tls::stream::SecureStream;
 use gridsec_tls::TlsError;
 use gridsec_util::retry::RetryPolicy;
-use gridsec_util::trace;
+use gridsec_util::trace::{self, SpanGuard};
 
 use crate::FtpError;
 
@@ -117,9 +117,52 @@ where
     D: FnMut(u32) -> Result<S, TlsError>,
 {
     let mut sp = trace::span_with("xfer.get", path);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut expected_sha: Option<String> = None;
-    let mut resumes = 0u32;
+    // The restart marker (the bytes so far) and the digest they must hash to.
+    let mut got: (Vec<u8>, Option<String>) = (Vec::new(), None);
+    let (mut stream, (), sessions) = run_sessions(
+        || connect_with_retry(config, rng, policy, &mut dial),
+        max_sessions,
+        &mut sp,
+        &mut got,
+        |(buf, _)| format!("get {path} offset={}", buf.len()),
+        |stream, (buf, expected_sha)| get_once(stream, path, buf, expected_sha),
+    )?;
+    let (buf, expected_sha) = got;
+    let digest = hex(&sha256(&buf));
+    if expected_sha.as_deref() != Some(digest.as_str()) {
+        sp.fail("digest mismatch");
+        return Err(FtpError::Protocol(
+            "transferred data does not match server digest".to_string(),
+        ));
+    }
+    let _ = stream.send(b"QUIT");
+    let _ = stream.recv();
+    trace::add("xfer.bytes_got", buf.len() as u64);
+    Ok(XferOutcome {
+        bytes: buf,
+        resumes: sessions - 1,
+        sessions,
+        sha256: digest,
+    })
+}
+
+/// The session loop both resumable transfers share: check the budget,
+/// count the session — a resumed one with an `xfer.resume` event whose
+/// text `resumed` renders from `state` — connect, and run one `once`
+/// session on `state`. A tear (in the handshake or mid-session) goes
+/// round again; a refusal ends the transfer. Returns the finished
+/// session's stream and result, and the sessions it took.
+fn run_sessions<S, St, T>(
+    mut connect: impl FnMut() -> Result<(SecureStream<S>, ConnectStats), TlsError>,
+    max_sessions: u32,
+    sp: &mut SpanGuard,
+    state: &mut St,
+    resumed: impl Fn(&St) -> String,
+    mut once: impl FnMut(&mut SecureStream<S>, &mut St) -> Result<T, SessionErr>,
+) -> Result<(SecureStream<S>, T, u32), FtpError>
+where
+    S: Read + Write,
+{
     let mut sessions = 0u32;
     loop {
         if sessions >= max_sessions {
@@ -128,11 +171,10 @@ where
         }
         sessions += 1;
         if sessions > 1 {
-            resumes += 1;
-            trace::event("xfer.resume", &format!("get {path} offset={}", buf.len()));
+            trace::event("xfer.resume", &resumed(state));
             trace::add("xfer.resumes", 1);
         }
-        let mut stream = match connect_with_retry(config, rng, policy, &mut dial) {
+        let mut stream = match connect() {
             Ok((s, _)) => s,
             Err(e) if is_transient(&e) => continue,
             Err(e) => {
@@ -140,25 +182,8 @@ where
                 return Err(FtpError::Channel(e.to_string()));
             }
         };
-        match get_once(&mut stream, path, &mut buf, &mut expected_sha) {
-            Ok(()) => {
-                let digest = hex(&sha256(&buf));
-                if expected_sha.as_deref() != Some(digest.as_str()) {
-                    sp.fail("digest mismatch");
-                    return Err(FtpError::Protocol(
-                        "transferred data does not match server digest".to_string(),
-                    ));
-                }
-                let _ = stream.send(b"QUIT");
-                let _ = stream.recv();
-                trace::add("xfer.bytes_got", buf.len() as u64);
-                return Ok(XferOutcome {
-                    bytes: buf,
-                    resumes,
-                    sessions,
-                    sha256: digest,
-                });
-            }
+        match once(&mut stream, state) {
+            Ok(done) => return Ok((stream, done, sessions)),
             Err(SessionErr::Torn) => continue,
             Err(SessionErr::Fatal(e)) => {
                 sp.fail(&e.to_string());
@@ -235,52 +260,29 @@ where
 {
     let mut sp = trace::span_with("xfer.put", path);
     let local_sha = hex(&sha256(data));
-    let mut resumes = 0u32;
-    let mut sessions = 0u32;
-    loop {
-        if sessions >= max_sessions {
-            sp.fail("resume budget exhausted");
-            return Err(FtpError::Channel("resume budget exhausted".to_string()));
-        }
-        sessions += 1;
-        if sessions > 1 {
-            resumes += 1;
-            trace::event("xfer.resume", &format!("put {path}"));
-            trace::add("xfer.resumes", 1);
-        }
-        let mut stream = match connect_with_retry(config, rng, policy, &mut dial) {
-            Ok((s, _)) => s,
-            Err(e) if is_transient(&e) => continue,
-            Err(e) => {
-                sp.fail("connect failed");
-                return Err(FtpError::Channel(e.to_string()));
-            }
-        };
-        match put_once(&mut stream, path, data) {
-            Ok(server_sha) => {
-                if server_sha != local_sha {
-                    sp.fail("digest mismatch");
-                    return Err(FtpError::Protocol(
-                        "server stored different bytes than sent".to_string(),
-                    ));
-                }
-                let _ = stream.send(b"QUIT");
-                let _ = stream.recv();
-                trace::add("xfer.bytes_put", data.len() as u64);
-                return Ok(XferOutcome {
-                    bytes: Vec::new(),
-                    resumes,
-                    sessions,
-                    sha256: local_sha,
-                });
-            }
-            Err(SessionErr::Torn) => continue,
-            Err(SessionErr::Fatal(e)) => {
-                sp.fail(&e.to_string());
-                return Err(e);
-            }
-        }
+    let (mut stream, server_sha, sessions) = run_sessions(
+        || connect_with_retry(config, rng, policy, &mut dial),
+        max_sessions,
+        &mut sp,
+        &mut (),
+        |()| format!("put {path}"),
+        |stream, ()| put_once(stream, path, data),
+    )?;
+    if server_sha != local_sha {
+        sp.fail("digest mismatch");
+        return Err(FtpError::Protocol(
+            "server stored different bytes than sent".to_string(),
+        ));
     }
+    let _ = stream.send(b"QUIT");
+    let _ = stream.recv();
+    trace::add("xfer.bytes_put", data.len() as u64);
+    Ok(XferOutcome {
+        bytes: Vec::new(),
+        resumes: sessions - 1,
+        sessions,
+        sha256: local_sha,
+    })
 }
 
 /// One PUT session: greet, learn the durable offset, stream the

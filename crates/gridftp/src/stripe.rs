@@ -29,15 +29,18 @@
 //! mid-stripe; recovery always restarts from durable state, so the
 //! transferred bytes are SHA-256-equal across any crash window.
 //!
-//! **Time is simulated ticks, not wall clock.** The client engine is a
-//! single-threaded event loop over per-stripe timelines ([`TickModel`]:
-//! ticks per chunk, per round trip, per handshake attempt), with an
-//! optional shared [`TokenBucket`] capping aggregate bytes per tick.
-//! Because only one stripe exchange is in flight at a time, every
-//! `CrashPlan` draw and every loss-layer draw is causally ordered by
-//! the client loop — goodput, tears, and the controller's decision log
-//! are pure functions of the seeds, which is what lets CI byte-compare
-//! two runs of the striped chaos scenario.
+//! **Time is simulated ticks, not wall clock.** Both directions run
+//! through one client engine: a single-threaded event loop over
+//! per-stripe timelines, charging fixed tick costs (1 per chunk, 2 per
+//! round trip, 8 per handshake attempt), with an optional shared
+//! [`TokenBucket`] capping aggregate bytes per tick. Because only one
+//! stripe exchange is in flight at a time, every `CrashPlan` draw and
+//! every loss-layer draw is causally ordered by the client loop —
+//! goodput, tears, and the controller's decision log are pure
+//! functions of the seeds, which is what lets CI byte-compare two runs
+//! of the striped chaos scenario.
+//!
+//! [`CrashPlan`]: gridsec_testbed::faults::CrashPlan
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -51,46 +54,28 @@ use gridsec_tls::stream::SecureStream;
 use gridsec_tls::TlsError;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::throttle::TokenBucket;
-use gridsec_util::trace;
+use gridsec_util::trace::{self, SpanGuard};
 
 use crate::congestion::{AimdConfig, AimdController};
 use crate::resume::{greet, hex, parse_field, recv_text, tls_err, SessionErr, CHUNK};
 use crate::FtpError;
 
-/// Simulated-tick costs of the transfer primitives. Goodput is measured
-/// against this model, so it is a pure function of the seeds rather
-/// than of host scheduling.
-#[derive(Clone, Copy, Debug)]
-pub struct TickModel {
-    /// Ticks to move one ≤[`CHUNK`]-byte record over one stripe link.
-    pub chunk_ticks: u64,
-    /// Ticks for one control round trip (header, credit, ack).
-    pub rtt_ticks: u64,
-    /// Ticks per secure-handshake attempt when (re)dialing a stripe.
-    pub handshake_ticks: u64,
-}
-
-impl Default for TickModel {
-    fn default() -> Self {
-        TickModel {
-            chunk_ticks: 1,
-            rtt_ticks: 2,
-            handshake_ticks: 8,
-        }
-    }
-}
+/// Ticks to move one ≤[`CHUNK`]-byte record over one stripe link.
+const CHUNK_TICKS: u64 = 1;
+/// Ticks for one control round trip (header, credit, ack).
+const RTT_TICKS: u64 = 2;
+/// Ticks per secure-handshake attempt when (re)dialing a stripe.
+const HANDSHAKE_TICKS: u64 = 8;
+/// Bytes per work-queue task.
+const TASK_SPAN: usize = 4 * CHUNK;
 
 /// Knobs for a striped transfer.
 #[derive(Clone, Debug)]
 pub struct StripeOpts {
-    /// Bytes per work-queue task (rounded up to a [`CHUNK`] multiple).
-    pub task_span: usize,
     /// Fatal-error budget: total tears (redials) the transfer may survive.
     pub max_sessions: u32,
-    /// Congestion-controller bounds and seeds live here.
+    /// Stripe count: adaptive (the default) or pinned.
     pub aimd: AimdConfig,
-    /// Tick costs for the goodput model.
-    pub ticks: TickModel,
     /// Optional shared bandwidth cap (bytes per tick) across all stripes.
     pub bucket: Option<TokenBucket>,
     /// Replay seed for the controller's probabilistic moves.
@@ -100,10 +85,8 @@ pub struct StripeOpts {
 impl Default for StripeOpts {
     fn default() -> Self {
         StripeOpts {
-            task_span: 4 * CHUNK,
             max_sessions: 64,
             aimd: AimdConfig::default(),
-            ticks: TickModel::default(),
             bucket: None,
             seed: 0,
         }
@@ -185,21 +168,13 @@ pub(crate) fn parse_ranges(field: &str) -> Option<Vec<(usize, usize)>> {
     Some(out)
 }
 
-/// Unwrap an engine-invariant `Option` on a fault-reachable path. These
-/// invariants are maintained by the transfer loop itself, but the loop
-/// runs under injected tears and crashes — a violated invariant must
-/// surface as a typed [`FtpError::Xfer`] the caller can handle, not a
-/// panic that takes the client down mid-chaos-run.
-macro_rules! xfer_invariant {
-    ($sp:expr, $opt:expr, $msg:literal) => {
-        match $opt {
-            Some(v) => v,
-            None => {
-                $sp.fail($msg);
-                return Err(FtpError::Xfer($msg));
-            }
-        }
-    };
+/// The work queue for a file of `total` bytes: consecutive
+/// [`TASK_SPAN`]-byte ranges.
+fn tasks(total: usize) -> VecDeque<(usize, usize)> {
+    (0..total)
+        .step_by(TASK_SPAN)
+        .map(|start| (start, (start + TASK_SPAN).min(total)))
+        .collect()
 }
 
 /// One stripe's slot in the client engine.
@@ -280,7 +255,6 @@ fn note_tear<S: Read + Write>(
     ctl: &mut AimdController,
     tears: &mut u32,
     t: u64,
-    rtt: u64,
 ) {
     let lp = slot
         .stats
@@ -292,7 +266,7 @@ fn note_tear<S: Read + Write>(
     slot.stream = None;
     slot.stats = None;
     slot.header_done = false;
-    slot.ready_at = t + rtt;
+    slot.ready_at = t + RTT_TICKS;
 }
 
 /// Close a stripe's channel (best-effort `QUIT`) and park the slot.
@@ -305,6 +279,29 @@ fn retire_slot<S: Read + Write>(slot: &mut Slot<S>, t: u64) {
     slot.header_done = false;
     slot.active = false;
     slot.ready_at = t;
+}
+
+/// `t` after one chunk of `len` bytes: any wait the shared bucket
+/// imposes, then the chunk's own ticks.
+fn after_chunk(bucket: &mut Option<TokenBucket>, t: u64, len: usize) -> u64 {
+    bucket.as_mut().map_or(t, |b| b.take_at(t, len as u64)) + CHUNK_TICKS
+}
+
+/// Fail the transfer once it has survived `max_sessions` tears.
+fn check_budget(sp: &mut SpanGuard, tears: u32, max_sessions: u32) -> Result<(), FtpError> {
+    if tears < max_sessions {
+        return Ok(());
+    }
+    sp.fail("striped resume budget exhausted");
+    Err(FtpError::Channel(
+        "striped resume budget exhausted".to_string(),
+    ))
+}
+
+/// Mark the transfer's span failed with `e`, and hand `e` back.
+fn failed(sp: &mut SpanGuard, e: FtpError) -> FtpError {
+    sp.fail(&e.to_string());
+    e
 }
 
 /// Dial + handshake + greeting for one stripe. Returns the secured
@@ -435,7 +432,7 @@ pub fn striped_get<S, E, D>(
     config: &TlsConfig,
     rng: &mut E,
     policy: RetryPolicy,
-    mut dial: D,
+    dial: D,
     path: &str,
     opts: StripeOpts,
 ) -> Result<StripedOutcome, FtpError>
@@ -444,222 +441,7 @@ where
     E: EntropySource,
     D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
 {
-    let mut sp = trace::span_with("xfer.striped.get", path);
-    let tm = opts.ticks;
-    let span = opts.task_span.max(CHUNK).div_ceil(CHUNK) * CHUNK;
-    let mut ctl = AimdController::new(opts.aimd, opts.seed);
-    let mut bucket = opts.bucket.clone();
-    let max_slots = opts.aimd.max_stripes.max(opts.aimd.min_stripes).max(1) as usize;
-    let mut slots: Vec<Slot<S>> = (0..max_slots).map(|_| Slot::new()).collect();
-    slots[0].active = true; // size discovery runs on one stripe
-    let mut sessions = 0u32;
-    let mut tears = 0u32;
-    let mut peak = 1u32;
-    let mut total: Option<usize> = None;
-    let mut file_sha: Option<String> = None;
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut parts: Vec<(usize, Vec<u8>)> = Vec::new();
-
-    while let Some(si) = pick_slot(&slots) {
-        let mut t = slots[si].ready_at;
-        let budget_blown = tears >= opts.max_sessions;
-        if budget_blown {
-            sp.fail("striped resume budget exhausted");
-            return Err(FtpError::Channel(
-                "striped resume budget exhausted".to_string(),
-            ));
-        }
-        // Task management needs no connection; do it before dialing so
-        // a shed or drained stripe never wastes a handshake.
-        if total.is_some() && slots[si].task.is_none() {
-            if queue.is_empty() || active_count(&slots) > ctl.target_stripes() as usize {
-                retire_slot(&mut slots[si], t + tm.rtt_ticks);
-                continue;
-            }
-            let (s0, e0) = xfer_invariant!(sp, queue.pop_front(), "task queue drained mid-claim");
-            slots[si].task = Some(Task {
-                start: s0,
-                end: e0,
-                got: 0,
-                buf: Vec::with_capacity(e0 - s0),
-            });
-            slots[si].header_done = false;
-        }
-        if slots[si].stream.is_none() {
-            match dial_slot(config, rng, policy, &mut dial, si) {
-                Ok((stream, stats, attempts)) => {
-                    t += u64::from(attempts) * tm.handshake_ticks + tm.rtt_ticks;
-                    sessions += 1;
-                    slots[si].stream = Some(stream);
-                    slots[si].stats = Some(stats);
-                    slots[si].header_done = false;
-                    slots[si].ready_at = t;
-                }
-                Err(SessionErr::Torn) => {
-                    t += tm.handshake_ticks + tm.rtt_ticks;
-                    tears += 1;
-                    slots[si].ready_at = t;
-                }
-                Err(SessionErr::Fatal(e)) => {
-                    sp.fail(&e.to_string());
-                    return Err(e);
-                }
-            }
-            continue;
-        }
-        if total.is_none() {
-            let stream = xfer_invariant!(
-                sp,
-                slots[si].stream.as_mut(),
-                "stripe stream lost after dial"
-            );
-            match fetch_size(stream, path) {
-                Ok((len, sha)) => {
-                    t += tm.rtt_ticks;
-                    total = Some(len);
-                    file_sha = Some(sha);
-                    let mut pos = 0;
-                    while pos < len {
-                        let end = (pos + span).min(len);
-                        queue.push_back((pos, end));
-                        pos = end;
-                    }
-                    slots[si].ready_at = t;
-                    grow_slots(&mut slots, ctl.target_stripes(), queue.len(), t);
-                    peak = peak.max(active_count(&slots) as u32);
-                }
-                Err(SessionErr::Torn) => {
-                    note_tear(&mut slots[si], si, &mut ctl, &mut tears, t, tm.rtt_ticks);
-                }
-                Err(SessionErr::Fatal(e)) => {
-                    sp.fail(&e.to_string());
-                    return Err(e);
-                }
-            }
-            continue;
-        }
-        let (start, end, got) = {
-            let task = xfer_invariant!(sp, slots[si].task.as_ref(), "stripe task lost mid-claim");
-            (task.start, task.end, task.got)
-        };
-        if !slots[si].header_done {
-            let range_total = xfer_invariant!(sp, total, "range header sent before size");
-            let stream = xfer_invariant!(
-                sp,
-                slots[si].stream.as_mut(),
-                "stripe stream lost after dial"
-            );
-            let sha = xfer_invariant!(sp, file_sha.as_deref(), "file digest lost after size");
-            match gets_header(stream, path, start + got, end, range_total, sha) {
-                Ok(()) => {
-                    t += tm.rtt_ticks;
-                    slots[si].header_done = true;
-                    slots[si].ready_at = t;
-                }
-                Err(SessionErr::Torn) => {
-                    note_tear(&mut slots[si], si, &mut ctl, &mut tears, t, tm.rtt_ticks);
-                }
-                Err(SessionErr::Fatal(e)) => {
-                    sp.fail(&e.to_string());
-                    return Err(e);
-                }
-            }
-            continue;
-        }
-        // Pull one window of chunks on this stripe.
-        let remaining = (end - start) - got;
-        let n = remaining.div_ceil(CHUNK).min(ctl.window() as usize).max(1);
-        let mut torn = false;
-        let mut complete = false;
-        {
-            let slot = &mut slots[si];
-            let stream = xfer_invariant!(sp, slot.stream.as_mut(), "stripe stream lost after dial");
-            let task = xfer_invariant!(sp, slot.task.as_mut(), "stripe task lost mid-claim");
-            if stream.send(format!("PULL {n}").as_bytes()).is_err() {
-                torn = true;
-            } else {
-                t += tm.rtt_ticks;
-                for _ in 0..n {
-                    match stream.recv() {
-                        Ok(chunk) => {
-                            if task.got + chunk.len() > task.end - task.start {
-                                sp.fail("stripe overrun");
-                                return Err(FtpError::Protocol(
-                                    "stripe download overruns its range".to_string(),
-                                ));
-                            }
-                            task.buf.extend_from_slice(&chunk);
-                            task.got += chunk.len();
-                            let at = match bucket.as_mut() {
-                                Some(b) => b.take_at(t, chunk.len() as u64),
-                                None => t,
-                            };
-                            t = at + tm.chunk_ticks;
-                        }
-                        Err(_) => {
-                            torn = true;
-                            break;
-                        }
-                    }
-                }
-                if !torn && task.got == task.end - task.start {
-                    complete = true;
-                }
-            }
-        }
-        if torn {
-            note_tear(&mut slots[si], si, &mut ctl, &mut tears, t, tm.rtt_ticks);
-            continue;
-        }
-        ctl.on_clean_round(si, t);
-        if complete {
-            let task = xfer_invariant!(sp, slots[si].task.take(), "completed task vanished");
-            parts.push((task.start, task.buf));
-        }
-        slots[si].ready_at = t;
-        grow_slots(&mut slots, ctl.target_stripes(), queue.len(), t);
-        peak = peak.max(active_count(&slots) as u32);
-    }
-
-    let total = match total {
-        Some(n) => n,
-        None => {
-            sp.fail("size never learned");
-            return Err(FtpError::Channel(
-                "striped transfer ended before size was learned".to_string(),
-            ));
-        }
-    };
-    let bytes = merge_ranges(total, &parts)?;
-    let digest = hex(&sha256(&bytes));
-    if file_sha.as_deref() != Some(digest.as_str()) {
-        sp.fail("digest mismatch");
-        return Err(FtpError::Protocol(
-            "transferred data does not match server digest".to_string(),
-        ));
-    }
-    let ticks = slots.iter().map(|s| s.ready_at).max().unwrap_or(1).max(1);
-    let (waits, waited) = bucket
-        .as_ref()
-        .map(|b| (b.waits(), b.waited_ticks()))
-        .unwrap_or((0, 0));
-    trace::add("xfer.striped.bytes_got", total as u64);
-    trace::add("xfer.striped.sessions", u64::from(sessions));
-    trace::add("xfer.striped.tears", u64::from(tears));
-    trace::add("xfer.throttle.waits", waits);
-    trace::add("xfer.throttle.waited_ticks", waited);
-    Ok(StripedOutcome {
-        bytes,
-        sha256: digest,
-        sessions,
-        tears,
-        ticks,
-        goodput_bpkt: (total as u64) * 1000 / ticks,
-        peak_stripes: peak,
-        decisions: ctl.decisions().to_vec(),
-        throttle_waits: waits,
-        throttle_waited_ticks: waited,
-    })
+    run_stripes(config, rng, policy, dial, path, None, opts)
 }
 
 /// Store `data` at `path` over adaptively many striped channels. Each
@@ -669,7 +451,7 @@ pub fn striped_put<S, E, D>(
     config: &TlsConfig,
     rng: &mut E,
     policy: RetryPolicy,
-    mut dial: D,
+    dial: D,
     path: &str,
     data: &[u8],
     opts: StripeOpts,
@@ -679,203 +461,248 @@ where
     E: EntropySource,
     D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
 {
-    let mut sp = trace::span_with("xfer.striped.put", path);
-    let tm = opts.ticks;
-    let span = opts.task_span.max(CHUNK).div_ceil(CHUNK) * CHUNK;
-    let total = data.len();
-    let local_sha = hex(&sha256(data));
+    run_stripes(config, rng, policy, dial, path, Some(data), opts)
+}
+
+/// The stripe engine both directions run through; `upload` is the file
+/// a PUT stores, `None` fetches `path`. Each turn advances the stripe
+/// furthest behind by one exchange: claim a task, (re)dial, open the
+/// range, or move one window. Only those exchanges differ by direction —
+/// a GET first learns the size and digest on slot 0, opens ranges with
+/// `GETS` and pulls windows; a PUT opens them with `PUTS` (a range
+/// already durable needs no window) and sends windows against `ACK`s.
+/// At the end a GET merges and checks the digest, a PUT asks the
+/// server to do both with `FINS`.
+fn run_stripes<S, E, D>(
+    config: &TlsConfig,
+    rng: &mut E,
+    policy: RetryPolicy,
+    mut dial: D,
+    path: &str,
+    upload: Option<&[u8]>,
+    opts: StripeOpts,
+) -> Result<StripedOutcome, FtpError>
+where
+    S: Read + Write,
+    E: EntropySource,
+    D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
+{
+    let (span, bytes_counter) = match upload {
+        None => ("xfer.striped.get", "xfer.striped.bytes_got"),
+        Some(_) => ("xfer.striped.put", "xfer.striped.bytes_put"),
+    };
+    let mut sp = trace::span_with(span, path);
     let mut ctl = AimdController::new(opts.aimd, opts.seed);
-    let mut bucket = opts.bucket.clone();
-    let max_slots = opts.aimd.max_stripes.max(opts.aimd.min_stripes).max(1) as usize;
-    let mut slots: Vec<Slot<S>> = (0..max_slots).map(|_| Slot::new()).collect();
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut pos = 0;
-    while pos < total {
-        let end = (pos + span).min(total);
-        ranges.push((pos, end));
-        queue.push_back((pos, end));
-        pos = end;
-    }
-    let mut sessions = 0u32;
-    let mut tears = 0u32;
+    let mut bucket = opts.bucket;
+    let (_, max_stripes, _) = opts.aimd.stripes();
+    let mut slots: Vec<Slot<S>> = (0..max_stripes).map(|_| Slot::new()).collect();
+    // The file's length and digest: a PUT knows both and opens its
+    // target stripe count at once; a GET learns them on slot 0 alone.
+    let mut file = upload.map(|data| (data.len(), hex(&sha256(data))));
+    let mut queue = tasks(upload.map_or(0, |data| data.len()));
+    slots[0].active = file.is_none();
     grow_slots(&mut slots, ctl.target_stripes(), queue.len(), 0);
     let mut peak = active_count(&slots) as u32;
+    let mut parts: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut sessions = 0u32;
+    let mut tears = 0u32;
 
     while let Some(si) = pick_slot(&slots) {
         let mut t = slots[si].ready_at;
-        if tears >= opts.max_sessions {
-            sp.fail("striped resume budget exhausted");
-            return Err(FtpError::Channel(
-                "striped resume budget exhausted".to_string(),
-            ));
-        }
-        if slots[si].task.is_none() {
-            if queue.is_empty() || active_count(&slots) > ctl.target_stripes() as usize {
-                retire_slot(&mut slots[si], t + tm.rtt_ticks);
+        check_budget(&mut sp, tears, opts.max_sessions)?;
+        // Task management needs no connection; do it before dialing so
+        // a shed or drained stripe never wastes a handshake.
+        if file.is_some() && slots[si].task.is_none() {
+            let shed = active_count(&slots) > ctl.target_stripes() as usize;
+            let next = if shed { None } else { queue.pop_front() };
+            let Some((start, end)) = next else {
+                retire_slot(&mut slots[si], t + RTT_TICKS);
                 continue;
-            }
-            let (s0, e0) = xfer_invariant!(sp, queue.pop_front(), "task queue drained mid-claim");
+            };
             slots[si].task = Some(Task {
-                start: s0,
-                end: e0,
+                start,
+                end,
                 got: 0,
                 buf: Vec::new(),
             });
             slots[si].header_done = false;
         }
-        if slots[si].stream.is_none() {
+        let slot = &mut slots[si];
+        let Some(stream) = slot.stream.as_mut() else {
             match dial_slot(config, rng, policy, &mut dial, si) {
                 Ok((stream, stats, attempts)) => {
-                    t += u64::from(attempts) * tm.handshake_ticks + tm.rtt_ticks;
+                    t += u64::from(attempts) * HANDSHAKE_TICKS + RTT_TICKS;
                     sessions += 1;
-                    slots[si].stream = Some(stream);
-                    slots[si].stats = Some(stats);
-                    slots[si].header_done = false;
-                    slots[si].ready_at = t;
+                    slot.stream = Some(stream);
+                    slot.stats = Some(stats);
                 }
                 Err(SessionErr::Torn) => {
-                    t += tm.handshake_ticks + tm.rtt_ticks;
+                    t += HANDSHAKE_TICKS + RTT_TICKS;
                     tears += 1;
-                    slots[si].ready_at = t;
                 }
-                Err(SessionErr::Fatal(e)) => {
-                    sp.fail(&e.to_string());
-                    return Err(e);
-                }
+                Err(SessionErr::Fatal(e)) => return Err(failed(&mut sp, e)),
             }
+            slot.ready_at = t;
             continue;
-        }
-        if !slots[si].header_done {
-            let mut torn = false;
-            let mut fatal: Option<FtpError> = None;
-            {
-                let slot = &mut slots[si];
-                let (start, end) = {
-                    let task =
-                        xfer_invariant!(sp, slot.task.as_ref(), "stripe task lost mid-claim");
-                    (task.start, task.end)
+        };
+        // With the range open, this exchange moves one window.
+        let window = file.is_some() && slot.header_done;
+        let step = if let Some((total, sha)) = &file {
+            let Some(task) = slot.task.as_mut() else {
+                sp.fail("stripe task lost mid-claim");
+                return Err(FtpError::Xfer("stripe task lost mid-claim"));
+            };
+            if !window {
+                let opened = match upload {
+                    None => gets_header(stream, path, task.start + task.got, task.end, *total, sha),
+                    Some(_) => puts_header(stream, path, task.start, task.end, *total)
+                        .map(|abs| task.got = abs - task.start),
                 };
-                let stream =
-                    xfer_invariant!(sp, slot.stream.as_mut(), "stripe stream lost after dial");
-                match puts_header(stream, path, start, end, total) {
-                    Ok(abs) => {
-                        t += tm.rtt_ticks;
-                        slot.header_done = true;
-                        slot.ready_at = t;
-                        if abs == end {
-                            // Range already fully durable server-side
-                            // (idempotent re-put after a lost reply).
-                            slot.task = None;
-                        } else if let Some(task) = slot.task.as_mut() {
-                            task.got = abs - start;
-                        }
-                    }
-                    Err(SessionErr::Torn) => torn = true,
-                    Err(SessionErr::Fatal(e)) => fatal = Some(e),
+                if opened.is_ok() {
+                    t += RTT_TICKS;
+                    slot.header_done = true;
                 }
-            }
-            if let Some(e) = fatal {
-                sp.fail(&e.to_string());
-                return Err(e);
-            }
-            if torn {
-                note_tear(&mut slots[si], si, &mut ctl, &mut tears, t, tm.rtt_ticks);
-            }
-            continue;
-        }
-        // Send one window of chunks on this stripe, then await the ack.
-        let mut torn = false;
-        let mut fatal: Option<FtpError> = None;
-        let mut complete = false;
-        {
-            let slot = &mut slots[si];
-            let stream = xfer_invariant!(sp, slot.stream.as_mut(), "stripe stream lost after dial");
-            let task = xfer_invariant!(sp, slot.task.as_mut(), "stripe task lost mid-claim");
-            let remaining = (task.end - task.start) - task.got;
-            let n = remaining.div_ceil(CHUNK).min(ctl.window() as usize).max(1);
-            if stream.send(format!("SEND {n}").as_bytes()).is_err() {
-                torn = true;
+                opened
             } else {
-                for _ in 0..n {
-                    let from = task.start + task.got;
-                    let to = (from + CHUNK).min(task.end);
-                    let at = match bucket.as_mut() {
-                        Some(b) => b.take_at(t, (to - from) as u64),
-                        None => t,
-                    };
-                    t = at + tm.chunk_ticks;
-                    if stream.send(&data[from..to]).is_err() {
-                        torn = true;
-                        break;
-                    }
-                    task.got = to - task.start;
-                }
-                if !torn {
-                    match stream.recv() {
-                        Ok(msg) => {
-                            let text = String::from_utf8_lossy(&msg).into_owned();
-                            match text
-                                .strip_prefix("ACK ")
-                                .and_then(|v| v.parse::<usize>().ok())
-                            {
-                                Some(abs) if abs >= task.start && abs <= task.end => {
-                                    t += tm.rtt_ticks;
-                                    task.got = abs - task.start;
-                                    complete = task.got == task.end - task.start;
-                                }
-                                _ => fatal = Some(FtpError::File(text)),
-                            }
+                let remaining = (task.end - task.start) - task.got;
+                let n = remaining.div_ceil(CHUNK).min(ctl.window() as usize).max(1);
+                match upload {
+                    // Pull one window: the credit costs a round trip,
+                    // then each chunk its own ticks.
+                    None => 'pull: {
+                        if stream.send(format!("PULL {n}").as_bytes()).is_err() {
+                            break 'pull Err(SessionErr::Torn);
                         }
-                        Err(_) => torn = true,
+                        t += RTT_TICKS;
+                        for _ in 0..n {
+                            let Ok(chunk) = stream.recv() else {
+                                break 'pull Err(SessionErr::Torn);
+                            };
+                            if task.got + chunk.len() > task.end - task.start {
+                                sp.fail("stripe overrun");
+                                return Err(FtpError::Protocol(
+                                    "stripe download overruns its range".to_string(),
+                                ));
+                            }
+                            task.buf.extend_from_slice(&chunk);
+                            task.got += chunk.len();
+                            t = after_chunk(&mut bucket, t, chunk.len());
+                        }
+                        Ok(())
+                    }
+                    // Send one window, then the ack's round trip.
+                    Some(data) => 'send: {
+                        if stream.send(format!("SEND {n}").as_bytes()).is_err() {
+                            break 'send Err(SessionErr::Torn);
+                        }
+                        for _ in 0..n {
+                            let from = task.start + task.got;
+                            let to = (from + CHUNK).min(task.end);
+                            t = after_chunk(&mut bucket, t, to - from);
+                            if stream.send(&data[from..to]).is_err() {
+                                break 'send Err(SessionErr::Torn);
+                            }
+                            task.got = to - task.start;
+                        }
+                        let Ok(msg) = stream.recv() else {
+                            break 'send Err(SessionErr::Torn);
+                        };
+                        let text = String::from_utf8_lossy(&msg).into_owned();
+                        match text
+                            .strip_prefix("ACK ")
+                            .and_then(|v| v.parse::<usize>().ok())
+                        {
+                            Some(abs) if abs >= task.start && abs <= task.end => {
+                                t += RTT_TICKS;
+                                task.got = abs - task.start;
+                                Ok(())
+                            }
+                            _ => Err(SessionErr::Fatal(FtpError::File(text))),
+                        }
                     }
                 }
             }
+        } else {
+            fetch_size(stream, path).map(|(len, sha)| {
+                t += RTT_TICKS;
+                queue = tasks(len);
+                file = Some((len, sha));
+            })
+        };
+        match step {
+            Ok(()) => {}
+            Err(SessionErr::Torn) => {
+                note_tear(slot, si, &mut ctl, &mut tears, t);
+                continue;
+            }
+            Err(SessionErr::Fatal(e)) => return Err(failed(&mut sp, e)),
         }
-        if let Some(e) = fatal {
-            sp.fail(&e.to_string());
-            return Err(e);
+        if window {
+            ctl.on_clean_round(si, t);
         }
-        if torn {
-            note_tear(&mut slots[si], si, &mut ctl, &mut tears, t, tm.rtt_ticks);
-            continue;
+        // A finished range leaves its slot free for the next claim (a
+        // PUT range the server already holds finishes at its header).
+        if let Some(task) = slot.task.take_if(|task| task.got == task.end - task.start) {
+            if upload.is_none() {
+                parts.push((task.start, task.buf));
+            }
         }
-        ctl.on_clean_round(si, t);
-        if complete {
-            slots[si].task = None;
-        }
-        slots[si].ready_at = t;
+        slot.ready_at = t;
         grow_slots(&mut slots, ctl.target_stripes(), queue.len(), t);
         peak = peak.max(active_count(&slots) as u32);
     }
 
-    // Every range is durable server-side; merge + promote via FINS on
-    // a fresh control channel, retrying across tears and merge kills.
-    let ranges_str = if ranges.is_empty() {
-        "-".to_string()
-    } else {
-        ranges
-            .iter()
-            .map(|(s, e)| format!("{s}-{e}"))
-            .collect::<Vec<_>>()
-            .join(",")
+    let Some((total, sha)) = file else {
+        sp.fail("size never learned");
+        return Err(FtpError::Channel(
+            "striped transfer ended before size was learned".to_string(),
+        ));
     };
     let mut t = slots.iter().map(|s| s.ready_at).max().unwrap_or(0);
-    loop {
-        if tears >= opts.max_sessions {
-            sp.fail("striped resume budget exhausted");
-            return Err(FtpError::Channel(
-                "striped resume budget exhausted".to_string(),
-            ));
+    let bytes = match upload {
+        None => {
+            let bytes = merge_ranges(total, &parts)?;
+            if hex(&sha256(&bytes)) != sha {
+                sp.fail("digest mismatch");
+                return Err(FtpError::Protocol(
+                    "transferred data does not match server digest".to_string(),
+                ));
+            }
+            bytes
         }
-        match dial_slot(config, rng, policy, &mut dial, 0) {
-            Ok((mut stream, _stats, attempts)) => {
-                t += u64::from(attempts) * tm.handshake_ticks + tm.rtt_ticks;
-                sessions += 1;
-                match fins_once(&mut stream, path, total, &local_sha, &ranges_str) {
-                    Ok(server_sha) => {
-                        t += tm.rtt_ticks;
-                        if server_sha != local_sha {
+        // Every range is durable server-side; merge + promote via FINS
+        // on a fresh control channel, retrying across tears and merge
+        // kills.
+        Some(_) => {
+            let ranges: Vec<String> = tasks(total)
+                .iter()
+                .map(|(s, e)| format!("{s}-{e}"))
+                .collect();
+            let ranges = if ranges.is_empty() {
+                "-".to_string()
+            } else {
+                ranges.join(",")
+            };
+            loop {
+                check_budget(&mut sp, tears, opts.max_sessions)?;
+                // Slot 0: the dialers seed each stream by its slot.
+                let mut stream = match dial_slot(config, rng, policy, &mut dial, 0) {
+                    Ok((stream, _stats, attempts)) => {
+                        t += u64::from(attempts) * HANDSHAKE_TICKS + RTT_TICKS;
+                        sessions += 1;
+                        stream
+                    }
+                    Err(SessionErr::Torn) => {
+                        tears += 1;
+                        t += HANDSHAKE_TICKS + RTT_TICKS;
+                        continue;
+                    }
+                    Err(SessionErr::Fatal(e)) => return Err(failed(&mut sp, e)),
+                };
+                match fins_once(&mut stream, path, total, &sha, &ranges) {
+                    Ok(stored) => {
+                        t += RTT_TICKS;
+                        if stored != sha {
                             sp.fail("digest mismatch");
                             return Err(FtpError::Protocol(
                                 "server stored different bytes than sent".to_string(),
@@ -883,42 +710,32 @@ where
                         }
                         let _ = stream.send(b"QUIT");
                         let _ = stream.recv();
-                        t += tm.rtt_ticks;
+                        t += RTT_TICKS;
                         break;
                     }
                     Err(SessionErr::Torn) => {
                         tears += 1;
-                        t += tm.rtt_ticks;
+                        t += RTT_TICKS;
                     }
-                    Err(SessionErr::Fatal(e)) => {
-                        sp.fail(&e.to_string());
-                        return Err(e);
-                    }
+                    Err(SessionErr::Fatal(e)) => return Err(failed(&mut sp, e)),
                 }
             }
-            Err(SessionErr::Torn) => {
-                tears += 1;
-                t += tm.handshake_ticks + tm.rtt_ticks;
-            }
-            Err(SessionErr::Fatal(e)) => {
-                sp.fail(&e.to_string());
-                return Err(e);
-            }
+            Vec::new()
         }
-    }
+    };
     let ticks = t.max(1);
     let (waits, waited) = bucket
         .as_ref()
         .map(|b| (b.waits(), b.waited_ticks()))
         .unwrap_or((0, 0));
-    trace::add("xfer.striped.bytes_put", total as u64);
+    trace::add(bytes_counter, total as u64);
     trace::add("xfer.striped.sessions", u64::from(sessions));
     trace::add("xfer.striped.tears", u64::from(tears));
     trace::add("xfer.throttle.waits", waits);
     trace::add("xfer.throttle.waited_ticks", waited);
     Ok(StripedOutcome {
-        bytes: Vec::new(),
-        sha256: local_sha,
+        bytes,
+        sha256: sha,
         sessions,
         tears,
         ticks,
@@ -1155,6 +972,82 @@ mod tests {
             assert_eq!(s.os().file_len("data1", &part).unwrap(), None, "{part}");
             pos = end;
         }
+    }
+
+    #[test]
+    fn repeat_put_of_completed_file_is_idempotent() {
+        let w = world();
+        let data = payload(8192);
+        let path = "/home/jdoe/twice.dat";
+        let first = run_put(
+            &w,
+            CrashPlan::disabled(),
+            0x57_0a,
+            0.0,
+            path,
+            &data,
+            StripeOpts::default(),
+        );
+        // A chunk reaching the server, or a merge, would fire these.
+        let plan = CrashPlan::manual(0);
+        plan.arm("xfer.stripe.put.chunk", 1);
+        plan.arm("xfer.stripe.merge", 1);
+        let again = run_put(
+            &w,
+            plan.clone(),
+            0x57_0b,
+            0.0,
+            path,
+            &data,
+            StripeOpts::default(),
+        );
+        assert_eq!(plan.crashes(), 0, "every range answered OFFSET = end");
+        assert!(!first.decisions.is_empty(), "the first PUT sent windows");
+        assert!(again.decisions.is_empty(), "no SEND window completed");
+        assert_eq!(again.tears, 0);
+        assert_eq!(
+            again.sessions,
+            again.peak_stripes + 1,
+            "one session per stripe, then exactly one FINS"
+        );
+        assert_eq!(again.sha256, first.sha256);
+        let s = w.server.borrow();
+        let uid = s.os().uid_of("data1", "jdoe").unwrap();
+        assert_eq!(s.os().read_file("data1", path, uid).unwrap(), data);
+        for (start, end) in tasks(data.len()) {
+            let part = part_path(path, start, end);
+            assert_eq!(s.os().file_len("data1", &part).unwrap(), None, "{part}");
+        }
+    }
+
+    #[test]
+    fn get_fails_closed_when_the_file_changes_between_dials() {
+        let w = world();
+        let path = "/home/jdoe/moving.dat";
+        let data = payload(8192);
+        seed_file(&w, path, &data);
+        let rewritten: Vec<u8> = data.iter().rev().copied().collect();
+        let mut inner = dialer(&w, CrashPlan::disabled(), 0x57_09, 0.0);
+        let mut dials = 0;
+        // The second dial opens the second stripe, after slot 0 learned
+        // the size and digest of the original.
+        let dial = |slot, attempt| {
+            dials += 1;
+            if dials == 2 {
+                seed_file(&w, path, &rewritten);
+            }
+            inner(slot, attempt)
+        };
+        let mut rng = ChaChaRng::from_seed_bytes(b"stripe client");
+        let config = TlsConfig::new(w.jane.clone(), w.trust.clone(), 100);
+        let policy = RetryPolicy::default();
+        let got = striped_get(&config, &mut rng, policy, dial, path, StripeOpts::default());
+        assert_eq!(
+            got,
+            Err(FtpError::Protocol(
+                "file changed between stripe sessions".to_string()
+            ))
+        );
     }
 
     #[test]
