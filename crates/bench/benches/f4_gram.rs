@@ -81,7 +81,8 @@ fn gram_paths(c: &mut Criterion) {
 
     // Steps 1–6 only (no step-7 connect): the signed-request fast half.
     // This isolates the cold-path overhead — Setuid Starter + GRIM key
-    // generation — from the delegation keygen both paths pay in step 7.
+    // generation — from step 7, where the cold path also generates the
+    // new LMJFS's delegation key.
     group.bench_function("warm_steps_1_to_6_only", |b| {
         b.iter(|| {
             let signed = requestor.signed_request(&JobDescription::new("/bin/x"), clock.now());

@@ -61,6 +61,12 @@
 //!     the resource's `GramStats` counts them. Before resumption every
 //!     job ran the full RSA/DH handshake with an LMJFS the requestor had
 //!     authenticated one job earlier: 16 and 0.
+//! 13. **An LMJFS generates one delegation key** — a count too: the
+//!     same sign-on's 16 delegations generate exactly 1 key pair, and a
+//!     second user's sign-on on the same resource brings it to 2, as
+//!     `GramStats::delegation_keys` counts them. Every job's proxy is
+//!     still fresh, over its LMJFS's one key. Before, each job's MJS
+//!     generated a key of its own: 16, then 32.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -71,7 +77,7 @@
 //! gridbench's `ops_per_s` on `establish_storm`. Claims 9 and 10 are
 //! medians of per-round ratios, the two arms of a round interleaved, so
 //! a slow phase of the machine lands on numerator and denominator alike.
-//! Claims 11 and 12 read no clock: one run, the same count on every
+//! Claims 11–13 read no clock: one run, the same count on every
 //! machine.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
@@ -81,7 +87,7 @@ use std::time::Instant;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_world};
-use gridsec_bench::{bench_world, sign_shape};
+use gridsec_bench::{bench_world, dn, sign_shape, KEY_BITS};
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
 use gridsec_bignum::prime::generate_prime;
 use gridsec_crypto::rng::ChaChaRng;
@@ -548,7 +554,7 @@ fn main() {
         "node",
         w.trust.clone(),
         w.host.clone(),
-        &GridMapFile::parse("\"/O=B/CN=User\" u1\n").unwrap(),
+        &GridMapFile::parse("\"/O=B/CN=User\" u1\n\"/O=B/CN=User2\" u2\n").unwrap(),
         GramConfig::default(),
     )
     .unwrap();
@@ -575,6 +581,37 @@ fn main() {
         &mut failures,
         "gram-sign-on-is-one-full-handshake",
         if (full, resumed) == (1, JOBS - 1) {
+            1.0
+        } else {
+            0.0
+        },
+        1.0,
+        "f4_gram",
+    );
+
+    // --- Claim 13: an LMJFS delegates every job over one key. ---
+    let one_user = resource.stats.delegation_keys;
+    let user2 =
+        w.ca.issue_identity(&mut w.rng, dn("/O=B/CN=User2"), KEY_BITS, 0, u64::MAX / 4);
+    let sign_on = grid_proxy_init(&mut w.rng, &user2, ProxyOptions::default(), 100).unwrap();
+    let mut requestor = Requestor::new(
+        sign_on.credential().clone(),
+        w.trust.clone(),
+        b"perf guard requestor 2",
+    );
+    for n in 0..JOBS {
+        let job = JobDescription::new("/bin/simulate").with_args(&[&n.to_string()]);
+        requestor.submit_job(&mut resource, &job, 100).unwrap();
+    }
+    let two_users = resource.stats.delegation_keys;
+    println!(
+        "[perf_guard] gram delegation keys: {one_user} for one sign-on of {JOBS} jobs, \
+         {two_users} after a second user's, must be 1 and 2"
+    );
+    claim(
+        &mut failures,
+        "gram-lmjfs-delegates-over-one-key",
+        if (one_user, two_users) == (1, 2) {
             1.0
         } else {
             0.0

@@ -382,8 +382,9 @@ pub struct RemoteGram {
 }
 
 impl RemoteGram {
-    /// Serve `resource`; `rng_seed` seeds the acceptor-side randomness
-    /// (key generation during delegation), keeping runs reproducible.
+    /// Serve `resource`; `rng_seed` seeds the service's randomness —
+    /// step 7's handshakes and the delegation key an LMJFS generates on
+    /// its first delegation — keeping runs reproducible.
     pub fn new(resource: Rc<RefCell<GramResource>>, rng_seed: &[u8]) -> Self {
         RemoteGram {
             resource,
@@ -484,8 +485,12 @@ impl RemoteGram {
                     .ctx
                     .as_mut()
                     .ok_or(ctxerr("context not established"))?;
-                let (d2, pending) = delegation::respond_with_key(ctx, &mut self.rng, body, 512)
-                    .map_err(|e| ctxerr(&e.to_string()))?;
+                let (d2, pending) = self.resource.borrow_mut().mjs_accept_delegation(
+                    handle,
+                    &mut self.rng,
+                    ctx,
+                    body,
+                )?;
                 session.pending = Some(pending);
                 Ok(reply_ok(&d2))
             }

@@ -8,7 +8,9 @@
 //! requestor keeps the session of every MJS it authorized, keyed by the
 //! (host identity, account) it authorized, and its next job there sends
 //! a ResumeHello instead of a ClientHello. Authorization and delegation
-//! run on every job all the same.
+//! run on every job all the same: each job's proxy is fresh, signed over
+//! the delegation key its LMJFS holds
+//! ([`GramResource::mjs_accept_delegation`]).
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{EstablishedContext, InitiatorContext, StepResult};
@@ -46,7 +48,6 @@ pub struct Requestor {
     pub(crate) trust: TrustStore,
     pub(crate) rng: ChaChaRng,
     pub(crate) request_ttl: u64,
-    pub(crate) delegation_key_bits: usize,
     pub(crate) delegation_lifetime: u64,
     /// Step-7 sessions with MJSs already authorized, by
     /// [`session_key`].
@@ -76,7 +77,6 @@ impl Requestor {
             trust,
             rng: ChaChaRng::from_seed_bytes(rng_seed),
             request_ttl: 300,
-            delegation_key_bits: 512,
             delegation_lifetime: 43_200,
             sessions: ClientSessionCache::new(DEFAULT_SESSION_CAPACITY),
         }
@@ -210,15 +210,11 @@ impl Requestor {
         let resource = link.resource;
         self.authorize_mjs(&my_ctx, &host, expected_account)?;
 
-        // Delegation: the MJS generates a key locally; we sign a proxy.
+        // Delegation: the MJS answers with its LMJFS's key; we sign a
+        // fresh proxy over it.
         let d1 = delegation::request_delegation(&mut my_ctx);
-        let (d2, pending) = delegation::respond_with_key(
-            &mut mjs_ctx,
-            &mut self.rng,
-            &d1,
-            self.delegation_key_bits,
-        )
-        .map_err(GramError::context)?;
+        let (d2, pending) =
+            resource.mjs_accept_delegation(handle, &mut self.rng, &mut mjs_ctx, &d1)?;
         let d3 = delegation::deliver_proxy(
             &mut my_ctx,
             &mut self.rng,

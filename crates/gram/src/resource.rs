@@ -7,7 +7,9 @@ use std::collections::HashMap;
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
+use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, StepResult};
+use gridsec_gssapi::delegation::{self, PendingDelegation};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::CrlStore;
@@ -38,7 +40,7 @@ pub const GRIM_BINARY: &str = "grim";
 /// Tunables for a GRAM installation.
 #[derive(Clone, Debug)]
 pub struct GramConfig {
-    /// RSA key size for GRIM proxies and job delegation.
+    /// RSA key size for GRIM proxies and each LMJFS's delegation key.
     pub key_bits: usize,
     /// Lifetime of GRIM credentials.
     pub grim_lifetime: u64,
@@ -71,6 +73,9 @@ pub struct GramStats {
     pub full_handshakes: u64,
     /// Step-7 contexts resumed from an LMJFS session cache.
     pub resumed_handshakes: u64,
+    /// Delegation key pairs generated, one per LMJFS (again after
+    /// [`GramResource::set_crls`]), however many jobs it delegates to.
+    pub delegation_keys: u64,
 }
 
 struct LmjfsInstance {
@@ -81,6 +86,12 @@ struct LmjfsInstance {
     /// lives beside the GRIM credential, never host-wide: a ticket is
     /// honoured only by the LMJFS whose credential authenticated it.
     sessions: ServerSessionCache,
+    /// The key every job's delegated proxy is issued over, generated by
+    /// the LMJFS's first delegation
+    /// ([`GramResource::mjs_accept_delegation`]). Per LMJFS for the same
+    /// reason as `sessions`: an LMJFS serves one user in one account, so
+    /// every proxy over it is a proxy of that one delegator.
+    delegation_key: Option<RsaKeyPair>,
 }
 
 fn lmjfs_sessions() -> ServerSessionCache {
@@ -108,6 +119,8 @@ struct MjsInstance {
     description: JobDescription,
     state: JobState,
     job_pid: Option<Pid>,
+    /// The job's own delegated credential, once started.
+    delegated: Option<Credential>,
 }
 
 /// Result of routing a signed job request (steps 1–6).
@@ -211,11 +224,14 @@ impl GramResource {
     /// Install revocation state, checked on request verification and on
     /// step 7's full handshake. Every LMJFS session cache is emptied: a
     /// resumed context skips chain validation, so no session
-    /// authenticated under the old revocation state may be resumed.
+    /// authenticated under the old revocation state may be resumed. Every
+    /// delegation key goes with the sessions; the next delegation draws
+    /// a new one.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
         for lmjfs in self.lmjfs.values_mut() {
             lmjfs.sessions = lmjfs_sessions();
+            lmjfs.delegation_key = None;
         }
     }
 
@@ -237,6 +253,16 @@ impl GramResource {
     /// The step-7 session cache of a resident LMJFS, if any.
     pub fn lmjfs_sessions(&self, account: &str) -> Option<&ServerSessionCache> {
         self.lmjfs.get(account).map(|l| &l.sessions)
+    }
+
+    /// The public half of a resident LMJFS's delegation key, once its
+    /// first delegation has generated one.
+    pub fn lmjfs_delegation_key(&self, account: &str) -> Option<&RsaPublicKey> {
+        self.lmjfs
+            .get(account)?
+            .delegation_key
+            .as_ref()
+            .map(RsaKeyPair::public)
     }
 
     /// Shared OS handle (for privilege audits).
@@ -350,6 +376,7 @@ impl GramResource {
                 description,
                 state: JobState::Unsubmitted,
                 job_pid: None,
+                delegated: None,
             },
         );
         self.stats.jobs_submitted += 1;
@@ -423,6 +450,7 @@ impl GramResource {
                 user_identity: user_dn.clone(),
                 credential,
                 sessions: lmjfs_sessions(),
+                delegation_key: None,
             },
         );
         Ok(())
@@ -519,6 +547,50 @@ impl GramResource {
         Ok(context)
     }
 
+    /// Step 7's delegation, MJS side: answer the requestor's `DELEG-REQ`
+    /// on `context` with the delegation key of the LMJFS hosting the
+    /// MJS. That LMJFS's first delegation generates the key
+    /// (`GramConfig::key_bits`, drawn from `rng`) and grants it to the
+    /// LMJFS process; every later job's proxy is issued over the same
+    /// key. The requestor still signs a fresh proxy per job, which
+    /// [`PendingDelegation::finish`] binds to `context`'s peer.
+    pub fn mjs_accept_delegation<E: EntropySource>(
+        &mut self,
+        handle: &str,
+        rng: &mut E,
+        context: &mut EstablishedContext,
+        token: &[u8],
+    ) -> Result<(Vec<u8>, PendingDelegation), GramError> {
+        let oserr = |e: gridsec_testbed::TestbedError| GramError::Os(e.to_string());
+        let account = &self
+            .mjs
+            .get(handle)
+            .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))?
+            .account;
+        let lmjfs = self
+            .lmjfs
+            .get_mut(account)
+            .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
+        let key = match &lmjfs.delegation_key {
+            Some(key) => key.clone(),
+            None => {
+                let key = RsaKeyPair::generate(rng, self.config.key_bits);
+                let label = format!("delegation key for {} in {account}", lmjfs.user_identity);
+                // A key regenerated after `set_crls` replaces the one
+                // granted before it.
+                let held = self.os.process(&self.host, lmjfs.pid).map_err(oserr)?;
+                if !held.credentials.contains(&label) {
+                    self.os
+                        .grant_credential(&self.host, lmjfs.pid, &label)
+                        .map_err(oserr)?;
+                }
+                self.stats.delegation_keys += 1;
+                lmjfs.delegation_key.insert(key).clone()
+            }
+        };
+        delegation::respond(context, token, key).map_err(GramError::context)
+    }
+
     /// Step 7 completion, MJS side: after the context is established and
     /// the requestor has delegated `delegated`, verify the requestor is
     /// the MJS owner and start the job process in the local account.
@@ -565,6 +637,7 @@ impl GramResource {
             )
             .map_err(oserr)?;
         mjs.job_pid = Some(job_pid);
+        mjs.delegated = Some(delegated);
         mjs.state = JobState::Active;
         Ok(job_pid)
     }
@@ -575,6 +648,15 @@ impl GramResource {
         self.mjs
             .get(handle)
             .map(|m| m.state)
+            .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))
+    }
+
+    /// The delegated credential a started job received, if any (none
+    /// before step 7, nor for a job an MJS was rebuilt with).
+    pub fn job_credential(&self, handle: &str) -> Result<Option<&Credential>, GramError> {
+        self.mjs
+            .get(handle)
+            .map(|m| m.delegated.as_ref())
             .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))
     }
 
@@ -677,6 +759,7 @@ impl GramResource {
                 description,
                 state,
                 job_pid,
+                delegated: None,
             },
         );
         self.next_mjs_id = self.next_mjs_id.max(mjs_id);

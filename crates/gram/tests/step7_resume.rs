@@ -2,7 +2,7 @@
 //! context its first job established with the LMJFS — only with that
 //! LMJFS, only within the lifetime of both credentials, never across a
 //! CRL — and every job is still authorized and gets its own delegated
-//! key. Every refusal fails closed: no context, no job start, no panic.
+//! proxy. Every refusal fails closed: no context, no job start, no panic.
 
 use std::cell::RefCell;
 use std::rc::Rc;

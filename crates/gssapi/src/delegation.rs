@@ -4,11 +4,15 @@
 //! Protocol (all messages wrapped under the established context):
 //!
 //! 1. Initiator → acceptor: `DELEG-REQ` (announces intent + proxy type).
-//! 2. Acceptor generates a key pair *locally* and replies with the public
-//!    key (a CSR in spirit). The private key never leaves the acceptor.
-//! 3. Initiator signs a proxy certificate over that key with its own
-//!    credential and sends the certificate plus its chain.
-//! 4. Acceptor assembles the delegated [`Credential`].
+//! 2. Acceptor replies with the public half of a key pair it holds
+//!    *locally* (a CSR in spirit): one it generates for this delegation
+//!    ([`respond_with_key`]) or one it already keeps ([`respond`]). The
+//!    private key never leaves the acceptor.
+//! 3. Initiator signs a fresh proxy certificate over that key with its
+//!    own credential and sends the certificate plus its chain.
+//! 4. Acceptor checks that the proxy is over its key and was issued and
+//!    signed by the context's authenticated peer, whose chain it carries,
+//!    then assembles the delegated [`Credential`].
 //!
 //! This is how an MJS obtains "GSI credentials for the job" without the
 //! user's key material ever crossing the network.
@@ -50,19 +54,28 @@ pub fn request_delegation(ctx: &mut EstablishedContext) -> Vec<u8> {
     ctx.wrap(REQ_MAGIC)
 }
 
-/// Acceptor step 2: on receiving the request, generate a local key pair
-/// and return the (wrapped) public-key token plus the pending state.
+/// Acceptor step 2 with a fresh key: generate a local key pair of
+/// `key_bits` and [`respond`] with it.
 pub fn respond_with_key<E: EntropySource>(
     ctx: &mut EstablishedContext,
     rng: &mut E,
     request_token: &[u8],
     key_bits: usize,
 ) -> Result<(Vec<u8>, PendingDelegation), GssError> {
+    respond(ctx, request_token, RsaKeyPair::generate(rng, key_bits))
+}
+
+/// Acceptor step 2: on receiving the request, return the (wrapped)
+/// public half of `key` plus the pending state that holds `key`.
+pub fn respond(
+    ctx: &mut EstablishedContext,
+    request_token: &[u8],
+    key: RsaKeyPair,
+) -> Result<(Vec<u8>, PendingDelegation), GssError> {
     let req = ctx.unwrap(request_token)?;
     if req != REQ_MAGIC {
         return Err(GssError::Delegation("not a delegation request"));
     }
-    let key = RsaKeyPair::generate(rng, key_bits);
     let mut enc = Encoder::new();
     gridsec_pki::cert::encode_public_key(&mut enc, key.public());
     let token = ctx.wrap(&enc.finish());
@@ -97,13 +110,17 @@ pub fn deliver_proxy<E: EntropySource>(
     Ok(ctx.wrap(&msg.to_bytes()))
 }
 
-/// Acceptor-side state between steps 2 and 4: the locally-generated key.
+/// Acceptor-side state between steps 2 and 4: the key answered with.
 pub struct PendingDelegation {
     key: RsaKeyPair,
 }
 
 impl PendingDelegation {
-    /// Acceptor step 4: assemble the delegated credential.
+    /// Acceptor step 4: assemble the delegated credential. The proxy
+    /// must be over the held key, name the context's peer as its issuer
+    /// and verify under the peer's key, and the chain it carries must
+    /// start at the peer's own certificate: a chain that speaks for
+    /// anyone but the authenticated peer is refused.
     pub fn finish(
         self,
         ctx: &mut EstablishedContext,
@@ -112,8 +129,19 @@ impl PendingDelegation {
         let bytes = ctx.unwrap(chain_token)?;
         let msg = DelegatedChain::from_bytes(&bytes)
             .map_err(|_| GssError::Delegation("malformed delegated chain"))?;
-        if msg.proxy_cert.public_key() != self.key.public() {
+        let proxy = &msg.proxy_cert;
+        if proxy.public_key() != self.key.public() {
             return Err(GssError::Delegation("certificate is not over our key"));
+        }
+        let peer = ctx.peer();
+        if proxy.issuer() != &peer.subject {
+            return Err(GssError::Delegation("proxy not issued by the peer"));
+        }
+        if !proxy.verify_signature(&peer.public_key) {
+            return Err(GssError::Delegation("proxy not signed by the peer"));
+        }
+        if msg.issuer_chain.first().map(Certificate::public_key) != Some(&peer.public_key) {
+            return Err(GssError::Delegation("issuer chain is not the peer's"));
         }
         let mut chain = vec![msg.proxy_cert];
         chain.extend(msg.issuer_chain);
@@ -126,6 +154,7 @@ mod tests {
     use super::*;
     use crate::context::establish_in_memory;
     use gridsec_crypto::rng::ChaChaRng;
+    use gridsec_crypto::rsa::RsaPublicKey;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
@@ -140,6 +169,8 @@ mod tests {
         rng: ChaChaRng,
         trust: TrustStore,
         alice: Credential,
+        /// Another identity the acceptor trusts.
+        mallory: Credential,
         ic: EstablishedContext,
         ac: EstablishedContext,
     }
@@ -149,6 +180,7 @@ mod tests {
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
         let alice = ca.issue_identity(&mut rng, dn("/O=G/CN=Alice"), 512, 0, 100_000);
         let mjs = ca.issue_identity(&mut rng, dn("/O=G/CN=MJS"), 512, 0, 100_000);
+        let mallory = ca.issue_identity(&mut rng, dn("/O=G/CN=Mallory"), 512, 0, 100_000);
         let mut trust = TrustStore::new();
         trust.add_root(ca.certificate().clone());
         let (ic, ac) = establish_in_memory(
@@ -161,9 +193,27 @@ mod tests {
             rng,
             trust,
             alice,
+            mallory,
             ic,
             ac,
         }
+    }
+
+    /// Step 4 fed the message `forge` builds over the acceptor's key.
+    fn finish_forged(
+        s: &mut Setup,
+        forge: impl FnOnce(&mut Setup, &RsaPublicKey) -> DelegatedChain,
+    ) -> Result<Credential, GssError> {
+        let t1 = request_delegation(&mut s.ic);
+        let (_t2, pending) = respond_with_key(&mut s.ac, &mut s.rng, &t1, 512).unwrap();
+        let msg = forge(s, pending.key.public());
+        let t3 = s.ic.wrap(&msg.to_bytes());
+        pending.finish(&mut s.ac, &t3)
+    }
+
+    /// A proxy `issuer` signs over `key`.
+    fn proxy_by(s: &mut Setup, issuer: &Credential, key: &RsaPublicKey) -> Certificate {
+        issue_delegated_proxy(&mut s.rng, issuer, key, ProxyType::Impersonation, 100, 1000).unwrap()
     }
 
     fn run_delegation(s: &mut Setup, proxy_type: ProxyType) -> Credential {
@@ -225,27 +275,90 @@ mod tests {
     #[test]
     fn mismatched_certificate_rejected() {
         let mut s = setup();
-        let t1 = request_delegation(&mut s.ic);
-        let (_t2, pending) = respond_with_key(&mut s.ac, &mut s.rng, &t1, 512).unwrap();
         // Initiator signs over the WRONG key (its own, not the acceptor's).
-        let wrong = issue_delegated_proxy(
-            &mut s.rng,
-            &s.alice,
-            s.alice.certificate().public_key(),
-            ProxyType::Impersonation,
-            100,
-            1000,
-        )
-        .unwrap();
-        let msg = DelegatedChain {
-            proxy_cert: wrong,
-            issuer_chain: s.alice.chain().to_vec(),
-        };
-        let t3 = s.ic.wrap(&msg.to_bytes());
+        let refused = finish_forged(&mut s, |s, _| {
+            let alice = s.alice.clone();
+            DelegatedChain {
+                proxy_cert: proxy_by(s, &alice, alice.certificate().public_key()),
+                issuer_chain: alice.chain().to_vec(),
+            }
+        });
         assert!(matches!(
-            pending.finish(&mut s.ac, &t3),
+            refused,
             Err(GssError::Delegation("certificate is not over our key"))
         ));
+    }
+
+    #[test]
+    fn proxy_issued_by_another_trusted_party_is_refused() {
+        // Mallory signs over the acceptor's key and attaches Alice's
+        // chain: the credential would claim Alice's identity.
+        let mut s = setup();
+        let refused = finish_forged(&mut s, |s, key| {
+            let mallory = s.mallory.clone();
+            DelegatedChain {
+                proxy_cert: proxy_by(s, &mallory, key),
+                issuer_chain: s.alice.chain().to_vec(),
+            }
+        });
+        assert!(matches!(
+            refused,
+            Err(GssError::Delegation("proxy not issued by the peer"))
+        ));
+    }
+
+    #[test]
+    fn proxy_naming_the_peer_but_signed_by_another_is_refused() {
+        let mut s = setup();
+        let refused = finish_forged(&mut s, |s, key| {
+            let alice = s.alice.clone();
+            let named = proxy_by(s, &alice, key);
+            DelegatedChain {
+                proxy_cert: Certificate::sign(named.tbs, s.mallory.key()),
+                issuer_chain: alice.chain().to_vec(),
+            }
+        });
+        assert!(matches!(
+            refused,
+            Err(GssError::Delegation("proxy not signed by the peer"))
+        ));
+    }
+
+    #[test]
+    fn peers_proxy_carrying_another_chain_is_refused() {
+        let mut s = setup();
+        let refused = finish_forged(&mut s, |s, key| {
+            let alice = s.alice.clone();
+            DelegatedChain {
+                proxy_cert: proxy_by(s, &alice, key),
+                issuer_chain: s.mallory.chain().to_vec(),
+            }
+        });
+        assert!(matches!(
+            refused,
+            Err(GssError::Delegation("issuer chain is not the peer's"))
+        ));
+    }
+
+    #[test]
+    fn respond_answers_with_the_key_it_is_given() {
+        let mut s = setup();
+        let key = RsaKeyPair::generate(&mut s.rng, 512);
+        let t1 = request_delegation(&mut s.ic);
+        let (t2, pending) = respond(&mut s.ac, &t1, key.clone()).unwrap();
+        let t3 = deliver_proxy(
+            &mut s.ic,
+            &mut s.rng,
+            &s.alice,
+            &t2,
+            ProxyType::Impersonation,
+            100,
+            5000,
+        )
+        .unwrap();
+        let cred = pending.finish(&mut s.ac, &t3).unwrap();
+        assert_eq!(cred.certificate().public_key(), key.public());
+        assert_eq!(cred.base_identity(), &dn("/O=G/CN=Alice"));
     }
 
     #[test]

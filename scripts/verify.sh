@@ -159,6 +159,13 @@ stage_grep_guard() {
         echo "FAIL: the batch validator's machinery is back in pki/tls (above)" >&2
         exit 1
     fi
+    # An MJS delegates over its LMJFS's key (DESIGN.md §11.2): neither
+    # GRAM driver may generate a key or answer a DELEG-REQ itself; both
+    # call GramResource::mjs_accept_delegation.
+    if grep -En 'respond_with_key|RsaKeyPair::generate' crates/gram/src/{requestor,remote}.rs; then
+        echo "FAIL: a GRAM driver generates the MJS's delegation key itself (above)" >&2
+        exit 1
+    fi
 }
 
 stage_fmt() {
