@@ -67,6 +67,11 @@
 //!     `GramStats::delegation_keys` counts them. Every job's proxy is
 //!     still fresh, over its LMJFS's one key. Before, each job's MJS
 //!     generated a key of its own: 16, then 32.
+//! 14. **A sign-on's chain is walked once** — a count too: the same two
+//!     sign-ons' 32 signed requests cost step 2 exactly 1 chain walk for
+//!     the first user's 16 jobs and 2 after the second user's, as the
+//!     Proxy Router's signer memo counts its misses. Before the memo every
+//!     request decoded and walked its chain: 16, then 32.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -77,7 +82,7 @@
 //! gridbench's `ops_per_s` on `establish_storm`. Claims 9 and 10 are
 //! medians of per-round ratios, the two arms of a round interleaved, so
 //! a slow phase of the machine lands on numerator and denominator alike.
-//! Claims 11–13 read no clock: one run, the same count on every
+//! Claims 11–14 read no clock: one run, the same count on every
 //! machine.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
@@ -591,6 +596,7 @@ fn main() {
 
     // --- Claim 13: an LMJFS delegates every job over one key. ---
     let one_user = resource.stats.delegation_keys;
+    let one_user_walks = resource.signer_memo().misses();
     let user2 =
         w.ca.issue_identity(&mut w.rng, dn("/O=B/CN=User2"), KEY_BITS, 0, u64::MAX / 4);
     let sign_on = grid_proxy_init(&mut w.rng, &user2, ProxyOptions::default(), 100).unwrap();
@@ -604,6 +610,7 @@ fn main() {
         requestor.submit_job(&mut resource, &job, 100).unwrap();
     }
     let two_users = resource.stats.delegation_keys;
+    let two_users_walks = resource.signer_memo().misses();
     println!(
         "[perf_guard] gram delegation keys: {one_user} for one sign-on of {JOBS} jobs, \
          {two_users} after a second user's, must be 1 and 2"
@@ -612,6 +619,23 @@ fn main() {
         &mut failures,
         "gram-lmjfs-delegates-over-one-key",
         if (one_user, two_users) == (1, 2) {
+            1.0
+        } else {
+            0.0
+        },
+        1.0,
+        "f4_gram",
+    );
+
+    // --- Claim 14: step 2 walks a sign-on's chain once. ---
+    println!(
+        "[perf_guard] gram request chain walks: {one_user_walks} for one sign-on of {JOBS} \
+         jobs, {two_users_walks} after a second user's, must be 1 and 2"
+    );
+    claim(
+        &mut failures,
+        "gram-sign-on-chain-walked-once",
+        if (one_user_walks, two_users_walks) == (1, 2) {
             1.0
         } else {
             0.0

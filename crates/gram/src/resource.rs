@@ -14,6 +14,7 @@ use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::CrlStore;
 use gridsec_pki::store::TrustStore;
+use gridsec_pki::validate::{CachedValidator, EffectiveRights};
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::os::{FileMode, Pid, SimOs, ROOT_UID};
 use gridsec_tls::handshake::TlsConfig;
@@ -22,7 +23,7 @@ use gridsec_tls::session::{
     DEFAULT_SESSION_LIFETIME,
 };
 use gridsec_wsse::soap::Envelope;
-use gridsec_wsse::xmlsig;
+use gridsec_wsse::xmlsig::{self, SIGNER_MEMO_CAPACITY};
 
 use crate::grim::issue_grim_credential;
 use crate::types::{JobDescription, JobState};
@@ -147,6 +148,12 @@ pub struct GramResource {
     rng: ChaChaRng,
     mmjfs_pid: Pid,
     router_pid: Pid,
+    /// Step 2's verdicts on requestor chains, keyed by the request's
+    /// `BinarySecurityToken` text: a sign-on's chain is walked by its
+    /// first job, not by every job. Bounded by [`SIGNER_MEMO_CAPACITY`].
+    signers: CachedValidator,
+    /// The grid-mapfile's bytes as last parsed, and the parse.
+    gridmap: Option<(Vec<u8>, GridMapFile)>,
     lmjfs: HashMap<String, LmjfsInstance>,
     mjs: HashMap<String, MjsInstance>,
     next_mjs_id: u64,
@@ -214,6 +221,8 @@ impl GramResource {
             rng,
             mmjfs_pid,
             router_pid,
+            signers: CachedValidator::new(SIGNER_MEMO_CAPACITY),
+            gridmap: None,
             lmjfs: HashMap::new(),
             mjs: HashMap::new(),
             next_mjs_id: 0,
@@ -222,13 +231,14 @@ impl GramResource {
     }
 
     /// Install revocation state, checked on request verification and on
-    /// step 7's full handshake. Every LMJFS session cache is emptied: a
-    /// resumed context skips chain validation, so no session
-    /// authenticated under the old revocation state may be resumed. Every
-    /// delegation key goes with the sessions; the next delegation draws
-    /// a new one.
+    /// step 7's full handshake. Step 2's memoised chain verdicts are
+    /// dropped, and every LMJFS session cache is emptied: a resumed
+    /// context skips chain validation, so no session authenticated under
+    /// the old revocation state may be resumed. Every delegation key goes
+    /// with the sessions; the next delegation draws a new one.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
+        self.signers.clear();
         for lmjfs in self.lmjfs.values_mut() {
             lmjfs.sessions = lmjfs_sessions();
             lmjfs.delegation_key = None;
@@ -265,6 +275,12 @@ impl GramResource {
             .map(RsaKeyPair::public)
     }
 
+    /// Step 2's memo of verified requestor chains (hits, walks,
+    /// occupancy).
+    pub fn signer_memo(&self) -> &CachedValidator {
+        &self.signers
+    }
+
     /// Shared OS handle (for privilege audits).
     pub fn os(&self) -> &SimOs {
         &self.os
@@ -276,13 +292,23 @@ impl GramResource {
         self.host_credential.base_identity()
     }
 
-    fn read_gridmap(&self, euid: u32) -> Result<GridMapFile, GramError> {
+    /// The grid-mapfile, read as `euid` on every call (so `SimOs`'s
+    /// permission check runs every time) and re-parsed only when its
+    /// bytes differ from the last parse.
+    fn read_gridmap(&mut self, euid: u32) -> Result<&GridMapFile, GramError> {
         let bytes = self
             .os
             .read_file(&self.host, GRIDMAP_PATH, euid)
             .map_err(|e| GramError::Os(e.to_string()))?;
-        GridMapFile::parse(&String::from_utf8_lossy(&bytes))
-            .map_err(|e| GramError::Os(e.to_string()))
+        let parsed = match self.gridmap.take() {
+            Some((last, map)) if last == bytes => (last, map),
+            _ => {
+                let map = GridMapFile::parse(&String::from_utf8_lossy(&bytes))
+                    .map_err(|e| GramError::Os(e.to_string()))?;
+                (bytes, map)
+            }
+        };
+        Ok(&self.gridmap.insert(parsed).1)
     }
 
     /// Steps 1–6 of Figure 4: route a signed job request, cold-starting an
@@ -293,13 +319,16 @@ impl GramResource {
 
         // ---- Step 2: the Proxy Router accepts the request. It verifies
         // the signature (it is unprivileged; verification needs no
-        // secrets) to learn the requestor identity for routing.
+        // secrets) to learn the requestor identity for routing. A chain
+        // it has walked before is taken from its memo; the signature,
+        // digests and timestamp are checked every time.
         let env = Envelope::parse(signed_request_xml).map_err(|e| {
             deny(&mut self.stats);
             GramError::RequestRejected(e.to_string())
         })?;
         let verified =
-            xmlsig::verify_envelope(&env, &self.trust, &self.crls, now).map_err(|e| {
+            xmlsig::verify_envelope_cached(&env, &mut self.signers, &self.trust, &self.crls, now)
+                .map_err(|e| {
                 deny(&mut self.stats);
                 GramError::RequestRejected(e.to_string())
             })?;
@@ -307,7 +336,7 @@ impl GramResource {
         // GT semantics: a *limited* proxy may move data but must not start
         // jobs (the site-defined reduced-rights set of §3). GridFTP-style
         // services accept limited proxies; GRAM refuses them.
-        if identity.rights == gridsec_pki::validate::EffectiveRights::Limited {
+        if identity.rights == EffectiveRights::Limited {
             deny(&mut self.stats);
             return Err(GramError::NotAuthorized(
                 "limited proxies may not submit jobs".to_string(),
@@ -323,13 +352,13 @@ impl GramResource {
             .map_err(|e| GramError::Os(e.to_string()))?
             .euid;
         let gridmap = self.read_gridmap(mmjfs_euid)?;
-        let account = gridmap
+        let mapped = gridmap
             .lookup(&user_dn)
-            .ok_or_else(|| {
-                deny(&mut self.stats);
-                GramError::NoMapping(user_dn.to_string())
-            })?
-            .to_string();
+            .map(|account| (account.to_string(), gridmap.permits(&user_dn, account)));
+        let (account, permitted) = mapped.ok_or_else(|| {
+            deny(&mut self.stats);
+            GramError::NoMapping(user_dn.to_string())
+        })?;
 
         // ---- Steps 4–5 (cold path) or direct routing (warm path).
         let cold_start = !self.lmjfs.contains_key(&account);
@@ -338,9 +367,12 @@ impl GramResource {
         }
         let lmjfs = self.lmjfs.get(&account).expect("just ensured");
 
-        // ---- Step 6: the LMJFS re-verifies the signed request and checks
-        // that the requestor is authorized for this account.
-        if !gridmap.permits(&user_dn, &account) {
+        // ---- Step 6: before creating the MJS, the LMJFS checks that the
+        // grid-mapfile permits the requestor in this account and that it
+        // serves this identity. It does not verify the signature again:
+        // the identity is the one step 2 authenticated, and the job
+        // description is read from the envelope step 2 verified.
+        if !permitted {
             deny(&mut self.stats);
             return Err(GramError::NotAuthorized(format!(
                 "{user_dn} may not use account {account}"

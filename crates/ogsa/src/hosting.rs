@@ -13,13 +13,13 @@ use std::borrow::Cow;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::{CrlStore, TrustStore};
-use gridsec_pki::validate::ValidatedIdentity;
+use gridsec_pki::validate::{CachedValidator, ValidatedIdentity};
 use gridsec_testbed::clock::SimClock;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_wsse::policy::SecurityPolicy;
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::wssc::{WsscResponder, RST_ACTION, SECURED_ACTION_PREFIX};
-use gridsec_wsse::xmlsig;
+use gridsec_wsse::xmlsig::{self, SIGNER_MEMO_CAPACITY};
 use gridsec_xml::Element;
 
 use gridsec_authz::policy::{Decision, PolicySet, Request};
@@ -54,6 +54,9 @@ pub struct HostingEnvironment {
     pub registry: ServiceRegistry,
     published_policy: SecurityPolicy,
     responder: WsscResponder,
+    /// Verdicts on the chains of stateless-message signers, keyed by
+    /// `BinarySecurityToken` text; bounded by [`SIGNER_MEMO_CAPACITY`].
+    signers: CachedValidator,
     authz: PolicySet,
     audit: Option<AuditSink>,
     rng: ChaChaRng,
@@ -80,6 +83,7 @@ impl HostingEnvironment {
             registry: ServiceRegistry::new(),
             published_policy,
             responder: WsscResponder::new(tls_config),
+            signers: CachedValidator::new(SIGNER_MEMO_CAPACITY),
             authz,
             audit: None,
             rng: ChaChaRng::from_seed_bytes(name.as_bytes()),
@@ -97,9 +101,11 @@ impl HostingEnvironment {
         self.audit = Some(sink);
     }
 
-    /// Install revocation state.
+    /// Install revocation state; every memoised signer verdict is
+    /// dropped.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
+        self.signers.clear();
     }
 
     /// The credential this environment authenticates as.
@@ -164,9 +170,14 @@ impl HostingEnvironment {
             }
             // Stateless signed message.
             Some(_) => {
-                let verified =
-                    xmlsig::verify_envelope(&env, &self.trust, &self.crls, self.clock.now())
-                        .map_err(OgsaError::Wsse)?;
+                let verified = xmlsig::verify_envelope_cached(
+                    &env,
+                    &mut self.signers,
+                    &self.trust,
+                    &self.crls,
+                    self.clock.now(),
+                )
+                .map_err(OgsaError::Wsse)?;
                 let reply = self.process_authenticated(&env, verified.identity)?;
                 // Sign the reply so the client can authenticate us too.
                 Ok(xmlsig::sign_envelope(

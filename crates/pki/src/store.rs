@@ -6,14 +6,30 @@
 
 use crate::ca::Crl;
 use crate::cert::Certificate;
+use crate::encoding::Codec;
 use crate::name::DistinguishedName;
+use gridsec_crypto::sha256::sha256;
 use std::collections::HashMap;
+
+/// Fold one edit into a store generation: the first eight bytes of
+/// SHA-256 over the previous generation and the edit's bytes. An empty
+/// store reads 0 and a clone reads what its original reads, while two
+/// stores with different edit histories read different generations (up
+/// to a 2⁻⁶⁴ collision) — even two separate stores each holding one
+/// different CRL, which a per-store edit *count* could not tell apart.
+fn next_generation(previous: u64, edit: &[u8]) -> u64 {
+    let mut data = Vec::with_capacity(8 + edit.len());
+    data.extend_from_slice(&previous.to_be_bytes());
+    data.extend_from_slice(edit);
+    let digest = sha256(&data);
+    u64::from_be_bytes(digest[..8].try_into().expect("eight bytes"))
+}
 
 /// A set of trusted root CA certificates.
 ///
-/// Every mutation bumps a generation counter so validation caches keyed
-/// on it ([`crate::validate::CachedValidator`]) invalidate when the
-/// anchor set changes.
+/// Every mutation moves a generation so validation caches keyed on it
+/// ([`crate::validate::CachedValidator`]) invalidate when the anchor set
+/// changes, or when a store with another history is swapped in.
 #[derive(Clone, Default, Debug)]
 pub struct TrustStore {
     roots: Vec<Certificate>,
@@ -34,12 +50,13 @@ impl TrustStore {
             "trust anchors must be self-issued roots"
         );
         if !self.contains(&cert) {
+            self.generation = next_generation(self.generation, &cert.fingerprint());
             self.roots.push(cert);
-            self.generation += 1;
         }
     }
 
-    /// Monotonic edit counter: changes whenever the anchor set does.
+    /// Digest of the edit history: 0 when empty, the same for clones,
+    /// different for stores whose anchors were added differently.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -94,12 +111,13 @@ impl CrlStore {
         if crl.tbs.issuer != *issuer.subject() || !crl.verify(issuer.public_key()) {
             return false;
         }
+        self.generation = next_generation(self.generation, &crl.to_bytes());
         self.crls.insert(crl.tbs.issuer.to_string(), crl);
-        self.generation += 1;
         true
     }
 
-    /// Monotonic edit counter: changes whenever revocation state does.
+    /// Digest of the edit history: 0 when empty, the same for clones,
+    /// different for stores whose CRLs were added differently.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -198,6 +216,28 @@ mod tests {
         assert!(store.is_revoked(&dn("/O=A/CN=CA1"), 7, 120));
         // Past next_update: treated as unknown → not revoked.
         assert!(!store.is_revoked(&dn("/O=A/CN=CA1"), 7, 151));
+    }
+
+    #[test]
+    fn generations_tell_histories_apart_and_clones_together() {
+        let ca1 = ca(b"s1", "/O=A/CN=CA1");
+        let ca2 = ca(b"s2", "/O=B/CN=CA2");
+        let (mut a, mut b) = (CrlStore::new(), CrlStore::new());
+        assert_eq!(a.generation(), b.generation(), "empty stores agree");
+        assert!(a.add(ca1.issue_crl(vec![7], 100, 500), ca1.certificate()));
+        assert!(b.add(ca1.issue_crl(vec![8], 100, 500), ca1.certificate()));
+        assert_ne!(a.generation(), b.generation(), "one different CRL each");
+        assert_eq!(a.clone().generation(), a.generation());
+
+        let (mut t1, mut t2) = (TrustStore::new(), TrustStore::new());
+        t1.add_root(ca1.certificate().clone());
+        t2.add_root(ca2.certificate().clone());
+        assert_ne!(t1.generation(), t2.generation(), "one different root each");
+        let mut t3 = TrustStore::new();
+        t3.add_root(ca1.certificate().clone());
+        assert_eq!(t1.generation(), t3.generation(), "the same history agrees");
+        t3.add_root(ca1.certificate().clone());
+        assert_eq!(t1.generation(), t3.generation(), "a duplicate is no edit");
     }
 
     #[test]

@@ -18,14 +18,18 @@
 //! end-entity subject), which is what grid-mapfiles, CAS policies, and
 //! the "same user's proxies trust each other" rule key on.
 //!
-//! [`CachedValidator`] memoizes successful walks keyed on the chain
-//! digest and the trust/CRL store generations, so services that see the
-//! same chain repeatedly (per-message XML signatures, repeated context
-//! establishment) pay the RSA verification cost once per chain rather
-//! than once per use. Negative results are never cached. There is one
-//! walk and one memoized form of it; [`CachedValidator::validate_batch`]
-//! returns, in order, each what the single form returns.
+//! [`CachedValidator`] memoizes successful walks under the trust/CRL
+//! store generations, so services that see the same chain repeatedly
+//! (per-message XML signatures, repeated context establishment) pay the
+//! RSA verification cost once per chain rather than once per use. A
+//! decoded chain is keyed on its digest ([`CachedValidator::validate`]);
+//! a chain still in its wire encoding is keyed on that text and decoded
+//! only on a miss ([`CachedValidator::validate_encoded`]). Negative
+//! results are never cached. There is one walk and one memoized form of
+//! it; [`CachedValidator::validate_batch`] returns, in order, each what
+//! the single form returns.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use crate::cert::{key_usage, Certificate, ProxyPolicy};
@@ -240,6 +244,17 @@ pub fn validate_chain_with_crls(
 // Memoized validation
 // ----------------------------------------------------------------------
 
+/// What a memoized verdict is filed under. The two kinds never meet:
+/// a digest and a wire encoding that happened to share bytes still name
+/// different entries.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum MemoKey {
+    /// [`CachedValidator::chain_digest`] of a decoded chain.
+    Digest([u8; 32]),
+    /// A chain's wire encoding exactly as received.
+    Encoded(Box<str>),
+}
+
 struct CachedEntry {
     identity: ValidatedIdentity,
     /// Intersection of the validity windows of every certificate the
@@ -252,9 +267,10 @@ struct CachedEntry {
 /// Memoized chain validation.
 ///
 /// Entries are keyed on a digest of the chain's certificate
-/// fingerprints and are only valid for the trust-store / CRL-store
-/// generations they were computed under: any store mutation bumps its
-/// generation, which clears the cache on the next call. Hits are
+/// fingerprints, or on the chain's wire encoding, and are only valid for
+/// the trust-store / CRL-store generations they were computed under: a
+/// call that sees either generation differ from the last call's — a
+/// store mutated, or another store passed in — clears the cache. Hits are
 /// additionally gated on the intersected validity window of the chain,
 /// so expiry is honoured without a revalidation walk. Only *successful*
 /// validations are cached — a rejected chain is re-examined every time,
@@ -269,8 +285,8 @@ pub struct CachedValidator {
     capacity: usize,
     trust_generation: u64,
     crl_generation: u64,
-    entries: HashMap<[u8; 32], CachedEntry>,
-    order: VecDeque<[u8; 32]>,
+    entries: HashMap<MemoKey, CachedEntry>,
+    order: VecDeque<MemoKey>,
     hits: u64,
     misses: u64,
 }
@@ -297,15 +313,14 @@ impl CachedValidator {
             // A store changed underneath us: every cached result is
             // suspect (a new CRL may revoke, a removed anchor may
             // untrust), so drop them all.
-            self.entries.clear();
-            self.order.clear();
+            self.clear();
             self.trust_generation = trust.generation();
             self.crl_generation = crls.generation();
         }
     }
 
     /// Window-gated cache probe; removes a stale entry on the way out.
-    fn cache_lookup(&mut self, key: &[u8; 32], now: u64) -> Option<ValidatedIdentity> {
+    fn cache_lookup(&mut self, key: &MemoKey, now: u64) -> Option<ValidatedIdentity> {
         if let Some(entry) = self.entries.get(key) {
             if entry.not_before <= now && now <= entry.not_after {
                 self.hits += 1;
@@ -325,7 +340,7 @@ impl CachedValidator {
     /// anchor), with FIFO eviction at capacity.
     fn cache_insert(
         &mut self,
-        key: [u8; 32],
+        key: MemoKey,
         chain: &[Certificate],
         trust: &TrustStore,
         identity: &ValidatedIdentity,
@@ -336,12 +351,14 @@ impl CachedValidator {
             not_before = not_before.max(cert.tbs.validity.not_before);
             not_after = not_after.min(cert.tbs.validity.not_after);
         }
+        // The external anchor the walk checked, if any. When the chain
+        // carries its own root this finds that root again (a trusted
+        // root is self-issued), which narrows nothing; no fingerprint
+        // is needed to tell the two cases apart.
         let top = chain.last().expect("validated chain is non-empty");
-        if !trust.contains(top) {
-            if let Some(root) = trust.find_by_subject(top.issuer()) {
-                not_before = not_before.max(root.tbs.validity.not_before);
-                not_after = not_after.min(root.tbs.validity.not_after);
-            }
+        if let Some(root) = trust.find_by_subject(top.issuer()) {
+            not_before = not_before.max(root.tbs.validity.not_before);
+            not_after = not_after.min(root.tbs.validity.not_after);
         }
 
         // Only reached after a miss, so `key` is in neither `entries`
@@ -351,6 +368,7 @@ impl CachedValidator {
                 self.entries.remove(&oldest);
             }
         }
+        self.order.push_back(key.clone());
         self.entries.insert(
             key,
             CachedEntry {
@@ -359,7 +377,6 @@ impl CachedValidator {
                 not_after,
             },
         );
-        self.order.push_back(key);
     }
 
     /// Digest identifying a chain: SHA-256 over the concatenated
@@ -382,16 +399,46 @@ impl CachedValidator {
         crls: &CrlStore,
         now: u64,
     ) -> Result<ValidatedIdentity, PkiError> {
-        self.refresh_generations(trust, crls);
+        let key = MemoKey::Digest(Self::chain_digest(chain));
+        self.memoized(key, || Ok(Cow::Borrowed(chain)), trust, crls, now)
+    }
 
-        let key = Self::chain_digest(chain);
+    /// Validate the chain whose wire encoding is `encoded`, keyed on that
+    /// exact text: a hit costs no decode, no fingerprint and no walk, and
+    /// `decode` runs only on a miss. Semantically identical to
+    /// [`validate_chain_with_crls`] over `decode(encoded)`, `decode`'s
+    /// error included, provided `decode` is a pure function of its input.
+    pub fn validate_encoded<E: From<PkiError>>(
+        &mut self,
+        encoded: &str,
+        decode: impl FnOnce(&str) -> Result<Vec<Certificate>, E>,
+        trust: &TrustStore,
+        crls: &CrlStore,
+        now: u64,
+    ) -> Result<ValidatedIdentity, E> {
+        let key = MemoKey::Encoded(encoded.into());
+        self.memoized(key, || decode(encoded).map(Cow::Owned), trust, crls, now)
+    }
+
+    /// The one memoized walk: a window-gated hit under the current store
+    /// generations, or `chain()` walked and, on success, filed under `key`.
+    fn memoized<'c, E: From<PkiError>>(
+        &mut self,
+        key: MemoKey,
+        chain: impl FnOnce() -> Result<Cow<'c, [Certificate]>, E>,
+        trust: &TrustStore,
+        crls: &CrlStore,
+        now: u64,
+    ) -> Result<ValidatedIdentity, E> {
+        self.refresh_generations(trust, crls);
         if let Some(identity) = self.cache_lookup(&key, now) {
             return Ok(identity);
         }
         self.misses += 1;
 
-        let identity = validate_chain_with_crls(chain, trust, crls, now)?;
-        self.cache_insert(key, chain, trust, &identity);
+        let chain = chain()?;
+        let identity = validate_chain_with_crls(&chain, trust, crls, now)?;
+        self.cache_insert(key, &chain, trust, &identity);
         Ok(identity)
     }
 
@@ -420,6 +467,12 @@ impl CachedValidator {
     /// Cache misses (full walks) so far.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Forget every memoized verdict; the hit/miss counters stay.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
     }
 
     /// Number of memoized chains.
@@ -779,6 +832,90 @@ mod tests {
                 .unwrap_err(),
             PkiError::Revoked { serial }
         );
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn cached_validator_tells_swapped_crl_stores_apart() {
+        // Two stores holding one CRL each: the first revokes someone
+        // else, the second the user. Edit counts would read 1 for both,
+        // and the verdict cached under the first would be served under
+        // the second.
+        let mut w = world();
+        let other =
+            w.ca.issue_identity(&mut w.rng, dn("/O=G/CN=Other"), 512, 0, 100_000);
+        let mut v = CachedValidator::new(8);
+        let mut first = CrlStore::new();
+        assert!(first.add(
+            w.ca.issue_crl(vec![other.certificate().tbs.serial], 100, 10_000),
+            w.ca.certificate()
+        ));
+        assert!(v.validate(w.user.chain(), &w.trust, &first, 500).is_ok());
+        let serial = w.user.certificate().tbs.serial;
+        let mut second = CrlStore::new();
+        assert!(second.add(
+            w.ca.issue_crl(vec![serial], 100, 10_000),
+            w.ca.certificate()
+        ));
+        assert_eq!(first.len(), second.len());
+        assert_eq!(
+            v.validate(w.user.chain(), &w.trust, &second, 500)
+                .unwrap_err(),
+            PkiError::Revoked { serial }
+        );
+        // A clone of the store the verdict was cached under keeps it.
+        let mut v = CachedValidator::new(8);
+        assert!(v.validate(w.user.chain(), &w.trust, &first, 500).is_ok());
+        assert!(v
+            .validate(w.user.chain(), &w.trust.clone(), &first.clone(), 500)
+            .is_ok());
+        assert_eq!((v.hits(), v.misses()), (1, 1));
+    }
+
+    #[test]
+    fn encoded_chains_decode_only_on_a_miss() {
+        use crate::encoding::{Codec, Decoder, Encoder};
+        let w = world();
+        let mut enc = Encoder::new();
+        enc.put_seq(w.user.chain(), |e, c| c.encode(e));
+        let encoded: String = enc.finish().iter().map(|b| format!("{b:02x}")).collect();
+        let decodes = std::cell::Cell::new(0);
+        let decode = |text: &str| {
+            decodes.set(decodes.get() + 1);
+            let bytes = (0..text.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(text.get(i..i + 2)?, 16).ok())
+                .collect::<Option<Vec<u8>>>()
+                .ok_or(PkiError::InvalidChain("not hex"))?;
+            Decoder::new(&bytes).get_seq(Certificate::decode)
+        };
+        let mut v = CachedValidator::new(8);
+        let crls = CrlStore::new();
+        for now in [500, 600, 700] {
+            let id = v
+                .validate_encoded(&encoded, decode, &w.trust, &crls, now)
+                .unwrap();
+            assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
+        }
+        assert_eq!(decodes.get(), 1);
+        assert_eq!((v.hits(), v.misses()), (2, 1));
+        // Past the chain's window the hit is refused and the walk reports
+        // the precise error; a decode failure is the decoder's own error.
+        let err = v
+            .validate_encoded(&encoded, decode, &w.trust, &crls, 200_000)
+            .unwrap_err();
+        assert!(matches!(err, PkiError::Expired { .. }));
+        assert_eq!(
+            v.validate_encoded("zz", decode, &w.trust, &crls, 500)
+                .unwrap_err(),
+            PkiError::InvalidChain("not hex")
+        );
+        assert_eq!(decodes.get(), 3);
+        // The digest of a chain and its encoding never share an entry.
+        v.validate(w.user.chain(), &w.trust, &crls, 500).unwrap();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v.misses(), 4);
+        v.clear();
         assert!(v.is_empty());
     }
 

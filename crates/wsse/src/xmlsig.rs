@@ -16,13 +16,19 @@
 //! with a SHA-256 digest of the part's canonical XML; the RSA signature
 //! is over the canonical `SignedInfo`; the sender's certificate chain
 //! rides in a `wsse:BinarySecurityToken`.
+//!
+//! A server that verifies many messages from one signer passes its own
+//! [`CachedValidator`] to [`verify_envelope_cached`]: the chain is then
+//! decoded and walked once per distinct token text, not once per
+//! message. The signature, the reference digests and the timestamp are
+//! checked on every message either way.
 
 use gridsec_crypto::sha256::sha256;
 use gridsec_pki::cert::Certificate;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::store::{CrlStore, TrustStore};
-use gridsec_pki::validate::{validate_chain_with_crls, ValidatedIdentity};
+use gridsec_pki::validate::{CachedValidator, ValidatedIdentity};
 use gridsec_xml::Element;
 
 use crate::b64;
@@ -118,9 +124,30 @@ pub struct VerifiedMessage {
     pub timestamp: Timestamp,
 }
 
+/// Bound on the signer chains a server verifying stateless messages
+/// memoises ([`verify_envelope_cached`]): one entry per distinct
+/// `BinarySecurityToken`, evicted FIFO.
+pub const SIGNER_MEMO_CAPACITY: usize = 64;
+
 /// Verify a stateless-signed envelope against `trust` at `now`.
 pub fn verify_envelope(
     env: &Envelope,
+    trust: &TrustStore,
+    crls: &CrlStore,
+    now: u64,
+) -> Result<VerifiedMessage, WsseError> {
+    verify_envelope_cached(env, &mut CachedValidator::new(1), trust, crls, now)
+}
+
+/// [`verify_envelope`] with the signer's chain validated through
+/// `signers`, keyed on the exact `BinarySecurityToken` text
+/// ([`CachedValidator::validate_encoded`]): a token seen before under
+/// the same store generations, inside its chain's validity window, costs
+/// no base64 decode, certificate decode or chain walk. The verdict is
+/// exactly [`verify_envelope`]'s.
+pub fn verify_envelope_cached(
+    env: &Envelope,
+    signers: &mut CachedValidator,
     trust: &TrustStore,
     crls: &CrlStore,
     now: u64,
@@ -143,8 +170,7 @@ pub fn verify_envelope(
         .ok_or(WsseError::Missing("wsse:BinarySecurityToken"))?;
 
     // Authenticate the chain first (we need the leaf key).
-    let chain = decode_chain(&bst.text_content())?;
-    let identity = validate_chain_with_crls(&chain, trust, crls, now)?;
+    let identity = signers.validate_encoded(&bst.text_content(), decode_chain, trust, crls, now)?;
 
     // Verify the signature over canonical SignedInfo.
     let sig_value = b64::decode(&sig_value_b64).ok_or(WsseError::Base64)?;

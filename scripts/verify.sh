@@ -166,6 +166,13 @@ stage_grep_guard() {
         echo "FAIL: a GRAM driver generates the MJS's delegation key itself (above)" >&2
         exit 1
     fi
+    # A server verifying stateless signed messages keeps its signer memo
+    # (DESIGN.md §11.2): the Proxy Router and the hosting environment's
+    # stateless branch call verify_envelope_cached, never the one-shot.
+    if grep -rEn 'xmlsig::verify_envelope\(' crates/gram/src crates/ogsa/src/hosting.rs; then
+        echo "FAIL: a stateless-message server verifies without its signer memo (above)" >&2
+        exit 1
+    fi
 }
 
 stage_fmt() {
@@ -362,7 +369,9 @@ stage_deep_matrix() {
 # beat one stream >=1.5x at 5% loss (tick-model, deterministic); a
 # 256-bit modexp costs <=0.16x a 512-bit one and a proven 256-bit prime
 # <=40 modexps (DESIGN.md §11.4); a 512-bit key is exactly 2.000 calls
-# of generate_prime, counted by stream replay (DESIGN.md §11.5). Every claim
+# of generate_prime, counted by stream replay (DESIGN.md §11.5); a 16-job
+# GRAM sign-on runs 1 full step-7 handshake, generates 1 delegation key and
+# walks its request chain once (claims 12-14, DESIGN.md §11.4). Every claim
 # prints measured ratio, threshold and source BENCH json, pass or fail.
 stage_perf_guard() {
     cargo run -q --offline --release -p gridsec-bench --bin perf_guard
