@@ -1,10 +1,13 @@
 //! The Poly1305 one-time authenticator (RFC 8439).
 //!
 //! The accumulator is three limbs of 44, 44 and 42 bits ("poly1305-donna"
-//! 64-bit style): nine `u64 × u64 → u128` products per 16-byte block, in
-//! safe arithmetic, reading each block straight from the caller's slice.
-//! Verified against the RFC 8439 §2.5.2 and Appendix A.3 vectors and
-//! against `gridsec_bignum` arithmetic mod 2^130 − 5.
+//! 64-bit style), in safe arithmetic, reading each block straight from
+//! the caller's slice. Blocks are absorbed two at a time as
+//! `h ← (h + m₁)·r² + m₂·r` — 18 `u64 × u64 → u128` products per pair
+//! and one carry chain, with `r²` computed once per call — and an odd
+//! last block as `h ← (h + m)·r`, nine products. Verified against the
+//! RFC 8439 §2.5.2 and Appendix A.3 vectors and against `gridsec_bignum`
+//! arithmetic mod 2^130 − 5.
 
 /// Key length in bytes (r || s).
 pub const KEY_LEN: usize = 32;
@@ -30,6 +33,64 @@ pub struct Poly1305 {
 
 fn le64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("8 bytes"))
+}
+
+/// A 16-byte block cut into 44/44/42-bit limbs, `hibit` on the top one.
+#[inline(always)]
+fn limbs(block: &[u8], hibit: u64) -> [u64; 3] {
+    let (t0, t1) = (le64(&block[..8]), le64(&block[8..]));
+    [
+        t0 & MASK44,
+        ((t0 >> 44) | (t1 << 20)) & MASK44,
+        (t1 >> 24) | hibit,
+    ]
+}
+
+/// Multiplication by a fixed partially reduced `r` mod 2^130 − 5.
+struct Mul {
+    r: [u128; 3],
+    /// 2^132 ≡ 20 (mod 2^130 − 5): what a product landing at limb 3 or 4
+    /// is worth two limbs further down.
+    s1: u128,
+    s2: u128,
+}
+
+impl Mul {
+    fn new(r: [u64; 3]) -> Self {
+        let r = r.map(u128::from);
+        Mul {
+            r,
+            s1: r[1] * 20,
+            s2: r[2] * 20,
+        }
+    }
+
+    /// The three column sums of `h · r`, before any carry.
+    #[inline(always)]
+    fn columns(&self, h: [u64; 3]) -> [u128; 3] {
+        let [r0, r1, r2] = self.r;
+        let (w0, w1, w2) = (h[0] as u128, h[1] as u128, h[2] as u128);
+        [
+            w0 * r0 + w1 * self.s2 + w2 * self.s1,
+            w0 * r1 + w1 * r0 + w2 * self.s2,
+            w0 * r2 + w1 * r1 + w2 * r0,
+        ]
+    }
+}
+
+/// Carry column sums back into limbs; the carry out of the top wraps as
+/// ·5. Leaves h0 and h2 within their widths and h1 a few bits over.
+#[inline(always)]
+fn carry([d0, d1, d2]: [u128; 3]) -> [u64; 3] {
+    let mut h0 = d0 as u64 & MASK44;
+    let d1 = d1 + (d0 >> 44);
+    let mut h1 = d1 as u64 & MASK44;
+    let d2 = d2 + (d1 >> 44);
+    let h2 = d2 as u64 & MASK42;
+    h0 += (d2 >> 42) as u64 * 5;
+    h1 += h0 >> 44;
+    h0 &= MASK44;
+    [h0, h1, h2]
 }
 
 impl Poly1305 {
@@ -75,35 +136,27 @@ impl Poly1305 {
     /// For every 16-byte block of `data` (a whole number of them):
     /// h = (h + block + hibit·2^88) · r  mod 2^130 − 5, kept partially
     /// reduced (limbs within their widths but for a few carry bits in h1).
+    /// Pairs of blocks take one step, h = (h + m₁)·r² + m₂·r: 18 wide
+    /// products into the three columns, one carry chain; each column
+    /// stays under 2^94. An odd last block takes the one-block step.
     fn blocks(&mut self, data: &[u8], hibit: u64) {
-        let [r0, r1, r2] = self.r.map(u128::from);
-        // 2^132 ≡ 20 (mod 2^130 − 5): what a product landing at limb 3 or
-        // 4 is worth two limbs further down.
-        let (s1, s2) = (r1 * 20, r2 * 20);
-        let [mut h0, mut h1, mut h2] = self.h;
-
-        for block in data.chunks_exact(BLOCK) {
-            let (t0, t1) = (le64(&block[..8]), le64(&block[8..]));
-            h0 += t0 & MASK44;
-            h1 += ((t0 >> 44) | (t1 << 20)) & MASK44;
-            h2 += (t1 >> 24) | hibit;
-
-            let (w0, w1, w2) = (h0 as u128, h1 as u128, h2 as u128);
-            let d0 = w0 * r0 + w1 * s2 + w2 * s1;
-            let d1 = w0 * r1 + w1 * r0 + w2 * s2;
-            let d2 = w0 * r2 + w1 * r1 + w2 * r0;
-
-            // Carry propagation; the carry out of the top wraps as ·5.
-            h0 = d0 as u64 & MASK44;
-            let d1 = d1 + (d0 >> 44);
-            h1 = d1 as u64 & MASK44;
-            let d2 = d2 + (d1 >> 44);
-            h2 = d2 as u64 & MASK42;
-            h0 += (d2 >> 42) as u64 * 5;
-            h1 += h0 >> 44;
-            h0 &= MASK44;
+        let r = Mul::new(self.r);
+        let mut h = self.h;
+        let mut pairs = data.chunks_exact(2 * BLOCK);
+        if data.len() >= 2 * BLOCK {
+            let rr = Mul::new(carry(r.columns(self.r)));
+            for pair in &mut pairs {
+                let (m1, m2) = (limbs(&pair[..BLOCK], hibit), limbs(&pair[BLOCK..], hibit));
+                let [a0, a1, a2] = rr.columns([h[0] + m1[0], h[1] + m1[1], h[2] + m1[2]]);
+                let [b0, b1, b2] = r.columns(m2);
+                h = carry([a0 + b0, a1 + b1, a2 + b2]);
+            }
         }
-        self.h = [h0, h1, h2];
+        for block in pairs.remainder().chunks_exact(BLOCK) {
+            let m = limbs(block, hibit);
+            h = carry(r.columns([h[0] + m[0], h[1] + m[1], h[2] + m[2]]));
+        }
+        self.h = h;
     }
 
     /// Finalize, consuming the authenticator, and return the 16-byte tag.

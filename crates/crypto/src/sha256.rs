@@ -79,16 +79,16 @@ impl Sha256 {
     /// Finalize and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        self.total_len = self.total_len.wrapping_sub(1); // update() counted the pad byte
-        while self.buf_len != 56 {
-            let cur = self.total_len;
-            self.update(&[0]);
-            self.total_len = cur;
+        // Padding: 0x80, zeros, 64-bit big-endian length — in a second
+        // block when the length no longer fits after the 0x80.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= BLOCK_LEN - 8 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; BLOCK_LEN];
         }
-        let block_start = self.buf_len;
-        self.buf[block_start..block_start + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -217,8 +217,10 @@ mod tests {
 
     #[test]
     fn length_boundary_paddings() {
-        // Messages of length 55, 56, 57, 63, 64, 65 hit padding edge cases.
-        for len in [55usize, 56, 57, 63, 64, 65, 119, 120] {
+        // Every length through two blocks and past: 55/56 and 119/120 are
+        // where the length stops fitting beside the 0x80.
+        let mut digests = Vec::new();
+        for len in 0..=130 {
             let data = vec![0x61u8; len];
             // Cross-check the streaming implementation against itself with
             // byte-at-a-time feeding.
@@ -226,7 +228,15 @@ mod tests {
             for b in &data {
                 h.update(std::slice::from_ref(b));
             }
-            assert_eq!(h.finalize(), sha256(&data), "len={len}");
+            let digest = sha256(&data);
+            assert_eq!(h.finalize(), digest, "len={len}");
+            digests.extend_from_slice(&digest);
         }
+        // The 131 digests of "a" × 0..=130, concatenated and hashed, as
+        // an independent SHA-256 implementation computes them.
+        assert_eq!(
+            hex(&sha256(&digests)),
+            "f908a43fc8456c583aacde0fb2627959f8513dc76d0c03979b7f945a7dd78f22"
+        );
     }
 }

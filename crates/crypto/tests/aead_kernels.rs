@@ -1,10 +1,13 @@
-//! The Poly1305 kernel and the single-allocation `seal`, held to what they
-//! replaced: the RFC 8439 vectors (§2.5.2 and the reduction/carry edge
-//! cases of Appendix A.3), the definition of the MAC computed with
-//! `gridsec_bignum`, and `seal`/`open` across the block boundaries.
+//! The AEAD's two per-byte kernels and the single-allocation `seal`, held
+//! to what they replaced: the four-block keystream against the one-block
+//! `chacha20::block` XORed in, the two-block Poly1305 step against the RFC
+//! 8439 vectors (§2.5.2 and the reduction/carry edge cases of Appendix
+//! A.3) and the definition of the MAC computed with `gridsec_bignum`, and
+//! `seal`/`open` across the block and four-block boundaries.
 
 use gridsec_bignum::BigUint;
 use gridsec_crypto::aead::{open, seal};
+use gridsec_crypto::chacha20::{block, xor_stream};
 use gridsec_crypto::poly1305::{poly1305, Poly1305};
 use gridsec_crypto::CryptoError;
 use gridsec_util::rng::{DetRng, RngCore};
@@ -60,6 +63,37 @@ statements in IETF sessions, as well as written and electronic communications ma
 or place, which are addressed to";
 const JABBERWOCKY: &str = "'Twas brillig, and the slithy toves\nDid gyre and gimble in the \
 wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
+
+/// The reference keystream: one 64-byte `block` at a time, the counter
+/// wrapping at `u32::MAX`.
+fn xor_block_by_block(key: &[u8; 32], nonce: &[u8; 12], counter: u32, data: &mut [u8]) {
+    for (i, chunk) in data.chunks_mut(64).enumerate() {
+        let ks = block(key, counter.wrapping_add(i as u32), nonce);
+        chunk.iter_mut().zip(ks).for_each(|(b, k)| *b ^= k);
+    }
+}
+
+#[test]
+fn four_block_keystream_is_the_block_keystream() {
+    let mut rng = DetRng::seed_from_u64(0xc4ac);
+    let mut key = [0u8; 32];
+    let mut nonce = [0u8; 12];
+    rng.fill_bytes(&mut key);
+    rng.fill_bytes(&mut nonce);
+    let mut plain = vec![0u8; 1100];
+    rng.fill_bytes(&mut plain);
+    // u32::MAX − 2: the lanes of the first wide pass run at
+    // MAX − 2, MAX − 1, MAX and 0.
+    for counter in [0, 1, u32::MAX - 2] {
+        for len in 0..=plain.len() {
+            let mut wide = plain[..len].to_vec();
+            xor_stream(&key, &nonce, counter, &mut wide);
+            let mut scalar = plain[..len].to_vec();
+            xor_block_by_block(&key, &nonce, counter, &mut scalar);
+            assert_eq!(wide, scalar, "counter {counter}, len {len}");
+        }
+    }
+}
 
 #[test]
 fn rfc8439_vectors() {
@@ -161,7 +195,7 @@ fn rfc8439_vectors() {
 #[test]
 fn agrees_with_bignum_arithmetic_mod_2_130_minus_5() {
     let mut rng = DetRng::seed_from_u64(0x1305);
-    for len in 0..=80 {
+    for len in 0..=160 {
         for _ in 0..4 {
             let mut key = [0u8; 32];
             rng.fill_bytes(&mut key);
@@ -173,9 +207,11 @@ fn agrees_with_bignum_arithmetic_mod_2_130_minus_5() {
             assert_eq!(poly1305(&key, &msg), reference(&key, &msg), "0xff × {len}");
         }
     }
-    // All-ones r (clamped) and s against all-ones blocks.
+    // All-ones r (clamped) and s against all-ones blocks: pairs only,
+    // and pairs then an odd block (1, 3, 5 and 257 blocks), so both the
+    // two-block step and the one-block tail see maximal limbs.
     let key = [0xff; 32];
-    for len in [16, 32, 48, 64, 79, 80, 4096] {
+    for len in [16, 32, 48, 64, 79, 80, 4096, 257 * 16] {
         let msg = vec![0xff; len];
         assert_eq!(
             poly1305(&key, &msg),
@@ -190,7 +226,7 @@ fn every_split_of_update_gives_the_one_shot_tag() {
     let mut rng = DetRng::seed_from_u64(0x5917);
     let mut key = [0u8; 32];
     rng.fill_bytes(&mut key);
-    let mut msg = [0u8; 80];
+    let mut msg = [0u8; 160];
     rng.fill_bytes(&mut msg);
     let whole = poly1305(&key, &msg);
     assert_eq!(whole, reference(&key, &msg));
@@ -217,7 +253,24 @@ fn seal_open_across_block_boundaries_and_every_flipped_bit_refused() {
     rng.fill_bytes(&mut key);
     rng.fill_bytes(&mut nonce);
     let aad = b"seq 7";
-    for len in [0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257, 65_536, 1 << 20] {
+    for len in [
+        0,
+        1,
+        15,
+        16,
+        17,
+        63,
+        64,
+        65,
+        255,
+        256,
+        257,
+        511,
+        512,
+        513,
+        65_536,
+        1 << 20,
+    ] {
         let mut plain = vec![0u8; len];
         rng.fill_bytes(&mut plain);
         let sealed = seal(&key, &nonce, aad, &plain);
@@ -235,9 +288,7 @@ fn seal_open_across_block_boundaries_and_every_flipped_bit_refused() {
         mac_input.resize(16 + len.div_ceil(16) * 16, 0);
         mac_input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
         mac_input.extend_from_slice(&(len as u64).to_le_bytes());
-        let otk: [u8; 32] = gridsec_crypto::chacha20::block(&key, 0, &nonce)[..32]
-            .try_into()
-            .unwrap();
+        let otk: [u8; 32] = block(&key, 0, &nonce)[..32].try_into().unwrap();
         assert_eq!(sealed[len..], poly1305(&otk, &mac_input), "len {len}");
 
         // A flipped bit at the front, in the middle and in the tag.

@@ -4,6 +4,18 @@
 //! CSPRNG) and the deterministic test RNG in [`crate::rng`] share one
 //! audited keystream implementation. `gridsec_crypto::chacha20` re-exports
 //! this module unchanged.
+//!
+//! Two kernels compute the same keystream. [`block`] is one 64-byte block
+//! at a time; the RNGs, the AEAD's one-time key and the tail of a stream
+//! use it. [`xor_stream`] runs four consecutive blocks per pass for every
+//! whole 256 bytes: the state is held word-major (`x[word][lane]`, lane
+//! `l` at counter `c + l`) and a whole double round sits inside one loop
+//! over the four lanes. That loop body is too large for LLVM to unroll
+//! early, so it reaches the loop vectoriser, which turns each word's four
+//! lanes into one SSE2 register on baseline x86-64 — in safe Rust, with
+//! no `target-cpu` or intrinsics. A loop around each single operation
+//! instead is unrolled first and stays scalar. Four lanes make a 256-byte
+//! record exactly one pass.
 
 /// Key size in bytes.
 pub const KEY_LEN: usize = 32;
@@ -13,6 +25,12 @@ pub const NONCE_LEN: usize = 12;
 pub const BLOCK_LEN: usize = 64;
 
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574]; // "expand 32-byte k"
+
+/// Blocks per pass of the wide kernel.
+const LANES: usize = 4;
+
+/// Word-major state of [`LANES`] blocks: `x[word][lane]`.
+type Wide = [[u32; LANES]; 16];
 
 #[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -26,8 +44,21 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Compute one 64-byte ChaCha20 keystream block for (key, counter, nonce).
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+/// [`quarter_round`] on lane `l` of a word-major state.
+#[inline(always)]
+fn lane_quarter_round(x: &mut Wide, l: usize, a: usize, b: usize, c: usize, d: usize) {
+    x[a][l] = x[a][l].wrapping_add(x[b][l]);
+    x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(16);
+    x[c][l] = x[c][l].wrapping_add(x[d][l]);
+    x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(12);
+    x[a][l] = x[a][l].wrapping_add(x[b][l]);
+    x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(8);
+    x[c][l] = x[c][l].wrapping_add(x[d][l]);
+    x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(7);
+}
+
+/// The initial state for (key, counter, nonce), RFC 8439 §2.3.
+fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
     for i in 0..8 {
@@ -43,7 +74,40 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
             nonce[i * 4 + 3],
         ]);
     }
+    state
+}
 
+/// The [`LANES`] keystream blocks at counters `counter + l`, written
+/// word-major into `ks`: `ks[word][lane]` is word `word` of block `lane`.
+/// `state` is [`initial_state`]; its counter word is ignored.
+fn wide_blocks(state: &[u32; 16], counter: u32, ks: &mut Wide) {
+    let mut x: Wide = state.map(|word| [word; LANES]);
+    for (l, c) in x[12].iter_mut().enumerate() {
+        *c = counter.wrapping_add(l as u32);
+    }
+    let start = x;
+    for _ in 0..10 {
+        for l in 0..LANES {
+            lane_quarter_round(&mut x, l, 0, 4, 8, 12);
+            lane_quarter_round(&mut x, l, 1, 5, 9, 13);
+            lane_quarter_round(&mut x, l, 2, 6, 10, 14);
+            lane_quarter_round(&mut x, l, 3, 7, 11, 15);
+            lane_quarter_round(&mut x, l, 0, 5, 10, 15);
+            lane_quarter_round(&mut x, l, 1, 6, 11, 12);
+            lane_quarter_round(&mut x, l, 2, 7, 8, 13);
+            lane_quarter_round(&mut x, l, 3, 4, 9, 14);
+        }
+    }
+    for ((out, w), s) in ks.iter_mut().zip(&x).zip(&start) {
+        for l in 0..LANES {
+            out[l] = w[l].wrapping_add(s[l]);
+        }
+    }
+}
+
+/// Compute one 64-byte ChaCha20 keystream block for (key, counter, nonce).
+pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+    let state = initial_state(key, counter, nonce);
     let mut working = state;
     for _ in 0..10 {
         // Column rounds.
@@ -68,14 +132,29 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block
 /// `initial_counter`. Encryption and decryption are the same operation.
+/// Whole 256-byte runs take the four-block kernel, the rest [`block`];
+/// the counter wraps at `u32::MAX` alike in both.
 pub fn xor_stream(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     initial_counter: u32,
     data: &mut [u8],
 ) {
+    let state = initial_state(key, initial_counter, nonce);
     let mut counter = initial_counter;
-    for chunk in data.chunks_mut(BLOCK_LEN) {
+    let mut ks: Wide = [[0; LANES]; 16];
+    let mut wide = data.chunks_exact_mut(LANES * BLOCK_LEN);
+    for run in &mut wide {
+        wide_blocks(&state, counter, &mut ks);
+        for (l, chunk) in run.chunks_exact_mut(BLOCK_LEN).enumerate() {
+            for (bytes, word) in chunk.chunks_exact_mut(4).zip(&ks) {
+                let b: [u8; 4] = bytes.try_into().expect("4 bytes");
+                bytes.copy_from_slice(&(u32::from_le_bytes(b) ^ word[l]).to_le_bytes());
+            }
+        }
+        counter = counter.wrapping_add(LANES as u32);
+    }
+    for chunk in wide.into_remainder().chunks_mut(BLOCK_LEN) {
         let ks = block(key, counter, nonce);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;
