@@ -120,6 +120,27 @@ impl PrimedHmac {
         m.update(data);
         m.finalize()
     }
+
+    /// HKDF-Expand (RFC 5869 §2.3) of `len` bytes (≤ 255 * 32) with the
+    /// priming key as PRK: [`hkdf_expand`] for a caller that goes on to
+    /// MAC under the same key.
+    pub fn expand(&self, info: &[u8], len: usize) -> Vec<u8> {
+        assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
+        let mut out = Vec::with_capacity(len);
+        let mut t: Vec<u8> = Vec::new();
+        let mut counter = 1u8;
+        while out.len() < len {
+            let mut mac = self.begin();
+            mac.update(&t);
+            mac.update(info);
+            mac.update(&[counter]);
+            t = mac.finalize().to_vec();
+            let take = (len - out.len()).min(DIGEST_LEN);
+            out.extend_from_slice(&t[..take]);
+            counter = counter.checked_add(1).expect("HKDF counter overflow");
+        }
+        out
+    }
 }
 
 /// A streaming MAC started from a [`PrimedHmac`].
@@ -150,24 +171,9 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// HKDF-Expand (RFC 5869 §2.3) producing `len` bytes (≤ 255 * 32).
 pub fn hkdf_expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
     // Every block is keyed by the same PRK: prime the key schedule once
     // and clone it per block instead of re-deriving it.
-    let primed = PrimedHmac::new(prk);
-    let mut out = Vec::with_capacity(len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < len {
-        let mut mac = primed.begin();
-        mac.update(&t);
-        mac.update(info);
-        mac.update(&[counter]);
-        t = mac.finalize().to_vec();
-        let take = (len - out.len()).min(DIGEST_LEN);
-        out.extend_from_slice(&t[..take]);
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
-    }
-    out
+    PrimedHmac::new(prk).expand(info, len)
 }
 
 /// Convenience: extract-then-expand in one call.

@@ -28,11 +28,11 @@ use std::rc::Rc;
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_crypto::sha256::sha256;
 use gridsec_testbed::faults::CrashPlan;
 use gridsec_testbed::net::{Network, SimStream};
 use gridsec_testbed::os::{FileMode, SimOs, Uid};
 use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
+use gridsec_testbed::TestbedError;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::records::{Accepted, RecordSession, ServerAcceptor};
 use gridsec_tls::stream::write_frame;
@@ -311,6 +311,15 @@ impl ServerSession {
         self.os.file_len(&self.host, p).ok().flatten()
     }
 
+    /// Hex SHA-256 of `p` as the mapped user: the digest the OS keeps
+    /// beside the file, so each version of a file is hashed once however
+    /// often it is served.
+    fn digest(&self, p: &str) -> Result<String, TestbedError> {
+        self.os
+            .file_digest(&self.host, p, self.uid())
+            .map(|d| hex(&d))
+    }
+
     /// Dispatch one decrypted message according to the current phase.
     fn on_message(&mut self, msg: Vec<u8>) {
         match std::mem::replace(&mut self.phase, Phase::Command) {
@@ -418,7 +427,10 @@ impl ServerSession {
         if offset > data.len() {
             return self.say("ERR offset beyond end of file");
         }
-        let digest = hex(&sha256(&data));
+        let digest = match self.digest(&path) {
+            Ok(d) => d,
+            Err(e) => return self.say(&format!("ERR {e}")),
+        };
         self.say(&format!("DATA {} {offset} {digest}", data.len()));
         let mut pos = offset;
         while pos < data.len() {
@@ -493,38 +505,34 @@ impl ServerSession {
         }
     }
 
-    /// Promote the complete staging file (idempotent: a repeat PUTR of
-    /// a finished transfer skips straight here with no staging file
-    /// left), then reply with the stored digest.
+    /// Promote the complete staging file by renaming it over `path`
+    /// (idempotent: a repeat PUTR of a finished transfer skips straight
+    /// here with no staging file left), then reply with the stored
+    /// digest.
     fn putr_finish(&mut self, path: &str, part: &str, total: usize) {
         if self.stat(part) == Some(total) {
-            let data = match self.os.read_file(&self.host, part, self.uid()) {
-                Ok(d) => d,
-                Err(e) => return self.fail(FtpError::File(e.to_string())),
-            };
-            if let Err(e) =
-                self.os
-                    .write_file(&self.host, path, self.uid(), FileMode::private(), data)
-            {
-                return self.fail(FtpError::File(e.to_string()));
-            }
-            if let Err(e) = self.os.remove_file(&self.host, part, self.uid()) {
+            if let Err(e) = self.os.rename_file(&self.host, part, path, self.uid()) {
                 return self.fail(FtpError::File(e.to_string()));
             }
         }
-        let data = match self.os.read_file(&self.host, path, self.uid()) {
-            Ok(d) => d,
-            Err(e) => return self.fail(FtpError::File(e.to_string())),
-        };
-        self.say(&format!("STORED {}", hex(&sha256(&data))));
-        self.complete_one();
+        match self.digest(path) {
+            Ok(digest) => {
+                self.say(&format!("STORED {digest}"));
+                self.complete_one();
+            }
+            Err(e) => self.fail(FtpError::File(e.to_string())),
+        }
     }
 
     // ---- striped -------------------------------------------------
 
     fn size(&mut self, rest: &str) {
-        match self.os.read_file(&self.host, rest.trim(), self.uid()) {
-            Ok(d) => self.say(&format!("SIZE {} {}", d.len(), hex(&sha256(&d)))),
+        let path = rest.trim();
+        match self.digest(path) {
+            Ok(digest) => {
+                let len = self.stat(path).expect("a file just hashed exists");
+                self.say(&format!("SIZE {len} {digest}"));
+            }
             Err(e) => self.say(&format!("ERR {e}")),
         }
     }
@@ -547,7 +555,11 @@ impl ServerSession {
         if from > end || end > data.len() {
             return self.say("ERR bad stripe range");
         }
-        self.say(&format!("RANGE {} {}", data.len(), hex(&sha256(&data))));
+        let digest = match self.digest(&path) {
+            Ok(d) => d,
+            Err(e) => return self.say(&format!("ERR {e}")),
+        };
+        self.say(&format!("RANGE {} {digest}", data.len()));
         if from < end {
             self.phase = Phase::GetsServe {
                 data,
@@ -720,11 +732,11 @@ impl ServerSession {
         // Idempotent short-circuit: a merge that crashed after the
         // promote (or a lost STORED reply) retries into this arm.
         if self.stat(&path) == Some(total) {
-            let data = match self.os.read_file(&self.host, &path, self.uid()) {
+            let digest = match self.digest(&path) {
                 Ok(d) => d,
                 Err(e) => return self.fail(FtpError::File(e.to_string())),
             };
-            if hex(&sha256(&data)) == sha {
+            if digest == sha {
                 for (s, e) in &ranges {
                     let _ = self
                         .os
@@ -764,17 +776,29 @@ impl ServerSession {
             Ok(m) => m,
             Err(e) => return self.say(&format!("ERR {e}")),
         };
-        if hex(&sha256(&merged)) != sha {
-            return self.say("ERR assembled file does not match client digest");
+        // Assemble beside the target, check the client's digest there,
+        // and promote by rename: a file that does not match never
+        // replaces what `path` holds.
+        let staged = format!("{path}.merge");
+        if let Err(e) =
+            self.os
+                .write_file(&self.host, &staged, self.uid(), FileMode::private(), merged)
+        {
+            return self.fail(FtpError::File(e.to_string()));
+        }
+        match self.digest(&staged) {
+            Ok(digest) if digest == sha => {}
+            Ok(_) => {
+                let _ = self.os.remove_file(&self.host, &staged, self.uid());
+                return self.say("ERR assembled file does not match client digest");
+            }
+            Err(e) => return self.fail(FtpError::File(e.to_string())),
         }
         if self.plan.fires("xfer.stripe.merge") {
             // Parts are still durable; the retried FINS merges again.
             return self.kill("xfer.stripe.merge");
         }
-        if let Err(e) =
-            self.os
-                .write_file(&self.host, &path, self.uid(), FileMode::private(), merged)
-        {
+        if let Err(e) = self.os.rename_file(&self.host, &staged, &path, self.uid()) {
             return self.fail(FtpError::File(e.to_string()));
         }
         for (s, e) in &ranges {

@@ -9,6 +9,7 @@
 //! GT2 gatekeeper vs. GT3 GRAM architectures.
 
 use crate::TestbedError;
+use gridsec_util::sha256::{sha256, DIGEST_LEN};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -72,6 +73,21 @@ pub struct SimFile {
     pub mode: FileMode,
     /// Contents.
     pub data: Vec<u8>,
+    /// SHA-256 of `data`, once someone has asked for it
+    /// ([`SimOs::file_digest`]). Metadata like the owner: it lives and
+    /// dies with this version of the contents.
+    digest: Option<[u8; DIGEST_LEN]>,
+}
+
+impl SimFile {
+    fn new(owner: Uid, mode: FileMode, data: Vec<u8>) -> Self {
+        SimFile {
+            owner,
+            mode,
+            data,
+            digest: None,
+        }
+    }
 }
 
 /// A process table entry.
@@ -123,6 +139,8 @@ pub struct SimOs {
 struct SimOsState {
     hosts: HashMap<String, Host>,
     next_pid: Pid,
+    /// SHA-256 passes over file contents, across all hosts.
+    digests_computed: u64,
 }
 
 impl SimOs {
@@ -202,7 +220,7 @@ impl SimOs {
     ) -> Result<(), TestbedError> {
         self.with_host(host, |h| {
             h.files
-                .insert(path.to_string(), SimFile { owner, mode, data });
+                .insert(path.to_string(), SimFile::new(owner, mode, data));
             Ok(())
         })
     }
@@ -227,17 +245,12 @@ impl SimOs {
                     return Err(TestbedError::PermissionDenied("file not writable"));
                 }
                 f.data.extend_from_slice(data);
+                f.digest = None;
                 Ok(())
             }
             None => {
-                h.files.insert(
-                    path.to_string(),
-                    SimFile {
-                        owner: euid,
-                        mode,
-                        data: data.to_vec(),
-                    },
-                );
+                h.files
+                    .insert(path.to_string(), SimFile::new(euid, mode, data.to_vec()));
                 Ok(())
             }
         })
@@ -254,6 +267,35 @@ impl SimOs {
                 return Err(TestbedError::PermissionDenied("file not writable"));
             }
             h.files.remove(path);
+            Ok(())
+        })
+    }
+
+    /// Move a file from `from` to `to` as effective uid `euid`, replacing
+    /// whatever `to` held (write permission required on both). Owner,
+    /// mode, contents and any stored digest move with it, as a real
+    /// rename moves an inode with its extended attributes: this is how a
+    /// complete staging file is promoted without copying it.
+    pub fn rename_file(
+        &self,
+        host: &str,
+        from: &str,
+        to: &str,
+        euid: Uid,
+    ) -> Result<(), TestbedError> {
+        self.with_host(host, |h| {
+            let f = h
+                .files
+                .get(from)
+                .ok_or_else(|| TestbedError::NoSuchFile(from.to_string()))?;
+            let replaced = h.files.get(to);
+            if !f.mode.writable_by(euid, f.owner)
+                || replaced.is_some_and(|t| !t.mode.writable_by(euid, t.owner))
+            {
+                return Err(TestbedError::PermissionDenied("file not writable"));
+            }
+            let f = h.files.remove(from).expect("looked up above");
+            h.files.insert(to.to_string(), f);
             Ok(())
         })
     }
@@ -276,6 +318,45 @@ impl SimOs {
             }
             Ok(f.data.clone())
         })
+    }
+
+    /// SHA-256 of a file's contents, read as effective uid `euid` (read
+    /// permission required, as for [`read_file`](Self::read_file)). It is
+    /// computed on the first request and kept beside the data until the
+    /// contents change — the checksum-as-extended-attribute of a real
+    /// storage server — so a file that is served many times is hashed
+    /// once per version.
+    pub fn file_digest(
+        &self,
+        host: &str,
+        path: &str,
+        euid: Uid,
+    ) -> Result<[u8; DIGEST_LEN], TestbedError> {
+        let mut st = self.inner.borrow_mut();
+        let SimOsState {
+            hosts,
+            digests_computed,
+            ..
+        } = &mut *st;
+        let f = hosts
+            .get_mut(host)
+            .ok_or_else(|| TestbedError::NoSuchHost(host.to_string()))?
+            .files
+            .get_mut(path)
+            .ok_or_else(|| TestbedError::NoSuchFile(path.to_string()))?;
+        if !f.mode.readable_by(euid, f.owner) {
+            return Err(TestbedError::PermissionDenied("file not readable"));
+        }
+        Ok(*f.digest.get_or_insert_with(|| {
+            *digests_computed += 1;
+            sha256(&f.data)
+        }))
+    }
+
+    /// How many times [`file_digest`](Self::file_digest) has hashed file
+    /// contents, on every host: a work counter, not a clock.
+    pub fn digests_computed(&self) -> u64 {
+        self.inner.borrow().digests_computed
     }
 
     /// Spawn an ordinary process under `account`.
@@ -579,6 +660,76 @@ mod tests {
         assert!(os
             .read_file("compute1", "/etc/grid-security/grid-mapfile", bob)
             .is_ok());
+    }
+
+    #[test]
+    fn stored_digest_is_one_hash_per_version() {
+        let os = os_with_host();
+        let h = "compute1";
+        let alice = os.add_account(h, "alice").unwrap();
+        let bob = os.add_account(h, "bob").unwrap();
+        let digest = |path: &str| os.file_digest(h, path, alice);
+        os.write_file(h, "/f", alice, FileMode::private(), b"one".to_vec())
+            .unwrap();
+        assert_eq!(digest("/f").unwrap(), sha256(b"one"));
+        assert_eq!(digest("/f").unwrap(), sha256(b"one"));
+        assert_eq!(
+            os.digests_computed(),
+            1,
+            "the second read is the stored one"
+        );
+        // Read permission, as for read_file.
+        assert!(matches!(
+            os.file_digest(h, "/f", bob),
+            Err(TestbedError::PermissionDenied(_))
+        ));
+        assert_eq!(os.file_digest(h, "/f", ROOT_UID).unwrap(), sha256(b"one"));
+        assert!(matches!(digest("/none"), Err(TestbedError::NoSuchFile(_))));
+
+        // Every mutator drops it.
+        os.write_file(h, "/f", alice, FileMode::private(), b"two".to_vec())
+            .unwrap();
+        assert_eq!(digest("/f").unwrap(), sha256(b"two"));
+        os.append_file(h, "/f", alice, FileMode::private(), b"+")
+            .unwrap();
+        assert_eq!(digest("/f").unwrap(), sha256(b"two+"));
+        assert_eq!(os.digests_computed(), 3);
+        os.write_file(h, "/g", alice, FileMode::private(), b"gee".to_vec())
+            .unwrap();
+        assert_eq!(digest("/g").unwrap(), sha256(b"gee"));
+        // Renamed onto /g: /g is /f's file now, its stored digest with
+        // it; nothing is left at /f.
+        os.rename_file(h, "/f", "/g", alice).unwrap();
+        assert_eq!(digest("/g").unwrap(), sha256(b"two+"));
+        assert_eq!(os.digests_computed(), 4, "the digest moved with the file");
+        assert!(matches!(digest("/f"), Err(TestbedError::NoSuchFile(_))));
+        os.write_file(h, "/f", alice, FileMode::private(), b"three".to_vec())
+            .unwrap();
+        assert_eq!(digest("/f").unwrap(), sha256(b"three"));
+        os.remove_file(h, "/g", alice).unwrap();
+        assert!(matches!(digest("/g"), Err(TestbedError::NoSuchFile(_))));
+        os.write_file(h, "/g", alice, FileMode::private(), b"two+".to_vec())
+            .unwrap();
+        assert_eq!(digest("/g").unwrap(), sha256(b"two+"));
+        assert_eq!(os.digests_computed(), 6);
+
+        // A rename needs write permission on the file and on what it
+        // replaces; a refused one changes nothing.
+        os.write_file(h, "/b", bob, FileMode::private(), b"bob".to_vec())
+            .unwrap();
+        for (from, to, euid) in [("/f", "/x", bob), ("/f", "/b", alice)] {
+            assert!(matches!(
+                os.rename_file(h, from, to, euid),
+                Err(TestbedError::PermissionDenied(_))
+            ));
+        }
+        assert_eq!(os.read_file(h, "/b", bob).unwrap(), b"bob");
+        assert_eq!(digest("/f").unwrap(), sha256(b"three"));
+        assert!(matches!(
+            os.rename_file(h, "/none", "/x", alice),
+            Err(TestbedError::NoSuchFile(_))
+        ));
+        assert_eq!(os.digests_computed(), 6);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use gridsec_bignum::prime::EntropySource;
 use gridsec_bignum::BigUint;
 use gridsec_crypto::ct::ct_eq;
 use gridsec_crypto::dh::{DhGroup, DhKeyPair};
-use gridsec_crypto::hmac::{hkdf_expand, hkdf_extract, PrimedHmac};
+use gridsec_crypto::hmac::{hkdf_extract, PrimedHmac};
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::sha256::sha256;
 use gridsec_pki::cert::Certificate;
@@ -254,8 +254,8 @@ impl KeySchedule {
         let transcript = sha256(client_hello_bytes);
         let mut info = b"gsi tls key expansion".to_vec();
         info.extend_from_slice(&transcript);
-        let key_block = hkdf_expand(&master, &info, crate::channel::KEY_BLOCK_LEN);
         let primed = PrimedHmac::new(&master);
+        let key_block = primed.expand(&info, crate::channel::KEY_BLOCK_LEN);
         KeySchedule {
             master,
             key_block,

@@ -66,6 +66,12 @@ impl FrameBuf {
     /// length prefix (the same "frame too large" the blocking reader
     /// reports).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, TlsError> {
+        Ok(self.take_frame()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`next_frame`](FrameBuf::next_frame) without the copy: the frame
+    /// is consumed and lent out where it lies in the buffer.
+    fn take_frame(&mut self) -> Result<Option<&[u8]>, TlsError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
             return Ok(None);
@@ -77,9 +83,9 @@ impl FrameBuf {
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        let frame = avail[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(frame))
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     /// Number of buffered, not-yet-consumed bytes.
@@ -132,10 +138,11 @@ impl RecordSession {
     }
 
     /// Open the next complete inbound record, `Ok(None)` if more bytes
-    /// are needed.
+    /// are needed. The record is opened where it lies in the frame
+    /// buffer; it is consumed whether or not it opens.
     pub fn next_message(&mut self) -> Result<Option<Vec<u8>>, TlsError> {
-        match self.buf.next_frame()? {
-            Some(sealed) => Ok(Some(self.channel.open(&sealed)?)),
+        match self.buf.take_frame()? {
+            Some(sealed) => Ok(Some(self.channel.open(sealed)?)),
             None => Ok(None),
         }
     }
@@ -433,6 +440,37 @@ mod tests {
             _ => panic!("expected establishment"),
         };
         assert_eq!(ssess.next_message().unwrap().unwrap(), b"eager");
+    }
+
+    #[test]
+    fn a_record_that_fails_to_open_is_still_consumed() {
+        let (client_cfg, server_cfg) = configs();
+        let mut crng = ChaChaRng::from_seed_bytes(b"client rng");
+        let mut srng = ChaChaRng::from_seed_bytes(b"server rng");
+        let (mut client, hello) = ClientConnector::new(client_cfg, &mut crng);
+        let mut server = ServerAcceptor::new(server_cfg);
+        server.feed(&frame(&hello));
+        let Accepted::Respond(server_hello) = server.advance(&mut srng).unwrap() else {
+            panic!("expected server hello");
+        };
+        client.feed(&frame(&server_hello));
+        let (finished, mut csess) = client.advance().unwrap().expect("client established");
+        server.feed(&frame(&finished));
+        let Accepted::Established(ssess) = server.advance(&mut srng).unwrap() else {
+            panic!("expected establishment");
+        };
+        let mut ssess = *ssess;
+        let mut bad = csess.send(b"tampered");
+        bad[0] ^= 1;
+        let next = csess.send(b"next");
+        ssess.feed(&frame(&bad));
+        ssess.feed(&frame(&next));
+        assert!(matches!(
+            ssess.next_message(),
+            Err(TlsError::RecordIntegrity)
+        ));
+        // The bad frame is consumed: what is left is exactly the next one.
+        assert_eq!(ssess.buf.pending(), 4 + next.len());
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   failing-seed reporting, shrink-by-replay).
 //! * [`bench`] — a criterion-shaped micro-benchmark runner emitting
 //!   median/p95 JSON reports (`BENCH_*.json`).
+//! * [`sha256`] — SHA-256 (FIPS 180-4), shared by `gridsec-crypto`'s
+//!   hashing, HMAC and signatures and by the testbed's stored file digests.
 //! * [`pins`] — the golden tests' pinned digests, read from the one
 //!   checked-in `tests/golden.pins` that `scripts/repin.sh` rewrites.
 //! * [`retry`] — the shared exponential-backoff [`retry::RetryPolicy`]
@@ -30,5 +32,6 @@ pub mod check;
 pub mod pins;
 pub mod retry;
 pub mod rng;
+pub mod sha256;
 pub mod throttle;
 pub mod trace;

@@ -173,6 +173,13 @@ stage_grep_guard() {
         echo "FAIL: a stateless-message server verifies without its signer memo (above)" >&2
         exit 1
     fi
+    # A GridFTP server's digests are the ones its filesystem stores beside
+    # each file (DESIGN.md §10): every version of a file is hashed once,
+    # however often it is served or striped.
+    if grep -n 'sha256(' crates/gridftp/src/poll.rs; then
+        echo "FAIL: the GridFTP server hashes file contents itself (above); use SimOs::file_digest" >&2
+        exit 1
+    fi
 }
 
 stage_fmt() {
@@ -371,7 +378,9 @@ stage_deep_matrix() {
 # <=40 modexps (DESIGN.md §11.4); a 512-bit key is exactly 2.000 calls
 # of generate_prime, counted by stream replay (DESIGN.md §11.5); a 16-job
 # GRAM sign-on runs 1 full step-7 handshake, generates 1 delegation key and
-# walks its request chain once (claims 12-14, DESIGN.md §11.4). Every claim
+# walks its request chain once (claims 12-14, DESIGN.md §11.4); the ChaCha20
+# keystream and the SHA-256 schedule run wide (claims 15, 16, DESIGN.md §17);
+# a GridFTP server hashes each file version once (claim 17, DESIGN.md §10). Every claim
 # prints measured ratio, threshold and source BENCH json, pass or fail.
 stage_perf_guard() {
     cargo run -q --offline --release -p gridsec-bench --bin perf_guard
