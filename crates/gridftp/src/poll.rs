@@ -778,27 +778,42 @@ impl ServerSession {
         };
         // Assemble beside the target, check the client's digest there,
         // and promote by rename: a file that does not match never
-        // replaces what `path` holds.
+        // replaces what `path` holds. A staging file left by a killed
+        // merge is the user's to replace; anyone else's is refused.
         let staged = format!("{path}.merge");
+        match self.os.remove_file(&self.host, &staged, self.uid()) {
+            Ok(()) | Err(TestbedError::NoSuchFile(_)) => {}
+            Err(e) => return self.fail(FtpError::File(e.to_string())),
+        }
         if let Err(e) =
             self.os
                 .write_file(&self.host, &staged, self.uid(), FileMode::private(), merged)
         {
             return self.fail(FtpError::File(e.to_string()));
         }
+        // Every way out short of the rename takes the staging file with
+        // it, except the kill: a crash leaves it for the retry.
+        let unstage = |s: &Self| {
+            let _ = s.os.remove_file(&s.host, &staged, s.uid());
+        };
         match self.digest(&staged) {
             Ok(digest) if digest == sha => {}
             Ok(_) => {
-                let _ = self.os.remove_file(&self.host, &staged, self.uid());
+                unstage(self);
                 return self.say("ERR assembled file does not match client digest");
             }
-            Err(e) => return self.fail(FtpError::File(e.to_string())),
+            Err(e) => {
+                unstage(self);
+                return self.fail(FtpError::File(e.to_string()));
+            }
         }
         if self.plan.fires("xfer.stripe.merge") {
-            // Parts are still durable; the retried FINS merges again.
+            // Parts and the staged file are still durable; the retried
+            // FINS merges again.
             return self.kill("xfer.stripe.merge");
         }
         if let Err(e) = self.os.rename_file(&self.host, &staged, &path, self.uid()) {
+            unstage(self);
             return self.fail(FtpError::File(e.to_string()));
         }
         for (s, e) in &ranges {

@@ -204,6 +204,70 @@ fn getr_reports_the_digest_of_what_the_path_holds_now() {
     );
 }
 
+/// A striped upload of `data` to `path` that gives up after a few torn
+/// `FINS` sessions.
+fn striped_put_once(w: &mut World, path: &str, data: &[u8]) -> bool {
+    let opts = StripeOpts {
+        aimd: AimdConfig::pinned_stripes(2),
+        max_sessions: 3,
+        ..StripeOpts::default()
+    };
+    let config = w.config();
+    let mut rng = ChaChaRng::from_seed_bytes(b"refused striped client");
+    let plan = CrashPlan::disabled();
+    let dial = |_, _| Ok(w.dial(Dialect::Striped, &plan));
+    striped_put(
+        &config,
+        &mut rng,
+        RetryPolicy::default(),
+        dial,
+        path,
+        data,
+        opts,
+    )
+    .is_ok()
+}
+
+#[test]
+fn refused_fins_leaves_no_staging_file_and_spares_anyone_elses() {
+    let mut w = World::new();
+    let other = w.os.add_account(HOST, "other").unwrap();
+    let data = payload(6 * CHUNK + 5, 6);
+    let theirs = payload(100, 7);
+
+    // The target belongs to someone else: the assembled file is staged,
+    // checked, refused at the rename, and taken away again.
+    let path = "/home/jdoe/theirs.dat";
+    w.os.write_file(HOST, path, other, FileMode::private(), theirs.clone())
+        .unwrap();
+    assert!(!striped_put_once(&mut w, path, &data));
+    assert_eq!(w.os.read_file(HOST, path, other).unwrap(), theirs);
+    assert_eq!(
+        w.os.file_len(HOST, &format!("{path}.merge")).unwrap(),
+        None,
+        "a refused promote leaves no staging file"
+    );
+
+    // Someone else's file sits where the staging file would go: FINS
+    // refuses to replace it and writes no target.
+    let path = "/home/jdoe/mine.dat";
+    let staged = format!("{path}.merge");
+    w.os.write_file(HOST, &staged, other, FileMode::private(), theirs.clone())
+        .unwrap();
+    assert!(!striped_put_once(&mut w, path, &data));
+    assert_eq!(w.os.read_file(HOST, &staged, other).unwrap(), theirs);
+    assert_eq!(w.os.file_len(HOST, path).unwrap(), None);
+
+    // A staging file of the user's own, as a killed merge leaves it, is
+    // replaced and promoted.
+    w.os.remove_file(HOST, &staged, other).unwrap();
+    w.os.write_file(HOST, &staged, w.uid, FileMode::private(), theirs)
+        .unwrap();
+    assert!(striped_put_once(&mut w, path, &data));
+    assert_eq!(w.os.read_file(HOST, path, w.uid).unwrap(), data);
+    assert_eq!(w.os.file_len(HOST, &staged).unwrap(), None);
+}
+
 #[test]
 fn putr_killed_at_every_chunk_resumes_to_the_stored_digest() {
     const CHUNKS: u64 = 16;
