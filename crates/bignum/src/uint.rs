@@ -250,16 +250,6 @@ impl BigUint {
         }
     }
 
-    /// Lossy conversion to `u128`.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some(self.limbs[0] as u128 | (self.limbs[1] as u128) << 64),
-            _ => None,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Core arithmetic
     // ------------------------------------------------------------------

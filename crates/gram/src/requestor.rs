@@ -13,16 +13,15 @@
 //! ([`GramResource::mjs_accept_delegation`]).
 
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::{EstablishedContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{resume_or_establish, EstablishedContext, LoopError, StepResult};
 use gridsec_gssapi::delegation;
+use gridsec_gssapi::GssError;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
 use gridsec_pki::store::TrustStore;
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::session::{
-    resume_client, ClientSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
-};
+use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::xmlsig;
 
@@ -115,12 +114,14 @@ impl Requestor {
         })
     }
 
-    /// Step 7's mutual authentication with the MJS behind `link`. When a
-    /// live session for (`host`, `account`) is cached, the abbreviated
-    /// handshake resumes it; otherwise — or when the MJS refuses the
-    /// ticket (unknown, expired, its LMJFS's cache emptied) — the full
-    /// token loop runs. A ticket is taken out of the cache when offered,
-    /// so one that fails is never offered again.
+    /// Step 7's mutual authentication with the MJS behind `link`, by
+    /// [`resume_or_establish`]: when a live session for (`host`,
+    /// `account`) is cached, the abbreviated handshake resumes it;
+    /// otherwise — or when the MJS refuses the ticket (unknown, expired,
+    /// its LMJFS's cache emptied) — the full token loop runs. The ticket
+    /// is taken out of the cache when offered, so one that fails is never
+    /// offered again; the session is stored back only by
+    /// [`Requestor::authorize_mjs`].
     pub(crate) fn authenticate_mjs(
         &mut self,
         link: &mut impl MjsLink,
@@ -128,40 +129,28 @@ impl Requestor {
         account: Option<&str>,
         now: u64,
     ) -> Result<Box<EstablishedContext>, GramError> {
-        let cached = account.and_then(|a| {
-            let key = session_key(host, a);
-            let session = self.sessions.lookup(&key, now);
-            self.sessions.invalidate(&key);
-            session
-        });
-        if let Some(session) = cached {
-            let (resume, token1) =
-                resume_client(session, now, DEFAULT_SESSION_LIFETIME, &mut self.rng);
-            match link.hello(&mut self.rng, &token1) {
-                Ok(token2) => {
-                    let (token3, channel) = resume.step(&token2).map_err(GramError::context)?;
-                    link.finished(&mut self.rng, &token3)?;
-                    return Ok(Box::new(EstablishedContext::from_channel(channel)));
-                }
-                Err(e @ GramError::Transport(_)) => return Err(e),
-                // The ticket was refused: fall through to the full loop.
-                Err(_) => {}
-            }
-        }
-        let config = TlsConfig::new(self.credential.clone(), self.trust.clone(), now);
-        let (mut initiator, token1) = InitiatorContext::new(config, &mut self.rng);
-        let token2 = link.hello(&mut self.rng, &token1)?;
-        let (token3, context) = match initiator.step(&token2).map_err(GramError::context)? {
-            StepResult::Established { token, context } => (
-                token.ok_or_else(|| GramError::context("missing finished token"))?,
-                context,
-            ),
-            StepResult::ContinueWith(_) => {
-                return Err(GramError::context("initiator should finish"))
-            }
-        };
-        link.finished(&mut self.rng, &token3)?;
-        Ok(context)
+        let key = account.map(|a| session_key(host, a));
+        let (credential, trust) = (&self.credential, &self.trust);
+        resume_or_establish(
+            &mut self.sessions,
+            key.as_deref(),
+            now,
+            &mut self.rng,
+            || Ok(TlsConfig::new(credential.clone(), trust.clone(), now)),
+            |rng, mut initiator, token1| {
+                let token2 = link.hello(rng, &token1).map_err(refusal)?;
+                let failed = |e| LoopError::Failed(GramError::context(e));
+                let StepResult::Established {
+                    token: Some(token3),
+                    context,
+                } = initiator.step(&token2).map_err(failed)?
+                else {
+                    return Err(failed(GssError::BadState("initiator should finish")));
+                };
+                link.finished(rng, &token3).map_err(refusal)?;
+                Ok(context)
+            },
+        )
     }
 
     /// Step 7's client-side authorization of the MJS
@@ -249,6 +238,15 @@ impl Requestor {
     pub fn cancel(&mut self, resource: &mut GramResource, handle: &str) -> Result<(), GramError> {
         let me = self.identity().clone();
         resource.cancel(handle, &me)
+    }
+}
+
+/// A step-7 leg's failure: the MJS refused the token, unless the
+/// transport failed.
+fn refusal(e: GramError) -> LoopError<GramError> {
+    match e {
+        GramError::Transport(_) => LoopError::Failed(e),
+        refused => LoopError::Refused(refused),
     }
 }
 

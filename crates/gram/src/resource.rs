@@ -19,8 +19,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::os::{FileMode, Pid, SimOs, ROOT_UID};
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{
-    is_resume_hello, ServerResumeAwait, ServerSessionCache, DEFAULT_SESSION_CAPACITY,
-    DEFAULT_SESSION_LIFETIME,
+    ServerSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
 };
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::xmlsig::{self, SIGNER_MEMO_CAPACITY};
@@ -105,12 +104,7 @@ fn lmjfs_sessions() -> ServerSessionCache {
 /// cache the established session goes to.
 pub struct MjsAcceptor {
     account: String,
-    acceptance: Acceptance,
-}
-
-enum Acceptance {
-    Full(AcceptorContext),
-    Resumed(Box<ServerResumeAwait>),
+    acceptor: AcceptorContext,
 }
 
 struct MjsInstance {
@@ -506,40 +500,17 @@ impl GramResource {
             .get(handle)
             .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))?;
         let account = mjs.account.clone();
-        if is_resume_hello(token) {
-            let lmjfs = self
-                .lmjfs
-                .get_mut(&account)
-                .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
-            let (token2, await_finished) = lmjfs
-                .sessions
-                .accept(token, now, rng)
+        let lmjfs = self
+            .lmjfs
+            .get_mut(&account)
+            .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
+        let (trust, crls) = (&self.trust, &self.crls);
+        let config =
+            || TlsConfig::new(mjs.credential.clone(), trust.clone(), now).with_crls(crls.clone());
+        let (acceptor, token2) =
+            AcceptorContext::accept(token, &mut lmjfs.sessions, now, config, rng)
                 .map_err(GramError::context)?;
-            let acceptance = Acceptance::Resumed(Box::new(await_finished));
-            return Ok((
-                token2,
-                MjsAcceptor {
-                    account,
-                    acceptance,
-                },
-            ));
-        }
-        let config = TlsConfig::new(mjs.credential.clone(), self.trust.clone(), now)
-            .with_crls(self.crls.clone());
-        let mut acceptor = AcceptorContext::new(config);
-        match acceptor.step(rng, token).map_err(GramError::context)? {
-            StepResult::ContinueWith(token2) => {
-                let acceptance = Acceptance::Full(acceptor);
-                Ok((
-                    token2,
-                    MjsAcceptor {
-                        account,
-                        acceptance,
-                    },
-                ))
-            }
-            StepResult::Established { .. } => Err(GramError::context("unexpected acceptor state")),
-        }
+        Ok((token2, MjsAcceptor { account, acceptor }))
     }
 
     /// Step 7 server side, token 3: the MJS's half of the context is
@@ -552,29 +523,25 @@ impl GramResource {
         rng: &mut E,
         token: &[u8],
     ) -> Result<Box<EstablishedContext>, GramError> {
-        let account = acceptor.account;
+        let MjsAcceptor {
+            account,
+            mut acceptor,
+        } = acceptor;
         let lmjfs = self
             .lmjfs
             .get_mut(&account)
             .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
-        let context = match acceptor.acceptance {
-            Acceptance::Full(mut acceptor) => {
-                match acceptor.step(rng, token).map_err(GramError::context)? {
-                    StepResult::Established { context, .. } => {
-                        self.stats.full_handshakes += 1;
-                        context
-                    }
-                    StepResult::ContinueWith(_) => {
-                        return Err(GramError::context("acceptor should finish"))
-                    }
-                }
-            }
-            Acceptance::Resumed(await_finished) => {
-                let channel = await_finished.step(token).map_err(GramError::context)?;
-                self.stats.resumed_handshakes += 1;
-                Box::new(EstablishedContext::from_channel(channel))
-            }
+        let resumed = acceptor.resuming();
+        let StepResult::Established { context, .. } =
+            acceptor.step(rng, token).map_err(GramError::context)?
+        else {
+            return Err(GramError::context("acceptor should finish"));
         };
+        if resumed {
+            self.stats.resumed_handshakes += 1;
+        } else {
+            self.stats.full_handshakes += 1;
+        }
         lmjfs.sessions.store(context.channel());
         Ok(context)
     }

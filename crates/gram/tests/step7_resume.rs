@@ -260,7 +260,7 @@ fn resume_hello_for_one_users_lmjfs_is_refused_by_anothers() {
         .unwrap();
     assert_eq!(
         err,
-        GramError::Context("protocol error: unknown session ticket".into())
+        GramError::Context("context error: protocol error: unknown session ticket".into())
     );
     let mut service = RemoteGram::new(shared.clone(), b"mjs rng");
     assert!(refused(
@@ -381,7 +381,7 @@ fn step7_stops_resuming_at_the_earlier_not_after(proxy_lifetime: u64, grim_lifet
         .unwrap();
     assert_eq!(
         err,
-        GramError::Context("protocol error: expired session ticket".into())
+        GramError::Context("context error: protocol error: expired session ticket".into())
     );
     assert_eq!(
         (

@@ -17,19 +17,22 @@
 //! `op ‖ token` where `op` is `"gss-tok1"`/`"gss-tok3"` for the full
 //! handshake or `"gss-res1"`/`"gss-res3"` for the abbreviated
 //! resumption handshake ([`gridsec_tls::session`]); replies are
-//! `status ‖ body` with status `"ok"` or `"err"`. An `err` reply to a
-//! resume op is how the acceptor signals "no resumable session" — the
-//! initiator falls back to the full token loop.
+//! `status ‖ body` with status `"ok"` or `"err"`. An `err` reply is the
+//! acceptor's refusal; to a ResumeHello it means "no resumable session",
+//! and the initiator falls back to the full token loop
+//! ([`crate::context::resume_or_establish`]).
 
-use crate::context::{AcceptorContext, EstablishedContext, InitiatorContext, StepResult};
+use crate::context::{
+    resume_or_establish, AcceptorContext, EstablishedContext, InitiatorContext, LoopError,
+    StepResult,
+};
 use crate::GssError;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_testbed::rpc::RpcClient;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{
-    resume_client, ClientSession, ClientSessionCache, ServerResumeAwait, ServerSessionCache,
-    DEFAULT_SESSION_CAPACITY,
+    ClientSessionCache, ServerSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
 };
 use gridsec_util::trace;
 use std::collections::HashMap;
@@ -73,22 +76,83 @@ fn reply_err(msg: &str) -> Vec<u8> {
     e.finish()
 }
 
-fn parse_reply(bytes: &[u8]) -> Result<Vec<u8>, GssError> {
-    let mut d = Decoder::new(bytes);
-    let status = d
-        .get_str()
-        .map_err(|_| GssError::Transport("malformed gss reply".into()))?;
-    let body = d
-        .get_bytes()
-        .map_err(|_| GssError::Transport("malformed gss reply".into()))?;
+/// One token exchange: an `err` reply is the acceptor's refusal, an
+/// unreachable acceptor or a malformed reply a failure.
+fn call(rpc: &mut RpcClient, op: &str, token: &[u8]) -> Result<Vec<u8>, LoopError<GssError>> {
+    let raw = rpc
+        .call(&request(op, token))
+        .map_err(|e| LoopError::Failed(e.into()))?;
+    let mut d = Decoder::new(&raw);
+    let malformed = || LoopError::Failed(GssError::Transport("malformed gss reply".into()));
+    let status = d.get_str().map_err(|_| malformed())?;
+    let body = d.get_bytes().map_err(|_| malformed())?;
     if status == "ok" {
         Ok(body)
     } else {
-        Err(GssError::Transport(format!(
+        Err(LoopError::Refused(GssError::Transport(format!(
             "acceptor refused: {}",
             String::from_utf8_lossy(&body)
-        )))
+        ))))
     }
+}
+
+/// A full and a resumed token loop's span, op tags, events (token 1
+/// sent, token 2 received, token 3 sent, done) and counter.
+const FULL: [&str; 8] = [
+    "gss.establish",
+    OP_TOKEN1,
+    OP_TOKEN3,
+    "gss.token1.send",
+    "gss.token2.recv",
+    "gss.token3.send",
+    "gss.established",
+    "gss.contexts_established",
+];
+const RESUMED: [&str; 8] = [
+    "gss.resume",
+    OP_RESUME1,
+    OP_RESUME3,
+    "gss.resume1.send",
+    "gss.resume2.recv",
+    "gss.resume3.send",
+    "gss.resumed",
+    "gss.contexts_resumed",
+];
+
+/// The token loop over `rpc`, full or resumed: two RPC round trips.
+fn token_loop(
+    rpc: &mut RpcClient,
+    mut init: InitiatorContext,
+    token1: Vec<u8>,
+) -> Result<EstablishedContext, LoopError<GssError>> {
+    let [span, op1, op3, send1, recv2, send3, done, counter] =
+        if init.resuming() { RESUMED } else { FULL };
+    let mut sp = trace::span_with(span, &format!("server={}", rpc.server()));
+    let result = (|| {
+        trace::event(send1, &format!("len={}", token1.len()));
+        let token2 = call(rpc, op1, &token1)?;
+        trace::event(recv2, &format!("len={}", token2.len()));
+        let (token3, context) = match init.step(&token2).map_err(LoopError::Failed)? {
+            StepResult::Established {
+                token: Some(token),
+                context,
+            } => (token, context),
+            _ => {
+                return Err(LoopError::Failed(GssError::BadState(
+                    "initiator should finish on token 2",
+                )))
+            }
+        };
+        trace::event(send3, &format!("len={}", token3.len()));
+        call(rpc, op3, &token3)?;
+        trace::event(done, &format!("peer={}", rpc.server()));
+        trace::add(counter, 1);
+        Ok(*context)
+    })();
+    if let Err(LoopError::Refused(e) | LoopError::Failed(e)) = &result {
+        sp.fail(&e.to_string());
+    }
+    result
 }
 
 /// Establish a GSS context as the initiator, exchanging tokens through
@@ -99,72 +163,18 @@ pub fn establish_initiator<E: EntropySource>(
     config: TlsConfig,
     rng: &mut E,
 ) -> Result<EstablishedContext, GssError> {
-    let mut sp = trace::span_with("gss.establish", &format!("server={}", rpc.server()));
-    let result = (|| {
-        let (mut init, token1) = InitiatorContext::new(config, rng);
-        trace::event("gss.token1.send", &format!("len={}", token1.len()));
-        let token2 = parse_reply(&rpc.call(&request(OP_TOKEN1, &token1))?)?;
-        trace::event("gss.token2.recv", &format!("len={}", token2.len()));
-        let (token3, context) = match init.step(&token2)? {
-            StepResult::Established { token, context } => (
-                token.ok_or(GssError::BadState("missing finished token"))?,
-                context,
-            ),
-            StepResult::ContinueWith(_) => {
-                return Err(GssError::BadState("initiator should finish on token 2"))
-            }
-        };
-        trace::event("gss.token3.send", &format!("len={}", token3.len()));
-        parse_reply(&rpc.call(&request(OP_TOKEN3, &token3))?)?;
-        trace::event("gss.established", &format!("peer={}", rpc.server()));
-        trace::add("gss.contexts_established", 1);
-        Ok(*context)
-    })();
-    if let Err(e) = &result {
-        sp.fail(&e.to_string());
-    }
-    result
-}
-
-/// Establish a GSS context by resuming a cached session: two RPC
-/// round trips carrying only symmetric-crypto tokens — no certificate
-/// validation, RSA, or Diffie–Hellman on either side.
-///
-/// Fails with [`GssError::Transport`] when the acceptor no longer
-/// knows the ticket (cache eviction, expiry, or a crash-reborn
-/// acceptor); the caller falls back to the full handshake.
-pub fn establish_initiator_resumed<E: EntropySource>(
-    rpc: &mut RpcClient,
-    session: ClientSession,
-    now: u64,
-    lifetime: u64,
-    rng: &mut E,
-) -> Result<EstablishedContext, GssError> {
-    let mut sp = trace::span_with("gss.resume", &format!("server={}", rpc.server()));
-    let result: Result<EstablishedContext, GssError> = (|| {
-        let (resume, token1) = resume_client(session, now, lifetime, rng);
-        trace::event("gss.resume1.send", &format!("len={}", token1.len()));
-        let token2 = parse_reply(&rpc.call(&request(OP_RESUME1, &token1))?)?;
-        trace::event("gss.resume2.recv", &format!("len={}", token2.len()));
-        let (token3, channel) = resume.step(&token2)?;
-        trace::event("gss.resume3.send", &format!("len={}", token3.len()));
-        parse_reply(&rpc.call(&request(OP_RESUME3, &token3))?)?;
-        trace::event("gss.resumed", &format!("peer={}", rpc.server()));
-        trace::add("gss.contexts_resumed", 1);
-        Ok(EstablishedContext::from_channel(channel))
-    })();
-    if let Err(e) = &result {
-        sp.fail(&e.to_string());
-    }
-    result
+    let (init, token1) = InitiatorContext::new(config, rng);
+    token_loop(rpc, init, token1).map_err(LoopError::into_inner)
 }
 
 /// Establish a GSS context through a client-side session cache:
-/// resume when a live session for this server exists, fall back to
-/// [`establish_initiator_resilient`] when it does not or when the
-/// acceptor refuses the ticket. Either way the resulting session is
-/// (re)stored, so the *next* establishment to this server is the
-/// cheap one.
+/// [`resume_or_establish`] over `rpc`, re-run like
+/// [`establish_initiator_resilient`] while a transport failure leaves
+/// attempts. A resumption the acceptor refuses falls back to the full
+/// handshake in the same attempt; the ticket is gone from `cache` once
+/// offered, so a retry runs the full handshake. The resulting session is
+/// (re)stored, so the *next* establishment to this server is the cheap
+/// one.
 pub fn establish_initiator_cached<E: EntropySource>(
     rpc: &mut RpcClient,
     config: TlsConfig,
@@ -173,21 +183,16 @@ pub fn establish_initiator_cached<E: EntropySource>(
     max_attempts: u64,
 ) -> Result<EstablishedContext, GssError> {
     let server = rpc.server().to_string();
-    if let Some(session) = cache.lookup(&server, config.now) {
-        match establish_initiator_resumed(rpc, session, config.now, config.session_lifetime, rng) {
-            Ok(ctx) => {
-                cache.store(&server, ctx.channel());
-                return Ok(ctx);
-            }
-            Err(GssError::Transport(cause)) => {
-                trace::event("gss.resume.fallback", &format!("cause={cause}"));
-                trace::add("gss.resume_fallbacks", 1);
-                cache.invalidate(&server);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let ctx = establish_initiator_resilient(rpc, config, rng, max_attempts)?;
+    let ctx = reestablishing(max_attempts, || {
+        resume_or_establish(
+            cache,
+            Some(&server),
+            config.now,
+            rng,
+            || Ok(config.clone()),
+            |_, init, token1| token_loop(rpc, init, token1),
+        )
+    })?;
     cache.store(&server, ctx.channel());
     Ok(ctx)
 }
@@ -205,16 +210,26 @@ pub fn establish_initiator_resilient<E: EntropySource>(
     rng: &mut E,
     max_attempts: u64,
 ) -> Result<EstablishedContext, GssError> {
-    let mut attempt = 0u64;
+    reestablishing(max_attempts, || {
+        establish_initiator(rpc, config.clone(), rng)
+    })
+}
+
+/// Run `attempt` until it succeeds, fails other than by a
+/// [`GssError::Transport`], or `max_attempts` are spent.
+fn reestablishing<T>(
+    max_attempts: u64,
+    mut attempt: impl FnMut() -> Result<T, GssError>,
+) -> Result<T, GssError> {
+    let mut attempts = 0u64;
     loop {
-        attempt += 1;
-        match establish_initiator(rpc, config.clone(), rng) {
-            Ok(ctx) => return Ok(ctx),
-            Err(GssError::Transport(cause)) if attempt < max_attempts => {
+        attempts += 1;
+        match attempt() {
+            Err(GssError::Transport(cause)) if attempts < max_attempts => {
                 trace::event("gss.reestablish", &format!("cause={cause}"));
                 trace::add("gss.reestablishes", 1);
             }
-            Err(e) => return Err(e),
+            done => return done,
         }
     }
 }
@@ -222,14 +237,13 @@ pub fn establish_initiator_resilient<E: EntropySource>(
 /// The acceptor side as a pollable service: plug
 /// [`AcceptorService::handle`] into a
 /// [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an `RpcServer`.
-/// One in-progress handshake is tracked per calling endpoint name;
-/// a fresh token 1 from the same caller abandons the old attempt
-/// (the client gave up and started over).
+/// One in-progress handshake, full or resumed, is tracked per calling
+/// endpoint name; a fresh first token from the same caller abandons the
+/// old attempt (the client gave up and started over).
 pub struct AcceptorService<E: EntropySource> {
     config: TlsConfig,
     rng: E,
     pending: HashMap<String, AcceptorContext>,
-    pending_resume: HashMap<String, ServerResumeAwait>,
     sessions: ServerSessionCache,
     established: HashMap<String, EstablishedContext>,
 }
@@ -238,13 +252,11 @@ impl<E: EntropySource> AcceptorService<E> {
     /// Service accepting contexts under `config`, drawing handshake
     /// entropy from `rng`.
     pub fn new(config: TlsConfig, rng: E) -> Self {
-        let sessions = ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, config.session_lifetime);
         AcceptorService {
             config,
             rng,
             pending: HashMap::new(),
-            pending_resume: HashMap::new(),
-            sessions,
+            sessions: ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME),
             established: HashMap::new(),
         }
     }
@@ -266,51 +278,38 @@ impl<E: EntropySource> AcceptorService<E> {
         };
         trace::event("gss.accept.op", &format!("op={op} from={from}"));
         match op.as_str() {
-            OP_TOKEN1 => {
-                let mut acceptor = AcceptorContext::new(self.config.clone());
-                match acceptor.step(&mut self.rng, &token) {
-                    Ok(StepResult::ContinueWith(token2)) => {
+            OP_TOKEN1 | OP_RESUME1 => {
+                let config = &self.config;
+                match AcceptorContext::accept(
+                    &token,
+                    &mut self.sessions,
+                    config.now,
+                    || config.clone(),
+                    &mut self.rng,
+                ) {
+                    Ok((acceptor, token2)) => {
                         self.pending.insert(from.to_string(), acceptor);
                         reply_ok(&token2)
                     }
-                    Ok(StepResult::Established { .. }) => reply_err("acceptor finished too early"),
                     Err(e) => reply_err(&e.to_string()),
                 }
             }
-            OP_TOKEN3 => {
+            OP_TOKEN3 | OP_RESUME3 => {
                 let Some(mut acceptor) = self.pending.remove(from) else {
                     return reply_err("no handshake in progress");
                 };
+                let resumed = acceptor.resuming();
                 match acceptor.step(&mut self.rng, &token) {
                     Ok(StepResult::Established { context, .. }) => {
+                        // A resumed context rotates: it mints a fresh ticket.
                         self.sessions.store(context.channel());
+                        if resumed {
+                            trace::add("gss.accept.resumed", 1);
+                        }
                         self.established.insert(from.to_string(), *context);
                         reply_ok(b"")
                     }
                     Ok(StepResult::ContinueWith(_)) => reply_err("acceptor did not finish"),
-                    Err(e) => reply_err(&e.to_string()),
-                }
-            }
-            OP_RESUME1 => match self.sessions.accept(&token, self.config.now, &mut self.rng) {
-                Ok((token2, await_finished)) => {
-                    self.pending_resume.insert(from.to_string(), await_finished);
-                    reply_ok(&token2)
-                }
-                Err(e) => reply_err(&e.to_string()),
-            },
-            OP_RESUME3 => {
-                let Some(await_finished) = self.pending_resume.remove(from) else {
-                    return reply_err("no resumption in progress");
-                };
-                match await_finished.step(&token) {
-                    Ok(channel) => {
-                        // Rotate: the resumed context mints a fresh ticket.
-                        self.sessions.store(&channel);
-                        trace::add("gss.accept.resumed", 1);
-                        self.established
-                            .insert(from.to_string(), EstablishedContext::from_channel(channel));
-                        reply_ok(b"")
-                    }
                     Err(e) => reply_err(&e.to_string()),
                 }
             }
@@ -684,7 +683,7 @@ mod tests {
             request(OP_TOKEN3, b"x"),
         ] {
             let reply = svc.handle("mallory", &payload);
-            assert!(parse_reply(&reply).is_err());
+            assert!(Decoder::new(&reply).get_str().unwrap() == "err");
         }
     }
 }

@@ -20,16 +20,15 @@
 //! [`OgsaClient::create_service`] — security is infrastructure.
 
 use gridsec_crypto::rng::ChaChaRng;
+use gridsec_gssapi::context::{resume_or_establish, LoopError};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_testbed::clock::SimClock;
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::session::{
-    ClientSession, ClientSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
-};
+use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
 use gridsec_wsse::policy::{self, PolicyAlternative, Protection, SecurityPolicy};
 use gridsec_wsse::soap::Envelope;
-use gridsec_wsse::wssc::{WsscInitiator, WsscResumeInitiator, WsscSession};
+use gridsec_wsse::wssc::{WsscInitiator, WsscSession};
 use gridsec_wsse::xmlsig;
 use gridsec_xml::Element;
 
@@ -113,9 +112,15 @@ impl<T: Transport> OgsaClient<T> {
         self.sources.push(source);
     }
 
-    /// Install revocation state for verifying server replies.
+    /// Install revocation state for verifying the server: its signed
+    /// replies and every new handshake's chain. The live conversation and
+    /// every cached ticket are dropped, because a resumed context skips
+    /// chain validation: nothing authenticated under the old revocation
+    /// state continues or resumes.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
+        self.session = None;
+        self.session_cache = ClientSessionCache::new(DEFAULT_SESSION_CAPACITY);
     }
 
     // ------------------------------------------------------------------
@@ -181,16 +186,6 @@ impl<T: Transport> OgsaClient<T> {
         Ok(alt)
     }
 
-    fn credential_for(&mut self, alt: &PolicyAlternative) -> Result<Credential, OgsaError> {
-        let now = self.clock.now();
-        for source in &mut self.sources {
-            if alt.token_types.iter().any(|t| t == source.token_type()) {
-                return source.obtain(now);
-            }
-        }
-        Err(OgsaError::NoUsableCredential)
-    }
-
     // ------------------------------------------------------------------
     // Figure 3 steps 3-4: secured exchange
     // ------------------------------------------------------------------
@@ -213,69 +208,46 @@ impl<T: Transport> OgsaClient<T> {
             .unwrap_or_else(|| "service".to_string())
     }
 
-    /// Try the abbreviated resumption exchange from a cached session.
-    /// Any failure (unknown/expired ticket, restarted service) just
-    /// reports `false`; the caller falls back to the full handshake.
-    fn try_resume(&mut self, cached: ClientSession) -> Result<bool, OgsaError> {
-        let (initiator, rst1) = WsscResumeInitiator::begin(
-            cached,
-            self.clock.now(),
-            DEFAULT_SESSION_LIFETIME,
-            &mut self.rng,
-        );
-        let rstr1 = Envelope::parse(&self.transport.call(rst1.to_xml())?)?;
-        if parse_fault(&rstr1).is_some() {
-            // Service refused the ticket (e.g. it restarted and lost its
-            // cache). Not an error — fall back to the full exchange.
-            return Ok(false);
-        }
-        let (rst2, session) = match initiator.finish(&rstr1) {
-            Ok(pair) => pair,
-            Err(_) => return Ok(false),
-        };
-        let ack = Envelope::parse(&self.transport.call(rst2.to_xml())?)?;
-        if parse_fault(&ack).is_some() {
-            return Ok(false);
-        }
-        // Each resumption rotates the ticket; bank the fresh one.
-        self.session_cache
-            .store(&self.cache_key(), session.channel());
-        self.session = Some(session);
-        self.contexts_resumed += 1;
-        Ok(true)
-    }
-
+    /// Open a WS-SecureConversation context if none is live, by
+    /// [`resume_or_establish`]: a cached ticket is offered first, and a
+    /// fault in answer to it runs the full exchange once.
     fn ensure_session(&mut self, alt: &PolicyAlternative) -> Result<(), OgsaError> {
         if self.session.is_some() {
             return Ok(());
         }
-        if let Some(cached) = self
-            .session_cache
-            .lookup(&self.cache_key(), self.clock.now())
-        {
-            if self.try_resume(cached)? {
-                return Ok(());
-            }
-            // The ticket was refused; drop it so we do not retry it.
-            self.session_cache.invalidate(&self.cache_key());
-        }
-        let credential = self.credential_for(alt)?;
-        let config = TlsConfig::new(credential, self.trust.clone(), self.clock.now())
-            .with_crls(self.crls.clone());
-        let (initiator, rst1) = WsscInitiator::begin(config, &mut self.rng);
-        let rstr1 = Envelope::parse(&self.transport.call(rst1.to_xml())?)?;
-        if let Some((code, msg)) = parse_fault(&rstr1) {
-            return Err(OgsaError::Application(format!("{code}: {msg}")));
-        }
-        let (rst2, session) = initiator.finish(&rstr1)?;
-        let ack = Envelope::parse(&self.transport.call(rst2.to_xml())?)?;
-        if let Some((code, msg)) = parse_fault(&ack) {
-            return Err(OgsaError::Application(format!("{code}: {msg}")));
-        }
-        self.session_cache
-            .store(&self.cache_key(), session.channel());
+        let key = self.cache_key();
+        let now = self.clock.now();
+        let (session, resumed) =
+            resume_or_establish(
+                &mut self.session_cache,
+                Some(&key),
+                now,
+                &mut self.rng,
+                || {
+                    let credential = credential_for(&mut self.sources, alt, now)?;
+                    Ok(TlsConfig::new(credential, self.trust.clone(), now)
+                        .with_crls(self.crls.clone()))
+                },
+                |_, initiator, token| {
+                    let resumed = initiator.resuming();
+                    let (initiator, rst1) = WsscInitiator::carry(initiator, &token);
+                    let rstr1 = exchange(&mut self.transport, rst1)?;
+                    let (rst2, session) = initiator
+                        .finish(&rstr1)
+                        .map_err(|e| LoopError::Failed(e.into()))?;
+                    exchange(&mut self.transport, rst2)?;
+                    Ok((session, resumed))
+                },
+            )?;
+        // Bank the session: a full handshake mints a ticket, a resumption
+        // rotates it.
+        self.session_cache.store(&key, session.channel());
         self.session = Some(session);
-        self.contexts_established += 1;
+        if resumed {
+            self.contexts_resumed += 1;
+        } else {
+            self.contexts_established += 1;
+        }
         Ok(())
     }
 
@@ -304,7 +276,7 @@ impl<T: Transport> OgsaClient<T> {
         env: Envelope,
         alt: &PolicyAlternative,
     ) -> Result<Envelope, OgsaError> {
-        let credential = self.credential_for(alt)?;
+        let credential = credential_for(&mut self.sources, alt, self.clock.now())?;
         let signed = xmlsig::sign_envelope(&env, &credential, self.clock.now(), self.message_ttl);
         let reply_xml = self.transport.call(signed.to_xml())?;
         let reply = Envelope::parse(&reply_xml)?;
@@ -394,6 +366,39 @@ impl<T: Transport> OgsaClient<T> {
     pub fn reset_policy(&mut self) {
         self.server_policy = None;
         self.chosen = None;
+    }
+}
+
+/// The first source that can satisfy `alt`, asked for a credential at
+/// `now`.
+fn credential_for(
+    sources: &mut [Box<dyn CredentialSource>],
+    alt: &PolicyAlternative,
+    now: u64,
+) -> Result<Credential, OgsaError> {
+    for source in sources {
+        if alt.token_types.iter().any(|t| t == source.token_type()) {
+            return source.obtain(now);
+        }
+    }
+    Err(OgsaError::NoUsableCredential)
+}
+
+/// One RST/RSTR round trip of context establishment: a fault in answer
+/// is the service refusing the token.
+fn exchange(
+    transport: &mut impl Transport,
+    rst: Envelope,
+) -> Result<Envelope, LoopError<OgsaError>> {
+    let reply = transport
+        .call(rst.to_xml())
+        .and_then(|xml| Ok(Envelope::parse(&xml)?))
+        .map_err(LoopError::Failed)?;
+    match parse_fault(&reply) {
+        Some((code, msg)) => Err(LoopError::Refused(OgsaError::Application(format!(
+            "{code}: {msg}"
+        )))),
+        None => Ok(reply),
     }
 }
 

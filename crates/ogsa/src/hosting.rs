@@ -101,9 +101,12 @@ impl HostingEnvironment {
         self.audit = Some(sink);
     }
 
-    /// Install revocation state; every memoised signer verdict is
-    /// dropped.
+    /// Install revocation state, checked by stateless signed messages
+    /// and by every new WS-SecureConversation handshake. Every memoised
+    /// signer verdict is dropped, and so is every resumable session, for
+    /// the reason [`WsscResponder::set_crls`] gives.
     pub fn set_crls(&mut self, crls: CrlStore) {
+        self.responder.set_crls(crls.clone());
         self.crls = crls;
         self.signers.clear();
     }

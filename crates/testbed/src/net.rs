@@ -44,7 +44,7 @@ use crate::sched;
 use crate::TestbedError;
 use gridsec_util::rng::{DetRng, RngCore};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::ops::ControlFlow;
@@ -99,9 +99,9 @@ pub struct Message {
     pub payload: Vec<u8>,
 }
 
-/// Per-link fault knobs. The [`Default`] profile injects nothing, so an
-/// armed fault layer with default profile behaves like a perfect
-/// network that merely goes through the pending queue.
+/// Fault knobs, one set for every link. The [`Default`] profile injects
+/// nothing, so an armed fault layer with default profile behaves like a
+/// perfect network that merely goes through the pending queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultProfile {
     /// Probability in `[0, 1]` that a message is silently dropped.
@@ -179,7 +179,6 @@ struct FaultState {
     clock: SimClock,
     rng: DetRng,
     profile: FaultProfile,
-    link_profiles: HashMap<(NameId, NameId), FaultProfile>,
     partitions: HashSet<(NameId, NameId)>,
     pending: TimeBuckets<PendingDelivery>,
     transcript: Vec<String>,
@@ -197,13 +196,6 @@ impl FaultState {
             return lo;
         }
         lo + self.rng.next_u64() % (hi - lo + 1)
-    }
-
-    fn profile_for(&self, from: NameId, to: NameId) -> FaultProfile {
-        self.link_profiles
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.profile)
     }
 
     fn partitioned(&self, a: NameId, b: NameId) -> bool {
@@ -236,7 +228,7 @@ impl FaultState {
         let id = self.stats.sent;
         let len = payload.len();
         let (from_name, to_name) = names;
-        let prof = self.profile_for(from, to);
+        let prof = self.profile;
 
         if self.partitioned(from, to) {
             self.stats.blocked += 1;
@@ -502,7 +494,6 @@ impl Network {
             clock,
             rng: DetRng::seed_from_u64(seed),
             profile,
-            link_profiles: HashMap::new(),
             partitions: HashSet::new(),
             pending: TimeBuckets::default(),
             transcript: Vec::new(),
@@ -563,20 +554,9 @@ impl Network {
         self.inner.borrow_mut().boxes.wakes.record(id);
     }
 
-    /// `true` iff [`Network::enable_faults`] has armed the fault layer.
-    pub fn faults_enabled(&self) -> bool {
-        self.inner.borrow().faults.is_some()
-    }
-
     /// The clock the fault layer schedules on, if armed.
     pub fn fault_clock(&self) -> Option<SimClock> {
         self.with_faults(|fs| fs.clock.clone())
-    }
-
-    /// Override the fault profile for one directed link `from -> to`.
-    pub fn set_link_profile(&self, from: &str, to: &str, profile: FaultProfile) {
-        let key = (self.intern(from), self.intern(to));
-        self.with_faults(|fs| fs.link_profiles.insert(key, profile));
     }
 
     /// Sever the pair `(a, b)` in both directions. Messages sent across

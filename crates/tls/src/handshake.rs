@@ -36,7 +36,7 @@ use gridsec_pki::PkiError;
 
 use crate::channel::SecureChannel;
 use crate::pool::CryptoPool;
-use crate::session::ResumptionData;
+use crate::session::{ResumptionData, DEFAULT_SESSION_LIFETIME};
 use crate::TlsError;
 
 /// Handshake configuration shared by both sides.
@@ -53,9 +53,6 @@ pub struct TlsConfig {
     /// Diffie–Hellman group (defaults to the fast 256-bit test group; use
     /// [`DhGroup::modp2048`] for realistically-sized handshakes).
     pub group: DhGroup,
-    /// How long a completed handshake stays resumable (see
-    /// [`crate::session`]). Measured in the same units as `now`.
-    pub session_lifetime: u64,
     /// Optional shared crypto state (see [`crate::pool`]). When set,
     /// chain validation and binding-signature verification route
     /// through the pool's cached validator and shared verify contexts;
@@ -74,7 +71,6 @@ impl TlsConfig {
             crls: CrlStore::new(),
             now,
             group: DhGroup::test_group_256(),
-            session_lifetime: crate::session::DEFAULT_SESSION_LIFETIME,
             pool: None,
         }
     }
@@ -126,12 +122,6 @@ impl TlsConfig {
     /// Builder: supply revocation state.
     pub fn with_crls(mut self, crls: CrlStore) -> Self {
         self.crls = crls;
-        self
-    }
-
-    /// Builder: override the session resumption lifetime.
-    pub fn with_session_lifetime(mut self, lifetime: u64) -> Self {
-        self.session_lifetime = lifetime;
         self
     }
 }
@@ -385,7 +375,7 @@ impl ClientHandshake {
         let cred_not_after = crate::session::chain_not_after(self.config.credential.chain())
             .min(crate::session::chain_not_after(&sh.chain));
         let resumption = ks.resumption(
-            self.config.now.saturating_add(self.config.session_lifetime),
+            self.config.now.saturating_add(DEFAULT_SESSION_LIFETIME),
             cred_not_after,
         );
         let channel =
@@ -484,7 +474,7 @@ fn server_respond<E: EntropySource>(
     let cred_not_after = crate::session::chain_not_after(config.credential.chain())
         .min(crate::session::chain_not_after(&ch.chain));
     let resumption = ks.resumption(
-        config.now.saturating_add(config.session_lifetime),
+        config.now.saturating_add(DEFAULT_SESSION_LIFETIME),
         cred_not_after,
     );
     Ok((

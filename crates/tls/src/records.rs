@@ -152,13 +152,6 @@ impl RecordSession {
     pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TlsError> {
         self.channel.open(sealed)
     }
-
-    /// Unwrap into the raw channel (delegation needs direct access).
-    /// Any unconsumed inbound bytes are discarded; callers that care
-    /// drain [`RecordSession::next_message`] first.
-    pub fn into_channel(self) -> SecureChannel {
-        self.channel
-    }
 }
 
 /// Client side of the handshake as a sans-io machine.
@@ -234,14 +227,6 @@ pub enum Accepted {
 /// Server side of the handshake as a sans-io machine. Each call to
 /// [`ServerAcceptor::advance`] consumes at most one inbound frame and
 /// reports what happened; callers loop until `Pending`.
-///
-/// For mill-batched acceptance (many concurrent handshakes validated
-/// through one [`crate::pool::CryptoPool`] wave), use
-/// [`ServerAcceptor::take_hello`] /
-/// [`ServerAcceptor::resume_with_response`] instead of `advance`: the
-/// gateway collects hello tokens across acceptors, runs
-/// [`crate::handshake::server_accept_batch`]-style processing, and
-/// hands each acceptor its outcome.
 pub struct ServerAcceptor {
     buf: FrameBuf,
     state: AcceptorState,
@@ -287,25 +272,6 @@ impl ServerAcceptor {
             }
             AcceptorState::Done => Err(TlsError::Protocol("handshake already completed")),
         }
-    }
-
-    /// Mill-batching entry point: extract the buffered client hello, if
-    /// complete, leaving the acceptor parked until
-    /// [`ServerAcceptor::resume_with_response`]. Errors on a hello that
-    /// arrives after the handshake already advanced.
-    pub fn take_hello(&mut self) -> Result<Option<Vec<u8>>, TlsError> {
-        match &self.state {
-            AcceptorState::AwaitHello(_) => self.buf.next_frame(),
-            _ => Err(TlsError::Protocol("hello already consumed")),
-        }
-    }
-
-    /// Mill-batching completion: install the outcome of externally
-    /// processing the hello taken by [`ServerAcceptor::take_hello`].
-    /// The acceptor moves to awaiting the client finished token; the
-    /// caller transmits `server_hello` itself.
-    pub fn resume_with_response(&mut self, await_finished: ServerAwaitFinished) {
-        self.state = AcceptorState::AwaitFinished(await_finished);
     }
 }
 
@@ -471,30 +437,5 @@ mod tests {
         ));
         // The bad frame is consumed: what is left is exactly the next one.
         assert_eq!(ssess.buf.pending(), 4 + next.len());
-    }
-
-    #[test]
-    fn mill_batching_hooks_round_trip() {
-        use crate::handshake::server_accept_batch;
-        let (client_cfg, server_cfg) = configs();
-        let mut crng = ChaChaRng::from_seed_bytes(b"client rng");
-        let mut srng = ChaChaRng::from_seed_bytes(b"server rng");
-        let (mut client, hello) = ClientConnector::new(client_cfg, &mut crng);
-        let mut server = ServerAcceptor::new(server_cfg.clone());
-        server.feed(&frame(&hello));
-        let taken = server.take_hello().unwrap().expect("hello buffered");
-        let mut results = server_accept_batch(&server_cfg, &mut srng, &[&taken]);
-        let (server_hello, await_finished) = results.remove(0).unwrap();
-        server.resume_with_response(await_finished);
-        client.feed(&frame(&server_hello));
-        let (finished, mut csess) = client.advance().unwrap().expect("client established");
-        server.feed(&frame(&finished));
-        let mut ssess = match server.advance(&mut srng).unwrap() {
-            Accepted::Established(s) => *s,
-            _ => panic!("expected establishment"),
-        };
-        let rec = csess.send(b"via mill");
-        ssess.feed(&frame(&rec));
-        assert_eq!(ssess.next_message().unwrap().unwrap(), b"via mill");
     }
 }

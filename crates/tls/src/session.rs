@@ -38,7 +38,7 @@ use crate::channel::SecureChannel;
 use crate::handshake::{get_array32, KeySchedule};
 use crate::TlsError;
 
-/// Default lifetime of a resumable session, in the same units as
+/// Lifetime of a resumable session, in the same units as
 /// [`crate::handshake::TlsConfig::now`].
 pub const DEFAULT_SESSION_LIFETIME: u64 = 3_600;
 

@@ -14,7 +14,6 @@ use std::io::{Read, Write};
 
 use gridsec_bignum::prime::EntropySource;
 
-use crate::channel::SecureChannel;
 use crate::handshake::TlsConfig;
 use crate::records::{frame, Accepted, ClientConnector, RecordSession, ServerAcceptor};
 use crate::TlsError;
@@ -62,12 +61,6 @@ impl<S: Read + Write> SecureStream<S> {
     pub fn recv(&mut self) -> Result<Vec<u8>, TlsError> {
         let sealed = read_frame(&mut self.stream)?;
         self.session.open(&sealed)
-    }
-
-    /// Split back into transport + channel (used by delegation, which
-    /// needs raw channel access).
-    pub fn into_parts(self) -> (S, SecureChannel) {
-        (self.stream, self.session.into_channel())
     }
 }
 

@@ -14,22 +14,23 @@
 //!
 //! Repeat conversations between the same pair can skip the asymmetric
 //! handshake: the responder keeps a [`ServerSessionCache`], and a
-//! client holding a [`ClientSession`] runs the abbreviated resumption
-//! exchange ([`WsscResumeInitiator`]) — the same RST/RSTR envelope
-//! shapes, but the `BinaryExchange` tokens carry only symmetric-crypto
-//! material ([`gridsec_tls::session`]). An unknown ticket answers with
-//! a context fault and the client falls back to the full handshake.
+//! client holding a [`ClientSession`] starts its [`WsscInitiator`] from
+//! an [`InitiatorContext::resume`] — the same RST/RSTR envelope shapes,
+//! but the `BinaryExchange` tokens carry only symmetric-crypto material
+//! ([`gridsec_tls::session`]). An unknown ticket answers with a context
+//! fault and the client falls back to the full handshake
+//! ([`gridsec_gssapi::context::resume_or_establish`]).
 
 use std::collections::HashMap;
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, InitiatorContext, StepResult};
+use gridsec_pki::store::CrlStore;
 use gridsec_pki::validate::ValidatedIdentity;
 use gridsec_tls::channel::SecureChannel;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{
-    is_resume_hello, resume_client, ClientResume, ClientSession, ServerResumeAwait,
-    ServerSessionCache, DEFAULT_SESSION_CAPACITY,
+    ClientSession, ServerSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
 };
 use gridsec_xml::Element;
 
@@ -68,7 +69,7 @@ fn parse_rst(env: &Envelope) -> Result<(Option<String>, Option<Vec<u8>>), WsseEr
 // Initiator (client) side
 // ----------------------------------------------------------------------
 
-/// Client side of WS-SecureConversation establishment.
+/// Client side of WS-SecureConversation establishment, full or resumed.
 pub struct WsscInitiator {
     inner: InitiatorContext,
 }
@@ -78,9 +79,15 @@ impl WsscInitiator {
     /// envelope to send.
     pub fn begin<E: EntropySource>(config: TlsConfig, rng: &mut E) -> (Self, Envelope) {
         let (inner, token) = InitiatorContext::new(config, rng);
+        Self::carry(inner, &token)
+    }
+
+    /// Carry a GSS initiator, full or resumed, whose first token is
+    /// `token`: returns the state machine and the first RST envelope.
+    pub fn carry(inner: InitiatorContext, token: &[u8]) -> (Self, Envelope) {
         (
             WsscInitiator { inner },
-            rst_envelope("wst:RequestSecurityToken", None, Some(&token)),
+            rst_envelope("wst:RequestSecurityToken", None, Some(token)),
         )
     }
 
@@ -107,49 +114,6 @@ impl WsscInitiator {
             )),
             _ => Err(WsseError::Context("unexpected handshake state")),
         }
-    }
-}
-
-/// Client side of the abbreviated resumption exchange: the same
-/// RST/RSTR envelope shapes as [`WsscInitiator`], but the embedded
-/// tokens skip certificate validation, RSA, and Diffie–Hellman.
-pub struct WsscResumeInitiator {
-    inner: ClientResume,
-}
-
-impl WsscResumeInitiator {
-    /// Start a resumption from a cached session; returns the state
-    /// machine and the first RST envelope.
-    pub fn begin<E: EntropySource>(
-        session: ClientSession,
-        now: u64,
-        lifetime: u64,
-        rng: &mut E,
-    ) -> (Self, Envelope) {
-        let (inner, token) = resume_client(session, now, lifetime, rng);
-        (
-            WsscResumeInitiator { inner },
-            rst_envelope("wst:RequestSecurityToken", None, Some(&token)),
-        )
-    }
-
-    /// Process the server's RSTR; returns the final RST envelope (which
-    /// must be delivered) and the resumed session.
-    pub fn finish(self, rstr: &Envelope) -> Result<(Envelope, WsscSession), WsseError> {
-        let (ctx_id, token) = parse_rst(rstr)?;
-        let ctx_id = ctx_id.ok_or(WsseError::Context("RSTR missing context id"))?;
-        let token = token.ok_or(WsseError::Context("RSTR missing token"))?;
-        let (finished, channel) = self
-            .inner
-            .step(&token)
-            .map_err(|_| WsseError::Context("resumption failed"))?;
-        Ok((
-            rst_envelope("wst:RequestSecurityToken", Some(&ctx_id), Some(&finished)),
-            WsscSession {
-                ctx_id,
-                context: EstablishedContext::from_channel(channel),
-            },
-        ))
     }
 }
 
@@ -193,7 +157,6 @@ impl WsscSession {
 
 enum ServerCtx {
     Pending(Box<AcceptorContext>),
-    PendingResume(Box<ServerResumeAwait>),
     Ready(Box<EstablishedContext>),
 }
 
@@ -208,12 +171,11 @@ pub struct WsscResponder {
 impl WsscResponder {
     /// Create a responder with the service's TLS configuration.
     pub fn new(config: TlsConfig) -> Self {
-        let sessions = ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, config.session_lifetime);
         WsscResponder {
             config,
             next_id: 1,
             contexts: HashMap::new(),
-            sessions,
+            sessions: ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME),
         }
     }
 
@@ -223,7 +185,10 @@ impl WsscResponder {
         &self.sessions
     }
 
-    /// Handle one RST envelope, returning the RSTR to send back.
+    /// Handle one RST envelope, returning the RSTR to send back. An RST
+    /// without a context id opens a conversation with a ClientHello or,
+    /// from a cached session, a ResumeHello; a ResumeHello whose ticket
+    /// the responder does not hold is a context fault.
     pub fn handle_rst<E: EntropySource>(
         &mut self,
         env: &Envelope,
@@ -231,103 +196,46 @@ impl WsscResponder {
     ) -> Result<Envelope, WsseError> {
         let (ctx_id, token) = parse_rst(env)?;
         let token = token.ok_or(WsseError::Context("RST missing token"))?;
-        match ctx_id {
-            None if is_resume_hello(&token) => {
-                // Abbreviated handshake: ticket lookup instead of
-                // certificate validation. A miss faults back to the
-                // client, which falls back to the full handshake.
-                let (out, await_finished) = self
-                    .sessions
-                    .accept(&token, self.config.now, rng)
-                    .map_err(|_| WsseError::Context("no resumable session"))?;
-                let id = format!("uuid:ctx-{}", self.next_id);
-                self.next_id += 1;
-                self.contexts.insert(
-                    id.clone(),
-                    ServerCtx::PendingResume(Box::new(await_finished)),
-                );
-                Ok(rst_envelope(
-                    "wst:RequestSecurityTokenResponse",
-                    Some(&id),
-                    Some(&out),
-                ))
+        let failed = |_| WsseError::Context("handshake failed");
+        let Some(id) = ctx_id else {
+            let config = &self.config;
+            let (acceptor, out) = AcceptorContext::accept(
+                &token,
+                &mut self.sessions,
+                config.now,
+                || config.clone(),
+                rng,
+            )
+            .map_err(failed)?;
+            let id = format!("uuid:ctx-{}", self.next_id);
+            self.next_id += 1;
+            self.contexts
+                .insert(id.clone(), ServerCtx::Pending(Box::new(acceptor)));
+            return Ok(rst_envelope(
+                "wst:RequestSecurityTokenResponse",
+                Some(&id),
+                Some(&out),
+            ));
+        };
+        let mut acceptor = match self.contexts.remove(&id) {
+            Some(ServerCtx::Pending(acceptor)) => acceptor,
+            Some(ServerCtx::Ready(_)) => {
+                return Err(WsseError::Context("context already established"))
             }
-            None => {
-                // New conversation.
-                let id = format!("uuid:ctx-{}", self.next_id);
-                self.next_id += 1;
-                let mut acceptor = Box::new(AcceptorContext::new(self.config.clone()));
-                match acceptor
-                    .step(rng, &token)
-                    .map_err(|_| WsseError::Context("handshake failed"))?
-                {
-                    StepResult::ContinueWith(out) => {
-                        self.contexts
-                            .insert(id.clone(), ServerCtx::Pending(acceptor));
-                        Ok(rst_envelope(
-                            "wst:RequestSecurityTokenResponse",
-                            Some(&id),
-                            Some(&out),
-                        ))
-                    }
-                    StepResult::Established { .. } => {
-                        Err(WsseError::Context("established too early"))
-                    }
-                }
-            }
-            Some(id) => {
-                // Continue an existing conversation.
-                let entry = self
-                    .contexts
-                    .remove(&id)
-                    .ok_or(WsseError::Context("unknown context id"))?;
-                let mut acceptor = match entry {
-                    ServerCtx::Pending(a) => a,
-                    ServerCtx::PendingResume(wait) => {
-                        let channel = wait
-                            .step(&token)
-                            .map_err(|_| WsseError::Context("resumption failed"))?;
-                        // Rotate: the resumed context mints a fresh ticket.
-                        self.sessions.store(&channel);
-                        self.contexts.insert(
-                            id.clone(),
-                            ServerCtx::Ready(Box::new(EstablishedContext::from_channel(channel))),
-                        );
-                        return Ok(rst_envelope(
-                            "wst:RequestSecurityTokenResponse",
-                            Some(&id),
-                            None,
-                        ));
-                    }
-                    ServerCtx::Ready(_) => {
-                        return Err(WsseError::Context("context already established"))
-                    }
-                };
-                match acceptor
-                    .step(rng, &token)
-                    .map_err(|_| WsseError::Context("handshake failed"))?
-                {
-                    StepResult::Established { context, .. } => {
-                        self.sessions.store(context.channel());
-                        self.contexts.insert(id.clone(), ServerCtx::Ready(context));
-                        Ok(rst_envelope(
-                            "wst:RequestSecurityTokenResponse",
-                            Some(&id),
-                            None,
-                        ))
-                    }
-                    StepResult::ContinueWith(out) => {
-                        self.contexts
-                            .insert(id.clone(), ServerCtx::Pending(acceptor));
-                        Ok(rst_envelope(
-                            "wst:RequestSecurityTokenResponse",
-                            Some(&id),
-                            Some(&out),
-                        ))
-                    }
-                }
-            }
-        }
+            None => return Err(WsseError::Context("unknown context id")),
+        };
+        let StepResult::Established { context, .. } = acceptor.step(rng, &token).map_err(failed)?
+        else {
+            return Err(WsseError::Context("unexpected handshake state"));
+        };
+        // A resumed context rotates: it mints a fresh ticket.
+        self.sessions.store(context.channel());
+        self.contexts.insert(id.clone(), ServerCtx::Ready(context));
+        Ok(rst_envelope(
+            "wst:RequestSecurityTokenResponse",
+            Some(&id),
+            None,
+        ))
     }
 
     /// Open a protected application envelope; returns the context id and
@@ -366,18 +274,19 @@ impl WsscResponder {
         self.config.now = now;
     }
 
+    /// Install revocation state for *new* handshakes, and empty the
+    /// session cache: a resumed context skips chain validation, so no
+    /// session authenticated under the old revocation state may be
+    /// resumed. Conversations already established are left as they are
+    /// (ROADMAP items 5 and 6).
+    pub fn set_crls(&mut self, crls: CrlStore) {
+        self.config.crls = crls;
+        self.sessions = ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME);
+    }
+
     /// Number of live contexts (pending + established).
     pub fn context_count(&self) -> usize {
         self.contexts.len()
-    }
-
-    /// Direct access to an established context (used by the delegation
-    /// protocol, which runs GSI delegation over the conversation).
-    pub fn context_mut(&mut self, ctx_id: &str) -> Option<&mut EstablishedContext> {
-        match self.contexts.get_mut(ctx_id) {
-            Some(ServerCtx::Ready(ctx)) => Some(ctx),
-            _ => None,
-        }
     }
 }
 
@@ -447,10 +356,7 @@ pub fn establish<E: EntropySource>(
     rng: &mut E,
 ) -> Result<WsscSession, WsseError> {
     let (initiator, rst1) = WsscInitiator::begin(client_config, rng);
-    let rstr1 = responder.handle_rst(&Envelope::parse(&rst1.to_xml())?, rng)?;
-    let (rst2, session) = initiator.finish(&Envelope::parse(&rstr1.to_xml())?)?;
-    let _ack = responder.handle_rst(&Envelope::parse(&rst2.to_xml())?, rng)?;
-    Ok(session)
+    converse(initiator, rst1, responder, rng)
 }
 
 /// Drive an abbreviated resumption exchange against a responder in one
@@ -463,7 +369,18 @@ pub fn resume<E: EntropySource>(
     responder: &mut WsscResponder,
     rng: &mut E,
 ) -> Result<WsscSession, WsseError> {
-    let (initiator, rst1) = WsscResumeInitiator::begin(session, now, lifetime, rng);
+    let (inner, token) = InitiatorContext::resume(session, now, lifetime, rng);
+    let (initiator, rst1) = WsscInitiator::carry(inner, &token);
+    converse(initiator, rst1, responder, rng)
+}
+
+/// The two RST/RSTR round trips, every envelope through its XML form.
+fn converse<E: EntropySource>(
+    initiator: WsscInitiator,
+    rst1: Envelope,
+    responder: &mut WsscResponder,
+    rng: &mut E,
+) -> Result<WsscSession, WsseError> {
     let rstr1 = responder.handle_rst(&Envelope::parse(&rst1.to_xml())?, rng)?;
     let (rst2, session) = initiator.finish(&Envelope::parse(&rstr1.to_xml())?)?;
     let _ack = responder.handle_rst(&Envelope::parse(&rst2.to_xml())?, rng)?;

@@ -166,6 +166,15 @@ stage_grep_guard() {
         echo "FAIL: a GRAM driver generates the MJS's delegation key itself (above)" >&2
         exit 1
     fi
+    # Resumption is one mode of the GSS context (DESIGN.md §11.2): only
+    # gssapi::context starts a resumed handshake, answers a ResumeHello
+    # or tells one from a ClientHello; every transport above tls moves
+    # tokens through it. perf_guard and the C1 bench probe tls directly.
+    if grep -rEn 'resume_client\(|is_resume_hello\(|ServerResumeAwait|ClientResume\b' crates/*/src \
+        | grep -vE '^crates/(tls/src/|gssapi/src/context\.rs:|bench/)'; then
+        echo "FAIL: a transport resumes GSS contexts itself (above); use gssapi::context" >&2
+        exit 1
+    fi
     # A server verifying stateless signed messages keeps its signer memo
     # (DESIGN.md §11.2): the Proxy Router and the hosting environment's
     # stateless branch call verify_envelope_cached, never the one-shot.
