@@ -81,7 +81,9 @@ impl Codec for CasAssertionTbs {
     }
 }
 
-/// A signed CAS assertion.
+/// A signed CAS assertion. A credential in its holder's hands, not a
+/// cache: a later trust or policy change does not recall it, only its
+/// lifetime ends it (ROADMAP item 6 measures how long it outlives one).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CasAssertion {
     /// Signed content.

@@ -227,7 +227,9 @@ fn main() {
     });
     let resumed = median_ns(9, || {
         let (resume, t1) = resume_client(session.clone(), 10, 1_000, &mut w.rng);
-        let (t2, wait) = sessions.accept(&t1, 10, &mut w.rng).unwrap();
+        let (t2, wait) = sessions
+            .accept_under(&t1, 10, server_cfg.epoch(), &mut w.rng)
+            .unwrap();
         let (t3, client_chan) = resume.step(&t2).unwrap();
         let server_chan = wait.step(&t3).unwrap();
         std::hint::black_box((client_chan, server_chan));

@@ -259,7 +259,7 @@ impl RsaVerifyCtx {
 }
 
 /// An RSA key pair with CRT acceleration parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct RsaKeyPair {
     public: RsaPublicKey,
     d: BigUint,
@@ -274,6 +274,15 @@ pub struct RsaKeyPair {
     /// input). `Arc`, not `Rc`: credential fixtures live in `static
     /// OnceLock`s that cargo's test threads share, so a key is `Sync`.
     crt: Arc<[Option<Montgomery>; 2]>,
+}
+
+impl core::fmt::Debug for RsaKeyPair {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The private exponent and the CRT values stay out of logs.
+        f.debug_struct("RsaKeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// `base^exp mod modulus` through `ctx`, the context held for
@@ -449,6 +458,17 @@ mod tests {
     fn test_key() -> RsaKeyPair {
         let mut rng = ChaChaRng::from_seed_bytes(b"rsa unit test key");
         RsaKeyPair::generate(&mut rng, 512)
+    }
+
+    #[test]
+    fn debug_shows_the_public_key_and_no_private_value() {
+        let key = test_key();
+        let shown = format!("{key:?}");
+        assert!(shown.contains(&key.public().modulus().to_hex()));
+        let (p, q) = key.primes();
+        for secret in [key.private_exponent(), p, q] {
+            assert!(!shown.contains(&secret.to_hex()), "{shown}");
+        }
     }
 
     #[test]

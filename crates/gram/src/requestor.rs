@@ -19,7 +19,7 @@ use gridsec_gssapi::GssError;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
-use gridsec_pki::store::TrustStore;
+use gridsec_pki::store::{CrlStore, Epoch, TrustStore};
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
 use gridsec_wsse::soap::Envelope;
@@ -49,7 +49,7 @@ pub struct Requestor {
     pub(crate) request_ttl: u64,
     pub(crate) delegation_lifetime: u64,
     /// Step-7 sessions with MJSs already authorized, by
-    /// [`session_key`].
+    /// [`session_key`], each filed under the trust epoch of its handshake.
     sessions: ClientSessionCache,
 }
 
@@ -131,10 +131,13 @@ impl Requestor {
     ) -> Result<Box<EstablishedContext>, GramError> {
         let key = account.map(|a| session_key(host, a));
         let (credential, trust) = (&self.credential, &self.trust);
+        // The requestor checks no CRLs: its epoch is its anchors'.
+        let epoch = Epoch::of(trust, &CrlStore::new());
         resume_or_establish(
             &mut self.sessions,
             key.as_deref(),
             now,
+            epoch,
             &mut self.rng,
             || Ok(TlsConfig::new(credential.clone(), trust.clone(), now)),
             |rng, mut initiator, token1| {

@@ -12,8 +12,7 @@ use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, StepResult};
 use gridsec_gssapi::delegation::{self, PendingDelegation};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
-use gridsec_pki::store::CrlStore;
-use gridsec_pki::store::TrustStore;
+use gridsec_pki::store::{CrlStore, Epoch, TrustStore};
 use gridsec_pki::validate::{CachedValidator, EffectiveRights};
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::os::{FileMode, Pid, SimOs, ROOT_UID};
@@ -73,8 +72,9 @@ pub struct GramStats {
     pub full_handshakes: u64,
     /// Step-7 contexts resumed from an LMJFS session cache.
     pub resumed_handshakes: u64,
-    /// Delegation key pairs generated, one per LMJFS (again after
-    /// [`GramResource::set_crls`]), however many jobs it delegates to.
+    /// Delegation key pairs generated, one per LMJFS and trust epoch
+    /// (again after [`GramResource::set_crls`]), however many jobs it
+    /// delegates to.
     pub delegation_keys: u64,
 }
 
@@ -82,7 +82,8 @@ struct LmjfsInstance {
     pid: Pid,
     user_identity: DistinguishedName,
     credential: Credential,
-    /// Step-7 sessions established under `credential`, by ticket. It
+    /// Step-7 sessions established under `credential`, by ticket, each
+    /// filed under the resource's trust epoch at its full handshake. It
     /// lives beside the GRIM credential, never host-wide: a ticket is
     /// honoured only by the LMJFS whose credential authenticated it.
     sessions: ServerSessionCache,
@@ -90,12 +91,11 @@ struct LmjfsInstance {
     /// the LMJFS's first delegation
     /// ([`GramResource::mjs_accept_delegation`]). Per LMJFS for the same
     /// reason as `sessions`: an LMJFS serves one user in one account, so
-    /// every proxy over it is a proxy of that one delegator.
-    delegation_key: Option<RsaKeyPair>,
-}
-
-fn lmjfs_sessions() -> ServerSessionCache {
-    ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME)
+    /// every proxy over it is a proxy of that one delegator. The key is
+    /// not derived from trust state; it is filed under the epoch it was
+    /// generated in only so that a trust change replaces it, as
+    /// conservatively as it drops the sessions.
+    delegation_key: Option<(Epoch, RsaKeyPair)>,
 }
 
 /// An MJS half-way through step 7: token 2 has been answered, the
@@ -143,8 +143,9 @@ pub struct GramResource {
     mmjfs_pid: Pid,
     router_pid: Pid,
     /// Step 2's verdicts on requestor chains, keyed by the request's
-    /// `BinarySecurityToken` text: a sign-on's chain is walked by its
-    /// first job, not by every job. Bounded by [`SIGNER_MEMO_CAPACITY`].
+    /// `BinarySecurityToken` text and filed under the trust epoch they
+    /// were walked in: a sign-on's chain is walked by its first job, not
+    /// by every job. Bounded by [`SIGNER_MEMO_CAPACITY`].
     signers: CachedValidator,
     /// The grid-mapfile's bytes as last parsed, and the parse.
     gridmap: Option<(Vec<u8>, GridMapFile)>,
@@ -225,18 +226,17 @@ impl GramResource {
     }
 
     /// Install revocation state, checked on request verification and on
-    /// step 7's full handshake. Step 2's memoised chain verdicts are
-    /// dropped, and every LMJFS session cache is emptied: a resumed
-    /// context skips chain validation, so no session authenticated under
-    /// the old revocation state may be resumed. Every delegation key goes
-    /// with the sessions; the next delegation draws a new one.
+    /// step 7's full handshake. The trust epoch moves with it, so step 2's
+    /// memoised chain verdicts, every LMJFS's step-7 sessions (a resumed
+    /// context skips chain validation) and its delegation key, all filed
+    /// under the old epoch, stop being used: the next lookup of each
+    /// misses.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
-        self.signers.clear();
-        for lmjfs in self.lmjfs.values_mut() {
-            lmjfs.sessions = lmjfs_sessions();
-            lmjfs.delegation_key = None;
-        }
+    }
+
+    fn epoch(&self) -> Epoch {
+        Epoch::of(&self.trust, &self.crls)
     }
 
     /// Pid of the MMJFS (for fault injection).
@@ -259,14 +259,13 @@ impl GramResource {
         self.lmjfs.get(account).map(|l| &l.sessions)
     }
 
-    /// The public half of a resident LMJFS's delegation key, once its
-    /// first delegation has generated one.
+    /// The public half of a resident LMJFS's delegation key, once a
+    /// delegation under the current trust epoch has generated one.
     pub fn lmjfs_delegation_key(&self, account: &str) -> Option<&RsaPublicKey> {
-        self.lmjfs
-            .get(account)?
-            .delegation_key
-            .as_ref()
-            .map(RsaKeyPair::public)
+        match &self.lmjfs.get(account)?.delegation_key {
+            Some((epoch, key)) if *epoch == self.epoch() => Some(key.public()),
+            _ => None,
+        }
     }
 
     /// Step 2's memo of verified requestor chains (hits, walks,
@@ -475,7 +474,10 @@ impl GramResource {
                 pid: lmjfs_pid,
                 user_identity: user_dn.clone(),
                 credential,
-                sessions: lmjfs_sessions(),
+                sessions: ServerSessionCache::new(
+                    DEFAULT_SESSION_CAPACITY,
+                    DEFAULT_SESSION_LIFETIME,
+                ),
                 delegation_key: None,
             },
         );
@@ -485,16 +487,16 @@ impl GramResource {
     /// Step 7 server side, token 1. A ClientHello starts the full
     /// mutually-authenticated handshake under the MJS's GRIM credential;
     /// a ResumeHello is answered from the session cache of the LMJFS
-    /// hosting the MJS, and from no other. An unknown or expired ticket
-    /// is a [`GramError::Context`] the requestor answers with the full
-    /// handshake. Returns token 2.
+    /// hosting the MJS, and from no other. An unknown or expired ticket,
+    /// or one filed under another trust epoch, is a [`GramError::Context`]
+    /// the requestor answers with the full handshake. Returns token 2.
     pub fn mjs_accept_hello<E: EntropySource>(
         &mut self,
         handle: &str,
         rng: &mut E,
         token: &[u8],
     ) -> Result<(Vec<u8>, MjsAcceptor), GramError> {
-        let now = self.clock.now();
+        let (now, epoch) = (self.clock.now(), self.epoch());
         let mjs = self
             .mjs
             .get(handle)
@@ -508,7 +510,7 @@ impl GramResource {
         let config =
             || TlsConfig::new(mjs.credential.clone(), trust.clone(), now).with_crls(crls.clone());
         let (acceptor, token2) =
-            AcceptorContext::accept(token, &mut lmjfs.sessions, now, config, rng)
+            AcceptorContext::accept(token, &mut lmjfs.sessions, now, epoch, config, rng)
                 .map_err(GramError::context)?;
         Ok((token2, MjsAcceptor { account, acceptor }))
     }
@@ -548,10 +550,10 @@ impl GramResource {
 
     /// Step 7's delegation, MJS side: answer the requestor's `DELEG-REQ`
     /// on `context` with the delegation key of the LMJFS hosting the
-    /// MJS. That LMJFS's first delegation generates the key
-    /// (`GramConfig::key_bits`, drawn from `rng`) and grants it to the
-    /// LMJFS process; every later job's proxy is issued over the same
-    /// key. The requestor still signs a fresh proxy per job, which
+    /// MJS. That LMJFS's first delegation under the current trust epoch
+    /// generates the key (`GramConfig::key_bits`, drawn from `rng`) and
+    /// grants it to the LMJFS process; every later job's proxy in that
+    /// epoch is issued over the same key. The requestor still signs a fresh proxy per job, which
     /// [`PendingDelegation::finish`] binds to `context`'s peer.
     pub fn mjs_accept_delegation<E: EntropySource>(
         &mut self,
@@ -561,6 +563,7 @@ impl GramResource {
         token: &[u8],
     ) -> Result<(Vec<u8>, PendingDelegation), GramError> {
         let oserr = |e: gridsec_testbed::TestbedError| GramError::Os(e.to_string());
+        let epoch = self.epoch();
         let account = &self
             .mjs
             .get(handle)
@@ -571,11 +574,11 @@ impl GramResource {
             .get_mut(account)
             .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
         let key = match &lmjfs.delegation_key {
-            Some(key) => key.clone(),
-            None => {
+            Some((filed, key)) if *filed == epoch => key.clone(),
+            _ => {
                 let key = RsaKeyPair::generate(rng, self.config.key_bits);
                 let label = format!("delegation key for {} in {account}", lmjfs.user_identity);
-                // A key regenerated after `set_crls` replaces the one
+                // A key regenerated in a new epoch replaces the one
                 // granted before it.
                 let held = self.os.process(&self.host, lmjfs.pid).map_err(oserr)?;
                 if !held.credentials.contains(&label) {
@@ -584,7 +587,7 @@ impl GramResource {
                         .map_err(oserr)?;
                 }
                 self.stats.delegation_keys += 1;
-                lmjfs.delegation_key.insert(key).clone()
+                lmjfs.delegation_key.insert((epoch, key)).1.clone()
             }
         };
         delegation::respond(context, token, key).map_err(GramError::context)

@@ -58,6 +58,17 @@ struct World {
     clock: SimClock,
 }
 
+/// A CRL store that revokes nobody here: trust state with another
+/// history than the resource's empty store.
+fn unrelated_crls(w: &World) -> CrlStore {
+    let mut crls = CrlStore::new();
+    assert!(crls.add(
+        w.ca.issue_crl(vec![999_999], 100, 1_000_000),
+        w.ca.certificate()
+    ));
+    crls
+}
+
 fn world() -> World {
     let mut rng = ChaChaRng::from_seed_bytes(b"gram delegation key tests");
     let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
@@ -212,7 +223,7 @@ fn two_users_on_one_resource_get_two_keys() {
 
     // Regenerated after a CRL change, the keys stay apart from each other
     // and from the ones they replace.
-    resource.set_crls(CrlStore::new());
+    resource.set_crls(unrelated_crls(&w));
     jane.submit_job(&mut resource, &job(9), 100).unwrap();
     carl.submit_job(&mut resource, &job(9), 100).unwrap();
     let keys = [

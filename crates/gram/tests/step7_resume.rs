@@ -50,6 +50,17 @@ struct World {
     clock: SimClock,
 }
 
+/// A CRL store that revokes nobody here: trust state with another
+/// history than the resource's empty store.
+fn unrelated_crls(w: &World) -> CrlStore {
+    let mut crls = CrlStore::new();
+    assert!(crls.add(
+        w.ca.issue_crl(vec![999_999], 100, 1_000_000),
+        w.ca.certificate()
+    ));
+    crls
+}
+
 fn world() -> World {
     let mut rng = ChaChaRng::from_seed_bytes(b"gram step7 resume tests");
     let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
@@ -426,11 +437,10 @@ fn set_crls_empties_every_lmjfs_cache() {
     let mut crls = CrlStore::new();
     assert!(crls.add(crl, w.ca.certificate()));
     resource.set_crls(crls);
-    assert!(resource.lmjfs_sessions("jdoe").unwrap().is_empty());
-    assert!(resource.lmjfs_sessions("carl").unwrap().is_empty());
 
-    // Her ticket is gone, so step 7 falls back to the full handshake,
-    // whose chain validation now sees the CRL.
+    // Her ticket was filed under the old epoch, so the LMJFS refuses it
+    // and step 7 falls back to the full handshake, whose chain
+    // validation now sees the CRL.
     let err = jane
         .connect_and_start(
             &mut resource,
@@ -445,9 +455,12 @@ fn set_crls_empties_every_lmjfs_cache() {
         JobState::Unsubmitted
     );
     assert_eq!(resource.stats.resumed_handshakes, 0);
+    assert_eq!(resource.lmjfs_sessions("jdoe").unwrap().misses(), 1);
 
-    // Carl is not revoked: one full handshake, then resumption again.
+    // Carl is not revoked: his ticket misses too, one full handshake
+    // runs, then resumption again.
     carl.submit_job(&mut resource, &job(3), 100).unwrap();
+    assert_eq!(resource.lmjfs_sessions("carl").unwrap().misses(), 1);
     carl.submit_job(&mut resource, &job(4), 100).unwrap();
     assert_eq!(
         (
@@ -465,7 +478,7 @@ fn an_lmjfs_whose_cache_is_gone_gets_the_full_loop() {
     let mut resource = resource(&w);
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     jane.submit_job(&mut resource, &job(0), 100).unwrap();
-    resource.set_crls(CrlStore::new());
+    resource.set_crls(unrelated_crls(&w));
     jane.submit_job(&mut resource, &job(1), 100).unwrap();
     assert_eq!(
         (

@@ -9,6 +9,7 @@
 //! for choosing between them; a transport only moves the tokens.
 
 use gridsec_bignum::prime::EntropySource;
+use gridsec_pki::store::Epoch;
 use gridsec_pki::validate::ValidatedIdentity;
 use gridsec_tls::channel::SecureChannel;
 use gridsec_tls::handshake::{ClientHandshake, ServerAwaitFinished, ServerHandshake, TlsConfig};
@@ -158,21 +159,24 @@ impl AcceptorContext {
     }
 
     /// Answer an initiator's first token, either kind. A ResumeHello is
-    /// looked up in `sessions` at `now`; an unknown or expired ticket is
-    /// an error the initiator answers with the full handshake
-    /// ([`resume_or_establish`]). A ClientHello starts the full handshake
-    /// under `config()`, which is built only then. Returns the acceptor,
+    /// looked up in `sessions` at `now` under `epoch`, the acceptor's
+    /// current trust epoch; an unknown or expired ticket, or one filed
+    /// under another epoch, is an error the initiator answers with the
+    /// full handshake ([`resume_or_establish`]). A ClientHello starts the
+    /// full handshake under `config()`, which is built only then and must
+    /// hold the stores `epoch` was read from. Returns the acceptor,
     /// awaiting the initiator's final token, and the token to send back.
     /// The caller stores the established context's session in `sessions`.
     pub fn accept<E: EntropySource>(
         token: &[u8],
         sessions: &mut ServerSessionCache,
         now: u64,
+        epoch: Epoch,
         config: impl FnOnce() -> TlsConfig,
         rng: &mut E,
     ) -> Result<(Self, Vec<u8>), GssError> {
         let (state, reply) = if is_resume_hello(token) {
-            let (reply, wait) = sessions.accept(token, now, rng)?;
+            let (reply, wait) = sessions.accept_under(token, now, epoch, rng)?;
             (AcceptState::AwaitResumeFinished(Box::new(wait)), reply)
         } else {
             let (reply, wait) = ServerHandshake::new(config()).step(rng, token)?;
@@ -231,7 +235,8 @@ impl<X> LoopError<X> {
 }
 
 /// Establish a context, resuming the session cached under `key` when
-/// there is a live one: the one fallback rule every transport shares.
+/// there is a live one filed under `epoch`, the initiator's current trust
+/// epoch: the one fallback rule every transport shares.
 ///
 /// `token_loop` is the transport's: it delivers an initiator's first
 /// token, steps the initiator with the answer and delivers its final
@@ -245,6 +250,7 @@ pub fn resume_or_establish<E, T, X>(
     cache: &mut ClientSessionCache,
     key: Option<&str>,
     now: u64,
+    epoch: Epoch,
     rng: &mut E,
     config: impl FnOnce() -> Result<TlsConfig, X>,
     mut token_loop: impl FnMut(&mut E, InitiatorContext, Vec<u8>) -> Result<T, LoopError<X>>,
@@ -254,7 +260,7 @@ where
     X: core::fmt::Display,
 {
     let session = key.and_then(|key| {
-        let session = cache.lookup(key, now);
+        let session = cache.lookup(key, now, epoch);
         cache.invalidate(key);
         session
     });
@@ -412,12 +418,19 @@ mod tests {
             cache,
             Some("mjs"),
             100,
+            alice.epoch(),
             &mut w.rng,
             || Ok(alice),
             |rng, mut init, token1| {
-                let (mut acceptor, token2) =
-                    AcceptorContext::accept(&token1, sessions, 100, || service.clone(), rng)
-                        .map_err(LoopError::Refused)?;
+                let (mut acceptor, token2) = AcceptorContext::accept(
+                    &token1,
+                    sessions,
+                    100,
+                    service.epoch(),
+                    || service.clone(),
+                    rng,
+                )
+                .map_err(LoopError::Refused)?;
                 let resumed = acceptor.resuming();
                 assert_eq!(init.resuming(), resumed);
                 let Ok(StepResult::Established {
@@ -470,6 +483,7 @@ mod tests {
             &mut cache,
             Some("mjs"),
             100,
+            alice.epoch(),
             &mut w.rng,
             || Ok(alice),
             |_, init, _| {

@@ -188,6 +188,7 @@ pub fn establish_initiator_cached<E: EntropySource>(
             cache,
             Some(&server),
             config.now,
+            config.epoch(),
             rng,
             || Ok(config.clone()),
             |_, init, token1| token_loop(rpc, init, token1),
@@ -244,7 +245,9 @@ pub struct AcceptorService<E: EntropySource> {
     config: TlsConfig,
     rng: E,
     pending: HashMap<String, AcceptorContext>,
+    /// Resumable sessions, each filed under the trust epoch of `config`.
     sessions: ServerSessionCache,
+    /// Conversations, not a cache: a trust change leaves them (ROADMAP 6).
     established: HashMap<String, EstablishedContext>,
 }
 
@@ -284,6 +287,7 @@ impl<E: EntropySource> AcceptorService<E> {
                     &token,
                     &mut self.sessions,
                     config.now,
+                    config.epoch(),
                     || config.clone(),
                     &mut self.rng,
                 ) {

@@ -67,6 +67,9 @@ const PATIENT: RetryPolicy = RetryPolicy {
 
 struct World {
     trust: TrustStore,
+    /// A CRL store that revokes nobody here: trust state with another
+    /// history than a server's empty store.
+    unrelated_crls: CrlStore,
     user: Credential,
     service: Credential,
     host: Credential,
@@ -81,8 +84,14 @@ fn world() -> World {
     let host = ca.issue_host_identity(&mut rng, dn(HOST), vec!["compute1".into()], 512, 0, 500_000);
     let mut trust = TrustStore::new();
     trust.add_root(ca.certificate().clone());
+    let mut unrelated_crls = CrlStore::new();
+    assert!(unrelated_crls.add(
+        ca.issue_crl(vec![999_999], 100, 1_000_000),
+        ca.certificate()
+    ));
     World {
         trust,
+        unrelated_crls,
         user,
         service,
         host,
@@ -490,6 +499,7 @@ fn handshakes(resource: &GramResource) -> (u64, u64) {
 struct LocalGram {
     resource: GramResource,
     jane: Requestor,
+    unrelated_crls: CrlStore,
 }
 
 fn local_gram() -> LocalGram {
@@ -497,6 +507,7 @@ fn local_gram() -> LocalGram {
     LocalGram {
         resource: gram_resource(&w),
         jane: Requestor::new(w.user.clone(), w.trust.clone(), b"jane local"),
+        unrelated_crls: w.unrelated_crls,
     }
 }
 
@@ -522,7 +533,7 @@ fn local_accepted() -> Cell {
 fn local_refused() -> Cell {
     let mut g = local_gram();
     g.job(0).map_err(|e| e.to_string())?;
-    g.resource.set_crls(CrlStore::new());
+    g.resource.set_crls(g.unrelated_crls.clone());
     g.job(1).map_err(|e| e.to_string())?;
     check(
         handshakes(&g.resource) == (2, 0),
@@ -563,6 +574,7 @@ struct RemoteRig {
     wire: Rc<RefCell<Wire>>,
     jane: Requestor,
     rpc: RpcClient,
+    unrelated_crls: CrlStore,
     _sched: Scheduler,
     _net: Network,
 }
@@ -602,6 +614,7 @@ fn remote_gram() -> RemoteRig {
         wire,
         jane: Requestor::new(w.user.clone(), w.trust.clone(), b"jane remote"),
         rpc,
+        unrelated_crls: w.unrelated_crls,
         _sched: sched,
         _net: net,
     }
@@ -629,7 +642,7 @@ fn remote_accepted() -> Cell {
 fn remote_refused() -> Cell {
     let mut g = remote_gram();
     g.job(0).map_err(|e| e.to_string())?;
-    g.shared.borrow_mut().set_crls(CrlStore::new());
+    g.shared.borrow_mut().set_crls(g.unrelated_crls.clone());
     g.job(1).map_err(|e| e.to_string())?;
     check(g.handshakes() == (2, 0), format!("{:?}", g.handshakes()))?;
     check(fulls(&g.wire) == 2, "one fallback")?;

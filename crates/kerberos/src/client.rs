@@ -81,7 +81,7 @@ pub struct ServiceVerifier {
 
 /// Result of accepting a client: the authenticated principal and the
 /// session key for subsequent message protection.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct AcceptedClient {
     /// Authenticated client principal.
     pub client: String,
@@ -91,6 +91,17 @@ pub struct AcceptedClient {
     pub session_key: Key,
     /// Ticket expiry.
     pub end_time: u64,
+}
+
+impl core::fmt::Debug for AcceptedClient {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The session key stays out of logs.
+        f.debug_struct("AcceptedClient")
+            .field("client", &self.client)
+            .field("client_realm", &self.client_realm)
+            .field("end_time", &self.end_time)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ServiceVerifier {
@@ -153,6 +164,24 @@ mod tests {
     use super::*;
     use crate::kdc::Kdc;
     use gridsec_crypto::rng::ChaChaRng;
+
+    #[test]
+    fn accepted_client_debug_prints_no_session_key() {
+        let key = [0xA5; 32];
+        let accepted = AcceptedClient {
+            client: "alice".into(),
+            client_realm: "SITE.A".into(),
+            session_key: key,
+            end_time: 2,
+        };
+        let shown = format!("{accepted:?}");
+        let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+        assert!(shown.contains("alice"), "{shown}");
+        assert!(
+            !shown.contains(&format!("{key:?}")) && !shown.contains(&hex),
+            "{shown}"
+        );
+    }
 
     struct Flow {
         rng: ChaChaRng,

@@ -37,7 +37,7 @@ fn map_decode(_: PkiError) -> KrbError {
 }
 
 /// The plaintext body of a ticket (encrypted under the target's key).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TicketBody {
     /// Client principal, e.g. `alice`.
     pub client: String,
@@ -51,6 +51,19 @@ pub struct TicketBody {
     pub auth_time: u64,
     /// Expiry time.
     pub end_time: u64,
+}
+
+impl core::fmt::Debug for TicketBody {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The session key stays out of logs.
+        f.debug_struct("TicketBody")
+            .field("client", &self.client)
+            .field("client_realm", &self.client_realm)
+            .field("service", &self.service)
+            .field("auth_time", &self.auth_time)
+            .field("end_time", &self.end_time)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Codec for TicketBody {
@@ -161,7 +174,7 @@ impl Authenticator {
 
 /// The part of a KDC reply the client decrypts: the session key matching
 /// the accompanying ticket.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct EncKdcReplyPart {
     /// Session key for the issued ticket.
     pub session_key: Key,
@@ -169,6 +182,16 @@ pub struct EncKdcReplyPart {
     pub service: String,
     /// Ticket expiry.
     pub end_time: u64,
+}
+
+impl core::fmt::Debug for EncKdcReplyPart {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The session key stays out of logs.
+        f.debug_struct("EncKdcReplyPart")
+            .field("service", &self.service)
+            .field("end_time", &self.end_time)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Codec for EncKdcReplyPart {
@@ -215,6 +238,35 @@ pub use EncKdcReplyPart as ReplyPart;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `true` iff `shown` holds `key` in either form a derived `Debug`
+    /// or a hex dump would print it.
+    fn shows_key(shown: &str, key: &Key) -> bool {
+        let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+        shown.contains(&format!("{key:?}")) || shown.contains(&hex)
+    }
+
+    #[test]
+    fn debug_prints_no_session_key() {
+        let key = [0xA5; 32];
+        let body = TicketBody {
+            client: "alice".into(),
+            client_realm: "SITE.A".into(),
+            service: "host/fs1".into(),
+            session_key: key,
+            auth_time: 1,
+            end_time: 2,
+        };
+        let part = EncKdcReplyPart {
+            session_key: key,
+            service: "host/fs1".into(),
+            end_time: 2,
+        };
+        for shown in [format!("{body:?}"), format!("{part:?}")] {
+            assert!(shown.contains("host/fs1"), "{shown}");
+            assert!(!shows_key(&shown, &key), "{shown}");
+        }
+    }
     use gridsec_crypto::rng::ChaChaRng;
 
     #[test]

@@ -22,7 +22,7 @@
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{resume_or_establish, LoopError};
 use gridsec_pki::credential::Credential;
-use gridsec_pki::store::{CrlStore, TrustStore};
+use gridsec_pki::store::{CrlStore, Epoch, TrustStore};
 use gridsec_testbed::clock::SimClock;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
@@ -72,7 +72,10 @@ pub struct OgsaClient<T: Transport> {
     clock: SimClock,
     rng: ChaChaRng,
     sources: Vec<Box<dyn CredentialSource>>,
-    session: Option<WsscSession>,
+    /// The live conversation, with the trust epoch its handshake
+    /// authenticated the server under; used only while that epoch holds.
+    session: Option<(Epoch, WsscSession)>,
+    /// Tickets, each filed under the epoch of its handshake.
     session_cache: ClientSessionCache,
     server_policy: Option<SecurityPolicy>,
     chosen: Option<PolicyAlternative>,
@@ -113,14 +116,11 @@ impl<T: Transport> OgsaClient<T> {
     }
 
     /// Install revocation state for verifying the server: its signed
-    /// replies and every new handshake's chain. The live conversation and
-    /// every cached ticket are dropped, because a resumed context skips
-    /// chain validation: nothing authenticated under the old revocation
-    /// state continues or resumes.
+    /// replies and every new handshake's chain. The store's epoch moves,
+    /// so neither the live conversation nor a cached ticket, both
+    /// authenticated under the old state, is used again.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.crls = crls;
-        self.session = None;
-        self.session_cache = ClientSessionCache::new(DEFAULT_SESSION_CAPACITY);
     }
 
     // ------------------------------------------------------------------
@@ -208,11 +208,13 @@ impl<T: Transport> OgsaClient<T> {
             .unwrap_or_else(|| "service".to_string())
     }
 
-    /// Open a WS-SecureConversation context if none is live, by
-    /// [`resume_or_establish`]: a cached ticket is offered first, and a
-    /// fault in answer to it runs the full exchange once.
+    /// Open a WS-SecureConversation context unless one authenticated
+    /// under the current trust epoch is live, by [`resume_or_establish`]:
+    /// a cached ticket is offered first, and a fault in answer to it runs
+    /// the full exchange once.
     fn ensure_session(&mut self, alt: &PolicyAlternative) -> Result<(), OgsaError> {
-        if self.session.is_some() {
+        let epoch = Epoch::of(&self.trust, &self.crls);
+        if self.session.as_ref().is_some_and(|(e, _)| *e == epoch) {
             return Ok(());
         }
         let key = self.cache_key();
@@ -222,6 +224,7 @@ impl<T: Transport> OgsaClient<T> {
                 &mut self.session_cache,
                 Some(&key),
                 now,
+                epoch,
                 &mut self.rng,
                 || {
                     let credential = credential_for(&mut self.sources, alt, now)?;
@@ -242,12 +245,12 @@ impl<T: Transport> OgsaClient<T> {
         // Bank the session: a full handshake mints a ticket, a resumption
         // rotates it.
         self.session_cache.store(&key, session.channel());
-        self.session = Some(session);
         if resumed {
             self.contexts_resumed += 1;
         } else {
             self.contexts_established += 1;
         }
+        self.session = Some((epoch, session));
         Ok(())
     }
 
@@ -257,7 +260,7 @@ impl<T: Transport> OgsaClient<T> {
         alt: &PolicyAlternative,
     ) -> Result<Envelope, OgsaError> {
         self.ensure_session(alt)?;
-        let session = self.session.as_mut().expect("ensured above");
+        let (_, session) = self.session.as_mut().expect("ensured above");
         let protected = session.protect(&env);
         let reply_xml = self.transport.call(protected.to_xml())?;
         let reply = Envelope::parse(&reply_xml)?;

@@ -46,16 +46,18 @@ pub type AuditSink = Box<dyn FnMut(AuditEvent)>;
 /// A container hosting Grid services behind a security pipeline.
 pub struct HostingEnvironment {
     name: String,
-    credential: Credential,
-    trust: TrustStore,
-    crls: CrlStore,
     clock: SimClock,
     /// Service registry (factories + instances).
     pub registry: ServiceRegistry,
     published_policy: SecurityPolicy,
+    /// The WS-SecureConversation responder. Its `config()` is the one
+    /// copy of this environment's credential and trust state, which the
+    /// stateless branch reads too.
     responder: WsscResponder,
     /// Verdicts on the chains of stateless-message signers, keyed by
-    /// `BinarySecurityToken` text; bounded by [`SIGNER_MEMO_CAPACITY`].
+    /// `BinarySecurityToken` text and filed under the trust epoch of the
+    /// stores they were walked against; bounded by
+    /// [`SIGNER_MEMO_CAPACITY`].
     signers: CachedValidator,
     authz: PolicySet,
     audit: Option<AuditSink>,
@@ -73,12 +75,9 @@ impl HostingEnvironment {
         published_policy: SecurityPolicy,
         authz: PolicySet,
     ) -> Self {
-        let tls_config = TlsConfig::new(credential.clone(), trust.clone(), clock.now());
+        let tls_config = TlsConfig::new(credential, trust, clock.now());
         HostingEnvironment {
             name: name.to_string(),
-            credential,
-            trust,
-            crls: CrlStore::new(),
             clock,
             registry: ServiceRegistry::new(),
             published_policy,
@@ -102,18 +101,11 @@ impl HostingEnvironment {
     }
 
     /// Install revocation state, checked by stateless signed messages
-    /// and by every new WS-SecureConversation handshake. Every memoised
-    /// signer verdict is dropped, and so is every resumable session, for
-    /// the reason [`WsscResponder::set_crls`] gives.
+    /// and by every new WS-SecureConversation handshake. Memoised signer
+    /// verdicts and resumable sessions filed under the old state stop
+    /// hitting, because the store's epoch moved.
     pub fn set_crls(&mut self, crls: CrlStore) {
-        self.responder.set_crls(crls.clone());
-        self.crls = crls;
-        self.signers.clear();
-    }
-
-    /// The credential this environment authenticates as.
-    pub fn credential(&self) -> &Credential {
-        &self.credential
+        self.responder.set_crls(crls);
     }
 
     fn audit_event(&mut self, caller: &str, operation: &str, outcome: &str) {
@@ -173,11 +165,12 @@ impl HostingEnvironment {
             }
             // Stateless signed message.
             Some(_) => {
+                let tls = self.responder.config();
                 let verified = xmlsig::verify_envelope_cached(
                     &env,
                     &mut self.signers,
-                    &self.trust,
-                    &self.crls,
+                    &tls.trust,
+                    &tls.crls,
                     self.clock.now(),
                 )
                 .map_err(OgsaError::Wsse)?;
@@ -185,7 +178,7 @@ impl HostingEnvironment {
                 // Sign the reply so the client can authenticate us too.
                 Ok(xmlsig::sign_envelope(
                     &reply,
-                    &self.credential,
+                    &self.responder.config().credential,
                     self.clock.now(),
                     self.reply_ttl,
                 ))

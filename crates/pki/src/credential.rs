@@ -91,6 +91,18 @@ mod tests {
     }
 
     #[test]
+    fn debug_prints_no_private_key() {
+        let mut rng = ChaChaRng::from_seed_bytes(b"cred debug");
+        let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1000);
+        let cred = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500);
+        let shown = format!("{cred:?}");
+        let (p, q) = cred.key().primes();
+        for secret in [cred.key().private_exponent(), p, q] {
+            assert!(!shown.contains(&secret.to_hex()), "{shown}");
+        }
+    }
+
+    #[test]
     fn base_identity_of_plain_credential() {
         let mut rng = ChaChaRng::from_seed_bytes(b"cred plain");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1000);

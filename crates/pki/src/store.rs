@@ -143,6 +143,26 @@ impl CrlStore {
     }
 }
 
+/// The trust state a cached verdict was derived under: both stores'
+/// generations. A trust-derived cache files each entry under the epoch it
+/// was filled in and misses on a lookup under any other, so installing
+/// new stores needs no invalidation step. Never on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Epoch {
+    trust: u64,
+    crls: u64,
+}
+
+impl Epoch {
+    /// The epoch of `trust` and `crls` as they stand.
+    pub fn of(trust: &TrustStore, crls: &CrlStore) -> Epoch {
+        Epoch {
+            trust: trust.generation(),
+            crls: crls.generation(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +258,10 @@ mod tests {
         assert_eq!(t1.generation(), t3.generation(), "the same history agrees");
         t3.add_root(ca1.certificate().clone());
         assert_eq!(t1.generation(), t3.generation(), "a duplicate is no edit");
+
+        assert_eq!(Epoch::of(&t1, &a), Epoch::of(&t3, &a.clone()));
+        assert_ne!(Epoch::of(&t1, &a), Epoch::of(&t1, &b), "the CRL half");
+        assert_ne!(Epoch::of(&t1, &a), Epoch::of(&t2, &a), "the trust half");
     }
 
     #[test]

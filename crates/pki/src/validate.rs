@@ -19,7 +19,7 @@
 //! the "same user's proxies trust each other" rule key on.
 //!
 //! [`CachedValidator`] memoizes successful walks under the trust/CRL
-//! store generations, so services that see the same chain repeatedly
+//! [`Epoch`], so services that see the same chain repeatedly
 //! (per-message XML signatures, repeated context establishment) pay the
 //! RSA verification cost once per chain rather than once per use. A
 //! decoded chain is keyed on its digest ([`CachedValidator::validate`]);
@@ -34,7 +34,7 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::cert::{key_usage, Certificate, ProxyPolicy};
 use crate::name::DistinguishedName;
-use crate::store::{CrlStore, TrustStore};
+use crate::store::{CrlStore, Epoch, TrustStore};
 use crate::PkiError;
 use gridsec_crypto::rsa::RsaPublicKey;
 use gridsec_crypto::sha256::sha256;
@@ -268,9 +268,9 @@ struct CachedEntry {
 ///
 /// Entries are keyed on a digest of the chain's certificate
 /// fingerprints, or on the chain's wire encoding, and are only valid for
-/// the trust-store / CRL-store generations they were computed under: a
-/// call that sees either generation differ from the last call's — a
-/// store mutated, or another store passed in — clears the cache. Hits are
+/// the trust-store / CRL-store [`Epoch`] they were computed under: a
+/// call under another epoch than the last call's — a store mutated, or
+/// another store passed in — clears the cache. Hits are
 /// additionally gated on the intersected validity window of the chain,
 /// so expiry is honoured without a revalidation walk. Only *successful*
 /// validations are cached — a rejected chain is re-examined every time,
@@ -283,8 +283,8 @@ struct CachedEntry {
 /// harness).
 pub struct CachedValidator {
     capacity: usize,
-    trust_generation: u64,
-    crl_generation: u64,
+    /// The epoch every entry was filled under; `None` before the first call.
+    epoch: Option<Epoch>,
     entries: HashMap<MemoKey, CachedEntry>,
     order: VecDeque<MemoKey>,
     hits: u64,
@@ -297,8 +297,7 @@ impl CachedValidator {
         assert!(capacity > 0, "validator cache capacity must be positive");
         CachedValidator {
             capacity,
-            trust_generation: 0,
-            crl_generation: 0,
+            epoch: None,
             entries: HashMap::new(),
             order: VecDeque::new(),
             hits: 0,
@@ -306,16 +305,15 @@ impl CachedValidator {
         }
     }
 
-    /// Drop every memoized result if either store's generation moved
-    /// since the last call.
-    fn refresh_generations(&mut self, trust: &TrustStore, crls: &CrlStore) {
-        if trust.generation() != self.trust_generation || crls.generation() != self.crl_generation {
-            // A store changed underneath us: every cached result is
-            // suspect (a new CRL may revoke, a removed anchor may
-            // untrust), so drop them all.
+    /// Drop every memoized result if the stores' [`Epoch`] moved since
+    /// the last call: every entry shares one epoch, so a lookup under
+    /// another is a miss for all of them.
+    fn refresh_epoch(&mut self, trust: &TrustStore, crls: &CrlStore) {
+        let epoch = Epoch::of(trust, crls);
+        if self.epoch != Some(epoch) {
+            // A new CRL may revoke, a removed anchor may untrust.
             self.clear();
-            self.trust_generation = trust.generation();
-            self.crl_generation = crls.generation();
+            self.epoch = Some(epoch);
         }
     }
 
@@ -421,7 +419,7 @@ impl CachedValidator {
     }
 
     /// The one memoized walk: a window-gated hit under the current store
-    /// generations, or `chain()` walked and, on success, filed under `key`.
+    /// epoch, or `chain()` walked and, on success, filed under `key`.
     fn memoized<'c, E: From<PkiError>>(
         &mut self,
         key: MemoKey,
@@ -430,7 +428,7 @@ impl CachedValidator {
         crls: &CrlStore,
         now: u64,
     ) -> Result<ValidatedIdentity, E> {
-        self.refresh_generations(trust, crls);
+        self.refresh_epoch(trust, crls);
         if let Some(identity) = self.cache_lookup(&key, now) {
             return Ok(identity);
         }

@@ -15,7 +15,6 @@ use gridsec_pki::store::TrustStore;
 
 /// The result of an SSLK5 login: a TGT plus its session key, usable for
 /// ordinary TGS exchanges afterwards.
-#[derive(Debug)]
 pub struct Sslk5Login {
     /// The issued ticket-granting ticket.
     pub tgt: Ticket,
@@ -25,6 +24,17 @@ pub struct Sslk5Login {
     pub principal: String,
     /// TGT expiry.
     pub end_time: u64,
+}
+
+impl core::fmt::Debug for Sslk5Login {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The session key stays out of logs.
+        f.debug_struct("Sslk5Login")
+            .field("tgt", &self.tgt)
+            .field("principal", &self.principal)
+            .field("end_time", &self.end_time)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Perform the PKINIT exchange: authenticate to `kdc` with `credential`
@@ -116,6 +126,21 @@ mod tests {
 
     fn jane_map(d: &DistinguishedName) -> Option<String> {
         (d == &dn("/O=G/CN=Jane")).then(|| "jdoe".to_string())
+    }
+
+    #[test]
+    fn login_debug_prints_no_session_key() {
+        let mut w = world();
+        let login =
+            sslk5_login(&mut w.rng, &w.kdc, &w.jane, &w.trust, jane_map, 100, 10_000).unwrap();
+        let shown = format!("{login:?}");
+        let key = login.session_key;
+        let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+        assert!(shown.contains("jdoe"), "{shown}");
+        assert!(
+            !shown.contains(&format!("{key:?}")) && !shown.contains(&hex),
+            "{shown}"
+        );
     }
 
     #[test]

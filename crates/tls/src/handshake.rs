@@ -30,13 +30,13 @@ use gridsec_crypto::sha256::sha256;
 use gridsec_pki::cert::Certificate;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
-use gridsec_pki::store::{CrlStore, TrustStore};
+use gridsec_pki::store::{CrlStore, Epoch, TrustStore};
 use gridsec_pki::validate::{validate_chain_with_crls, ValidatedIdentity};
 use gridsec_pki::PkiError;
 
 use crate::channel::SecureChannel;
 use crate::pool::CryptoPool;
-use crate::session::{ResumptionData, DEFAULT_SESSION_LIFETIME};
+use crate::session::{chain_not_after, ResumptionData, DEFAULT_SESSION_LIFETIME};
 use crate::TlsError;
 
 /// Handshake configuration shared by both sides.
@@ -123,6 +123,23 @@ impl TlsConfig {
     pub fn with_crls(mut self, crls: CrlStore) -> Self {
         self.crls = crls;
         self
+    }
+
+    /// The trust epoch of `trust` and `crls`: what a session this config
+    /// authenticates is filed under.
+    pub fn epoch(&self) -> Epoch {
+        Epoch::of(&self.trust, &self.crls)
+    }
+
+    /// The resumption state a full handshake under this config mints,
+    /// identical on both sides: alive `DEFAULT_SESSION_LIFETIME`, clamped
+    /// to the earlier `not_after` of both chains (a resumption skips
+    /// revalidation, so the ticket dies with whichever credential dies
+    /// first), and filed under this config's trust epoch.
+    fn mint_resumption(&self, ks: &KeySchedule, peer_chain: &[Certificate]) -> ResumptionData {
+        let not_after = chain_not_after(self.credential.chain()).min(chain_not_after(peer_chain));
+        let expires_at = self.now.saturating_add(DEFAULT_SESSION_LIFETIME);
+        ks.resumption(expires_at, not_after, self.epoch())
     }
 }
 
@@ -265,8 +282,13 @@ impl KeySchedule {
 
     /// Mint the resumption state for this key schedule, deriving the
     /// ticket through the primed master-keyed HMAC.
-    pub(crate) fn resumption(&self, expires_at: u64, cred_not_after: u64) -> ResumptionData {
-        ResumptionData::from_master_primed(&self.primed, self.master, expires_at, cred_not_after)
+    pub(crate) fn resumption(
+        &self,
+        expires_at: u64,
+        not_after: u64,
+        epoch: Epoch,
+    ) -> ResumptionData {
+        ResumptionData::from_master_primed(&self.primed, self.master, expires_at, not_after, epoch)
     }
 }
 
@@ -370,14 +392,7 @@ impl ClientHandshake {
         let finished = ClientFinished {
             mac: ks.finished_mac("client finished"),
         };
-        // Both chains bound the ticket: resumption skips revalidation,
-        // so the ticket must die with whichever credential dies first.
-        let cred_not_after = crate::session::chain_not_after(self.config.credential.chain())
-            .min(crate::session::chain_not_after(&sh.chain));
-        let resumption = ks.resumption(
-            self.config.now.saturating_add(DEFAULT_SESSION_LIFETIME),
-            cred_not_after,
-        );
+        let resumption = self.config.mint_resumption(&ks, &sh.chain);
         let channel =
             SecureChannel::from_key_block(peer, &ks.key_block, true).with_resumption(resumption);
         Ok((finished.to_bytes(), channel))
@@ -469,14 +484,7 @@ fn server_respond<E: EntropySource>(
         signature: config.credential.sign(&payload),
         finished_mac: ks.finished_mac("server finished"),
     };
-    // Same symmetric bound the client computes in `ClientHandshake::step`,
-    // so both sides mint identically-stamped resumption state.
-    let cred_not_after = crate::session::chain_not_after(config.credential.chain())
-        .min(crate::session::chain_not_after(&ch.chain));
-    let resumption = ks.resumption(
-        config.now.saturating_add(DEFAULT_SESSION_LIFETIME),
-        cred_not_after,
-    );
+    let resumption = config.mint_resumption(&ks, &ch.chain);
     Ok((
         sh.to_bytes(),
         ServerAwaitFinished {

@@ -18,19 +18,28 @@
 //! work remains. Each resumption also *rotates* the session: the resumed
 //! channel carries new [`ResumptionData`] under the new master secret.
 //!
+//! A resumed context skips chain validation, so a session is only as good
+//! as the trust anchors and CRLs its full handshake validated under. Each
+//! [`ResumptionData`] records that [`Epoch`], rotation carries it forward,
+//! and both caches treat a lookup under another epoch as a miss: a server
+//! that installs new stores needs no invalidation step.
+//!
 //! Determinism: both caches are capacity-bounded with FIFO eviction and
 //! expiry driven by the caller-supplied clock (`SimClock` in the
 //! simulation harness), so two runs with the same seed evict and expire
-//! identically. An unknown or expired ticket is an error the caller
-//! turns into a fall back to the full handshake.
+//! identically. An unknown, expired or other-epoch ticket is an error the
+//! caller turns into a fall back to the full handshake.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::ct::ct_eq;
 use gridsec_crypto::hmac::{hmac_sha256, PrimedHmac};
 use gridsec_pki::cert::Certificate;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
+use gridsec_pki::store::Epoch;
 use gridsec_pki::validate::ValidatedIdentity;
 use gridsec_pki::PkiError;
 
@@ -55,6 +64,9 @@ pub struct ResumptionData {
     master: [u8; 32],
     expires_at: u64,
     cred_not_after: u64,
+    /// The trust epoch of the full handshake that authenticated the
+    /// session; never on the wire.
+    epoch: Epoch,
 }
 
 impl core::fmt::Debug for ResumptionData {
@@ -63,14 +75,18 @@ impl core::fmt::Debug for ResumptionData {
         f.debug_struct("ResumptionData")
             .field("expires_at", &self.expires_at)
             .field("cred_not_after", &self.cred_not_after)
+            .field("epoch", &self.epoch)
             .finish_non_exhaustive()
     }
 }
 
 impl ResumptionData {
-    /// Derive the ticket from the master secret. Both handshake sides
-    /// call this with identical inputs, so the ticket never needs to be
-    /// negotiated on the wire during the full handshake.
+    /// Derive the ticket from the master secret, through an
+    /// already-primed master-keyed HMAC schedule (`primed` MUST be keyed
+    /// by `master`; `primed_ticket_matches_one_shot` below pins it to the
+    /// one-shot HMAC). Both handshake sides call this with identical
+    /// inputs, so the ticket never needs to be negotiated on the wire
+    /// during the full handshake.
     ///
     /// `cred_not_after` is the earliest `not_after` across both sides'
     /// certificate chains; the ticket lifetime is clamped to it so a
@@ -78,30 +94,12 @@ impl ResumptionData {
     /// authenticated it have expired. Rotation on resumption carries
     /// the bound forward, so no chain of abbreviated handshakes can
     /// outlive the original proxy either.
-    // In non-test builds every caller goes through the primed path;
-    // this stays as the one-shot reference the byte-identity test
-    // compares against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn from_master(master: [u8; 32], expires_at: u64, cred_not_after: u64) -> Self {
-        let ticket = hmac_sha256(&master, TICKET_LABEL);
-        ResumptionData {
-            ticket,
-            master,
-            expires_at: expires_at.min(cred_not_after),
-            cred_not_after,
-        }
-    }
-
-    /// Like [`ResumptionData::from_master`], but deriving the ticket
-    /// through an already-primed master-keyed HMAC schedule —
-    /// byte-identical output (pinned by `primed_ticket_matches_one_shot`
-    /// below), minus the per-call key-schedule rework. `primed` MUST be
-    /// keyed by `master`.
     pub(crate) fn from_master_primed(
         primed: &PrimedHmac,
         master: [u8; 32],
         expires_at: u64,
         cred_not_after: u64,
+        epoch: Epoch,
     ) -> Self {
         let ticket = primed.mac(TICKET_LABEL);
         debug_assert_eq!(ticket, hmac_sha256(&master, TICKET_LABEL));
@@ -110,6 +108,7 @@ impl ResumptionData {
             master,
             expires_at: expires_at.min(cred_not_after),
             cred_not_after,
+            epoch,
         }
     }
 
@@ -132,6 +131,11 @@ impl ResumptionData {
     /// `true` once `now` has reached the expiry instant.
     pub fn is_expired(&self, now: u64) -> bool {
         now >= self.expires_at
+    }
+
+    /// The trust epoch the session was authenticated under.
+    pub fn epoch(&self) -> Epoch {
+        self.epoch
     }
 }
 
@@ -223,14 +227,14 @@ pub fn is_resume_hello(token: &[u8]) -> bool {
 // Client side
 // ----------------------------------------------------------------------
 
-/// A client-side cached session: resumption state plus the server
-/// identity authenticated by the original full handshake.
+/// A cached session: resumption state plus the peer identity the
+/// original full handshake authenticated. Both caches hold these.
 #[derive(Clone, Debug)]
 pub struct ClientSession {
     data: ResumptionData,
-    /// The server identity from the full handshake's chain validation.
+    /// The peer identity from the full handshake's chain validation.
     /// A resumed channel reuses it — that is sound because only the
-    /// authenticated server holds the master secret the resumption MACs
+    /// authenticated peer holds the master secret the resumption MACs
     /// are keyed on.
     pub peer: ValidatedIdentity,
 }
@@ -256,67 +260,90 @@ impl ClientSession {
     }
 }
 
-/// Client-side session cache keyed by server name, capacity-bounded
-/// with deterministic FIFO eviction.
-pub struct ClientSessionCache {
+/// Sessions by key, at most `capacity` of them, the oldest evicted
+/// first: both caches' bound and eviction.
+struct Fifo<K> {
     capacity: usize,
-    map: HashMap<String, ClientSession>,
-    order: VecDeque<String>,
+    map: HashMap<K, ClientSession>,
+    order: VecDeque<K>,
 }
 
-impl ClientSessionCache {
-    /// Cache holding at most `capacity` sessions (`capacity > 0`).
-    pub fn new(capacity: usize) -> Self {
+impl<K: Clone + Eq + Hash> Fifo<K> {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "session cache capacity must be positive");
-        ClientSessionCache {
+        Fifo {
             capacity,
             map: HashMap::new(),
             order: VecDeque::new(),
         }
     }
 
-    /// Remember the session carried by `channel` under `server`.
-    /// Returns `false` when the channel has no resumption state.
-    pub fn store(&mut self, server: &str, channel: &SecureChannel) -> bool {
-        match ClientSession::from_channel(channel) {
-            Some(session) => {
-                if self.map.insert(server.to_string(), session).is_some() {
-                    self.order.retain(|k| k != server);
-                } else if self.map.len() > self.capacity {
-                    if let Some(oldest) = self.order.pop_front() {
-                        self.map.remove(&oldest);
-                    }
-                }
-                self.order.push_back(server.to_string());
-                true
+    fn insert(&mut self, key: K, session: ClientSession) {
+        if self.map.insert(key.clone(), session).is_some() {
+            self.order.retain(|k| k != &key);
+        } else if self.map.len() > self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.map.remove(&oldest);
             }
-            None => false,
+        }
+        self.order.push_back(key);
+    }
+
+    fn remove<Q: Hash + Eq + ?Sized>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+    {
+        if self.map.remove(key).is_some() {
+            self.order.retain(|k| k.borrow() != key);
+        }
+    }
+}
+
+/// Client-side session cache keyed by server name, capacity-bounded
+/// with deterministic FIFO eviction.
+pub struct ClientSessionCache {
+    sessions: Fifo<String>,
+}
+
+impl ClientSessionCache {
+    /// Cache holding at most `capacity` sessions (`capacity > 0`).
+    pub fn new(capacity: usize) -> Self {
+        ClientSessionCache {
+            sessions: Fifo::new(capacity),
         }
     }
 
-    /// Look up an unexpired session for `server`.
-    pub fn lookup(&self, server: &str, now: u64) -> Option<ClientSession> {
-        self.map
-            .get(server)
-            .filter(|s| !s.data.is_expired(now))
+    /// Remember the session carried by `channel` under `server`.
+    /// Returns `false` when the channel has no resumption state.
+    pub fn store(&mut self, server: &str, channel: &SecureChannel) -> bool {
+        let session = ClientSession::from_channel(channel);
+        session
+            .map(|s| self.sessions.insert(server.to_string(), s))
+            .is_some()
+    }
+
+    /// Look up an unexpired session for `server` filed under `epoch`,
+    /// the caller's current trust epoch.
+    pub fn lookup(&self, server: &str, now: u64, epoch: Epoch) -> Option<ClientSession> {
+        let session = self.sessions.map.get(server);
+        session
+            .filter(|s| !s.data.is_expired(now) && s.data.epoch == epoch)
             .cloned()
     }
 
     /// Drop the session for `server` (e.g. after a failed resumption).
     pub fn invalidate(&mut self, server: &str) {
-        if self.map.remove(server).is_some() {
-            self.order.retain(|k| k != server);
-        }
+        self.sessions.remove(server);
     }
 
     /// Number of cached sessions.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.sessions.map.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.sessions.map.is_empty()
     }
 }
 
@@ -376,9 +403,10 @@ impl ClientResume {
         let finished = ResumeFinished {
             mac: ks.finished_mac("resume client finished"),
         };
-        let cred_not_after = self.session.data.cred_not_after;
+        let data = &self.session.data;
+        let resumption = ks.resumption(self.new_expires_at, data.cred_not_after, data.epoch);
         let channel = SecureChannel::from_key_block(self.session.peer, &ks.key_block, true)
-            .with_resumption(ks.resumption(self.new_expires_at, cred_not_after));
+            .with_resumption(resumption);
         Ok((finished.to_bytes(), channel))
     }
 }
@@ -387,21 +415,11 @@ impl ClientResume {
 // Server side
 // ----------------------------------------------------------------------
 
-#[derive(Clone)]
-struct ServerSession {
-    master: [u8; 32],
-    peer: ValidatedIdentity,
-    expires_at: u64,
-    cred_not_after: u64,
-}
-
 /// Server-side session cache keyed by ticket, capacity-bounded with
 /// deterministic FIFO eviction.
 pub struct ServerSessionCache {
-    capacity: usize,
+    sessions: Fifo<[u8; 32]>,
     lifetime: u64,
-    map: HashMap<[u8; 32], ServerSession>,
-    order: VecDeque<[u8; 32]>,
     hits: u64,
     misses: u64,
 }
@@ -410,12 +428,9 @@ impl ServerSessionCache {
     /// Cache holding at most `capacity` sessions; resumed sessions are
     /// stamped with `now + lifetime`.
     pub fn new(capacity: usize, lifetime: u64) -> Self {
-        assert!(capacity > 0, "session cache capacity must be positive");
         ServerSessionCache {
-            capacity,
+            sessions: Fifo::new(capacity),
             lifetime,
-            map: HashMap::new(),
-            order: VecDeque::new(),
             hits: 0,
             misses: 0,
         }
@@ -424,68 +439,80 @@ impl ServerSessionCache {
     /// Remember the session carried by `channel`. Returns `false` when
     /// the channel has no resumption state.
     pub fn store(&mut self, channel: &SecureChannel) -> bool {
-        let Some(data) = channel.resumption() else {
-            return false;
-        };
-        let ticket = data.ticket;
-        let session = ServerSession {
-            master: data.master,
-            peer: channel.peer.clone(),
-            expires_at: data.expires_at,
-            cred_not_after: data.cred_not_after,
-        };
-        if self.map.insert(ticket, session).is_some() {
-            self.order.retain(|k| k != &ticket);
-        } else if self.map.len() > self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
-            }
-        }
-        self.order.push_back(ticket);
-        true
+        let session = ClientSession::from_channel(channel);
+        session
+            .map(|s| self.sessions.insert(s.data.ticket, s))
+            .is_some()
     }
 
-    /// Consume a ResumeHello token. On a hit, returns the
-    /// ResumeServerHello token and the await-finished state. An unknown
-    /// or expired ticket is an error — the caller signals the client,
-    /// which falls back to a full handshake. Expired entries are
-    /// dropped on lookup so the cache cannot fill with dead sessions.
+    /// Consume a ResumeHello token under `epoch`, the caller's current
+    /// trust epoch. On a hit, returns the ResumeServerHello token and the
+    /// await-finished state. An unknown or expired ticket, or one filed
+    /// under another epoch, is an error — the caller signals the client,
+    /// which falls back to a full handshake. Expired and other-epoch
+    /// entries are dropped on lookup so the cache cannot fill with dead
+    /// sessions.
+    pub fn accept_under<E: EntropySource>(
+        &mut self,
+        token: &[u8],
+        now: u64,
+        epoch: Epoch,
+        rng: &mut E,
+    ) -> Result<(Vec<u8>, ServerResumeAwait), TlsError> {
+        self.take(token, now, Some(epoch), rng)
+    }
+
+    /// [`Self::accept_under`] with no epoch check. Kept only because the
+    /// frozen `benchmark/` crate's resumption probe calls it (ROADMAP
+    /// item 1(a)); no server does.
     pub fn accept<E: EntropySource>(
         &mut self,
         token: &[u8],
         now: u64,
         rng: &mut E,
     ) -> Result<(Vec<u8>, ServerResumeAwait), TlsError> {
+        self.take(token, now, None, rng)
+    }
+
+    fn take<E: EntropySource>(
+        &mut self,
+        token: &[u8],
+        now: u64,
+        epoch: Option<Epoch>,
+        rng: &mut E,
+    ) -> Result<(Vec<u8>, ServerResumeAwait), TlsError> {
         let hello = ResumeHello::from_bytes(token)
             .map_err(|_| TlsError::Protocol("malformed ResumeHello"))?;
-        let session = match self.map.get(&hello.ticket) {
-            Some(s) if now < s.expires_at => s.clone(),
-            Some(_) => {
-                self.map.remove(&hello.ticket);
-                self.order.retain(|k| k != &hello.ticket);
-                self.misses += 1;
-                return Err(TlsError::Protocol("expired session ticket"));
+        let refusal = match self.sessions.map.get(&hello.ticket) {
+            None => Some("unknown session ticket"),
+            Some(s) if s.data.is_expired(now) => Some("expired session ticket"),
+            Some(s) if epoch.is_some_and(|e| e != s.data.epoch) => {
+                Some("session ticket from another trust epoch")
             }
-            None => {
-                self.misses += 1;
-                return Err(TlsError::Protocol("unknown session ticket"));
-            }
+            Some(_) => None,
         };
+        if let Some(refusal) = refusal {
+            self.sessions.remove(&hello.ticket);
+            self.misses += 1;
+            return Err(TlsError::Protocol(refusal));
+        }
+        let ClientSession { data, peer } = &self.sessions.map[&hello.ticket];
         self.hits += 1;
 
         let mut server_random = [0u8; 32];
         rng.fill_bytes(&mut server_random);
-        let ks = KeySchedule::derive(&session.master, &hello.client_random, &server_random, token);
+        let ks = KeySchedule::derive(&data.master, &hello.client_random, &server_random, token);
         let sh = ResumeServerHello {
             server_random,
             finished_mac: ks.finished_mac("resume server finished"),
         };
-        let resumption = ks.resumption(now.saturating_add(self.lifetime), session.cred_not_after);
+        let expires_at = now.saturating_add(self.lifetime);
+        let resumption = ks.resumption(expires_at, data.cred_not_after, data.epoch);
         Ok((
             sh.to_bytes(),
             ServerResumeAwait {
                 expected_mac: ks.finished_mac("resume client finished"),
-                peer: session.peer,
+                peer: peer.clone(),
                 key_block: ks.key_block,
                 resumption,
             },
@@ -497,19 +524,19 @@ impl ServerSessionCache {
         self.hits
     }
 
-    /// Unknown/expired ticket lookups so far.
+    /// Unknown, expired and other-epoch ticket lookups so far.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Number of cached sessions.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.sessions.map.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.sessions.map.is_empty()
     }
 }
 
@@ -546,7 +573,7 @@ mod tests {
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
-    use gridsec_pki::store::TrustStore;
+    use gridsec_pki::store::{CrlStore, TrustStore};
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -574,6 +601,12 @@ mod tests {
         }
     }
 
+    impl World {
+        fn epoch(&self) -> Epoch {
+            Epoch::of(&self.trust, &CrlStore::new())
+        }
+    }
+
     fn cfg(w: &World, cred: &Credential) -> TlsConfig {
         TlsConfig::new(cred.clone(), w.trust.clone(), 100)
     }
@@ -589,7 +622,7 @@ mod tests {
         let mut server_cache = ServerSessionCache::new(4, DEFAULT_SESSION_LIFETIME);
         assert!(client_cache.store("fs1", &cch));
         assert!(server_cache.store(&sch));
-        let session = client_cache.lookup("fs1", 100).unwrap();
+        let session = client_cache.lookup("fs1", 100, w.epoch()).unwrap();
         (client_cache, server_cache, session)
     }
 
@@ -601,7 +634,7 @@ mod tests {
 
         let (cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
         assert!(is_resume_hello(&hello));
-        let (sh, await_finished) = sc.accept(&hello, 200, &mut w.rng).unwrap();
+        let (sh, await_finished) = sc.accept_under(&hello, 200, w.epoch(), &mut w.rng).unwrap();
         let (finished, mut cch) = cr.step(&sh).unwrap();
         let mut sch = await_finished.step(&finished).unwrap();
         assert_eq!(sc.hits(), 1);
@@ -626,15 +659,12 @@ mod tests {
         let (_cc, mut sc, session) = establish_and_cache(&mut w);
         let check = |data: &ResumptionData| {
             assert_eq!(*data.ticket(), hmac_sha256(&data.master, TICKET_LABEL));
-            let reference =
-                ResumptionData::from_master(data.master, data.expires_at, data.cred_not_after);
-            assert_eq!(data.ticket(), reference.ticket());
-            assert_eq!(data.expires_at(), reference.expires_at());
+            assert!(data.expires_at() <= data.cred_not_after(), "clamped");
         };
         check(&session.data);
 
         let (cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
-        let (sh, await_finished) = sc.accept(&hello, 200, &mut w.rng).unwrap();
+        let (sh, await_finished) = sc.accept_under(&hello, 200, w.epoch(), &mut w.rng).unwrap();
         let (finished, cch) = cr.step(&sh).unwrap();
         let sch = await_finished.step(&finished).unwrap();
         check(cch.resumption().unwrap());
@@ -653,12 +683,15 @@ mod tests {
         let old_ticket = *session.data.ticket();
 
         let (cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
-        let (sh, await_finished) = sc.accept(&hello, 200, &mut w.rng).unwrap();
+        let (sh, await_finished) = sc.accept_under(&hello, 200, w.epoch(), &mut w.rng).unwrap();
         let (finished, cch) = cr.step(&sh).unwrap();
         let sch = await_finished.step(&finished).unwrap();
 
         let new_ticket = *cch.resumption().unwrap().ticket();
         assert_ne!(new_ticket, old_ticket);
+        // Rotation carries the epoch forward on both sides.
+        assert_eq!(cch.resumption().unwrap().epoch(), w.epoch());
+        assert_eq!(sch.resumption().unwrap().epoch(), w.epoch());
         // Both sides rotate to the same new session.
         assert_eq!(new_ticket, *sch.resumption().unwrap().ticket());
     }
@@ -670,11 +703,33 @@ mod tests {
         let mut fresh = ServerSessionCache::new(4, 3_600);
         let (_cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
         assert!(matches!(
-            fresh.accept(&hello, 200, &mut w.rng),
+            fresh.accept_under(&hello, 200, w.epoch(), &mut w.rng),
             Err(TlsError::Protocol("unknown session ticket"))
         ));
         assert_eq!(fresh.misses(), 1);
         assert_eq!(sc.hits(), 0);
+    }
+
+    #[test]
+    fn another_epoch_is_a_miss_on_both_sides() {
+        let mut w = world();
+        let (cc, mut sc, session) = establish_and_cache(&mut w);
+        assert_eq!(session.data.epoch(), w.epoch(), "filed under its stores");
+        let ca = CertificateAuthority::create_root(&mut w.rng, dn("/O=H/CN=CA"), 512, 0, 1_000_000);
+        let mut trust = w.trust.clone();
+        trust.add_root(ca.certificate().clone());
+        let other = Epoch::of(&trust, &CrlStore::new());
+
+        assert!(cc.lookup("fs1", 100, other).is_none());
+        let (_cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
+        assert!(matches!(
+            sc.accept_under(&hello, 200, other, &mut w.rng),
+            Err(TlsError::Protocol(
+                "session ticket from another trust epoch"
+            ))
+        ));
+        assert_eq!((sc.hits(), sc.misses()), (0, 1));
+        assert!(sc.is_empty(), "the dead entry was dropped on lookup");
     }
 
     #[test]
@@ -685,7 +740,7 @@ mod tests {
         assert_eq!(sc.len(), 1);
         let (_cr, hello) = resume_client(session, expiry, 3_600, &mut w.rng);
         assert!(matches!(
-            sc.accept(&hello, expiry, &mut w.rng),
+            sc.accept_under(&hello, expiry, w.epoch(), &mut w.rng),
             Err(TlsError::Protocol("expired session ticket"))
         ));
         // The dead entry was dropped on lookup.
@@ -696,8 +751,10 @@ mod tests {
     fn client_cache_expiry_and_invalidate() {
         let mut w = world();
         let (cc, _sc, session) = establish_and_cache(&mut w);
-        assert!(cc.lookup("fs1", session.expires_at() - 1).is_some());
-        assert!(cc.lookup("fs1", session.expires_at()).is_none());
+        assert!(cc
+            .lookup("fs1", session.expires_at() - 1, w.epoch())
+            .is_some());
+        assert!(cc.lookup("fs1", session.expires_at(), w.epoch()).is_none());
         let mut cc = cc;
         cc.invalidate("fs1");
         assert!(cc.is_empty());
@@ -713,9 +770,9 @@ mod tests {
             assert!(cache.store(name, &cch));
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup("s1", 100).is_none()); // evicted
-        assert!(cache.lookup("s2", 100).is_some());
-        assert!(cache.lookup("s3", 100).is_some());
+        assert!(cache.lookup("s1", 100, w.epoch()).is_none()); // evicted
+        assert!(cache.lookup("s2", 100, w.epoch()).is_some());
+        assert!(cache.lookup("s3", 100, w.epoch()).is_some());
     }
 
     #[test]
@@ -755,7 +812,7 @@ mod tests {
         let mut server_cache = ServerSessionCache::new(4, DEFAULT_SESSION_LIFETIME);
         assert!(client_cache.store("fs1", &cch));
         assert!(server_cache.store(&sch));
-        let session = client_cache.lookup("fs1", clock.now()).unwrap();
+        let session = client_cache.lookup("fs1", clock.now(), w.epoch()).unwrap();
 
         // The proxy expires between the full handshake and the attempted
         // abbreviated one.
@@ -764,13 +821,13 @@ mod tests {
         assert!(now > proxy_expiry);
 
         // Client-side cache already refuses to offer the session ...
-        assert!(client_cache.lookup("fs1", now).is_none());
+        assert!(client_cache.lookup("fs1", now, w.epoch()).is_none());
 
         // ... and a stale client that held on to it is refused by the
         // server, which drops the dead entry.
         let (_cr, hello) = resume_client(session, now, DEFAULT_SESSION_LIFETIME, &mut w.rng);
         assert!(matches!(
-            server_cache.accept(&hello, now, &mut w.rng),
+            server_cache.accept_under(&hello, now, w.epoch(), &mut w.rng),
             Err(TlsError::Protocol("expired session ticket"))
         ));
         assert!(server_cache.is_empty());
@@ -815,9 +872,11 @@ mod tests {
         // abbreviated handshakes dies exactly when the proxy does.
         let mut now = 300;
         for _ in 0..3 {
-            let session = client_cache.lookup("fs1", now).unwrap();
+            let session = client_cache.lookup("fs1", now, w.epoch()).unwrap();
             let (cr, hello) = resume_client(session, now, DEFAULT_SESSION_LIFETIME, &mut w.rng);
-            let (sh, await_finished) = server_cache.accept(&hello, now, &mut w.rng).unwrap();
+            let (sh, await_finished) = server_cache
+                .accept_under(&hello, now, w.epoch(), &mut w.rng)
+                .unwrap();
             let (finished, cch) = cr.step(&sh).unwrap();
             let sch = await_finished.step(&finished).unwrap();
             assert_eq!(cch.resumption().unwrap().expires_at(), proxy_expiry);
@@ -828,7 +887,9 @@ mod tests {
         }
 
         // Past the proxy's not_after, the last rotated ticket is dead too.
-        assert!(client_cache.lookup("fs1", proxy_expiry).is_none());
+        assert!(client_cache
+            .lookup("fs1", proxy_expiry, w.epoch())
+            .is_none());
     }
 
     #[test]
@@ -836,7 +897,7 @@ mod tests {
         let mut w = world();
         let (_cc, mut sc, session) = establish_and_cache(&mut w);
         let (cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
-        let (mut sh, await_finished) = sc.accept(&hello, 200, &mut w.rng).unwrap();
+        let (mut sh, await_finished) = sc.accept_under(&hello, 200, w.epoch(), &mut w.rng).unwrap();
         let n = sh.len();
         sh[n - 1] ^= 1;
         assert_eq!(cr.step(&sh).unwrap_err(), TlsError::BadFinished);

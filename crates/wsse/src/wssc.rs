@@ -17,8 +17,9 @@
 //! client holding a [`ClientSession`] starts its [`WsscInitiator`] from
 //! an [`InitiatorContext::resume`] — the same RST/RSTR envelope shapes,
 //! but the `BinaryExchange` tokens carry only symmetric-crypto material
-//! ([`gridsec_tls::session`]). An unknown ticket answers with a context
-//! fault and the client falls back to the full handshake
+//! ([`gridsec_tls::session`]). An unknown ticket, or one filed under
+//! another trust epoch than the responder's stores now read, answers with
+//! a context fault and the client falls back to the full handshake
 //! ([`gridsec_gssapi::context::resume_or_establish`]).
 
 use std::collections::HashMap;
@@ -164,7 +165,9 @@ enum ServerCtx {
 pub struct WsscResponder {
     config: TlsConfig,
     next_id: u64,
+    /// Conversations, not a cache: a trust change leaves them (ROADMAP 6).
     contexts: HashMap<String, ServerCtx>,
+    /// Resumable sessions, each filed under the trust epoch of `config`.
     sessions: ServerSessionCache,
 }
 
@@ -203,6 +206,7 @@ impl WsscResponder {
                 &token,
                 &mut self.sessions,
                 config.now,
+                config.epoch(),
                 || config.clone(),
                 rng,
             )
@@ -268,20 +272,23 @@ impl WsscResponder {
         }
     }
 
+    /// What new handshakes run under: the responder's credential and
+    /// trust state.
+    pub fn config(&self) -> &TlsConfig {
+        &self.config
+    }
+
     /// Update the time used to validate chains in *new* handshakes
     /// (already-established contexts are unaffected).
     pub fn set_time(&mut self, now: u64) {
         self.config.now = now;
     }
 
-    /// Install revocation state for *new* handshakes, and empty the
-    /// session cache: a resumed context skips chain validation, so no
-    /// session authenticated under the old revocation state may be
-    /// resumed. Conversations already established are left as they are
-    /// (ROADMAP items 5 and 6).
+    /// Install revocation state for new handshakes. The store's epoch
+    /// moves with it, so a session cached under the old state stops
+    /// resuming; established conversations are left as they are.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.config.crls = crls;
-        self.sessions = ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME);
     }
 
     /// Number of live contexts (pending + established).

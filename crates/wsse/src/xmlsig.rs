@@ -142,7 +142,7 @@ pub fn verify_envelope(
 /// [`verify_envelope`] with the signer's chain validated through
 /// `signers`, keyed on the exact `BinarySecurityToken` text
 /// ([`CachedValidator::validate_encoded`]): a token seen before under
-/// the same store generations, inside its chain's validity window, costs
+/// the same trust epoch, inside its chain's validity window, costs
 /// no base64 decode, certificate decode or chain walk. The verdict is
 /// exactly [`verify_envelope`]'s.
 pub fn verify_envelope_cached(

@@ -189,6 +189,55 @@ stage_grep_guard() {
         echo "FAIL: the GridFTP server hashes file contents itself (above); use SimOs::file_digest" >&2
         exit 1
     fi
+    # One trust epoch per server (DESIGN.md §11.7): every cache of
+    # something derived from trust state files each entry under the
+    # (trust, CRL) epoch it was filled in, so installing CRLs is an
+    # assignment, or a call of the one owner's `set_crls`. A `set_crls`
+    # that clears, rebuilds or drops a table is a hand-kept invalidation
+    # list coming back; a session-cache or
+    # validator field must be listed in the test that checks the rule.
+    local sources epoch_test=crates/integration/tests/trust_epoch.rs
+    sources=$(find crates/*/src -name '*.rs' | sort)
+    # shellcheck disable=SC2086
+    if awk '
+        /fn set_crls\(/ && !/^ *\/\// {
+            match($0, /^ */); close_line = substr($0, 1, RLENGTH) "}"; inside = 1; next
+        }
+        inside && $0 == close_line { inside = 0; next }
+        inside && !/^ *(\/\/.*)?$/ && !/^ *self(\.[a-z_]+)+( = crls|\.set_crls\(crls\));$/ {
+            print FILENAME ":" FNR ":" $0; found = 1
+        }
+        END { exit !found }
+    ' $sources; then
+        echo "FAIL: a set_crls does more than assign the store (above)" >&2
+        exit 1
+    fi
+    local entry fields=0 unlisted=0
+    # shellcheck disable=SC2086
+    while read -r entry; do
+        fields=$((fields + 1))
+        if ! grep -qF "\"$entry\"" "$epoch_test"; then
+            echo "FAIL: $entry caches trust-derived state but $epoch_test does not list it" >&2
+            unlisted=1
+        fi
+    done < <(awk '
+        /^ *(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]+.*\{$/ {
+            owner = $0; sub(/^ *(pub(\([a-z]+\))? )?struct /, "", owner)
+            sub(/[^A-Za-z0-9_].*/, "", owner)
+            match($0, /^ */); close_line = substr($0, 1, RLENGTH) "}"; next
+        }
+        owner != "" && $0 == close_line { owner = ""; next }
+        owner != "" && /^ *(pub(\([a-z]+\))? )?[a-z0-9_]+: [^&]*(ServerSessionCache|ClientSessionCache|CachedValidator)/ {
+            field = $0; sub(/^ *(pub(\([a-z]+\))? )?/, "", field); sub(/:.*/, "", field)
+            file = FILENAME; sub(/^crates\//, "", file)
+            print file ": " owner "." field
+        }
+    ' $sources)
+    if [ "$fields" -eq 0 ]; then
+        echo "FAIL: found no session-cache or validator field — the gate is vacuous" >&2
+        exit 1
+    fi
+    [ "$unlisted" -eq 0 ] || exit 1
 }
 
 stage_fmt() {
