@@ -553,8 +553,9 @@ impl GramResource {
     /// MJS. That LMJFS's first delegation under the current trust epoch
     /// generates the key (`GramConfig::key_bits`, drawn from `rng`) and
     /// grants it to the LMJFS process; every later job's proxy in that
-    /// epoch is issued over the same key. The requestor still signs a fresh proxy per job, which
-    /// [`PendingDelegation::finish`] binds to `context`'s peer.
+    /// epoch is issued over the same key. The requestor still signs a
+    /// fresh proxy per job, which [`PendingDelegation::finish`] binds to
+    /// `context`'s peer.
     pub fn mjs_accept_delegation<E: EntropySource>(
         &mut self,
         handle: &str,

@@ -57,7 +57,7 @@ impl TrustStore {
 
     /// Digest of the edit history: 0 when empty, the same for clones,
     /// different for stores whose anchors were added differently.
-    pub fn generation(&self) -> u64 {
+    fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -118,7 +118,7 @@ impl CrlStore {
 
     /// Digest of the edit history: 0 when empty, the same for clones,
     /// different for stores whose CRLs were added differently.
-    pub fn generation(&self) -> u64 {
+    fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -148,18 +148,12 @@ impl CrlStore {
 /// was filled in and misses on a lookup under any other, so installing
 /// new stores needs no invalidation step. Never on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Epoch {
-    trust: u64,
-    crls: u64,
-}
+pub struct Epoch(u64, u64);
 
 impl Epoch {
     /// The epoch of `trust` and `crls` as they stand.
     pub fn of(trust: &TrustStore, crls: &CrlStore) -> Epoch {
-        Epoch {
-            trust: trust.generation(),
-            crls: crls.generation(),
-        }
+        Epoch(trust.generation(), crls.generation())
     }
 }
 

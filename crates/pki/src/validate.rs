@@ -268,14 +268,14 @@ struct CachedEntry {
 ///
 /// Entries are keyed on a digest of the chain's certificate
 /// fingerprints, or on the chain's wire encoding, and are only valid for
-/// the trust-store / CRL-store [`Epoch`] they were computed under: a
-/// call under another epoch than the last call's — a store mutated, or
-/// another store passed in — clears the cache. Hits are
-/// additionally gated on the intersected validity window of the chain,
-/// so expiry is honoured without a revalidation walk. Only *successful*
-/// validations are cached — a rejected chain is re-examined every time,
-/// so an attacker cannot pin a negative (or have a transient failure
-/// outlive its cause).
+/// the trust [`Epoch`] (the trust-store and CRL-store generations) they
+/// were computed under: a call under another epoch than the last call's
+/// — a store mutated, or another store passed in — clears the cache.
+/// Hits are additionally gated on the intersected validity window of the
+/// chain, so expiry is honoured without a revalidation walk. Only
+/// *successful* validations are cached — a rejected chain is
+/// re-examined every time, so an attacker cannot pin a negative (or have
+/// a transient failure outlive its cause).
 ///
 /// Eviction is FIFO over a bounded capacity, so cache behaviour is a
 /// pure function of the call sequence — two identical runs hit, miss,
@@ -468,7 +468,7 @@ impl CachedValidator {
     }
 
     /// Forget every memoized verdict; the hit/miss counters stay.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.entries.clear();
         self.order.clear();
     }

@@ -137,9 +137,10 @@ impl TlsConfig {
     /// revalidation, so the ticket dies with whichever credential dies
     /// first), and filed under this config's trust epoch.
     fn mint_resumption(&self, ks: &KeySchedule, peer_chain: &[Certificate]) -> ResumptionData {
-        let not_after = chain_not_after(self.credential.chain()).min(chain_not_after(peer_chain));
+        let cred_not_after =
+            chain_not_after(self.credential.chain()).min(chain_not_after(peer_chain));
         let expires_at = self.now.saturating_add(DEFAULT_SESSION_LIFETIME);
-        ks.resumption(expires_at, not_after, self.epoch())
+        ks.resumption(expires_at, cred_not_after, self.epoch())
     }
 }
 
@@ -285,10 +286,16 @@ impl KeySchedule {
     pub(crate) fn resumption(
         &self,
         expires_at: u64,
-        not_after: u64,
+        cred_not_after: u64,
         epoch: Epoch,
     ) -> ResumptionData {
-        ResumptionData::from_master_primed(&self.primed, self.master, expires_at, not_after, epoch)
+        ResumptionData::from_master_primed(
+            &self.primed,
+            self.master,
+            expires_at,
+            cred_not_after,
+            epoch,
+        )
     }
 }
 

@@ -132,11 +132,6 @@ impl ResumptionData {
     pub fn is_expired(&self, now: u64) -> bool {
         now >= self.expires_at
     }
-
-    /// The trust epoch the session was authenticated under.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
 }
 
 /// Earliest `not_after` across a certificate chain — the instant the
@@ -690,8 +685,8 @@ mod tests {
         let new_ticket = *cch.resumption().unwrap().ticket();
         assert_ne!(new_ticket, old_ticket);
         // Rotation carries the epoch forward on both sides.
-        assert_eq!(cch.resumption().unwrap().epoch(), w.epoch());
-        assert_eq!(sch.resumption().unwrap().epoch(), w.epoch());
+        assert_eq!(cch.resumption().unwrap().epoch, w.epoch());
+        assert_eq!(sch.resumption().unwrap().epoch, w.epoch());
         // Both sides rotate to the same new session.
         assert_eq!(new_ticket, *sch.resumption().unwrap().ticket());
     }
@@ -714,7 +709,7 @@ mod tests {
     fn another_epoch_is_a_miss_on_both_sides() {
         let mut w = world();
         let (cc, mut sc, session) = establish_and_cache(&mut w);
-        assert_eq!(session.data.epoch(), w.epoch(), "filed under its stores");
+        assert_eq!(session.data.epoch, w.epoch(), "filed under its stores");
         let ca = CertificateAuthority::create_root(&mut w.rng, dn("/O=H/CN=CA"), 512, 0, 1_000_000);
         let mut trust = w.trust.clone();
         trust.add_root(ca.certificate().clone());
