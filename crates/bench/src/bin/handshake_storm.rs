@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use gridsec_bench::{dn, KEY_BITS};
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{AcceptorContext, InitiatorContext};
 use gridsec_gssapi::mill::HandshakeMill;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
@@ -171,8 +171,7 @@ fn main() {
     let mut baseline_rejected = 0u64;
     let t0 = Instant::now();
     for (_init, hello) in &baseline_hellos {
-        let mut acceptor = AcceptorContext::new(plain_cfg.clone());
-        match acceptor.step(&mut rng, hello) {
+        match AcceptorContext::answer_hello(hello, plain_cfg.clone(), &mut rng) {
             Ok(_) => baseline_accepted += 1,
             Err(_) => baseline_rejected += 1,
         }
@@ -200,24 +199,11 @@ fn main() {
         // Outside the timed region: complete the first good session of
         // the wave end-to-end to prove the contexts actually work.
         for ((init, _), accepted) in chunk.iter_mut().zip(wave) {
-            let (Some(init), Ok((server_hello, mut acceptor))) = (init.as_mut(), accepted) else {
+            let (Some(init), Ok((acceptor, server_hello))) = (init.take(), accepted) else {
                 continue;
             };
-            let StepResult::Established {
-                token: Some(finished),
-                context: mut ictx,
-            } = init.step(&server_hello).expect("initiator finishes")
-            else {
-                panic!("initiator should establish on ServerHello");
-            };
-            let StepResult::Established {
-                context: mut actx, ..
-            } = acceptor
-                .step(&mut rng, &finished)
-                .expect("acceptor finishes")
-            else {
-                panic!("acceptor should establish on Finished");
-            };
+            let (finished, mut ictx) = init.step(&server_hello).expect("initiator finishes");
+            let mut actx = acceptor.step(&finished).expect("acceptor finishes");
             let sealed = ictx.wrap(b"login");
             assert_eq!(actx.unwrap(&sealed).expect("unwrap"), b"login");
             completed += 1;

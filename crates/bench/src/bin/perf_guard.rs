@@ -125,9 +125,9 @@ use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::{JobDescription, Requestor};
 use gridsec_gridftp::poll::{Dialect, ServerSession};
 use gridsec_gsi::sso::{grid_proxy_init, ProxyOptions};
-use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{AcceptorContext, InitiatorContext};
 use gridsec_gssapi::mill::HandshakeMill;
-use gridsec_gssapi::poll::{PollInitiator, WaveAcceptor};
+use gridsec_gssapi::poll::WaveAcceptor;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::CrashPlan;
 use gridsec_testbed::os::{FileMode, SimOs};
@@ -260,8 +260,8 @@ fn main() {
 
     let per_session = median_ns(7, || {
         for hello in &hello_refs {
-            let mut acceptor = AcceptorContext::new(server_cfg.clone());
-            std::hint::black_box(acceptor.step(&mut w.rng, hello).unwrap());
+            let answered = AcceptorContext::answer_hello(hello, server_cfg.clone(), &mut w.rng);
+            std::hint::black_box(answered.unwrap());
         }
     });
 
@@ -320,11 +320,11 @@ fn main() {
     const POLL_WAVE: usize = 24;
     let mut w = bench_world(b"perf guard poll wave");
     let server_cfg = TlsConfig::new(w.service.clone(), w.trust.clone(), 10);
-    let mk_inits = |w: &mut gridsec_bench::BenchWorld| -> Vec<(PollInitiator, Vec<u8>)> {
+    let mk_inits = |w: &mut gridsec_bench::BenchWorld| -> Vec<(InitiatorContext, Vec<u8>)> {
         (0..POLL_WAVE)
             .map(|_| {
                 let cfg = TlsConfig::new(w.user.clone(), w.trust.clone(), 10);
-                PollInitiator::new(cfg, &mut w.rng)
+                InitiatorContext::new(cfg, &mut w.rng)
             })
             .collect()
     };
@@ -340,7 +340,7 @@ fn main() {
         let replies = wave_acceptor.flush_wave(&mut w.rng);
         let acceptor_ns = t.elapsed().as_nanos();
         for ((id, reply), (init, _)) in replies.into_iter().zip(inits) {
-            let (finished, _ctx) = init.feed(&reply.expect("wave accepts")).unwrap();
+            let (finished, _ctx) = init.step(&reply.expect("wave accepts")).unwrap();
             parked.push((id, finished));
         }
         let t = Instant::now();
@@ -369,16 +369,14 @@ fn main() {
                 let inits = mk_inits(&mut w);
                 let mut acceptor_ns = 0u128;
                 for (init, hello) in inits {
-                    let mut acceptor = AcceptorContext::new(server_cfg.clone());
+                    let cfg = server_cfg.clone();
                     let t = Instant::now();
-                    let server_hello = match acceptor.step(&mut w.rng, &hello).unwrap() {
-                        StepResult::ContinueWith(tok) => tok,
-                        StepResult::Established { .. } => unreachable!(),
-                    };
+                    let (acceptor, server_hello) =
+                        AcceptorContext::answer_hello(&hello, cfg, &mut w.rng).unwrap();
                     acceptor_ns += t.elapsed().as_nanos();
-                    let (finished, _ctx) = init.feed(&server_hello).unwrap();
+                    let (finished, _ctx) = init.step(&server_hello).unwrap();
                     let t = Instant::now();
-                    std::hint::black_box(acceptor.step(&mut w.rng, &finished).unwrap());
+                    std::hint::black_box(acceptor.step(&finished).unwrap());
                     acceptor_ns += t.elapsed().as_nanos();
                 }
                 acceptor_ns

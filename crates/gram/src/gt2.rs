@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::{AcceptorContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{AcceptorContext, InitiatorContext};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
@@ -123,41 +123,21 @@ impl Gt2Gatekeeper {
         client_credential: &Credential,
         description: &JobDescription,
     ) -> Result<String, GramError> {
-        let ctxerr = |m: String| GramError::Context(m);
         let oserr = |e: gridsec_testbed::TestbedError| GramError::Os(e.to_string());
         let now = self.clock.now();
 
         // GT2 TLS mutual authentication (token loop in process).
         let client_config = TlsConfig::new(client_credential.clone(), self.trust.clone(), now);
         let server_config = TlsConfig::new(self.host_credential.clone(), self.trust.clone(), now);
-        let (mut initiator, t1) = InitiatorContext::new(client_config, &mut self.rng);
-        let mut acceptor = AcceptorContext::new(server_config);
-        let t2 = match acceptor
-            .step(&mut self.rng, &t1)
-            .map_err(|e| ctxerr(e.to_string()))?
-        {
-            StepResult::ContinueWith(t) => t,
-            _ => return Err(ctxerr("acceptor state".into())),
-        };
-        let (t3, mut client_ctx) = match initiator.step(&t2).map_err(|e| ctxerr(e.to_string()))? {
-            StepResult::Established { token, context } => {
-                (token.ok_or(ctxerr("missing token".into()))?, context)
-            }
-            _ => return Err(ctxerr("initiator state".into())),
-        };
-        let mut server_ctx = match acceptor
-            .step(&mut self.rng, &t3)
-            .map_err(|e| ctxerr(e.to_string()))?
-        {
-            StepResult::Established { context, .. } => context,
-            _ => return Err(ctxerr("acceptor state".into())),
-        };
+        let (initiator, t1) = InitiatorContext::new(client_config, &mut self.rng);
+        let (acceptor, t2) = AcceptorContext::answer_hello(&t1, server_config, &mut self.rng)
+            .map_err(GramError::context)?;
+        let (t3, mut client_ctx) = initiator.step(&t2).map_err(GramError::context)?;
+        let mut server_ctx = acceptor.step(&t3).map_err(GramError::context)?;
 
         // Job description over the secured channel.
         let wire = client_ctx.wrap(description.to_element().to_xml().as_bytes());
-        let received = server_ctx
-            .unwrap(&wire)
-            .map_err(|e| ctxerr(e.to_string()))?;
+        let received = server_ctx.unwrap(&wire).map_err(GramError::context)?;
         let parsed = gridsec_xml::Element::parse(&String::from_utf8_lossy(&received))
             .ok()
             .and_then(|el| JobDescription::from_element(&el))

@@ -186,7 +186,8 @@ fn connect_and_start_inner(
     let now = wall_now(rpc, now);
     let gss_sp = trace::span_with("gram.gss_loop", &format!("handle={handle}"));
     let mut link = OverRpc { rpc, handle };
-    let mut my_ctx = requestor.authenticate_mjs(&mut link, expected_host, expected_account, now)?;
+    let (mut my_ctx, ()) =
+        requestor.authenticate_mjs(&mut link, expected_host, expected_account, now)?;
     let rpc = link.rpc;
     trace::event("gram.context.established", &format!("handle={handle}"));
     drop(gss_sp);
@@ -242,11 +243,14 @@ struct OverRpc<'a> {
 }
 
 impl MjsLink for OverRpc<'_> {
-    fn hello(&mut self, _: &mut ChaChaRng, token: &[u8]) -> Result<Vec<u8>, GramError> {
-        round(self.rpc, OP_TOKEN1, self.handle, token, GramError::Context)
+    type Half = ();
+    type Theirs = ();
+
+    fn hello(&mut self, _: &mut ChaChaRng, token: &[u8]) -> Result<(Vec<u8>, ()), GramError> {
+        round(self.rpc, OP_TOKEN1, self.handle, token, GramError::Context).map(|t| (t, ()))
     }
 
-    fn finished(&mut self, _: &mut ChaChaRng, token: &[u8]) -> Result<(), GramError> {
+    fn finished(&mut self, (): (), token: &[u8]) -> Result<(), GramError> {
         round(self.rpc, OP_TOKEN3, self.handle, token, GramError::Context).map(drop)
     }
 }
@@ -361,10 +365,10 @@ pub fn job_state_remote(rpc: &mut RpcClient, handle: &str) -> Result<JobState, G
     }
 }
 
-/// Step-7 session state the service keeps per (caller, MJS handle).
+/// An established step-7 session the service keeps per (caller, MJS
+/// handle) until the job starts.
 struct Session {
-    acceptor: Option<MjsAcceptor>,
-    ctx: Option<Box<EstablishedContext>>,
+    ctx: EstablishedContext,
     pending: Option<PendingDelegation>,
     delegated: Option<Credential>,
 }
@@ -378,6 +382,8 @@ struct Session {
 pub struct RemoteGram {
     resource: Rc<RefCell<GramResource>>,
     rng: ChaChaRng,
+    /// Step 7's half-open handshakes, awaiting token 3.
+    handshakes: HashMap<(String, String), MjsAcceptor>,
     sessions: HashMap<(String, String), Session>,
 }
 
@@ -389,6 +395,7 @@ impl RemoteGram {
         RemoteGram {
             resource,
             rng: ChaChaRng::from_seed_bytes(rng_seed),
+            handshakes: HashMap::new(),
             sessions: HashMap::new(),
         }
     }
@@ -449,31 +456,27 @@ impl RemoteGram {
                     self.resource
                         .borrow_mut()
                         .mjs_accept_hello(handle, &mut self.rng, body)?;
-                self.sessions.insert(
-                    key,
-                    Session {
-                        acceptor: Some(acceptor),
-                        ctx: None,
-                        pending: None,
-                        delegated: None,
-                    },
-                );
+                self.sessions.remove(&key);
+                self.handshakes.insert(key, acceptor);
                 Ok(reply_ok(&token2))
             }
             OP_TOKEN3 => {
-                let session = self
-                    .sessions
-                    .get_mut(&key)
+                // Taken out before finishing: a refused token 3 leaves no
+                // half-open handshake behind.
+                let acceptor = self
+                    .handshakes
+                    .remove(&key)
                     .ok_or(ctxerr("no handshake in progress"))?;
-                let acceptor = session
-                    .acceptor
-                    .take()
-                    .ok_or(ctxerr("handshake already finished"))?;
-                session.ctx = Some(self.resource.borrow_mut().mjs_accept_finished(
-                    acceptor,
-                    &mut self.rng,
-                    body,
-                )?);
+                let ctx = self
+                    .resource
+                    .borrow_mut()
+                    .mjs_accept_finished(acceptor, body)?;
+                let session = Session {
+                    ctx,
+                    pending: None,
+                    delegated: None,
+                };
+                self.sessions.insert(key, session);
                 Ok(reply_ok(&[]))
             }
             OP_DELEG_REQ => {
@@ -481,14 +484,10 @@ impl RemoteGram {
                     .sessions
                     .get_mut(&key)
                     .ok_or(ctxerr("no established session"))?;
-                let ctx = session
-                    .ctx
-                    .as_mut()
-                    .ok_or(ctxerr("context not established"))?;
                 let (d2, pending) = self.resource.borrow_mut().mjs_accept_delegation(
                     handle,
                     &mut self.rng,
-                    ctx,
+                    &mut session.ctx,
                     body,
                 )?;
                 session.pending = Some(pending);
@@ -503,12 +502,8 @@ impl RemoteGram {
                     .pending
                     .take()
                     .ok_or(ctxerr("no delegation in progress"))?;
-                let ctx = session
-                    .ctx
-                    .as_mut()
-                    .ok_or(ctxerr("context not established"))?;
                 let delegated = pending
-                    .finish(ctx, body)
+                    .finish(&mut session.ctx, body)
                     .map_err(|e| ctxerr(&e.to_string()))?;
                 session.delegated = Some(delegated);
                 Ok(reply_ok(&[]))
@@ -518,10 +513,7 @@ impl RemoteGram {
                     .sessions
                     .get_mut(&key)
                     .ok_or(ctxerr("no established session"))?;
-                let ctx = session
-                    .ctx
-                    .as_mut()
-                    .ok_or(ctxerr("context not established"))?;
+                let ctx = &mut session.ctx;
                 let plain = ctx.unwrap(body).map_err(|e| ctxerr(&e.to_string()))?;
                 if plain != b"start-job" {
                     return Err(ctxerr("start command corrupted"));

@@ -13,9 +13,8 @@
 //! ([`GramResource::mjs_accept_delegation`]).
 
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::{resume_or_establish, EstablishedContext, LoopError, StepResult};
+use gridsec_gssapi::context::{resume_or_establish, EstablishedContext, LoopError};
 use gridsec_gssapi::delegation;
-use gridsec_gssapi::GssError;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
@@ -56,10 +55,19 @@ pub struct Requestor {
 /// How step 7's two handshake tokens reach the MJS: in process, or over
 /// RPC ([`crate::remote`]).
 pub(crate) trait MjsLink {
+    /// What the link keeps of the MJS between token 1 and token 3.
+    type Half;
+    /// What token 3 leaves the requestor holding of the MJS's side: its
+    /// context in process, nothing over RPC.
+    type Theirs;
     /// Deliver token 1 (a ClientHello or a ResumeHello); returns token 2.
-    fn hello(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<Vec<u8>, GramError>;
+    fn hello(
+        &mut self,
+        rng: &mut ChaChaRng,
+        token: &[u8],
+    ) -> Result<(Vec<u8>, Self::Half), GramError>;
     /// Deliver token 3; the MJS's half of the context is then established.
-    fn finished(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<(), GramError>;
+    fn finished(&mut self, half: Self::Half, token: &[u8]) -> Result<Self::Theirs, GramError>;
 }
 
 /// The client cache key for the MJSs of `account` on `host`.
@@ -122,13 +130,13 @@ impl Requestor {
     /// is taken out of the cache when offered, so one that fails is never
     /// offered again; the session is stored back only by
     /// [`Requestor::authorize_mjs`].
-    pub(crate) fn authenticate_mjs(
+    pub(crate) fn authenticate_mjs<L: MjsLink>(
         &mut self,
-        link: &mut impl MjsLink,
+        link: &mut L,
         host: &DistinguishedName,
         account: Option<&str>,
         now: u64,
-    ) -> Result<Box<EstablishedContext>, GramError> {
+    ) -> Result<(EstablishedContext, L::Theirs), GramError> {
         let key = account.map(|a| session_key(host, a));
         let (credential, trust) = (&self.credential, &self.trust);
         // The requestor checks no CRLs: its epoch is its anchors'.
@@ -140,18 +148,13 @@ impl Requestor {
             epoch,
             &mut self.rng,
             || Ok(TlsConfig::new(credential.clone(), trust.clone(), now)),
-            |rng, mut initiator, token1| {
-                let token2 = link.hello(rng, &token1).map_err(refusal)?;
-                let failed = |e| LoopError::Failed(GramError::context(e));
-                let StepResult::Established {
-                    token: Some(token3),
-                    context,
-                } = initiator.step(&token2).map_err(failed)?
-                else {
-                    return Err(failed(GssError::BadState("initiator should finish")));
-                };
-                link.finished(rng, &token3).map_err(refusal)?;
-                Ok(context)
+            |rng, initiator, token1| {
+                let (token2, half) = link.hello(rng, &token1).map_err(refusal)?;
+                let (token3, context) = initiator
+                    .step(&token2)
+                    .map_err(|e| LoopError::Failed(GramError::context(e)))?;
+                let theirs = link.finished(half, &token3).map_err(refusal)?;
+                Ok((context, theirs))
             },
         )
     }
@@ -189,16 +192,9 @@ impl Requestor {
         // Right host: the GRIM chain must bottom out at the resource's
         // host identity (the client knows which host it contacted).
         let host = resource.host_identity().clone();
-        let mut link = InProcess {
-            resource,
-            handle,
-            acceptor: None,
-            established: None,
-        };
-        let mut my_ctx = self.authenticate_mjs(&mut link, &host, expected_account, now)?;
-        let mut mjs_ctx = link
-            .established
-            .ok_or_else(|| GramError::context("acceptor should finish"))?;
+        let mut link = InProcess { resource, handle };
+        let (mut my_ctx, mut mjs_ctx) =
+            self.authenticate_mjs(&mut link, &host, expected_account, now)?;
         let resource = link.resource;
         self.authorize_mjs(&my_ctx, &host, expected_account)?;
 
@@ -253,29 +249,29 @@ fn refusal(e: GramError) -> LoopError<GramError> {
     }
 }
 
-/// Step 7's tokens delivered in process to an MJS on `resource`; the
-/// MJS's half of the context lands in `established`.
+/// Step 7's tokens delivered in process to an MJS on `resource`.
 struct InProcess<'a> {
     resource: &'a mut GramResource,
     handle: &'a str,
-    acceptor: Option<MjsAcceptor>,
-    established: Option<Box<EstablishedContext>>,
 }
 
 impl MjsLink for InProcess<'_> {
-    fn hello(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<Vec<u8>, GramError> {
-        let (token2, acceptor) = self.resource.mjs_accept_hello(self.handle, rng, token)?;
-        self.acceptor = Some(acceptor);
-        Ok(token2)
+    type Half = MjsAcceptor;
+    type Theirs = EstablishedContext;
+
+    fn hello(
+        &mut self,
+        rng: &mut ChaChaRng,
+        token: &[u8],
+    ) -> Result<(Vec<u8>, MjsAcceptor), GramError> {
+        self.resource.mjs_accept_hello(self.handle, rng, token)
     }
 
-    fn finished(&mut self, rng: &mut ChaChaRng, token: &[u8]) -> Result<(), GramError> {
-        let acceptor = self
-            .acceptor
-            .take()
-            .ok_or_else(|| GramError::context("no handshake in progress"))?;
-        let context = self.resource.mjs_accept_finished(acceptor, rng, token)?;
-        self.established = Some(context);
-        Ok(())
+    fn finished(
+        &mut self,
+        acceptor: MjsAcceptor,
+        token: &[u8],
+    ) -> Result<EstablishedContext, GramError> {
+        self.resource.mjs_accept_finished(acceptor, token)
     }
 }

@@ -8,7 +8,7 @@ use gridsec_authz::gridmap::GridMapFile;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, StepResult};
+use gridsec_gssapi::context::{AcceptorContext, EstablishedContext};
 use gridsec_gssapi::delegation::{self, PendingDelegation};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
@@ -519,26 +519,18 @@ impl GramResource {
     /// established, and its session stored in the cache of the LMJFS
     /// that hosts the MJS, so the requestor's next job there can resume
     /// it.
-    pub fn mjs_accept_finished<E: EntropySource>(
+    pub fn mjs_accept_finished(
         &mut self,
         acceptor: MjsAcceptor,
-        rng: &mut E,
         token: &[u8],
-    ) -> Result<Box<EstablishedContext>, GramError> {
-        let MjsAcceptor {
-            account,
-            mut acceptor,
-        } = acceptor;
+    ) -> Result<EstablishedContext, GramError> {
+        let MjsAcceptor { account, acceptor } = acceptor;
         let lmjfs = self
             .lmjfs
             .get_mut(&account)
             .ok_or_else(|| GramError::Os(format!("no resident LMJFS for {account}")))?;
         let resumed = acceptor.resuming();
-        let StepResult::Established { context, .. } =
-            acceptor.step(rng, token).map_err(GramError::context)?
-        else {
-            return Err(GramError::context("acceptor should finish"));
-        };
+        let context = acceptor.step(token).map_err(GramError::context)?;
         if resumed {
             self.stats.resumed_handshakes += 1;
         } else {

@@ -20,7 +20,7 @@ use gridsec_gram::remote::{
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
 use gridsec_gram::{GramError, Requestor};
-use gridsec_gssapi::context::{EstablishedContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{EstablishedContext, InitiatorContext};
 use gridsec_gssapi::delegation::request_delegation;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::cert::decode_public_key;
@@ -431,13 +431,11 @@ fn handshake_over(
     w: &mut World,
 ) -> EstablishedContext {
     let config = TlsConfig::new(credential.clone(), w.trust.clone(), w.clock.now());
-    let (mut initiator, token1) = InitiatorContext::new(config, &mut w.rng);
+    let (initiator, token1) = InitiatorContext::new(config, &mut w.rng);
     let token2 = ok_body(&service.handle("jane", &frame(OP_TOKEN1, handle, &token1))).unwrap();
-    let StepResult::Established { token, context } = initiator.step(&token2).unwrap() else {
-        panic!("initiator finishes on token 2");
-    };
-    ok_body(&service.handle("jane", &frame(OP_TOKEN3, handle, &token.unwrap()))).unwrap();
-    *context
+    let (token3, context) = initiator.step(&token2).unwrap();
+    ok_body(&service.handle("jane", &frame(OP_TOKEN3, handle, &token3))).unwrap();
+    context
 }
 
 #[test]

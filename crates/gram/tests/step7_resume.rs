@@ -16,7 +16,7 @@ use gridsec_gram::remote::{
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
 use gridsec_gram::{GramError, Requestor};
-use gridsec_gssapi::context::{EstablishedContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{EstablishedContext, InitiatorContext};
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Decoder, Encoder};
@@ -124,17 +124,13 @@ fn full_handshake(
     w: &mut World,
 ) -> EstablishedContext {
     let config = TlsConfig::new(credential.clone(), w.trust.clone(), w.clock.now());
-    let (mut initiator, token1) = InitiatorContext::new(config, &mut w.rng);
+    let (initiator, token1) = InitiatorContext::new(config, &mut w.rng);
     let (token2, acceptor) = resource
         .mjs_accept_hello(handle, &mut w.rng, &token1)
         .unwrap();
-    let StepResult::Established { token, context } = initiator.step(&token2).unwrap() else {
-        panic!("initiator finishes on token 2");
-    };
-    resource
-        .mjs_accept_finished(acceptor, &mut w.rng, &token.unwrap())
-        .unwrap();
-    *context
+    let (token3, context) = initiator.step(&token2).unwrap();
+    resource.mjs_accept_finished(acceptor, &token3).unwrap();
+    context
 }
 
 /// A ResumeHello for the session `context` carries.
@@ -320,6 +316,12 @@ fn a_replayed_resume_hello_cannot_finish_without_the_master_secret() {
     assert!(refused(
         &service.handle("mallory", &frame(OP_TOKEN3, &second, &forged))
     ));
+    // The refused Finished took its half-open handshake with it.
+    let again = service.handle("mallory", &frame(OP_TOKEN3, &second, &forged));
+    let mut d = Decoder::new(&again);
+    assert_eq!(d.get_str().unwrap(), "err");
+    let reason = String::from_utf8(d.get_bytes().unwrap()).unwrap();
+    assert!(reason.contains("no handshake in progress"), "{reason}");
     assert!(refused(
         &service.handle("mallory", &frame(OP_START, &second, b"start-job"))
     ));

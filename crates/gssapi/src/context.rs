@@ -1,12 +1,14 @@
-//! The GSS init/accept token loop and established-context operations.
+//! GSS context establishment and established-context operations.
 //!
 //! A context is established by a full handshake or, between a pair that
 //! established one before, by resuming its session
 //! ([`gridsec_tls::session`]). Both are the same three tokens through the
 //! same two types: [`InitiatorContext`] starts either kind,
 //! [`AcceptorContext::accept`] answers either hello, and one `step` on
-//! each side finishes either. [`resume_or_establish`] is the one rule
-//! for choosing between them; a transport only moves the tokens.
+//! each side finishes either: a context is one round trip, and the types
+//! hold no state the exchange never reaches. [`resume_or_establish`] is
+//! the one rule for choosing between them; a transport only moves the
+//! tokens.
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::store::Epoch;
@@ -20,20 +22,6 @@ use gridsec_tls::session::{
 use gridsec_util::trace;
 
 use crate::GssError;
-
-/// Result of feeding one token into a context under establishment.
-pub enum StepResult {
-    /// Send this token to the peer and keep stepping.
-    ContinueWith(Vec<u8>),
-    /// Context established; `token` (if any) must still be sent to the
-    /// peer (the final handshake token), then use the context.
-    Established {
-        /// Final token to deliver to the peer (initiator side), if any.
-        token: Option<Vec<u8>>,
-        /// The established security context.
-        context: Box<EstablishedContext>,
-    },
-}
 
 /// A mutually-authenticated context: wrap/unwrap + MIC operations.
 pub struct EstablishedContext {
@@ -74,12 +62,13 @@ impl EstablishedContext {
 }
 
 enum InitState {
-    AwaitServerHello(Box<ClientHandshake>),
-    AwaitResumed(Box<ClientResume>),
-    Done,
+    Full(Box<ClientHandshake>),
+    Resumed(Box<ClientResume>),
 }
 
-/// The initiating (client) side of context establishment.
+/// The initiating (client) side of context establishment: the first
+/// token is sent when it is built, and one [`step`](Self::step) on the
+/// acceptor's answer establishes it.
 pub struct InitiatorContext {
     state: InitState,
 }
@@ -89,7 +78,7 @@ impl InitiatorContext {
     /// (GSS `init_sec_context` with no input token).
     pub fn new<E: EntropySource>(config: TlsConfig, rng: &mut E) -> (Self, Vec<u8>) {
         let (hs, token) = ClientHandshake::new(config, rng);
-        let state = InitState::AwaitServerHello(Box::new(hs));
+        let state = InitState::Full(Box::new(hs));
         (InitiatorContext { state }, token)
     }
 
@@ -105,68 +94,61 @@ impl InitiatorContext {
         rng: &mut E,
     ) -> (Self, Vec<u8>) {
         let (resume, token) = resume_client(session, now, lifetime, rng);
-        let state = InitState::AwaitResumed(Box::new(resume));
+        let state = InitState::Resumed(Box::new(resume));
         (InitiatorContext { state }, token)
     }
 
-    /// `true` while a resumption awaits the acceptor's answer.
+    /// `true` for a resumption.
     pub fn resuming(&self) -> bool {
-        matches!(self.state, InitState::AwaitResumed(_))
+        matches!(self.state, InitState::Resumed(_))
     }
 
-    /// Feed the next token from the acceptor. Either kind finishes on
-    /// the acceptor's first answer, with a final token to deliver.
-    pub fn step(&mut self, token_in: &[u8]) -> Result<StepResult, GssError> {
-        let (finished, channel) = match std::mem::replace(&mut self.state, InitState::Done) {
-            InitState::AwaitServerHello(hs) => hs.step(token_in)?,
-            InitState::AwaitResumed(resume) => resume.step(token_in)?,
-            InitState::Done => return Err(GssError::BadState("initiator already established")),
+    /// Feed the acceptor's answer (token 2). Either kind finishes on it:
+    /// returns the final token, which must still reach the acceptor, and
+    /// the established context.
+    pub fn step(self, token2: &[u8]) -> Result<(Vec<u8>, EstablishedContext), GssError> {
+        let (token3, channel) = match self.state {
+            InitState::Full(hs) => hs.step(token2)?,
+            InitState::Resumed(resume) => resume.step(token2)?,
         };
-        Ok(StepResult::Established {
-            token: Some(finished),
-            context: Box::new(EstablishedContext { channel }),
-        })
+        Ok((token3, EstablishedContext { channel }))
     }
 }
 
 enum AcceptState {
-    AwaitClientHello(Box<ServerHandshake>),
-    AwaitFinished(Box<ServerAwaitFinished>),
-    AwaitResumeFinished(Box<ServerResumeAwait>),
-    Done,
+    Full(Box<ServerAwaitFinished>),
+    Resumed(Box<ServerResumeAwait>),
 }
 
-/// The accepting (server) side of context establishment.
+/// The accepting (server) side of context establishment: built by
+/// answering the initiator's first token, established by one
+/// [`step`](Self::step) on its final one.
 pub struct AcceptorContext {
     state: AcceptState,
 }
 
 impl AcceptorContext {
-    /// Create the acceptor (GSS `accept_sec_context` loop).
-    pub fn new(config: TlsConfig) -> Self {
-        AcceptorContext {
-            state: AcceptState::AwaitClientHello(Box::new(ServerHandshake::new(config))),
-        }
-    }
-
-    /// Acceptor that has already consumed a ClientHello (through a
-    /// batch driver such as [`crate::mill::HandshakeMill`]) and awaits
-    /// the ClientFinished token.
-    pub fn from_await_finished(await_finished: ServerAwaitFinished) -> Self {
-        AcceptorContext {
-            state: AcceptState::AwaitFinished(Box::new(await_finished)),
-        }
+    /// Answer a ClientHello under `config`: the full handshake. Returns
+    /// the acceptor, awaiting the initiator's final token, and the token
+    /// to send back.
+    pub fn answer_hello<E: EntropySource>(
+        token: &[u8],
+        config: TlsConfig,
+        rng: &mut E,
+    ) -> Result<(Self, Vec<u8>), GssError> {
+        let (reply, wait) = ServerHandshake::new(config).step(rng, token)?;
+        let state = AcceptState::Full(Box::new(wait));
+        Ok((AcceptorContext { state }, reply))
     }
 
     /// Answer an initiator's first token, either kind. A ResumeHello is
     /// looked up in `sessions` at `now` under `epoch`, the acceptor's
     /// current trust epoch; an unknown or expired ticket, or one filed
     /// under another epoch, is an error the initiator answers with the
-    /// full handshake ([`resume_or_establish`]). A ClientHello starts the
-    /// full handshake under `config()`, which is built only then and must
-    /// hold the stores `epoch` was read from. Returns the acceptor,
-    /// awaiting the initiator's final token, and the token to send back.
-    /// The caller stores the established context's session in `sessions`.
+    /// full handshake ([`resume_or_establish`]). A ClientHello is
+    /// [answered](Self::answer_hello) under `config()`, which is built
+    /// only then and must hold the stores `epoch` was read from. The
+    /// caller stores the established context's session in `sessions`.
     pub fn accept<E: EntropySource>(
         token: &[u8],
         sessions: &mut ServerSessionCache,
@@ -175,41 +157,27 @@ impl AcceptorContext {
         config: impl FnOnce() -> TlsConfig,
         rng: &mut E,
     ) -> Result<(Self, Vec<u8>), GssError> {
-        let (state, reply) = if is_resume_hello(token) {
-            let (reply, wait) = sessions.accept_under(token, now, epoch, rng)?;
-            (AcceptState::AwaitResumeFinished(Box::new(wait)), reply)
-        } else {
-            let (reply, wait) = ServerHandshake::new(config()).step(rng, token)?;
-            (AcceptState::AwaitFinished(Box::new(wait)), reply)
-        };
+        if !is_resume_hello(token) {
+            return Self::answer_hello(token, config(), rng);
+        }
+        let (reply, wait) = sessions.accept_under(token, now, epoch, rng)?;
+        let state = AcceptState::Resumed(Box::new(wait));
         Ok((AcceptorContext { state }, reply))
     }
 
-    /// `true` while finishing a resumed handshake.
+    /// `true` for a resumption.
     pub fn resuming(&self) -> bool {
-        matches!(self.state, AcceptState::AwaitResumeFinished(_))
+        matches!(self.state, AcceptState::Resumed(_))
     }
 
-    /// Feed the next token from the initiator.
-    pub fn step<E: EntropySource>(
-        &mut self,
-        rng: &mut E,
-        token_in: &[u8],
-    ) -> Result<StepResult, GssError> {
-        let channel = match std::mem::replace(&mut self.state, AcceptState::Done) {
-            AcceptState::AwaitClientHello(hs) => {
-                let (server_hello, await_finished) = hs.step(rng, token_in)?;
-                self.state = AcceptState::AwaitFinished(Box::new(await_finished));
-                return Ok(StepResult::ContinueWith(server_hello));
-            }
-            AcceptState::AwaitFinished(wait) => wait.step(token_in)?,
-            AcceptState::AwaitResumeFinished(wait) => wait.step(token_in)?,
-            AcceptState::Done => return Err(GssError::BadState("acceptor already established")),
+    /// Feed the initiator's final token (token 3); finishing draws no
+    /// entropy.
+    pub fn step(self, token3: &[u8]) -> Result<EstablishedContext, GssError> {
+        let channel = match self.state {
+            AcceptState::Full(wait) => wait.step(token3)?,
+            AcceptState::Resumed(wait) => wait.step(token3)?,
         };
-        Ok(StepResult::Established {
-            token: None,
-            context: Box::new(EstablishedContext { channel }),
-        })
+        Ok(EstablishedContext { channel })
     }
 }
 
@@ -278,36 +246,17 @@ where
     token_loop(rng, init, token).map_err(LoopError::into_inner)
 }
 
-/// Drive the full token loop in memory (both sides in one process);
+/// Run the three tokens in memory (both sides in one process);
 /// returns `(initiator_context, acceptor_context)`.
 pub fn establish_in_memory<E: EntropySource>(
     init_config: TlsConfig,
     accept_config: TlsConfig,
     rng: &mut E,
 ) -> Result<(EstablishedContext, EstablishedContext), GssError> {
-    let (mut init, token1) = InitiatorContext::new(init_config, rng);
-    let mut acceptor = AcceptorContext::new(accept_config);
-
-    let token2 = match acceptor.step(rng, &token1)? {
-        StepResult::ContinueWith(t) => t,
-        StepResult::Established { .. } => {
-            return Err(GssError::BadState("acceptor finished too early"))
-        }
-    };
-    let (token3, init_ctx) = match init.step(&token2)? {
-        StepResult::Established { token, context } => (token, context),
-        StepResult::ContinueWith(_) => {
-            return Err(GssError::BadState("initiator should finish on token 2"))
-        }
-    };
-    let token3 = token3.ok_or(GssError::BadState("missing finished token"))?;
-    let accept_ctx = match acceptor.step(rng, &token3)? {
-        StepResult::Established { context, .. } => context,
-        StepResult::ContinueWith(_) => {
-            return Err(GssError::BadState("acceptor should finish on token 3"))
-        }
-    };
-    Ok((*init_ctx, *accept_ctx))
+    let (init, token1) = InitiatorContext::new(init_config, rng);
+    let (acceptor, token2) = AcceptorContext::answer_hello(&token1, accept_config, rng)?;
+    let (token3, init_ctx) = init.step(&token2)?;
+    Ok((init_ctx, acceptor.step(&token3)?))
 }
 
 #[cfg(test)]
@@ -375,19 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn stepping_finished_context_errors() {
+    fn junk_tokens_are_refused_on_either_side() {
         let mut w = world();
-        let (mut init, _t1) = InitiatorContext::new(cfg(&w, &w.alice), &mut w.rng);
-        let mut acceptor = AcceptorContext::new(cfg(&w, &w.service));
-        // Feed garbage to move initiator to Done state via error path.
-        assert!(init.step(b"junk").is_err());
-        assert!(matches!(init.step(b"junk"), Err(GssError::BadState(_))));
-        // Acceptor consumed by garbage as well.
-        assert!(acceptor.step(&mut w.rng, b"junk").is_err());
-        assert!(matches!(
-            acceptor.step(&mut w.rng, b"junk"),
-            Err(GssError::BadState(_))
-        ));
+        let (init, _t1) = InitiatorContext::new(cfg(&w, &w.alice), &mut w.rng);
+        assert!(matches!(init.step(b"junk"), Err(GssError::Tls(_))));
+        let answered = AcceptorContext::answer_hello(b"junk", cfg(&w, &w.service), &mut w.rng);
+        assert!(matches!(answered, Err(GssError::Tls(_))));
     }
 
     #[test]
@@ -421,8 +363,8 @@ mod tests {
             alice.epoch(),
             &mut w.rng,
             || Ok(alice),
-            |rng, mut init, token1| {
-                let (mut acceptor, token2) = AcceptorContext::accept(
+            |rng, init, token1| {
+                let (acceptor, token2) = AcceptorContext::accept(
                     &token1,
                     sessions,
                     100,
@@ -433,19 +375,8 @@ mod tests {
                 .map_err(LoopError::Refused)?;
                 let resumed = acceptor.resuming();
                 assert_eq!(init.resuming(), resumed);
-                let Ok(StepResult::Established {
-                    token: Some(token3),
-                    context,
-                }) = init.step(&token2)
-                else {
-                    return Err(LoopError::Failed(GssError::BadState("no final token")));
-                };
-                let Ok(StepResult::Established {
-                    context: theirs, ..
-                }) = acceptor.step(rng, &token3)
-                else {
-                    return Err(LoopError::Refused(GssError::BadState("not finished")));
-                };
+                let (token3, context) = init.step(&token2).map_err(LoopError::Failed)?;
+                let theirs = acceptor.step(&token3).map_err(LoopError::Refused)?;
                 sessions.store(theirs.channel());
                 Ok((context, resumed))
             },

@@ -9,11 +9,13 @@
 //! init/accept token loop that is agnostic to how tokens move. This crate
 //! provides exactly that shape:
 //!
-//! * [`context::InitiatorContext`] / [`context::AcceptorContext`] — the
-//!   token loop (`step(token_in) -> token_out / established`). The tokens
-//!   are the *same bytes* as `gridsec-tls` handshake tokens; GT2 moves
-//!   them over TCP framing, GT3 moves them inside WS-SecureConversation
-//!   envelopes (paper §5.1).
+//! * [`context::InitiatorContext`] / [`context::AcceptorContext`] — one
+//!   round trip of three tokens: the initiator's hello, the acceptor's
+//!   answer (which establishes the initiator and yields its final
+//!   token) and that final token (which establishes the acceptor). The
+//!   tokens are the *same bytes* as `gridsec-tls` handshake tokens; GT2
+//!   moves them over TCP framing, GT3 moves them inside
+//!   WS-SecureConversation envelopes (paper §5.1).
 //! * [`context::EstablishedContext`] — `wrap`/`unwrap` (sealed messages),
 //!   `get_mic`/`verify_mic` (detached integrity), and the authenticated
 //!   peer identity.
@@ -31,7 +33,7 @@ pub mod mill;
 pub mod net;
 pub mod poll;
 
-pub use context::{AcceptorContext, EstablishedContext, InitiatorContext, StepResult};
+pub use context::{AcceptorContext, EstablishedContext, InitiatorContext};
 
 use gridsec_testbed::TestbedError;
 use gridsec_tls::TlsError;
@@ -41,7 +43,7 @@ use gridsec_tls::TlsError;
 pub enum GssError {
     /// Underlying context/transport failure.
     Tls(TlsError),
-    /// Token arrived for the wrong state.
+    /// A token for a session the acceptor is not waiting on.
     BadState(&'static str),
     /// Delegation protocol violation.
     Delegation(&'static str),

@@ -6,11 +6,10 @@
 //! acceptor-side driver for that shape. It owns a
 //! [`CryptoPool`] — a chain-validation verdict cache, and verify
 //! contexts for returning peers' binding signatures — and accepts a
-//! wave of hellos in order, each what a single [`AcceptorContext`] on
-//! the pooled config returns
-//! ([`gridsec_tls::handshake::server_accept_batch`] is that loop). The
-//! DH table and the service credential's signing contexts belong to
-//! the config's group and key, not to the mill.
+//! wave of hellos in order: a loop of [`AcceptorContext::answer_hello`]
+//! on the pooled config. The DH table and the service credential's
+//! signing contexts belong to the config's group and key, not to the
+//! mill.
 //!
 //! Every verdict is identical to what a fresh [`AcceptorContext`] would
 //! have produced for the same token; the mill only changes *how fast*
@@ -20,7 +19,7 @@
 use std::sync::{Arc, Mutex};
 
 use gridsec_bignum::prime::EntropySource;
-use gridsec_tls::handshake::{server_accept_batch, TlsConfig};
+use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::pool::CryptoPool;
 
 use crate::context::AcceptorContext;
@@ -67,25 +66,23 @@ impl HandshakeMill {
     }
 
     /// Accept a wave of initial tokens (ClientHellos). Returns, per
-    /// token and in order, the ServerHello token to send back plus the
-    /// context awaiting that session's final token — or the same error
+    /// token and in order, the acceptor awaiting that session's final
+    /// token plus the ServerHello token to send back — or the same error
     /// the one-at-a-time acceptor would have reported.
     pub fn accept_wave<E: EntropySource>(
         &mut self,
         rng: &mut E,
         hellos: &[&[u8]],
-    ) -> Vec<Result<(Vec<u8>, AcceptorContext), GssError>> {
-        server_accept_batch(&self.config, rng, hellos)
-            .into_iter()
-            .map(|r| match r {
-                Ok((token, await_finished)) => {
-                    self.accepted += 1;
-                    Ok((token, AcceptorContext::from_await_finished(await_finished)))
+    ) -> Vec<Result<(AcceptorContext, Vec<u8>), GssError>> {
+        hellos
+            .iter()
+            .map(|hello| {
+                let answered = AcceptorContext::answer_hello(hello, self.config.clone(), rng);
+                match answered {
+                    Ok(_) => self.accepted += 1,
+                    Err(_) => self.rejected += 1,
                 }
-                Err(e) => {
-                    self.rejected += 1;
-                    Err(GssError::from(e))
-                }
+                answered
             })
             .collect()
     }
@@ -104,7 +101,7 @@ impl HandshakeMill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{establish_in_memory, InitiatorContext, StepResult};
+    use crate::context::{establish_in_memory, InitiatorContext};
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::credential::Credential;
@@ -163,16 +160,9 @@ mod tests {
 
         // Finish every session and exchange a message both ways.
         for (i, (init, accepted)) in inits.into_iter().zip(wave).enumerate() {
-            let (server_hello, mut acceptor) = accepted.unwrap();
-            let mut init = init;
-            let (finished, mut ictx) = match init.step(&server_hello).unwrap() {
-                StepResult::Established { token, context } => (token.unwrap(), context),
-                StepResult::ContinueWith(_) => panic!("initiator should finish"),
-            };
-            let mut actx = match acceptor.step(&mut w.rng, &finished).unwrap() {
-                StepResult::Established { context, .. } => context,
-                StepResult::ContinueWith(_) => panic!("acceptor should finish"),
-            };
+            let (acceptor, server_hello) = accepted.unwrap();
+            let (finished, mut ictx) = init.step(&server_hello).unwrap();
+            let mut actx = acceptor.step(&finished).unwrap();
             assert_eq!(actx.peer().base_identity, dn(&format!("/O=G/CN=U{i}")));
             assert_eq!(ictx.peer().base_identity, dn("/O=G/CN=MJS"));
             let t = ictx.wrap(format!("request {i}").as_bytes());
@@ -221,8 +211,7 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let mut acceptor = AcceptorContext::new(cfg(&w, &w.service));
-            let individual = acceptor.step(&mut w.rng, hello);
+            let individual = AcceptorContext::answer_hello(hello, cfg(&w, &w.service), &mut w.rng);
             assert_eq!(individual.is_ok(), wave[i].is_ok(), "token {i}");
         }
     }
@@ -248,22 +237,16 @@ mod tests {
         let wave = mill.accept_wave(&mut w.rng, &hello_refs);
         let mut out = Vec::new();
         for (init, accepted) in inits.into_iter().zip(wave) {
-            let (server_hello, mut acceptor) = match accepted {
+            let (acceptor, server_hello) = match accepted {
                 Ok(ok) => ok,
                 Err(e) => {
                     out.push(format!("refused: {e}"));
                     continue;
                 }
             };
-            let mut init = init.expect("only real initiators are accepted");
-            let (finished, mut ictx) = match init.step(&server_hello).unwrap() {
-                StepResult::Established { token, context } => (token.unwrap(), context),
-                StepResult::ContinueWith(_) => panic!("initiator should finish"),
-            };
-            let mut actx = match acceptor.step(&mut w.rng, &finished).unwrap() {
-                StepResult::Established { context, .. } => context,
-                StepResult::ContinueWith(_) => panic!("acceptor should finish"),
-            };
+            let init = init.expect("only real initiators are accepted");
+            let (finished, mut ictx) = init.step(&server_hello).unwrap();
+            let mut actx = acceptor.step(&finished).unwrap();
             let sealed = ictx.wrap(b"request");
             assert_eq!(actx.unwrap(&sealed).unwrap(), b"request");
             let reply = actx.wrap(b"ok");
@@ -314,17 +297,11 @@ mod tests {
         // Same world, two paths: a mill-driven wave of one, and the
         // plain in-memory loop. Both must authenticate the same pair.
         let mut mill = HandshakeMill::new(cfg(&w, &w.service));
-        let (mut init, hello) = InitiatorContext::new(cfg(&w, &w.users[0]), &mut w.rng);
+        let (init, hello) = InitiatorContext::new(cfg(&w, &w.users[0]), &mut w.rng);
         let wave = mill.accept_wave(&mut w.rng, &[hello.as_slice()]);
-        let (server_hello, mut acceptor) = wave.into_iter().next().unwrap().unwrap();
-        let (finished, ictx) = match init.step(&server_hello).unwrap() {
-            StepResult::Established { token, context } => (token.unwrap(), context),
-            StepResult::ContinueWith(_) => panic!("initiator should finish"),
-        };
-        let actx = match acceptor.step(&mut w.rng, &finished).unwrap() {
-            StepResult::Established { context, .. } => context,
-            StepResult::ContinueWith(_) => panic!("acceptor should finish"),
-        };
+        let (acceptor, server_hello) = wave.into_iter().next().unwrap().unwrap();
+        let (finished, ictx) = init.step(&server_hello).unwrap();
+        let actx = acceptor.step(&finished).unwrap();
 
         let (pictx, pactx) =
             establish_in_memory(cfg(&w, &w.users[0]), cfg(&w, &w.service), &mut w.rng).unwrap();

@@ -9,9 +9,9 @@
 //! * the client retransmits with exponential backoff, so a lost token
 //!   costs latency, not the context;
 //! * the server's reply cache answers retransmitted or duplicated token
-//!   frames without re-stepping the acceptor, which matters because
-//!   `AcceptorContext::step` is *not* idempotent — feeding token 1 twice
-//!   would corrupt the handshake state.
+//!   frames without re-running the acceptor, which matters because
+//!   answering token 1 is *not* idempotent — a second answer would start
+//!   a second handshake with fresh randomness.
 //!
 //! Wire format (via [`gridsec_pki::encoding`]): requests are
 //! `op ‖ token` where `op` is `"gss-tok1"`/`"gss-tok3"` for the full
@@ -24,7 +24,6 @@
 
 use crate::context::{
     resume_or_establish, AcceptorContext, EstablishedContext, InitiatorContext, LoopError,
-    StepResult,
 };
 use crate::GssError;
 use gridsec_bignum::prime::EntropySource;
@@ -122,7 +121,7 @@ const RESUMED: [&str; 8] = [
 /// The token loop over `rpc`, full or resumed: two RPC round trips.
 fn token_loop(
     rpc: &mut RpcClient,
-    mut init: InitiatorContext,
+    init: InitiatorContext,
     token1: Vec<u8>,
 ) -> Result<EstablishedContext, LoopError<GssError>> {
     let [span, op1, op3, send1, recv2, send3, done, counter] =
@@ -132,39 +131,17 @@ fn token_loop(
         trace::event(send1, &format!("len={}", token1.len()));
         let token2 = call(rpc, op1, &token1)?;
         trace::event(recv2, &format!("len={}", token2.len()));
-        let (token3, context) = match init.step(&token2).map_err(LoopError::Failed)? {
-            StepResult::Established {
-                token: Some(token),
-                context,
-            } => (token, context),
-            _ => {
-                return Err(LoopError::Failed(GssError::BadState(
-                    "initiator should finish on token 2",
-                )))
-            }
-        };
+        let (token3, context) = init.step(&token2).map_err(LoopError::Failed)?;
         trace::event(send3, &format!("len={}", token3.len()));
         call(rpc, op3, &token3)?;
         trace::event(done, &format!("peer={}", rpc.server()));
         trace::add(counter, 1);
-        Ok(*context)
+        Ok(context)
     })();
     if let Err(LoopError::Refused(e) | LoopError::Failed(e)) = &result {
         sp.fail(&e.to_string());
     }
     result
-}
-
-/// Establish a GSS context as the initiator, exchanging tokens through
-/// `rpc` (which carries the retry policy; the acceptor runs as a task
-/// on the scheduler bound to `rpc`'s network, inside each call).
-pub fn establish_initiator<E: EntropySource>(
-    rpc: &mut RpcClient,
-    config: TlsConfig,
-    rng: &mut E,
-) -> Result<EstablishedContext, GssError> {
-    let (init, token1) = InitiatorContext::new(config, rng);
-    token_loop(rpc, init, token1).map_err(LoopError::into_inner)
 }
 
 /// Establish a GSS context through a client-side session cache:
@@ -198,8 +175,10 @@ pub fn establish_initiator_cached<E: EntropySource>(
     Ok(ctx)
 }
 
-/// Establish a GSS context as the initiator, surviving acceptor
-/// crashes: a [`GssError::Transport`] failure (retry budget exhausted
+/// Establish a GSS context as the initiator, exchanging tokens through
+/// `rpc` (which carries the retry policy; the acceptor runs as a task on
+/// the scheduler bound to `rpc`'s network, inside each call), surviving
+/// acceptor crashes: a [`GssError::Transport`] failure (retry budget exhausted
 /// while the peer was down, or a reborn acceptor refusing a token it
 /// has no session for) is answered by restarting the whole token loop.
 /// Contexts are re-establishable by construction — the paper's §4
@@ -212,7 +191,8 @@ pub fn establish_initiator_resilient<E: EntropySource>(
     max_attempts: u64,
 ) -> Result<EstablishedContext, GssError> {
     reestablishing(max_attempts, || {
-        establish_initiator(rpc, config.clone(), rng)
+        let (init, token1) = InitiatorContext::new(config.clone(), rng);
+        token_loop(rpc, init, token1).map_err(LoopError::into_inner)
     })
 }
 
@@ -299,21 +279,20 @@ impl<E: EntropySource> AcceptorService<E> {
                 }
             }
             OP_TOKEN3 | OP_RESUME3 => {
-                let Some(mut acceptor) = self.pending.remove(from) else {
+                let Some(acceptor) = self.pending.remove(from) else {
                     return reply_err("no handshake in progress");
                 };
                 let resumed = acceptor.resuming();
-                match acceptor.step(&mut self.rng, &token) {
-                    Ok(StepResult::Established { context, .. }) => {
+                match acceptor.step(&token) {
+                    Ok(context) => {
                         // A resumed context rotates: it mints a fresh ticket.
                         self.sessions.store(context.channel());
                         if resumed {
                             trace::add("gss.accept.resumed", 1);
                         }
-                        self.established.insert(from.to_string(), *context);
+                        self.established.insert(from.to_string(), context);
                         reply_ok(b"")
                     }
-                    Ok(StepResult::ContinueWith(_)) => reply_err("acceptor did not finish"),
                     Err(e) => reply_err(&e.to_string()),
                 }
             }
@@ -489,10 +468,11 @@ mod tests {
     fn establish_over(net: &Network) -> (EstablishedContext, EstablishedContext) {
         let mut w = world();
         let (service, mut rpc, _sched) = rig(net, &w);
-        let init_ctx = establish_initiator(
+        let init_ctx = establish_initiator_resilient(
             &mut rpc,
             TlsConfig::new(w.alice.clone(), w.trust.clone(), 100),
             &mut w.rng,
+            1,
         )
         .unwrap();
         let accept_ctx = service.borrow_mut().take_established("alice").unwrap();
@@ -531,10 +511,11 @@ mod tests {
         let _sched = Scheduler::new(&net);
         let mut rpc = RpcClient::new(net.register("alice"), "mjs", RetryPolicy::default());
         net.partition("alice", "mjs");
-        let result = establish_initiator(
+        let result = establish_initiator_resilient(
             &mut rpc,
             TlsConfig::new(w.alice.clone(), w.trust.clone(), 100),
             &mut w.rng,
+            1,
         );
         match result {
             Err(e) => assert!(matches!(e, GssError::Transport(_)), "{e}"),

@@ -1,23 +1,20 @@
 //! Poll-style GSS context establishment for scheduler-scale storms.
 //!
-//! The [`crate::context`] token loop assumes a driver that blocks per
-//! session. At storm scale — 10⁵–10⁶ principals on one
+//! A driver of the [`crate::context`] types usually blocks per session.
+//! At storm scale — 10⁵–10⁶ principals on one
 //! [`gridsec_testbed::sched::Scheduler`] — every principal is a
 //! `Step::WaitMail`-driven task instead, and the acceptor side sees
 //! hellos *arrive across tasks* rather than as a pre-collected batch.
-//! This module provides both halves as sans-io machines:
-//!
-//! - [`PollInitiator`] is the principal-side machine: constructing it
-//!   performs the real ClientHello crypto (DH keypair + signature) and
-//!   hands back the token to mail out; feeding the acceptor's reply
-//!   performs the real verification and key derivation and yields the
-//!   Finished token plus the established context.
-//! - [`WaveAcceptor`] is the gateway-side collector: hellos submitted
-//!   by many tasks accumulate until the gateway task reaches mail
-//!   quiescence, then one [`WaveAcceptor::flush_wave`] call drives the
-//!   whole accumulated wave through the [`HandshakeMill`]: in order,
-//!   each hello getting what a single session gets, with chain verdicts
-//!   memoized in the shared [`gridsec_tls::pool::CryptoPool`].
+//! [`WaveAcceptor`] is the gateway side of that shape: hellos submitted
+//! by many tasks accumulate until the gateway task reaches mail
+//! quiescence, then one [`WaveAcceptor::flush_wave`] call drives the
+//! whole accumulated wave through the [`HandshakeMill`]: in order, each
+//! hello getting what a single session gets, with chain verdicts
+//! memoized in the shared [`gridsec_tls::pool::CryptoPool`]. A principal
+//! is an [`InitiatorContext`] already: built, it mails its hello; one
+//! `step` on the answer yields the Finished token and its context.
+//! [`PollInitiator`] is that context under another name, kept for the
+//! frozen `benchmark/` crate.
 //!
 //! Every verdict is identical to the one-at-a-time [`AcceptorContext`]
 //! loop — a wave *is* that loop; collecting one only moves the
@@ -29,41 +26,26 @@ use std::collections::HashMap;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_tls::handshake::TlsConfig;
 
-use crate::context::{AcceptorContext, EstablishedContext, InitiatorContext, StepResult};
+use crate::context::{AcceptorContext, EstablishedContext, InitiatorContext};
 use crate::mill::HandshakeMill;
 use crate::GssError;
 
-/// Principal-side sans-io establishment machine (one token round).
+/// An [`InitiatorContext`] under the name the frozen `benchmark/` crate
+/// calls it by.
 pub struct PollInitiator {
     inner: InitiatorContext,
 }
 
 impl PollInitiator {
-    /// Begin establishment. Returns the machine and the ClientHello
-    /// token to send — this is where the initiator's DH keypair and
-    /// hello signature are computed, so every principal constructing a
-    /// `PollInitiator` pays real per-principal handshake crypto.
+    /// [`InitiatorContext::new`].
     pub fn new<E: EntropySource>(config: TlsConfig, rng: &mut E) -> (Self, Vec<u8>) {
         let (inner, hello) = InitiatorContext::new(config, rng);
         (PollInitiator { inner }, hello)
     }
 
-    /// Feed the acceptor's ServerHello reply. On success returns the
-    /// Finished token (which must still be sent to the acceptor) and
-    /// the established context.
-    pub fn feed(mut self, token: &[u8]) -> Result<(Vec<u8>, EstablishedContext), GssError> {
-        match self.inner.step(token)? {
-            StepResult::Established {
-                token: Some(finished),
-                context,
-            } => Ok((finished, *context)),
-            StepResult::Established { token: None, .. } => {
-                Err(GssError::BadState("initiator finished without a token"))
-            }
-            StepResult::ContinueWith(_) => {
-                Err(GssError::BadState("initiator should finish on ServerHello"))
-            }
-        }
+    /// [`InitiatorContext::step`].
+    pub fn feed(self, token: &[u8]) -> Result<(Vec<u8>, EstablishedContext), GssError> {
+        self.inner.step(token)
     }
 }
 
@@ -140,7 +122,7 @@ impl WaveAcceptor {
         wave.iter()
             .zip(results)
             .map(|((id, _), r)| match r {
-                Ok((server_hello, acceptor)) => {
+                Ok((acceptor, server_hello)) => {
                     self.awaiting.insert(*id, acceptor);
                     (*id, Ok(server_hello))
                 }
@@ -153,30 +135,24 @@ impl WaveAcceptor {
     }
 
     /// Feed session `id`'s Finished token, completing establishment.
+    /// Finishing draws no entropy; `_rng` stays for the frozen
+    /// `benchmark/` crate.
     pub fn submit_finished<E: EntropySource>(
         &mut self,
         id: u64,
-        rng: &mut E,
+        _rng: &mut E,
         token: &[u8],
     ) -> Result<EstablishedContext, GssError> {
-        let mut acceptor = self
+        let acceptor = self
             .awaiting
             .remove(&id)
             .ok_or(GssError::BadState("no session awaiting this token"))?;
-        match acceptor.step(rng, token) {
-            Ok(StepResult::Established { context, .. }) => {
-                self.established += 1;
-                Ok(*context)
-            }
-            Ok(StepResult::ContinueWith(_)) => {
-                self.failed += 1;
-                Err(GssError::BadState("acceptor should finish on Finished"))
-            }
-            Err(e) => {
-                self.failed += 1;
-                Err(e)
-            }
+        let established = acceptor.step(token);
+        match established {
+            Ok(_) => self.established += 1,
+            Err(_) => self.failed += 1,
         }
+        established
     }
 
     /// Fully established sessions.
@@ -252,7 +228,7 @@ mod tests {
         // session ids, interleaved with quiescence points.
         let mut inits = HashMap::new();
         for (i, user) in w.users.iter().enumerate() {
-            let (init, hello) = PollInitiator::new(cfg(&w, user), &mut w.rng);
+            let (init, hello) = InitiatorContext::new(cfg(&w, user), &mut w.rng);
             let id = 1000 + i as u64;
             inits.insert(id, init);
             gw.submit_hello(id, hello);
@@ -262,7 +238,7 @@ mod tests {
                 for (id, r) in gw.flush_wave(&mut w.rng) {
                     let server_hello = r.unwrap();
                     let init = inits.remove(&id).unwrap();
-                    let (finished, mut ictx) = init.feed(&server_hello).unwrap();
+                    let (finished, mut ictx) = init.step(&server_hello).unwrap();
                     let mut actx = gw.submit_finished(id, &mut w.rng, &finished).unwrap();
                     let sealed = ictx.wrap(b"req");
                     assert_eq!(actx.unwrap(&sealed).unwrap(), b"req");
@@ -273,7 +249,7 @@ mod tests {
         for (id, r) in gw.flush_wave(&mut w.rng) {
             let server_hello = r.unwrap();
             let init = inits.remove(&id).unwrap();
-            let (finished, mut ictx) = init.feed(&server_hello).unwrap();
+            let (finished, mut ictx) = init.step(&server_hello).unwrap();
             let mut actx = gw.submit_finished(id, &mut w.rng, &finished).unwrap();
             let sealed = actx.wrap(b"rep");
             assert_eq!(ictx.unwrap(&sealed).unwrap(), b"rep");
@@ -296,8 +272,8 @@ mod tests {
         let mallory = rogue.issue_identity(&mut w.rng, dn("/O=Evil/CN=M"), 512, 0, 100_000);
 
         let mut gw = WaveAcceptor::new(cfg(&w, &w.service));
-        let (_good_init, good) = PollInitiator::new(cfg(&w, &w.users[0]), &mut w.rng);
-        let (_bad_init, bad) = PollInitiator::new(cfg(&w, &mallory), &mut w.rng);
+        let (_good_init, good) = InitiatorContext::new(cfg(&w, &w.users[0]), &mut w.rng);
+        let (_bad_init, bad) = InitiatorContext::new(cfg(&w, &mallory), &mut w.rng);
         gw.submit_hello(1, good);
         gw.submit_hello(2, bad);
         gw.submit_hello(3, b"garbage".to_vec());

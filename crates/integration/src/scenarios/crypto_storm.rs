@@ -5,7 +5,7 @@
 //! exponentiation. This storm closes that gap. Every principal is a
 //! scheduler task that performs **real per-principal handshake
 //! crypto** — a fresh DH keypair and hello signature on its way in
-//! ([`PollInitiator::new`]), real verification and key derivation on
+//! ([`InitiatorContext::new`]), real verification and key derivation on
 //! the acceptor's reply, and a sealed proof round-trip over the
 //! established channel — against mill gateways that batch hellos
 //! *across tasks* at mail quiescence ([`WaveAcceptor`]), so certificate
@@ -44,8 +44,8 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::EstablishedContext;
-use gridsec_gssapi::poll::{PollInitiator, WaveAcceptor};
+use gridsec_gssapi::context::{EstablishedContext, InitiatorContext};
+use gridsec_gssapi::poll::WaveAcceptor;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
@@ -249,7 +249,7 @@ impl Task for MillGateway {
 
 enum PrincipalState {
     Boot,
-    AwaitServerHello(PollInitiator),
+    AwaitServerHello(InitiatorContext),
     AwaitProof(Box<EstablishedContext>),
     /// Garbage-hello sent; the only acceptable reply is a rejection.
     AwaitReject,
@@ -288,7 +288,7 @@ impl Task for Principal {
                 self.state = PrincipalState::AwaitReject;
             } else {
                 let config = self.config.take().expect("config consumed once");
-                let (init, hello) = PollInitiator::new(config, &mut self.rng);
+                let (init, hello) = InitiatorContext::new(config, &mut self.rng);
                 self.send(TAG_HELLO, &hello);
                 self.state = PrincipalState::AwaitServerHello(init);
             }
@@ -306,7 +306,7 @@ impl Task for Principal {
             }
             match std::mem::replace(&mut self.state, PrincipalState::Boot) {
                 PrincipalState::AwaitServerHello(init) if tag == TAG_SERVER_HELLO => {
-                    match init.feed(body) {
+                    match init.step(body) {
                         Ok((finished, ctx)) => {
                             self.send(TAG_FINISHED, &finished);
                             self.state = PrincipalState::AwaitProof(Box::new(ctx));

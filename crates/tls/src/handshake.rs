@@ -506,9 +506,9 @@ fn server_respond<E: EntropySource>(
 /// Accept a wave of ClientHello tokens: in order, each exactly what
 /// [`ServerHandshake::step`] returns for that token — same verdict,
 /// and `rng` is drawn from in wave order and only by accepted hellos.
-/// A loop, kept only because the frozen `benchmark/` crate and the mill
-/// call it; what a pool attached to `config` buys a wave is what it
-/// buys a single session, the verdict cache.
+/// A loop, kept only because the frozen `benchmark/` crate calls it;
+/// what a pool attached to `config` buys a wave is what it buys a single
+/// session, the verdict cache.
 pub fn server_accept_batch<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use gridsec_bignum::prime::EntropySource;
-use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, InitiatorContext, StepResult};
+use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, InitiatorContext};
 use gridsec_pki::store::CrlStore;
 use gridsec_pki::validate::ValidatedIdentity;
 use gridsec_tls::channel::SecureChannel;
@@ -94,27 +94,18 @@ impl WsscInitiator {
 
     /// Process the server's RSTR; returns the final RST envelope (which
     /// must be delivered) and the established session.
-    pub fn finish(mut self, rstr: &Envelope) -> Result<(Envelope, WsscSession), WsseError> {
+    pub fn finish(self, rstr: &Envelope) -> Result<(Envelope, WsscSession), WsseError> {
         let (ctx_id, token) = parse_rst(rstr)?;
         let ctx_id = ctx_id.ok_or(WsseError::Context("RSTR missing context id"))?;
         let token = token.ok_or(WsseError::Context("RSTR missing token"))?;
-        match self
+        let (finished, context) = self
             .inner
             .step(&token)
-            .map_err(|_| WsseError::Context("handshake failed"))?
-        {
-            StepResult::Established {
-                token: Some(finished),
-                context,
-            } => Ok((
-                rst_envelope("wst:RequestSecurityToken", Some(&ctx_id), Some(&finished)),
-                WsscSession {
-                    ctx_id,
-                    context: *context,
-                },
-            )),
-            _ => Err(WsseError::Context("unexpected handshake state")),
-        }
+            .map_err(|_| WsseError::Context("handshake failed"))?;
+        Ok((
+            rst_envelope("wst:RequestSecurityToken", Some(&ctx_id), Some(&finished)),
+            WsscSession { ctx_id, context },
+        ))
     }
 }
 
@@ -221,20 +212,18 @@ impl WsscResponder {
                 Some(&out),
             ));
         };
-        let mut acceptor = match self.contexts.remove(&id) {
+        let acceptor = match self.contexts.remove(&id) {
             Some(ServerCtx::Pending(acceptor)) => acceptor,
             Some(ServerCtx::Ready(_)) => {
                 return Err(WsseError::Context("context already established"))
             }
             None => return Err(WsseError::Context("unknown context id")),
         };
-        let StepResult::Established { context, .. } = acceptor.step(rng, &token).map_err(failed)?
-        else {
-            return Err(WsseError::Context("unexpected handshake state"));
-        };
+        let context = acceptor.step(&token).map_err(failed)?;
         // A resumed context rotates: it mints a fresh ticket.
         self.sessions.store(context.channel());
-        self.contexts.insert(id.clone(), ServerCtx::Ready(context));
+        self.contexts
+            .insert(id.clone(), ServerCtx::Ready(Box::new(context)));
         Ok(rst_envelope(
             "wst:RequestSecurityTokenResponse",
             Some(&id),

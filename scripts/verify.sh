@@ -175,6 +175,17 @@ stage_grep_guard() {
         echo "FAIL: a transport resumes GSS contexts itself (above); use gssapi::context" >&2
         exit 1
     fi
+    # A context is one round trip of the GSS types (DESIGN.md §11.2):
+    # above tls, only gssapi::context drives the handshake state machines
+    # or answers a hello; every driver, mill and test steps
+    # InitiatorContext / AcceptorContext. perf_guard and the C1 bench
+    # probe tls directly.
+    if grep -rEn '\b(ClientHandshake|ServerHandshake|ServerAwaitFinished|accept_hello|server_accept_batch)\b' \
+        crates/*/src crates/*/tests tests examples \
+        | grep -vE '^crates/(tls/|gssapi/src/context\.rs:|bench/)'; then
+        echo "FAIL: a driver runs the handshake itself (above); use gssapi::context" >&2
+        exit 1
+    fi
     # A server verifying stateless signed messages keeps its signer memo
     # (DESIGN.md §11.2): the Proxy Router and the hosting environment's
     # stateless branch call verify_envelope_cached, never the one-shot.
