@@ -5,20 +5,23 @@
 //!
 //! 1. A user authenticates to the [`CasServer`] and receives a signed
 //!    [`CasAssertion`] enumerating the rights the VO grants them.
-//! 2. The user presents the assertion to a resource alongside the
-//!    request.
-//! 3. The resource's [`ResourceGate`] checks **both** its local policy
-//!    (does the VO get to use this resource at all? does the local admin
-//!    forbid this specific thing?) and the VO policy in the assertion.
-//!    "CAS allows a resource to remain the ultimate authority over that
+//! 2. The user embeds the assertion in a restricted proxy
+//!    ([`CAS_POLICY_LANGUAGE`]) and presents that chain with the request.
+//! 3. The resource's [`ResourceGate::permits`] reads the assertion from
+//!    the validated chain and checks **both** its local policy (does the
+//!    VO get to use this resource at all? does the local admin forbid
+//!    this specific thing?) and the VO policy in the assertion. "CAS
+//!    allows a resource to remain the ultimate authority over that
 //!    resource."
 
 use crate::policy::{CombiningAlg, Decision, Pattern, PolicySet, Request};
-use crate::AuthzError;
+use crate::{AuthzError, START_JOB};
 use gridsec_crypto::rsa::RsaPublicKey;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
+use gridsec_pki::proxy::ProxyType;
+use gridsec_pki::validate::{EffectiveRights as Rights, ValidatedIdentity};
 use gridsec_pki::PkiError;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -110,6 +113,12 @@ impl CasAssertion {
     pub fn verify(&self, cas_key: &RsaPublicKey) -> bool {
         cas_key.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
     }
+
+    /// The RFC 3820 restriction that carries this assertion in a proxy.
+    pub fn restriction(&self) -> ProxyType {
+        let (language, policy) = (CAS_POLICY_LANGUAGE.to_string(), self.to_bytes());
+        ProxyType::Restricted { language, policy }
+    }
 }
 
 /// The CAS server: VO membership, outsourced policy, assertion issuance.
@@ -187,10 +196,16 @@ impl CasServer {
     }
 }
 
-/// The resource-side enforcement point (Figure 2 step 3).
+/// The RFC 3820 policy-language identifier for embedded CAS assertions.
+pub const CAS_POLICY_LANGUAGE: &str = "cas-rights-v1";
+
+/// The one place a validated chain becomes a yes or no (Figure 2 step 3
+/// at every relying party). A gate without local policy leaves local
+/// authority to the grid-mapfile and the OS.
+#[derive(Clone, Default)]
 pub struct ResourceGate {
     /// Local policy — the resource remains the ultimate authority.
-    pub local_policy: PolicySet,
+    pub local_policy: Option<PolicySet>,
     /// Trusted CAS servers: VO name → CAS public key.
     trusted_cas: HashMap<String, RsaPublicKey>,
 }
@@ -199,7 +214,7 @@ impl ResourceGate {
     /// Create a gate with a local policy.
     pub fn new(local_policy: PolicySet) -> Self {
         ResourceGate {
-            local_policy,
+            local_policy: Some(local_policy),
             trusted_cas: HashMap::new(),
         }
     }
@@ -210,66 +225,68 @@ impl ResourceGate {
         self.trusted_cas.insert(vo.to_string(), key);
     }
 
-    /// Authorize a direct (no CAS) request under local policy only.
-    pub fn authorize_direct(
+    /// May the holder of `peer` perform `action` on `resource` at `now`?
+    /// DESIGN.md §18's four rules, in order, each refusal its own
+    /// [`AuthzError`]: (1) an independent proxy is refused; (2) a limited
+    /// proxy is refused [`START_JOB`]; (3) every restriction must be a
+    /// [`CAS_POLICY_LANGUAGE`] assertion (RFC 3820: understand or reject)
+    /// signed by the CAS trusted for its VO, fresh, issued to the base
+    /// identity and covering the request; (4) local policy, if any, must
+    /// permit the request as `vo:<name>` tagged with the presenter for
+    /// each assertion, else as the base identity. Rules 1–3 allocate
+    /// nothing for a chain without restrictions.
+    pub fn permits(
         &self,
-        subject: &DistinguishedName,
-        resource: &str,
-        action: &str,
-    ) -> Decision {
-        self.local_policy
-            .evaluate(&Request::new(&subject.to_string(), resource, action))
-    }
-
-    /// Authorize a CAS-mediated request: the presenter shows an assertion
-    /// with their rights. The decision is the *intersection*: the VO must
-    /// grant the right AND local policy must permit the VO's use of the
-    /// resource (subject `vo:<name>`), with local denies overriding.
-    pub fn authorize_with_cas(
-        &self,
-        assertion: &CasAssertion,
-        presenter: &DistinguishedName,
+        peer: &ValidatedIdentity,
         resource: &str,
         action: &str,
         now: u64,
-    ) -> Result<Decision, AuthzError> {
-        // Assertion authenticity.
-        let key = self
-            .trusted_cas
-            .get(&assertion.tbs.vo)
-            .ok_or(AuthzError::UntrustedAssertion)?;
-        if !assertion.verify(key) {
-            return Err(AuthzError::UntrustedAssertion);
+    ) -> Result<(), AuthzError> {
+        match peer.rights {
+            Rights::Independent => return Err(AuthzError::IndependentProxy),
+            Rights::Limited if action == START_JOB => return Err(AuthzError::LimitedProxy),
+            _ => {}
         }
-        // Freshness.
-        if now < assertion.tbs.not_before || now > assertion.tbs.not_after {
-            return Err(AuthzError::AssertionExpired {
-                now,
-                not_after: assertion.tbs.not_after,
-            });
+        let mut vos = Vec::new();
+        for (language, policy) in &peer.restrictions {
+            if language != CAS_POLICY_LANGUAGE {
+                return Err(AuthzError::UnknownRestriction(language.clone()));
+            }
+            let assertion = CasAssertion::from_bytes(policy)
+                .map_err(|_| AuthzError::Decode("bad assertion bytes"))?;
+            let tbs = &assertion.tbs;
+            let key = self.trusted_cas.get(&tbs.vo);
+            if !key.is_some_and(|key| assertion.verify(key)) {
+                return Err(AuthzError::UntrustedAssertion);
+            }
+            if now < tbs.not_before || now > tbs.not_after {
+                let not_after = tbs.not_after;
+                return Err(AuthzError::AssertionExpired { now, not_after });
+            }
+            if tbs.subject != peer.base_identity {
+                return Err(AuthzError::SubjectMismatch {
+                    assertion_subject: tbs.subject.to_string(),
+                    presenter: peer.base_identity.to_string(),
+                });
+            }
+            if !tbs.rights.iter().any(|r| r.covers(resource, action)) {
+                return Err(AuthzError::NotGranted);
+            }
+            vos.push(assertion.tbs.vo);
         }
-        // Binding to the presenter.
-        if assertion.tbs.subject != *presenter {
-            return Err(AuthzError::SubjectMismatch {
-                assertion_subject: assertion.tbs.subject.to_string(),
-                presenter: presenter.to_string(),
-            });
-        }
-        // VO policy: does the assertion grant this right?
-        let vo_grants = assertion
-            .tbs
-            .rights
-            .iter()
-            .any(|r| r.covers(resource, action));
-        if !vo_grants {
-            return Ok(Decision::Deny);
-        }
-        // Local policy: the request is evaluated as the VO (the resource
-        // outsourced this slice of policy to the VO) with the user's own
-        // identity as a tag so user-specific local denies still bite.
-        let req = Request::new(&format!("vo:{}", assertion.tbs.vo), resource, action)
-            .with_tag(&presenter.to_string());
-        Ok(self.local_policy.evaluate(&req))
+        let Some(local) = &self.local_policy else {
+            return Ok(());
+        };
+        let presenter = peer.base_identity.to_string();
+        let permit = |req: Request| local.evaluate(&req) == Decision::Permit;
+        let granted = if vos.is_empty() {
+            permit(Request::new(&presenter, resource, action))
+        } else {
+            let as_vo =
+                |vo| Request::new(&format!("vo:{vo}"), resource, action).with_tag(&presenter);
+            vos.iter().all(|vo| permit(as_vo(vo)))
+        };
+        granted.then_some(()).ok_or(AuthzError::LocalDeny)
     }
 }
 
@@ -279,14 +296,50 @@ mod tests {
     use crate::policy::{Effect, Rule, SubjectMatch};
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
+    use gridsec_pki::proxy::issue_proxy;
+    use gridsec_pki::store::TrustStore;
+    use gridsec_pki::validate::validate_chain;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
     }
 
     struct World {
+        rng: ChaChaRng,
+        ca: CertificateAuthority,
+        trust: TrustStore,
         cas: CasServer,
         gate: ResourceGate,
+    }
+
+    impl World {
+        /// What a relying party sees at `now` when `user` presents a
+        /// proxy of `kind`, or their own certificate given `None`.
+        fn presented(
+            &mut self,
+            user: &str,
+            kind: Option<ProxyType>,
+            now: u64,
+        ) -> ValidatedIdentity {
+            let name = dn(&format!("/O=G/CN={user}"));
+            let mut cred = self
+                .ca
+                .issue_identity(&mut self.rng, name, 512, 0, 1_000_000);
+            if let Some(kind) = kind {
+                cred = issue_proxy(&mut self.rng, &cred, kind, 512, 0, 100_000).unwrap();
+            }
+            validate_chain(cred.chain(), &self.trust, now).unwrap()
+        }
+
+        /// `user` presenting a proxy restricted to `assertion`.
+        fn with_assertion(
+            &mut self,
+            user: &str,
+            assertion: &CasAssertion,
+            now: u64,
+        ) -> ValidatedIdentity {
+            self.presented(user, Some(assertion.restriction()), now)
+        }
     }
 
     fn world() -> World {
@@ -294,6 +347,8 @@ mod tests {
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
         let cas_cred = ca.issue_identity(&mut rng, dn("/O=G/CN=CAS physics-vo"), 512, 0, 1_000_000);
         let cas = CasServer::new("physics-vo", cas_cred, 3600);
+        let mut trust = TrustStore::new();
+        trust.add_root(ca.certificate().clone());
 
         // VO membership + outsourced policy.
         cas.enroll(&dn("/O=G/CN=Jane"), vec!["group:analysts".to_string()]);
@@ -334,51 +389,42 @@ mod tests {
         ));
         let mut gate = ResourceGate::new(local);
         gate.trust_cas("physics-vo", cas.public_key().clone());
-        World { cas, gate }
+        World {
+            rng,
+            ca,
+            trust,
+            cas,
+            gate,
+        }
     }
 
     #[test]
     fn figure2_full_flow() {
-        let w = world();
+        let mut w = world();
         // Step 1: Jane gets an assertion.
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
         assert!(assertion.verify(w.cas.public_key()));
         assert_eq!(assertion.tbs.vo, "physics-vo");
-        // Steps 2-3: present to the resource.
-        let d = w
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Jane"),
-                "/detector/run7",
-                "read",
-                200,
-            )
-            .unwrap();
-        assert_eq!(d, Decision::Permit);
+        // Steps 2-3: present it, embedded in her proxy, to the resource.
+        let jane = w.with_assertion("Jane", &assertion, 200);
+        assert_eq!(w.gate.permits(&jane, "/detector/run7", "read", 200), Ok(()));
     }
 
     #[test]
     fn vo_policy_limits_rights() {
-        let w = world();
+        let mut w = world();
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
+        let jane = w.with_assertion("Jane", &assertion, 200);
         // VO granted read, not write.
-        let d = w
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Jane"),
-                "/detector/run7",
-                "write",
-                200,
-            )
-            .unwrap();
-        assert_eq!(d, Decision::Deny);
+        assert_eq!(
+            w.gate.permits(&jane, "/detector/run7", "write", 200),
+            Err(AuthzError::NotGranted)
+        );
     }
 
     #[test]
     fn local_policy_overrides_vo_grant() {
-        let w = world();
+        let mut w = world();
         // Give the VO a rule that *would* grant the embargoed dataset.
         w.cas.add_rule(Rule::new(
             SubjectMatch::Exact("group:analysts".to_string()),
@@ -387,18 +433,12 @@ mod tests {
             Effect::Permit,
         ));
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
-        let d = w
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Jane"),
-                "/detector/embargoed",
-                "read",
-                200,
-            )
-            .unwrap();
+        let jane = w.with_assertion("Jane", &assertion, 200);
         // Resource remains the ultimate authority.
-        assert_eq!(d, Decision::Deny);
+        assert_eq!(
+            w.gate.permits(&jane, "/detector/embargoed", "read", 200),
+            Err(AuthzError::LocalDeny)
+        );
     }
 
     #[test]
@@ -413,51 +453,41 @@ mod tests {
 
     #[test]
     fn stolen_assertion_unusable_by_other_subject() {
-        let w = world();
+        let mut w = world();
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
+        let eve = w.with_assertion("Eve", &assertion, 200);
         let err = w
             .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Eve"),
-                "/detector/run7",
-                "read",
-                200,
-            )
+            .permits(&eve, "/detector/run7", "read", 200)
             .unwrap_err();
         assert!(matches!(err, AuthzError::SubjectMismatch { .. }));
     }
 
     #[test]
     fn expired_assertion_rejected() {
-        let w = world();
+        let mut w = world();
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
+        let jane = w.with_assertion("Jane", &assertion, 10_000);
         let err = w
             .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Jane"),
-                "/detector/run7",
-                "read",
-                10_000,
-            )
+            .permits(&jane, "/detector/run7", "read", 10_000)
             .unwrap_err();
         assert!(matches!(err, AuthzError::AssertionExpired { .. }));
     }
 
     #[test]
     fn forged_assertion_rejected() {
-        let w = world();
+        let mut w = world();
         let mut assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
         assertion.tbs.rights.push(Right {
             resource: "*".to_string(),
             action: "*".to_string(),
         });
-        let err = w
-            .gate
-            .authorize_with_cas(&assertion, &dn("/O=G/CN=Jane"), "/anything", "write", 200)
-            .unwrap_err();
-        assert_eq!(err, AuthzError::UntrustedAssertion);
+        let jane = w.with_assertion("Jane", &assertion, 200);
+        assert_eq!(
+            w.gate.permits(&jane, "/anything", "write", 200),
+            Err(AuthzError::UntrustedAssertion)
+        );
     }
 
     #[test]
@@ -470,18 +500,12 @@ mod tests {
         rogue.add_rule(Rule::new(SubjectMatch::Any, "*", "*", Effect::Permit));
         let assertion = rogue.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
 
-        let w = world();
-        let err = w
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Jane"),
-                "/detector/run7",
-                "read",
-                200,
-            )
-            .unwrap_err();
-        assert_eq!(err, AuthzError::UntrustedAssertion);
+        let mut w = world();
+        let jane = w.with_assertion("Jane", &assertion, 200);
+        assert_eq!(
+            w.gate.permits(&jane, "/detector/run7", "read", 200),
+            Err(AuthzError::UntrustedAssertion)
+        );
     }
 
     #[test]
@@ -495,13 +519,18 @@ mod tests {
 
     #[test]
     fn direct_local_authorization() {
-        let w = world();
+        let mut w = world();
         // No VO involvement: local policy alone, which has no rule for
-        // individual users on the detector → NotApplicable.
+        // individual users on the detector, so Jane's own chain is refused.
+        let jane = w.presented("Jane", None, 200);
         assert_eq!(
-            w.gate
-                .authorize_direct(&dn("/O=G/CN=Jane"), "/detector/run7", "read"),
-            Decision::NotApplicable
+            w.gate.permits(&jane, "/detector/run7", "read", 200),
+            Err(AuthzError::LocalDeny)
+        );
+        // A gate without local policy leaves that to the grid-mapfile.
+        assert_eq!(
+            ResourceGate::default().permits(&jane, "/x", "read", 200),
+            Ok(())
         );
     }
 
@@ -511,17 +540,36 @@ mod tests {
         w.cas
             .enroll(&dn("/O=G/CN=Banned"), vec!["group:analysts".to_string()]);
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Banned"), 100).unwrap();
-        let d = w
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                &dn("/O=G/CN=Banned"),
-                "/detector/run7",
-                "read",
-                200,
-            )
-            .unwrap();
-        assert_eq!(d, Decision::Deny);
-        let _ = &mut w;
+        let banned = w.with_assertion("Banned", &assertion, 200);
+        assert_eq!(
+            w.gate.permits(&banned, "/detector/run7", "read", 200),
+            Err(AuthzError::LocalDeny)
+        );
+    }
+
+    #[test]
+    fn proxy_rights_and_unknown_languages_refused_before_local_policy() {
+        let mut w = world();
+        let open = ResourceGate::default();
+        let independent = w.presented("Jane", Some(ProxyType::Independent), 200);
+        assert_eq!(
+            open.permits(&independent, "/data", "read", 200),
+            Err(AuthzError::IndependentProxy)
+        );
+        let limited = w.presented("Jane", Some(ProxyType::Limited), 200);
+        assert_eq!(open.permits(&limited, "/data", "read", 200), Ok(()));
+        assert_eq!(
+            open.permits(&limited, "/bin/sim", crate::START_JOB, 200),
+            Err(AuthzError::LimitedProxy)
+        );
+        let foreign = ProxyType::Restricted {
+            language: "xacml-2.0".to_string(),
+            policy: b"<Policy/>".to_vec(),
+        };
+        let restricted = w.presented("Jane", Some(foreign), 200);
+        assert_eq!(
+            open.permits(&restricted, "/data", "read", 200),
+            Err(AuthzError::UnknownRestriction("xacml-2.0".to_string()))
+        );
     }
 }

@@ -17,7 +17,8 @@
 //!   XACML evaluation a 2003 deployment would have used.
 //! * [`cas`] — the CAS server (issues signed rights assertions scoped to
 //!   a user and the VO's outsourced policy) and the resource-side
-//!   [`cas::ResourceGate`] that enforces `local ∩ VO`.
+//!   [`cas::ResourceGate`], whose `permits` is every relying party's one
+//!   decision point: proxy rights, restrictions, then `local ∩ VO`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +28,9 @@ pub mod durable;
 pub mod gridmap;
 pub mod net;
 pub mod policy;
+
+/// The action a limited proxy may not perform (it may move data).
+pub const START_JOB: &str = "start-job";
 
 /// Errors from authorization components.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +60,16 @@ pub enum AuthzError {
     Transport(String),
     /// The CAS refused to issue an assertion (e.g. not a VO member).
     Refused(String),
+    /// An independent proxy inherits no rights from its issuer.
+    IndependentProxy,
+    /// A limited proxy asked to start a job.
+    LimitedProxy,
+    /// A restriction in a policy language the relying party does not know.
+    UnknownRestriction(String),
+    /// A CAS assertion in the chain does not grant the request.
+    NotGranted,
+    /// Local policy does not permit the request.
+    LocalDeny,
 }
 
 impl core::fmt::Display for AuthzError {
@@ -76,6 +90,11 @@ impl core::fmt::Display for AuthzError {
             AuthzError::Decode(m) => write!(f, "decode error: {m}"),
             AuthzError::Transport(m) => write!(f, "transport error: {m}"),
             AuthzError::Refused(m) => write!(f, "CAS refused: {m}"),
+            AuthzError::IndependentProxy => write!(f, "independent proxies inherit no rights"),
+            AuthzError::LimitedProxy => write!(f, "limited proxies may not start jobs"),
+            AuthzError::UnknownRestriction(l) => write!(f, "restriction in unknown language {l:?}"),
+            AuthzError::NotGranted => write!(f, "the CAS assertion does not grant the request"),
+            AuthzError::LocalDeny => write!(f, "local policy does not permit the request"),
         }
     }
 }

@@ -82,9 +82,9 @@ fn reply(status: &str, body: &[u8]) -> Vec<u8> {
 }
 
 /// Fetch a CAS assertion for `user` over `rpc`, retrying per the
-/// client's policy. The returned assertion is signature-checked by the
-/// caller's [`ResourceGate`][crate::cas::ResourceGate] as usual — this
-/// function only moves it across the faulty wire.
+/// client's policy. A relying party checks it, once it rides in a
+/// restricted proxy, in [`ResourceGate::permits`][crate::cas::ResourceGate::permits]
+/// — this function only moves it across the faulty wire.
 pub fn fetch_assertion(
     rpc: &mut RpcClient,
     user: &DistinguishedName,

@@ -9,9 +9,20 @@
 use gridsec_authz::cas::{CasServer, ResourceGate};
 use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
 use gridsec_bench::{bench_world, dn, KEY_BITS};
+use gridsec_pki::proxy::issue_proxy;
+use gridsec_pki::validate::{validate_chain, ValidatedIdentity};
 use gridsec_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn setup_cas(rules: usize) -> (CasServer, ResourceGate) {
+/// The VO, the resource's gate, and what the gate sees from the user:
+/// a proxy carrying their assertion, and their own unrestricted chain.
+fn setup_cas(
+    rules: usize,
+) -> (
+    CasServer,
+    ResourceGate,
+    ValidatedIdentity,
+    ValidatedIdentity,
+) {
     let mut w = bench_world(b"f2 cas");
     let cas_cred =
         w.ca.issue_identity(&mut w.rng, dn("/O=B/CN=CAS"), KEY_BITS, 0, u64::MAX / 4);
@@ -40,14 +51,21 @@ fn setup_cas(rules: usize) -> (CasServer, ResourceGate) {
     ));
     let mut gate = ResourceGate::new(local);
     gate.trust_cas("bench-vo", cas.public_key().clone());
-    (cas, gate)
+    let user =
+        w.ca.issue_identity(&mut w.rng, dn("/O=B/CN=User"), KEY_BITS, 0, u64::MAX / 4);
+    let assertion = cas.issue_assertion(user.base_identity(), 100).unwrap();
+    let kind = assertion.restriction();
+    let proxy = issue_proxy(&mut w.rng, &user, kind, KEY_BITS, 100, 100_000).unwrap();
+    let with_cas = validate_chain(proxy.chain(), &w.trust, 200).unwrap();
+    let direct = validate_chain(user.chain(), &w.trust, 200).unwrap();
+    (cas, gate, with_cas, direct)
 }
 
 fn issuance(c: &mut Criterion) {
     let mut group = c.benchmark_group("f2_issue_assertion");
     group.sample_size(10);
     for rules in [10usize, 100, 1_000, 10_000] {
-        let (cas, _gate) = setup_cas(rules);
+        let (cas, ..) = setup_cas(rules);
         group.bench_with_input(BenchmarkId::new("vo_rules", rules), &rules, |b, _| {
             b.iter(|| cas.issue_assertion(&dn("/O=B/CN=User"), 100).unwrap())
         });
@@ -59,25 +77,18 @@ fn enforcement(c: &mut Criterion) {
     let mut group = c.benchmark_group("f2_enforcement");
     group.sample_size(10);
     for rules in [10usize, 1_000] {
-        let (cas, gate) = setup_cas(rules);
-        let assertion = cas.issue_assertion(&dn("/O=B/CN=User"), 100).unwrap();
+        let (_cas, gate, with_cas, _) = setup_cas(rules);
         group.bench_with_input(BenchmarkId::new("with_cas_rules", rules), &rules, |b, _| {
             b.iter(|| {
-                gate.authorize_with_cas(
-                    &assertion,
-                    &dn("/O=B/CN=User"),
-                    "/data/part0/file",
-                    "read",
-                    200,
-                )
-                .unwrap()
+                gate.permits(&with_cas, "/data/part0/file", "read", 200)
+                    .unwrap()
             })
         });
     }
-    // Baseline: a direct (no CAS) local decision.
-    let (_cas, gate) = setup_cas(10);
+    // Baseline: a direct (no CAS) chain, decided by local policy alone.
+    let (_cas, gate, _, direct) = setup_cas(10);
     group.bench_function("local_only_baseline", |b| {
-        b.iter(|| gate.authorize_direct(&dn("/O=B/CN=User"), "/data/part0/file", "read"))
+        b.iter(|| gate.permits(&direct, "/data/part0/file", "read", 200))
     });
     group.finish();
 }

@@ -7,12 +7,15 @@
 //! LoC proxies, and compromise blast radii.
 //!
 //! Flow: TLS-style mutual authentication with the client (over tokens,
-//! as GT2 did over TCP), grid-mapfile lookup *by the root process*, then
-//! a privileged fork+setuid of a per-user jobmanager which runs the job.
+//! as GT2 did over TCP), the gate, grid-mapfile lookup *by the root
+//! process*, then a privileged fork+setuid of a per-user jobmanager which
+//! runs the job.
 
 use std::collections::HashMap;
 
+use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::gridmap::GridMapFile;
+use gridsec_authz::START_JOB;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext};
 use gridsec_pki::credential::Credential;
@@ -39,6 +42,8 @@ pub struct Gt2Gatekeeper {
     next_job: u64,
     /// Jobs run.
     pub jobs_submitted: u64,
+    /// The authorization decision point, asked before the fork.
+    pub gate: ResourceGate,
 }
 
 struct Gt2Job {
@@ -103,6 +108,7 @@ impl Gt2Gatekeeper {
             jobs: HashMap::new(),
             next_job: 0,
             jobs_submitted: 0,
+            gate: ResourceGate::default(),
         })
     }
 
@@ -116,8 +122,8 @@ impl Gt2Gatekeeper {
         &self.os
     }
 
-    /// Submit a job: TLS mutual authentication, root-side grid-mapfile
-    /// lookup, privileged fork of the jobmanager, job start.
+    /// Submit a job: TLS mutual authentication, the gate, root-side
+    /// grid-mapfile lookup, privileged fork of the jobmanager, job start.
     pub fn submit(
         &mut self,
         client_credential: &Credential,
@@ -143,8 +149,12 @@ impl Gt2Gatekeeper {
             .and_then(|el| JobDescription::from_element(&el))
             .ok_or_else(|| GramError::RequestRejected("bad job description".into()))?;
 
-        // Root-side grid-mapfile lookup.
-        let user_dn = server_ctx.peer().base_identity.clone();
+        // Authorization, then the root-side grid-mapfile lookup.
+        let peer = server_ctx.peer();
+        self.gate
+            .permits(peer, &parsed.executable, START_JOB, now)
+            .map_err(|e| GramError::NotAuthorized(e.to_string()))?;
+        let user_dn = peer.base_identity.clone();
         let map_bytes = self
             .os
             .read_file(&self.host, crate::resource::GRIDMAP_PATH, ROOT_UID)

@@ -9,8 +9,9 @@
 //!
 //! 1. The requestor signs a job description (stateless XML-Signature —
 //!    the target LMJFS may not exist yet).
-//! 2. The **Proxy Router** (unprivileged, network-facing) routes to the
-//!    user's LMJFS if resident, else to the MMJFS.
+//! 2. The **Proxy Router** (unprivileged, network-facing) asks its
+//!    `ResourceGate` whether the signer's chain may start the job, then
+//!    routes to the user's LMJFS if resident, else to the MMJFS.
 //! 3. The **MMJFS** (unprivileged, network-facing) verifies the
 //!    signature and maps the grid identity via the grid-mapfile.
 //! 4. The MMJFS invokes the **Setuid Starter** — a tiny setuid-root
@@ -20,8 +21,8 @@
 //!    program — which reads the host credential and mints a GRIM proxy
 //!    embedding the user's grid identity, account, and policy; the LMJFS
 //!    registers with the router.
-//! 6. The LMJFS re-verifies the signed request and authorizes the user
-//!    for its account, then creates an **MJS**.
+//! 6. The LMJFS authorizes the user for its account, then creates an
+//!    **MJS**.
 //! 7. The requestor and MJS mutually authenticate — after a user's first
 //!    job, by resuming the session its LMJFS banked; the requestor accepts
 //!    the MJS *only* if it presents a GRIM credential from the right host

@@ -4,7 +4,9 @@
 
 use std::collections::HashMap;
 
+use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::gridmap::GridMapFile;
+use gridsec_authz::START_JOB;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -13,7 +15,7 @@ use gridsec_gssapi::delegation::{self, PendingDelegation};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::{CrlStore, Epoch, TrustStore};
-use gridsec_pki::validate::{CachedValidator, EffectiveRights};
+use gridsec_pki::validate::CachedValidator;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::os::{FileMode, Pid, SimOs, ROOT_UID};
 use gridsec_tls::handshake::TlsConfig;
@@ -152,6 +154,8 @@ pub struct GramResource {
     lmjfs: HashMap<String, LmjfsInstance>,
     mjs: HashMap<String, MjsInstance>,
     next_mjs_id: u64,
+    /// The Proxy Router's authorization decision point (step 2).
+    pub gate: ResourceGate,
     /// Activity counters.
     pub stats: GramStats,
 }
@@ -221,6 +225,7 @@ impl GramResource {
             lmjfs: HashMap::new(),
             mjs: HashMap::new(),
             next_mjs_id: 0,
+            gate: ResourceGate::default(),
             stats: GramStats::default(),
         })
     }
@@ -305,37 +310,40 @@ impl GramResource {
     }
 
     /// Steps 1–6 of Figure 4: route a signed job request, cold-starting an
-    /// LMJFS when needed, and create the MJS.
+    /// LMJFS when needed, and create the MJS. Every refusal but an OS
+    /// failure counts in [`GramStats::denied`].
     pub fn submit(&mut self, signed_request_xml: &str) -> Result<SubmitOutcome, GramError> {
-        let deny = |s: &mut GramStats| s.denied += 1;
+        let outcome = self.route(signed_request_xml);
+        if matches!(&outcome, Err(e) if !matches!(e, GramError::Os(_))) {
+            self.stats.denied += 1;
+        }
+        outcome
+    }
+
+    fn route(&mut self, signed_request_xml: &str) -> Result<SubmitOutcome, GramError> {
         let now = self.clock.now();
+        let rejected = |e: &dyn core::fmt::Display| GramError::RequestRejected(e.to_string());
 
         // ---- Step 2: the Proxy Router accepts the request. It verifies
         // the signature (it is unprivileged; verification needs no
         // secrets) to learn the requestor identity for routing. A chain
         // it has walked before is taken from its memo; the signature,
-        // digests and timestamp are checked every time.
-        let env = Envelope::parse(signed_request_xml).map_err(|e| {
-            deny(&mut self.stats);
-            GramError::RequestRejected(e.to_string())
-        })?;
-        let verified =
+        // digests and timestamp are checked every time. Then it reads the
+        // job description and asks the gate whether this chain may start
+        // that executable, before any grid-mapfile read or process start.
+        let env = Envelope::parse(signed_request_xml).map_err(|e| rejected(&e))?;
+        let identity =
             xmlsig::verify_envelope_cached(&env, &mut self.signers, &self.trust, &self.crls, now)
-                .map_err(|e| {
-                deny(&mut self.stats);
-                GramError::RequestRejected(e.to_string())
-            })?;
-        let identity = verified.identity;
-        // GT semantics: a *limited* proxy may move data but must not start
-        // jobs (the site-defined reduced-rights set of §3). GridFTP-style
-        // services accept limited proxies; GRAM refuses them.
-        if identity.rights == EffectiveRights::Limited {
-            deny(&mut self.stats);
-            return Err(GramError::NotAuthorized(
-                "limited proxies may not submit jobs".to_string(),
-            ));
-        }
-        let user_dn = identity.base_identity.clone();
+                .map_err(|e| rejected(&e))?
+                .identity;
+        let description = env
+            .payload()
+            .and_then(JobDescription::from_element)
+            .ok_or_else(|| rejected(&"missing or malformed job description"))?;
+        self.gate
+            .permits(&identity, &description.executable, START_JOB, now)
+            .map_err(|e| GramError::NotAuthorized(e.to_string()))?;
+        let user_dn = identity.base_identity;
 
         // ---- Step 3: grid-mapfile lookup (MMJFS euid can read it; it is
         // world-readable). Router and MMJFS run as the same account here.
@@ -348,10 +356,8 @@ impl GramResource {
         let mapped = gridmap
             .lookup(&user_dn)
             .map(|account| (account.to_string(), gridmap.permits(&user_dn, account)));
-        let (account, permitted) = mapped.ok_or_else(|| {
-            deny(&mut self.stats);
-            GramError::NoMapping(user_dn.to_string())
-        })?;
+        let (account, permitted) =
+            mapped.ok_or_else(|| GramError::NoMapping(user_dn.to_string()))?;
 
         // ---- Steps 4–5 (cold path) or direct routing (warm path).
         let cold_start = !self.lmjfs.contains_key(&account);
@@ -363,10 +369,9 @@ impl GramResource {
         // ---- Step 6: before creating the MJS, the LMJFS checks that the
         // grid-mapfile permits the requestor in this account and that it
         // serves this identity. It does not verify the signature again:
-        // the identity is the one step 2 authenticated, and the job
-        // description is read from the envelope step 2 verified.
+        // the identity and job description are the ones step 2
+        // authenticated and authorized.
         if !permitted {
-            deny(&mut self.stats);
             return Err(GramError::NotAuthorized(format!(
                 "{user_dn} may not use account {account}"
             )));
@@ -375,19 +380,11 @@ impl GramResource {
         // user gets their own LMJFS/account (enforced by mapping), but a
         // mismatch here would mean a routing bug or attack.
         if lmjfs.user_identity != user_dn {
-            deny(&mut self.stats);
             return Err(GramError::NotAuthorized(format!(
                 "LMJFS for {account} serves {}, not {user_dn}",
                 lmjfs.user_identity
             )));
         }
-        let description = env
-            .payload()
-            .and_then(JobDescription::from_element)
-            .ok_or_else(|| {
-                deny(&mut self.stats);
-                GramError::RequestRejected("missing or malformed job description".to_string())
-            })?;
 
         // Create the MJS inside the LMJFS's hosting environment.
         self.next_mjs_id += 1;

@@ -8,10 +8,11 @@
 //!
 //! Its role in the reproduction is to make the **limited proxy** policy
 //! split observable end to end: GT2's site-defined reduced-rights set
-//! lets a limited proxy *move data* but not *start jobs*. This service
-//! accepts both `Full` and `Limited` rights; `gridsec-gram` refuses
-//! `Limited`. (`Independent` proxies inherit nothing and are refused
-//! here too.)
+//! lets a limited proxy *move data* but not *start jobs*. Every command is
+//! decided once, before it touches a file, by [`ResourceGate::permits`] on
+//! its path and `read` or `write`; a refusal (an independent proxy, an
+//! unknown restriction, an assertion that does not grant the path) ends
+//! the session with [`FtpError::RightsRefused`].
 //!
 //! Protocol: a GT2-style mutually-authenticated secure channel
 //! (`gridsec-tls`), then length-framed commands — `GET <path>`,
@@ -28,7 +29,9 @@ pub mod stripe;
 
 use std::io::{Read, Write};
 
+use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::gridmap::GridMapFile;
+use gridsec_authz::AuthzError;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
@@ -41,8 +44,8 @@ use gridsec_tls::stream::{client_connect, SecureStream};
 pub enum FtpError {
     /// Channel establishment or I/O failure.
     Channel(String),
-    /// The peer's rights do not permit data movement.
-    RightsRefused(&'static str),
+    /// The gate refused a command.
+    RightsRefused(AuthzError),
     /// No grid-mapfile entry for the client.
     NoMapping(String),
     /// File access denied or missing.
@@ -54,6 +57,13 @@ pub enum FtpError {
     /// fault-injection runs degrade into a failed transfer, never a
     /// crashed client.
     Xfer(&'static str),
+}
+
+impl FtpError {
+    /// A channel failure described by `e`.
+    pub(crate) fn channel(e: impl core::fmt::Display) -> Self {
+        FtpError::Channel(e.to_string())
+    }
 }
 
 impl core::fmt::Display for FtpError {
@@ -79,6 +89,8 @@ pub struct GridFtpServer {
     credential: Credential,
     trust: TrustStore,
     gridmap: GridMapFile,
+    /// The authorization decision point every command passes.
+    pub gate: ResourceGate,
     /// Transfers served (gets + puts).
     pub transfers: u64,
 }
@@ -106,6 +118,7 @@ impl GridFtpServer {
             credential,
             trust,
             gridmap,
+            gate: ResourceGate::default(),
             transfers: 0,
         })
     }
@@ -131,11 +144,8 @@ impl<S: Read + Write> GridFtpClient<S> {
         rng: &mut E,
     ) -> Result<Self, FtpError> {
         let config = TlsConfig::new(credential, trust, now);
-        let mut secured =
-            client_connect(stream, config, rng).map_err(|e| FtpError::Channel(e.to_string()))?;
-        let greeting = secured
-            .recv()
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
+        let mut secured = client_connect(stream, config, rng).map_err(FtpError::channel)?;
+        let greeting = secured.recv().map_err(FtpError::channel)?;
         let text = String::from_utf8_lossy(&greeting).into_owned();
         if !text.starts_with("OK") {
             return Err(FtpError::Protocol(text));
@@ -147,20 +157,14 @@ impl<S: Read + Write> GridFtpClient<S> {
     pub fn get(&mut self, path: &str) -> Result<Vec<u8>, FtpError> {
         self.stream
             .send(format!("GET {path}").as_bytes())
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
-        let header = self
-            .stream
-            .recv()
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
+            .map_err(FtpError::channel)?;
+        let header = self.stream.recv().map_err(FtpError::channel)?;
         let text = String::from_utf8_lossy(&header).into_owned();
         if let Some(len) = text.strip_prefix("DATA ") {
             let expected: usize = len
                 .parse()
                 .map_err(|_| FtpError::Protocol("bad DATA header".to_string()))?;
-            let data = self
-                .stream
-                .recv()
-                .map_err(|e| FtpError::Channel(e.to_string()))?;
+            let data = self.stream.recv().map_err(FtpError::channel)?;
             if data.len() != expected {
                 return Err(FtpError::Protocol("length mismatch".to_string()));
             }
@@ -174,14 +178,9 @@ impl<S: Read + Write> GridFtpClient<S> {
     pub fn put(&mut self, path: &str, data: &[u8]) -> Result<(), FtpError> {
         self.stream
             .send(format!("PUT {path}").as_bytes())
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
-        self.stream
-            .send(data)
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
-        let reply = self
-            .stream
-            .recv()
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
+            .map_err(FtpError::channel)?;
+        self.stream.send(data).map_err(FtpError::channel)?;
+        let reply = self.stream.recv().map_err(FtpError::channel)?;
         if reply == b"STORED" {
             Ok(())
         } else {
@@ -191,9 +190,7 @@ impl<S: Read + Write> GridFtpClient<S> {
 
     /// End the session.
     pub fn quit(mut self) -> Result<(), FtpError> {
-        self.stream
-            .send(b"QUIT")
-            .map_err(|e| FtpError::Channel(e.to_string()))?;
+        self.stream.send(b"QUIT").map_err(FtpError::channel)?;
         let _ = self.stream.recv();
         Ok(())
     }
@@ -324,7 +321,7 @@ mod tests {
         assert!(result.is_err());
         assert_eq!(
             served.unwrap_err(),
-            FtpError::RightsRefused("independent proxy")
+            FtpError::RightsRefused(AuthzError::IndependentProxy)
         );
     }
 

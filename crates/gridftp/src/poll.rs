@@ -2,9 +2,9 @@
 //! connection, runnable as a discrete-event scheduler task.
 //!
 //! Every server session — classic, resumable, striped — is a
-//! [`ServerSession`]: the protocol logic — handshake, rights split,
-//! grid-map authorization, command dispatch, restart markers, stripe
-//! credit windows, kill points — lives here as a pure
+//! [`ServerSession`]: the protocol logic — handshake, grid-map
+//! mapping, per-command authorization, command dispatch, restart
+//! markers, stripe credit windows, kill points — lives here as a pure
 //! feed-bytes-in/frames-out machine with no blocking reads. That is
 //! what retired the GT2 threading exception (DESIGN.md §16): a
 //! GridFTP stripe is a [`Scheduler`] task woken by stream readability,
@@ -28,6 +28,7 @@ use std::rc::Rc;
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
+use gridsec_pki::validate::ValidatedIdentity;
 use gridsec_testbed::faults::CrashPlan;
 use gridsec_testbed::net::{Network, SimStream};
 use gridsec_testbed::os::{FileMode, SimOs, Uid};
@@ -38,6 +39,7 @@ use gridsec_tls::records::{Accepted, RecordSession, ServerAcceptor};
 use gridsec_tls::stream::write_frame;
 use gridsec_tls::TlsError;
 
+use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::gridmap::GridMapFile;
 
 use crate::resume::{hex, parse_two, CHUNK};
@@ -100,6 +102,7 @@ pub struct ServerSession {
     os: SimOs,
     host: String,
     gridmap: GridMapFile,
+    gate: ResourceGate,
     transfers_at_start: u64,
     acceptor: Option<ServerAcceptor>,
     session: Option<RecordSession>,
@@ -124,6 +127,7 @@ impl ServerSession {
             os: server.os.clone(),
             host: server.host.clone(),
             gridmap: server.gridmap.clone(),
+            gate: server.gate.clone(),
             transfers_at_start: server.transfers,
             acceptor: Some(ServerAcceptor::new(config)),
             session: None,
@@ -161,10 +165,7 @@ impl ServerSession {
                         self.session = Some(*session);
                         self.prologue();
                     }
-                    Err(e) => {
-                        self.done = Some(Err(FtpError::Channel(e.to_string())));
-                        return;
-                    }
+                    Err(e) => return self.fail(FtpError::channel(e)),
                 }
                 continue;
             }
@@ -229,8 +230,16 @@ impl ServerSession {
     fn on_record_error(&mut self, e: TlsError) {
         self.done = Some(match self.phase {
             Phase::Command => Ok(self.completed),
-            _ => Err(FtpError::Channel(e.to_string())),
+            _ => Err(FtpError::channel(e)),
         });
+    }
+
+    /// The authenticated peer, once the handshake has established it.
+    fn peer(&self) -> &ValidatedIdentity {
+        self.session
+            .as_ref()
+            .expect("an established session")
+            .peer()
     }
 
     fn uid(&self) -> Uid {
@@ -263,34 +272,19 @@ impl ServerSession {
         self.done = Some(Err(FtpError::Channel(format!("killed at {point}"))));
     }
 
-    /// Rights split + grid-map authorization + greeting, exactly as
-    /// the blocking `accept_and_map` prologue.
+    /// Grid-map authorization + greeting, exactly as the blocking
+    /// `accept_and_map` prologue. What the peer's chain may do is the
+    /// gate's to decide, per command.
     fn prologue(&mut self) {
-        let peer = self
-            .session
-            .as_ref()
-            .expect("prologue runs on establishment")
-            .peer()
-            .clone();
-        if peer.rights == gridsec_pki::validate::EffectiveRights::Independent {
-            self.say("ERR independent proxies have no inherited rights");
-            self.done = Some(Err(FtpError::RightsRefused("independent proxy")));
-            return;
-        }
-        let account = match self.gridmap.lookup(&peer.base_identity) {
-            Some(a) => a.to_string(),
-            None => {
-                self.say("ERR no mapping");
-                self.done = Some(Err(FtpError::NoMapping(peer.base_identity.to_string())));
-                return;
-            }
+        let base = &self.peer().base_identity;
+        let Some(account) = self.gridmap.lookup(base).map(str::to_string) else {
+            let refused = FtpError::NoMapping(base.to_string());
+            self.say("ERR no mapping");
+            return self.fail(refused);
         };
         let uid = match self.os.uid_of(&self.host, &account) {
             Ok(u) => u,
-            Err(e) => {
-                self.done = Some(Err(FtpError::File(e.to_string())));
-                return;
-            }
+            Err(e) => return self.fail(FtpError::File(e.to_string())),
         };
         self.uid = Some(uid);
         self.say(&format!("OK mapped to {account}"));
@@ -343,6 +337,10 @@ impl ServerSession {
         }
     }
 
+    /// Dispatch one command frame. The gate decides every command once,
+    /// on the path it names and whether it reads or writes, before any
+    /// file is touched; the data records of a transfer are not asked
+    /// about again. A refusal ends the session.
     fn on_command(&mut self, msg: &[u8]) {
         let text = String::from_utf8_lossy(msg).into_owned();
         if text == "QUIT" {
@@ -350,40 +348,35 @@ impl ServerSession {
             self.done = Some(Ok(self.completed));
             return;
         }
-        match self.dialect {
-            Dialect::Classic => {
-                if let Some(path) = text.strip_prefix("GET ") {
-                    self.classic_get(path);
-                } else if let Some(path) = text.strip_prefix("PUT ") {
-                    self.phase = Phase::ClassicPut {
-                        path: path.to_string(),
-                    };
-                } else {
-                    self.say("ERR unknown command");
+        let Some((verb, rest)) = text.split_once(' ') else {
+            return self.say("ERR unknown command");
+        };
+        let first = rest.split_whitespace().next().unwrap_or("");
+        let (path, action) = match (self.dialect, verb) {
+            (Dialect::Classic, "GET") => (rest, "read"),
+            (Dialect::Classic, "PUT") => (rest, "write"),
+            (Dialect::Striped, "SIZE") => (rest.trim(), "read"),
+            (Dialect::Resumable, "GETR") | (Dialect::Striped, "GETS") => (first, "read"),
+            (Dialect::Resumable, "PUTR") | (Dialect::Striped, "PUTS" | "FINS") => (first, "write"),
+            _ => return self.say("ERR unknown command"),
+        };
+        if let Err(e) = self.gate.permits(self.peer(), path, action, self.now) {
+            self.say(&format!("ERR {e}"));
+            return self.fail(FtpError::RightsRefused(e));
+        }
+        match verb {
+            "GET" => self.classic_get(rest),
+            "PUT" => {
+                self.phase = Phase::ClassicPut {
+                    path: rest.to_string(),
                 }
             }
-            Dialect::Resumable => {
-                if let Some(rest) = text.strip_prefix("GETR ") {
-                    self.getr(rest);
-                } else if let Some(rest) = text.strip_prefix("PUTR ") {
-                    self.putr(rest);
-                } else {
-                    self.say("ERR unknown command");
-                }
-            }
-            Dialect::Striped => {
-                if let Some(rest) = text.strip_prefix("SIZE ") {
-                    self.size(rest);
-                } else if let Some(rest) = text.strip_prefix("GETS ") {
-                    self.gets(rest);
-                } else if let Some(rest) = text.strip_prefix("PUTS ") {
-                    self.puts(rest);
-                } else if let Some(rest) = text.strip_prefix("FINS ") {
-                    self.fins(rest);
-                } else {
-                    self.say("ERR unknown command");
-                }
-            }
+            "GETR" => self.getr(rest),
+            "PUTR" => self.putr(rest),
+            "SIZE" => self.size(rest),
+            "GETS" => self.gets(rest),
+            "PUTS" => self.puts(rest),
+            _ => self.fins(rest),
         }
     }
 

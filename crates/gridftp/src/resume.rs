@@ -96,7 +96,7 @@ pub(crate) fn tls_err(e: TlsError) -> SessionErr {
     if is_transient(&e) {
         SessionErr::Torn
     } else {
-        SessionErr::Fatal(FtpError::Channel(e.to_string()))
+        SessionErr::Fatal(FtpError::channel(e))
     }
 }
 
@@ -179,7 +179,7 @@ where
             Err(e) if is_transient(&e) => continue,
             Err(e) => {
                 sp.fail("connect failed");
-                return Err(FtpError::Channel(e.to_string()));
+                return Err(FtpError::channel(e));
             }
         };
         match once(&mut stream, state) {

@@ -144,12 +144,14 @@ pub fn form_vo<E: EntropySource>(
         }
         d.gate.trust_cas(vo_name, cas.public_key().clone());
         acts += 1;
-        d.gate.local_policy.add(Rule::new(
-            SubjectMatch::Exact(format!("vo:{vo_name}")),
-            &format!("{}:*", d.name),
-            "*",
-            Effect::Permit,
-        ));
+        if let Some(local) = &mut d.gate.local_policy {
+            local.add(Rule::new(
+                SubjectMatch::Exact(format!("vo:{vo_name}")),
+                &format!("{}:*", d.name),
+                "*",
+                Effect::Permit,
+            ));
+        }
         acts += 1;
     }
 
@@ -170,8 +172,9 @@ pub fn kerberos_bilateral_agreements(domains: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsec_authz::policy::Decision;
+    use gridsec_authz::AuthzError;
     use gridsec_crypto::rng::ChaChaRng;
+    use gridsec_pki::proxy::issue_proxy;
     use gridsec_pki::validate::validate_chain;
 
     fn domains(rng: &mut ChaChaRng, n: usize) -> Vec<ClassicalDomain> {
@@ -209,29 +212,24 @@ mod tests {
         ));
         let user = &ds[0].users[0];
         let assertion = vo.cas.issue_assertion(user.base_identity(), 100).unwrap();
-        let d = ds[1]
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                user.base_identity(),
-                "site1:/storage/run1",
-                "read",
-                200,
-            )
-            .unwrap();
-        assert_eq!(d, Decision::Permit);
+        // The user embeds the assertion in a restricted proxy; each site
+        // reads it from the chain it validates.
+        let proxy = issue_proxy(&mut rng, user, assertion.restriction(), 512, 100, 10_000).unwrap();
+        let at =
+            |d: &ClassicalDomain| validate_chain(proxy.chain(), &d.resource_trust, 200).unwrap();
+        assert_eq!(
+            ds[1]
+                .gate
+                .permits(&at(&ds[1]), "site1:/storage/run1", "read", 200),
+            Ok(())
+        );
         // But not on site0's resources (VO granted only site1 paths).
-        let d = ds[0]
-            .gate
-            .authorize_with_cas(
-                &assertion,
-                user.base_identity(),
-                "site0:/storage/run1",
-                "read",
-                200,
-            )
-            .unwrap();
-        assert_eq!(d, Decision::Deny);
+        assert_eq!(
+            ds[0]
+                .gate
+                .permits(&at(&ds[0]), "site0:/storage/run1", "read", 200),
+            Err(AuthzError::NotGranted)
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::durable::DurableCas;
 use gridsec_authz::net::fetch_assertion;
-use gridsec_authz::policy::{CombiningAlg, Decision, Effect, PolicySet, Rule, SubjectMatch};
+use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::sha256::sha256;
 use gridsec_gram::durable::DurableGram;
@@ -41,7 +41,9 @@ use gridsec_ogsa::service::{GridService, RequestContext};
 use gridsec_ogsa::transport::{RetryTransport, RpcService};
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
+use gridsec_pki::proxy::issue_proxy;
 use gridsec_pki::store::TrustStore;
+use gridsec_pki::validate::validate_chain;
 use gridsec_services::audit::AuditLog;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
@@ -351,10 +353,18 @@ pub fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     ));
     let mut gate = ResourceGate::new(local);
     gate.trust_cas("physics-vo", durable.borrow().cas().public_key().clone());
-    let decision = gate
-        .authorize_with_cas(&assertion, &alice, "dataset/run7", "read", clock.now())
+    // Alice presents the assertion in a restricted proxy, both drawn from
+    // their own stream so that no draw above moves.
+    let mut proxy_rng = ChaChaRng::from_seed_bytes(b"chaos fig2 proxy");
+    let alice_cred = ca.issue_identity(&mut proxy_rng, alice, 512, 0, 500_000);
+    let kind = assertion.restriction();
+    let proxy = issue_proxy(&mut proxy_rng, &alice_cred, kind, 512, clock.now(), 3600)
+        .expect("restricted proxy");
+    let mut trust = TrustStore::new();
+    trust.add_root(ca.certificate().clone());
+    let presented = validate_chain(proxy.chain(), &trust, clock.now()).expect("chain valid");
+    gate.permits(&presented, "dataset/run7", "read", clock.now())
         .expect("assertion accepted");
-    assert_eq!(decision, Decision::Permit);
     trace::event(
         "gate.decision",
         "resource=dataset/run7 action=read outcome=permit",

@@ -22,7 +22,9 @@ use gridsec_wsse::wssc::{WsscResponder, RST_ACTION, SECURED_ACTION_PREFIX};
 use gridsec_wsse::xmlsig::{self, SIGNER_MEMO_CAPACITY};
 use gridsec_xml::Element;
 
-use gridsec_authz::policy::{Decision, PolicySet, Request};
+use gridsec_authz::cas::ResourceGate;
+use gridsec_authz::policy::PolicySet;
+use gridsec_authz::AuthzError;
 
 use crate::service::{RequestContext, ServiceRegistry};
 use crate::OgsaError;
@@ -38,6 +40,8 @@ pub struct AuditEvent {
     pub operation: String,
     /// `"permit"`, `"deny"`, or `"error"`.
     pub outcome: String,
+    /// Why a `"deny"` was denied.
+    pub reason: Option<AuthzError>,
 }
 
 /// Audit callback type.
@@ -59,7 +63,8 @@ pub struct HostingEnvironment {
     /// stores they were walked against; bounded by
     /// [`SIGNER_MEMO_CAPACITY`].
     signers: CachedValidator,
-    authz: PolicySet,
+    /// The authorization decision point (Figure 3 step 5).
+    pub gate: ResourceGate,
     audit: Option<AuditSink>,
     rng: ChaChaRng,
     reply_ttl: u64,
@@ -83,7 +88,7 @@ impl HostingEnvironment {
             published_policy,
             responder: WsscResponder::new(tls_config),
             signers: CachedValidator::new(SIGNER_MEMO_CAPACITY),
-            authz,
+            gate: ResourceGate::new(authz),
             audit: None,
             rng: ChaChaRng::from_seed_bytes(name.as_bytes()),
             reply_ttl: 300,
@@ -108,13 +113,14 @@ impl HostingEnvironment {
         self.responder.set_crls(crls);
     }
 
-    fn audit_event(&mut self, caller: &str, operation: &str, outcome: &str) {
+    fn audit_event(&mut self, caller: &str, op: &str, outcome: &str, why: Option<AuthzError>) {
         if let Some(sink) = &mut self.audit {
             sink(AuditEvent {
                 now: self.clock.now(),
                 caller: caller.to_string(),
-                operation: operation.to_string(),
+                operation: op.to_string(),
                 outcome: outcome.to_string(),
+                reason: why,
             });
         }
     }
@@ -205,54 +211,34 @@ impl HostingEnvironment {
         // envelope again.
         let req = AppRequest::parse(action, payload)?;
 
-        // Resolve the authorization target.
+        // Resolve the authorization target: a factory, or the type of an
+        // existing instance.
+        let service = |handle: &str| {
+            self.registry
+                .service_type_of(handle)
+                .map(|ty| format!("service:{ty}"))
+                .ok_or_else(|| OgsaError::NoSuchService(handle.to_string()))
+        };
         let (resource, verb, op_desc) = match &req {
             AppRequest::Create { ty, .. } => (
                 format!("factory:{ty}"),
-                "create".to_string(),
+                "create",
                 format!("createService {ty}"),
             ),
             AppRequest::Invoke { handle, op, .. } => {
-                let ty = self
-                    .registry
-                    .service_type_of(handle)
-                    .ok_or_else(|| OgsaError::NoSuchService(handle.to_string()))?;
-                (
-                    format!("service:{ty}"),
-                    op.to_string(),
-                    format!("invoke {handle} {op}"),
-                )
+                (service(handle)?, *op, format!("invoke {handle} {op}"))
             }
             AppRequest::Query { handle, .. } => {
-                let ty = self
-                    .registry
-                    .service_type_of(handle)
-                    .ok_or_else(|| OgsaError::NoSuchService(handle.to_string()))?;
-                (
-                    format!("service:{ty}"),
-                    "query".to_string(),
-                    format!("query {handle}"),
-                )
+                (service(handle)?, "query", format!("query {handle}"))
             }
             AppRequest::Destroy { handle } => {
-                let ty = self
-                    .registry
-                    .service_type_of(handle)
-                    .ok_or_else(|| OgsaError::NoSuchService(handle.to_string()))?;
-                (
-                    format!("service:{ty}"),
-                    "destroy".to_string(),
-                    format!("destroy {handle}"),
-                )
+                (service(handle)?, "destroy", format!("destroy {handle}"))
             }
         };
 
         // Authorization callout (Figure 3 step 5).
-        let decision = self
-            .authz
-            .evaluate(&Request::new(&caller_name, &resource, &verb));
-        if decision != Decision::Permit {
-            self.audit_event(&caller_name, &op_desc, "deny");
+        if let Err(e) = self.gate.permits(&caller, &resource, verb, now) {
+            self.audit_event(&caller_name, &op_desc, "deny", Some(e));
             return Err(OgsaError::NotAuthorized {
                 caller: caller_name,
                 operation: op_desc,
@@ -301,7 +287,7 @@ impl HostingEnvironment {
             }
         };
         let outcome = if result.is_ok() { "permit" } else { "error" };
-        self.audit_event(&caller_name, &op_desc, outcome);
+        self.audit_event(&caller_name, &op_desc, outcome, None);
         result
     }
 }

@@ -271,6 +271,7 @@ fn unauthorized_caller_denied_but_authenticated() {
     let event = audit.borrow()[0].clone();
     assert_eq!(event.caller, "/O=G/CN=Eve");
     assert_eq!(event.outcome, "deny");
+    assert_eq!(event.reason, Some(gridsec_authz::AuthzError::LocalDeny));
 }
 
 #[test]

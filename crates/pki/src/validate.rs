@@ -67,6 +67,13 @@ pub struct ValidatedIdentity {
     pub restrictions: Vec<(String, Vec<u8>)>,
 }
 
+impl ValidatedIdentity {
+    /// The policy language of each restriction, in chain order.
+    pub fn restriction_languages(&self) -> impl Iterator<Item = &str> {
+        self.restrictions.iter().map(|(l, _)| l.as_str())
+    }
+}
+
 /// Validate `chain` (leaf first) against `trust` at time `now`, without
 /// revocation checking.
 pub fn validate_chain(

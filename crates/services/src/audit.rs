@@ -33,6 +33,8 @@ fn record_hash(seq: u64, event: &AuditEvent, prev_hash: &[u8; 32]) -> [u8; 32] {
     data.push(0);
     data.extend_from_slice(event.outcome.as_bytes());
     data.push(0);
+    let reason = event.reason.as_ref().map(ToString::to_string);
+    data.extend_from_slice(reason.unwrap_or_default().as_bytes());
     data.extend_from_slice(prev_hash);
     sha256(&data)
 }
@@ -118,6 +120,7 @@ impl AuditLog {
                 caller: r.span,
                 operation: r.name,
                 outcome: r.detail,
+                reason: None,
             });
         })
     }
@@ -139,6 +142,7 @@ mod tests {
             caller: caller.to_string(),
             operation: op.to_string(),
             outcome: outcome.to_string(),
+            reason: None,
         }
     }
 
@@ -164,6 +168,10 @@ mod tests {
         // Rewrite history in place.
         log.inner.borrow_mut()[0].event.outcome = "deny".to_string();
         assert_eq!(log.verify(), Err(0));
+        // A denial's reason is covered too.
+        log.inner.borrow_mut()[0].event.outcome = "permit".to_string();
+        log.inner.borrow_mut()[1].event.reason = Some(gridsec_authz::AuthzError::NotGranted);
+        assert_eq!(log.verify(), Err(1));
     }
 
     #[test]

@@ -3,22 +3,18 @@
 //!
 //! The translation is concrete: the user asks their VO's CAS for a signed
 //! rights assertion, then self-issues a **restricted proxy** whose
-//! RFC 3820 policy field carries the serialized assertion (policy
-//! language `cas-rights-v1`). Any relying party validating the chain
-//! recovers the assertion from the proxy's restrictions and can enforce
-//! VO policy — the identity *and* the rights travel in one credential.
+//! RFC 3820 policy field carries the serialized assertion. The identity
+//! *and* the rights travel in one credential: every relying party's
+//! [`ResourceGate::permits`](gridsec_authz::cas::ResourceGate::permits)
+//! reads the assertion from the validated chain and refuses what it does
+//! not grant.
 
-use gridsec_authz::cas::{CasAssertion, CasServer};
+use gridsec_authz::cas::CasServer;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_ogsa::client::CredentialSource;
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::credential::Credential;
-use gridsec_pki::encoding::Codec;
-use gridsec_pki::proxy::{issue_proxy, ProxyType};
-use gridsec_pki::validate::ValidatedIdentity;
-
-/// The RFC 3820 policy-language identifier for embedded CAS assertions.
-pub const CAS_POLICY_LANGUAGE: &str = "cas-rights-v1";
+use gridsec_pki::proxy::issue_proxy;
 
 /// A [`CredentialSource`] producing VO credentials: personal credential +
 /// CAS assertion → restricted proxy.
@@ -63,10 +59,7 @@ impl<'a> CasCredentialSource<'a> {
         issue_proxy(
             &mut self.rng,
             &self.personal,
-            ProxyType::Restricted {
-                language: CAS_POLICY_LANGUAGE.to_string(),
-                policy: assertion.to_bytes(),
-            },
+            assertion.restriction(),
             self.proxy_key_bits,
             now,
             self.proxy_lifetime,
@@ -85,22 +78,12 @@ impl CredentialSource for CasCredentialSource<'_> {
     }
 }
 
-/// Relying-party helper: extract embedded CAS assertions from a validated
-/// identity's restrictions.
-pub fn extract_assertions(identity: &ValidatedIdentity) -> Vec<CasAssertion> {
-    identity
-        .restrictions
-        .iter()
-        .filter(|(lang, _)| lang == CAS_POLICY_LANGUAGE)
-        .filter_map(|(_, bytes)| CasAssertion::from_bytes(bytes).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gridsec_authz::cas::ResourceGate;
-    use gridsec_authz::policy::{CombiningAlg, Decision, Effect, PolicySet, Rule, SubjectMatch};
+    use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
+    use gridsec_authz::AuthzError;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
@@ -134,33 +117,8 @@ mod tests {
         World { trust, cas, jane }
     }
 
-    #[test]
-    fn vo_credential_carries_assertion_through_validation() {
-        let w = world();
-        let mut source = CasCredentialSource::new(&w.cas, w.jane.clone(), 512, 3600, b"jane rng");
-        let vo_cred = source.obtain(100).unwrap();
-        assert_eq!(vo_cred.proxy_depth(), 1);
-
-        // A relying party validates the chain and recovers the assertion
-        // from the restricted-proxy policy.
-        let id = validate_chain(vo_cred.chain(), &w.trust, 200).unwrap();
-        let assertions = extract_assertions(&id);
-        assert_eq!(assertions.len(), 1);
-        let a = &assertions[0];
-        assert!(a.verify(w.cas.public_key()));
-        assert_eq!(a.tbs.vo, "physics-vo");
-        assert_eq!(a.tbs.subject, dn("/O=G/CN=Jane"));
-        assert!(a.tbs.rights[0].covers("/detector/run1", "read"));
-    }
-
-    #[test]
-    fn recovered_assertion_drives_resource_gate() {
-        let w = world();
-        let mut source = CasCredentialSource::new(&w.cas, w.jane.clone(), 512, 3600, b"jane rng");
-        let vo_cred = source.obtain(100).unwrap();
-        let id = validate_chain(vo_cred.chain(), &w.trust, 200).unwrap();
-        let assertion = &extract_assertions(&id)[0];
-
+    /// A relying party's gate: the VO may read detector data.
+    fn gate(w: &World) -> ResourceGate {
         let mut local = PolicySet::new(CombiningAlg::DenyOverrides);
         local.add(Rule::new(
             SubjectMatch::Exact("vo:physics-vo".to_string()),
@@ -170,15 +128,43 @@ mod tests {
         ));
         let mut gate = ResourceGate::new(local);
         gate.trust_cas("physics-vo", w.cas.public_key().clone());
+        gate
+    }
 
-        let d = gate
-            .authorize_with_cas(assertion, &id.base_identity, "/detector/run1", "read", 200)
-            .unwrap();
-        assert_eq!(d, Decision::Permit);
-        let d = gate
-            .authorize_with_cas(assertion, &id.base_identity, "/detector/run1", "write", 200)
-            .unwrap();
-        assert_eq!(d, Decision::Deny);
+    #[test]
+    fn vo_credential_carries_assertion_through_validation() {
+        let w = world();
+        let mut source = CasCredentialSource::new(&w.cas, w.jane.clone(), 512, 3600, b"jane rng");
+        let vo_cred = source.obtain(100).unwrap();
+        assert_eq!(vo_cred.proxy_depth(), 1);
+
+        // A relying party validates the chain; the assertion rides in it,
+        // so a gate that trusts this CAS honours it and one that does not
+        // refuses it.
+        let id = validate_chain(vo_cred.chain(), &w.trust, 200).unwrap();
+        assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
+        assert_eq!(gate(&w).permits(&id, "/detector/run1", "read", 200), Ok(()));
+        let mut untrusting = gate(&w);
+        untrusting.trust_cas("physics-vo", w.jane.certificate().public_key().clone());
+        assert_eq!(
+            untrusting.permits(&id, "/detector/run1", "read", 200),
+            Err(AuthzError::UntrustedAssertion)
+        );
+    }
+
+    #[test]
+    fn recovered_assertion_drives_resource_gate() {
+        let w = world();
+        let mut source = CasCredentialSource::new(&w.cas, w.jane.clone(), 512, 3600, b"jane rng");
+        let vo_cred = source.obtain(100).unwrap();
+        let id = validate_chain(vo_cred.chain(), &w.trust, 200).unwrap();
+
+        let gate = gate(&w);
+        assert_eq!(gate.permits(&id, "/detector/run1", "read", 200), Ok(()));
+        assert_eq!(
+            gate.permits(&id, "/detector/run1", "write", 200),
+            Err(AuthzError::NotGranted)
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@ use gridsec_xml::Element;
 
 /// Token validation as a hostable Grid service. Operation `validate`
 /// takes a base64 chain (the BinarySecurityToken format) and returns the
-/// validated identity attributes or a fault.
+/// validated identity attributes, each restriction's policy language
+/// included, or a fault.
 pub struct CredentialProcessingService {
     trust: TrustStore,
     crls: CrlStore,
@@ -56,6 +57,10 @@ impl GridService for CredentialProcessingService {
                                 EffectiveRights::Limited => "limited",
                                 EffectiveRights::Independent => "independent",
                             },
+                        )
+                        .with_attr(
+                            "restrictions",
+                            id.restriction_languages().collect::<Vec<_>>().join(" "),
                         )),
                     Err(e) => Ok(Element::new("credproc:Invalid").with_text(e.to_string())),
                 }
@@ -68,6 +73,7 @@ impl GridService for CredentialProcessingService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsec_authz::cas::CasServer;
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
@@ -113,6 +119,30 @@ mod tests {
         assert_eq!(result.attr("base"), Some("/O=G/CN=Jane"));
         assert_eq!(result.attr("proxyDepth"), Some("1"));
         assert_eq!(result.attr("rights"), Some("limited"));
+    }
+
+    #[test]
+    fn reports_restriction_languages_of_a_restricted_chain() {
+        let (mut rng, ca, _trust, mut svc, ctx) = setup();
+        let user = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
+        let cas = ca.issue_identity(&mut rng, dn("/O=G/CN=CAS"), 512, 0, 500_000);
+        let vo = CasServer::new("physics-vo", cas, 3600);
+        vo.enroll(user.base_identity(), vec![]);
+        let assertion = vo.issue_assertion(user.base_identity(), 50).unwrap();
+        let proxy = issue_proxy(&mut rng, &user, assertion.restriction(), 512, 50, 10_000).unwrap();
+        let token = encode_chain(proxy.chain());
+        let result = svc
+            .invoke(&ctx, "validate", &Element::new("t").with_text(token))
+            .unwrap();
+        assert_eq!(result.attr("rights"), Some("full"));
+        assert_eq!(result.attr("restrictions"), Some("cas-rights-v1"));
+        // An unrestricted chain names none.
+        let token = encode_chain(user.chain());
+        let result = svc
+            .invoke(&ctx, "validate", &Element::new("t").with_text(token))
+            .unwrap();
+        assert_eq!(result.attr("rights"), Some("full"));
+        assert_eq!(result.attr("restrictions"), Some(""));
     }
 
     #[test]

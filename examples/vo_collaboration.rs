@@ -63,12 +63,14 @@ fn main() {
         Effect::Permit,
     ));
     // ISI's local admin embargoes one queue regardless of VO policy.
-    domains[1].gate.local_policy.add(Rule::new(
-        SubjectMatch::Exact("vo:climate-vo".to_string()),
-        "isi.edu:/cluster/secure-queue",
-        "*",
-        Effect::Deny,
-    ));
+    if let Some(local) = domains[1].gate.local_policy.as_mut() {
+        local.add(Rule::new(
+            SubjectMatch::Exact("vo:climate-vo".to_string()),
+            "isi.edu:/cluster/secure-queue",
+            "*",
+            Effect::Deny,
+        ));
+    }
 
     // Step 1: the user fetches a CAS assertion.
     let assertion = vo
@@ -82,16 +84,19 @@ fn main() {
         assertion.tbs.not_after
     );
 
-    // Steps 2–3: present it to the ISI resource with requests.
+    // Step 2: embed it in a restricted proxy, the one credential that
+    // carries both the identity and the VO rights.
+    let vo_proxy = issue_proxy(&mut rng, &anl_user, assertion.restriction(), 512, 100, 3600)
+        .expect("restricted proxy");
+    let presented = validate_chain(vo_proxy.chain(), &domains[1].resource_trust, 150).unwrap();
+
+    // Step 3: the ISI resource's gate reads the assertion from the chain.
     for (resource, action) in [
         ("isi.edu:/cluster/batch", "submit"),
         ("isi.edu:/cluster/secure-queue", "submit"),
         ("isi.edu:/cluster/batch", "drain"),
     ] {
-        let decision = domains[1]
-            .gate
-            .authorize_with_cas(&assertion, anl_user.base_identity(), resource, action, 150)
-            .unwrap();
+        let decision = domains[1].gate.permits(&presented, resource, action, 150);
         println!("  {action:<7} {resource:<30} -> {decision:?}");
     }
     println!(

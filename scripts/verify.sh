@@ -193,6 +193,15 @@ stage_grep_guard() {
         echo "FAIL: a stateless-message server verifies without its signer memo (above)" >&2
         exit 1
     fi
+    # One authorization decision point (DESIGN.md §18): every relying
+    # party asks ResourceGate::permits; only authz reads a chain's proxy
+    # rights or restrictions to decide (pki computes them, GRIM reads its
+    # own embedded policy).
+    if grep -rEn '\.rights ==|\.restrictions\b' crates/*/src | grep -vE '^[^:]+:[0-9]+: *//' \
+        | grep -vE '^crates/(authz/src/|pki/src/validate\.rs:|gram/src/grim\.rs:)'; then
+        echo "FAIL: a relying party decides on proxy rights itself (above); use ResourceGate::permits" >&2
+        exit 1
+    fi
     # A GridFTP server's digests are the ones its filesystem stores beside
     # each file (DESIGN.md §10): every version of a file is hashed once,
     # however often it is served or striped.
