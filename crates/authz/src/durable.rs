@@ -8,7 +8,8 @@
 //! entire in-memory [`CasServer`]. Recovery replays the journal into a
 //! fresh server.
 //!
-//! Issued assertions are journaled keyed by `(caller, call-id)`. That
+//! Issued assertions are journaled keyed by `(caller, call-id)`, as the
+//! exact [`Reply`] envelope bytes the caller was sent. That
 //! closes the window where the application record is durable but the
 //! RPC reply-cache record is not: a retransmit that re-executes after a
 //! restart finds the journaled assertion and returns those exact bytes
@@ -31,6 +32,7 @@ use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
+use gridsec_testbed::rpc::Reply;
 use gridsec_util::trace;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -95,16 +97,12 @@ impl DurableCas {
         &self.cas
     }
 
-    /// Number of distinct assertions actually issued (journaled `ok`
+    /// Number of distinct assertions actually issued (journaled `Ok`
     /// replies). A retransmit answered from the journal does not count.
     pub fn issued_count(&self) -> usize {
         self.issued
             .values()
-            .filter(|reply| {
-                Decoder::new(reply)
-                    .get_str()
-                    .is_ok_and(|status| status == "ok")
-            })
+            .filter(|reply| matches!(Reply::decode(reply), Some(Reply::Ok(_))))
             .count()
     }
 
@@ -283,7 +281,7 @@ mod tests {
         cas.recover();
         assert_eq!(cas.cas().member_count(), 1, "journal replay restores");
         let reply = cas.handle("alice", 1, &issue_request("/O=G/CN=Alice"));
-        assert_eq!(Decoder::new(&reply).get_str().unwrap(), "ok");
+        assert!(matches!(Reply::decode(&reply), Some(Reply::Ok(_))));
     }
 
     #[test]
@@ -314,7 +312,7 @@ mod tests {
         cas.crash();
         cas.recover();
         let replayed = cas.handle("alice", 3, &issue_request("/O=G/CN=Alice"));
-        assert_eq!(Decoder::new(&replayed).get_str().unwrap(), "ok");
+        assert!(matches!(Reply::decode(&replayed), Some(Reply::Ok(_))));
         assert_eq!(cas.issued_count(), 1, "no duplicate side effect");
     }
 
@@ -322,7 +320,10 @@ mod tests {
     fn refusals_are_journaled_and_stable_too() {
         let (_os, mut cas) = durable_cas(CrashPlan::disabled());
         let refusal = cas.handle("mallory", 1, &issue_request("/O=G/CN=Mallory"));
-        assert_eq!(Decoder::new(&refusal).get_str().unwrap(), "none");
+        assert_eq!(
+            Reply::decode(&refusal),
+            Some(Reply::Absent(b"not a VO member".to_vec()))
+        );
         cas.crash();
         cas.recover();
         let again = cas.handle("mallory", 1, &issue_request("/O=G/CN=Mallory"));

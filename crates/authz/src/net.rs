@@ -9,15 +9,16 @@
 //! cannot yield two assertions with different validity windows.
 //!
 //! Wire format (via [`gridsec_pki::encoding`]): request
-//! `"cas-issue" ‖ subject-DN`; reply `"ok" ‖ assertion-bytes`,
-//! `"none" ‖ reason`, or `"err" ‖ reason`.
+//! `"cas-issue" ‖ subject-DN`; the reply is a [`Reply`] envelope:
+//! `Ok(assertion-bytes)`, `Absent("not a VO member")` or
+//! `Refused(reason)`.
 
 use crate::cas::{CasAssertion, CasServer};
 use crate::AuthzError;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
 use std::rc::Rc;
 
@@ -45,23 +46,27 @@ impl CasService {
     /// input and non-members get error replies, never panics.
     pub fn handle(&mut self, from: &str, payload: &[u8]) -> Vec<u8> {
         let _sp = trace::span_with("cas.issue", &format!("from={from}"));
+        self.issue(payload).encode()
+    }
+
+    fn issue(&self, payload: &[u8]) -> Reply {
+        let refused = |reason: &str| Reply::Refused(reason.into());
         let mut d = Decoder::new(payload);
         let parsed = d.get_str().and_then(|op| Ok((op, d.get_str()?)));
-        let (op, subject) = match parsed {
-            Ok(x) => x,
-            Err(_) => return reply("err", b"malformed request"),
+        let Ok((op, subject)) = parsed else {
+            return refused("malformed request");
         };
         if op != OP_ISSUE {
-            return reply("err", b"unknown cas op");
+            return refused("unknown cas op");
         }
         let Ok(user) = DistinguishedName::parse(&subject) else {
-            return reply("err", b"bad subject DN");
+            return refused("bad subject DN");
         };
         match self.cas.issue_assertion(&user, self.clock.now()) {
             Some(assertion) => {
                 trace::event("cas.decision", &format!("subject={subject} outcome=issued"));
                 trace::add("cas.assertions_issued", 1);
-                reply("ok", &assertion.to_bytes())
+                Reply::Ok(assertion.to_bytes())
             }
             None => {
                 trace::event(
@@ -69,16 +74,10 @@ impl CasService {
                     &format!("subject={subject} outcome=refused"),
                 );
                 trace::add("cas.refusals", 1);
-                reply("none", b"not a VO member")
+                Reply::Absent(b"not a VO member".to_vec())
             }
         }
     }
-}
-
-fn reply(status: &str, body: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_str(status).put_bytes(body);
-    e.finish()
 }
 
 /// Fetch a CAS assertion for `user` over `rpc`, retrying per the
@@ -96,15 +95,8 @@ pub fn fetch_assertion(
         let raw = rpc
             .call(&e.finish())
             .map_err(|err| AuthzError::Transport(err.to_string()))?;
-        let mut d = Decoder::new(&raw);
-        let status = d
-            .get_str()
-            .map_err(|_| AuthzError::Decode("malformed cas reply"))?;
-        let body = d
-            .get_bytes()
-            .map_err(|_| AuthzError::Decode("malformed cas reply"))?;
-        match status.as_str() {
-            "ok" => {
+        match Reply::decode(&raw) {
+            Some(Reply::Ok(body)) => {
                 let mut ad = Decoder::new(&body);
                 let assertion = CasAssertion::decode(&mut ad)
                     .map_err(|_| AuthzError::Decode("bad assertion bytes"))?;
@@ -115,9 +107,11 @@ pub fn fetch_assertion(
                 trace::add("cas.assertions_fetched", 1);
                 Ok(assertion)
             }
-            _ => Err(AuthzError::Refused(
-                String::from_utf8_lossy(&body).into_owned(),
+            Some(Reply::Absent(reason)) => Err(AuthzError::Refused(
+                String::from_utf8_lossy(&reason).into_owned(),
             )),
+            Some(Reply::Refused(reason)) => Err(AuthzError::Refused(reason)),
+            None => Err(AuthzError::Decode("malformed cas reply")),
         }
     })();
     if let Err(e) = &result {

@@ -13,6 +13,10 @@
 //! clients re-establish them via
 //! [`submit_job_resilient`][crate::remote::submit_job_resilient].
 //!
+//! Replies are [`Reply`] envelopes; a submission's `Ok` reply is
+//! journaled as its exact bytes, so a replayed submission answers what
+//! the first execution answered.
+//!
 //! GRIM credentials are never serialized (private keys do not leave the
 //! process holding them); recovery re-borrows them from the surviving
 //! LMJFS, which also re-pins the owner identity.
@@ -33,6 +37,7 @@ use std::rc::Rc;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
 use gridsec_testbed::os::Pid;
+use gridsec_testbed::rpc::Reply;
 use gridsec_util::trace;
 
 use crate::remote::{RemoteGram, OP_START, OP_SUBMIT};
@@ -103,7 +108,14 @@ impl DurableGram {
         self.started.len()
     }
 
-    fn encode_submit_record(&self, from: &str, id: u64, reply: &[u8], handle: &str) -> Vec<u8> {
+    fn encode_submit_record(
+        &self,
+        from: &str,
+        id: u64,
+        reply: &[u8],
+        handle: &str,
+        account: &str,
+    ) -> Vec<u8> {
         let resource = self.resource.borrow();
         let account_desc = (|| {
             let desc = resource.job_description(handle).ok()?.clone();
@@ -117,22 +129,12 @@ impl DurableGram {
             .next()
             .and_then(|n| n.parse().ok())
             .unwrap_or(0);
-        let mut d = Decoder::new(reply);
-        let account = (|| {
-            d.get_str().ok()?; // status
-            let body = d.get_bytes().ok()?;
-            let mut b = Decoder::new(&body);
-            b.get_str().ok()?; // handle
-            b.get_u8().ok()?; // cold
-            b.get_str().ok()
-        })()
-        .unwrap_or_default();
         let mut e = Encoder::new();
         e.put_str(from)
             .put_u64(id)
             .put_bytes(reply)
             .put_str(handle)
-            .put_str(&account)
+            .put_str(account)
             .put_u64(mjs_id)
             .put_str(&desc.executable);
         e.put_seq(&desc.arguments, |enc, a| {
@@ -153,18 +155,25 @@ impl DurableGram {
         if self.plan.fires("gram.submit.exec") {
             return Vec::new();
         }
-        let reply = self.remote.handle(from, payload);
-        let handle = submit_reply_handle(&reply);
-        if let Some(handle) = handle {
-            let record = self.encode_submit_record(from, id, &reply, &handle);
-            self.journal
-                .append(TAG_SUBMIT, &record)
-                .expect("journal submit");
-            if self.plan.fires("gram.submit.journaled") {
-                return Vec::new();
-            }
-            self.submitted.insert(key, reply.clone());
+        let reply = self.remote.serve(from, payload);
+        // An accepted submission's body is `handle ‖ cold-start ‖ account`.
+        let Reply::Ok(body) = &reply else {
+            return reply.encode();
+        };
+        let mut d = Decoder::new(body);
+        let Ok(handle) = d.get_str() else {
+            return reply.encode();
+        };
+        let account = d.get_u8().and_then(|_| d.get_str()).unwrap_or_default();
+        let reply = reply.encode();
+        let record = self.encode_submit_record(from, id, &reply, &handle, &account);
+        self.journal
+            .append(TAG_SUBMIT, &record)
+            .expect("journal submit");
+        if self.plan.fires("gram.submit.journaled") {
+            return Vec::new();
         }
+        self.submitted.insert(key, reply.clone());
         reply
     }
 
@@ -178,15 +187,13 @@ impl DurableGram {
             && self.resource.borrow().job_state(handle) == Ok(JobState::Active)
         {
             trace::event("gram.start.replayed", &format!("handle={handle}"));
-            let mut e = Encoder::new();
-            e.put_str("ok").put_bytes(&[]);
-            return e.finish();
+            return Reply::Ok(Vec::new()).encode();
         }
         if self.plan.fires("gram.start.exec") {
             return Vec::new();
         }
-        let reply = self.remote.handle(from, payload);
-        if reply_is_ok(&reply) {
+        let reply = self.remote.serve(from, payload);
+        if let Reply::Ok(_) = reply {
             let job_pid = self
                 .resource
                 .borrow()
@@ -204,22 +211,8 @@ impl DurableGram {
             }
             self.started.insert(key);
         }
-        reply
+        reply.encode()
     }
-}
-
-fn reply_is_ok(reply: &[u8]) -> bool {
-    Decoder::new(reply).get_str().is_ok_and(|s| s == "ok")
-}
-
-/// Extract the MJS handle from an `ok` submit reply.
-fn submit_reply_handle(reply: &[u8]) -> Option<String> {
-    let mut d = Decoder::new(reply);
-    if d.get_str().ok()? != "ok" {
-        return None;
-    }
-    let body = d.get_bytes().ok()?;
-    Decoder::new(&body).get_str().ok()
 }
 
 struct SubmitRecord {

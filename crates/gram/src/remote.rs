@@ -10,13 +10,13 @@
 //! duplicated `gram-tok1`/`gram-tok3` must not re-step a handshake.
 //!
 //! Wire format (via [`gridsec_pki::encoding`]): every request is
-//! `op ‖ mjs-handle ‖ body`; replies are `"ok" ‖ body` or
-//! `"err" ‖ reason`. `gram-tok1` carries a ClientHello or, for a
-//! requestor resuming an earlier job's session, a ResumeHello; an `err`
-//! reply to a ResumeHello sends the requestor back to the full token
-//! loop. The delegation tokens cross the wire in exactly the order of
-//! the in-process flow — they are wrapped on the secured GSS channel,
-//! whose sequence numbers make any other order fail.
+//! `op ‖ mjs-handle ‖ body`; replies are [`Reply`] envelopes,
+//! `Ok(body)` or `Refused(reason)`. `gram-tok1` carries a ClientHello
+//! or, for a requestor resuming an earlier job's session, a
+//! ResumeHello; a refusal of a ResumeHello sends the requestor back to
+//! the full token loop. The delegation tokens cross the wire in exactly
+//! the order of the in-process flow — they are wrapped on the secured
+//! GSS channel, whose sequence numbers make any other order fail.
 //!
 //! The requestor's client-side GRIM authorization is the in-process one
 //! ([`crate::grim::authorize_mjs`]), remote-aware: the caller names the
@@ -35,7 +35,7 @@ use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
-use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
 
 use crate::requestor::{ActiveJob, MjsLink, Requestor};
@@ -64,21 +64,9 @@ fn request(op: &str, handle: &str, body: &[u8]) -> Vec<u8> {
     e.finish()
 }
 
-fn reply_ok(body: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_str("ok").put_bytes(body);
-    e.finish()
-}
-
-fn reply_err(reason: &str) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_str("err").put_bytes(reason.as_bytes());
-    e.finish()
-}
-
-/// One RPC round: send `op ‖ handle ‖ body`, unwrap the `ok` body or
-/// map the failure. Transport exhaustion becomes
-/// [`GramError::Transport`]; a served `err` becomes `to_err(reason)`
+/// One RPC round: send `op ‖ handle ‖ body`, unwrap the `Ok` body or
+/// map the failure. Transport exhaustion and a malformed reply become
+/// [`GramError::Transport`]; a served refusal becomes `to_err(reason)`
 /// so callers keep submission refusals distinct from context failures.
 fn round(
     rpc: &mut RpcClient,
@@ -91,16 +79,10 @@ fn round(
     let raw = rpc
         .call(&request(op, handle, body))
         .map_err(|e| GramError::Transport(e.to_string()))?;
-    let mut d = Decoder::new(&raw);
-    let status = d
-        .get_str()
-        .map_err(|_| GramError::Transport("malformed reply".into()))?;
-    let payload = d
-        .get_bytes()
-        .map_err(|_| GramError::Transport("malformed reply".into()))?;
-    match status.as_str() {
-        "ok" => Ok(payload),
-        _ => Err(to_err(String::from_utf8_lossy(&payload).into_owned())),
+    match Reply::decode(&raw) {
+        Some(Reply::Ok(body)) => Ok(body),
+        Some(Reply::Refused(reason)) => Err(to_err(reason)),
+        Some(Reply::Absent(_)) | None => Err(GramError::Transport("malformed reply".into())),
     }
 }
 
@@ -113,38 +95,6 @@ fn wall_now(rpc: &RpcClient, fallback: u64) -> u64 {
         .network()
         .fault_clock()
         .map_or(fallback, |c| c.now())
-}
-
-/// Remote steps 1–7: submit the signed request over `rpc`, then run
-/// [`connect_and_start_remote`] against the returned MJS handle.
-///
-/// `expected_host` is the host identity the requestor believes it is
-/// talking to; the MJS is authorized only if its GRIM credential
-/// chains to exactly that identity (§5.3 client-side authorization).
-pub fn submit_job_remote(
-    requestor: &mut Requestor,
-    rpc: &mut RpcClient,
-    description: &JobDescription,
-    expected_host: &DistinguishedName,
-    now: u64,
-) -> Result<ActiveJob, GramError> {
-    let mut sp = trace::span_with("gram.submit", &format!("host={expected_host}"));
-    let result: Result<ActiveJob, GramError> = (|| {
-        let job = submit_only(requestor, rpc, description, now)?;
-        connect_and_start_remote(
-            requestor,
-            rpc,
-            &job.handle,
-            Some(&job.account),
-            expected_host,
-            now,
-        )?;
-        Ok(job)
-    })();
-    if let Err(e) = &result {
-        sp.fail(&e.to_string());
-    }
-    result
 }
 
 /// Remote step 7 (mirrors
@@ -255,8 +205,14 @@ impl MjsLink for OverRpc<'_> {
     }
 }
 
-/// Remote steps 1–7 with crash resilience: like [`submit_job_remote`],
-/// but survives the service dying and restarting mid-chain.
+/// Remote steps 1–7: submit the signed request over `rpc`, then run
+/// [`connect_and_start_remote`] against the returned MJS handle,
+/// surviving the service dying and restarting mid-chain: the two legs
+/// share `max_attempts` runs, and 1 retries nothing.
+///
+/// `expected_host` is the host identity the requestor believes it is
+/// talking to; the MJS is authorized only if its GRIM credential
+/// chains to exactly that identity (§5.3 client-side authorization).
 ///
 /// The submission leg is safe to retry: the at-most-once RPC layer
 /// absorbs retransmits, and a durable server
@@ -406,26 +362,28 @@ impl RemoteGram {
     }
 
     /// Handle one request frame; returns the reply frame. Malformed
-    /// input and out-of-order session ops get `err` replies, never
-    /// panics — faulty networks deliver garbage, and a service that
-    /// crashes on it fails the paper's availability story.
+    /// input and out-of-order session ops get refusals, never panics —
+    /// faulty networks deliver garbage, and a service that crashes on
+    /// it fails the paper's availability story.
     pub fn handle(&mut self, from: &str, payload: &[u8]) -> Vec<u8> {
+        self.serve(from, payload).encode()
+    }
+
+    /// [`RemoteGram::handle`] before encoding.
+    pub(crate) fn serve(&mut self, from: &str, payload: &[u8]) -> Reply {
         let mut d = Decoder::new(payload);
         let parsed = d
             .get_str()
             .and_then(|op| Ok((op, d.get_str()?, d.get_bytes()?)));
-        let (op, handle, body) = match parsed {
-            Ok(x) => x,
-            Err(_) => return reply_err("malformed request"),
+        let Ok((op, handle, body)) = parsed else {
+            return Reply::Refused("malformed request".into());
         };
         let mut sp = trace::span_with("gram.serve", &format!("op={op} from={from}"));
-        match self.dispatch(from, &op, &handle, &body) {
-            Ok(reply) => reply,
-            Err(e) => {
-                sp.fail(&e.to_string());
-                reply_err(&e.to_string())
-            }
+        let outcome = self.dispatch(from, &op, &handle, &body);
+        if let Err(e) = &outcome {
+            sp.fail(&e.to_string());
         }
+        Reply::from(outcome)
     }
 
     fn dispatch(
@@ -445,7 +403,7 @@ impl RemoteGram {
                 e.put_str(&outcome.mjs_handle)
                     .put_u8(u8::from(outcome.cold_start))
                     .put_str(&outcome.account);
-                Ok(reply_ok(&e.finish()))
+                Ok(e.finish())
             }
             OP_TOKEN1 => {
                 // A fresh token 1 — ClientHello or ResumeHello — always
@@ -458,7 +416,7 @@ impl RemoteGram {
                         .mjs_accept_hello(handle, &mut self.rng, body)?;
                 self.sessions.remove(&key);
                 self.handshakes.insert(key, acceptor);
-                Ok(reply_ok(&token2))
+                Ok(token2)
             }
             OP_TOKEN3 => {
                 // Taken out before finishing: a refused token 3 leaves no
@@ -477,7 +435,7 @@ impl RemoteGram {
                     delegated: None,
                 };
                 self.sessions.insert(key, session);
-                Ok(reply_ok(&[]))
+                Ok(Vec::new())
             }
             OP_DELEG_REQ => {
                 let session = self
@@ -491,7 +449,7 @@ impl RemoteGram {
                     body,
                 )?;
                 session.pending = Some(pending);
-                Ok(reply_ok(&d2))
+                Ok(d2)
             }
             OP_DELEG_CHAIN => {
                 let session = self
@@ -506,7 +464,7 @@ impl RemoteGram {
                     .finish(&mut session.ctx, body)
                     .map_err(|e| ctxerr(&e.to_string()))?;
                 session.delegated = Some(delegated);
-                Ok(reply_ok(&[]))
+                Ok(Vec::new())
             }
             OP_START => {
                 let session = self
@@ -527,7 +485,7 @@ impl RemoteGram {
                     .borrow_mut()
                     .mjs_start_job(handle, &requestor_identity, delegated)?;
                 self.sessions.remove(&key);
-                Ok(reply_ok(&[]))
+                Ok(Vec::new())
             }
             OP_STATE => {
                 let state = self.resource.borrow().job_state(handle)?;
@@ -538,7 +496,7 @@ impl RemoteGram {
                     JobState::Cancelled => b"cancelled",
                     JobState::Failed => b"failed",
                 };
-                Ok(reply_ok(name))
+                Ok(name.to_vec())
             }
             _ => Err(ctxerr("unknown gram op")),
         }
@@ -637,12 +595,13 @@ mod tests {
         let (mut rpc, sched) = rpc_pair(net, RemoteGram::new(shared.clone(), b"mjs rng"));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let host = dn("/O=G/CN=host compute1");
-        let job = submit_job_remote(
+        let job = submit_job_resilient(
             &mut jane,
             &mut rpc,
             &JobDescription::new("/bin/sim"),
             &host,
             w.clock.now(),
+            1,
         )
         .unwrap();
         (job, shared, rpc, sched)
@@ -693,12 +652,13 @@ mod tests {
         let shared = Rc::new(RefCell::new(resource(&w)));
         let (mut rpc, _sched) = rpc_pair(&net, RemoteGram::new(shared, b"mjs rng"));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
-        let err = submit_job_remote(
+        let err = submit_job_resilient(
             &mut jane,
             &mut rpc,
             &JobDescription::new("/bin/sim"),
             &dn("/O=G/CN=host evil"),
             w.clock.now(),
+            1,
         )
         .unwrap_err();
         assert_eq!(
@@ -716,23 +676,25 @@ mod tests {
         let shared = Rc::new(RefCell::new(resource(&w)));
         let (mut rpc, _sched) = rpc_pair(&net, RemoteGram::new(shared.clone(), b"mjs rng"));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
-        let err = submit_job_remote(
+        let err = submit_job_resilient(
             &mut jane,
             &mut rpc,
             &JobDescription::new("/bin/sim"),
             &dn("/O=G/CN=host compute1"),
             w.clock.now(),
+            1,
         )
         .unwrap_err();
         assert!(matches!(err, GramError::Transport(_)), "{err:?}");
 
         net.heal_all();
-        let job = submit_job_remote(
+        let job = submit_job_resilient(
             &mut jane,
             &mut rpc,
             &JobDescription::new("/bin/sim"),
             &dn("/O=G/CN=host compute1"),
             w.clock.now(),
+            1,
         )
         .unwrap();
         assert_eq!(
@@ -747,14 +709,13 @@ mod tests {
         let shared = Rc::new(RefCell::new(resource(&w)));
         let mut service = RemoteGram::new(shared, b"mjs rng");
         // No handshake at all: every session op must refuse politely.
+        let refused = |reply: Vec<u8>| matches!(Reply::decode(&reply), Some(Reply::Refused(_)));
         for op in [OP_TOKEN3, OP_DELEG_REQ, OP_DELEG_CHAIN, OP_START] {
-            let reply = service.handle("jane", &request(op, "mjs-0", b"junk"));
-            let mut d = Decoder::new(&reply);
-            assert_eq!(d.get_str().unwrap(), "err");
+            assert!(refused(
+                service.handle("jane", &request(op, "mjs-0", b"junk"))
+            ));
         }
         // Garbage frame.
-        let reply = service.handle("jane", b"\xff\xfe");
-        let mut d = Decoder::new(&reply);
-        assert_eq!(d.get_str().unwrap(), "err");
+        assert!(refused(service.handle("jane", b"\xff\xfe")));
     }
 }

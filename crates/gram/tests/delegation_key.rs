@@ -14,8 +14,7 @@ use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::RsaPublicKey;
 use gridsec_gram::durable::DurableGram;
 use gridsec_gram::remote::{
-    submit_job_remote, submit_job_resilient, RemoteGram, OP_DELEG_CHAIN, OP_DELEG_REQ, OP_START,
-    OP_TOKEN1, OP_TOKEN3,
+    submit_job_resilient, RemoteGram, OP_DELEG_CHAIN, OP_DELEG_REQ, OP_START, OP_TOKEN1, OP_TOKEN3,
 };
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
@@ -34,7 +33,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{Reply, RpcClient, RpcServer, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_util::retry::RetryPolicy;
@@ -333,7 +332,8 @@ fn the_rpc_driver_reuses_the_key_on_a_lossy_wan() {
     let mut handles = Vec::new();
     for n in 0..JOBS {
         let active =
-            submit_job_remote(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now()).unwrap();
+            submit_job_resilient(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now(), 1)
+                .unwrap();
         handles.push(active.handle);
     }
     let faults = net.fault_stats().unwrap();
@@ -416,10 +416,12 @@ fn frame(op: &str, handle: &str, body: &[u8]) -> Vec<u8> {
     e.finish()
 }
 
-/// The body of an `ok` reply; `None` for an `err`.
+/// The body of an `Ok` reply; `None` for a refusal.
 fn ok_body(reply: &[u8]) -> Option<Vec<u8>> {
-    let mut d = Decoder::new(reply);
-    (d.get_str().unwrap() == "ok").then(|| d.get_bytes().unwrap())
+    match Reply::decode(reply).expect("a well-formed reply") {
+        Reply::Ok(body) => Some(body),
+        _ => None,
+    }
 }
 
 /// Step 7's full handshake as `credential` over `service`'s frames;

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gram::remote::{submit_job_remote, RemoteGram};
+use gridsec_gram::remote::{submit_job_resilient, RemoteGram};
 use gridsec_gram::resource::{GramConfig, GramResource, GRIDMAP_PATH};
 use gridsec_gram::types::JobDescription;
 use gridsec_gram::{GramError, Requestor};
@@ -348,13 +348,13 @@ fn the_rpc_driver_on_a_lossy_wan_walks_each_sign_on_once() {
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
     let (_, mut jane) = sign_on(&mut w, &jane_eec, 50_000, b"jane lossy");
     for n in 0..JOBS {
-        submit_job_remote(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now()).unwrap();
+        submit_job_resilient(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now(), 1).unwrap();
     }
     assert_eq!(memo(&shared.borrow()), (1, JOBS as u64 - 1, 1));
     let mut rpc = RpcClient::new(net.register("carl"), "mjs-host", policy());
     let (_, mut carl) = sign_on(&mut w, &carl_eec, 50_000, b"carl lossy");
     for n in 0..JOBS {
-        submit_job_remote(&mut carl, &mut rpc, &job(n), &dn(HOST), w.clock.now()).unwrap();
+        submit_job_resilient(&mut carl, &mut rpc, &job(n), &dn(HOST), w.clock.now(), 1).unwrap();
     }
     let faults = net.fault_stats().unwrap();
     assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");

@@ -10,16 +10,14 @@ use std::rc::Rc;
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gram::durable::DurableGram;
-use gridsec_gram::remote::{
-    submit_job_remote, submit_job_resilient, RemoteGram, OP_START, OP_TOKEN1, OP_TOKEN3,
-};
+use gridsec_gram::remote::{submit_job_resilient, RemoteGram, OP_START, OP_TOKEN1, OP_TOKEN3};
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
 use gridsec_gram::{GramError, Requestor};
 use gridsec_gssapi::context::{EstablishedContext, InitiatorContext};
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
-use gridsec_pki::encoding::{Decoder, Encoder};
+use gridsec_pki::encoding::Encoder;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::{issue_proxy, ProxyType};
 use gridsec_pki::store::{CrlStore, TrustStore};
@@ -27,7 +25,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{Reply, RpcClient, RpcServer, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{resume_client, ClientSession, DEFAULT_SESSION_LIFETIME};
@@ -146,7 +144,7 @@ fn frame(op: &str, handle: &str, body: &[u8]) -> Vec<u8> {
 }
 
 fn refused(reply: &[u8]) -> bool {
-    Decoder::new(reply).get_str().unwrap() == "err"
+    matches!(Reply::decode(reply), Some(Reply::Refused(_)))
 }
 
 #[test]
@@ -228,7 +226,7 @@ fn every_remote_job_is_authorized_and_delegated_resumed_or_not() {
     }));
     let _installed = trace::install(&tracer);
     for n in 0..4 {
-        submit_job_remote(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now()).unwrap();
+        submit_job_resilient(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now(), 1).unwrap();
     }
     let stats = shared.borrow().stats;
     assert_eq!((stats.full_handshakes, stats.resumed_handshakes), (1, 3));
@@ -318,9 +316,9 @@ fn a_replayed_resume_hello_cannot_finish_without_the_master_secret() {
     ));
     // The refused Finished took its half-open handshake with it.
     let again = service.handle("mallory", &frame(OP_TOKEN3, &second, &forged));
-    let mut d = Decoder::new(&again);
-    assert_eq!(d.get_str().unwrap(), "err");
-    let reason = String::from_utf8(d.get_bytes().unwrap()).unwrap();
+    let Some(Reply::Refused(reason)) = Reply::decode(&again) else {
+        panic!("not a refusal: {again:?}");
+    };
     assert!(reason.contains("no handshake in progress"), "{reason}");
     assert!(refused(
         &service.handle("mallory", &frame(OP_START, &second, b"start-job"))
@@ -502,7 +500,7 @@ fn a_rebuilt_service_on_a_fresh_install_gets_the_full_loop() {
     let first = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
     let (mut rpc, sched) = serve(&net, "jane", RemoteGram::new(first.clone(), b"mjs rng"));
-    submit_job_remote(&mut jane, &mut rpc, &job(0), &dn(HOST), 100).unwrap();
+    submit_job_resilient(&mut jane, &mut rpc, &job(0), &dn(HOST), 100, 1).unwrap();
     drop((rpc, sched));
 
     // The host is reinstalled: a new RemoteGram over a new resource,
@@ -510,7 +508,7 @@ fn a_rebuilt_service_on_a_fresh_install_gets_the_full_loop() {
     let rebuilt = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
     let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(rebuilt.clone(), b"mjs rng 2"));
-    let active = submit_job_remote(&mut jane, &mut rpc, &job(1), &dn(HOST), 100).unwrap();
+    let active = submit_job_resilient(&mut jane, &mut rpc, &job(1), &dn(HOST), 100, 1).unwrap();
     assert!(active.cold_start);
     let resource = rebuilt.borrow();
     assert_eq!(
@@ -536,11 +534,11 @@ fn a_rebuilt_front_end_over_the_surviving_lmjfs_still_resumes() {
     let shared = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
     let (mut rpc, sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng"));
-    submit_job_remote(&mut jane, &mut rpc, &job(0), &dn(HOST), 100).unwrap();
+    submit_job_resilient(&mut jane, &mut rpc, &job(0), &dn(HOST), 100, 1).unwrap();
     drop((rpc, sched));
     let net = Network::new();
     let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng 2"));
-    submit_job_remote(&mut jane, &mut rpc, &job(1), &dn(HOST), 100).unwrap();
+    submit_job_resilient(&mut jane, &mut rpc, &job(1), &dn(HOST), 100, 1).unwrap();
     let stats = shared.borrow().stats;
     assert_eq!((stats.full_handshakes, stats.resumed_handshakes), (1, 1));
 }
@@ -556,7 +554,8 @@ fn retransmitted_resume_tokens_are_answered_from_the_reply_cache() {
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane lossy");
     for n in 0..JOBS {
         let active =
-            submit_job_remote(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now()).unwrap();
+            submit_job_resilient(&mut jane, &mut rpc, &job(n), &dn(HOST), w.clock.now(), 1)
+                .unwrap();
         assert_eq!(
             shared.borrow().job_state(&active.handle).unwrap(),
             JobState::Active

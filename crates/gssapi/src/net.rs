@@ -17,8 +17,8 @@
 //! `op ‖ token` where `op` is `"gss-tok1"`/`"gss-tok3"` for the full
 //! handshake or `"gss-res1"`/`"gss-res3"` for the abbreviated
 //! resumption handshake ([`gridsec_tls::session`]); replies are
-//! `status ‖ body` with status `"ok"` or `"err"`. An `err` reply is the
-//! acceptor's refusal; to a ResumeHello it means "no resumable session",
+//! [`Reply`] envelopes, `Ok(token)` or `Refused(reason)`. A refusal is
+//! the acceptor's; to a ResumeHello it means "no resumable session",
 //! and the initiator falls back to the full token loop
 //! ([`crate::context::resume_or_establish`]).
 
@@ -28,7 +28,7 @@ use crate::context::{
 use crate::GssError;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::encoding::{Decoder, Encoder};
-use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{
     ClientSessionCache, ServerSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
@@ -63,35 +63,20 @@ pub fn parse_request(bytes: &[u8]) -> Result<(String, Vec<u8>), GssError> {
     Ok((op, token))
 }
 
-fn reply_ok(body: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_str("ok").put_bytes(body);
-    e.finish()
-}
-
-fn reply_err(msg: &str) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_str("err").put_bytes(msg.as_bytes());
-    e.finish()
-}
-
-/// One token exchange: an `err` reply is the acceptor's refusal, an
-/// unreachable acceptor or a malformed reply a failure.
+/// One token exchange: a refusal is the acceptor's, an unreachable
+/// acceptor or a malformed reply a failure.
 fn call(rpc: &mut RpcClient, op: &str, token: &[u8]) -> Result<Vec<u8>, LoopError<GssError>> {
     let raw = rpc
         .call(&request(op, token))
         .map_err(|e| LoopError::Failed(e.into()))?;
-    let mut d = Decoder::new(&raw);
-    let malformed = || LoopError::Failed(GssError::Transport("malformed gss reply".into()));
-    let status = d.get_str().map_err(|_| malformed())?;
-    let body = d.get_bytes().map_err(|_| malformed())?;
-    if status == "ok" {
-        Ok(body)
-    } else {
-        Err(LoopError::Refused(GssError::Transport(format!(
-            "acceptor refused: {}",
-            String::from_utf8_lossy(&body)
-        ))))
+    match Reply::decode(&raw) {
+        Some(Reply::Ok(token)) => Ok(token),
+        Some(Reply::Refused(reason)) => Err(LoopError::Refused(GssError::Transport(format!(
+            "acceptor refused: {reason}"
+        )))),
+        Some(Reply::Absent(_)) | None => Err(LoopError::Failed(GssError::Transport(
+            "malformed gss reply".into(),
+        ))),
     }
 }
 
@@ -252,51 +237,47 @@ impl<E: EntropySource> AcceptorService<E> {
 
     /// Handle one request frame from caller `from`; returns the reply
     /// frame. Never panics on malformed input — errors come back as
-    /// `"err"` replies the initiator surfaces as [`GssError::Transport`].
+    /// refusals the initiator surfaces as [`GssError::Transport`].
     pub fn handle(&mut self, from: &str, payload: &[u8]) -> Vec<u8> {
         let _sp = trace::span_with("gss.accept", &format!("from={from}"));
-        let (op, token) = match parse_request(payload) {
-            Ok(x) => x,
-            Err(_) => return reply_err("malformed request"),
-        };
+        Reply::from(self.exchange(from, payload)).encode()
+    }
+
+    /// One token exchange: the next token, or why there is none.
+    fn exchange(&mut self, from: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+        let (op, token) = parse_request(payload).map_err(|_| "malformed request")?;
         trace::event("gss.accept.op", &format!("op={op} from={from}"));
         match op.as_str() {
             OP_TOKEN1 | OP_RESUME1 => {
                 let config = &self.config;
-                match AcceptorContext::accept(
+                let (acceptor, token2) = AcceptorContext::accept(
                     &token,
                     &mut self.sessions,
                     config.now,
                     config.epoch(),
                     || config.clone(),
                     &mut self.rng,
-                ) {
-                    Ok((acceptor, token2)) => {
-                        self.pending.insert(from.to_string(), acceptor);
-                        reply_ok(&token2)
-                    }
-                    Err(e) => reply_err(&e.to_string()),
-                }
+                )
+                .map_err(|e| e.to_string())?;
+                self.pending.insert(from.to_string(), acceptor);
+                Ok(token2)
             }
             OP_TOKEN3 | OP_RESUME3 => {
-                let Some(acceptor) = self.pending.remove(from) else {
-                    return reply_err("no handshake in progress");
-                };
+                let acceptor = self
+                    .pending
+                    .remove(from)
+                    .ok_or("no handshake in progress")?;
                 let resumed = acceptor.resuming();
-                match acceptor.step(&token) {
-                    Ok(context) => {
-                        // A resumed context rotates: it mints a fresh ticket.
-                        self.sessions.store(context.channel());
-                        if resumed {
-                            trace::add("gss.accept.resumed", 1);
-                        }
-                        self.established.insert(from.to_string(), context);
-                        reply_ok(b"")
-                    }
-                    Err(e) => reply_err(&e.to_string()),
+                let context = acceptor.step(&token).map_err(|e| e.to_string())?;
+                // A resumed context rotates: it mints a fresh ticket.
+                self.sessions.store(context.channel());
+                if resumed {
+                    trace::add("gss.accept.resumed", 1);
                 }
+                self.established.insert(from.to_string(), context);
+                Ok(Vec::new())
             }
-            _ => reply_err("unknown gss op"),
+            _ => Err("unknown gss op".into()),
         }
     }
 
@@ -668,7 +649,7 @@ mod tests {
             request(OP_TOKEN3, b"x"),
         ] {
             let reply = svc.handle("mallory", &payload);
-            assert!(Decoder::new(&reply).get_str().unwrap() == "err");
+            assert!(matches!(Reply::decode(&reply), Some(Reply::Refused(_))));
         }
     }
 }

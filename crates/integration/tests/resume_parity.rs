@@ -23,7 +23,7 @@ use std::rc::Rc;
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gram::remote::{submit_job_remote, RemoteGram, OP_TOKEN1 as GRAM_TOKEN1};
+use gridsec_gram::remote::{submit_job_resilient, RemoteGram, OP_TOKEN1 as GRAM_TOKEN1};
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::{GramError, JobDescription, Requestor};
 use gridsec_gssapi::net::{
@@ -622,7 +622,7 @@ fn remote_gram() -> RemoteRig {
 
 impl RemoteRig {
     fn job(&mut self, n: usize) -> Result<(), GramError> {
-        submit_job_remote(&mut self.jane, &mut self.rpc, &job(n), &dn(HOST), 100).map(drop)
+        submit_job_resilient(&mut self.jane, &mut self.rpc, &job(n), &dn(HOST), 100, 1).map(drop)
     }
 
     fn handshakes(&self) -> (u64, u64) {

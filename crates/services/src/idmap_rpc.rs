@@ -10,6 +10,9 @@
 //! retransmitted lookups are answered from the rebuilt reply cache and
 //! mutations stay idempotent across any crash schedule.
 //!
+//! Replies are [`Reply`] envelopes: `Ok(text)` (`user@REALM`, a DN),
+//! `Absent` for "no mapping", `Refused(reason)`.
+//!
 //! Kill points (see `testbed::faults`):
 //!
 //! * `idmap.add.exec` — before the mapping record is journaled (the
@@ -22,7 +25,7 @@ use crate::identity_map::IdentityMap;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
-use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
 
 /// Op: register a DN ↔ principal mapping.
@@ -102,80 +105,68 @@ impl DurableIdentityMap {
         }
     }
 
-    fn reply_ok(body: &str) -> Vec<u8> {
+    /// `idmap-add`; `None` when the process died at a kill point.
+    fn add(&mut self, d: &mut Decoder<'_>) -> Option<Reply> {
+        let refused = |reason: &str| Some(Reply::Refused(reason.into()));
+        let (Ok(dn_s), Ok(principal), Ok(realm)) = (d.get_str(), d.get_str(), d.get_str()) else {
+            return refused("malformed add");
+        };
+        let Ok(dn) = DistinguishedName::parse(&dn_s) else {
+            return refused("bad DN");
+        };
+        if self.plan.fires("idmap.add.exec") {
+            return None;
+        }
+        // Write-ahead: the mapping is durable before it is visible, so a
+        // crash at any later point recovers it.
         let mut e = Encoder::new();
-        e.put_str("ok").put_str(body);
-        e.finish()
+        e.put_str(&dn_s).put_str(&principal).put_str(&realm);
+        if self.journal.append(TAG_MAP, &e.finish()).is_err() {
+            return refused("journal unavailable");
+        }
+        if self.plan.fires("idmap.add.journaled") {
+            return None;
+        }
+        self.map.add(&dn, &principal, &realm);
+        trace::add("idmap.adds", 1);
+        Some(Reply::Ok(format!("{principal}@{realm}").into_bytes()))
     }
 
-    fn reply_none() -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_str("none").put_str("");
-        e.finish()
-    }
-
-    fn reply_err(msg: &str) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_str("err").put_str(msg);
-        e.finish()
+    /// A lookup's answer: the mapped name, or `Absent`.
+    fn found(name: Option<String>) -> Reply {
+        name.map_or(Reply::Absent(Vec::new()), |name| {
+            Reply::Ok(name.into_bytes())
+        })
     }
 }
 
 impl CrashRecover for DurableIdentityMap {
     fn handle(&mut self, _from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
+        let refused = |reason: &str| Reply::Refused(reason.into());
         let mut d = Decoder::new(body);
-        let Ok(op) = d.get_str() else {
-            return Self::reply_err("malformed request");
+        let reply = match d.get_str().as_deref() {
+            Ok(OP_ADD) => match self.add(&mut d) {
+                Some(reply) => reply,
+                None => return Vec::new(),
+            },
+            Ok(OP_TO_PRINCIPAL) => match d.get_str() {
+                Ok(dn) => Self::found(
+                    DistinguishedName::parse(&dn)
+                        .ok()
+                        .and_then(|dn| self.map.to_principal(&dn).map(str::to_string)),
+                ),
+                Err(_) => refused("malformed lookup"),
+            },
+            Ok(OP_TO_DN) => match (d.get_str(), d.get_str()) {
+                (Ok(principal), Ok(realm)) => {
+                    Self::found(self.map.to_dn(&principal, &realm).map(|dn| dn.to_string()))
+                }
+                _ => refused("malformed lookup"),
+            },
+            Ok(_) => refused("unknown op"),
+            Err(_) => refused("malformed request"),
         };
-        match op.as_str() {
-            OP_ADD => {
-                let (Ok(dn_s), Ok(principal), Ok(realm)) = (d.get_str(), d.get_str(), d.get_str())
-                else {
-                    return Self::reply_err("malformed add");
-                };
-                let Ok(dn) = DistinguishedName::parse(&dn_s) else {
-                    return Self::reply_err("bad DN");
-                };
-                if self.plan.fires("idmap.add.exec") {
-                    return Vec::new();
-                }
-                // Write-ahead: the mapping is durable before it is
-                // visible, so a crash at any later point recovers it.
-                let mut e = Encoder::new();
-                e.put_str(&dn_s).put_str(&principal).put_str(&realm);
-                if self.journal.append(TAG_MAP, &e.finish()).is_err() {
-                    return Self::reply_err("journal unavailable");
-                }
-                if self.plan.fires("idmap.add.journaled") {
-                    return Vec::new();
-                }
-                self.map.add(&dn, &principal, &realm);
-                trace::add("idmap.adds", 1);
-                Self::reply_ok(&format!("{principal}@{realm}"))
-            }
-            OP_TO_PRINCIPAL => {
-                let Ok(dn_s) = d.get_str() else {
-                    return Self::reply_err("malformed lookup");
-                };
-                match DistinguishedName::parse(&dn_s)
-                    .ok()
-                    .and_then(|dn| self.map.to_principal(&dn).map(str::to_string))
-                {
-                    Some(p) => Self::reply_ok(&p),
-                    None => Self::reply_none(),
-                }
-            }
-            OP_TO_DN => {
-                let (Ok(principal), Ok(realm)) = (d.get_str(), d.get_str()) else {
-                    return Self::reply_err("malformed lookup");
-                };
-                match self.map.to_dn(&principal, &realm) {
-                    Some(dn) => Self::reply_ok(&dn.to_string()),
-                    None => Self::reply_none(),
-                }
-            }
-            _ => Self::reply_err("unknown op"),
-        }
+        reply.encode()
     }
 
     fn crash(&mut self) {
@@ -188,15 +179,20 @@ impl CrashRecover for DurableIdentityMap {
     }
 }
 
-fn round(rpc: &mut RpcClient, request: Vec<u8>) -> Result<(String, String), IdMapError> {
+/// One call: the `Ok` body as text, `None` for `Absent`, or the typed
+/// failure.
+fn round(rpc: &mut RpcClient, request: Vec<u8>) -> Result<Option<String>, IdMapError> {
     let raw = rpc
         .call(&request)
         .map_err(|e| IdMapError::Transport(e.to_string()))?;
-    let mut d = Decoder::new(&raw);
-    let (Ok(status), Ok(body)) = (d.get_str(), d.get_str()) else {
-        return Err(IdMapError::Decode("malformed idmap reply"));
-    };
-    Ok((status, body))
+    match Reply::decode(&raw) {
+        Some(Reply::Ok(body)) => String::from_utf8(body)
+            .map(Some)
+            .map_err(|_| IdMapError::Decode("malformed idmap reply")),
+        Some(Reply::Absent(_)) => Ok(None),
+        Some(Reply::Refused(reason)) => Err(IdMapError::Refused(reason)),
+        None => Err(IdMapError::Decode("malformed idmap reply")),
+    }
 }
 
 /// Register a mapping on a remote durable identity map.
@@ -212,8 +208,8 @@ pub fn remote_add(
         .put_str(principal)
         .put_str(realm);
     match round(rpc, e.finish())? {
-        (s, _) if s == "ok" => Ok(()),
-        (_, msg) => Err(IdMapError::Refused(msg)),
+        Some(_) => Ok(()),
+        None => Err(IdMapError::Decode("absent reply to an add")),
     }
 }
 
@@ -224,11 +220,7 @@ pub fn remote_to_principal(
 ) -> Result<Option<String>, IdMapError> {
     let mut e = Encoder::new();
     e.put_str(OP_TO_PRINCIPAL).put_str(&dn.to_string());
-    match round(rpc, e.finish())? {
-        (s, p) if s == "ok" => Ok(Some(p)),
-        (s, _) if s == "none" => Ok(None),
-        (_, msg) => Err(IdMapError::Refused(msg)),
-    }
+    round(rpc, e.finish())
 }
 
 /// Resolve `user@REALM` to a DN on a remote durable identity map.
@@ -239,11 +231,9 @@ pub fn remote_to_dn(
 ) -> Result<Option<DistinguishedName>, IdMapError> {
     let mut e = Encoder::new();
     e.put_str(OP_TO_DN).put_str(principal).put_str(realm);
-    match round(rpc, e.finish())? {
-        (s, d) if s == "ok" => Ok(DistinguishedName::parse(&d).ok()),
-        (s, _) if s == "none" => Ok(None),
-        (_, msg) => Err(IdMapError::Refused(msg)),
-    }
+    round(rpc, e.finish())?
+        .map(|dn| DistinguishedName::parse(&dn).map_err(|_| IdMapError::Decode("bad DN in reply")))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -253,7 +243,7 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::ServerTask;
+    use gridsec_testbed::rpc::{RpcServer, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -315,8 +305,29 @@ mod tests {
         // retransmit just re-reports success.
         assert_eq!(m.map().len(), 1);
         let reply = m.handle("admin", 5, &req);
-        assert_eq!(Decoder::new(&reply).get_str().unwrap(), "ok");
+        assert_eq!(
+            Reply::decode(&reply),
+            Some(Reply::Ok(b"jdoe@SITE.A".to_vec()))
+        );
         assert_eq!(m.map().len(), 1, "no duplicate mapping");
+    }
+
+    #[test]
+    fn a_reply_that_is_not_a_dn_is_a_decode_error_not_no_mapping() {
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox(
+            "idmap-host",
+            ServerTask::new(
+                RpcServer::new(net.register("idmap-host")),
+                |_from: &str, _body: &[u8]| Reply::Ok(b"not a dn".to_vec()).encode(),
+            ),
+        );
+        let mut rpc = RpcClient::new(net.register("admin"), "idmap-host", RetryPolicy::default());
+        assert_eq!(
+            remote_to_dn(&mut rpc, "jdoe", "SITE.A"),
+            Err(IdMapError::Decode("bad DN in reply"))
+        );
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! is answered with the *same* proxy certificate instead of minting a
 //! second one.
 //!
+//! Replies are [`Reply`] envelopes, `Ok(body)` or `Refused(reason)`;
+//! [`decode_verdict`] maps one to the client's [`MyProxyError`].
+//!
 //! Kill points (see `testbed::faults`):
 //!
 //! * `myproxy.store.exec` — before a store commit executes.
@@ -39,7 +42,7 @@ use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::proxy::{issue_delegated_proxy, ProxyType};
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
-use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
 
 /// Op: begin a store — the repository generates and returns a key.
@@ -177,18 +180,6 @@ impl MyProxyServer {
         &self.serials
     }
 
-    fn reply_ok(body: &[u8]) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_str("ok").put_bytes(body);
-        e.finish()
-    }
-
-    fn reply_err(msg: &str) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_str("err").put_bytes(msg.as_bytes());
-        e.finish()
-    }
-
     fn authorized(&self, owner: &str, passphrase: &str) -> Result<&Stored, &'static str> {
         let stored = self.stored.get(owner).ok_or("no such credential")?;
         if stored.pass_hash != pass_hash(passphrase) {
@@ -197,9 +188,9 @@ impl MyProxyServer {
         Ok(stored)
     }
 
-    fn handle_store_begin(&mut self, from: &str, d: &mut Decoder<'_>) -> Vec<u8> {
+    fn handle_store_begin(&mut self, from: &str, d: &mut Decoder<'_>) -> Result<Vec<u8>, String> {
         let (Ok(owner), Ok(_passphrase)) = (d.get_str(), d.get_str()) else {
-            return Self::reply_err("malformed store-begin");
+            return Err("malformed store-begin".into());
         };
         // A fresh begin always restarts the pending store: the previous
         // half-open attempt (client died mid-flow) is abandoned.
@@ -207,10 +198,11 @@ impl MyProxyServer {
         let mut e = Encoder::new();
         encode_public_key(&mut e, key.public());
         self.pending_store.insert((from.to_string(), owner), key);
-        Self::reply_ok(&e.finish())
+        Ok(e.finish())
     }
 
-    fn handle_store_commit(&mut self, from: &str, d: &mut Decoder<'_>) -> Vec<u8> {
+    /// `None` when the process died at a kill point.
+    fn handle_store_commit(&mut self, from: &str, d: &mut Decoder<'_>) -> Option<Reply> {
         let parsed = (|| {
             let owner = d.get_str().ok()?;
             let passphrase = d.get_str().ok()?;
@@ -218,20 +210,21 @@ impl MyProxyServer {
             let chain = d.get_seq(Certificate::decode).ok()?;
             Some((owner, passphrase, proxy_cert, chain))
         })();
+        let refused = |reason: &str| Some(Reply::Refused(reason.into()));
         let Some((owner, passphrase, proxy_cert, issuer_chain)) = parsed else {
-            return Self::reply_err("malformed store-commit");
+            return refused("malformed store-commit");
         };
         let Some(key) = self
             .pending_store
             .remove(&(from.to_string(), owner.clone()))
         else {
-            return Self::reply_err("no store in progress");
+            return refused("no store in progress");
         };
         if proxy_cert.public_key() != key.public() {
-            return Self::reply_err("certificate is not over our key");
+            return refused("certificate is not over our key");
         }
         if self.plan.fires("myproxy.store.exec") {
-            return Vec::new();
+            return None;
         }
         let hash = pass_hash(&passphrase);
         let mut e = Encoder::new();
@@ -240,10 +233,10 @@ impl MyProxyServer {
         proxy_cert.encode(&mut e);
         e.put_seq(&issuer_chain, |enc, c| c.encode(enc));
         if self.journal.append(TAG_STORE, &e.finish()).is_err() {
-            return Self::reply_err("journal unavailable");
+            return refused("journal unavailable");
         }
         if self.plan.fires("myproxy.store.journaled") {
-            return Vec::new();
+            return None;
         }
         let mut chain = vec![proxy_cert];
         chain.extend(issuer_chain);
@@ -255,7 +248,7 @@ impl MyProxyServer {
                 credential: Credential::new(chain, key),
             },
         );
-        Self::reply_ok(&[])
+        Some(Reply::Ok(Vec::new()))
     }
 
     fn handle_issue(&mut self, from: &str, id: u64, op: &str, d: &mut Decoder<'_>) -> Vec<u8> {
@@ -271,44 +264,44 @@ impl MyProxyServer {
             let lifetime = d.get_u64().ok()?;
             Some((owner, passphrase, public_key, lifetime))
         })();
+        let refused = |reason: &str| Reply::Refused(reason.into()).encode();
         let Some((owner, passphrase, public_key, lifetime)) = parsed else {
-            return Self::reply_err(&format!("malformed {op}"));
+            return refused(&format!("malformed {op}"));
         };
         if self.plan.fires("myproxy.issue.exec") {
             return Vec::new();
         }
         let now = self.clock.now();
-        let reply = match self.issue(&owner, &passphrase, &public_key, lifetime, now) {
-            Ok((reply, serial)) => {
-                // Write-ahead: the exact reply is durable before it can
-                // leave, so the worst-window crash replays it instead
-                // of minting a second proxy.
-                let mut e = Encoder::new();
-                e.put_str(from)
-                    .put_u64(id)
-                    .put_str(&owner)
-                    .put_u64(serial)
-                    .put_bytes(&reply);
-                if self.journal.append(TAG_ISSUE, &e.finish()).is_err() {
-                    return Self::reply_err("journal unavailable");
-                }
-                if self.plan.fires("myproxy.issue.journaled") {
-                    return Vec::new();
-                }
-                self.issued.insert(key, reply.clone());
-                self.serials.push(serial);
-                trace::add(
-                    if op == OP_RENEW {
-                        "myproxy.renewals"
-                    } else {
-                        "myproxy.issues"
-                    },
-                    1,
-                );
-                reply
-            }
-            Err(msg) => Self::reply_err(msg),
+        let (body, serial) = match self.issue(&owner, &passphrase, &public_key, lifetime, now) {
+            Ok(issued) => issued,
+            Err(reason) => return refused(reason),
         };
+        // Write-ahead: the exact reply is durable before it can leave,
+        // so the worst-window crash replays it instead of minting a
+        // second proxy.
+        let reply = Reply::Ok(body).encode();
+        let mut e = Encoder::new();
+        e.put_str(from)
+            .put_u64(id)
+            .put_str(&owner)
+            .put_u64(serial)
+            .put_bytes(&reply);
+        if self.journal.append(TAG_ISSUE, &e.finish()).is_err() {
+            return refused("journal unavailable");
+        }
+        if self.plan.fires("myproxy.issue.journaled") {
+            return Vec::new();
+        }
+        self.issued.insert(key, reply.clone());
+        self.serials.push(serial);
+        trace::add(
+            if op == OP_RENEW {
+                "myproxy.renewals"
+            } else {
+                "myproxy.issues"
+            },
+            1,
+        );
         reply
     }
 
@@ -336,40 +329,41 @@ impl MyProxyServer {
         let mut e = Encoder::new();
         cert.encode(&mut e);
         e.put_seq(parent.chain(), |enc, c| c.encode(enc));
-        Ok((Self::reply_ok(&e.finish()), serial))
+        Ok((e.finish(), serial))
     }
 
-    fn handle_destroy(&mut self, d: &mut Decoder<'_>) -> Vec<u8> {
+    fn handle_destroy(&mut self, d: &mut Decoder<'_>) -> Result<Vec<u8>, String> {
         let (Ok(owner), Ok(passphrase)) = (d.get_str(), d.get_str()) else {
-            return Self::reply_err("malformed destroy");
+            return Err("malformed destroy".into());
         };
-        if let Err(msg) = self.authorized(&owner, &passphrase) {
-            return Self::reply_err(msg);
-        }
+        self.authorized(&owner, &passphrase)?;
         let mut e = Encoder::new();
         e.put_str(&owner);
-        if self.journal.append(TAG_DESTROY, &e.finish()).is_err() {
-            return Self::reply_err("journal unavailable");
-        }
+        self.journal
+            .append(TAG_DESTROY, &e.finish())
+            .map_err(|_| "journal unavailable")?;
         self.stored.remove(&owner);
         trace::add("myproxy.destroys", 1);
-        Self::reply_ok(&[])
+        Ok(Vec::new())
     }
 }
 
 impl CrashRecover for MyProxyServer {
     fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8> {
         let mut d = Decoder::new(body);
-        let Ok(op) = d.get_str() else {
-            return Self::reply_err("malformed request");
+        let reply = match d.get_str().as_deref() {
+            // Issuance answers with the exact bytes it journals.
+            Ok(op @ (OP_GET | OP_RENEW)) => return self.handle_issue(from, id, op, &mut d),
+            Ok(OP_STORE_BEGIN) => self.handle_store_begin(from, &mut d).into(),
+            Ok(OP_STORE_COMMIT) => match self.handle_store_commit(from, &mut d) {
+                Some(reply) => reply,
+                None => return Vec::new(),
+            },
+            Ok(OP_DESTROY) => self.handle_destroy(&mut d).into(),
+            Ok(_) => Reply::Refused("unknown myproxy op".into()),
+            Err(_) => Reply::Refused("malformed request".into()),
         };
-        match op.as_str() {
-            OP_STORE_BEGIN => self.handle_store_begin(from, &mut d),
-            OP_STORE_COMMIT => self.handle_store_commit(from, &mut d),
-            OP_GET | OP_RENEW => self.handle_issue(from, id, &op, &mut d),
-            OP_DESTROY => self.handle_destroy(&mut d),
-            _ => Self::reply_err("unknown myproxy op"),
-        }
+        reply.encode()
     }
 
     fn crash(&mut self) {
@@ -445,17 +439,12 @@ fn round(rpc: &mut RpcClient, request: Vec<u8>) -> Result<Vec<u8>, MyProxyError>
     decode_verdict(&raw)
 }
 
-/// Split a repository reply into its `ok` body, or the typed refusal.
+/// Split a repository reply into its `Ok` body, or the typed refusal.
 pub fn decode_verdict(raw: &[u8]) -> Result<Vec<u8>, MyProxyError> {
-    let mut d = Decoder::new(raw);
-    let (Ok(status), Ok(body)) = (d.get_str(), d.get_bytes()) else {
-        return Err(MyProxyError::Decode("malformed myproxy reply"));
-    };
-    match status.as_str() {
-        "ok" => Ok(body),
-        _ => Err(MyProxyError::Refused(
-            String::from_utf8_lossy(&body).into_owned(),
-        )),
+    match Reply::decode(raw) {
+        Some(Reply::Ok(body)) => Ok(body),
+        Some(Reply::Refused(reason)) => Err(MyProxyError::Refused(reason)),
+        Some(Reply::Absent(_)) | None => Err(MyProxyError::Decode("malformed myproxy reply")),
     }
 }
 

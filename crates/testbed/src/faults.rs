@@ -39,7 +39,7 @@
 
 use crate::net::Endpoint;
 use crate::os::{FileMode, Pid, SimOs, Uid, ROOT_UID};
-use crate::rpc::{decode_request, encode_reply, ServerTask};
+use crate::rpc::{RpcServer, ServerTask};
 use crate::sched::{Step, Task, TaskCx};
 use crate::TestbedError;
 use gridsec_util::rng::{DetRng, RngCore};
@@ -437,7 +437,7 @@ fn encode_rpc_record(from: &str, id: u64, reply: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decode_rpc_record(body: &[u8]) -> Option<(String, u64, Vec<u8>)> {
+fn decode_rpc_record(body: &[u8]) -> Option<((String, u64), Vec<u8>)> {
     if body.len() < 4 {
         return None;
     }
@@ -447,29 +447,29 @@ fn decode_rpc_record(body: &[u8]) -> Option<(String, u64, Vec<u8>)> {
     }
     let from = String::from_utf8_lossy(&body[4..4 + from_len]).into_owned();
     let id = u64::from_be_bytes(body[4 + from_len..4 + from_len + 8].try_into().unwrap());
-    Some((from, id, body[4 + from_len + 8..].to_vec()))
+    Some(((from, id), body[4 + from_len + 8..].to_vec()))
 }
 
 /// An at-most-once RPC server that can be killed and restarted.
 ///
-/// Like [`crate::rpc::RpcServer`], but the process behind it is mortal:
-/// when the application latches a [`CrashPlan`] kill mid-request, the
-/// supervisor discards the in-flight reply, drops volatile state
-/// ([`CrashRecover::crash`]), and marks the process down for
-/// `restart_delay` sim-seconds. While down, the endpoint stays
-/// registered (the host is up; the port is just dead) and arriving mail
-/// evaporates — clients see silence and retransmit. On restart the
-/// reply cache is rebuilt from the journal's `rpc` records (when
-/// `persist_replies` is on) and [`CrashRecover::recover`] rebuilds the
-/// application state, so a retransmission of an already-executed
-/// request is answered from the journal, never re-executed.
+/// An [`RpcServer`] — its `(caller, id)` reply cache answers every
+/// request — but the process behind it is mortal: when the application
+/// latches a [`CrashPlan`] kill mid-request, the supervisor discards the
+/// in-flight reply, drops volatile state ([`CrashRecover::crash`]), and
+/// marks the process down for `restart_delay` sim-seconds. While down,
+/// the endpoint stays registered (the host is up; the port is just
+/// dead) and arriving mail evaporates — clients see silence and
+/// retransmit. On restart the reply cache is rebuilt from the journal's
+/// `rpc` records (when `persist_replies` is on) and
+/// [`CrashRecover::recover`] rebuilds the application state, so a
+/// retransmission of an already-executed request is answered from the
+/// journal, never re-executed.
 pub struct CrashableServer {
     name: String,
-    endpoint: Endpoint,
+    rpc: RpcServer,
     plan: CrashPlan,
     journal: Journal,
     persist_replies: bool,
-    seen: HashMap<(String, u64), Vec<u8>>,
     down_until: Option<u64>,
 }
 
@@ -489,11 +489,10 @@ impl CrashableServer {
     ) -> Self {
         CrashableServer {
             name: name.to_string(),
-            endpoint,
+            rpc: RpcServer::new(endpoint),
             plan,
             journal,
             persist_replies,
-            seen: HashMap::new(),
             down_until: None,
         }
     }
@@ -504,54 +503,53 @@ impl CrashableServer {
     fn poll(&mut self, app: &mut dyn CrashRecover, now: u64) {
         if let Some(until) = self.down_until {
             if now < until {
-                while self.endpoint.try_recv().is_some() {}
+                self.drop_mail();
                 return;
             }
             // Restart: reply cache from the journal, app state via the
             // application's own replay.
-            self.seen.clear();
-            if self.persist_replies {
-                for (tag, body) in self.journal.records() {
-                    if tag == RPC_REPLY_TAG {
-                        if let Some((from, id, reply)) = decode_rpc_record(&body) {
-                            self.seen.insert((from, id), reply);
-                        }
-                    }
-                }
-            }
+            let records = if self.persist_replies {
+                self.journal.records()
+            } else {
+                Vec::new()
+            };
+            let replayed = self.rpc.restore(
+                records
+                    .iter()
+                    .filter(|(tag, _)| tag == RPC_REPLY_TAG)
+                    .filter_map(|(_, body)| decode_rpc_record(body)),
+            );
             app.recover();
-            self.plan.note_restart(&self.name, now, self.seen.len());
+            self.plan.note_restart(&self.name, now, replayed);
             self.down_until = None;
         }
-        while let Some(m) = self.endpoint.try_recv() {
-            let Some((id, body)) = decode_request(&m.payload) else {
-                continue;
-            };
-            let key = (m.from.clone(), id);
-            if let Some(cached) = self.seen.get(&key) {
-                let _ = self.endpoint.send(&m.from, encode_reply(id, cached));
-                continue;
-            }
-            let reply = app.handle(&m.from, id, body);
+        let mut died = false;
+        self.rpc.serve(|from, id, body| {
+            let reply = app.handle(from, id, body);
             if let Some(point) = self.plan.take_pending() {
-                // The process died mid-request: no reply, nothing
-                // cached; volatile state is gone and unread mail
-                // evaporates with the mailbox.
                 self.plan.note_crash(&self.name, &point, now);
-                app.crash();
-                self.down_until = Some(now + self.plan.restart_delay());
-                while self.endpoint.try_recv().is_some() {}
-                return;
+                died = true;
+                return None;
             }
             if self.persist_replies {
                 // Write-ahead: the reply is durable before it is sent.
-                let _ = self
-                    .journal
-                    .append(RPC_REPLY_TAG, &encode_rpc_record(&m.from, id, &reply));
+                let record = encode_rpc_record(from, id, &reply);
+                let _ = self.journal.append(RPC_REPLY_TAG, &record);
             }
-            self.seen.insert(key, reply.clone());
-            let _ = self.endpoint.send(&m.from, encode_reply(id, &reply));
+            Some(reply)
+        });
+        if died {
+            // The process died mid-request: no reply, nothing cached;
+            // volatile state is gone and unread mail evaporates with the
+            // mailbox.
+            app.crash();
+            self.down_until = Some(now + self.plan.restart_delay());
+            self.drop_mail();
         }
+    }
+
+    fn drop_mail(&self) {
+        while self.rpc.endpoint().try_recv().is_some() {}
     }
 }
 

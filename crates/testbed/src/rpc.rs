@@ -17,9 +17,13 @@
 //!   exactly once and caches the reply, so retransmissions and network
 //!   duplicates of non-idempotent operations (GSS token steps, job
 //!   submission) are answered from the cache instead of re-executed.
-//!   This is the classic at-most-once RPC discipline. [`ServerTask`]
-//!   hosts one (or a [`crate::faults::CrashableServer`]) on the
+//!   This is the classic at-most-once RPC discipline, and the one copy
+//!   of it: a [`crate::faults::CrashableServer`] answers through an
+//!   `RpcServer`'s table too. [`ServerTask`] hosts either on the
 //!   scheduler.
+//! * **[`Reply`]** — the one reply envelope every request/reply service
+//!   speaks inside the frame: `status ‖ body`, with status `"ok"`,
+//!   `"none"` or `"err"`.
 
 use crate::net::Endpoint;
 use crate::sched::{self, Step, Task, TaskCx};
@@ -60,12 +64,6 @@ pub fn decode_reply(bytes: &[u8]) -> Option<(u64, &[u8])> {
     decode(REP_MAGIC, bytes)
 }
 
-/// `true` iff `bytes` looks like an RPC request frame (used by servers
-/// that speak both raw and RPC-framed traffic on one endpoint).
-pub fn is_request(bytes: &[u8]) -> bool {
-    bytes.len() >= 12 && &bytes[..4] == REQ_MAGIC
-}
-
 fn decode<'a>(magic: &[u8; 4], bytes: &'a [u8]) -> Option<(u64, &'a [u8])> {
     if bytes.len() < 12 || &bytes[..4] != magic {
         return None;
@@ -73,6 +71,77 @@ fn decode<'a>(magic: &[u8; 4], bytes: &'a [u8]) -> Option<(u64, &'a [u8])> {
     let mut id = [0u8; 8];
     id.copy_from_slice(&bytes[4..12]);
     Some((u64::from_be_bytes(id), &bytes[12..]))
+}
+
+/// A service's answer to one request: the reply envelope of every
+/// request/reply service in the workspace (the GSS acceptor, CAS, the
+/// credential repository, identity mapping, GRAM).
+///
+/// Wire layout: `status ‖ body`, each field a `u32` big-endian length
+/// followed by its bytes — `pki::encoding`'s `str` and `bytes`. The
+/// status is `"ok"` ([`Reply::Ok`]), `"none"` ([`Reply::Absent`]) or
+/// `"err"` ([`Reply::Refused`], whose body is a UTF-8 reason). Anything
+/// else is malformed: a truncated field, an unknown status, a non-UTF-8
+/// reason or a trailing byte.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Reply {
+    /// The request succeeded; the body is the service's answer.
+    Ok(Vec<u8>),
+    /// The request was understood but there is nothing to return (no
+    /// mapping, not a member); the body may say why.
+    Absent(Vec<u8>),
+    /// The service refused the request, for this reason.
+    Refused(String),
+}
+
+impl Reply {
+    /// The envelope's bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let (status, body): (&[u8], &[u8]) = match self {
+            Reply::Ok(body) => (b"ok", body),
+            Reply::Absent(body) => (b"none", body),
+            Reply::Refused(reason) => (b"err", reason.as_bytes()),
+        };
+        let mut out = Vec::with_capacity(8 + status.len() + body.len());
+        for field in [status, body] {
+            out.extend_from_slice(&(field.len() as u32).to_be_bytes());
+            out.extend_from_slice(field);
+        }
+        out
+    }
+
+    /// Parse an envelope; `None` if it is malformed.
+    pub fn decode(bytes: &[u8]) -> Option<Reply> {
+        let (status, rest) = split_field(bytes)?;
+        let (body, rest) = split_field(rest)?;
+        if !rest.is_empty() {
+            return None;
+        }
+        match status {
+            b"ok" => Some(Reply::Ok(body.to_vec())),
+            b"none" => Some(Reply::Absent(body.to_vec())),
+            b"err" => String::from_utf8(body.to_vec()).ok().map(Reply::Refused),
+            _ => None,
+        }
+    }
+}
+
+/// A handler's outcome as a reply: `Ok` carries the body, an error its
+/// message as the refusal reason.
+impl<E: std::fmt::Display> From<Result<Vec<u8>, E>> for Reply {
+    fn from(outcome: Result<Vec<u8>, E>) -> Self {
+        match outcome {
+            Ok(body) => Reply::Ok(body),
+            Err(e) => Reply::Refused(e.to_string()),
+        }
+    }
+}
+
+/// Split one length-prefixed field off the front of `bytes`.
+fn split_field(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let len = u32::from_be_bytes(*len) as usize;
+    (rest.len() >= len).then(|| rest.split_at(len))
 }
 
 /// Counters describing what a client's calls cost.
@@ -326,6 +395,14 @@ impl RpcServer {
     /// `(caller, id)` pairs go through `handler`, repeats are answered
     /// from the reply cache. Non-RPC frames are ignored.
     pub fn poll(&mut self, handler: &mut dyn FnMut(&str, &[u8]) -> Vec<u8>) {
+        self.serve(|from, _id, body| Some(handler(from, body)));
+    }
+
+    /// [`RpcServer::poll`] for a mortal process: `handler` also sees the
+    /// call id, and returns `None` when the process died handling the
+    /// request. Then nothing is cached or sent, and the drain stops
+    /// with the rest of the mail still queued.
+    pub(crate) fn serve(&mut self, mut handler: impl FnMut(&str, u64, &[u8]) -> Option<Vec<u8>>) {
         while let Some(m) = self.endpoint.try_recv() {
             let Some((id, body)) = decode_request(&m.payload) else {
                 continue;
@@ -334,7 +411,9 @@ impl RpcServer {
             let reply = match self.seen.get(&key) {
                 Some(cached) => cached.clone(),
                 None => {
-                    let r = handler(&m.from, body);
+                    let Some(r) = handler(&m.from, id, body) else {
+                        return;
+                    };
                     self.seen.insert(key, r.clone());
                     r
                 }
@@ -343,6 +422,17 @@ impl RpcServer {
             // retransmission layer's problem, not ours.
             let _ = self.endpoint.send(&m.from, encode_reply(id, &reply));
         }
+    }
+
+    /// Replace the reply cache with `replies` (a restarted process's
+    /// journal); returns how many it now holds.
+    pub(crate) fn restore(
+        &mut self,
+        replies: impl IntoIterator<Item = ((String, u64), Vec<u8>)>,
+    ) -> usize {
+        self.seen.clear();
+        self.seen.extend(replies);
+        self.seen.len()
     }
 }
 
@@ -419,14 +509,91 @@ mod tests {
     #[test]
     fn frame_roundtrip_and_rejection() {
         let f = encode_request(42, b"body");
-        assert!(is_request(&f));
         assert_eq!(decode_request(&f), Some((42, &b"body"[..])));
         assert_eq!(decode_reply(&f), None);
         let r = encode_reply(42, b"resp");
-        assert!(!is_request(&r));
+        assert_eq!(decode_request(&r), None);
         assert_eq!(decode_reply(&r), Some((42, &b"resp"[..])));
         assert_eq!(decode_request(b"short"), None);
         assert_eq!(decode_request(b"<xml>not rpc at all</xml>"), None);
+    }
+
+    /// One envelope of each status, non-empty bodies.
+    fn envelopes() -> [Reply; 3] {
+        [
+            Reply::Ok(b"token two".to_vec()),
+            Reply::Absent(b"not a VO member".to_vec()),
+            Reply::Refused("bad passphrase".into()),
+        ]
+    }
+
+    #[test]
+    fn reply_wire_layout_is_two_length_prefixed_fields() {
+        assert_eq!(
+            Reply::Ok(b"hi".to_vec()).encode(),
+            b"\0\0\0\x02ok\0\0\0\x02hi"
+        );
+        assert_eq!(
+            Reply::Absent(Vec::new()).encode(),
+            b"\0\0\0\x04none\0\0\0\0"
+        );
+        assert_eq!(
+            Reply::Refused("no".into()).encode(),
+            b"\0\0\0\x03err\0\0\0\x02no"
+        );
+    }
+
+    #[test]
+    fn reply_roundtrips_and_every_truncation_is_malformed() {
+        for reply in envelopes().into_iter().chain([Reply::Ok(Vec::new())]) {
+            let bytes = reply.encode();
+            assert_eq!(Reply::decode(&bytes), Some(reply.clone()));
+            for cut in 0..bytes.len() {
+                assert_eq!(Reply::decode(&bytes[..cut]), None, "{reply:?} cut at {cut}");
+            }
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            assert_eq!(Reply::decode(&trailing), None, "{reply:?} + trailing byte");
+        }
+    }
+
+    #[test]
+    fn reply_with_unknown_status_or_non_utf8_reason_is_malformed() {
+        let envelope = |status: &[u8], body: &[u8]| {
+            let mut out = Vec::new();
+            for field in [status, body] {
+                out.extend_from_slice(&(field.len() as u32).to_be_bytes());
+                out.extend_from_slice(field);
+            }
+            out
+        };
+        for status in [&b"OK"[..], b"ok ", b"", b"error", b"\xff\xfe", b"nonE"] {
+            assert_eq!(
+                Reply::decode(&envelope(status, b"body")),
+                None,
+                "{status:?}"
+            );
+        }
+        assert_eq!(Reply::decode(&envelope(b"err", b"\xff")), None);
+        // Only a refusal's reason must be text; bodies are bytes.
+        assert_eq!(
+            Reply::decode(&envelope(b"ok", b"\xff")),
+            Some(Reply::Ok(vec![0xff]))
+        );
+        // A length prefix larger than what follows.
+        assert_eq!(Reply::decode(b"\0\0\0\x02ok\xff\xff\xff\xff"), None);
+    }
+
+    #[test]
+    fn handler_outcome_converts_to_ok_or_refused() {
+        assert_eq!(
+            Reply::from(Ok::<_, &str>(b"x".to_vec())),
+            Reply::Ok(b"x".to_vec())
+        );
+        assert_eq!(
+            Reply::from(Err::<Vec<u8>, _>("bad DN")),
+            Reply::Refused("bad DN".into())
+        );
     }
 
     #[test]

@@ -202,6 +202,16 @@ stage_grep_guard() {
         echo "FAIL: a relying party decides on proxy rights itself (above); use ResourceGate::permits" >&2
         exit 1
     fi
+    # One reply envelope (DESIGN.md §8): only testbed::rpc::Reply builds
+    # or parses a reply's `status ‖ body`; every service encodes through
+    # it and every client decodes through it. Remote GRAM has one submit
+    # driver, submit_job_resilient.
+    if grep -rEn 'put_str\("(ok|err|none)"\)|== "ok"|"(ok|none)" =>|submit_job_remote' \
+        crates/*/src crates/*/tests tests examples | grep -vE '^[^:]+:[0-9]+: *//' \
+        | grep -vE '^crates/testbed/src/rpc\.rs:'; then
+        echo "FAIL: a hand-written reply envelope is back (above); use testbed::rpc::Reply" >&2
+        exit 1
+    fi
     # A GridFTP server's digests are the ones its filesystem stores beside
     # each file (DESIGN.md §10): every version of a file is hashed once,
     # however often it is served or striped.

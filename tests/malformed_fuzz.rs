@@ -13,6 +13,9 @@
 //! * `AcceptorService::handle` (GSS token exchange),
 //! * `CasService::handle` (community authorization),
 //! * `RemoteGram::handle` (job management),
+//! * the client half of the reply envelope: every request/reply client
+//!   (GSS token loop, GRAM, CAS, identity mapping, MyProxy) fed a
+//!   truncated, unknown-status or over-long `testbed::rpc::Reply`,
 //! * the batch/precomputed crypto entry points (`RsaVerifyCtx`,
 //!   `verify_batch`, `CachedValidator::validate_batch`,
 //!   `HandshakeMill::accept_wave`, Montgomery contexts, fixed-base
@@ -210,6 +213,88 @@ fn no_wire_facing_handler_panics_on_malformed_input() {
         let bytes = mutate(&mut rng, base);
         let reply = gram.handle("mallory", &bytes);
         assert!(!reply.is_empty());
+    }
+}
+
+/// Every request/reply client maps a malformed reply envelope to its own
+/// transport or decode failure: never `Ok`, never a refusal (that would
+/// hide the fault as the service's answer), never a panic. One served
+/// handler answers every request with the same bytes, so the five
+/// clients share it.
+#[test]
+fn every_client_rejects_a_malformed_reply_envelope() {
+    use gridsec_authz::net::fetch_assertion;
+    use gridsec_authz::AuthzError;
+    use gridsec_gram::remote::job_state_remote;
+    use gridsec_gram::GramError;
+    use gridsec_gssapi::net::establish_initiator_resilient;
+    use gridsec_gssapi::GssError;
+    use gridsec_pki::encoding::Encoder;
+    use gridsec_pki::name::DistinguishedName;
+    use gridsec_services::idmap_rpc::{remote_to_principal, IdMapError};
+    use gridsec_services::myproxy::{destroy, MyProxyError};
+    use gridsec_testbed::net::Network;
+    use gridsec_testbed::rpc::{Reply, RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::sched::Scheduler;
+    use gridsec_util::retry::RetryPolicy;
+
+    let mut w = basic_world(b"reply sweep");
+    let user = DistinguishedName::parse("/O=G/CN=User").unwrap();
+    let ok = Reply::Ok(b"payload".to_vec()).encode();
+    let mut unknown_status = Encoder::new();
+    unknown_status.put_str("maybe").put_bytes(b"payload");
+    let mut trailing = ok.clone();
+    trailing.push(0);
+    let cases = [
+        ("truncated", ok[..ok.len() - 1].to_vec()),
+        ("unknown status", unknown_status.finish()),
+        ("trailing byte", trailing),
+    ];
+    for (case, reply) in cases {
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox(
+            "svc",
+            ServerTask::new(
+                RpcServer::new(net.register("svc")),
+                move |_from: &str, _body: &[u8]| reply.clone(),
+            ),
+        );
+        let mut rpc = RpcClient::new(net.register("client"), "svc", RetryPolicy::default());
+
+        let gss = establish_initiator_resilient(
+            &mut rpc,
+            TlsConfig::new(w.user.clone(), w.trust.clone(), 100),
+            &mut w.rng,
+            1,
+        );
+        assert!(
+            matches!(&gss, Err(GssError::Transport(m)) if m == "malformed gss reply"),
+            "gss, {case}: {:?}",
+            gss.err()
+        );
+        let gram = job_state_remote(&mut rpc, "gsh:mjs-jdoe-0");
+        assert!(
+            matches!(gram, Err(GramError::Transport(_))),
+            "gram, {case}: {gram:?}"
+        );
+        let cas = fetch_assertion(&mut rpc, &user);
+        assert!(
+            matches!(cas, Err(AuthzError::Decode(_))),
+            "cas, {case}: {:?}",
+            cas.err()
+        );
+        let idmap = remote_to_principal(&mut rpc, &user);
+        assert!(
+            matches!(idmap, Err(IdMapError::Decode(_))),
+            "idmap, {case}: {idmap:?}"
+        );
+        let myproxy = destroy(&mut rpc, "jane", "s3cret");
+        assert!(
+            matches!(myproxy, Err(MyProxyError::Decode(_))),
+            "myproxy, {case}: {myproxy:?}"
+        );
+        assert_eq!(rpc.stats().timeouts, 0, "{case}: every call was answered");
     }
 }
 
