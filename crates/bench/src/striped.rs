@@ -3,9 +3,9 @@
 //! `striped_xfer` (the bench bin) and `perf_guard` (the CI gate) must
 //! measure the *same* deterministic quantity, so the world construction
 //! and per-cell runner live here: one CA/host/user world, one seeded
-//! payload, and one `run_get_cell` that fetches it over N lossy stripes
-//! and reports the tick-model outcome. Everything is a pure function of
-//! the seeds — no wall clock enters the goodput figures.
+//! payload, and one `run_get_cell` that fetches it over N stripes in a
+//! lossy world and reports the tick-model outcome. Everything is a pure
+//! function of the seeds — no wall clock enters the goodput figures.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,8 +18,9 @@ use gridsec_gridftp::stripe::{striped_get, StripeOpts, StripedOutcome};
 use gridsec_gridftp::GridFtpServer;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
+use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{Network, SimStream, StreamPair, StreamStats};
+use gridsec_testbed::net::{FaultProfile, Network, SimStream};
 use gridsec_testbed::os::{FileMode, SimOs};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
@@ -66,14 +67,15 @@ pub fn seed_file(w: &StripedWorld, path: &str, data: &[u8]) {
         .expect("seed bench file");
 }
 
-/// Dialer spawning one sans-io striped server task per dial over a
-/// seeded lossy pair, on a scheduler it owns (the client's reads find
-/// it through the pair). `base_seed` isolates cells from each other.
+/// Dialer spawning one sans-io striped server task per dial, each over a
+/// fresh connection in one world whose only fault is `drop` (seeded by
+/// `base_seed`, which isolates cells from each other); the client's
+/// reads run the tasks. No transcript is kept: the cell reads outcomes.
 fn dialer(
     w: &StripedWorld,
     base_seed: u64,
     drop: f64,
-) -> impl FnMut(usize, u32) -> Result<(SimStream, StreamStats), TlsError> {
+) -> impl FnMut(usize, u32) -> Result<SimStream, TlsError> {
     let task = SessionTask {
         server: Rc::clone(&w.server),
         dialect: Dialect::Striped,
@@ -81,15 +83,24 @@ fn dialer(
         plan: CrashPlan::disabled(),
     };
     let net = Network::new();
+    let profile = FaultProfile {
+        drop,
+        ..FaultProfile::default()
+    };
+    net.enable_faults(SimClock::new(), base_seed, profile);
+    net.set_transcript_recording(false);
     let mut sched = Scheduler::new(&net);
     let mut n = 0u64;
     move |slot, _attempt| {
         n += 1;
-        let seed = base_seed.wrapping_add(n).wrapping_add((slot as u64) << 32);
-        let (a, b, stats) = StreamPair::lossy(seed, drop);
-        let mailbox = format!("bench-stripe-{base_seed:x}-{slot}-{n}");
-        task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
-        Ok((a, stats))
+        let conn = format!("{slot}-{n}");
+        let (client, server) = net.connect(&format!("user:{conn}"), &format!("node1:{conn}"));
+        task.spawn(
+            &mut sched,
+            server,
+            &(n + ((slot as u64) << 32)).to_be_bytes(),
+        );
+        Ok(client)
     }
 }
 

@@ -3,10 +3,10 @@
 //! Real GridFTP lets the client pick parallelism and window sizes; the
 //! paper-era servers adapted both to observed loss. This controller
 //! reproduces that loop on the simulated testbed: the striped engine
-//! reports every torn stripe connection (with the stripe's
-//! [`LossStats`](gridsec_testbed::net::LossStats)-derived loss rate)
-//! and every cleanly delivered window, and the controller answers with
-//! the pull-window size and the target stripe count.
+//! reports every torn stripe connection (with the stripe's loss rate:
+//! its torn connections over the frames it has moved, both counted by
+//! the engine) and every cleanly delivered window, and the controller answers with the pull-window
+//! size and the target stripe count.
 //!
 //! Window control is textbook AIMD: +1 chunk per clean window, halve on
 //! a tear. Stripe control is slower and probabilistic — after a streak
@@ -16,8 +16,9 @@
 //! same decision sequence; the decision log is part of the chaos
 //! transcripts CI byte-compares across processes. Determinism holds
 //! because every input is itself deterministic: tick times come from
-//! the engine's simulated timeline, loss rates from the seeded stream
-//! fault layer, and the draw sequence from the seed — no wall clock,
+//! the engine's simulated timeline, loss rates from the engine's own
+//! frame counts over the world's seeded fault layer, and the draw
+//! sequence from the seed — no wall clock,
 //! no thread scheduling, no ambient entropy.
 
 use gridsec_util::rng::{DetRng, RngCore};
@@ -111,9 +112,10 @@ impl AimdController {
     }
 
     /// A stripe's connection tore at simulated tick `now`;
-    /// `loss_permille` is the stripe's observed write-loss rate from
-    /// the fault layer. Multiplicative decrease on the window, and on a
-    /// badly lossy stripe possibly one fewer stripe.
+    /// `loss_permille` is the stripe's observed loss rate: its torn
+    /// connections over the frames it has moved. Multiplicative
+    /// decrease on the window, and on a badly lossy stripe possibly one
+    /// fewer stripe.
     pub fn on_tear(&mut self, stripe: usize, loss_permille: u64, now: u64) {
         self.clean_streak = 0;
         let old_w = self.window;

@@ -204,7 +204,7 @@ mod tests {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::proxy::{issue_proxy, ProxyType};
     use gridsec_testbed::faults::CrashPlan;
-    use gridsec_testbed::net::{Network, StreamPair};
+    use gridsec_testbed::net::Network;
     use gridsec_testbed::os::{FileMode, ROOT_UID};
     use gridsec_testbed::sched::Scheduler;
     use std::cell::RefCell;
@@ -246,8 +246,9 @@ mod tests {
         }
     }
 
-    /// Run client ops against the server on a stream pair; the server
-    /// runs as a sans-io scheduler task, inside the client's reads.
+    /// Run client ops against the server over one connection; the
+    /// server runs as a sans-io scheduler task, inside the client's
+    /// reads.
     fn with_session<F, R>(
         w: &mut World,
         cred: Credential,
@@ -258,14 +259,14 @@ mod tests {
     {
         let net = Network::new();
         let mut sched = Scheduler::new(&net);
-        let (a, b, _) = StreamPair::new();
+        let (a, b) = net.connect("jane", "data1");
         let task = poll::SessionTask {
             server: Rc::clone(&w.server),
             dialect: poll::Dialect::Classic,
             now: 100,
             plan: CrashPlan::disabled(),
         };
-        let served = task.spawn(&mut sched, &net, "ftp-classic", b, b"server side");
+        let served = task.spawn(&mut sched, b, b"server side");
         let mut client_rng = ChaChaRng::from_seed_bytes(b"client side");
         let result = GridFtpClient::connect(a, cred, w.trust.clone(), 100, &mut client_rng)
             .and_then(|mut client| {

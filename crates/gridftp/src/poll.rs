@@ -7,15 +7,16 @@
 //! markers, stripe credit windows, kill points — lives here as a pure
 //! feed-bytes-in/frames-out machine with no blocking reads. That is
 //! what retired the GT2 threading exception (DESIGN.md §16): a
-//! GridFTP stripe is a [`Scheduler`] task woken by stream readability,
-//! not a spawned server thread.
+//! GridFTP stripe is a [`Scheduler`] task woken by the delivery of a
+//! stream segment, not a spawned server thread.
 //!
 //! Wire parity with the threaded implementation is structural: the
 //! machine emits *unframed* sealed records and the transport writes
 //! each through [`write_frame`] (one length write + one payload write),
-//! so the per-write loss-draw schedule of a seeded
-//! [`StreamPair::lossy`](gridsec_testbed::net::StreamPair::lossy) link
-//! is hit in the same per-direction order as before.
+//! so every frame crosses the world's
+//! [`Network`](gridsec_testbed::net::Network) as the same two
+//! [`SimStream`] segments, each drawing its fate from the world's fault
+//! profile.
 //!
 //! Failure semantics mirror process death: when the machine resolves —
 //! `QUIT`, peer close, a torn write, or a fired
@@ -30,7 +31,7 @@ use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::validate::ValidatedIdentity;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{Network, SimStream};
+use gridsec_testbed::net::SimStream;
 use gridsec_testbed::os::{FileMode, SimOs, Uid};
 use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
 use gridsec_testbed::TestbedError;
@@ -836,15 +837,14 @@ pub struct SessionTask {
 }
 
 impl SessionTask {
-    /// Spawn one server session as a task on `sched`, woken whenever
-    /// `stream` becomes readable. Returns a cell that receives the
-    /// session outcome when it resolves (the value `serve_*` would
-    /// have returned from a thread).
+    /// Spawn one server session over `stream` as a task on `sched` (the
+    /// scheduler bound to the stream's network), under the stream's
+    /// endpoint, so every segment delivered to it wakes the session.
+    /// Returns a cell that receives the session outcome when it
+    /// resolves (the value `serve_*` would have returned from a thread).
     pub fn spawn(
         &self,
         sched: &mut Scheduler,
-        net: &Network,
-        mailbox: &str,
         stream: SimStream,
         rng_seed: &[u8],
     ) -> Rc<RefCell<Option<Result<u64, FtpError>>>> {
@@ -859,9 +859,9 @@ impl SessionTask {
         let mut rng = ChaChaRng::from_seed_bytes(rng_seed);
         let server = Rc::clone(&self.server);
         let mut synced = 0u64;
-        stream.wake_on_readable(net, mailbox);
+        let mailbox = stream.endpoint().id();
         let mut stream = Some(stream);
-        sched.spawn_mailbox(mailbox, move |_cx: &TaskCx| {
+        sched.spawn_mailbox_id(mailbox, move |_cx: &TaskCx| {
             let s = match stream.as_mut() {
                 Some(s) => s,
                 None => return Step::Done,

@@ -4,9 +4,10 @@
 //! receiver periodically records how much data is safely on disk, and
 //! after a failure the transfer resumes from the marker instead of from
 //! byte zero. This module reproduces that contract on the simulated
-//! testbed, where connections tear deterministically
-//! ([`StreamPair::lossy`](gridsec_testbed::net::StreamPair::lossy)) and
-//! the server process can be killed mid-transfer by a
+//! testbed, where a connection tears deterministically when the
+//! world's fault profile loses one of its segments
+//! ([`SimStream`](gridsec_testbed::net::SimStream)) and the server
+//! process can be killed mid-transfer by a
 //! [`CrashPlan`](gridsec_testbed::faults::CrashPlan).
 //!
 //! Protocol (after the same secure-channel prologue as the classic
@@ -351,8 +352,9 @@ mod tests {
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
+    use gridsec_testbed::clock::SimClock;
     use gridsec_testbed::faults::CrashPlan;
-    use gridsec_testbed::net::{Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{FaultProfile, Network, SimStream};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::trace::{install, Tracer};
@@ -398,11 +400,10 @@ mod tests {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
     }
 
-    /// A dialer that spawns one sans-io server task per dial over a
-    /// seeded lossy pair, on a scheduler of its own (the client's reads
-    /// find it through the pair). Each dial gets a distinct loss
-    /// schedule (`base_seed + n`) and a distinct, deterministic server
-    /// rng.
+    /// A dialer that spawns one sans-io server task per dial, each over
+    /// a fresh connection in one world whose only fault is `drop`
+    /// (seeded by `base_seed`), with a distinct, deterministic server
+    /// rng; the client's reads run the tasks.
     fn dialer(
         w: &World,
         plan: CrashPlan,
@@ -416,15 +417,18 @@ mod tests {
             plan,
         };
         let net = Network::new();
+        let profile = FaultProfile {
+            drop,
+            ..FaultProfile::default()
+        };
+        net.enable_faults(SimClock::new(), base_seed, profile);
         let mut sched = Scheduler::new(&net);
         let mut n = 0u64;
         move |_| {
             n += 1;
-            let seed = base_seed.wrapping_add(n);
-            let (a, b, _) = StreamPair::lossy(seed, drop);
-            let mailbox = format!("resume-{base_seed:x}-{n}");
-            task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
-            Ok(a)
+            let (client, server) = net.connect(&format!("jane:{n}"), &format!("data1:{n}"));
+            task.spawn(&mut sched, server, &n.to_be_bytes());
+            Ok(client)
         }
     }
 

@@ -4,9 +4,11 @@
 //! file across several parallel TCP streams and adapting window size
 //! and parallelism to observed loss. This module reproduces that on
 //! the simulated testbed: a transfer is split into fixed-span tasks,
-//! each task moves over one of N `StreamPair::lossy` data channels,
-//! and an [`AimdController`] adapts the pull window and the target
-//! stripe count from the fault layer's per-stripe loss stats.
+//! each task moves over one of N data channels — connections over the
+//! world's network, whose fault profile tears them — and an
+//! [`AimdController`] adapts the pull window and the target stripe
+//! count from each stripe's observed loss, counted by the engine itself:
+//! its torn connections over the frames it has moved.
 //!
 //! Protocol (per data channel, after the usual secure prologue):
 //!
@@ -35,10 +37,10 @@
 //! round trip, 8 per handshake attempt), with an optional shared
 //! [`TokenBucket`] capping aggregate bytes per tick. Because only one
 //! stripe exchange is in flight at a time, every `CrashPlan` draw and
-//! every loss-layer draw is causally ordered by the client loop —
-//! goodput, tears, and the controller's decision log are pure
-//! functions of the seeds, which is what lets CI byte-compare two runs
-//! of the striped chaos scenario.
+//! every fault-layer draw on a segment is causally ordered by the
+//! client loop — goodput, tears, and the controller's decision log are
+//! pure functions of the seeds, which is what lets CI byte-compare two
+//! runs of the striped chaos scenario.
 //!
 //! [`CrashPlan`]: gridsec_testbed::faults::CrashPlan
 
@@ -47,7 +49,6 @@ use std::io::{Read, Write};
 
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::sha256::sha256;
-use gridsec_testbed::net::StreamStats;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::retry::connect_with_retry;
 use gridsec_tls::stream::SecureStream;
@@ -68,6 +69,9 @@ const RTT_TICKS: u64 = 2;
 const HANDSHAKE_TICKS: u64 = 8;
 /// Bytes per work-queue task.
 const TASK_SPAN: usize = 4 * CHUNK;
+/// Frames a dial moves before the engine's first: ClientHello,
+/// ServerHello, Finished and the greeting.
+const DIAL_FRAMES: u64 = 4;
 
 /// Knobs for a striped transfer.
 #[derive(Clone, Debug)]
@@ -180,7 +184,11 @@ fn tasks(total: usize) -> VecDeque<(usize, usize)> {
 /// One stripe's slot in the client engine.
 struct Slot<S: Read + Write> {
     stream: Option<SecureStream<S>>,
-    stats: Option<StreamStats>,
+    /// Frames this stripe has moved: [`DIAL_FRAMES`] per established
+    /// dial, then every frame written or read.
+    frames: u64,
+    /// This stripe's established connections that tore.
+    torn: u64,
     task: Option<Task>,
     header_done: bool,
     ready_at: u64,
@@ -198,12 +206,19 @@ impl<S: Read + Write> Slot<S> {
     fn new() -> Self {
         Slot {
             stream: None,
-            stats: None,
+            frames: 0,
+            torn: 0,
             task: None,
             header_done: false,
             ready_at: 0,
             active: false,
         }
+    }
+
+    /// The stripe's observed loss in permille: torn connections per
+    /// frame moved, over the whole transfer so far.
+    fn loss_permille(&self) -> u64 {
+        self.torn * 1000 / self.frames.max(1)
     }
 }
 
@@ -256,15 +271,10 @@ fn note_tear<S: Read + Write>(
     tears: &mut u32,
     t: u64,
 ) {
-    let lp = slot
-        .stats
-        .as_ref()
-        .map(|s| s.loss().loss_permille())
-        .unwrap_or(0);
     *tears += 1;
-    ctl.on_tear(si, lp, t);
+    slot.torn += 1;
+    ctl.on_tear(si, slot.loss_permille(), t);
     slot.stream = None;
-    slot.stats = None;
     slot.header_done = false;
     slot.ready_at = t + RTT_TICKS;
 }
@@ -275,7 +285,6 @@ fn retire_slot<S: Read + Write>(slot: &mut Slot<S>, t: u64) {
         let _ = s.send(b"QUIT");
         let _ = s.recv();
     }
-    slot.stats = None;
     slot.header_done = false;
     slot.active = false;
     slot.ready_at = t;
@@ -305,32 +314,23 @@ fn failed(sp: &mut SpanGuard, e: FtpError) -> FtpError {
 }
 
 /// Dial + handshake + greeting for one stripe. Returns the secured
-/// stream, the pair's loss-stats handle, and handshake attempts made.
+/// stream and the handshake attempts made.
 fn dial_slot<S, E, D>(
     config: &TlsConfig,
     rng: &mut E,
     policy: RetryPolicy,
     dial: &mut D,
     slot: usize,
-) -> Result<(SecureStream<S>, StreamStats, u32), SessionErr>
+) -> Result<(SecureStream<S>, u32), SessionErr>
 where
     S: Read + Write,
     E: EntropySource,
-    D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
+    D: FnMut(usize, u32) -> Result<S, TlsError>,
 {
-    let mut pair_stats: Option<StreamStats> = None;
-    let result = connect_with_retry(config, rng, policy, |attempt| {
-        let (s, st) = dial(slot, attempt)?;
-        pair_stats = Some(st);
-        Ok(s)
-    });
-    match result {
+    match connect_with_retry(config, rng, policy, |attempt| dial(slot, attempt)) {
         Ok((mut stream, cstats)) => {
             greet(&mut stream)?;
-            let stats = pair_stats.ok_or(SessionErr::Fatal(FtpError::Xfer(
-                "dial succeeded without recording pair stats",
-            )))?;
-            Ok((stream, stats, cstats.attempts))
+            Ok((stream, cstats.attempts))
         }
         Err(e) => Err(tls_err(e)),
     }
@@ -427,7 +427,7 @@ fn fins_once<S: Read + Write>(
 }
 
 /// Fetch `path` over adaptively many striped channels. `dial` produces
-/// a fresh raw stream plus its loss-stats handle for `(slot, attempt)`.
+/// a fresh raw stream for `(slot, attempt)`.
 pub fn striped_get<S, E, D>(
     config: &TlsConfig,
     rng: &mut E,
@@ -439,7 +439,7 @@ pub fn striped_get<S, E, D>(
 where
     S: Read + Write,
     E: EntropySource,
-    D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
+    D: FnMut(usize, u32) -> Result<S, TlsError>,
 {
     run_stripes(config, rng, policy, dial, path, None, opts)
 }
@@ -459,7 +459,7 @@ pub fn striped_put<S, E, D>(
 where
     S: Read + Write,
     E: EntropySource,
-    D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
+    D: FnMut(usize, u32) -> Result<S, TlsError>,
 {
     run_stripes(config, rng, policy, dial, path, Some(data), opts)
 }
@@ -485,7 +485,7 @@ fn run_stripes<S, E, D>(
 where
     S: Read + Write,
     E: EntropySource,
-    D: FnMut(usize, u32) -> Result<(S, StreamStats), TlsError>,
+    D: FnMut(usize, u32) -> Result<S, TlsError>,
 {
     let (span, bytes_counter) = match upload {
         None => ("xfer.striped.get", "xfer.striped.bytes_got"),
@@ -530,11 +530,11 @@ where
         let slot = &mut slots[si];
         let Some(stream) = slot.stream.as_mut() else {
             match dial_slot(config, rng, policy, &mut dial, si) {
-                Ok((stream, stats, attempts)) => {
+                Ok((stream, attempts)) => {
                     t += u64::from(attempts) * HANDSHAKE_TICKS + RTT_TICKS;
                     sessions += 1;
                     slot.stream = Some(stream);
-                    slot.stats = Some(stats);
+                    slot.frames += DIAL_FRAMES;
                 }
                 Err(SessionErr::Torn) => {
                     t += HANDSHAKE_TICKS + RTT_TICKS;
@@ -553,6 +553,7 @@ where
                 return Err(FtpError::Xfer("stripe task lost mid-claim"));
             };
             if !window {
+                slot.frames += 1;
                 let opened = match upload {
                     None => gets_header(stream, path, task.start + task.got, task.end, *total, sha),
                     Some(_) => puts_header(stream, path, task.start, task.end, *total)
@@ -560,6 +561,7 @@ where
                 };
                 if opened.is_ok() {
                     t += RTT_TICKS;
+                    slot.frames += 1;
                     slot.header_done = true;
                 }
                 opened
@@ -570,6 +572,7 @@ where
                     // Pull one window: the credit costs a round trip,
                     // then each chunk its own ticks.
                     None => 'pull: {
+                        slot.frames += 1;
                         if stream.send(format!("PULL {n}").as_bytes()).is_err() {
                             break 'pull Err(SessionErr::Torn);
                         }
@@ -586,12 +589,14 @@ where
                             }
                             task.buf.extend_from_slice(&chunk);
                             task.got += chunk.len();
+                            slot.frames += 1;
                             t = after_chunk(&mut bucket, t, chunk.len());
                         }
                         Ok(())
                     }
                     // Send one window, then the ack's round trip.
                     Some(data) => 'send: {
+                        slot.frames += 1;
                         if stream.send(format!("SEND {n}").as_bytes()).is_err() {
                             break 'send Err(SessionErr::Torn);
                         }
@@ -599,6 +604,7 @@ where
                             let from = task.start + task.got;
                             let to = (from + CHUNK).min(task.end);
                             t = after_chunk(&mut bucket, t, to - from);
+                            slot.frames += 1;
                             if stream.send(&data[from..to]).is_err() {
                                 break 'send Err(SessionErr::Torn);
                             }
@@ -614,6 +620,7 @@ where
                         {
                             Some(abs) if abs >= task.start && abs <= task.end => {
                                 t += RTT_TICKS;
+                                slot.frames += 1;
                                 task.got = abs - task.start;
                                 Ok(())
                             }
@@ -623,8 +630,10 @@ where
                 }
             }
         } else {
+            slot.frames += 1;
             fetch_size(stream, path).map(|(len, sha)| {
                 t += RTT_TICKS;
+                slot.frames += 1;
                 queue = tasks(len);
                 file = Some((len, sha));
             })
@@ -687,7 +696,7 @@ where
                 check_budget(&mut sp, tears, opts.max_sessions)?;
                 // Slot 0: the dialers seed each stream by its slot.
                 let mut stream = match dial_slot(config, rng, policy, &mut dial, 0) {
-                    Ok((stream, _stats, attempts)) => {
+                    Ok((stream, attempts)) => {
                         t += u64::from(attempts) * HANDSHAKE_TICKS + RTT_TICKS;
                         sessions += 1;
                         stream
@@ -758,8 +767,9 @@ mod tests {
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
+    use gridsec_testbed::clock::SimClock;
     use gridsec_testbed::faults::CrashPlan;
-    use gridsec_testbed::net::{Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{FaultProfile, FaultStats, Network, SimStream};
     use gridsec_testbed::os::{FileMode, SimOs};
     use gridsec_testbed::sched::Scheduler;
     use std::cell::RefCell;
@@ -803,16 +813,15 @@ mod tests {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
     }
 
-    /// One sans-io striped server task per dial (on a scheduler the
-    /// dialer owns; the client's reads find it through the pair), over a
-    /// seeded lossy pair whose stats handle goes back to the client
-    /// engine.
+    /// One sans-io striped server task per dial, each over a fresh
+    /// connection in one world whose only fault is `drop` (seeded by
+    /// `base_seed`); the client's reads run the tasks.
     fn dialer(
         w: &World,
         plan: CrashPlan,
         base_seed: u64,
         drop: f64,
-    ) -> impl FnMut(usize, u32) -> Result<(SimStream, StreamStats), TlsError> {
+    ) -> impl FnMut(usize, u32) -> Result<SimStream, TlsError> {
         let task = SessionTask {
             server: Rc::clone(&w.server),
             dialect: Dialect::Striped,
@@ -820,15 +829,23 @@ mod tests {
             plan,
         };
         let net = Network::new();
+        let profile = FaultProfile {
+            drop,
+            ..FaultProfile::default()
+        };
+        net.enable_faults(SimClock::new(), base_seed, profile);
         let mut sched = Scheduler::new(&net);
         let mut n = 0u64;
         move |slot, _attempt| {
             n += 1;
-            let seed = base_seed.wrapping_add(n).wrapping_add((slot as u64) << 32);
-            let (a, b, stats) = StreamPair::lossy(seed, drop);
-            let mailbox = format!("stripe-{base_seed:x}-{slot}-{n}");
-            task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
-            Ok((a, stats))
+            let conn = format!("{slot}-{n}");
+            let (client, server) = net.connect(&format!("jane:{conn}"), &format!("data1:{conn}"));
+            task.spawn(
+                &mut sched,
+                server,
+                &(n + ((slot as u64) << 32)).to_be_bytes(),
+            );
+            Ok(client)
         }
     }
 
@@ -1072,6 +1089,114 @@ mod tests {
             .transcript()
             .iter()
             .any(|l| l.contains("point=xfer.stripe.get.chunk")));
+    }
+
+    #[test]
+    fn a_tear_reports_the_stripes_own_frame_count_as_its_loss() {
+        // One pinned stripe on a loss-free link; the server dies sending
+        // the third chunk. The stripe moved the dial's four frames, then
+        // SIZE and its reply, GETS and its reply, one PULL and two
+        // chunks: one tear in eleven frames is 90‰.
+        let w = world();
+        let data = payload(4096);
+        seed_file(&w, "/home/jdoe/loss.dat", &data);
+        let plan = CrashPlan::manual(0);
+        plan.arm("xfer.stripe.get.chunk", 3);
+        let opts = StripeOpts {
+            aimd: AimdConfig::pinned_stripes(1),
+            ..StripeOpts::default()
+        };
+        let out = run_get(&w, plan, 0x57_0c, 0.0, "/home/jdoe/loss.dat", opts);
+        assert_eq!(out.bytes, data);
+        assert_eq!(out.tears, 1);
+        let tears: Vec<&String> = out
+            .decisions
+            .iter()
+            .filter(|d| d.contains("tear"))
+            .collect();
+        assert_eq!(tears.len(), 1, "{:?}", out.decisions);
+        assert!(
+            tears[0].contains("stripe=0 tear loss=90\u{2030}"),
+            "{}",
+            tears[0]
+        );
+    }
+
+    /// An 8 KiB striped GET over a world losing 5% of segments, in which
+    /// the data host is partitioned from the client at a seeded dial
+    /// and, if `heal_after`, healed that many dials later. The outcome
+    /// and the fault counters.
+    fn partitioned_get(
+        seed: u64,
+        heal_after: Option<u64>,
+    ) -> (Result<StripedOutcome, FtpError>, FaultStats) {
+        let w = world();
+        let data = payload(8192);
+        seed_file(&w, "/home/jdoe/cut.dat", &data);
+        let task = SessionTask {
+            server: Rc::clone(&w.server),
+            dialect: Dialect::Striped,
+            now: 100,
+            plan: CrashPlan::disabled(),
+        };
+        let net = Network::new();
+        let profile = FaultProfile {
+            drop: 0.05,
+            ..FaultProfile::default()
+        };
+        net.enable_faults(SimClock::new(), seed, profile);
+        let mut sched = Scheduler::new(&net);
+        let cut_at = 2 + seed % 3;
+        let mut n = 0u64;
+        let dial = |slot: usize, _attempt| {
+            n += 1;
+            if n == cut_at {
+                net.partition("jane", "data1");
+            }
+            if heal_after.is_some_and(|h| n == cut_at + h) {
+                net.heal("jane", "data1");
+            }
+            let conn = format!("{slot}-{n}");
+            let (client, server) = net.connect(&format!("jane:{conn}"), &format!("data1:{conn}"));
+            task.spawn(&mut sched, server, &n.to_be_bytes());
+            Ok(client)
+        };
+        let mut rng = ChaChaRng::from_seed_bytes(b"stripe client");
+        let config = TlsConfig::new(w.jane.clone(), w.trust.clone(), 100);
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let opts = StripeOpts {
+            max_sessions: 32,
+            ..StripeOpts::default()
+        };
+        let got = striped_get(&config, &mut rng, policy, dial, "/home/jdoe/cut.dat", opts);
+        if let Ok(out) = &got {
+            assert_eq!(out.bytes, data);
+            assert_eq!(out.sha256, hex(&sha256(&data)));
+        }
+        (got, net.fault_stats().expect("faults are armed"))
+    }
+
+    #[test]
+    fn a_partition_healed_mid_transfer_costs_redials_not_bytes() {
+        for seed in 0..3 {
+            let (got, faults) = partitioned_get(seed, Some(4));
+            let out = got.unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+            assert!(faults.blocked > 0, "seed {seed}: nothing was blocked");
+            assert!(out.tears >= 2, "seed {seed}: the cut tore no dials");
+
+            let (unhealed, faults) = partitioned_get(seed, None);
+            assert_eq!(
+                unhealed,
+                Err(FtpError::Channel(
+                    "striped resume budget exhausted".to_string()
+                )),
+                "seed {seed}"
+            );
+            assert!(faults.blocked > 0);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::issue_proxy;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{Network, StreamPair};
+use gridsec_testbed::net::Network;
 use gridsec_testbed::os::{FileMode, SimOs};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
@@ -85,14 +85,14 @@ fn world() -> World {
 fn one_command(w: &World, dialect: Dialect, command: &str) -> (String, Result<u64, FtpError>) {
     let net = Network::new();
     let mut sched = Scheduler::new(&net);
-    let (client_end, server_end, _) = StreamPair::new();
+    let (client_end, server_end) = net.connect("jane", "data1");
     let task = SessionTask {
         server: Rc::clone(&w.server),
         dialect,
         now: 100,
         plan: CrashPlan::disabled(),
     };
-    let served = task.spawn(&mut sched, &net, "ftp", server_end, b"server");
+    let served = task.spawn(&mut sched, server_end, b"server");
     let mut rng = ChaChaRng::from_seed_bytes(b"client");
     let config = TlsConfig::new(w.reader.clone(), w.trust.clone(), 100);
     let mut stream = client_connect(client_end, config, &mut rng).unwrap();

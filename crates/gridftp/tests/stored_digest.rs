@@ -20,7 +20,7 @@ use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{Network, SimStream, StreamPair, StreamStats};
+use gridsec_testbed::net::{Network, SimStream};
 use gridsec_testbed::os::{FileMode, SimOs, Uid};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
@@ -87,24 +87,20 @@ impl World {
         TlsConfig::new(self.jane.clone(), self.trust.clone(), 100)
     }
 
-    fn dial(&mut self, dialect: Dialect, plan: &CrashPlan) -> (SimStream, StreamStats) {
+    fn dial(&mut self, dialect: Dialect, plan: &CrashPlan) -> SimStream {
         self.dials += 1;
-        let (client, server, stats) = StreamPair::lossy(self.dials, 0.0);
+        let n = self.dials;
+        let (client, server) = self
+            .net
+            .connect(&format!("jane:{n}"), &format!("{HOST}:{n}"));
         let task = SessionTask {
             server: Rc::clone(&self.server),
             dialect,
             now: 100,
             plan: plan.clone(),
         };
-        let mailbox = format!("digest-{}", self.dials);
-        task.spawn(
-            &mut self.sched,
-            &self.net,
-            &mailbox,
-            server,
-            &self.dials.to_be_bytes(),
-        );
-        (client, stats)
+        task.spawn(&mut self.sched, server, &n.to_be_bytes());
+        client
     }
 
     /// `GETR` the whole of `path`; returns the server's digest (which the
@@ -113,7 +109,7 @@ impl World {
         let config = self.config();
         let mut rng = ChaChaRng::from_seed_bytes(b"getr client");
         let plan = CrashPlan::disabled();
-        let dial = |_| Ok(self.dial(Dialect::Resumable, &plan).0);
+        let dial = |_| Ok(self.dial(Dialect::Resumable, &plan));
         let out = resumable_get(&config, &mut rng, RetryPolicy::default(), dial, path, 4).unwrap();
         (out.sha256, out.bytes)
     }
@@ -121,7 +117,7 @@ impl World {
     fn putr(&mut self, path: &str, data: &[u8], plan: &CrashPlan) -> (String, u32) {
         let config = self.config();
         let mut rng = ChaChaRng::from_seed_bytes(b"putr client");
-        let dial = |_| Ok(self.dial(Dialect::Resumable, plan).0);
+        let dial = |_| Ok(self.dial(Dialect::Resumable, plan));
         let policy = RetryPolicy::default();
         let out = resumable_put(&config, &mut rng, policy, dial, path, data, 4).unwrap();
         (out.sha256, out.sessions)
@@ -156,7 +152,7 @@ fn getr_reports_the_digest_of_what_the_path_holds_now() {
 
     // Classic PUT replaces the file; the next GETR hashes the new one.
     let v2 = payload(16 * CHUNK + 7, 2);
-    let (stream, _) = w.dial(Dialect::Classic, &CrashPlan::disabled());
+    let stream = w.dial(Dialect::Classic, &CrashPlan::disabled());
     let mut rng = ChaChaRng::from_seed_bytes(b"classic client");
     let mut client =
         GridFtpClient::connect(stream, w.jane.clone(), w.trust.clone(), 100, &mut rng).unwrap();

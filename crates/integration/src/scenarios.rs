@@ -47,7 +47,7 @@ use gridsec_pki::validate::validate_chain;
 use gridsec_services::audit::AuditLog;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
-use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network, SimStream, StreamPair};
+use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
 use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
@@ -131,6 +131,15 @@ pub fn policy() -> RetryPolicy {
         base_timeout: 16,
         multiplier: 2,
         max_timeout: 64,
+    }
+}
+
+/// The figure-5 network: a fraction `drop` of segments lost, nothing
+/// delayed, duplicated or reordered.
+fn loss_only(drop: f64) -> FaultProfile {
+    FaultProfile {
+        drop,
+        ..FaultProfile::default()
     }
 }
 
@@ -578,15 +587,18 @@ pub fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 
 /// Figure 5 (the paper's third GT2 service family, §3): resumable
 /// GridFTP data movement. A GET and a PUT of the same 4 KiB payload run
-/// over [`StreamPair::lossy`] connections that tear deterministically;
-/// the server can additionally be killed at `xfer.get.chunk` /
-/// `xfer.put.chunk` mid-transfer. Restart markers (the client buffer
-/// for GET, the durable `.part` staging file for PUT) resume every torn
-/// session, and both directions finish with SHA-256 digests verified
-/// end to end. Under `partition_all` the drop rate is 1.0: the connect
-/// budget exhausts and the flight recorder dumps.
+/// over connections on a loss-only network (10% of segments dropped,
+/// zero latency), where a lost segment tears its connection; the server
+/// can additionally be killed at `xfer.get.chunk` / `xfer.put.chunk`
+/// mid-transfer. Restart markers (the client buffer for GET, the
+/// durable `.part` staging file for PUT) resume every torn session, and
+/// both directions finish with SHA-256 digests verified end to end.
+/// Under `partition_all` the client host is partitioned from `data1`:
+/// the connect budget exhausts and the flight recorder dumps.
 pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
+    let net = Network::new();
     let clock = SimClock::starting_at(100);
+    net.enable_faults(clock.clone(), seed ^ 0xF165, loss_only(0.10));
     let plan = crash_plan(opts, seed, 0xC4A5, 0.10, 2);
     let r = rig(&clock, opts);
     let _guard = trace::install(&r.tracer);
@@ -628,13 +640,10 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     };
 
     // One sans-io server session task per dial, run inside the client's
-    // blocking reads; the session mutex serializes machine construction,
-    // and tears propagate symmetrically (a torn write resets the peer),
-    // so the shared crash plan draws stay deterministic. The scheduler
-    // is drained before reporting.
-    let task_net = Network::new();
-    let mut sched = Scheduler::new(&task_net);
-    let drop_rate = if opts.partition_all { 1.0 } else { 0.10 };
+    // blocking reads; one client exchange is in flight at a time, so the
+    // shared crash-plan and fault-layer draws stay deterministic. The
+    // scheduler is drained before reporting.
+    let mut sched = Scheduler::new(&net);
     let mk_dial = |label: u64| {
         let task = SessionTask {
             server: Rc::clone(&server),
@@ -643,38 +652,24 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             plan: plan.clone(),
         };
         let mut sched = sched.clone();
-        let net = task_net.clone();
+        let net = net.clone();
         let mut n = 0u64;
         move |_attempt: u32| {
             n += 1;
-            let stream_seed = (seed ^ 0xF165)
+            let conn = format!("{label}-{n}");
+            let (client, session) = net.connect(&format!("jane:{conn}"), &format!("data1:{conn}"));
+            let rng_seed = (seed ^ 0xF165)
                 .wrapping_add(label.wrapping_mul(1_000_003))
                 .wrapping_add(n);
-            let (a, b, _) = StreamPair::lossy(stream_seed, drop_rate);
-            let mailbox = format!("fig5-{label}-{n}");
-            task.spawn(&mut sched, &net, &mailbox, b, &stream_seed.to_be_bytes());
-            Ok::<SimStream, gridsec_tls::TlsError>(a)
+            task.spawn(&mut sched, session, &rng_seed.to_be_bytes());
+            Ok::<_, gridsec_tls::TlsError>(client)
         }
     };
     let config = TlsConfig::new(jane, trust, 100);
     let mut client_rng = ChaChaRng::from_seed_bytes(b"chaos fig5 client");
-    let finish = |r: Rig, completed: bool, lines: Vec<String>, stats: FaultStats| {
-        assert!(r.audit.verify().is_ok(), "fig5: audit hash chain verifies");
-        let mut lines = lines;
-        lines.extend(plan.transcript().into_iter().map(|l| format!("fig5 {l}")));
-        ScenarioReport {
-            lines,
-            stats,
-            trace: format!("{}{}", r.tracer.dump(), r.tracer.metrics().render()),
-            metrics: r.tracer.metrics(),
-            audit_records: r.audit.len(),
-            completed,
-            crashes: plan.crashes(),
-            restarts: plan.restarts(),
-        }
-    };
 
     if opts.partition_all {
+        net.partition("jane", "data1");
         let res = resumable_get(
             &config,
             &mut client_rng,
@@ -683,13 +678,9 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             "/home/jdoe/results.dat",
             3,
         );
-        assert!(res.is_err(), "total loss must exhaust the resume budget");
+        assert!(res.is_err(), "a partition must exhaust the resume budget");
         sched.run();
-        let stats = FaultStats {
-            blocked: 1,
-            ..FaultStats::default()
-        };
-        return finish(r, false, vec!["fig5 xfer blocked".to_string()], stats);
+        return report("fig5", &net, r, false, &plan);
     }
 
     let got = resumable_get(
@@ -735,9 +726,8 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     assert_eq!(got.sha256, digest);
     assert_eq!(put.sha256, digest);
 
-    let tears = (got.resumes + put.resumes) as u64;
-    let sessions = (got.sessions + put.sessions) as u64;
-    let lines = vec![
+    let mut rep = report("fig5", &net, r, true, &plan);
+    rep.lines.extend([
         format!(
             "fig5 xfer get bytes={} sessions={} resumes={} sha={}",
             got.bytes.len(),
@@ -752,21 +742,17 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             put.resumes,
             put.sha256
         ),
-    ];
-    let stats = FaultStats {
-        sent: sessions,
-        delivered: sessions - tears,
-        dropped: tears,
-        ..FaultStats::default()
-    };
-    finish(r, true, lines, stats)
+    ]);
+    rep
 }
 
 /// Figure 5, striped variant: the same GridFTP data movement split
-/// across adaptively many parallel lossy channels, with the AIMD
-/// congestion controller reacting to per-stripe loss stats and a
+/// across adaptively many parallel connections, with the AIMD
+/// congestion controller reacting to each stripe's observed loss and a
 /// shared token bucket capping aggregate bandwidth. A GET and a PUT of
-/// an 8 KiB payload run under 10% seeded loss; `xfer.stripe.get.chunk`
+/// an 8 KiB payload run on a loss-only network dropping 10% of
+/// segments; under `partition_all` the client host is partitioned from
+/// `data1` and the redial budget exhausts. `xfer.stripe.get.chunk`
 /// / `xfer.stripe.put.chunk` / `xfer.stripe.merge` are live kill
 /// points for armed mid-stripe kills. The controller's decision log is
 /// embedded in the transcript, so the two-run CI gate byte-compares
@@ -776,7 +762,9 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     use gridsec_gridftp::stripe::{striped_get, striped_put, StripeOpts};
 
+    let net = Network::new();
     let clock = SimClock::starting_at(100);
+    net.enable_faults(clock.clone(), seed ^ 0xF165_0513, loss_only(0.10));
     let plan = crash_plan(opts, seed, 0xC4A6, 0.10, 2);
     let r = rig(&clock, opts);
     let _guard = trace::install(&r.tracer);
@@ -817,12 +805,11 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         uid
     };
 
-    let task_net = Network::new();
-    let mut sched = Scheduler::new(&task_net);
-    let drop_rate = if opts.partition_all { 1.0 } else { 0.10 };
+    let mut sched = Scheduler::new(&net);
     // Dialer per direction: one sans-io striped server task per dial.
     // The client engine drives one stripe exchange at a time, so
-    // crash-plan and loss draws stay causally ordered (deterministic).
+    // crash-plan and fault-layer draws stay causally ordered
+    // (deterministic).
     let mk_dial = |label: u64| {
         let task = SessionTask {
             server: Rc::clone(&server),
@@ -831,37 +818,22 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             plan: plan.clone(),
         };
         let mut sched = sched.clone();
-        let net = task_net.clone();
+        let net = net.clone();
         let mut n = 0u64;
         move |slot: usize, _attempt: u32| {
             n += 1;
-            let stream_seed = (seed ^ 0xF165_0513)
+            let conn = format!("{label}-{slot}-{n}");
+            let (client, session) = net.connect(&format!("jane:{conn}"), &format!("data1:{conn}"));
+            let rng_seed = (seed ^ 0xF165_0513)
                 .wrapping_add(label.wrapping_mul(1_000_003))
                 .wrapping_add((slot as u64) << 40)
                 .wrapping_add(n);
-            let (a, b, stats) = StreamPair::lossy(stream_seed, drop_rate);
-            let mailbox = format!("fig5s-{label}-{slot}-{n}");
-            task.spawn(&mut sched, &net, &mailbox, b, &stream_seed.to_be_bytes());
-            Ok::<_, gridsec_tls::TlsError>((a, stats))
+            task.spawn(&mut sched, session, &rng_seed.to_be_bytes());
+            Ok::<_, gridsec_tls::TlsError>(client)
         }
     };
     let config = TlsConfig::new(jane, trust, 100);
     let mut client_rng = ChaChaRng::from_seed_bytes(b"chaos fig5s client");
-    let finish = |r: Rig, completed: bool, lines: Vec<String>, stats: FaultStats| {
-        assert!(r.audit.verify().is_ok(), "fig5s: audit hash chain verifies");
-        let mut lines = lines;
-        lines.extend(plan.transcript().into_iter().map(|l| format!("fig5s {l}")));
-        ScenarioReport {
-            lines,
-            stats,
-            trace: format!("{}{}", r.tracer.dump(), r.tracer.metrics().render()),
-            metrics: r.tracer.metrics(),
-            audit_records: r.audit.len(),
-            completed,
-            crashes: plan.crashes(),
-            restarts: plan.restarts(),
-        }
-    };
     let opts_for = |dir_seed: u64| StripeOpts {
         seed: seed ^ dir_seed,
         bucket: Some(gridsec_util::throttle::TokenBucket::new(512, 2048)),
@@ -870,6 +842,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     };
 
     if opts.partition_all {
+        net.partition("jane", "data1");
         let res = striped_get(
             &config,
             &mut client_rng,
@@ -881,13 +854,9 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
                 ..opts_for(1)
             },
         );
-        assert!(res.is_err(), "total loss must exhaust the stripe budget");
+        assert!(res.is_err(), "a partition must exhaust the stripe budget");
         sched.run();
-        let stats = FaultStats {
-            blocked: 1,
-            ..FaultStats::default()
-        };
-        return finish(r, false, vec!["fig5s xfer blocked".to_string()], stats);
+        return report("fig5s", &net, r, false, &plan);
     }
 
     let got = striped_get(
@@ -935,9 +904,8 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     assert_eq!(got.sha256, digest);
     assert_eq!(put.sha256, digest);
 
-    let tears = u64::from(got.tears + put.tears);
-    let sessions = u64::from(got.sessions + put.sessions);
-    let mut lines = vec![
+    let mut rep = report("fig5s", &net, r, true, &plan);
+    rep.lines.extend([
         format!(
             "fig5s xfer get bytes={} sessions={} tears={} stripes={} ticks={} goodput={} sha={}",
             got.bytes.len(),
@@ -958,16 +926,12 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             put.goodput_bpkt,
             put.sha256
         ),
-    ];
-    lines.extend(got.decisions.iter().map(|d| format!("fig5s aimd get {d}")));
-    lines.extend(put.decisions.iter().map(|d| format!("fig5s aimd put {d}")));
-    let stats = FaultStats {
-        sent: sessions,
-        delivered: sessions - tears.min(sessions),
-        dropped: tears,
-        ..FaultStats::default()
-    };
-    finish(r, true, lines, stats)
+    ]);
+    rep.lines
+        .extend(got.decisions.iter().map(|d| format!("fig5s aimd get {d}")));
+    rep.lines
+        .extend(put.decisions.iter().map(|d| format!("fig5s aimd put {d}")));
+    rep
 }
 
 /// The end-to-end multi-domain world (`tests/end_to_end.rs`) wired

@@ -30,8 +30,9 @@ use gridsec_integration::scenarios::{figure5_striped, ChaosOpts};
 use gridsec_integration::{basic_world, dn};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
+use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{Network, SimStream, StreamPair, StreamStats};
+use gridsec_testbed::net::{FaultProfile, Network, SimStream};
 use gridsec_testbed::os::SimOs;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
@@ -117,13 +118,14 @@ fn world() -> World {
     }
 }
 
-/// One sans-io striped server task per dial over a seeded lossy pair, on
-/// a scheduler the dialer owns; `base_seed` isolates cells.
+/// One sans-io striped server task per dial, each over a fresh
+/// connection in one world whose only fault is `drop`, seeded by
+/// `base_seed`, which isolates cells.
 fn dialer(
     w: &World,
     base_seed: u64,
     drop: f64,
-) -> impl FnMut(usize, u32) -> Result<(SimStream, StreamStats), TlsError> {
+) -> impl FnMut(usize, u32) -> Result<SimStream, TlsError> {
     let task = SessionTask {
         server: Rc::clone(&w.server),
         dialect: Dialect::Striped,
@@ -131,15 +133,24 @@ fn dialer(
         plan: CrashPlan::disabled(),
     };
     let net = Network::new();
+    let profile = FaultProfile {
+        drop,
+        ..FaultProfile::default()
+    };
+    net.enable_faults(SimClock::new(), base_seed, profile);
+    net.set_transcript_recording(false);
     let mut sched = Scheduler::new(&net);
     let mut n = 0u64;
     move |slot, _attempt| {
         n += 1;
-        let seed = base_seed.wrapping_add(n).wrapping_add((slot as u64) << 32);
-        let (a, b, stats) = StreamPair::lossy(seed, drop);
-        let mailbox = format!("golden-stripe-{base_seed:x}-{slot}-{n}");
-        task.spawn(&mut sched, &net, &mailbox, b, &seed.to_be_bytes());
-        Ok((a, stats))
+        let conn = format!("{slot}-{n}");
+        let (client, server) = net.connect(&format!("user:{conn}"), &format!("node1:{conn}"));
+        task.spawn(
+            &mut sched,
+            server,
+            &(n + ((slot as u64) << 32)).to_be_bytes(),
+        );
+        Ok(client)
     }
 }
 

@@ -9,8 +9,8 @@
 //! * [`clock::SimClock`] — shared logical time, so certificate validity,
 //!   ticket lifetimes, and CRL freshness are deterministic.
 //! * [`net`] — an in-memory message network with per-link byte/message
-//!   accounting (the "bytes on the wire" series in experiment C1) and a
-//!   byte-stream abstraction for the TLS record layer.
+//!   accounting (the "bytes on the wire" series in experiment C1); the
+//!   TLS record layer's byte streams are connections over it.
 //! * [`os`] — a simulated operating system: hosts, accounts, files with
 //!   owners and modes, and a process table that tracks *which code runs
 //!   with which privilege* — the measurement substrate for the paper's

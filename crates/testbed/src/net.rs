@@ -1,13 +1,10 @@
-//! In-memory network simulation.
+//! In-memory network simulation: one transport.
 //!
-//! Two abstractions:
-//!
-//! * [`Network`] / [`Endpoint`] — datagram-style message passing between
-//!   named endpoints, with global byte/message accounting. GT3's
-//!   SOAP-based exchanges run over this.
-//! * [`StreamPair`] — a pair of connected byte streams implementing
-//!   [`std::io::Read`]/[`std::io::Write`]. GT2's TLS channel runs over
-//!   this.
+//! [`Network`] / [`Endpoint`] pass datagram-style messages between
+//! named endpoints, with global byte/message accounting. GT3's
+//! SOAP-based exchanges run over it directly; GT2's TLS channel runs
+//! over a [`SimStream`] — a byte-stream connection whose every write is
+//! one message segment on the same network ([`Endpoint::connect`]).
 //!
 //! The accounting counters feed experiment C1 (bytes on the wire for
 //! GT2-TLS vs. GT3-WS-SecureConversation context establishment).
@@ -33,9 +30,9 @@
 //! A world is single-threaded (the scheduler bound to it is an
 //! `Rc<RefCell<_>>`), so everything a [`Network`] knows lives in one
 //! state behind one `Rc<RefCell<_>>`, borrowed once per operation and
-//! never across a call into task code; mailboxes and stream directions
-//! are plain queues shared by the side that fills them and the side
-//! that drains them (DESIGN.md §12.5).
+//! never across a call into task code; mailboxes are plain queues
+//! shared by the slot that fills them and the handle that drains them
+//! (DESIGN.md §12.5).
 
 use crate::buckets::TimeBuckets;
 use crate::clock::SimClock;
@@ -44,7 +41,7 @@ use crate::sched;
 use crate::TestbedError;
 use gridsec_util::rng::{DetRng, RngCore};
 use std::cell::RefCell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::ops::ControlFlow;
@@ -53,7 +50,7 @@ use std::rc::{Rc, Weak};
 /// A network-wide traffic accounting snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TrafficStats {
-    /// Total messages (or stream writes) delivered.
+    /// Total messages delivered.
     pub messages: u64,
     /// Total payload bytes delivered.
     pub bytes: u64,
@@ -63,30 +60,6 @@ impl TrafficStats {
     fn record(&mut self, bytes: usize) {
         self.messages += 1;
         self.bytes += bytes as u64;
-    }
-}
-
-/// Per-pair loss accounting across both directions of a stream,
-/// observable while the streams are live (the congestion controller in
-/// `gridsec-gridftp` reads this per stripe to weigh its decisions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct LossStats {
-    /// Writes attempted on either side, including the ones the loss
-    /// layer tore (a perfect pair counts these too, with zero tears).
-    pub write_attempts: u64,
-    /// Writes the seeded loss layer dropped, tearing the connection.
-    pub torn_writes: u64,
-    /// `Reset` markers observed by a reader (the peer-visible side of a
-    /// torn write; at most one per direction per pair).
-    pub resets_seen: u64,
-}
-
-impl LossStats {
-    /// Observed loss rate in permille of attempted writes.
-    pub fn loss_permille(&self) -> u64 {
-        (self.torn_writes * 1000)
-            .checked_div(self.write_attempts)
-            .unwrap_or(0)
     }
 }
 
@@ -198,8 +171,16 @@ impl FaultState {
         lo + self.rng.next_u64() % (hi - lo + 1)
     }
 
-    fn partitioned(&self, a: NameId, b: NameId) -> bool {
-        self.partitions.contains(&normalize_pair(a, b))
+    /// `true` iff an active partition separates the hosts of `a` and
+    /// `b` ([`host`]). Costs nothing while no partition is active.
+    fn severs(&self, names: &NameTable, a: &str, b: &str) -> bool {
+        if self.partitions.is_empty() {
+            return false;
+        }
+        match (names.get(host(a)), names.get(host(b))) {
+            (Some(a), Some(b)) => self.partitions.contains(&normalize_pair(a, b)),
+            _ => false,
+        }
     }
 
     /// One scheduled arrival time: latency draw plus optional reorder
@@ -214,15 +195,23 @@ impl FaultState {
         now + latency + jitter
     }
 
-    /// Decide the fate of one sent message and queue its copies. The
-    /// caller supplies the endpoint names alongside their ids so
-    /// transcript lines (when recording is on) need no table lookup.
+    /// Decide the fate of one sent message (`blocked` if a partition
+    /// severs it) and queue its copies. The caller supplies the endpoint
+    /// names alongside their ids so transcript lines (when recording is
+    /// on) need no table lookup.
     ///
     /// Every transcript hangs off the order of draws here — latency,
     /// reorder unit, jitter if reordered, duplicate unit, extra count if
     /// duplicated, then each extra copy's arrival — and off copies
     /// entering the queue in the order their arrivals were drawn.
-    fn inject(&mut self, from: NameId, to: NameId, names: (&str, &str), payload: Vec<u8>) {
+    fn inject(
+        &mut self,
+        from: NameId,
+        to: NameId,
+        names: (&str, &str),
+        payload: Vec<u8>,
+        blocked: bool,
+    ) {
         self.stats.sent += 1;
         let now = self.clock.now();
         let id = self.stats.sent;
@@ -230,7 +219,7 @@ impl FaultState {
         let (from_name, to_name) = names;
         let prof = self.profile;
 
-        if self.partitioned(from, to) {
+        if blocked {
             self.stats.blocked += 1;
             if self.record_transcript {
                 self.transcript.push(format!(
@@ -276,6 +265,13 @@ impl FaultState {
             .push(deliver_at, PendingDelivery { from, to, payload });
         self.transcript.extend(line);
     }
+}
+
+/// The host a name lives on: the part before its first `:`, or the
+/// whole name. Connection endpoints are named `host:rest`, so one
+/// partition between two hosts severs every connection between them.
+fn host(name: &str) -> &str {
+    name.split_once(':').map_or(name, |(host, _)| host)
 }
 
 fn normalize_pair(a: NameId, b: NameId) -> (NameId, NameId) {
@@ -545,31 +541,23 @@ impl Network {
         self.inner.borrow().driver.upgrade()
     }
 
-    /// Append a synthetic delivery notification for `id`, exactly as if
-    /// a message had just been delivered to that mailbox. This is how
-    /// non-datagram wake sources (e.g. a [`SimStream`] becoming
-    /// readable, see [`SimStream::wake_on_readable`]) reach a scheduler
-    /// task parked in `WaitMail`.
-    pub fn notify_wake(&self, id: NameId) {
-        self.inner.borrow_mut().boxes.wakes.record(id);
-    }
-
     /// The clock the fault layer schedules on, if armed.
     pub fn fault_clock(&self) -> Option<SimClock> {
         self.with_faults(|fs| fs.clock.clone())
     }
 
-    /// Sever the pair `(a, b)` in both directions. Messages sent across
-    /// an active partition are blocked (counted in
+    /// Sever hosts `a` and `b` in both directions: every endpoint named
+    /// `a` or `a:…` from every endpoint named `b` or `b:…`. Messages
+    /// sent across an active partition are blocked (counted in
     /// [`FaultStats::blocked`]); copies already in flight still arrive.
     pub fn partition(&self, a: &str, b: &str) {
-        let key = normalize_pair(self.intern(a), self.intern(b));
+        let key = normalize_pair(self.intern(host(a)), self.intern(host(b)));
         self.with_faults(|fs| fs.partitions.insert(key));
     }
 
-    /// Heal the partition between `a` and `b`, if any.
+    /// Heal the partition between hosts `a` and `b`, if any.
     pub fn heal(&self, a: &str, b: &str) {
-        let key = normalize_pair(self.intern(a), self.intern(b));
+        let key = normalize_pair(self.intern(host(a)), self.intern(host(b)));
         self.with_faults(|fs| fs.partitions.remove(&key));
     }
 
@@ -617,8 +605,10 @@ impl Network {
             Some(id) if !st.boxes.is_vacant(id) => id,
             _ => return Err(TestbedError::NoSuchEndpoint(to.to_string())),
         };
+        let st = &mut *st;
         if let Some(fs) = st.faults.as_mut() {
-            fs.inject(from, to_id, (from_name, to), payload);
+            let blocked = fs.severs(&st.names, from_name, to);
+            fs.inject(from, to_id, (from_name, to), payload, blocked);
             // Zero-latency copies may already be due.
             st.pump();
             return Ok(());
@@ -693,270 +683,219 @@ impl Drop for Endpoint {
     }
 }
 
-/// Seeded write-side loss for one stream direction.
-struct StreamFault {
-    rng: DetRng,
-    drop: f64,
+/// Kind byte of a stream segment carrying bytes.
+const DATA: u8 = 0;
+/// Kind byte of a half's hang-up.
+const FIN: u8 = 1;
+/// Kind byte of a hang-up by a half that saw its connection tear.
+const RST: u8 = 2;
+/// Stream segment header: the kind byte, then a `u32` big-endian count —
+/// a data segment's sequence number, or for a FIN/RST the number of
+/// data segments its half sent.
+const SEGMENT_HEADER: usize = 5;
+
+fn segment(kind: u8, seq: u32, bytes: &[u8]) -> Vec<u8> {
+    let mut seg = Vec::with_capacity(SEGMENT_HEADER + bytes.len());
+    seg.push(kind);
+    seg.extend_from_slice(&seq.to_be_bytes());
+    seg.extend_from_slice(bytes);
+    seg
 }
 
-/// One direction of a byte stream: a plain queue of written chunks
-/// shared by its writer and its reader, plus the two ways it ends.
-#[derive(Default)]
-struct Pipe {
-    chunks: VecDeque<Vec<u8>>,
-    /// The other side hung up. To the reader: EOF once `chunks` is
-    /// drained. To the writer: `BrokenPipe`.
-    closed: bool,
-    /// The loss layer tore the connection on a write: the reader sees
-    /// `ConnectionReset` once it has drained what was written before.
-    reset: bool,
-}
-
-/// What a reader finds at the head of its [`Pipe`].
+/// What a reader finds next in sequence.
 enum Head {
     Data(Vec<u8>),
-    Reset,
     Eof,
+    Reset,
 }
 
-impl Pipe {
-    /// Take the head; `None` means nothing yet, and the writer is
-    /// still there.
-    fn take(&mut self) -> Option<Head> {
-        match self.chunks.pop_front() {
-            Some(data) => Some(Head::Data(data)),
-            None if self.reset => Some(Head::Reset),
-            None if self.closed => Some(Head::Eof),
-            None => None,
+fn reset_err(why: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::ConnectionReset, why)
+}
+
+impl Endpoint {
+    /// Make this endpoint one half of a byte-stream connection to the
+    /// endpoint named `peer`, which opens the other half the same way
+    /// ([`Network::connect`] does both).
+    pub fn connect(self, peer: &str) -> SimStream {
+        SimStream {
+            ep: self,
+            peer: peer.to_string(),
+            sent: 0,
+            next: 0,
+            early: BTreeMap::new(),
+            close: None,
+            read_buf: Vec::new(),
+            read_pos: 0,
+            torn: false,
         }
     }
 }
 
-/// Byte and loss accounting shared by both halves of a pair and its
-/// [`StreamStats`].
-#[derive(Default)]
-struct StreamCounters {
-    traffic: TrafficStats,
-    loss: LossStats,
+impl Network {
+    /// Register `a` and `b` and connect them: the two halves of one
+    /// byte stream. A name `host:rest` lives on `host`, so
+    /// [`Network::partition`] of the two hosts severs the connection.
+    pub fn connect(&self, a: &str, b: &str) -> (SimStream, SimStream) {
+        let (ea, eb) = (self.register(a), self.register(b));
+        (ea.connect(b), eb.connect(a))
+    }
 }
 
-/// A readable-side wake registration, shared by both halves of one
-/// stream direction: the reader installs `(network, mailbox id)` via
-/// [`SimStream::wake_on_readable`]; the writer notifies it after every
-/// chunk (and on drop) so a scheduler task parked in `WaitMail` wakes
-/// when bytes — or EOF — become observable. The registration also tells
-/// the writer's half which world its peer lives in: that is where its
-/// own blocking reads park.
-type WakeSlot = Rc<RefCell<Option<(Network, NameId)>>>;
-
-/// One side of a byte stream pair.
-struct StreamHalf {
-    tx: Rc<RefCell<Pipe>>,
-    rx: Rc<RefCell<Pipe>>,
-    read_buf: Vec<u8>,
-    read_pos: usize,
-    counters: Rc<RefCell<StreamCounters>>,
-    fault: Option<StreamFault>,
-    dead: bool,
-    /// Wake slot for *this* half's read direction (we are the reader).
-    read_wake: WakeSlot,
-    /// Wake slot for the peer's read direction (we are the writer).
-    write_wake: WakeSlot,
-}
-
-/// A connected in-memory byte stream (one side of a pair).
+/// One half of a byte-stream connection over the [`Network`].
 ///
-/// Both read forms take what the peer has already written and differ
-/// only in what an empty pipe means:
+/// Every write is one [`Message`] to the peer's endpoint: a five-byte
+/// header (a kind byte, then a `u32` sequence number) and the bytes. A segment therefore draws its fate
+/// from the world's one [`FaultProfile`], appears in
+/// [`Network::transcript`] and [`Network::stats`], is blocked by
+/// [`Network::partition`], and its delivery wakes the task spawned under
+/// the receiving half's name like any other mail. The reader reassembles
+/// segments by sequence number, so duplicates and reordering are
+/// absorbed; there is no retransmission, so a segment that never
+/// arrives tears the connection.
+///
+/// Both read forms hand out each byte once and in order, and differ
+/// only in what "nothing yet" means:
 ///
 /// * [`SimStream::try_read`] — for scheduler tasks, which must never
-///   wait inside a step: it reports "nothing yet" and the task parks in
-///   [`Step::WaitMail`](crate::sched::Step::WaitMail), woken through
-///   [`SimStream::wake_on_readable`].
-/// * [`Read::read`] — for call-shaped code whose peer is such a task:
-///   it parks in [`sched::wait`] on the network the peer registered its
-///   wake with, so the peer runs inside the read. A peer that never
-///   registered, or a world with nothing left to run, fails the read
+///   wait inside a step: it reports `Ok(None)` and the task parks in
+///   [`Step::WaitMail`](crate::sched::Step::WaitMail) under this half's
+///   endpoint name. A hang-up from the peer that shows a gap in the
+///   sequence is the tear.
+/// * [`Read::read`] — for call-shaped code: it parks in [`sched::wait`]
+///   on this network, so scheduled peers run inside the read. A world
+///   that goes quiescent before the next segment arrives fails the read
 ///   with `ConnectionReset` ("stream stalled") instead of hanging.
+///
+/// Dropping a half hangs up: a FIN, or an RST once the half has seen a
+/// tear. The peer reads EOF after draining a FIN (`ConnectionReset`
+/// after an RST), and its writes fail with `BrokenPipe`
+/// (`ConnectionReset`).
 pub struct SimStream {
-    half: StreamHalf,
-}
-
-/// Create a connected stream pair with shared byte accounting.
-pub struct StreamPair;
-
-impl StreamPair {
-    /// Create two connected [`SimStream`]s. Bytes written to one can be
-    /// read from the other. The returned stats handle reflects all bytes
-    /// written on either side.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> (SimStream, SimStream, StreamStats) {
-        StreamPair::build(None)
-    }
-
-    /// Like [`StreamPair::new`], but each write has probability
-    /// `drop_rate` of being lost. A TCP stream cannot paper over a lost
-    /// segment here (there is no transport-level retransmission in the
-    /// sim), so a loss tears the connection down: the writer sees
-    /// `ConnectionReset` and the reader sees `ConnectionReset` once it
-    /// reaches the tear point. Deterministic per `seed` (each direction
-    /// gets an independent stream derived from it). Retry-capable
-    /// callers dial a fresh pair per attempt.
-    pub fn lossy(seed: u64, drop_rate: f64) -> (SimStream, SimStream, StreamStats) {
-        StreamPair::build(Some((seed, drop_rate)))
-    }
-
-    fn build(fault: Option<(u64, f64)>) -> (SimStream, SimStream, StreamStats) {
-        let a2b = Rc::<RefCell<Pipe>>::default();
-        let b2a = Rc::<RefCell<Pipe>>::default();
-        let counters = Rc::<RefCell<StreamCounters>>::default();
-        // One wake slot per direction, shared by its writer and reader.
-        let a_reads = WakeSlot::default();
-        let b_reads = WakeSlot::default();
-        let mk_fault = |dir: u64| {
-            fault.map(|(seed, drop)| StreamFault {
-                rng: DetRng::seed_from_u64(seed ^ dir),
-                drop,
-            })
-        };
-        let a = SimStream {
-            half: StreamHalf {
-                tx: a2b.clone(),
-                rx: b2a.clone(),
-                read_buf: Vec::new(),
-                read_pos: 0,
-                counters: counters.clone(),
-                fault: mk_fault(0x05ee_da2b_u64),
-                dead: false,
-                read_wake: a_reads.clone(),
-                write_wake: b_reads.clone(),
-            },
-        };
-        let b = SimStream {
-            half: StreamHalf {
-                tx: b2a,
-                rx: a2b,
-                read_buf: Vec::new(),
-                read_pos: 0,
-                counters: counters.clone(),
-                fault: mk_fault(0x05ee_db2a_u64),
-                dead: false,
-                read_wake: b_reads,
-                write_wake: a_reads,
-            },
-        };
-        (a, b, StreamStats { counters })
-    }
-}
-
-/// Shared traffic statistics for a stream pair.
-#[derive(Clone)]
-pub struct StreamStats {
-    counters: Rc<RefCell<StreamCounters>>,
-}
-
-impl StreamStats {
-    /// Snapshot of writes/bytes across both directions.
-    pub fn snapshot(&self) -> TrafficStats {
-        self.counters.borrow().traffic
-    }
-
-    /// Snapshot of loss accounting across both directions: attempted
-    /// writes, seeded tears, and observed resets.
-    pub fn loss(&self) -> LossStats {
-        self.counters.borrow().loss
-    }
-}
-
-fn reset_err() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::ConnectionReset,
-        "connection torn by simulated loss",
-    )
+    ep: Endpoint,
+    peer: String,
+    /// Data segments written: the next one's sequence number.
+    sent: u32,
+    /// Sequence number of the next data segment to read.
+    next: u32,
+    /// Data segments that arrived ahead of `next`.
+    early: BTreeMap<u32, Vec<u8>>,
+    /// The peer's FIN or RST and its count of data segments sent.
+    close: Option<(u8, u32)>,
+    read_buf: Vec<u8>,
+    read_pos: usize,
+    /// This half saw the connection tear; every later call fails.
+    torn: bool,
 }
 
 impl SimStream {
-    /// Register a wake target for this stream's read direction: every
-    /// chunk the peer writes (and the peer's eventual drop) appends a
-    /// delivery notification for `mailbox` to `net`'s wake log, exactly
-    /// like datagram mail. A scheduler task owning this stream parks
-    /// with [`Step::WaitMail`](crate::sched::Step::WaitMail) and is
-    /// woken when bytes are observable via [`SimStream::try_read`].
-    pub fn wake_on_readable(&self, net: &Network, mailbox: &str) {
-        let id = net.intern(mailbox);
-        *self.half.read_wake.borrow_mut() = Some((net.clone(), id));
+    /// The endpoint this half receives on: spawn the task that serves
+    /// it under this endpoint's id.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.ep
     }
 
-    fn notify_peer(&self) {
-        if let Some((net, id)) = self.half.write_wake.borrow().as_ref() {
-            net.notify_wake(*id);
+    /// Move every segment the peer has delivered out of the mailbox.
+    /// Anything not from the peer, malformed, or already read is
+    /// ignored; the first hang-up wins.
+    fn absorb(&mut self) {
+        while let Some(Message { from, mut payload }) = self.ep.try_recv() {
+            if from != self.peer || payload.len() < SEGMENT_HEADER {
+                continue;
+            }
+            let kind = payload[0];
+            let seq = u32::from_be_bytes([payload[1], payload[2], payload[3], payload[4]]);
+            match kind {
+                DATA if seq >= self.next => {
+                    payload.drain(..SEGMENT_HEADER);
+                    self.early.entry(seq).or_insert(payload);
+                }
+                FIN | RST if self.close.is_none() => self.close = Some((kind, seq)),
+                _ => {}
+            }
         }
     }
 
+    /// The next thing in sequence, if it has arrived. `None` with a
+    /// hang-up on record means the hang-up showed a gap.
+    fn head(&mut self) -> Option<Head> {
+        self.absorb();
+        if let Some(data) = self.early.remove(&self.next) {
+            self.next += 1;
+            return Some(Head::Data(data));
+        }
+        match self.close {
+            Some((FIN, sent)) if sent == self.next => Some(Head::Eof),
+            Some((_, sent)) if sent <= self.next => Some(Head::Reset),
+            _ => None,
+        }
+    }
+
+    /// Record a tear; every later read and write fails with it.
+    fn tear(&mut self, why: &str) -> io::Error {
+        self.torn = true;
+        reset_err(why)
+    }
+
     /// Make the read buffer non-empty from `head`. `Ok(true)` means
-    /// bytes are now available; `Ok(false)` means EOF (peer dropped).
+    /// bytes are now available; `Ok(false)` means EOF.
     fn accept(&mut self, head: Head) -> io::Result<bool> {
         match head {
             Head::Data(data) => {
-                self.half.read_buf = data;
-                self.half.read_pos = 0;
+                self.read_buf = data;
+                self.read_pos = 0;
                 Ok(true)
             }
-            Head::Reset => {
-                self.half.dead = true;
-                self.half.counters.borrow_mut().loss.resets_seen += 1;
-                Err(reset_err())
-            }
+            Head::Reset => Err(self.tear("connection reset by peer")),
             Head::Eof => Ok(false),
         }
     }
 
     fn copy_out(&mut self, buf: &mut [u8]) -> usize {
-        let available = &self.half.read_buf[self.half.read_pos..];
+        let available = &self.read_buf[self.read_pos..];
         let n = available.len().min(buf.len());
         buf[..n].copy_from_slice(&available[..n]);
-        self.half.read_pos += n;
+        self.read_pos += n;
         n
     }
 
-    /// Park in the scheduler of the peer's world until the peer writes
-    /// or hangs up. The peer named that world when it registered
-    /// [`SimStream::wake_on_readable`] on its half.
-    fn await_head(&self) -> io::Result<Head> {
-        let world = self.half.write_wake.borrow().as_ref().map(|w| w.0.clone());
-        world
-            .and_then(|net| {
-                sched::wait(&net, |_| match self.half.rx.borrow_mut().take() {
-                    None => ControlFlow::Continue(None),
-                    Some(arrived) => ControlFlow::Break(arrived),
-                })
-                .ok()
-            })
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "stream stalled: scheduler quiescent with no data",
-                )
-            })
+    /// Park in the scheduler bound to this network until the next
+    /// segment in sequence (or the peer's hang-up) arrives.
+    fn await_head(&mut self) -> io::Result<Head> {
+        let net = self.ep.network().clone();
+        match sched::wait(&net, |_| match self.head() {
+            Some(head) => ControlFlow::Break(head),
+            None => ControlFlow::Continue(None),
+        }) {
+            Ok(head) => Ok(head),
+            Err(_) => Err(self.tear("stream stalled: scheduler quiescent with no data")),
+        }
     }
 
     /// Non-blocking read for scheduler tasks. Returns:
     ///
     /// * `Ok(Some(n))` with `n > 0` — bytes copied out.
-    /// * `Ok(Some(0))` — EOF: the peer dropped its stream.
-    /// * `Ok(None)` — no data *yet*; park in `WaitMail` (with
-    ///   [`SimStream::wake_on_readable`] registered) and try again.
-    /// * `Err` — the connection was torn by the seeded loss layer.
+    /// * `Ok(Some(0))` — EOF: the peer hung up after everything it wrote
+    ///   was read.
+    /// * `Ok(None)` — no data *yet*; park in `WaitMail` under this
+    ///   half's endpoint name and try again.
+    /// * `Err` — the connection tore: a segment was lost, or the peer
+    ///   reset it.
     pub fn try_read(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>> {
-        if self.half.dead {
-            return Err(reset_err());
+        if self.torn {
+            return Err(reset_err("connection torn"));
         }
-        if self.half.read_pos == self.half.read_buf.len() {
-            let Some(head) = self.half.rx.borrow_mut().take() else {
-                return Ok(None);
-            };
-            if !self.accept(head)? {
-                return Ok(Some(0));
+        if self.read_pos == self.read_buf.len() {
+            match self.head() {
+                Some(head) => {
+                    if !self.accept(head)? {
+                        return Ok(Some(0));
+                    }
+                }
+                None if self.close.is_some() => {
+                    return Err(self.tear("peer hung up past a lost segment"));
+                }
+                None => return Ok(None),
             }
         }
         Ok(Some(self.copy_out(buf)))
@@ -964,31 +903,24 @@ impl SimStream {
 }
 
 impl Drop for SimStream {
+    /// Hang up, unless the peer already has: its endpoint is gone.
     fn drop(&mut self) {
-        // Hang up both directions: the peer's next read sees EOF after
-        // what was written, its next write `BrokenPipe`, and what it
-        // wrote that nobody will read is freed now.
-        self.half.tx.borrow_mut().closed = true;
-        {
-            let mut rx = self.half.rx.borrow_mut();
-            rx.closed = true;
-            rx.chunks = VecDeque::new();
+        self.absorb();
+        if self.close.is_none() {
+            let kind = if self.torn { RST } else { FIN };
+            let _ = self.ep.send(&self.peer, segment(kind, self.sent, &[]));
         }
-        // Wake the peer so a parked scheduler task observes the close
-        // instead of waiting forever.
-        self.notify_peer();
     }
 }
 
 impl Read for SimStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.half.dead {
-            return Err(reset_err());
+        if self.torn {
+            return Err(reset_err("connection torn"));
         }
-        if self.half.read_pos == self.half.read_buf.len() {
-            let head = self.half.rx.borrow_mut().take();
-            let head = match head {
-                Some(arrived) => arrived,
+        if self.read_pos == self.read_buf.len() {
+            let head = match self.head() {
+                Some(head) => head,
                 None => self.await_head()?,
             };
             if !self.accept(head)? {
@@ -1001,37 +933,31 @@ impl Read for SimStream {
 
 impl Write for SimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.half.dead {
-            return Err(reset_err());
+        if self.torn {
+            return Err(reset_err("connection torn"));
         }
-        self.half.counters.borrow_mut().loss.write_attempts += 1;
-        if let Some(f) = &mut self.half.fault {
-            let draw = (f.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            if draw < f.drop {
-                self.half.dead = true;
-                self.half.counters.borrow_mut().loss.torn_writes += 1;
-                self.half.tx.borrow_mut().reset = true;
-                self.notify_peer();
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "write lost; connection torn",
-                ));
-            }
+        if buf.is_empty() {
+            return Ok(0);
         }
-        self.half.counters.borrow_mut().traffic.record(buf.len());
-        {
-            let mut tx = self.half.tx.borrow_mut();
-            if tx.closed {
+        self.absorb();
+        match self.close {
+            Some((FIN, _)) => {
                 return Err(io::Error::new(
                     io::ErrorKind::BrokenPipe,
                     "peer disconnected",
-                ));
+                ))
             }
-            tx.chunks.push_back(buf.to_vec());
+            Some(_) => return Err(self.tear("connection reset by peer")),
+            None => {}
         }
-        self.notify_peer();
+        let seg = segment(DATA, self.sent, buf);
+        self.sent += 1;
+        self.ep
+            .send(&self.peer, seg)
+            .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
         Ok(buf.len())
     }
+
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
@@ -1423,17 +1349,25 @@ mod tests {
 
     #[test]
     fn stream_roundtrip() {
-        let (mut a, mut b, stats) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice:1", "bob:1");
         a.write_all(b"hello stream").unwrap();
         let mut buf = [0u8; 12];
         b.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hello stream");
-        assert_eq!(stats.snapshot().bytes, 12);
+        assert_eq!(
+            net.stats(),
+            TrafficStats {
+                messages: 1,
+                bytes: (SEGMENT_HEADER + 12) as u64
+            }
+        );
     }
 
     #[test]
     fn stream_bidirectional() {
-        let (mut a, mut b, _) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice:1", "bob:1");
         a.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         b.read_exact(&mut buf).unwrap();
@@ -1444,7 +1378,8 @@ mod tests {
 
     #[test]
     fn stream_partial_reads() {
-        let (mut a, mut b, _) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice:1", "bob:1");
         a.write_all(&[1, 2, 3, 4, 5]).unwrap();
         let mut buf = [0u8; 2];
         b.read_exact(&mut buf).unwrap();
@@ -1456,16 +1391,22 @@ mod tests {
 
     #[test]
     fn stream_eof_on_drop() {
-        let (a, mut b, _) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice:1", "bob:1");
+        a.write_all(b"last").unwrap();
         drop(a);
-        let mut buf = [0u8; 1];
+        let mut buf = [0u8; 8];
+        assert_eq!(b.read(&mut buf).unwrap(), 4, "drained before EOF");
         assert_eq!(b.read(&mut buf).unwrap(), 0);
+        let err = b.write_all(b"anyone?").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]
     fn read_on_a_silent_peer_stalls_instead_of_parking() {
-        // No scheduled peer at all: nothing could ever write.
-        let (mut a, _b, _) = StreamPair::new();
+        // No scheduler at all: nothing could ever write.
+        let net = Network::new();
+        let (mut a, _b) = net.connect("alice:1", "bob:1");
         let mut buf = [0u8; 1];
         let err = a.read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
@@ -1475,9 +1416,8 @@ mod tests {
         // read drives it to quiescence, then fails.
         let net = Network::new();
         let mut sched = Scheduler::new(&net);
-        let (mut a, mut b, _) = StreamPair::new();
-        b.wake_on_readable(&net, "mute");
-        sched.spawn_mailbox("mute", move |_cx: &TaskCx| {
+        let (mut a, mut b) = net.connect("alice:1", "mute:1");
+        sched.spawn_mailbox_id(b.endpoint().id(), move |_cx: &TaskCx| {
             let mut sink = [0u8; 16];
             while let Ok(Some(n)) = b.try_read(&mut sink) {
                 if n == 0 {
@@ -1492,78 +1432,78 @@ mod tests {
         assert!(sched.stats().steps >= 1, "the peer did run");
     }
 
+    /// A world whose only fault is `drop`, scheduled, with one
+    /// connection `alice:1`/`bob:1`.
+    fn lossy_connection(seed: u64, drop: f64) -> (Network, Scheduler, SimStream, SimStream) {
+        let net = Network::new();
+        let profile = FaultProfile {
+            drop,
+            ..FaultProfile::default()
+        };
+        net.enable_faults(SimClock::new(), seed, profile);
+        let sched = Scheduler::new(&net);
+        let (a, b) = net.connect("alice:1", "bob:1");
+        (net, sched, a, b)
+    }
+
     #[test]
     fn lossy_stream_eventually_tears_and_is_deterministic() {
         let run = |seed: u64| {
-            let (mut a, mut b, _) = StreamPair::lossy(seed, 0.2);
-            let mut survived = 0u32;
+            let (net, _sched, mut a, mut b) = lossy_connection(seed, 0.2);
             for _ in 0..100 {
-                match a.write_all(b"chunk") {
-                    Ok(()) => survived += 1,
-                    Err(e) => {
-                        assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
-                        break;
-                    }
-                }
+                a.write_all(b"chunk").unwrap();
             }
-            // Reader drains what got through, then sees the reset.
+            // The reader drains the in-order prefix, then the gap at
+            // the first lost segment is a reset.
             let mut drained = 0u32;
             let mut buf = [0u8; 5];
-            loop {
+            let err = loop {
                 match b.read_exact(&mut buf) {
                     Ok(()) => drained += 1,
-                    Err(e) => {
-                        assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
-                        break;
-                    }
+                    Err(e) => break e,
                 }
-            }
-            assert_eq!(drained, survived);
-            survived
+            };
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+            // The reader's hang-up is an RST: the writer sees the tear.
+            drop(b);
+            let err = a.write_all(b"more").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+            (drained, net.transcript())
         };
-        let s1 = run(42);
-        let s2 = run(42);
-        assert_eq!(s1, s2, "same seed, same tear point");
+        let (s1, t1) = run(42);
+        let (s2, t2) = run(42);
+        assert_eq!((s1, &t1), (s2, &t2), "same seed, same tear point");
         assert!(s1 < 100, "p=0.2 over 100 writes tears the stream");
+        assert!(t1[s1 as usize].ends_with("drop"), "{}", t1[s1 as usize]);
     }
 
     #[test]
     fn lossy_stream_zero_rate_behaves_like_new() {
-        let (mut a, mut b, stats) = StreamPair::lossy(9, 0.0);
+        let (net, _sched, mut a, mut b) = lossy_connection(9, 0.0);
         a.write_all(b"clean").unwrap();
         let mut buf = [0u8; 5];
         b.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"clean");
-        assert_eq!(stats.snapshot().bytes, 5);
+        assert_eq!(net.stats().bytes, (SEGMENT_HEADER + 5) as u64);
+        let faults = net.fault_stats().unwrap();
+        assert_eq!((faults.sent, faults.delivered), (1, 1));
     }
 
     #[test]
-    fn loss_stats_count_attempts_tears_and_resets() {
-        // Clean pair: attempts counted, no tears.
-        let (mut a, mut b, stats) = StreamPair::new();
+    fn partition_between_hosts_blocks_every_connection_between_them() {
+        let (net, _sched, mut a, mut b) = lossy_connection(1, 0.0);
+        let (mut c, mut d) = net.connect("alice:2", "bob:2");
+        let bystander = net.register("carol");
+        net.partition("alice", "bob");
         a.write_all(b"x").unwrap();
-        b.write_all(b"y").unwrap();
-        let loss = stats.loss();
-        assert_eq!(loss.write_attempts, 2);
-        assert_eq!(loss.torn_writes, 0);
-        assert_eq!(loss.loss_permille(), 0);
-
-        // Lossy pair: drive writes until the seeded tear, then read to
-        // the reset. The torn write is still an attempt.
-        let (mut a, mut b, stats) = StreamPair::lossy(42, 0.2);
-        let mut wrote = 0u64;
-        loop {
-            wrote += 1;
-            if a.write_all(b"chunk").is_err() {
-                break;
-            }
+        c.write_all(b"y").unwrap();
+        bystander.send("bob:1", b"to bob".to_vec()).unwrap();
+        let mut buf = [0u8; 1];
+        for half in [&mut b, &mut d] {
+            let err = half.read(&mut buf).unwrap_err();
+            assert!(err.to_string().contains("stream stalled"), "{err}");
         }
-        let mut buf = [0u8; 5];
-        while b.read_exact(&mut buf).is_ok() {}
-        let loss = stats.loss();
-        assert_eq!(loss.write_attempts, wrote);
-        assert_eq!(loss.torn_writes, 1);
-        assert_eq!(loss.resets_seen, 1);
-        assert_eq!(loss.loss_permille(), 1000 / wrote);
+        let faults = net.fault_stats().unwrap();
+        assert_eq!((faults.blocked, faults.delivered), (2, 1));
     }
 }

@@ -1,9 +1,10 @@
 //! Handshake-with-retry driver for the GT2 stream channel.
 //!
-//! The stream substrate (`gridsec_testbed::net::StreamPair::lossy`)
-//! models TCP over a flaky WAN: a lost segment tears the connection and
-//! every subsequent read/write fails with `ConnectionReset`, which the
-//! record layer surfaces as [`TlsError::Io`]. A TLS handshake cannot
+//! The stream substrate (`gridsec_testbed::net::SimStream`, a
+//! connection over the world's network) models TCP over a flaky WAN: a
+//! lost segment tears the connection and every subsequent read/write
+//! fails with `ConnectionReset`, which the record layer surfaces as
+//! [`TlsError::Io`]. A TLS handshake cannot
 //! resume across a torn transport — the only correct recovery is to
 //! dial a fresh connection and restart the handshake from ClientHello.
 //! [`connect_with_retry`] encodes exactly that: dial, handshake, and on
@@ -100,7 +101,8 @@ mod tests {
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
-    use gridsec_testbed::net::{Network, SimStream, StreamPair};
+    use gridsec_testbed::clock::SimClock;
+    use gridsec_testbed::net::{FaultProfile, Network, SimStream};
     use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
     use gridsec_util::trace::Tracer;
     use std::cell::RefCell;
@@ -133,19 +135,12 @@ mod tests {
     /// Spawn an uppercase-echo TLS server as a scheduler task over
     /// `stream`: sans-io accept, one request/reply, then done. Any
     /// tear or protocol error just ends this connection's task; the
-    /// client redials with a fresh pair and a fresh task.
-    fn spawn_upper_server(
-        sched: &mut Scheduler,
-        net: &Network,
-        mailbox: &str,
-        mut stream: SimStream,
-        config: TlsConfig,
-    ) {
-        stream.wake_on_readable(net, mailbox);
+    /// client redials with a fresh connection and a fresh task.
+    fn spawn_upper_server(sched: &mut Scheduler, mut stream: SimStream, config: TlsConfig) {
         let mut rng = ChaChaRng::from_seed_bytes(b"server side");
         let mut acceptor = Some(ServerAcceptor::new(config));
         let mut session: Option<RecordSession> = None;
-        sched.spawn_mailbox(mailbox, move |_cx: &TaskCx| {
+        sched.spawn_mailbox_id(stream.endpoint().id(), move |_cx: &TaskCx| {
             let mut tmp = [0u8; 4096];
             loop {
                 match stream.try_read(&mut tmp) {
@@ -191,38 +186,37 @@ mod tests {
         });
     }
 
-    /// Dial a lossy pair and run the server side as a scheduler task;
-    /// each attempt gets a fresh connection with a seed derived from
-    /// the attempt index, so the whole retry sequence is deterministic.
-    /// The returned dialer owns the scheduler its server tasks live on
-    /// (the client's blocking reads find it through `net`), so it must
-    /// outlive the connection.
+    /// Dial a fresh connection per attempt and run its server side as a
+    /// scheduler task, in one world whose only fault is `drop_rate`
+    /// (seeded by `seed`), so the whole retry sequence is
+    /// deterministic. The dialer owns the world: the client's blocking
+    /// reads run the server tasks through the scheduler bound to it.
     fn lossy_dialer(
-        net: &Network,
         server_cfg: TlsConfig,
-        base_seed: u64,
+        seed: u64,
         drop_rate: f64,
     ) -> impl FnMut(u32) -> Result<SimStream, TlsError> {
-        let mut sched = Scheduler::new(net);
-        let net = net.clone();
+        let net = Network::new();
+        let profile = FaultProfile {
+            drop: drop_rate,
+            ..FaultProfile::default()
+        };
+        net.enable_faults(SimClock::new(), seed, profile);
+        let mut sched = Scheduler::new(&net);
         move |attempt| {
-            let (client_side, server_side, _) =
-                StreamPair::lossy(base_seed.wrapping_add(u64::from(attempt)), drop_rate);
-            spawn_upper_server(
-                &mut sched,
-                &net,
-                &format!("retry-server-{base_seed:x}-{attempt}"),
-                server_side,
-                server_cfg.clone(),
+            let (client, server) = net.connect(
+                &format!("alice:{attempt}"),
+                &format!("gatekeeper:{attempt}"),
             );
-            Ok(client_side)
+            spawn_upper_server(&mut sched, server, server_cfg.clone());
+            Ok(client)
         }
     }
 
     #[test]
     fn clean_transport_connects_first_try() {
         let mut w = world();
-        let mut dialer = lossy_dialer(&Network::new(), w.server_cfg.clone(), 1, 0.0);
+        let mut dialer = lossy_dialer(w.server_cfg.clone(), 1, 0.0);
         let (mut stream, stats) = connect_with_retry(
             &w.client_cfg,
             &mut w.rng,
@@ -239,7 +233,7 @@ mod tests {
     fn retries_through_torn_connections_deterministically() {
         let run = || {
             let mut w = world();
-            let mut dialer = lossy_dialer(&Network::new(), w.server_cfg.clone(), 0xD1A1, 0.05);
+            let mut dialer = lossy_dialer(w.server_cfg.clone(), 0xD1A1, 0.05);
             let policy = RetryPolicy {
                 max_attempts: 10,
                 base_timeout: 1,
@@ -279,8 +273,8 @@ mod tests {
     #[test]
     fn exhausted_policy_returns_last_io_error() {
         let mut w = world();
-        // drop rate 1.0: the very first client write dies, every attempt.
-        let mut dialer = lossy_dialer(&Network::new(), w.server_cfg.clone(), 3, 1.0);
+        // drop rate 1.0: the very first client segment is lost, every attempt.
+        let mut dialer = lossy_dialer(w.server_cfg.clone(), 3, 1.0);
         let policy = RetryPolicy {
             max_attempts: 3,
             base_timeout: 1,
@@ -310,7 +304,7 @@ mod tests {
         let rogue_cfg = TlsConfig::new(rogue, rogue_trust, 100);
         let attempts = Rc::new(RefCell::new(0u32));
         let mut dialer = {
-            let mut dial = lossy_dialer(&Network::new(), rogue_cfg, 7, 0.0);
+            let mut dial = lossy_dialer(rogue_cfg, 7, 0.0);
             let attempts = attempts.clone();
             move |attempt: u32| {
                 *attempts.borrow_mut() += 1;

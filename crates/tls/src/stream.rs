@@ -7,8 +7,8 @@
 //! machine, and [`write_frame`] transmits whatever the machine
 //! returned. Wire bytes are identical to the pre-sans-io implementation
 //! (same frames, same write pattern: one length write + one payload
-//! write per frame, which the seeded loss layer's per-write draws
-//! depend on).
+//! write per frame — two segments on a `gridsec_testbed::net::SimStream`,
+//! each drawing its fate from the world's fault layer).
 
 use std::io::{Read, Write};
 
@@ -112,7 +112,7 @@ mod tests {
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
-    use gridsec_testbed::net::{Network, SimStream, StreamPair};
+    use gridsec_testbed::net::{Network, SimStream, TrafficStats};
     use gridsec_testbed::sched::{Scheduler, Step, TaskCx};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -138,17 +138,14 @@ mod tests {
     /// a [`SimStream`], no thread, no blocking read.
     fn spawn_echo_server(
         sched: &mut Scheduler,
-        net: &Network,
-        mailbox: &'static str,
         mut stream: SimStream,
         config: TlsConfig,
         seen_peer: Rc<RefCell<Option<String>>>,
     ) {
-        stream.wake_on_readable(net, mailbox);
         let mut rng = ChaChaRng::from_seed_bytes(b"server rng");
         let mut acceptor = Some(ServerAcceptor::new(config));
         let mut session: Option<RecordSession> = None;
-        sched.spawn_mailbox(mailbox, move |_cx: &TaskCx| {
+        sched.spawn_mailbox_id(stream.endpoint().id(), move |_cx: &TaskCx| {
             let mut tmp = [0u8; 4096];
             loop {
                 match stream.try_read(&mut tmp) {
@@ -191,12 +188,12 @@ mod tests {
     fn full_duplex_over_sim_stream() {
         let (client_cfg, server_cfg) = configs();
         let net = Network::new();
-        let (a, b, stats) = StreamPair::new();
+        let (a, b) = net.connect("alice", "server");
         let seen = Rc::new(RefCell::new(None));
         let mut sched = Scheduler::new(&net);
-        spawn_echo_server(&mut sched, &net, "tls-server", b, server_cfg, seen.clone());
-        // The client's blocking reads park in `sched`, found through the
-        // wake the server task registered on its half of the pair.
+        spawn_echo_server(&mut sched, b, server_cfg, seen.clone());
+        // The client's blocking reads park in `sched`, bound to the
+        // network both halves are registered on.
         let mut rng = ChaChaRng::from_seed_bytes(b"client rng");
         let mut cs = client_connect(a, client_cfg, &mut rng).unwrap();
         cs.send(b"submit job").unwrap();
@@ -207,13 +204,18 @@ mod tests {
             Some("/O=G/CN=Alice"),
             "server task authenticated the client"
         );
-        // Handshake + 2 app messages crossed the wire.
-        assert!(stats.snapshot().bytes > 0);
+        // Three handshake frames and two app messages crossed the wire,
+        // each a length segment and a payload segment, then the server
+        // task's FIN.
+        let TrafficStats { messages, bytes } = net.stats();
+        assert_eq!(messages, 11);
+        assert!(bytes > 0);
     }
 
     #[test]
     fn frame_roundtrip() {
-        let (mut a, mut b, _) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice", "bob");
         write_frame(&mut a, b"frame one").unwrap();
         write_frame(&mut a, b"").unwrap();
         assert_eq!(read_frame(&mut b).unwrap(), b"frame one");
@@ -222,7 +224,8 @@ mod tests {
 
     #[test]
     fn oversized_frame_rejected() {
-        let (mut a, mut b, _) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice", "bob");
         use std::io::Write;
         a.write_all(&u32::MAX.to_be_bytes()).unwrap();
         assert!(matches!(
@@ -233,7 +236,8 @@ mod tests {
 
     #[test]
     fn truncated_stream_errors() {
-        let (mut a, mut b, _) = StreamPair::new();
+        let net = Network::new();
+        let (mut a, mut b) = net.connect("alice", "bob");
         use std::io::Write;
         a.write_all(&8u32.to_be_bytes()).unwrap();
         a.write_all(b"ab").unwrap();

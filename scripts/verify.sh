@@ -212,6 +212,15 @@ stage_grep_guard() {
         echo "FAIL: a hand-written reply envelope is back (above); use testbed::rpc::Reply" >&2
         exit 1
     fi
+    # One network (DESIGN.md §12.4): a GT2 byte stream is a connection
+    # over testbed::net::Network whose writes are segments in the world's
+    # mailboxes; the private stream transport, its loss counters and its
+    # wake plumbing must not come back.
+    if grep -rEn 'StreamPair|StreamStats|StreamCounters|LossStats|wake_on_readable|notify_wake' \
+        crates tests examples | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: a second stream transport is back (above); connect over Network" >&2
+        exit 1
+    fi
     # A GridFTP server's digests are the ones its filesystem stores beside
     # each file (DESIGN.md §10): every version of a file is hashed once,
     # however often it is served or striped.

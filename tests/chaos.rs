@@ -269,9 +269,17 @@ fn resumable_transfer_is_hash_equal_under_drop_and_crash() {
     };
     let rep = figure5_xfer(chaos_seed(), &opts);
     // Byte-equality of both directions is asserted inside the scenario;
-    // here we check the chaos actually exercised the resume path.
+    // here we check the chaos actually exercised the resume path. The
+    // counters are the network's: every data-channel segment was drawn
+    // by the fault layer and lands in the transcript.
     assert!(rep.completed);
-    assert!(rep.stats.dropped >= 1, "no session ever tore");
+    assert!(rep.stats.dropped >= 1, "no segment was lost");
+    assert_eq!(rep.stats.blocked, 0, "nothing partitions this run");
+    assert!(rep.stats.delivered > rep.stats.dropped);
+    assert!(
+        rep.lines.iter().any(|l| l.contains("jane:1-1->data1:1-1")),
+        "the data channel is missing from the transcript"
+    );
     assert_eq!(rep.metrics.counters["xfer.bytes_got"], 4096);
     assert_eq!(rep.metrics.counters["xfer.bytes_put"], 4096);
 }
@@ -303,6 +311,24 @@ fn forced_failure_dumps_the_flight_recorder() {
 }
 
 #[test]
+fn figure5_partitions_block_the_data_channel() {
+    use gridsec_integration::scenarios::figure5_striped;
+    let opts = ChaosOpts {
+        partition_all: true,
+        ..ChaosOpts::default()
+    };
+    for rep in [
+        figure5_xfer(chaos_seed(), &opts),
+        figure5_striped(chaos_seed(), &opts),
+    ] {
+        assert!(!rep.completed);
+        assert!(rep.stats.blocked > 0, "the partition blocked nothing");
+        assert_eq!(rep.stats.delivered, 0, "a segment crossed the partition");
+        assert!(rep.lines.iter().any(|l| l.ends_with("partitioned")));
+    }
+}
+
+#[test]
 fn figure5_striped_completes_with_armed_mid_stripe_kills() {
     use gridsec_integration::scenarios::figure5_striped;
     let opts = ChaosOpts {
@@ -322,6 +348,9 @@ fn figure5_striped_completes_with_armed_mid_stripe_kills() {
         "point=xfer.stripe.get.chunk",
         "point=xfer.stripe.put.chunk",
         "point=xfer.stripe.merge",
+        // Data-channel segments: the first stripe's first dial, both ways.
+        "jane:1-0-1->data1:1-0-1",
+        "data1:1-0-1->jane:1-0-1",
     ] {
         assert!(
             transcript.contains(needle),

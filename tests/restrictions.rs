@@ -40,7 +40,7 @@ use gridsec_pki::proxy::{issue_proxy, ProxyType};
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::CrashPlan;
-use gridsec_testbed::net::{Network, StreamPair};
+use gridsec_testbed::net::Network;
 use gridsec_testbed::os::{FileMode, SimOs};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -439,14 +439,14 @@ where
 {
     let net = Network::new();
     let mut sched = Scheduler::new(&net);
-    let (client_end, server_end, _) = StreamPair::new();
+    let (client_end, server_end) = net.connect("jane", "data1");
     let task = SessionTask {
         server: Rc::clone(&w.ftp),
         dialect: Dialect::Classic,
         now: NOW,
         plan: CrashPlan::disabled(),
     };
-    let served = task.spawn(&mut sched, &net, "ftp", server_end, b"server");
+    let served = task.spawn(&mut sched, server_end, b"server");
     let mut rng = ChaChaRng::from_seed_bytes(b"ftp client");
     let _ = GridFtpClient::connect(client_end, cred, w.trust.clone(), NOW, &mut rng).and_then(
         |mut client| {
