@@ -8,19 +8,18 @@
 //! entire in-memory [`CasServer`]. Recovery replays the journal into a
 //! fresh server.
 //!
-//! Issued assertions are journaled keyed by `(caller, call-id)`, as the
-//! exact [`Reply`] envelope bytes the caller was sent. That
-//! closes the window where the application record is durable but the
-//! RPC reply-cache record is not: a retransmit that re-executes after a
-//! restart finds the journaled assertion and returns those exact bytes
-//! instead of signing a second assertion with a fresh validity window —
-//! "one assertion issued" holds across any crash schedule.
+//! Every issue request — refusals included — is one [`Journal::commit`]
+//! record holding the exact [`Reply`] envelope bytes the caller is sent,
+//! written before the reply leaves. A retransmit after a restart is
+//! answered from that record by the supervisor instead of signing a
+//! second assertion with a fresh validity window — "one assertion
+//! issued" holds across any crash schedule.
 //!
 //! Kill points (see `testbed::faults`):
 //!
 //! * `cas.issue.exec` — before the assertion is signed (no side effect
 //!   yet; the retransmit simply re-runs issuance).
-//! * `cas.issue.journaled` — after the issuance record is durable but
+//! * `cas.issue.journaled` — after the commit record is durable but
 //!   before the reply leaves (the retransmit is answered from the
 //!   journal).
 
@@ -33,15 +32,13 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
 use gridsec_testbed::rpc::Reply;
-use gridsec_util::trace;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Journal tag for an enrollment record.
 pub const TAG_ENROLL: &str = "cas-enroll";
 /// Journal tag for a VO policy rule record.
 pub const TAG_RULE: &str = "cas-rule";
-/// Journal tag for an issued-assertion record (keyed by caller+call-id).
+/// Journal tag for an issue request's commit record.
 pub const TAG_ISSUED: &str = "cas-issued";
 
 /// A [`CasServer`] wrapped in write-ahead journaling and crash recovery.
@@ -59,8 +56,6 @@ pub struct DurableCas {
     journal: Journal,
     cas: Rc<CasServer>,
     service: CasService,
-    /// (caller, call-id) → exact reply bytes already issued.
-    issued: HashMap<(String, u64), Vec<u8>>,
 }
 
 impl DurableCas {
@@ -86,7 +81,6 @@ impl DurableCas {
             journal,
             cas,
             service,
-            issued: HashMap::new(),
         };
         durable.recover();
         durable
@@ -97,12 +91,13 @@ impl DurableCas {
         &self.cas
     }
 
-    /// Number of distinct assertions actually issued (journaled `Ok`
-    /// replies). A retransmit answered from the journal does not count.
+    /// Number of assertions actually issued (committed `Ok` replies). A
+    /// retransmit answered from the journal does not count.
     pub fn issued_count(&self) -> usize {
-        self.issued
-            .values()
-            .filter(|reply| matches!(Reply::decode(reply), Some(Reply::Ok(_))))
+        self.journal
+            .replies()
+            .iter()
+            .filter(|(_, reply)| matches!(Reply::decode(reply), Some(Reply::Ok(_))))
             .count()
     }
 
@@ -176,17 +171,6 @@ impl DurableCas {
                         .add_rule(Rule::new(subject, &resource, &action, effect));
                 }
             }
-            TAG_ISSUED => {
-                let parsed = (|| {
-                    let from = d.get_str()?;
-                    let id = d.get_u64()?;
-                    let reply = d.get_bytes()?;
-                    Ok::<_, gridsec_pki::PkiError>((from, id, reply))
-                })();
-                if let Ok((from, id, reply)) = parsed {
-                    self.issued.insert((from, id), reply);
-                }
-            }
             _ => {}
         }
     }
@@ -194,27 +178,16 @@ impl DurableCas {
 
 impl CrashRecover for DurableCas {
     fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8> {
-        let key = (from.to_string(), id);
-        // Re-execution after a restart: the reply-cache record may have
-        // been lost, but the issuance record is durable — answer with
-        // the exact bytes already issued.
-        if let Some(reply) = self.issued.get(&key) {
-            trace::event("cas.issue.replayed", &format!("from={from} id={id}"));
-            return reply.clone();
-        }
         if self.plan.fires("cas.issue.exec") {
             return Vec::new();
         }
         let reply = self.service.handle(from, body);
-        let mut e = Encoder::new();
-        e.put_str(from).put_u64(id).put_bytes(&reply);
         self.journal
-            .append(TAG_ISSUED, &e.finish())
+            .commit(TAG_ISSUED, from, id, &reply, &[])
             .expect("journal issued");
         if self.plan.fires("cas.issue.journaled") {
             return Vec::new();
         }
-        self.issued.insert(key, reply.clone());
         reply
     }
 
@@ -226,7 +199,6 @@ impl CrashRecover for DurableCas {
             self.assertion_lifetime,
         ));
         self.service = CasService::new(self.cas.clone(), self.clock.clone());
-        self.issued.clear();
     }
 
     fn recover(&mut self) {
@@ -242,7 +214,12 @@ mod tests {
     use super::*;
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
+    use gridsec_testbed::faults::CrashableServer;
+    use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
+    use gridsec_testbed::rpc::{decode_reply, encode_request, ServerTask};
+    use gridsec_testbed::sched::Scheduler;
+    use std::cell::RefCell;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -284,50 +261,103 @@ mod tests {
         assert!(matches!(Reply::decode(&reply), Some(Reply::Ok(_))));
     }
 
+    /// A durable CAS behind its [`CrashableServer`] supervisor, and a
+    /// client endpoint that frames requests itself so a test can
+    /// retransmit any call id it likes.
+    struct Served {
+        cas: Rc<RefCell<DurableCas>>,
+        plan: CrashPlan,
+        client: Endpoint,
+        sched: Scheduler,
+    }
+
+    fn served(plan: CrashPlan) -> Served {
+        let (_os, cas) = durable_cas(plan.clone());
+        let journal = cas.journal.clone();
+        let cas = Rc::new(RefCell::new(cas));
+        let net = Network::new();
+        net.enable_faults(SimClock::new(), 0xCA5, FaultProfile::default());
+        let server = CrashableServer::new(net.register("cas"), "cas", plan.clone(), journal);
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox("cas", ServerTask::new(server, cas.clone()));
+        Served {
+            cas,
+            plan,
+            client: net.register("alice"),
+            sched,
+        }
+    }
+
+    impl Served {
+        /// Send call `id` asking for `user`'s assertion; the reply, or
+        /// `None` if the process died handling it (the scheduler runs
+        /// on through the restart).
+        fn call(&mut self, id: u64, user: &str) -> Option<Vec<u8>> {
+            self.client
+                .send("cas", encode_request(id, &issue_request(user)))
+                .unwrap();
+            self.sched.run();
+            let frame = self.client.try_recv()?;
+            let (rid, body) = decode_reply(&frame.payload).expect("reply frame");
+            assert_eq!(rid, id);
+            Some(body.to_vec())
+        }
+    }
+
     #[test]
     fn retransmit_after_restart_gets_identical_assertion() {
-        let (_os, mut cas) = durable_cas(CrashPlan::disabled());
-        let first = cas.handle("alice", 7, &issue_request("/O=G/CN=Alice"));
-        cas.crash();
-        cas.recover();
-        let second = cas.handle("alice", 7, &issue_request("/O=G/CN=Alice"));
+        let mut s = served(CrashPlan::manual(2));
+        let first = s.call(7, "/O=G/CN=Alice").unwrap();
+        // Kill the process on another request; it restarts from the
+        // journal before the retransmit of call 7 arrives.
+        s.plan.arm("cas.issue.exec", 2);
+        assert_eq!(s.call(9, "/O=G/CN=Alice"), None);
+        assert_eq!(s.plan.restarts(), 1);
+        let second = s.call(7, "/O=G/CN=Alice").unwrap();
         assert_eq!(first, second, "same call-id → byte-identical assertion");
-        assert_eq!(cas.issued_count(), 1, "only one assertion was issued");
+        assert_eq!(
+            s.cas.borrow().issued_count(),
+            1,
+            "only one assertion was issued"
+        );
         // A genuinely new call-id issues again (bytes may coincide —
         // signing is deterministic and the clock is frozen — but the
         // journal records a second issuance).
-        let _ = cas.handle("alice", 8, &issue_request("/O=G/CN=Alice"));
-        assert_eq!(cas.issued_count(), 2);
+        assert!(s.call(8, "/O=G/CN=Alice").is_some());
+        assert_eq!(s.cas.borrow().issued_count(), 2);
     }
 
     #[test]
     fn crash_between_journal_and_reply_does_not_double_issue() {
         let plan = CrashPlan::manual(2);
         plan.arm("cas.issue.journaled", 1);
-        let (_os, mut cas) = durable_cas(plan.clone());
-        // First execution journals the assertion, then the latched
-        // crash fires; the supervisor would discard this reply.
-        let _ = cas.handle("alice", 3, &issue_request("/O=G/CN=Alice"));
-        assert!(plan.take_pending().is_some(), "kill point fired");
-        cas.crash();
-        cas.recover();
-        let replayed = cas.handle("alice", 3, &issue_request("/O=G/CN=Alice"));
+        let mut s = served(plan);
+        // First execution commits the assertion, then the latched crash
+        // fires and the supervisor discards the reply.
+        assert_eq!(s.call(3, "/O=G/CN=Alice"), None, "kill point fired");
+        assert_eq!(s.plan.crashes(), 1);
+        let replayed = s.call(3, "/O=G/CN=Alice").unwrap();
         assert!(matches!(Reply::decode(&replayed), Some(Reply::Ok(_))));
-        assert_eq!(cas.issued_count(), 1, "no duplicate side effect");
+        assert_eq!(s.cas.borrow().issued_count(), 1, "no duplicate side effect");
     }
 
     #[test]
     fn refusals_are_journaled_and_stable_too() {
-        let (_os, mut cas) = durable_cas(CrashPlan::disabled());
-        let refusal = cas.handle("mallory", 1, &issue_request("/O=G/CN=Mallory"));
+        let mut s = served(CrashPlan::manual(2));
+        let refusal = s.call(1, "/O=G/CN=Mallory").unwrap();
         assert_eq!(
             Reply::decode(&refusal),
             Some(Reply::Absent(b"not a VO member".to_vec()))
         );
-        cas.crash();
-        cas.recover();
-        let again = cas.handle("mallory", 1, &issue_request("/O=G/CN=Mallory"));
+        s.plan.arm("cas.issue.exec", 2);
+        assert_eq!(s.call(2, "/O=G/CN=Alice"), None);
+        assert_eq!(
+            s.plan.transcript()[1],
+            "[t=2] restart svc=cas replayed=1",
+            "the refusal's commit record came back"
+        );
+        let again = s.call(1, "/O=G/CN=Mallory").unwrap();
         assert_eq!(refusal, again);
-        assert_eq!(cas.issued_count(), 0);
+        assert_eq!(s.cas.borrow().issued_count(), 0);
     }
 }

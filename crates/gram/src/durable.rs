@@ -13,9 +13,11 @@
 //! clients re-establish them via
 //! [`submit_job_resilient`][crate::remote::submit_job_resilient].
 //!
-//! Replies are [`Reply`] envelopes; a submission's `Ok` reply is
-//! journaled as its exact bytes, so a replayed submission answers what
-//! the first execution answered.
+//! Replies are [`Reply`] envelopes. An accepted submission and a job
+//! start are each one [`Journal::commit`] record holding the effect and
+//! the exact reply, so a retransmit after a restart is answered what the
+//! first execution answered; everything else (refusals, step-7 token and
+//! delegation exchanges) is re-executed.
 //!
 //! GRIM credentials are never serialized (private keys do not leave the
 //! process holding them); recovery re-borrows them from the surviving
@@ -62,8 +64,6 @@ pub struct DurableGram {
     generation: u64,
     plan: CrashPlan,
     journal: Journal,
-    /// (caller, call-id) → exact submit reply already served.
-    submitted: HashMap<(String, u64), Vec<u8>>,
     /// (caller, mjs-handle) pairs whose start command completed.
     started: HashSet<(String, String)>,
 }
@@ -85,7 +85,6 @@ impl DurableGram {
             generation: 0,
             plan,
             journal,
-            submitted: HashMap::new(),
             started: HashSet::new(),
         };
         durable.recover();
@@ -97,10 +96,14 @@ impl DurableGram {
         self.resource.clone()
     }
 
-    /// Number of distinct submissions journaled (retransmits and
-    /// replays do not count).
+    /// Number of submissions journaled: one commit record each, so
+    /// retransmits answered from the journal do not count.
     pub fn submitted_count(&self) -> usize {
-        self.submitted.len()
+        self.journal
+            .records()
+            .iter()
+            .filter(|(tag, _)| tag == TAG_SUBMIT)
+            .count()
     }
 
     /// Number of distinct job starts journaled.
@@ -108,14 +111,7 @@ impl DurableGram {
         self.started.len()
     }
 
-    fn encode_submit_record(
-        &self,
-        from: &str,
-        id: u64,
-        reply: &[u8],
-        handle: &str,
-        account: &str,
-    ) -> Vec<u8> {
+    fn encode_submit_record(&self, handle: &str, account: &str) -> Vec<u8> {
         let resource = self.resource.borrow();
         let account_desc = (|| {
             let desc = resource.job_description(handle).ok()?.clone();
@@ -130,10 +126,7 @@ impl DurableGram {
             .and_then(|n| n.parse().ok())
             .unwrap_or(0);
         let mut e = Encoder::new();
-        e.put_str(from)
-            .put_u64(id)
-            .put_bytes(reply)
-            .put_str(handle)
+        e.put_str(handle)
             .put_str(account)
             .put_u64(mjs_id)
             .put_str(&desc.executable);
@@ -147,11 +140,6 @@ impl DurableGram {
     }
 
     fn handle_submit(&mut self, from: &str, id: u64, payload: &[u8]) -> Vec<u8> {
-        let key = (from.to_string(), id);
-        if let Some(reply) = self.submitted.get(&key) {
-            trace::event("gram.submit.replayed", &format!("from={from} id={id}"));
-            return reply.clone();
-        }
         if self.plan.fires("gram.submit.exec") {
             return Vec::new();
         }
@@ -166,21 +154,20 @@ impl DurableGram {
         };
         let account = d.get_u8().and_then(|_| d.get_str()).unwrap_or_default();
         let reply = reply.encode();
-        let record = self.encode_submit_record(from, id, &reply, &handle, &account);
+        let record = self.encode_submit_record(&handle, &account);
         self.journal
-            .append(TAG_SUBMIT, &record)
+            .commit(TAG_SUBMIT, from, id, &reply, &record)
             .expect("journal submit");
         if self.plan.fires("gram.submit.journaled") {
             return Vec::new();
         }
-        self.submitted.insert(key, reply.clone());
         reply
     }
 
-    fn handle_start(&mut self, from: &str, handle: &str, payload: &[u8]) -> Vec<u8> {
-        // Re-execution after a restart: the session died with the old
-        // incarnation, but if the journal proves this exact start
-        // already ran and the job is live, acknowledge instead of
+    fn handle_start(&mut self, from: &str, id: u64, handle: &str, payload: &[u8]) -> Vec<u8> {
+        // A start re-sent over a re-established session after a restart
+        // arrives under a new call id: if the journal proves this exact
+        // start already ran and the job is live, acknowledge instead of
         // failing (or worse, double-spawning).
         let key = (from.to_string(), handle.to_string());
         if self.started.contains(&key)
@@ -193,32 +180,31 @@ impl DurableGram {
             return Vec::new();
         }
         let reply = self.remote.serve(from, payload);
-        if let Reply::Ok(_) = reply {
-            let job_pid = self
-                .resource
-                .borrow()
-                .job_pid(handle)
-                .ok()
-                .flatten()
-                .unwrap_or(0);
-            let mut e = Encoder::new();
-            e.put_str(from).put_str(handle).put_u64(job_pid);
-            self.journal
-                .append(TAG_START, &e.finish())
-                .expect("journal start");
-            if self.plan.fires("gram.start.journaled") {
-                return Vec::new();
-            }
-            self.started.insert(key);
+        let Reply::Ok(_) = reply else {
+            return reply.encode();
+        };
+        let reply = reply.encode();
+        let job_pid = self
+            .resource
+            .borrow()
+            .job_pid(handle)
+            .ok()
+            .flatten()
+            .unwrap_or(0);
+        let mut e = Encoder::new();
+        e.put_str(from).put_str(handle).put_u64(job_pid);
+        self.journal
+            .commit(TAG_START, from, id, &reply, &e.finish())
+            .expect("journal start");
+        if self.plan.fires("gram.start.journaled") {
+            return Vec::new();
         }
-        reply.encode()
+        self.started.insert(key);
+        reply
     }
 }
 
 struct SubmitRecord {
-    from: String,
-    id: u64,
-    reply: Vec<u8>,
     handle: String,
     account: String,
     mjs_id: u64,
@@ -228,9 +214,6 @@ struct SubmitRecord {
 fn decode_submit_record(body: &[u8]) -> Option<SubmitRecord> {
     let mut d = Decoder::new(body);
     Some(SubmitRecord {
-        from: d.get_str().ok()?,
-        id: d.get_u64().ok()?,
-        reply: d.get_bytes().ok()?,
         handle: d.get_str().ok()?,
         account: d.get_str().ok()?,
         mjs_id: d.get_u64().ok()?,
@@ -253,7 +236,7 @@ impl CrashRecover for DurableGram {
         };
         match op.as_str() {
             OP_SUBMIT => self.handle_submit(from, id, body),
-            OP_START => self.handle_start(from, &handle, body),
+            OP_START => self.handle_start(from, id, &handle, body),
             _ => {
                 // Token and delegation exchanges: in-memory session
                 // state only, nothing durable to write.
@@ -272,7 +255,6 @@ impl CrashRecover for DurableGram {
         let mut seed = self.seed.clone();
         seed.extend_from_slice(&self.generation.to_be_bytes());
         self.remote = RemoteGram::new(self.resource.clone(), &seed);
-        self.submitted.clear();
         self.started.clear();
     }
 
@@ -309,21 +291,14 @@ impl CrashRecover for DurableGram {
                 Some(&pid) => (JobState::Active, (pid != 0).then_some(pid)),
                 None => (JobState::Unsubmitted, None),
             };
-            if self
-                .resource
-                .borrow_mut()
-                .restore_mjs(
-                    &rec.handle,
-                    &rec.account,
-                    rec.description,
-                    state,
-                    job_pid,
-                    rec.mjs_id,
-                )
-                .is_ok()
-            {
-                self.submitted.insert((rec.from, rec.id), rec.reply);
-            }
+            let _ = self.resource.borrow_mut().restore_mjs(
+                &rec.handle,
+                &rec.account,
+                rec.description,
+                state,
+                job_pid,
+                rec.mjs_id,
+            );
         }
     }
 }
@@ -420,7 +395,6 @@ mod tests {
             "gram",
             plan.clone(),
             durable.borrow().journal.clone(),
-            true,
         );
         let mut sched = Scheduler::new(&net);
         sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable.clone()));
@@ -469,6 +443,17 @@ mod tests {
         );
         assert_eq!(r.durable.borrow().submitted_count(), 1);
         assert_eq!(r.durable.borrow().started_count(), 1);
+        // One commit record per committed request; nothing for the
+        // step-7 token and delegation exchanges.
+        let tags: Vec<String> = r
+            .durable
+            .borrow()
+            .journal
+            .records()
+            .into_iter()
+            .map(|(tag, _)| tag)
+            .collect();
+        assert_eq!(tags, [TAG_SUBMIT, TAG_START]);
     }
 
     #[test]

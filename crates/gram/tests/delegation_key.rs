@@ -377,13 +377,7 @@ fn the_key_survives_a_crash_of_the_service() {
     )));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0xDE1F, FaultProfile::default());
-    let server = CrashableServer::new(
-        net.register("mjs-host"),
-        "gram",
-        plan.clone(),
-        journal,
-        true,
-    );
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone(), journal);
     let mut sched = Scheduler::new(&net);
     sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable));
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());

@@ -595,13 +595,7 @@ fn crash_at_session_op(nth: u64) -> (u64, u64) {
     )));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0x57E8, FaultProfile::default());
-    let server = CrashableServer::new(
-        net.register("mjs-host"),
-        "gram",
-        plan.clone(),
-        journal,
-        true,
-    );
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone(), journal);
     let mut sched = Scheduler::new(&net);
     sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable));
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());

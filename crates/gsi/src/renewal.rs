@@ -338,7 +338,7 @@ mod tests {
         sched.spawn_mailbox(
             "repo",
             ServerTask::new(
-                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal, true),
+                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal),
                 app.clone(),
             ),
         );

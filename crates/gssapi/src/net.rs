@@ -11,7 +11,10 @@
 //! * the server's reply cache answers retransmitted or duplicated token
 //!   frames without re-running the acceptor, which matters because
 //!   answering token 1 is *not* idempotent — a second answer would start
-//!   a second handshake with fresh randomness.
+//!   a second handshake with fresh randomness. The cache lives in the
+//!   acceptor's memory: a token is never journaled, so a
+//!   [`CrashableAcceptor`] reborn after a crash re-executes a
+//!   retransmitted token against its fresh state.
 //!
 //! Wire format (via [`gridsec_pki::encoding`]): requests are
 //! `op ‖ token` where `op` is `"gss-tok1"`/`"gss-tok3"` for the full
@@ -299,9 +302,9 @@ impl<E: EntropySource> AcceptorService<E> {
 /// refuses resumption tickets, which is exactly the signal
 /// [`establish_initiator_cached`] turns into a full-handshake
 /// fallback. Initiators recover via
-/// [`establish_initiator_resilient`]. Serve it with
-/// `persist_replies = false` so a reborn acceptor re-executes token
-/// exchanges instead of replaying token frames whose session died.
+/// [`establish_initiator_resilient`]. It commits nothing to its
+/// journal, so a reborn acceptor re-executes token exchanges instead of
+/// replaying token frames whose session died.
 ///
 /// Kill point: `gss.accept.exec` — before a token exchange executes.
 pub struct CrashableAcceptor {
@@ -529,7 +532,7 @@ mod tests {
         sched.spawn_mailbox(
             "mjs",
             ServerTask::new(
-                CrashableServer::new(net.register("mjs"), "gss", plan.clone(), journal, false),
+                CrashableServer::new(net.register("mjs"), "gss", plan.clone(), journal),
                 acceptor.clone(),
             ),
         );

@@ -152,11 +152,10 @@ fn spawn_crashable<A: CrashRecover + 'static>(
     service: &str,
     plan: &CrashPlan,
     journal: Journal,
-    persist_replies: bool,
     app: &Rc<RefCell<A>>,
 ) {
     let mailbox = endpoint.id();
-    let server = CrashableServer::new(endpoint, service, plan.clone(), journal, persist_replies);
+    let server = CrashableServer::new(endpoint, service, plan.clone(), journal);
     sched.spawn_mailbox_id(mailbox, ServerTask::new(server, app.clone()));
 }
 
@@ -229,11 +228,9 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         b"chaos fig1 acceptor",
         plan.clone(),
     )));
-    // persist_replies = false: an ephemeral handshake reply must not be
-    // replayed into a post-restart acceptor that lost the session.
     let mut sched = Scheduler::new(&net);
     let ep = net.register("service");
-    spawn_crashable(&mut sched, ep, "gss", &plan, journal, false, &service);
+    spawn_crashable(&mut sched, ep, "gss", &plan, journal, &service);
     let mut rpc = RpcClient::new(net.register("user"), "service", policy());
 
     if opts.partition_all {
@@ -334,7 +331,7 @@ pub fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 
     let mut sched = Scheduler::new(&net);
     let ep = net.register("cas");
-    spawn_crashable(&mut sched, ep, "cas", &plan, journal, true, &durable);
+    spawn_crashable(&mut sched, ep, "cas", &plan, journal, &durable);
     let mut rpc = RpcClient::new(net.register("alice"), "cas", policy());
 
     if opts.partition_all {
@@ -537,7 +534,7 @@ pub fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     )));
     let mut sched = Scheduler::new(&net);
     let ep = net.register("mjs-host");
-    spawn_crashable(&mut sched, ep, "gram", &plan, journal, true, &durable);
+    spawn_crashable(&mut sched, ep, "gram", &plan, journal, &durable);
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
 
     let mut jane = Requestor::new(jane, trust, b"chaos jane");
@@ -570,8 +567,8 @@ pub fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         job_state_remote(&mut rpc, &job.handle).expect("state query"),
         JobState::Active
     );
-    // The journal-backed reply cache absorbed duplicated and
-    // re-executed submissions across restarts: one cold start, one
+    // The reply cache, restored from commit records on each restart,
+    // absorbed duplicated submissions and starts: one cold start, one
     // job process — no duplicate side effects.
     assert_eq!(shared.borrow().stats.cold_starts, 1);
     let jobs = os
@@ -986,7 +983,7 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     )));
     let mut sched = Scheduler::new(&net);
     let ep = net.register("cluster1");
-    spawn_crashable(&mut sched, ep, "gram", &plan, journal, true, &durable);
+    spawn_crashable(&mut sched, ep, "gram", &plan, journal, &durable);
     let mut rpc = RpcClient::new(net.register("user0"), "cluster1", policy());
 
     // The siteA user signs on; trusting siteB's CA for the GRIM check

@@ -20,8 +20,9 @@
 //! generated key pair, and the exact request bytes — before the first
 //! transmission, and a reborn portal re-sends the *same* `(caller,
 //! id)` frame via [`PollingCall`]. The repository's reply cache (and
-//! the MyProxy issue journal behind it) answers with the *same* proxy
-//! certificate, so no kill window can double-issue, and the in-flight
+//! the issuance's commit record it is restored from after a repository
+//! restart) answers with the *same* proxy certificate, so no kill
+//! window can double-issue, and the in-flight
 //! GRAM submission resumes exactly once (`cold_starts == 1`, one job
 //! process) because submission is guarded by a journaled completion
 //! record.
@@ -427,7 +428,6 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         "gram",
         &gram_plan,
         gram_journal,
-        true,
         &gram_app,
     );
 
@@ -448,7 +448,6 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         "myproxy",
         &repo_plan,
         repo_journal,
-        true,
         &repo_app,
     );
 

@@ -3,12 +3,15 @@
 //! The paper's §4.1 identity mapping service is the simplest of the
 //! "security services" to make restartable: its only state is the
 //! mapping table, which here is a write-ahead [`Journal`] — every
-//! `add` is appended *before* it takes effect, a crash discards the
+//! `add` is one [`Journal::commit`] record, holding the mapping and the
+//! exact reply, written *before* it takes effect; a crash discards the
 //! in-memory [`IdentityMap`], and recovery replays the journal.
 //! [`DurableIdentityMap`] plugs into a
-//! [`CrashableServer`][gridsec_testbed::faults::CrashableServer], so
-//! retransmitted lookups are answered from the rebuilt reply cache and
-//! mutations stay idempotent across any crash schedule.
+//! [`CrashableServer`][gridsec_testbed::faults::CrashableServer], so a
+//! retransmitted add is answered from its commit record across any
+//! crash schedule. Lookups commit nothing: after a restart a
+//! retransmitted lookup is simply re-executed against the rebuilt
+//! table.
 //!
 //! Replies are [`Reply`] envelopes: `Ok(text)` (`user@REALM`, a DN),
 //! `Absent` for "no mapping", `Refused(reason)`.
@@ -18,8 +21,8 @@
 //! * `idmap.add.exec` — before the mapping record is journaled (the
 //!   retransmit re-runs the add from scratch).
 //! * `idmap.add.journaled` — after the record is durable but before the
-//!   reply leaves (recovery replays the mapping; the retransmit sees a
-//!   table that already contains it).
+//!   reply leaves (recovery replays the mapping; the retransmit is
+//!   answered from the commit record).
 
 use crate::identity_map::IdentityMap;
 use gridsec_pki::encoding::{Decoder, Encoder};
@@ -106,7 +109,7 @@ impl DurableIdentityMap {
     }
 
     /// `idmap-add`; `None` when the process died at a kill point.
-    fn add(&mut self, d: &mut Decoder<'_>) -> Option<Reply> {
+    fn add(&mut self, from: &str, id: u64, d: &mut Decoder<'_>) -> Option<Reply> {
         let refused = |reason: &str| Some(Reply::Refused(reason.into()));
         let (Ok(dn_s), Ok(principal), Ok(realm)) = (d.get_str(), d.get_str(), d.get_str()) else {
             return refused("malformed add");
@@ -117,11 +120,16 @@ impl DurableIdentityMap {
         if self.plan.fires("idmap.add.exec") {
             return None;
         }
-        // Write-ahead: the mapping is durable before it is visible, so a
-        // crash at any later point recovers it.
+        // Write-ahead: the mapping and its reply are durable before the
+        // mapping is visible, so a crash at any later point recovers it.
+        let ok = Reply::Ok(format!("{principal}@{realm}").into_bytes());
         let mut e = Encoder::new();
         e.put_str(&dn_s).put_str(&principal).put_str(&realm);
-        if self.journal.append(TAG_MAP, &e.finish()).is_err() {
+        if self
+            .journal
+            .commit(TAG_MAP, from, id, &ok.encode(), &e.finish())
+            .is_err()
+        {
             return refused("journal unavailable");
         }
         if self.plan.fires("idmap.add.journaled") {
@@ -129,7 +137,7 @@ impl DurableIdentityMap {
         }
         self.map.add(&dn, &principal, &realm);
         trace::add("idmap.adds", 1);
-        Some(Reply::Ok(format!("{principal}@{realm}").into_bytes()))
+        Some(ok)
     }
 
     /// A lookup's answer: the mapped name, or `Absent`.
@@ -141,11 +149,11 @@ impl DurableIdentityMap {
 }
 
 impl CrashRecover for DurableIdentityMap {
-    fn handle(&mut self, _from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
+    fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8> {
         let refused = |reason: &str| Reply::Refused(reason.into());
         let mut d = Decoder::new(body);
         let reply = match d.get_str().as_deref() {
-            Ok(OP_ADD) => match self.add(&mut d) {
+            Ok(OP_ADD) => match self.add(from, id, &mut d) {
                 Some(reply) => reply,
                 None => return Vec::new(),
             },
@@ -301,15 +309,17 @@ mod tests {
         assert!(plan.take_pending().is_some(), "kill point fired");
         m.crash();
         m.recover();
-        // The record was durable, so recovery already applied it; the
-        // retransmit just re-reports success.
-        assert_eq!(m.map().len(), 1);
-        let reply = m.handle("admin", 5, &req);
-        assert_eq!(
-            Reply::decode(&reply),
-            Some(Reply::Ok(b"jdoe@SITE.A".to_vec()))
-        );
+        // The record was durable, so recovery already applied it, and it
+        // carries the reply a restarted supervisor answers the
+        // retransmit with: the add never runs twice.
         assert_eq!(m.map().len(), 1, "no duplicate mapping");
+        assert_eq!(
+            m.journal.replies(),
+            [(
+                ("admin".to_string(), 5),
+                Reply::Ok(b"jdoe@SITE.A".to_vec()).encode()
+            )]
+        );
     }
 
     #[test]
@@ -346,7 +356,7 @@ mod tests {
         sched.spawn_mailbox(
             "idmap-host",
             ServerTask::new(
-                CrashableServer::new(net.register("idmap-host"), "idmap", plan.clone(), j, true),
+                CrashableServer::new(net.register("idmap-host"), "idmap", plan.clone(), j.clone()),
                 durable.clone(),
             ),
         );
@@ -379,5 +389,8 @@ mod tests {
             None
         );
         assert_eq!(durable.borrow().map().len(), 1, "exactly one mapping");
+        // One commit record for the add, nothing for the three lookups.
+        let tags: Vec<String> = j.records().into_iter().map(|(tag, _)| tag).collect();
+        assert_eq!(tags, [TAG_MAP]);
     }
 }

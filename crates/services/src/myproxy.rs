@@ -9,15 +9,18 @@
 //! crash — presents the owner name and passphrase to *re-acquire* a
 //! short-lived proxy, or to *renew* the proxy of a long-running job.
 //!
-//! The repository is durable: stored credentials (chain + locally
-//! generated private key) and every visible proxy issuance are
-//! journaled write-ahead into a [`Journal`], and the service is meant
-//! to be hosted in a [`CrashableServer`] with `persist_replies: true`.
-//! Issuance is exactly-once across any kill window: the issue record —
-//! including the exact reply bytes — is durable before the reply can
-//! leave the process, so a retransmission after the worst-window crash
-//! is answered with the *same* proxy certificate instead of minting a
-//! second one.
+//! The repository is durable: a store commit (chain + locally generated
+//! private key), every visible proxy issuance and a destroy are each
+//! one [`Journal::commit`] record, holding the exact reply beside the
+//! effect, and the service is meant to be hosted in a
+//! [`CrashableServer`][gridsec_testbed::faults::CrashableServer].
+//! Every committed request is exactly-once across any kill window: its
+//! record is durable before the reply can leave the process, so a
+//! retransmission after the worst-window crash is answered with the
+//! *same* proxy certificate instead of minting a second one, and a
+//! retransmitted store commit is answered `Ok` instead of finding no
+//! store in progress. A store-begin is not committed: after a restart
+//! it is re-executed under a fresh key.
 //!
 //! Replies are [`Reply`] envelopes, `Ok(body)` or `Refused(reason)`;
 //! [`decode_verdict`] maps one to the client's [`MyProxyError`].
@@ -58,7 +61,7 @@ pub const OP_DESTROY: &str = "mp-destroy";
 
 /// Journal tag: a committed store (owner, passphrase hash, key, chain).
 pub const TAG_STORE: &str = "mp-store";
-/// Journal tag: a visible issuance (caller, call id, exact reply).
+/// Journal tag: a visible issuance (owner, serial).
 pub const TAG_ISSUE: &str = "mp-issue";
 /// Journal tag: a destroy.
 pub const TAG_DESTROY: &str = "mp-destroy";
@@ -113,8 +116,8 @@ fn decode_keypair(d: &mut Decoder<'_>) -> Option<RsaKeyPair> {
 }
 
 /// The durable MyProxy repository; plug into a
-/// [`CrashableServer`][gridsec_testbed::faults::CrashableServer] (with
-/// `persist_replies: true`) as its [`CrashRecover`] application.
+/// [`CrashableServer`][gridsec_testbed::faults::CrashableServer] as its
+/// [`CrashRecover`] application.
 pub struct MyProxyServer {
     clock: SimClock,
     seed: Vec<u8>,
@@ -128,8 +131,6 @@ pub struct MyProxyServer {
     max_lifetime: u64,
     /// owner → stored credential. Rebuilt from the journal on recovery.
     stored: HashMap<String, Stored>,
-    /// (caller, call-id) → exact issue reply already journaled.
-    issued: HashMap<(String, u64), Vec<u8>>,
     /// (caller, owner) → key pair awaiting its store commit. Volatile:
     /// a crash aborts the half-open store and the client begins again.
     pending_store: HashMap<(String, String), RsaKeyPair>,
@@ -156,7 +157,6 @@ impl MyProxyServer {
             journal,
             max_lifetime,
             stored: HashMap::new(),
-            issued: HashMap::new(),
             pending_store: HashMap::new(),
             serials: Vec::new(),
         };
@@ -172,7 +172,7 @@ impl MyProxyServer {
     /// Distinct proxy issuances that became visible (journaled) —
     /// retransmissions and crash-replays do not inflate this.
     pub fn issued_count(&self) -> usize {
-        self.issued.len()
+        self.serials.len()
     }
 
     /// Serials of every visible issued proxy, in journal order.
@@ -202,7 +202,7 @@ impl MyProxyServer {
     }
 
     /// `None` when the process died at a kill point.
-    fn handle_store_commit(&mut self, from: &str, d: &mut Decoder<'_>) -> Option<Reply> {
+    fn handle_store_commit(&mut self, from: &str, id: u64, d: &mut Decoder<'_>) -> Option<Reply> {
         let parsed = (|| {
             let owner = d.get_str().ok()?;
             let passphrase = d.get_str().ok()?;
@@ -232,7 +232,12 @@ impl MyProxyServer {
         encode_keypair(&mut e, &key);
         proxy_cert.encode(&mut e);
         e.put_seq(&issuer_chain, |enc, c| c.encode(enc));
-        if self.journal.append(TAG_STORE, &e.finish()).is_err() {
+        let ok = Reply::Ok(Vec::new());
+        if self
+            .journal
+            .commit(TAG_STORE, from, id, &ok.encode(), &e.finish())
+            .is_err()
+        {
             return refused("journal unavailable");
         }
         if self.plan.fires("myproxy.store.journaled") {
@@ -248,15 +253,10 @@ impl MyProxyServer {
                 credential: Credential::new(chain, key),
             },
         );
-        Some(Reply::Ok(Vec::new()))
+        Some(ok)
     }
 
     fn handle_issue(&mut self, from: &str, id: u64, op: &str, d: &mut Decoder<'_>) -> Vec<u8> {
-        let key = (from.to_string(), id);
-        if let Some(reply) = self.issued.get(&key) {
-            trace::event("myproxy.issue.replayed", &format!("from={from} id={id}"));
-            return reply.clone();
-        }
         let parsed = (|| {
             let owner = d.get_str().ok()?;
             let passphrase = d.get_str().ok()?;
@@ -281,18 +281,17 @@ impl MyProxyServer {
         // second proxy.
         let reply = Reply::Ok(body).encode();
         let mut e = Encoder::new();
-        e.put_str(from)
-            .put_u64(id)
-            .put_str(&owner)
-            .put_u64(serial)
-            .put_bytes(&reply);
-        if self.journal.append(TAG_ISSUE, &e.finish()).is_err() {
+        e.put_str(&owner).put_u64(serial);
+        if self
+            .journal
+            .commit(TAG_ISSUE, from, id, &reply, &e.finish())
+            .is_err()
+        {
             return refused("journal unavailable");
         }
         if self.plan.fires("myproxy.issue.journaled") {
             return Vec::new();
         }
-        self.issued.insert(key, reply.clone());
         self.serials.push(serial);
         trace::add(
             if op == OP_RENEW {
@@ -332,15 +331,21 @@ impl MyProxyServer {
         Ok((e.finish(), serial))
     }
 
-    fn handle_destroy(&mut self, d: &mut Decoder<'_>) -> Result<Vec<u8>, String> {
+    fn handle_destroy(
+        &mut self,
+        from: &str,
+        id: u64,
+        d: &mut Decoder<'_>,
+    ) -> Result<Vec<u8>, String> {
         let (Ok(owner), Ok(passphrase)) = (d.get_str(), d.get_str()) else {
             return Err("malformed destroy".into());
         };
         self.authorized(&owner, &passphrase)?;
         let mut e = Encoder::new();
         e.put_str(&owner);
+        let ok = Reply::Ok(Vec::new()).encode();
         self.journal
-            .append(TAG_DESTROY, &e.finish())
+            .commit(TAG_DESTROY, from, id, &ok, &e.finish())
             .map_err(|_| "journal unavailable")?;
         self.stored.remove(&owner);
         trace::add("myproxy.destroys", 1);
@@ -355,11 +360,11 @@ impl CrashRecover for MyProxyServer {
             // Issuance answers with the exact bytes it journals.
             Ok(op @ (OP_GET | OP_RENEW)) => return self.handle_issue(from, id, op, &mut d),
             Ok(OP_STORE_BEGIN) => self.handle_store_begin(from, &mut d).into(),
-            Ok(OP_STORE_COMMIT) => match self.handle_store_commit(from, &mut d) {
+            Ok(OP_STORE_COMMIT) => match self.handle_store_commit(from, id, &mut d) {
                 Some(reply) => reply,
                 None => return Vec::new(),
             },
-            Ok(OP_DESTROY) => self.handle_destroy(&mut d).into(),
+            Ok(OP_DESTROY) => self.handle_destroy(from, id, &mut d).into(),
             Ok(_) => Reply::Refused("unknown myproxy op".into()),
             Err(_) => Reply::Refused("malformed request".into()),
         };
@@ -372,7 +377,6 @@ impl CrashRecover for MyProxyServer {
         seed.extend_from_slice(&self.generation.to_be_bytes());
         self.rng = ChaChaRng::from_seed_bytes(&seed);
         self.stored.clear();
-        self.issued.clear();
         self.pending_store.clear();
         self.serials.clear();
     }
@@ -404,16 +408,7 @@ impl CrashRecover for MyProxyServer {
                     }
                 }
                 TAG_ISSUE => {
-                    let parsed = (|| {
-                        let from = d.get_str().ok()?;
-                        let id = d.get_u64().ok()?;
-                        let _owner = d.get_str().ok()?;
-                        let serial = d.get_u64().ok()?;
-                        let reply = d.get_bytes().ok()?;
-                        Some((from, id, serial, reply))
-                    })();
-                    if let Some((from, id, serial, reply)) = parsed {
-                        self.issued.insert((from, id), reply);
+                    if let (Ok(_owner), Ok(serial)) = (d.get_str(), d.get_u64()) {
                         self.serials.push(serial);
                     }
                 }
@@ -638,7 +633,7 @@ mod tests {
         sched.spawn_mailbox(
             "repo",
             ServerTask::new(
-                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal, true),
+                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal),
                 app.clone(),
             ),
         );
@@ -793,6 +788,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.app.borrow().stored_count(), 1);
+    }
+
+    #[test]
+    fn crash_after_store_journaled_answers_the_retransmitted_commit() {
+        let mut w = world();
+        let plan = CrashPlan::manual(3);
+        plan.arm("myproxy.store.journaled", 1);
+        let mut r = rig(&w, plan);
+        // Kill after the store is committed but before the reply leaves:
+        // the retransmitted commit is answered from the journal, not
+        // re-executed against a pending key that died with the process.
+        store_credential(
+            &mut r.rpc, &mut w.rng, "jane", "s3cret", &w.jane, 100, 100_000,
+        )
+        .unwrap();
+        assert_eq!(r.plan.crashes(), 1, "the kill fired");
+        assert_eq!(r.plan.restarts(), 1);
+        assert_eq!(r.app.borrow().stored_count(), 1);
+        let tags: Vec<String> = r
+            .app
+            .borrow()
+            .journal
+            .records()
+            .into_iter()
+            .map(|(tag, _)| tag)
+            .collect();
+        assert_eq!(
+            tags,
+            [TAG_STORE],
+            "one commit record, nothing for the begin"
+        );
     }
 
     #[test]

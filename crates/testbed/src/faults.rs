@@ -18,8 +18,8 @@
 //!   write-ahead log persisted in [`SimOs`]; [`CrashableServer`] hosts
 //!   an RPC service that can be killed at any [`CrashPlan::fires`]
 //!   point and restarted, rebuilding its at-most-once reply cache from
-//!   the journal so retransmitted requests stay idempotent across the
-//!   restart.
+//!   the journal's commit records so retransmitted requests stay
+//!   idempotent across the restart.
 //!
 //! The crash contract, in one paragraph: a service calls
 //! `plan.fires("point")` at each injection point and **returns
@@ -29,13 +29,12 @@
 //! in-memory state via [`CrashRecover::crash`], and marks the process
 //! down until `restart_delay` sim-seconds pass, when its
 //! [`ServerTask`](crate::rpc::ServerTask) wakes and restarts it.
-//! Durable effects a handler wants to survive must be appended to the
-//! journal *before* the next crash point (write-ahead); on restart,
-//! [`CrashRecover::recover`] folds the journal back into fresh state.
-//! The window where an application record is durable but the reply
-//! record is not is closed by application-level dedup: re-execution
-//! finds its own `(caller, call-id)` record and returns the journaled
-//! outcome instead of re-applying the side effect.
+//! A handler that commits an effect writes one [`Journal::commit`]
+//! record holding the effect together with the request's
+//! `(caller, call-id)` and exact reply, *before* the next crash point
+//! (write-ahead). On restart the supervisor answers retransmits from
+//! those records and [`CrashRecover::recover`] folds the journal back
+//! into fresh state; anything not committed is re-executed.
 
 use crate::net::Endpoint;
 use crate::os::{FileMode, Pid, SimOs, Uid, ROOT_UID};
@@ -342,12 +341,63 @@ impl CrashPlan {
 /// `[u8 tag-len][tag][u32 body-len BE][body]`, repeated; a torn tail
 /// (crash mid-append, not possible in this simulation but defended
 /// against anyway) is ignored by the parser.
+///
+/// A **commit record** ([`Journal::commit`]) is the one write that
+/// makes a request's effect durable: the high bit of its tag-length
+/// byte is set, and its body opens with the request's
+/// `[u32 caller-len][caller][u64 call-id][u32 reply-len][reply]`
+/// before the effect. [`Journal::records`] yields every record's tag
+/// and effect; [`Journal::replies`] yields the commit records' replies,
+/// from which a restarted [`CrashableServer`] answers retransmits.
 #[derive(Clone)]
 pub struct Journal {
     os: SimOs,
     host: String,
     path: String,
     euid: Uid,
+}
+
+/// The tag-length bit that marks a commit record.
+const COMMIT_BIT: u8 = 0x80;
+
+/// A commit record's request and reply: `((caller, call-id), reply)`.
+type Committed = ((String, u64), Vec<u8>);
+
+/// One parsed record: its tag, a commit record's request and reply,
+/// and the effect body.
+type Record = (String, Option<Committed>, Vec<u8>);
+
+/// Append `[u32 len BE][bytes]`.
+fn put_field(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// `[u32 len BE][bytes]` off the front of `bytes`, and the rest.
+fn split_field(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let len = u32::from_be_bytes(bytes.get(..4)?.try_into().expect("four bytes")) as usize;
+    let end = 4usize.checked_add(len)?;
+    Some((bytes.get(4..end)?, &bytes[end..]))
+}
+
+/// One record off the front of `bytes`, and the rest; `None` at the
+/// end or at a torn tail.
+fn split_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
+    let (&head, bytes) = bytes.split_first()?;
+    let tag_len = (head & !COMMIT_BIT) as usize;
+    let tag = String::from_utf8_lossy(bytes.get(..tag_len)?).into_owned();
+    let (body, rest) = split_field(&bytes[tag_len..])?;
+    if head & COMMIT_BIT == 0 {
+        return Some(((tag, None, body.to_vec()), rest));
+    }
+    let (from, body) = split_field(body)?;
+    let id = u64::from_be_bytes(body.get(..8)?.try_into().expect("eight bytes"));
+    let (reply, effect) = split_field(&body[8..])?;
+    let request = (String::from_utf8_lossy(from).into_owned(), id);
+    Some((
+        (tag, Some((request, reply.to_vec())), effect.to_vec()),
+        rest,
+    ))
 }
 
 impl Journal {
@@ -365,46 +415,73 @@ impl Journal {
     /// Append one record durably. Must be called *before* the side
     /// effect's reply leaves the process (write-ahead discipline).
     pub fn append(&self, tag: &str, body: &[u8]) -> Result<(), TestbedError> {
-        assert!(tag.len() <= u8::MAX as usize, "journal tag too long");
-        let mut rec = Vec::with_capacity(5 + tag.len() + body.len());
-        rec.push(tag.len() as u8);
+        self.write(tag, 0, body)
+    }
+
+    /// Append the commit record of request `(from, id)`: its `effect`
+    /// together with the exact `reply` the handler is about to return.
+    /// The effect and the answer to every retransmit of the request
+    /// become durable in this one write.
+    pub fn commit(
+        &self,
+        tag: &str,
+        from: &str,
+        id: u64,
+        reply: &[u8],
+        effect: &[u8],
+    ) -> Result<(), TestbedError> {
+        let mut body = Vec::new();
+        put_field(&mut body, from.as_bytes());
+        body.extend_from_slice(&id.to_be_bytes());
+        put_field(&mut body, reply);
+        body.extend_from_slice(effect);
+        self.write(tag, COMMIT_BIT, &body)
+    }
+
+    fn write(&self, tag: &str, flags: u8, body: &[u8]) -> Result<(), TestbedError> {
+        assert!(tag.len() < COMMIT_BIT as usize, "journal tag too long");
+        let mut rec = vec![tag.len() as u8 | flags];
         rec.extend_from_slice(tag.as_bytes());
-        rec.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        rec.extend_from_slice(body);
+        put_field(&mut rec, body);
         self.os
             .append_file(&self.host, &self.path, self.euid, FileMode::private(), &rec)
     }
 
-    /// All records, in append order. A missing file is an empty journal.
+    /// Every record as `(tag, effect body)`, in append order. A missing
+    /// file is an empty journal.
     pub fn records(&self) -> Vec<(String, Vec<u8>)> {
-        let bytes = match self.os.read_file(&self.host, &self.path, self.euid) {
-            Ok(b) => b,
-            Err(_) => return Vec::new(),
-        };
+        self.parse()
+            .into_iter()
+            .map(|(tag, _, effect)| (tag, effect))
+            .collect()
+    }
+
+    /// Every commit record's `((caller, call-id), reply)`, in append
+    /// order.
+    pub fn replies(&self) -> Vec<Committed> {
+        self.parse()
+            .into_iter()
+            .filter_map(|(_, reply, _)| reply)
+            .collect()
+    }
+
+    fn parse(&self) -> Vec<Record> {
+        let bytes = self
+            .os
+            .read_file(&self.host, &self.path, self.euid)
+            .unwrap_or_default();
+        let mut rest = &bytes[..];
         let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            let Some(&tag_len) = bytes.get(i) else { break };
-            let tag_end = i + 1 + tag_len as usize;
-            if bytes.len() < tag_end + 4 {
-                break;
-            }
-            let tag = String::from_utf8_lossy(&bytes[i + 1..tag_end]).into_owned();
-            let body_len =
-                u32::from_be_bytes(bytes[tag_end..tag_end + 4].try_into().unwrap()) as usize;
-            let body_end = tag_end + 4 + body_len;
-            if bytes.len() < body_end {
-                break;
-            }
-            out.push((tag, bytes[tag_end + 4..body_end].to_vec()));
-            i = body_end;
+        while let Some((record, next)) = split_record(rest) {
+            out.push(record);
+            rest = next;
         }
         out
     }
 
     /// Number of complete records.
     pub fn len(&self) -> usize {
-        self.records().len()
+        self.parse().len()
     }
 
     /// `true` if no record has ever been appended.
@@ -417,37 +494,14 @@ impl Journal {
 /// plus the two lifecycle edges of a process death.
 pub trait CrashRecover {
     /// Handle one *fresh* request (retransmissions of already-answered
-    /// requests never reach this). `id` is the RPC call id — combined
-    /// with `from` it keys application-level dedup records.
+    /// requests never reach this). `from` and the RPC call `id` name
+    /// the request in the [`Journal::commit`] record of any effect it
+    /// makes durable.
     fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8>;
     /// The process died: drop all volatile (in-memory) state.
     fn crash(&mut self) {}
     /// The process restarted: rebuild state from the journal.
     fn recover(&mut self) {}
-}
-
-const RPC_REPLY_TAG: &str = "rpc";
-
-fn encode_rpc_record(from: &str, id: u64, reply: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + from.len() + reply.len());
-    out.extend_from_slice(&(from.len() as u32).to_be_bytes());
-    out.extend_from_slice(from.as_bytes());
-    out.extend_from_slice(&id.to_be_bytes());
-    out.extend_from_slice(reply);
-    out
-}
-
-fn decode_rpc_record(body: &[u8]) -> Option<((String, u64), Vec<u8>)> {
-    if body.len() < 4 {
-        return None;
-    }
-    let from_len = u32::from_be_bytes(body[..4].try_into().unwrap()) as usize;
-    if body.len() < 4 + from_len + 8 {
-        return None;
-    }
-    let from = String::from_utf8_lossy(&body[4..4 + from_len]).into_owned();
-    let id = u64::from_be_bytes(body[4 + from_len..4 + from_len + 8].try_into().unwrap());
-    Some(((from, id), body[4 + from_len + 8..].to_vec()))
 }
 
 /// An at-most-once RPC server that can be killed and restarted.
@@ -460,39 +514,27 @@ fn decode_rpc_record(body: &[u8]) -> Option<((String, u64), Vec<u8>)> {
 /// the endpoint stays registered (the host is up; the port is just
 /// dead) and arriving mail evaporates — clients see silence and
 /// retransmit. On restart the reply cache is rebuilt from the journal's
-/// `rpc` records (when `persist_replies` is on) and
-/// [`CrashRecover::recover`] rebuilds the application state, so a
-/// retransmission of an already-executed request is answered from the
-/// journal, never re-executed.
+/// commit records alone and [`CrashRecover::recover`] rebuilds the
+/// application state, so a retransmission of a committed request is
+/// answered from the journal, never re-executed. Anything a handler did
+/// not commit — a lookup, a refusal, a handshake token — is re-executed.
 pub struct CrashableServer {
     name: String,
     rpc: RpcServer,
     plan: CrashPlan,
     journal: Journal,
-    persist_replies: bool,
     down_until: Option<u64>,
 }
 
 impl CrashableServer {
-    /// Host a service on `endpoint` under `plan`, journaling into
-    /// `journal`. `persist_replies: false` skips reply journaling for
-    /// services whose replies are worthless after a restart (e.g. GSS
-    /// handshake tokens — the context they belong to died with the
-    /// process; re-execution of a fresh token 1 is the *better*
-    /// recovery).
-    pub fn new(
-        endpoint: Endpoint,
-        name: &str,
-        plan: CrashPlan,
-        journal: Journal,
-        persist_replies: bool,
-    ) -> Self {
+    /// Host a service on `endpoint` under `plan`, restoring its reply
+    /// cache from `journal` on every restart.
+    pub fn new(endpoint: Endpoint, name: &str, plan: CrashPlan, journal: Journal) -> Self {
         CrashableServer {
             name: name.to_string(),
             rpc: RpcServer::new(endpoint),
             plan,
             journal,
-            persist_replies,
             down_until: None,
         }
     }
@@ -506,19 +548,9 @@ impl CrashableServer {
                 self.drop_mail();
                 return;
             }
-            // Restart: reply cache from the journal, app state via the
-            // application's own replay.
-            let records = if self.persist_replies {
-                self.journal.records()
-            } else {
-                Vec::new()
-            };
-            let replayed = self.rpc.restore(
-                records
-                    .iter()
-                    .filter(|(tag, _)| tag == RPC_REPLY_TAG)
-                    .filter_map(|(_, body)| decode_rpc_record(body)),
-            );
+            // Restart: reply cache from the commit records, app state
+            // via the application's own replay.
+            let replayed = self.rpc.restore(self.journal.replies());
             app.recover();
             self.plan.note_restart(&self.name, now, replayed);
             self.down_until = None;
@@ -530,11 +562,6 @@ impl CrashableServer {
                 self.plan.note_crash(&self.name, &point, now);
                 died = true;
                 return None;
-            }
-            if self.persist_replies {
-                // Write-ahead: the reply is durable before it is sent.
-                let record = encode_rpc_record(from, id, &reply);
-                let _ = self.journal.append(RPC_REPLY_TAG, &record);
             }
             Some(reply)
         });
@@ -852,9 +879,9 @@ mod tests {
         assert!(!capped.fires("x"), "budget of one crash is spent");
     }
 
-    /// A durable counter service: `incr` is the side effect; the journal
-    /// carries a dedup record per (caller, id) written *before* the
-    /// reply, so a crash in any window leaves at most one increment.
+    /// A durable counter service: `incr` is the side effect, committed
+    /// with its reply *before* the reply leaves, so a crash in any
+    /// window leaves at most one increment.
     struct CountingApp {
         plan: CrashPlan,
         journal: Journal,
@@ -866,19 +893,8 @@ mod tests {
             if self.plan.fires("app.exec") {
                 return Vec::new();
             }
-            let key = format!("{from}:{id}");
-            if self
-                .journal
-                .records()
-                .iter()
-                .any(|(t, b)| t == "incr" && b == key.as_bytes())
-            {
-                // Re-execution after a crash that lost the reply record:
-                // the side effect already happened.
-                return b"ok".to_vec();
-            }
             self.count += 1;
-            self.journal.append("incr", key.as_bytes()).unwrap();
+            self.journal.commit("incr", from, id, b"ok", &[]).unwrap();
             if self.plan.fires("app.journaled") {
                 return Vec::new();
             }
@@ -906,13 +922,8 @@ mod tests {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock.clone(), 0xC0DE, FaultProfile::default());
-        let server = CrashableServer::new(
-            net.register("svc"),
-            "svc",
-            plan.clone(),
-            journal.clone(),
-            true,
-        );
+        let server =
+            CrashableServer::new(net.register("svc"), "svc", plan.clone(), journal.clone());
         let app = Rc::new(RefCell::new(CountingApp {
             plan,
             journal,
@@ -951,9 +962,9 @@ mod tests {
         plan.arm("app.journaled", 1);
         let (mut client, app, _sched, _clock) = crash_rig(plan);
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
-        // The side effect was journaled, the reply was lost; the
-        // retransmission re-executed the handler, which found its own
-        // dedup record. Exactly one increment.
+        // The side effect was committed, the reply was lost; the
+        // restarted server answered the retransmission from the commit
+        // record without re-executing. Exactly one increment.
         assert_eq!(app.borrow().count, 1);
         assert_eq!(
             app.borrow()
@@ -1003,24 +1014,24 @@ mod tests {
         let plan = CrashPlan::manual(5);
         plan.arm("app.journaled", 1);
         let (mut client, app, mut sched, clock) = crash_rig(plan.clone());
-        // The kill lands after the increment is journaled, at t=0; the
+        // The kill lands after the increment is committed, at t=0; the
         // client's first retransmission is not due until t=16. Nothing
         // else is in flight, so only the server's own wake can bring it
-        // back at t=5 — and the retransmission it then answers must not
-        // count a second time.
+        // back at t=5 — with the committed reply restored, so the
+        // retransmission it then answers does not count a second time.
         assert_eq!(client.call(b"incr").unwrap(), b"ok");
         assert_eq!(
             plan.transcript(),
             vec![
                 "[t=0] crash svc=svc point=app.journaled",
-                "[t=5] restart svc=svc replayed=0",
+                "[t=5] restart svc=svc replayed=1",
             ]
         );
         assert_eq!(clock.now(), 16, "answered on the first retransmission");
         assert_eq!(client.stats().retransmissions, 1);
         assert_eq!(app.borrow().count, 1, "exactly once across the restart");
-        // The reply made it into the journal this time: a late duplicate
-        // of the same frame is answered from it without re-executing.
+        // A late duplicate of the same frame is answered from the
+        // restored commit record without re-executing.
         let ep = client.endpoint();
         ep.send("svc", crate::rpc::encode_request(1, b"incr"))
             .unwrap();

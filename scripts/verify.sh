@@ -221,6 +221,16 @@ stage_grep_guard() {
         echo "FAIL: a second stream transport is back (above); connect over Network" >&2
         exit 1
     fi
+    # One commit record per request (DESIGN.md §10): the journal write
+    # that makes an effect durable also answers its retransmits. No
+    # supervisor-side reply journaling knob or record, and no service
+    # keeps its own (caller, call-id) → reply table beside it.
+    if { grep -rEn 'persist_replies|RPC_REPLY_TAG' crates tests examples
+        grep -rEn 'HashMap<\(String, u64\), Vec<u8>>' crates/{gram,authz,services}/src
+    } | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: a second reply journal is back (above); commit the reply with the effect" >&2
+        exit 1
+    fi
     # A GridFTP server's digests are the ones its filesystem stores beside
     # each file (DESIGN.md §10): every version of a file is hashed once,
     # however often it is served or striped.
