@@ -38,7 +38,7 @@ use gridsec_gssapi::net::{
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::hosting::HostingEnvironment;
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::{RetryTransport, RpcService};
+use gridsec_ogsa::transport::serve;
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::proxy::issue_proxy;
@@ -49,7 +49,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, ServerTask};
+use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
@@ -453,8 +453,14 @@ pub fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let env = Rc::new(RefCell::new(env));
 
     let mut sched = Scheduler::new(&net);
-    sched.spawn_mailbox("echo-host", RpcService::new(&net, "echo-host", env.clone()));
-    let transport = RetryTransport::connect(&net, "user", "echo-host", policy());
+    sched.spawn_mailbox(
+        "echo-host",
+        ServerTask::new(
+            RpcServer::new(net.register("echo-host")),
+            serve(env.clone()),
+        ),
+    );
+    let transport = RpcClient::new(net.register("user"), "echo-host", policy());
     let mut client = OgsaClient::new(transport, w.trust.clone(), clock, b"chaos fig3 client");
     client.add_source(Box::new(StaticCredential(w.user.clone())));
 

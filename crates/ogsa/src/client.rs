@@ -234,11 +234,11 @@ impl<T: Transport> OgsaClient<T> {
                 |_, initiator, token| {
                     let resumed = initiator.resuming();
                     let (initiator, rst1) = WsscInitiator::carry(initiator, &token);
-                    let rstr1 = exchange(&mut self.transport, rst1)?;
+                    let rstr1 = token_round_trip(&mut self.transport, rst1)?;
                     let (rst2, session) = initiator
                         .finish(&rstr1)
                         .map_err(|e| LoopError::Failed(e.into()))?;
-                    exchange(&mut self.transport, rst2)?;
+                    token_round_trip(&mut self.transport, rst2)?;
                     Ok((session, resumed))
                 },
             )?;
@@ -389,7 +389,7 @@ fn credential_for(
 
 /// One RST/RSTR round trip of context establishment: a fault in answer
 /// is the service refusing the token.
-fn exchange(
+fn token_round_trip(
     transport: &mut impl Transport,
     rst: Envelope,
 ) -> Result<Envelope, LoopError<OgsaError>> {

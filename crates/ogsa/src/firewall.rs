@@ -8,22 +8,27 @@
 //!
 //! Both are implemented here, key-free: the [`Firewall`] classifies
 //! envelopes purely from their observable structure (security headers,
-//! token-exchange actions), and [`RouterTask`] forwards envelopes along
-//! their `wsr:path` through the simulated network — so a service behind
-//! a perimeter is reachable without the perimeter holding any
-//! credentials or terminating any security context.
+//! token-exchange actions), and [`RouterTask`] — the one place a
+//! perimeter sits — forwards envelopes along their `wsr:path` through
+//! the simulated network, so a service behind a perimeter is reachable
+//! without the perimeter holding any credentials or terminating any
+//! security context. A routed call ([`RoutedTransport`]) is one
+//! at-most-once RPC call end to end: every hop correlates replies by
+//! call id, never by arrival order, so loss, duplication and
+//! reordering on any link cost a retransmission, not a wrong reply.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use gridsec_testbed::net::{Endpoint, Message, Network};
+use gridsec_testbed::rpc::{self, RpcClient};
 use gridsec_testbed::sched::{Step, Task, TaskCx};
 use gridsec_wsse::routing;
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::wssc::RST_ACTION;
 
-use crate::transport::{exchange, Transport};
+use crate::transport::Transport;
 use crate::OgsaError;
 
 /// What a firewall decided about one message.
@@ -85,47 +90,36 @@ impl Firewall {
     }
 }
 
-/// A transport wrapper that applies a firewall to every outbound request
-/// (modelling a perimeter between client and service).
-pub struct FirewalledTransport<T: Transport> {
-    inner: T,
-    /// The perimeter firewall.
-    pub firewall: Firewall,
-}
-
-impl<T: Transport> FirewalledTransport<T> {
-    /// Wrap a transport behind a firewall.
-    pub fn new(inner: T, firewall: Firewall) -> Self {
-        FirewalledTransport { inner, firewall }
-    }
-}
-
-impl<T: Transport> Transport for FirewalledTransport<T> {
-    fn call(&mut self, request_xml: String) -> Result<String, OgsaError> {
-        match self.firewall.inspect(&request_xml) {
-            Verdict::Allow(_) => self.inner.call(request_xml),
-            Verdict::Deny(reason) => Err(OgsaError::Transport(format!(
-                "dropped by firewall: {reason}"
-            ))),
-        }
-    }
-}
-
-/// A WS-Routing intermediary as a discrete-event task: drain the
-/// mailbox, apply the firewall, forward allowed envelopes to their next
-/// hop *without waiting*, and relay each hop's replies back to the
-/// original senders. Spawn it with
+/// A WS-Routing intermediary as a discrete-event task, speaking the
+/// at-most-once RPC frames of [`gridsec_testbed::rpc`] on both sides.
+/// Each request's body passes the firewall and is forwarded to its
+/// next hop *without waiting*, under a relay id of this router's own;
+/// the next hop's reply goes back to the requester under the call id
+/// it used. A retransmitted request reuses its relay id, so the next
+/// hop's reply cache answers it and the service still executes it at
+/// most once. A denied or unroutable body is answered here with a
+/// fault envelope. Non-RPC frames, and replies this router did not ask
+/// for, are dropped. The router keeps no timers: retransmission is the
+/// client's, end to end.
+///
+/// Spawn it with
 /// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
 /// under the router's endpoint name. The firewall is shared so a
-/// harness can read its counters while the task lives on the scheduler.
+/// harness can read its counters while the task lives on the scheduler;
+/// it sees every copy of a request that reaches the router.
 pub struct RouterTask {
     endpoint: Endpoint,
     firewall: Rc<RefCell<Firewall>>,
-    /// Original requesters awaiting a reply from each next hop, in
-    /// forwarding order. Per-link delivery on a fault-free network is
-    /// FIFO, so the first reply from a hop answers the first request
-    /// forwarded to it.
-    pending: HashMap<String, VecDeque<String>>,
+    /// Relay id of each forwarded `(requester, call id)`.
+    relay_ids: HashMap<(String, u64), u64>,
+    /// Indexed by relay id: whom to answer, and the hop that answers.
+    relays: Vec<Relay>,
+}
+
+struct Relay {
+    requester: String,
+    id: u64,
+    hop: String,
 }
 
 impl RouterTask {
@@ -134,43 +128,60 @@ impl RouterTask {
         RouterTask {
             endpoint: network.register(name),
             firewall,
-            pending: HashMap::new(),
+            relay_ids: HashMap::new(),
+            relays: Vec::new(),
         }
     }
 
     fn handle(&mut self, msg: Message) {
-        // A message from a hop we forwarded to is that hop's reply:
-        // relay it to the requester at the head of the hop's queue.
-        if let Some(q) = self.pending.get_mut(&msg.from) {
-            if let Some(client) = q.pop_front() {
-                let _ = self.endpoint.send(&client, msg.payload);
-                return;
+        if let Some((relay, body)) = rpc::decode_reply(&msg.payload) {
+            let known = usize::try_from(relay).ok().and_then(|i| self.relays.get(i));
+            if let Some(r) = known.filter(|r| r.hop == msg.from) {
+                let _ = self
+                    .endpoint
+                    .send(&r.requester, rpc::encode_reply(r.id, body));
             }
+            return;
         }
-        let xml = String::from_utf8_lossy(&msg.payload).into_owned();
-        let fault = match self.firewall.borrow_mut().inspect(&xml) {
-            Verdict::Deny(reason) => crate::hosting::fault_envelope(&OgsaError::Transport(
-                format!("dropped by firewall: {reason}"),
-            )),
-            Verdict::Allow(_) => match Envelope::parse(&xml) {
-                Ok(mut env) => match routing::advance(&mut env) {
-                    Ok(Some(next)) => match self.endpoint.send(&next, env.to_xml().into_bytes()) {
-                        Ok(()) => {
-                            self.pending.entry(next).or_default().push_back(msg.from);
-                            return;
-                        }
-                        Err(e) => {
-                            crate::hosting::fault_envelope(&OgsaError::Transport(e.to_string()))
-                        }
-                    },
-                    _ => crate::hosting::fault_envelope(&OgsaError::Malformed(
-                        "router received unrouted message",
-                    )),
-                },
-                Err(e) => crate::hosting::fault_envelope(&OgsaError::Wsse(e)),
-            },
+        let Some((id, body)) = rpc::decode_request(&msg.payload) else {
+            return;
         };
-        let _ = self.endpoint.send(&msg.from, fault.to_xml().into_bytes());
+        let xml = String::from_utf8_lossy(body);
+        if let Err(e) = self.forward(&msg.from, id, &xml) {
+            let fault = crate::hosting::fault_envelope(&e).to_xml();
+            let _ = self
+                .endpoint
+                .send(&msg.from, rpc::encode_reply(id, fault.as_bytes()));
+        }
+    }
+
+    /// Firewall `xml` and send it on to its next hop under the relay id
+    /// of `(from, id)`.
+    fn forward(&mut self, from: &str, id: u64, xml: &str) -> Result<(), OgsaError> {
+        if let Verdict::Deny(reason) = self.firewall.borrow_mut().inspect(xml) {
+            return Err(OgsaError::Transport(format!(
+                "dropped by firewall: {reason}"
+            )));
+        }
+        let mut env = Envelope::parse(xml)?;
+        let Ok(Some(hop)) = routing::advance(&mut env) else {
+            return Err(OgsaError::Malformed("router received unrouted message"));
+        };
+        let relays = &mut self.relays;
+        let relay = *self
+            .relay_ids
+            .entry((from.to_string(), id))
+            .or_insert_with(|| {
+                relays.push(Relay {
+                    requester: from.to_string(),
+                    id,
+                    hop: hop.clone(),
+                });
+                relays.len() as u64 - 1
+            });
+        self.endpoint
+            .send(&hop, rpc::encode_request(relay, env.to_xml().as_bytes()))
+            .map_err(|e| OgsaError::Transport(e.to_string()))
     }
 }
 
@@ -183,20 +194,21 @@ impl Task for RouterTask {
     }
 }
 
-/// A client-side transport that sends every request via a routed path
-/// (client → router(s) → service) on the simulated network.
+/// A client-side transport that sends every request along a routed path
+/// (client → router(s) → service): each envelope is one call of `rpc`,
+/// the caller's client of the path's first hop.
 pub struct RoutedTransport {
-    endpoint: Endpoint,
+    rpc: RpcClient,
     path: routing::RoutingPath,
 }
 
 impl RoutedTransport {
-    /// Connect, targeting `path` (first via = the entry router).
-    pub fn connect(network: &Network, client_name: &str, path: routing::RoutingPath) -> Self {
-        RoutedTransport {
-            endpoint: network.register(client_name),
-            path,
-        }
+    /// Route every request along `path` through `rpc`, which must call
+    /// the path's first hop: its first via, or with none its
+    /// destination.
+    pub fn new(rpc: RpcClient, path: routing::RoutingPath) -> Self {
+        debug_assert_eq!(rpc.server(), path.via.first().unwrap_or(&path.to));
+        RoutedTransport { rpc, path }
     }
 }
 
@@ -204,18 +216,9 @@ impl Transport for RoutedTransport {
     fn call(&mut self, request_xml: String) -> Result<String, OgsaError> {
         let mut env = Envelope::parse(&request_xml)?;
         routing::set_path(&mut env, &self.path);
-        // First hop: either the first via or the destination directly.
-        let first = self
-            .path
-            .via
-            .first()
-            .cloned()
-            .unwrap_or_else(|| self.path.to.clone());
         // Whoever receives the envelope — entry router or, going direct,
         // the service itself — must find its own hop already consumed.
         let _ = routing::advance(&mut env).map_err(OgsaError::Wsse)?;
-        let reply = exchange(&self.endpoint, &first, env.to_xml().into_bytes())
-            .map_err(|e| OgsaError::Transport(e.to_string()))?;
-        String::from_utf8(reply.payload).map_err(|_| OgsaError::Transport("non-UTF8".into()))
+        Transport::call(&mut self.rpc, env.to_xml())
     }
 }

@@ -23,7 +23,11 @@
 //!   token exchange, (5) invoke. Applications call
 //!   [`client::OgsaClient::invoke`]; everything else is infrastructure.
 //! * [`transport`] — message transports: in-process (for benches) and
-//!   the `gridsec-testbed` network (for multi-host scenarios).
+//!   the `gridsec-testbed` network, where every envelope is one
+//!   at-most-once RPC call and a hosting environment is served by an
+//!   `rpc::ServerTask` (for multi-host scenarios).
+//! * [`firewall`] — the key-free perimeter of §4.4 and the WS-Routing
+//!   intermediaries of §6, relaying those same RPC calls hop by hop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

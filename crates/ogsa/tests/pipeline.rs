@@ -10,9 +10,7 @@ use gridsec_crypto::rng::ChaChaRng;
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::hosting::{AuditEvent, HostingEnvironment};
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::{
-    InProcessTransport, NetworkTransport, RetryTransport, RpcService, ServeTask, Transport,
-};
+use gridsec_ogsa::transport::{serve, InProcessTransport, Transport};
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
@@ -20,6 +18,7 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::net::Network;
+use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -349,40 +348,21 @@ fn firewall_observability_of_secured_messages() {
 }
 
 #[test]
-fn network_transport_end_to_end() {
-    let w = world();
-    let network = Network::new();
-    // The service is a task on a deterministic scheduler — no server
-    // thread, no registration race, no request cap — and runs inside
-    // the client's wait (raw-envelope transport).
-    let mut sched = Scheduler::new(&network);
-    sched.spawn_mailbox(
-        "echo-host",
-        ServeTask::new(&network, "echo-host", make_env(&w, &["xml-signature"])),
-    );
-
-    let transport = NetworkTransport::connect(&network, "client-1", "echo-host");
-    let mut client = OgsaClient::new(transport, w.trust.clone(), w.clock.clone(), b"net client");
-    client.add_source(Box::new(StaticCredential(w.alice.clone())));
-    let handle = client.create_service("echo", Element::new("args")).unwrap();
-    assert!(handle.starts_with("gsh:echo-"));
-    // getPolicy + createService = 2 round trips = 4 messages.
-    assert!(network.stats().messages >= 4);
-}
-
-#[test]
 fn scheduled_rpc_service_end_to_end() {
     let w = world();
     let network = Network::new();
-    // Same flow over the at-most-once RPC framing: the RpcService runs
-    // as a scheduler task (its Task impl), woken per delivery.
+    // The hosting environment is a scheduler task behind the
+    // at-most-once RPC framing, woken per delivery; it runs inside the
+    // client's wait.
     let env = Rc::new(RefCell::new(make_env(&w, &["xml-signature"])));
     let mut sched = Scheduler::new(&network);
-    sched.spawn_mailbox("echo-host", RpcService::new(&network, "echo-host", env));
+    sched.spawn_mailbox(
+        "echo-host",
+        ServerTask::new(RpcServer::new(network.register("echo-host")), serve(env)),
+    );
 
-    let transport = RetryTransport::connect(
-        &network,
-        "client-1",
+    let transport = RpcClient::new(
+        network.register("client-1"),
         "echo-host",
         RetryPolicy {
             max_attempts: 4,

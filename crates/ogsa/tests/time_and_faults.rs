@@ -10,13 +10,14 @@ use gridsec_crypto::rng::ChaChaRng;
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::hosting::{fault_envelope, parse_fault, HostingEnvironment};
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::{InProcessTransport, RetryTransport, RpcService};
+use gridsec_ogsa::transport::{serve, InProcessTransport};
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::net::{FaultProfile, Network};
+use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
 use gridsec_testbed::sched::{Scheduler, Task, TaskCx};
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -189,14 +190,14 @@ fn timeout_expiry_mid_handshake_recovers_after_heal() {
     net.enable_faults(clock.clone(), 0x11ED, FaultProfile::default());
 
     let (env, trust, user) = build_env(&clock, "gsi-secure-conversation", 10_000_000);
-    let mut service = RpcService::new(&net, "time-host", env);
+    let mut service = ServerTask::new(RpcServer::new(net.register("time-host")), serve(env));
     let policy = RetryPolicy {
         max_attempts: 4,
         base_timeout: 8,
         multiplier: 2,
         max_timeout: 32,
     };
-    let transport = RetryTransport::connect(&net, "u-client", "time-host", policy);
+    let transport = RpcClient::new(net.register("u-client"), "time-host", policy);
     // Cut the link after the second served request (each reply is one
     // send on this duplicate-free network): the policy fetch and the
     // first conversation token get through, then the handshake is left

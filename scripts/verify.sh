@@ -231,6 +231,19 @@ stage_grep_guard() {
         echo "FAIL: a second reply journal is back (above); commit the reply with the effect" >&2
         exit 1
     fi
+    # One GT3 wire (DESIGN.md §8): every OGSA envelope is an at-most-once
+    # RPC call, through WS-Routing hops too, and the perimeter is the
+    # router hop. No bare-envelope transport or server, no exchange that
+    # takes the next arrival as the reply, no second OGSA server task or
+    # client newtype, no in-process firewall wrapper.
+    if { grep -rEn 'NetworkTransport|ServeTask|RpcService|RetryTransport|FirewalledTransport|fn exchange\(' \
+        crates/ogsa/src
+        grep -rEn 'NetworkTransport|ServeTask|RpcService|RetryTransport|FirewalledTransport' \
+            crates/*/tests tests examples
+    } | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: a second GT3 wire is back (above); call and serve OGSA over testbed::rpc" >&2
+        exit 1
+    fi
     # A GridFTP server's digests are the ones its filesystem stores beside
     # each file (DESIGN.md §10): every version of a file is hashed once,
     # however often it is served or striped.
