@@ -6,7 +6,7 @@
 //! 1. A user authenticates to the [`CasServer`] and receives a signed
 //!    [`CasAssertion`] enumerating the rights the VO grants them.
 //! 2. The user embeds the assertion in a restricted proxy
-//!    ([`CAS_POLICY_LANGUAGE`]) and presents that chain with the request.
+//!    (`CAS_POLICY_LANGUAGE`) and presents that chain with the request.
 //! 3. The resource's [`ResourceGate::permits`] reads the assertion from
 //!    the validated chain and checks **both** its local policy (does the
 //!    VO get to use this resource at all? does the local admin forbid
@@ -37,7 +37,7 @@ pub struct Right {
 
 impl Right {
     /// Does this right cover the concrete (resource, action)?
-    pub fn covers(&self, resource: &str, action: &str) -> bool {
+    pub(crate) fn covers(&self, resource: &str, action: &str) -> bool {
         Pattern::parse(&self.resource).matches(resource)
             && Pattern::parse(&self.action).matches(action)
     }
@@ -110,7 +110,7 @@ impl Codec for CasAssertion {
 
 impl CasAssertion {
     /// Verify the issuer signature.
-    pub fn verify(&self, cas_key: &RsaPublicKey) -> bool {
+    pub(crate) fn verify(&self, cas_key: &RsaPublicKey) -> bool {
         cas_key.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
     }
 
@@ -197,7 +197,7 @@ impl CasServer {
 }
 
 /// The RFC 3820 policy-language identifier for embedded CAS assertions.
-pub const CAS_POLICY_LANGUAGE: &str = "cas-rights-v1";
+pub(crate) const CAS_POLICY_LANGUAGE: &str = "cas-rights-v1";
 
 /// The one place a validated chain becomes a yes or no (Figure 2 step 3
 /// at every relying party). A gate without local policy leaves local
@@ -229,7 +229,7 @@ impl ResourceGate {
     /// DESIGN.md §18's four rules, in order, each refusal its own
     /// [`AuthzError`]: (1) an independent proxy is refused; (2) a limited
     /// proxy is refused [`START_JOB`]; (3) every restriction must be a
-    /// [`CAS_POLICY_LANGUAGE`] assertion (RFC 3820: understand or reject)
+    /// `CAS_POLICY_LANGUAGE` assertion (RFC 3820: understand or reject)
     /// signed by the CAS trusted for its VO, fresh, issued to the base
     /// identity and covering the request; (4) local policy, if any, must
     /// permit the request as `vo:<name>` tagged with the presenter for

@@ -35,11 +35,11 @@ use gridsec_testbed::rpc::Reply;
 use std::rc::Rc;
 
 /// Journal tag for an enrollment record.
-pub const TAG_ENROLL: &str = "cas-enroll";
+pub(crate) const TAG_ENROLL: &str = "cas-enroll";
 /// Journal tag for a VO policy rule record.
-pub const TAG_RULE: &str = "cas-rule";
+pub(crate) const TAG_RULE: &str = "cas-rule";
 /// Journal tag for an issue request's commit record.
-pub const TAG_ISSUED: &str = "cas-issued";
+pub(crate) const TAG_ISSUED: &str = "cas-issued";
 
 /// A [`CasServer`] wrapped in write-ahead journaling and crash recovery.
 ///

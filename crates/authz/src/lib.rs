@@ -21,6 +21,7 @@
 //!   decision point: proxy rights, restrictions, then `local ∩ VO`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod cas;

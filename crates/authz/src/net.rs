@@ -23,7 +23,7 @@ use gridsec_util::trace;
 use std::rc::Rc;
 
 /// Op tag for assertion issuance.
-pub const OP_ISSUE: &str = "cas-issue";
+pub(crate) const OP_ISSUE: &str = "cas-issue";
 
 /// The CAS server behind an RPC endpoint: plug [`CasService::handle`]
 /// into a [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an

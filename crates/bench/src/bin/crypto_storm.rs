@@ -19,16 +19,8 @@
 //! # env overrides: GRIDSEC_STORM_PRINCIPALS, GRIDSEC_STORM_SEED
 //! ```
 
+use gridsec_bench::parse_u64;
 use gridsec_integration::scenarios::crypto_storm::{run_crypto_storm, CryptoStormOpts};
-
-fn parse_u64(v: &str, what: &str) -> u64 {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("hex {what}"))
-    } else {
-        v.parse().unwrap_or_else(|_| panic!("decimal {what}"))
-    }
-}
 
 fn main() {
     let mut seed: u64 = 0x0000_0C57;

@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use gridsec_bench::{dn, KEY_BITS};
+use gridsec_bench::{dn, parse_u64, KEY_BITS};
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext};
 use gridsec_gssapi::mill::HandshakeMill;
@@ -35,15 +35,6 @@ use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_util::trace::MetricsSnapshot;
-
-fn parse_u64(v: &str, what: &str) -> u64 {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("hex {what}"))
-    } else {
-        v.parse().unwrap_or_else(|_| panic!("decimal {what}"))
-    }
-}
 
 struct StormOpts {
     seed: u64,

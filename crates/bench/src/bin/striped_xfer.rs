@@ -21,17 +21,9 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use gridsec_bench::parse_u64;
 use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_world};
 use gridsec_util::trace::MetricsSnapshot;
-
-fn parse_u64(v: &str, what: &str) -> u64 {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("hex {what}"))
-    } else {
-        v.parse().unwrap_or_else(|_| panic!("decimal {what}"))
-    }
-}
 
 const LOSSES_PERMILLE: [u64; 3] = [10, 50, 100];
 const STRIPE_COUNTS: [u32; 4] = [1, 2, 4, 8];

@@ -18,16 +18,8 @@
 //! (report header + metrics, no wall time) to FILE — the artifact the
 //! CI two-run gate compares.
 
+use gridsec_bench::parse_u64;
 use gridsec_integration::scenarios::vo_storm::{run_vo_storm, StormOpts};
-
-fn parse_u64(v: &str, what: &str) -> u64 {
-    let v = v.trim();
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("hex {what}"))
-    } else {
-        v.parse().unwrap_or_else(|_| panic!("decimal {what}"))
-    }
-}
 
 fn main() {
     let mut seed: u64 = 0x0057_0A11;

@@ -13,6 +13,7 @@
 //! same world.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use gridsec_bignum::prime::random_bits;
 use gridsec_bignum::BigUint;
@@ -21,6 +22,17 @@ use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
+
+/// Parse a seed or size given as decimal or `0x` hex (a storm binary's
+/// flag or environment value); panics naming `what` when it is neither.
+pub fn parse_u64(v: &str, what: &str) -> u64 {
+    let v = v.trim();
+    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("hex {what}"))
+    } else {
+        v.parse().unwrap_or_else(|_| panic!("decimal {what}"))
+    }
+}
 
 /// Key size used across benches. Deliberately small (research stack on a
 /// single core); the *relative* shapes are what the experiments check.

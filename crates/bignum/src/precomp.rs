@@ -63,11 +63,6 @@ impl FixedBaseTable {
         self.mont.modulus()
     }
 
-    /// Largest exponent bit length the table covers.
-    pub fn max_exp_bits(&self) -> usize {
-        self.max_exp_bits
-    }
-
     /// `base^exp mod modulus`, or `None` when `exp` is wider than the
     /// table (the caller falls back to the generic kernel).
     ///

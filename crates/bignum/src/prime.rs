@@ -456,19 +456,6 @@ pub fn generate_certified_prime<E: EntropySource>(
     }
 }
 
-/// Generate a "safe prime" `p` (i.e. `p = 2q + 1` with `q` prime), used for
-/// Diffie–Hellman group construction in tests. This is expensive; keep
-/// `bits` modest (≤ 256) in test contexts.
-pub fn generate_safe_prime<E: EntropySource>(rng: &mut E, bits: usize, rounds: usize) -> BigUint {
-    loop {
-        let q = generate_prime(rng, bits - 1, rounds);
-        let p = (&q << 1).add_ref(&BigUint::one());
-        if is_probably_prime(&p, rounds, rng) == Primality::ProbablyPrime {
-            return p;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,14 +586,5 @@ mod tests {
         assert!(p.bit(126), "top two bits set");
         assert!(p.is_odd());
         assert_eq!(is_probably_prime(&p, 20, &mut r), Primality::ProbablyPrime);
-    }
-
-    #[test]
-    fn generated_safe_prime() {
-        let mut r = rng();
-        let p = generate_safe_prime(&mut r, 96, 8);
-        assert_eq!(p.bit_len(), 96);
-        let q = (&p - &BigUint::one()) >> 1;
-        assert_eq!(is_probably_prime(&q, 10, &mut r), Primality::ProbablyPrime);
     }
 }

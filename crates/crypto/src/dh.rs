@@ -69,9 +69,8 @@ impl DhGroup {
 
     /// A small 256-bit test group (fast; **test use only**).
     ///
-    /// `p` is a fixed safe prime generated once with
-    /// `gridsec_bignum::prime::generate_safe_prime` and recorded here as a
-    /// constant; the unit tests re-verify both `p` and `(p-1)/2`.
+    /// `p` is a fixed safe prime recorded here as a constant; the unit
+    /// tests re-verify both `p` and `(p-1)/2`.
     pub fn test_group_256() -> Self {
         static GROUP: OnceLock<DhGroup> = OnceLock::new();
         Self::constant(
@@ -169,11 +168,6 @@ impl DhKeyPair {
         }
         let secret = self.group.pow(peer_public, &self.private);
         Some(secret.to_bytes_be_padded(self.group.modulus_len()))
-    }
-
-    /// The group this key pair belongs to.
-    pub fn group(&self) -> &DhGroup {
-        &self.group
     }
 }
 

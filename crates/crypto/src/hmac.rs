@@ -15,14 +15,14 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// Streaming HMAC-SHA-256.
 #[derive(Clone)]
-pub struct HmacSha256 {
+pub(crate) struct HmacSha256 {
     inner: Sha256,
     opad_key: [u8; BLOCK_LEN],
 }
 
 impl HmacSha256 {
     /// Create a MAC instance keyed with `key` (any length).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             k[..DIGEST_LEN].copy_from_slice(&sha256(key));
@@ -44,12 +44,12 @@ impl HmacSha256 {
     }
 
     /// Absorb message data.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Finalize and return the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
         let mut outer = Sha256::new();
         outer.update(&self.opad_key);
@@ -61,7 +61,7 @@ impl HmacSha256 {
 /// An HMAC key schedule precomputed once and reused: the SHA-256 states
 /// with the ipad- and opad-xored key blocks already absorbed.
 ///
-/// [`HmacSha256::new`] derives the padded key and absorbs one 64-byte
+/// `HmacSha256::new` derives the padded key and absorbs one 64-byte
 /// block into the inner hash on every call, and `finalize` absorbs the
 /// opad block into a fresh outer hash — two compression-function
 /// invocations of pure key schedule per MAC. When many MACs share one
@@ -74,7 +74,7 @@ impl HmacSha256 {
 ///
 /// Byte-identity with the one-shot path is pinned by tests here and in
 /// `gridsec-tls` (the RFC 4231/5869 vectors run through this type via
-/// [`hkdf_expand`]).
+/// `hkdf_expand`).
 #[derive(Clone)]
 pub struct PrimedHmac {
     /// SHA-256 state with `key ⊕ ipad` absorbed.
@@ -122,7 +122,7 @@ impl PrimedHmac {
     }
 
     /// HKDF-Expand (RFC 5869 §2.3) of `len` bytes (≤ 255 * 32) with the
-    /// priming key as PRK: [`hkdf_expand`] for a caller that goes on to
+    /// priming key as PRK: `hkdf_expand` for a caller that goes on to
     /// MAC under the same key.
     pub fn expand(&self, info: &[u8], len: usize) -> Vec<u8> {
         assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
@@ -170,7 +170,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// HKDF-Expand (RFC 5869 §2.3) producing `len` bytes (≤ 255 * 32).
-pub fn hkdf_expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+pub(crate) fn hkdf_expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     // Every block is keyed by the same PRK: prime the key schedule once
     // and clone it per block instead of re-deriving it.
     PrimedHmac::new(prk).expand(info, len)

@@ -10,9 +10,9 @@
 //! arithmetic mod 2^130 − 5.
 
 /// Key length in bytes (r || s).
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Tag length in bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 const BLOCK: usize = 16;
 const MASK44: u64 = (1 << 44) - 1;

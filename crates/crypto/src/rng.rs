@@ -11,7 +11,7 @@
 
 use crate::chacha20;
 use crate::sha256::sha256;
-use gridsec_util::rng::{fill_os_entropy, CryptoRng, RngCore};
+use gridsec_util::rng::{CryptoRng, RngCore};
 
 /// ChaCha20-based DRBG: the keystream of ChaCha20 under a hashed seed key,
 /// with a 64-bit block counter in the nonce/counter space.
@@ -31,13 +31,6 @@ impl ChaChaRng {
             buf: [0; 64],
             buf_pos: 64,
         }
-    }
-
-    /// Seed from the operating system's entropy source.
-    pub fn from_os_entropy() -> Self {
-        let mut seed = [0u8; 32];
-        fill_os_entropy(&mut seed);
-        Self::from_seed_bytes(&seed)
     }
 
     fn refill(&mut self) {
@@ -124,13 +117,6 @@ mod tests {
             pieced.extend_from_slice(&buf);
         }
         assert_eq!(&bulk[..], &pieced[..]);
-    }
-
-    #[test]
-    fn os_entropy_seeding_differs_per_instance() {
-        let mut a = ChaChaRng::from_os_entropy();
-        let mut b = ChaChaRng::from_os_entropy();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl RsaPublicKey {
         Ok(mod_pow(&m, &self.e, &self.n).to_bytes_be_padded(k))
     }
 
-    /// Raw public-key operation (`m^e mod n`), exposed for protocol code
-    /// that layers its own encoding.
-    pub fn raw_public_op(&self, m: &BigUint) -> BigUint {
-        mod_pow(m, &self.e, &self.n)
-    }
-
     /// A short, stable fingerprint of the key: SHA-256 over `n || e`.
     pub fn fingerprint(&self) -> [u8; 32] {
         let mut data = self.n.to_bytes_be();
@@ -197,11 +191,6 @@ impl RsaVerifyCtx {
             key: key.clone(),
             mont: Montgomery::new(&key.n),
         }
-    }
-
-    /// The key this context verifies under.
-    pub fn key(&self) -> &RsaPublicKey {
-        &self.key
     }
 
     /// `s^e mod n` through the shared context.
@@ -584,7 +573,7 @@ mod tests {
     fn crt_matches_plain_exponentiation() {
         let key = test_key();
         let m = BigUint::from(0xDEADBEEFu64);
-        let c = key.public().raw_public_op(&m);
+        let c = mod_pow(&m, &key.public.e, &key.public.n);
         let back = key.raw_private_op(&c);
         assert_eq!(back, m);
         // And the textbook way (without CRT) agrees:

@@ -9,7 +9,7 @@
 //! job processes, or anything on disk. [`DurableGram`] reproduces
 //! exactly that blast radius: submissions and job starts are journaled
 //! write-ahead, recovery replays them through
-//! [`GramResource::restore_mjs`], and step-7 sessions are simply gone —
+//! `GramResource::restore_mjs`, and step-7 sessions are simply gone —
 //! clients re-establish them via
 //! [`submit_job_resilient`][crate::remote::submit_job_resilient].
 //!
@@ -47,9 +47,9 @@ use crate::resource::GramResource;
 use crate::types::{JobDescription, JobState};
 
 /// Journal tag for a completed submission (steps 1–6).
-pub const TAG_SUBMIT: &str = "gram-submit";
+pub(crate) const TAG_SUBMIT: &str = "gram-submit";
 /// Journal tag for a completed job start (step 7).
-pub const TAG_START: &str = "gram-start";
+pub(crate) const TAG_START: &str = "gram-start";
 
 /// A [`RemoteGram`] wrapped in write-ahead journaling and crash
 /// recovery; plug into a
@@ -89,26 +89,6 @@ impl DurableGram {
         };
         durable.recover();
         durable
-    }
-
-    /// The shared resource handle.
-    pub fn resource(&self) -> Rc<RefCell<GramResource>> {
-        self.resource.clone()
-    }
-
-    /// Number of submissions journaled: one commit record each, so
-    /// retransmits answered from the journal do not count.
-    pub fn submitted_count(&self) -> usize {
-        self.journal
-            .records()
-            .iter()
-            .filter(|(tag, _)| tag == TAG_SUBMIT)
-            .count()
-    }
-
-    /// Number of distinct job starts journaled.
-    pub fn started_count(&self) -> usize {
-        self.started.len()
     }
 
     fn encode_submit_record(&self, handle: &str, account: &str) -> Vec<u8> {
@@ -322,6 +302,23 @@ mod tests {
     use gridsec_testbed::rpc::{RpcClient, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
+
+    impl DurableGram {
+        /// Number of submissions journaled: one commit record each, so
+        /// retransmits answered from the journal do not count.
+        fn submitted_count(&self) -> usize {
+            self.journal
+                .records()
+                .iter()
+                .filter(|(tag, _)| tag == TAG_SUBMIT)
+                .count()
+        }
+
+        /// Number of distinct job starts journaled.
+        fn started_count(&self) -> usize {
+            self.started.len()
+        }
+    }
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()

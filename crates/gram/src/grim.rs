@@ -22,11 +22,11 @@ use gridsec_pki::PkiError;
 use crate::GramError;
 
 /// RFC 3820 policy-language id for GRIM-embedded attributes.
-pub const GRIM_POLICY_LANGUAGE: &str = "grim-policy-v1";
+pub(crate) const GRIM_POLICY_LANGUAGE: &str = "grim-policy-v1";
 
 /// The attributes GRIM embeds in the proxy it issues.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GrimPolicy {
+pub(crate) struct GrimPolicy {
     /// Grid identity of the user the LMJFS serves.
     pub user_identity: DistinguishedName,
     /// Local account the LMJFS runs in.
@@ -57,7 +57,7 @@ impl Codec for GrimPolicy {
 /// and killing it after this single operation; see
 /// [`crate::resource::GramResource`].
 #[allow(clippy::too_many_arguments)]
-pub fn issue_grim_credential<E: EntropySource>(
+pub(crate) fn issue_grim_credential<E: EntropySource>(
     rng: &mut E,
     host_credential: &Credential,
     user_identity: &DistinguishedName,
@@ -88,7 +88,7 @@ pub fn issue_grim_credential<E: EntropySource>(
 
 /// Extract the GRIM policy from a validated peer identity (requestor-side
 /// half of step 7's mutual authorization).
-pub fn extract_grim_policy(identity: &ValidatedIdentity) -> Option<GrimPolicy> {
+pub(crate) fn extract_grim_policy(identity: &ValidatedIdentity) -> Option<GrimPolicy> {
     identity
         .restrictions
         .iter()
@@ -104,7 +104,7 @@ pub fn extract_grim_policy(identity: &ValidatedIdentity) -> Option<GrimPolicy> {
 /// when known, must be the account the GRIM credential names — the
 /// paper's "running not only on the right host but also in an
 /// appropriate account".
-pub fn authorize_mjs(
+pub(crate) fn authorize_mjs(
     peer: &ValidatedIdentity,
     host: &DistinguishedName,
     user: &DistinguishedName,

@@ -19,7 +19,6 @@ use gridsec_authz::START_JOB;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{AcceptorContext, InitiatorContext};
 use gridsec_pki::credential::Credential;
-use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::os::{FileMode, Pid, SimOs, ROOT_UID};
@@ -38,20 +37,12 @@ pub struct Gt2Gatekeeper {
     host_credential: Credential,
     gatekeeper_pid: Pid,
     rng: ChaChaRng,
-    jobs: HashMap<String, Gt2Job>,
+    jobs: HashMap<String, JobState>,
     next_job: u64,
     /// Jobs run.
     pub jobs_submitted: u64,
     /// The authorization decision point, asked before the fork.
     pub gate: ResourceGate,
-}
-
-struct Gt2Job {
-    owner: DistinguishedName,
-    #[allow(dead_code)]
-    jobmanager_pid: Pid,
-    job_pid: Pid,
-    state: JobState,
 }
 
 impl Gt2Gatekeeper {
@@ -184,22 +175,13 @@ impl Gt2Gatekeeper {
                 &format!("delegated proxy of {user_dn}"),
             )
             .map_err(oserr)?;
-        let job_pid = self
-            .os
+        self.os
             .spawn(&self.host, &format!("job:{}", parsed.executable), &account)
             .map_err(oserr)?;
 
         self.next_job += 1;
         let handle = format!("gt2:job-{}", self.next_job);
-        self.jobs.insert(
-            handle.clone(),
-            Gt2Job {
-                owner: user_dn,
-                jobmanager_pid,
-                job_pid,
-                state: JobState::Active,
-            },
-        );
+        self.jobs.insert(handle.clone(), JobState::Active);
         self.jobs_submitted += 1;
         Ok(handle)
     }
@@ -208,25 +190,7 @@ impl Gt2Gatekeeper {
     pub fn job_state(&self, handle: &str) -> Result<JobState, GramError> {
         self.jobs
             .get(handle)
-            .map(|j| j.state)
+            .copied()
             .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))
-    }
-
-    /// Cancel (owner only).
-    pub fn cancel(&mut self, handle: &str, caller: &DistinguishedName) -> Result<(), GramError> {
-        let job = self
-            .jobs
-            .get_mut(handle)
-            .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))?;
-        if &job.owner != caller {
-            return Err(GramError::NotAuthorized(format!(
-                "{caller} does not own {handle}"
-            )));
-        }
-        self.os
-            .kill(&self.host, job.job_pid)
-            .map_err(|e| GramError::Os(e.to_string()))?;
-        job.state = JobState::Cancelled;
-        Ok(())
     }
 }

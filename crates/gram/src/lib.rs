@@ -37,13 +37,14 @@
 //! difference by fault injection.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod durable;
-pub mod grim;
+mod grim;
 pub mod gt2;
 pub mod remote;
-pub mod requestor;
+mod requestor;
 pub mod resource;
 pub mod types;
 

@@ -19,7 +19,7 @@
 //! GSS channel, whose sequence numbers make any other order fail.
 //!
 //! The requestor's client-side GRIM authorization is the in-process one
-//! ([`crate::grim::authorize_mjs`]), remote-aware: the caller names the
+//! (`crate::grim::authorize_mjs`), remote-aware: the caller names the
 //! host it *intended* to contact (`expected_host`), and the MJS's GRIM
 //! credential must chain to that identity — the remote analogue of
 //! checking `resource.host_identity()` in process.
@@ -44,7 +44,7 @@ use crate::types::{JobDescription, JobState};
 use crate::GramError;
 
 /// Steps 1–6: deliver the signed job request, get back an MJS handle.
-pub const OP_SUBMIT: &str = "gram-submit";
+pub(crate) const OP_SUBMIT: &str = "gram-submit";
 /// Step 7a: first GSS token to the MJS; reply carries token 2.
 pub const OP_TOKEN1: &str = "gram-tok1";
 /// Step 7b: finished token to the MJS; establishes the acceptor.
@@ -56,7 +56,7 @@ pub const OP_DELEG_CHAIN: &str = "gram-deleg-chain";
 /// Start command, wrapped on the secured channel.
 pub const OP_START: &str = "gram-start";
 /// Job state query.
-pub const OP_STATE: &str = "gram-state";
+pub(crate) const OP_STATE: &str = "gram-state";
 
 fn request(op: &str, handle: &str, body: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -101,7 +101,7 @@ fn wall_now(rpc: &RpcClient, fallback: u64) -> u64 {
 /// [`Requestor::connect_and_start`][crate::Requestor::connect_and_start]):
 /// mutual authentication with the MJS over RPC, GRIM authorization
 /// against `expected_host`, delegation, and the start command.
-pub fn connect_and_start_remote(
+pub(crate) fn connect_and_start_remote(
     requestor: &mut Requestor,
     rpc: &mut RpcClient,
     handle: &str,
@@ -206,7 +206,7 @@ impl MjsLink for OverRpc<'_> {
 }
 
 /// Remote steps 1–7: submit the signed request over `rpc`, then run
-/// [`connect_and_start_remote`] against the returned MJS handle,
+/// `connect_and_start_remote` against the returned MJS handle,
 /// surviving the service dying and restarting mid-chain: the two legs
 /// share `max_attempts` runs, and 1 retries nothing.
 ///
@@ -354,11 +354,6 @@ impl RemoteGram {
             handshakes: HashMap::new(),
             sessions: HashMap::new(),
         }
-    }
-
-    /// The shared resource handle.
-    pub fn resource(&self) -> Rc<RefCell<GramResource>> {
-        self.resource.clone()
     }
 
     /// Handle one request frame; returns the reply frame. Malformed

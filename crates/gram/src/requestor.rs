@@ -26,7 +26,7 @@ use gridsec_wsse::xmlsig;
 
 use crate::grim::{self, GrimPolicy};
 use crate::resource::{GramResource, MjsAcceptor};
-use crate::types::{JobDescription, JobState};
+use crate::types::JobDescription;
 use crate::GramError;
 
 /// A running job from the requestor's perspective.
@@ -90,7 +90,7 @@ impl Requestor {
     }
 
     /// The requestor's grid identity.
-    pub fn identity(&self) -> &DistinguishedName {
+    pub(crate) fn identity(&self) -> &DistinguishedName {
         self.credential.base_identity()
     }
 
@@ -226,11 +226,6 @@ impl Requestor {
         let requestor_identity = mjs_ctx.peer().base_identity.clone();
         resource.mjs_start_job(handle, &requestor_identity, delegated)?;
         Ok(())
-    }
-
-    /// Monitor a job.
-    pub fn job_state(&self, resource: &GramResource, handle: &str) -> Result<JobState, GramError> {
-        resource.job_state(handle)
     }
 
     /// Cancel a job we own.

@@ -34,9 +34,9 @@ pub const GRIDMAP_PATH: &str = "/etc/grid-security/grid-mapfile";
 /// Host credential path (root-only).
 pub const HOSTCRED_PATH: &str = "/etc/grid-security/hostcred.p12";
 /// Name of the installed Setuid Starter binary.
-pub const SETUID_STARTER: &str = "setuid-starter";
+pub(crate) const SETUID_STARTER: &str = "setuid-starter";
 /// Name of the installed GRIM binary.
-pub const GRIM_BINARY: &str = "grim";
+pub(crate) const GRIM_BINARY: &str = "grim";
 
 /// Tunables for a GRAM installation.
 #[derive(Clone, Debug)]
@@ -143,7 +143,6 @@ pub struct GramResource {
     config: GramConfig,
     rng: ChaChaRng,
     mmjfs_pid: Pid,
-    router_pid: Pid,
     /// Step 2's verdicts on requestor chains, keyed by the request's
     /// `BinarySecurityToken` text and filed under the trust epoch they
     /// were walked in: a sign-on's chain is walked by its first job, not
@@ -219,7 +218,6 @@ impl GramResource {
             config,
             rng,
             mmjfs_pid,
-            router_pid,
             signers: CachedValidator::new(SIGNER_MEMO_CAPACITY),
             gridmap: None,
             lmjfs: HashMap::new(),
@@ -247,11 +245,6 @@ impl GramResource {
     /// Pid of the MMJFS (for fault injection).
     pub fn mmjfs_pid(&self) -> Pid {
         self.mmjfs_pid
-    }
-
-    /// Pid of the Proxy Router (for fault injection).
-    pub fn router_pid(&self) -> Pid {
-        self.router_pid
     }
 
     /// Pid of a resident LMJFS, if any.
@@ -286,7 +279,7 @@ impl GramResource {
 
     /// The host's grid identity (publicly known; clients pin it in
     /// step 7's GRIM check).
-    pub fn host_identity(&self) -> &DistinguishedName {
+    pub(crate) fn host_identity(&self) -> &DistinguishedName {
         self.host_credential.base_identity()
     }
 
@@ -545,7 +538,7 @@ impl GramResource {
     /// epoch is issued over the same key. The requestor still signs a
     /// fresh proxy per job, which [`PendingDelegation::finish`] binds to
     /// `context`'s peer.
-    pub fn mjs_accept_delegation<E: EntropySource>(
+    pub(crate) fn mjs_accept_delegation<E: EntropySource>(
         &mut self,
         handle: &str,
         rng: &mut E,
@@ -661,7 +654,11 @@ impl GramResource {
     }
 
     /// Management: cancel a job (owner only).
-    pub fn cancel(&mut self, handle: &str, caller: &DistinguishedName) -> Result<(), GramError> {
+    pub(crate) fn cancel(
+        &mut self,
+        handle: &str,
+        caller: &DistinguishedName,
+    ) -> Result<(), GramError> {
         let mjs = self
             .mjs
             .get_mut(handle)
@@ -683,33 +680,8 @@ impl GramResource {
         Ok(())
     }
 
-    /// Simulation helper: mark an active job as completed.
-    pub fn complete(&mut self, handle: &str) -> Result<(), GramError> {
-        let mjs = self
-            .mjs
-            .get_mut(handle)
-            .ok_or_else(|| GramError::NoSuchJob(handle.to_string()))?;
-        if mjs.state != JobState::Active {
-            return Err(GramError::BadState("job not active"));
-        }
-        if let Some(pid) = mjs.job_pid {
-            self.os
-                .kill(&self.host, pid)
-                .map_err(|e| GramError::Os(e.to_string()))?;
-        }
-        mjs.state = JobState::Done;
-        Ok(())
-    }
-
-    /// Live MJS handles.
-    pub fn job_handles(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.mjs.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Pid of the job process an MJS started, if any.
-    pub fn job_pid(&self, handle: &str) -> Result<Option<Pid>, GramError> {
+    pub(crate) fn job_pid(&self, handle: &str) -> Result<Option<Pid>, GramError> {
         self.mjs
             .get(handle)
             .map(|m| m.job_pid)
@@ -730,7 +702,7 @@ impl GramResource {
     /// leaves the process that holds it) — it is re-borrowed from the
     /// surviving LMJFS for `account`, which also re-establishes the
     /// owner binding the original submit enforced.
-    pub fn restore_mjs(
+    pub(crate) fn restore_mjs(
         &mut self,
         handle: &str,
         account: &str,
@@ -756,5 +728,19 @@ impl GramResource {
         );
         self.next_mjs_id = self.next_mjs_id.max(mjs_id);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl GramResource {
+        /// Live MJS handles.
+        pub(crate) fn job_handles(&self) -> Vec<String> {
+            let mut v: Vec<String> = self.mjs.keys().cloned().collect();
+            v.sort();
+            v
+        }
     }
 }

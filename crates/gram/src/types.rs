@@ -37,12 +37,6 @@ impl JobDescription {
         self
     }
 
-    /// Builder: queue.
-    pub fn with_queue(mut self, queue: &str) -> Self {
-        self.queue = queue.to_string();
-        self
-    }
-
     /// Render as the XML payload of a job request.
     pub fn to_element(&self) -> Element {
         let mut el = Element::new("gram:JobDescription")
@@ -57,7 +51,7 @@ impl JobDescription {
     }
 
     /// Parse from the XML payload.
-    pub fn from_element(el: &Element) -> Option<JobDescription> {
+    pub(crate) fn from_element(el: &Element) -> Option<JobDescription> {
         Some(JobDescription {
             executable: el.find("gram:Executable")?.text_content(),
             directory: el.find("gram:Directory")?.text_content(),
@@ -105,9 +99,8 @@ mod tests {
 
     #[test]
     fn xml_roundtrip() {
-        let desc = JobDescription::new("/bin/simulate")
-            .with_args(&["--steps", "100"])
-            .with_queue("gpu");
+        let mut desc = JobDescription::new("/bin/simulate").with_args(&["--steps", "100"]);
+        desc.queue = "gpu".to_string();
         let parsed = JobDescription::from_element(&desc.to_element()).unwrap();
         assert_eq!(parsed, desc);
     }

@@ -66,7 +66,7 @@ const SHED_P256: u64 = 128;
 
 /// Additive-increase / multiplicative-decrease controller over the
 /// striped engine's window size and stripe count.
-pub struct AimdController {
+pub(crate) struct AimdController {
     min_stripes: u32,
     max_stripes: u32,
     window: u32,
@@ -78,7 +78,7 @@ pub struct AimdController {
 
 impl AimdController {
     /// Create a controller from its stripe setting and a replay seed.
-    pub fn new(cfg: AimdConfig, seed: u64) -> Self {
+    pub(crate) fn new(cfg: AimdConfig, seed: u64) -> Self {
         let (min_stripes, max_stripes, stripes) = cfg.stripes();
         AimdController {
             min_stripes,
@@ -92,18 +92,18 @@ impl AimdController {
     }
 
     /// Current pull window (chunks per request round).
-    pub fn window(&self) -> u32 {
+    pub(crate) fn window(&self) -> u32 {
         self.window
     }
 
     /// Stripe count the engine should be running right now.
-    pub fn target_stripes(&self) -> u32 {
+    pub(crate) fn target_stripes(&self) -> u32 {
         self.stripes
     }
 
     /// The decision log: one line per state change, deterministic per
     /// seed (chaos transcripts embed it).
-    pub fn decisions(&self) -> &[String] {
+    pub(crate) fn decisions(&self) -> &[String] {
         &self.decisions
     }
 
@@ -116,7 +116,7 @@ impl AimdController {
     /// connections over the frames it has moved. Multiplicative
     /// decrease on the window, and on a badly lossy stripe possibly one
     /// fewer stripe.
-    pub fn on_tear(&mut self, stripe: usize, loss_permille: u64, now: u64) {
+    pub(crate) fn on_tear(&mut self, stripe: usize, loss_permille: u64, now: u64) {
         self.clean_streak = 0;
         let old_w = self.window;
         self.window = (self.window / 2).max(MIN_WINDOW);
@@ -138,7 +138,7 @@ impl AimdController {
     /// A full pull window was delivered with no tear at tick `now`.
     /// Additive increase on the window; after a clean streak the
     /// controller may add a stripe.
-    pub fn on_clean_round(&mut self, stripe: usize, now: u64) {
+    pub(crate) fn on_clean_round(&mut self, stripe: usize, now: u64) {
         self.clean_streak += 1;
         let old_w = self.window;
         self.window = (self.window + 1).min(MAX_WINDOW);

@@ -20,6 +20,7 @@
 //! account on the simulated OS, with SimOs permission enforcement.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod congestion;

@@ -95,7 +95,7 @@ enum Phase {
 /// [`feed`](ServerSession::feed), turn the crank with
 /// [`drive`](ServerSession::drive), write out every frame from
 /// [`take_output`](ServerSession::take_output), and stop when
-/// [`outcome`](ServerSession::outcome) resolves.
+/// `outcome` resolves.
 pub struct ServerSession {
     dialect: Dialect,
     now: u64,
@@ -196,24 +196,24 @@ impl ServerSession {
 
     /// The session's result, once resolved: transfers served on a
     /// clean close, or the refusal/tear/kill error.
-    pub fn outcome(&self) -> Option<&Result<u64, FtpError>> {
+    pub(crate) fn outcome(&self) -> Option<&Result<u64, FtpError>> {
         self.done.as_ref()
     }
 
     /// Consume the resolved outcome.
-    pub fn take_outcome(&mut self) -> Option<Result<u64, FtpError>> {
+    pub(crate) fn take_outcome(&mut self) -> Option<Result<u64, FtpError>> {
         self.done.take()
     }
 
     /// Transfers completed so far this session (monotonic; callers
     /// sync deltas into [`GridFtpServer::transfers`]).
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.completed
     }
 
     /// The transport closed (EOF or reset). At a command boundary
     /// that is a normal end of session; mid-transfer it is a tear.
-    pub fn on_transport_close(&mut self) {
+    pub(crate) fn on_transport_close(&mut self) {
         if self.done.is_some() {
             return;
         }

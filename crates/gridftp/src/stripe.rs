@@ -6,7 +6,7 @@
 //! the simulated testbed: a transfer is split into fixed-span tasks,
 //! each task moves over one of N data channels — connections over the
 //! world's network, whose fault profile tears them — and an
-//! [`AimdController`] adapts the pull window and the target stripe
+//! `AimdController` adapts the pull window and the target stripe
 //! count from each stripe's observed loss, counted by the engine itself:
 //! its torn connections over the frames it has moved.
 //!

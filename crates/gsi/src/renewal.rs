@@ -255,7 +255,7 @@ impl Task for RenewalAgent {
                     .and_then(|body| myproxy::assemble_issued(&body, key))
                 {
                     Ok(credential) => {
-                        *self.session.borrow_mut() = Session::from_credential(credential, now);
+                        *self.session.borrow_mut() = Session::from_credential(credential);
                         self.retry_at = 0;
                         let mut st = self.status.borrow_mut();
                         st.renewals += 1;
@@ -421,7 +421,12 @@ mod tests {
         // that still validates.
         let s = session.borrow();
         assert!(!s.is_expired(r.clock.now().min(20_000)));
-        let id = validate_chain(s.credential().chain(), &r.trust, s.created_at()).unwrap();
+        let id = validate_chain(
+            s.credential().chain(),
+            &r.trust,
+            s.credential().certificate().tbs.validity.not_before,
+        )
+        .unwrap();
         assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
     }
 

@@ -33,27 +33,18 @@ impl Default for ProxyOptions {
 /// A signed-on session: the proxy credential plus its metadata.
 pub struct Session {
     credential: Credential,
-    created_at: u64,
 }
 
 impl Session {
     /// Wrap a credential obtained elsewhere (e.g. re-acquired from an
     /// online credential repository) as a signed-on session.
-    pub fn from_credential(credential: Credential, created_at: u64) -> Session {
-        Session {
-            credential,
-            created_at,
-        }
+    pub(crate) fn from_credential(credential: Credential) -> Session {
+        Session { credential }
     }
 
     /// The session's proxy credential.
     pub fn credential(&self) -> &Credential {
         &self.credential
-    }
-
-    /// When the session was created.
-    pub fn created_at(&self) -> u64 {
-        self.created_at
     }
 
     /// Remaining lifetime at `now` (0 when expired).
@@ -67,20 +58,8 @@ impl Session {
     }
 
     /// `true` once the proxy has expired.
-    pub fn is_expired(&self, now: u64) -> bool {
+    pub(crate) fn is_expired(&self, now: u64) -> bool {
         !self.credential.certificate().tbs.validity.contains(now)
-    }
-
-    /// Sign on again from the same long-lived credential ("renewal" in
-    /// the loose sense — a fresh proxy, not an extension).
-    pub fn renew<E: EntropySource>(
-        &self,
-        rng: &mut E,
-        identity: &Credential,
-        options: ProxyOptions,
-        now: u64,
-    ) -> Result<Session, PkiError> {
-        grid_proxy_init(rng, identity, options, now)
     }
 }
 
@@ -99,10 +78,7 @@ pub fn grid_proxy_init<E: EntropySource>(
         now,
         options.lifetime,
     )?;
-    Ok(Session {
-        credential,
-        created_at: now,
-    })
+    Ok(Session { credential })
 }
 
 #[cfg(test)]
@@ -177,13 +153,12 @@ mod tests {
     fn renew_produces_fresh_proxy() {
         let (mut rng, _trust, user) = setup();
         let s1 = grid_proxy_init(&mut rng, &user, ProxyOptions::default(), 0).unwrap();
-        let s2 = s1
-            .renew(&mut rng, &user, ProxyOptions::default(), 5000)
-            .unwrap();
+        // Renewal signs on again: a fresh proxy, not an extension.
+        let s2 = grid_proxy_init(&mut rng, &user, ProxyOptions::default(), 5000).unwrap();
         assert_ne!(
             s1.credential().certificate().subject(),
             s2.credential().certificate().subject()
         );
-        assert_eq!(s2.created_at(), 5000);
+        assert_eq!(s2.credential().certificate().tbs.validity.not_before, 5000);
     }
 }

@@ -195,7 +195,7 @@ pub enum LoopError<X> {
 
 impl<X> LoopError<X> {
     /// The error, whichever way the loop ended.
-    pub fn into_inner(self) -> X {
+    pub(crate) fn into_inner(self) -> X {
         match self {
             LoopError::Refused(e) | LoopError::Failed(e) => e,
         }

@@ -25,6 +25,7 @@
 //!   keys never cross the wire (GRAM step 7 depends on this).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod context;

@@ -42,11 +42,11 @@ use std::collections::HashMap;
 /// Op tag for the initiator's first token.
 pub const OP_TOKEN1: &str = "gss-tok1";
 /// Op tag for the initiator's finished token.
-pub const OP_TOKEN3: &str = "gss-tok3";
+pub(crate) const OP_TOKEN3: &str = "gss-tok3";
 /// Op tag for the resumption hello token.
 pub const OP_RESUME1: &str = "gss-res1";
 /// Op tag for the resumption finished token.
-pub const OP_RESUME3: &str = "gss-res3";
+pub(crate) const OP_RESUME3: &str = "gss-res3";
 
 fn request(op: &str, token: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new();

@@ -63,7 +63,6 @@ pub struct WaveAcceptor {
     established: u64,
     failed: u64,
     waves: u64,
-    peak_wave: usize,
 }
 
 impl WaveAcceptor {
@@ -78,7 +77,6 @@ impl WaveAcceptor {
             established: 0,
             failed: 0,
             waves: 0,
-            peak_wave: 0,
         }
     }
 
@@ -116,7 +114,6 @@ impl WaveAcceptor {
         }
         let wave = std::mem::take(&mut self.pending);
         self.waves += 1;
-        self.peak_wave = self.peak_wave.max(wave.len());
         let hellos: Vec<&[u8]> = wave.iter().map(|(_, h)| h.as_slice()).collect();
         let results = self.mill.accept_wave(rng, &hellos);
         wave.iter()
@@ -169,12 +166,6 @@ impl WaveAcceptor {
     /// Waves flushed so far.
     pub fn waves(&self) -> u64 {
         self.waves
-    }
-
-    /// Largest single wave (the cross-task batching the scheduler's
-    /// quiescence boundary actually achieved).
-    pub fn peak_wave(&self) -> usize {
-        self.peak_wave
     }
 }
 
@@ -257,7 +248,6 @@ mod tests {
         assert_eq!(gw.established(), 5);
         assert_eq!(gw.failed(), 0);
         assert_eq!(gw.waves(), 2);
-        assert_eq!(gw.peak_wave(), 3);
         assert_eq!(gw.awaiting(), 0);
         // The pool amortized: one chain walk per distinct user cert.
         let pool = gw.mill().pool();

@@ -14,6 +14,7 @@
 //! This crate intentionally exports a few shared fixture helpers.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod scenarios;
 

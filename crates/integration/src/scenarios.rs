@@ -291,7 +291,7 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 /// Figure 2: CAS-mediated authorization — fetch a signed capability
 /// assertion over the lossy network, then present it to a resource
 /// gate that intersects VO rights with local policy.
-pub fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
+pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let net = Network::new();
     let clock = SimClock::starting_at(100);
     net.enable_faults(clock.clone(), seed ^ 0xF162, FaultProfile::lossy_wan());
@@ -409,7 +409,7 @@ impl GridService for EchoService {
 /// at-most-once RPC over the lossy network. A duplicated
 /// `createService` answered from the reply cache must not create a
 /// second instance.
-pub fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
+pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let net = Network::new();
     let clock = SimClock::starting_at(100);
     net.enable_faults(clock.clone(), seed ^ 0xF163, FaultProfile::lossy_wan());
@@ -491,7 +491,7 @@ pub fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 /// GRIM authorization, delegation, and job start, every leg retried
 /// over the lossy network. Exactly one LMJFS cold start may happen no
 /// matter how many times the submission frame is duplicated.
-pub fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
+pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let net = Network::new();
     let clock = SimClock::starting_at(100);
     net.enable_faults(clock.clone(), seed ^ 0xF164, FaultProfile::lossy_wan());

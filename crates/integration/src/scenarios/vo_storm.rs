@@ -111,7 +111,7 @@ impl StormOpts {
     /// reorder jitter — lossy enough to exercise retransmission on a
     /// meaningful fraction of 10⁵ flows, reliable enough that the
     /// retry budget virtually never exhausts.
-    pub fn storm_wan() -> FaultProfile {
+    pub(crate) fn storm_wan() -> FaultProfile {
         FaultProfile {
             drop: 0.01,
             duplicate: 0.01,

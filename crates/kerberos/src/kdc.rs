@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Principal name of the ticket-granting service.
-pub const TGS_PRINCIPAL: &str = "krbtgt";
+pub(crate) const TGS_PRINCIPAL: &str = "krbtgt";
 
 /// A simulated Kerberos KDC for one realm.
 pub struct Kdc {

@@ -25,15 +25,16 @@
 //! cites as the reason Grid security chose PKI.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod kdc;
+mod kdc;
 pub mod messages;
 mod pkinit_tests;
 
 pub use kdc::Kdc;
-pub use messages::{Authenticator, ServiceTicketReply, TgtReply, Ticket, TicketBody};
+pub use messages::Ticket;
 
 /// Errors from Kerberos operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +100,7 @@ impl std::error::Error for KrbError {}
 
 /// Derive a 32-byte long-term key from a password (the Kerberos
 /// string-to-key function, simplified to salted SHA-256).
-pub fn string_to_key(principal: &str, realm: &str, password: &str) -> [u8; 32] {
+pub(crate) fn string_to_key(principal: &str, realm: &str, password: &str) -> [u8; 32] {
     let mut data = Vec::new();
     data.extend_from_slice(realm.as_bytes());
     data.extend_from_slice(b"|");

@@ -15,7 +15,12 @@ pub type Key = [u8; 32];
 
 /// Seal a plaintext under `key` with a fresh random nonce; output is
 /// `nonce || ciphertext || tag`.
-pub fn seal<E: EntropySource>(rng: &mut E, key: &Key, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+pub(crate) fn seal<E: EntropySource>(
+    rng: &mut E,
+    key: &Key,
+    aad: &[u8],
+    plaintext: &[u8],
+) -> Vec<u8> {
     let mut nonce = [0u8; 12];
     rng.fill_bytes(&mut nonce);
     let mut out = nonce.to_vec();
@@ -23,7 +28,7 @@ pub fn seal<E: EntropySource>(rng: &mut E, key: &Key, aad: &[u8], plaintext: &[u
     out
 }
 
-/// Open a blob produced by [`seal`].
+/// Open a blob produced by `seal`.
 pub fn open(key: &Key, aad: &[u8], blob: &[u8]) -> Result<Vec<u8>, KrbError> {
     if blob.len() < 12 {
         return Err(KrbError::Decode("sealed blob too short"));
@@ -106,7 +111,11 @@ pub struct Ticket {
 
 impl Ticket {
     /// Seal a body under the service key.
-    pub fn seal_new<E: EntropySource>(rng: &mut E, service_key: &Key, body: &TicketBody) -> Self {
+    pub(crate) fn seal_new<E: EntropySource>(
+        rng: &mut E,
+        service_key: &Key,
+        body: &TicketBody,
+    ) -> Self {
         Ticket {
             service: body.service.clone(),
             enc_body: seal(rng, service_key, b"krb-ticket", &body.to_bytes()),
@@ -135,7 +144,7 @@ impl Codec for Ticket {
 /// The authenticator a client sends alongside a ticket, sealed under the
 /// ticket's session key: proves current possession of the session key.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Authenticator {
+pub(crate) struct Authenticator {
     /// Client principal (must match the ticket body).
     pub client: String,
     /// Timestamp (checked against clock skew and replay caches).
@@ -161,12 +170,12 @@ impl Codec for Authenticator {
 
 impl Authenticator {
     /// Seal under a session key.
-    pub fn seal_new<E: EntropySource>(&self, rng: &mut E, session_key: &Key) -> Vec<u8> {
+    pub(crate) fn seal_new<E: EntropySource>(&self, rng: &mut E, session_key: &Key) -> Vec<u8> {
         seal(rng, session_key, b"krb-authenticator", &self.to_bytes())
     }
 
     /// Open with the session key.
-    pub fn unseal(session_key: &Key, blob: &[u8]) -> Result<Authenticator, KrbError> {
+    pub(crate) fn unseal(session_key: &Key, blob: &[u8]) -> Result<Authenticator, KrbError> {
         let plain = open(session_key, b"krb-authenticator", blob)?;
         Authenticator::from_bytes(&plain).map_err(map_decode)
     }

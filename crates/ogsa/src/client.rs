@@ -191,7 +191,7 @@ impl<T: Transport> OgsaClient<T> {
     // ------------------------------------------------------------------
 
     /// Send a secured request and return the reply payload element.
-    pub fn call_secure(&mut self, env: Envelope) -> Result<Envelope, OgsaError> {
+    pub(crate) fn call_secure(&mut self, env: Envelope) -> Result<Envelope, OgsaError> {
         let alt = self.negotiate()?;
         match alt.mechanism.as_str() {
             "gsi-secure-conversation" => self.call_stateful(env, &alt),

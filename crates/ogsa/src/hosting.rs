@@ -49,7 +49,6 @@ pub type AuditSink = Box<dyn FnMut(AuditEvent)>;
 
 /// A container hosting Grid services behind a security pipeline.
 pub struct HostingEnvironment {
-    name: String,
     clock: SimClock,
     /// Service registry (factories + instances).
     pub registry: ServiceRegistry,
@@ -82,7 +81,6 @@ impl HostingEnvironment {
     ) -> Self {
         let tls_config = TlsConfig::new(credential, trust, clock.now());
         HostingEnvironment {
-            name: name.to_string(),
             clock,
             registry: ServiceRegistry::new(),
             published_policy,
@@ -93,11 +91,6 @@ impl HostingEnvironment {
             rng: ChaChaRng::from_seed_bytes(name.as_bytes()),
             reply_ttl: 300,
         }
-    }
-
-    /// The environment's endpoint name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Install an audit sink.

@@ -30,6 +30,7 @@
 //!   intermediaries of §6, relaying those same RPC calls hop by hop.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod client;

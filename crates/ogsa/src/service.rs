@@ -50,7 +50,7 @@ pub trait GridService {
 }
 
 /// A factory closure: creates a service instance from creation arguments.
-pub type Factory =
+pub(crate) type Factory =
     Box<dyn FnMut(&RequestContext, &Element) -> Result<Box<dyn GridService>, OgsaError>>;
 
 /// The instance registry inside one hosting environment.
@@ -63,7 +63,7 @@ pub struct ServiceRegistry {
 
 impl ServiceRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServiceRegistry::default()
     }
 
@@ -74,7 +74,7 @@ impl ServiceRegistry {
 
     /// Create an instance (the `createService` operation). Returns the new
     /// Grid service handle (GSH).
-    pub fn create(
+    pub(crate) fn create(
         &mut self,
         service_type: &str,
         ctx: &RequestContext,
@@ -91,14 +91,8 @@ impl ServiceRegistry {
         Ok(handle)
     }
 
-    /// Insert a pre-built instance under a well-known handle (persistent
-    /// services such as factories themselves).
-    pub fn insert(&mut self, handle: &str, instance: Box<dyn GridService>) {
-        self.instances.insert(handle.to_string(), instance);
-    }
-
     /// Dispatch an operation to an instance.
-    pub fn invoke(
+    pub(crate) fn invoke(
         &mut self,
         handle: &str,
         ctx: &RequestContext,
@@ -113,7 +107,7 @@ impl ServiceRegistry {
     }
 
     /// Query service data on an instance.
-    pub fn query(&self, handle: &str, name: &str) -> Result<Option<Element>, OgsaError> {
+    pub(crate) fn query(&self, handle: &str, name: &str) -> Result<Option<Element>, OgsaError> {
         let instance = self
             .instances
             .get(handle)
@@ -122,7 +116,7 @@ impl ServiceRegistry {
     }
 
     /// Destroy an instance (lifetime management).
-    pub fn destroy(&mut self, handle: &str) -> Result<(), OgsaError> {
+    pub(crate) fn destroy(&mut self, handle: &str) -> Result<(), OgsaError> {
         let mut instance = self
             .instances
             .remove(handle)
@@ -132,20 +126,13 @@ impl ServiceRegistry {
     }
 
     /// The type of a live instance.
-    pub fn service_type_of(&self, handle: &str) -> Option<&str> {
+    pub(crate) fn service_type_of(&self, handle: &str) -> Option<&str> {
         self.instances.get(handle).map(|i| i.service_type())
     }
 
     /// Number of live instances.
     pub fn instance_count(&self) -> usize {
         self.instances.len()
-    }
-
-    /// Handles of all live instances.
-    pub fn handles(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.instances.keys().cloned().collect();
-        v.sort();
-        v
     }
 }
 
@@ -157,6 +144,21 @@ mod tests {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
     use gridsec_pki::validate::validate_chain;
+
+    impl ServiceRegistry {
+        /// Insert a pre-built instance under a well-known handle (persistent
+        /// services such as factories themselves).
+        fn insert(&mut self, handle: &str, instance: Box<dyn GridService>) {
+            self.instances.insert(handle.to_string(), instance);
+        }
+
+        /// Handles of all live instances.
+        fn handles(&self) -> Vec<String> {
+            let mut v: Vec<String> = self.instances.keys().cloned().collect();
+            v.sort();
+            v
+        }
+    }
 
     fn test_ctx() -> RequestContext {
         let mut rng = ChaChaRng::from_seed_bytes(b"svc ctx");

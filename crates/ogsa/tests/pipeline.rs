@@ -8,7 +8,7 @@ use std::rc::Rc;
 use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
-use gridsec_ogsa::hosting::{AuditEvent, HostingEnvironment};
+use gridsec_ogsa::hosting::{parse_fault, AuditEvent, HostingEnvironment};
 use gridsec_ogsa::service::{GridService, RequestContext};
 use gridsec_ogsa::transport::{serve, InProcessTransport, Transport};
 use gridsec_ogsa::OgsaError;
@@ -21,7 +21,10 @@ use gridsec_testbed::net::Network;
 use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
+use gridsec_wsse::b64;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
+use gridsec_wsse::soap::Envelope;
+use gridsec_wsse::wssc::RST_ACTION;
 use gridsec_xml::Element;
 
 fn dn(s: &str) -> DistinguishedName {
@@ -382,4 +385,52 @@ fn scheduled_rpc_service_end_to_end() {
         )
         .unwrap();
     assert_eq!(reply.text_content(), "via scheduler");
+}
+
+/// A peer that can reach a hosting environment cannot tear down another
+/// client's WS-SecureConversation: context ids are sequential, so it can
+/// name one, but a stray finish under an established id is refused and
+/// the conversation stays up.
+#[test]
+fn stray_rst_naming_another_clients_context_leaves_it_established() {
+    let w = world();
+    let network = Network::new();
+    let env = Rc::new(RefCell::new(make_env(&w, &["gsi-secure-conversation"])));
+    let mut sched = Scheduler::new(&network);
+    sched.spawn_mailbox(
+        "echo-host",
+        ServerTask::new(RpcServer::new(network.register("echo-host")), serve(env)),
+    );
+    let policy = RetryPolicy {
+        max_attempts: 4,
+        base_timeout: 8,
+        multiplier: 2,
+        max_timeout: 32,
+    };
+    let mut alice = OgsaClient::new(
+        RpcClient::new(network.register("client-1"), "echo-host", policy),
+        w.trust.clone(),
+        w.clock.clone(),
+        b"alice",
+    );
+    alice.add_source(Box::new(StaticCredential(w.alice.clone())));
+    let handle = alice.create_service("echo", Element::new("args")).unwrap();
+    assert_eq!(alice.contexts_established, 1);
+
+    let stray = Envelope::request(
+        RST_ACTION,
+        Element::new("wst:RequestSecurityToken")
+            .with_child(Element::new("wsc:Identifier").with_text("uuid:ctx-1"))
+            .with_child(Element::new("wst:BinaryExchange").with_text(b64::encode(b"junk"))),
+    );
+    let mut mallory = RpcClient::new(network.register("client-2"), "echo-host", policy);
+    let reply = Envelope::parse(&Transport::call(&mut mallory, stray.to_xml()).unwrap()).unwrap();
+    let (_, reason) = parse_fault(&reply).expect("the stray finish is refused");
+    assert!(reason.contains("already established"), "{reason}");
+
+    let reply = alice
+        .invoke(&handle, "echo", Element::new("m").with_text("still up"))
+        .unwrap();
+    assert_eq!(reply.text_content(), "still up");
+    assert_eq!(alice.contexts_established, 1, "no second handshake");
 }

@@ -62,42 +62,9 @@ impl CertificateAuthority {
         }
     }
 
-    /// Create an intermediate CA certified by `parent`.
-    pub fn create_intermediate<E: EntropySource>(
-        rng: &mut E,
-        parent: &CertificateAuthority,
-        name: DistinguishedName,
-        key_bits: usize,
-        path_len: Option<u32>,
-        validity: Validity,
-    ) -> Self {
-        let key = RsaKeyPair::generate(rng, key_bits);
-        let extensions = Extensions {
-            basic_constraints: Some(BasicConstraints {
-                is_ca: true,
-                path_len,
-            }),
-            key_usage: Some(key_usage::CERT_SIGN | key_usage::CRL_SIGN),
-            proxy_cert_info: None,
-            subject_alt_names: vec![],
-        };
-        let certificate =
-            parent.issue_certificate(name, key.public().clone(), validity, extensions);
-        CertificateAuthority {
-            certificate,
-            key,
-            next_serial: AtomicU64::new(1),
-        }
-    }
-
     /// The CA's own certificate.
     pub fn certificate(&self) -> &Certificate {
         &self.certificate
-    }
-
-    /// The CA's distinguished name.
-    pub fn name(&self) -> &DistinguishedName {
-        self.certificate.subject()
     }
 
     /// Sign an arbitrary TBS built by the caller (low-level hook).
@@ -233,7 +200,7 @@ impl Crl {
     }
 
     /// `true` iff the CRL is stale at `now`.
-    pub fn is_stale(&self, now: u64) -> bool {
+    pub(crate) fn is_stale(&self, now: u64) -> bool {
         now > self.tbs.next_update
     }
 }
@@ -274,6 +241,36 @@ mod tests {
     use super::*;
     use gridsec_crypto::rng::ChaChaRng;
 
+    impl CertificateAuthority {
+        /// Create an intermediate CA certified by `parent`.
+        pub(crate) fn create_intermediate<E: EntropySource>(
+            rng: &mut E,
+            parent: &CertificateAuthority,
+            name: DistinguishedName,
+            key_bits: usize,
+            path_len: Option<u32>,
+            validity: Validity,
+        ) -> Self {
+            let key = RsaKeyPair::generate(rng, key_bits);
+            let extensions = Extensions {
+                basic_constraints: Some(BasicConstraints {
+                    is_ca: true,
+                    path_len,
+                }),
+                key_usage: Some(key_usage::CERT_SIGN | key_usage::CRL_SIGN),
+                proxy_cert_info: None,
+                subject_alt_names: vec![],
+            };
+            let certificate =
+                parent.issue_certificate(name, key.public().clone(), validity, extensions);
+            CertificateAuthority {
+                certificate,
+                key,
+                next_serial: AtomicU64::new(1),
+            }
+        }
+    }
+
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
     }
@@ -299,7 +296,7 @@ mod tests {
         let cred = ca.issue_identity(&mut rng, dn("/O=Grid/CN=Jane"), 512, 0, 500_000);
         let leaf = cred.certificate();
         assert!(!leaf.is_ca());
-        assert_eq!(leaf.issuer(), ca.name());
+        assert_eq!(leaf.issuer(), ca.certificate().subject());
         assert!(leaf.verify_signature(ca.certificate().public_key()));
         // Chain includes the CA cert.
         assert_eq!(cred.chain().len(), 2);

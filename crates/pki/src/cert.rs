@@ -18,9 +18,9 @@ pub mod key_usage {
     /// May be used to encrypt key material (RSA key transport).
     pub const KEY_ENCIPHERMENT: u8 = 0b0000_0010;
     /// May sign certificates (CAs and proxy issuers).
-    pub const CERT_SIGN: u8 = 0b0000_0100;
+    pub(crate) const CERT_SIGN: u8 = 0b0000_0100;
     /// May sign certificate revocation lists.
-    pub const CRL_SIGN: u8 = 0b0000_1000;
+    pub(crate) const CRL_SIGN: u8 = 0b0000_1000;
 }
 
 /// Certificate validity window in simulation seconds.
@@ -128,7 +128,7 @@ impl Certificate {
     }
 
     /// `true` iff marked as a CA via basic constraints.
-    pub fn is_ca(&self) -> bool {
+    pub(crate) fn is_ca(&self) -> bool {
         self.tbs
             .extensions
             .basic_constraints
@@ -136,23 +136,23 @@ impl Certificate {
     }
 
     /// `true` iff this is a proxy certificate (carries `ProxyCertInfo`).
-    pub fn is_proxy(&self) -> bool {
+    pub(crate) fn is_proxy(&self) -> bool {
         self.tbs.extensions.proxy_cert_info.is_some()
     }
 
     /// `true` iff issuer == subject (candidate trust anchor shape).
-    pub fn is_self_issued(&self) -> bool {
+    pub(crate) fn is_self_issued(&self) -> bool {
         self.tbs.issuer == self.tbs.subject
     }
 
     /// Key usage flags; absent extension means "no restriction" and is
     /// returned as all-bits-set.
-    pub fn key_usage(&self) -> u8 {
+    pub(crate) fn key_usage(&self) -> u8 {
         self.tbs.extensions.key_usage.unwrap_or(u8::MAX)
     }
 
     /// SHA-256 over the full encoded certificate.
-    pub fn fingerprint(&self) -> [u8; 32] {
+    pub(crate) fn fingerprint(&self) -> [u8; 32] {
         sha256(&self.to_bytes())
     }
 

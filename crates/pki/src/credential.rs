@@ -70,13 +70,6 @@ impl Credential {
             .map(|c| c.subject())
             .unwrap_or_else(|| self.certificate().subject())
     }
-
-    /// `true` if this credential is (or chains up to) the same base
-    /// identity as `other` — the GT2 implicit trust rule between proxies
-    /// issued by the same user (paper §3).
-    pub fn same_base_identity(&self, other: &Credential) -> bool {
-        self.base_identity() == other.base_identity()
-    }
 }
 
 #[cfg(test)]
@@ -133,9 +126,11 @@ mod tests {
         let jp1 = issue_proxy(&mut rng, &jane, ProxyType::Impersonation, 512, 10, 100).unwrap();
         let jp2 = issue_proxy(&mut rng, &jane, ProxyType::Impersonation, 512, 10, 100).unwrap();
         let ep = issue_proxy(&mut rng, &eve, ProxyType::Impersonation, 512, 10, 100).unwrap();
-        assert!(jp1.same_base_identity(&jp2));
-        assert!(jp1.same_base_identity(&jane));
-        assert!(!jp1.same_base_identity(&ep));
+        // The GT2 implicit trust rule between proxies issued by the
+        // same user (paper §3) compares base identities.
+        assert_eq!(jp1.base_identity(), jp2.base_identity());
+        assert_eq!(jp1.base_identity(), jane.base_identity());
+        assert_ne!(jp1.base_identity(), ep.base_identity());
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Encoder {
     }
 
     /// Append a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) -> &mut Self {
+    pub(crate) fn put_u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
@@ -71,7 +71,11 @@ impl Encoder {
     }
 
     /// Append an optional value via the provided closure.
-    pub fn put_option<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut Self, &T)) -> &mut Self {
+    pub(crate) fn put_option<T>(
+        &mut self,
+        v: Option<&T>,
+        f: impl FnOnce(&mut Self, &T),
+    ) -> &mut Self {
         match v {
             None => {
                 self.put_u8(0);
@@ -107,7 +111,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// `true` iff every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.pos == self.data.len()
     }
 
@@ -135,7 +139,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a big-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, PkiError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, PkiError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
@@ -161,7 +165,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read an optional value via the provided closure.
-    pub fn get_option<T>(
+    pub(crate) fn get_option<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, PkiError>,
     ) -> Result<Option<T>, PkiError> {

@@ -11,7 +11,7 @@ use std::fmt;
 
 /// One relative distinguished name component, e.g. `CN=Jane`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct NameComponent {
+pub(crate) struct NameComponent {
     /// Attribute type, e.g. `C`, `O`, `OU`, `CN`.
     pub attr: String,
     /// Attribute value.
@@ -25,11 +25,6 @@ pub struct DistinguishedName {
 }
 
 impl DistinguishedName {
-    /// Build from components.
-    pub fn new(components: Vec<NameComponent>) -> Self {
-        DistinguishedName { components }
-    }
-
     /// Parse the slash form: `/C=US/O=Org/CN=Name`. Empty values are
     /// rejected; attribute names are normalized to uppercase.
     pub fn parse(s: &str) -> Result<Self, PkiError> {
@@ -56,30 +51,6 @@ impl DistinguishedName {
             return Err(PkiError::BadName("no components"));
         }
         Ok(DistinguishedName { components })
-    }
-
-    /// The components in order.
-    pub fn components(&self) -> &[NameComponent] {
-        &self.components
-    }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// `true` iff the name has no components (only constructible via
-    /// `Default`; parsed names are non-empty).
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-
-    /// The value of the final `CN` component, if the last component is one.
-    pub fn last_cn(&self) -> Option<&str> {
-        self.components
-            .last()
-            .filter(|c| c.attr == "CN")
-            .map(|c| c.value.as_str())
     }
 
     /// Return this name extended with one extra `CN=<value>` component —
@@ -147,8 +118,8 @@ mod tests {
         let s = "/C=US/O=Argonne/OU=MCS/CN=Von Welch";
         let dn = DistinguishedName::parse(s).unwrap();
         assert_eq!(dn.to_string(), s);
-        assert_eq!(dn.len(), 4);
-        assert_eq!(dn.last_cn(), Some("Von Welch"));
+        assert_eq!(dn.components.len(), 4);
+        assert_eq!(dn.components[3].value, "Von Welch");
     }
 
     #[test]
@@ -167,7 +138,7 @@ mod tests {
     #[test]
     fn value_may_contain_equals() {
         let dn = DistinguishedName::parse("/CN=a=b").unwrap();
-        assert_eq!(dn.components()[0].value, "a=b");
+        assert_eq!(dn.components[0].value, "a=b");
     }
 
     #[test]
@@ -188,12 +159,12 @@ mod tests {
     #[test]
     fn proxy_extension_requires_cn() {
         let base = DistinguishedName::parse("/O=Grid/CN=Jane").unwrap();
-        let mut comps = base.components().to_vec();
+        let mut comps = base.components.clone();
         comps.push(NameComponent {
             attr: "OU".to_string(),
             value: "x".to_string(),
         });
-        let not_proxy = DistinguishedName::new(comps);
+        let not_proxy = DistinguishedName { components: comps };
         assert!(!not_proxy.is_proxy_extension_of(&base));
     }
 
@@ -217,11 +188,5 @@ mod tests {
         let dn = DistinguishedName::parse("/C=US/O=USC/OU=ISI/CN=Laura Pearlman").unwrap();
         let bytes = dn.to_bytes();
         assert_eq!(DistinguishedName::from_bytes(&bytes).unwrap(), dn);
-    }
-
-    #[test]
-    fn last_cn_absent_when_not_cn() {
-        let dn = DistinguishedName::parse("/CN=x/O=org").unwrap();
-        assert_eq!(dn.last_cn(), None);
     }
 }

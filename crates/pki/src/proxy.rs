@@ -143,7 +143,7 @@ pub fn issue_proxy<E: EntropySource>(
 
 /// [`issue_proxy`] with an explicit path-length constraint on how many
 /// further proxies may hang below the new one.
-pub fn issue_proxy_with_path_len<E: EntropySource>(
+pub(crate) fn issue_proxy_with_path_len<E: EntropySource>(
     rng: &mut E,
     parent: &Credential,
     proxy_type: ProxyType,

@@ -67,24 +67,14 @@ impl TrustStore {
     }
 
     /// Find a trusted root by subject name.
-    pub fn find_by_subject(&self, name: &DistinguishedName) -> Option<&Certificate> {
+    pub(crate) fn find_by_subject(&self, name: &DistinguishedName) -> Option<&Certificate> {
         self.roots.iter().find(|c| c.subject() == name)
     }
 
     /// `true` iff this exact certificate (by fingerprint) is a trusted root.
-    pub fn contains(&self, cert: &Certificate) -> bool {
+    pub(crate) fn contains(&self, cert: &Certificate) -> bool {
         let fp = cert.fingerprint();
         self.roots.iter().any(|c| c.fingerprint() == fp)
-    }
-
-    /// Number of trusted roots.
-    pub fn len(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// `true` if no roots are trusted.
-    pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
     }
 }
 
@@ -125,7 +115,7 @@ impl CrlStore {
     /// Check revocation: `true` iff a current CRL from `issuer` lists
     /// `serial`. Missing or stale CRLs are treated as "not revoked" —
     /// matching GT2's default soft-fail behaviour.
-    pub fn is_revoked(&self, issuer: &DistinguishedName, serial: u64, now: u64) -> bool {
+    pub(crate) fn is_revoked(&self, issuer: &DistinguishedName, serial: u64, now: u64) -> bool {
         match self.crls.get(&issuer.to_string()) {
             Some(crl) if !crl.is_stale(now) => crl.is_revoked(serial),
             _ => false,
@@ -178,10 +168,10 @@ mod tests {
         let ca1 = ca(b"s1", "/O=A/CN=CA1");
         let ca2 = ca(b"s2", "/O=B/CN=CA2");
         let mut store = TrustStore::new();
-        assert!(store.is_empty());
+        assert!(store.roots.is_empty());
         store.add_root(ca1.certificate().clone());
         store.add_root(ca2.certificate().clone());
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.roots.len(), 2);
         assert!(store.find_by_subject(&dn("/O=A/CN=CA1")).is_some());
         assert!(store.find_by_subject(&dn("/O=C/CN=CA3")).is_none());
         assert!(store.contains(ca1.certificate()));
@@ -193,7 +183,7 @@ mod tests {
         let mut store = TrustStore::new();
         store.add_root(ca1.certificate().clone());
         store.add_root(ca1.certificate().clone());
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.roots.len(), 1);
     }
 
     #[test]

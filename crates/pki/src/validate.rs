@@ -386,7 +386,7 @@ impl CachedValidator {
 
     /// Digest identifying a chain: SHA-256 over the concatenated
     /// certificate fingerprints, leaf first.
-    pub fn chain_digest(chain: &[Certificate]) -> [u8; 32] {
+    pub(crate) fn chain_digest(chain: &[Certificate]) -> [u8; 32] {
         let mut data = Vec::with_capacity(32 * chain.len());
         for cert in chain {
             data.extend_from_slice(&cert.fingerprint());

@@ -41,7 +41,7 @@ fn record_hash(seq: u64, event: &AuditEvent, prev_hash: &[u8; 32]) -> [u8; 32] {
 
 /// A tamper-evident audit log. Clones share one chain: every hosting
 /// environment's [`AuditLog::sink`] and the tracer's
-/// [`AuditLog::trace_sink`] append to the log the scenario verifies.
+/// `AuditLog::trace_sink` append to the log the scenario verifies.
 #[derive(Clone, Default)]
 pub struct AuditLog {
     inner: Rc<RefCell<Vec<AuditRecord>>>,
@@ -54,7 +54,7 @@ impl AuditLog {
     }
 
     /// Append an event, chaining it to the previous record.
-    pub fn append(&self, event: AuditEvent) {
+    pub(crate) fn append(&self, event: AuditEvent) {
         let mut log = self.inner.borrow_mut();
         let seq = log.len() as u64;
         let prev_hash = log.last().map(|r| r.hash).unwrap_or([0u8; 32]);
@@ -112,7 +112,7 @@ impl AuditLog {
     /// with [`gridsec_util::trace::Tracer::set_sink`] so the flows'
     /// structured events land in the tamper-evident log — the paper's
     /// audit service fed by live flow data.
-    pub fn trace_sink(&self) -> gridsec_util::trace::TraceSink {
+    pub(crate) fn trace_sink(&self) -> gridsec_util::trace::TraceSink {
         let log = self.clone();
         Box::new(move |r: gridsec_util::trace::SinkRecord| {
             log.append(AuditEvent {

@@ -32,14 +32,14 @@ use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
 
 /// Op: register a DN ↔ principal mapping.
-pub const OP_ADD: &str = "idmap-add";
+pub(crate) const OP_ADD: &str = "idmap-add";
 /// Op: X.509 DN → Kerberos principal.
-pub const OP_TO_PRINCIPAL: &str = "idmap-to-principal";
+pub(crate) const OP_TO_PRINCIPAL: &str = "idmap-to-principal";
 /// Op: Kerberos principal → X.509 DN.
-pub const OP_TO_DN: &str = "idmap-to-dn";
+pub(crate) const OP_TO_DN: &str = "idmap-to-dn";
 
 /// Journal tag for one mapping record.
-pub const TAG_MAP: &str = "idmap-map";
+pub(crate) const TAG_MAP: &str = "idmap-map";
 
 /// Errors from remote identity-map calls.
 #[derive(Debug, Clone, PartialEq, Eq)]

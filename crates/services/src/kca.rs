@@ -20,7 +20,7 @@ use gridsec_pki::name::DistinguishedName;
 use std::rc::Rc;
 
 /// The KCA service principal registered with the KDC.
-pub const KCA_SERVICE: &str = "kca/grid";
+pub(crate) const KCA_SERVICE: &str = "kca/grid";
 
 /// The KCA: an online CA that certifies Kerberos-authenticated users.
 pub struct KerberosCa {
@@ -62,7 +62,7 @@ impl KerberosCa {
     }
 
     /// The DN the KCA will issue for a principal.
-    pub fn dn_for_principal(&self, principal: &str) -> DistinguishedName {
+    pub(crate) fn dn_for_principal(&self, principal: &str) -> DistinguishedName {
         DistinguishedName::parse(&format!("/O=KCA {}/CN={principal}", self.realm))
             .expect("principal names are attribute-safe")
     }
@@ -70,7 +70,7 @@ impl KerberosCa {
     /// Convert: given a valid (ticket, authenticator) for `kca/grid` and a
     /// client-generated public key, issue a short-lived certificate. The
     /// private key never leaves the requester.
-    pub fn convert(
+    pub(crate) fn convert(
         &self,
         ticket: &Ticket,
         authenticator: &[u8],

@@ -28,6 +28,7 @@
 //!   across crash/restart.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod audit;

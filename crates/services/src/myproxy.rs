@@ -57,14 +57,14 @@ pub const OP_GET: &str = "mp-get";
 /// Op: issue a fresh short-lived proxy renewing a running job's.
 pub const OP_RENEW: &str = "mp-renew";
 /// Op: remove a stored credential.
-pub const OP_DESTROY: &str = "mp-destroy";
+pub(crate) const OP_DESTROY: &str = "mp-destroy";
 
 /// Journal tag: a committed store (owner, passphrase hash, key, chain).
-pub const TAG_STORE: &str = "mp-store";
+pub(crate) const TAG_STORE: &str = "mp-store";
 /// Journal tag: a visible issuance (owner, serial).
-pub const TAG_ISSUE: &str = "mp-issue";
+pub(crate) const TAG_ISSUE: &str = "mp-issue";
 /// Journal tag: a destroy.
-pub const TAG_DESTROY: &str = "mp-destroy";
+pub(crate) const TAG_DESTROY: &str = "mp-destroy";
 
 /// Errors from remote credential-repository calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,20 +164,10 @@ impl MyProxyServer {
         s
     }
 
-    /// Owners with a stored credential.
-    pub fn stored_count(&self) -> usize {
-        self.stored.len()
-    }
-
     /// Distinct proxy issuances that became visible (journaled) —
     /// retransmissions and crash-replays do not inflate this.
     pub fn issued_count(&self) -> usize {
         self.serials.len()
-    }
-
-    /// Serials of every visible issued proxy, in journal order.
-    pub fn issued_serials(&self) -> &[u64] {
-        &self.serials
     }
 
     fn authorized(&self, owner: &str, passphrase: &str) -> Result<&Stored, &'static str> {
@@ -515,50 +505,6 @@ pub fn store_credential<E: gridsec_bignum::prime::EntropySource>(
     Ok(())
 }
 
-fn issue_round<E: gridsec_bignum::prime::EntropySource>(
-    rpc: &mut RpcClient,
-    rng: &mut E,
-    op: &str,
-    owner: &str,
-    passphrase: &str,
-    key_bits: usize,
-    lifetime: u64,
-) -> Result<Credential, MyProxyError> {
-    let key = RsaKeyPair::generate(rng, key_bits);
-    let body = round(
-        rpc,
-        encode_issue_request(op, owner, passphrase, key.public(), lifetime),
-    )?;
-    assemble_issued(&body, key)
-}
-
-/// Re-acquire a short-lived proxy from the repository (portal login or
-/// post-crash recovery): generate a key pair locally, the repository
-/// signs a proxy over it from the stored credential.
-pub fn acquire<E: gridsec_bignum::prime::EntropySource>(
-    rpc: &mut RpcClient,
-    rng: &mut E,
-    owner: &str,
-    passphrase: &str,
-    key_bits: usize,
-    lifetime: u64,
-) -> Result<Credential, MyProxyError> {
-    issue_round(rpc, rng, OP_GET, owner, passphrase, key_bits, lifetime)
-}
-
-/// Renew a long-running job's proxy: same issuance as [`acquire`], but
-/// counted (and traced) as a renewal.
-pub fn renew<E: gridsec_bignum::prime::EntropySource>(
-    rpc: &mut RpcClient,
-    rng: &mut E,
-    owner: &str,
-    passphrase: &str,
-    key_bits: usize,
-    lifetime: u64,
-) -> Result<Credential, MyProxyError> {
-    issue_round(rpc, rng, OP_RENEW, owner, passphrase, key_bits, lifetime)
-}
-
 /// Remove the stored credential.
 pub fn destroy(rpc: &mut RpcClient, owner: &str, passphrase: &str) -> Result<(), MyProxyError> {
     let mut e = Encoder::new();
@@ -582,6 +528,62 @@ mod tests {
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    impl MyProxyServer {
+        /// Owners with a stored credential.
+        fn stored_count(&self) -> usize {
+            self.stored.len()
+        }
+
+        /// Serials of every visible issued proxy, in journal order.
+        fn issued_serials(&self) -> &[u64] {
+            &self.serials
+        }
+    }
+
+    fn issue_round<E: gridsec_bignum::prime::EntropySource>(
+        rpc: &mut RpcClient,
+        rng: &mut E,
+        op: &str,
+        owner: &str,
+        passphrase: &str,
+        key_bits: usize,
+        lifetime: u64,
+    ) -> Result<Credential, MyProxyError> {
+        let key = RsaKeyPair::generate(rng, key_bits);
+        let body = round(
+            rpc,
+            encode_issue_request(op, owner, passphrase, key.public(), lifetime),
+        )?;
+        assemble_issued(&body, key)
+    }
+
+    /// Renew a long-running job's proxy: same issuance as an `OP_GET`
+    /// acquire, but counted (and traced) as a renewal.
+    fn renew<E: gridsec_bignum::prime::EntropySource>(
+        rpc: &mut RpcClient,
+        rng: &mut E,
+        owner: &str,
+        passphrase: &str,
+        key_bits: usize,
+        lifetime: u64,
+    ) -> Result<Credential, MyProxyError> {
+        issue_round(rpc, rng, OP_RENEW, owner, passphrase, key_bits, lifetime)
+    }
+
+    /// Re-acquire a short-lived proxy from the repository (portal login or
+    /// post-crash recovery): generate a key pair locally, the repository
+    /// signs a proxy over it from the stored credential.
+    fn acquire<E: gridsec_bignum::prime::EntropySource>(
+        rpc: &mut RpcClient,
+        rng: &mut E,
+        owner: &str,
+        passphrase: &str,
+        key_bits: usize,
+        lifetime: u64,
+    ) -> Result<Credential, MyProxyError> {
+        issue_round(rpc, rng, OP_GET, owner, passphrase, key_bits, lifetime)
+    }
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()

@@ -633,13 +633,6 @@ impl LifetimeFaults {
         }
     }
 
-    /// An injector that never perturbs anything (still burns rng draws
-    /// identically, so a scenario can flip faults on without shifting
-    /// every later draw).
-    pub fn disabled(seed: u64) -> Self {
-        Self::seeded(seed, 0, 0, 1)
-    }
-
     /// An issuer's view of `now`: true time plus a seeded skew in
     /// `[-skew_max, +skew_max]`. Zero-skew configs return `now`.
     pub fn issuer_now(&mut self, now: u64) -> u64 {
@@ -699,6 +692,15 @@ impl LifetimeFaults {
 mod tests {
     use super::*;
     use crate::os::FileMode;
+
+    impl LifetimeFaults {
+        /// An injector that never perturbs anything (still burns rng draws
+        /// identically, so a scenario can flip faults on without shifting
+        /// every later draw).
+        fn disabled(seed: u64) -> Self {
+            Self::seeded(seed, 0, 0, 1)
+        }
+    }
 
     /// Build a host with the GT2 shape: a privileged, network-facing
     /// gatekeeper; and user processes with credentials.

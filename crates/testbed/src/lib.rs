@@ -29,6 +29,7 @@
 //!   something waits: call-shaped code parks in [`sched::wait`].
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod buckets;

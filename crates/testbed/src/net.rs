@@ -4,7 +4,7 @@
 //! named endpoints, with global byte/message accounting. GT3's
 //! SOAP-based exchanges run over it directly; GT2's TLS channel runs
 //! over a [`SimStream`] — a byte-stream connection whose every write is
-//! one message segment on the same network ([`Endpoint::connect`]).
+//! one message segment on the same network (`Endpoint::connect`).
 //!
 //! The accounting counters feed experiment C1 (bytes on the wire for
 //! GT2-TLS vs. GT3-WS-SecureConversation context establishment).
@@ -419,11 +419,6 @@ impl Network {
         self.inner.borrow_mut().names.intern(name)
     }
 
-    /// Look up an already-interned name without interning it.
-    pub fn lookup(&self, name: &str) -> Option<NameId> {
-        self.inner.borrow().names.get(name)
-    }
-
     /// Resolve an interned id back to its name (owned, since the table
     /// lives inside the network's state).
     pub fn resolve(&self, id: NameId) -> String {
@@ -443,7 +438,7 @@ impl Network {
     /// Register an endpoint name, erroring with
     /// [`TestbedError::EndpointInUse`] if the name is already taken
     /// (instead of silently replacing it as [`Network::register`] does).
-    /// A name whose handle was dropped without [`Network::unregister`]
+    /// A name whose handle was dropped without `Network::unregister`
     /// is still taken.
     pub fn try_register(&self, name: &str) -> Result<Endpoint, TestbedError> {
         let mut st = self.inner.borrow_mut();
@@ -462,15 +457,6 @@ impl Network {
             id,
             network: self.clone(),
             mailbox,
-        }
-    }
-
-    /// Remove an endpoint: sends to the name fail until it is registered
-    /// again, and its handle receives nothing further.
-    pub fn unregister(&self, name: &str) {
-        let mut st = self.inner.borrow_mut();
-        if let Some(id) = st.names.get(name) {
-            st.boxes.set(id, Slot::Vacant);
         }
     }
 
@@ -664,7 +650,7 @@ impl Endpoint {
 impl Drop for Endpoint {
     /// Leave a tombstone where this handle's mailbox was, so the queue
     /// is freed with the handle instead of pinned for the life of the
-    /// world. Not [`Network::unregister`]: a send to a finished
+    /// world. Not `Network::unregister`: a send to a finished
     /// principal must still be accepted and still draw its fate, or
     /// every later fault decision in the run would shift. A slot that
     /// was re-registered or unregistered meanwhile is not this handle's
@@ -717,7 +703,7 @@ impl Endpoint {
     /// Make this endpoint one half of a byte-stream connection to the
     /// endpoint named `peer`, which opens the other half the same way
     /// ([`Network::connect`] does both).
-    pub fn connect(self, peer: &str) -> SimStream {
+    pub(crate) fn connect(self, peer: &str) -> SimStream {
         SimStream {
             ep: self,
             peer: peer.to_string(),
@@ -968,6 +954,17 @@ mod tests {
     use super::*;
     use crate::sched::{Scheduler, Step, TaskCx};
     use std::io::{Read, Write};
+
+    impl Network {
+        /// Remove an endpoint: sends to the name fail until it is registered
+        /// again, and its handle receives nothing further.
+        pub(crate) fn unregister(&self, name: &str) {
+            let mut st = self.inner.borrow_mut();
+            if let Some(id) = st.names.get(name) {
+                st.boxes.set(id, Slot::Vacant);
+            }
+        }
+    }
 
     /// Foreground receive: park in the scheduler bound to `ep`'s network
     /// until mail arrives or `timeout` sim-seconds pass.

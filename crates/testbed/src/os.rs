@@ -27,13 +27,13 @@ pub struct FileMode(pub u8);
 
 impl FileMode {
     /// Owner read permission.
-    pub const OWNER_READ: u8 = 0b1000;
+    pub(crate) const OWNER_READ: u8 = 0b1000;
     /// Owner write permission.
-    pub const OWNER_WRITE: u8 = 0b0100;
+    pub(crate) const OWNER_WRITE: u8 = 0b0100;
     /// World read permission.
-    pub const WORLD_READ: u8 = 0b0010;
+    pub(crate) const WORLD_READ: u8 = 0b0010;
     /// World write permission.
-    pub const WORLD_WRITE: u8 = 0b0001;
+    pub(crate) const WORLD_WRITE: u8 = 0b0001;
 
     /// `0600`-style: owner read/write only (host keys, proxy files).
     pub fn private() -> Self {
@@ -66,7 +66,7 @@ impl FileMode {
 
 /// A file with owner and permissions.
 #[derive(Clone, Debug)]
-pub struct SimFile {
+pub(crate) struct SimFile {
     /// Owning uid.
     pub owner: Uid,
     /// Permission bits.
@@ -201,7 +201,7 @@ impl SimOs {
     }
 
     /// All account names on a host.
-    pub fn accounts(&self, host: &str) -> Result<Vec<String>, TestbedError> {
+    pub(crate) fn accounts(&self, host: &str) -> Result<Vec<String>, TestbedError> {
         self.with_host(host, |h| {
             let mut v: Vec<String> = h.accounts.keys().cloned().collect();
             v.sort();
@@ -563,7 +563,7 @@ impl SimOs {
     }
 
     /// All files on a host (path, file) — used by fault injection.
-    pub fn files(&self, host: &str) -> Result<Vec<(String, SimFile)>, TestbedError> {
+    pub(crate) fn files(&self, host: &str) -> Result<Vec<(String, SimFile)>, TestbedError> {
         self.with_host(host, |h| {
             let mut v: Vec<(String, SimFile)> = h
                 .files
@@ -576,7 +576,11 @@ impl SimOs {
     }
 
     /// Account name for a uid, if any.
-    pub fn account_of_uid(&self, host: &str, uid: Uid) -> Result<Option<String>, TestbedError> {
+    pub(crate) fn account_of_uid(
+        &self,
+        host: &str,
+        uid: Uid,
+    ) -> Result<Option<String>, TestbedError> {
         self.with_host(host, |h| {
             Ok(h.accounts
                 .iter()

@@ -187,11 +187,6 @@ impl RpcClient {
         &self.server
     }
 
-    /// The retry policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Cumulative call statistics.
     pub fn stats(&self) -> RpcCallStats {
         self.stats
@@ -387,14 +382,14 @@ impl RpcServer {
     }
 
     /// The server's endpoint.
-    pub fn endpoint(&self) -> &Endpoint {
+    pub(crate) fn endpoint(&self) -> &Endpoint {
         &self.endpoint
     }
 
     /// Drain the mailbox, answering every request frame: fresh
     /// `(caller, id)` pairs go through `handler`, repeats are answered
     /// from the reply cache. Non-RPC frames are ignored.
-    pub fn poll(&mut self, handler: &mut dyn FnMut(&str, &[u8]) -> Vec<u8>) {
+    pub(crate) fn poll(&mut self, handler: &mut dyn FnMut(&str, &[u8]) -> Vec<u8>) {
         self.serve(|from, _id, body| Some(handler(from, body)));
     }
 

@@ -80,23 +80,17 @@ pub enum Step {
 }
 
 /// Identifies a spawned task within its scheduler.
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// Per-step context handed to [`Task::step`].
 pub struct TaskCx {
     now: u64,
-    id: TaskId,
 }
 
 impl TaskCx {
     /// Current sim time.
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// The stepped task's id.
-    pub fn id(&self) -> TaskId {
-        self.id
     }
 }
 
@@ -223,11 +217,6 @@ impl Scheduler {
         self.core.borrow().clock.now()
     }
 
-    /// Number of live (not yet `Done`) tasks.
-    pub fn live(&self) -> usize {
-        self.core.borrow().live
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> SchedStats {
         self.core.borrow().stats
@@ -262,7 +251,7 @@ impl Scheduler {
     /// delivery scheduled. Returns the final counters. Tasks that are
     /// still blocked at quiescence (e.g. a server in `WaitMail` with no
     /// deadline and no traffic left) remain live and simply never run
-    /// again; [`Scheduler::live`] reports them.
+    /// again.
     pub fn run(&mut self) -> SchedStats {
         let mut core = self.core.borrow_mut();
         // A wait for nothing, without a deadline: it ends at quiescence.
@@ -370,7 +359,6 @@ impl Core {
         };
         let cx = TaskCx {
             now: self.clock.now(),
-            id,
         };
         let step = slot.task.step(&cx);
         self.stats.steps += 1;
@@ -491,6 +479,13 @@ impl Core {
 mod tests {
     use super::*;
     use crate::net::{FaultProfile, Network};
+
+    impl Scheduler {
+        /// Number of live (not yet `Done`) tasks.
+        pub(crate) fn live(&self) -> usize {
+            self.core.borrow().live
+        }
+    }
 
     #[test]
     fn sleep_ordering_is_deterministic() {

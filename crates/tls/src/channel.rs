@@ -33,7 +33,7 @@ pub struct SecureChannel {
 
 /// Size of the key block the channel constructor expects:
 /// two AEAD keys, two nonce bases, two MIC keys.
-pub const KEY_BLOCK_LEN: usize = 32 + 32 + 12 + 12 + 32 + 32;
+pub(crate) const KEY_BLOCK_LEN: usize = 32 + 32 + 12 + 12 + 32 + 32;
 
 impl core::fmt::Debug for SecureChannel {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -106,7 +106,7 @@ impl SecureChannel {
     /// Resumption state minted by the handshake that produced this
     /// channel, if any — feed it to a session cache to make later
     /// contexts with the same peer skip the asymmetric handshake.
-    pub fn resumption(&self) -> Option<&ResumptionData> {
+    pub(crate) fn resumption(&self) -> Option<&ResumptionData> {
         self.resumption.as_ref()
     }
 
@@ -174,16 +174,6 @@ impl SecureChannel {
         }
         self.mic_read_seq = seq + 1;
         Ok(())
-    }
-
-    /// Messages sealed so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.write_seq
-    }
-
-    /// Messages opened so far.
-    pub fn messages_received(&self) -> u64 {
-        self.read_seq
     }
 }
 
@@ -309,7 +299,7 @@ mod tests {
             let m = c.seal(format!("m{i}").as_bytes());
             s.open(&m).unwrap();
         }
-        assert_eq!(c.messages_sent(), 5);
-        assert_eq!(s.messages_received(), 5);
+        assert_eq!(c.write_seq, 5);
+        assert_eq!(s.read_seq, 5);
     }
 }

@@ -24,10 +24,11 @@
 //!   [`records::ServerAcceptor`], [`records::RecordSession`]) with no
 //!   transport assumptions, so a TLS endpoint can live inside a
 //!   discrete-event scheduler task.
-//! * [`stream`] — GT2 mode: the blocking compatibility shim over
-//!   [`records`], pumping the same tokens over a byte stream with
-//!   length-prefixed framing ([`stream::client_connect`] /
-//!   [`stream::server_accept`]), yielding a [`stream::SecureStream`].
+//! * [`stream`] — GT2 mode: the blocking client shim over [`records`],
+//!   pumping the same tokens over a byte stream with length-prefixed
+//!   framing ([`stream::client_connect`]), yielding a
+//!   [`stream::SecureStream`]. Every GT2 server is a sans-io scheduler
+//!   task over [`records`].
 //! * [`session`] — session resumption: a completed handshake mints a
 //!   ticket both sides derive from the master secret; a later context
 //!   between the same pair runs an abbreviated handshake that skips
@@ -38,6 +39,7 @@
 //! envelopes — which is what experiment C1 verifies and measures.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod channel;

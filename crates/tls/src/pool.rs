@@ -39,7 +39,7 @@ use gridsec_pki::validate::{CachedValidator, ValidatedIdentity};
 use gridsec_pki::PkiError;
 
 /// Default capacity of the pooled chain-validation cache.
-pub const DEFAULT_VALIDATOR_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_VALIDATOR_CAPACITY: usize = 256;
 
 /// Bound on retained binding-verify contexts; reaching it clears the
 /// map (deterministic: what is held stays a function of the call
@@ -55,7 +55,7 @@ pub struct CryptoPool {
 }
 
 impl CryptoPool {
-    /// Pool memoizing at most [`DEFAULT_VALIDATOR_CAPACITY`] validated
+    /// Pool memoizing at most `DEFAULT_VALIDATOR_CAPACITY` validated
     /// chains.
     pub fn new() -> Self {
         CryptoPool {
@@ -81,7 +81,7 @@ impl CryptoPool {
     /// Validate a peer chain through the pooled [`CachedValidator`].
     /// Semantically identical to
     /// [`gridsec_pki::validate::validate_chain_with_crls`].
-    pub fn validate(
+    pub(crate) fn validate(
         &mut self,
         chain: &[Certificate],
         trust: &TrustStore,
@@ -94,7 +94,7 @@ impl CryptoPool {
     /// Verify a hello-binding signature through a shared per-key
     /// context. Identical verdict to
     /// [`RsaPublicKey::verify_pkcs1_sha256`].
-    pub fn verify_binding(&mut self, key: &RsaPublicKey, msg: &[u8], sig: &[u8]) -> bool {
+    pub(crate) fn verify_binding(&mut self, key: &RsaPublicKey, msg: &[u8], sig: &[u8]) -> bool {
         let n = key.modulus().to_bytes_be();
         let e = key.exponent().to_bytes_be();
         let mut data = Vec::with_capacity(n.len() + e.len() + 8);

@@ -27,7 +27,7 @@ use crate::handshake::{ClientHandshake, ServerAwaitFinished, ServerHandshake, Tl
 use crate::TlsError;
 
 /// Maximum accepted frame payload, matching [`crate::stream::read_frame`].
-pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Incremental length-prefixed frame parser. Bytes go in via
 /// [`FrameBuf::feed`] in whatever chunks the transport produces;
@@ -87,11 +87,6 @@ impl FrameBuf {
         self.pos = start + len;
         Ok(Some(&self.buf[start..self.pos]))
     }
-
-    /// Number of buffered, not-yet-consumed bytes.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 /// Encode one frame (length prefix + payload) — the byte sequence
@@ -148,8 +143,8 @@ impl RecordSession {
     }
 
     /// Open one already-deframed record (the blocking shim's path,
-    /// where [`crate::stream::read_frame`] did the reassembly).
-    pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TlsError> {
+    /// where `crate::stream::read_frame` did the reassembly).
+    pub(crate) fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TlsError> {
         self.channel.open(sealed)
     }
 }
@@ -282,6 +277,13 @@ mod tests {
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
+
+    impl FrameBuf {
+        /// Number of buffered, not-yet-consumed bytes.
+        fn pending(&self) -> usize {
+            self.buf.len() - self.pos
+        }
+    }
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()

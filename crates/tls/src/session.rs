@@ -1,7 +1,7 @@
 //! Session resumption: amortizing the asymmetric-crypto handshake cost.
 //!
 //! A completed full handshake leaves both sides holding the master
-//! secret. [`ResumptionData`] derives a *ticket* (an HMAC of the master
+//! secret. `ResumptionData` derives a *ticket* (an HMAC of the master
 //! secret under a fixed label) that both sides compute independently —
 //! no extra bytes ride on the full-handshake tokens, so GT2/GT3 token
 //! compatibility is untouched. A later context between the same pair can
@@ -16,11 +16,11 @@
 //! fresh direction keys while skipping certificate-chain validation, RSA
 //! sign/verify, and DH key agreement entirely — only symmetric HKDF/HMAC
 //! work remains. Each resumption also *rotates* the session: the resumed
-//! channel carries new [`ResumptionData`] under the new master secret.
+//! channel carries new `ResumptionData` under the new master secret.
 //!
 //! A resumed context skips chain validation, so a session is only as good
 //! as the trust anchors and CRLs its full handshake validated under. Each
-//! [`ResumptionData`] records that [`Epoch`], rotation carries it forward,
+//! `ResumptionData` records that [`Epoch`], rotation carries it forward,
 //! and both caches treat a lookup under another epoch as a miss: a server
 //! that installs new stores needs no invalidation step.
 //!
@@ -59,7 +59,7 @@ const TICKET_LABEL: &[u8] = b"gsi-tls resumption ticket v1";
 /// Resumption state minted by a completed handshake (full or
 /// abbreviated) and carried on the resulting [`SecureChannel`].
 #[derive(Clone)]
-pub struct ResumptionData {
+pub(crate) struct ResumptionData {
     ticket: [u8; 32],
     master: [u8; 32],
     expires_at: u64,
@@ -112,24 +112,8 @@ impl ResumptionData {
         }
     }
 
-    /// Expiry of the credentials that authenticated this session — the
-    /// hard upper bound no rotation can extend past.
-    pub fn cred_not_after(&self) -> u64 {
-        self.cred_not_after
-    }
-
-    /// The opaque lookup key the client presents in ResumeHello.
-    pub fn ticket(&self) -> &[u8; 32] {
-        &self.ticket
-    }
-
-    /// Expiry instant (inclusive lower bound of rejection).
-    pub fn expires_at(&self) -> u64 {
-        self.expires_at
-    }
-
     /// `true` once `now` has reached the expiry instant.
-    pub fn is_expired(&self, now: u64) -> bool {
+    pub(crate) fn is_expired(&self, now: u64) -> bool {
         now >= self.expires_at
     }
 }
@@ -251,7 +235,7 @@ impl ClientSession {
 
     /// The resumption ticket this session would present.
     pub fn ticket(&self) -> &[u8; 32] {
-        self.data.ticket()
+        &self.data.ticket
     }
 }
 
@@ -653,8 +637,8 @@ mod tests {
         let mut w = world();
         let (_cc, mut sc, session) = establish_and_cache(&mut w);
         let check = |data: &ResumptionData| {
-            assert_eq!(*data.ticket(), hmac_sha256(&data.master, TICKET_LABEL));
-            assert!(data.expires_at() <= data.cred_not_after(), "clamped");
+            assert_eq!(data.ticket, hmac_sha256(&data.master, TICKET_LABEL));
+            assert!(data.expires_at <= data.cred_not_after, "clamped");
         };
         check(&session.data);
 
@@ -665,8 +649,8 @@ mod tests {
         check(cch.resumption().unwrap());
         check(sch.resumption().unwrap());
         assert_eq!(
-            cch.resumption().unwrap().ticket(),
-            sch.resumption().unwrap().ticket(),
+            cch.resumption().unwrap().ticket,
+            sch.resumption().unwrap().ticket,
             "both sides mint the same rotated ticket"
         );
     }
@@ -675,20 +659,20 @@ mod tests {
     fn resumption_rotates_the_ticket() {
         let mut w = world();
         let (_cc, mut sc, session) = establish_and_cache(&mut w);
-        let old_ticket = *session.data.ticket();
+        let old_ticket = session.data.ticket;
 
         let (cr, hello) = resume_client(session, 200, 3_600, &mut w.rng);
         let (sh, await_finished) = sc.accept_under(&hello, 200, w.epoch(), &mut w.rng).unwrap();
         let (finished, cch) = cr.step(&sh).unwrap();
         let sch = await_finished.step(&finished).unwrap();
 
-        let new_ticket = *cch.resumption().unwrap().ticket();
+        let new_ticket = cch.resumption().unwrap().ticket;
         assert_ne!(new_ticket, old_ticket);
         // Rotation carries the epoch forward on both sides.
         assert_eq!(cch.resumption().unwrap().epoch, w.epoch());
         assert_eq!(sch.resumption().unwrap().epoch, w.epoch());
         // Both sides rotate to the same new session.
-        assert_eq!(new_ticket, *sch.resumption().unwrap().ticket());
+        assert_eq!(new_ticket, sch.resumption().unwrap().ticket);
     }
 
     #[test]
@@ -799,9 +783,9 @@ mod tests {
 
         // Both sides clamp the ticket to the proxy's not_after, not
         // now + DEFAULT_SESSION_LIFETIME.
-        assert_eq!(cch.resumption().unwrap().expires_at(), proxy_expiry);
-        assert_eq!(sch.resumption().unwrap().expires_at(), proxy_expiry);
-        assert_eq!(cch.resumption().unwrap().cred_not_after(), proxy_expiry);
+        assert_eq!(cch.resumption().unwrap().expires_at, proxy_expiry);
+        assert_eq!(sch.resumption().unwrap().expires_at, proxy_expiry);
+        assert_eq!(cch.resumption().unwrap().cred_not_after, proxy_expiry);
 
         let mut client_cache = ClientSessionCache::new(4);
         let mut server_cache = ServerSessionCache::new(4, DEFAULT_SESSION_LIFETIME);
@@ -874,8 +858,8 @@ mod tests {
                 .unwrap();
             let (finished, cch) = cr.step(&sh).unwrap();
             let sch = await_finished.step(&finished).unwrap();
-            assert_eq!(cch.resumption().unwrap().expires_at(), proxy_expiry);
-            assert_eq!(sch.resumption().unwrap().expires_at(), proxy_expiry);
+            assert_eq!(cch.resumption().unwrap().expires_at, proxy_expiry);
+            assert_eq!(sch.resumption().unwrap().expires_at, proxy_expiry);
             client_cache.store("fs1", &cch);
             server_cache.store(&sch);
             now += 200;

@@ -3,7 +3,7 @@
 //!
 //! This is the *compatibility shim* over the sans-io state machines in
 //! [`crate::records`]: the protocol logic lives there; this module only
-//! moves bytes — [`read_frame`] blocks for one frame, feeds it to the
+//! moves bytes — `read_frame` blocks for one frame, feeds it to the
 //! machine, and [`write_frame`] transmits whatever the machine
 //! returned. Wire bytes are identical to the pre-sans-io implementation
 //! (same frames, same write pattern: one length write + one payload
@@ -15,7 +15,7 @@ use std::io::{Read, Write};
 use gridsec_bignum::prime::EntropySource;
 
 use crate::handshake::TlsConfig;
-use crate::records::{frame, Accepted, ClientConnector, RecordSession, ServerAcceptor};
+use crate::records::{frame, ClientConnector, RecordSession};
 use crate::TlsError;
 
 /// Write one length-prefixed frame.
@@ -27,7 +27,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), TlsError> 
 }
 
 /// Read one length-prefixed frame.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, TlsError> {
+pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, TlsError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -82,32 +82,10 @@ pub fn client_connect<S: Read + Write, E: EntropySource>(
     Ok(SecureStream { stream, session })
 }
 
-/// Server side: accept a handshake over `stream`.
-pub fn server_accept<S: Read + Write, E: EntropySource>(
-    mut stream: S,
-    config: TlsConfig,
-    rng: &mut E,
-) -> Result<SecureStream<S>, TlsError> {
-    let mut acceptor = ServerAcceptor::new(config);
-    let hello = read_frame(&mut stream)?;
-    acceptor.feed(&frame(&hello));
-    let server_hello = match acceptor.advance(rng)? {
-        Accepted::Respond(token) => token,
-        _ => return Err(TlsError::Protocol("acceptor did not respond to hello")),
-    };
-    write_frame(&mut stream, &server_hello)?;
-    let finished = read_frame(&mut stream)?;
-    acceptor.feed(&frame(&finished));
-    let session = match acceptor.advance(rng)? {
-        Accepted::Established(session) => *session,
-        _ => return Err(TlsError::Protocol("acceptor did not establish")),
-    };
-    Ok(SecureStream { stream, session })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::{Accepted, ServerAcceptor};
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::name::DistinguishedName;

@@ -60,11 +60,6 @@ impl Gen {
         self.rng.next_u32() as u16
     }
 
-    /// Uniform random `u32`.
-    pub fn u32(&mut self) -> u32 {
-        self.rng.next_u32()
-    }
-
     /// Uniform random `u64`.
     pub fn u64(&mut self) -> u64 {
         self.rng.next_u64()

@@ -25,6 +25,7 @@
 //!   flight recorder; every security flow emits nested spans through it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod bench;
 pub mod chacha;

@@ -43,17 +43,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that tries exactly once with `timeout` seconds and never
-    /// retransmits.
-    pub fn no_retry(timeout: u64) -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_timeout: timeout.max(1),
-            multiplier: 1,
-            max_timeout: timeout.max(1),
-        }
-    }
-
     /// Timeout (seconds) for 0-based attempt `attempt`.
     pub fn timeout_for(&self, attempt: u32) -> u64 {
         let mut t = self.base_timeout.max(1);
@@ -92,7 +81,12 @@ mod tests {
 
     #[test]
     fn no_retry_tries_once() {
-        let p = RetryPolicy::no_retry(7);
+        let p = RetryPolicy {
+            max_attempts: 1,
+            base_timeout: 7,
+            multiplier: 1,
+            max_timeout: 7,
+        };
         assert_eq!(p.schedule().collect::<Vec<_>>(), vec![(0, 7)]);
     }
 

@@ -8,8 +8,6 @@
 //!   expansion, for tests, property generation, and benches.
 //! * `gridsec_crypto::rng::ChaChaRng` — the stack's CSPRNG (same ChaCha
 //!   core, SHA-256 seed hashing), which also implements this trait.
-//!
-//! [`fill_os_entropy`] seeds real runs from the operating system.
 
 use crate::chacha;
 
@@ -137,30 +135,6 @@ impl RngCore for DetRng {
     }
 }
 
-/// Fill `dest` with entropy from the operating system (`/dev/urandom`),
-/// falling back to hasher/clock jitter if the device is unavailable.
-pub fn fill_os_entropy(dest: &mut [u8]) {
-    use std::io::Read;
-    if let Ok(mut f) = std::fs::File::open("/dev/urandom") {
-        if f.read_exact(dest).is_ok() {
-            return;
-        }
-    }
-    // Fallback: mix ASLR, RandomState keys, the clock, and time jitter
-    // through the ChaCha expansion. Not a CSPRNG-grade source, but this
-    // path only runs on platforms without a random device.
-    use std::hash::{BuildHasher, Hasher};
-    let mut state = std::collections::hash_map::RandomState::new()
-        .build_hasher()
-        .finish();
-    state ^= (&state as *const u64 as usize as u64).rotate_left(32);
-    if let Ok(d) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
-        state ^= d.as_nanos() as u64;
-    }
-    let mut rng = DetRng::seed_from_u64(state);
-    rng.fill_bytes(dest);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,15 +197,5 @@ mod tests {
         let b = r.next_u64();
         let c = r.next_u64();
         assert!(a != b && b != c && a != c);
-    }
-
-    #[test]
-    fn os_entropy_fills_and_varies() {
-        let mut a = [0u8; 32];
-        let mut b = [0u8; 32];
-        fill_os_entropy(&mut a);
-        fill_os_entropy(&mut b);
-        assert_ne!(a, [0u8; 32]);
-        assert_ne!(a, b);
     }
 }

@@ -62,7 +62,7 @@ impl TokenBucket {
     /// earlier than the bucket's internal frontier is a no-op: the
     /// bucket is a shared serial resource, so callers on lagging
     /// per-stripe timelines observe it at its frontier time.
-    pub fn advance_to(&mut self, now: u64) {
+    pub(crate) fn advance_to(&mut self, now: u64) {
         if now <= self.last_refill {
             return;
         }

@@ -39,15 +39,15 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Default flight-recorder capacity (entries kept).
-pub const DEFAULT_RING_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1024;
 
 /// A monotonically-assigned span identifier (sequential per tracer, so
 /// ids are deterministic under a deterministic execution order).
-pub type SpanId = u64;
+pub(crate) type SpanId = u64;
 
 /// One record in the trace ring.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEntry {
+pub(crate) enum TraceEntry {
     /// A span opened.
     Open {
         /// Clock time at open.
@@ -90,7 +90,7 @@ pub enum TraceEntry {
 
 impl TraceEntry {
     /// Render one line of the canonical dump format.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             TraceEntry::Open {
                 t,
@@ -200,11 +200,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Quantile estimate for `q` in `[0, 1]`: upper bound of the bucket
@@ -440,12 +435,12 @@ impl Tracer {
 
     /// Open a span; the returned guard closes it on drop. Spans nest:
     /// the parent is the innermost span still open on this tracer.
-    pub fn span(&self, name: &str) -> SpanGuard {
+    pub(crate) fn span(&self, name: &str) -> SpanGuard {
         self.span_with(name, "")
     }
 
     /// Open a span carrying a detail string (peer name, op, …).
-    pub fn span_with(&self, name: &str, detail: &str) -> SpanGuard {
+    pub(crate) fn span_with(&self, name: &str, detail: &str) -> SpanGuard {
         let t = self.now();
         let mut st = self.inner.state.borrow_mut();
         st.next_id += 1;
@@ -603,7 +598,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// A guard that does nothing (no tracer installed).
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         SpanGuard {
             tracer: None,
             id: 0,

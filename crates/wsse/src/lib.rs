@@ -24,6 +24,7 @@
 //! [`b64`] (base64 for token embedding).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod b64;

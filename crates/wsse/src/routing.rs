@@ -16,7 +16,7 @@ use crate::soap::Envelope;
 use crate::WsseError;
 
 /// Header element name.
-pub const PATH_HEADER: &str = "wsr:path";
+pub(crate) const PATH_HEADER: &str = "wsr:path";
 
 /// A WS-Routing path: the remaining forward hops and the final endpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,14 +28,6 @@ pub struct RoutingPath {
 }
 
 impl RoutingPath {
-    /// A direct path.
-    pub fn direct(to: &str) -> Self {
-        RoutingPath {
-            via: Vec::new(),
-            to: to.to_string(),
-        }
-    }
-
     /// A path through intermediaries.
     pub fn through(via: &[&str], to: &str) -> Self {
         RoutingPath {
@@ -75,7 +67,7 @@ pub fn set_path(env: &mut Envelope, path: &RoutingPath) {
 }
 
 /// Read the routing path, if any.
-pub fn get_path(env: &Envelope) -> Result<Option<RoutingPath>, WsseError> {
+pub(crate) fn get_path(env: &Envelope) -> Result<Option<RoutingPath>, WsseError> {
     env.headers
         .iter()
         .find(|h| h.name == PATH_HEADER)
@@ -107,6 +99,16 @@ pub fn advance(env: &mut Envelope) -> Result<Option<String>, WsseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RoutingPath {
+        /// A direct path.
+        fn direct(to: &str) -> Self {
+            RoutingPath {
+                via: Vec::new(),
+                to: to.to_string(),
+            }
+        }
+    }
 
     #[test]
     fn path_roundtrip() {

@@ -9,9 +9,9 @@ use gridsec_xml::Element;
 use crate::WsseError;
 
 /// SOAP namespace URI (1.1, as in 2003-era GT3).
-pub const SOAP_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
+pub(crate) const SOAP_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
 /// WS-Security header element name.
-pub const SECURITY_HEADER: &str = "wsse:Security";
+pub(crate) const SECURITY_HEADER: &str = "wsse:Security";
 
 /// A SOAP envelope: action, headers, body.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -26,7 +26,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// Empty envelope.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Envelope {
             action: None,
             headers: Vec::new(),
@@ -44,12 +44,12 @@ impl Envelope {
     }
 
     /// The `wsse:Security` header, if present.
-    pub fn security_header(&self) -> Option<&Element> {
+    pub(crate) fn security_header(&self) -> Option<&Element> {
         self.headers.iter().find(|h| h.name == SECURITY_HEADER)
     }
 
     /// The `wsse:Security` header, created on demand.
-    pub fn security_header_mut(&mut self) -> &mut Element {
+    pub(crate) fn security_header_mut(&mut self) -> &mut Element {
         if !self.headers.iter().any(|h| h.name == SECURITY_HEADER) {
             self.headers.push(Element::new(SECURITY_HEADER));
         }
@@ -190,7 +190,7 @@ impl Timestamp {
     }
 
     /// Read from a `wsu:Timestamp` element.
-    pub fn from_element(el: &Element) -> Result<Timestamp, WsseError> {
+    pub(crate) fn from_element(el: &Element) -> Result<Timestamp, WsseError> {
         let created = el
             .find("Created")
             .ok_or(WsseError::Missing("wsu:Created"))?
@@ -207,7 +207,7 @@ impl Timestamp {
     }
 
     /// Enforce freshness at `now`.
-    pub fn check(&self, now: u64) -> Result<(), WsseError> {
+    pub(crate) fn check(&self, now: u64) -> Result<(), WsseError> {
         if now > self.expires {
             return Err(WsseError::Stale {
                 now,

@@ -173,12 +173,6 @@ impl WsscResponder {
         }
     }
 
-    /// The responder's session cache (hit/miss counters for tests and
-    /// metrics).
-    pub fn sessions(&self) -> &ServerSessionCache {
-        &self.sessions
-    }
-
     /// Handle one RST envelope, returning the RSTR to send back. An RST
     /// without a context id opens a conversation with a ClientHello or,
     /// from a cached session, a ResumeHello; a ResumeHello whose ticket
@@ -212,12 +206,13 @@ impl WsscResponder {
                 Some(&out),
             ));
         };
-        let acceptor = match self.contexts.remove(&id) {
-            Some(ServerCtx::Pending(acceptor)) => acceptor,
-            Some(ServerCtx::Ready(_)) => {
-                return Err(WsseError::Context("context already established"))
-            }
-            None => return Err(WsseError::Context("unknown context id")),
+        // Only a pending handshake is taken out: a finish naming an
+        // established conversation is refused and leaves it in place.
+        if let Some(ServerCtx::Ready(_)) = self.contexts.get(&id) {
+            return Err(WsseError::Context("context already established"));
+        }
+        let Some(ServerCtx::Pending(acceptor)) = self.contexts.remove(&id) else {
+            return Err(WsseError::Context("unknown context id"));
         };
         let context = acceptor.step(&token).map_err(failed)?;
         // A resumed context rotates: it mints a fresh ticket.
@@ -278,11 +273,6 @@ impl WsscResponder {
     /// resuming; established conversations are left as they are.
     pub fn set_crls(&mut self, crls: CrlStore) {
         self.config.crls = crls;
-    }
-
-    /// Number of live contexts (pending + established).
-    pub fn context_count(&self) -> usize {
-        self.contexts.len()
     }
 }
 
@@ -391,6 +381,14 @@ mod tests {
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
+
+    impl WsscResponder {
+        /// The responder's session cache (hit/miss counters for tests and
+        /// metrics).
+        fn sessions(&self) -> &ServerSessionCache {
+            &self.sessions
+        }
+    }
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -523,13 +521,33 @@ mod tests {
     }
 
     #[test]
+    fn stray_finish_leaves_an_established_context_in_place() {
+        let mut w = world();
+        let mut responder = WsscResponder::new(cfg(&w, &w.service));
+        let mut session = establish(cfg(&w, &w.alice), &mut responder, &mut w.rng).unwrap();
+        // Ids are sequential, so any peer can name this one.
+        let stray = rst_envelope(
+            "wst:RequestSecurityToken",
+            Some(&session.ctx_id),
+            Some(b"junk"),
+        );
+        assert!(matches!(
+            responder.handle_rst(&stray, &mut w.rng),
+            Err(WsseError::Context("context already established"))
+        ));
+        let protected = session.protect(&Envelope::request("op", Element::new("x")));
+        let (id, _) = responder.unprotect(&protected).unwrap();
+        assert_eq!(id, session.ctx_id);
+    }
+
+    #[test]
     fn multiple_concurrent_contexts() {
         let mut w = world();
         let mut responder = WsscResponder::new(cfg(&w, &w.service));
         let mut s1 = establish(cfg(&w, &w.alice), &mut responder, &mut w.rng).unwrap();
         let mut s2 = establish(cfg(&w, &w.alice), &mut responder, &mut w.rng).unwrap();
         assert_ne!(s1.ctx_id, s2.ctx_id);
-        assert_eq!(responder.context_count(), 2);
+        assert_eq!(responder.contexts.len(), 2);
 
         let p1 = s1.protect(&Envelope::request("a", Element::new("x")));
         let p2 = s2.protect(&Envelope::request("b", Element::new("y")));

@@ -45,6 +45,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod parser;
@@ -206,20 +207,6 @@ impl Element {
         }
         for c in self.child_elements() {
             if let Some(found) = c.find_by_attr(attr, value) {
-                return Some(found);
-            }
-        }
-        None
-    }
-
-    /// Depth-first search for the first descendant with the given name
-    /// (self included).
-    pub fn find_descendant(&self, name: &str) -> Option<&Element> {
-        if Self::name_matches(self, name) {
-            return Some(self);
-        }
-        for c in self.child_elements() {
-            if let Some(found) = c.find_descendant(name) {
                 return Some(found);
             }
         }
@@ -389,13 +376,6 @@ mod tests {
             .with_child(Element::new("b").with_child(Element::new("c").with_attr("Id", "target")));
         assert_eq!(el.find_by_attr("Id", "target").unwrap().name, "c");
         assert!(el.find_by_attr("Id", "other").is_none());
-    }
-
-    #[test]
-    fn find_descendant_works() {
-        let el =
-            Element::new("a").with_child(Element::new("b").with_child(Element::new("deep:target")));
-        assert_eq!(el.find_descendant("target").unwrap().name, "deep:target");
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl std::error::Error for XmlError {}
 /// overflows the stack — an attacker-triggerable abort. Every real
 /// envelope in this codebase nests < 20 deep; 128 leaves an order of
 /// magnitude of headroom while bounding recursion.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// The cursor. `pos` only ever moves past ASCII bytes or to the position
 /// of one, so it is always a character boundary of `input` and text is
@@ -45,7 +45,7 @@ struct Parser<'a> {
 }
 
 /// Parse a document into its root element.
-pub fn parse(input: &str) -> Result<Element, XmlError> {
+pub(crate) fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
         input,
         pos: 0,

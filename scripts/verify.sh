@@ -302,6 +302,13 @@ stage_grep_guard() {
     [ "$unlisted" -eq 0 ] || exit 1
 }
 
+# Every `pub` item has a caller outside its crate, or a reason in
+# scripts/pub_audit.allow (DESIGN.md §19). Name-level and offline; the
+# compiler half is `#![warn(unreachable_pub)]` under clippy -D warnings.
+stage_pub_audit() {
+    scripts/pub_audit.sh
+}
+
 stage_fmt() {
     cargo fmt --all --check
 }
@@ -665,7 +672,7 @@ stage_drift() {
 # Stage runner
 # ---------------------------------------------------------------------------
 
-ALL_STAGES="grep_guard fmt build clippy test examples chaos crash_chaos \
+ALL_STAGES="grep_guard pub_audit fmt build clippy test examples chaos crash_chaos \
 striped_chaos cred_chaos perf_guard vo_storm handshake_storm striped_xfer \
 crypto_storm gridbench_smoke drift"
 if [ "${GRIDSEC_VERIFY_DEEP:-0}" = "1" ]; then
