@@ -9,7 +9,9 @@
 //!    verdict cache accepts hellos no slower than a pool-less
 //!    per-session acceptor (fresh acceptor per hello) — the claim
 //!    behind `handshake_storm`. A wave is a loop over the single
-//!    acceptance, so the ratio prices a cache hit against a chain walk.
+//!    acceptance, so the ratio prices a cache hit — a hash and a
+//!    compare of the bytes the hello carried the chain in — against a
+//!    chain walk.
 //! 4. **Striping**: four pinned stripes finish the 32 KiB reference
 //!    fetch at 5% loss in ≤2/3 the simulated ticks of a single stream
 //!    (≥1.5× goodput) — the headline claim behind `striped_xfer`.
@@ -99,9 +101,10 @@
 //! and require only `faster < slower`, so scheduler noise cannot flake
 //! CI. Both arms of claims 3 and 5 run the one Montgomery kernel with
 //! the tables their keys and group own and the one hello acceptance,
-//! so those ratios are what the pool buys (validator hits: a digest in
-//! place of a chain walk); absolute acceptor speed is gated by
-//! gridbench's `ops_per_s` on `establish_storm`. Claims 9, 10, 15 and 16 are
+//! so those ratios are what the pool buys (validator hits: a hash and a
+//! compare of the chain's wire bytes in place of a chain walk);
+//! absolute acceptor speed is gated by gridbench's `ops_per_s` on
+//! `establish_storm`. Claims 9, 10, 15 and 16 are
 //! medians of per-round ratios, the two arms of a round interleaved, so
 //! a slow phase of the machine lands on numerator and denominator alike.
 //! Claims 11–14 and 17 read no clock: one run, the same count on every

@@ -35,7 +35,7 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
 ];
 
 /// The public half of an RSA key.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RsaPublicKey {
     n: BigUint,
     e: BigUint,

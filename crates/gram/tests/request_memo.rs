@@ -222,10 +222,9 @@ fn a_memoised_token_still_needs_its_body_and_its_signature() {
 
     // Carl's signed request carrying Jane's token: its signature is
     // checked under the memoised leaf key, which is Jane's.
-    let foreign = carl.signed_request(&job(2), 100).replace(
-        &encode_chain(carl_proxy.chain()),
-        &encode_chain(jane_proxy.chain()),
-    );
+    let foreign = carl
+        .signed_request(&job(2), 100)
+        .replace(&encode_chain(&carl_proxy), &encode_chain(&jane_proxy));
     assert_eq!(
         resource.submit(&foreign).unwrap_err(),
         GramError::RequestRejected(rejected(WsseError::BadSignature))

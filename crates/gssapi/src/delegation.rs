@@ -36,16 +36,24 @@ struct DelegatedChain {
     issuer_chain: Vec<Certificate>,
 }
 
-impl Codec for DelegatedChain {
-    fn encode(&self, enc: &mut Encoder) {
-        self.proxy_cert.encode(enc);
-        enc.put_seq(&self.issuer_chain, |e, c| c.encode(e));
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PkiError> {
-        Ok(DelegatedChain {
-            proxy_cert: Certificate::decode(dec)?,
+/// A [`DelegatedChain`]'s encoding: the proxy certificate, then the
+/// issuer chain's wire encoding as its credential holds it.
+fn delegated_chain_bytes(proxy_cert: &Certificate, issuer_chain: &[u8]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    proxy_cert.encode(&mut enc);
+    enc.put_raw(issuer_chain);
+    enc.finish()
+}
+
+impl DelegatedChain {
+    fn from_bytes(bytes: &[u8]) -> Result<Self, PkiError> {
+        let mut dec = Decoder::new(bytes);
+        let msg = DelegatedChain {
+            proxy_cert: Certificate::decode(&mut dec)?,
             issuer_chain: dec.get_seq(Certificate::decode)?,
-        })
+        };
+        dec.expect_exhausted()?;
+        Ok(msg)
     }
 }
 
@@ -103,11 +111,8 @@ pub fn deliver_proxy<E: EntropySource>(
     let proxy_cert =
         issue_delegated_proxy(rng, delegator, &remote_public, proxy_type, now, lifetime)
             .map_err(|_| GssError::Delegation("proxy issuance refused"))?;
-    let msg = DelegatedChain {
-        proxy_cert,
-        issuer_chain: delegator.chain().to_vec(),
-    };
-    Ok(ctx.wrap(&msg.to_bytes()))
+    let msg = delegated_chain_bytes(&proxy_cert, delegator.encoded_chain());
+    Ok(ctx.wrap(&msg))
 }
 
 /// Acceptor-side state between steps 2 and 4: the key answered with.
@@ -199,15 +204,16 @@ mod tests {
         }
     }
 
-    /// Step 4 fed the message `forge` builds over the acceptor's key.
+    /// Step 4 fed the message 3 payload `forge` builds over the
+    /// acceptor's key.
     fn finish_forged(
         s: &mut Setup,
-        forge: impl FnOnce(&mut Setup, &RsaPublicKey) -> DelegatedChain,
+        forge: impl FnOnce(&mut Setup, &RsaPublicKey) -> Vec<u8>,
     ) -> Result<Credential, GssError> {
         let t1 = request_delegation(&mut s.ic);
         let (_t2, pending) = respond_with_key(&mut s.ac, &mut s.rng, &t1, 512).unwrap();
         let msg = forge(s, pending.key.public());
-        let t3 = s.ic.wrap(&msg.to_bytes());
+        let t3 = s.ic.wrap(&msg);
         pending.finish(&mut s.ac, &t3)
     }
 
@@ -278,10 +284,8 @@ mod tests {
         // Initiator signs over the WRONG key (its own, not the acceptor's).
         let refused = finish_forged(&mut s, |s, _| {
             let alice = s.alice.clone();
-            DelegatedChain {
-                proxy_cert: proxy_by(s, &alice, alice.certificate().public_key()),
-                issuer_chain: alice.chain().to_vec(),
-            }
+            let proxy = proxy_by(s, &alice, alice.certificate().public_key());
+            delegated_chain_bytes(&proxy, alice.encoded_chain())
         });
         assert!(matches!(
             refused,
@@ -296,10 +300,8 @@ mod tests {
         let mut s = setup();
         let refused = finish_forged(&mut s, |s, key| {
             let mallory = s.mallory.clone();
-            DelegatedChain {
-                proxy_cert: proxy_by(s, &mallory, key),
-                issuer_chain: s.alice.chain().to_vec(),
-            }
+            let proxy = proxy_by(s, &mallory, key);
+            delegated_chain_bytes(&proxy, s.alice.encoded_chain())
         });
         assert!(matches!(
             refused,
@@ -313,10 +315,8 @@ mod tests {
         let refused = finish_forged(&mut s, |s, key| {
             let alice = s.alice.clone();
             let named = proxy_by(s, &alice, key);
-            DelegatedChain {
-                proxy_cert: Certificate::sign(named.tbs, s.mallory.key()),
-                issuer_chain: alice.chain().to_vec(),
-            }
+            let proxy = Certificate::sign(named.tbs, s.mallory.key());
+            delegated_chain_bytes(&proxy, alice.encoded_chain())
         });
         assert!(matches!(
             refused,
@@ -329,10 +329,8 @@ mod tests {
         let mut s = setup();
         let refused = finish_forged(&mut s, |s, key| {
             let alice = s.alice.clone();
-            DelegatedChain {
-                proxy_cert: proxy_by(s, &alice, key),
-                issuer_chain: s.mallory.chain().to_vec(),
-            }
+            let proxy = proxy_by(s, &alice, key);
+            delegated_chain_bytes(&proxy, s.mallory.encoded_chain())
         });
         assert!(matches!(
             refused,

@@ -216,6 +216,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_memoized_chain_with_one_flipped_byte_misses_and_is_walked() {
+        use gridsec_pki::encoding::Codec;
+        let mut w = world(1);
+        let mut mill = HandshakeMill::new(cfg(&w, &w.service));
+        let pool = mill.pool();
+        let stats = || {
+            let p = pool.lock().unwrap();
+            (p.validator().hits(), p.validator().misses())
+        };
+        let user = w.users[0].clone();
+        let (_warm, hello) = InitiatorContext::new(cfg(&w, &user), &mut w.rng);
+        assert!(mill.accept_wave(&mut w.rng, &[hello.as_slice()])[0].is_ok());
+        assert_eq!(stats(), (0, 1), "the user's chain is memoized");
+
+        // The same user three times in one wave; the middle hello's
+        // chain span has the last byte of the leaf's signature flipped.
+        let mut hellos: Vec<Vec<u8>> = (0..3)
+            .map(|_| InitiatorContext::new(cfg(&w, &user), &mut w.rng).1)
+            .collect();
+        let span = user.encoded_chain();
+        let at = hellos[1]
+            .windows(span.len())
+            .position(|win| win == span)
+            .expect("a hello carries its credential's chain encoding");
+        let leaf_end = at + 4 + user.certificate().to_bytes().len();
+        hellos[1][leaf_end - 1] ^= 0x01;
+        let refs: Vec<&[u8]> = hellos.iter().map(Vec::as_slice).collect();
+        let wave = mill.accept_wave(&mut w.rng, &refs);
+        assert!(wave[0].is_ok() && wave[2].is_ok());
+        assert!(
+            matches!(
+                wave[1],
+                Err(GssError::Tls(gridsec_tls::TlsError::Pki(
+                    gridsec_pki::PkiError::BadSignature
+                )))
+            ),
+            "the flipped chain is walked and refused"
+        );
+        assert_eq!(stats(), (2, 2), "two hits; the flipped chain missed");
+        assert_eq!((mill.accepted(), mill.rejected()), (3, 1));
+    }
+
     /// One wave — every user plus a garbage hello — through `mill`,
     /// each accepted session finished and used: the bytes of every
     /// token and sealed message (or the refusal), then what the shared

@@ -323,6 +323,44 @@ impl Codec for Certificate {
     }
 }
 
+/// A chain's binary wire encoding: `put_seq` of the certificates, count
+/// first. The one writer of it; a credential keeps its chain's
+/// ([`crate::credential::Credential::encoded_chain`]) and
+/// [`WireChain::decode`] reads it.
+pub(crate) fn encode_chain(chain: &[Certificate]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_seq(chain, |e, c| c.encode(e));
+    enc.finish()
+}
+
+/// A chain as it arrived: the certificates and the exact bytes they
+/// were decoded from. Only [`WireChain::decode`] makes one, so the bytes
+/// always decode to these certificates, and a verdict filed under the
+/// bytes ([`crate::validate::CachedValidator::validate_wire`]) is the
+/// verdict of these certificates.
+pub struct WireChain<'a> {
+    certs: Vec<Certificate>,
+    wire: &'a [u8],
+}
+
+impl<'a> WireChain<'a> {
+    /// Read a chain's wire encoding, keeping the span it occupied.
+    pub fn decode(dec: &mut Decoder<'a>) -> Result<Self, PkiError> {
+        let (certs, wire) = dec.get_seq_raw(Certificate::decode)?;
+        Ok(WireChain { certs, wire })
+    }
+
+    /// The decoded certificates, leaf first.
+    pub fn certs(&self) -> &[Certificate] {
+        &self.certs
+    }
+
+    /// The bytes the chain was decoded from, count included.
+    pub fn wire(&self) -> &'a [u8] {
+        self.wire
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,15 +5,40 @@
 //! `[end-entity cert, CA cert...]`; after `grid-proxy-init` style sign-on
 //! the chain grows proxies at the front: `[proxy, EEC, CA...]`.
 
-use crate::cert::Certificate;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+use crate::cert::{encode_chain, Certificate};
 use crate::name::DistinguishedName;
 use gridsec_crypto::rsa::RsaKeyPair;
 
 /// A certificate chain (leaf first) and the leaf's private key.
-#[derive(Clone, Debug)]
+///
+/// Immutable once built, so clones share one value: a clone — per
+/// principal config, per accepted hello — is a reference-count bump.
+/// `Arc`, not `Rc`: credential fixtures live in `static OnceLock`s that
+/// cargo's test threads share, so a credential is `Sync`.
+#[derive(Clone)]
 pub struct Credential {
+    inner: Arc<Inner>,
+}
+
+struct Inner {
     chain: Vec<Certificate>,
+    /// The chain as every protocol ships it, encoded the first time one
+    /// ships it: a credential that is only held (a job's delegated
+    /// proxy) never pays for it.
+    encoded_chain: OnceLock<Vec<u8>>,
     key: RsaKeyPair,
+}
+
+impl fmt::Debug for Credential {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Credential")
+            .field("chain", &self.inner.chain)
+            .field("key", &self.inner.key)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Credential {
@@ -26,22 +51,38 @@ impl Credential {
             key.public(),
             "leaf certificate must certify the private key"
         );
-        Credential { chain, key }
+        Credential {
+            inner: Arc::new(Inner {
+                chain,
+                encoded_chain: OnceLock::new(),
+                key,
+            }),
+        }
     }
 
     /// The leaf certificate.
     pub fn certificate(&self) -> &Certificate {
-        &self.chain[0]
+        &self.inner.chain[0]
     }
 
     /// The full chain, leaf first.
     pub fn chain(&self) -> &[Certificate] {
-        &self.chain
+        &self.inner.chain
+    }
+
+    /// The chain's wire encoding — the bytes `put_seq` of
+    /// [`Self::chain`] writes — computed once, on first use, and shared
+    /// by every clone. Hellos, delegations and signed envelopes ship it
+    /// with `put_raw`.
+    pub fn encoded_chain(&self) -> &[u8] {
+        self.inner
+            .encoded_chain
+            .get_or_init(|| encode_chain(&self.inner.chain))
     }
 
     /// The private key.
     pub fn key(&self) -> &RsaKeyPair {
-        &self.key
+        &self.inner.key
     }
 
     /// The leaf subject name.
@@ -51,12 +92,12 @@ impl Credential {
 
     /// Sign a message with the leaf key (PKCS#1 v1.5 / SHA-256).
     pub fn sign(&self, msg: &[u8]) -> Vec<u8> {
-        self.key.sign_pkcs1_sha256(msg)
+        self.inner.key.sign_pkcs1_sha256(msg)
     }
 
     /// Number of proxy certificates at the front of the chain.
     pub fn proxy_depth(&self) -> usize {
-        self.chain.iter().take_while(|c| c.is_proxy()).count()
+        self.chain().iter().take_while(|c| c.is_proxy()).count()
     }
 
     /// The *base identity*: the subject of the first non-proxy certificate
@@ -64,7 +105,7 @@ impl Credential {
     /// leaf subject. This is the name the paper's grid-mapfile and the
     /// "proxies of the same user trust each other" policy key on.
     pub fn base_identity(&self) -> &DistinguishedName {
-        self.chain
+        self.chain()
             .iter()
             .find(|c| !c.is_proxy())
             .map(|c| c.subject())
@@ -81,6 +122,47 @@ mod tests {
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
+    }
+
+    #[test]
+    fn encoded_chain_is_put_seq_of_the_chain_for_every_minted_shape() {
+        use crate::encoding::{Codec, Encoder};
+        let mut rng = ChaChaRng::from_seed_bytes(b"cred encoded chain");
+        let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 10_000);
+        let eec = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 10_000);
+        let host = ca.issue_host_identity(
+            &mut rng,
+            dn("/O=G/CN=host h1"),
+            vec!["h1".into()],
+            512,
+            0,
+            10_000,
+        );
+        let p1 = issue_proxy(&mut rng, &eec, ProxyType::Impersonation, 512, 10, 900).unwrap();
+        let p2 = issue_proxy(&mut rng, &p1, ProxyType::Impersonation, 512, 10, 800).unwrap();
+        let p3 = issue_proxy(&mut rng, &p2, ProxyType::Impersonation, 512, 10, 700).unwrap();
+        let limited = issue_proxy(&mut rng, &eec, ProxyType::Limited, 512, 10, 900).unwrap();
+        let restricted = ProxyType::Restricted {
+            language: "cas-rights-v1".into(),
+            policy: b"read /data".to_vec(),
+        };
+        let restricted = issue_proxy(&mut rng, &p1, restricted, 512, 10, 800).unwrap();
+        let independent =
+            issue_proxy(&mut rng, &eec, ProxyType::Independent, 512, 10, 900).unwrap();
+        let shapes = [eec, host, p1, p2, p3, limited, restricted, independent];
+        for (i, cred) in shapes.iter().enumerate() {
+            // Cloned before the first encode: the clone still shares it.
+            let clone = cred.clone();
+            let mut enc = Encoder::new();
+            enc.put_seq(cred.chain(), |e, c| c.encode(e));
+            assert_eq!(cred.encoded_chain(), enc.finish(), "shape {i}");
+            assert!(
+                std::ptr::eq(clone.encoded_chain(), cred.encoded_chain()),
+                "shape {i}: a clone shares its original's encoding"
+            );
+            assert!(std::ptr::eq(clone.chain(), cred.chain()), "shape {i}");
+        }
+        assert_eq!(shapes[4].proxy_depth(), 3);
     }
 
     #[test]

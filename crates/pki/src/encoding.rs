@@ -96,6 +96,14 @@ impl Encoder {
         }
         self
     }
+
+    /// Append bytes that are already an encoding, unframed: `put_raw` of
+    /// what another encoder's `put_seq` wrote appends exactly what that
+    /// `put_seq` would have.
+    pub fn put_raw(&mut self, encoded: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(encoded);
+        self
+    }
 }
 
 /// A cursor-based decoder over encoded bytes.
@@ -192,6 +200,17 @@ impl<'a> Decoder<'a> {
         }
         Ok(out)
     }
+
+    /// [`Self::get_seq`], also returning the exact bytes the sequence was
+    /// read from, count included: the span a `put_raw` of it reproduces.
+    pub(crate) fn get_seq_raw<T>(
+        &mut self,
+        f: impl FnMut(&mut Self) -> Result<T, PkiError>,
+    ) -> Result<(Vec<T>, &'a [u8]), PkiError> {
+        let start = self.pos;
+        let items = self.get_seq(f)?;
+        Ok((items, &self.data[start..self.pos]))
+    }
 }
 
 /// Types that encode to and decode from DER-lite.
@@ -280,6 +299,26 @@ mod tests {
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_seq(|d| d.get_str()).unwrap(), items);
+    }
+
+    #[test]
+    fn raw_seq_span_round_trips() {
+        let items = vec![7u64, 8, 9];
+        let mut e = Encoder::new();
+        e.put_u8(1).put_seq(&items, |e, v| {
+            e.put_u64(*v);
+        });
+        e.put_u8(2);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes);
+        d.get_u8().unwrap();
+        let (got, span) = d.get_seq_raw(|d| d.get_u64()).unwrap();
+        assert_eq!(got, items);
+        assert_eq!(span, &bytes[1..bytes.len() - 1], "count prefix included");
+        assert_eq!(d.get_u8().unwrap(), 2);
+        let mut again = Encoder::new();
+        again.put_u8(1).put_raw(span).put_u8(2);
+        assert_eq!(again.finish(), bytes);
     }
 
     #[test]

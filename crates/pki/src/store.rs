@@ -10,6 +10,7 @@ use crate::encoding::Codec;
 use crate::name::DistinguishedName;
 use gridsec_crypto::sha256::sha256;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Fold one edit into a store generation: the first eight bytes of
 /// SHA-256 over the previous generation and the edit's bytes. An empty
@@ -30,9 +31,14 @@ fn next_generation(previous: u64, edit: &[u8]) -> u64 {
 /// Every mutation moves a generation so validation caches keyed on it
 /// ([`crate::validate::CachedValidator`]) invalidate when the anchor set
 /// changes, or when a store with another history is swapped in.
+///
+/// Clones share the roots until one of them adds another, so the store
+/// every principal's config carries is a reference-count bump. `Arc`,
+/// not `Rc`: trust fixtures live in `static OnceLock`s that cargo's
+/// test threads share, so a store is `Sync`.
 #[derive(Clone, Default, Debug)]
 pub struct TrustStore {
-    roots: Vec<Certificate>,
+    roots: Arc<Vec<Certificate>>,
     generation: u64,
 }
 
@@ -51,7 +57,7 @@ impl TrustStore {
         );
         if !self.contains(&cert) {
             self.generation = next_generation(self.generation, &cert.fingerprint());
-            self.roots.push(cert);
+            Arc::make_mut(&mut self.roots).push(cert);
         }
     }
 
@@ -242,6 +248,18 @@ mod tests {
         assert_eq!(t1.generation(), t3.generation(), "the same history agrees");
         t3.add_root(ca1.certificate().clone());
         assert_eq!(t1.generation(), t3.generation(), "a duplicate is no edit");
+        let shared = t1.clone();
+        assert!(
+            std::ptr::eq(shared.roots(), t1.roots()),
+            "a clone shares the roots"
+        );
+        let mut grown = t1.clone();
+        grown.add_root(ca2.certificate().clone());
+        assert_eq!(
+            (t1.roots().len(), grown.roots().len()),
+            (1, 2),
+            "an edit copies first"
+        );
 
         assert_eq!(Epoch::of(&t1, &a), Epoch::of(&t3, &a.clone()));
         assert_ne!(Epoch::of(&t1, &a), Epoch::of(&t1, &b), "the CRL half");

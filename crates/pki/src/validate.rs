@@ -22,22 +22,25 @@
 //! [`Epoch`], so services that see the same chain repeatedly
 //! (per-message XML signatures, repeated context establishment) pay the
 //! RSA verification cost once per chain rather than once per use. A
-//! decoded chain is keyed on its digest ([`CachedValidator::validate`]);
-//! a chain still in its wire encoding is keyed on that text and decoded
-//! only on a miss ([`CachedValidator::validate_encoded`]). Negative
-//! results are never cached. There is one walk and one memoized form of
+//! chain is keyed on its exact encoding: the binary span a hello carried
+//! it in ([`CachedValidator::validate_wire`]; [`CachedValidator::validate`]
+//! encodes a decoded chain to the same key), or the text a signed
+//! envelope carried it in, decoded only on a miss
+//! ([`CachedValidator::validate_encoded`]). Negative results are never
+//! cached. There is one walk and one memoized form of
 //! it; [`CachedValidator::validate_batch`] returns, in order, each what
 //! the single form returns.
 
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
 
-use crate::cert::{key_usage, Certificate, ProxyPolicy};
+use crate::cert::{encode_chain, key_usage, Certificate, ProxyPolicy, WireChain};
 use crate::name::DistinguishedName;
 use crate::store::{CrlStore, Epoch, TrustStore};
 use crate::PkiError;
 use gridsec_crypto::rsa::RsaPublicKey;
-use gridsec_crypto::sha256::sha256;
 
 /// The rights the validated chain conveys relative to its base identity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -251,18 +254,29 @@ pub fn validate_chain_with_crls(
 // Memoized validation
 // ----------------------------------------------------------------------
 
-/// What a memoized verdict is filed under. The two kinds never meet:
-/// a digest and a wire encoding that happened to share bytes still name
+/// Which encoding of a chain a memo key is. The two kinds never meet: a
+/// binary and a text encoding that happened to share bytes still name
 /// different entries.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum MemoKey {
-    /// [`CachedValidator::chain_digest`] of a decoded chain.
-    Digest([u8; 32]),
-    /// A chain's wire encoding exactly as received.
-    Encoded(Box<str>),
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum KeyKind {
+    /// The binary wire encoding: `put_seq` of the certificates.
+    Wire,
+    /// A text encoding exactly as received.
+    Text,
+}
+
+/// What a memoized verdict is filed under: a chain's encoding, borrowed
+/// for a probe.
+#[derive(Clone, Copy, Hash)]
+struct MemoKey<'k> {
+    kind: KeyKind,
+    bytes: &'k [u8],
 }
 
 struct CachedEntry {
+    kind: KeyKind,
+    /// The key's bytes, held once, here: the FIFO order holds the slot.
+    bytes: Box<[u8]>,
     identity: ValidatedIdentity,
     /// Intersection of the validity windows of every certificate the
     /// walk touched (chain plus external anchor). Outside it, the
@@ -273,16 +287,19 @@ struct CachedEntry {
 
 /// Memoized chain validation.
 ///
-/// Entries are keyed on a digest of the chain's certificate
-/// fingerprints, or on the chain's wire encoding, and are only valid for
-/// the trust [`Epoch`] (the trust-store and CRL-store generations) they
-/// were computed under: a call under another epoch than the last call's
-/// — a store mutated, or another store passed in — clears the cache.
-/// Hits are additionally gated on the intersected validity window of the
-/// chain, so expiry is honoured without a revalidation walk. Only
-/// *successful* validations are cached — a rejected chain is
-/// re-examined every time, so an attacker cannot pin a negative (or have
-/// a transient failure outlive its cause).
+/// Entries are keyed on the chain's exact encoding — binary, as a
+/// handshake or delegation carries it, or text, as a signed envelope
+/// carries it — and are only valid for the trust [`Epoch`] (the
+/// trust-store and CRL-store generations) they were computed under: a
+/// call under another epoch than the last call's — a store mutated, or
+/// another store passed in — clears the cache. A hit requires the
+/// probe's bytes to equal the entry's, so a chain that differs from a
+/// memoized one in any byte is walked on its own. Hits are additionally
+/// gated on the intersected validity window of the chain, so expiry is
+/// honoured without a revalidation walk. Only *successful* validations
+/// are cached — a rejected chain is re-examined every time, so an
+/// attacker cannot pin a negative (or have a transient failure outlive
+/// its cause).
 ///
 /// Eviction is FIFO over a bounded capacity, so cache behaviour is a
 /// pure function of the call sequence — two identical runs hit, miss,
@@ -292,8 +309,18 @@ pub struct CachedValidator {
     capacity: usize,
     /// The epoch every entry was filled under; `None` before the first call.
     epoch: Option<Epoch>,
-    entries: HashMap<MemoKey, CachedEntry>,
-    order: VecDeque<MemoKey>,
+    /// Keys a [`MemoKey`] to its slot: a 64-bit hash of its kind and
+    /// bytes under this validator's random key, so a peer cannot craft
+    /// two chains that share one. Two keys share a slot with probability
+    /// 2⁻⁶⁴ and then only displace each other: a hit also requires byte
+    /// equality with the key its entry holds. Short of such a pair,
+    /// which entries exist and in what order they go never depends on
+    /// the slot values.
+    slots: RandomState,
+    /// Entries by slot; each holds its key's bytes.
+    entries: HashMap<u64, CachedEntry>,
+    /// Slots in insertion order, for FIFO eviction.
+    order: VecDeque<u64>,
     hits: u64,
     misses: u64,
 }
@@ -305,6 +332,7 @@ impl CachedValidator {
         CachedValidator {
             capacity,
             epoch: None,
+            slots: RandomState::new(),
             entries: HashMap::new(),
             order: VecDeque::new(),
             hits: 0,
@@ -324,19 +352,27 @@ impl CachedValidator {
         }
     }
 
-    /// Window-gated cache probe; removes a stale entry on the way out.
-    fn cache_lookup(&mut self, key: &MemoKey, now: u64) -> Option<ValidatedIdentity> {
-        if let Some(entry) = self.entries.get(key) {
-            if entry.not_before <= now && now <= entry.not_after {
-                self.hits += 1;
-                return Some(entry.identity.clone());
-            }
-            // Outside the cached window: the stale entry is dropped and
-            // the real walk reports the precise error (or caches a
-            // fresh window).
-            self.entries.remove(key);
-            self.order.retain(|k| k != key);
+    /// Forget the entry in `slot`, if any.
+    fn evict(&mut self, slot: u64) {
+        if self.entries.remove(&slot).is_some() {
+            self.order.retain(|s| *s != slot);
         }
+    }
+
+    /// Window-gated cache probe; removes a stale entry on the way out.
+    fn cache_lookup(&mut self, key: MemoKey<'_>, slot: u64, now: u64) -> Option<ValidatedIdentity> {
+        let entry = self.entries.get(&slot)?;
+        if entry.kind != key.kind || *entry.bytes != *key.bytes {
+            // Another chain whose key shares the slot: a miss.
+            return None;
+        }
+        if entry.not_before <= now && now <= entry.not_after {
+            self.hits += 1;
+            return Some(entry.identity.clone());
+        }
+        // Outside the cached window: the stale entry is dropped and the
+        // real walk reports the precise error (or caches a fresh window).
+        self.evict(slot);
         None
     }
 
@@ -345,7 +381,8 @@ impl CachedValidator {
     /// anchor), with FIFO eviction at capacity.
     fn cache_insert(
         &mut self,
-        key: MemoKey,
+        key: MemoKey<'_>,
+        slot: u64,
         chain: &[Certificate],
         trust: &TrustStore,
         identity: &ValidatedIdentity,
@@ -366,17 +403,21 @@ impl CachedValidator {
             not_after = not_after.min(root.tbs.validity.not_after);
         }
 
-        // Only reached after a miss, so `key` is in neither `entries`
-        // nor `order`: the two stay one-to-one and the bound holds.
+        // Only reached after a miss: the slot is empty or holds another
+        // key, which gives way. `entries` and `order` stay one-to-one,
+        // so the bound holds.
+        self.evict(slot);
         if self.entries.len() == self.capacity {
             if let Some(oldest) = self.order.pop_front() {
                 self.entries.remove(&oldest);
             }
         }
-        self.order.push_back(key.clone());
+        self.order.push_back(slot);
         self.entries.insert(
-            key,
+            slot,
             CachedEntry {
+                kind: key.kind,
+                bytes: key.bytes.into(),
                 identity: identity.clone(),
                 not_before,
                 not_after,
@@ -384,19 +425,10 @@ impl CachedValidator {
         );
     }
 
-    /// Digest identifying a chain: SHA-256 over the concatenated
-    /// certificate fingerprints, leaf first.
-    pub(crate) fn chain_digest(chain: &[Certificate]) -> [u8; 32] {
-        let mut data = Vec::with_capacity(32 * chain.len());
-        for cert in chain {
-            data.extend_from_slice(&cert.fingerprint());
-        }
-        sha256(&data)
-    }
-
     /// Validate `chain` against `trust` and `crls` at `now`, reusing a
     /// memoized result when one is applicable. Semantically identical
-    /// to [`validate_chain_with_crls`].
+    /// to [`validate_chain_with_crls`]. Keyed on the chain's wire
+    /// encoding, so it shares entries with [`Self::validate_wire`].
     pub fn validate(
         &mut self,
         chain: &[Certificate],
@@ -404,13 +436,35 @@ impl CachedValidator {
         crls: &CrlStore,
         now: u64,
     ) -> Result<ValidatedIdentity, PkiError> {
-        let key = MemoKey::Digest(Self::chain_digest(chain));
+        let wire = encode_chain(chain);
+        let key = MemoKey {
+            kind: KeyKind::Wire,
+            bytes: &wire,
+        };
         self.memoized(key, || Ok(Cow::Borrowed(chain)), trust, crls, now)
     }
 
-    /// Validate the chain whose wire encoding is `encoded`, keyed on that
-    /// exact text: a hit costs no decode, no fingerprint and no walk, and
-    /// `decode` runs only on a miss. Semantically identical to
+    /// Validate `chain`, keyed on the bytes it was decoded from: a hit
+    /// costs a hash and a compare of them, no encode and no walk.
+    /// Semantically identical to [`validate_chain_with_crls`] over
+    /// `chain.certs()`.
+    pub fn validate_wire(
+        &mut self,
+        chain: &WireChain<'_>,
+        trust: &TrustStore,
+        crls: &CrlStore,
+        now: u64,
+    ) -> Result<ValidatedIdentity, PkiError> {
+        let key = MemoKey {
+            kind: KeyKind::Wire,
+            bytes: chain.wire(),
+        };
+        self.memoized(key, || Ok(Cow::Borrowed(chain.certs())), trust, crls, now)
+    }
+
+    /// Validate the chain whose text encoding is `encoded`, keyed on that
+    /// exact text: a hit costs no decode and no walk, and `decode` runs
+    /// only on a miss. Semantically identical to
     /// [`validate_chain_with_crls`] over `decode(encoded)`, `decode`'s
     /// error included, provided `decode` is a pure function of its input.
     pub fn validate_encoded<E: From<PkiError>>(
@@ -421,29 +475,34 @@ impl CachedValidator {
         crls: &CrlStore,
         now: u64,
     ) -> Result<ValidatedIdentity, E> {
-        let key = MemoKey::Encoded(encoded.into());
-        self.memoized(key, || decode(encoded).map(Cow::Owned), trust, crls, now)
+        let key = MemoKey {
+            kind: KeyKind::Text,
+            bytes: encoded.as_bytes(),
+        };
+        let chain = || decode(encoded).map(Cow::Owned);
+        self.memoized(key, chain, trust, crls, now)
     }
 
     /// The one memoized walk: a window-gated hit under the current store
     /// epoch, or `chain()` walked and, on success, filed under `key`.
     fn memoized<'c, E: From<PkiError>>(
         &mut self,
-        key: MemoKey,
+        key: MemoKey<'_>,
         chain: impl FnOnce() -> Result<Cow<'c, [Certificate]>, E>,
         trust: &TrustStore,
         crls: &CrlStore,
         now: u64,
     ) -> Result<ValidatedIdentity, E> {
         self.refresh_epoch(trust, crls);
-        if let Some(identity) = self.cache_lookup(&key, now) {
+        let slot = self.slots.hash_one(key);
+        if let Some(identity) = self.cache_lookup(key, slot, now) {
             return Ok(identity);
         }
         self.misses += 1;
 
         let chain = chain()?;
         let identity = validate_chain_with_crls(&chain, trust, crls, now)?;
-        self.cache_insert(key, &chain, trust, &identity);
+        self.cache_insert(key, slot, &chain, trust, &identity);
         Ok(identity)
     }
 
@@ -878,6 +937,21 @@ mod tests {
     }
 
     #[test]
+    fn decoded_and_received_chains_share_one_entry() {
+        use crate::encoding::Decoder;
+        let w = world();
+        let crls = CrlStore::new();
+        let mut v = CachedValidator::new(8);
+        v.validate(w.user.chain(), &w.trust, &crls, 500).unwrap();
+        let wire = w.user.encoded_chain();
+        let received = WireChain::decode(&mut Decoder::new(wire)).unwrap();
+        assert_eq!(received.wire(), wire);
+        let id = v.validate_wire(&received, &w.trust, &crls, 500).unwrap();
+        assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
+        assert_eq!((v.hits(), v.misses(), v.len()), (1, 1, 1));
+    }
+
+    #[test]
     fn encoded_chains_decode_only_on_a_miss() {
         use crate::encoding::{Codec, Decoder, Encoder};
         let w = world();
@@ -916,7 +990,7 @@ mod tests {
             PkiError::InvalidChain("not hex")
         );
         assert_eq!(decodes.get(), 3);
-        // The digest of a chain and its encoding never share an entry.
+        // A chain's binary and text encodings never share an entry.
         v.validate(w.user.chain(), &w.trust, &crls, 500).unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v.misses(), 4);

@@ -359,3 +359,112 @@ fn cached_validator_agrees_after_revocation() {
         }
     });
 }
+
+/// Every field of two verdicts, errors included.
+fn same_verdict(
+    a: &Result<gridsec_pki::validate::ValidatedIdentity, gridsec_pki::PkiError>,
+    b: &Result<gridsec_pki::validate::ValidatedIdentity, gridsec_pki::PkiError>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            a.subject == b.subject
+                && a.base_identity == b.base_identity
+                && a.public_key == b.public_key
+                && a.proxy_depth == b.proxy_depth
+                && a.rights == b.rights
+                && a.restrictions == b.restrictions
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+#[test]
+fn wire_keyed_memo_agrees_across_epochs_edges_and_flipped_bytes() {
+    use gridsec_pki::cert::WireChain;
+    use gridsec_pki::encoding::Decoder;
+    use gridsec_pki::store::CrlStore;
+    use gridsec_pki::validate::{validate_chain_with_crls, CachedValidator};
+    check(
+        "wire_keyed_memo_agrees_across_epochs_edges_and_flipped_bytes",
+        CASES,
+        |g| {
+            let f = fixture();
+            // Chains with their own window edges, a restricted proxy among
+            // them, plus the bare user chain.
+            let mut creds: Vec<(gridsec_pki::credential::Credential, u64, u64)> =
+                (0..2).map(|_| edged_proxy(g)).collect();
+            let mut rng = ChaChaRng::from_seed_bytes(&g.u64().to_le_bytes());
+            let restricted = ProxyType::Restricted {
+                language: "cas-rights-v1".into(),
+                policy: g.bytes(0..16),
+            };
+            let (nb, na) = (creds[0].1, creds[0].2);
+            let r = issue_proxy(&mut rng, &creds[0].0, restricted, 512, nb, (na - nb) / 2).unwrap();
+            let w = r.certificate().tbs.validity;
+            creds.push((r, w.not_before, w.not_after));
+            creds.push((f.user.clone(), 0, 1_000_000));
+
+            // The stores a server may swap in: each pair is an epoch.
+            let other_serial = g.u64() | (1 << 63);
+            let mut revoke_user = CrlStore::new();
+            assert!(revoke_user.add(
+                f.ca.issue_crl(vec![f.user.certificate().tbs.serial], 0, 2_000_000),
+                f.ca.certificate()
+            ));
+            let mut revoke_other = CrlStore::new();
+            assert!(revoke_other.add(
+                f.ca.issue_crl(vec![other_serial], 0, 2_000_000),
+                f.ca.certificate()
+            ));
+            let epochs = [
+                (f.trust.clone(), CrlStore::new()),
+                (f.trust.clone(), revoke_other),
+                (f.trust.clone(), revoke_user),
+                (TrustStore::new(), CrlStore::new()),
+            ];
+
+            let mut v = CachedValidator::new(g.usize_in(1..4));
+            for _ in 0..12 {
+                let (cred, nb, na) = g.choice(&creds);
+                let now = match g.usize_in(0..6) {
+                    0 => nb.saturating_sub(1),
+                    1 => *nb,
+                    2 => *na,
+                    3 => na + 1,
+                    _ => g.u64_in(0..1_200_000),
+                };
+                let (trust, crls) = g.choice(&epochs);
+                let direct = validate_chain_with_crls(cred.chain(), trust, crls, now);
+                let wire = cred.encoded_chain();
+                let memo = if g.bool() {
+                    let chain = WireChain::decode(&mut Decoder::new(wire)).unwrap();
+                    v.validate_wire(&chain, trust, crls, now)
+                } else {
+                    v.validate(cred.chain(), trust, crls, now)
+                };
+                assert!(
+                    same_verdict(&direct, &memo),
+                    "direct={direct:?} memo={memo:?}"
+                );
+
+                // The same chain with one byte changed, wherever it still
+                // decodes, is its own key: never another chain's verdict.
+                let mut flipped = wire.to_vec();
+                let at = g.usize_in(0..flipped.len());
+                flipped[at] ^= 1 << g.usize_in(0..8);
+                let mut dec = Decoder::new(&flipped);
+                let decoded = WireChain::decode(&mut dec);
+                if let (Ok(chain), Ok(())) = (decoded, dec.expect_exhausted()) {
+                    assert_eq!(chain.wire(), flipped);
+                    let direct = validate_chain_with_crls(chain.certs(), trust, crls, now);
+                    let memo = v.validate_wire(&chain, trust, crls, now);
+                    assert!(
+                        same_verdict(&direct, &memo),
+                        "byte {at}: direct={direct:?} memo={memo:?}"
+                    );
+                }
+            }
+        },
+    );
+}

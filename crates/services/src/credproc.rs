@@ -111,7 +111,7 @@ mod tests {
         let (mut rng, ca, _trust, mut svc, ctx) = setup();
         let user = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
         let proxy = issue_proxy(&mut rng, &user, ProxyType::Limited, 512, 50, 10_000).unwrap();
-        let token = encode_chain(proxy.chain());
+        let token = encode_chain(&proxy);
         let result = svc
             .invoke(&ctx, "validate", &Element::new("t").with_text(token))
             .unwrap();
@@ -130,14 +130,14 @@ mod tests {
         vo.enroll(user.base_identity(), vec![]);
         let assertion = vo.issue_assertion(user.base_identity(), 50).unwrap();
         let proxy = issue_proxy(&mut rng, &user, assertion.restriction(), 512, 50, 10_000).unwrap();
-        let token = encode_chain(proxy.chain());
+        let token = encode_chain(&proxy);
         let result = svc
             .invoke(&ctx, "validate", &Element::new("t").with_text(token))
             .unwrap();
         assert_eq!(result.attr("rights"), Some("full"));
         assert_eq!(result.attr("restrictions"), Some("cas-rights-v1"));
         // An unrestricted chain names none.
-        let token = encode_chain(user.chain());
+        let token = encode_chain(&user);
         let result = svc
             .invoke(&ctx, "validate", &Element::new("t").with_text(token))
             .unwrap();
@@ -150,7 +150,7 @@ mod tests {
         let (mut rng, _ca, _trust, mut svc, ctx) = setup();
         let rogue = CertificateAuthority::create_root(&mut rng, dn("/O=Evil/CN=CA"), 512, 0, 1000);
         let fake = rogue.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 1000);
-        let token = encode_chain(fake.chain());
+        let token = encode_chain(&fake);
         let result = svc
             .invoke(&ctx, "validate", &Element::new("t").with_text(token))
             .unwrap();

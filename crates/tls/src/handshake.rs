@@ -27,7 +27,7 @@ use gridsec_crypto::dh::{DhGroup, DhKeyPair};
 use gridsec_crypto::hmac::{hkdf_extract, PrimedHmac};
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::sha256::sha256;
-use gridsec_pki::cert::Certificate;
+use gridsec_pki::cert::{Certificate, WireChain};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::store::{CrlStore, Epoch, TrustStore};
@@ -82,16 +82,17 @@ impl TlsConfig {
         self
     }
 
-    /// Validate a peer chain — through the pool when one is attached.
-    fn validate_peer(&self, chain: &[Certificate]) -> Result<ValidatedIdentity, TlsError> {
+    /// Validate a peer chain — through the pool, keyed on the bytes it
+    /// arrived in, when one is attached.
+    fn validate_peer(&self, chain: &WireChain<'_>) -> Result<ValidatedIdentity, TlsError> {
         let identity = match &self.pool {
-            Some(pool) => pool.lock().expect("crypto pool lock").validate(
+            Some(pool) => pool.lock().expect("crypto pool lock").validate_wire(
                 chain,
                 &self.trust,
                 &self.crls,
                 self.now,
             )?,
-            None => validate_chain_with_crls(chain, &self.trust, &self.crls, self.now)?,
+            None => validate_chain_with_crls(chain.certs(), &self.trust, &self.crls, self.now)?,
         };
         Ok(identity)
     }
@@ -148,17 +149,21 @@ impl TlsConfig {
 // Wire messages
 // ----------------------------------------------------------------------
 
-struct ClientHello {
+/// A hello carries its sender's chain as the encoded span (`put_seq` of
+/// the certificates): the sender writes its credential's
+/// [`Credential::encoded_chain`], and the receiver decodes it once and
+/// keys its verdict cache on the span it arrived in.
+struct ClientHello<'a> {
     client_random: [u8; 32],
     dh_public: BigUint,
-    chain: Vec<Certificate>,
+    chain: &'a [u8],
     signature: Vec<u8>,
 }
 
-struct ServerHello {
+struct ServerHello<'a> {
     server_random: [u8; 32],
     dh_public: BigUint,
-    chain: Vec<Certificate>,
+    chain: &'a [u8],
     signature: Vec<u8>,
     finished_mac: [u8; 32],
 }
@@ -173,47 +178,68 @@ pub(crate) fn get_array32(dec: &mut Decoder<'_>) -> Result<[u8; 32], PkiError> {
         .map_err(|_| PkiError::Decode("expected 32 bytes"))
 }
 
-impl Codec for ClientHello {
-    fn encode(&self, enc: &mut Encoder) {
+impl<'a> ClientHello<'a> {
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
         enc.put_u8(1); // token type tag
         enc.put_bytes(&self.client_random);
         enc.put_biguint(&self.dh_public);
-        enc.put_seq(&self.chain, |e, c| c.encode(e));
+        enc.put_raw(self.chain);
         enc.put_bytes(&self.signature);
+        enc.finish()
     }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PkiError> {
+
+    /// Parse a whole token: the hello, borrowing its chain span, and the
+    /// chain decoded from that span.
+    fn from_bytes(token: &'a [u8]) -> Result<(Self, WireChain<'a>), PkiError> {
+        let mut dec = Decoder::new(token);
         if dec.get_u8()? != 1 {
             return Err(PkiError::Decode("not a ClientHello token"));
         }
-        Ok(ClientHello {
-            client_random: get_array32(dec)?,
-            dh_public: dec.get_biguint()?,
-            chain: dec.get_seq(Certificate::decode)?,
+        let client_random = get_array32(&mut dec)?;
+        let dh_public = dec.get_biguint()?;
+        let peer_chain = WireChain::decode(&mut dec)?;
+        let hello = ClientHello {
+            client_random,
+            dh_public,
+            chain: peer_chain.wire(),
             signature: dec.get_bytes()?,
-        })
+        };
+        dec.expect_exhausted()?;
+        Ok((hello, peer_chain))
     }
 }
 
-impl Codec for ServerHello {
-    fn encode(&self, enc: &mut Encoder) {
+impl<'a> ServerHello<'a> {
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
         enc.put_u8(2);
         enc.put_bytes(&self.server_random);
         enc.put_biguint(&self.dh_public);
-        enc.put_seq(&self.chain, |e, c| c.encode(e));
+        enc.put_raw(self.chain);
         enc.put_bytes(&self.signature);
         enc.put_bytes(&self.finished_mac);
+        enc.finish()
     }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PkiError> {
+
+    /// Parse a whole token, as [`ClientHello::from_bytes`].
+    fn from_bytes(token: &'a [u8]) -> Result<(Self, WireChain<'a>), PkiError> {
+        let mut dec = Decoder::new(token);
         if dec.get_u8()? != 2 {
             return Err(PkiError::Decode("not a ServerHello token"));
         }
-        Ok(ServerHello {
-            server_random: get_array32(dec)?,
-            dh_public: dec.get_biguint()?,
-            chain: dec.get_seq(Certificate::decode)?,
+        let server_random = get_array32(&mut dec)?;
+        let dh_public = dec.get_biguint()?;
+        let peer_chain = WireChain::decode(&mut dec)?;
+        let hello = ServerHello {
+            server_random,
+            dh_public,
+            chain: peer_chain.wire(),
             signature: dec.get_bytes()?,
-            finished_mac: get_array32(dec)?,
-        })
+            finished_mac: get_array32(&mut dec)?,
+        };
+        dec.expect_exhausted()?;
+        Ok((hello, peer_chain))
     }
 }
 
@@ -249,17 +275,19 @@ pub(crate) struct KeySchedule {
 }
 
 impl KeySchedule {
+    /// `transcript` is the SHA-256 of the client's hello token, which
+    /// each side hashes once: the client when it builds the hello, the
+    /// server when it answers it.
     pub(crate) fn derive(
         shared_secret: &[u8],
         client_random: &[u8; 32],
         server_random: &[u8; 32],
-        client_hello_bytes: &[u8],
+        transcript: [u8; 32],
     ) -> Self {
         let mut salt = Vec::with_capacity(64);
         salt.extend_from_slice(client_random);
         salt.extend_from_slice(server_random);
         let master = hkdf_extract(&salt, shared_secret);
-        let transcript = sha256(client_hello_bytes);
         let mut info = b"gsi tls key expansion".to_vec();
         info.extend_from_slice(&transcript);
         let primed = PrimedHmac::new(&master);
@@ -330,7 +358,8 @@ pub struct ClientHandshake {
     config: TlsConfig,
     dh: DhKeyPair,
     client_random: [u8; 32],
-    hello_bytes: Vec<u8>,
+    /// SHA-256 of the ClientHello sent, for the key schedule.
+    transcript: [u8; 32],
 }
 
 impl ClientHandshake {
@@ -345,19 +374,20 @@ impl ClientHandshake {
         let dh = DhKeyPair::generate(&mut local_rng, &config.group);
         let payload = client_signature_payload(&client_random, &dh.public);
         let signature = config.credential.sign(&payload);
-        let hello = ClientHello {
+        let hello_bytes = ClientHello {
             client_random,
             dh_public: dh.public.clone(),
-            chain: config.credential.chain().to_vec(),
+            chain: config.credential.encoded_chain(),
             signature,
-        };
-        let hello_bytes = hello.to_bytes();
+        }
+        .to_bytes();
+        let transcript = sha256(&hello_bytes);
         (
             ClientHandshake {
                 config,
                 dh,
                 client_random,
-                hello_bytes: hello_bytes.clone(),
+                transcript,
             },
             hello_bytes,
         )
@@ -366,11 +396,11 @@ impl ClientHandshake {
     /// Consume the ServerHello token; returns the final ClientFinished
     /// token plus the established channel.
     pub fn step(self, server_hello_token: &[u8]) -> Result<(Vec<u8>, SecureChannel), TlsError> {
-        let sh = ServerHello::from_bytes(server_hello_token)
+        let (sh, peer_chain) = ServerHello::from_bytes(server_hello_token)
             .map_err(|_| TlsError::Protocol("malformed ServerHello"))?;
 
         // Authenticate the server.
-        let peer = self.config.validate_peer(&sh.chain)?;
+        let peer = self.config.validate_peer(&peer_chain)?;
         let payload = server_signature_payload(
             &self.client_random,
             &sh.server_random,
@@ -390,7 +420,7 @@ impl ClientHandshake {
             &shared,
             &self.client_random,
             &sh.server_random,
-            &self.hello_bytes,
+            self.transcript,
         );
         if !ct_eq(&ks.finished_mac("server finished"), &sh.finished_mac) {
             return Err(TlsError::BadFinished);
@@ -399,7 +429,7 @@ impl ClientHandshake {
         let finished = ClientFinished {
             mac: ks.finished_mac("client finished"),
         };
-        let resumption = self.config.mint_resumption(&ks, &sh.chain);
+        let resumption = self.config.mint_resumption(&ks, peer_chain.certs());
         let channel =
             SecureChannel::from_key_block(peer, &ks.key_block, true).with_resumption(resumption);
         Ok((finished.to_bytes(), channel))
@@ -449,14 +479,14 @@ fn accept_hello<E: EntropySource>(
     rng: &mut E,
     client_hello_token: &[u8],
 ) -> Result<(Vec<u8>, ServerAwaitFinished), TlsError> {
-    let ch = ClientHello::from_bytes(client_hello_token)
+    let (ch, peer_chain) = ClientHello::from_bytes(client_hello_token)
         .map_err(|_| TlsError::Protocol("malformed ClientHello"))?;
-    let peer = config.validate_peer(&ch.chain)?;
+    let peer = config.validate_peer(&peer_chain)?;
     let payload = client_signature_payload(&ch.client_random, &ch.dh_public);
     if !config.verify_binding(&peer.public_key, &payload, &ch.signature) {
         return Err(TlsError::BadPeerSignature);
     }
-    server_respond(config, rng, &ch, client_hello_token, peer)
+    server_respond(config, rng, &ch, &peer_chain, client_hello_token, peer)
 }
 
 /// The server's second half: mint the DH share, derive the schedule,
@@ -464,7 +494,8 @@ fn accept_hello<E: EntropySource>(
 fn server_respond<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,
-    ch: &ClientHello,
+    ch: &ClientHello<'_>,
+    peer_chain: &WireChain<'_>,
     client_hello_token: &[u8],
     peer: ValidatedIdentity,
 ) -> Result<(Vec<u8>, ServerAwaitFinished), TlsError> {
@@ -479,7 +510,7 @@ fn server_respond<E: EntropySource>(
         &shared,
         &ch.client_random,
         &server_random,
-        client_hello_token,
+        sha256(client_hello_token),
     );
 
     let payload =
@@ -487,11 +518,11 @@ fn server_respond<E: EntropySource>(
     let sh = ServerHello {
         server_random,
         dh_public: dh.public.clone(),
-        chain: config.credential.chain().to_vec(),
+        chain: config.credential.encoded_chain(),
         signature: config.credential.sign(&payload),
         finished_mac: ks.finished_mac("server finished"),
     };
-    let resumption = config.mint_resumption(&ks, &ch.chain);
+    let resumption = config.mint_resumption(&ks, peer_chain.certs());
     Ok((
         sh.to_bytes(),
         ServerAwaitFinished {
@@ -732,8 +763,10 @@ mod tests {
         let mut w = world();
         let (_client, hello) = ClientHandshake::new(cfg(&w, &w.alice), &mut w.rng);
         assert_eq!(hello[0], 1); // ClientHello tag
-        let ch = ClientHello::from_bytes(&hello).unwrap();
-        assert_eq!(ch.chain.len(), w.alice.chain().len());
+        let (ch, chain) = ClientHello::from_bytes(&hello).unwrap();
+        assert_eq!(chain.certs(), w.alice.chain());
+        assert_eq!(chain.wire(), w.alice.encoded_chain());
+        assert_eq!(ch.chain, w.alice.encoded_chain());
     }
 
     #[test]

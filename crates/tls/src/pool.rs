@@ -7,11 +7,13 @@
 //! handshake endpoint threads through [`TlsConfig`]:
 //!
 //! * a [`CachedValidator`] memoizing chain walks — what pooling buys:
-//!   a returning chain costs a digest, not its RSA verifications;
+//!   a returning chain costs a hash and a compare of the bytes it
+//!   arrived in, not its RSA verifications;
 //! * [`RsaVerifyCtx`]s for the hello-binding signatures keyed on the
-//!   peer's leaf key. A context now costs less to build than the key
-//!   hash that finds it; the map survives only because the frozen
-//!   `benchmark/` crate requires `binding_hits` to move.
+//!   peer's leaf key, found by hashing its limbs. A context costs
+//!   little more to build than the lookup; the map survives only
+//!   because the frozen `benchmark/` crate requires `binding_hits` to
+//!   move.
 //!
 //! That is all it owns, and a wave of hellos goes through it in order,
 //! each getting what a single session gets. Precomputation that is a
@@ -31,8 +33,7 @@ use std::sync::Arc;
 
 use gridsec_crypto::dh::DhGroup;
 use gridsec_crypto::rsa::{RsaPublicKey, RsaVerifyCtx};
-use gridsec_crypto::sha256::sha256;
-use gridsec_pki::cert::Certificate;
+use gridsec_pki::cert::WireChain;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_pki::validate::{CachedValidator, ValidatedIdentity};
@@ -49,7 +50,7 @@ const MAX_BINDING_CTXS: usize = 64;
 /// Shared, reusable crypto state for many handshakes.
 pub struct CryptoPool {
     validator: CachedValidator,
-    binding_ctxs: HashMap<[u8; 32], Arc<RsaVerifyCtx>>,
+    binding_ctxs: HashMap<RsaPublicKey, Arc<RsaVerifyCtx>>,
     binding_hits: u64,
     binding_misses: u64,
 }
@@ -78,33 +79,24 @@ impl CryptoPool {
     /// calls it.
     pub fn register_signer(&mut self, _credential: &Credential) {}
 
-    /// Validate a peer chain through the pooled [`CachedValidator`].
-    /// Semantically identical to
+    /// Validate a peer chain through the pooled [`CachedValidator`],
+    /// keyed on the bytes it arrived in. Semantically identical to
     /// [`gridsec_pki::validate::validate_chain_with_crls`].
-    pub(crate) fn validate(
+    pub(crate) fn validate_wire(
         &mut self,
-        chain: &[Certificate],
+        chain: &WireChain<'_>,
         trust: &TrustStore,
         crls: &CrlStore,
         now: u64,
     ) -> Result<ValidatedIdentity, PkiError> {
-        self.validator.validate(chain, trust, crls, now)
+        self.validator.validate_wire(chain, trust, crls, now)
     }
 
     /// Verify a hello-binding signature through a shared per-key
     /// context. Identical verdict to
     /// [`RsaPublicKey::verify_pkcs1_sha256`].
     pub(crate) fn verify_binding(&mut self, key: &RsaPublicKey, msg: &[u8], sig: &[u8]) -> bool {
-        let n = key.modulus().to_bytes_be();
-        let e = key.exponent().to_bytes_be();
-        let mut data = Vec::with_capacity(n.len() + e.len() + 8);
-        data.extend_from_slice(&(n.len() as u32).to_be_bytes());
-        data.extend_from_slice(&n);
-        data.extend_from_slice(&(e.len() as u32).to_be_bytes());
-        data.extend_from_slice(&e);
-        let digest = sha256(&data);
-
-        let ctx = if let Some(ctx) = self.binding_ctxs.get(&digest) {
+        let ctx = if let Some(ctx) = self.binding_ctxs.get(key) {
             self.binding_hits += 1;
             Arc::clone(ctx)
         } else {
@@ -113,7 +105,7 @@ impl CryptoPool {
                 self.binding_ctxs.clear();
             }
             let ctx = Arc::new(key.verify_ctx());
-            self.binding_ctxs.insert(digest, Arc::clone(&ctx));
+            self.binding_ctxs.insert(key.clone(), Arc::clone(&ctx));
             ctx
         };
         ctx.verify_pkcs1_sha256(msg, sig)

@@ -37,6 +37,7 @@ use std::hash::Hash;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::ct::ct_eq;
 use gridsec_crypto::hmac::{hmac_sha256, PrimedHmac};
+use gridsec_crypto::sha256::sha256;
 use gridsec_pki::cert::Certificate;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::store::Epoch;
@@ -331,7 +332,8 @@ impl ClientSessionCache {
 pub struct ClientResume {
     session: ClientSession,
     client_random: [u8; 32],
-    hello_bytes: Vec<u8>,
+    /// SHA-256 of the ResumeHello sent, for the key schedule.
+    transcript: [u8; 32],
     new_expires_at: u64,
 }
 
@@ -355,7 +357,7 @@ pub fn resume_client<E: EntropySource>(
         ClientResume {
             session,
             client_random,
-            hello_bytes: hello_bytes.clone(),
+            transcript: sha256(&hello_bytes),
             new_expires_at: now.saturating_add(lifetime),
         },
         hello_bytes,
@@ -374,7 +376,7 @@ impl ClientResume {
             &self.session.data.master,
             &self.client_random,
             &sh.server_random,
-            &self.hello_bytes,
+            self.transcript,
         );
         if !ct_eq(&ks.finished_mac("resume server finished"), &sh.finished_mac) {
             return Err(TlsError::BadFinished);
@@ -480,7 +482,12 @@ impl ServerSessionCache {
 
         let mut server_random = [0u8; 32];
         rng.fill_bytes(&mut server_random);
-        let ks = KeySchedule::derive(&data.master, &hello.client_random, &server_random, token);
+        let ks = KeySchedule::derive(
+            &data.master,
+            &hello.client_random,
+            &server_random,
+            sha256(token),
+        );
         let sh = ResumeServerHello {
             server_random,
             finished_mac: ks.finished_mac("resume server finished"),

@@ -26,7 +26,7 @@
 use gridsec_crypto::sha256::sha256;
 use gridsec_pki::cert::Certificate;
 use gridsec_pki::credential::Credential;
-use gridsec_pki::encoding::{Codec, Decoder, Encoder};
+use gridsec_pki::encoding::{Codec, Decoder};
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_pki::validate::{CachedValidator, ValidatedIdentity};
 use gridsec_xml::Element;
@@ -35,11 +35,10 @@ use crate::b64;
 use crate::soap::{Envelope, Timestamp};
 use crate::WsseError;
 
-/// Encode a certificate chain for a BinarySecurityToken.
-pub fn encode_chain(chain: &[Certificate]) -> String {
-    let mut enc = Encoder::new();
-    enc.put_seq(chain, |e, c| c.encode(e));
-    b64::encode(&enc.finish())
+/// A credential's chain as BinarySecurityToken text: the base64 of its
+/// [`Credential::encoded_chain`].
+pub fn encode_chain(credential: &Credential) -> String {
+    b64::encode(credential.encoded_chain())
 }
 
 /// Decode a BinarySecurityToken chain.
@@ -98,7 +97,7 @@ pub fn sign_envelope(env: &Envelope, credential: &Credential, now: u64, ttl: u64
             Element::new("ds:KeyInfo").with_child(
                 Element::new("wsse:BinarySecurityToken")
                     .with_attr("ValueType", "urn:gridsec:x509-chain")
-                    .with_text(encode_chain(credential.chain())),
+                    .with_text(encode_chain(credential)),
             ),
         );
 
@@ -409,7 +408,7 @@ mod tests {
     #[test]
     fn chain_codec_roundtrip() {
         let w = world();
-        let text = encode_chain(w.alice.chain());
+        let text = encode_chain(&w.alice);
         let chain = decode_chain(&text).unwrap();
         assert_eq!(chain.len(), w.alice.chain().len());
         assert_eq!(&chain[0], w.alice.certificate());

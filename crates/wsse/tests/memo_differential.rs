@@ -114,7 +114,7 @@ fn cases() -> Vec<Case> {
     let foreign_signature = Envelope::parse(
         &sign_envelope(&job, &carl, 100, 300)
             .to_xml()
-            .replace(&encode_chain(carl.chain()), &encode_chain(alice.chain())),
+            .replace(&encode_chain(&carl), &encode_chain(&alice)),
     )
     .unwrap();
 

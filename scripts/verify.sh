@@ -102,8 +102,9 @@ stage_grep_guard() {
     # `Arc` may come back (doc comments excepted) but on two allow-lists:
     # the crypto-pool handle, whose `Arc<Mutex<CryptoPool>>` type the
     # frozen benchmark/ crate builds itself (ROADMAP 1(a)), and, for
-    # `Arc` alone, the immutable precomputation in crypto::{rsa,dh},
-    # which `static OnceLock` fixtures share across test threads.
+    # `Arc` alone, immutable values that `static OnceLock` fixtures share
+    # across test threads: the precomputation in crypto::{rsa,dh} and a
+    # credential's and a trust store's certificates in pki::{credential,store}.
     local scope='crates/*/src crates/*/tests crates/*/benches tests examples'
     local pool_files='crates/(tls/src/(handshake|pool)|gssapi/src/mill|integration/src/scenarios/crypto_storm)\.rs'
     local pool_lines='use std::sync::|CryptoPool|RsaVerifyCtx|verify_ctx\(\)|Arc::clone\(&?(self\.)?(pool|client_pool|ctx)\)'
@@ -118,7 +119,7 @@ stage_grep_guard() {
     if grep -rEn '\bArc\b' $scope \
         | grep -vE '^[^:]+:[0-9]+: *//' \
         | grep -vE "^$pool_files:[0-9]+:.*($pool_lines)" \
-        | grep -vE '^crates/crypto/src/(rsa|dh)\.rs:'; then
+        | grep -vE '^crates/(crypto/src/(rsa|dh)|pki/src/(credential|store))\.rs:'; then
         echo "FAIL: an Arc is back above (one owner: Rc)" >&2
         exit 1
     fi
@@ -157,6 +158,20 @@ stage_grep_guard() {
     if grep -rEn 'verify_signature_with|fn ctx_for|fn key_digest|struct SigJob|verify_ctxs|fn validate_chain_inner' \
         crates/pki/src crates/tls/src; then
         echo "FAIL: the batch validator's machinery is back in pki/tls (above)" >&2
+        exit 1
+    fi
+    # A peer's chain is handled as the bytes it arrived in (DESIGN.md
+    # §11.3): the verdict cache keys on them, and a credential's chain is
+    # encoded once, on first use. No chain digest as a memo key, and
+    # no per-message deep copy of a credential's chain to re-encode it in
+    # the protocol crates (test modules excepted).
+    if { grep -rEn 'chain_digest|MemoKey::Digest' crates
+        awk 'FNR == 1 { in_test = 0 }
+             /^#\[cfg\(test\)\]/ { in_test = 1 }
+             !in_test && /\.chain\(\)\.to_vec\(\)/ { print FILENAME ":" FNR ":" $0 }' \
+            crates/{tls,gssapi,wsse}/src/*.rs
+    } | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: a chain is re-encoded or re-hashed to be sent or looked up (above); use Credential::encoded_chain / CachedValidator::validate_wire" >&2
         exit 1
     fi
     # An MJS delegates over its LMJFS's key (DESIGN.md §11.2): neither
