@@ -9,33 +9,59 @@ use crate::ct::ct_eq;
 use crate::poly1305::{Poly1305, TAG_LEN};
 use crate::CryptoError;
 
+/// Seal `buf` in place with `key`/`nonce`, binding `aad`: the plaintext
+/// becomes `ciphertext || tag`. The tag's 16 bytes are reserved before
+/// the keystream runs, so the buffer grows at most once.
+pub fn seal_in_place(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], buf: &mut Vec<u8>) {
+    buf.reserve_exact(TAG_LEN);
+    chacha20::xor_stream(key, nonce, 1, buf);
+    let tag = compute_tag(&one_time_key(key, nonce), aad, buf);
+    buf.extend_from_slice(&tag);
+}
+
+/// Open `ciphertext || tag` in place, verifying the tag over `aad`
+/// before any keystream touches the buffer: on `Ok` it holds the
+/// plaintext, on `Err` it is as it was handed in.
+pub fn open_in_place(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut Vec<u8>,
+) -> Result<(), CryptoError> {
+    let ct_len = buf
+        .len()
+        .checked_sub(TAG_LEN)
+        .ok_or(CryptoError::Malformed("AEAD input shorter than tag"))?;
+    let (ct, tag) = buf.split_at(ct_len);
+    let expect = compute_tag(&one_time_key(key, nonce), aad, ct);
+    if !ct_eq(&expect, tag) {
+        return Err(CryptoError::VerificationFailed);
+    }
+    buf.truncate(ct_len);
+    chacha20::xor_stream(key, nonce, 1, buf);
+    Ok(())
+}
+
 /// Seal `plaintext` with `key`/`nonce`, binding `aad`. Returns
-/// `ciphertext || tag`, allocated once and encrypted in place.
+/// `ciphertext || tag`, allocated once and sealed in place.
 pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
     out.extend_from_slice(plaintext);
-    chacha20::xor_stream(key, nonce, 1, &mut out);
-    let tag = compute_tag(&one_time_key(key, nonce), aad, &out);
-    out.extend_from_slice(&tag);
+    seal_in_place(key, nonce, aad, &mut out);
     out
 }
 
-/// Open `ciphertext || tag`, verifying the tag over `aad` first.
+/// Open `ciphertext || tag`, verifying the tag over `aad` first: a copy
+/// opened in place.
 pub fn open(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < TAG_LEN {
-        return Err(CryptoError::Malformed("AEAD input shorter than tag"));
-    }
-    let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let expect = compute_tag(&one_time_key(key, nonce), aad, ct);
-    if !ct_eq(&expect, tag) {
-        return Err(CryptoError::VerificationFailed);
-    }
-    Ok(chacha20::apply(key, nonce, 1, ct))
+    let mut out = sealed.to_vec();
+    open_in_place(key, nonce, aad, &mut out)?;
+    Ok(out)
 }
 
 /// One-time Poly1305 key = first 32 bytes of block 0 keystream.

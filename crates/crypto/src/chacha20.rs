@@ -7,4 +7,4 @@
 //! deterministic test RNG shares the same audited keystream; this module
 //! re-exports it under the crate's historical path.
 
-pub use gridsec_util::chacha::{apply, block, xor_stream, BLOCK_LEN, KEY_LEN, NONCE_LEN};
+pub use gridsec_util::chacha::{block, xor_stream, BLOCK_LEN, KEY_LEN, NONCE_LEN};

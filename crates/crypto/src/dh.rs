@@ -17,13 +17,13 @@ use gridsec_bignum::BigUint;
 /// The group owns the precomputation that is a function of `(p, g)`: a
 /// Montgomery context for `p`, built with the group, and a fixed-base
 /// table for `g`, built on the first [`DhKeyPair::generate`]. Clones
-/// share both.
+/// share both, and `p` and `g` too: a clone allocates nothing.
 #[derive(Clone)]
 pub struct DhGroup {
     /// The group modulus (a safe prime).
-    pub p: BigUint,
+    pub p: Arc<BigUint>,
     /// The generator.
-    pub g: BigUint,
+    pub g: Arc<BigUint>,
     /// `Arc`, not `Rc`: the constant groups are `static OnceLock`s.
     precomp: Arc<GroupPrecomp>,
 }
@@ -48,7 +48,11 @@ impl DhGroup {
             mont: Montgomery::new(&p),
             table: OnceLock::new(),
         });
-        DhGroup { p, g, precomp }
+        DhGroup {
+            p: Arc::new(p),
+            g: Arc::new(g),
+            precomp,
+        }
     }
 
     /// RFC 3526 MODP group 14 (2048-bit). Interop-grade parameters.
@@ -108,7 +112,7 @@ impl DhGroup {
             .table
             .get_or_init(|| FixedBaseTable::build(&self.g, &self.p, self.p.bit_len()))
             .as_ref()
-            .filter(|t| *t.base() == self.g && *t.modulus() == self.p)
+            .filter(|t| t.base() == &*self.g && t.modulus() == &*self.p)
     }
 
     /// `g^exp mod p`: squaring-free through the table when it covers
@@ -123,7 +127,7 @@ impl DhGroup {
     /// `base^exp mod p` through the group's own context.
     fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         match &self.precomp.mont {
-            Some(m) if *m.modulus() == self.p => m.pow(base, exp),
+            Some(m) if m.modulus() == &*self.p => m.pow(base, exp),
             _ => mod_pow(base, exp, &self.p),
         }
     }
@@ -161,7 +165,7 @@ impl DhKeyPair {
         let p_minus_1 = self.group.p.sub_ref(&one);
         if peer_public.is_zero()
             || peer_public.is_one()
-            || *peer_public >= self.group.p
+            || *peer_public >= *self.group.p
             || *peer_public == p_minus_1
         {
             return None;
@@ -186,7 +190,7 @@ mod tests {
             Primality::ProbablyPrime,
             "p must be prime"
         );
-        let q = (&g.p - &BigUint::one()) >> 1;
+        let q = (&*g.p - &BigUint::one()) >> 1;
         assert_eq!(
             is_probably_prime(&q, 20, &mut rng),
             Primality::ProbablyPrime,
@@ -223,9 +227,9 @@ mod tests {
         let kp = DhKeyPair::generate(&mut rng, &group);
         assert!(kp.agree(&BigUint::zero()).is_none());
         assert!(kp.agree(&BigUint::one()).is_none());
-        assert!(kp.agree(&(&group.p - &BigUint::one())).is_none());
+        assert!(kp.agree(&(&*group.p - &BigUint::one())).is_none());
         assert!(kp.agree(&group.p).is_none());
-        assert!(kp.agree(&(&group.p + &BigUint::one())).is_none());
+        assert!(kp.agree(&(&*group.p + &BigUint::one())).is_none());
     }
 
     #[test]
@@ -236,9 +240,10 @@ mod tests {
             &DhGroup::test_group_256().precomp
         ));
         // A fresh group, so that this test sees its table being built.
-        let group = DhGroup::new(constant.p, constant.g);
+        let group = DhGroup::new((*constant.p).clone(), (*constant.g).clone());
         let clone = group.clone();
         assert!(Arc::ptr_eq(&group.precomp, &clone.precomp));
+        assert!(Arc::ptr_eq(&group.p, &clone.p) && Arc::ptr_eq(&group.g, &clone.g));
         assert!(group.precomp.table.get().is_none(), "built on first use");
         let pair = |g: &DhGroup| {
             let mut rng = ChaChaRng::from_seed_bytes(b"dh clone");

@@ -12,7 +12,7 @@
 /// Key length in bytes (r || s).
 pub(crate) const KEY_LEN: usize = 32;
 /// Tag length in bytes.
-pub(crate) const TAG_LEN: usize = 16;
+pub const TAG_LEN: usize = 16;
 
 const BLOCK: usize = 16;
 const MASK44: u64 = (1 << 44) - 1;

@@ -3,10 +3,11 @@
 //! `chacha20::block` XORed in, the two-block Poly1305 step against the RFC
 //! 8439 vectors (§2.5.2 and the reduction/carry edge cases of Appendix
 //! A.3) and the definition of the MAC computed with `gridsec_bignum`, and
-//! `seal`/`open` across the block and four-block boundaries.
+//! `seal`/`open` across the block and four-block boundaries, and the
+//! in-place forms to the copying ones.
 
 use gridsec_bignum::BigUint;
-use gridsec_crypto::aead::{open, seal};
+use gridsec_crypto::aead::{open, open_in_place, seal, seal_in_place};
 use gridsec_crypto::chacha20::{block, xor_stream};
 use gridsec_crypto::poly1305::{poly1305, Poly1305};
 use gridsec_crypto::CryptoError;
@@ -301,5 +302,99 @@ fn seal_open_across_block_boundaries_and_every_flipped_bit_refused() {
                 "len {len}, byte {at}"
             );
         }
+    }
+}
+
+#[test]
+fn in_place_forms_are_the_copying_forms_at_every_length() {
+    let mut rng = DetRng::seed_from_u64(0x1a9ace);
+    let mut key = [0u8; 32];
+    let mut nonce = [0u8; 12];
+    rng.fill_bytes(&mut key);
+    rng.fill_bytes(&mut nonce);
+    let aad = b"in place";
+    for len in 0..=1100 {
+        let mut plain = vec![0u8; len];
+        rng.fill_bytes(&mut plain);
+        let sealed = seal(&key, &nonce, aad, &plain);
+        // Room for the tag up front: sealed where it lies, never moved.
+        let mut buf = Vec::with_capacity(len + 16);
+        buf.extend_from_slice(&plain);
+        let at = buf.as_ptr();
+        seal_in_place(&key, &nonce, aad, &mut buf);
+        assert_eq!(buf, sealed, "len {len}");
+        assert_eq!(buf.as_ptr(), at, "len {len}: regrown");
+        open_in_place(&key, &nonce, aad, &mut buf).unwrap();
+        assert_eq!(buf, plain, "len {len}");
+        assert_eq!(buf, open(&key, &nonce, aad, &sealed).unwrap(), "len {len}");
+        assert_eq!(buf.as_ptr(), at, "len {len}: opened into a new buffer");
+    }
+}
+
+#[test]
+fn rfc8439_aead_vector_in_place() {
+    // RFC 8439 §2.8.2.
+    let key: [u8; 32] = unhex("808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f")
+        .try_into()
+        .unwrap();
+    let nonce: [u8; 12] = unhex("070000004041424344454647").try_into().unwrap();
+    let aad = unhex("50515253c0c1c2c3c4c5c6c7");
+    let plain = b"Ladies and Gentlemen of the class of '99: If I could offer you only one \
+tip for the future, sunscreen would be it.";
+    let mut buf = plain.to_vec();
+    seal_in_place(&key, &nonce, &aad, &mut buf);
+    let mut want = unhex(
+        "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+         3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+         92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+         3ff4def08e4b7a9de576d26586cec64b6116",
+    );
+    want.extend(unhex("1ae10b594f09e26a7e902ecbd0600691"));
+    assert_eq!(buf, want);
+    open_in_place(&key, &nonce, &aad, &mut buf).unwrap();
+    assert_eq!(buf, plain);
+}
+
+#[test]
+fn a_refused_open_in_place_leaves_no_plaintext() {
+    let mut rng = DetRng::seed_from_u64(0x0bad);
+    let mut key = [0u8; 32];
+    let mut nonce = [0u8; 12];
+    rng.fill_bytes(&mut key);
+    rng.fill_bytes(&mut nonce);
+    let aad = b"seq 9".to_vec();
+    for len in [0, 1, 64, 300, 1100] {
+        let mut plain = vec![0u8; len];
+        rng.fill_bytes(&mut plain);
+        let sealed = seal(&key, &nonce, &aad, &plain);
+        // Every ciphertext and tag byte flipped, and every AAD byte.
+        let tampered = (0..sealed.len()).map(|at| {
+            let mut bad = sealed.clone();
+            bad[at] ^= 0x01;
+            (bad, aad.clone())
+        });
+        let wrong_aad = (0..aad.len()).map(|at| {
+            let mut bad = aad.clone();
+            bad[at] ^= 0x80;
+            (sealed.clone(), bad)
+        });
+        for (bad, bad_aad) in tampered.chain(wrong_aad) {
+            let mut buf = bad.clone();
+            assert_eq!(
+                open_in_place(&key, &nonce, &bad_aad, &mut buf),
+                Err(CryptoError::VerificationFailed),
+                "len {len}"
+            );
+            // Untouched: still the ciphertext and tag it was handed.
+            assert_eq!(buf, bad, "len {len}");
+        }
+    }
+    for short in 0..16 {
+        let mut buf = vec![0x5a; short];
+        assert!(matches!(
+            open_in_place(&key, &nonce, &aad, &mut buf),
+            Err(CryptoError::Malformed(_))
+        ));
+        assert_eq!(buf, vec![0x5a; short]);
     }
 }

@@ -45,9 +45,20 @@ impl EstablishedContext {
         self.channel.seal(msg)
     }
 
+    /// [`wrap`](Self::wrap) the message in `buf` where it lies.
+    pub fn wrap_in_place(&mut self, buf: &mut Vec<u8>) {
+        self.channel.seal_in_place(buf)
+    }
+
     /// Open a sealed message (GSS `Unwrap`).
     pub fn unwrap(&mut self, token: &[u8]) -> Result<Vec<u8>, GssError> {
         Ok(self.channel.open(token)?)
+    }
+
+    /// [`unwrap`](Self::unwrap) the token in `buf` where it lies: on `Ok`
+    /// it holds the message, on `Err` it is left as it was.
+    pub fn unwrap_in_place(&mut self, buf: &mut Vec<u8>) -> Result<(), GssError> {
+        Ok(self.channel.open_in_place(buf)?)
     }
 
     /// Detached integrity token (GSS `GetMIC`).

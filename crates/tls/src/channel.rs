@@ -7,6 +7,7 @@
 //! and truncation within a direction are all detected.
 
 use gridsec_crypto::aead;
+use gridsec_crypto::poly1305::TAG_LEN;
 use gridsec_pki::validate::ValidatedIdentity;
 
 use crate::session::ResumptionData;
@@ -121,21 +122,38 @@ impl SecureChannel {
     /// Seal a message for the peer; consumes the next send sequence
     /// number. Sequence numbers are also bound as associated data.
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        buf.extend_from_slice(plaintext);
+        self.seal_in_place(&mut buf);
+        buf
+    }
+
+    /// [`seal`](Self::seal) the message in `buf` where it lies: it
+    /// becomes the sealed record.
+    pub fn seal_in_place(&mut self, buf: &mut Vec<u8>) {
         let seq = self.write_seq;
         self.write_seq += 1;
         let nonce = Self::nonce_for(&self.write_nonce_base, seq);
-        aead::seal(&self.write_key, &nonce, &seq.to_be_bytes(), plaintext)
+        aead::seal_in_place(&self.write_key, &nonce, &seq.to_be_bytes(), buf);
     }
 
     /// Open the next message from the peer (messages must arrive in
     /// order; replay/reorder yields `RecordIntegrity`).
     pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TlsError> {
+        let mut buf = sealed.to_vec();
+        self.open_in_place(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`open`](Self::open) the record in `buf` where it lies: on `Ok` it
+    /// holds the message, on `Err` it is left as it was.
+    pub fn open_in_place(&mut self, buf: &mut Vec<u8>) -> Result<(), TlsError> {
         let seq = self.read_seq;
         let nonce = Self::nonce_for(&self.read_nonce_base, seq);
-        let plain = aead::open(&self.read_key, &nonce, &seq.to_be_bytes(), sealed)
+        aead::open_in_place(&self.read_key, &nonce, &seq.to_be_bytes(), buf)
             .map_err(|_| TlsError::RecordIntegrity)?;
         self.read_seq += 1;
-        Ok(plain)
+        Ok(())
     }
 
     /// Compute a detached integrity check (GSS `GetMIC`) over `msg`.

@@ -163,18 +163,6 @@ pub fn xor_stream(
     }
 }
 
-/// Encrypt (or decrypt) returning a new buffer.
-pub fn apply(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    initial_counter: u32,
-    data: &[u8],
-) -> Vec<u8> {
-    let mut out = data.to_vec();
-    xor_stream(key, nonce, initial_counter, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +177,13 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `data` XORed with the keystream, in a new buffer.
+    fn apply(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        xor_stream(key, nonce, counter, &mut out);
+        out
     }
 
     #[test]

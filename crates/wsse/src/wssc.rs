@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 
 use gridsec_bignum::prime::EntropySource;
+use gridsec_crypto::poly1305::TAG_LEN;
 use gridsec_gssapi::context::{AcceptorContext, EstablishedContext, InitiatorContext};
 use gridsec_pki::store::CrlStore;
 use gridsec_pki::validate::ValidatedIdentity;
@@ -33,7 +34,7 @@ use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{
     ClientSession, ServerSessionCache, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME,
 };
-use gridsec_xml::Element;
+use gridsec_xml::{Element, Node};
 
 use crate::b64;
 use crate::soap::Envelope;
@@ -281,12 +282,14 @@ impl WsscResponder {
 // ----------------------------------------------------------------------
 
 fn protect_with(ctx: &mut EstablishedContext, ctx_id: &str, env: &Envelope) -> Envelope {
-    let mut body_xml =
-        String::with_capacity(env.body.iter().map(Element::xml_len_hint).sum::<usize>());
+    // Room for the tag too, so sealing in place never regrows the body.
+    let body_len = env.body.iter().map(Element::xml_len_hint).sum::<usize>();
+    let mut body_xml = String::with_capacity(body_len + TAG_LEN);
     for el in &env.body {
         el.write_xml(&mut body_xml);
     }
-    let sealed = ctx.wrap(body_xml.as_bytes());
+    let mut sealed = body_xml.into_bytes();
+    ctx.wrap_in_place(&mut sealed);
     let mut out = Envelope::new();
     out.action = Some(format!(
         "{SECURED_ACTION_PREFIX}{}",
@@ -313,14 +316,20 @@ fn unprotect_with(
     env: &Envelope,
 ) -> Result<(String, Envelope), WsseError> {
     let id = secured_ctx_id(env)?;
-    let sealed_b64 = env
+    let message = env
         .payload()
         .filter(|p| p.name == "wsc:EncryptedMessage")
-        .ok_or(WsseError::Missing("wsc:EncryptedMessage"))?
-        .text_content();
-    let sealed = b64::decode(&sealed_b64).ok_or(WsseError::Base64)?;
-    let plain = ctx.unwrap(&sealed).map_err(|_| WsseError::Decrypt)?;
-    let text = String::from_utf8(plain).map_err(|_| WsseError::Decrypt)?;
+        .ok_or(WsseError::Missing("wsc:EncryptedMessage"))?;
+    // The parser leaves an unbroken text as one node: decode it where it
+    // lies, and join the pieces only when there are several.
+    let mut buf = match message.children.as_slice() {
+        [Node::Text(text)] => b64::decode(text),
+        _ => b64::decode(&message.text_content()),
+    }
+    .ok_or(WsseError::Base64)?;
+    ctx.unwrap_in_place(&mut buf)
+        .map_err(|_| WsseError::Decrypt)?;
+    let text = String::from_utf8(buf).map_err(|_| WsseError::Decrypt)?;
     let wrapper = Element::parse(&format!("<w>{text}</w>"))?;
     let mut inner = Envelope::new();
     inner.action = env

@@ -1,7 +1,9 @@
 //! The table-driven base64 codec held to the one it replaced. The old
 //! codec lives on here, as the reference: `decode` must agree with it on
 //! every input except those it accepted with `=` before the final quad,
-//! which are now refused.
+//! which are now refused. The run kernels (12 bytes to 16 characters
+//! and back) are held to it at every length and around every offset of
+//! a run.
 
 use gridsec_util::rng::{DetRng, RngCore};
 use gridsec_wsse::b64::{decode, encode};
@@ -120,4 +122,57 @@ fn seeded_strings_decode_as_before_except_interior_padding() {
     assert!(both_some > 20_000, "{both_some}");
     assert!(both_none > 20_000, "{both_none}");
     assert!(newly_refused > 2_000, "{newly_refused}");
+}
+
+#[test]
+fn the_run_encoder_matches_the_reference_at_every_length() {
+    let mut rng = DetRng::seed_from_u64(1216);
+    for len in (0..=256).chain([16 * 1024 - 1, 16 * 1024, 16 * 1024 + 1]) {
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        let enc = encode(&data);
+        assert_eq!(enc, reference_encode(&data), "len {len}");
+        assert_eq!(decode(&enc).as_deref(), Some(&data[..]), "len {len}");
+    }
+}
+
+/// `decode` against the reference on `s`, but for interior padding.
+fn agrees(s: &[u8]) {
+    let s = std::str::from_utf8(s).expect("ASCII");
+    let (new, old) = (decode(s), reference_decode(s));
+    if old.is_some() && has_interior_padding(s) {
+        assert_eq!(new, None, "{s:?}");
+    } else {
+        assert_eq!(new, old, "{s:?}");
+    }
+}
+
+#[test]
+fn a_run_broken_at_any_offset_decodes_as_the_reference() {
+    let mut rng = DetRng::seed_from_u64(6416);
+    // Four whole 16-character runs, and 64 characters ending in one and
+    // in two `=`.
+    for len in [48, 47, 46] {
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        let valid = encode(&data).into_bytes();
+        assert_eq!(valid.len(), 64);
+        let inserts: [&[u8]; 7] = [b" ", b"\r\n", b"\t", b"=", b"==", b"-", b"\xc3\xa9"];
+        for at in 0..=valid.len() {
+            agrees(&valid[..at]);
+            for insert in inserts {
+                let mut s = valid[..at].to_vec();
+                s.extend_from_slice(insert);
+                s.extend_from_slice(&valid[at..]);
+                agrees(&s);
+            }
+            if at < valid.len() {
+                for replace in [b' ', b'\n', b'=', b'-', b'*', b'.', 0, 0x7f] {
+                    let mut s = valid.clone();
+                    s[at] = replace;
+                    agrees(&s);
+                }
+            }
+        }
+    }
 }
