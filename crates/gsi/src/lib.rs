@@ -43,7 +43,6 @@
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod renewal;
 pub mod sso;
 pub mod vo;
 

@@ -36,12 +36,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// Wrap a credential obtained elsewhere (e.g. re-acquired from an
-    /// online credential repository) as a signed-on session.
-    pub(crate) fn from_credential(credential: Credential) -> Session {
-        Session { credential }
-    }
-
     /// The session's proxy credential.
     pub fn credential(&self) -> &Credential {
         &self.credential
@@ -55,11 +49,6 @@ impl Session {
             .validity
             .not_after
             .saturating_sub(now)
-    }
-
-    /// `true` once the proxy has expired.
-    pub(crate) fn is_expired(&self, now: u64) -> bool {
-        !self.credential.certificate().tbs.validity.contains(now)
     }
 }
 
@@ -107,7 +96,6 @@ mod tests {
     fn sign_on_and_validate() {
         let (mut rng, trust, user) = setup();
         let session = grid_proxy_init(&mut rng, &user, ProxyOptions::default(), 1000).unwrap();
-        assert!(!session.is_expired(1000));
         assert_eq!(session.remaining(1000), 12 * 3600);
         let id = validate_chain(session.credential().chain(), &trust, 2000).unwrap();
         assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
@@ -127,7 +115,6 @@ mod tests {
             1000,
         )
         .unwrap();
-        assert!(session.is_expired(1101));
         assert_eq!(session.remaining(1101), 0);
         assert!(validate_chain(session.credential().chain(), &trust, 1101).is_err());
     }

@@ -3,10 +3,11 @@
 //! gateways, while a renewal coordinator batches each wave of
 //! grace-window renewals through the [`HandshakeMill`].
 //!
-//! This is the scale companion to `scenarios::portal` and
-//! `gsi::renewal`: where those prove the *mechanism* (exactly-once
-//! issuance, typed fail-closed), the storm proves the *population
-//! dynamics*. Every lifetime fault is drawn from one seeded
+//! This is the scale companion to `scenarios::portal`: where the portal
+//! proves the *mechanism* (a MyProxy `OP_RENEW` issued exactly once
+//! across repository kills), the storm proves the *population
+//! dynamics*, and its hard-expiry fail-closed is the typed answer to a
+//! renewal that never lands. Every lifetime fault is drawn from one seeded
 //! [`LifetimeFaults`] injector — clock-skewed issuers (proxies born in
 //! the future or already stale), near-zero lifetimes, and staggered
 //! sign-on offsets that pile renewal deadlines into waves — so two

@@ -2,16 +2,18 @@
 //!
 //! [`KrbClient`] drives AS/TGS exchanges; [`ServiceVerifier`] is the
 //! accepting side (a keytab-holding service) with clock-skew and replay
-//! enforcement.
+//! enforcement. Its replay set holds only the authenticators still
+//! inside the skew window, so it stays bounded however long the
+//! service runs.
 
 use crate::messages::{
     open, Authenticator, EncKdcReplyPart, Key, ServiceTicketReply, TgtReply, Ticket,
 };
-use crate::{string_to_key, KrbError};
+use crate::{string_to_key, KrbError, MAX_SKEW};
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::encoding::Codec;
-use std::cell::RefCell;
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 
 /// A Kerberos client: principal name plus the password-derived key.
 pub struct KrbClient {
@@ -75,8 +77,11 @@ pub struct ServiceVerifier {
     /// The service principal this verifier accepts tickets for.
     pub service: String,
     key: Key,
-    max_skew: u64,
-    seen: RefCell<HashSet<(String, u64, u64)>>,
+    /// The largest `now` an [`accept`](Self::accept) has been given.
+    high_water: Cell<u64>,
+    /// Accepted authenticators as `(timestamp, client, nonce)`, none
+    /// older than `high_water - MAX_SKEW`.
+    seen: RefCell<BTreeSet<(u64, String, u64)>>,
 }
 
 /// Result of accepting a client: the authenticated principal and the
@@ -110,8 +115,8 @@ impl ServiceVerifier {
         ServiceVerifier {
             service: service.to_string(),
             key,
-            max_skew: 300,
-            seen: RefCell::new(HashSet::new()),
+            high_water: Cell::new(0),
+            seen: RefCell::new(BTreeSet::new()),
         }
     }
 
@@ -139,15 +144,29 @@ impl ServiceVerifier {
         if auth.client != body.client {
             return Err(KrbError::Integrity);
         }
-        if auth.timestamp.abs_diff(now) > self.max_skew {
+        if auth.timestamp.abs_diff(now) > MAX_SKEW {
             return Err(KrbError::ClockSkew {
                 now,
                 stamp: auth.timestamp,
             });
         }
-        // Replay cache keyed on (client, timestamp, nonce).
-        let replay_key = (auth.client.clone(), auth.timestamp, auth.nonce);
-        if !self.seen.borrow_mut().insert(replay_key) {
+        // Replay cache keyed on (timestamp, client, nonce). Entries older
+        // than the window behind the latest clock reading are forgotten,
+        // and an authenticator that old is refused outright, so
+        // forgetting never re-admits one, even for a caller whose `now`
+        // runs behind an earlier call's.
+        let high_water = self.high_water.get().max(now);
+        self.high_water.set(high_water);
+        let edge = high_water.saturating_sub(MAX_SKEW);
+        if auth.timestamp < edge {
+            return Err(KrbError::ClockSkew {
+                now: high_water,
+                stamp: auth.timestamp,
+            });
+        }
+        let mut seen = self.seen.borrow_mut();
+        *seen = seen.split_off(&(edge, String::new(), 0));
+        if !seen.insert((auth.timestamp, auth.client.clone(), auth.nonce)) {
             return Err(KrbError::Replay);
         }
         Ok(AcceptedClient {
@@ -244,6 +263,39 @@ mod tests {
         // A fresh authenticator still works.
         let auth2 = f.client.make_authenticator(&mut f.rng, &session_key, 130);
         assert!(f.verifier.accept(&ticket, &auth2, 135).is_ok());
+    }
+
+    #[test]
+    fn replay_set_forgets_what_the_skew_window_refuses() {
+        let mut f = flow();
+        let (ticket, session_key) = get_service_ticket(&mut f, 100);
+        let mut auths = Vec::new();
+        for now in (100..=2000).step_by(100) {
+            let auth = f.client.make_authenticator(&mut f.rng, &session_key, now);
+            assert!(f.verifier.accept(&ticket, &auth, now).is_ok(), "{now}");
+            auths.push((now, auth));
+        }
+        // Twenty accepted, but only 1700..=2000 are inside the window
+        // behind the latest clock reading.
+        assert_eq!(f.verifier.seen.borrow().len(), 4);
+        let replay = |stamp: u64, now: u64| {
+            let (_, auth) = auths.iter().find(|(t, _)| *t == stamp).unwrap();
+            f.verifier.accept(&ticket, auth, now)
+        };
+        // Old: outside the skew of `now` itself.
+        assert!(matches!(
+            replay(1000, 2000),
+            Err(KrbError::ClockSkew { .. })
+        ));
+        // In-window: still remembered.
+        assert_eq!(replay(1900, 2000).unwrap_err(), KrbError::Replay);
+        // Earlier `now`: within skew of the caller's clock, and its entry
+        // is forgotten, but it is older than the edge, so still refused.
+        assert!(matches!(
+            replay(1000, 1000),
+            Err(KrbError::ClockSkew { now: 2000, .. })
+        ));
+        assert_eq!(f.verifier.seen.borrow().len(), 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::messages::{
     seal, Authenticator, EncKdcReplyPart, Key, ServiceTicketReply, TgtReply, Ticket, TicketBody,
 };
-use crate::{string_to_key, KrbError};
+use crate::{string_to_key, KrbError, MAX_SKEW};
 use gridsec_bignum::prime::EntropySource;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -211,7 +211,6 @@ impl Kdc {
         if auth.client != tgt_body.client {
             return Err(KrbError::Integrity);
         }
-        const MAX_SKEW: u64 = 300;
         if auth.timestamp.abs_diff(now) > MAX_SKEW {
             return Err(KrbError::ClockSkew {
                 now,

@@ -98,6 +98,11 @@ impl core::fmt::Display for KrbError {
 
 impl std::error::Error for KrbError {}
 
+/// The permitted clock skew, in seconds, between an authenticator's
+/// timestamp and the checking side's clock (the KDC's TGS check and
+/// every [`client::ServiceVerifier`]).
+pub(crate) const MAX_SKEW: u64 = 300;
+
 /// Derive a 32-byte long-term key from a password (the Kerberos
 /// string-to-key function, simplified to salted SHA-256).
 pub(crate) fn string_to_key(principal: &str, realm: &str, password: &str) -> [u8; 32] {

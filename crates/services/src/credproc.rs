@@ -2,10 +2,10 @@
 //! of processing and validating authentication tokens" — the XKMS-shaped
 //! token validation service of Figure 3 steps 3–4.
 //!
-//! Hosting environments *can* validate chains locally (and do, in the
-//! fast path); this service exists so that validation can also be
-//! outsourced, exactly as the paper envisions, and is used by the F3
-//! benchmark to measure the outsourced variant.
+//! Hosting environments *can* validate chains locally (and every flow
+//! here does); this service exists so that validation can also be
+//! outsourced, as the paper envisions. No scenario hosts it yet: its
+//! unit tests are its only callers.
 
 use gridsec_ogsa::service::{GridService, RequestContext};
 use gridsec_ogsa::OgsaError;

@@ -1,11 +1,14 @@
-//! Crash-durable identity mapping over the at-most-once RPC layer.
+//! The identity mapping service (paper §4.1): it "takes a user's
+//! identity in one domain and returns the identity in another (e.g.,
+//! given the user's X.509 identity, it could return the Kerberos
+//! principal name)", served crash-durably over the at-most-once RPC
+//! layer.
 //!
-//! The paper's §4.1 identity mapping service is the simplest of the
-//! "security services" to make restartable: its only state is the
-//! mapping table, which here is a write-ahead [`Journal`] — every
-//! `add` is one [`Journal::commit`] record, holding the mapping and the
-//! exact reply, written *before* it takes effect; a crash discards the
-//! in-memory [`IdentityMap`], and recovery replays the journal.
+//! Its only state is the DN ↔ `user@REALM` table, kept behind a
+//! write-ahead [`Journal`] — every `add` is one [`Journal::commit`]
+//! record, holding the mapping and the exact reply, written *before* it
+//! takes effect; a crash discards the in-memory table, and recovery
+//! replays the journal.
 //! [`DurableIdentityMap`] plugs into a
 //! [`CrashableServer`][gridsec_testbed::faults::CrashableServer], so a
 //! retransmitted add is answered from its commit record across any
@@ -24,12 +27,12 @@
 //!   reply leaves (recovery replays the mapping; the retransmit is
 //!   answered from the commit record).
 
-use crate::identity_map::IdentityMap;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
 use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
+use std::collections::HashMap;
 
 /// Op: register a DN ↔ principal mapping.
 pub(crate) const OP_ADD: &str = "idmap-add";
@@ -64,8 +67,39 @@ impl core::fmt::Display for IdMapError {
 
 impl std::error::Error for IdMapError {}
 
-/// An [`IdentityMap`] wrapped in write-ahead journaling and crash
-/// recovery, servable through a `CrashableServer`.
+/// Bidirectional DN ↔ Kerberos-principal table.
+#[derive(Default)]
+struct IdentityMap {
+    dn_to_principal: HashMap<String, String>,
+    principal_to_dn: HashMap<String, String>,
+}
+
+impl IdentityMap {
+    /// Register a bidirectional mapping.
+    fn add(&mut self, dn: &DistinguishedName, principal: &str, realm: &str) {
+        let qualified = format!("{principal}@{realm}");
+        self.dn_to_principal
+            .insert(dn.to_string(), qualified.clone());
+        self.principal_to_dn.insert(qualified, dn.to_string());
+    }
+
+    /// X.509 → Kerberos (`user@REALM`).
+    fn to_principal(&self, dn: &DistinguishedName) -> Option<&str> {
+        self.dn_to_principal
+            .get(&dn.to_string())
+            .map(|s| s.as_str())
+    }
+
+    /// Kerberos → X.509.
+    fn to_dn(&self, principal: &str, realm: &str) -> Option<DistinguishedName> {
+        self.principal_to_dn
+            .get(&format!("{principal}@{realm}"))
+            .and_then(|s| DistinguishedName::parse(s).ok())
+    }
+}
+
+/// The identity map with write-ahead journaling and crash recovery,
+/// servable through a `CrashableServer`.
 pub struct DurableIdentityMap {
     map: IdentityMap,
     plan: CrashPlan,
@@ -77,17 +111,12 @@ impl DurableIdentityMap {
     /// Open over `journal`, replaying any existing records.
     pub fn new(plan: CrashPlan, journal: Journal) -> Self {
         let mut s = DurableIdentityMap {
-            map: IdentityMap::new(),
+            map: IdentityMap::default(),
             plan,
             journal,
         };
         s.replay();
         s
-    }
-
-    /// The recovered in-memory table.
-    pub fn map(&self) -> &IdentityMap {
-        &self.map
     }
 
     fn replay(&mut self) {
@@ -178,7 +207,7 @@ impl CrashRecover for DurableIdentityMap {
     }
 
     fn crash(&mut self) {
-        self.map = IdentityMap::new();
+        self.map = IdentityMap::default();
     }
 
     fn recover(&mut self) {
@@ -257,8 +286,36 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    impl IdentityMap {
+        /// Number of mappings.
+        fn len(&self) -> usize {
+            self.dn_to_principal.len()
+        }
+    }
+
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
+    }
+
+    #[test]
+    fn bidirectional_mapping() {
+        let mut map = IdentityMap::default();
+        map.add(&dn("/O=G/CN=Jane"), "jdoe", "SITE.A");
+        map.add(&dn("/O=G/CN=Carl"), "carl", "SITE.A");
+        assert_eq!(map.to_principal(&dn("/O=G/CN=Jane")), Some("jdoe@SITE.A"));
+        assert_eq!(map.to_dn("jdoe", "SITE.A"), Some(dn("/O=G/CN=Jane")));
+        assert_eq!(map.to_principal(&dn("/O=G/CN=Nobody")), None);
+        assert_eq!(map.to_dn("ghost", "SITE.A"), None);
+        assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn realm_disambiguates() {
+        let mut map = IdentityMap::default();
+        map.add(&dn("/O=A/CN=J"), "j", "SITE.A");
+        map.add(&dn("/O=B/CN=J"), "j", "SITE.B");
+        assert_eq!(map.to_dn("j", "SITE.A"), Some(dn("/O=A/CN=J")));
+        assert_eq!(map.to_dn("j", "SITE.B"), Some(dn("/O=B/CN=J")));
     }
 
     fn journal() -> (SimOs, Journal) {
@@ -280,12 +337,12 @@ mod tests {
                 .put_str("SITE.A");
             e.finish()
         });
-        assert_eq!(m.map().len(), 1);
+        assert_eq!(m.map.len(), 1);
         m.crash();
-        assert!(m.map().is_empty(), "crash wipes memory");
+        assert_eq!(m.map.len(), 0, "crash wipes memory");
         m.recover();
         assert_eq!(
-            m.map().to_principal(&dn("/O=G/CN=Jane")),
+            m.map.to_principal(&dn("/O=G/CN=Jane")),
             Some("jdoe@SITE.A"),
             "journal replay restores the table"
         );
@@ -312,7 +369,7 @@ mod tests {
         // The record was durable, so recovery already applied it, and it
         // carries the reply a restarted supervisor answers the
         // retransmit with: the add never runs twice.
-        assert_eq!(m.map().len(), 1, "no duplicate mapping");
+        assert_eq!(m.map.len(), 1, "no duplicate mapping");
         assert_eq!(
             m.journal.replies(),
             [(
@@ -388,7 +445,7 @@ mod tests {
             remote_to_principal(&mut rpc, &dn("/O=G/CN=Ghost")).unwrap(),
             None
         );
-        assert_eq!(durable.borrow().map().len(), 1, "exactly one mapping");
+        assert_eq!(durable.borrow().map.len(), 1, "exactly one mapping");
         // One commit record for the add, nothing for the three lookups.
         let tags: Vec<String> = j.records().into_iter().map(|(tag, _)| tag).collect();
         assert_eq!(tags, [TAG_MAP]);

@@ -12,20 +12,18 @@
 //!   service so hosting environments can out-call it (Figure 3 step 5).
 //! * **Credential conversion service** — [`kca`] (Kerberos → GSI, the
 //!   paper's KCA) and [`sslk5`] (GSI → Kerberos via PKINIT), bridging
-//!   mechanism domains (Figure 3 step 2).
-//! * **Identity mapping service** — [`identity_map`]: X.509 DN ↔
-//!   Kerberos principal translation.
+//!   mechanism domains (Figure 3 step 2). CAS as credential conversion
+//!   (a CAS assertion turned into a restricted proxy) is the
+//!   `figure2_cas` scenario's inline step, not a service here.
+//! * **Identity mapping service** — [`idmap_rpc`]: X.509 DN ↔
+//!   Kerberos principal translation, a journaled RPC service that
+//!   survives crash and restart.
 //! * **Audit service** — [`audit`]: a tamper-evident, hash-chained log
 //!   that hosting environments feed.
-//! * **CAS as credential conversion** — [`cas_source`]: wraps a CAS
-//!   assertion into a *restricted proxy* credential, "translating the
-//!   user's personal credential to a VO credential".
-//! * **MDS-like index** — [`index`]: the VO directory service §2 uses to
-//!   motivate dynamically-created, securely-coordinated services.
 //! * **Online credential repository** — [`myproxy`]: MyProxy-style
 //!   durable store backing the paper's portal single-sign-on flow;
-//!   issues short-lived delegated proxies with exactly-once semantics
-//!   across crash/restart.
+//!   issues and renews short-lived delegated proxies with exactly-once
+//!   semantics across crash/restart.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -33,11 +31,8 @@
 
 pub mod audit;
 pub mod authz_service;
-pub mod cas_source;
 pub mod credproc;
-pub mod identity_map;
 pub mod idmap_rpc;
-pub mod index;
 pub mod kca;
 pub mod myproxy;
 pub mod sslk5;

@@ -468,43 +468,6 @@ pub fn assemble_issued(body: &[u8], key: RsaKeyPair) -> Result<Credential, MyPro
     Ok(Credential::new(chain, key))
 }
 
-/// Store `delegator`'s credential at the repository: the repository
-/// generates the key pair, we sign a delegated proxy over it. The
-/// delegated proxy's lifetime is clamped by `delegator`'s own window.
-pub fn store_credential<E: gridsec_bignum::prime::EntropySource>(
-    rpc: &mut RpcClient,
-    rng: &mut E,
-    owner: &str,
-    passphrase: &str,
-    delegator: &Credential,
-    now: u64,
-    lifetime: u64,
-) -> Result<(), MyProxyError> {
-    let mut e = Encoder::new();
-    e.put_str(OP_STORE_BEGIN).put_str(owner).put_str(passphrase);
-    let body = round(rpc, e.finish())?;
-    let mut d = Decoder::new(&body);
-    let repo_key =
-        decode_public_key(&mut d).map_err(|_| MyProxyError::Decode("malformed repo key"))?;
-    let cert = issue_delegated_proxy(
-        rng,
-        delegator,
-        &repo_key,
-        ProxyType::Impersonation,
-        now,
-        lifetime,
-    )
-    .map_err(|e| MyProxyError::Refused(format!("cannot delegate to repository: {e:?}")))?;
-    let mut e = Encoder::new();
-    e.put_str(OP_STORE_COMMIT)
-        .put_str(owner)
-        .put_str(passphrase);
-    cert.encode(&mut e);
-    e.put_seq(delegator.chain(), |enc, c| c.encode(enc));
-    round(rpc, e.finish())?;
-    Ok(())
-}
-
 /// Remove the stored credential.
 pub fn destroy(rpc: &mut RpcClient, owner: &str, passphrase: &str) -> Result<(), MyProxyError> {
     let mut e = Encoder::new();
@@ -583,6 +546,43 @@ mod tests {
         lifetime: u64,
     ) -> Result<Credential, MyProxyError> {
         issue_round(rpc, rng, OP_GET, owner, passphrase, key_bits, lifetime)
+    }
+
+    /// Store `delegator`'s credential at the repository: the repository
+    /// generates the key pair, we sign a delegated proxy over it. The
+    /// delegated proxy's lifetime is clamped by `delegator`'s own window.
+    fn store_credential<E: gridsec_bignum::prime::EntropySource>(
+        rpc: &mut RpcClient,
+        rng: &mut E,
+        owner: &str,
+        passphrase: &str,
+        delegator: &Credential,
+        now: u64,
+        lifetime: u64,
+    ) -> Result<(), MyProxyError> {
+        let mut e = Encoder::new();
+        e.put_str(OP_STORE_BEGIN).put_str(owner).put_str(passphrase);
+        let body = round(rpc, e.finish())?;
+        let mut d = Decoder::new(&body);
+        let repo_key =
+            decode_public_key(&mut d).map_err(|_| MyProxyError::Decode("malformed repo key"))?;
+        let cert = issue_delegated_proxy(
+            rng,
+            delegator,
+            &repo_key,
+            ProxyType::Impersonation,
+            now,
+            lifetime,
+        )
+        .map_err(|e| MyProxyError::Refused(format!("cannot delegate to repository: {e:?}")))?;
+        let mut e = Encoder::new();
+        e.put_str(OP_STORE_COMMIT)
+            .put_str(owner)
+            .put_str(passphrase);
+        cert.encode(&mut e);
+        e.put_seq(delegator.chain(), |enc, c| c.encode(enc));
+        round(rpc, e.finish())?;
+        Ok(())
     }
 
     fn dn(s: &str) -> DistinguishedName {
@@ -734,25 +734,40 @@ mod tests {
 
     #[test]
     fn worst_window_crash_issues_exactly_once() {
-        let mut w = world();
-        let plan = CrashPlan::manual(3);
-        let mut r = rig(&w, plan);
-        store_credential(
-            &mut r.rpc, &mut w.rng, "jane", "s3cret", &w.jane, 100, 100_000,
-        )
-        .unwrap();
-        // Kill after the issue record is durable but before the reply
-        // leaves: the retransmission must be served the SAME proxy.
-        r.plan.arm("myproxy.issue.journaled", 1);
-        let proxy = acquire(&mut r.rpc, &mut w.rng, "jane", "s3cret", 512, 3_600).unwrap();
-        assert_eq!(r.plan.crashes(), 1, "the kill fired");
-        assert_eq!(r.plan.restarts(), 1);
-        assert_eq!(r.app.borrow().issued_count(), 1, "exactly one issuance");
-        assert_eq!(
-            r.app.borrow().issued_serials(),
-            &[proxy.certificate().tbs.serial],
-            "the visible proxy is the journaled one"
-        );
+        type Issue = fn(
+            &mut RpcClient,
+            &mut ChaChaRng,
+            &str,
+            &str,
+            usize,
+            u64,
+        ) -> Result<Credential, MyProxyError>;
+        let verbs: [(&str, Issue); 2] = [(OP_GET, acquire), (OP_RENEW, renew)];
+        for (op, issue) in verbs {
+            let mut w = world();
+            let plan = CrashPlan::manual(3);
+            let mut r = rig(&w, plan);
+            store_credential(
+                &mut r.rpc, &mut w.rng, "jane", "s3cret", &w.jane, 100, 100_000,
+            )
+            .unwrap();
+            // Kill after the issue record is durable but before the reply
+            // leaves: the retransmission must be served the SAME proxy.
+            r.plan.arm("myproxy.issue.journaled", 1);
+            let proxy = issue(&mut r.rpc, &mut w.rng, "jane", "s3cret", 512, 3_600).unwrap();
+            assert_eq!(r.plan.crashes(), 1, "{op}: the kill fired");
+            assert_eq!(r.plan.restarts(), 1, "{op}");
+            assert_eq!(
+                r.app.borrow().issued_count(),
+                1,
+                "{op}: exactly one issuance"
+            );
+            assert_eq!(
+                r.app.borrow().issued_serials(),
+                &[proxy.certificate().tbs.serial],
+                "{op}: the visible proxy is the journaled one"
+            );
+        }
     }
 
     #[test]

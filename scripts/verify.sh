@@ -134,6 +134,17 @@ stage_grep_guard() {
             exit 1
         fi
     done
+    # One form per paper §4.1 security service: CAS as credential
+    # conversion is figure2_cas's inline step, renewal is the portal's
+    # OP_RENEW (DESIGN.md §15), identity mapping is services::idmap_rpc,
+    # and the MDS index is §2 context, not a mechanism the paper secures.
+    for gone in crates/services/src/index.rs crates/services/src/cas_source.rs \
+        crates/gsi/src/renewal.rs crates/services/src/identity_map.rs; do
+        if [ -e "$gone" ]; then
+            echo "FAIL: $gone is back; its service already has its one form" >&2
+            exit 1
+        fi
+    done
     # Golden digests live in tests/golden.pins, where scripts/repin.sh
     # can re-record and tabulate them (DESIGN.md §11.6): a 64-hex literal
     # in a golden test is a pin the tool cannot see.
