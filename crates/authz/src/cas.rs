@@ -23,7 +23,6 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
 use gridsec_pki::validate::{EffectiveRights as Rights, ValidatedIdentity};
 use gridsec_pki::PkiError;
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A right granted by the VO: (resource pattern, action pattern).
@@ -126,9 +125,9 @@ pub struct CasServer {
     vo: String,
     credential: Credential,
     /// user base identity → group tags.
-    membership: RefCell<HashMap<String, Vec<String>>>,
+    membership: HashMap<String, Vec<String>>,
     /// The VO's policy over its users and groups.
-    policy: RefCell<PolicySet>,
+    policy: PolicySet,
     /// Default assertion lifetime.
     assertion_lifetime: u64,
 }
@@ -139,8 +138,8 @@ impl CasServer {
         CasServer {
             vo: vo.to_string(),
             credential,
-            membership: RefCell::new(HashMap::new()),
-            policy: RefCell::new(PolicySet::new(CombiningAlg::DenyOverrides)),
+            membership: HashMap::new(),
+            policy: PolicySet::new(CombiningAlg::DenyOverrides),
             assertion_lifetime,
         }
     }
@@ -156,30 +155,33 @@ impl CasServer {
     }
 
     /// Enroll a user with group tags.
-    pub fn enroll(&self, user: &DistinguishedName, groups: Vec<String>) {
-        self.membership
-            .borrow_mut()
-            .insert(user.to_string(), groups);
+    pub fn enroll(&mut self, user: &DistinguishedName, groups: Vec<String>) {
+        self.membership.insert(user.to_string(), groups);
     }
 
     /// Add a VO policy rule.
-    pub fn add_rule(&self, rule: crate::policy::Rule) {
-        self.policy.borrow_mut().add(rule);
+    pub fn add_rule(&mut self, rule: crate::policy::Rule) {
+        self.policy.add(rule);
     }
 
     /// Number of enrolled users.
     pub fn member_count(&self) -> usize {
-        self.membership.borrow().len()
+        self.membership.len()
+    }
+
+    /// Forget every member and rule: what a process death leaves of the
+    /// server (its signing credential is reloaded, not remembered).
+    pub(crate) fn forget(&mut self) {
+        self.membership.clear();
+        self.policy = PolicySet::new(CombiningAlg::DenyOverrides);
     }
 
     /// Step 1 of Figure 2: issue an assertion to an authenticated user.
     /// Returns `None` if the user is not a VO member.
     pub fn issue_assertion(&self, user: &DistinguishedName, now: u64) -> Option<CasAssertion> {
-        let membership = self.membership.borrow();
-        let groups = membership.get(&user.to_string())?;
+        let groups = self.membership.get(&user.to_string())?;
         let rights: Vec<Right> = self
             .policy
-            .borrow()
             .permitted_rights(&user.to_string(), groups)
             .into_iter()
             .map(|(resource, action)| Right { resource, action })
@@ -346,7 +348,7 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes(b"cas tests");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
         let cas_cred = ca.issue_identity(&mut rng, dn("/O=G/CN=CAS physics-vo"), 512, 0, 1_000_000);
-        let cas = CasServer::new("physics-vo", cas_cred, 3600);
+        let mut cas = CasServer::new("physics-vo", cas_cred, 3600);
         let mut trust = TrustStore::new();
         trust.add_root(ca.certificate().clone());
 
@@ -495,7 +497,7 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes(b"other vo");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=X/CN=CA"), 512, 0, 1000);
         let rogue_cred = ca.issue_identity(&mut rng, dn("/O=X/CN=CAS"), 512, 0, 1000);
-        let rogue = CasServer::new("rogue-vo", rogue_cred, 3600);
+        let mut rogue = CasServer::new("rogue-vo", rogue_cred, 3600);
         rogue.enroll(&dn("/O=G/CN=Jane"), vec![]);
         rogue.add_rule(Rule::new(SubjectMatch::Any, "*", "*", Effect::Permit));
         let assertion = rogue.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();

@@ -8,6 +8,11 @@
 //! entire in-memory [`CasServer`]. Recovery replays the journal into a
 //! fresh server.
 //!
+//! Issuance timestamps come from the shared [`SimClock`], so the
+//! assertion a retransmit is answered with carries the validity window
+//! of the *first* execution — exactly what a client that saw the first
+//! reply get lost expects.
+//!
 //! Every issue request — refusals included — is one [`Journal::commit`]
 //! record holding the exact [`Reply`] envelope bytes the caller is sent,
 //! written before the reply leaves. A retransmit after a restart is
@@ -24,15 +29,15 @@
 //!   journal).
 
 use crate::cas::CasServer;
-use crate::net::CasService;
+use crate::net::OP_ISSUE;
 use crate::policy::{Effect, Rule, SubjectMatch};
 use gridsec_pki::credential::Credential;
-use gridsec_pki::encoding::{Decoder, Encoder};
+use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
 use gridsec_testbed::rpc::Reply;
-use std::rc::Rc;
+use gridsec_util::trace;
 
 /// Journal tag for an enrollment record.
 pub(crate) const TAG_ENROLL: &str = "cas-enroll";
@@ -41,27 +46,23 @@ pub(crate) const TAG_RULE: &str = "cas-rule";
 /// Journal tag for an issue request's commit record.
 pub(crate) const TAG_ISSUED: &str = "cas-issued";
 
-/// A [`CasServer`] wrapped in write-ahead journaling and crash recovery.
-///
-/// Plug into a [`CrashableServer`][gridsec_testbed::faults::CrashableServer]
-/// as its [`CrashRecover`] application. All VO setup must go through
+/// The CAS service: a [`CasServer`] behind write-ahead journaling and
+/// crash recovery, hosted on a
+/// [`CrashableServer`][gridsec_testbed::faults::CrashableServer] as its
+/// [`CrashRecover`] application. All VO setup must go through
 /// [`enroll`][DurableCas::enroll] / [`add_rule`][DurableCas::add_rule]
 /// so it lands in the journal.
 pub struct DurableCas {
-    vo: String,
-    credential: Credential,
-    assertion_lifetime: u64,
     clock: SimClock,
     plan: CrashPlan,
     journal: Journal,
-    cas: Rc<CasServer>,
-    service: CasService,
+    cas: CasServer,
 }
 
 impl DurableCas {
-    /// Create a durable CAS for `vo`, journaling into `journal`. An
-    /// existing journal (e.g. from a previous incarnation) is replayed
-    /// immediately.
+    /// Create a durable CAS for `vo`, stamping assertions with `clock`
+    /// time and journaling into `journal`. An existing journal (e.g.
+    /// from a previous incarnation) is replayed immediately.
     pub fn new(
         vo: &str,
         credential: Credential,
@@ -70,24 +71,18 @@ impl DurableCas {
         plan: CrashPlan,
         journal: Journal,
     ) -> Self {
-        let cas = Rc::new(CasServer::new(vo, credential.clone(), assertion_lifetime));
-        let service = CasService::new(cas.clone(), clock.clone());
         let mut durable = DurableCas {
-            vo: vo.to_string(),
-            credential,
-            assertion_lifetime,
             clock,
             plan,
             journal,
-            cas,
-            service,
+            cas: CasServer::new(vo, credential, assertion_lifetime),
         };
         durable.recover();
         durable
     }
 
     /// The live (possibly freshly recovered) CAS server.
-    pub fn cas(&self) -> &Rc<CasServer> {
+    pub fn cas(&self) -> &CasServer {
         &self.cas
     }
 
@@ -102,7 +97,7 @@ impl DurableCas {
     }
 
     /// Enroll a VO member: journaled, then applied.
-    pub fn enroll(&self, user: &DistinguishedName, groups: Vec<String>) {
+    pub fn enroll(&mut self, user: &DistinguishedName, groups: Vec<String>) {
         let mut e = Encoder::new();
         e.put_str(&user.to_string());
         e.put_seq(&groups, |enc, g| {
@@ -116,7 +111,13 @@ impl DurableCas {
 
     /// Add a VO policy rule: journaled, then applied. Patterns are kept
     /// as their source strings so replay reparses them identically.
-    pub fn add_rule(&self, subject: SubjectMatch, resource: &str, action: &str, effect: Effect) {
+    pub fn add_rule(
+        &mut self,
+        subject: SubjectMatch,
+        resource: &str,
+        action: &str,
+        effect: Effect,
+    ) {
         let mut e = Encoder::new();
         let (kind, name) = match &subject {
             SubjectMatch::Any => (0u8, String::new()),
@@ -174,6 +175,38 @@ impl DurableCas {
             _ => {}
         }
     }
+
+    /// Answer one issue request. Malformed input and non-members get
+    /// refusals, never panics.
+    fn issue(&self, payload: &[u8]) -> Reply {
+        let refused = |reason: &str| Reply::Refused(reason.into());
+        let mut d = Decoder::new(payload);
+        let parsed = d.get_str().and_then(|op| Ok((op, d.get_str()?)));
+        let Ok((op, subject)) = parsed else {
+            return refused("malformed request");
+        };
+        if op != OP_ISSUE {
+            return refused("unknown cas op");
+        }
+        let Ok(user) = DistinguishedName::parse(&subject) else {
+            return refused("bad subject DN");
+        };
+        match self.cas.issue_assertion(&user, self.clock.now()) {
+            Some(assertion) => {
+                trace::event("cas.decision", &format!("subject={subject} outcome=issued"));
+                trace::add("cas.assertions_issued", 1);
+                Reply::Ok(assertion.to_bytes())
+            }
+            None => {
+                trace::event(
+                    "cas.decision",
+                    &format!("subject={subject} outcome=refused"),
+                );
+                trace::add("cas.refusals", 1);
+                Reply::Absent(b"not a VO member".to_vec())
+            }
+        }
+    }
 }
 
 impl CrashRecover for DurableCas {
@@ -181,7 +214,10 @@ impl CrashRecover for DurableCas {
         if self.plan.fires("cas.issue.exec") {
             return Vec::new();
         }
-        let reply = self.service.handle(from, body);
+        let reply = {
+            let _sp = trace::span_with("cas.issue", &format!("from={from}"));
+            self.issue(body).encode()
+        };
         self.journal
             .commit(TAG_ISSUED, from, id, &reply, &[])
             .expect("journal issued");
@@ -193,12 +229,7 @@ impl CrashRecover for DurableCas {
 
     fn crash(&mut self) {
         // The process dies: every in-memory structure is gone.
-        self.cas = Rc::new(CasServer::new(
-            &self.vo,
-            self.credential.clone(),
-            self.assertion_lifetime,
-        ));
-        self.service = CasService::new(self.cas.clone(), self.clock.clone());
+        self.cas.forget();
     }
 
     fn recover(&mut self) {
@@ -206,6 +237,10 @@ impl CrashRecover for DurableCas {
         for (tag, body) in self.journal.records() {
             self.apply_record(&tag, &body);
         }
+    }
+
+    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
+        self.journal.replies()
     }
 }
 
@@ -220,6 +255,7 @@ mod tests {
     use gridsec_testbed::rpc::{decode_reply, encode_request, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -232,7 +268,7 @@ mod tests {
         let os = SimOs::new();
         os.add_host("cas-host");
         let journal = Journal::open(os.clone(), "cas-host", "/var/cas/journal.wal", ROOT_UID);
-        let cas = DurableCas::new("physics-vo", cred, 3600, SimClock::new(), plan, journal);
+        let mut cas = DurableCas::new("physics-vo", cred, 3600, SimClock::new(), plan, journal);
         cas.enroll(&dn("/O=G/CN=Alice"), vec!["group:analysts".into()]);
         cas.add_rule(
             SubjectMatch::Exact("group:analysts".to_string()),
@@ -245,7 +281,7 @@ mod tests {
 
     fn issue_request(user: &str) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_str(crate::net::OP_ISSUE).put_str(user);
+        e.put_str(OP_ISSUE).put_str(user);
         e.finish()
     }
 
@@ -273,11 +309,10 @@ mod tests {
 
     fn served(plan: CrashPlan) -> Served {
         let (_os, cas) = durable_cas(plan.clone());
-        let journal = cas.journal.clone();
         let cas = Rc::new(RefCell::new(cas));
         let net = Network::new();
         net.enable_faults(SimClock::new(), 0xCA5, FaultProfile::default());
-        let server = CrashableServer::new(net.register("cas"), "cas", plan.clone(), journal);
+        let server = CrashableServer::new(net.register("cas"), "cas", plan.clone());
         let mut sched = Scheduler::new(&net);
         sched.spawn_mailbox("cas", ServerTask::new(server, cas.clone()));
         Served {

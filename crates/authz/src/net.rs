@@ -11,74 +11,18 @@
 //! Wire format (via [`gridsec_pki::encoding`]): request
 //! `"cas-issue" ‖ subject-DN`; the reply is a [`Reply`] envelope:
 //! `Ok(assertion-bytes)`, `Absent("not a VO member")` or
-//! `Refused(reason)`.
+//! `Refused(reason)`. The server side is
+//! [`DurableCas`][crate::durable::DurableCas].
 
-use crate::cas::{CasAssertion, CasServer};
+use crate::cas::CasAssertion;
 use crate::AuthzError;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
-use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
-use std::rc::Rc;
 
 /// Op tag for assertion issuance.
 pub(crate) const OP_ISSUE: &str = "cas-issue";
-
-/// The CAS server behind an RPC endpoint: plug [`CasService::handle`]
-/// into a [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an
-/// `RpcServer`. Issuance timestamps come from the shared [`SimClock`], so a
-/// retransmitted request answered from the reply cache carries the
-/// validity window of the *first* execution — exactly what a client
-/// that saw the first reply get lost expects.
-pub struct CasService {
-    cas: Rc<CasServer>,
-    clock: SimClock,
-}
-
-impl CasService {
-    /// Serve `cas`, stamping assertions with `clock` time.
-    pub fn new(cas: Rc<CasServer>, clock: SimClock) -> Self {
-        CasService { cas, clock }
-    }
-
-    /// Handle one request frame; returns the reply frame. Malformed
-    /// input and non-members get error replies, never panics.
-    pub fn handle(&mut self, from: &str, payload: &[u8]) -> Vec<u8> {
-        let _sp = trace::span_with("cas.issue", &format!("from={from}"));
-        self.issue(payload).encode()
-    }
-
-    fn issue(&self, payload: &[u8]) -> Reply {
-        let refused = |reason: &str| Reply::Refused(reason.into());
-        let mut d = Decoder::new(payload);
-        let parsed = d.get_str().and_then(|op| Ok((op, d.get_str()?)));
-        let Ok((op, subject)) = parsed else {
-            return refused("malformed request");
-        };
-        if op != OP_ISSUE {
-            return refused("unknown cas op");
-        }
-        let Ok(user) = DistinguishedName::parse(&subject) else {
-            return refused("bad subject DN");
-        };
-        match self.cas.issue_assertion(&user, self.clock.now()) {
-            Some(assertion) => {
-                trace::event("cas.decision", &format!("subject={subject} outcome=issued"));
-                trace::add("cas.assertions_issued", 1);
-                Reply::Ok(assertion.to_bytes())
-            }
-            None => {
-                trace::event(
-                    "cas.decision",
-                    &format!("subject={subject} outcome=refused"),
-                );
-                trace::add("cas.refusals", 1);
-                Reply::Absent(b"not a VO member".to_vec())
-            }
-        }
-    }
-}
 
 /// Fetch a CAS assertion for `user` over `rpc`, retrying per the
 /// client's policy. A relying party checks it, once it rides in a
@@ -123,51 +67,51 @@ pub fn fetch_assertion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Effect, Rule, SubjectMatch};
+    use crate::durable::DurableCas;
+    use crate::policy::{Effect, SubjectMatch};
     use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
+    use gridsec_testbed::clock::SimClock;
+    use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
     use gridsec_testbed::net::{FaultProfile, Network};
-    use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::os::{SimOs, ROOT_UID};
+    use gridsec_testbed::rpc::{RpcClient, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
     }
 
-    fn cas_world() -> (Rc<CasServer>, DistinguishedName) {
+    /// A CAS for `physics-vo` stamping assertions with `clock` time,
+    /// with Alice enrolled, as a task on the returned scheduler.
+    fn serve(net: &Network, clock: SimClock) -> (Rc<RefCell<DurableCas>>, Scheduler) {
         let mut rng = ChaChaRng::from_seed_bytes(b"cas net tests");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=VO/CN=CA"), 512, 0, 1_000_000);
         let cred = ca.issue_identity(&mut rng, dn("/O=VO/CN=CAS"), 512, 0, 100_000);
-        let cas = Rc::new(CasServer::new("physics-vo", cred, 3600));
-        let user = dn("/O=G/CN=Alice");
-        cas.enroll(&user, vec!["group:analysts".into()]);
-        cas.add_rule(Rule::new(
+        let os = SimOs::new();
+        os.add_host("cas-host");
+        let journal = Journal::open(os, "cas-host", "/var/cas/journal.wal", ROOT_UID);
+        let plan = CrashPlan::disabled();
+        let mut cas = DurableCas::new("physics-vo", cred, 3600, clock, plan.clone(), journal);
+        cas.enroll(&dn("/O=G/CN=Alice"), vec!["group:analysts".into()]);
+        cas.add_rule(
             SubjectMatch::Exact("group:analysts".to_string()),
             "dataset/*",
             "read",
             Effect::Permit,
-        ));
-        (cas, user)
-    }
-
-    /// `cas` served as a task on the returned scheduler.
-    fn serve(net: &Network, cas: Rc<CasServer>, clock: SimClock) -> Scheduler {
-        let mut service = CasService::new(cas, clock);
-        let mut sched = Scheduler::new(net);
-        sched.spawn_mailbox(
-            "cas",
-            ServerTask::new(
-                RpcServer::new(net.register("cas")),
-                move |from: &str, body: &[u8]| service.handle(from, body),
-            ),
         );
-        sched
+        let cas = Rc::new(RefCell::new(cas));
+        let mut sched = Scheduler::new(net);
+        let server = CrashableServer::new(net.register("cas"), "cas", plan);
+        sched.spawn_mailbox("cas", ServerTask::new(server, cas.clone()));
+        (cas, sched)
     }
 
-    fn fetch_over(net: &Network, clock: SimClock) -> (CasAssertion, Rc<CasServer>) {
-        let (cas, user) = cas_world();
-        let _sched = serve(net, cas.clone(), clock);
+    fn fetch_over(net: &Network, clock: SimClock) -> (CasAssertion, Rc<RefCell<DurableCas>>) {
+        let (cas, _sched) = serve(net, clock);
         let mut rpc = RpcClient::new(
             net.register("alice"),
             "cas",
@@ -178,7 +122,7 @@ mod tests {
                 max_timeout: 64,
             },
         );
-        let assertion = fetch_assertion(&mut rpc, &user).unwrap();
+        let assertion = fetch_assertion(&mut rpc, &dn("/O=G/CN=Alice")).unwrap();
         (assertion, cas)
     }
 
@@ -186,7 +130,7 @@ mod tests {
     fn fetches_over_perfect_network() {
         let net = Network::new();
         let (assertion, cas) = fetch_over(&net, SimClock::new());
-        assert!(assertion.verify(cas.public_key()));
+        assert!(assertion.verify(cas.borrow().cas().public_key()));
         assert_eq!(assertion.tbs.vo, "physics-vo");
         assert_eq!(assertion.tbs.subject, dn("/O=G/CN=Alice"));
     }
@@ -197,7 +141,7 @@ mod tests {
         let clock = SimClock::new();
         net.enable_faults(clock.clone(), 0xCA5, FaultProfile::lossy_wan());
         let (assertion, cas) = fetch_over(&net, clock.clone());
-        assert!(assertion.verify(cas.public_key()));
+        assert!(assertion.verify(cas.borrow().cas().public_key()));
         // The window was stamped at first execution; even after retries
         // advanced the clock, the assertion is valid *now*.
         let now = clock.now();
@@ -207,8 +151,7 @@ mod tests {
     #[test]
     fn non_member_is_refused_not_transport_error() {
         let net = Network::new();
-        let (cas, _user) = cas_world();
-        let _sched = serve(&net, cas, SimClock::new());
+        let (_cas, _sched) = serve(&net, SimClock::new());
         let mut rpc = RpcClient::new(net.register("mallory"), "cas", RetryPolicy::default());
         match fetch_assertion(&mut rpc, &dn("/O=G/CN=Mallory")) {
             Err(AuthzError::Refused(_)) => {}

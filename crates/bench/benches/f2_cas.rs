@@ -26,7 +26,7 @@ fn setup_cas(
     let mut w = bench_world(b"f2 cas");
     let cas_cred =
         w.ca.issue_identity(&mut w.rng, dn("/O=B/CN=CAS"), KEY_BITS, 0, u64::MAX / 4);
-    let cas = CasServer::new("bench-vo", cas_cred, 100_000);
+    let mut cas = CasServer::new("bench-vo", cas_cred, 100_000);
     cas.enroll(&dn("/O=B/CN=User"), vec!["group:g".to_string()]);
     // VO policy with `rules` entries; the user's group matches a handful.
     for i in 0..rules {

@@ -1,5 +1,4 @@
-//! Crash-durable GRAM: the Figure-4 service side as a restartable
-//! process.
+//! The Figure-4 service side as a crash-durable, restartable process.
 //!
 //! In the GT3 architecture the MMJFS and the MJS hosting environment
 //! are one unprivileged service process; LMJFS processes run separately
@@ -13,11 +12,15 @@
 //! clients re-establish them via
 //! [`submit_job_resilient`][crate::remote::submit_job_resilient].
 //!
-//! Replies are [`Reply`] envelopes. An accepted submission and a job
-//! start are each one [`Journal::commit`] record holding the effect and
-//! the exact reply, so a retransmit after a restart is answered what the
-//! first execution answered; everything else (refusals, step-7 token and
-//! delegation exchanges) is re-executed.
+//! Requests are the [`crate::remote`] wire ops; replies are [`Reply`]
+//! envelopes. Malformed input and out-of-order session ops get
+//! refusals, never panics — faulty networks deliver garbage, and a
+//! service that crashes on it fails the paper's availability story. An
+//! accepted submission and a job start are each one [`Journal::commit`]
+//! record holding the effect and the exact reply, so a retransmit after
+//! a restart is answered what the first execution answered; everything
+//! else (refusals, step-7 token and delegation exchanges) is
+//! re-executed.
 //!
 //! GRIM credentials are never serialized (private keys do not leave the
 //! process holding them); recovery re-borrows them from the surviving
@@ -36,31 +39,53 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use gridsec_crypto::rng::ChaChaRng;
+use gridsec_gssapi::context::EstablishedContext;
+use gridsec_gssapi::delegation::PendingDelegation;
+use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
 use gridsec_testbed::os::Pid;
 use gridsec_testbed::rpc::Reply;
 use gridsec_util::trace;
 
-use crate::remote::{RemoteGram, OP_START, OP_SUBMIT};
-use crate::resource::GramResource;
+use crate::remote::{
+    OP_DELEG_CHAIN, OP_DELEG_REQ, OP_START, OP_STATE, OP_SUBMIT, OP_TOKEN1, OP_TOKEN3,
+};
+use crate::resource::{GramResource, MjsAcceptor};
 use crate::types::{JobDescription, JobState};
+use crate::GramError;
 
 /// Journal tag for a completed submission (steps 1–6).
 pub(crate) const TAG_SUBMIT: &str = "gram-submit";
 /// Journal tag for a completed job start (step 7).
 pub(crate) const TAG_START: &str = "gram-start";
 
-/// A [`RemoteGram`] wrapped in write-ahead journaling and crash
-/// recovery; plug into a
+/// An established step-7 session the service keeps per (caller, MJS
+/// handle) until the job starts.
+struct Session {
+    ctx: EstablishedContext,
+    pending: Option<PendingDelegation>,
+    delegated: Option<Credential>,
+}
+
+/// The GRAM service: a [`GramResource`] behind the RPC wire, with
+/// write-ahead journaling and crash recovery; host it on a
 /// [`CrashableServer`][gridsec_testbed::faults::CrashableServer] as its
-/// [`CrashRecover`] application.
+/// [`CrashRecover`] application. The resource is shared via
+/// `Rc<RefCell<..>>` so the test scaffold (or a chaos harness) can
+/// still advance its clock and inspect jobs between calls.
 pub struct DurableGram {
     resource: Rc<RefCell<GramResource>>,
-    remote: RemoteGram,
+    /// Step 7's handshakes and the delegation key an LMJFS generates on
+    /// its first delegation draw from here.
+    rng: ChaChaRng,
+    /// Step 7's half-open handshakes, awaiting token 3.
+    handshakes: HashMap<(String, String), MjsAcceptor>,
+    sessions: HashMap<(String, String), Session>,
     seed: Vec<u8>,
-    /// Bumped on every restart so the reborn acceptor draws a fresh —
-    /// but still seed-deterministic — randomness stream.
+    /// Bumped on every incarnation so the reborn acceptor draws a fresh
+    /// — but still seed-deterministic — randomness stream.
     generation: u64,
     plan: CrashPlan,
     journal: Journal,
@@ -69,26 +94,220 @@ pub struct DurableGram {
 }
 
 impl DurableGram {
-    /// Serve `resource` durably, journaling into `journal`. An existing
-    /// journal is replayed immediately.
+    /// Serve `resource` durably, journaling into `journal`; `seed`
+    /// (mixed with the incarnation's generation) seeds the service's
+    /// randomness, keeping runs reproducible. An existing journal is
+    /// replayed immediately; jobs the resource already holds stay.
     pub fn new(
         resource: Rc<RefCell<GramResource>>,
         seed: &[u8],
         plan: CrashPlan,
         journal: Journal,
     ) -> Self {
-        let remote = RemoteGram::new(resource.clone(), seed);
         let mut durable = DurableGram {
             resource,
-            remote,
+            rng: ChaChaRng::from_seed_bytes(seed),
+            handshakes: HashMap::new(),
+            sessions: HashMap::new(),
             seed: seed.to_vec(),
             generation: 0,
             plan,
             journal,
             started: HashSet::new(),
         };
-        durable.recover();
+        durable.reincarnate();
+        durable.replay();
         durable
+    }
+
+    /// The next incarnation's volatile state: no sessions, a fresh
+    /// randomness stream, no proven starts.
+    fn reincarnate(&mut self) {
+        self.generation += 1;
+        let mut seed = self.seed.clone();
+        seed.extend_from_slice(&self.generation.to_be_bytes());
+        self.rng = ChaChaRng::from_seed_bytes(&seed);
+        self.handshakes.clear();
+        self.sessions.clear();
+        self.started.clear();
+    }
+
+    /// Answer one request frame before encoding.
+    fn serve(&mut self, from: &str, payload: &[u8]) -> Reply {
+        let mut d = Decoder::new(payload);
+        let parsed = d
+            .get_str()
+            .and_then(|op| Ok((op, d.get_str()?, d.get_bytes()?)));
+        let Ok((op, handle, body)) = parsed else {
+            return Reply::Refused("malformed request".into());
+        };
+        let mut sp = trace::span_with("gram.serve", &format!("op={op} from={from}"));
+        let outcome = self.dispatch(from, &op, &handle, &body);
+        if let Err(e) = &outcome {
+            sp.fail(&e.to_string());
+        }
+        Reply::from(outcome)
+    }
+
+    fn dispatch(
+        &mut self,
+        from: &str,
+        op: &str,
+        handle: &str,
+        body: &[u8],
+    ) -> Result<Vec<u8>, GramError> {
+        let ctxerr = |m: &str| GramError::Context(m.to_string());
+        let key = (from.to_string(), handle.to_string());
+        match op {
+            OP_SUBMIT => {
+                let xml = String::from_utf8_lossy(body).into_owned();
+                let outcome = self.resource.borrow_mut().submit(&xml)?;
+                let mut e = Encoder::new();
+                e.put_str(&outcome.mjs_handle)
+                    .put_u8(u8::from(outcome.cold_start))
+                    .put_str(&outcome.account);
+                Ok(e.finish())
+            }
+            OP_TOKEN1 => {
+                // A fresh token 1 — ClientHello or ResumeHello — always
+                // starts a fresh session: a requestor that timed out
+                // mid-handshake and started over must not collide with
+                // its abandoned half.
+                let (token2, acceptor) =
+                    self.resource
+                        .borrow_mut()
+                        .mjs_accept_hello(handle, &mut self.rng, body)?;
+                self.sessions.remove(&key);
+                self.handshakes.insert(key, acceptor);
+                Ok(token2)
+            }
+            OP_TOKEN3 => {
+                // Taken out before finishing: a refused token 3 leaves no
+                // half-open handshake behind.
+                let acceptor = self
+                    .handshakes
+                    .remove(&key)
+                    .ok_or(ctxerr("no handshake in progress"))?;
+                let ctx = self
+                    .resource
+                    .borrow_mut()
+                    .mjs_accept_finished(acceptor, body)?;
+                let session = Session {
+                    ctx,
+                    pending: None,
+                    delegated: None,
+                };
+                self.sessions.insert(key, session);
+                Ok(Vec::new())
+            }
+            OP_DELEG_REQ => {
+                let session = self
+                    .sessions
+                    .get_mut(&key)
+                    .ok_or(ctxerr("no established session"))?;
+                let (d2, pending) = self.resource.borrow_mut().mjs_accept_delegation(
+                    handle,
+                    &mut self.rng,
+                    &mut session.ctx,
+                    body,
+                )?;
+                session.pending = Some(pending);
+                Ok(d2)
+            }
+            OP_DELEG_CHAIN => {
+                let session = self
+                    .sessions
+                    .get_mut(&key)
+                    .ok_or(ctxerr("no established session"))?;
+                let pending = session
+                    .pending
+                    .take()
+                    .ok_or(ctxerr("no delegation in progress"))?;
+                let delegated = pending
+                    .finish(&mut session.ctx, body)
+                    .map_err(|e| ctxerr(&e.to_string()))?;
+                session.delegated = Some(delegated);
+                Ok(Vec::new())
+            }
+            OP_START => {
+                let session = self
+                    .sessions
+                    .get_mut(&key)
+                    .ok_or(ctxerr("no established session"))?;
+                let ctx = &mut session.ctx;
+                let plain = ctx.unwrap(body).map_err(|e| ctxerr(&e.to_string()))?;
+                if plain != b"start-job" {
+                    return Err(ctxerr("start command corrupted"));
+                }
+                let delegated = session
+                    .delegated
+                    .take()
+                    .ok_or(ctxerr("no delegated credential"))?;
+                let requestor_identity = ctx.peer().base_identity.clone();
+                self.resource
+                    .borrow_mut()
+                    .mjs_start_job(handle, &requestor_identity, delegated)?;
+                self.sessions.remove(&key);
+                Ok(Vec::new())
+            }
+            OP_STATE => {
+                let state = self.resource.borrow().job_state(handle)?;
+                let name: &[u8] = match state {
+                    JobState::Unsubmitted => b"unsubmitted",
+                    JobState::Active => b"active",
+                    JobState::Done => b"done",
+                    JobState::Cancelled => b"cancelled",
+                    JobState::Failed => b"failed",
+                };
+                Ok(name.to_vec())
+            }
+            _ => Err(ctxerr("unknown gram op")),
+        }
+    }
+
+    /// Fold the journal into the resource: every journaled MJS comes
+    /// back, active if its start was journaled too.
+    fn replay(&mut self) {
+        let records = self.journal.records();
+        let mut submits: Vec<SubmitRecord> = Vec::new();
+        let mut starts: HashMap<String, Pid> = HashMap::new();
+        for (tag, body) in &records {
+            match tag.as_str() {
+                TAG_SUBMIT => {
+                    if let Some(rec) = decode_submit_record(body) {
+                        submits.push(rec);
+                    }
+                }
+                TAG_START => {
+                    let mut d = Decoder::new(body);
+                    let parsed = (|| {
+                        let from = d.get_str().ok()?;
+                        let handle = d.get_str().ok()?;
+                        let pid = d.get_u64().ok()?;
+                        Some((from, handle, pid))
+                    })();
+                    if let Some((from, handle, pid)) = parsed {
+                        starts.insert(handle.clone(), pid);
+                        self.started.insert((from, handle));
+                    }
+                }
+                _ => {}
+            }
+        }
+        for rec in submits {
+            let (state, job_pid) = match starts.get(&rec.handle) {
+                Some(&pid) => (JobState::Active, (pid != 0).then_some(pid)),
+                None => (JobState::Unsubmitted, None),
+            };
+            let _ = self.resource.borrow_mut().restore_mjs(
+                &rec.handle,
+                &rec.account,
+                rec.description,
+                state,
+                job_pid,
+                rec.mjs_id,
+            );
+        }
     }
 
     fn encode_submit_record(&self, handle: &str, account: &str) -> Vec<u8> {
@@ -123,7 +342,7 @@ impl DurableGram {
         if self.plan.fires("gram.submit.exec") {
             return Vec::new();
         }
-        let reply = self.remote.serve(from, payload);
+        let reply = self.serve(from, payload);
         // An accepted submission's body is `handle ‖ cold-start ‖ account`.
         let Reply::Ok(body) = &reply else {
             return reply.encode();
@@ -159,7 +378,7 @@ impl DurableGram {
         if self.plan.fires("gram.start.exec") {
             return Vec::new();
         }
-        let reply = self.remote.serve(from, payload);
+        let reply = self.serve(from, payload);
         let Reply::Ok(_) = reply else {
             return reply.encode();
         };
@@ -212,7 +431,7 @@ impl CrashRecover for DurableGram {
         let mut d = Decoder::new(body);
         let parsed = d.get_str().and_then(|op| Ok((op, d.get_str()?)));
         let Ok((op, handle)) = parsed else {
-            return self.remote.handle(from, body);
+            return self.serve(from, body).encode();
         };
         match op.as_str() {
             OP_SUBMIT => self.handle_submit(from, id, body),
@@ -223,7 +442,7 @@ impl CrashRecover for DurableGram {
                 if self.plan.fires("gram.session.exec") {
                     return Vec::new();
                 }
-                self.remote.handle(from, body)
+                self.serve(from, body).encode()
             }
         }
     }
@@ -231,55 +450,16 @@ impl CrashRecover for DurableGram {
     fn crash(&mut self) {
         // The service process dies: job table and sessions are gone.
         self.resource.borrow_mut().crash_mmjfs();
-        self.generation += 1;
-        let mut seed = self.seed.clone();
-        seed.extend_from_slice(&self.generation.to_be_bytes());
-        self.remote = RemoteGram::new(self.resource.clone(), &seed);
-        self.started.clear();
+        self.reincarnate();
     }
 
     fn recover(&mut self) {
         self.crash();
-        let records = self.journal.records();
-        let mut submits: Vec<SubmitRecord> = Vec::new();
-        let mut starts: HashMap<String, Pid> = HashMap::new();
-        for (tag, body) in &records {
-            match tag.as_str() {
-                TAG_SUBMIT => {
-                    if let Some(rec) = decode_submit_record(body) {
-                        submits.push(rec);
-                    }
-                }
-                TAG_START => {
-                    let mut d = Decoder::new(body);
-                    let parsed = (|| {
-                        let from = d.get_str().ok()?;
-                        let handle = d.get_str().ok()?;
-                        let pid = d.get_u64().ok()?;
-                        Some((from, handle, pid))
-                    })();
-                    if let Some((from, handle, pid)) = parsed {
-                        starts.insert(handle.clone(), pid);
-                        self.started.insert((from, handle));
-                    }
-                }
-                _ => {}
-            }
-        }
-        for rec in submits {
-            let (state, job_pid) = match starts.get(&rec.handle) {
-                Some(&pid) => (JobState::Active, (pid != 0).then_some(pid)),
-                None => (JobState::Unsubmitted, None),
-            };
-            let _ = self.resource.borrow_mut().restore_mjs(
-                &rec.handle,
-                &rec.account,
-                rec.description,
-                state,
-                job_pid,
-                rec.mjs_id,
-            );
-        }
+        self.replay();
+    }
+
+    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
+        self.journal.replies()
     }
 }
 
@@ -387,12 +567,7 @@ mod tests {
         )));
         let net = Network::new();
         net.enable_faults(w.clock.clone(), 0x6AAF, FaultProfile::default());
-        let server = CrashableServer::new(
-            net.register("mjs-host"),
-            "gram",
-            plan.clone(),
-            durable.borrow().journal.clone(),
-        );
+        let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone());
         let mut sched = Scheduler::new(&net);
         sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable.clone()));
         let rpc = RpcClient::new(

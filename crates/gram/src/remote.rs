@@ -9,6 +9,8 @@
 //! retransmitted `gram-submit` must not start a second LMJFS, and a
 //! duplicated `gram-tok1`/`gram-tok3` must not re-step a handshake.
 //!
+//! The server side is [`DurableGram`][crate::durable::DurableGram].
+//!
 //! Wire format (via [`gridsec_pki::encoding`]): every request is
 //! `op ‖ mjs-handle ‖ body`; replies are [`Reply`] envelopes,
 //! `Ok(body)` or `Refused(reason)`. `gram-tok1` carries a ClientHello
@@ -24,14 +26,8 @@
 //! credential must chain to that identity — the remote analogue of
 //! checking `resource.host_identity()` in process.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gssapi::context::EstablishedContext;
-use gridsec_gssapi::delegation::{self, PendingDelegation};
-use gridsec_pki::credential::Credential;
+use gridsec_gssapi::delegation;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
@@ -39,7 +35,6 @@ use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
 
 use crate::requestor::{ActiveJob, MjsLink, Requestor};
-use crate::resource::{GramResource, MjsAcceptor};
 use crate::types::{JobDescription, JobState};
 use crate::GramError;
 
@@ -321,196 +316,24 @@ pub fn job_state_remote(rpc: &mut RpcClient, handle: &str) -> Result<JobState, G
     }
 }
 
-/// An established step-7 session the service keeps per (caller, MJS
-/// handle) until the job starts.
-struct Session {
-    ctx: EstablishedContext,
-    pending: Option<PendingDelegation>,
-    delegated: Option<Credential>,
-}
-
-/// A [`GramResource`] served behind an RPC endpoint: plug
-/// [`RemoteGram::handle`] into a
-/// [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an `RpcServer`.
-/// The resource is shared via `Rc<RefCell<..>>` so the test scaffold
-/// (or a chaos harness) can still advance its clock and inspect jobs
-/// between calls.
-pub struct RemoteGram {
-    resource: Rc<RefCell<GramResource>>,
-    rng: ChaChaRng,
-    /// Step 7's half-open handshakes, awaiting token 3.
-    handshakes: HashMap<(String, String), MjsAcceptor>,
-    sessions: HashMap<(String, String), Session>,
-}
-
-impl RemoteGram {
-    /// Serve `resource`; `rng_seed` seeds the service's randomness —
-    /// step 7's handshakes and the delegation key an LMJFS generates on
-    /// its first delegation — keeping runs reproducible.
-    pub fn new(resource: Rc<RefCell<GramResource>>, rng_seed: &[u8]) -> Self {
-        RemoteGram {
-            resource,
-            rng: ChaChaRng::from_seed_bytes(rng_seed),
-            handshakes: HashMap::new(),
-            sessions: HashMap::new(),
-        }
-    }
-
-    /// Handle one request frame; returns the reply frame. Malformed
-    /// input and out-of-order session ops get refusals, never panics —
-    /// faulty networks deliver garbage, and a service that crashes on
-    /// it fails the paper's availability story.
-    pub fn handle(&mut self, from: &str, payload: &[u8]) -> Vec<u8> {
-        self.serve(from, payload).encode()
-    }
-
-    /// [`RemoteGram::handle`] before encoding.
-    pub(crate) fn serve(&mut self, from: &str, payload: &[u8]) -> Reply {
-        let mut d = Decoder::new(payload);
-        let parsed = d
-            .get_str()
-            .and_then(|op| Ok((op, d.get_str()?, d.get_bytes()?)));
-        let Ok((op, handle, body)) = parsed else {
-            return Reply::Refused("malformed request".into());
-        };
-        let mut sp = trace::span_with("gram.serve", &format!("op={op} from={from}"));
-        let outcome = self.dispatch(from, &op, &handle, &body);
-        if let Err(e) = &outcome {
-            sp.fail(&e.to_string());
-        }
-        Reply::from(outcome)
-    }
-
-    fn dispatch(
-        &mut self,
-        from: &str,
-        op: &str,
-        handle: &str,
-        body: &[u8],
-    ) -> Result<Vec<u8>, GramError> {
-        let ctxerr = |m: &str| GramError::Context(m.to_string());
-        let key = (from.to_string(), handle.to_string());
-        match op {
-            OP_SUBMIT => {
-                let xml = String::from_utf8_lossy(body).into_owned();
-                let outcome = self.resource.borrow_mut().submit(&xml)?;
-                let mut e = Encoder::new();
-                e.put_str(&outcome.mjs_handle)
-                    .put_u8(u8::from(outcome.cold_start))
-                    .put_str(&outcome.account);
-                Ok(e.finish())
-            }
-            OP_TOKEN1 => {
-                // A fresh token 1 — ClientHello or ResumeHello — always
-                // starts a fresh session: a requestor that timed out
-                // mid-handshake and started over must not collide with
-                // its abandoned half.
-                let (token2, acceptor) =
-                    self.resource
-                        .borrow_mut()
-                        .mjs_accept_hello(handle, &mut self.rng, body)?;
-                self.sessions.remove(&key);
-                self.handshakes.insert(key, acceptor);
-                Ok(token2)
-            }
-            OP_TOKEN3 => {
-                // Taken out before finishing: a refused token 3 leaves no
-                // half-open handshake behind.
-                let acceptor = self
-                    .handshakes
-                    .remove(&key)
-                    .ok_or(ctxerr("no handshake in progress"))?;
-                let ctx = self
-                    .resource
-                    .borrow_mut()
-                    .mjs_accept_finished(acceptor, body)?;
-                let session = Session {
-                    ctx,
-                    pending: None,
-                    delegated: None,
-                };
-                self.sessions.insert(key, session);
-                Ok(Vec::new())
-            }
-            OP_DELEG_REQ => {
-                let session = self
-                    .sessions
-                    .get_mut(&key)
-                    .ok_or(ctxerr("no established session"))?;
-                let (d2, pending) = self.resource.borrow_mut().mjs_accept_delegation(
-                    handle,
-                    &mut self.rng,
-                    &mut session.ctx,
-                    body,
-                )?;
-                session.pending = Some(pending);
-                Ok(d2)
-            }
-            OP_DELEG_CHAIN => {
-                let session = self
-                    .sessions
-                    .get_mut(&key)
-                    .ok_or(ctxerr("no established session"))?;
-                let pending = session
-                    .pending
-                    .take()
-                    .ok_or(ctxerr("no delegation in progress"))?;
-                let delegated = pending
-                    .finish(&mut session.ctx, body)
-                    .map_err(|e| ctxerr(&e.to_string()))?;
-                session.delegated = Some(delegated);
-                Ok(Vec::new())
-            }
-            OP_START => {
-                let session = self
-                    .sessions
-                    .get_mut(&key)
-                    .ok_or(ctxerr("no established session"))?;
-                let ctx = &mut session.ctx;
-                let plain = ctx.unwrap(body).map_err(|e| ctxerr(&e.to_string()))?;
-                if plain != b"start-job" {
-                    return Err(ctxerr("start command corrupted"));
-                }
-                let delegated = session
-                    .delegated
-                    .take()
-                    .ok_or(ctxerr("no delegated credential"))?;
-                let requestor_identity = ctx.peer().base_identity.clone();
-                self.resource
-                    .borrow_mut()
-                    .mjs_start_job(handle, &requestor_identity, delegated)?;
-                self.sessions.remove(&key);
-                Ok(Vec::new())
-            }
-            OP_STATE => {
-                let state = self.resource.borrow().job_state(handle)?;
-                let name: &[u8] = match state {
-                    JobState::Unsubmitted => b"unsubmitted",
-                    JobState::Active => b"active",
-                    JobState::Done => b"done",
-                    JobState::Cancelled => b"cancelled",
-                    JobState::Failed => b"failed",
-                };
-                Ok(name.to_vec())
-            }
-            _ => Err(ctxerr("unknown gram op")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::GramConfig;
+    use crate::durable::DurableGram;
+    use crate::resource::{GramConfig, GramResource};
     use gridsec_authz::gridmap::GridMapFile;
     use gridsec_pki::ca::CertificateAuthority;
+    use gridsec_pki::credential::Credential;
     use gridsec_pki::store::TrustStore;
     use gridsec_testbed::clock::SimClock;
+    use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
     use gridsec_testbed::net::{FaultProfile, Network};
-    use gridsec_testbed::os::SimOs;
-    use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::os::{SimOs, ROOT_UID};
+    use gridsec_testbed::rpc::{RpcClient, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn dn(s: &str) -> DistinguishedName {
         DistinguishedName::parse(s).unwrap()
@@ -559,15 +382,21 @@ mod tests {
         .unwrap()
     }
 
+    /// A GRAM service over `resource`, under no crash plan.
+    fn service(resource: &Rc<RefCell<GramResource>>) -> DurableGram {
+        let os = SimOs::new();
+        os.add_host("compute1");
+        let journal = Journal::open(os, "compute1", "/var/gram/journal.wal", ROOT_UID);
+        DurableGram::new(resource.clone(), b"mjs rng", CrashPlan::disabled(), journal)
+    }
+
     /// `service` as a task on the returned scheduler, plus a client of it.
-    fn rpc_pair(net: &Network, mut service: RemoteGram) -> (RpcClient, Scheduler) {
+    fn rpc_pair(net: &Network, service: DurableGram) -> (RpcClient, Scheduler) {
         let mut sched = Scheduler::new(net);
+        let server = CrashableServer::new(net.register("mjs-host"), "gram", CrashPlan::disabled());
         sched.spawn_mailbox(
             "mjs-host",
-            ServerTask::new(
-                RpcServer::new(net.register("mjs-host")),
-                move |from: &str, body: &[u8]| service.handle(from, body),
-            ),
+            ServerTask::new(server, Rc::new(RefCell::new(service))),
         );
         let rpc = RpcClient::new(
             net.register("jane"),
@@ -587,7 +416,7 @@ mod tests {
         w: &World,
     ) -> (ActiveJob, Rc<RefCell<GramResource>>, RpcClient, Scheduler) {
         let shared = Rc::new(RefCell::new(resource(w)));
-        let (mut rpc, sched) = rpc_pair(net, RemoteGram::new(shared.clone(), b"mjs rng"));
+        let (mut rpc, sched) = rpc_pair(net, service(&shared));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let host = dn("/O=G/CN=host compute1");
         let job = submit_job_resilient(
@@ -645,7 +474,7 @@ mod tests {
         let w = world();
         let net = Network::new();
         let shared = Rc::new(RefCell::new(resource(&w)));
-        let (mut rpc, _sched) = rpc_pair(&net, RemoteGram::new(shared, b"mjs rng"));
+        let (mut rpc, _sched) = rpc_pair(&net, service(&shared));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let err = submit_job_resilient(
             &mut jane,
@@ -669,7 +498,7 @@ mod tests {
         net.enable_faults(w.clock.clone(), 0x6AA5, FaultProfile::default());
         net.partition("jane", "mjs-host");
         let shared = Rc::new(RefCell::new(resource(&w)));
-        let (mut rpc, _sched) = rpc_pair(&net, RemoteGram::new(shared.clone(), b"mjs rng"));
+        let (mut rpc, _sched) = rpc_pair(&net, service(&shared));
         let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
         let err = submit_job_resilient(
             &mut jane,
@@ -702,15 +531,20 @@ mod tests {
     fn out_of_order_session_ops_get_err_replies() {
         let w = world();
         let shared = Rc::new(RefCell::new(resource(&w)));
-        let mut service = RemoteGram::new(shared, b"mjs rng");
+        let mut service = service(&shared);
         // No handshake at all: every session op must refuse politely.
         let refused = |reply: Vec<u8>| matches!(Reply::decode(&reply), Some(Reply::Refused(_)));
-        for op in [OP_TOKEN3, OP_DELEG_REQ, OP_DELEG_CHAIN, OP_START] {
-            assert!(refused(
-                service.handle("jane", &request(op, "mjs-0", b"junk"))
-            ));
+        for (id, op) in [OP_TOKEN3, OP_DELEG_REQ, OP_DELEG_CHAIN, OP_START]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(refused(service.handle(
+                "jane",
+                id as u64,
+                &request(op, "mjs-0", b"junk")
+            )));
         }
         // Garbage frame.
-        assert!(refused(service.handle("jane", b"\xff\xfe")));
+        assert!(refused(service.handle("jane", 9, b"\xff\xfe")));
     }
 }

@@ -14,7 +14,7 @@ use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::RsaPublicKey;
 use gridsec_gram::durable::DurableGram;
 use gridsec_gram::remote::{
-    submit_job_resilient, RemoteGram, OP_DELEG_CHAIN, OP_DELEG_REQ, OP_START, OP_TOKEN1, OP_TOKEN3,
+    submit_job_resilient, OP_DELEG_CHAIN, OP_DELEG_REQ, OP_START, OP_TOKEN1, OP_TOKEN3,
 };
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
@@ -30,10 +30,10 @@ use gridsec_pki::proxy::{issue_delegated_proxy, issue_proxy, ProxyType};
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_pki::validate::{validate_chain, EffectiveRights};
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{Reply, RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{Reply, RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_util::retry::RetryPolicy;
@@ -295,15 +295,22 @@ fn set_crls_drops_every_key_and_a_revoked_requestor_is_refused() {
     assert_eq!(job_processes(&resource), 3);
 }
 
+/// A GRAM service over `resource` under no crash plan, journaling on a
+/// host of its own.
+fn gram_service(resource: &Rc<RefCell<GramResource>>, seed: &[u8]) -> DurableGram {
+    let os = SimOs::new();
+    os.add_host("compute1");
+    let journal = Journal::open(os, "compute1", "/var/gram/journal.wal", ROOT_UID);
+    DurableGram::new(resource.clone(), seed, CrashPlan::disabled(), journal)
+}
+
 /// `service` as a task on a scheduler over `net`, plus a client of it.
-fn serve(net: &Network, client: &str, mut service: RemoteGram) -> (RpcClient, Scheduler) {
+fn serve(net: &Network, client: &str, service: DurableGram) -> (RpcClient, Scheduler) {
     let mut sched = Scheduler::new(net);
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", CrashPlan::disabled());
     sched.spawn_mailbox(
         "mjs-host",
-        ServerTask::new(
-            RpcServer::new(net.register("mjs-host")),
-            move |from: &str, body: &[u8]| service.handle(from, body),
-        ),
+        ServerTask::new(server, Rc::new(RefCell::new(service))),
     );
     let rpc = RpcClient::new(net.register(client), "mjs-host", policy());
     (rpc, sched)
@@ -325,7 +332,7 @@ fn the_rpc_driver_reuses_the_key_on_a_lossy_wan() {
     let shared = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0xDE1E, FaultProfile::lossy_wan());
-    let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng"));
+    let (mut rpc, _sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng"));
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane lossy");
     let tracer = Tracer::new();
     let _installed = trace::install(&tracer);
@@ -373,11 +380,11 @@ fn the_key_survives_a_crash_of_the_service() {
         shared.clone(),
         b"durable mjs",
         plan.clone(),
-        journal.clone(),
+        journal,
     )));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0xDE1F, FaultProfile::default());
-    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone(), journal);
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone());
     let mut sched = Scheduler::new(&net);
     sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable));
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
@@ -421,16 +428,16 @@ fn ok_body(reply: &[u8]) -> Option<Vec<u8>> {
 /// Step 7's full handshake as `credential` over `service`'s frames;
 /// returns the requestor's half.
 fn handshake_over(
-    service: &mut RemoteGram,
+    service: &mut DurableGram,
     handle: &str,
     credential: &Credential,
     w: &mut World,
 ) -> EstablishedContext {
     let config = TlsConfig::new(credential.clone(), w.trust.clone(), w.clock.now());
     let (initiator, token1) = InitiatorContext::new(config, &mut w.rng);
-    let token2 = ok_body(&service.handle("jane", &frame(OP_TOKEN1, handle, &token1))).unwrap();
+    let token2 = ok_body(&service.handle("jane", 1, &frame(OP_TOKEN1, handle, &token1))).unwrap();
     let (token3, context) = initiator.step(&token2).unwrap();
-    ok_body(&service.handle("jane", &frame(OP_TOKEN3, handle, &token3))).unwrap();
+    ok_body(&service.handle("jane", 2, &frame(OP_TOKEN3, handle, &token3))).unwrap();
     context
 }
 
@@ -445,11 +452,11 @@ fn a_proxy_over_the_lmjfs_key_signed_by_another_user_starts_no_job() {
     let handle = shared.borrow_mut().submit(&request).unwrap().mjs_handle;
 
     // Jane's own context asks for the LMJFS's key...
-    let mut service = RemoteGram::new(shared.clone(), b"mjs rng");
+    let mut service = gram_service(&shared, b"mjs rng");
     let jane_cred = w.jane.clone();
     let mut ctx = handshake_over(&mut service, &handle, &jane_cred, &mut w);
     let d1 = request_delegation(&mut ctx);
-    let d2 = ok_body(&service.handle("jane", &frame(OP_DELEG_REQ, &handle, &d1))).unwrap();
+    let d2 = ok_body(&service.handle("jane", 3, &frame(OP_DELEG_REQ, &handle, &d1))).unwrap();
     let key_bytes = ctx.unwrap(&d2).unwrap();
     let key = decode_public_key(&mut Decoder::new(&key_bytes)).unwrap();
     assert_eq!(&key, shared.borrow().lmjfs_delegation_key("jdoe").unwrap());
@@ -470,12 +477,12 @@ fn a_proxy_over_the_lmjfs_key_signed_by_another_user_starts_no_job() {
     enc.put_seq(jane_cred.chain(), |e, c| c.encode(e));
     let d3 = ctx.wrap(&enc.finish());
     assert_eq!(
-        ok_body(&service.handle("jane", &frame(OP_DELEG_CHAIN, &handle, &d3))),
+        ok_body(&service.handle("jane", 4, &frame(OP_DELEG_CHAIN, &handle, &d3))),
         None
     );
     let start = ctx.wrap(b"start-job");
     assert_eq!(
-        ok_body(&service.handle("jane", &frame(OP_START, &handle, &start))),
+        ok_body(&service.handle("jane", 5, &frame(OP_START, &handle, &start))),
         None
     );
     {

@@ -9,7 +9,8 @@ use std::rc::Rc;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gram::remote::{submit_job_resilient, RemoteGram};
+use gridsec_gram::durable::DurableGram;
+use gridsec_gram::remote::submit_job_resilient;
 use gridsec_gram::resource::{GramConfig, GramResource, GRIDMAP_PATH};
 use gridsec_gram::types::JobDescription;
 use gridsec_gram::{GramError, Requestor};
@@ -20,9 +21,10 @@ use gridsec_pki::proxy::{issue_delegated_proxy, issue_proxy, ProxyType};
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_pki::PkiError;
 use gridsec_testbed::clock::SimClock;
+use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::soap::Envelope;
@@ -335,13 +337,15 @@ fn the_rpc_driver_on_a_lossy_wan_walks_each_sign_on_once() {
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0x5167, FaultProfile::lossy_wan());
     let mut sched = Scheduler::new(&net);
-    let mut service = RemoteGram::new(shared.clone(), b"mjs rng");
+    let os = SimOs::new();
+    os.add_host("compute1");
+    let journal = Journal::open(os, "compute1", "/var/gram/journal.wal", ROOT_UID);
+    let plan = CrashPlan::disabled();
+    let service = DurableGram::new(shared.clone(), b"mjs rng", plan.clone(), journal);
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan);
     sched.spawn_mailbox(
         "mjs-host",
-        ServerTask::new(
-            RpcServer::new(net.register("mjs-host")),
-            move |from: &str, body: &[u8]| service.handle(from, body),
-        ),
+        ServerTask::new(server, Rc::new(RefCell::new(service))),
     );
     let (jane_eec, carl_eec) = (w.jane.clone(), w.carl.clone());
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());

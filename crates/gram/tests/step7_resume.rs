@@ -10,7 +10,7 @@ use std::rc::Rc;
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gram::durable::DurableGram;
-use gridsec_gram::remote::{submit_job_resilient, RemoteGram, OP_START, OP_TOKEN1, OP_TOKEN3};
+use gridsec_gram::remote::{submit_job_resilient, OP_START, OP_TOKEN1, OP_TOKEN3};
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
 use gridsec_gram::{GramError, Requestor};
@@ -22,10 +22,10 @@ use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::{issue_proxy, ProxyType};
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{Reply, RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{Reply, RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{resume_client, ClientSession, DEFAULT_SESSION_LIFETIME};
@@ -185,15 +185,22 @@ fn sign_on_runs_one_full_and_fifteen_resumed_handshakes() {
         .all(|p| p.credentials.iter().any(|c| c.contains("delegated proxy"))));
 }
 
+/// A GRAM service over `resource` under no crash plan, journaling on a
+/// host of its own.
+fn gram_service(resource: &Rc<RefCell<GramResource>>, seed: &[u8]) -> DurableGram {
+    let os = SimOs::new();
+    os.add_host("compute1");
+    let journal = Journal::open(os, "compute1", "/var/gram/journal.wal", ROOT_UID);
+    DurableGram::new(resource.clone(), seed, CrashPlan::disabled(), journal)
+}
+
 /// `service` as a task on a scheduler over `net`, plus a client of it.
-fn serve(net: &Network, client: &str, mut service: RemoteGram) -> (RpcClient, Scheduler) {
+fn serve(net: &Network, client: &str, service: DurableGram) -> (RpcClient, Scheduler) {
     let mut sched = Scheduler::new(net);
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", CrashPlan::disabled());
     sched.spawn_mailbox(
         "mjs-host",
-        ServerTask::new(
-            RpcServer::new(net.register("mjs-host")),
-            move |from: &str, body: &[u8]| service.handle(from, body),
-        ),
+        ServerTask::new(server, Rc::new(RefCell::new(service))),
     );
     let rpc = RpcClient::new(net.register(client), "mjs-host", policy());
     (rpc, sched)
@@ -213,7 +220,7 @@ fn every_remote_job_is_authorized_and_delegated_resumed_or_not() {
     let w = world();
     let shared = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
-    let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng"));
+    let (mut rpc, _sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng"));
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane remote");
 
     let tracer = Tracer::new();
@@ -267,16 +274,22 @@ fn resume_hello_for_one_users_lmjfs_is_refused_by_anothers() {
         err,
         GramError::Context("context error: protocol error: unknown session ticket".into())
     );
-    let mut service = RemoteGram::new(shared.clone(), b"mjs rng");
-    assert!(refused(
-        &service.handle("mallory", &frame(OP_TOKEN1, &carl_job, &hello))
-    ));
-    assert!(refused(
-        &service.handle("mallory", &frame(OP_TOKEN3, &carl_job, &[6; 33]))
-    ));
-    assert!(refused(
-        &service.handle("mallory", &frame(OP_START, &carl_job, b"start-job"))
-    ));
+    let mut service = gram_service(&shared, b"mjs rng");
+    assert!(refused(&service.handle(
+        "mallory",
+        1,
+        &frame(OP_TOKEN1, &carl_job, &hello)
+    )));
+    assert!(refused(&service.handle(
+        "mallory",
+        2,
+        &frame(OP_TOKEN3, &carl_job, &[6; 33])
+    )));
+    assert!(refused(&service.handle(
+        "mallory",
+        3,
+        &frame(OP_START, &carl_job, b"start-job")
+    )));
 
     let resource = shared.borrow();
     let carls = resource.lmjfs_sessions("carl").unwrap();
@@ -305,24 +318,30 @@ fn a_replayed_resume_hello_cannot_finish_without_the_master_secret() {
 
     // Jane's own LMJFS knows the ticket and answers the hello, but the
     // finished MAC needs the master secret the replayer lacks.
-    let mut service = RemoteGram::new(shared.clone(), b"mjs rng");
-    assert!(!refused(
-        &service.handle("mallory", &frame(OP_TOKEN1, &second, &hello))
-    ));
+    let mut service = gram_service(&shared, b"mjs rng");
+    assert!(!refused(&service.handle(
+        "mallory",
+        4,
+        &frame(OP_TOKEN1, &second, &hello)
+    )));
     let mut forged = vec![6];
     forged.extend_from_slice(&[0; 32]);
-    assert!(refused(
-        &service.handle("mallory", &frame(OP_TOKEN3, &second, &forged))
-    ));
+    assert!(refused(&service.handle(
+        "mallory",
+        5,
+        &frame(OP_TOKEN3, &second, &forged)
+    )));
     // The refused Finished took its half-open handshake with it.
-    let again = service.handle("mallory", &frame(OP_TOKEN3, &second, &forged));
+    let again = service.handle("mallory", 6, &frame(OP_TOKEN3, &second, &forged));
     let Some(Reply::Refused(reason)) = Reply::decode(&again) else {
         panic!("not a refusal: {again:?}");
     };
     assert!(reason.contains("no handshake in progress"), "{reason}");
-    assert!(refused(
-        &service.handle("mallory", &frame(OP_START, &second, b"start-job"))
-    ));
+    assert!(refused(&service.handle(
+        "mallory",
+        7,
+        &frame(OP_START, &second, b"start-job")
+    )));
 
     let resource = shared.borrow();
     assert_eq!(resource.stats.resumed_handshakes, 0);
@@ -499,15 +518,15 @@ fn a_rebuilt_service_on_a_fresh_install_gets_the_full_loop() {
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     let first = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
-    let (mut rpc, sched) = serve(&net, "jane", RemoteGram::new(first.clone(), b"mjs rng"));
+    let (mut rpc, sched) = serve(&net, "jane", gram_service(&first, b"mjs rng"));
     submit_job_resilient(&mut jane, &mut rpc, &job(0), &dn(HOST), 100, 1).unwrap();
     drop((rpc, sched));
 
-    // The host is reinstalled: a new RemoteGram over a new resource,
+    // The host is reinstalled: a new service over a new resource,
     // whose LMJFS never saw Jane's ticket.
     let rebuilt = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
-    let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(rebuilt.clone(), b"mjs rng 2"));
+    let (mut rpc, _sched) = serve(&net, "jane", gram_service(&rebuilt, b"mjs rng 2"));
     let active = submit_job_resilient(&mut jane, &mut rpc, &job(1), &dn(HOST), 100, 1).unwrap();
     assert!(active.cold_start);
     let resource = rebuilt.borrow();
@@ -533,11 +552,11 @@ fn a_rebuilt_front_end_over_the_surviving_lmjfs_still_resumes() {
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     let shared = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
-    let (mut rpc, sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng"));
+    let (mut rpc, sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng"));
     submit_job_resilient(&mut jane, &mut rpc, &job(0), &dn(HOST), 100, 1).unwrap();
     drop((rpc, sched));
     let net = Network::new();
-    let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng 2"));
+    let (mut rpc, _sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng 2"));
     submit_job_resilient(&mut jane, &mut rpc, &job(1), &dn(HOST), 100, 1).unwrap();
     let stats = shared.borrow().stats;
     assert_eq!((stats.full_handshakes, stats.resumed_handshakes), (1, 1));
@@ -550,7 +569,7 @@ fn retransmitted_resume_tokens_are_answered_from_the_reply_cache() {
     let shared = Rc::new(RefCell::new(resource(&w)));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0x57E7, FaultProfile::lossy_wan());
-    let (mut rpc, _sched) = serve(&net, "jane", RemoteGram::new(shared.clone(), b"mjs rng"));
+    let (mut rpc, _sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng"));
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane lossy");
     for n in 0..JOBS {
         let active =
@@ -591,11 +610,11 @@ fn crash_at_session_op(nth: u64) -> (u64, u64) {
         shared.clone(),
         b"durable mjs",
         plan.clone(),
-        journal.clone(),
+        journal,
     )));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0x57E8, FaultProfile::default());
-    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone(), journal);
+    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone());
     let mut sched = Scheduler::new(&net);
     sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable));
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());

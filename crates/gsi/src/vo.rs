@@ -112,7 +112,7 @@ pub fn form_vo<E: EntropySource>(
         0,
         validity,
     );
-    let cas = CasServer::new(vo_name, cas_cred, 3600);
+    let mut cas = CasServer::new(vo_name, cas_cred, 3600);
 
     // The VO (one admin) decides to trust each member domain's CA, so it
     // can authenticate their users: D unilateral acts.
@@ -202,7 +202,7 @@ mod tests {
     fn overlay_enables_cas_mediated_authorization() {
         let mut rng = ChaChaRng::from_seed_bytes(b"vo cas");
         let mut ds = domains(&mut rng, 2);
-        let vo = form_vo(&mut rng, "physics-vo", &mut ds, 512, 1_000_000);
+        let mut vo = form_vo(&mut rng, "physics-vo", &mut ds, 512, 1_000_000);
         // VO grants group rights on site1's storage.
         vo.cas.add_rule(Rule::new(
             SubjectMatch::Exact("group:site0".to_string()),

@@ -12,8 +12,8 @@
 //!   frames without re-running the acceptor, which matters because
 //!   answering token 1 is *not* idempotent — a second answer would start
 //!   a second handshake with fresh randomness. The cache lives in the
-//!   acceptor's memory: a token is never journaled, so a
-//!   [`CrashableAcceptor`] reborn after a crash re-executes a
+//!   acceptor's memory: a token is never journaled, so an
+//!   [`AcceptorService`] reborn after a crash re-executes a
 //!   retransmitted token against its fresh state.
 //!
 //! Wire format (via [`gridsec_pki::encoding`]): requests are
@@ -30,7 +30,9 @@ use crate::context::{
 };
 use crate::GssError;
 use gridsec_bignum::prime::EntropySource;
+use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::encoding::{Decoder, Encoder};
+use gridsec_testbed::faults::{CrashPlan, CrashRecover};
 use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{
@@ -203,15 +205,36 @@ fn reestablishing<T>(
     }
 }
 
-/// The acceptor side as a pollable service: plug
-/// [`AcceptorService::handle`] into a
-/// [`ServerTask`][gridsec_testbed::rpc::ServerTask] over an `RpcServer`.
-/// One in-progress handshake, full or resumed, is tracked per calling
-/// endpoint name; a fresh first token from the same caller abandons the
-/// old attempt (the client gave up and started over).
-pub struct AcceptorService<E: EntropySource> {
+/// The acceptor side as an RPC service, hosted on a
+/// [`CrashableServer`][gridsec_testbed::faults::CrashableServer] as its
+/// [`CrashRecover`] application. One in-progress handshake, full or
+/// resumed, is tracked per calling endpoint name; a fresh first token
+/// from the same caller abandons the old attempt (the client gave up and
+/// started over).
+///
+/// Security contexts are deliberately *not* journaled: they are
+/// ephemeral by design (paper §4 — contexts can always be
+/// re-established from credentials), and replaying half a handshake
+/// would be both pointless and unsound. A crash loses every pending and
+/// established context *and the session cache* — a reborn acceptor
+/// refuses resumption tickets, which is exactly the signal
+/// [`establish_initiator_cached`] turns into a full-handshake
+/// fallback. Initiators recover via
+/// [`establish_initiator_resilient`]. It keeps no journal and hands back
+/// no commit replies, so a reborn acceptor re-executes token exchanges
+/// instead of replaying token frames whose session died.
+///
+/// Kill points: `gss.accept.resume` — before a resumption token
+/// exchange executes; `gss.accept.exec` — before any token exchange
+/// executes.
+pub struct AcceptorService {
     config: TlsConfig,
-    rng: E,
+    seed: Vec<u8>,
+    /// Bumped on every crash so the reborn acceptor draws a fresh — but
+    /// still seed-deterministic — randomness stream.
+    generation: u64,
+    plan: CrashPlan,
+    rng: ChaChaRng,
     pending: HashMap<String, AcceptorContext>,
     /// Resumable sessions, each filed under the trust epoch of `config`.
     sessions: ServerSessionCache,
@@ -219,13 +242,18 @@ pub struct AcceptorService<E: EntropySource> {
     established: HashMap<String, EstablishedContext>,
 }
 
-impl<E: EntropySource> AcceptorService<E> {
-    /// Service accepting contexts under `config`, drawing handshake
-    /// entropy from `rng`.
-    pub fn new(config: TlsConfig, rng: E) -> Self {
+impl AcceptorService {
+    /// Accept contexts under `config`; `seed` (mixed with a
+    /// per-incarnation generation counter after the first) seeds
+    /// handshake entropy deterministically, and `plan` decides when the
+    /// process dies.
+    pub fn new(config: TlsConfig, seed: &[u8], plan: CrashPlan) -> Self {
         AcceptorService {
             config,
-            rng,
+            seed: seed.to_vec(),
+            generation: 0,
+            plan,
+            rng: ChaChaRng::from_seed_bytes(seed),
             pending: HashMap::new(),
             sessions: ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME),
             established: HashMap::new(),
@@ -236,14 +264,6 @@ impl<E: EntropySource> AcceptorService<E> {
     /// metrics).
     pub fn sessions(&self) -> &ServerSessionCache {
         &self.sessions
-    }
-
-    /// Handle one request frame from caller `from`; returns the reply
-    /// frame. Never panics on malformed input — errors come back as
-    /// refusals the initiator surfaces as [`GssError::Transport`].
-    pub fn handle(&mut self, from: &str, payload: &[u8]) -> Vec<u8> {
-        let _sp = trace::span_with("gss.accept", &format!("from={from}"));
-        Reply::from(self.exchange(from, payload)).encode()
     }
 
     /// One token exchange: the next token, or why there is none.
@@ -291,54 +311,10 @@ impl<E: EntropySource> AcceptorService<E> {
     }
 }
 
-/// An [`AcceptorService`] as a crash-recoverable application for
-/// [`CrashableServer`][gridsec_testbed::faults::CrashableServer].
-///
-/// Security contexts are deliberately *not* journaled: they are
-/// ephemeral by design (paper §4 — contexts can always be
-/// re-established from credentials), and replaying half a handshake
-/// would be both pointless and unsound. A crash loses every pending and
-/// established context *and the session cache* — a reborn acceptor
-/// refuses resumption tickets, which is exactly the signal
-/// [`establish_initiator_cached`] turns into a full-handshake
-/// fallback. Initiators recover via
-/// [`establish_initiator_resilient`]. It commits nothing to its
-/// journal, so a reborn acceptor re-executes token exchanges instead of
-/// replaying token frames whose session died.
-///
-/// Kill point: `gss.accept.exec` — before a token exchange executes.
-pub struct CrashableAcceptor {
-    config: TlsConfig,
-    seed: Vec<u8>,
-    generation: u64,
-    plan: gridsec_testbed::faults::CrashPlan,
-    service: AcceptorService<gridsec_crypto::rng::ChaChaRng>,
-}
-
-impl CrashableAcceptor {
-    /// Accept under `config`; `seed` (mixed with a per-incarnation
-    /// generation counter) seeds handshake entropy deterministically.
-    pub fn new(config: TlsConfig, seed: &[u8], plan: gridsec_testbed::faults::CrashPlan) -> Self {
-        let service = AcceptorService::new(
-            config.clone(),
-            gridsec_crypto::rng::ChaChaRng::from_seed_bytes(seed),
-        );
-        CrashableAcceptor {
-            config,
-            seed: seed.to_vec(),
-            generation: 0,
-            plan,
-            service,
-        }
-    }
-
-    /// The live acceptor service (for `take_established`).
-    pub fn service(&mut self) -> &mut AcceptorService<gridsec_crypto::rng::ChaChaRng> {
-        &mut self.service
-    }
-}
-
-impl gridsec_testbed::faults::CrashRecover for CrashableAcceptor {
+impl CrashRecover for AcceptorService {
+    /// Answer one request frame from caller `from`. Never panics on
+    /// malformed input — errors come back as refusals the initiator
+    /// surfaces as [`GssError::Transport`].
     fn handle(&mut self, from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
         // A dedicated injection point for the abbreviated handshake, so
         // chaos harnesses can arm a kill *mid-resume* specifically: the
@@ -354,36 +330,34 @@ impl gridsec_testbed::faults::CrashRecover for CrashableAcceptor {
         if self.plan.fires("gss.accept.exec") {
             return Vec::new();
         }
-        self.service.handle(from, body)
+        let _sp = trace::span_with("gss.accept", &format!("from={from}"));
+        Reply::from(self.exchange(from, body)).encode()
     }
 
     fn crash(&mut self) {
+        // Nothing durable to replay on restart: contexts are
+        // re-established, not recovered.
         self.generation += 1;
         let mut seed = self.seed.clone();
         seed.extend_from_slice(&self.generation.to_be_bytes());
-        self.service = AcceptorService::new(
-            self.config.clone(),
-            gridsec_crypto::rng::ChaChaRng::from_seed_bytes(&seed),
-        );
-    }
-
-    fn recover(&mut self) {
-        // Nothing durable to replay: contexts are re-established, not
-        // recovered.
+        self.rng = ChaChaRng::from_seed_bytes(&seed);
+        self.pending.clear();
+        self.sessions = ServerSessionCache::new(DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_LIFETIME);
+        self.established.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsec_crypto::rng::ChaChaRng;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
     use gridsec_pki::store::TrustStore;
     use gridsec_testbed::clock::SimClock;
+    use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
-    use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::rpc::{RpcClient, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -422,31 +396,29 @@ mod tests {
         max_timeout: 64,
     };
 
-    /// One acceptor service as a task on the returned scheduler, and an
-    /// RPC client of it.
-    fn rig(
+    /// One acceptor service under `plan` as a task on the returned
+    /// scheduler, and an RPC client of it.
+    fn hosted(
         net: &Network,
         w: &World,
-    ) -> (
-        Rc<RefCell<AcceptorService<ChaChaRng>>>,
-        RpcClient,
-        Scheduler,
-    ) {
+        seed: &[u8],
+        plan: CrashPlan,
+    ) -> (Rc<RefCell<AcceptorService>>, RpcClient, Scheduler) {
         let service = Rc::new(RefCell::new(AcceptorService::new(
             TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
-            ChaChaRng::from_seed_bytes(b"acceptor"),
+            seed,
+            plan.clone(),
         )));
         let mut sched = Scheduler::new(net);
-        let hosted = service.clone();
-        sched.spawn_mailbox(
-            "mjs",
-            ServerTask::new(
-                RpcServer::new(net.register("mjs")),
-                move |from: &str, body: &[u8]| hosted.borrow_mut().handle(from, body),
-            ),
-        );
+        let server = CrashableServer::new(net.register("mjs"), "gss", plan);
+        sched.spawn_mailbox("mjs", ServerTask::new(server, service.clone()));
         let rpc = RpcClient::new(net.register("alice"), "mjs", PATIENT);
         (service, rpc, sched)
+    }
+
+    /// [`hosted`] under no crash plan.
+    fn rig(net: &Network, w: &World) -> (Rc<RefCell<AcceptorService>>, RpcClient, Scheduler) {
+        hosted(net, w, b"acceptor", CrashPlan::disabled())
     }
 
     fn establish_over(net: &Network) -> (EstablishedContext, EstablishedContext) {
@@ -509,9 +481,6 @@ mod tests {
 
     #[test]
     fn acceptor_crash_mid_handshake_reestablishes() {
-        use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
-        use gridsec_testbed::os::{SimOs, ROOT_UID};
-
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock, 0x6551, FaultProfile::default());
@@ -520,23 +489,7 @@ mod tests {
         // the process dies before token 3 executes.
         let plan = CrashPlan::manual(3);
         plan.arm("gss.accept.exec", 2);
-        let os = SimOs::new();
-        os.add_host("mjs-host");
-        let journal = Journal::open(os, "mjs-host", "/var/gss/journal.wal", ROOT_UID);
-        let acceptor = Rc::new(RefCell::new(CrashableAcceptor::new(
-            TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
-            b"crashable acceptor",
-            plan.clone(),
-        )));
-        let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox(
-            "mjs",
-            ServerTask::new(
-                CrashableServer::new(net.register("mjs"), "gss", plan.clone(), journal),
-                acceptor.clone(),
-            ),
-        );
-        let mut rpc = RpcClient::new(net.register("alice"), "mjs", PATIENT);
+        let (acceptor, mut rpc, _sched) = hosted(&net, &w, b"crashable acceptor", plan.clone());
         let mut ic = establish_initiator_resilient(
             &mut rpc,
             TlsConfig::new(w.alice.clone(), w.trust.clone(), 100),
@@ -547,11 +500,7 @@ mod tests {
         assert_eq!(plan.crashes(), 1, "the armed kill fired");
         assert_eq!(plan.restarts(), 1, "the service was reborn");
         // The re-established context is fully functional end to end.
-        let mut ac = acceptor
-            .borrow_mut()
-            .service()
-            .take_established("alice")
-            .unwrap();
+        let mut ac = acceptor.borrow_mut().take_established("alice").unwrap();
         let t = ic.wrap(b"survived a crash");
         assert_eq!(ac.unwrap(&t).unwrap(), b"survived a crash");
     }
@@ -561,7 +510,7 @@ mod tests {
         net: &Network,
     ) -> (
         World,
-        Rc<RefCell<AcceptorService<ChaChaRng>>>,
+        Rc<RefCell<AcceptorService>>,
         RpcClient,
         ClientSessionCache,
         Scheduler,
@@ -604,11 +553,8 @@ mod tests {
         let _ctx1 =
             establish_initiator_cached(&mut rpc, cfg.clone(), &mut w.rng, &mut cache, 4).unwrap();
 
-        // Wipe the server-side cache, simulating a reborn acceptor.
-        *service.borrow_mut() = AcceptorService::new(
-            TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
-            ChaChaRng::from_seed_bytes(b"acceptor gen2"),
-        );
+        // Wipe the server-side cache: the acceptor is reborn.
+        service.borrow_mut().crash();
 
         // The stale ticket is refused; the fallback full handshake wins.
         let mut ctx2 =
@@ -643,15 +589,19 @@ mod tests {
         let w = world();
         let mut svc = AcceptorService::new(
             TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
-            ChaChaRng::from_seed_bytes(b"acceptor"),
+            b"acceptor",
+            CrashPlan::disabled(),
         );
         // Garbage, unknown op, and token3-without-token1 all answer err.
-        for payload in [
+        for (id, payload) in [
             b"garbage".to_vec(),
             request("gss-unknown", b"x"),
             request(OP_TOKEN3, b"x"),
-        ] {
-            let reply = svc.handle("mallory", &payload);
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let reply = svc.handle("mallory", id as u64, &payload);
             assert!(matches!(Reply::decode(&reply), Some(Reply::Refused(_))));
         }
     }

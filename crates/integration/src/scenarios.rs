@@ -33,12 +33,11 @@ use gridsec_gridftp::GridFtpServer;
 use gridsec_gsi::sso;
 use gridsec_gsi::vo::{create_domain, form_vo};
 use gridsec_gssapi::net::{
-    establish_initiator_cached, establish_initiator_resilient, CrashableAcceptor,
+    establish_initiator_cached, establish_initiator_resilient, AcceptorService,
 };
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::hosting::HostingEnvironment;
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::serve;
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::proxy::issue_proxy;
@@ -49,7 +48,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
@@ -151,11 +150,10 @@ fn spawn_crashable<A: CrashRecover + 'static>(
     endpoint: Endpoint,
     service: &str,
     plan: &CrashPlan,
-    journal: Journal,
     app: &Rc<RefCell<A>>,
 ) {
     let mailbox = endpoint.id();
-    let server = CrashableServer::new(endpoint, service, plan.clone(), journal);
+    let server = CrashableServer::new(endpoint, service, plan.clone());
     sched.spawn_mailbox_id(mailbox, ServerTask::new(server, app.clone()));
 }
 
@@ -220,17 +218,14 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let initiator_cfg = TlsConfig::new(w.user.clone(), w.trust.clone(), 100);
     let acceptor_cfg = TlsConfig::new(w.service.clone(), w.trust.clone(), 100);
 
-    let os = SimOs::new();
-    os.add_host("service");
-    let journal = Journal::open(os, "service", "/var/gss/journal.wal", ROOT_UID);
-    let service = Rc::new(RefCell::new(CrashableAcceptor::new(
+    let service = Rc::new(RefCell::new(AcceptorService::new(
         acceptor_cfg,
         b"chaos fig1 acceptor",
         plan.clone(),
     )));
     let mut sched = Scheduler::new(&net);
     let ep = net.register("service");
-    spawn_crashable(&mut sched, ep, "gss", &plan, journal, &service);
+    spawn_crashable(&mut sched, ep, "gss", &plan, &service);
     let mut rpc = RpcClient::new(net.register("user"), "service", policy());
 
     if opts.partition_all {
@@ -244,7 +239,6 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         .expect("figure 1 must establish under lossy WAN + crashes");
     let mut service_ctx = service
         .borrow_mut()
-        .service()
         .take_established("user")
         .expect("acceptor side established");
 
@@ -271,7 +265,6 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             .expect("figure 1 repeat establishment under lossy WAN + crashes");
     let mut service_ctx2 = service
         .borrow_mut()
-        .service()
         .take_established("user")
         .expect("acceptor side re-established");
     let sealed2 = user_ctx2.wrap(b"second session");
@@ -317,12 +310,12 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         3600,
         clock.clone(),
         plan.clone(),
-        journal.clone(),
+        journal,
     )));
     durable
-        .borrow()
+        .borrow_mut()
         .enroll(&alice, vec!["group:analysts".into()]);
-    durable.borrow().add_rule(
+    durable.borrow_mut().add_rule(
         SubjectMatch::Exact("group:analysts".to_string()),
         "dataset/*",
         "read",
@@ -331,7 +324,7 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 
     let mut sched = Scheduler::new(&net);
     let ep = net.register("cas");
-    spawn_crashable(&mut sched, ep, "cas", &plan, journal, &durable);
+    spawn_crashable(&mut sched, ep, "cas", &plan, &durable);
     let mut rpc = RpcClient::new(net.register("alice"), "cas", policy());
 
     if opts.partition_all {
@@ -453,13 +446,8 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let env = Rc::new(RefCell::new(env));
 
     let mut sched = Scheduler::new(&net);
-    sched.spawn_mailbox(
-        "echo-host",
-        ServerTask::new(
-            RpcServer::new(net.register("echo-host")),
-            serve(env.clone()),
-        ),
-    );
+    let ep = net.register("echo-host");
+    spawn_crashable(&mut sched, ep, "echo-host", &CrashPlan::disabled(), &env);
     let transport = RpcClient::new(net.register("user"), "echo-host", policy());
     let mut client = OgsaClient::new(transport, w.trust.clone(), clock, b"chaos fig3 client");
     client.add_source(Box::new(StaticCredential(w.user.clone())));
@@ -536,11 +524,11 @@ pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         shared.clone(),
         b"chaos mjs",
         plan.clone(),
-        journal.clone(),
+        journal,
     )));
     let mut sched = Scheduler::new(&net);
     let ep = net.register("mjs-host");
-    spawn_crashable(&mut sched, ep, "gram", &plan, journal, &durable);
+    spawn_crashable(&mut sched, ep, "gram", &plan, &durable);
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
 
     let mut jane = Requestor::new(jane, trust, b"chaos jane");
@@ -985,11 +973,11 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         shared.clone(),
         b"e2e mjs",
         plan.clone(),
-        journal.clone(),
+        journal,
     )));
     let mut sched = Scheduler::new(&net);
     let ep = net.register("cluster1");
-    spawn_crashable(&mut sched, ep, "gram", &plan, journal, &durable);
+    spawn_crashable(&mut sched, ep, "gram", &plan, &durable);
     let mut rpc = RpcClient::new(net.register("user0"), "cluster1", policy());
 
     // The siteA user signs on; trusting siteB's CA for the GRIM check

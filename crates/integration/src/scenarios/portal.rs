@@ -418,18 +418,11 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         shared.clone(),
         b"portal mjs",
         gram_plan.clone(),
-        gram_journal.clone(),
+        gram_journal,
     )));
     let mut sched = Scheduler::new(&net);
     let gram_ep = net.register("mjs-host");
-    spawn_crashable(
-        &mut sched,
-        gram_ep,
-        "gram",
-        &gram_plan,
-        gram_journal,
-        &gram_app,
-    );
+    spawn_crashable(&mut sched, gram_ep, "gram", &gram_plan, &gram_app);
 
     // The MyProxy repository.
     let repo_plan = crash_plan(opts, seed, 0xC4A8, 0.02, 1);
@@ -438,18 +431,11 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         clock.clone(),
         b"portal repo",
         repo_plan.clone(),
-        repo_journal.clone(),
+        repo_journal,
         100_000,
     )));
     let repo_ep = net.register("repo");
-    spawn_crashable(
-        &mut sched,
-        repo_ep,
-        "myproxy",
-        &repo_plan,
-        repo_journal,
-        &repo_app,
-    );
+    spawn_crashable(&mut sched, repo_ep, "myproxy", &repo_plan, &repo_app);
 
     // The portal process itself: the crashing *client*.
     let portal_plan = crash_plan(opts, seed, 0xC4A9, 0.05, 3);

@@ -23,7 +23,8 @@ use std::rc::Rc;
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gram::remote::{submit_job_resilient, RemoteGram, OP_TOKEN1 as GRAM_TOKEN1};
+use gridsec_gram::durable::DurableGram;
+use gridsec_gram::remote::{submit_job_resilient, OP_TOKEN1 as GRAM_TOKEN1};
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::{GramError, JobDescription, Requestor};
 use gridsec_gssapi::net::{
@@ -41,9 +42,10 @@ use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Decoder, Encoder};
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_testbed::clock::SimClock;
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::Network;
-use gridsec_testbed::os::SimOs;
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::os::{SimOs, ROOT_UID};
+use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::ClientSessionCache;
@@ -160,6 +162,51 @@ fn flip_last(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
+/// A hosted service behind a wire that records every hello `hello`
+/// finds in a request, and flips the MAC byte of the token answering a
+/// ResumeHello while `flip_mac` is set.
+struct Tapped<A> {
+    service: Rc<RefCell<A>>,
+    wire: Rc<RefCell<Wire>>,
+    hello: fn(&[u8]) -> Option<Vec<u8>>,
+}
+
+impl<A: CrashRecover> CrashRecover for Tapped<A> {
+    fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8> {
+        let reply = self.service.borrow_mut().handle(from, id, body);
+        let Some(token) = (self.hello)(body) else {
+            return reply;
+        };
+        let mut wire = self.wire.borrow_mut();
+        if !wire.saw(&token) || !wire.flip_mac {
+            return reply;
+        }
+        let mut d = Decoder::new(&reply);
+        let (status, token2) = (d.get_str().unwrap(), d.get_bytes().unwrap());
+        let mut e = Encoder::new();
+        e.put_str(&status).put_bytes(&flip_last(token2));
+        e.finish()
+    }
+}
+
+/// Host `service` on `sched` as `name`, its wire tapped.
+fn host_tapped<A: CrashRecover + 'static>(
+    sched: &mut Scheduler,
+    net: &Network,
+    name: &str,
+    service: Rc<RefCell<A>>,
+    wire: &Rc<RefCell<Wire>>,
+    hello: fn(&[u8]) -> Option<Vec<u8>>,
+) {
+    let server = CrashableServer::new(net.register(name), name, CrashPlan::disabled());
+    let tapped = Tapped {
+        service,
+        wire: wire.clone(),
+        hello,
+    };
+    sched.spawn_mailbox(name, ServerTask::new(server, Rc::new(RefCell::new(tapped))));
+}
+
 // ----------------------------------------------------------------------
 // GSS over RPC
 // ----------------------------------------------------------------------
@@ -167,7 +214,7 @@ fn flip_last(mut bytes: Vec<u8>) -> Vec<u8> {
 struct GssRig {
     w: World,
     rng: ChaChaRng,
-    service: Rc<RefCell<AcceptorService<ChaChaRng>>>,
+    service: Rc<RefCell<AcceptorService>>,
     wire: Rc<RefCell<Wire>>,
     rpc: RpcClient,
     cache: ClientSessionCache,
@@ -175,10 +222,11 @@ struct GssRig {
     _net: Network,
 }
 
-fn acceptor(w: &World, seed: &[u8]) -> AcceptorService<ChaChaRng> {
+fn acceptor(w: &World, seed: &[u8]) -> AcceptorService {
     AcceptorService::new(
         TlsConfig::new(w.service.clone(), w.trust.clone(), 100),
-        ChaChaRng::from_seed_bytes(seed),
+        seed,
+        CrashPlan::disabled(),
     )
 }
 
@@ -187,30 +235,13 @@ fn gss_rig() -> GssRig {
     let net = Network::new();
     let service = Rc::new(RefCell::new(acceptor(&w, b"acceptor")));
     let wire = Rc::new(RefCell::new(Wire::default()));
-    let (hosted, seen) = (service.clone(), wire.clone());
     let mut sched = Scheduler::new(&net);
-    sched.spawn_mailbox(
-        "svc",
-        ServerTask::new(
-            RpcServer::new(net.register("svc")),
-            move |from: &str, body: &[u8]| {
-                let reply = hosted.borrow_mut().handle(from, body);
-                let Ok((op, token)) = parse_request(body) else {
-                    return reply;
-                };
-                let mut wire = seen.borrow_mut();
-                let resume = (op == OP_TOKEN1 || op == OP_RESUME1) && wire.saw(&token);
-                if !(resume && wire.flip_mac) {
-                    return reply;
-                }
-                let mut d = Decoder::new(&reply);
-                let (status, token2) = (d.get_str().unwrap(), d.get_bytes().unwrap());
-                let mut e = Encoder::new();
-                e.put_str(&status).put_bytes(&flip_last(token2));
-                e.finish()
-            },
-        ),
-    );
+    // A full or a resumed hello, each as the first token of its loop.
+    let hello = |body: &[u8]| match parse_request(body) {
+        Ok((op, token)) if op == OP_TOKEN1 || op == OP_RESUME1 => Some(token),
+        _ => None,
+    };
+    host_tapped(&mut sched, &net, "svc", service.clone(), &wire, hello);
     let rpc = RpcClient::new(net.register("user"), "svc", PATIENT);
     GssRig {
         w,
@@ -583,31 +614,21 @@ fn remote_gram() -> RemoteRig {
     let w = world();
     let shared = Rc::new(RefCell::new(gram_resource(&w)));
     let wire = Rc::new(RefCell::new(Wire::default()));
-    let mut service = RemoteGram::new(shared.clone(), b"mjs rng");
-    let seen = wire.clone();
+    let os = SimOs::new();
+    os.add_host("compute1");
+    let journal = Journal::open(os, "compute1", "/var/gram/journal.wal", ROOT_UID);
+    let service = DurableGram::new(shared.clone(), b"mjs rng", CrashPlan::disabled(), journal);
     let net = Network::new();
     let mut sched = Scheduler::new(&net);
-    sched.spawn_mailbox(
-        "mjs-host",
-        ServerTask::new(
-            RpcServer::new(net.register("mjs-host")),
-            move |from: &str, body: &[u8]| {
-                let reply = service.handle(from, body);
-                let mut d = Decoder::new(body);
-                let op = d.get_str().unwrap();
-                let (_handle, token) = (d.get_str().unwrap(), d.get_bytes().unwrap());
-                let mut wire = seen.borrow_mut();
-                if op != GRAM_TOKEN1 || !wire.saw(&token) || !wire.flip_mac {
-                    return reply;
-                }
-                let mut d = Decoder::new(&reply);
-                let (status, token2) = (d.get_str().unwrap(), d.get_bytes().unwrap());
-                let mut e = Encoder::new();
-                e.put_str(&status).put_bytes(&flip_last(token2));
-                e.finish()
-            },
-        ),
-    );
+    // Step 7's first token, full or resumed.
+    let hello = |body: &[u8]| {
+        let mut d = Decoder::new(body);
+        let op = d.get_str().unwrap();
+        let (_handle, token) = (d.get_str().unwrap(), d.get_bytes().unwrap());
+        (op == GRAM_TOKEN1).then_some(token)
+    };
+    let service = Rc::new(RefCell::new(service));
+    host_tapped(&mut sched, &net, "mjs-host", service, &wire, hello);
     let rpc = RpcClient::new(net.register("jane"), "mjs-host", PATIENT);
     RemoteRig {
         shared,

@@ -59,7 +59,7 @@ const TRUST_DERIVED_TABLES: &[(&str, &str)] = &[
     ),
     (
         "gssapi/src/net.rs: AcceptorService.sessions",
-        "epoch per entry, read by AcceptorContext::accept",
+        "epoch per entry, read by AcceptorContext::accept; emptied by CrashRecover::crash",
     ),
     (
         "ogsa/src/client.rs: OgsaClient.session_cache",

@@ -9,11 +9,10 @@
 use crate::messages::{
     open, Authenticator, EncKdcReplyPart, Key, ServiceTicketReply, TgtReply, Ticket,
 };
-use crate::{string_to_key, KrbError, MAX_SKEW};
+use crate::{string_to_key, KrbError, ReplayWindow};
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::encoding::Codec;
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
+use std::cell::RefCell;
 
 /// A Kerberos client: principal name plus the password-derived key.
 pub struct KrbClient {
@@ -77,11 +76,8 @@ pub struct ServiceVerifier {
     /// The service principal this verifier accepts tickets for.
     pub service: String,
     key: Key,
-    /// The largest `now` an [`accept`](Self::accept) has been given.
-    high_water: Cell<u64>,
-    /// Accepted authenticators as `(timestamp, client, nonce)`, none
-    /// older than `high_water - MAX_SKEW`.
-    seen: RefCell<BTreeSet<(u64, String, u64)>>,
+    /// Accepted authenticators still inside the skew window.
+    replay: RefCell<ReplayWindow>,
 }
 
 /// Result of accepting a client: the authenticated principal and the
@@ -115,8 +111,7 @@ impl ServiceVerifier {
         ServiceVerifier {
             service: service.to_string(),
             key,
-            high_water: Cell::new(0),
-            seen: RefCell::new(BTreeSet::new()),
+            replay: RefCell::default(),
         }
     }
 
@@ -144,31 +139,7 @@ impl ServiceVerifier {
         if auth.client != body.client {
             return Err(KrbError::Integrity);
         }
-        if auth.timestamp.abs_diff(now) > MAX_SKEW {
-            return Err(KrbError::ClockSkew {
-                now,
-                stamp: auth.timestamp,
-            });
-        }
-        // Replay cache keyed on (timestamp, client, nonce). Entries older
-        // than the window behind the latest clock reading are forgotten,
-        // and an authenticator that old is refused outright, so
-        // forgetting never re-admits one, even for a caller whose `now`
-        // runs behind an earlier call's.
-        let high_water = self.high_water.get().max(now);
-        self.high_water.set(high_water);
-        let edge = high_water.saturating_sub(MAX_SKEW);
-        if auth.timestamp < edge {
-            return Err(KrbError::ClockSkew {
-                now: high_water,
-                stamp: auth.timestamp,
-            });
-        }
-        let mut seen = self.seen.borrow_mut();
-        *seen = seen.split_off(&(edge, String::new(), 0));
-        if !seen.insert((auth.timestamp, auth.client.clone(), auth.nonce)) {
-            return Err(KrbError::Replay);
-        }
+        self.replay.borrow_mut().admit(&auth, now)?;
         Ok(AcceptedClient {
             client: body.client,
             client_realm: body.client_realm,
@@ -277,7 +248,7 @@ mod tests {
         }
         // Twenty accepted, but only 1700..=2000 are inside the window
         // behind the latest clock reading.
-        assert_eq!(f.verifier.seen.borrow().len(), 4);
+        assert_eq!(f.verifier.replay.borrow().len(), 4);
         let replay = |stamp: u64, now: u64| {
             let (_, auth) = auths.iter().find(|(t, _)| *t == stamp).unwrap();
             f.verifier.accept(&ticket, auth, now)
@@ -295,7 +266,7 @@ mod tests {
             replay(1000, 1000),
             Err(KrbError::ClockSkew { now: 2000, .. })
         ));
-        assert_eq!(f.verifier.seen.borrow().len(), 4);
+        assert_eq!(f.verifier.replay.borrow().len(), 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::messages::{
     seal, Authenticator, EncKdcReplyPart, Key, ServiceTicketReply, TgtReply, Ticket, TicketBody,
 };
-use crate::{string_to_key, KrbError, MAX_SKEW};
+use crate::{string_to_key, KrbError, ReplayWindow};
 use gridsec_bignum::prime::EntropySource;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -21,6 +21,8 @@ pub struct Kdc {
     tgs_key: Key,
     /// Maximum ticket lifetime the KDC will grant.
     max_life: u64,
+    /// TGS-REQ authenticators still inside the skew window.
+    replay: RefCell<ReplayWindow>,
 }
 
 impl Kdc {
@@ -33,6 +35,7 @@ impl Kdc {
             principals: RefCell::new(HashMap::from([(TGS_PRINCIPAL.to_string(), tgs_key)])),
             tgs_key,
             max_life,
+            replay: RefCell::default(),
         }
     }
 
@@ -211,12 +214,7 @@ impl Kdc {
         if auth.client != tgt_body.client {
             return Err(KrbError::Integrity);
         }
-        if auth.timestamp.abs_diff(now) > MAX_SKEW {
-            return Err(KrbError::ClockSkew {
-                now,
-                stamp: auth.timestamp,
-            });
-        }
+        self.replay.borrow_mut().admit(&auth, now)?;
 
         // Issue the service ticket.
         let service_key = self.lookup(service)?;
@@ -347,6 +345,32 @@ mod tests {
             kdc.tgs_exchange(&mut rng, &tgt, &auth, "host/fs1", 5000, 100),
             Err(KrbError::ClockSkew { .. })
         ));
+    }
+
+    #[test]
+    fn tgs_refuses_a_resent_authenticator() {
+        let (mut rng, kdc) = setup();
+        kdc.add_principal("alice", "pw");
+        kdc.add_service(&mut rng, "host/fs1");
+        let client = KrbClient::from_password("alice", "SITE.A", "pw");
+        let tgt_reply = kdc.as_exchange(&mut rng, "alice", 0, 10_000).unwrap();
+        let (tgt, part) = client.open_tgt_reply(&tgt_reply).unwrap();
+        let auth = client.make_authenticator(&mut rng, &part.session_key, 100);
+        assert!(kdc
+            .tgs_exchange(&mut rng, &tgt, &auth, "host/fs1", 100, 100)
+            .is_ok());
+        // A captured (TGT, authenticator) pair buys no second ticket
+        // inside the skew window.
+        assert_eq!(
+            kdc.tgs_exchange(&mut rng, &tgt, &auth, "host/fs1", 110, 100)
+                .unwrap_err(),
+            KrbError::Replay
+        );
+        // A fresh authenticator still does.
+        let fresh = client.make_authenticator(&mut rng, &part.session_key, 110);
+        assert!(kdc
+            .tgs_exchange(&mut rng, &tgt, &fresh, "host/fs1", 110, 100)
+            .is_ok());
     }
 
     #[test]

@@ -36,6 +36,9 @@ mod pkinit_tests;
 pub use kdc::Kdc;
 pub use messages::Ticket;
 
+use messages::Authenticator;
+use std::collections::BTreeSet;
+
 /// Errors from Kerberos operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KrbError {
@@ -102,6 +105,58 @@ impl std::error::Error for KrbError {}
 /// timestamp and the checking side's clock (the KDC's TGS check and
 /// every [`client::ServiceVerifier`]).
 pub(crate) const MAX_SKEW: u64 = 300;
+
+/// A checking side's skew rule and replay set (the KDC's TGS exchange
+/// and every [`client::ServiceVerifier`]): each authenticator is
+/// admitted once. The set holds only the authenticators still inside
+/// the skew window, so it stays bounded however long the checker runs.
+#[derive(Default)]
+pub(crate) struct ReplayWindow {
+    /// The largest `now` [`admit`](Self::admit) has been given.
+    high_water: u64,
+    /// Admitted authenticators as `(timestamp, client, nonce)`, none
+    /// older than `high_water - MAX_SKEW`.
+    seen: BTreeSet<(u64, String, u64)>,
+}
+
+impl ReplayWindow {
+    /// Admit `auth` at `now`: refused if its timestamp is more than
+    /// [`MAX_SKEW`] from `now`, or if it was admitted before.
+    pub(crate) fn admit(&mut self, auth: &Authenticator, now: u64) -> Result<(), KrbError> {
+        if auth.timestamp.abs_diff(now) > MAX_SKEW {
+            return Err(KrbError::ClockSkew {
+                now,
+                stamp: auth.timestamp,
+            });
+        }
+        // Entries older than the window behind the latest clock reading
+        // are forgotten, and an authenticator that old is refused
+        // outright, so forgetting never re-admits one, even for a caller
+        // whose `now` runs behind an earlier call's.
+        self.high_water = self.high_water.max(now);
+        let edge = self.high_water.saturating_sub(MAX_SKEW);
+        if auth.timestamp < edge {
+            return Err(KrbError::ClockSkew {
+                now: self.high_water,
+                stamp: auth.timestamp,
+            });
+        }
+        self.seen = self.seen.split_off(&(edge, String::new(), 0));
+        if !self
+            .seen
+            .insert((auth.timestamp, auth.client.clone(), auth.nonce))
+        {
+            return Err(KrbError::Replay);
+        }
+        Ok(())
+    }
+
+    /// Authenticators remembered.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.seen.len()
+    }
+}
 
 /// Derive a 32-byte long-term key from a password (the Kerberos
 /// string-to-key function, simplified to salted SHA-256).

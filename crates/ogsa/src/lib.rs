@@ -24,8 +24,8 @@
 //!   [`client::OgsaClient::invoke`]; everything else is infrastructure.
 //! * [`transport`] — message transports: in-process (for benches) and
 //!   the `gridsec-testbed` network, where every envelope is one
-//!   at-most-once RPC call and a hosting environment is served by an
-//!   `rpc::ServerTask` (for multi-host scenarios).
+//!   at-most-once RPC call and a hosting environment is an application
+//!   on a `faults::CrashableServer` (for multi-host scenarios).
 //! * [`firewall`] — the key-free perimeter of §4.4 and the WS-Routing
 //!   intermediaries of §6, relaying those same RPC calls hop by hop.
 

@@ -7,16 +7,16 @@
 //!   is retransmitted with exponential backoff and a duplicated one is
 //!   answered from the server's reply cache instead of re-executing a
 //!   (stateful) OGSA operation like `createService`. The server side is
-//!   an [`rpc::ServerTask`] over an [`rpc::RpcServer`] whose handler is
-//!   [`serve`]; a routed call rides the same frames through
+//!   the hosting environment itself, a [`CrashRecover`] application on a
+//!   [`CrashableServer`]; a routed call rides the same frames through
 //!   [`crate::firewall::RouterTask`] hops.
 //!
-//! [`rpc::ServerTask`]: gridsec_testbed::rpc::ServerTask
-//! [`rpc::RpcServer`]: gridsec_testbed::rpc::RpcServer
+//! [`CrashableServer`]: gridsec_testbed::faults::CrashableServer
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use gridsec_testbed::faults::CrashRecover;
 use gridsec_testbed::rpc::RpcClient;
 use gridsec_util::trace;
 
@@ -66,14 +66,15 @@ impl Transport for RpcClient {
     }
 }
 
-/// The request handler that serves `env` behind an RPC endpoint: host
-/// it with `rpc::ServerTask::new(RpcServer::new(endpoint), serve(env))`.
+/// A hosting environment behind an RPC endpoint: host it with
+/// `rpc::ServerTask::new(CrashableServer::new(endpoint, name, plan), env)`.
 /// The shared environment lets test scaffolding reach in (advance
-/// clocks, inspect state) between calls.
-pub fn serve(env: Rc<RefCell<HostingEnvironment>>) -> impl FnMut(&str, &[u8]) -> Vec<u8> {
-    move |from: &str, body: &[u8]| {
+/// clocks, inspect state) between calls. It fires no kill point and
+/// keeps no journal, so it never dies and the lifecycle defaults stand.
+impl CrashRecover for HostingEnvironment {
+    fn handle(&mut self, from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
         let _sp = trace::span_with("ogsa.dispatch", &format!("from={from}"));
         let request = String::from_utf8_lossy(body);
-        env.borrow_mut().handle_message(&request).into_bytes()
+        self.handle_message(&request).into_bytes()
     }
 }

@@ -14,15 +14,16 @@ use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::firewall::{Firewall, FirewallStats, RoutedTransport, RouterTask, Verdict};
 use gridsec_ogsa::hosting::HostingEnvironment;
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::{serve, Transport};
+use gridsec_ogsa::transport::Transport;
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer};
 use gridsec_testbed::net::{FaultProfile, Network};
-use gridsec_testbed::rpc::{self, RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{self, RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -141,10 +142,8 @@ fn serve_env(
     name: &str,
     env: &Rc<RefCell<HostingEnvironment>>,
 ) {
-    sched.spawn_mailbox(
-        name,
-        ServerTask::new(RpcServer::new(network.register(name)), serve(env.clone())),
-    );
+    let host = CrashableServer::new(network.register(name), name, CrashPlan::disabled());
+    sched.spawn_mailbox(name, ServerTask::new(host, env.clone()));
 }
 
 /// A router task `name` behind a strict firewall; returns the firewall.
@@ -295,12 +294,20 @@ fn colliding_call_ids_through_one_router_reach_their_own_callers() {
     let network = Network::new();
     let mut sched = Scheduler::new(&network);
     // The service echoes each request body back.
+    struct Echo;
+    impl CrashRecover for Echo {
+        fn handle(&mut self, _from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
+            body.to_vec()
+        }
+    }
+    let host = CrashableServer::new(
+        network.register("inner-host"),
+        "inner-host",
+        CrashPlan::disabled(),
+    );
     sched.spawn_mailbox(
         "inner-host",
-        ServerTask::new(
-            RpcServer::new(network.register("inner-host")),
-            |_from: &str, body: &[u8]| body.to_vec(),
-        ),
+        ServerTask::new(host, Rc::new(RefCell::new(Echo))),
     );
     router(&mut sched, &network, "perimeter");
 

@@ -10,15 +10,16 @@ use gridsec_crypto::rng::ChaChaRng;
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::hosting::{parse_fault, AuditEvent, HostingEnvironment};
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::{serve, InProcessTransport, Transport};
+use gridsec_ogsa::transport::{InProcessTransport, Transport};
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
+use gridsec_testbed::faults::{CrashPlan, CrashableServer};
 use gridsec_testbed::net::Network;
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::b64;
@@ -359,10 +360,12 @@ fn scheduled_rpc_service_end_to_end() {
     // client's wait.
     let env = Rc::new(RefCell::new(make_env(&w, &["xml-signature"])));
     let mut sched = Scheduler::new(&network);
-    sched.spawn_mailbox(
+    let host = CrashableServer::new(
+        network.register("echo-host"),
         "echo-host",
-        ServerTask::new(RpcServer::new(network.register("echo-host")), serve(env)),
+        CrashPlan::disabled(),
     );
+    sched.spawn_mailbox("echo-host", ServerTask::new(host, env));
 
     let transport = RpcClient::new(
         network.register("client-1"),
@@ -397,10 +400,12 @@ fn stray_rst_naming_another_clients_context_leaves_it_established() {
     let network = Network::new();
     let env = Rc::new(RefCell::new(make_env(&w, &["gsi-secure-conversation"])));
     let mut sched = Scheduler::new(&network);
-    sched.spawn_mailbox(
+    let host = CrashableServer::new(
+        network.register("echo-host"),
         "echo-host",
-        ServerTask::new(RpcServer::new(network.register("echo-host")), serve(env)),
+        CrashPlan::disabled(),
     );
+    sched.spawn_mailbox("echo-host", ServerTask::new(host, env));
     let policy = RetryPolicy {
         max_attempts: 4,
         base_timeout: 8,

@@ -10,14 +10,15 @@ use gridsec_crypto::rng::ChaChaRng;
 use gridsec_ogsa::client::{OgsaClient, StaticCredential};
 use gridsec_ogsa::hosting::{fault_envelope, parse_fault, HostingEnvironment};
 use gridsec_ogsa::service::{GridService, RequestContext};
-use gridsec_ogsa::transport::{serve, InProcessTransport};
+use gridsec_ogsa::transport::InProcessTransport;
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
+use gridsec_testbed::faults::{CrashPlan, CrashableServer};
 use gridsec_testbed::net::{FaultProfile, Network};
-use gridsec_testbed::rpc::{RpcClient, RpcServer, ServerTask};
+use gridsec_testbed::rpc::{RpcClient, ServerTask};
 use gridsec_testbed::sched::{Scheduler, Task, TaskCx};
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -190,7 +191,12 @@ fn timeout_expiry_mid_handshake_recovers_after_heal() {
     net.enable_faults(clock.clone(), 0x11ED, FaultProfile::default());
 
     let (env, trust, user) = build_env(&clock, "gsi-secure-conversation", 10_000_000);
-    let mut service = ServerTask::new(RpcServer::new(net.register("time-host")), serve(env));
+    let host = CrashableServer::new(
+        net.register("time-host"),
+        "time-host",
+        CrashPlan::disabled(),
+    );
+    let mut service = ServerTask::new(host, env);
     let policy = RetryPolicy {
         max_attempts: 4,
         base_timeout: 8,

@@ -126,7 +126,7 @@ mod tests {
         let (mut rng, ca, _trust, mut svc, ctx) = setup();
         let user = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
         let cas = ca.issue_identity(&mut rng, dn("/O=G/CN=CAS"), 512, 0, 500_000);
-        let vo = CasServer::new("physics-vo", cas, 3600);
+        let mut vo = CasServer::new("physics-vo", cas, 3600);
         vo.enroll(user.base_identity(), vec![]);
         let assertion = vo.issue_assertion(user.base_identity(), 50).unwrap();
         let proxy = issue_proxy(&mut rng, &user, assertion.restriction(), 512, 50, 10_000).unwrap();

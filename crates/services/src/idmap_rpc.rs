@@ -103,8 +103,9 @@ impl IdentityMap {
 pub struct DurableIdentityMap {
     map: IdentityMap,
     plan: CrashPlan,
-    /// The write-ahead journal (shared with the supervisor).
-    pub journal: Journal,
+    /// The write-ahead journal; its commit records answer retransmits
+    /// after a restart.
+    journal: Journal,
 }
 
 impl DurableIdentityMap {
@@ -214,6 +215,10 @@ impl CrashRecover for DurableIdentityMap {
         self.crash();
         self.replay();
     }
+
+    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
+        self.journal.replies()
+    }
 }
 
 /// One call: the `Ok` body as text, `None` for `Absent`, or the typed
@@ -280,7 +285,7 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::{RpcServer, ServerTask};
+    use gridsec_testbed::rpc::ServerTask;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -383,12 +388,17 @@ mod tests {
     fn a_reply_that_is_not_a_dn_is_a_decode_error_not_no_mapping() {
         let net = Network::new();
         let mut sched = Scheduler::new(&net);
+        struct NotADn;
+        impl CrashRecover for NotADn {
+            fn handle(&mut self, _from: &str, _id: u64, _body: &[u8]) -> Vec<u8> {
+                Reply::Ok(b"not a dn".to_vec()).encode()
+            }
+        }
+        let server =
+            CrashableServer::new(net.register("idmap-host"), "idmap", CrashPlan::disabled());
         sched.spawn_mailbox(
             "idmap-host",
-            ServerTask::new(
-                RpcServer::new(net.register("idmap-host")),
-                |_from: &str, _body: &[u8]| Reply::Ok(b"not a dn".to_vec()).encode(),
-            ),
+            ServerTask::new(server, Rc::new(RefCell::new(NotADn))),
         );
         let mut rpc = RpcClient::new(net.register("admin"), "idmap-host", RetryPolicy::default());
         assert_eq!(
@@ -413,7 +423,7 @@ mod tests {
         sched.spawn_mailbox(
             "idmap-host",
             ServerTask::new(
-                CrashableServer::new(net.register("idmap-host"), "idmap", plan.clone(), j.clone()),
+                CrashableServer::new(net.register("idmap-host"), "idmap", plan.clone()),
                 durable.clone(),
             ),
         );

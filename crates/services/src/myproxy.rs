@@ -124,8 +124,9 @@ pub struct MyProxyServer {
     generation: u64,
     rng: ChaChaRng,
     plan: CrashPlan,
-    /// The write-ahead journal (shared with the supervisor).
-    pub journal: Journal,
+    /// The write-ahead journal; its commit records answer retransmits
+    /// after a restart.
+    journal: Journal,
     /// Issuance lifetime cap, sim-seconds: requests asking for more are
     /// clamped (MyProxy's `max_proxy_lifetime`).
     max_lifetime: u64,
@@ -411,6 +412,10 @@ impl CrashRecover for MyProxyServer {
             }
         }
     }
+
+    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
+        self.journal.replies()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -626,7 +631,7 @@ mod tests {
             w.clock.clone(),
             b"myproxy rig",
             plan.clone(),
-            journal.clone(),
+            journal,
             50_000,
         )));
         let net = Network::new();
@@ -635,7 +640,7 @@ mod tests {
         sched.spawn_mailbox(
             "repo",
             ServerTask::new(
-                CrashableServer::new(net.register("repo"), "myproxy", plan.clone(), journal),
+                CrashableServer::new(net.register("repo"), "myproxy", plan.clone()),
                 app.clone(),
             ),
         );

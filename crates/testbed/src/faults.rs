@@ -16,10 +16,11 @@
 //!   mid-request and come back without taking down the trust fabric.
 //!   [`CrashPlan`] is a seeded schedule of kill points; [`Journal`] is a
 //!   write-ahead log persisted in [`SimOs`]; [`CrashableServer`] hosts
-//!   an RPC service that can be killed at any [`CrashPlan::fires`]
-//!   point and restarted, rebuilding its at-most-once reply cache from
-//!   the journal's commit records so retransmitted requests stay
-//!   idempotent across the restart.
+//!   every RPC service, and any of them can be killed at a
+//!   [`CrashPlan::fires`] point and restarted, rebuilding its
+//!   at-most-once reply cache from the commit records its application
+//!   hands back, so retransmitted requests stay idempotent across the
+//!   restart.
 //!
 //! The crash contract, in one paragraph: a service calls
 //! `plan.fires("point")` at each injection point and **returns
@@ -32,9 +33,11 @@
 //! A handler that commits an effect writes one [`Journal::commit`]
 //! record holding the effect together with the request's
 //! `(caller, call-id)` and exact reply, *before* the next crash point
-//! (write-ahead). On restart the supervisor answers retransmits from
-//! those records and [`CrashRecover::recover`] folds the journal back
-//! into fresh state; anything not committed is re-executed.
+//! (write-ahead). The application is the journal's only holder: on
+//! restart the supervisor answers retransmits from the records
+//! [`CrashRecover::replies`] hands back, and [`CrashRecover::recover`]
+//! folds the journal into fresh state; anything not committed — all of
+//! it, for an application that keeps no journal — is re-executed.
 
 use crate::net::Endpoint;
 use crate::os::{FileMode, Pid, SimOs, Uid, ROOT_UID};
@@ -490,8 +493,9 @@ impl Journal {
     }
 }
 
-/// What a crash-hostable application must provide: request handling
-/// plus the two lifecycle edges of a process death.
+/// What a hosted application must provide: request handling plus the
+/// lifecycle edges of a process death. Every RPC service is one; a
+/// service that keeps no journal takes the defaults.
 pub trait CrashRecover {
     /// Handle one *fresh* request (retransmissions of already-answered
     /// requests never reach this). `from` and the RPC call `id` name
@@ -502,39 +506,47 @@ pub trait CrashRecover {
     fn crash(&mut self) {}
     /// The process restarted: rebuild state from the journal.
     fn recover(&mut self) {}
+    /// The commit records' `((caller, call-id), reply)` pairs
+    /// ([`Journal::replies`]) a restarted process answers retransmits
+    /// from. None for a service that commits nothing: it re-executes.
+    fn replies(&self) -> Vec<Committed> {
+        Vec::new()
+    }
 }
 
-/// An at-most-once RPC server that can be killed and restarted.
+/// The one RPC host: an at-most-once server that can be killed and
+/// restarted.
 ///
-/// An [`RpcServer`] — its `(caller, id)` reply cache answers every
-/// request — but the process behind it is mortal: when the application
-/// latches a [`CrashPlan`] kill mid-request, the supervisor discards the
+/// Its `(caller, id)` reply cache answers every request, but the
+/// process behind it is mortal: when the application latches a
+/// [`CrashPlan`] kill mid-request, the supervisor discards the
 /// in-flight reply, drops volatile state ([`CrashRecover::crash`]), and
 /// marks the process down for `restart_delay` sim-seconds. While down,
 /// the endpoint stays registered (the host is up; the port is just
 /// dead) and arriving mail evaporates — clients see silence and
-/// retransmit. On restart the reply cache is rebuilt from the journal's
-/// commit records alone and [`CrashRecover::recover`] rebuilds the
-/// application state, so a retransmission of a committed request is
-/// answered from the journal, never re-executed. Anything a handler did
-/// not commit — a lookup, a refusal, a handshake token — is re-executed.
+/// retransmit. On restart the reply cache is rebuilt from the
+/// application's commit records alone ([`CrashRecover::replies`]) and
+/// [`CrashRecover::recover`] rebuilds the application state, so a
+/// retransmission of a committed request is answered from the journal,
+/// never re-executed. Anything a handler did not commit — a lookup, a
+/// refusal, a handshake token — is re-executed. Under
+/// [`CrashPlan::disabled`] it never dies and is a plain at-most-once
+/// server.
 pub struct CrashableServer {
     name: String,
     rpc: RpcServer,
     plan: CrashPlan,
-    journal: Journal,
     down_until: Option<u64>,
 }
 
 impl CrashableServer {
-    /// Host a service on `endpoint` under `plan`, restoring its reply
-    /// cache from `journal` on every restart.
-    pub fn new(endpoint: Endpoint, name: &str, plan: CrashPlan, journal: Journal) -> Self {
+    /// Host a service on `endpoint` under `plan`; `name` is its name in
+    /// the plan's transcript.
+    pub fn new(endpoint: Endpoint, name: &str, plan: CrashPlan) -> Self {
         CrashableServer {
             name: name.to_string(),
             rpc: RpcServer::new(endpoint),
             plan,
-            journal,
             down_until: None,
         }
     }
@@ -550,7 +562,7 @@ impl CrashableServer {
             }
             // Restart: reply cache from the commit records, app state
             // via the application's own replay.
-            let replayed = self.rpc.restore(self.journal.replies());
+            let replayed = self.rpc.restore(app.replies());
             app.recover();
             self.plan.note_restart(&self.name, now, replayed);
             self.down_until = None;
@@ -583,7 +595,7 @@ impl CrashableServer {
 /// The application stays shared with the scenario (which inspects it
 /// between calls), and a dead process wakes itself: it comes back at
 /// `down_until` whether or not a retransmission is there to nudge it.
-impl<A: CrashRecover> Task for ServerTask<CrashableServer, Rc<RefCell<A>>> {
+impl<A: CrashRecover> Task for ServerTask<A> {
     fn step(&mut self, cx: &TaskCx) -> Step {
         self.server.poll(&mut *self.app.borrow_mut(), cx.now());
         Step::WaitMail {
@@ -913,6 +925,9 @@ mod tests {
                 .filter(|(t, _)| t == "incr")
                 .count() as u64;
         }
+        fn replies(&self) -> Vec<Committed> {
+            self.journal.replies()
+        }
     }
 
     /// The counting service as a task on the returned scheduler, and a
@@ -924,8 +939,7 @@ mod tests {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock.clone(), 0xC0DE, FaultProfile::default());
-        let server =
-            CrashableServer::new(net.register("svc"), "svc", plan.clone(), journal.clone());
+        let server = CrashableServer::new(net.register("svc"), "svc", plan.clone());
         let app = Rc::new(RefCell::new(CountingApp {
             plan,
             journal,
@@ -1044,6 +1058,67 @@ mod tests {
             Some((1, &b"ok"[..]))
         );
         assert_eq!(app.borrow().count, 1);
+    }
+
+    /// A service that keeps no journal: it numbers the requests it
+    /// executes, so a re-executed retransmit answers with a new number.
+    struct TallyApp {
+        plan: CrashPlan,
+        executed: u64,
+    }
+
+    impl CrashRecover for TallyApp {
+        fn handle(&mut self, _from: &str, _id: u64, _body: &[u8]) -> Vec<u8> {
+            self.executed += 1;
+            if self.plan.fires("tally.exec") {
+                return Vec::new();
+            }
+            self.executed.to_be_bytes().to_vec()
+        }
+    }
+
+    #[test]
+    fn journal_less_service_restarts_empty_and_re_executes() {
+        let plan = CrashPlan::manual(5);
+        plan.arm("tally.exec", 2);
+        let net = Network::new();
+        net.enable_faults(SimClock::new(), 0x7A11, FaultProfile::default());
+        let app = Rc::new(RefCell::new(TallyApp {
+            plan: plan.clone(),
+            executed: 0,
+        }));
+        let server = CrashableServer::new(net.register("svc"), "tally", plan.clone());
+        let mut sched = Scheduler::new(&net);
+        sched.spawn_mailbox("svc", ServerTask::new(server, app.clone()));
+        let client = net.register("client");
+        let mut call = |id: u64| {
+            client
+                .send("svc", crate::rpc::encode_request(id, b"tally"))
+                .unwrap();
+            sched.run();
+            client.try_recv().map(|m| {
+                let (rid, body) = crate::rpc::decode_reply(&m.payload).expect("reply frame");
+                assert_eq!(rid, id);
+                u64::from_be_bytes(body.try_into().expect("eight bytes"))
+            })
+        };
+        assert_eq!(call(1), Some(1));
+        assert_eq!(call(1), Some(1), "answered from the reply cache");
+        // Killed mid-request: no reply, and the process comes back with
+        // an empty reply cache, since nothing was committed.
+        assert_eq!(call(2), None);
+        assert_eq!(
+            plan.transcript(),
+            vec![
+                "[t=0] crash svc=tally point=tally.exec",
+                "[t=5] restart svc=tally replayed=0",
+            ]
+        );
+        // The retransmit of the killed request is re-executed, and so is
+        // a retransmit of one answered before the kill.
+        assert_eq!(call(2), Some(3));
+        assert_eq!(call(1), Some(4));
+        assert_eq!(app.borrow().executed, 4);
     }
 
     #[test]

@@ -13,25 +13,27 @@
 //!   A scheduler task polls it from its `step`; call-shaped code uses
 //!   [`RpcClient::call`], which polls one to completion from inside
 //!   [`sched::wait`].
-//! * **[`RpcServer`]** — executes each distinct `(caller, id)` request
+//! * **`RpcServer`** — executes each distinct `(caller, id)` request
 //!   exactly once and caches the reply, so retransmissions and network
 //!   duplicates of non-idempotent operations (GSS token steps, job
 //!   submission) are answered from the cache instead of re-executed.
 //!   This is the classic at-most-once RPC discipline, and the one copy
-//!   of it: a [`crate::faults::CrashableServer`] answers through an
-//!   `RpcServer`'s table too. [`ServerTask`] hosts either on the
-//!   scheduler.
+//!   of it: the reply cache of [`crate::faults::CrashableServer`], the
+//!   one RPC host, which [`ServerTask`] puts on the scheduler.
 //! * **[`Reply`]** — the one reply envelope every request/reply service
 //!   speaks inside the frame: `status ‖ body`, with status `"ok"`,
 //!   `"none"` or `"err"`.
 
+use crate::faults::CrashableServer;
 use crate::net::Endpoint;
-use crate::sched::{self, Step, Task, TaskCx};
+use crate::sched;
 use crate::TestbedError;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+use std::rc::Rc;
 
 const REQ_MAGIC: &[u8; 4] = b"GRQ1";
 const REP_MAGIC: &[u8; 4] = b"GRP1";
@@ -275,8 +277,9 @@ pub enum CallPoll {
     Exhausted,
     /// Still waiting on the in-flight attempt. The caller should wake
     /// when its mailbox receives mail or at `deadline` (the attempt's
-    /// timeout), whichever is first — i.e. return [`Step::WaitMail`]
-    /// with this deadline from a scheduled task.
+    /// timeout), whichever is first — i.e. return
+    /// [`Step::WaitMail`](sched::Step::WaitMail) with this deadline from
+    /// a scheduled task.
     Wait {
         /// Absolute sim time at which the current attempt times out.
         deadline: u64,
@@ -288,8 +291,8 @@ pub enum CallPoll {
 /// [`RetryPolicy`] schedule, per-attempt deadlines and stale-reply
 /// discarding all live here. It never touches the clock; whoever polls
 /// it says what time it is. A scheduled task polls it from `step` and
-/// returns [`Step::WaitMail`] with the deadline it reports;
-/// [`RpcClient::call`] polls it from [`sched::wait`].
+/// returns [`Step::WaitMail`](sched::Step::WaitMail) with the deadline
+/// it reports; [`RpcClient::call`] polls it from [`sched::wait`].
 ///
 /// The embedding task owns the [`Endpoint`] and passes it to each
 /// [`PollingCall::poll`]; calls on one endpoint must be sequential,
@@ -365,16 +368,17 @@ impl PollingCall {
     }
 }
 
-/// An at-most-once RPC server: executes each distinct `(caller, id)`
-/// once and replays the cached reply for retransmissions.
-pub struct RpcServer {
+/// The at-most-once reply cache of a [`CrashableServer`]: executes
+/// each distinct `(caller, id)` once and replays the cached reply for
+/// retransmissions.
+pub(crate) struct RpcServer {
     endpoint: Endpoint,
     seen: HashMap<(String, u64), Vec<u8>>,
 }
 
 impl RpcServer {
     /// Wrap a registered endpoint as an RPC server.
-    pub fn new(endpoint: Endpoint) -> Self {
+    pub(crate) fn new(endpoint: Endpoint) -> Self {
         RpcServer {
             endpoint,
             seen: HashMap::new(),
@@ -387,16 +391,11 @@ impl RpcServer {
     }
 
     /// Drain the mailbox, answering every request frame: fresh
-    /// `(caller, id)` pairs go through `handler`, repeats are answered
-    /// from the reply cache. Non-RPC frames are ignored.
-    pub(crate) fn poll(&mut self, handler: &mut dyn FnMut(&str, &[u8]) -> Vec<u8>) {
-        self.serve(|from, _id, body| Some(handler(from, body)));
-    }
-
-    /// [`RpcServer::poll`] for a mortal process: `handler` also sees the
-    /// call id, and returns `None` when the process died handling the
-    /// request. Then nothing is cached or sent, and the drain stops
-    /// with the rest of the mail still queued.
+    /// `(caller, id)` pairs go through `handler`, which sees the call id
+    /// too, repeats are answered from the reply cache. Non-RPC frames
+    /// are ignored. `handler` returns `None` when the process died
+    /// handling the request: then nothing is cached or sent, and the
+    /// drain stops with the rest of the mail still queued.
     pub(crate) fn serve(&mut self, mut handler: impl FnMut(&str, u64, &[u8]) -> Option<Vec<u8>>) {
         while let Some(m) = self.endpoint.try_recv() {
             let Some((id, body)) = decode_request(&m.payload) else {
@@ -420,7 +419,7 @@ impl RpcServer {
     }
 
     /// Replace the reply cache with `replies` (a restarted process's
-    /// journal); returns how many it now holds.
+    /// commit records); returns how many it now holds.
     pub(crate) fn restore(
         &mut self,
         replies: impl IntoIterator<Item = ((String, u64), Vec<u8>)>,
@@ -431,31 +430,22 @@ impl RpcServer {
     }
 }
 
-/// A mailbox server and its application as one scheduler task: answer
-/// everything queued on every wake, then park until mail arrives — or,
-/// for a crashed [`CrashableServer`](crate::faults::CrashableServer),
-/// until its restart time. Spawn it with
+/// A hosted service as one scheduler task: answer everything queued on
+/// every wake, then park until mail arrives — or, for a crashed
+/// process, until its restart time. The application stays shared with
+/// the scenario, which inspects it between calls. Spawn it with
 /// [`Scheduler::spawn_mailbox`](sched::Scheduler::spawn_mailbox) under
 /// the server's endpoint name.
-pub struct ServerTask<S, A> {
-    pub(crate) server: S,
-    pub(crate) app: A,
+pub struct ServerTask<A> {
+    pub(crate) server: CrashableServer,
+    pub(crate) app: Rc<RefCell<A>>,
 }
 
-impl<S, A> ServerTask<S, A> {
-    /// Host `app` behind `server`: a request handler closure for an
-    /// [`RpcServer`], a shared
-    /// [`CrashRecover`](crate::faults::CrashRecover) application for a
-    /// `CrashableServer`.
-    pub fn new(server: S, app: A) -> Self {
+impl<A> ServerTask<A> {
+    /// Host the [`CrashRecover`](crate::faults::CrashRecover)
+    /// application `app` behind `server`.
+    pub fn new(server: CrashableServer, app: Rc<RefCell<A>>) -> Self {
         ServerTask { server, app }
-    }
-}
-
-impl<F: FnMut(&str, &[u8]) -> Vec<u8>> Task for ServerTask<RpcServer, F> {
-    fn step(&mut self, _cx: &TaskCx) -> Step {
-        self.server.poll(&mut self.app);
-        Step::WaitMail { deadline: None }
     }
 }
 
@@ -463,10 +453,10 @@ impl<F: FnMut(&str, &[u8]) -> Vec<u8>> Task for ServerTask<RpcServer, F> {
 mod tests {
     use super::*;
     use crate::clock::SimClock;
+    use crate::faults::{CrashPlan, CrashRecover};
     use crate::net::{FaultProfile, Network};
-    use crate::sched::Scheduler;
+    use crate::sched::{Scheduler, Step, TaskCx};
     use std::cell::Cell;
-    use std::rc::Rc;
 
     /// The policy the lossy tests share: timeout windows larger than the
     /// worst-case round trip, so an attempt only fails when a copy was
@@ -478,25 +468,27 @@ mod tests {
         max_timeout: 64,
     };
 
-    /// An uppercase-echo server task on `sched` plus a client of it. The
-    /// counter reports how many requests the handler actually executed.
+    /// An uppercase-echo service; the counter reports how many requests
+    /// it actually executed.
+    struct Upper(Rc<Cell<u32>>);
+
+    impl CrashRecover for Upper {
+        fn handle(&mut self, _from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
+            self.0.set(self.0.get() + 1);
+            body.to_ascii_uppercase()
+        }
+    }
+
+    /// The echo service as a task on `sched` plus a client of it.
     fn served_pair(
         net: &Network,
         sched: &mut Scheduler,
         policy: RetryPolicy,
     ) -> (RpcClient, Rc<Cell<u32>>) {
         let executed = Rc::new(Cell::new(0));
-        let count = executed.clone();
-        sched.spawn_mailbox(
-            "server",
-            ServerTask::new(
-                RpcServer::new(net.register("server")),
-                move |_from: &str, body: &[u8]| {
-                    count.set(count.get() + 1);
-                    body.to_ascii_uppercase()
-                },
-            ),
-        );
+        let server = CrashableServer::new(net.register("server"), "server", CrashPlan::disabled());
+        let app = Rc::new(RefCell::new(Upper(executed.clone())));
+        sched.spawn_mailbox("server", ServerTask::new(server, app));
         let client = RpcClient::new(net.register("client"), "server", policy);
         (client, executed)
     }

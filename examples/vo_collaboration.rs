@@ -35,7 +35,7 @@ fn main() {
     );
 
     // Form the VO (Figure 1's policy overlay).
-    let vo = form_vo(&mut rng, "climate-vo", &mut domains, 512, 100_000_000);
+    let mut vo = form_vo(&mut rng, "climate-vo", &mut domains, 512, 100_000_000);
     println!(
         "\nformed {}: {} members enrolled, {} unilateral trust acts",
         vo.name,

@@ -188,7 +188,7 @@ stage_grep_guard() {
     # An MJS delegates over its LMJFS's key (DESIGN.md §11.2): neither
     # GRAM driver may generate a key or answer a DELEG-REQ itself; both
     # call GramResource::mjs_accept_delegation.
-    if grep -En 'respond_with_key|RsaKeyPair::generate' crates/gram/src/{requestor,remote}.rs; then
+    if grep -En 'respond_with_key|RsaKeyPair::generate' crates/gram/src/{requestor,remote,durable}.rs; then
         echo "FAIL: a GRAM driver generates the MJS's delegation key itself (above)" >&2
         exit 1
     fi
@@ -268,6 +268,20 @@ stage_grep_guard() {
             crates/*/tests tests examples
     } | grep -vE '^[^:]+:[0-9]+: *//'; then
         echo "FAIL: a second GT3 wire is back (above); call and serve OGSA over testbed::rpc" >&2
+        exit 1
+    fi
+    # One RPC host (DESIGN.md §10, §12.2): every service is a CrashRecover
+    # application on a CrashableServer, whose private reply cache is the
+    # only RpcServer. No closure-hosted server outside testbed, and no
+    # non-durable twin of a service: the CAS is DurableCas, GRAM is
+    # DurableGram, the GSS acceptor is one AcceptorService, and a hosting
+    # environment is served as itself.
+    if { grep -rEn 'RpcServer::new|ServerTask::new\(RpcServer' crates tests examples \
+        | grep -vE '^crates/testbed/src/'
+        grep -rEn '\b(CasService|RemoteGram|CrashableAcceptor)\b|transport::serve\b' \
+            crates tests examples
+    } | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: a second way to host an RPC service is back (above); host a CrashRecover app on CrashableServer" >&2
         exit 1
     fi
     # A GridFTP server's digests are the ones its filesystem stores beside

@@ -10,9 +10,10 @@
 //! * `gridsec_wsse::soap::Envelope::parse` (and through it the XML
 //!   parser's recursion-depth cap),
 //! * `HostingEnvironment::handle_message` (the full OGSA pipeline),
-//! * `AcceptorService::handle` (GSS token exchange),
-//! * `CasService::handle` (community authorization),
-//! * `RemoteGram::handle` (job management),
+//! * `AcceptorService` (GSS token exchange),
+//! * `DurableCas` (community authorization),
+//! * `DurableGram` (job management), each through its
+//!   `CrashRecover::handle`, as its host calls it,
 //! * the client half of the reply envelope: every request/reply client
 //!   (GSS token loop, GRAM, CAS, identity mapping, MyProxy) fed a
 //!   truncated, unknown-status or over-long `testbed::rpc::Reply`,
@@ -29,18 +30,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use gridsec_authz::cas::CasServer;
+use gridsec_authz::durable::DurableCas;
 use gridsec_authz::gridmap::GridMapFile;
-use gridsec_authz::net::CasService;
 use gridsec_authz::policy::{CombiningAlg, PolicySet};
 use gridsec_crypto::rng::ChaChaRng;
-use gridsec_gram::remote::RemoteGram;
+use gridsec_gram::durable::DurableGram;
 use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gssapi::net::AcceptorService;
 use gridsec_integration::basic_world;
 use gridsec_ogsa::hosting::HostingEnvironment;
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::os::SimOs;
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, Journal};
+use gridsec_testbed::os::{SimOs, ROOT_UID};
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_util::rng::{DetRng, RngCore};
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -176,22 +177,34 @@ fn no_wire_facing_handler_panics_on_malformed_input() {
     // Target: GSS acceptor.
     let mut acceptor = AcceptorService::new(
         TlsConfig::new(w.service.clone(), w.trust.clone(), clock.now()),
-        ChaChaRng::from_seed_bytes(b"fuzz acceptor"),
+        b"fuzz acceptor",
+        CrashPlan::disabled(),
     );
     for i in 0..CASES_PER_TARGET {
         let base = &corpus[i % corpus.len()];
         let bytes = mutate(&mut rng, base);
-        let reply = acceptor.handle("mallory", &bytes);
+        let reply = acceptor.handle("mallory", i as u64, &bytes);
         assert!(!reply.is_empty());
     }
 
+    // The durable services journal on a host of their own.
+    let os = SimOs::new();
+    os.add_host("fuzz-host");
+    let journal = |path: &str| Journal::open(os.clone(), "fuzz-host", path, ROOT_UID);
+
     // Target: CAS service.
-    let cas = Rc::new(CasServer::new("vo-fuzz", w.service.clone(), 600));
-    let mut cas_svc = CasService::new(cas, clock.clone());
+    let mut cas = DurableCas::new(
+        "vo-fuzz",
+        w.service.clone(),
+        600,
+        clock.clone(),
+        CrashPlan::disabled(),
+        journal("/var/cas/journal.wal"),
+    );
     for i in 0..CASES_PER_TARGET {
         let base = &corpus[i % corpus.len()];
         let bytes = mutate(&mut rng, base);
-        let reply = cas_svc.handle("mallory", &bytes);
+        let reply = cas.handle("mallory", i as u64, &bytes);
         assert!(!reply.is_empty());
     }
 
@@ -207,12 +220,26 @@ fn no_wire_facing_handler_panics_on_malformed_input() {
         GramConfig::default(),
     )
     .unwrap();
-    let mut gram = RemoteGram::new(Rc::new(RefCell::new(resource)), b"fuzz gram");
+    let mut gram = DurableGram::new(
+        Rc::new(RefCell::new(resource)),
+        b"fuzz gram",
+        CrashPlan::disabled(),
+        journal("/var/gram/journal.wal"),
+    );
     for i in 0..CASES_PER_TARGET {
         let base = &corpus[i % corpus.len()];
         let bytes = mutate(&mut rng, base);
-        let reply = gram.handle("mallory", &bytes);
+        let reply = gram.handle("mallory", i as u64, &bytes);
         assert!(!reply.is_empty());
+    }
+}
+
+/// A service that answers every request with the same bytes.
+struct Canned(Vec<u8>);
+
+impl CrashRecover for Canned {
+    fn handle(&mut self, _from: &str, _id: u64, _body: &[u8]) -> Vec<u8> {
+        self.0.clone()
     }
 }
 
@@ -233,8 +260,9 @@ fn every_client_rejects_a_malformed_reply_envelope() {
     use gridsec_pki::name::DistinguishedName;
     use gridsec_services::idmap_rpc::{remote_to_principal, IdMapError};
     use gridsec_services::myproxy::{destroy, MyProxyError};
+    use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::Network;
-    use gridsec_testbed::rpc::{Reply, RpcClient, RpcServer, ServerTask};
+    use gridsec_testbed::rpc::{Reply, RpcClient, ServerTask};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
 
@@ -253,13 +281,9 @@ fn every_client_rejects_a_malformed_reply_envelope() {
     for (case, reply) in cases {
         let net = Network::new();
         let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox(
-            "svc",
-            ServerTask::new(
-                RpcServer::new(net.register("svc")),
-                move |_from: &str, _body: &[u8]| reply.clone(),
-            ),
-        );
+        let server = CrashableServer::new(net.register("svc"), "svc", CrashPlan::disabled());
+        let canned = Rc::new(RefCell::new(Canned(reply)));
+        sched.spawn_mailbox("svc", ServerTask::new(server, canned));
         let mut rpc = RpcClient::new(net.register("client"), "svc", RetryPolicy::default());
 
         let gss = establish_initiator_resilient(
