@@ -90,7 +90,7 @@ impl DurableCas {
     /// retransmit answered from the journal does not count.
     pub fn issued_count(&self) -> usize {
         self.journal
-            .replies()
+            .replay(|_, _| {})
             .iter()
             .filter(|(_, reply)| matches!(Reply::decode(reply), Some(Reply::Ok(_))))
             .count()
@@ -136,7 +136,7 @@ impl DurableCas {
             .add_rule(Rule::new(subject, resource, action, effect));
     }
 
-    fn apply_record(&mut self, tag: &str, body: &[u8]) {
+    fn apply_record(cas: &mut CasServer, tag: &str, body: &[u8]) {
         let mut d = Decoder::new(body);
         match tag {
             TAG_ENROLL => {
@@ -145,7 +145,7 @@ impl DurableCas {
                     return;
                 };
                 if let Ok(user) = DistinguishedName::parse(&subject) {
-                    self.cas.enroll(&user, groups);
+                    cas.enroll(&user, groups);
                 }
             }
             TAG_RULE => {
@@ -168,8 +168,7 @@ impl DurableCas {
                     } else {
                         Effect::Deny
                     };
-                    self.cas
-                        .add_rule(Rule::new(subject, &resource, &action, effect));
+                    cas.add_rule(Rule::new(subject, &resource, &action, effect));
                 }
             }
             _ => {}
@@ -232,15 +231,10 @@ impl CrashRecover for DurableCas {
         self.cas.forget();
     }
 
-    fn recover(&mut self) {
+    fn recover(&mut self) -> Vec<((String, u64), Vec<u8>)> {
         self.crash();
-        for (tag, body) in self.journal.records() {
-            self.apply_record(&tag, &body);
-        }
-    }
-
-    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
-        self.journal.replies()
+        self.journal
+            .replay(|tag, body| Self::apply_record(&mut self.cas, tag, body))
     }
 }
 
@@ -252,7 +246,7 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::{decode_reply, encode_request, ServerTask};
+    use gridsec_testbed::rpc::{decode_reply, encode_request};
     use gridsec_testbed::sched::Scheduler;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -312,9 +306,8 @@ mod tests {
         let cas = Rc::new(RefCell::new(cas));
         let net = Network::new();
         net.enable_faults(SimClock::new(), 0xCA5, FaultProfile::default());
-        let server = CrashableServer::new(net.register("cas"), "cas", plan.clone());
         let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox("cas", ServerTask::new(server, cas.clone()));
+        CrashableServer::spawn(&mut sched, net.register("cas"), "cas", &plan, &cas);
         Served {
             cas,
             plan,

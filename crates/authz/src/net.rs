@@ -75,7 +75,7 @@ mod tests {
     use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::{RpcClient, ServerTask};
+    use gridsec_testbed::rpc::RpcClient;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -105,8 +105,7 @@ mod tests {
         );
         let cas = Rc::new(RefCell::new(cas));
         let mut sched = Scheduler::new(net);
-        let server = CrashableServer::new(net.register("cas"), "cas", plan);
-        sched.spawn_mailbox("cas", ServerTask::new(server, cas.clone()));
+        CrashableServer::spawn(&mut sched, net.register("cas"), "cas", &plan, &cas);
         (cas, sched)
     }
 

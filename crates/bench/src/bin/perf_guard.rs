@@ -74,14 +74,21 @@
 //!     the first user's 16 jobs and 2 after the second user's, as the
 //!     Proxy Router's signer memo counts its misses. Before the memo every
 //!     request decoded and walked its chain: 16, then 32.
-//! 15. **The keystream runs four blocks wide**: `xor_stream` over 64 KiB
-//!     runs at ≥ 1.4× the throughput of the same 64 KiB as one
-//!     `chacha20::block` call per 64 bytes, XORed in. It reads 1.7–1.9×
-//!     where the four-lane loop is vectorised (SSE2 on baseline x86-64)
-//!     and ≈ 1.0× where it is not — the shape three earlier layouts
-//!     compiled to, and what a compiler that re-scalarises the loop
-//!     would bring back. The AEAD under every protected message seals
-//!     through it.
+//! 15. **The keystream runs four blocks wide** — a count read from
+//!     this executable's own machine code, not a time: the four-lane
+//!     ChaCha20 rounds (`gridsec_util::chacha::wide_blocks`, or
+//!     `xor_stream` where it is inlined, as it is at the baseline x86-64
+//!     target), disassembled with binutils' `objdump`, hold at least 48
+//!     packed `paddd`. One add of a state word across four lanes is one
+//!     SSE2 `paddd`: a double round is eight quarter rounds of four adds
+//!     (32), and the feed-forward adds the sixteen input words (16).
+//!     It reads 49 where the loop is vectorised (the 49th steps the
+//!     lane counters) and 3 with `LANES = 1`, whose one-lane rounds
+//!     compile to scalar `add` and `rol` — the shape three earlier
+//!     layouts compiled to. The AEAD under every protected message
+//!     seals through it. This claim was a ratio of `xor_stream` over
+//!     64 KiB against one `chacha20::block` call per 64 bytes (floor
+//!     1.4×), which read 1.7–1.9× vectorised and ≈ 1.0× scalar.
 //! 16. **The SHA-256 schedule runs sixteen blocks wide** — a count read
 //!     from this executable's own machine code, not a time:
 //!     `gridsec_util::sha256::Sha256::update`, disassembled with binutils'
@@ -109,11 +116,11 @@
 //! so those ratios are what the pool buys (validator hits: a hash and a
 //! compare of the chain's wire bytes in place of a chain walk);
 //! absolute acceptor speed is gated by gridbench's `ops_per_s` on
-//! `establish_storm`. Claims 9, 10 and 15 are
+//! `establish_storm`. Claims 9 and 10 are
 //! medians of per-round ratios, the two arms of a round interleaved, so
 //! a slow phase of the machine lands on numerator and denominator alike.
-//! Claims 11–14, 16 and 17 read no clock: one run, the same count on
-//! every machine with the same toolchain.
+//! Claims 11–17 read no clock: one run, the same count on every machine
+//! with the same toolchain.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
 //! recorded bench artifact it gates (`BENCH_*.json`), pass or fail.
@@ -125,7 +132,6 @@ use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_w
 use gridsec_bench::{bench_world, dn, sign_shape, KEY_BITS};
 use gridsec_bignum::modular::{mod_pow, mod_pow_classic};
 use gridsec_bignum::prime::generate_prime;
-use gridsec_crypto::chacha20;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::RsaKeyPair;
 use gridsec_gram::resource::{GramConfig, GramResource};
@@ -191,10 +197,10 @@ fn claim(failures: &mut u32, name: &str, measured: f64, threshold: f64, bench: &
     }
 }
 
-/// The packed `paddd` instructions in this executable's
-/// `gridsec_util::sha256::Sha256::update`, as binutils' `objdump` reads
-/// them.
-fn packed_adds_in_sha256_update() -> Result<usize, String> {
+/// The packed `paddd` instructions in this executable's first
+/// `gridsec_util` function whose mangled name holds one of `names`,
+/// tried in order, as binutils' `objdump` reads them.
+fn packed_adds_in(names: &[&str]) -> Result<usize, String> {
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     let objdump = |args: &[&str]| {
         let out = std::process::Command::new("objdump")
@@ -208,11 +214,15 @@ fn packed_adds_in_sha256_update() -> Result<usize, String> {
         Ok(String::from_utf8_lossy(&out.stdout).into_owned())
     };
     let symbols = objdump(&["-t"])?;
-    let symbol = symbols
-        .lines()
-        .filter_map(|line| line.split_whitespace().last())
-        .find(|name| name.contains("gridsec_util") && name.contains("6Sha2566update"))
-        .ok_or("no Sha256::update symbol")?;
+    let symbol = names
+        .iter()
+        .find_map(|name| {
+            symbols
+                .lines()
+                .filter_map(|line| line.split_whitespace().last())
+                .find(|symbol| symbol.contains("gridsec_util") && symbol.contains(name))
+        })
+        .ok_or(format!("no symbol for any of {names:?}"))?;
     let code = objdump(&[
         "-d",
         "--no-show-raw-insn",
@@ -222,6 +232,22 @@ fn packed_adds_in_sha256_update() -> Result<usize, String> {
         .lines()
         .filter(|line| line.split_whitespace().nth(1) == Some("paddd"))
         .count())
+}
+
+/// Claim `name`: at least `floor` packed adds in the first of `names`.
+fn packed_adds_claim(failures: &mut u32, name: &str, what: &str, names: &[&str], floor: usize) {
+    let packed_adds = packed_adds_in(names).unwrap_or_else(|why| {
+        eprintln!("[perf_guard] cannot read {what}'s machine code: {why}");
+        0
+    });
+    println!("[perf_guard] {what} holds {packed_adds} packed paddd, must be at least {floor}");
+    claim(
+        failures,
+        name,
+        packed_adds as f64,
+        floor as f64,
+        "c1_message_protection",
+    );
 }
 
 fn main() {
@@ -712,57 +738,21 @@ fn main() {
     );
 
     // --- Claim 15: the keystream runs four blocks wide. ---
-    let (key, nonce) = ([0x15u8; chacha20::KEY_LEN], [0x0fu8; chacha20::NONCE_LEN]);
-    let mut data = vec![0u8; 64 * 1024];
-    let per_block = |data: &mut [u8]| {
-        for (i, chunk) in data.chunks_mut(chacha20::BLOCK_LEN).enumerate() {
-            let ks = chacha20::block(&key, i as u32, &nonce);
-            chunk.iter_mut().zip(ks).for_each(|(b, k)| *b ^= k);
-        }
-    };
-    let mut reference = data.clone();
-    per_block(&mut reference);
-    chacha20::xor_stream(&key, &nonce, 0, &mut data);
-    assert_eq!(
-        data, reference,
-        "keystreams disagree — correctness before speed"
-    );
-    let wide_vs_block = median_ratio(41, || {
-        let scalar = time_ns(|| per_block(std::hint::black_box(&mut data)));
-        let wide =
-            time_ns(|| chacha20::xor_stream(&key, &nonce, 0, std::hint::black_box(&mut data)));
-        scalar / wide
-    });
-    println!(
-        "[perf_guard] keystream 64 KiB: xor_stream runs {wide_vs_block:.2}x \
-         one block call per 64 bytes"
-    );
-    claim(
+    packed_adds_claim(
         &mut failures,
         "keystream-four-blocks-wide",
-        wide_vs_block,
-        1.4,
-        "c1_message_protection",
+        "ChaCha20's four-lane rounds",
+        &["6chacha11wide_blocks", "6chacha10xor_stream"],
+        48,
     );
 
     // --- Claim 16: the SHA-256 schedule runs sixteen blocks wide. ---
-    let packed_adds = match packed_adds_in_sha256_update() {
-        Ok(n) => n,
-        Err(why) => {
-            eprintln!("[perf_guard] cannot read Sha256::update's machine code: {why}");
-            0
-        }
-    };
-    println!(
-        "[perf_guard] sha256: Sha256::update holds {packed_adds} packed paddd, \
-         must be at least 16"
-    );
-    claim(
+    packed_adds_claim(
         &mut failures,
         "sha256-sixteen-blocks-wide",
-        packed_adds as f64,
-        16.0,
-        "c1_message_protection",
+        "Sha256::update",
+        &["6Sha2566update"],
+        16,
     );
 
     // --- Claim 17: a GridFTP server hashes each file version once. ---

@@ -116,6 +116,8 @@ impl DurableGram {
             started: HashSet::new(),
         };
         durable.reincarnate();
+        // Replay without `recover`'s crash: jobs the resource already
+        // holds stay. Their replies go unused until a restart.
         durable.replay();
         durable
     }
@@ -266,34 +268,32 @@ impl DurableGram {
     }
 
     /// Fold the journal into the resource: every journaled MJS comes
-    /// back, active if its start was journaled too.
-    fn replay(&mut self) {
-        let records = self.journal.records();
+    /// back, active if its start was journaled too. Returns the commit
+    /// replies from the same read.
+    fn replay(&mut self) -> Vec<((String, u64), Vec<u8>)> {
         let mut submits: Vec<SubmitRecord> = Vec::new();
         let mut starts: HashMap<String, Pid> = HashMap::new();
-        for (tag, body) in &records {
-            match tag.as_str() {
-                TAG_SUBMIT => {
-                    if let Some(rec) = decode_submit_record(body) {
-                        submits.push(rec);
-                    }
+        let replies = self.journal.replay(|tag, body| match tag {
+            TAG_SUBMIT => {
+                if let Some(rec) = decode_submit_record(body) {
+                    submits.push(rec);
                 }
-                TAG_START => {
-                    let mut d = Decoder::new(body);
-                    let parsed = (|| {
-                        let from = d.get_str().ok()?;
-                        let handle = d.get_str().ok()?;
-                        let pid = d.get_u64().ok()?;
-                        Some((from, handle, pid))
-                    })();
-                    if let Some((from, handle, pid)) = parsed {
-                        starts.insert(handle.clone(), pid);
-                        self.started.insert((from, handle));
-                    }
-                }
-                _ => {}
             }
-        }
+            TAG_START => {
+                let mut d = Decoder::new(body);
+                let parsed = (|| {
+                    let from = d.get_str().ok()?;
+                    let handle = d.get_str().ok()?;
+                    let pid = d.get_u64().ok()?;
+                    Some((from, handle, pid))
+                })();
+                if let Some((from, handle, pid)) = parsed {
+                    starts.insert(handle.clone(), pid);
+                    self.started.insert((from, handle));
+                }
+            }
+            _ => {}
+        });
         for rec in submits {
             let (state, job_pid) = match starts.get(&rec.handle) {
                 Some(&pid) => (JobState::Active, (pid != 0).then_some(pid)),
@@ -308,6 +308,7 @@ impl DurableGram {
                 rec.mjs_id,
             );
         }
+        replies
     }
 
     fn encode_submit_record(&self, handle: &str, account: &str) -> Vec<u8> {
@@ -453,13 +454,9 @@ impl CrashRecover for DurableGram {
         self.reincarnate();
     }
 
-    fn recover(&mut self) {
+    fn recover(&mut self) -> Vec<((String, u64), Vec<u8>)> {
         self.crash();
-        self.replay();
-    }
-
-    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
-        self.journal.replies()
+        self.replay()
     }
 }
 
@@ -479,7 +476,7 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::{RpcClient, ServerTask};
+    use gridsec_testbed::rpc::RpcClient;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
 
@@ -487,11 +484,13 @@ mod tests {
         /// Number of submissions journaled: one commit record each, so
         /// retransmits answered from the journal do not count.
         fn submitted_count(&self) -> usize {
-            self.journal
-                .records()
-                .iter()
-                .filter(|(tag, _)| tag == TAG_SUBMIT)
-                .count()
+            let mut submitted = 0;
+            self.journal.replay(|tag, _| {
+                if tag == TAG_SUBMIT {
+                    submitted += 1;
+                }
+            });
+            submitted
         }
 
         /// Number of distinct job starts journaled.
@@ -567,9 +566,14 @@ mod tests {
         )));
         let net = Network::new();
         net.enable_faults(w.clock.clone(), 0x6AAF, FaultProfile::default());
-        let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone());
         let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable.clone()));
+        CrashableServer::spawn(
+            &mut sched,
+            net.register("mjs-host"),
+            "gram",
+            &plan,
+            &durable,
+        );
         let rpc = RpcClient::new(
             net.register("jane"),
             "mjs-host",
@@ -617,14 +621,11 @@ mod tests {
         assert_eq!(r.durable.borrow().started_count(), 1);
         // One commit record per committed request; nothing for the
         // step-7 token and delegation exchanges.
-        let tags: Vec<String> = r
-            .durable
+        let mut tags = Vec::new();
+        r.durable
             .borrow()
             .journal
-            .records()
-            .into_iter()
-            .map(|(tag, _)| tag)
-            .collect();
+            .replay(|tag, _| tags.push(tag.to_string()));
         assert_eq!(tags, [TAG_SUBMIT, TAG_START]);
     }
 

@@ -329,7 +329,7 @@ mod tests {
     use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::{RpcClient, ServerTask};
+    use gridsec_testbed::rpc::RpcClient;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -393,10 +393,12 @@ mod tests {
     /// `service` as a task on the returned scheduler, plus a client of it.
     fn rpc_pair(net: &Network, service: DurableGram) -> (RpcClient, Scheduler) {
         let mut sched = Scheduler::new(net);
-        let server = CrashableServer::new(net.register("mjs-host"), "gram", CrashPlan::disabled());
-        sched.spawn_mailbox(
-            "mjs-host",
-            ServerTask::new(server, Rc::new(RefCell::new(service))),
+        CrashableServer::spawn(
+            &mut sched,
+            net.register("mjs-host"),
+            "gram",
+            &CrashPlan::disabled(),
+            &Rc::new(RefCell::new(service)),
         );
         let rpc = RpcClient::new(
             net.register("jane"),

@@ -33,7 +33,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{Reply, RpcClient, ServerTask};
+use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_util::retry::RetryPolicy;
@@ -307,10 +307,12 @@ fn gram_service(resource: &Rc<RefCell<GramResource>>, seed: &[u8]) -> DurableGra
 /// `service` as a task on a scheduler over `net`, plus a client of it.
 fn serve(net: &Network, client: &str, service: DurableGram) -> (RpcClient, Scheduler) {
     let mut sched = Scheduler::new(net);
-    let server = CrashableServer::new(net.register("mjs-host"), "gram", CrashPlan::disabled());
-    sched.spawn_mailbox(
-        "mjs-host",
-        ServerTask::new(server, Rc::new(RefCell::new(service))),
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("mjs-host"),
+        "gram",
+        &CrashPlan::disabled(),
+        &Rc::new(RefCell::new(service)),
     );
     let rpc = RpcClient::new(net.register(client), "mjs-host", policy());
     (rpc, sched)
@@ -384,9 +386,14 @@ fn the_key_survives_a_crash_of_the_service() {
     )));
     let net = Network::new();
     net.enable_faults(w.clock.clone(), 0xDE1F, FaultProfile::default());
-    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan.clone());
     let mut sched = Scheduler::new(&net);
-    sched.spawn_mailbox("mjs-host", ServerTask::new(server, durable));
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("mjs-host"),
+        "gram",
+        &plan,
+        &durable,
+    );
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane durable");
     let mut handles = Vec::new();

@@ -24,7 +24,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, Network};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, ServerTask};
+use gridsec_testbed::rpc::RpcClient;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::soap::Envelope;
@@ -342,10 +342,12 @@ fn the_rpc_driver_on_a_lossy_wan_walks_each_sign_on_once() {
     let journal = Journal::open(os, "compute1", "/var/gram/journal.wal", ROOT_UID);
     let plan = CrashPlan::disabled();
     let service = DurableGram::new(shared.clone(), b"mjs rng", plan.clone(), journal);
-    let server = CrashableServer::new(net.register("mjs-host"), "gram", plan);
-    sched.spawn_mailbox(
-        "mjs-host",
-        ServerTask::new(server, Rc::new(RefCell::new(service))),
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("mjs-host"),
+        "gram",
+        &plan,
+        &Rc::new(RefCell::new(service)),
     );
     let (jane_eec, carl_eec) = (w.jane.clone(), w.carl.clone());
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());

@@ -357,7 +357,7 @@ mod tests {
     use gridsec_testbed::clock::SimClock;
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
-    use gridsec_testbed::rpc::{RpcClient, ServerTask};
+    use gridsec_testbed::rpc::RpcClient;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -410,8 +410,7 @@ mod tests {
             plan.clone(),
         )));
         let mut sched = Scheduler::new(net);
-        let server = CrashableServer::new(net.register("mjs"), "gss", plan);
-        sched.spawn_mailbox("mjs", ServerTask::new(server, service.clone()));
+        CrashableServer::spawn(&mut sched, net.register("mjs"), "gss", &plan, &service);
         let rpc = RpcClient::new(net.register("alice"), "mjs", PATIENT);
         (service, rpc, sched)
     }

@@ -45,10 +45,10 @@ use gridsec_pki::store::TrustStore;
 use gridsec_pki::validate::validate_chain;
 use gridsec_services::audit::AuditLog;
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
-use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network};
+use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
+use gridsec_testbed::net::{FaultProfile, FaultStats, Network};
 use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, ServerTask};
+use gridsec_testbed::rpc::RpcClient;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
@@ -97,7 +97,7 @@ pub struct ScenarioReport {
     pub audit_records: usize,
     /// Whether the flow completed (false under `partition_all`).
     pub completed: bool,
-    /// Process kills delivered by the figure's crash plan.
+    /// Process kills delivered by the figure's crash plans.
     pub crashes: u64,
     /// Service restarts (journal recoveries) completed.
     pub restarts: u64,
@@ -142,21 +142,6 @@ fn loss_only(drop: f64) -> FaultProfile {
     }
 }
 
-/// Host `app` on `sched` behind the crashable RPC endpoint `endpoint`
-/// (transcript name `service`). The figure's straight-line client code
-/// parks in `sched` on every call, so it must outlive the flow.
-fn spawn_crashable<A: CrashRecover + 'static>(
-    sched: &mut Scheduler,
-    endpoint: Endpoint,
-    service: &str,
-    plan: &CrashPlan,
-    app: &Rc<RefCell<A>>,
-) {
-    let mailbox = endpoint.id();
-    let server = CrashableServer::new(endpoint, service, plan.clone());
-    sched.spawn_mailbox_id(mailbox, ServerTask::new(server, app.clone()));
-}
-
 /// Per-scenario observability rig: tracer on the scenario clock, audit
 /// log as the event sink, optional flight path.
 struct Rig {
@@ -176,7 +161,15 @@ fn rig(clock: &SimClock, opts: &ChaosOpts) -> Rig {
     Rig { tracer, audit }
 }
 
-fn report(tag: &str, net: &Network, r: Rig, completed: bool, plan: &CrashPlan) -> ScenarioReport {
+/// The figure's report; `plans` are the crash plans of every process
+/// it runs, whose transcripts and counts it carries.
+fn report(
+    tag: &str,
+    net: &Network,
+    r: Rig,
+    completed: bool,
+    plans: &[&CrashPlan],
+) -> ScenarioReport {
     assert!(
         r.audit.verify().is_ok(),
         "{tag}: audit hash chain must verify"
@@ -186,7 +179,9 @@ fn report(tag: &str, net: &Network, r: Rig, completed: bool, plan: &CrashPlan) -
         .into_iter()
         .map(|l| format!("{tag} {l}"))
         .collect();
-    lines.extend(plan.transcript().into_iter().map(|l| format!("{tag} {l}")));
+    for plan in plans {
+        lines.extend(plan.transcript().into_iter().map(|l| format!("{tag} {l}")));
+    }
     ScenarioReport {
         lines,
         stats: net.fault_stats().expect("faults were enabled"),
@@ -194,8 +189,8 @@ fn report(tag: &str, net: &Network, r: Rig, completed: bool, plan: &CrashPlan) -
         metrics: r.tracer.metrics(),
         audit_records: r.audit.len(),
         completed,
-        crashes: plan.crashes(),
-        restarts: plan.restarts(),
+        crashes: plans.iter().map(|plan| plan.crashes()).sum(),
+        restarts: plans.iter().map(|plan| plan.restarts()).sum(),
     }
 }
 
@@ -224,15 +219,14 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         plan.clone(),
     )));
     let mut sched = Scheduler::new(&net);
-    let ep = net.register("service");
-    spawn_crashable(&mut sched, ep, "gss", &plan, &service);
+    CrashableServer::spawn(&mut sched, net.register("service"), "gss", &plan, &service);
     let mut rpc = RpcClient::new(net.register("user"), "service", policy());
 
     if opts.partition_all {
         net.partition("user", "service");
         let err = establish_initiator_resilient(&mut rpc, initiator_cfg, &mut w.rng, 1);
         assert!(err.is_err(), "partition must fail establishment");
-        return report("fig1", &net, r, false, &plan);
+        return report("fig1", &net, r, false, &[&plan]);
     }
 
     let mut user_ctx = establish_initiator_resilient(&mut rpc, initiator_cfg, &mut w.rng, 6)
@@ -278,7 +272,7 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         b"welcome back"
     );
 
-    report("fig1", &net, r, true, &plan)
+    report("fig1", &net, r, true, &[&plan])
 }
 
 /// Figure 2: CAS-mediated authorization — fetch a signed capability
@@ -323,14 +317,13 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     );
 
     let mut sched = Scheduler::new(&net);
-    let ep = net.register("cas");
-    spawn_crashable(&mut sched, ep, "cas", &plan, &durable);
+    CrashableServer::spawn(&mut sched, net.register("cas"), "cas", &plan, &durable);
     let mut rpc = RpcClient::new(net.register("alice"), "cas", policy());
 
     if opts.partition_all {
         net.partition("alice", "cas");
         assert!(fetch_assertion(&mut rpc, &alice).is_err());
-        return report("fig2", &net, r, false, &plan);
+        return report("fig2", &net, r, false, &[&plan]);
     }
 
     let assertion =
@@ -369,7 +362,7 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         "resource=dataset/run7 action=read outcome=permit",
     );
 
-    report("fig2", &net, r, true, &plan)
+    report("fig2", &net, r, true, &[&plan])
 }
 
 /// Echo service for the Figure 3 hosting environment.
@@ -446,8 +439,13 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let env = Rc::new(RefCell::new(env));
 
     let mut sched = Scheduler::new(&net);
-    let ep = net.register("echo-host");
-    spawn_crashable(&mut sched, ep, "echo-host", &CrashPlan::disabled(), &env);
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("echo-host"),
+        "echo-host",
+        &CrashPlan::disabled(),
+        &env,
+    );
     let transport = RpcClient::new(net.register("user"), "echo-host", policy());
     let mut client = OgsaClient::new(transport, w.trust.clone(), clock, b"chaos fig3 client");
     client.add_source(Box::new(StaticCredential(w.user.clone())));
@@ -455,7 +453,7 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     if opts.partition_all {
         net.partition("user", "echo-host");
         assert!(client.create_service("echo", Element::new("args")).is_err());
-        return report("fig3", &net, r, false, &CrashPlan::disabled());
+        return report("fig3", &net, r, false, &[]);
     }
 
     let handle = client
@@ -471,7 +469,7 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     client.destroy(&handle).expect("figure 3 destroy");
     assert_eq!(env.borrow().registry.instance_count(), 0);
 
-    report("fig3", &net, r, true, &CrashPlan::disabled())
+    report("fig3", &net, r, true, &[])
 }
 
 /// Figure 4: the GT3 GRAM chain — signed submission through MMJFS /
@@ -527,8 +525,13 @@ pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         journal,
     )));
     let mut sched = Scheduler::new(&net);
-    let ep = net.register("mjs-host");
-    spawn_crashable(&mut sched, ep, "gram", &plan, &durable);
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("mjs-host"),
+        "gram",
+        &plan,
+        &durable,
+    );
     let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
 
     let mut jane = Requestor::new(jane, trust, b"chaos jane");
@@ -544,7 +547,7 @@ pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             1,
         );
         assert!(err.is_err(), "partition must fail submission");
-        return report("fig4", &net, r, false, &plan);
+        return report("fig4", &net, r, false, &[&plan]);
     }
 
     let job = submit_job_resilient(
@@ -573,7 +576,7 @@ pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         .count();
     assert_eq!(jobs, 1, "exactly one job process spawned");
 
-    report("fig4", &net, r, true, &plan)
+    report("fig4", &net, r, true, &[&plan])
 }
 
 /// Figure 5 (the paper's third GT2 service family, §3): resumable
@@ -671,7 +674,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         );
         assert!(res.is_err(), "a partition must exhaust the resume budget");
         sched.run();
-        return report("fig5", &net, r, false, &plan);
+        return report("fig5", &net, r, false, &[&plan]);
     }
 
     let got = resumable_get(
@@ -717,7 +720,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     assert_eq!(got.sha256, digest);
     assert_eq!(put.sha256, digest);
 
-    let mut rep = report("fig5", &net, r, true, &plan);
+    let mut rep = report("fig5", &net, r, true, &[&plan]);
     rep.lines.extend([
         format!(
             "fig5 xfer get bytes={} sessions={} resumes={} sha={}",
@@ -847,7 +850,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         );
         assert!(res.is_err(), "a partition must exhaust the stripe budget");
         sched.run();
-        return report("fig5s", &net, r, false, &plan);
+        return report("fig5s", &net, r, false, &[&plan]);
     }
 
     let got = striped_get(
@@ -895,7 +898,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     assert_eq!(got.sha256, digest);
     assert_eq!(put.sha256, digest);
 
-    let mut rep = report("fig5s", &net, r, true, &plan);
+    let mut rep = report("fig5s", &net, r, true, &[&plan]);
     rep.lines.extend([
         format!(
             "fig5s xfer get bytes={} sessions={} tears={} stripes={} ticks={} goodput={} sha={}",
@@ -976,8 +979,13 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         journal,
     )));
     let mut sched = Scheduler::new(&net);
-    let ep = net.register("cluster1");
-    spawn_crashable(&mut sched, ep, "gram", &plan, &durable);
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("cluster1"),
+        "gram",
+        &plan,
+        &durable,
+    );
     let mut rpc = RpcClient::new(net.register("user0"), "cluster1", policy());
 
     // The siteA user signs on; trusting siteB's CA for the GRIM check
@@ -1000,7 +1008,7 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             1,
         );
         assert!(err.is_err(), "partition must fail submission");
-        return report("e2e", &net, r, false, &plan);
+        return report("e2e", &net, r, false, &[&plan]);
     }
 
     let job = submit_job_resilient(
@@ -1029,7 +1037,7 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     // Least privilege held throughout the crash schedule.
     assert!(os.privileged_network_facing("cluster1").unwrap().is_empty());
 
-    report("e2e", &net, r, true, &plan)
+    report("e2e", &net, r, true, &[&plan])
 }
 
 /// The combined outcome of running all five figures from one seed.
@@ -1112,5 +1120,87 @@ pub fn run_all(seed: u64, opts: &ChaosOpts) -> ChaosRun {
         audit_records,
         crashes,
         restarts,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The kill points DESIGN.md §10's table lists: the backticked
+    /// dotted names in its rows (module paths and file names aside).
+    fn table_points() -> Vec<&'static str> {
+        let design = include_str!("../../../DESIGN.md");
+        let (_, section) = design
+            .split_once("### Kill points")
+            .expect("DESIGN.md §10 has a kill-point table");
+        section
+            .lines()
+            .skip_while(|line| !line.starts_with('|'))
+            .take_while(|line| line.starts_with('|'))
+            .flat_map(|row| row.split('`').skip(1).step_by(2))
+            .filter(|name| name.contains('.') && !name.contains("::") && !name.starts_with('.'))
+            .collect()
+    }
+
+    /// The scenario that hosts `point`. No scenario hosts the identity
+    /// map: its points are swept over `services::idmap_rpc`'s test world.
+    fn owner(point: &str) -> Option<fn(u64, &ChaosOpts) -> ScenarioReport> {
+        Some(match point.split('.').next() {
+            Some("cas") => figure2_cas,
+            Some("gram") => figure4_gram,
+            Some("gss") => figure1_gss,
+            Some("myproxy" | "cred") => portal::portal_recovery,
+            Some("xfer") if point.starts_with("xfer.stripe.") => figure5_striped,
+            Some("xfer") => figure5_xfer,
+            _ => return None,
+        })
+    }
+
+    /// Every kill point of the table, armed once on its own in the
+    /// scenario that hosts it: the flow completes through exactly one
+    /// kill and one restart, the transcript names the point, and the
+    /// scenario's own exactly-once checks (asserted inside it) hold.
+    #[test]
+    fn kill_point_sweep_over_every_table_row() {
+        let points = table_points();
+        assert!(points.len() >= 20, "the table parsed to {points:?}");
+        let mut failed = Vec::new();
+        for point in points {
+            let Some(figure) = owner(point) else {
+                assert!(
+                    point.starts_with("idmap."),
+                    "{point} has no owning scenario"
+                );
+                continue;
+            };
+            let opts = ChaosOpts {
+                armed_crashes: vec![(point.to_string(), 1)],
+                ..ChaosOpts::default()
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| figure(0xC4A05EED, &opts)));
+            let verdict = match outcome {
+                Err(_) => Err("panicked".to_string()),
+                Ok(rep) if !rep.completed => Err("did not complete".to_string()),
+                Ok(rep) if (rep.crashes, rep.restarts) != (1, 1) => Err(format!(
+                    "{} crashes, {} restarts",
+                    rep.crashes, rep.restarts
+                )),
+                Ok(rep)
+                    if !rep
+                        .lines
+                        .iter()
+                        .any(|l| l.ends_with(&format!("point={point}"))) =>
+                {
+                    Err("the transcript does not name it".to_string())
+                }
+                Ok(_) => Ok(()),
+            };
+            if let Err(why) = verdict {
+                failed.push(format!("{point}: {why}"));
+            }
+        }
+        assert!(failed.is_empty(), "failing rows: {failed:#?}");
     }
 }

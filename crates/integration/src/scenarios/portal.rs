@@ -47,14 +47,14 @@ use gridsec_pki::store::TrustStore;
 use gridsec_pki::validate::validate_chain;
 use gridsec_services::myproxy::{self, MyProxyServer, OP_GET, OP_RENEW};
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, Journal};
+use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
 use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
 use gridsec_testbed::rpc::{CallPoll, PollingCall, RpcClient};
 use gridsec_testbed::sched::{self, Scheduler};
 use gridsec_util::trace;
 
-use super::{crash_plan, policy, report, rig, spawn_crashable, ChaosOpts, ScenarioReport};
+use super::{crash_plan, policy, report, rig, ChaosOpts, ScenarioReport};
 use crate::dn;
 
 /// Portal journal tags.
@@ -108,6 +108,8 @@ struct Recovered {
     stored: bool,
     last_intent: Option<Intent>,
     submitted: Option<(String, String)>,
+    /// Records the replay read.
+    records: usize,
     next_id: u64,
 }
 
@@ -115,26 +117,29 @@ fn replay_portal_journal(journal: &Journal) -> Recovered {
     let mut stored = false;
     let mut last_intent = None;
     let mut submitted = None;
-    for (tag, body) in journal.records() {
-        match tag.as_str() {
+    let mut records = 0;
+    journal.replay(|tag, body| {
+        records += 1;
+        match tag {
             TAG_STORED => stored = true,
-            TAG_INTENT => last_intent = decode_intent(&body),
+            TAG_INTENT => last_intent = decode_intent(body),
             TAG_SUBMITTED => {
-                let mut d = Decoder::new(&body);
+                let mut d = Decoder::new(body);
                 if let (Ok(h), Ok(a)) = (d.get_str(), d.get_str()) {
                     submitted = Some((h, a));
                 }
             }
             _ => {}
         }
-    }
+    });
     Recovered {
         stored,
         last_intent,
         submitted,
+        records,
         // Fresh call ids strictly above anything any earlier
         // incarnation can have used: the journal only grows.
-        next_id: (journal.len() as u64 + 1) * 1_000,
+        next_id: (records as u64 + 1) * 1_000,
     }
 }
 
@@ -230,11 +235,12 @@ fn run_intent(portal: &Portal<'_>, intent: &Intent) -> Result<Credential, String
     myproxy::assemble_issued(&body, key).map_err(|e| e.to_string())
 }
 
-/// One incarnation of the portal process, from journal replay to a
-/// verified running job. `Err(Killed)` means an armed kill point fired
-/// and the supervisor should restart us.
+/// One incarnation of the portal process, from what it `recovered` to
+/// a verified running job. `Err(Killed)` means an armed kill point
+/// fired and the supervisor should restart us.
 fn run_incarnation(
     portal: &Portal<'_>,
+    mut recovered: Recovered,
     incarnation: u64,
     seed: u64,
     net: &Network,
@@ -242,7 +248,6 @@ fn run_incarnation(
     trust: &TrustStore,
 ) -> Result<Result<(Credential, String), String>, Killed> {
     trace::add("portal.incarnations", 1);
-    let mut recovered = replay_portal_journal(&portal.journal);
     let mut rng = ChaChaRng::from_seed_bytes(
         &[&seed.to_be_bytes()[..], &incarnation.to_be_bytes()[..]].concat(),
     );
@@ -421,8 +426,13 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         gram_journal,
     )));
     let mut sched = Scheduler::new(&net);
-    let gram_ep = net.register("mjs-host");
-    spawn_crashable(&mut sched, gram_ep, "gram", &gram_plan, &gram_app);
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("mjs-host"),
+        "gram",
+        &gram_plan,
+        &gram_app,
+    );
 
     // The MyProxy repository.
     let repo_plan = crash_plan(opts, seed, 0xC4A8, 0.02, 1);
@@ -434,11 +444,19 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         repo_journal,
         100_000,
     )));
-    let repo_ep = net.register("repo");
-    spawn_crashable(&mut sched, repo_ep, "myproxy", &repo_plan, &repo_app);
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("repo"),
+        "myproxy",
+        &repo_plan,
+        &repo_app,
+    );
 
     // The portal process itself: the crashing *client*.
     let portal_plan = crash_plan(opts, seed, 0xC4A9, 0.05, 3);
+    // The report carries every process's kills: the portal's own and
+    // the two servers'.
+    let plans = [&portal_plan, &repo_plan, &gram_plan];
     let portal_journal = Journal::open(os.clone(), "portal", "/var/portal/journal.wal", ROOT_UID);
 
     if opts.partition_all {
@@ -451,13 +469,17 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         };
         let err = store_at_repo(&portal, &mut rng, &jane, &mut 1_000);
         assert!(err.is_err(), "partition must fail the store");
-        return report("portal", &net, r, false, &portal_plan);
+        return report("portal", &net, r, false, &plans);
     }
 
     let mut incarnation = 0u64;
     let (credential, handle) = loop {
         incarnation += 1;
         assert!(incarnation <= 16, "portal must converge");
+        // The journal is read once per incarnation; a reborn portal's
+        // restart is confirmed with the records it replayed.
+        let recovered = replay_portal_journal(&portal_journal);
+        portal_plan.confirm_restart("portal", clock.now(), recovered.records);
         // A reborn portal re-registers its endpoint: replies addressed
         // to the dead incarnation are gone — only the journal survives.
         let portal = Portal {
@@ -466,14 +488,13 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             journal: portal_journal.clone(),
             plan: portal_plan.clone(),
         };
-        match run_incarnation(&portal, incarnation, seed, &net, &jane, &trust) {
+        match run_incarnation(&portal, recovered, incarnation, seed, &net, &jane, &trust) {
             Ok(Ok(done)) => break done,
             Ok(Err(e)) => panic!("portal incarnation {incarnation} failed: {e}"),
             Err(Killed) => {
                 let line = portal_plan.confirm_kill("portal", clock.now());
                 assert!(line.is_some(), "a kill point latched");
                 clock.advance(portal_plan.restart_delay());
-                portal_plan.confirm_restart("portal", clock.now(), portal_journal.len());
             }
         }
     };
@@ -506,7 +527,7 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     );
     trace::add("portal.completed", 1);
 
-    report("portal", &net, r, true, &portal_plan)
+    report("portal", &net, r, true, &plans)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::Network;
 use gridsec_testbed::os::{SimOs, ROOT_UID};
-use gridsec_testbed::rpc::{RpcClient, ServerTask};
+use gridsec_testbed::rpc::RpcClient;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::ClientSessionCache;
@@ -198,13 +198,18 @@ fn host_tapped<A: CrashRecover + 'static>(
     wire: &Rc<RefCell<Wire>>,
     hello: fn(&[u8]) -> Option<Vec<u8>>,
 ) {
-    let server = CrashableServer::new(net.register(name), name, CrashPlan::disabled());
     let tapped = Tapped {
         service,
         wire: wire.clone(),
         hello,
     };
-    sched.spawn_mailbox(name, ServerTask::new(server, Rc::new(RefCell::new(tapped))));
+    CrashableServer::spawn(
+        sched,
+        net.register(name),
+        name,
+        &CrashPlan::disabled(),
+        &Rc::new(RefCell::new(tapped)),
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -67,10 +67,11 @@ impl Transport for RpcClient {
 }
 
 /// A hosting environment behind an RPC endpoint: host it with
-/// `rpc::ServerTask::new(CrashableServer::new(endpoint, name, plan), env)`.
-/// The shared environment lets test scaffolding reach in (advance
-/// clocks, inspect state) between calls. It fires no kill point and
-/// keeps no journal, so it never dies and the lifecycle defaults stand.
+/// `CrashableServer::spawn(sched, endpoint, name, &plan, &env)`. The
+/// shared environment lets test scaffolding reach in (advance clocks,
+/// inspect state) between calls. It fires no kill point and keeps no
+/// journal, so it never dies, and `crash` and `recover` keep their
+/// defaults: nothing to drop, no commit replies to restore.
 impl CrashRecover for HostingEnvironment {
     fn handle(&mut self, from: &str, _id: u64, body: &[u8]) -> Vec<u8> {
         let _sp = trace::span_with("ogsa.dispatch", &format!("from={from}"));

@@ -23,7 +23,7 @@ use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer};
 use gridsec_testbed::net::{FaultProfile, Network};
-use gridsec_testbed::rpc::{self, RpcClient, ServerTask};
+use gridsec_testbed::rpc::{self, RpcClient};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
@@ -142,8 +142,13 @@ fn serve_env(
     name: &str,
     env: &Rc<RefCell<HostingEnvironment>>,
 ) {
-    let host = CrashableServer::new(network.register(name), name, CrashPlan::disabled());
-    sched.spawn_mailbox(name, ServerTask::new(host, env.clone()));
+    CrashableServer::spawn(
+        sched,
+        network.register(name),
+        name,
+        &CrashPlan::disabled(),
+        env,
+    );
 }
 
 /// A router task `name` behind a strict firewall; returns the firewall.
@@ -300,14 +305,12 @@ fn colliding_call_ids_through_one_router_reach_their_own_callers() {
             body.to_vec()
         }
     }
-    let host = CrashableServer::new(
+    CrashableServer::spawn(
+        &mut sched,
         network.register("inner-host"),
         "inner-host",
-        CrashPlan::disabled(),
-    );
-    sched.spawn_mailbox(
-        "inner-host",
-        ServerTask::new(host, Rc::new(RefCell::new(Echo))),
+        &CrashPlan::disabled(),
+        &Rc::new(RefCell::new(Echo)),
     );
     router(&mut sched, &network, "perimeter");
 

@@ -19,7 +19,7 @@ use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::{CrashPlan, CrashableServer};
 use gridsec_testbed::net::Network;
-use gridsec_testbed::rpc::{RpcClient, ServerTask};
+use gridsec_testbed::rpc::RpcClient;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::b64;
@@ -360,12 +360,13 @@ fn scheduled_rpc_service_end_to_end() {
     // client's wait.
     let env = Rc::new(RefCell::new(make_env(&w, &["xml-signature"])));
     let mut sched = Scheduler::new(&network);
-    let host = CrashableServer::new(
+    CrashableServer::spawn(
+        &mut sched,
         network.register("echo-host"),
         "echo-host",
-        CrashPlan::disabled(),
+        &CrashPlan::disabled(),
+        &env,
     );
-    sched.spawn_mailbox("echo-host", ServerTask::new(host, env));
 
     let transport = RpcClient::new(
         network.register("client-1"),
@@ -400,12 +401,13 @@ fn stray_rst_naming_another_clients_context_leaves_it_established() {
     let network = Network::new();
     let env = Rc::new(RefCell::new(make_env(&w, &["gsi-secure-conversation"])));
     let mut sched = Scheduler::new(&network);
-    let host = CrashableServer::new(
+    CrashableServer::spawn(
+        &mut sched,
         network.register("echo-host"),
         "echo-host",
-        CrashPlan::disabled(),
+        &CrashPlan::disabled(),
+        &env,
     );
-    sched.spawn_mailbox("echo-host", ServerTask::new(host, env));
     let policy = RetryPolicy {
         max_attempts: 4,
         base_timeout: 8,

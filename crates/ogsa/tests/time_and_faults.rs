@@ -16,10 +16,10 @@ use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::store::TrustStore;
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer};
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer};
 use gridsec_testbed::net::{FaultProfile, Network};
-use gridsec_testbed::rpc::{RpcClient, ServerTask};
-use gridsec_testbed::sched::{Scheduler, Task, TaskCx};
+use gridsec_testbed::rpc::RpcClient;
+use gridsec_testbed::sched::Scheduler;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
 use gridsec_xml::Element;
@@ -182,6 +182,27 @@ fn fault_envelopes_roundtrip_every_variant() {
     assert!(parse_fault(&normal).is_none());
 }
 
+/// A hosting environment whose link to `u-client` is cut when the third
+/// request arrives.
+struct CutAfterTwo {
+    env: Rc<RefCell<HostingEnvironment>>,
+    served: u32,
+    net: Network,
+    cut: Rc<Cell<bool>>,
+}
+
+impl CrashRecover for CutAfterTwo {
+    fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8> {
+        self.served += 1;
+        if self.served == 3 {
+            self.cut.set(true);
+            self.net.partition("u-client", "time-host");
+            return Vec::new();
+        }
+        self.env.borrow_mut().handle(from, id, body)
+    }
+}
+
 #[test]
 fn timeout_expiry_mid_handshake_recovers_after_heal() {
     let clock = SimClock::starting_at(100);
@@ -191,12 +212,6 @@ fn timeout_expiry_mid_handshake_recovers_after_heal() {
     net.enable_faults(clock.clone(), 0x11ED, FaultProfile::default());
 
     let (env, trust, user) = build_env(&clock, "gsi-secure-conversation", 10_000_000);
-    let host = CrashableServer::new(
-        net.register("time-host"),
-        "time-host",
-        CrashPlan::disabled(),
-    );
-    let mut service = ServerTask::new(host, env);
     let policy = RetryPolicy {
         max_attempts: 4,
         base_timeout: 8,
@@ -204,23 +219,26 @@ fn timeout_expiry_mid_handshake_recovers_after_heal() {
         max_timeout: 32,
     };
     let transport = RpcClient::new(net.register("u-client"), "time-host", policy);
-    // Cut the link after the second served request (each reply is one
-    // send on this duplicate-free network): the policy fetch and the
-    // first conversation token get through, then the handshake is left
-    // dangling mid-exchange.
+    // Cut the link after the second served request: the policy fetch
+    // and the first conversation token get through, then the handshake
+    // is left dangling mid-exchange. The third request arrives to find
+    // the link down, never reaches the environment, and its answer is
+    // lost with the link.
     let cut = Rc::new(Cell::new(false));
-    let hook_net = net.clone();
-    let hook_cut = cut.clone();
+    let cutter = CutAfterTwo {
+        env,
+        served: 0,
+        net: net.clone(),
+        cut: cut.clone(),
+    };
     let mut sched = Scheduler::new(&net);
-    sched.spawn_mailbox("time-host", move |cx: &TaskCx| {
-        let step = service.step(cx);
-        // Two requests in, two replies out.
-        if !hook_cut.get() && hook_net.fault_stats().expect("faults armed").sent >= 4 {
-            hook_cut.set(true);
-            hook_net.partition("u-client", "time-host");
-        }
-        step
-    });
+    CrashableServer::spawn(
+        &mut sched,
+        net.register("time-host"),
+        "time-host",
+        &CrashPlan::disabled(),
+        &Rc::new(RefCell::new(cutter)),
+    );
     let mut client = OgsaClient::new(transport, trust, clock.clone(), b"time client");
     client.add_source(Box::new(StaticCredential(user)));
 

@@ -116,16 +116,8 @@ impl DurableIdentityMap {
             plan,
             journal,
         };
-        s.replay();
+        s.recover();
         s
-    }
-
-    fn replay(&mut self) {
-        for (tag, body) in self.journal.records() {
-            if tag == TAG_MAP {
-                Self::apply_record(&mut self.map, &body);
-            }
-        }
     }
 
     fn apply_record(map: &mut IdentityMap, body: &[u8]) {
@@ -211,13 +203,13 @@ impl CrashRecover for DurableIdentityMap {
         self.map = IdentityMap::default();
     }
 
-    fn recover(&mut self) {
+    fn recover(&mut self) -> Vec<((String, u64), Vec<u8>)> {
         self.crash();
-        self.replay();
-    }
-
-    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
-        self.journal.replies()
+        self.journal.replay(|tag, body| {
+            if tag == TAG_MAP {
+                Self::apply_record(&mut self.map, body);
+            }
+        })
     }
 }
 
@@ -285,7 +277,6 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::ServerTask;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -370,13 +361,13 @@ mod tests {
         let _ = m.handle("admin", 5, &req);
         assert!(plan.take_pending().is_some(), "kill point fired");
         m.crash();
-        m.recover();
+        let replies = m.recover();
         // The record was durable, so recovery already applied it, and it
         // carries the reply a restarted supervisor answers the
         // retransmit with: the add never runs twice.
         assert_eq!(m.map.len(), 1, "no duplicate mapping");
         assert_eq!(
-            m.journal.replies(),
+            replies,
             [(
                 ("admin".to_string(), 5),
                 Reply::Ok(b"jdoe@SITE.A".to_vec()).encode()
@@ -394,11 +385,12 @@ mod tests {
                 Reply::Ok(b"not a dn".to_vec()).encode()
             }
         }
-        let server =
-            CrashableServer::new(net.register("idmap-host"), "idmap", CrashPlan::disabled());
-        sched.spawn_mailbox(
-            "idmap-host",
-            ServerTask::new(server, Rc::new(RefCell::new(NotADn))),
+        CrashableServer::spawn(
+            &mut sched,
+            net.register("idmap-host"),
+            "idmap",
+            &CrashPlan::disabled(),
+            &Rc::new(RefCell::new(NotADn)),
         );
         let mut rpc = RpcClient::new(net.register("admin"), "idmap-host", RetryPolicy::default());
         assert_eq!(
@@ -407,57 +399,72 @@ mod tests {
         );
     }
 
+    /// Each identity-map kill point armed once, on its own: the map's
+    /// rows of DESIGN.md §10's kill-point sweep, since no chaos scenario
+    /// hosts the map.
     #[test]
     fn full_rpc_chain_with_crash_and_restart() {
-        let plan = CrashPlan::manual(3);
-        plan.arm("idmap.add.journaled", 1);
-        let (_os, j) = journal();
-        let durable = Rc::new(RefCell::new(DurableIdentityMap::new(
-            plan.clone(),
-            j.clone(),
-        )));
-        let clock = SimClock::new();
-        let net = Network::new();
-        net.enable_faults(clock, 0x1D3A, FaultProfile::default());
-        let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox(
-            "idmap-host",
-            ServerTask::new(
-                CrashableServer::new(net.register("idmap-host"), "idmap", plan.clone()),
-                durable.clone(),
-            ),
-        );
-        let mut rpc = RpcClient::new(
-            net.register("admin"),
-            "idmap-host",
-            RetryPolicy {
-                max_attempts: 8,
-                base_timeout: 16,
-                multiplier: 2,
-                max_timeout: 64,
-            },
-        );
+        for point in ["idmap.add.exec", "idmap.add.journaled"] {
+            let plan = CrashPlan::manual(3);
+            plan.arm(point, 1);
+            let (_os, j) = journal();
+            let durable = Rc::new(RefCell::new(DurableIdentityMap::new(
+                plan.clone(),
+                j.clone(),
+            )));
+            let clock = SimClock::new();
+            let net = Network::new();
+            net.enable_faults(clock, 0x1D3A, FaultProfile::default());
+            let mut sched = Scheduler::new(&net);
+            CrashableServer::spawn(
+                &mut sched,
+                net.register("idmap-host"),
+                "idmap",
+                &plan,
+                &durable,
+            );
+            let mut rpc = RpcClient::new(
+                net.register("admin"),
+                "idmap-host",
+                RetryPolicy {
+                    max_attempts: 8,
+                    base_timeout: 16,
+                    multiplier: 2,
+                    max_timeout: 64,
+                },
+            );
 
-        // The armed kill fires after the journal append: the client's
-        // retransmit rides through the restart and still gets "ok".
-        remote_add(&mut rpc, &dn("/O=G/CN=Jane"), "jdoe", "SITE.A").unwrap();
-        assert_eq!(plan.crashes(), 1);
-        assert_eq!(plan.restarts(), 1);
-        assert_eq!(
-            remote_to_principal(&mut rpc, &dn("/O=G/CN=Jane")).unwrap(),
-            Some("jdoe@SITE.A".to_string())
-        );
-        assert_eq!(
-            remote_to_dn(&mut rpc, "jdoe", "SITE.A").unwrap(),
-            Some(dn("/O=G/CN=Jane"))
-        );
-        assert_eq!(
-            remote_to_principal(&mut rpc, &dn("/O=G/CN=Ghost")).unwrap(),
-            None
-        );
-        assert_eq!(durable.borrow().map.len(), 1, "exactly one mapping");
-        // One commit record for the add, nothing for the three lookups.
-        let tags: Vec<String> = j.records().into_iter().map(|(tag, _)| tag).collect();
-        assert_eq!(tags, [TAG_MAP]);
+            // The armed kill fires before or after the journal append:
+            // the client's retransmit rides through the restart and
+            // still gets "ok".
+            remote_add(&mut rpc, &dn("/O=G/CN=Jane"), "jdoe", "SITE.A").unwrap();
+            assert_eq!(plan.crashes(), 1, "{point}");
+            assert_eq!(plan.restarts(), 1, "{point}");
+            assert!(
+                plan.transcript()[0].ends_with(&format!("point={point}")),
+                "{point}: the transcript names the point"
+            );
+            assert_eq!(
+                remote_to_principal(&mut rpc, &dn("/O=G/CN=Jane")).unwrap(),
+                Some("jdoe@SITE.A".to_string())
+            );
+            assert_eq!(
+                remote_to_dn(&mut rpc, "jdoe", "SITE.A").unwrap(),
+                Some(dn("/O=G/CN=Jane"))
+            );
+            assert_eq!(
+                remote_to_principal(&mut rpc, &dn("/O=G/CN=Ghost")).unwrap(),
+                None
+            );
+            assert_eq!(
+                durable.borrow().map.len(),
+                1,
+                "{point}: exactly one mapping"
+            );
+            // One commit record for the add, nothing for the three lookups.
+            let mut tags = Vec::new();
+            j.replay(|tag, _| tags.push(tag.to_string()));
+            assert_eq!(tags, [TAG_MAP], "{point}");
+        }
     }
 }

@@ -372,11 +372,11 @@ impl CrashRecover for MyProxyServer {
         self.serials.clear();
     }
 
-    fn recover(&mut self) {
+    fn recover(&mut self) -> Vec<((String, u64), Vec<u8>)> {
         self.crash();
-        for (tag, body) in self.journal.records() {
-            let mut d = Decoder::new(&body);
-            match tag.as_str() {
+        self.journal.replay(|tag, body| {
+            let mut d = Decoder::new(body);
+            match tag {
                 TAG_STORE => {
                     let parsed = (|| {
                         let owner = d.get_str().ok()?;
@@ -410,11 +410,7 @@ impl CrashRecover for MyProxyServer {
                 }
                 _ => {}
             }
-        }
-    }
-
-    fn replies(&self) -> Vec<((String, u64), Vec<u8>)> {
-        self.journal.replies()
+        })
     }
 }
 
@@ -491,7 +487,6 @@ mod tests {
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::{FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::ServerTask;
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
     use std::cell::RefCell;
@@ -637,13 +632,7 @@ mod tests {
         let net = Network::new();
         net.enable_faults(w.clock.clone(), 0x3A9D, FaultProfile::default());
         let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox(
-            "repo",
-            ServerTask::new(
-                CrashableServer::new(net.register("repo"), "myproxy", plan.clone()),
-                app.clone(),
-            ),
-        );
+        CrashableServer::spawn(&mut sched, net.register("repo"), "myproxy", &plan, &app);
         let rpc = RpcClient::new(
             net.register("portal"),
             "repo",
@@ -828,14 +817,11 @@ mod tests {
         assert_eq!(r.plan.crashes(), 1, "the kill fired");
         assert_eq!(r.plan.restarts(), 1);
         assert_eq!(r.app.borrow().stored_count(), 1);
-        let tags: Vec<String> = r
-            .app
+        let mut tags = Vec::new();
+        r.app
             .borrow()
             .journal
-            .records()
-            .into_iter()
-            .map(|(tag, _)| tag)
-            .collect();
+            .replay(|tag, _| tags.push(tag.to_string()));
         assert_eq!(
             tags,
             [TAG_STORE],

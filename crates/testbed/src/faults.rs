@@ -28,21 +28,21 @@
 //! point models instructions the dead process never executed. The
 //! supervisor ([`CrashableServer`]) then discards the reply, drops the
 //! in-memory state via [`CrashRecover::crash`], and marks the process
-//! down until `restart_delay` sim-seconds pass, when its
-//! [`ServerTask`](crate::rpc::ServerTask) wakes and restarts it.
-//! A handler that commits an effect writes one [`Journal::commit`]
-//! record holding the effect together with the request's
-//! `(caller, call-id)` and exact reply, *before* the next crash point
-//! (write-ahead). The application is the journal's only holder: on
-//! restart the supervisor answers retransmits from the records
-//! [`CrashRecover::replies`] hands back, and [`CrashRecover::recover`]
-//! folds the journal into fresh state; anything not committed — all of
-//! it, for an application that keeps no journal — is re-executed.
+//! down until `restart_delay` sim-seconds pass, when its task wakes and
+//! restarts it. A handler that commits an effect writes one
+//! [`Journal::commit`] record holding the effect together with the
+//! request's `(caller, call-id)` and exact reply, *before* the next
+//! crash point (write-ahead). The application is the journal's only
+//! holder: on restart [`CrashRecover::recover`] folds the journal into
+//! fresh state and hands back the commit replies from that same read,
+//! and the supervisor answers retransmits from them; anything not
+//! committed — all of it, for an application that keeps no journal —
+//! is re-executed.
 
 use crate::net::Endpoint;
 use crate::os::{FileMode, Pid, SimOs, Uid, ROOT_UID};
-use crate::rpc::{RpcServer, ServerTask};
-use crate::sched::{Step, Task, TaskCx};
+use crate::rpc::RpcServer;
+use crate::sched::{Scheduler, Step, Task, TaskCx};
 use crate::TestbedError;
 use gridsec_util::rng::{DetRng, RngCore};
 use std::cell::RefCell;
@@ -349,9 +349,10 @@ impl CrashPlan {
 /// makes a request's effect durable: the high bit of its tag-length
 /// byte is set, and its body opens with the request's
 /// `[u32 caller-len][caller][u64 call-id][u32 reply-len][reply]`
-/// before the effect. [`Journal::records`] yields every record's tag
-/// and effect; [`Journal::replies`] yields the commit records' replies,
-/// from which a restarted [`CrashableServer`] answers retransmits.
+/// before the effect. [`Journal::replay`] is the one reader: it hands
+/// every record's tag and effect to the application's fold and returns
+/// the commit records' replies, from which a restarted
+/// [`CrashableServer`] answers retransmits.
 #[derive(Clone)]
 pub struct Journal {
     os: SimOs,
@@ -366,9 +367,9 @@ const COMMIT_BIT: u8 = 0x80;
 /// A commit record's request and reply: `((caller, call-id), reply)`.
 type Committed = ((String, u64), Vec<u8>);
 
-/// One parsed record: its tag, a commit record's request and reply,
-/// and the effect body.
-type Record = (String, Option<Committed>, Vec<u8>);
+/// One parsed record, borrowed from the file's bytes: its tag, a
+/// commit record's request and reply, and the effect body.
+type Record<'a> = (&'a [u8], Option<Committed>, &'a [u8]);
 
 /// Append `[u32 len BE][bytes]`.
 fn put_field(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -385,22 +386,19 @@ fn split_field(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
 
 /// One record off the front of `bytes`, and the rest; `None` at the
 /// end or at a torn tail.
-fn split_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
+fn split_record(bytes: &[u8]) -> Option<(Record<'_>, &[u8])> {
     let (&head, bytes) = bytes.split_first()?;
     let tag_len = (head & !COMMIT_BIT) as usize;
-    let tag = String::from_utf8_lossy(bytes.get(..tag_len)?).into_owned();
+    let tag = bytes.get(..tag_len)?;
     let (body, rest) = split_field(&bytes[tag_len..])?;
     if head & COMMIT_BIT == 0 {
-        return Some(((tag, None, body.to_vec()), rest));
+        return Some(((tag, None, body), rest));
     }
     let (from, body) = split_field(body)?;
     let id = u64::from_be_bytes(body.get(..8)?.try_into().expect("eight bytes"));
     let (reply, effect) = split_field(&body[8..])?;
     let request = (String::from_utf8_lossy(from).into_owned(), id);
-    Some((
-        (tag, Some((request, reply.to_vec())), effect.to_vec()),
-        rest,
-    ))
+    Some(((tag, Some((request, reply.to_vec())), effect), rest))
 }
 
 impl Journal {
@@ -450,46 +448,23 @@ impl Journal {
             .append_file(&self.host, &self.path, self.euid, FileMode::private(), &rec)
     }
 
-    /// Every record as `(tag, effect body)`, in append order. A missing
-    /// file is an empty journal.
-    pub fn records(&self) -> Vec<(String, Vec<u8>)> {
-        self.parse()
-            .into_iter()
-            .map(|(tag, _, effect)| (tag, effect))
-            .collect()
-    }
-
-    /// Every commit record's `((caller, call-id), reply)`, in append
-    /// order.
-    pub fn replies(&self) -> Vec<Committed> {
-        self.parse()
-            .into_iter()
-            .filter_map(|(_, reply, _)| reply)
-            .collect()
-    }
-
-    fn parse(&self) -> Vec<Record> {
+    /// Read the journal once: `apply` sees every record's `(tag,
+    /// effect)` in append order, and the commit records'
+    /// `((caller, call-id), reply)` come back, in append order. A
+    /// missing file is an empty journal.
+    pub fn replay(&self, mut apply: impl FnMut(&str, &[u8])) -> Vec<Committed> {
         let bytes = self
             .os
             .read_file(&self.host, &self.path, self.euid)
             .unwrap_or_default();
         let mut rest = &bytes[..];
-        let mut out = Vec::new();
-        while let Some((record, next)) = split_record(rest) {
-            out.push(record);
+        let mut replies = Vec::new();
+        while let Some(((tag, committed, effect), next)) = split_record(rest) {
+            apply(&String::from_utf8_lossy(tag), effect);
+            replies.extend(committed);
             rest = next;
         }
-        out
-    }
-
-    /// Number of complete records.
-    pub fn len(&self) -> usize {
-        self.parse().len()
-    }
-
-    /// `true` if no record has ever been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        replies
     }
 }
 
@@ -504,18 +479,18 @@ pub trait CrashRecover {
     fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8>;
     /// The process died: drop all volatile (in-memory) state.
     fn crash(&mut self) {}
-    /// The process restarted: rebuild state from the journal.
-    fn recover(&mut self) {}
-    /// The commit records' `((caller, call-id), reply)` pairs
-    /// ([`Journal::replies`]) a restarted process answers retransmits
-    /// from. None for a service that commits nothing: it re-executes.
-    fn replies(&self) -> Vec<Committed> {
+    /// The process restarted: rebuild state from the journal and
+    /// return its commit records' `((caller, call-id), reply)` pairs,
+    /// from the same [`Journal::replay`], for the host to answer
+    /// retransmits from. None for a service that commits nothing: it
+    /// re-executes.
+    fn recover(&mut self) -> Vec<Committed> {
         Vec::new()
     }
 }
 
 /// The one RPC host: an at-most-once server that can be killed and
-/// restarted.
+/// restarted, as one scheduler task.
 ///
 /// Its `(caller, id)` reply cache answers every request, but the
 /// process behind it is mortal: when the application latches a
@@ -524,46 +499,60 @@ pub trait CrashRecover {
 /// marks the process down for `restart_delay` sim-seconds. While down,
 /// the endpoint stays registered (the host is up; the port is just
 /// dead) and arriving mail evaporates — clients see silence and
-/// retransmit. On restart the reply cache is rebuilt from the
-/// application's commit records alone ([`CrashRecover::replies`]) and
-/// [`CrashRecover::recover`] rebuilds the application state, so a
-/// retransmission of a committed request is answered from the journal,
-/// never re-executed. Anything a handler did not commit — a lookup, a
-/// refusal, a handshake token — is re-executed. Under
-/// [`CrashPlan::disabled`] it never dies and is a plain at-most-once
-/// server.
-pub struct CrashableServer {
+/// retransmit. On restart [`CrashRecover::recover`] rebuilds the
+/// application state and the reply cache is replaced by the commit
+/// replies it returns, so a retransmission of a committed request is
+/// answered from the journal, never re-executed. Anything a handler
+/// did not commit — a lookup, a refusal, a handshake token — is
+/// re-executed. Under [`CrashPlan::disabled`] it never dies and is a
+/// plain at-most-once server.
+///
+/// The application stays shared with the scenario, which inspects it
+/// between calls. The task answers everything queued on every wake,
+/// then parks until mail arrives — or, for a crashed process, until its
+/// restart time, whether or not a retransmission is there to nudge it.
+pub struct CrashableServer<A> {
     name: String,
     rpc: RpcServer,
     plan: CrashPlan,
     down_until: Option<u64>,
+    app: Rc<RefCell<A>>,
 }
 
-impl CrashableServer {
-    /// Host a service on `endpoint` under `plan`; `name` is its name in
-    /// the plan's transcript.
-    pub fn new(endpoint: Endpoint, name: &str, plan: CrashPlan) -> Self {
-        CrashableServer {
+impl<A: CrashRecover + 'static> CrashableServer<A> {
+    /// Host `app` on `endpoint` under `plan`, spawned on `sched` under
+    /// the endpoint's own mailbox; `name` is its name in the plan's
+    /// transcript. The host shares `plan` and `app` with the caller.
+    pub fn spawn(
+        sched: &mut Scheduler,
+        endpoint: Endpoint,
+        name: &str,
+        plan: &CrashPlan,
+        app: &Rc<RefCell<A>>,
+    ) {
+        let mailbox = endpoint.id();
+        let server = CrashableServer {
             name: name.to_string(),
             rpc: RpcServer::new(endpoint),
-            plan,
+            plan: plan.clone(),
             down_until: None,
-        }
+            app: app.clone(),
+        };
+        sched.spawn_mailbox_id(mailbox, server);
     }
 
-    /// Drain the mailbox once at sim time `now`, driving `app`. While
-    /// down, arriving mail is discarded; once `now` reaches the restart
-    /// deadline, the process comes back up first.
-    fn poll(&mut self, app: &mut dyn CrashRecover, now: u64) {
+    /// Drain the mailbox once at sim time `now`. While down, arriving
+    /// mail is discarded; once `now` reaches the restart deadline, the
+    /// process comes back up first.
+    fn poll(&mut self, now: u64) {
+        let mut app = self.app.borrow_mut();
         if let Some(until) = self.down_until {
             if now < until {
                 self.drop_mail();
                 return;
             }
-            // Restart: reply cache from the commit records, app state
-            // via the application's own replay.
-            let replayed = self.rpc.restore(app.replies());
-            app.recover();
+            // Restart: app state and the reply cache from one replay.
+            let replayed = self.rpc.restore(app.recover());
             self.plan.note_restart(&self.name, now, replayed);
             self.down_until = None;
         }
@@ -592,14 +581,11 @@ impl CrashableServer {
     }
 }
 
-/// The application stays shared with the scenario (which inspects it
-/// between calls), and a dead process wakes itself: it comes back at
-/// `down_until` whether or not a retransmission is there to nudge it.
-impl<A: CrashRecover> Task for ServerTask<A> {
+impl<A: CrashRecover + 'static> Task for CrashableServer<A> {
     fn step(&mut self, cx: &TaskCx) -> Step {
-        self.server.poll(&mut *self.app.borrow_mut(), cx.now());
+        self.poll(cx.now());
         Step::WaitMail {
-            deadline: self.server.down_until,
+            deadline: self.down_until,
         }
     }
 }
@@ -822,8 +808,14 @@ mod tests {
     use crate::clock::SimClock;
     use crate::net::{FaultProfile, Network};
     use crate::rpc::RpcClient;
-    use crate::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
+
+    /// Every record's `(tag, effect)`, through the one reader.
+    fn records(j: &Journal) -> Vec<(String, Vec<u8>)> {
+        let mut out = Vec::new();
+        j.replay(|tag, effect| out.push((tag.to_string(), effect.to_vec())));
+        out
+    }
 
     fn journal_on(os: &SimOs) -> Journal {
         os.add_host("jh");
@@ -841,7 +833,7 @@ mod tests {
         // journal is the file, not the process.
         let j2 = Journal::open(os.clone(), "jh", "/var/journal/test.wal", ROOT_UID);
         assert_eq!(
-            j2.records(),
+            records(&j2),
             vec![
                 ("a".to_string(), b"one".to_vec()),
                 ("bb".to_string(), b"two".to_vec())
@@ -856,7 +848,7 @@ mod tests {
             &[3, b'c'],
         )
         .unwrap();
-        assert_eq!(j2.len(), 2);
+        assert_eq!(records(&j2).len(), 2);
     }
 
     #[test]
@@ -917,16 +909,13 @@ mod tests {
         fn crash(&mut self) {
             self.count = 0;
         }
-        fn recover(&mut self) {
-            self.count = self
-                .journal
-                .records()
-                .iter()
-                .filter(|(t, _)| t == "incr")
-                .count() as u64;
-        }
-        fn replies(&self) -> Vec<Committed> {
-            self.journal.replies()
+        fn recover(&mut self) -> Vec<Committed> {
+            self.count = 0;
+            self.journal.replay(|tag, _| {
+                if tag == "incr" {
+                    self.count += 1;
+                }
+            })
         }
     }
 
@@ -939,14 +928,13 @@ mod tests {
         let net = Network::new();
         let clock = SimClock::new();
         net.enable_faults(clock.clone(), 0xC0DE, FaultProfile::default());
-        let server = CrashableServer::new(net.register("svc"), "svc", plan.clone());
         let app = Rc::new(RefCell::new(CountingApp {
-            plan,
+            plan: plan.clone(),
             journal,
             count: 0,
         }));
         let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox("svc", ServerTask::new(server, app.clone()));
+        CrashableServer::spawn(&mut sched, net.register("svc"), "svc", &plan, &app);
         let client = RpcClient::new(
             net.register("client"),
             "svc",
@@ -983,9 +971,7 @@ mod tests {
         // record without re-executing. Exactly one increment.
         assert_eq!(app.borrow().count, 1);
         assert_eq!(
-            app.borrow()
-                .journal
-                .records()
+            records(&app.borrow().journal)
                 .iter()
                 .filter(|(t, _)| t == "incr")
                 .count(),
@@ -1087,9 +1073,8 @@ mod tests {
             plan: plan.clone(),
             executed: 0,
         }));
-        let server = CrashableServer::new(net.register("svc"), "tally", plan.clone());
         let mut sched = Scheduler::new(&net);
-        sched.spawn_mailbox("svc", ServerTask::new(server, app.clone()));
+        CrashableServer::spawn(&mut sched, net.register("svc"), "tally", &plan, &app);
         let client = net.register("client");
         let mut call = |id: u64| {
             client

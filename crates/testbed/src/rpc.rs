@@ -19,21 +19,18 @@
 //!   submission) are answered from the cache instead of re-executed.
 //!   This is the classic at-most-once RPC discipline, and the one copy
 //!   of it: the reply cache of [`crate::faults::CrashableServer`], the
-//!   one RPC host, which [`ServerTask`] puts on the scheduler.
+//!   one RPC host.
 //! * **[`Reply`]** — the one reply envelope every request/reply service
 //!   speaks inside the frame: `status ‖ body`, with status `"ok"`,
 //!   `"none"` or `"err"`.
 
-use crate::faults::CrashableServer;
 use crate::net::Endpoint;
 use crate::sched;
 use crate::TestbedError;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::rc::Rc;
 
 const REQ_MAGIC: &[u8; 4] = b"GRQ1";
 const REP_MAGIC: &[u8; 4] = b"GRP1";
@@ -368,7 +365,8 @@ impl PollingCall {
     }
 }
 
-/// The at-most-once reply cache of a [`CrashableServer`]: executes
+/// The at-most-once reply cache of a
+/// [`CrashableServer`](crate::faults::CrashableServer): executes
 /// each distinct `(caller, id)` once and replays the cached reply for
 /// retransmissions.
 pub(crate) struct RpcServer {
@@ -430,33 +428,15 @@ impl RpcServer {
     }
 }
 
-/// A hosted service as one scheduler task: answer everything queued on
-/// every wake, then park until mail arrives — or, for a crashed
-/// process, until its restart time. The application stays shared with
-/// the scenario, which inspects it between calls. Spawn it with
-/// [`Scheduler::spawn_mailbox`](sched::Scheduler::spawn_mailbox) under
-/// the server's endpoint name.
-pub struct ServerTask<A> {
-    pub(crate) server: CrashableServer,
-    pub(crate) app: Rc<RefCell<A>>,
-}
-
-impl<A> ServerTask<A> {
-    /// Host the [`CrashRecover`](crate::faults::CrashRecover)
-    /// application `app` behind `server`.
-    pub fn new(server: CrashableServer, app: Rc<RefCell<A>>) -> Self {
-        ServerTask { server, app }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::SimClock;
-    use crate::faults::{CrashPlan, CrashRecover};
+    use crate::faults::{CrashPlan, CrashRecover, CrashableServer};
     use crate::net::{FaultProfile, Network};
     use crate::sched::{Scheduler, Step, TaskCx};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// The policy the lossy tests share: timeout windows larger than the
     /// worst-case round trip, so an attempt only fails when a copy was
@@ -486,9 +466,14 @@ mod tests {
         policy: RetryPolicy,
     ) -> (RpcClient, Rc<Cell<u32>>) {
         let executed = Rc::new(Cell::new(0));
-        let server = CrashableServer::new(net.register("server"), "server", CrashPlan::disabled());
         let app = Rc::new(RefCell::new(Upper(executed.clone())));
-        sched.spawn_mailbox("server", ServerTask::new(server, app));
+        CrashableServer::spawn(
+            sched,
+            net.register("server"),
+            "server",
+            &CrashPlan::disabled(),
+            &app,
+        );
         let client = RpcClient::new(net.register("client"), "server", policy);
         (client, executed)
     }

@@ -2,9 +2,10 @@
 //!
 //! The recovery contract the crash layer relies on, stated as
 //! properties over random journals of plain and commit records, for
-//! both views of a journal — `records()` (every record's tag and
-//! effect, folded by the application) and `replies()` (the commit
-//! records' `((caller, call-id), reply)`, restored into the
+//! both views of a journal that its one reader, `Journal::replay`,
+//! gives from one read — the records (every record's tag and effect,
+//! handed to the application's fold) and the replies it returns (the
+//! commit records' `((caller, call-id), reply)`, restored into the
 //! supervisor's reply cache):
 //!
 //! * **Roundtrip** — every appended `(tag, effect)` and every committed
@@ -66,6 +67,14 @@ fn maybe_commit(g: &mut Gen, next_id: &mut u64) -> Option<Committed> {
     *next_id += 1;
     let caller = ["alice", "bob", ""][g.pick(3)].to_string();
     Some(((caller, *next_id), g.bytes(0..16)))
+}
+
+/// Both views of `j` from one `replay`: every record's `(tag, effect)`
+/// and the commit records' replies.
+fn views(j: &Journal) -> (Vec<(String, Vec<u8>)>, Vec<Committed>) {
+    let mut records = Vec::new();
+    let replies = j.replay(|tag, effect| records.push((tag.to_string(), effect.to_vec())));
+    (records, replies)
 }
 
 fn write_all(j: &Journal, writes: &[Write]) {
@@ -163,9 +172,10 @@ fn journal_roundtrips_random_records() {
         write_all(&j, &writes);
         let j2 = Journal::open(os, "h", PATH, ROOT_UID);
         for j in [&j, &j2] {
-            assert_eq!(j.records(), expected_records(&writes));
-            assert_eq!(j.replies(), expected_replies(&writes));
-            assert_eq!(j.len(), writes.len());
+            let (records, replies) = views(j);
+            assert_eq!(records, expected_records(&writes));
+            assert_eq!(replies, expected_replies(&writes));
+            assert_eq!(records.len(), writes.len());
         }
     });
 }
@@ -175,21 +185,23 @@ fn recovery_is_idempotent_and_handle_independent() {
     check("recovery_is_idempotent_and_handle_independent", 100, |g| {
         let (os, j) = fresh_journal();
         write_all(&j, &random_records(g));
-        let once = fold(HashMap::new(), &j.records());
-        let twice = fold(HashMap::new(), &j.records());
+        let (records, replies) = views(&j);
+        let once = fold(HashMap::new(), &records);
+        let twice = fold(HashMap::new(), &views(&j).0);
         assert_eq!(once, twice, "recovery must be a pure fold");
-        let table = cache(HashMap::new(), &j.replies());
-        assert_eq!(table, cache(HashMap::new(), &j.replies()));
+        let table = cache(HashMap::new(), &replies);
+        assert_eq!(table, cache(HashMap::new(), &views(&j).1));
         // A restarted process opens its own handle on the same file.
         let j2 = Journal::open(os, "h", PATH, ROOT_UID);
-        assert_eq!(fold(HashMap::new(), &j2.records()), once);
-        assert_eq!(cache(HashMap::new(), &j2.replies()), table);
+        let (records2, replies2) = views(&j2);
+        assert_eq!(fold(HashMap::new(), &records2), once);
+        assert_eq!(cache(HashMap::new(), &replies2), table);
         // Replaying on top of an already-recovered state (a recovery
         // interrupted and rerun) converges to the same state: every
         // record's effect is either absolute (set/del) or ignored, and
         // a committed reply is keyed by its request.
-        assert_eq!(fold(once.clone(), &j.records()), once);
-        assert_eq!(cache(table.clone(), &j.replies()), table);
+        assert_eq!(fold(once.clone(), &records), once);
+        assert_eq!(cache(table.clone(), &replies), table);
     });
 }
 
@@ -199,8 +211,7 @@ fn prefix_plus_suffix_equals_full_journal() {
         let (_os, j) = fresh_journal();
         let writes = random_records(g);
         write_all(&j, &writes);
-        let records = j.records();
-        let replies = j.replies();
+        let (records, replies) = views(&j);
         let full = fold(HashMap::new(), &records);
         let cut = g.usize_in(0..records.len() + 1);
         let prefix_state = fold(HashMap::new(), &records[..cut]);
@@ -239,9 +250,8 @@ fn prefix_never_contradicts_full_journal_for_append_only_records() {
             )
             .unwrap();
             let torn = Journal::open(os.clone(), "h", "/var/journal/torn.wal", ROOT_UID);
-            let (records, torn_records) = (j.records(), torn.records());
+            let ((records, replies), (torn_records, torn_replies)) = (views(&j), views(&torn));
             assert_eq!(torn_records[..], records[..torn_records.len()]);
-            let (replies, torn_replies) = (j.replies(), torn.replies());
             assert_eq!(torn_replies[..], replies[..torn_replies.len()]);
             let full = cache(HashMap::new(), &replies);
             for (key, reply) in torn_replies {

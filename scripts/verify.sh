@@ -275,13 +275,34 @@ stage_grep_guard() {
     # only RpcServer. No closure-hosted server outside testbed, and no
     # non-durable twin of a service: the CAS is DurableCas, GRAM is
     # DurableGram, the GSS acceptor is one AcceptorService, and a hosting
-    # environment is served as itself.
-    if { grep -rEn 'RpcServer::new|ServerTask::new\(RpcServer' crates tests examples \
-        | grep -vE '^crates/testbed/src/'
+    # environment is served as itself. One spawn and one journal read:
+    # CrashableServer::spawn builds the host and files it under its
+    # endpoint's mailbox (no ServerTask, no CrashableServer::new outside
+    # testbed), and a restart's one CrashRecover::recover returns the
+    # commit replies from the one Journal::replay (no `fn replies(` in a
+    # CrashRecover impl, no second Journal reader defined or called).
+    local rust_files
+    rust_files=$(find crates tests examples -name '*.rs' -not -path '*/target/*' | sort)
+    if grep -rEn '\bServerTask\b' crates tests examples; then
+        echo "FAIL: rpc::ServerTask is back (above); spawn the host with CrashableServer::spawn" >&2
+        exit 1
+    fi
+    # shellcheck disable=SC2086
+    if { grep -rEn 'RpcServer::new|ServerTask::new\(RpcServer|CrashableServer::new\b' \
+            crates tests examples | grep -vE '^crates/testbed/src/'
         grep -rEn '\b(CasService|RemoteGram|CrashableAcceptor)\b|transport::serve\b' \
             crates tests examples
+        grep -rEn '[jJ]ournal[A-Za-z0-9_]*(\(\))?\.(records|replies|len|is_empty)\(|Journal::(records|replies|len|is_empty)\b' \
+            crates tests examples
+        awk '
+            /^ *impl(<[^>]*>)? ([A-Za-z_:]+::)?(CrashRecover for|Journal \{)/ {
+                match($0, /^ */); close_line = substr($0, 1, RLENGTH) "}"; inside = 1; next
+            }
+            inside && $0 == close_line { inside = 0; next }
+            inside && /fn (replies|records|len|is_empty|parse)\(/ { print FILENAME ":" FNR ":" $0 }
+        ' $rust_files
     } | grep -vE '^[^:]+:[0-9]+: *//'; then
-        echo "FAIL: a second way to host an RPC service is back (above); host a CrashRecover app on CrashableServer" >&2
+        echo "FAIL: a second way to host an RPC service or read a journal is back (above); spawn a CrashRecover app with CrashableServer::spawn and recover through Journal::replay" >&2
         exit 1
     fi
     # A GridFTP server's digests are the ones its filesystem stores beside
@@ -300,6 +321,38 @@ stage_grep_guard() {
     # validator field must be listed in the test that checks the rule.
     local sources epoch_test=crates/integration/tests/trust_epoch.rs
     sources=$(find crates/*/src -name '*.rs' | sort)
+    # Every kill point is a row of DESIGN.md §10's table, which the
+    # kill-point sweep reads back: a `fires("…")`, `kill("…")` or
+    # `kill_point("…")` literal in non-test code under crates/*/src
+    # (before the file's first #[cfg(test)], outside comments) must be
+    # listed there.
+    local table hit points=0 unlisted_points=0
+    table=$(awk '/^### Kill points/ { on = 1; next } on && /^#/ { exit } on && /^\|/' DESIGN.md)
+    # shellcheck disable=SC2086
+    while IFS= read -r hit; do
+        points=$((points + 1))
+        if ! grep -qF "\`${hit##*:}\`" <<< "$table"; then
+            echo "FAIL: $hit is a kill point missing from DESIGN.md §10's table" >&2
+            unlisted_points=1
+        fi
+    done < <(awk '
+        FNR == 1 { live = 1 }
+        /^ *#\[cfg\(test\)\]/ { live = 0 }
+        !live || /^ *\/\// { next }
+        {
+            code = $0; sub(/[ \t]\/\/.*$/, "", code)
+            while (match(code, /(^|[^A-Za-z0-9_])(fires|kill|kill_point)\("[^"]+"\)/)) {
+                point = substr(code, RSTART, RLENGTH); code = substr(code, RSTART + RLENGTH)
+                sub(/^[^"]*"/, "", point); sub(/"\)$/, "", point)
+                print FILENAME ":" FNR ":" point
+            }
+        }
+    ' $sources)
+    if [ "$points" -eq 0 ]; then
+        echo "FAIL: found no kill point in crates/*/src — the gate is vacuous" >&2
+        exit 1
+    fi
+    [ "$unlisted_points" -eq 0 ] || exit 1
     # shellcheck disable=SC2086
     if awk '
         /fn set_crls\(/ && !/^ *\/\// {

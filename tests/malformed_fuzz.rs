@@ -262,7 +262,7 @@ fn every_client_rejects_a_malformed_reply_envelope() {
     use gridsec_services::myproxy::{destroy, MyProxyError};
     use gridsec_testbed::faults::CrashableServer;
     use gridsec_testbed::net::Network;
-    use gridsec_testbed::rpc::{Reply, RpcClient, ServerTask};
+    use gridsec_testbed::rpc::{Reply, RpcClient};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
 
@@ -281,9 +281,14 @@ fn every_client_rejects_a_malformed_reply_envelope() {
     for (case, reply) in cases {
         let net = Network::new();
         let mut sched = Scheduler::new(&net);
-        let server = CrashableServer::new(net.register("svc"), "svc", CrashPlan::disabled());
         let canned = Rc::new(RefCell::new(Canned(reply)));
-        sched.spawn_mailbox("svc", ServerTask::new(server, canned));
+        CrashableServer::spawn(
+            &mut sched,
+            net.register("svc"),
+            "svc",
+            &CrashPlan::disabled(),
+            &canned,
+        );
         let mut rpc = RpcClient::new(net.register("client"), "svc", RetryPolicy::default());
 
         let gss = establish_initiator_resilient(
