@@ -62,7 +62,8 @@ pub struct DurableCas {
 impl DurableCas {
     /// Create a durable CAS for `vo`, stamping assertions with `clock`
     /// time and journaling into `journal`. An existing journal (e.g.
-    /// from a previous incarnation) is replayed immediately.
+    /// from a previous incarnation) is replayed when the service is
+    /// spawned.
     pub fn new(
         vo: &str,
         credential: Credential,
@@ -71,14 +72,12 @@ impl DurableCas {
         plan: CrashPlan,
         journal: Journal,
     ) -> Self {
-        let mut durable = DurableCas {
+        DurableCas {
             clock,
             plan,
             journal,
             cas: CasServer::new(vo, credential, assertion_lifetime),
-        };
-        durable.recover();
-        durable
+        }
     }
 
     /// The live (possibly freshly recovered) CAS server.
@@ -255,14 +254,19 @@ mod tests {
         DistinguishedName::parse(s).unwrap()
     }
 
-    fn durable_cas(plan: CrashPlan) -> (SimOs, DurableCas) {
+    /// A CAS process over the journal on `os`, whatever it holds.
+    fn cas_process(os: &SimOs, plan: CrashPlan) -> DurableCas {
         let mut rng = ChaChaRng::from_seed_bytes(b"durable cas tests");
         let ca = CertificateAuthority::create_root(&mut rng, dn("/O=VO/CN=CA"), 512, 0, 1_000_000);
         let cred = ca.issue_identity(&mut rng, dn("/O=VO/CN=CAS"), 512, 0, 100_000);
+        let journal = Journal::open(os.clone(), "cas-host", "/var/cas/journal.wal", ROOT_UID);
+        DurableCas::new("physics-vo", cred, 3600, SimClock::new(), plan, journal)
+    }
+
+    fn durable_cas(plan: CrashPlan) -> (SimOs, DurableCas) {
         let os = SimOs::new();
         os.add_host("cas-host");
-        let journal = Journal::open(os.clone(), "cas-host", "/var/cas/journal.wal", ROOT_UID);
-        let mut cas = DurableCas::new("physics-vo", cred, 3600, SimClock::new(), plan, journal);
+        let mut cas = cas_process(&os, plan);
         cas.enroll(&dn("/O=G/CN=Alice"), vec!["group:analysts".into()]);
         cas.add_rule(
             SubjectMatch::Exact("group:analysts".to_string()),
@@ -303,6 +307,10 @@ mod tests {
 
     fn served(plan: CrashPlan) -> Served {
         let (_os, cas) = durable_cas(plan.clone());
+        serve(cas, plan)
+    }
+
+    fn serve(cas: DurableCas, plan: CrashPlan) -> Served {
         let cas = Rc::new(RefCell::new(cas));
         let net = Network::new();
         net.enable_faults(SimClock::new(), 0xCA5, FaultProfile::default());
@@ -353,6 +361,24 @@ mod tests {
         // journal records a second issuance).
         assert!(s.call(8, "/O=G/CN=Alice").is_some());
         assert_eq!(s.cas.borrow().issued_count(), 2);
+    }
+
+    #[test]
+    fn a_new_process_over_the_journal_answers_committed_retransmits() {
+        let (os, cas) = durable_cas(CrashPlan::disabled());
+        let first = serve(cas, CrashPlan::disabled())
+            .call(7, "/O=G/CN=Alice")
+            .unwrap();
+        // That process is gone; a second one is built over the journal
+        // file it left and spawned: a first start, not a restart.
+        let mut s = serve(
+            cas_process(&os, CrashPlan::disabled()),
+            CrashPlan::disabled(),
+        );
+        let again = s.call(7, "/O=G/CN=Alice").unwrap();
+        assert_eq!(first, again, "the committed reply, not a new issue");
+        assert_eq!(s.cas.borrow().issued_count(), 1, "issued once");
+        assert!(s.plan.transcript().is_empty(), "no restart line");
     }
 
     #[test]

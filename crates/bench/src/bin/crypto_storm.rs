@@ -16,7 +16,6 @@
 //! ```text
 //! crypto_storm [--seed 0xC57] [--principals 500000] [--metrics-out FILE]
 //! # reports -> $GRIDSEC_BENCH_DIR (default .)
-//! # env overrides: GRIDSEC_STORM_PRINCIPALS, GRIDSEC_STORM_SEED
 //! ```
 
 use gridsec_bench::parse_u64;
@@ -26,12 +25,6 @@ fn main() {
     let mut seed: u64 = 0x0000_0C57;
     let mut principals: usize = 500_000;
     let mut metrics_out: Option<String> = None;
-    if let Ok(v) = std::env::var("GRIDSEC_STORM_SEED") {
-        seed = parse_u64(&v, "GRIDSEC_STORM_SEED");
-    }
-    if let Ok(v) = std::env::var("GRIDSEC_STORM_PRINCIPALS") {
-        principals = parse_u64(&v, "GRIDSEC_STORM_PRINCIPALS") as usize;
-    }
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

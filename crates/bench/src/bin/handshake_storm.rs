@@ -20,7 +20,6 @@
 //!                 [--wave 256] [--baseline-sessions 1000]
 //!                 [--metrics-out FILE]
 //! # reports -> $GRIDSEC_BENCH_DIR (default .)
-//! # env overrides: GRIDSEC_STORM_SESSIONS, GRIDSEC_STORM_SEED
 //! ```
 
 use std::collections::BTreeMap;
@@ -118,12 +117,6 @@ fn main() {
         wave: 256,
         baseline_sessions: 1_000,
     };
-    if let Ok(v) = std::env::var("GRIDSEC_STORM_SEED") {
-        opts.seed = parse_u64(&v, "GRIDSEC_STORM_SEED");
-    }
-    if let Ok(v) = std::env::var("GRIDSEC_STORM_SESSIONS") {
-        opts.sessions = parse_u64(&v, "GRIDSEC_STORM_SESSIONS") as usize;
-    }
     let mut metrics_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -15,7 +15,6 @@
 //! ```text
 //! striped_xfer [--seed 0x5712] [--bytes 32768] [--metrics-out FILE]
 //! # reports -> $GRIDSEC_BENCH_DIR (default .)
-//! # env overrides: GRIDSEC_STRIPED_SEED, GRIDSEC_STRIPED_BYTES
 //! ```
 
 use std::collections::BTreeMap;
@@ -38,12 +37,6 @@ fn cell_seed(seed: u64, loss_permille: u64, stripes: u32) -> u64 {
 fn main() {
     let mut seed: u64 = 0x5712;
     let mut bytes: usize = 32 * 1024;
-    if let Ok(v) = std::env::var("GRIDSEC_STRIPED_SEED") {
-        seed = parse_u64(&v, "GRIDSEC_STRIPED_SEED");
-    }
-    if let Ok(v) = std::env::var("GRIDSEC_STRIPED_BYTES") {
-        bytes = parse_u64(&v, "GRIDSEC_STRIPED_BYTES") as usize;
-    }
     let mut metrics_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -11,7 +11,6 @@
 //! ```text
 //! vo_storm [--seed 0x570A11] [--principals 100000] [--metrics-out FILE]
 //! # reports -> $GRIDSEC_BENCH_DIR (default .)
-//! # env overrides: GRIDSEC_STORM_PRINCIPALS, GRIDSEC_STORM_SEED
 //! ```
 //!
 //! `--metrics-out FILE` additionally writes the deterministic render
@@ -25,12 +24,6 @@ fn main() {
     let mut seed: u64 = 0x0057_0A11;
     let mut principals: usize = 100_000;
     let mut metrics_out: Option<String> = None;
-    if let Ok(v) = std::env::var("GRIDSEC_STORM_SEED") {
-        seed = parse_u64(&v, "GRIDSEC_STORM_SEED");
-    }
-    if let Ok(v) = std::env::var("GRIDSEC_STORM_PRINCIPALS") {
-        principals = parse_u64(&v, "GRIDSEC_STORM_PRINCIPALS") as usize;
-    }
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

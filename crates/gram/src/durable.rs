@@ -96,15 +96,16 @@ pub struct DurableGram {
 impl DurableGram {
     /// Serve `resource` durably, journaling into `journal`; `seed`
     /// (mixed with the incarnation's generation) seeds the service's
-    /// randomness, keeping runs reproducible. An existing journal is
-    /// replayed immediately; jobs the resource already holds stay.
+    /// randomness, keeping runs reproducible. The first incarnation
+    /// starts when the service is spawned, replaying any existing
+    /// journal.
     pub fn new(
         resource: Rc<RefCell<GramResource>>,
         seed: &[u8],
         plan: CrashPlan,
         journal: Journal,
     ) -> Self {
-        let mut durable = DurableGram {
+        DurableGram {
             resource,
             rng: ChaChaRng::from_seed_bytes(seed),
             handshakes: HashMap::new(),
@@ -114,24 +115,7 @@ impl DurableGram {
             plan,
             journal,
             started: HashSet::new(),
-        };
-        durable.reincarnate();
-        // Replay without `recover`'s crash: jobs the resource already
-        // holds stay. Their replies go unused until a restart.
-        durable.replay();
-        durable
-    }
-
-    /// The next incarnation's volatile state: no sessions, a fresh
-    /// randomness stream, no proven starts.
-    fn reincarnate(&mut self) {
-        self.generation += 1;
-        let mut seed = self.seed.clone();
-        seed.extend_from_slice(&self.generation.to_be_bytes());
-        self.rng = ChaChaRng::from_seed_bytes(&seed);
-        self.handshakes.clear();
-        self.sessions.clear();
-        self.started.clear();
+        }
     }
 
     /// Answer one request frame before encoding.
@@ -265,50 +249,6 @@ impl DurableGram {
             }
             _ => Err(ctxerr("unknown gram op")),
         }
-    }
-
-    /// Fold the journal into the resource: every journaled MJS comes
-    /// back, active if its start was journaled too. Returns the commit
-    /// replies from the same read.
-    fn replay(&mut self) -> Vec<((String, u64), Vec<u8>)> {
-        let mut submits: Vec<SubmitRecord> = Vec::new();
-        let mut starts: HashMap<String, Pid> = HashMap::new();
-        let replies = self.journal.replay(|tag, body| match tag {
-            TAG_SUBMIT => {
-                if let Some(rec) = decode_submit_record(body) {
-                    submits.push(rec);
-                }
-            }
-            TAG_START => {
-                let mut d = Decoder::new(body);
-                let parsed = (|| {
-                    let from = d.get_str().ok()?;
-                    let handle = d.get_str().ok()?;
-                    let pid = d.get_u64().ok()?;
-                    Some((from, handle, pid))
-                })();
-                if let Some((from, handle, pid)) = parsed {
-                    starts.insert(handle.clone(), pid);
-                    self.started.insert((from, handle));
-                }
-            }
-            _ => {}
-        });
-        for rec in submits {
-            let (state, job_pid) = match starts.get(&rec.handle) {
-                Some(&pid) => (JobState::Active, (pid != 0).then_some(pid)),
-                None => (JobState::Unsubmitted, None),
-            };
-            let _ = self.resource.borrow_mut().restore_mjs(
-                &rec.handle,
-                &rec.account,
-                rec.description,
-                state,
-                job_pid,
-                rec.mjs_id,
-            );
-        }
-        replies
     }
 
     fn encode_submit_record(&self, handle: &str, account: &str) -> Vec<u8> {
@@ -449,14 +389,62 @@ impl CrashRecover for DurableGram {
     }
 
     fn crash(&mut self) {
-        // The service process dies: job table and sessions are gone.
+        // The service process dies: job table and sessions are gone,
+        // and the next incarnation draws a fresh randomness stream and
+        // has proven no starts.
         self.resource.borrow_mut().crash_mmjfs();
-        self.reincarnate();
+        self.generation += 1;
+        let mut seed = self.seed.clone();
+        seed.extend_from_slice(&self.generation.to_be_bytes());
+        self.rng = ChaChaRng::from_seed_bytes(&seed);
+        self.handshakes.clear();
+        self.sessions.clear();
+        self.started.clear();
     }
 
+    /// Fold the journal into the resource: every journaled MJS comes
+    /// back, active if its start was journaled too. Returns the commit
+    /// replies from the same read.
     fn recover(&mut self) -> Vec<((String, u64), Vec<u8>)> {
         self.crash();
-        self.replay()
+        let mut submits: Vec<SubmitRecord> = Vec::new();
+        let mut starts: HashMap<String, Pid> = HashMap::new();
+        let replies = self.journal.replay(|tag, body| match tag {
+            TAG_SUBMIT => {
+                if let Some(rec) = decode_submit_record(body) {
+                    submits.push(rec);
+                }
+            }
+            TAG_START => {
+                let mut d = Decoder::new(body);
+                let parsed = (|| {
+                    let from = d.get_str().ok()?;
+                    let handle = d.get_str().ok()?;
+                    let pid = d.get_u64().ok()?;
+                    Some((from, handle, pid))
+                })();
+                if let Some((from, handle, pid)) = parsed {
+                    starts.insert(handle.clone(), pid);
+                    self.started.insert((from, handle));
+                }
+            }
+            _ => {}
+        });
+        for rec in submits {
+            let (state, job_pid) = match starts.get(&rec.handle) {
+                Some(&pid) => (JobState::Active, (pid != 0).then_some(pid)),
+                None => (JobState::Unsubmitted, None),
+            };
+            let _ = self.resource.borrow_mut().restore_mjs(
+                &rec.handle,
+                &rec.account,
+                rec.description,
+                state,
+                job_pid,
+                rec.mjs_id,
+            );
+        }
+        replies
     }
 }
 
@@ -474,9 +462,9 @@ mod tests {
     use gridsec_pki::store::TrustStore;
     use gridsec_testbed::clock::SimClock;
     use gridsec_testbed::faults::CrashableServer;
-    use gridsec_testbed::net::{FaultProfile, Network};
+    use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
     use gridsec_testbed::os::{SimOs, ROOT_UID};
-    use gridsec_testbed::rpc::RpcClient;
+    use gridsec_testbed::rpc::{decode_reply, encode_request, RpcClient};
     use gridsec_testbed::sched::Scheduler;
     use gridsec_util::retry::RetryPolicy;
 
@@ -687,6 +675,58 @@ mod tests {
         );
         assert_eq!(r.resource.borrow().job_handles().len(), 1);
         assert_eq!(r.resource.borrow().stats.jobs_submitted, 1);
+    }
+
+    /// Send the request frame `frame` as call `id` from `client` and run
+    /// `sched` until it is answered; the reply body.
+    fn call(sched: &mut Scheduler, client: &Endpoint, id: u64, frame: &[u8]) -> Vec<u8> {
+        client.send("mjs-host", encode_request(id, frame)).unwrap();
+        sched.run();
+        let reply = client.try_recv().expect("answered");
+        let (rid, body) = decode_reply(&reply.payload).expect("reply frame");
+        assert_eq!(rid, id);
+        body.to_vec()
+    }
+
+    #[test]
+    fn a_new_process_over_the_journal_answers_a_committed_submit() {
+        let w = world();
+        let mut r = rig(&w, CrashPlan::disabled());
+        let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane durable");
+        let signed = jane.signed_request(&JobDescription::new("/bin/sim"), w.clock.now());
+        let mut submit = Encoder::new();
+        submit
+            .put_str(OP_SUBMIT)
+            .put_str("")
+            .put_bytes(signed.as_bytes());
+        let submit = submit.finish();
+        let first = call(&mut r._sched, r.rpc.endpoint(), 7, &submit);
+        assert!(matches!(Reply::decode(&first), Some(Reply::Ok(_))));
+        // That process is gone; a second one is built over the journal
+        // and the LMJFS it left, and spawned: a first start, not a
+        // restart.
+        let journal = Journal::open(r.os.clone(), "compute1", "/var/gram/journal.wal", ROOT_UID);
+        let plan = CrashPlan::disabled();
+        let durable = Rc::new(RefCell::new(DurableGram::new(
+            r.resource.clone(),
+            b"durable mjs",
+            plan.clone(),
+            journal,
+        )));
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
+        CrashableServer::spawn(
+            &mut sched,
+            net.register("mjs-host"),
+            "gram",
+            &plan,
+            &durable,
+        );
+        let again = call(&mut sched, &net.register("jane"), 7, &submit);
+        assert_eq!(first, again, "the committed reply, not a new submit");
+        assert_eq!(r.resource.borrow().job_handles().len(), 1, "one MJS");
+        assert_eq!(durable.borrow().submitted_count(), 1);
+        assert!(plan.transcript().is_empty(), "no restart line");
     }
 
     #[test]

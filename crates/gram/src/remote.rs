@@ -534,6 +534,8 @@ mod tests {
         let w = world();
         let shared = Rc::new(RefCell::new(resource(&w)));
         let mut service = service(&shared);
+        // Started as a spawn starts it.
+        service.recover();
         // No handshake at all: every session op must refuse politely.
         let refused = |reply: Vec<u8>| matches!(Reply::decode(&reply), Some(Reply::Refused(_)));
         for (id, op) in [OP_TOKEN3, OP_DELEG_REQ, OP_DELEG_CHAIN, OP_START]

@@ -304,6 +304,15 @@ fn gram_service(resource: &Rc<RefCell<GramResource>>, seed: &[u8]) -> DurableGra
     DurableGram::new(resource.clone(), seed, CrashPlan::disabled(), journal)
 }
 
+/// `service` brought up the way `CrashableServer::spawn` brings it up,
+/// for tests that call `handle` directly. Its start empties the MJS
+/// table before folding in the (empty) journal, so start it before any
+/// MJS exists.
+fn started(mut service: DurableGram) -> DurableGram {
+    service.recover();
+    service
+}
+
 /// `service` as a task on a scheduler over `net`, plus a client of it.
 fn serve(net: &Network, client: &str, service: DurableGram) -> (RpcClient, Scheduler) {
     let mut sched = Scheduler::new(net);
@@ -452,6 +461,7 @@ fn handshake_over(
 fn a_proxy_over_the_lmjfs_key_signed_by_another_user_starts_no_job() {
     let mut w = world();
     let shared = Rc::new(RefCell::new(resource(&w)));
+    let mut service = started(gram_service(&shared, b"mjs rng"));
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     jane.submit_job(&mut shared.borrow_mut(), &job(0), 100)
         .unwrap();
@@ -459,7 +469,6 @@ fn a_proxy_over_the_lmjfs_key_signed_by_another_user_starts_no_job() {
     let handle = shared.borrow_mut().submit(&request).unwrap().mjs_handle;
 
     // Jane's own context asks for the LMJFS's key...
-    let mut service = gram_service(&shared, b"mjs rng");
     let jane_cred = w.jane.clone();
     let mut ctx = handshake_over(&mut service, &handle, &jane_cred, &mut w);
     let d1 = request_delegation(&mut ctx);

@@ -194,6 +194,15 @@ fn gram_service(resource: &Rc<RefCell<GramResource>>, seed: &[u8]) -> DurableGra
     DurableGram::new(resource.clone(), seed, CrashPlan::disabled(), journal)
 }
 
+/// `service` brought up the way `CrashableServer::spawn` brings it up,
+/// for tests that call `handle` directly. Its start empties the MJS
+/// table before folding in the (empty) journal, so start it before any
+/// MJS exists.
+fn started(mut service: DurableGram) -> DurableGram {
+    service.recover();
+    service
+}
+
 /// `service` as a task on a scheduler over `net`, plus a client of it.
 fn serve(net: &Network, client: &str, service: DurableGram) -> (RpcClient, Scheduler) {
     let mut sched = Scheduler::new(net);
@@ -247,6 +256,7 @@ fn every_remote_job_is_authorized_and_delegated_resumed_or_not() {
 fn resume_hello_for_one_users_lmjfs_is_refused_by_anothers() {
     let mut w = world();
     let shared = Rc::new(RefCell::new(resource(&w)));
+    let mut service = started(gram_service(&shared, b"mjs rng"));
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     let mut carl = Requestor::new(w.carl.clone(), w.trust.clone(), b"carl");
 
@@ -276,7 +286,6 @@ fn resume_hello_for_one_users_lmjfs_is_refused_by_anothers() {
         err,
         GramError::Context("context error: protocol error: unknown session ticket".into())
     );
-    let mut service = gram_service(&shared, b"mjs rng");
     assert!(refused(&service.handle(
         "mallory",
         1,
@@ -309,6 +318,7 @@ fn resume_hello_for_one_users_lmjfs_is_refused_by_anothers() {
 fn a_replayed_resume_hello_cannot_finish_without_the_master_secret() {
     let mut w = world();
     let shared = Rc::new(RefCell::new(resource(&w)));
+    let mut service = started(gram_service(&shared, b"mjs rng"));
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     let request = jane.signed_request(&job(0), 100);
     let first = shared.borrow_mut().submit(&request).unwrap().mjs_handle;
@@ -320,7 +330,6 @@ fn a_replayed_resume_hello_cannot_finish_without_the_master_secret() {
 
     // Jane's own LMJFS knows the ticket and answers the hello, but the
     // finished MAC needs the master secret the replayer lacks.
-    let mut service = gram_service(&shared, b"mjs rng");
     assert!(!refused(&service.handle(
         "mallory",
         4,
@@ -549,19 +558,40 @@ fn a_rebuilt_service_on_a_fresh_install_gets_the_full_loop() {
 
 #[test]
 fn a_rebuilt_front_end_over_the_surviving_lmjfs_still_resumes() {
-    // The cache lives with the LMJFS, not with the RPC front end.
+    // The cache lives with the LMJFS, not with the RPC front end; the
+    // front end's jobs live in its journal, which survives it too.
     let w = world();
     let mut jane = Requestor::new(w.jane.clone(), w.trust.clone(), b"jane");
     let shared = Rc::new(RefCell::new(resource(&w)));
+    let os = SimOs::new();
+    os.add_host("compute1");
+    let front_end = |seed: &[u8]| {
+        let journal = Journal::open(os.clone(), "compute1", "/var/gram/journal.wal", ROOT_UID);
+        DurableGram::new(shared.clone(), seed, CrashPlan::disabled(), journal)
+    };
     let net = Network::new();
-    let (mut rpc, sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng"));
-    submit_job_resilient(&mut jane, &mut rpc, &job(0), &dn(HOST), 100, 1).unwrap();
+    let (mut rpc, sched) = serve(&net, "jane", front_end(b"mjs rng"));
+    let first = submit_job_resilient(&mut jane, &mut rpc, &job(0), &dn(HOST), 100, 1).unwrap();
     drop((rpc, sched));
+    // Jane reaches it over a new connection: the journal answers the
+    // old connection's `(caller, call id)`s with their committed replies.
     let net = Network::new();
-    let (mut rpc, _sched) = serve(&net, "jane", gram_service(&shared, b"mjs rng 2"));
+    let (mut rpc, _sched) = serve(&net, "jane:2", front_end(b"mjs rng 2"));
     submit_job_resilient(&mut jane, &mut rpc, &job(1), &dn(HOST), 100, 1).unwrap();
-    let stats = shared.borrow().stats;
-    assert_eq!((stats.full_handshakes, stats.resumed_handshakes), (1, 1));
+    let resource = shared.borrow();
+    assert_eq!(
+        (
+            resource.stats.full_handshakes,
+            resource.stats.resumed_handshakes
+        ),
+        (1, 1)
+    );
+    assert_eq!(
+        resource.job_state(&first.handle).unwrap(),
+        JobState::Active,
+        "the first job came back from the journal"
+    );
+    assert_eq!(job_processes(&resource), 2, "each job started exactly once");
 }
 
 #[test]

@@ -62,6 +62,7 @@ use crate::{basic_world, dn};
 pub mod crypto_storm;
 pub mod expiry_storm;
 pub mod portal;
+mod storm;
 pub mod vo_storm;
 
 /// Options a chaos harness can vary per run.

@@ -46,17 +46,14 @@ use std::sync::{Arc, Mutex};
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::context::{EstablishedContext, InitiatorContext};
 use gridsec_gssapi::poll::WaveAcceptor;
-use gridsec_pki::ca::CertificateAuthority;
-use gridsec_pki::credential::Credential;
-use gridsec_pki::store::TrustStore;
-use gridsec_testbed::net::{Endpoint, Network, TrafficStats};
-use gridsec_testbed::sched::{SchedStats, Scheduler, Step, Task, TaskCx};
+use gridsec_testbed::net::{Endpoint, TrafficStats};
+use gridsec_testbed::sched::{SchedStats, Step, Task, TaskCx};
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::pool::CryptoPool;
 use gridsec_util::rng::{DetRng, RngCore};
-use gridsec_util::trace::{self, MetricsSnapshot, Tracer};
+use gridsec_util::trace::{self, MetricsSnapshot};
 
-use crate::dn;
+use super::storm::{Rig, StormWorld};
 
 /// Mail tags, principal -> gateway.
 const TAG_HELLO: u8 = 1;
@@ -70,7 +67,15 @@ const TAG_REJECT: u8 = 0;
 /// channel; a principal counts as established only after unsealing it.
 const PROOF: &[u8] = b"cstorm proof of keys";
 
-/// Storm configuration. Everything that affects behavior is explicit.
+/// Mill gateways the population is sharded across.
+const GATEWAYS: usize = 4;
+/// Start-stagger window in sim seconds within each cohort.
+const START_SPREAD: u64 = 60;
+/// Every n-th principal sends a garbage hello instead, exercising the
+/// rejection path at scale.
+const REJECT_EVERY: usize = 97;
+
+/// Storm configuration: everything else is a constant of the storm.
 #[derive(Clone, Debug)]
 pub struct CryptoStormOpts {
     /// Total principal sessions.
@@ -79,31 +84,20 @@ pub struct CryptoStormOpts {
     pub seed: u64,
     /// Distinct user credentials the sessions draw from (round-robin).
     pub credentials: usize,
-    /// Mill gateways the population is sharded across.
-    pub gateways: usize,
     /// Cohort size: at most this many principals are live at once
     /// (plus the gateways), whatever the population.
     pub cohort: usize,
-    /// Start-stagger window in sim seconds within each cohort.
-    pub start_spread: u64,
-    /// Every n-th principal sends a garbage hello instead (0 = none),
-    /// exercising the rejection path at scale.
-    pub reject_every: usize,
 }
 
 impl CryptoStormOpts {
     /// Defaults for a population of `principals` under `seed`: a
-    /// 128-credential pool, 4 gateways, 4096-task cohorts, a 60-second
-    /// stagger, one garbage hello per 97 sessions.
+    /// 128-credential pool and 4096-task cohorts.
     pub fn new(principals: usize, seed: u64) -> Self {
         CryptoStormOpts {
             principals,
             seed,
             credentials: 128,
-            gateways: 4,
             cohort: 4096,
-            start_spread: 60,
-            reject_every: 97,
         }
     }
 }
@@ -336,45 +330,8 @@ impl Task for Principal {
 
 /// Run the storm to quiescence and report.
 pub fn run_crypto_storm(opts: &CryptoStormOpts) -> CryptoStormReport {
-    let wall = std::time::Instant::now();
-    let net = Network::new();
-    let mut sched = Scheduler::new(&net);
-
-    let tracer = Tracer::new();
-    let clock = sched.clock();
-    tracer.set_clock(move || clock.now());
-    let guard = trace::install(&tracer);
-
-    // ---- Credential world --------------------------------------------
-    let mut world_rng =
-        ChaChaRng::from_seed_bytes(format!("cstorm world {:#x}", opts.seed).as_bytes());
-    let ca = CertificateAuthority::create_root(
-        &mut world_rng,
-        dn("/O=Storm/CN=CA"),
-        512,
-        0,
-        u64::MAX / 2,
-    );
-    let users: Vec<Credential> = (0..opts.credentials.max(1))
-        .map(|i| {
-            ca.issue_identity(
-                &mut world_rng,
-                dn(&format!("/O=Storm/CN=U{i}")),
-                512,
-                0,
-                u64::MAX / 4,
-            )
-        })
-        .collect();
-    let service = ca.issue_identity(
-        &mut world_rng,
-        dn("/O=Storm/CN=Portal"),
-        512,
-        0,
-        u64::MAX / 4,
-    );
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.certificate().clone());
+    let mut rig = Rig::clean();
+    let world = StormWorld::build("cstorm", opts.seed, "U", opts.credentials);
 
     // One shared client-side pool — the initiator-side amortization
     // (validated gateway chain, binding-verify context) the mill's pool
@@ -383,72 +340,55 @@ pub fn run_crypto_storm(opts: &CryptoStormOpts) -> CryptoStormReport {
     let client_pool = Arc::new(Mutex::new(CryptoPool::new()));
 
     // ---- Gateways ----------------------------------------------------
-    let gateways = opts.gateways.max(1);
-    let mut gateway_pools = Vec::with_capacity(gateways);
-    for g in 0..gateways {
-        let name = format!("cstorm-gw-{g}");
-        let ep = net.register(&name);
-        let acceptor = WaveAcceptor::new(TlsConfig::new(service.clone(), trust.clone(), 100));
+    let mut gateway_pools = Vec::with_capacity(GATEWAYS);
+    let gateways = rig.spawn_gateways("cstorm-gw", GATEWAYS, |g, ep| {
+        let acceptor = WaveAcceptor::new(TlsConfig::new(
+            world.service.clone(),
+            world.trust.clone(),
+            100,
+        ));
         gateway_pools.push(acceptor.mill().pool());
-        let rng = ChaChaRng::from_seed_bytes(format!("cstorm gw{g} {:#x}", opts.seed).as_bytes());
-        sched.spawn_mailbox(
-            &name,
-            MillGateway {
-                ep,
-                acceptor,
-                rng,
-                routes: HashMap::new(),
-            },
-        );
-    }
+        MillGateway {
+            ep,
+            acceptor,
+            rng: ChaChaRng::from_seed_bytes(format!("cstorm gw{g} {:#x}", opts.seed).as_bytes()),
+            routes: HashMap::new(),
+        }
+    });
 
     // ---- Cohorts of principals ---------------------------------------
+    let users = &world.users;
     let mut assign_rng = DetRng::seed_from_u64(opts.seed ^ 0xC59_7057);
     let mut spawned = 0usize;
     while spawned < opts.principals {
         let cohort = (opts.principals - spawned).min(opts.cohort.max(1));
-        let base_now = sched.now();
+        let base_now = rig.sched.now();
         for i in spawned..spawned + cohort {
             let user = users[assign_rng.next_u64() as usize % users.len()].clone();
-            let gateway = format!("cstorm-gw-{}", assign_rng.next_u64() as usize % gateways);
-            let start_at = base_now
-                + if opts.start_spread == 0 {
-                    0
-                } else {
-                    assign_rng.next_u64() % (opts.start_spread + 1)
-                };
-            let garbage = opts.reject_every != 0 && (i + 1) % opts.reject_every == 0;
-            let name = format!("c{i}");
-            let ep = net.register(&name);
+            let gateway = gateways[assign_rng.next_u64() as usize % GATEWAYS].clone();
+            let start_at = base_now + assign_rng.next_u64() % (START_SPREAD + 1);
             let mut seed_bytes = [0u8; 16];
             seed_bytes[..8].copy_from_slice(&opts.seed.to_be_bytes());
             seed_bytes[8..].copy_from_slice(&(i as u64).to_be_bytes());
             let config =
-                TlsConfig::new(user, trust.clone(), 100).with_pool(Arc::clone(&client_pool));
-            let id = ep.id();
-            sched.spawn_mailbox_id(
-                id,
-                Principal {
-                    ep,
-                    gateway,
-                    config: Some(config),
-                    rng: ChaChaRng::from_seed_bytes(&seed_bytes),
-                    state: PrincipalState::Boot,
-                    start_at,
-                    garbage,
-                },
-            );
+                TlsConfig::new(user, world.trust.clone(), 100).with_pool(Arc::clone(&client_pool));
+            rig.spawn(&format!("c{i}"), |ep| Principal {
+                ep,
+                gateway,
+                config: Some(config),
+                rng: ChaChaRng::from_seed_bytes(&seed_bytes),
+                state: PrincipalState::Boot,
+                start_at,
+                garbage: (i + 1) % REJECT_EVERY == 0,
+            });
         }
         spawned += cohort;
         // Run this cohort to quiescence before admitting the next: the
         // live-task high-water mark stays ~cohort + gateways.
-        sched.run();
+        rig.sched.run();
     }
 
-    let sched_stats = sched.run();
-    let metrics = tracer.metrics();
-    drop(guard);
-
+    let run = rig.finish();
     let (mut hits, mut misses) = (0u64, 0u64);
     for pool in &gateway_pools {
         let p = pool.lock().expect("gateway pool lock");
@@ -456,18 +396,17 @@ pub fn run_crypto_storm(opts: &CryptoStormOpts) -> CryptoStormReport {
         misses += p.validator().misses();
     }
 
-    let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
     CryptoStormReport {
         principals: opts.principals,
-        established: counter("cstorm.flows.established"),
-        rejected: counter("cstorm.flows.rejected"),
-        sim_seconds: sched.now(),
-        traffic: net.stats(),
-        sched: sched_stats,
+        established: run.counter("cstorm.flows.established"),
+        rejected: run.counter("cstorm.flows.rejected"),
+        sim_seconds: run.sim_seconds,
+        traffic: run.traffic,
+        sched: run.sched,
         validator_misses: misses,
         validator_hits: hits,
-        metrics,
-        wall_ms: wall.elapsed().as_millis(),
+        metrics: run.metrics,
+        wall_ms: run.wall_ms,
     }
 }
 
@@ -477,9 +416,11 @@ mod tests {
 
     #[test]
     fn small_crypto_storm_establishes_and_is_deterministic() {
-        let mut opts = CryptoStormOpts::new(600, 0x00C0_DE57);
-        opts.cohort = 200;
-        opts.credentials = 16;
+        let opts = CryptoStormOpts {
+            cohort: 200,
+            credentials: 16,
+            ..CryptoStormOpts::new(600, 0x00C0_DE57)
+        };
         let r1 = run_crypto_storm(&opts);
         let r2 = run_crypto_storm(&opts);
         assert_eq!(
@@ -504,7 +445,7 @@ mod tests {
         // per distinct credential (pool users + the service identity)
         // per gateway pool, cache hits for everyone else.
         assert!(
-            r1.validator_misses <= (opts.gateways * (opts.credentials + 1)) as u64,
+            r1.validator_misses <= (GATEWAYS * (opts.credentials + 1)) as u64,
             "misses: {}",
             r1.validator_misses
         );
@@ -512,7 +453,7 @@ mod tests {
         // Cohorts bound task residency: population 600, but at most
         // cohort + gateways + 1 live at once.
         assert!(
-            r1.sched.live_high_water <= (opts.cohort + opts.gateways + 1) as u64,
+            r1.sched.live_high_water <= (opts.cohort + GATEWAYS + 1) as u64,
             "live high water {} exceeds cohort bound",
             r1.sched.live_high_water
         );

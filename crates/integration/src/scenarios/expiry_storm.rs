@@ -37,91 +37,54 @@ use std::rc::Rc;
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_gssapi::mill::HandshakeMill;
-use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
-use gridsec_testbed::clock::SimClock;
 use gridsec_testbed::faults::LifetimeFaults;
-use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network, TrafficStats};
-use gridsec_testbed::rpc::{self, CallPoll, PollingCall};
-use gridsec_testbed::sched::{SchedStats, Scheduler, Step, Task, TaskCx};
+use gridsec_testbed::net::{Endpoint, FaultStats, TrafficStats};
+use gridsec_testbed::sched::{SchedStats, Step, Task, TaskCx};
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_util::retry::RetryPolicy;
-use gridsec_util::trace::{self, MetricsSnapshot, Tracer};
+use gridsec_util::trace::{self, MetricsSnapshot};
 
-use crate::dn;
+use super::storm::{render_wire, Gateway, LegPoll, Legs, Rig, StormWorld};
 
 /// The cross-domain VO flow, leg by leg as (request, reply) byte
 /// sizes: VO sign-on exchange, cross-domain gateway hop, then the
 /// secured resource access (the `cross_domain_vo` scenario's shape).
 const VO_LEGS: &[(usize, usize)] = &[(192, 160), (256, 224), (640, 96)];
 
-/// Storm configuration. Everything behavioral is explicit and seeded.
+// The storm's shape, times in sim-seconds: 8 real credential classes
+// behind the handshakes (shared round-robin; lifetimes are
+// per-principal); 50-minute nominal lifetimes against a 90-minute
+// horizon, so the bulk of the population needs one renewal; sign-ons
+// staggered over 20 minutes; issuer clocks skewed up to 8 minutes, and
+// backdated by the classic five-minute grid allowance, so only forward
+// skew beyond it leaves a proxy stillborn; 7% near-zero lifetimes of at
+// most a minute; renewal inside a 700 s grace, in waves every 4 minutes.
+const CLASSES: usize = 8;
+const NOMINAL_LIFETIME: u64 = 3_000;
+const HORIZON: u64 = 5_400;
+const SPREAD: u64 = 1_200;
+const SKEW_MAX: u64 = 480;
+const BACKDATE: u64 = 300;
+const SHORT_PERMILLE: u64 = 70;
+const SHORT_MAX: u64 = 60;
+const GRACE: u64 = 700;
+const WAVE_INTERVAL: u64 = 240;
+
+/// Storm configuration: everything else is a constant of the storm or
+/// derived from the population.
 #[derive(Clone, Debug)]
 pub struct ExpiryOpts {
     /// Population size (one task + endpoint each).
     pub principals: usize,
     /// Master seed: lifetime faults, stagger, network faults, mill rng.
     pub seed: u64,
-    /// VO gateways the population is sharded across.
-    pub gateways: usize,
-    /// Distinct real credentials backing the population's handshakes
-    /// (principals share them round-robin; lifetime bookkeeping is
-    /// per-principal).
-    pub classes: usize,
-    /// Nominal proxy lifetime in sim-seconds.
-    pub nominal_lifetime: u64,
-    /// Sign-on stagger window.
-    pub spread: u64,
-    /// Issuer clock-skew bound fed to [`LifetimeFaults`].
-    pub skew_max: u64,
-    /// Per-mille of issuances with a near-zero lifetime.
-    pub short_permille: u64,
-    /// Near-zero lifetime upper bound.
-    pub short_max: u64,
-    /// Issuers backdate `not_before` by this much (the classic
-    /// five-minute grid allowance): only forward skew *beyond* it
-    /// leaves a proxy stillborn.
-    pub backdate: u64,
-    /// Renew once remaining lifetime drops below this.
-    pub grace: u64,
-    /// Coordinator wave interval.
-    pub wave_interval: u64,
-    /// Principals stop working (and the coordinator stops renewing) at
-    /// this sim time.
-    pub horizon: u64,
-    /// Think time between a principal's flows.
-    pub think: u64,
-    /// Fault profile for every link.
-    pub profile: FaultProfile,
-    /// Retry policy for every leg.
-    pub policy: RetryPolicy,
 }
 
 impl ExpiryOpts {
-    /// Defaults for a population of `principals` under `seed`: 50-min
-    /// nominal lifetimes against a 90-min horizon (so the bulk of the
-    /// population needs exactly one renewal), ~7% near-zero lifetimes,
-    /// issuer skew up to 8 minutes, and the vo_storm WAN profile.
+    /// A population of `principals` under `seed`.
     pub fn new(principals: usize, seed: u64) -> Self {
-        ExpiryOpts {
-            principals,
-            seed,
-            gateways: (principals / 512).clamp(2, 16),
-            classes: 8,
-            nominal_lifetime: 3_000,
-            spread: 1_200,
-            skew_max: 480,
-            short_permille: 70,
-            short_max: 60,
-            backdate: 300,
-            grace: 700,
-            wave_interval: 240,
-            horizon: 5_400,
-            think: 350,
-            profile: super::vo_storm::StormOpts::storm_wan(),
-            policy: super::policy(),
-        }
+        ExpiryOpts { principals, seed }
     }
 }
 
@@ -187,23 +150,7 @@ impl ExpiryReport {
             "flows completed={} failed={}",
             self.flows_completed, self.flows_failed
         );
-        let _ = writeln!(
-            out,
-            "traffic messages={} bytes={}",
-            self.traffic.messages, self.traffic.bytes
-        );
-        let f = &self.fault_stats;
-        let _ = writeln!(
-            out,
-            "faults sent={} delivered={} dropped={} duplicated={} blocked={}",
-            f.sent, f.delivered, f.dropped, f.duplicated, f.blocked
-        );
-        let s = &self.sched;
-        let _ = writeln!(
-            out,
-            "sched spawned={} completed={} steps={} clock_advances={} mail_wakes={} timer_wakes={}",
-            s.spawned, s.completed, s.steps, s.clock_advances, s.mail_wakes, s.timer_wakes
-        );
+        render_wire(&mut out, &self.traffic, &self.fault_stats, &self.sched);
         out.push_str(&self.metrics.render());
         out
     }
@@ -224,70 +171,43 @@ struct StormState {
     queue: Vec<usize>,
 }
 
-/// A VO gateway: answers every leg statelessly (the storm's real
-/// at-most-once discipline lives in the chaos suite's services).
-struct Gateway {
-    ep: Endpoint,
-}
-
-impl Task for Gateway {
-    fn step(&mut self, _cx: &TaskCx) -> Step {
-        while let Some(m) = self.ep.try_recv() {
-            let Some((id, body)) = rpc::decode_request(&m.payload) else {
-                continue;
-            };
-            let reply_len = body
-                .first()
-                .and_then(|leg| VO_LEGS.get(*leg as usize))
-                .map(|(_, rep)| *rep)
-                .unwrap_or(0);
-            let _ = self
-                .ep
-                .send(&m.from, rpc::encode_reply(id, &vec![0u8; reply_len]));
-        }
-        Step::WaitMail { deadline: None }
-    }
-}
-
-/// One portal principal: staggered sign-on, think-time flow loop,
-/// grace-window renewal enqueue, hard-expiry fail-closed.
+/// One portal principal: staggered sign-on, think-time flow loop
+/// yielding after every leg, grace-window renewal enqueue, hard-expiry
+/// fail-closed.
 struct Principal {
     ep: Endpoint,
     gateway: String,
     index: usize,
     state: Rc<RefCell<StormState>>,
     start_at: u64,
-    leg: usize,
-    call: Option<PollingCall>,
-    next_id: u64,
+    legs: Legs,
     next_flow_at: u64,
-    policy: RetryPolicy,
-    horizon: u64,
-    grace: u64,
 }
 
 impl Principal {
-    /// Expiry/grace checks against the shared window; enqueues for the
-    /// next renewal wave when inside grace.
-    fn credential_state(&self, now: u64) -> CredState {
+    /// Whether the credential window excludes `now`; a live one inside
+    /// grace enqueues for the next renewal wave.
+    fn expired(&self, now: u64) -> bool {
         let mut st = self.state.borrow_mut();
         let w = &mut st.windows[self.index];
         if now < w.not_before || now > w.not_after {
-            return CredState::Expired;
+            return true;
         }
-        if w.not_after - now < self.grace && !w.pending {
+        if w.not_after - now < GRACE && !w.pending {
             w.pending = true;
             let idx = self.index;
             st.queue.push(idx);
             trace::add("expiry.enqueued", 1);
         }
-        CredState::Live
+        false
     }
-}
 
-enum CredState {
-    Live,
-    Expired,
+    /// Think time before the next flow: deterministic per-principal
+    /// jitter, cheap and seedless, that spreads flow starts so gateway
+    /// mailboxes don't spike in lockstep.
+    fn thinks(&self) -> u64 {
+        300 + (self.index as u64 * 37) % 151
+    }
 }
 
 impl Task for Principal {
@@ -296,71 +216,44 @@ impl Task for Principal {
         if now < self.start_at {
             return Step::Sleep(self.start_at);
         }
-        if now >= self.horizon {
+        if now >= HORIZON {
             trace::add("expiry.survived", 1);
             return Step::Done;
         }
         // Fail closed the moment the credential window no longer
         // contains `now` — a principal never authenticates on a dead
         // proxy, and never panics or spins either.
-        if matches!(self.credential_state(now), CredState::Expired) {
-            if self.start_at == now && self.next_id == 0 {
+        if self.expired(now) {
+            if self.start_at == now && self.legs.calls == 0 {
                 trace::add("expiry.stillborn", 1);
             } else {
                 trace::add("expiry.failed_closed", 1);
             }
             return Step::Done;
         }
-        if self.call.is_none() {
-            if now < self.next_flow_at {
-                // Wake for the next flow, or at hard expiry (to fail
-                // closed promptly), whichever is earlier.
-                let expiry = self.state.borrow().windows[self.index].not_after + 1;
-                return Step::Sleep(self.next_flow_at.min(expiry).min(self.horizon));
-            }
-            let (req_len, _) = VO_LEGS[self.leg];
-            let mut payload = vec![0u8; req_len.max(1)];
-            payload[0] = self.leg as u8;
-            self.next_id += 1;
-            self.call = Some(PollingCall::new(
-                &self.gateway,
-                self.next_id,
-                &payload,
-                self.policy,
-            ));
+        if self.legs.idle() && now < self.next_flow_at {
+            // Wake for the next flow, or at hard expiry (to fail
+            // closed promptly), whichever is earlier.
+            let expiry = self.state.borrow().windows[self.index].not_after + 1;
+            return Step::Sleep(self.next_flow_at.min(expiry).min(HORIZON));
         }
-        let call = self.call.as_mut().expect("call ensured above");
-        match call.poll(&self.ep, now) {
-            CallPoll::Ready(_) => {
-                self.call = None;
-                self.leg += 1;
-                if self.leg == VO_LEGS.len() {
-                    self.leg = 0;
-                    self.next_flow_at = now + self.policy.base_timeout.max(1) + self.thinks();
-                    trace::add("expiry.flows.completed", 1);
+        match self.legs.poll(&self.ep, &self.gateway, now) {
+            LegPoll::Leg => {}
+            LegPoll::Flow => {
+                self.next_flow_at = now + super::policy().base_timeout.max(1) + self.thinks();
+                trace::add("expiry.flows.completed", 1);
+            }
+            LegPoll::Wait(deadline) => {
+                return Step::WaitMail {
+                    deadline: Some(deadline),
                 }
-                Step::Yield
             }
-            CallPoll::Wait { deadline } => Step::WaitMail {
-                deadline: Some(deadline),
-            },
-            CallPoll::Exhausted => {
+            LegPoll::Exhausted => {
                 trace::add("expiry.flows.failed", 1);
-                self.call = None;
-                self.leg = 0;
                 self.next_flow_at = now + self.thinks();
-                Step::Yield
             }
         }
-    }
-}
-
-impl Principal {
-    fn thinks(&self) -> u64 {
-        // Deterministic per-principal think jitter, cheap and seedless:
-        // spreads flow starts so gateway mailboxes don't spike in
-        // lockstep.
-        300 + (self.index as u64 * 37) % 151
+        Step::Yield
     }
 }
 
@@ -374,28 +267,25 @@ struct Coordinator {
     trust: TrustStore,
     faults: LifetimeFaults,
     next_wave: u64,
-    wave_interval: u64,
-    horizon: u64,
-    nominal: u64,
     hellos_sent: u64,
 }
 
 impl Task for Coordinator {
     fn step(&mut self, cx: &TaskCx) -> Step {
         let now = cx.now();
-        if now >= self.horizon {
+        if now >= HORIZON {
             return Step::Done;
         }
         if now < self.next_wave {
-            return Step::Sleep(self.next_wave.min(self.horizon));
+            return Step::Sleep(self.next_wave.min(HORIZON));
         }
-        self.next_wave = now + self.wave_interval;
+        self.next_wave = now + WAVE_INTERVAL;
         let wave: Vec<usize> = {
             let mut st = self.state.borrow_mut();
             std::mem::take(&mut st.queue)
         };
         if wave.is_empty() {
-            return Step::Sleep(self.next_wave.min(self.horizon));
+            return Step::Sleep(self.next_wave.min(HORIZON));
         }
         trace::add("expiry.waves", 1);
         trace::record("expiry.wave_size", wave.len() as u64);
@@ -428,7 +318,7 @@ impl Task for Coordinator {
                     // A renewed proxy: fresh fault-injected lifetime
                     // from `now` (renewal issuers are honest about the
                     // clock; the injector may still shorten).
-                    w.not_after = now + self.faults.lifetime(self.nominal).max(1);
+                    w.not_after = now + self.faults.lifetime(NOMINAL_LIFETIME).max(1);
                     w.not_before = w.not_before.min(now);
                     w.renewals += 1;
                     trace::add("expiry.renewals", 1);
@@ -438,67 +328,31 @@ impl Task for Coordinator {
                 }
             }
         }
-        Step::Sleep(self.next_wave.min(self.horizon))
+        Step::Sleep(self.next_wave.min(HORIZON))
     }
 }
 
 /// Run the expiry storm to quiescence and report.
 pub fn run_expiry_storm(opts: &ExpiryOpts) -> ExpiryReport {
-    let wall = std::time::Instant::now();
-    let net = Network::new();
-    let clock = SimClock::new();
-    net.enable_faults(clock.clone(), opts.seed, opts.profile);
-    // As in vo_storm: per-send transcript lines would dominate memory
-    // at storm scale; determinism is asserted on the metrics render.
-    net.set_transcript_recording(false);
-
-    let tracer = Tracer::new();
-    let c = clock.clone();
-    tracer.set_clock(move || c.now());
-    let guard = trace::install(&tracer);
+    let mut rig = Rig::lossy(opts.seed);
 
     // The small pool of real credentials behind the population.
-    let mut rng = ChaChaRng::from_seed_bytes(format!("expiry world {:#x}", opts.seed).as_bytes());
-    let ca =
-        CertificateAuthority::create_root(&mut rng, dn("/O=Storm/CN=CA"), 512, 0, u64::MAX / 2);
-    let classes: Vec<Credential> = (0..opts.classes.max(1))
-        .map(|i| {
-            ca.issue_identity(
-                &mut rng,
-                dn(&format!("/O=Storm/CN=Class{i}")),
-                512,
-                0,
-                u64::MAX / 4,
-            )
-        })
-        .collect();
-    let service = ca.issue_identity(&mut rng, dn("/O=Storm/CN=Portal"), 512, 0, u64::MAX / 4);
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.certificate().clone());
+    let world = StormWorld::build("expiry", opts.seed, "Class", CLASSES);
 
     // One injector seeds every lifetime fault in the run; a second,
     // independently salted one drives renewal-time lifetimes so the
     // coordinator's draw order can't perturb the mint sequence.
-    let mut mint_faults = LifetimeFaults::seeded(
-        opts.seed,
-        opts.skew_max,
-        opts.short_permille,
-        opts.short_max,
-    );
+    let mut mint_faults = LifetimeFaults::seeded(opts.seed, SKEW_MAX, SHORT_PERMILLE, SHORT_MAX);
     let renew_faults = LifetimeFaults::seeded(
         opts.seed ^ 0x7E9E_3A11,
         0, // renewal issuers are clock-honest
-        opts.short_permille,
-        opts.short_max,
+        SHORT_PERMILLE,
+        SHORT_MAX,
     );
 
-    let mut sched = Scheduler::new(&net);
-    let gateways = opts.gateways.max(1);
-    for g in 0..gateways {
-        let name = format!("exp-gw-{g}");
-        let ep = net.register(&name);
-        sched.spawn_mailbox(&name, Gateway { ep });
-    }
+    // VO gateways, scaled to the population.
+    let count = (opts.principals / 512).clamp(2, 16);
+    let gateways = rig.spawn_gateways("exp-gw", count, |_, ep| Gateway::new(ep, false));
 
     let state = Rc::new(RefCell::new(StormState {
         windows: Vec::with_capacity(opts.principals),
@@ -509,79 +363,62 @@ pub fn run_expiry_storm(opts: &ExpiryOpts) -> ExpiryReport {
         // The mint sequence: staggered sign-on, skewed issuer clock,
         // fault-injected lifetime — all from the one injector, in
         // principal order.
-        let start_at = mint_faults.storm_offset(opts.spread.max(1));
+        let start_at = mint_faults.storm_offset(SPREAD);
         let issued_at = mint_faults.issuer_now(start_at);
-        let lifetime = mint_faults.lifetime(opts.nominal_lifetime);
+        let lifetime = mint_faults.lifetime(NOMINAL_LIFETIME);
         state.borrow_mut().windows.push(Window {
-            not_before: issued_at.saturating_sub(opts.backdate),
+            not_before: issued_at.saturating_sub(BACKDATE),
             not_after: issued_at.saturating_add(lifetime),
             pending: false,
             renewals: 0,
-            class: i % opts.classes.max(1),
+            class: i % CLASSES,
         });
-        let name = format!("e{i}");
-        let ep = net.register(&name);
-        sched.spawn_mailbox(
-            &name,
-            Principal {
-                ep,
-                gateway: format!("exp-gw-{}", i % gateways),
-                index: i,
-                state: state.clone(),
-                start_at,
-                leg: 0,
-                call: None,
-                next_id: 0,
-                next_flow_at: 0,
-                policy: opts.policy,
-                horizon: opts.horizon,
-                grace: opts.grace,
-            },
-        );
+        rig.spawn(&format!("e{i}"), |ep| Principal {
+            ep,
+            gateway: gateways[i % gateways.len()].clone(),
+            index: i,
+            state: state.clone(),
+            start_at,
+            legs: Legs::new(VO_LEGS),
+            next_flow_at: 0,
+        });
     }
 
     let skewed = mint_faults.skewed();
     let shortened_minted = mint_faults.shortened();
 
-    let mill = HandshakeMill::new(TlsConfig::new(service, trust.clone(), 0));
-    sched.spawn(Coordinator {
+    let mill = HandshakeMill::new(TlsConfig::new(world.service, world.trust.clone(), 0));
+    rig.sched.spawn(Coordinator {
         state: state.clone(),
         mill,
         rng: ChaChaRng::from_seed_bytes(format!("expiry mill {:#x}", opts.seed).as_bytes()),
-        classes,
-        trust,
+        classes: world.users,
+        trust: world.trust,
         faults: renew_faults,
-        next_wave: opts.wave_interval,
-        wave_interval: opts.wave_interval,
-        horizon: opts.horizon,
-        nominal: opts.nominal_lifetime,
+        next_wave: WAVE_INTERVAL,
         hellos_sent: 0,
     });
 
-    let sched_stats = sched.run();
-    let metrics = tracer.metrics();
-    drop(guard);
-
-    let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
+    let run = rig.finish();
     let st = state.borrow();
     ExpiryReport {
         principals: opts.principals,
-        survived: counter("expiry.survived"),
-        stillborn: counter("expiry.stillborn"),
-        failed_closed: counter("expiry.failed_closed"),
+        survived: run.counter("expiry.survived"),
+        stillborn: run.counter("expiry.stillborn"),
+        failed_closed: run.counter("expiry.failed_closed"),
         renewals: st.windows.iter().map(|w| w.renewals).sum(),
-        waves: counter("expiry.waves"),
-        mill_rejected: counter("expiry.mill_rejected"),
+        waves: run.counter("expiry.waves"),
+        mill_rejected: run.counter("expiry.mill_rejected"),
         skewed,
         shortened: shortened_minted,
-        flows_completed: counter("expiry.flows.completed"),
-        flows_failed: counter("expiry.flows.failed"),
-        sim_seconds: clock.now(),
-        traffic: net.stats(),
-        fault_stats: net.fault_stats().expect("faults are armed"),
-        sched: sched_stats,
-        metrics,
-        wall_ms: wall.elapsed().as_millis(),
+        flows_completed: run.counter("expiry.flows.completed"),
+        flows_failed: run.counter("expiry.flows.failed"),
+        sim_seconds: run.sim_seconds,
+        traffic: run.traffic,
+        fault_stats: run.fault_stats,
+        sched: run.sched,
+        metrics: run.metrics,
+        wall_ms: run.wall_ms,
     }
 }
 

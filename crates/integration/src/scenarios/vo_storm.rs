@@ -7,11 +7,13 @@
 //! message-level emulations of the paper's two canonical flows —
 //! figure 1 (GSI context establishment + a secured request) and
 //! figure 4 (GRAM job submission with delegation) — in one process,
-//! every principal a resumable [`Task`] on one [`Scheduler`].
+//! every principal a resumable [`Task`] on one
+//! [`Scheduler`](gridsec_testbed::sched::Scheduler).
 //!
 //! The emulation is *message-shaped*, not crypto-real: each flow is its
 //! sequence of request/reply legs with paper-scale payload sizes, run
-//! through the full retry/RPC framing ([`PollingCall`]) over the seeded
+//! through the full retry/RPC framing
+//! ([`PollingCall`](gridsec_testbed::rpc::PollingCall)) over the seeded
 //! fault layer. Real RSA/DH handshakes cost ~milliseconds each, which
 //! at 10⁵ principals would measure the crypto kernel, not the
 //! event-loop; the cryptographic correctness of both flows is already
@@ -23,23 +25,17 @@
 //! counters, fault stats, scheduler stats — is a pure function of
 //! [`StormOpts::seed`]. [`StormReport::deterministic_render`] is the
 //! byte-identical two-run CI artifact; wall-clock time is reported
-//! separately and excluded from it.
-//!
-//! The gateway emulation is stateless (every reply is a function of the
-//! request), so duplicates are re-answered by recomputation rather than
-//! an at-most-once reply cache — caching ~10⁵ replies would dominate
-//! memory without changing any observable. The real at-most-once
-//! discipline is exercised by the chaos suite's stateful services.
+//! separately and excluded from it. The gateways, the leg runner and
+//! the rig are `scenarios::storm`'s.
 
 use std::fmt::Write as _;
 
-use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::net::{Endpoint, FaultProfile, FaultStats, Network, TrafficStats};
-use gridsec_testbed::rpc::{self, CallPoll, PollingCall};
-use gridsec_testbed::sched::{SchedStats, Scheduler, Step, Task, TaskCx};
-use gridsec_util::retry::RetryPolicy;
+use gridsec_testbed::net::{Endpoint, FaultStats, TrafficStats};
+use gridsec_testbed::sched::{SchedStats, Step, Task, TaskCx};
 use gridsec_util::rng::{DetRng, RngCore};
-use gridsec_util::trace::{self, MetricsSnapshot, Tracer};
+use gridsec_util::trace::{self, MetricsSnapshot};
+
+use super::storm::{render_wire, Gateway, LegPoll, Legs, Rig};
 
 /// Figure-1 legs (request, reply) in bytes: two GSS token rounds, then
 /// the secured application exchange (paper §3, figure 1 shape).
@@ -58,68 +54,30 @@ const FIG4_LEGS: &[(usize, usize)] = &[
     (120, 140),
 ];
 
-const FIG1_TAG: u8 = 1;
-const FIG4_TAG: u8 = 4;
+/// Per-mille of principals running the figure-4 GRAM flow; the rest
+/// run figure 1.
+const FIG4_PERMILLE: u64 = 300;
 
-fn legs_for(tag: u8) -> &'static [(usize, usize)] {
-    if tag == FIG4_TAG {
-        FIG4_LEGS
-    } else {
-        FIG1_LEGS
-    }
-}
-
-/// Storm configuration. Everything that affects behavior is explicit,
-/// so a report names its own reproduction.
+/// Storm configuration. Everything that affects behavior is explicit
+/// or derived from it, so a report names its own reproduction.
 #[derive(Clone, Debug)]
 pub struct StormOpts {
     /// Number of principals (one scheduled task + endpoint each).
     pub principals: usize,
     /// Master seed: fault layer, flow mix, gateway assignment, stagger.
     pub seed: u64,
-    /// Per-mille of principals running the figure-4 GRAM flow; the
-    /// rest run figure 1.
-    pub fig4_permille: u32,
     /// Start-time stagger window in sim seconds (uniform draw).
     pub start_spread: u64,
-    /// VO gateway endpoints the population is sharded across.
-    pub gateways: usize,
-    /// Fault profile for every link.
-    pub profile: FaultProfile,
-    /// Retry policy for every leg.
-    pub policy: RetryPolicy,
 }
 
 impl StormOpts {
-    /// Defaults for a population of `principals` under `seed`: 30%
-    /// figure-4, a 10-minute stagger window, gateway count scaled to
-    /// the population, the light-loss WAN profile, and the chaos
-    /// suite's retry policy.
+    /// Defaults for a population of `principals` under `seed`: a
+    /// 10-minute stagger window.
     pub fn new(principals: usize, seed: u64) -> Self {
         StormOpts {
             principals,
             seed,
-            fig4_permille: 300,
             start_spread: 600,
-            gateways: (principals / 4096).clamp(4, 64),
-            profile: Self::storm_wan(),
-            policy: super::policy(),
-        }
-    }
-
-    /// The storm's WAN: 1% loss, 1% duplication, 1–3s latency, 5%
-    /// reorder jitter — lossy enough to exercise retransmission on a
-    /// meaningful fraction of 10⁵ flows, reliable enough that the
-    /// retry budget virtually never exhausts.
-    pub(crate) fn storm_wan() -> FaultProfile {
-        FaultProfile {
-            drop: 0.01,
-            duplicate: 0.01,
-            max_extra_copies: 1,
-            min_latency: 1,
-            max_latency: 3,
-            reorder: 0.05,
-            reorder_jitter: 2,
         }
     }
 }
@@ -161,23 +119,7 @@ impl StormReport {
             "storm principals={} completed={} failed={} sim_seconds={}",
             self.principals, self.completed, self.failed, self.sim_seconds
         );
-        let _ = writeln!(
-            out,
-            "traffic messages={} bytes={}",
-            self.traffic.messages, self.traffic.bytes
-        );
-        let f = &self.fault_stats;
-        let _ = writeln!(
-            out,
-            "faults sent={} delivered={} dropped={} duplicated={} blocked={}",
-            f.sent, f.delivered, f.dropped, f.duplicated, f.blocked
-        );
-        let s = &self.sched;
-        let _ = writeln!(
-            out,
-            "sched spawned={} completed={} steps={} clock_advances={} mail_wakes={} timer_wakes={}",
-            s.spawned, s.completed, s.steps, s.clock_advances, s.mail_wakes, s.timer_wakes
-        );
+        render_wire(&mut out, &self.traffic, &self.fault_stats, &self.sched);
         out.push_str(&self.metrics.render());
         out
     }
@@ -192,104 +134,49 @@ impl StormReport {
     }
 }
 
-/// A VO gateway: answers every leg of both flows, statelessly.
-struct Gateway {
-    ep: Endpoint,
-}
-
-impl Task for Gateway {
-    fn step(&mut self, _cx: &TaskCx) -> Step {
-        let mut answered = 0u64;
-        while let Some(m) = self.ep.try_recv() {
-            let Some((id, body)) = rpc::decode_request(&m.payload) else {
-                continue;
-            };
-            // body[0] = flow tag, body[1] = leg index; anything shorter
-            // or out of range is answered with an empty reply rather
-            // than dropped, so a corrupted frame fails fast client-side.
-            let reply_len = body
-                .first()
-                .zip(body.get(1))
-                .and_then(|(tag, leg)| legs_for(*tag).get(*leg as usize))
-                .map(|(_, rep)| *rep)
-                .unwrap_or(0);
-            let _ = self
-                .ep
-                .send(&m.from, rpc::encode_reply(id, &vec![0u8; reply_len]));
-            answered += 1;
-        }
-        if answered > 0 {
-            trace::add("storm.gw.answered", answered);
-        }
-        Step::WaitMail { deadline: None }
-    }
-}
-
 /// One principal: sleeps until its staggered start, then runs its
-/// flow's legs as sequential [`PollingCall`]s.
+/// flow's legs back to back, the next leg in the same step.
 struct Principal {
     ep: Endpoint,
     gateway: String,
-    tag: u8,
-    leg: usize,
-    call: Option<PollingCall>,
+    fig4: bool,
+    legs: Legs,
     start_at: u64,
     began: Option<u64>,
-    retransmissions: u64,
-    policy: RetryPolicy,
 }
 
 impl Task for Principal {
     fn step(&mut self, cx: &TaskCx) -> Step {
         let now = cx.now();
-        if self.began.is_none() {
-            if now < self.start_at {
-                return Step::Sleep(self.start_at);
-            }
-            self.began = Some(now);
-        }
-        let legs = legs_for(self.tag);
+        let began = match self.began {
+            Some(began) => began,
+            None if now < self.start_at => return Step::Sleep(self.start_at),
+            None => *self.began.insert(now),
+        };
         loop {
-            if self.call.is_none() {
-                let (req_len, _) = legs[self.leg];
-                let mut payload = vec![0u8; req_len.max(2)];
-                payload[0] = self.tag;
-                payload[1] = self.leg as u8;
-                self.call = Some(PollingCall::new(
-                    &self.gateway,
-                    (self.leg + 1) as u64,
-                    &payload,
-                    self.policy,
-                ));
-            }
-            let call = self.call.as_mut().expect("just ensured");
-            match call.poll(&self.ep, now) {
-                CallPoll::Ready(_reply) => {
-                    self.retransmissions += call.retransmissions();
-                    self.call = None;
-                    self.leg += 1;
-                    if self.leg == legs.len() {
-                        let latency = now - self.began.expect("began set");
-                        if self.tag == FIG4_TAG {
-                            trace::record("storm.fig4.latency_s", latency);
-                            trace::add("storm.fig4.completed", 1);
-                        } else {
-                            trace::record("storm.fig1.latency_s", latency);
-                            trace::add("storm.fig1.completed", 1);
-                        }
-                        trace::add("storm.flows.completed", 1);
-                        if self.retransmissions > 0 {
-                            trace::add("storm.retransmissions", self.retransmissions);
-                        }
-                        return Step::Done;
+            match self.legs.poll(&self.ep, &self.gateway, now) {
+                LegPoll::Leg => {}
+                LegPoll::Flow => {
+                    let latency = now - began;
+                    if self.fig4 {
+                        trace::record("storm.fig4.latency_s", latency);
+                        trace::add("storm.fig4.completed", 1);
+                    } else {
+                        trace::record("storm.fig1.latency_s", latency);
+                        trace::add("storm.fig1.completed", 1);
                     }
+                    trace::add("storm.flows.completed", 1);
+                    if self.legs.retransmissions > 0 {
+                        trace::add("storm.retransmissions", self.legs.retransmissions);
+                    }
+                    return Step::Done;
                 }
-                CallPoll::Wait { deadline } => {
+                LegPoll::Wait(deadline) => {
                     return Step::WaitMail {
                         deadline: Some(deadline),
                     }
                 }
-                CallPoll::Exhausted => {
+                LegPoll::Exhausted => {
                     trace::add("storm.flows.failed", 1);
                     return Step::Done;
                 }
@@ -300,73 +187,41 @@ impl Task for Principal {
 
 /// Run the storm to quiescence and report.
 pub fn run_vo_storm(opts: &StormOpts) -> StormReport {
-    let wall = std::time::Instant::now();
-    let net = Network::new();
-    let clock = SimClock::new();
-    net.enable_faults(clock.clone(), opts.seed, opts.profile);
-    // One formatted transcript line per send would dominate memory at
-    // storm scale; determinism is asserted on the metrics instead.
-    net.set_transcript_recording(false);
-
-    let tracer = Tracer::new();
-    let c = clock.clone();
-    tracer.set_clock(move || c.now());
-    let guard = trace::install(&tracer);
-
-    let mut sched = Scheduler::new(&net);
-    let gateways = opts.gateways.max(1);
-    for g in 0..gateways {
-        let name = format!("vo-gw-{g}");
-        let ep = net.register(&name);
-        sched.spawn_mailbox(&name, Gateway { ep });
-    }
+    let mut rig = Rig::lossy(opts.seed);
+    // VO gateways, scaled to the population.
+    let count = (opts.principals / 4096).clamp(4, 64);
+    let gateways = rig.spawn_gateways("vo-gw", count, |_, ep| Gateway::new(ep, true));
 
     let mut rng = DetRng::seed_from_u64(opts.seed ^ 0x5702_4A11);
     for i in 0..opts.principals {
-        let tag = if rng.next_u64() % 1000 < u64::from(opts.fig4_permille) {
-            FIG4_TAG
-        } else {
-            FIG1_TAG
-        };
-        let gateway = format!("vo-gw-{}", rng.next_u64() as usize % gateways);
+        let fig4 = rng.next_u64() % 1000 < FIG4_PERMILLE;
+        let gateway = gateways[rng.next_u64() as usize % gateways.len()].clone();
         let start_at = if opts.start_spread == 0 {
             0
         } else {
             rng.next_u64() % (opts.start_spread + 1)
         };
-        let name = format!("p{i}");
-        let ep = net.register(&name);
-        sched.spawn_mailbox(
-            &name,
-            Principal {
-                ep,
-                gateway,
-                tag,
-                leg: 0,
-                call: None,
-                start_at,
-                began: None,
-                retransmissions: 0,
-                policy: opts.policy,
-            },
-        );
+        rig.spawn(&format!("p{i}"), |ep| Principal {
+            ep,
+            gateway,
+            fig4,
+            legs: Legs::new(if fig4 { FIG4_LEGS } else { FIG1_LEGS }),
+            start_at,
+            began: None,
+        });
     }
 
-    let sched_stats = sched.run();
-    let metrics = tracer.metrics();
-    drop(guard);
-
-    let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
+    let run = rig.finish();
     StormReport {
         principals: opts.principals,
-        completed: counter("storm.flows.completed"),
-        failed: counter("storm.flows.failed"),
-        sim_seconds: clock.now(),
-        traffic: net.stats(),
-        fault_stats: net.fault_stats().expect("faults are armed"),
-        sched: sched_stats,
-        metrics,
-        wall_ms: wall.elapsed().as_millis(),
+        completed: run.counter("storm.flows.completed"),
+        failed: run.counter("storm.flows.failed"),
+        sim_seconds: run.sim_seconds,
+        traffic: run.traffic,
+        fault_stats: run.fault_stats,
+        sched: run.sched,
+        metrics: run.metrics,
+        wall_ms: run.wall_ms,
     }
 }
 

@@ -187,6 +187,14 @@ impl<A: CrashRecover> CrashRecover for Tapped<A> {
         e.put_str(&status).put_bytes(&flip_last(token2));
         e.finish()
     }
+
+    fn crash(&mut self) {
+        self.service.borrow_mut().crash();
+    }
+
+    fn recover(&mut self) -> Vec<((String, u64), Vec<u8>)> {
+        self.service.borrow_mut().recover()
+    }
 }
 
 /// Host `service` on `sched` as `name`, its wire tapped.

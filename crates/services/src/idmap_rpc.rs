@@ -109,15 +109,14 @@ pub struct DurableIdentityMap {
 }
 
 impl DurableIdentityMap {
-    /// Open over `journal`, replaying any existing records.
+    /// Open over `journal`; any existing records are replayed when it
+    /// is spawned.
     pub fn new(plan: CrashPlan, journal: Journal) -> Self {
-        let mut s = DurableIdentityMap {
+        DurableIdentityMap {
             map: IdentityMap::default(),
             plan,
             journal,
-        };
-        s.recover();
-        s
+        }
     }
 
     fn apply_record(map: &mut IdentityMap, body: &[u8]) {

@@ -140,8 +140,9 @@ pub struct MyProxyServer {
 }
 
 impl MyProxyServer {
-    /// Open the repository over `journal`, replaying any existing
-    /// records. `max_lifetime` caps issued proxy lifetimes.
+    /// Open the repository over `journal`; any existing records are
+    /// replayed when it is spawned. `max_lifetime` caps issued proxy
+    /// lifetimes.
     pub fn new(
         clock: SimClock,
         seed: &[u8],
@@ -149,7 +150,7 @@ impl MyProxyServer {
         journal: Journal,
         max_lifetime: u64,
     ) -> Self {
-        let mut s = MyProxyServer {
+        MyProxyServer {
             clock,
             seed: seed.to_vec(),
             generation: 0,
@@ -160,9 +161,7 @@ impl MyProxyServer {
             stored: HashMap::new(),
             pending_store: HashMap::new(),
             serials: Vec::new(),
-        };
-        s.recover();
-        s
+        }
     }
 
     /// Distinct proxy issuances that became visible (journaled) —

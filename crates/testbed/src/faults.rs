@@ -33,11 +33,11 @@
 //! [`Journal::commit`] record holding the effect together with the
 //! request's `(caller, call-id)` and exact reply, *before* the next
 //! crash point (write-ahead). The application is the journal's only
-//! holder: on restart [`CrashRecover::recover`] folds the journal into
-//! fresh state and hands back the commit replies from that same read,
-//! and the supervisor answers retransmits from them; anything not
-//! committed — all of it, for an application that keeps no journal —
-//! is re-executed.
+//! holder: at spawn and at every restart [`CrashRecover::recover`]
+//! folds the journal into fresh state and hands back the commit
+//! replies from that same read, and the supervisor answers retransmits
+//! from them; anything not committed — all of it, for an application
+//! that keeps no journal — is re-executed.
 
 use crate::net::Endpoint;
 use crate::os::{FileMode, Pid, SimOs, Uid, ROOT_UID};
@@ -479,11 +479,12 @@ pub trait CrashRecover {
     fn handle(&mut self, from: &str, id: u64, body: &[u8]) -> Vec<u8>;
     /// The process died: drop all volatile (in-memory) state.
     fn crash(&mut self) {}
-    /// The process restarted: rebuild state from the journal and
-    /// return its commit records' `((caller, call-id), reply)` pairs,
-    /// from the same [`Journal::replay`], for the host to answer
-    /// retransmits from. None for a service that commits nothing: it
-    /// re-executes.
+    /// The process started or restarted ([`CrashableServer::spawn`] calls
+    /// it once, and again at every restart): rebuild state from the
+    /// journal and return its commit records' `((caller, call-id),
+    /// reply)` pairs, from the same [`Journal::replay`], for the host to
+    /// answer retransmits from. None for a service that commits nothing:
+    /// it re-executes.
     fn recover(&mut self) -> Vec<Committed> {
         Vec::new()
     }
@@ -523,6 +524,13 @@ impl<A: CrashRecover + 'static> CrashableServer<A> {
     /// Host `app` on `endpoint` under `plan`, spawned on `sched` under
     /// the endpoint's own mailbox; `name` is its name in the plan's
     /// transcript. The host shares `plan` and `app` with the caller.
+    ///
+    /// The process comes up the way a restart does: one
+    /// [`CrashRecover::recover`] folds whatever the journal already
+    /// holds (a previous process's records) into the app and fills the
+    /// reply cache with its commit replies, so a retransmit of a request
+    /// that process committed is answered, not re-executed. A first
+    /// start is not a restart: the transcript gains no line.
     pub fn spawn(
         sched: &mut Scheduler,
         endpoint: Endpoint,
@@ -531,9 +539,11 @@ impl<A: CrashRecover + 'static> CrashableServer<A> {
         app: &Rc<RefCell<A>>,
     ) {
         let mailbox = endpoint.id();
+        let mut rpc = RpcServer::new(endpoint);
+        rpc.restore(app.borrow_mut().recover());
         let server = CrashableServer {
             name: name.to_string(),
-            rpc: RpcServer::new(endpoint),
+            rpc,
             plan: plan.clone(),
             down_until: None,
             app: app.clone(),

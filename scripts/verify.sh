@@ -31,6 +31,11 @@
 #   GRIDSEC_VERIFY_DEEP=1  elevate property-test case counts
 #                          (GRIDSEC_PT_CASES) and sweep a crash-schedule
 #                          seed matrix
+#   GRIDSEC_STORM_PRINCIPALS, GRIDSEC_CRYPTO_STORM_PRINCIPALS,
+#   GRIDSEC_STORM_SESSIONS, GRIDSEC_STRIPED_BYTES
+#                          size of the storm and striped smokes, passed to
+#                          the bench bins as flags (each bin's own default
+#                          seed is used)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -305,6 +310,20 @@ stage_grep_guard() {
         echo "FAIL: a second way to host an RPC service or read a journal is back (above); spawn a CrashRecover app with CrashableServer::spawn and recover through Journal::replay" >&2
         exit 1
     fi
+    # One storm engine (DESIGN.md §12.3): the storms share one stateless
+    # leg gateway in scenarios::storm, the only place under
+    # crates/integration/src that decodes a request frame itself.
+    if grep -rEn 'decode_request' crates/integration/src | grep -vE '^[^:]+:[0-9]+: *//' \
+        | grep -vE '^crates/integration/src/scenarios/storm\.rs:'; then
+        echo "FAIL: a second storm gateway decodes requests (above); use scenarios::storm::Gateway" >&2
+        exit 1
+    fi
+    # One way to set each value: the storm and striped bench bins take
+    # their seed and size as flags only, never from the environment.
+    if grep -rEn 'GRIDSEC_(STORM|STRIPED)_' crates/bench/src/bin | grep -vE '^[^:]+:[0-9]+: *//'; then
+        echo "FAIL: a bench bin reads a storm knob from the environment (above); take it as a flag" >&2
+        exit 1
+    fi
     # A GridFTP server's digests are the ones its filesystem stores beside
     # each file (DESIGN.md §10): every version of a file is hashed once,
     # however often it is served or striped.
@@ -574,10 +593,9 @@ stage_deep_matrix() {
     for s in 0xC4A05EED 0x1 0xDEADBEEF 0xA5A5A5A5 0x7777777777777777; do
         echo "-- crypto_storm seed $s"
         for run in 1 2; do
-            GRIDSEC_STORM_SEED="$s" GRIDSEC_STORM_PRINCIPALS=800 \
             GRIDSEC_BENCH_DIR="$tdir" \
                 cargo run -q --offline --release -p gridsec-bench --bin crypto_storm -- \
-                --metrics-out "$tdir/cstorm-deep.$run" > /dev/null
+                --seed "$s" --principals 800 --metrics-out "$tdir/cstorm-deep.$run" > /dev/null
         done
         if ! cmp -s "$tdir/cstorm-deep.1" "$tdir/cstorm-deep.2"; then
             echo "FAIL: crypto_storm metrics differ across runs with seed $s" >&2
@@ -613,9 +631,9 @@ stage_perf_guard() {
 # must reach a verdict.
 stage_vo_storm() {
     for run in 1 2; do
-        GRIDSEC_STORM_PRINCIPALS="${GRIDSEC_STORM_PRINCIPALS:-2000}" \
         GRIDSEC_BENCH_DIR="$tdir" \
             cargo run -q --offline --release -p gridsec-bench --bin vo_storm -- \
+            --principals "${GRIDSEC_STORM_PRINCIPALS:-2000}" \
             --metrics-out "$tdir/storm.$run" > /dev/null
     done
     if ! cmp -s "$tdir/storm.1" "$tdir/storm.2"; then
@@ -664,9 +682,9 @@ stage_handshake_storm() {
 # render must be byte-identical across two fresh processes.
 stage_striped_xfer() {
     for run in 1 2; do
-        GRIDSEC_STRIPED_BYTES="${GRIDSEC_STRIPED_BYTES:-8192}" \
         GRIDSEC_BENCH_DIR="$tdir" \
             cargo run -q --offline --release -p gridsec-bench --bin striped_xfer -- \
+            --bytes "${GRIDSEC_STRIPED_BYTES:-8192}" \
             --metrics-out "$tdir/striped.$run" > /dev/null
     done
     if ! cmp -s "$tdir/striped.1" "$tdir/striped.2"; then
@@ -691,9 +709,9 @@ stage_striped_xfer() {
 # credential may be refused.
 stage_crypto_storm() {
     for run in 1 2; do
-        GRIDSEC_STORM_PRINCIPALS="${GRIDSEC_CRYPTO_STORM_PRINCIPALS:-1500}" \
         GRIDSEC_BENCH_DIR="$tdir" \
             cargo run -q --offline --release -p gridsec-bench --bin crypto_storm -- \
+            --principals "${GRIDSEC_CRYPTO_STORM_PRINCIPALS:-1500}" \
             --metrics-out "$tdir/cstorm.$run" > /dev/null
     done
     if ! cmp -s "$tdir/cstorm.1" "$tdir/cstorm.2"; then

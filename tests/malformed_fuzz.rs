@@ -226,6 +226,8 @@ fn no_wire_facing_handler_panics_on_malformed_input() {
         CrashPlan::disabled(),
         journal("/var/gram/journal.wal"),
     );
+    // Started as a spawn starts it.
+    gram.recover();
     for i in 0..CASES_PER_TARGET {
         let base = &corpus[i % corpus.len()];
         let bytes = mutate(&mut rng, base);
