@@ -1,17 +1,24 @@
 //! # gridsec-integration
 //!
-//! Cross-crate integration tests for the `gridsec` workspace. The test
-//! sources live in the repository-level `tests/` directory (wired in via
-//! `[[test]]` path entries) and exercise whole-paper scenarios:
+//! The workspace's whole-paper layer: the seeded chaos scenarios and
+//! the storms that drive every crate together, and the cross-crate
+//! integration tests that check them.
 //!
-//! * `end_to_end.rs` — a complete multi-domain grid: VO formation, GRAM
-//!   job submission across domains, OGSA services, and audit.
-//! * `cross_mechanism.rs` — Kerberos ⇄ PKI bridging through KCA and
-//!   SSLK5 feeding GRAM and OGSA flows.
-//! * `adversarial.rs` — attack scenarios across layers: stolen tokens,
-//!   replays, forged chains, confused-deputy attempts, and revocation.
-//!
-//! This crate intentionally exports a few shared fixture helpers.
+//! * [`scenarios`] — the paper-figure chaos scenarios (Figures 1–5,
+//!   the striped transfer, the cross-domain VO submission and the
+//!   portal's recovery), each started from one chaos rig over a lossy
+//!   network with seeded crashes, and the storms (`vo_storm`,
+//!   `expiry_storm`, `crypto_storm`) on their shared storm engine. The
+//!   chaos suite, the golden pins and the bench crate's bins replay
+//!   them.
+//! * The repository-level `tests/` directory (wired in through
+//!   `[[test]]` path entries) holds the whole-paper tests: `chaos.rs`,
+//!   `end_to_end.rs` (VO formation, GRAM across domains, OGSA services,
+//!   audit), `cross_mechanism.rs` (Kerberos ⇄ PKI bridging through KCA
+//!   and SSLK5), `adversarial.rs` (stolen tokens, replays, forged
+//!   chains, confused deputies, revocation) and more; this crate's own
+//!   `tests/` holds the storm, striped-transfer and chaos goldens.
+//! * [`dn`] and [`basic_world`] — shared fixture helpers.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

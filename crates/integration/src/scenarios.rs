@@ -1,13 +1,14 @@
 //! The paper-figure chaos scenarios as reusable library functions.
 //!
-//! Each figure builds a fresh [`Network`] with the lossy-WAN fault
-//! profile seeded from the master seed, wires a [`Tracer`] whose clock
-//! is the scenario's `SimClock` (so every span timestamp is simulated
-//! time, fully deterministic per seed), attaches a hash-chained
-//! [`AuditLog`] as the tracer's event sink, and runs the flow through
-//! the retry/RPC stack. The returned [`ScenarioReport`] carries the
-//! network transcript, the trace dump, and the metrics snapshot — all
-//! three byte-identical functions of the seed.
+//! Each scenario starts its world from one chaos `Rig`: a fresh
+//! [`Network`] with the scenario's fault profile seeded from the master
+//! seed, a [`Tracer`] whose clock is the scenario's `SimClock` (so every
+//! span timestamp is simulated time, fully deterministic per seed), a
+//! hash-chained [`AuditLog`] as the tracer's event sink, and the
+//! scheduler that runs the flow through the retry/RPC stack. The
+//! returned [`ScenarioReport`] carries the network transcript, the trace
+//! dump, and the metrics snapshot — all three byte-identical functions
+//! of the seed.
 //!
 //! The chaos test suite (`tests/chaos.rs`) asserts on these; the bench
 //! crate's `flow_metrics` bin replays them to emit `BENCH_flows.json`
@@ -18,6 +19,7 @@ use std::rc::Rc;
 
 use gridsec_authz::cas::ResourceGate;
 use gridsec_authz::durable::DurableCas;
+use gridsec_authz::gridmap::GridMapFile;
 use gridsec_authz::net::fetch_assertion;
 use gridsec_authz::policy::{CombiningAlg, Effect, PolicySet, Rule, SubjectMatch};
 use gridsec_crypto::rng::ChaChaRng;
@@ -40,20 +42,21 @@ use gridsec_ogsa::hosting::HostingEnvironment;
 use gridsec_ogsa::service::{GridService, RequestContext};
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
+use gridsec_pki::credential::Credential;
 use gridsec_pki::proxy::issue_proxy;
 use gridsec_pki::store::TrustStore;
 use gridsec_pki::validate::validate_chain;
 use gridsec_services::audit::AuditLog;
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
+use gridsec_testbed::faults::{CrashPlan, CrashRecover, CrashableServer, Journal};
 use gridsec_testbed::net::{FaultProfile, FaultStats, Network};
-use gridsec_testbed::os::{FileMode, SimOs, ROOT_UID};
+use gridsec_testbed::os::{FileMode, SimOs, Uid, ROOT_UID};
 use gridsec_testbed::rpc::RpcClient;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
 use gridsec_tls::session::{ClientSessionCache, DEFAULT_SESSION_CAPACITY};
 use gridsec_util::retry::RetryPolicy;
-use gridsec_util::trace::{self, MetricsSnapshot, Tracer};
+use gridsec_util::trace::{self, InstallGuard, MetricsSnapshot, PanicDumpGuard, Tracer};
 use gridsec_wsse::policy::{PolicyAlternative, Protection, SecurityPolicy};
 use gridsec_xml::Element;
 
@@ -71,7 +74,8 @@ pub struct ChaosOpts {
     /// Partition every client/server link before the flow runs, forcing
     /// retry-budget exhaustion (the flight recorder's trigger).
     pub partition_all: bool,
-    /// Write flight-recorder dumps here (the tracer's flight path).
+    /// Write flight-recorder dumps here (the tracer's flight path);
+    /// [`run_all`] appends each figure's tag (`.fig1` … `.fig5`).
     pub flight_path: Option<String>,
     /// Enable seeded process crashes: every service runs under a
     /// [`CrashPlan`] that kills it at injection points mid-request, up
@@ -104,24 +108,6 @@ pub struct ScenarioReport {
     pub restarts: u64,
 }
 
-/// Build the figure's crash plan from the options: seeded when
-/// `opts.crashes` (salted so each figure draws an independent
-/// schedule), manual when only armed points were requested, disabled
-/// otherwise. Armed points apply in every mode.
-fn crash_plan(opts: &ChaosOpts, seed: u64, salt: u64, probability: f64, max: u64) -> CrashPlan {
-    let plan = if opts.crashes {
-        CrashPlan::seeded(seed ^ salt, probability, max, 3)
-    } else if !opts.armed_crashes.is_empty() {
-        CrashPlan::manual(3)
-    } else {
-        CrashPlan::disabled()
-    };
-    for (point, nth) in &opts.armed_crashes {
-        plan.arm(point, *nth);
-    }
-    plan
-}
-
 /// The retry policy all chaos clients use: ample attempts, timeout
 /// windows comfortably above the profile's worst-case latency so an
 /// attempt only fails on an actual drop or partition.
@@ -143,55 +129,272 @@ fn loss_only(drop: f64) -> FaultProfile {
     }
 }
 
-/// Per-scenario observability rig: tracer on the scenario clock, audit
-/// log as the event sink, optional flight path.
-struct Rig {
+/// Where every chaos scenario's world starts and ends: the network
+/// under the scenario's fault profile (transcript recording on), its
+/// clock, the scheduler bound to it, and a tracer on that clock —
+/// installed while the rig lives, with the options' flight path and a
+/// flight dump on panic — whose events mirror into a hash-chained
+/// [`AuditLog`]. [`Rig::report`] ends it. The storms' rig is another
+/// type: a storm records no transcript, keeps no audit log and finishes
+/// with counters, not a report.
+struct Rig<'o> {
+    tag: &'static str,
+    seed: u64,
+    opts: &'o ChaosOpts,
+    net: Network,
+    clock: SimClock,
+    sched: Scheduler,
     tracer: Tracer,
     audit: AuditLog,
+    _installed: (InstallGuard, PanicDumpGuard),
 }
 
-fn rig(clock: &SimClock, opts: &ChaosOpts) -> Rig {
-    let tracer = Tracer::new();
-    let c = clock.clone();
-    tracer.set_clock(move || c.now());
-    if let Some(path) = &opts.flight_path {
-        tracer.set_flight_path(path.clone());
+impl<'o> Rig<'o> {
+    /// The world of scenario `tag`: faults drawn from `seed ^ salt`
+    /// under `profile`, the clock starting at `start`.
+    fn new(
+        tag: &'static str,
+        seed: u64,
+        salt: u64,
+        profile: FaultProfile,
+        start: u64,
+        opts: &'o ChaosOpts,
+    ) -> Self {
+        let net = Network::new();
+        let clock = SimClock::starting_at(start);
+        net.enable_faults(clock.clone(), seed ^ salt, profile);
+        let sched = Scheduler::new(&net);
+        let tracer = Tracer::new();
+        let c = clock.clone();
+        tracer.set_clock(move || c.now());
+        if let Some(path) = &opts.flight_path {
+            tracer.set_flight_path(path.clone());
+        }
+        let audit = AuditLog::new();
+        audit.attach(&tracer);
+        let installed = (trace::install(&tracer), trace::dump_on_panic(&tracer, tag));
+        Rig {
+            tag,
+            seed,
+            opts,
+            net,
+            clock,
+            sched,
+            tracer,
+            audit,
+            _installed: installed,
+        }
     }
-    let audit = AuditLog::new();
-    audit.attach(&tracer);
-    Rig { tracer, audit }
+
+    /// A process's crash plan: seeded when `opts.crashes` (salted so
+    /// each process draws an independent schedule, killing with
+    /// probability `p` up to `max` times), manual when only armed
+    /// points were requested, disabled otherwise. Armed points apply in
+    /// every mode.
+    fn plan(&self, salt: u64, p: f64, max: u64) -> CrashPlan {
+        let plan = if self.opts.crashes {
+            CrashPlan::seeded(self.seed ^ salt, p, max, 3)
+        } else if !self.opts.armed_crashes.is_empty() {
+            CrashPlan::manual(3)
+        } else {
+            CrashPlan::disabled()
+        };
+        for (point, nth) in &self.opts.armed_crashes {
+            plan.arm(point, *nth);
+        }
+        plan
+    }
+
+    /// Host `app` at `endpoint` under `plan`, named `name` in the
+    /// plan's transcript.
+    fn serve<A: CrashRecover + 'static>(
+        &mut self,
+        endpoint: &str,
+        name: &str,
+        plan: &CrashPlan,
+        app: &Rc<RefCell<A>>,
+    ) {
+        let ep = self.net.register(endpoint);
+        CrashableServer::spawn(&mut self.sched, ep, name, plan, app);
+    }
+
+    /// An RPC client at `endpoint` calling `server` under [`policy`].
+    fn client(&self, endpoint: &str, server: &str) -> RpcClient {
+        RpcClient::new(self.net.register(endpoint), server, policy())
+    }
+
+    /// The scenario's report; `plans` are the crash plans of every
+    /// process it runs, whose transcripts and counts it carries.
+    fn report(self, completed: bool, plans: &[&CrashPlan]) -> ScenarioReport {
+        let tag = self.tag;
+        assert!(
+            self.audit.verify().is_ok(),
+            "{tag}: audit hash chain must verify"
+        );
+        let mut lines: Vec<String> = self
+            .net
+            .transcript()
+            .into_iter()
+            .map(|l| format!("{tag} {l}"))
+            .collect();
+        for plan in plans {
+            lines.extend(plan.transcript().into_iter().map(|l| format!("{tag} {l}")));
+        }
+        ScenarioReport {
+            lines,
+            stats: self.net.fault_stats().expect("faults were enabled"),
+            trace: format!("{}{}", self.tracer.dump(), self.tracer.metrics().render()),
+            metrics: self.tracer.metrics(),
+            audit_records: self.audit.len(),
+            completed,
+            crashes: plans.iter().map(|plan| plan.crashes()).sum(),
+            restarts: plans.iter().map(|plan| plan.restarts()).sum(),
+        }
+    }
 }
 
-/// The figure's report; `plans` are the crash plans of every process
-/// it runs, whose transcripts and counts it carries.
-fn report(
-    tag: &str,
-    net: &Network,
-    r: Rig,
-    completed: bool,
-    plans: &[&CrashPlan],
-) -> ScenarioReport {
-    assert!(
-        r.audit.verify().is_ok(),
-        "{tag}: audit hash chain must verify"
+/// The world the GRAM, GridFTP and portal scenarios share: a CA, Jane's
+/// identity, the credential of the host `host`, a trust store holding
+/// the CA and a grid-map of Jane to `jdoe` — drawn in that order.
+struct JaneAt {
+    /// The world's RNG, past the three credentials.
+    rng: ChaChaRng,
+    trust: TrustStore,
+    jane: Credential,
+    host: Credential,
+    gridmap: GridMapFile,
+}
+
+/// Draw a [`JaneAt`] world from `seed` for the host `host`.
+fn jane_at(seed: &[u8], host: &str) -> JaneAt {
+    let mut rng = ChaChaRng::from_seed_bytes(seed);
+    let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
+    let jane = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
+    let host = ca.issue_host_identity(
+        &mut rng,
+        dn(&format!("/O=G/CN=host {host}")),
+        vec![host.into()],
+        512,
+        0,
+        500_000,
     );
-    let mut lines: Vec<String> = net
-        .transcript()
-        .into_iter()
-        .map(|l| format!("{tag} {l}"))
-        .collect();
-    for plan in plans {
-        lines.extend(plan.transcript().into_iter().map(|l| format!("{tag} {l}")));
+    let mut trust = TrustStore::new();
+    trust.add_root(ca.certificate().clone());
+    JaneAt {
+        rng,
+        trust,
+        jane,
+        host,
+        gridmap: GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap(),
     }
-    ScenarioReport {
-        lines,
-        stats: net.fault_stats().expect("faults were enabled"),
-        trace: format!("{}{}", r.tracer.dump(), r.tracer.metrics().render()),
-        metrics: r.tracer.metrics(),
-        audit_records: r.audit.len(),
-        completed,
-        crashes: plans.iter().map(|plan| plan.crashes()).sum(),
-        restarts: plans.iter().map(|plan| plan.restarts()).sum(),
+}
+
+impl JaneAt {
+    /// The GRAM resource of `compute1` installed on `os`, its MMJFS job
+    /// table journaled there, served at `mjs-host` under `plan`; the
+    /// MJS layer's RNG is seeded by `mjs_seed`. A kill at
+    /// `gram.submit.*` / `gram.start.*` / `gram.session.exec` loses the
+    /// in-memory MJS layer, and recovery rebuilds it from the journal
+    /// against the surviving LMJFS processes.
+    fn serve_gram(
+        &self,
+        rig: &mut Rig<'_>,
+        os: &SimOs,
+        mjs_seed: &[u8],
+        plan: &CrashPlan,
+    ) -> Rc<RefCell<GramResource>> {
+        let resource = GramResource::install(
+            os.clone(),
+            rig.clock.clone(),
+            "compute1",
+            self.trust.clone(),
+            self.host.clone(),
+            &self.gridmap,
+            GramConfig::default(),
+        )
+        .unwrap();
+        let shared = Rc::new(RefCell::new(resource));
+        let journal = Journal::open(os.clone(), "compute1", "/var/gram/journal.wal", ROOT_UID);
+        let mjs = DurableGram::new(shared.clone(), mjs_seed, plan.clone(), journal);
+        rig.serve("mjs-host", "gram", plan, &Rc::new(RefCell::new(mjs)));
+        shared
+    }
+}
+
+/// No duplicate side effects across any crash schedule: the reply
+/// cache, restored from commit records on each restart, absorbed
+/// duplicated submissions and starts — one cold start, one job process
+/// on `host`.
+fn assert_one_job(resource: &RefCell<GramResource>, os: &SimOs, host: &str) {
+    assert_eq!(resource.borrow().stats.cold_starts, 1);
+    let jobs = os
+        .processes(host)
+        .unwrap()
+        .into_iter()
+        .filter(|p| p.alive && p.name.starts_with("job:"))
+        .count();
+    assert_eq!(jobs, 1, "exactly one job process spawned");
+}
+
+/// Figure 5's data host: a GridFTP server on `data1` in a [`JaneAt`]
+/// world, `data` seeded into the mapped account, and Jane's client
+/// configuration.
+struct DataHost {
+    server: Rc<RefCell<GridFtpServer>>,
+    data: Vec<u8>,
+    uid: Uid,
+    config: TlsConfig,
+}
+
+impl DataHost {
+    /// The world drawn from `seed`, with a deterministic `len`-byte
+    /// payload at `path` in jdoe's home.
+    fn new(seed: &[u8], len: usize, path: &str) -> Self {
+        let w = jane_at(seed, "data1");
+        let server =
+            GridFtpServer::new(SimOs::new(), "data1", w.host, w.trust.clone(), w.gridmap).unwrap();
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let uid = server.os().uid_of("data1", "jdoe").unwrap();
+        server
+            .os()
+            .write_file("data1", path, uid, FileMode::private(), data.clone())
+            .unwrap();
+        DataHost {
+            server: Rc::new(RefCell::new(server)),
+            data,
+            uid,
+            config: TlsConfig::new(w.jane, w.trust, 100),
+        }
+    }
+
+    /// The server side of one dial: a sans-io session task speaking
+    /// `dialect`, killed by `plan`.
+    fn task(&self, dialect: Dialect, plan: &CrashPlan) -> SessionTask {
+        SessionTask {
+            server: Rc::clone(&self.server),
+            dialect,
+            now: 100,
+            plan: plan.clone(),
+        }
+    }
+
+    /// Both directions landed: the PUT stored the payload at `path`
+    /// (none lost or doubled), the server counted both transfers, and
+    /// both ends' digests are the payload's.
+    fn assert_landed(&self, path: &str, get_sha: &str, put_sha: &str) {
+        let s = self.server.borrow();
+        let stored = s.os().read_file("data1", path, self.uid).unwrap();
+        assert_eq!(
+            stored, self.data,
+            "PUT bytes hash-equal, none lost or doubled"
+        );
+        assert!(s.transfers >= 2, "both directions completed");
+        let digest: String = sha256(&self.data)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(get_sha, digest);
+        assert_eq!(put_sha, digest);
     }
 }
 
@@ -202,13 +405,8 @@ fn report(
 /// machinery is the recovery path — so a kill at `gss.accept.exec`
 /// forces the initiator to restart the handshake from scratch.
 pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xF161, FaultProfile::lossy_wan());
-    let plan = crash_plan(opts, seed, 0xC4A1, 0.04, 2);
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "figure1_gss");
+    let mut rig = Rig::new("fig1", seed, 0xF161, FaultProfile::lossy_wan(), 100, opts);
+    let plan = rig.plan(0xC4A1, 0.04, 2);
 
     let mut w = basic_world(b"chaos fig1");
     let initiator_cfg = TlsConfig::new(w.user.clone(), w.trust.clone(), 100);
@@ -219,15 +417,14 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         b"chaos fig1 acceptor",
         plan.clone(),
     )));
-    let mut sched = Scheduler::new(&net);
-    CrashableServer::spawn(&mut sched, net.register("service"), "gss", &plan, &service);
-    let mut rpc = RpcClient::new(net.register("user"), "service", policy());
+    rig.serve("service", "gss", &plan, &service);
+    let mut rpc = rig.client("user", "service");
 
     if opts.partition_all {
-        net.partition("user", "service");
+        rig.net.partition("user", "service");
         let err = establish_initiator_resilient(&mut rpc, initiator_cfg, &mut w.rng, 1);
         assert!(err.is_err(), "partition must fail establishment");
-        return report("fig1", &net, r, false, &[&plan]);
+        return rig.report(false, &[&plan]);
     }
 
     let mut user_ctx = establish_initiator_resilient(&mut rpc, initiator_cfg, &mut w.rng, 6)
@@ -273,19 +470,15 @@ pub fn figure1_gss(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         b"welcome back"
     );
 
-    report("fig1", &net, r, true, &[&plan])
+    rig.report(true, &[&plan])
 }
 
 /// Figure 2: CAS-mediated authorization — fetch a signed capability
 /// assertion over the lossy network, then present it to a resource
 /// gate that intersects VO rights with local policy.
 pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xF162, FaultProfile::lossy_wan());
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "figure2_cas");
+    let mut rig = Rig::new("fig2", seed, 0xF162, FaultProfile::lossy_wan(), 100, opts);
+    let clock = rig.clock.clone();
 
     let mut rng = ChaChaRng::from_seed_bytes(b"chaos fig2");
     let ca = CertificateAuthority::create_root(&mut rng, dn("/O=VO/CN=CA"), 512, 0, 1_000_000);
@@ -295,7 +488,7 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     // The CAS policy DB and issued-assertion log live in a write-ahead
     // journal on the simulated OS; a kill at `cas.issue.*` throws the
     // in-memory server away and recovery replays the journal.
-    let plan = crash_plan(opts, seed, 0xC4A2, 0.08, 2);
+    let plan = rig.plan(0xC4A2, 0.08, 2);
     let os = SimOs::new();
     os.add_host("cas");
     let journal = Journal::open(os, "cas", "/var/cas/journal.wal", ROOT_UID);
@@ -317,14 +510,13 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         Effect::Permit,
     );
 
-    let mut sched = Scheduler::new(&net);
-    CrashableServer::spawn(&mut sched, net.register("cas"), "cas", &plan, &durable);
-    let mut rpc = RpcClient::new(net.register("alice"), "cas", policy());
+    rig.serve("cas", "cas", &plan, &durable);
+    let mut rpc = rig.client("alice", "cas");
 
     if opts.partition_all {
-        net.partition("alice", "cas");
+        rig.net.partition("alice", "cas");
         assert!(fetch_assertion(&mut rpc, &alice).is_err());
-        return report("fig2", &net, r, false, &[&plan]);
+        return rig.report(false, &[&plan]);
     }
 
     let assertion =
@@ -363,7 +555,7 @@ pub(crate) fn figure2_cas(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         "resource=dataset/run7 action=read outcome=permit",
     );
 
-    report("fig2", &net, r, true, &[&plan])
+    rig.report(true, &[&plan])
 }
 
 /// Echo service for the Figure 3 hosting environment.
@@ -397,12 +589,7 @@ impl GridService for EchoService {
 /// `createService` answered from the reply cache must not create a
 /// second instance.
 pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xF163, FaultProfile::lossy_wan());
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "figure3_ogsa");
+    let mut rig = Rig::new("fig3", seed, 0xF163, FaultProfile::lossy_wan(), 100, opts);
 
     let w = basic_world(b"chaos fig3");
     let published = SecurityPolicy {
@@ -431,7 +618,7 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         "echo-host",
         w.service.clone(),
         w.trust.clone(),
-        clock.clone(),
+        rig.clock.clone(),
         published,
         authz,
     );
@@ -439,22 +626,19 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         .register_factory("echo", Box::new(|_ctx, _args| Ok(Box::new(EchoService))));
     let env = Rc::new(RefCell::new(env));
 
-    let mut sched = Scheduler::new(&net);
-    CrashableServer::spawn(
-        &mut sched,
-        net.register("echo-host"),
-        "echo-host",
-        &CrashPlan::disabled(),
-        &env,
+    rig.serve("echo-host", "echo-host", &CrashPlan::disabled(), &env);
+    let mut client = OgsaClient::new(
+        rig.client("user", "echo-host"),
+        w.trust.clone(),
+        rig.clock.clone(),
+        b"chaos fig3 client",
     );
-    let transport = RpcClient::new(net.register("user"), "echo-host", policy());
-    let mut client = OgsaClient::new(transport, w.trust.clone(), clock, b"chaos fig3 client");
     client.add_source(Box::new(StaticCredential(w.user.clone())));
 
     if opts.partition_all {
-        net.partition("user", "echo-host");
+        rig.net.partition("user", "echo-host");
         assert!(client.create_service("echo", Element::new("args")).is_err());
-        return report("fig3", &net, r, false, &[]);
+        return rig.report(false, &[]);
     }
 
     let handle = client
@@ -470,7 +654,7 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     client.destroy(&handle).expect("figure 3 destroy");
     assert_eq!(env.borrow().registry.instance_count(), 0);
 
-    report("fig3", &net, r, true, &[])
+    rig.report(true, &[])
 }
 
 /// Figure 4: the GT3 GRAM chain — signed submission through MMJFS /
@@ -479,105 +663,34 @@ pub(crate) fn figure3_ogsa(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 /// over the lossy network. Exactly one LMJFS cold start may happen no
 /// matter how many times the submission frame is duplicated.
 pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xF164, FaultProfile::lossy_wan());
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "figure4_gram");
+    let mut rig = Rig::new("fig4", seed, 0xF164, FaultProfile::lossy_wan(), 100, opts);
 
-    let mut rng = ChaChaRng::from_seed_bytes(b"chaos fig4");
-    let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
-    let jane = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
-    let host_cred = ca.issue_host_identity(
-        &mut rng,
-        dn("/O=G/CN=host compute1"),
-        vec!["compute1".into()],
-        512,
-        0,
-        500_000,
-    );
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.certificate().clone());
-    let gridmap = gridsec_authz::gridmap::GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();
+    let w = jane_at(b"chaos fig4", "compute1");
     let os = SimOs::new();
-    let resource = GramResource::install(
-        os.clone(),
-        clock.clone(),
-        "compute1",
-        trust.clone(),
-        host_cred,
-        &gridmap,
-        GramConfig::default(),
-    )
-    .unwrap();
-    let shared = Rc::new(RefCell::new(resource));
+    let plan = rig.plan(0xC4A4, 0.05, 2);
+    let shared = w.serve_gram(&mut rig, &os, b"chaos mjs", &plan);
+    let mut rpc = rig.client("jane", "mjs-host");
 
-    // The MMJFS job table is journaled: a kill at `gram.submit.*` /
-    // `gram.start.*` / `gram.session.exec` loses the in-memory MJS
-    // layer, and recovery rebuilds it from the journal against the
-    // surviving LMJFS processes.
-    let plan = crash_plan(opts, seed, 0xC4A4, 0.05, 2);
-    let journal = Journal::open(os.clone(), "compute1", "/var/gram/journal.wal", ROOT_UID);
-    let durable = Rc::new(RefCell::new(DurableGram::new(
-        shared.clone(),
-        b"chaos mjs",
-        plan.clone(),
-        journal,
-    )));
-    let mut sched = Scheduler::new(&net);
-    CrashableServer::spawn(
-        &mut sched,
-        net.register("mjs-host"),
-        "gram",
-        &plan,
-        &durable,
-    );
-    let mut rpc = RpcClient::new(net.register("jane"), "mjs-host", policy());
-
-    let mut jane = Requestor::new(jane, trust, b"chaos jane");
+    let mut jane = Requestor::new(w.jane, w.trust, b"chaos jane");
+    let (jd, host) = (JobDescription::new("/bin/sim"), dn("/O=G/CN=host compute1"));
 
     if opts.partition_all {
-        net.partition("jane", "mjs-host");
-        let err = submit_job_resilient(
-            &mut jane,
-            &mut rpc,
-            &JobDescription::new("/bin/sim"),
-            &dn("/O=G/CN=host compute1"),
-            clock.now(),
-            1,
-        );
+        rig.net.partition("jane", "mjs-host");
+        let err = submit_job_resilient(&mut jane, &mut rpc, &jd, &host, rig.clock.now(), 1);
         assert!(err.is_err(), "partition must fail submission");
-        return report("fig4", &net, r, false, &[&plan]);
+        return rig.report(false, &[&plan]);
     }
 
-    let job = submit_job_resilient(
-        &mut jane,
-        &mut rpc,
-        &JobDescription::new("/bin/sim"),
-        &dn("/O=G/CN=host compute1"),
-        clock.now(),
-        6,
-    )
-    .expect("figure 4 must submit under lossy WAN + crashes");
+    let job = submit_job_resilient(&mut jane, &mut rpc, &jd, &host, rig.clock.now(), 6)
+        .expect("figure 4 must submit under lossy WAN + crashes");
     assert_eq!(job.account, "jdoe");
     assert_eq!(
         job_state_remote(&mut rpc, &job.handle).expect("state query"),
         JobState::Active
     );
-    // The reply cache, restored from commit records on each restart,
-    // absorbed duplicated submissions and starts: one cold start, one
-    // job process — no duplicate side effects.
-    assert_eq!(shared.borrow().stats.cold_starts, 1);
-    let jobs = os
-        .processes("compute1")
-        .unwrap()
-        .into_iter()
-        .filter(|p| p.alive && p.name.starts_with("job:"))
-        .count();
-    assert_eq!(jobs, 1, "exactly one job process spawned");
+    assert_one_job(&shared, &os, "compute1");
 
-    report("fig4", &net, r, true, &[&plan])
+    rig.report(true, &[&plan])
 }
 
 /// Figure 5 (the paper's third GT2 service family, §3): resumable
@@ -591,63 +704,18 @@ pub(crate) fn figure4_gram(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 /// Under `partition_all` the client host is partitioned from `data1`:
 /// the connect budget exhausts and the flight recorder dumps.
 pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xF165, loss_only(0.10));
-    let plan = crash_plan(opts, seed, 0xC4A5, 0.10, 2);
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "figure5_xfer");
-
-    let mut rng = ChaChaRng::from_seed_bytes(b"chaos fig5");
-    let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
-    let jane = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
-    let host_cred = ca.issue_host_identity(
-        &mut rng,
-        dn("/O=G/CN=host data1"),
-        vec!["data1".into()],
-        512,
-        0,
-        500_000,
-    );
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.certificate().clone());
-    let gridmap = gridsec_authz::gridmap::GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();
-    let server = Rc::new(RefCell::new(
-        GridFtpServer::new(SimOs::new(), "data1", host_cred, trust.clone(), gridmap).unwrap(),
-    ));
-
-    // Deterministic 4 KiB payload, seeded into the mapped account.
-    let data: Vec<u8> = (0..4096usize).map(|i| (i * 31 % 251) as u8).collect();
-    let uid = {
-        let s = server.borrow();
-        let uid = s.os().uid_of("data1", "jdoe").unwrap();
-        s.os()
-            .write_file(
-                "data1",
-                "/home/jdoe/results.dat",
-                uid,
-                FileMode::private(),
-                data.clone(),
-            )
-            .unwrap();
-        uid
-    };
+    let mut rig = Rig::new("fig5", seed, 0xF165, loss_only(0.10), 100, opts);
+    let plan = rig.plan(0xC4A5, 0.10, 2);
+    let host = DataHost::new(b"chaos fig5", 4096, "/home/jdoe/results.dat");
 
     // One sans-io server session task per dial, run inside the client's
     // blocking reads; one client exchange is in flight at a time, so the
     // shared crash-plan and fault-layer draws stay deterministic. The
     // scheduler is drained before reporting.
-    let mut sched = Scheduler::new(&net);
     let mk_dial = |label: u64| {
-        let task = SessionTask {
-            server: Rc::clone(&server),
-            dialect: Dialect::Resumable,
-            now: 100,
-            plan: plan.clone(),
-        };
-        let mut sched = sched.clone();
-        let net = net.clone();
+        let task = host.task(Dialect::Resumable, &plan);
+        let mut sched = rig.sched.clone();
+        let net = rig.net.clone();
         let mut n = 0u64;
         move |_attempt: u32| {
             n += 1;
@@ -660,13 +728,13 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             Ok::<_, gridsec_tls::TlsError>(client)
         }
     };
-    let config = TlsConfig::new(jane, trust, 100);
+    let config = &host.config;
     let mut client_rng = ChaChaRng::from_seed_bytes(b"chaos fig5 client");
 
     if opts.partition_all {
-        net.partition("jane", "data1");
+        rig.net.partition("jane", "data1");
         let res = resumable_get(
-            &config,
+            config,
             &mut client_rng,
             policy(),
             mk_dial(1),
@@ -674,12 +742,12 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             3,
         );
         assert!(res.is_err(), "a partition must exhaust the resume budget");
-        sched.run();
-        return report("fig5", &net, r, false, &[&plan]);
+        rig.sched.run();
+        return rig.report(false, &[&plan]);
     }
 
     let got = resumable_get(
-        &config,
+        config,
         &mut client_rng,
         policy(),
         mk_dial(1),
@@ -687,41 +755,30 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         64,
     )
     .expect("figure 5 GET must complete under lossy streams + crashes");
-    assert_eq!(got.bytes, data, "GET bytes hash-equal");
+    assert_eq!(got.bytes, host.data, "GET bytes hash-equal");
 
     let put = resumable_put(
-        &config,
+        config,
         &mut client_rng,
         policy(),
         mk_dial(2),
         "/home/jdoe/upload.dat",
-        &data,
+        &host.data,
         64,
     )
     .expect("figure 5 PUT must complete under lossy streams + crashes");
-    sched.run();
+    rig.sched.run();
 
-    {
-        let s = server.borrow();
-        let stored = s
-            .os()
-            .read_file("data1", "/home/jdoe/upload.dat", uid)
-            .unwrap();
-        assert_eq!(stored, data, "PUT bytes hash-equal, none lost or doubled");
-        assert_eq!(
-            s.os()
-                .file_len("data1", "/home/jdoe/upload.dat.part")
-                .unwrap(),
-            None,
-            "staging file promoted and removed"
-        );
-        assert!(s.transfers >= 2, "both directions completed");
-    }
-    let digest: String = sha256(&data).iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(got.sha256, digest);
-    assert_eq!(put.sha256, digest);
+    host.assert_landed("/home/jdoe/upload.dat", &got.sha256, &put.sha256);
+    let part = host
+        .server
+        .borrow()
+        .os()
+        .file_len("data1", "/home/jdoe/upload.dat.part")
+        .unwrap();
+    assert_eq!(part, None, "staging file promoted and removed");
 
-    let mut rep = report("fig5", &net, r, true, &[&plan]);
+    let mut rep = rig.report(true, &[&plan]);
     rep.lines.extend([
         format!(
             "fig5 xfer get bytes={} sessions={} resumes={} sha={}",
@@ -732,7 +789,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         ),
         format!(
             "fig5 xfer put bytes={} sessions={} resumes={} sha={}",
-            data.len(),
+            host.data.len(),
             put.sessions,
             put.resumes,
             put.sha256
@@ -757,63 +814,18 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     use gridsec_gridftp::stripe::{striped_get, striped_put, StripeOpts};
 
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xF165_0513, loss_only(0.10));
-    let plan = crash_plan(opts, seed, 0xC4A6, 0.10, 2);
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "figure5_striped");
+    let mut rig = Rig::new("fig5s", seed, 0xF165_0513, loss_only(0.10), 100, opts);
+    let plan = rig.plan(0xC4A6, 0.10, 2);
+    let host = DataHost::new(b"chaos fig5s", 8192, "/home/jdoe/striped.dat");
 
-    let mut rng = ChaChaRng::from_seed_bytes(b"chaos fig5s");
-    let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
-    let jane = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
-    let host_cred = ca.issue_host_identity(
-        &mut rng,
-        dn("/O=G/CN=host data1"),
-        vec!["data1".into()],
-        512,
-        0,
-        500_000,
-    );
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.certificate().clone());
-    let gridmap = gridsec_authz::gridmap::GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();
-    let server = Rc::new(RefCell::new(
-        GridFtpServer::new(SimOs::new(), "data1", host_cred, trust.clone(), gridmap).unwrap(),
-    ));
-
-    // Deterministic 8 KiB payload, seeded into the mapped account.
-    let data: Vec<u8> = (0..8192usize).map(|i| (i * 31 % 251) as u8).collect();
-    let uid = {
-        let s = server.borrow();
-        let uid = s.os().uid_of("data1", "jdoe").unwrap();
-        s.os()
-            .write_file(
-                "data1",
-                "/home/jdoe/striped.dat",
-                uid,
-                FileMode::private(),
-                data.clone(),
-            )
-            .unwrap();
-        uid
-    };
-
-    let mut sched = Scheduler::new(&net);
     // Dialer per direction: one sans-io striped server task per dial.
     // The client engine drives one stripe exchange at a time, so
     // crash-plan and fault-layer draws stay causally ordered
     // (deterministic).
     let mk_dial = |label: u64| {
-        let task = SessionTask {
-            server: Rc::clone(&server),
-            dialect: Dialect::Striped,
-            now: 100,
-            plan: plan.clone(),
-        };
-        let mut sched = sched.clone();
-        let net = net.clone();
+        let task = host.task(Dialect::Striped, &plan);
+        let mut sched = rig.sched.clone();
+        let net = rig.net.clone();
         let mut n = 0u64;
         move |slot: usize, _attempt: u32| {
             n += 1;
@@ -827,7 +839,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             Ok::<_, gridsec_tls::TlsError>(client)
         }
     };
-    let config = TlsConfig::new(jane, trust, 100);
+    let config = &host.config;
     let mut client_rng = ChaChaRng::from_seed_bytes(b"chaos fig5s client");
     let opts_for = |dir_seed: u64| StripeOpts {
         seed: seed ^ dir_seed,
@@ -837,9 +849,9 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     };
 
     if opts.partition_all {
-        net.partition("jane", "data1");
+        rig.net.partition("jane", "data1");
         let res = striped_get(
-            &config,
+            config,
             &mut client_rng,
             policy(),
             mk_dial(1),
@@ -850,12 +862,12 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
             },
         );
         assert!(res.is_err(), "a partition must exhaust the stripe budget");
-        sched.run();
-        return report("fig5s", &net, r, false, &[&plan]);
+        rig.sched.run();
+        return rig.report(false, &[&plan]);
     }
 
     let got = striped_get(
-        &config,
+        config,
         &mut client_rng,
         policy(),
         mk_dial(1),
@@ -863,43 +875,33 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         opts_for(1),
     )
     .expect("striped GET must complete under lossy streams + crashes");
-    assert_eq!(got.bytes, data, "striped GET bytes hash-equal");
+    assert_eq!(got.bytes, host.data, "striped GET bytes hash-equal");
 
     let put = striped_put(
-        &config,
+        config,
         &mut client_rng,
         policy(),
         mk_dial(2),
         "/home/jdoe/striped-up.dat",
-        &data,
+        &host.data,
         opts_for(2),
     )
     .expect("striped PUT must complete under lossy streams + crashes");
-    sched.run();
+    rig.sched.run();
 
-    {
-        let s = server.borrow();
-        let stored = s
-            .os()
-            .read_file("data1", "/home/jdoe/striped-up.dat", uid)
-            .unwrap();
-        assert_eq!(stored, data, "striped PUT bytes hash-equal");
-        // Every per-range staging file was merged and removed.
-        let span = 4 * gridsec_gridftp::resume::CHUNK;
-        let mut pos = 0;
-        while pos < data.len() {
-            let end = (pos + span).min(data.len());
-            let part = gridsec_gridftp::stripe::part_path("/home/jdoe/striped-up.dat", pos, end);
-            assert_eq!(s.os().file_len("data1", &part).unwrap(), None, "{part}");
-            pos = end;
-        }
-        assert!(s.transfers >= 2, "both directions completed");
+    host.assert_landed("/home/jdoe/striped-up.dat", &got.sha256, &put.sha256);
+    // Every per-range staging file was merged and removed.
+    let span = 4 * gridsec_gridftp::resume::CHUNK;
+    let mut pos = 0;
+    while pos < host.data.len() {
+        let end = (pos + span).min(host.data.len());
+        let part = gridsec_gridftp::stripe::part_path("/home/jdoe/striped-up.dat", pos, end);
+        let len = host.server.borrow().os().file_len("data1", &part).unwrap();
+        assert_eq!(len, None, "{part}");
+        pos = end;
     }
-    let digest: String = sha256(&data).iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(got.sha256, digest);
-    assert_eq!(put.sha256, digest);
 
-    let mut rep = report("fig5s", &net, r, true, &[&plan]);
+    let mut rep = rig.report(true, &[&plan]);
     rep.lines.extend([
         format!(
             "fig5s xfer get bytes={} sessions={} tears={} stripes={} ticks={} goodput={} sha={}",
@@ -913,7 +915,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         ),
         format!(
             "fig5s xfer put bytes={} sessions={} tears={} stripes={} ticks={} goodput={} sha={}",
-            data.len(),
+            host.data.len(),
             put.sessions,
             put.tears,
             put.peak_stripes,
@@ -935,13 +937,9 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 /// over the lossy WAN with the MMJFS under a crash plan. Completion
 /// proves the trust overlay *and* the recovery machinery compose.
 pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(1_000);
-    net.enable_faults(clock.clone(), seed ^ 0xE2E0, FaultProfile::lossy_wan());
-    let plan = crash_plan(opts, seed, 0xC4AE, 0.05, 2);
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "cross_domain_vo");
+    let mut rig = Rig::new("e2e", seed, 0xE2E0, FaultProfile::lossy_wan(), 1_000, opts);
+    let plan = rig.plan(0xC4AE, 0.05, 2);
+    let clock = rig.clock.clone();
 
     let mut rng = ChaChaRng::from_seed_bytes(b"e2e vo gram");
     let mut domains = vec![
@@ -958,8 +956,7 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         0,
         10_000_000,
     );
-    let gridmap =
-        gridsec_authz::gridmap::GridMapFile::parse("\"/O=siteA/CN=user0\" grid_a0\n").unwrap();
+    let gridmap = GridMapFile::parse("\"/O=siteA/CN=user0\" grid_a0\n").unwrap();
     let os = SimOs::new();
     let resource = GramResource::install(
         os.clone(),
@@ -979,15 +976,8 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         plan.clone(),
         journal,
     )));
-    let mut sched = Scheduler::new(&net);
-    CrashableServer::spawn(
-        &mut sched,
-        net.register("cluster1"),
-        "gram",
-        &plan,
-        &durable,
-    );
-    let mut rpc = RpcClient::new(net.register("user0"), "cluster1", policy());
+    rig.serve("cluster1", "gram", &plan, &durable);
+    let mut rpc = rig.client("user0", "cluster1");
 
     // The siteA user signs on; trusting siteB's CA for the GRIM check
     // is their own unilateral act.
@@ -997,48 +987,28 @@ pub fn cross_domain_vo(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let mut requestor_trust = domains[0].resource_trust.clone();
     requestor_trust.add_root(domains[1].ca.certificate().clone());
     let mut requestor = Requestor::new(session.credential().clone(), requestor_trust, b"a0");
+    let jd = JobDescription::new("/bin/hpc-sim");
+    let host = dn("/O=siteB/CN=host cluster1");
 
     if opts.partition_all {
-        net.partition("user0", "cluster1");
-        let err = submit_job_resilient(
-            &mut requestor,
-            &mut rpc,
-            &JobDescription::new("/bin/hpc-sim"),
-            &dn("/O=siteB/CN=host cluster1"),
-            clock.now(),
-            1,
-        );
+        rig.net.partition("user0", "cluster1");
+        let err = submit_job_resilient(&mut requestor, &mut rpc, &jd, &host, clock.now(), 1);
         assert!(err.is_err(), "partition must fail submission");
-        return report("e2e", &net, r, false, &[&plan]);
+        return rig.report(false, &[&plan]);
     }
 
-    let job = submit_job_resilient(
-        &mut requestor,
-        &mut rpc,
-        &JobDescription::new("/bin/hpc-sim"),
-        &dn("/O=siteB/CN=host cluster1"),
-        clock.now(),
-        6,
-    )
-    .expect("cross-domain submission under lossy WAN + crashes");
+    let job = submit_job_resilient(&mut requestor, &mut rpc, &jd, &host, clock.now(), 6)
+        .expect("cross-domain submission under lossy WAN + crashes");
     assert_eq!(job.account, "grid_a0");
     assert_eq!(
         job_state_remote(&mut rpc, &job.handle).expect("state query"),
         JobState::Active
     );
-    // No duplicate side effects across any crash schedule.
-    assert_eq!(shared.borrow().stats.cold_starts, 1);
-    let jobs = os
-        .processes("cluster1")
-        .unwrap()
-        .into_iter()
-        .filter(|p| p.alive && p.name.starts_with("job:"))
-        .count();
-    assert_eq!(jobs, 1, "exactly one job process spawned");
+    assert_one_job(&shared, &os, "cluster1");
     // Least privilege held throughout the crash schedule.
     assert!(os.privileged_network_facing("cluster1").unwrap().is_empty());
 
-    report("e2e", &net, r, true, &[&plan])
+    rig.report(true, &[&plan])
 }
 
 /// The combined outcome of running all five figures from one seed.
@@ -1061,9 +1031,8 @@ pub struct ChaosRun {
     pub restarts: u64,
 }
 
-/// Run all five figures from one master seed. Honors
-/// `GRIDSEC_FLIGHT_DUMP` (a path prefix; each figure appends its tag)
-/// unless `opts.flight_path` is already set.
+/// Run all five figures from one master seed. A flight path in `opts`
+/// is a prefix: each figure dumps to it with its tag appended.
 pub fn run_all(seed: u64, opts: &ChaosOpts) -> ChaosRun {
     let mut transcript = format!("chaos transcript seed=0x{seed:016x}\n");
     let mut trace_out = String::new();
@@ -1072,7 +1041,6 @@ pub fn run_all(seed: u64, opts: &ChaosOpts) -> ChaosRun {
     let mut audit_records = 0usize;
     let mut crashes = 0u64;
     let mut restarts = 0u64;
-    let flight_prefix = std::env::var("GRIDSEC_FLIGHT_DUMP").ok();
     type Figure = fn(u64, &ChaosOpts) -> ScenarioReport;
     let figures: [(&str, Figure); 5] = [
         ("fig1", figure1_gss),
@@ -1082,10 +1050,10 @@ pub fn run_all(seed: u64, opts: &ChaosOpts) -> ChaosRun {
         ("fig5", figure5_xfer),
     ];
     for (tag, run) in figures {
-        let mut o = opts.clone();
-        if o.flight_path.is_none() {
-            o.flight_path = flight_prefix.as_ref().map(|p| format!("{p}.{tag}"));
-        }
+        let o = ChaosOpts {
+            flight_path: opts.flight_path.as_ref().map(|p| format!("{p}.{tag}")),
+            ..opts.clone()
+        };
         let rep = run(seed, &o);
         for line in &rep.lines {
             transcript.push_str(line);

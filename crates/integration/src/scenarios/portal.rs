@@ -33,12 +33,9 @@ use std::rc::Rc;
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::rsa::RsaKeyPair;
-use gridsec_gram::durable::DurableGram;
 use gridsec_gram::remote::{job_state_remote, submit_job_resilient};
-use gridsec_gram::resource::{GramConfig, GramResource};
 use gridsec_gram::types::{JobDescription, JobState};
 use gridsec_gram::Requestor;
-use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::cert::{decode_public_key, Certificate};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
@@ -47,14 +44,14 @@ use gridsec_pki::store::TrustStore;
 use gridsec_pki::validate::validate_chain;
 use gridsec_services::myproxy::{self, MyProxyServer, OP_GET, OP_RENEW};
 use gridsec_testbed::clock::SimClock;
-use gridsec_testbed::faults::{CrashPlan, CrashableServer, Journal};
+use gridsec_testbed::faults::{CrashPlan, Journal};
 use gridsec_testbed::net::{Endpoint, FaultProfile, Network};
 use gridsec_testbed::os::{SimOs, ROOT_UID};
 use gridsec_testbed::rpc::{CallPoll, PollingCall, RpcClient};
-use gridsec_testbed::sched::{self, Scheduler};
+use gridsec_testbed::sched;
 use gridsec_util::trace;
 
-use super::{crash_plan, policy, report, rig, ChaosOpts, ScenarioReport};
+use super::{assert_one_job, jane_at, policy, ChaosOpts, Rig, ScenarioReport};
 use crate::dn;
 
 /// Portal journal tags.
@@ -379,97 +376,48 @@ fn run_incarnation(
 /// scenario asserts exactly-once proxy issuance and exactly-once job
 /// submission regardless.
 pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
-    let net = Network::new();
-    let clock = SimClock::starting_at(100);
-    net.enable_faults(clock.clone(), seed ^ 0xB0B7, FaultProfile::lossy_wan());
-    let r = rig(&clock, opts);
-    let _guard = trace::install(&r.tracer);
-    let _dump = trace::dump_on_panic(&r.tracer, "portal_recovery");
+    let mut rig = Rig::new("portal", seed, 0xB0B7, FaultProfile::lossy_wan(), 100, opts);
 
-    let mut rng = ChaChaRng::from_seed_bytes(b"chaos portal");
-    let ca = CertificateAuthority::create_root(&mut rng, dn("/O=G/CN=CA"), 512, 0, 1_000_000);
-    let jane = ca.issue_identity(&mut rng, dn("/O=G/CN=Jane"), 512, 0, 500_000);
-    let host_cred = ca.issue_host_identity(
-        &mut rng,
-        dn("/O=G/CN=host compute1"),
-        vec!["compute1".into()],
-        512,
-        0,
-        500_000,
-    );
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.certificate().clone());
-    let gridmap = gridsec_authz::gridmap::GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();
+    let mut w = jane_at(b"chaos portal", "compute1");
     let os = SimOs::new();
     os.add_host("repo");
     os.add_host("portal");
 
     // The compute resource (server side, stable in this scenario's
     // armed mode; seeded mode can crash it too).
-    let resource = GramResource::install(
-        os.clone(),
-        clock.clone(),
-        "compute1",
-        trust.clone(),
-        host_cred,
-        &gridmap,
-        GramConfig::default(),
-    )
-    .unwrap();
-    let shared = Rc::new(RefCell::new(resource));
-    let gram_plan = crash_plan(opts, seed, 0xC4A7, 0.02, 1);
-    let gram_journal = Journal::open(os.clone(), "compute1", "/var/gram/journal.wal", ROOT_UID);
-    let gram_app = Rc::new(RefCell::new(DurableGram::new(
-        shared.clone(),
-        b"portal mjs",
-        gram_plan.clone(),
-        gram_journal,
-    )));
-    let mut sched = Scheduler::new(&net);
-    CrashableServer::spawn(
-        &mut sched,
-        net.register("mjs-host"),
-        "gram",
-        &gram_plan,
-        &gram_app,
-    );
+    let gram_plan = rig.plan(0xC4A7, 0.02, 1);
+    let shared = w.serve_gram(&mut rig, &os, b"portal mjs", &gram_plan);
 
     // The MyProxy repository.
-    let repo_plan = crash_plan(opts, seed, 0xC4A8, 0.02, 1);
+    let repo_plan = rig.plan(0xC4A8, 0.02, 1);
     let repo_journal = Journal::open(os.clone(), "repo", "/var/myproxy/journal.wal", ROOT_UID);
     let repo_app = Rc::new(RefCell::new(MyProxyServer::new(
-        clock.clone(),
+        rig.clock.clone(),
         b"portal repo",
         repo_plan.clone(),
         repo_journal,
         100_000,
     )));
-    CrashableServer::spawn(
-        &mut sched,
-        net.register("repo"),
-        "myproxy",
-        &repo_plan,
-        &repo_app,
-    );
+    rig.serve("repo", "myproxy", &repo_plan, &repo_app);
 
     // The portal process itself: the crashing *client*.
-    let portal_plan = crash_plan(opts, seed, 0xC4A9, 0.05, 3);
+    let portal_plan = rig.plan(0xC4A9, 0.05, 3);
     // The report carries every process's kills: the portal's own and
     // the two servers'.
     let plans = [&portal_plan, &repo_plan, &gram_plan];
     let portal_journal = Journal::open(os.clone(), "portal", "/var/portal/journal.wal", ROOT_UID);
 
     if opts.partition_all {
-        net.partition("portal-cred", "repo");
+        rig.net.partition("portal-cred", "repo");
         let portal = Portal {
-            ep: net.register("portal-cred"),
-            clock: &clock,
+            ep: rig.net.register("portal-cred"),
+            clock: &rig.clock,
             journal: portal_journal,
             plan: portal_plan.clone(),
         };
-        let err = store_at_repo(&portal, &mut rng, &jane, &mut 1_000);
+        let err = store_at_repo(&portal, &mut w.rng, &w.jane, &mut 1_000);
         assert!(err.is_err(), "partition must fail the store");
-        return report("portal", &net, r, false, &plans);
+        return rig.report(false, &plans);
     }
 
     let mut incarnation = 0u64;
@@ -479,31 +427,39 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
         // The journal is read once per incarnation; a reborn portal's
         // restart is confirmed with the records it replayed.
         let recovered = replay_portal_journal(&portal_journal);
-        portal_plan.confirm_restart("portal", clock.now(), recovered.records);
+        portal_plan.confirm_restart("portal", rig.clock.now(), recovered.records);
         // A reborn portal re-registers its endpoint: replies addressed
         // to the dead incarnation are gone — only the journal survives.
         let portal = Portal {
-            ep: net.register("portal-cred"),
-            clock: &clock,
+            ep: rig.net.register("portal-cred"),
+            clock: &rig.clock,
             journal: portal_journal.clone(),
             plan: portal_plan.clone(),
         };
-        match run_incarnation(&portal, recovered, incarnation, seed, &net, &jane, &trust) {
+        match run_incarnation(
+            &portal,
+            recovered,
+            incarnation,
+            seed,
+            &rig.net,
+            &w.jane,
+            &w.trust,
+        ) {
             Ok(Ok(done)) => break done,
             Ok(Err(e)) => panic!("portal incarnation {incarnation} failed: {e}"),
             Err(Killed) => {
-                let line = portal_plan.confirm_kill("portal", clock.now());
+                let line = portal_plan.confirm_kill("portal", rig.clock.now());
                 assert!(line.is_some(), "a kill point latched");
-                clock.advance(portal_plan.restart_delay());
+                rig.clock.advance(portal_plan.restart_delay());
             }
         }
     };
 
     // The renewed proxy validates and the job is still running.
-    let id = validate_chain(credential.chain(), &trust, clock.now())
+    let id = validate_chain(credential.chain(), &w.trust, rig.clock.now())
         .expect("renewed portal proxy validates");
     assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
-    let mut rpc = RpcClient::new(net.register("portal-verify"), "mjs-host", policy());
+    let mut rpc = rig.client("portal-verify", "mjs-host");
     assert_eq!(
         job_state_remote(&mut rpc, &handle).expect("state query"),
         JobState::Active
@@ -512,14 +468,7 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     // Exactly-once, end to end: one cold start, one job process, and
     // exactly two visible proxy issuances (the acquire and the renew)
     // no matter how many times the portal died and re-sent.
-    assert_eq!(shared.borrow().stats.cold_starts, 1);
-    let jobs = os
-        .processes("compute1")
-        .unwrap()
-        .into_iter()
-        .filter(|p| p.alive && p.name.starts_with("job:"))
-        .count();
-    assert_eq!(jobs, 1, "exactly one job process spawned");
+    assert_one_job(&shared, &os, "compute1");
     assert_eq!(
         repo_app.borrow().issued_count(),
         2,
@@ -527,7 +476,7 @@ pub fn portal_recovery(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     );
     trace::add("portal.completed", 1);
 
-    report("portal", &net, r, true, &plans)
+    rig.report(true, &plans)
 }
 
 #[cfg(test)]

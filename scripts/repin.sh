@@ -41,6 +41,7 @@ gridsec-crypto golden_key
 gridsec-wsse golden_wire
 gridsec-integration storm_golden
 gridsec-integration xfer_golden
+gridsec-integration chaos_golden
 EOF
 
 # Old file order and comments kept; a pin recorded for the first time

@@ -155,7 +155,7 @@ stage_grep_guard() {
     # in a golden test is a pin the tool cannot see.
     if grep -En '[0-9a-f]{64}' crates/crypto/tests/golden_key.rs \
         crates/wsse/tests/golden_wire.rs crates/integration/tests/storm_golden.rs \
-        crates/integration/tests/xfer_golden.rs; then
+        crates/integration/tests/xfer_golden.rs crates/integration/tests/chaos_golden.rs; then
         echo "FAIL: digest literal in a golden test above; pins belong in tests/golden.pins" >&2
         exit 1
     fi
@@ -316,6 +316,22 @@ stage_grep_guard() {
     if grep -rEn 'decode_request' crates/integration/src | grep -vE '^[^:]+:[0-9]+: *//' \
         | grep -vE '^crates/integration/src/scenarios/storm\.rs:'; then
         echo "FAIL: a second storm gateway decodes requests (above); use scenarios::storm::Gateway" >&2
+        exit 1
+    fi
+    # One chaos rig (DESIGN.md §12.3): every chaos scenario starts its
+    # world from scenarios::Rig, the only place in scenarios.rs and
+    # scenarios/portal.rs that arms faults, installs a tracer, arms the
+    # panic dump or opens the audit log.
+    if awk '
+        FNR == 1 { inside = 0 }
+        /^impl(<[^>]*>)? Rig(<[^>]*>)? \{$/ { inside = 1; next }
+        inside && /^\}$/ { inside = 0; next }
+        !inside && !/^ *\/\// && /(enable_faults|trace::install|dump_on_panic|AuditLog::new)\(/ {
+            print FILENAME ":" FNR ":" $0; found = 1
+        }
+        END { exit !found }
+    ' crates/integration/src/scenarios.rs crates/integration/src/scenarios/portal.rs; then
+        echo "FAIL: a chaos scenario builds its world by hand (above); start it from scenarios::Rig" >&2
         exit 1
     fi
     # One way to set each value: the storm and striped bench bins take

@@ -18,8 +18,6 @@
 //!   `cmp`s the two files to prove determinism from outside the
 //!   process.
 //! * `GRIDSEC_CHAOS_TRACE` — same, for the combined trace dump.
-//! * `GRIDSEC_FLIGHT_DUMP` — path prefix for automatic flight-recorder
-//!   dumps (each figure appends its tag).
 //!
 //! Each figure gets a fresh network seeded from the master seed, so
 //! scenarios stay independent (a new flow cannot shift an earlier
@@ -310,22 +308,79 @@ fn forced_failure_dumps_the_flight_recorder() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every scenario's partition branch, stated rather than only hashed:
+/// under `partition_all` no flow completes, the partition blocked the
+/// client's segments, a transcript line says so, and nothing crossed.
+/// Figures 2–4 are crate-private; `run_all` reaches them, its
+/// transcript tagging every line with the figure that sent it.
 #[test]
 fn figure5_partitions_block_the_data_channel() {
-    use gridsec_integration::scenarios::figure5_striped;
+    use gridsec_integration::scenarios::portal::portal_recovery;
+    use gridsec_integration::scenarios::{cross_domain_vo, figure5_striped};
     let opts = ChaosOpts {
         partition_all: true,
         ..ChaosOpts::default()
     };
-    for rep in [
-        figure5_xfer(chaos_seed(), &opts),
-        figure5_striped(chaos_seed(), &opts),
+    let seed = chaos_seed();
+    for (tag, rep) in [
+        ("fig1", figure1_gss(seed, &opts)),
+        ("fig5", figure5_xfer(seed, &opts)),
+        ("fig5s", figure5_striped(seed, &opts)),
+        ("e2e", cross_domain_vo(seed, &opts)),
+        ("portal", portal_recovery(seed, &opts)),
     ] {
-        assert!(!rep.completed);
-        assert!(rep.stats.blocked > 0, "the partition blocked nothing");
-        assert_eq!(rep.stats.delivered, 0, "a segment crossed the partition");
-        assert!(rep.lines.iter().any(|l| l.ends_with("partitioned")));
+        assert!(!rep.completed, "{tag} completed across a partition");
+        assert!(
+            rep.stats.blocked > 0,
+            "{tag}: the partition blocked nothing"
+        );
+        assert_eq!(
+            rep.stats.delivered, 0,
+            "{tag}: a segment crossed the partition"
+        );
+        assert!(
+            rep.lines.iter().any(|l| l.ends_with("partitioned")),
+            "{tag}"
+        );
     }
+    let run = run_all(seed, &opts);
+    assert_eq!(run.stats.delivered, 0, "a segment crossed a partition");
+    for tag in ["fig1", "fig2", "fig3", "fig4", "fig5"] {
+        let prefix = format!("{tag} ");
+        assert!(
+            run.transcript
+                .lines()
+                .any(|l| l.starts_with(&prefix) && l.ends_with("partitioned")),
+            "{tag} blocked nothing:\n{}",
+            run.transcript
+        );
+    }
+}
+
+/// A flight path given to `run_all` is a prefix: each figure's
+/// retry-budget exhaustion dumps to its own file, none to the bare
+/// prefix, so no figure's dump overwrites another's.
+#[test]
+fn run_all_dumps_each_figure_to_its_own_flight_path() {
+    let dir = std::env::temp_dir().join(format!("gridsec-chaos-all-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir flight dir");
+    let prefix = dir.join("flight").to_string_lossy().into_owned();
+    let opts = ChaosOpts {
+        partition_all: true,
+        flight_path: Some(prefix.clone()),
+        ..ChaosOpts::default()
+    };
+    run_all(chaos_seed(), &opts);
+    for tag in ["fig1", "fig2", "fig3", "fig4", "fig5"] {
+        let path = format!("{prefix}.{tag}");
+        let dump = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(dump.contains("flight recorder dump"), "{path}: {dump}");
+    }
+    assert!(
+        !std::path::Path::new(&prefix).exists(),
+        "a figure dumped to the bare prefix"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
