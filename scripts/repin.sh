@@ -38,6 +38,7 @@ while read -r package test; do
     fi
 done <<'EOF'
 gridsec-crypto golden_key
+gridsec-crypto golden_rng
 gridsec-wsse golden_wire
 gridsec-integration storm_golden
 gridsec-integration xfer_golden

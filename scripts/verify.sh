@@ -153,7 +153,7 @@ stage_grep_guard() {
     # Golden digests live in tests/golden.pins, where scripts/repin.sh
     # can re-record and tabulate them (DESIGN.md §11.6): a 64-hex literal
     # in a golden test is a pin the tool cannot see.
-    if grep -En '[0-9a-f]{64}' crates/crypto/tests/golden_key.rs \
+    if grep -En '[0-9a-f]{64}' crates/crypto/tests/golden_key.rs crates/crypto/tests/golden_rng.rs \
         crates/wsse/tests/golden_wire.rs crates/integration/tests/storm_golden.rs \
         crates/integration/tests/xfer_golden.rs crates/integration/tests/chaos_golden.rs; then
         echo "FAIL: digest literal in a golden test above; pins belong in tests/golden.pins" >&2
