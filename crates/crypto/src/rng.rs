@@ -9,65 +9,33 @@
 //! gives it the `gridsec_bignum::prime::EntropySource` blanket impl used
 //! by prime generation.
 
-use crate::chacha20;
 use crate::sha256::sha256;
+use gridsec_util::chacha::Keystream;
 use gridsec_util::rng::{CryptoRng, RngCore};
 
-/// ChaCha20-based DRBG: the keystream of ChaCha20 under a hashed seed key,
-/// with a 64-bit block counter in the nonce/counter space.
-pub struct ChaChaRng {
-    key: [u8; 32],
-    counter: u64,
-    buf: [u8; 64],
-    buf_pos: usize,
-}
+/// ChaCha20-based DRBG: the [`Keystream`] under a hashed seed key.
+pub struct ChaChaRng(Keystream);
 
 impl ChaChaRng {
     /// Seed deterministically from arbitrary bytes (hashed to a key).
     pub fn from_seed_bytes(seed: &[u8]) -> Self {
-        ChaChaRng {
-            key: sha256(seed),
-            counter: 0,
-            buf: [0; 64],
-            buf_pos: 64,
-        }
-    }
-
-    fn refill(&mut self) {
-        // Nonce carries the high 32 bits of the counter; the ChaCha block
-        // counter carries the low 32.
-        let mut nonce = [0u8; 12];
-        nonce[4..12].copy_from_slice(&(self.counter >> 32).to_le_bytes());
-        self.buf = chacha20::block(&self.key, self.counter as u32, &nonce);
-        self.counter = self.counter.wrapping_add(1);
-        self.buf_pos = 0;
+        ChaChaRng(Keystream::new(sha256(seed)))
     }
 }
 
 impl RngCore for ChaChaRng {
-    fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill_bytes(&mut b);
-        u64::from_le_bytes(b)
-    }
-
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut pos = 0;
-        while pos < dest.len() {
-            if self.buf_pos == 64 {
-                self.refill();
-            }
-            let take = (64 - self.buf_pos).min(dest.len() - pos);
-            dest[pos..pos + take].copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + take]);
-            self.buf_pos += take;
-            pos += take;
-        }
+        self.0.fill_bytes(dest)
+    }
+
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
     }
 }
 

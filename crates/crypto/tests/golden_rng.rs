@@ -49,7 +49,10 @@ fn pin(name: &str, bytes: &[u8]) {
 
 #[test]
 fn det_rng_stream_is_pinned() {
-    pin("rng.det.first_4k.1", &first_4k(&mut DetRng::seed_from_u64(1)));
+    pin(
+        "rng.det.first_4k.1",
+        &first_4k(&mut DetRng::seed_from_u64(1)),
+    );
     pin(
         "rng.det.first_4k.c4a05eed",
         &first_4k(&mut DetRng::seed_from_u64(0xC4A0_5EED)),

@@ -15,19 +15,32 @@
 //! bucket may be refilled at *now* while it is being drained — all of
 //! which an ordered map handles without a special case
 //! (`tests/bucket_order.rs` replays each against the heap).
+//!
+//! A drained tick's FIFO is not freed: it goes on a short free list and
+//! becomes the FIFO of the next new tick, so a steady stream of
+//! messages or timers stops growing a `VecDeque` from nothing at every
+//! tick. The list holds at most [`SPARE`] FIFOs; the order of entries
+//! does not depend on which FIFO holds them.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+
+/// Drained FIFOs kept for reuse.
+const SPARE: usize = 8;
 
 /// Entries tagged with a due time, popped in `(time, push order)` order.
 pub(crate) struct TimeBuckets<T> {
     /// Per-tick FIFOs, none of them empty.
     buckets: BTreeMap<u64, VecDeque<T>>,
+    /// Drained FIFOs, all of them empty, for the next new ticks.
+    spare: Vec<VecDeque<T>>,
 }
 
 impl<T> Default for TimeBuckets<T> {
     fn default() -> Self {
         TimeBuckets {
             buckets: BTreeMap::new(),
+            spare: Vec::new(),
         }
     }
 }
@@ -36,7 +49,12 @@ impl<T> TimeBuckets<T> {
     /// Queue `item` for time `at`, behind everything already queued for
     /// that time.
     pub(crate) fn push(&mut self, at: u64, item: T) {
-        self.buckets.entry(at).or_default().push_back(item);
+        match self.buckets.entry(at) {
+            Entry::Occupied(tick) => tick.into_mut().push_back(item),
+            Entry::Vacant(tick) => tick
+                .insert(self.spare.pop().unwrap_or_default())
+                .push_back(item),
+        }
     }
 
     /// Due time of the head entry.
@@ -57,7 +75,10 @@ impl<T> TimeBuckets<T> {
         }
         let item = head.get_mut().pop_front();
         if head.get().is_empty() {
-            head.remove();
+            let drained = head.remove();
+            if self.spare.len() < SPARE {
+                self.spare.push(drained);
+            }
         }
         item
     }

@@ -34,10 +34,12 @@ use std::ops::ControlFlow;
 
 const REQ_MAGIC: &[u8; 4] = b"GRQ1";
 const REP_MAGIC: &[u8; 4] = b"GRP1";
+/// Magic tag and big-endian call id.
+const HEADER_LEN: usize = 12;
 
 /// Frame a request payload with its call id.
 pub fn encode_request(id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(REQ_MAGIC);
     out.extend_from_slice(&id.to_be_bytes());
     out.extend_from_slice(payload);
@@ -51,7 +53,7 @@ pub fn decode_request(bytes: &[u8]) -> Option<(u64, &[u8])> {
 
 /// Frame a reply payload with the call id it answers.
 pub fn encode_reply(id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(REP_MAGIC);
     out.extend_from_slice(&id.to_be_bytes());
     out.extend_from_slice(payload);
@@ -64,12 +66,12 @@ pub fn decode_reply(bytes: &[u8]) -> Option<(u64, &[u8])> {
 }
 
 fn decode<'a>(magic: &[u8; 4], bytes: &'a [u8]) -> Option<(u64, &'a [u8])> {
-    if bytes.len() < 12 || &bytes[..4] != magic {
+    if bytes.len() < HEADER_LEN || &bytes[..4] != magic {
         return None;
     }
     let mut id = [0u8; 8];
-    id.copy_from_slice(&bytes[4..12]);
-    Some((u64::from_be_bytes(id), &bytes[12..]))
+    id.copy_from_slice(&bytes[4..HEADER_LEN]);
+    Some((u64::from_be_bytes(id), &bytes[HEADER_LEN..]))
 }
 
 /// A service's answer to one request: the reply envelope of every
@@ -244,7 +246,7 @@ impl RpcClient {
         });
         match outcome.and_then(|done| done) {
             Ok(reply) => {
-                trace::add("rpc.bytes_received", 12 + reply.len() as u64);
+                trace::add("rpc.bytes_received", HEADER_LEN as u64 + reply.len() as u64);
                 Ok(reply)
             }
             Err(TestbedError::Timeout) => {
@@ -336,10 +338,11 @@ impl PollingCall {
     /// the wait.
     pub fn poll(&mut self, ep: &Endpoint, now: u64) -> CallPoll {
         while let Some(m) = ep.try_recv() {
-            if let Some((rid, body)) = decode_reply(&m.payload) {
-                if rid == self.id {
-                    return CallPoll::Ready(body.to_vec());
-                }
+            if decode_reply(&m.payload).is_some_and(|(rid, _)| rid == self.id) {
+                // The reply is its own frame with the header drained off.
+                let mut reply = m.payload;
+                reply.drain(..HEADER_LEN);
+                return CallPoll::Ready(reply);
             }
         }
         loop {

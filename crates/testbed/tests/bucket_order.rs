@@ -10,6 +10,9 @@
 //! could plausibly get wrong: a push at *now* while the current bucket
 //! is draining, a zero-latency entry behind far-future ones, saturated
 //! `u64::MAX` deadlines, and stale heads discarded before time moves.
+//! A drained tick's FIFO is reused for the next new tick, so the order
+//! must also hold across that hand-over: a new tick, the drained tick
+//! itself again, and a push at *now* while the tick is draining.
 //!
 //! The queue is private to the crate, so its source file is compiled
 //! into this test directly.
@@ -168,5 +171,39 @@ fn timer_shaped_entries_pop_in_heap_order_with_stale_heads_discarded() {
             |g| (g.pick(8), g.u64_in(0..3)),
             |&(task, epoch), epochs| epochs[task] != epoch,
         );
+    });
+}
+
+#[test]
+fn reused_fifos_pop_in_heap_order() {
+    // Each round queues a burst over a few ticks (now and then more
+    // ticks than the free list keeps), drains the tick at *now* to
+    // empty while pushing at *now* into it, and then pushes once more:
+    // at a new tick or at the tick just drained, both of which take a
+    // FIFO off the free list.
+    check("buckets.reuse_order", 2_000, |g| {
+        let mut pair = Pair::new();
+        let mut now = g.u64_in(0..1_000);
+        for _ in 0..g.usize_in(1..60) {
+            for _ in 0..g.usize_in(0..24) {
+                pair.push(now + g.u64_in(0..12), g.u8());
+            }
+            let mut refills = g.usize_in(0..3);
+            while pair.pop_due(now).is_some() {
+                if refills > 0 && g.pick(2) == 0 {
+                    refills -= 1;
+                    pair.push(now, g.u8());
+                }
+            }
+            match g.pick(3) {
+                0 => pair.push(now + g.u64_in(1..30), g.u8()),
+                1 => pair.push(now, g.u8()),
+                _ => {}
+            }
+            now += g.u64_in(0..3);
+        }
+        while pair.pop_due(u64::MAX).is_some() {}
+        assert_eq!(pair.next_at(), None);
+        assert_eq!(pair.popped, pair.seq, "every entry came back exactly once");
     });
 }

@@ -6,9 +6,10 @@
 //! this module unchanged.
 //!
 //! Two kernels compute the same keystream. [`block`] is one 64-byte block
-//! at a time; the RNGs, the AEAD's one-time key and the tail of a stream
-//! use it. [`xor_stream`] runs four consecutive blocks per pass for every
-//! whole 256 bytes: the state is held word-major (`x[word][lane]`, lane
+//! at a time; the AEAD's one-time key, the tail of a stream and the first
+//! refill of a [`Keystream`] use it. [`xor_stream`] and every later
+//! [`Keystream`] refill run four consecutive blocks per pass: the state
+//! is held word-major (`x[word][lane]`, lane
 //! `l` at counter `c + l`) and a whole double round sits inside one loop
 //! over the four lanes. That loop body is too large for LLVM to unroll
 //! early, so it reaches the loop vectoriser, which turns each word's four
@@ -16,6 +17,12 @@
 //! no `target-cpu` or intrinsics. A loop around each single operation
 //! instead is unrolled first and stays scalar. Four lanes make a 256-byte
 //! record exactly one pass.
+//!
+//! [`Keystream`] is the one buffered keystream under both RNGs
+//! ([`crate::rng::DetRng`] and `gridsec_crypto::rng::ChaChaRng`), which
+//! differ only in how they derive its key from a seed.
+
+use crate::rng::RngCore;
 
 /// Key size in bytes.
 pub const KEY_LEN: usize = 32;
@@ -160,6 +167,109 @@ pub fn xor_stream(
             *b ^= k;
         }
         counter = counter.wrapping_add(1);
+    }
+}
+
+/// The ChaCha20 keystream under one key, served in order through
+/// [`RngCore`]: blocks `0, 1, 2, …` of a 64-bit counter whose low 32
+/// bits are the block counter and whose high 32 bits fill nonce bytes
+/// 4..12.
+///
+/// How much a refill computes follows what the stream has served. The
+/// first refill computes one [`block`], so a stream that only draws a
+/// nonce or two costs one block; every later refill computes [`LANES`]
+/// blocks in one pass of the wide kernel. A pass whose blocks would wrap
+/// the counter's low word computes one block instead, because the nonce
+/// changes at the wrap. Either way the bytes served are the same.
+#[derive(Clone, Debug)]
+pub struct Keystream {
+    key: [u8; KEY_LEN],
+    /// The next block to compute.
+    counter: u64,
+    buf: [u8; LANES * BLOCK_LEN],
+    /// `buf[pos..len]` is computed and not yet served.
+    pos: usize,
+    len: usize,
+}
+
+impl Keystream {
+    /// The keystream under `key`, from block 0.
+    pub fn new(key: [u8; KEY_LEN]) -> Self {
+        Keystream {
+            key,
+            counter: 0,
+            buf: [0; LANES * BLOCK_LEN],
+            pos: 0,
+            len: 0,
+        }
+    }
+
+    /// The same stream from block `counter` on.
+    #[cfg(test)]
+    pub(crate) fn at_counter(key: [u8; KEY_LEN], counter: u64) -> Self {
+        Keystream {
+            counter,
+            ..Self::new(key)
+        }
+    }
+
+    fn refill(&mut self) {
+        let mut nonce = [0u8; NONCE_LEN];
+        nonce[4..].copy_from_slice(&(self.counter >> 32).to_le_bytes());
+        let low = self.counter as u32;
+        let blocks = if self.counter == 0 || low.checked_add(LANES as u32 - 1).is_none() {
+            self.buf[..BLOCK_LEN].copy_from_slice(&block(&self.key, low, &nonce));
+            1
+        } else {
+            let mut ks: Wide = [[0; LANES]; 16];
+            wide_blocks(&initial_state(&self.key, low, &nonce), low, &mut ks);
+            for (l, out) in self.buf.chunks_exact_mut(BLOCK_LEN).enumerate() {
+                for (bytes, word) in out.chunks_exact_mut(4).zip(&ks) {
+                    bytes.copy_from_slice(&word[l].to_le_bytes());
+                }
+            }
+            LANES
+        };
+        self.counter = self.counter.wrapping_add(blocks as u64);
+        self.pos = 0;
+        self.len = blocks * BLOCK_LEN;
+    }
+
+    /// The next `N` bytes, read in place when the buffer holds them.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        if let Some(word) = self.buf[..self.len].get(self.pos..self.pos + N) {
+            self.pos += N;
+            return word.try_into().expect("N bytes");
+        }
+        let mut out = [0u8; N];
+        self.fill_bytes(&mut out);
+        out
+    }
+}
+
+impl RngCore for Keystream {
+    fn fill_bytes(&mut self, mut dest: &mut [u8]) {
+        while !dest.is_empty() {
+            if self.pos == self.len {
+                self.refill();
+            }
+            let take = (self.len - self.pos).min(dest.len());
+            let (head, rest) = dest.split_at_mut(take);
+            head.copy_from_slice(&self.buf[self.pos..self.pos + take]);
+            self.pos += take;
+            dest = rest;
+        }
+    }
+
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
     }
 }
 

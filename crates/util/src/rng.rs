@@ -6,10 +6,12 @@
 //!
 //! * [`DetRng`] here — a ChaCha20-keystream RNG with splitmix64 seed
 //!   expansion, for tests, property generation, and benches.
-//! * `gridsec_crypto::rng::ChaChaRng` — the stack's CSPRNG (same ChaCha
-//!   core, SHA-256 seed hashing), which also implements this trait.
+//! * `gridsec_crypto::rng::ChaChaRng` — the stack's CSPRNG (SHA-256 seed
+//!   hashing), which also implements this trait.
+//!
+//! Both are one [`Keystream`] under the key their seed derives.
 
-use crate::chacha;
+use crate::chacha::Keystream;
 
 /// A source of random bytes. Implementors only need [`RngCore::fill_bytes`].
 pub trait RngCore {
@@ -64,31 +66,21 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// platform. Replaces `rand::rngs::StdRng` at the workspace's test and
 /// bench call sites.
 #[derive(Clone, Debug)]
-pub struct DetRng {
-    key: [u8; 32],
-    counter: u64,
-    buf: [u8; 64],
-    buf_pos: usize,
-}
+pub struct DetRng(Keystream);
 
 impl DetRng {
-    fn from_key(key: [u8; 32]) -> Self {
-        DetRng {
-            key,
-            counter: 0,
-            buf: [0; 64],
-            buf_pos: 64,
-        }
-    }
-
-    /// Seed from a 64-bit integer (the `StdRng::seed_from_u64` shape).
-    pub fn seed_from_u64(seed: u64) -> Self {
-        let mut state = seed;
+    /// The stream under the key `state` expands to through splitmix64.
+    fn from_splitmix(mut state: u64) -> Self {
         let mut key = [0u8; 32];
         for chunk in key.chunks_mut(8) {
             chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
         }
-        Self::from_key(key)
+        DetRng(Keystream::new(key))
+    }
+
+    /// Seed from a 64-bit integer (the `StdRng::seed_from_u64` shape).
+    pub fn seed_from_u64(seed: u64) -> Self {
+        Self::from_splitmix(seed)
     }
 
     /// Seed deterministically from arbitrary bytes.
@@ -104,34 +96,23 @@ impl DetRng {
             }
         }
         state ^= splitmix64(&mut state) ^ acc;
-        let mut key = [0u8; 32];
-        for chunk in key.chunks_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
-        }
-        Self::from_key(key)
-    }
-
-    fn refill(&mut self) {
-        let mut nonce = [0u8; 12];
-        nonce[4..12].copy_from_slice(&(self.counter >> 32).to_le_bytes());
-        self.buf = chacha::block(&self.key, self.counter as u32, &nonce);
-        self.counter = self.counter.wrapping_add(1);
-        self.buf_pos = 0;
+        Self::from_splitmix(state)
     }
 }
 
 impl RngCore for DetRng {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut pos = 0;
-        while pos < dest.len() {
-            if self.buf_pos == 64 {
-                self.refill();
-            }
-            let take = (64 - self.buf_pos).min(dest.len() - pos);
-            dest[pos..pos + take].copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + take]);
-            self.buf_pos += take;
-            pos += take;
-        }
+        self.0.fill_bytes(dest)
+    }
+
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
     }
 }
 
@@ -188,6 +169,52 @@ mod tests {
             pieced.extend_from_slice(&buf);
         }
         assert_eq!(&bulk[..], &pieced[..]);
+    }
+
+    /// Blocks `from..to` of `key`'s stream, one scalar block at a time,
+    /// the counter's high word in nonce bytes 4..12.
+    fn blocks(key: &[u8; 32], from: u64, to: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        for counter in from..to {
+            let mut nonce = [0u8; 12];
+            nonce[4..].copy_from_slice(&(counter >> 32).to_le_bytes());
+            out.extend_from_slice(&crate::chacha::block(key, counter as u32, &nonce));
+        }
+        out
+    }
+
+    /// `want.len()` bytes of `rng` through word draws and odd-length
+    /// fills, so reads straddle every refill boundary.
+    fn drawn(rng: &mut DetRng, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for round in 0.. {
+            if out.len() >= len {
+                break;
+            }
+            out.extend_from_slice(&rng.next_u32().to_le_bytes());
+            out.extend_from_slice(&rng.next_u64().to_le_bytes());
+            let mut fill = vec![0u8; [1, 5, 63, 67, 255, 259][round % 6]];
+            rng.fill_bytes(&mut fill);
+            out.extend_from_slice(&fill);
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn stream_is_the_scalar_blocks_under_the_nonce_rule() {
+        let key = [0x5a; 32];
+        // From block 0: one block, then four-block passes.
+        let want = blocks(&key, 0, 40);
+        let got = drawn(&mut DetRng(Keystream::new(key)), want.len());
+        assert_eq!(got, want);
+        // Across the low word's wrap: a four-block pass ending three
+        // blocks short of it, single blocks up to it, and passes again
+        // under the next nonce.
+        let start = (1u64 << 32) - 7;
+        let want = blocks(&key, start, start + 40);
+        let got = drawn(&mut DetRng(Keystream::at_counter(key, start)), want.len());
+        assert_eq!(got, want);
     }
 
     #[test]

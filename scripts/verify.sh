@@ -159,6 +159,19 @@ stage_grep_guard() {
         echo "FAIL: digest literal in a golden test above; pins belong in tests/golden.pins" >&2
         exit 1
     fi
+    # One keystream under both RNGs (DESIGN.md §17): util::chacha::Keystream
+    # is the only refill, so outside the kernel's own file only the AEAD's
+    # one-time key computes a single ChaCha block (test modules and
+    # comments excepted).
+    # shellcheck disable=SC2046
+    if awk 'FNR == 1 { in_test = 0 }
+            /^#\[cfg\(test\)\]/ { in_test = 1 }
+            !in_test && !/^ *\/\// && /chacha(20)?::block\(/ { print FILENAME ":" FNR ":" $0 }' \
+        $(find crates/*/src -name '*.rs' | sort) \
+        | grep -vE '^crates/(util/src/chacha|crypto/src/aead)\.rs:'; then
+        echo "FAIL: a ChaCha block is computed outside util::chacha and the AEAD key (above); draw from util::chacha::Keystream" >&2
+        exit 1
+    fi
     # Crypto precomputation is owned by the key or group it is a function
     # of (DESIGN.md §11.1): no per-thread state may come back under the
     # crypto stack (doc comments excepted). `util::trace` keeps its own.
