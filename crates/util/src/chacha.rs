@@ -6,10 +6,9 @@
 //! this module unchanged.
 //!
 //! Two kernels compute the same keystream. [`block`] is one 64-byte block
-//! at a time; the AEAD's one-time key, the tail of a stream and the first
-//! refill of a [`Keystream`] use it. [`xor_stream`] and every later
-//! [`Keystream`] refill run four consecutive blocks per pass: the state
-//! is held word-major (`x[word][lane]`, lane
+//! at a time; the AEAD's one-time key and the tail of a stream use it.
+//! [`xor_stream`] runs four consecutive blocks per pass for every
+//! whole 256 bytes: the state is held word-major (`x[word][lane]`, lane
 //! `l` at counter `c + l`) and a whole double round sits inside one loop
 //! over the four lanes. That loop body is too large for LLVM to unroll
 //! early, so it reaches the loop vectoriser, which turns each word's four
@@ -20,7 +19,8 @@
 //!
 //! [`Keystream`] is the one buffered keystream under both RNGs
 //! ([`crate::rng::DetRng`] and `gridsec_crypto::rng::ChaChaRng`), which
-//! differ only in how they derive its key from a seed.
+//! differ only in how they derive its key from a seed. It refills
+//! through [`xor_stream`], so a refill of 256 bytes is one wide pass.
 
 use crate::rng::RngCore;
 
@@ -88,7 +88,13 @@ fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> 
 /// word-major into `ks`: `ks[word][lane]` is word `word` of block `lane`.
 /// `state` is [`initial_state`]; its counter word is ignored.
 fn wide_blocks(state: &[u32; 16], counter: u32, ks: &mut Wide) {
-    let mut x: Wide = state.map(|word| [word; LANES]);
+    // A loop, not `state.map`: LLVM does not always inline the `map` (it
+    // stopped once `Keystream` refilled through this kernel), and the
+    // out-of-line fill cost `xor_stream` ≈5 %.
+    let mut x: Wide = [[0; LANES]; 16];
+    for (lanes, &word) in x.iter_mut().zip(state) {
+        *lanes = [word; LANES];
+    }
     for (l, c) in x[12].iter_mut().enumerate() {
         *c = counter.wrapping_add(l as u32);
     }
@@ -213,26 +219,23 @@ impl Keystream {
         }
     }
 
+    /// The keystream is [`xor_stream`] over zeros: one block on the
+    /// first refill and at the low word's wrap, [`LANES`] otherwise.
     fn refill(&mut self) {
         let mut nonce = [0u8; NONCE_LEN];
         nonce[4..].copy_from_slice(&(self.counter >> 32).to_le_bytes());
         let low = self.counter as u32;
         let blocks = if self.counter == 0 || low.checked_add(LANES as u32 - 1).is_none() {
-            self.buf[..BLOCK_LEN].copy_from_slice(&block(&self.key, low, &nonce));
             1
         } else {
-            let mut ks: Wide = [[0; LANES]; 16];
-            wide_blocks(&initial_state(&self.key, low, &nonce), low, &mut ks);
-            for (l, out) in self.buf.chunks_exact_mut(BLOCK_LEN).enumerate() {
-                for (bytes, word) in out.chunks_exact_mut(4).zip(&ks) {
-                    bytes.copy_from_slice(&word[l].to_le_bytes());
-                }
-            }
             LANES
         };
-        self.counter = self.counter.wrapping_add(blocks as u64);
-        self.pos = 0;
         self.len = blocks * BLOCK_LEN;
+        self.pos = 0;
+        let out = &mut self.buf[..self.len];
+        out.fill(0);
+        xor_stream(&self.key, &nonce, low, out);
+        self.counter = self.counter.wrapping_add(blocks as u64);
     }
 
     /// The next `N` bytes, read in place when the buffer holds them.
