@@ -339,7 +339,6 @@ impl PollingCall {
     pub fn poll(&mut self, ep: &Endpoint, now: u64) -> CallPoll {
         while let Some(m) = ep.try_recv() {
             if decode_reply(&m.payload).is_some_and(|(rid, _)| rid == self.id) {
-                // The reply is its own frame with the header drained off.
                 let mut reply = m.payload;
                 reply.drain(..HEADER_LEN);
                 return CallPoll::Ready(reply);

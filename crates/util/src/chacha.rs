@@ -17,10 +17,8 @@
 //! instead is unrolled first and stays scalar. Four lanes make a 256-byte
 //! record exactly one pass.
 //!
-//! [`Keystream`] is the one buffered keystream under both RNGs
-//! ([`crate::rng::DetRng`] and `gridsec_crypto::rng::ChaChaRng`), which
-//! differ only in how they derive its key from a seed. It refills
-//! through [`xor_stream`], so a refill of 256 bytes is one wide pass.
+//! [`Keystream`] is the buffered keystream under both RNGs, which differ
+//! only in how they derive its key from a seed.
 
 use crate::rng::RngCore;
 
@@ -176,17 +174,14 @@ pub fn xor_stream(
     }
 }
 
-/// The ChaCha20 keystream under one key, served in order through
-/// [`RngCore`]: blocks `0, 1, 2, …` of a 64-bit counter whose low 32
-/// bits are the block counter and whose high 32 bits fill nonce bytes
-/// 4..12.
+/// The ChaCha20 keystream under one key, served through [`RngCore`]:
+/// blocks `0, 1, 2, …` of a 64-bit counter, its low word the block
+/// counter and its high word nonce bytes 4..12.
 ///
-/// How much a refill computes follows what the stream has served. The
-/// first refill computes one [`block`], so a stream that only draws a
-/// nonce or two costs one block; every later refill computes [`LANES`]
-/// blocks in one pass of the wide kernel. A pass whose blocks would wrap
-/// the counter's low word computes one block instead, because the nonce
-/// changes at the wrap. Either way the bytes served are the same.
+/// A stream's first refill computes one block, so one that only draws a
+/// nonce costs one block; later refills compute four in one wide
+/// pass, except a pass that would wrap the low word (the nonce changes
+/// there), which computes one. The bytes served are the same either way.
 #[derive(Clone, Debug)]
 pub struct Keystream {
     key: [u8; KEY_LEN],
@@ -210,17 +205,7 @@ impl Keystream {
         }
     }
 
-    /// The same stream from block `counter` on.
-    #[cfg(test)]
-    pub(crate) fn at_counter(key: [u8; KEY_LEN], counter: u64) -> Self {
-        Keystream {
-            counter,
-            ..Self::new(key)
-        }
-    }
-
-    /// The keystream is [`xor_stream`] over zeros: one block on the
-    /// first refill and at the low word's wrap, [`LANES`] otherwise.
+    /// [`xor_stream`] over zeros, one block or [`LANES`] of them.
     fn refill(&mut self) {
         let mut nonce = [0u8; NONCE_LEN];
         nonce[4..].copy_from_slice(&(self.counter >> 32).to_le_bytes());
@@ -279,6 +264,16 @@ impl RngCore for Keystream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Keystream {
+        /// The same stream from block `counter` on.
+        pub(crate) fn at_counter(key: [u8; KEY_LEN], counter: u64) -> Self {
+            Keystream {
+                counter,
+                ..Self::new(key)
+            }
+        }
+    }
 
     fn unhex(s: &str) -> Vec<u8> {
         let s: String = s.chars().filter(|c| !c.is_whitespace()).collect();

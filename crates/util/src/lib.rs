@@ -5,8 +5,9 @@
 //! with zero registry access (the hosting-environment argument of Welch et
 //! al. §4: security infrastructure should own its dependency closure).
 //!
-//! * [`chacha`] — the ChaCha20 block core (RFC 8439), shared by
-//!   `gridsec-crypto`'s cipher/AEAD/DRBG and by [`rng::DetRng`].
+//! * [`chacha`] — the ChaCha20 core (RFC 8439), shared by
+//!   `gridsec-crypto`'s cipher/AEAD, and the one buffered
+//!   [`chacha::Keystream`] under both `ChaChaRng` and [`rng::DetRng`].
 //! * [`rng`] — the [`rng::RngCore`] entropy abstraction, a deterministic
 //!   seedable ChaCha-backed RNG, and an OS entropy source.
 //! * [`check`] — a minimal property-testing harness (seeded cases,
