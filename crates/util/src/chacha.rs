@@ -178,10 +178,12 @@ pub fn xor_stream(
 /// blocks `0, 1, 2, …` of a 64-bit counter, its low word the block
 /// counter and its high word nonce bytes 4..12.
 ///
-/// A stream's first refill computes one block, so one that only draws a
-/// nonce costs one block; later refills compute four in one wide
-/// pass, except a pass that would wrap the low word (the nonce changes
-/// there), which computes one. The bytes served are the same either way.
+/// A stream's first two refills compute one block each, so a stream
+/// that draws a nonce or a key share or two (most per-handshake ones
+/// serve at most 128 bytes) costs what one block per refill did; later
+/// refills compute four in one wide pass, except a pass that would wrap
+/// the low word (the nonce changes there), which computes one. The
+/// bytes served are the same either way.
 #[derive(Clone, Debug)]
 pub struct Keystream {
     key: [u8; KEY_LEN],
@@ -205,22 +207,23 @@ impl Keystream {
         }
     }
 
-    /// [`xor_stream`] over zeros, one block or [`LANES`] of them.
+    /// One [`block`] for a stream's first two refills and at the low
+    /// word's wrap; otherwise [`LANES`] blocks, [`xor_stream`] over zeros.
     fn refill(&mut self) {
         let mut nonce = [0u8; NONCE_LEN];
         nonce[4..].copy_from_slice(&(self.counter >> 32).to_le_bytes());
         let low = self.counter as u32;
-        let blocks = if self.counter == 0 || low.checked_add(LANES as u32 - 1).is_none() {
+        let blocks = if self.counter < 2 || low.checked_add(LANES as u32 - 1).is_none() {
+            self.buf[..BLOCK_LEN].copy_from_slice(&block(&self.key, low, &nonce));
             1
         } else {
+            self.buf.fill(0);
+            xor_stream(&self.key, &nonce, low, &mut self.buf);
             LANES
         };
-        self.len = blocks * BLOCK_LEN;
-        self.pos = 0;
-        let out = &mut self.buf[..self.len];
-        out.fill(0);
-        xor_stream(&self.key, &nonce, low, out);
         self.counter = self.counter.wrapping_add(blocks as u64);
+        self.pos = 0;
+        self.len = blocks * BLOCK_LEN;
     }
 
     /// The next `N` bytes, read in place when the buffer holds them.

@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn stream_is_the_scalar_blocks_under_the_nonce_rule() {
         let key = [0x5a; 32];
-        // From block 0: one block, then four-block passes.
+        // From block 0: two single blocks, then four-block passes.
         let want = blocks(&key, 0, 40);
         let got = drawn(&mut DetRng(Keystream::new(key)), want.len());
         assert_eq!(got, want);
