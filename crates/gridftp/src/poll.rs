@@ -252,12 +252,21 @@ impl ServerSession {
     }
 
     fn say_bytes(&mut self, payload: &[u8]) {
-        let sealed = self
-            .session
+        let sealed = self.established().send(payload);
+        self.out.push(sealed);
+    }
+
+    /// [`say_bytes`](Self::say_bytes) a payload the session owns: it is
+    /// sealed in its own buffer, not copied.
+    fn say_owned(&mut self, payload: Vec<u8>) {
+        let sealed = self.established().send_owned(payload);
+        self.out.push(sealed);
+    }
+
+    fn established(&mut self) -> &mut RecordSession {
+        self.session
             .as_mut()
             .expect("replies only flow on an established session")
-            .send(payload);
-        self.out.push(sealed);
     }
 
     fn fail(&mut self, e: FtpError) {
@@ -387,14 +396,17 @@ impl ServerSession {
         match self.os.read_file(&self.host, path, self.uid()) {
             Ok(data) => {
                 self.say(&format!("DATA {}", data.len()));
-                self.say_bytes(&data);
+                self.say_owned(data);
                 self.complete_one();
             }
             Err(e) => self.say(&format!("ERR {e}")),
         }
     }
 
-    fn classic_put_data(&mut self, path: &str, data: Vec<u8>) {
+    fn classic_put_data(&mut self, path: &str, mut data: Vec<u8>) {
+        // The record was opened in the buffer it arrived in, which grew
+        // by doubling if it came in pieces: the file keeps only its bytes.
+        data.shrink_to_fit();
         match self
             .os
             .write_file(&self.host, path, self.uid(), FileMode::private(), data)

@@ -19,6 +19,8 @@
 //! [`crate::stream::write_frame`], which keeps the two-write-per-frame
 //! pattern the seeded loss layer's draw schedule depends on.
 
+use std::ops::Range;
+
 use gridsec_bignum::prime::EntropySource;
 use gridsec_pki::validate::ValidatedIdentity;
 
@@ -66,12 +68,31 @@ impl FrameBuf {
     /// length prefix (the same "frame too large" the blocking reader
     /// reports).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, TlsError> {
-        Ok(self.take_frame()?.map(<[u8]>::to_vec))
+        Ok(self.take_frame()?.map(|r| self.buf[r].to_vec()))
     }
 
-    /// [`next_frame`](FrameBuf::next_frame) without the copy: the frame
-    /// is consumed and lent out where it lies in the buffer.
-    fn take_frame(&mut self) -> Result<Option<&[u8]>, TlsError> {
+    /// [`next_frame`](FrameBuf::next_frame) without the copy where it
+    /// can: a frame that ends the buffered bytes is handed over in the
+    /// buffer itself, the consumed prefix and its length prefix drained
+    /// from the front, and the `FrameBuf` is left empty. A frame with
+    /// bytes behind it is copied out: moving the tail down to free the
+    /// head would cost a burst of N frames O(N²) bytes moved.
+    fn take_owned(&mut self) -> Result<Option<Vec<u8>>, TlsError> {
+        let Some(r) = self.take_frame()? else {
+            return Ok(None);
+        };
+        if r.end < self.buf.len() {
+            return Ok(Some(self.buf[r].to_vec()));
+        }
+        let mut owned = std::mem::take(&mut self.buf);
+        owned.drain(..r.start);
+        self.pos = 0;
+        Ok(Some(owned))
+    }
+
+    /// Consume the next complete frame and return where its payload
+    /// lies in the buffer.
+    fn take_frame(&mut self) -> Result<Option<Range<usize>>, TlsError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
             return Ok(None);
@@ -85,7 +106,7 @@ impl FrameBuf {
         }
         let start = self.pos + 4;
         self.pos = start + len;
-        Ok(Some(&self.buf[start..self.pos]))
+        Ok(Some(start..self.pos))
     }
 }
 
@@ -127,25 +148,35 @@ impl RecordSession {
         self.channel.seal(plaintext)
     }
 
+    /// [`send`](Self::send) a message that is already in a buffer of its
+    /// own: it is sealed where it lies and becomes the record.
+    pub fn send_owned(&mut self, mut message: Vec<u8>) -> Vec<u8> {
+        self.channel.seal_in_place(&mut message);
+        message
+    }
+
     /// Append inbound transport bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.feed(bytes);
     }
 
     /// Open the next complete inbound record, `Ok(None)` if more bytes
-    /// are needed. The record is opened where it lies in the frame
-    /// buffer; it is consumed whether or not it opens.
+    /// are needed. A record that ends the buffered bytes is opened in
+    /// the buffer it arrived in, which becomes the message; one with
+    /// bytes behind it is copied out first. It is consumed whether or
+    /// not it opens.
     pub fn next_message(&mut self) -> Result<Option<Vec<u8>>, TlsError> {
-        match self.buf.take_frame()? {
-            Some(sealed) => Ok(Some(self.channel.open(sealed)?)),
+        match self.buf.take_owned()? {
+            Some(record) => self.open_owned(record).map(Some),
             None => Ok(None),
         }
     }
 
-    /// Open one already-deframed record (the blocking shim's path,
-    /// where `crate::stream::read_frame` did the reassembly).
-    pub(crate) fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TlsError> {
-        self.channel.open(sealed)
+    /// Open one record that arrived in a buffer of its own, where it
+    /// lies: the buffer becomes the message.
+    pub(crate) fn open_owned(&mut self, mut record: Vec<u8>) -> Result<Vec<u8>, TlsError> {
+        self.channel.open_in_place(&mut record)?;
+        Ok(record)
     }
 }
 

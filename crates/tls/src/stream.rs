@@ -57,10 +57,10 @@ impl<S: Read + Write> SecureStream<S> {
         write_frame(&mut self.stream, &sealed)
     }
 
-    /// Receive and open one message.
+    /// Receive one message, opened in the buffer its frame was read into.
     pub fn recv(&mut self) -> Result<Vec<u8>, TlsError> {
         let sealed = read_frame(&mut self.stream)?;
-        self.session.open(&sealed)
+        self.session.open_owned(sealed)
     }
 }
 

@@ -203,6 +203,17 @@ stage_grep_guard() {
         echo "FAIL: a chain is re-encoded or re-hashed to be sent or looked up (above); use Credential::encoded_chain / CachedValidator::validate_wire" >&2
         exit 1
     fi
+    # A record is opened where it arrived (DESIGN.md §16.1): the record
+    # layer and the blocking shim open a buffer they own in place, so no
+    # copying `.open(` of a record may come back there (test modules and
+    # comments excepted).
+    if awk 'FNR == 1 { in_test = 0 }
+            /^#\[cfg\(test\)\]/ { in_test = 1 }
+            !in_test && !/^ *\/\// && /\.open\(/ { print FILENAME ":" FNR ":" $0 }' \
+        crates/tls/src/records.rs crates/tls/src/stream.rs | grep .; then
+        echo "FAIL: a record is copied to be opened (above); open the buffer it arrived in with open_in_place" >&2
+        exit 1
+    fi
     # An MJS delegates over its LMJFS's key (DESIGN.md §11.2): neither
     # GRAM driver may generate a key or answer a DELEG-REQ itself; both
     # call GramResource::mjs_accept_delegation.
