@@ -16,11 +16,12 @@
 
 use crate::policy::{CombiningAlg, Decision, Pattern, PolicySet, Request};
 use crate::{AuthzError, START_JOB};
-use gridsec_crypto::rsa::RsaPublicKey;
+use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use gridsec_pki::credential::Credential;
 use gridsec_pki::encoding::{Codec, Decoder, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::ProxyType;
+use gridsec_pki::signed::Signed;
 use gridsec_pki::validate::{EffectiveRights as Rights, ValidatedIdentity};
 use gridsec_pki::PkiError;
 use std::collections::HashMap;
@@ -83,34 +84,37 @@ impl Codec for CasAssertionTbs {
     }
 }
 
-/// A signed CAS assertion. A credential in its holder's hands, not a
-/// cache: a later trust or policy change does not recall it, only its
-/// lifetime ends it (ROADMAP item 6 measures how long it outlives one).
+/// A signed CAS assertion: the bytes its CAS signed over a
+/// [`CasAssertionTbs`] ([`Signed`]). A credential in its holder's hands,
+/// not a cache: a later trust or policy change does not recall it, only
+/// its lifetime ends it (ROADMAP item 6 measures how long it outlives
+/// one).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CasAssertion {
-    /// Signed content.
-    pub tbs: CasAssertionTbs,
-    /// CAS signature over the encoded TBS.
-    pub signature: Vec<u8>,
-}
+pub struct CasAssertion(Signed<CasAssertionTbs>);
 
 impl Codec for CasAssertion {
     fn encode(&self, enc: &mut Encoder) {
-        self.tbs.encode(enc);
-        enc.put_bytes(&self.signature);
+        self.0.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PkiError> {
-        Ok(CasAssertion {
-            tbs: CasAssertionTbs::decode(dec)?,
-            signature: dec.get_bytes()?,
-        })
+        Signed::decode(dec).map(CasAssertion)
     }
 }
 
 impl CasAssertion {
+    /// Sign `tbs` with the CAS key `key`.
+    pub fn sign(tbs: CasAssertionTbs, key: &RsaKeyPair) -> Self {
+        CasAssertion(Signed::sign(tbs, key))
+    }
+
+    /// The signed content.
+    pub fn body(&self) -> &CasAssertionTbs {
+        self.0.body()
+    }
+
     /// Verify the issuer signature.
     pub(crate) fn verify(&self, cas_key: &RsaPublicKey) -> bool {
-        cas_key.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
+        self.0.verify(cas_key)
     }
 
     /// The RFC 3820 restriction that carries this assertion in a proxy.
@@ -193,8 +197,7 @@ impl CasServer {
             not_before: now,
             not_after: now + self.assertion_lifetime,
         };
-        let signature = self.credential.sign(&tbs.to_bytes());
-        Some(CasAssertion { tbs, signature })
+        Some(CasAssertion::sign(tbs, self.credential.key()))
     }
 }
 
@@ -256,7 +259,7 @@ impl ResourceGate {
             }
             let assertion = CasAssertion::from_bytes(policy)
                 .map_err(|_| AuthzError::Decode("bad assertion bytes"))?;
-            let tbs = &assertion.tbs;
+            let tbs = assertion.body();
             let key = self.trusted_cas.get(&tbs.vo);
             if !key.is_some_and(|key| assertion.verify(key)) {
                 return Err(AuthzError::UntrustedAssertion);
@@ -274,7 +277,7 @@ impl ResourceGate {
             if !tbs.rights.iter().any(|r| r.covers(resource, action)) {
                 return Err(AuthzError::NotGranted);
             }
-            vos.push(assertion.tbs.vo);
+            vos.push(tbs.vo.clone());
         }
         let Some(local) = &self.local_policy else {
             return Ok(());
@@ -406,7 +409,7 @@ mod tests {
         // Step 1: Jane gets an assertion.
         let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
         assert!(assertion.verify(w.cas.public_key()));
-        assert_eq!(assertion.tbs.vo, "physics-vo");
+        assert_eq!(assertion.body().vo, "physics-vo");
         // Steps 2-3: present it, embedded in her proxy, to the resource.
         let jane = w.with_assertion("Jane", &assertion, 200);
         assert_eq!(w.gate.permits(&jane, "/detector/run7", "read", 200), Ok(()));
@@ -480,11 +483,17 @@ mod tests {
     #[test]
     fn forged_assertion_rejected() {
         let mut w = world();
-        let mut assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
-        assertion.tbs.rights.push(Right {
+        let assertion = w.cas.issue_assertion(&dn("/O=G/CN=Jane"), 100).unwrap();
+        // The widened body beside the CAS's signature, as a forger sends it.
+        let mut tbs = assertion.body().clone();
+        tbs.rights.push(Right {
             resource: "*".to_string(),
             action: "*".to_string(),
         });
+        let signed = assertion.to_bytes();
+        let signature = &signed[assertion.body().to_bytes().len()..];
+        let assertion = CasAssertion::from_bytes(&[tbs.to_bytes(), signature.to_vec()].concat())
+            .expect("a forgery decodes");
         let jane = w.with_assertion("Jane", &assertion, 200);
         assert_eq!(
             w.gate.permits(&jane, "/anything", "write", 200),

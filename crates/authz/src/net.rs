@@ -16,7 +16,7 @@
 
 use crate::cas::CasAssertion;
 use crate::AuthzError;
-use gridsec_pki::encoding::{Codec, Decoder, Encoder};
+use gridsec_pki::encoding::{Codec, Encoder};
 use gridsec_pki::name::DistinguishedName;
 use gridsec_testbed::rpc::{Reply, RpcClient};
 use gridsec_util::trace;
@@ -41,12 +41,11 @@ pub fn fetch_assertion(
             .map_err(|err| AuthzError::Transport(err.to_string()))?;
         match Reply::decode(&raw) {
             Some(Reply::Ok(body)) => {
-                let mut ad = Decoder::new(&body);
-                let assertion = CasAssertion::decode(&mut ad)
+                let assertion = CasAssertion::from_bytes(&body)
                     .map_err(|_| AuthzError::Decode("bad assertion bytes"))?;
                 trace::event(
                     "cas.assertion.received",
-                    &format!("vo={}", assertion.tbs.vo),
+                    &format!("vo={}", assertion.body().vo),
                 );
                 trace::add("cas.assertions_fetched", 1);
                 Ok(assertion)
@@ -130,8 +129,8 @@ mod tests {
         let net = Network::new();
         let (assertion, cas) = fetch_over(&net, SimClock::new());
         assert!(assertion.verify(cas.borrow().cas().public_key()));
-        assert_eq!(assertion.tbs.vo, "physics-vo");
-        assert_eq!(assertion.tbs.subject, dn("/O=G/CN=Alice"));
+        assert_eq!(assertion.body().vo, "physics-vo");
+        assert_eq!(assertion.body().subject, dn("/O=G/CN=Alice"));
     }
 
     #[test]
@@ -144,7 +143,7 @@ mod tests {
         // The window was stamped at first execution; even after retries
         // advanced the clock, the assertion is valid *now*.
         let now = clock.now();
-        assert!(assertion.tbs.not_before <= now && now < assertion.tbs.not_after);
+        assert!(assertion.body().not_before <= now && now < assertion.body().not_after);
     }
 
     #[test]

@@ -108,6 +108,10 @@
 //!     overwritten before each `GETR`, as `SimOs::digests_computed`
 //!     counts them. Before the stored digest every `GETR` hashed the
 //!     whole file: 8 and 8.
+//! 18. **A warm wave walks no chain** — a count: claim 3's mill adds 0
+//!     validator misses over its 7 timed waves, the work claim 3's ratio
+//!     prices. A verdict cache keyed on anything a peer can re-frame, or
+//!     flushed per wave, reads 168.
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
@@ -119,7 +123,7 @@
 //! `establish_storm`. Claims 9 and 10 are
 //! medians of per-round ratios, the two arms of a round interleaved, so
 //! a slow phase of the machine lands on numerator and denominator alike.
-//! Claims 11–17 read no clock: one run, the same count on every machine
+//! Claims 11–18 read no clock: one run, the same count on every machine
 //! with the same toolchain.
 //!
 //! Every claim prints its measured ratio, its threshold, and the
@@ -335,16 +339,29 @@ fn main() {
     for r in mill.accept_wave(&mut w.rng, &hello_refs) {
         r.expect("warm-up wave accepts");
     }
+    let walks = |mill: &HandshakeMill| mill.pool().lock().unwrap().validator().misses();
+    let warm_walks = walks(&mill);
     let batched = median_ns(7, || {
         for r in mill.accept_wave(&mut w.rng, &hello_refs) {
             std::hint::black_box(r.expect("timed wave accepts"));
         }
     });
+    let timed_walks = walks(&mill) - warm_walks;
     println!("[perf_guard] wave of {WAVE}: batched {batched}ns vs per-session {per_session}ns");
     claim(
         &mut failures,
         "batched-wave-vs-per-session",
         per_session as f64 / batched as f64,
+        1.0,
+        "handshake_storm",
+    );
+
+    // --- Claim 18: a warm wave walks no chain. ---
+    println!("[perf_guard] 7 warm waves of {WAVE}: {timed_walks} chain walks, must be 0");
+    claim(
+        &mut failures,
+        "warm-wave-walks-no-chain",
+        if timed_walks == 0 { 1.0 } else { 0.0 },
         1.0,
         "handshake_storm",
     );

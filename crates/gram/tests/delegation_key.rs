@@ -171,9 +171,9 @@ fn sixteen_jobs_get_sixteen_fresh_proxies_over_one_lmjfs_key() {
         let proxy = cred.certificate();
         assert_eq!(proxy.public_key(), &key, "over the LMJFS's key");
         assert_eq!(proxy.issuer(), sign_on.subject(), "issued by the sign-on");
-        assert_eq!(proxy.tbs.validity.not_before, *now);
-        assert_eq!(proxy.tbs.validity.not_after, now + DELEGATION_LIFETIME);
-        assert!(serials.insert(proxy.tbs.serial), "a fresh proxy per job");
+        assert_eq!(proxy.body().validity.not_before, *now);
+        assert_eq!(proxy.body().validity.not_after, now + DELEGATION_LIFETIME);
+        assert!(serials.insert(proxy.body().serial), "a fresh proxy per job");
         let id = validate_chain(cred.chain(), &w.trust, now + 1).unwrap();
         assert_eq!(id.base_identity, dn("/O=G/CN=Jane"));
         assert_eq!(id.rights, EffectiveRights::Full);
@@ -251,7 +251,7 @@ fn set_crls_drops_every_key_and_a_revoked_requestor_is_refused() {
 
     // Jane's EEC is revoked after her job was routed, before step 7.
     let crl =
-        w.ca.issue_crl(vec![w.jane.certificate().tbs.serial], 100, 1_000_000);
+        w.ca.issue_crl(vec![w.jane.certificate().body().serial], 100, 1_000_000);
     let mut crls = CrlStore::new();
     assert!(crls.add(crl, w.ca.certificate()));
     resource.set_crls(crls);
@@ -368,7 +368,7 @@ fn the_rpc_driver_reuses_the_key_on_a_lossy_wan() {
         .map(|h| {
             let cred = delegated(&resource, h);
             assert_eq!(cred.certificate().public_key(), &key);
-            cred.certificate().tbs.serial
+            cred.certificate().body().serial
         })
         .collect();
     assert_eq!(serials.len(), JOBS);

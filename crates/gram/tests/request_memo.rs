@@ -157,7 +157,7 @@ fn set_crls_revoking_the_requestor_denies_the_next_submit() {
         ));
         crls
     };
-    resource.set_crls(crl_of(w.carl.certificate().tbs.serial + 1_000));
+    resource.set_crls(crl_of(w.carl.certificate().body().serial + 1_000));
     jane.submit_job(&mut resource, &job(2), 100).unwrap();
     assert_eq!(
         memo(&resource),
@@ -167,7 +167,7 @@ fn set_crls_revoking_the_requestor_denies_the_next_submit() {
     jane.submit_job(&mut resource, &job(3), 100).unwrap();
     assert_eq!(memo(&resource), (2, 2, 1));
 
-    let serial = jane_eec.certificate().tbs.serial;
+    let serial = jane_eec.certificate().body().serial;
     resource.set_crls(crl_of(serial));
     let request = jane.signed_request(&job(4), 100);
     assert_eq!(

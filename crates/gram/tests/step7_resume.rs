@@ -463,7 +463,7 @@ fn set_crls_empties_every_lmjfs_cache() {
 
     // Jane's EEC is revoked after her job was routed, before step 7.
     let crl =
-        w.ca.issue_crl(vec![w.jane.certificate().tbs.serial], 100, 1_000_000);
+        w.ca.issue_crl(vec![w.jane.certificate().body().serial], 100, 1_000_000);
     let mut crls = CrlStore::new();
     assert!(crls.add(crl, w.ca.certificate()));
     resource.set_crls(crls);

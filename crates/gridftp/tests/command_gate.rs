@@ -15,7 +15,6 @@ use gridsec_gridftp::poll::{Dialect, SessionTask};
 use gridsec_gridftp::{FtpError, GridFtpServer};
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
-use gridsec_pki::encoding::Codec;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::issue_proxy;
 use gridsec_pki::store::TrustStore;
@@ -58,8 +57,7 @@ fn world() -> World {
         not_before: 0,
         not_after: 10_000,
     };
-    let signature = cas.sign(&tbs.to_bytes());
-    let restriction = CasAssertion { tbs, signature }.restriction();
+    let restriction = CasAssertion::sign(tbs, cas.key()).restriction();
     let reader = issue_proxy(&mut rng, &jane, restriction, 512, 0, 10_000).unwrap();
 
     let gridmap = GridMapFile::parse("\"/O=G/CN=Jane\" jdoe\n").unwrap();

@@ -45,7 +45,7 @@ impl Session {
     pub fn remaining(&self, now: u64) -> u64 {
         self.credential
             .certificate()
-            .tbs
+            .body()
             .validity
             .not_after
             .saturating_sub(now)
@@ -146,6 +146,9 @@ mod tests {
             s1.credential().certificate().subject(),
             s2.credential().certificate().subject()
         );
-        assert_eq!(s2.credential().certificate().tbs.validity.not_before, 5000);
+        assert_eq!(
+            s2.credential().certificate().body().validity.not_before,
+            5000
+        );
     }
 }

@@ -142,7 +142,7 @@ impl PendingDelegation {
         if proxy.issuer() != &peer.subject {
             return Err(GssError::Delegation("proxy not issued by the peer"));
         }
-        if !proxy.verify_signature(&peer.public_key) {
+        if !proxy.verify(&peer.public_key) {
             return Err(GssError::Delegation("proxy not signed by the peer"));
         }
         if msg.issuer_chain.first().map(Certificate::public_key) != Some(&peer.public_key) {
@@ -315,7 +315,7 @@ mod tests {
         let refused = finish_forged(&mut s, |s, key| {
             let alice = s.alice.clone();
             let named = proxy_by(s, &alice, key);
-            let proxy = Certificate::sign(named.tbs, s.mallory.key());
+            let proxy = Certificate::sign(named.body().clone(), s.mallory.key());
             delegated_chain_bytes(&proxy, alice.encoded_chain())
         });
         assert!(matches!(

@@ -130,7 +130,7 @@ fn world() -> World {
         crls
     };
     let (a, a_again) = (store(vec![999_999]), store(vec![999_999]));
-    let serial = |c: &Credential| c.certificate().tbs.serial;
+    let serial = |c: &Credential| c.certificate().body().serial;
     let b = store(vec![serial(&jane), serial(&service), serial(&host)]);
     let epoch = |crls: &CrlStore| Epoch::of(&trust, crls);
     assert_eq!(epoch(&a), epoch(&a_again), "one history");

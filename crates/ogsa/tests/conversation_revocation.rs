@@ -106,7 +106,7 @@ impl Rig {
         let mut crls = CrlStore::new();
         let crl = self
             .ca
-            .issue_crl(vec![who.certificate().tbs.serial], 100, 1_000_000);
+            .issue_crl(vec![who.certificate().body().serial], 100, 1_000_000);
         assert!(crls.add(crl, self.ca.certificate()));
         crls
     }

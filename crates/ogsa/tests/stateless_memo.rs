@@ -51,7 +51,7 @@ fn set_crls_reaches_a_signer_the_memo_holds() {
     }
     let mut revoking = CrlStore::new();
     assert!(revoking.add(
-        ca.issue_crl(vec![alice.certificate().tbs.serial], 100, 1_000_000),
+        ca.issue_crl(vec![alice.certificate().body().serial], 100, 1_000_000),
         ca.certificate()
     ));
     env.set_crls(revoking);

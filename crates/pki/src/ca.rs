@@ -10,6 +10,7 @@ use crate::cert::{key_usage, BasicConstraints, Certificate, Extensions, TbsCerti
 use crate::credential::Credential;
 use crate::encoding::{Codec, Decoder, Encoder};
 use crate::name::DistinguishedName;
+use crate::signed::Signed;
 use crate::PkiError;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -99,26 +100,7 @@ impl CertificateAuthority {
         not_before: u64,
         not_after: u64,
     ) -> Credential {
-        let key = RsaKeyPair::generate(rng, key_bits);
-        let extensions = Extensions {
-            basic_constraints: Some(BasicConstraints {
-                is_ca: false,
-                path_len: None,
-            }),
-            key_usage: Some(key_usage::DIGITAL_SIGNATURE | key_usage::KEY_ENCIPHERMENT),
-            proxy_cert_info: None,
-            subject_alt_names: vec![],
-        };
-        let cert = self.issue_certificate(
-            subject,
-            key.public().clone(),
-            Validity {
-                not_before,
-                not_after,
-            },
-            extensions,
-        );
-        Credential::new(vec![cert, self.certificate.clone()], key)
+        self.issue_host_identity(rng, subject, vec![], key_bits, not_before, not_after)
     }
 
     /// Issue a host credential (subject alt names carry the host address).
@@ -161,8 +143,7 @@ impl CertificateAuthority {
             next_update,
             revoked_serials,
         };
-        let signature = self.key.sign_pkcs1_sha256(&tbs.to_bytes());
-        Crl { tbs, signature }
+        Crl::sign(tbs, &self.key)
     }
 }
 
@@ -179,29 +160,19 @@ pub struct CrlTbs {
     pub revoked_serials: Vec<u64>,
 }
 
-/// A certificate revocation list.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Crl {
-    /// Signed content.
-    pub tbs: CrlTbs,
-    /// Issuer signature over the encoded TBS.
-    pub signature: Vec<u8>,
-}
+/// A certificate revocation list: the bytes its issuing CA signed over
+/// a [`CrlTbs`] ([`Signed`]).
+pub type Crl = Signed<CrlTbs>;
 
 impl Crl {
-    /// Verify the CRL signature against the issuing CA's key.
-    pub fn verify(&self, issuer_key: &RsaPublicKey) -> bool {
-        issuer_key.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
-    }
-
     /// `true` iff `serial` appears on the list.
     pub fn is_revoked(&self, serial: u64) -> bool {
-        self.tbs.revoked_serials.contains(&serial)
+        self.body().revoked_serials.contains(&serial)
     }
 
     /// `true` iff the CRL is stale at `now`.
     pub(crate) fn is_stale(&self, now: u64) -> bool {
-        now > self.tbs.next_update
+        now > self.body().next_update
     }
 }
 
@@ -219,19 +190,6 @@ impl Codec for CrlTbs {
             this_update: dec.get_u64()?,
             next_update: dec.get_u64()?,
             revoked_serials: dec.get_seq(|d| d.get_u64())?,
-        })
-    }
-}
-
-impl Codec for Crl {
-    fn encode(&self, enc: &mut Encoder) {
-        self.tbs.encode(enc);
-        enc.put_bytes(&self.signature);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PkiError> {
-        Ok(Crl {
-            tbs: CrlTbs::decode(dec)?,
-            signature: dec.get_bytes()?,
         })
     }
 }
@@ -286,7 +244,7 @@ mod tests {
         let cert = ca.certificate();
         assert!(cert.is_ca());
         assert!(cert.is_self_issued());
-        assert!(cert.verify_signature(cert.public_key()));
+        assert!(cert.verify(cert.public_key()));
     }
 
     #[test]
@@ -297,7 +255,7 @@ mod tests {
         let leaf = cred.certificate();
         assert!(!leaf.is_ca());
         assert_eq!(leaf.issuer(), ca.certificate().subject());
-        assert!(leaf.verify_signature(ca.certificate().public_key()));
+        assert!(leaf.verify(ca.certificate().public_key()));
         // Chain includes the CA cert.
         assert_eq!(cred.chain().len(), 2);
     }
@@ -308,7 +266,7 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_bytes(b"serials");
         let a = ca.issue_identity(&mut rng, dn("/O=Grid/CN=A"), 512, 0, 10);
         let b = ca.issue_identity(&mut rng, dn("/O=Grid/CN=B"), 512, 0, 10);
-        assert_ne!(a.certificate().tbs.serial, b.certificate().tbs.serial);
+        assert_ne!(a.certificate().body().serial, b.certificate().body().serial);
     }
 
     #[test]
@@ -327,14 +285,10 @@ mod tests {
             },
         );
         assert!(inter.certificate().is_ca());
-        assert!(inter
-            .certificate()
-            .verify_signature(ca.certificate().public_key()));
+        assert!(inter.certificate().verify(ca.certificate().public_key()));
         let mut rng2 = ChaChaRng::from_seed_bytes(b"leaf");
         let cred = inter.issue_identity(&mut rng2, dn("/O=Grid/OU=Site/CN=U"), 512, 0, 100);
-        assert!(cred
-            .certificate()
-            .verify_signature(inter.certificate().public_key()));
+        assert!(cred.certificate().verify(inter.certificate().public_key()));
     }
 
     #[test]
@@ -350,7 +304,7 @@ mod tests {
             100,
         );
         assert_eq!(
-            cred.certificate().tbs.extensions.subject_alt_names,
+            cred.certificate().body().extensions.subject_alt_names,
             vec!["compute1.site.org".to_string()]
         );
     }
@@ -370,9 +324,10 @@ mod tests {
     #[test]
     fn crl_tamper_detected() {
         let ca = root();
-        let mut crl = ca.issue_crl(vec![5], 100, 200);
-        crl.tbs.revoked_serials.clear();
-        assert!(!crl.verify(ca.certificate().public_key()));
+        let crl = ca.issue_crl(vec![5], 100, 200);
+        let mut tbs = crl.body().clone();
+        tbs.revoked_serials.clear();
+        assert!(!crl.forged(&tbs).verify(ca.certificate().public_key()));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 
 use crate::encoding::{Codec, Decoder, Encoder};
 use crate::name::DistinguishedName;
+use crate::signed::Signed;
 use crate::PkiError;
-use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use gridsec_crypto::sha256::sha256;
+use gridsec_crypto::rsa::RsaPublicKey;
 
 /// Key usage bit flags (subset relevant to GSI).
 pub mod key_usage {
@@ -106,30 +106,14 @@ pub struct TbsCertificate {
     pub extensions: Extensions,
 }
 
-/// A signed certificate.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Certificate {
-    /// The signed content.
-    pub tbs: TbsCertificate,
-    /// PKCS#1 v1.5 / SHA-256 signature by the issuer over the encoded TBS.
-    pub signature: Vec<u8>,
-}
+/// A signed certificate: the bytes its issuer signed over a
+/// [`TbsCertificate`], with PKCS#1 v1.5 / SHA-256 ([`Signed`]).
+pub type Certificate = Signed<TbsCertificate>;
 
 impl Certificate {
-    /// Sign a TBS structure with the issuer's key.
-    pub fn sign(tbs: TbsCertificate, issuer_key: &RsaKeyPair) -> Certificate {
-        let signature = issuer_key.sign_pkcs1_sha256(&tbs.to_bytes());
-        Certificate { tbs, signature }
-    }
-
-    /// Verify this certificate's signature against a candidate issuer key.
-    pub fn verify_signature(&self, issuer_key: &RsaPublicKey) -> bool {
-        issuer_key.verify_pkcs1_sha256(&self.tbs.to_bytes(), &self.signature)
-    }
-
     /// `true` iff marked as a CA via basic constraints.
     pub(crate) fn is_ca(&self) -> bool {
-        self.tbs
+        self.body()
             .extensions
             .basic_constraints
             .is_some_and(|bc| bc.is_ca)
@@ -137,38 +121,33 @@ impl Certificate {
 
     /// `true` iff this is a proxy certificate (carries `ProxyCertInfo`).
     pub(crate) fn is_proxy(&self) -> bool {
-        self.tbs.extensions.proxy_cert_info.is_some()
+        self.body().extensions.proxy_cert_info.is_some()
     }
 
     /// `true` iff issuer == subject (candidate trust anchor shape).
     pub(crate) fn is_self_issued(&self) -> bool {
-        self.tbs.issuer == self.tbs.subject
+        self.body().issuer == self.body().subject
     }
 
     /// Key usage flags; absent extension means "no restriction" and is
     /// returned as all-bits-set.
     pub(crate) fn key_usage(&self) -> u8 {
-        self.tbs.extensions.key_usage.unwrap_or(u8::MAX)
-    }
-
-    /// SHA-256 over the full encoded certificate.
-    pub(crate) fn fingerprint(&self) -> [u8; 32] {
-        sha256(&self.to_bytes())
+        self.body().extensions.key_usage.unwrap_or(u8::MAX)
     }
 
     /// Subject shorthand.
     pub fn subject(&self) -> &DistinguishedName {
-        &self.tbs.subject
+        &self.body().subject
     }
 
     /// Issuer shorthand.
     pub fn issuer(&self) -> &DistinguishedName {
-        &self.tbs.issuer
+        &self.body().issuer
     }
 
     /// Public-key shorthand.
     pub fn public_key(&self) -> &RsaPublicKey {
-        &self.tbs.public_key
+        &self.body().public_key
     }
 }
 
@@ -310,19 +289,6 @@ impl Codec for TbsCertificate {
     }
 }
 
-impl Codec for Certificate {
-    fn encode(&self, enc: &mut Encoder) {
-        self.tbs.encode(enc);
-        enc.put_bytes(&self.signature);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PkiError> {
-        Ok(Certificate {
-            tbs: TbsCertificate::decode(dec)?,
-            signature: dec.get_bytes()?,
-        })
-    }
-}
-
 /// A chain's binary wire encoding: `put_seq` of the certificates, count
 /// first. The one writer of it; a credential keeps its chain's
 /// ([`crate::credential::Credential::encoded_chain`]) and
@@ -346,7 +312,7 @@ pub struct WireChain<'a> {
 impl<'a> WireChain<'a> {
     /// Read a chain's wire encoding, keeping the span it occupied.
     pub fn decode(dec: &mut Decoder<'a>) -> Result<Self, PkiError> {
-        let (certs, wire) = dec.get_seq_raw(Certificate::decode)?;
+        let (certs, wire) = dec.get_raw(|d| d.get_seq(Certificate::decode))?;
         Ok(WireChain { certs, wire })
     }
 
@@ -365,6 +331,7 @@ impl<'a> WireChain<'a> {
 mod tests {
     use super::*;
     use gridsec_crypto::rng::ChaChaRng;
+    use gridsec_crypto::rsa::RsaKeyPair;
 
     fn keypair(seed: &[u8]) -> RsaKeyPair {
         let mut rng = ChaChaRng::from_seed_bytes(seed);
@@ -398,17 +365,18 @@ mod tests {
         let ca_key = keypair(b"ca");
         let subj_key = keypair(b"subj");
         let cert = Certificate::sign(sample_tbs(subj_key.public()), &ca_key);
-        assert!(cert.verify_signature(ca_key.public()));
-        assert!(!cert.verify_signature(subj_key.public()));
+        assert!(cert.verify(ca_key.public()));
+        assert!(!cert.verify(subj_key.public()));
     }
 
     #[test]
     fn tamper_detection() {
         let ca_key = keypair(b"ca");
         let subj_key = keypair(b"subj");
-        let mut cert = Certificate::sign(sample_tbs(subj_key.public()), &ca_key);
-        cert.tbs.serial = 43;
-        assert!(!cert.verify_signature(ca_key.public()));
+        let cert = Certificate::sign(sample_tbs(subj_key.public()), &ca_key);
+        let mut tbs = cert.body().clone();
+        tbs.serial = 43;
+        assert!(!cert.forged(&tbs).verify(ca_key.public()));
     }
 
     #[test]
@@ -426,7 +394,7 @@ mod tests {
         let cert = Certificate::sign(tbs, &ca_key);
         let decoded = Certificate::from_bytes(&cert.to_bytes()).unwrap();
         assert_eq!(decoded, cert);
-        assert!(decoded.verify_signature(ca_key.public()));
+        assert!(decoded.verify(ca_key.public()));
     }
 
     #[test]

@@ -35,6 +35,11 @@ impl Encoder {
         self.buf
     }
 
+    /// The bytes encoded so far.
+    pub(crate) fn encoded(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -158,8 +163,13 @@ impl<'a> Decoder<'a> {
 
     /// Read length-prefixed bytes.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, PkiError> {
+        Ok(self.get_bytes_ref()?.to_vec())
+    }
+
+    /// Read length-prefixed bytes in place.
+    pub(crate) fn get_bytes_ref(&mut self) -> Result<&'a [u8], PkiError> {
         let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -201,15 +211,15 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// [`Self::get_seq`], also returning the exact bytes the sequence was
-    /// read from, count included: the span a `put_raw` of it reproduces.
-    pub(crate) fn get_seq_raw<T>(
+    /// Run `f`, also returning the exact bytes it read: the span a
+    /// `put_raw` of them reproduces.
+    pub(crate) fn get_raw<T>(
         &mut self,
-        f: impl FnMut(&mut Self) -> Result<T, PkiError>,
-    ) -> Result<(Vec<T>, &'a [u8]), PkiError> {
+        f: impl FnOnce(&mut Self) -> Result<T, PkiError>,
+    ) -> Result<(T, &'a [u8]), PkiError> {
         let start = self.pos;
-        let items = self.get_seq(f)?;
-        Ok((items, &self.data[start..self.pos]))
+        let value = f(self)?;
+        Ok((value, &self.data[start..self.pos]))
     }
 }
 
@@ -312,7 +322,7 @@ mod tests {
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         d.get_u8().unwrap();
-        let (got, span) = d.get_seq_raw(|d| d.get_u64()).unwrap();
+        let (got, span) = d.get_raw(|d| d.get_seq(|d| d.get_u64())).unwrap();
         assert_eq!(got, items);
         assert_eq!(span, &bytes[1..bytes.len() - 1], "count prefix included");
         assert_eq!(d.get_u8().unwrap(), 2);

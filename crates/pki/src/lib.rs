@@ -20,9 +20,9 @@
 //!    rules (issuer/subject name chaining, one extra CN component, key
 //!    usage, effective rights as the *intersection* along the chain).
 //!
-//! Certificates are serialized with a deterministic TLV encoding
-//! ([`encoding`], "DER-lite") so signatures are over stable bytes without
-//! pulling a full ASN.1 stack into the reproduction.
+//! Certificates, CRLs and CAS assertions are [`signed::Signed`] bodies in
+//! a deterministic TLV encoding ([`encoding`], "DER-lite"), each checked
+//! over the exact bytes its issuer signed, with no ASN.1 stack.
 //!
 //! ## Example: user proxy creation (paper §3, "grid-proxy-init")
 //!
@@ -61,6 +61,7 @@ pub mod credential;
 pub mod encoding;
 pub mod name;
 pub mod proxy;
+pub mod signed;
 pub mod store;
 pub mod validate;
 

@@ -23,49 +23,19 @@ use crate::PkiError;
 use gridsec_bignum::prime::EntropySource;
 use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 
-/// The kind of proxy to create (maps onto [`ProxyPolicy`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ProxyType {
-    /// Full impersonation of the issuer.
-    Impersonation,
-    /// Reduced-rights proxy (GT2 semantics: e.g. data transfer but no job
-    /// submission).
-    Limited,
-    /// New independent identity; inherits nothing.
-    Independent,
-    /// Rights restricted by an embedded policy.
-    Restricted {
-        /// Policy language identifier.
-        language: String,
-        /// Policy bytes.
-        policy: Vec<u8>,
-    },
-}
-
-impl ProxyType {
-    fn to_policy(&self) -> ProxyPolicy {
-        match self {
-            ProxyType::Impersonation => ProxyPolicy::Impersonation,
-            ProxyType::Limited => ProxyPolicy::Limited,
-            ProxyType::Independent => ProxyPolicy::Independent,
-            ProxyType::Restricted { language, policy } => ProxyPolicy::Restricted {
-                language: language.clone(),
-                policy: policy.clone(),
-            },
-        }
-    }
-}
+/// The kind of proxy to create: the policy its `ProxyCertInfo` carries.
+pub type ProxyType = ProxyPolicy;
 
 /// Check that `issuer_cert` may issue a proxy right now, per RFC 3820.
 fn check_issuer(issuer_cert: &Certificate, now: u64) -> Result<(), PkiError> {
     if issuer_cert.is_ca() {
         return Err(PkiError::InvalidProxy("CAs must not issue proxies"));
     }
-    if !issuer_cert.tbs.validity.contains(now) {
+    if !issuer_cert.body().validity.contains(now) {
         return Err(PkiError::Expired {
             now,
-            not_before: issuer_cert.tbs.validity.not_before,
-            not_after: issuer_cert.tbs.validity.not_after,
+            not_before: issuer_cert.body().validity.not_before,
+            not_after: issuer_cert.body().validity.not_after,
         });
     }
     if issuer_cert.key_usage() & key_usage::DIGITAL_SIGNATURE == 0 {
@@ -73,7 +43,7 @@ fn check_issuer(issuer_cert: &Certificate, now: u64) -> Result<(), PkiError> {
             "issuer lacks digitalSignature key usage",
         ));
     }
-    if let Some(info) = &issuer_cert.tbs.extensions.proxy_cert_info {
+    if let Some(info) = &issuer_cert.body().extensions.proxy_cert_info {
         if info.path_len_constraint == Some(0) {
             return Err(PkiError::InvalidProxy("issuer proxy path length exhausted"));
         }
@@ -86,7 +56,7 @@ fn build_proxy_tbs<E: EntropySource>(
     rng: &mut E,
     issuer_cert: &Certificate,
     subject_key: &RsaPublicKey,
-    proxy_type: &ProxyType,
+    policy: ProxyPolicy,
     path_len_constraint: Option<u32>,
     now: u64,
     lifetime: u64,
@@ -99,7 +69,7 @@ fn build_proxy_tbs<E: EntropySource>(
     // Clamp the proxy lifetime into the issuer's own validity window.
     let not_after = now
         .saturating_add(lifetime)
-        .min(issuer_cert.tbs.validity.not_after);
+        .min(issuer_cert.body().validity.not_after);
 
     TbsCertificate {
         serial,
@@ -118,7 +88,7 @@ fn build_proxy_tbs<E: EntropySource>(
             key_usage: Some(key_usage::DIGITAL_SIGNATURE | key_usage::KEY_ENCIPHERMENT),
             proxy_cert_info: Some(ProxyCertInfo {
                 path_len_constraint,
-                policy: proxy_type.to_policy(),
+                policy,
             }),
             subject_alt_names: vec![],
         },
@@ -158,7 +128,7 @@ pub(crate) fn issue_proxy_with_path_len<E: EntropySource>(
         rng,
         parent.certificate(),
         key.public(),
-        &proxy_type,
+        proxy_type,
         path_len_constraint,
         now,
         lifetime,
@@ -187,7 +157,7 @@ pub fn issue_delegated_proxy<E: EntropySource>(
         rng,
         parent.certificate(),
         remote_public_key,
-        &proxy_type,
+        proxy_type,
         None,
         now,
         lifetime,
@@ -222,7 +192,7 @@ mod tests {
         assert!(!cert.is_ca());
         assert_eq!(cert.issuer(), user.subject());
         assert!(cert.subject().is_proxy_extension_of(user.subject()));
-        assert!(cert.verify_signature(user.certificate().public_key()));
+        assert!(cert.verify(user.certificate().public_key()));
         assert_eq!(p.chain().len(), user.chain().len() + 1);
     }
 
@@ -231,8 +201,8 @@ mod tests {
         let (mut rng, _ca, user) = setup();
         let p = issue_proxy(&mut rng, &user, ProxyType::Impersonation, 512, 10, u64::MAX).unwrap();
         assert_eq!(
-            p.certificate().tbs.validity.not_after,
-            user.certificate().tbs.validity.not_after
+            p.certificate().body().validity.not_after,
+            user.certificate().body().validity.not_after
         );
     }
 
@@ -254,9 +224,7 @@ mod tests {
             .certificate()
             .subject()
             .is_proxy_extension_of(p1.certificate().subject()));
-        assert!(p2
-            .certificate()
-            .verify_signature(p1.certificate().public_key()));
+        assert!(p2.certificate().verify(p1.certificate().public_key()));
     }
 
     #[test]
@@ -282,7 +250,7 @@ mod tests {
         let lim = issue_proxy(&mut rng, &user, ProxyType::Limited, 512, 10, 100).unwrap();
         assert_eq!(
             lim.certificate()
-                .tbs
+                .body()
                 .extensions
                 .proxy_cert_info
                 .as_ref()
@@ -304,7 +272,7 @@ mod tests {
         .unwrap();
         match &res
             .certificate()
-            .tbs
+            .body()
             .extensions
             .proxy_cert_info
             .as_ref()

@@ -6,7 +6,6 @@
 
 use crate::ca::Crl;
 use crate::cert::Certificate;
-use crate::encoding::Codec;
 use crate::name::DistinguishedName;
 use gridsec_crypto::sha256::sha256;
 use std::collections::HashMap;
@@ -39,6 +38,7 @@ fn next_generation(previous: u64, edit: &[u8]) -> u64 {
 #[derive(Clone, Default, Debug)]
 pub struct TrustStore {
     roots: Arc<Vec<Certificate>>,
+    /// Digest of the edit history ([`next_generation`]).
     generation: u64,
 }
 
@@ -61,12 +61,6 @@ impl TrustStore {
         }
     }
 
-    /// Digest of the edit history: 0 when empty, the same for clones,
-    /// different for stores whose anchors were added differently.
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// All trusted roots.
     pub fn roots(&self) -> &[Certificate] {
         &self.roots
@@ -77,10 +71,10 @@ impl TrustStore {
         self.roots.iter().find(|c| c.subject() == name)
     }
 
-    /// `true` iff this exact certificate (by fingerprint) is a trusted root.
+    /// `true` iff this exact certificate — the same bytes — is a trusted
+    /// root.
     pub(crate) fn contains(&self, cert: &Certificate) -> bool {
-        let fp = cert.fingerprint();
-        self.roots.iter().any(|c| c.fingerprint() == fp)
+        self.roots.contains(cert)
     }
 }
 
@@ -91,6 +85,7 @@ impl TrustStore {
 #[derive(Clone, Default, Debug)]
 pub struct CrlStore {
     crls: HashMap<String, Crl>,
+    /// Digest of the edit history ([`next_generation`]).
     generation: u64,
 }
 
@@ -104,18 +99,12 @@ impl CrlStore {
     /// Returns `false` (and does not insert) if verification fails or the
     /// issuer name does not match.
     pub fn add(&mut self, crl: Crl, issuer: &Certificate) -> bool {
-        if crl.tbs.issuer != *issuer.subject() || !crl.verify(issuer.public_key()) {
+        if crl.body().issuer != *issuer.subject() || !crl.verify(issuer.public_key()) {
             return false;
         }
-        self.generation = next_generation(self.generation, &crl.to_bytes());
-        self.crls.insert(crl.tbs.issuer.to_string(), crl);
+        self.generation = next_generation(self.generation, crl.as_bytes());
+        self.crls.insert(crl.body().issuer.to_string(), crl);
         true
-    }
-
-    /// Digest of the edit history: 0 when empty, the same for clones,
-    /// different for stores whose CRLs were added differently.
-    fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Check revocation: `true` iff a current CRL from `issuer` lists
@@ -149,7 +138,7 @@ pub struct Epoch(u64, u64);
 impl Epoch {
     /// The epoch of `trust` and `crls` as they stand.
     pub fn of(trust: &TrustStore, crls: &CrlStore) -> Epoch {
-        Epoch(trust.generation(), crls.generation())
+        Epoch(trust.generation, crls.generation)
     }
 }
 
@@ -233,21 +222,21 @@ mod tests {
         let ca1 = ca(b"s1", "/O=A/CN=CA1");
         let ca2 = ca(b"s2", "/O=B/CN=CA2");
         let (mut a, mut b) = (CrlStore::new(), CrlStore::new());
-        assert_eq!(a.generation(), b.generation(), "empty stores agree");
+        assert_eq!(a.generation, b.generation, "empty stores agree");
         assert!(a.add(ca1.issue_crl(vec![7], 100, 500), ca1.certificate()));
         assert!(b.add(ca1.issue_crl(vec![8], 100, 500), ca1.certificate()));
-        assert_ne!(a.generation(), b.generation(), "one different CRL each");
-        assert_eq!(a.clone().generation(), a.generation());
+        assert_ne!(a.generation, b.generation, "one different CRL each");
+        assert_eq!(a.clone().generation, a.generation);
 
         let (mut t1, mut t2) = (TrustStore::new(), TrustStore::new());
         t1.add_root(ca1.certificate().clone());
         t2.add_root(ca2.certificate().clone());
-        assert_ne!(t1.generation(), t2.generation(), "one different root each");
+        assert_ne!(t1.generation, t2.generation, "one different root each");
         let mut t3 = TrustStore::new();
         t3.add_root(ca1.certificate().clone());
-        assert_eq!(t1.generation(), t3.generation(), "the same history agrees");
+        assert_eq!(t1.generation, t3.generation, "the same history agrees");
         t3.add_root(ca1.certificate().clone());
-        assert_eq!(t1.generation(), t3.generation(), "a duplicate is no edit");
+        assert_eq!(t1.generation, t3.generation, "a duplicate is no edit");
         let shared = t1.clone();
         assert!(
             std::ptr::eq(shared.roots(), t1.roots()),

@@ -115,11 +115,11 @@ pub fn validate_chain_with_crls(
         let root = trust
             .find_by_subject(top.issuer())
             .ok_or(PkiError::UntrustedRoot)?;
-        if !root.tbs.validity.contains(now) {
+        if !root.body().validity.contains(now) {
             return Err(PkiError::Expired {
                 now,
-                not_before: root.tbs.validity.not_before,
-                not_after: root.tbs.validity.not_after,
+                not_before: root.body().validity.not_before,
+                not_after: root.body().validity.not_after,
             });
         }
         root.public_key().clone()
@@ -140,19 +140,19 @@ pub fn validate_chain_with_crls(
 
     for cert in chain.iter().rev() {
         // Universal checks: window, signature, revocation.
-        if !cert.tbs.validity.contains(now) {
+        if !cert.body().validity.contains(now) {
             return Err(PkiError::Expired {
                 now,
-                not_before: cert.tbs.validity.not_before,
-                not_after: cert.tbs.validity.not_after,
+                not_before: cert.body().validity.not_before,
+                not_after: cert.body().validity.not_after,
             });
         }
-        if !cert.verify_signature(&parent_key) {
+        if !cert.verify(&parent_key) {
             return Err(PkiError::BadSignature);
         }
-        if crls.is_revoked(cert.issuer(), cert.tbs.serial, now) {
+        if crls.is_revoked(cert.issuer(), cert.body().serial, now) {
             return Err(PkiError::Revoked {
-                serial: cert.tbs.serial,
+                serial: cert.body().serial,
             });
         }
 
@@ -183,7 +183,7 @@ pub fn validate_chain_with_crls(
                 return Err(PkiError::InvalidProxy("proxy path length exceeded"));
             }
             proxy_budget = proxy_budget.map(|b| b - 1);
-            let info = cert.tbs.extensions.proxy_cert_info.as_ref().unwrap();
+            let info = cert.body().extensions.proxy_cert_info.as_ref().unwrap();
             if let Some(own) = info.path_len_constraint {
                 proxy_budget = Some(proxy_budget.map_or(own, |b| b.min(own)));
             }
@@ -219,7 +219,7 @@ pub fn validate_chain_with_crls(
                 ca_budget = ca_budget.map(|b| b - 1);
             }
             if let Some(own) = cert
-                .tbs
+                .body()
                 .extensions
                 .basic_constraints
                 .and_then(|b| b.path_len)
@@ -390,8 +390,8 @@ impl CachedValidator {
         let mut not_before = 0u64;
         let mut not_after = u64::MAX;
         for cert in chain {
-            not_before = not_before.max(cert.tbs.validity.not_before);
-            not_after = not_after.min(cert.tbs.validity.not_after);
+            not_before = not_before.max(cert.body().validity.not_before);
+            not_after = not_after.min(cert.body().validity.not_after);
         }
         // The external anchor the walk checked, if any. When the chain
         // carries its own root this finds that root again (a trusted
@@ -399,8 +399,8 @@ impl CachedValidator {
         // is needed to tell the two cases apart.
         let top = chain.last().expect("validated chain is non-empty");
         if let Some(root) = trust.find_by_subject(top.issuer()) {
-            not_before = not_before.max(root.tbs.validity.not_before);
-            not_after = not_after.min(root.tbs.validity.not_after);
+            not_before = not_before.max(root.body().validity.not_before);
+            not_after = not_after.min(root.body().validity.not_after);
         }
 
         // Only reached after a miss: the slot is empty or holds another
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn revoked_eec_rejected() {
         let w = world();
-        let serial = w.user.certificate().tbs.serial;
+        let serial = w.user.certificate().body().serial;
         let crl = w.ca.issue_crl(vec![serial], 100, 10_000);
         let mut crls = CrlStore::new();
         assert!(crls.add(crl, w.ca.certificate()));
@@ -659,7 +659,7 @@ mod tests {
     fn revocation_cuts_off_proxies_too() {
         let mut w = world();
         let p = issue_proxy(&mut w.rng, &w.user, ProxyType::Impersonation, 512, 10, 1000).unwrap();
-        let serial = w.user.certificate().tbs.serial;
+        let serial = w.user.certificate().body().serial;
         let crl = w.ca.issue_crl(vec![serial], 100, 10_000);
         let mut crls = CrlStore::new();
         assert!(crls.add(crl, w.ca.certificate()));
@@ -752,7 +752,9 @@ mod tests {
         let p = issue_proxy(&mut w.rng, &w.user, ProxyType::Impersonation, 512, 10, 1000).unwrap();
         let mut chain = p.chain().to_vec();
         // Tamper with the proxy subject (e.g. to claim another identity).
-        chain[0].tbs.subject = dn("/O=G/CN=Eve/CN=1");
+        let mut tbs = chain[0].body().clone();
+        tbs.subject = dn("/O=G/CN=Eve/CN=1");
+        chain[0] = chain[0].forged(&tbs);
         assert_eq!(
             validate_chain(&chain, &w.trust, 100).unwrap_err(),
             PkiError::BadSignature
@@ -886,7 +888,7 @@ mod tests {
         assert!(v.validate(w.user.chain(), &w.trust, &crls, 500).is_ok());
         // Revoke the user: the CRL-store generation bump must invalidate
         // the cached positive result.
-        let serial = w.user.certificate().tbs.serial;
+        let serial = w.user.certificate().body().serial;
         assert!(crls.add(
             w.ca.issue_crl(vec![serial], 100, 10_000),
             w.ca.certificate()
@@ -911,11 +913,11 @@ mod tests {
         let mut v = CachedValidator::new(8);
         let mut first = CrlStore::new();
         assert!(first.add(
-            w.ca.issue_crl(vec![other.certificate().tbs.serial], 100, 10_000),
+            w.ca.issue_crl(vec![other.certificate().body().serial], 100, 10_000),
             w.ca.certificate()
         ));
         assert!(v.validate(w.user.chain(), &w.trust, &first, 500).is_ok());
-        let serial = w.user.certificate().tbs.serial;
+        let serial = w.user.certificate().body().serial;
         let mut second = CrlStore::new();
         assert!(second.add(
             w.ca.issue_crl(vec![serial], 100, 10_000),

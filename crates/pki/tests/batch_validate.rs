@@ -6,8 +6,9 @@
 
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_pki::ca::CertificateAuthority;
-use gridsec_pki::cert::Certificate;
+use gridsec_pki::cert::{Certificate, TbsCertificate};
 use gridsec_pki::credential::Credential;
+use gridsec_pki::encoding::Codec;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::{issue_proxy, ProxyType};
 use gridsec_pki::store::{CrlStore, TrustStore};
@@ -16,6 +17,14 @@ use gridsec_pki::PkiError;
 
 fn dn(s: &str) -> DistinguishedName {
     DistinguishedName::parse(s).unwrap()
+}
+
+/// `cert`'s signature beside `body`, encoded then decoded: a forgery as
+/// it arrives.
+fn forged(cert: &Certificate, body: &TbsCertificate) -> Certificate {
+    let signature = &cert.to_bytes()[cert.body().to_bytes().len()..];
+    Certificate::from_bytes(&[body.to_bytes(), signature.to_vec()].concat())
+        .expect("a forgery decodes")
 }
 
 struct World {
@@ -57,15 +66,17 @@ fn batch_matches_individual_on_mixed_chains() {
         1000,
     )
     .unwrap();
-    let mut forged = w.users[2].chain().to_vec();
-    forged[0].tbs.subject = dn("/O=G/CN=Mallory");
+    let mut forged_chain = w.users[2].chain().to_vec();
+    let mut tbs = forged_chain[0].body().clone();
+    tbs.subject = dn("/O=G/CN=Mallory");
+    forged_chain[0] = forged(&forged_chain[0], &tbs);
     let short_lived =
         w.ca.issue_identity(&mut w.rng, dn("/O=G/CN=Ephemeral"), 512, 0, 400);
 
     let chains: Vec<Vec<Certificate>> = vec![
         w.users[0].chain().to_vec(),
         proxy.chain().to_vec(),
-        forged,
+        forged_chain,
         short_lived.chain().to_vec(),
         w.users[3].chain().to_vec(),
     ];
@@ -117,7 +128,7 @@ fn generation_bump_between_batches_revokes_and_empties_cache() {
 
     // Revoke one user between batches: the CRL generation bump must
     // clear the result cache before the next batch touches it.
-    let serial = w.users[2].certificate().tbs.serial;
+    let serial = w.users[2].certificate().body().serial;
     assert!(crls.add(
         w.ca.issue_crl(vec![serial], 100, 10_000),
         w.ca.certificate()
@@ -149,7 +160,7 @@ fn generation_bump_between_batches_revokes_and_empties_cache() {
 fn revocation_respected_within_first_batch() {
     let w = world(3);
     let mut crls = CrlStore::new();
-    let serial = w.users[1].certificate().tbs.serial;
+    let serial = w.users[1].certificate().body().serial;
     assert!(crls.add(
         w.ca.issue_crl(vec![serial], 100, 10_000),
         w.ca.certificate()

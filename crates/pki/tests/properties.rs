@@ -209,8 +209,8 @@ fn edged_proxy(g: &mut Gen) -> (gridsec_pki::credential::Credential, u64, u64) {
         na - nb,
     )
     .unwrap();
-    assert_eq!(cred.certificate().tbs.validity.not_before, nb);
-    assert_eq!(cred.certificate().tbs.validity.not_after, na);
+    assert_eq!(cred.certificate().body().validity.not_before, nb);
+    assert_eq!(cred.certificate().body().validity.not_after, na);
     (cred, nb, na)
 }
 
@@ -342,7 +342,7 @@ fn cached_validator_agrees_after_revocation() {
         // serial. The store mutation bumps the CRL generation, so the
         // cached entry must not mask the new revocation state.
         let serial = if g.bool() {
-            f.user.certificate().tbs.serial
+            f.user.certificate().body().serial
         } else {
             g.u64() | (1 << 63)
         };
@@ -401,7 +401,7 @@ fn wire_keyed_memo_agrees_across_epochs_edges_and_flipped_bytes() {
             };
             let (nb, na) = (creds[0].1, creds[0].2);
             let r = issue_proxy(&mut rng, &creds[0].0, restricted, 512, nb, (na - nb) / 2).unwrap();
-            let w = r.certificate().tbs.validity;
+            let w = r.certificate().body().validity;
             creds.push((r, w.not_before, w.not_after));
             creds.push((f.user.clone(), 0, 1_000_000));
 
@@ -409,7 +409,7 @@ fn wire_keyed_memo_agrees_across_epochs_edges_and_flipped_bytes() {
             let other_serial = g.u64() | (1 << 63);
             let mut revoke_user = CrlStore::new();
             assert!(revoke_user.add(
-                f.ca.issue_crl(vec![f.user.certificate().tbs.serial], 0, 2_000_000),
+                f.ca.issue_crl(vec![f.user.certificate().body().serial], 0, 2_000_000),
                 f.ca.certificate()
             ));
             let mut revoke_other = CrlStore::new();

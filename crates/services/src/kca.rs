@@ -256,7 +256,7 @@ mod tests {
             b"alice rng",
         );
         let cred = source.obtain(100).unwrap();
-        let v = cred.certificate().tbs.validity;
+        let v = cred.certificate().body().validity;
         assert_eq!(v.not_before, 100);
         assert!(v.not_after <= 100 + 43_200);
     }

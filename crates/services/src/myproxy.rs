@@ -314,7 +314,7 @@ impl MyProxyServer {
             lifetime,
         )
         .map_err(|_| "stored credential cannot issue (expired?)")?;
-        let serial = cert.tbs.serial;
+        let serial = cert.body().serial;
         let mut e = Encoder::new();
         cert.encode(&mut e);
         e.put_seq(parent.chain(), |enc, c| c.encode(enc));
@@ -702,7 +702,7 @@ mod tests {
         )
         .unwrap();
         let proxy = acquire(&mut r.rpc, &mut w.rng, "jane", "s3cret", 512, u64::MAX).unwrap();
-        let not_after = proxy.certificate().tbs.validity.not_after;
+        let not_after = proxy.certificate().body().validity.not_after;
         assert!(
             not_after <= w.clock.now() + 50_000,
             "cap applied: {not_after}"
@@ -757,7 +757,7 @@ mod tests {
             );
             assert_eq!(
                 r.app.borrow().issued_serials(),
-                &[proxy.certificate().tbs.serial],
+                &[proxy.certificate().body().serial],
                 "{op}: the visible proxy is the journaled one"
             );
         }

@@ -124,7 +124,7 @@ impl ResumptionData {
 pub(crate) fn chain_not_after(chain: &[Certificate]) -> u64 {
     chain
         .iter()
-        .map(|c| c.tbs.validity.not_after)
+        .map(|c| c.body().validity.not_after)
         .min()
         .unwrap_or(u64::MAX)
 }
@@ -781,7 +781,7 @@ mod tests {
             500,
         )
         .unwrap();
-        let proxy_expiry = proxy.certificate().tbs.validity.not_after;
+        let proxy_expiry = proxy.certificate().body().validity.not_after;
         assert_eq!(proxy_expiry, 600);
 
         let cfg_c = TlsConfig::new(proxy.clone(), w.trust.clone(), clock.now());
@@ -843,7 +843,7 @@ mod tests {
             900,
         )
         .unwrap();
-        let proxy_expiry = proxy.certificate().tbs.validity.not_after;
+        let proxy_expiry = proxy.certificate().body().validity.not_after;
 
         let cfg_c = TlsConfig::new(proxy, w.trust.clone(), 100);
         let cfg_s = TlsConfig::new(w.server.clone(), w.trust.clone(), 100);

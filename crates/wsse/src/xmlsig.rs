@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn revoked_signer_rejected() {
         let w = world();
-        let serial = w.alice.certificate().tbs.serial;
+        let serial = w.alice.certificate().body().serial;
         let crl = w.ca.issue_crl(vec![serial], 100, 100_000);
         let mut crls = CrlStore::new();
         assert!(crls.add(crl, w.ca.certificate()));

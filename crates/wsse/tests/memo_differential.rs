@@ -71,7 +71,7 @@ fn cases() -> Vec<Case> {
     let limited = issue_proxy(&mut rng, &alice, ProxyType::Limited, 512, 0, 10_000).unwrap();
     let mut revoking = CrlStore::new();
     assert!(revoking.add(
-        ca.issue_crl(vec![alice.certificate().tbs.serial], 50, 1_000_000),
+        ca.issue_crl(vec![alice.certificate().body().serial], 50, 1_000_000),
         ca.certificate()
     ));
     let none = CrlStore::new();

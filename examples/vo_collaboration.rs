@@ -79,9 +79,9 @@ fn main() {
         .expect("member assertion");
     println!(
         "\nCAS assertion for {}: {} right(s), valid until t={}",
-        assertion.tbs.subject,
-        assertion.tbs.rights.len(),
-        assertion.tbs.not_after
+        assertion.body().subject,
+        assertion.body().rights.len(),
+        assertion.body().not_after
     );
 
     // Step 2: embed it in a restricted proxy, the one credential that

@@ -214,6 +214,21 @@ stage_grep_guard() {
         echo "FAIL: a record is copied to be opened (above); open the buffer it arrived in with open_in_place" >&2
         exit 1
     fi
+    # A signature covers the bytes the object holds (DESIGN.md §11.3): a
+    # certificate, a CRL and a CAS assertion are each a pki::signed::Signed,
+    # signed and verified over the body bytes it keeps, with a read-only
+    # body. No body is re-encoded to be signed or verified, and none is a
+    # public field, outside signed.rs (test modules and comments excepted).
+    # shellcheck disable=SC2046
+    if awk 'FNR == 1 { in_test = 0 }
+            /^#\[cfg\(test\)\]/ { in_test = 1 }
+            !in_test && !/^ *\/\// && /tbs\.to_bytes\(\)|verify_pkcs1_sha256\(&self\.tbs|pub tbs:/ {
+                print FILENAME ":" FNR ":" $0 }' \
+        $(find crates/*/src -name '*.rs' | sort) \
+        | grep -vE '^crates/pki/src/signed\.rs:'; then
+        echo "FAIL: a signed body is re-encoded or exposed (above); sign, verify and fingerprint through pki::signed::Signed" >&2
+        exit 1
+    fi
     # An MJS delegates over its LMJFS's key (DESIGN.md §11.2): neither
     # GRAM driver may generate a key or answer a DELEG-REQ itself; both
     # call GramResource::mjs_accept_delegation.
@@ -658,7 +673,8 @@ stage_deep_matrix() {
 # GRAM sign-on runs 1 full step-7 handshake, generates 1 delegation key and
 # walks its request chain once (claims 12-14, DESIGN.md §11.4); the ChaCha20
 # keystream and the SHA-256 schedule run wide (claims 15, 16, DESIGN.md §17);
-# a GridFTP server hashes each file version once (claim 17, DESIGN.md §10). Every claim
+# a GridFTP server hashes each file version once (claim 17, DESIGN.md §10);
+# a warm mill wave walks no chain (claim 18, DESIGN.md §11.4). Every claim
 # prints measured ratio, threshold and source BENCH json, pass or fail.
 stage_perf_guard() {
     cargo run -q --offline --release -p gridsec-bench --bin perf_guard

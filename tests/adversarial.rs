@@ -8,6 +8,8 @@ use gridsec_gram::{GramError, JobDescription, Requestor};
 use gridsec_gsi::sso;
 use gridsec_integration::{basic_world, dn};
 use gridsec_pki::ca::CertificateAuthority;
+use gridsec_pki::cert::{Certificate, TbsCertificate};
+use gridsec_pki::encoding::Codec;
 use gridsec_pki::proxy::{issue_proxy, ProxyType};
 use gridsec_pki::store::{CrlStore, TrustStore};
 use gridsec_pki::validate::{validate_chain, validate_chain_with_crls};
@@ -16,6 +18,14 @@ use gridsec_testbed::os::SimOs;
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::xmlsig;
 use gridsec_xml::Element;
+
+/// `cert`'s signature beside `body`, encoded then decoded: a forgery as
+/// it arrives.
+fn forged(cert: &Certificate, body: &TbsCertificate) -> Certificate {
+    let signature = &cert.to_bytes()[cert.body().to_bytes().len()..];
+    Certificate::from_bytes(&[body.to_bytes(), signature.to_vec()].concat())
+        .expect("a forgery decodes")
+}
 
 /// Replaying a captured signed job request after its timestamp expires
 /// must fail, even though the signature itself is still valid.
@@ -64,7 +74,9 @@ fn identity_grafting_rejected() {
     // Eve issues a proxy... then doctors its subject to extend User's DN.
     let proxy = issue_proxy(&mut w.rng, &eve, ProxyType::Impersonation, 512, 10, 1000).unwrap();
     let mut chain = proxy.chain().to_vec();
-    chain[0].tbs.subject = dn("/O=G/CN=User").with_extra_cn("1337");
+    let mut tbs = chain[0].body().clone();
+    tbs.subject = dn("/O=G/CN=User").with_extra_cn("1337");
+    chain[0] = forged(&chain[0], &tbs);
     let err = validate_chain(&chain, &w.trust, 100).unwrap_err();
     assert!(matches!(
         err,
@@ -89,7 +101,7 @@ fn revocation_cascades_to_all_derived_credentials() {
     )
     .unwrap();
 
-    let serial = w.user.certificate().tbs.serial;
+    let serial = w.user.certificate().body().serial;
     let crl = w.ca.issue_crl(vec![serial], 50, 1_000_000);
     let mut crls = CrlStore::new();
     assert!(crls.add(crl, w.ca.certificate()));

@@ -329,6 +329,53 @@ fn every_client_rejects_a_malformed_reply_envelope() {
     }
 }
 
+/// A CAS reply is one assertion: an `Ok` body with a byte behind the
+/// assertion is a decode failure at the client, not an assertion.
+#[test]
+fn a_cas_reply_with_a_byte_behind_its_assertion_is_refused() {
+    use gridsec_authz::cas::CasServer;
+    use gridsec_authz::net::fetch_assertion;
+    use gridsec_authz::AuthzError;
+    use gridsec_pki::encoding::Codec;
+    use gridsec_testbed::faults::CrashableServer;
+    use gridsec_testbed::net::Network;
+    use gridsec_testbed::rpc::{Reply, RpcClient};
+    use gridsec_testbed::sched::Scheduler;
+    use gridsec_util::retry::RetryPolicy;
+
+    let w = basic_world(b"cas reply trailing byte");
+    let mut cas = CasServer::new("vo", w.service.clone(), 600);
+    cas.enroll(w.user.subject(), vec![]);
+    let assertion = cas.issue_assertion(w.user.subject(), 100).unwrap();
+    for (trailing, fetched) in [(false, true), (true, false)] {
+        let mut body = assertion.to_bytes();
+        if trailing {
+            body.push(0);
+        }
+        let net = Network::new();
+        let mut sched = Scheduler::new(&net);
+        let canned = Rc::new(RefCell::new(Canned(Reply::Ok(body).encode())));
+        CrashableServer::spawn(
+            &mut sched,
+            net.register("cas"),
+            "cas",
+            &CrashPlan::disabled(),
+            &canned,
+        );
+        let mut rpc = RpcClient::new(net.register("client"), "cas", RetryPolicy::default());
+        let got = fetch_assertion(&mut rpc, w.user.subject());
+        assert_eq!(
+            got.is_ok(),
+            fetched,
+            "trailing byte: {trailing}, {:?}",
+            got.err()
+        );
+        if trailing {
+            assert!(matches!(got, Err(AuthzError::Decode(_))));
+        }
+    }
+}
+
 /// The batch + precomputed crypto paths added for login-wave
 /// amortization face the same wire: signatures and certificate fields
 /// come straight from attacker-controlled bytes, and group parameters
@@ -347,6 +394,7 @@ fn batch_crypto_entry_points_absorb_malformed_input() {
     use gridsec_gssapi::mill::HandshakeMill;
     use gridsec_gssapi::InitiatorContext;
     use gridsec_pki::cert::Certificate;
+    use gridsec_pki::encoding::{Codec, Encoder};
     use gridsec_pki::store::CrlStore;
     use gridsec_pki::validate::{validate_chain_with_crls, CachedValidator};
 
@@ -471,15 +519,20 @@ fn batch_crypto_entry_points_absorb_malformed_input() {
     );
 
     // Target: CachedValidator::validate_batch over chains whose
-    // signature bytes are mutated wholesale. Verdicts must match the
-    // stateless walk, chain for chain.
+    // signature bytes are mutated wholesale: each mutant is the body's
+    // bytes beside the mutated signature, decoded as it would arrive.
+    // Verdicts must match the stateless walk, chain for chain.
     let mut validator = CachedValidator::new(32);
     let crls = CrlStore::new();
     let good_chain = w.user.chain().to_vec();
     for _ in 0..CASES_PER_TARGET / 8 {
         let mut broken = good_chain.clone();
         let which = rng.next_u64() as usize % broken.len();
-        broken[which].signature = mutate(&mut rng, &broken[which].signature);
+        let body = broken[which].body().to_bytes();
+        let signature = broken[which].to_bytes().split_off(body.len() + 4);
+        let mut wire = Encoder::new();
+        wire.put_raw(&body).put_bytes(&mutate(&mut rng, &signature));
+        broken[which] = Certificate::from_bytes(&wire.finish()).expect("a mutant decodes");
         let chains: Vec<&[Certificate]> = vec![&good_chain, &broken, &[]];
         let batch = validator.validate_batch(&chains, &w.trust, &crls, 100);
         assert_eq!(batch.len(), 3);
@@ -515,4 +568,88 @@ fn batch_crypto_entry_points_absorb_malformed_input() {
             "intact hello must still accept amid mutants"
         );
     }
+}
+
+/// A signed object has one wire form: over seeded mutations of golden
+/// certificates (a root, an end entity, a proxy), a CRL and a CAS
+/// assertion, every mutant that decodes encodes back to exactly its own
+/// bytes, and one that still verifies under its issuer's key is the
+/// original. Few random mutants re-frame a field into bytes that decode
+/// to the same value; `crates/pki/tests/wire_form.rs` builds one.
+#[test]
+fn a_decoded_signed_object_encodes_to_the_bytes_it_arrived_in() {
+    use gridsec_authz::cas::{CasAssertion, CasServer, ResourceGate};
+    use gridsec_authz::policy::{Effect, Rule, SubjectMatch};
+    use gridsec_pki::ca::Crl;
+    use gridsec_pki::cert::Certificate;
+    use gridsec_pki::encoding::Codec;
+    use gridsec_pki::proxy::{issue_proxy, ProxyType};
+    use gridsec_pki::validate::{validate_chain, ValidatedIdentity};
+
+    /// Mutate `golden` and check each mutant that decodes as a `T`.
+    fn sweep<T: Codec + PartialEq + std::fmt::Debug>(
+        rng: &mut DetRng,
+        golden: &T,
+        verify: impl Fn(&T) -> bool,
+    ) -> usize {
+        let original = golden.to_bytes();
+        let mut accepted = 0;
+        for _ in 0..CASES_PER_TARGET {
+            let b = mutate(rng, &original);
+            let Ok(decoded) = T::from_bytes(&b) else {
+                continue;
+            };
+            accepted += 1;
+            assert_eq!(
+                decoded.to_bytes(),
+                b,
+                "a decoded mutant re-encodes differently"
+            );
+            if verify(&decoded) {
+                assert_eq!(b, original, "a mutant verifies: {decoded:?}");
+            }
+        }
+        accepted
+    }
+
+    let mut w = basic_world(b"signed object fuzz");
+    let mut rng = DetRng::seed_from_u64(0x5167_ED0B);
+    let ca_key = w.ca.certificate().public_key().clone();
+    let proxy = issue_proxy(&mut w.rng, &w.user, ProxyType::Limited, 512, 10, 1000).unwrap();
+    let user_key = w.user.certificate().public_key().clone();
+    let by_ca = |c: &Certificate| c.verify(&ca_key);
+    let mut accepted = sweep(&mut rng, w.ca.certificate(), by_ca);
+    accepted += sweep(&mut rng, w.user.certificate(), by_ca);
+    accepted += sweep(&mut rng, proxy.certificate(), |c: &Certificate| {
+        c.verify(&user_key)
+    });
+
+    let crl = w.ca.issue_crl(vec![3, 5, 8], 100, 10_000);
+    accepted += sweep(&mut rng, &crl, |c: &Crl| c.verify(&ca_key));
+
+    // A CAS assertion verifies where a relying party checks it: at a
+    // gate that trusts the CAS, presented by the user it names.
+    let mut cas = CasServer::new("vo-fuzz", w.service.clone(), 600);
+    cas.enroll(w.user.subject(), vec![]);
+    cas.add_rule(Rule::new(
+        SubjectMatch::Any,
+        "/data/*",
+        "read",
+        Effect::Permit,
+    ));
+    let assertion = cas.issue_assertion(w.user.subject(), 100).unwrap();
+    let mut gate = ResourceGate::default();
+    gate.trust_cas("vo-fuzz", cas.public_key().clone());
+    let user = validate_chain(w.user.chain(), &w.trust, 100).unwrap();
+    accepted += sweep(&mut rng, &assertion, |a: &CasAssertion| {
+        let ProxyType::Restricted { language, policy } = a.restriction() else {
+            unreachable!("an assertion restricts")
+        };
+        let presented = ValidatedIdentity {
+            restrictions: vec![(language, policy)],
+            ..user.clone()
+        };
+        gate.permits(&presented, "/data/x", "read", 200).is_ok()
+    });
+    assert!(accepted > 0, "no mutant decoded: the sweep is vacuous");
 }

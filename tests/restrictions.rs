@@ -34,7 +34,6 @@ use gridsec_ogsa::transport::InProcessTransport;
 use gridsec_ogsa::OgsaError;
 use gridsec_pki::ca::CertificateAuthority;
 use gridsec_pki::credential::Credential;
-use gridsec_pki::encoding::Codec;
 use gridsec_pki::name::DistinguishedName;
 use gridsec_pki::proxy::{issue_proxy, ProxyType};
 use gridsec_pki::store::TrustStore;
@@ -403,8 +402,7 @@ fn cas_restriction(
         not_before: 0,
         not_after,
     };
-    let signature = signer.sign(&tbs.to_bytes());
-    CasAssertion { tbs, signature }.restriction()
+    CasAssertion::sign(tbs, signer.key()).restriction()
 }
 
 /// Jane's proxy of kind `cred`.
