@@ -67,6 +67,11 @@ impl<T> TimeBuckets<T> {
         self.buckets.first_key_value().and_then(|(_, q)| q.front())
     }
 
+    /// Every queued entry, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.buckets.values().flatten()
+    }
+
     /// Remove and return the head entry if it is due at or before `now`.
     pub(crate) fn pop_due(&mut self, now: u64) -> Option<T> {
         let mut head = self.buckets.first_entry()?;

@@ -559,6 +559,17 @@ impl Network {
         self.inner.borrow_mut().pump()
     }
 
+    /// `true` while a copy sent from the endpoint named `from` to `to`
+    /// waits in the pending queue. A scan, so it is asked only when a
+    /// reader finds a hang-up past a gap, never per message.
+    fn in_flight(&self, from: &str, to: NameId) -> bool {
+        let st = self.inner.borrow();
+        match (st.faults.as_ref(), st.names.get(from)) {
+            (Some(fs), Some(from)) => fs.pending.iter().any(|d| d.from == from && d.to == to),
+            _ => false,
+        }
+    }
+
     /// Scheduled time of the earliest pending delivery, if any.
     pub(crate) fn next_event_at(&self) -> Option<u64> {
         self.inner.borrow().faults.as_ref()?.pending.next_at()
@@ -747,7 +758,8 @@ impl Network {
 ///   wait inside a step: it reports `Ok(None)` and the task parks in
 ///   [`Step::WaitMail`](crate::sched::Step::WaitMail) under this half's
 ///   endpoint name. A hang-up from the peer that shows a gap in the
-///   sequence is the tear.
+///   sequence is the tear once nothing the peer sent is still in flight:
+///   under latency a FIN may overtake the data written before it.
 /// * [`Read::read`] — for call-shaped code: it parks in [`sched::wait`]
 ///   on this network, so scheduled peers run inside the read. A world
 ///   that goes quiescent before the next segment arrives fails the read
@@ -817,6 +829,11 @@ impl SimStream {
         }
     }
 
+    /// Whether anything the peer sent this half is still in flight.
+    fn gap_in_flight(&self) -> bool {
+        self.ep.network().in_flight(&self.peer, self.ep.id())
+    }
+
     /// Record a tear; every later read and write fails with it.
     fn tear(&mut self, why: &str) -> io::Error {
         self.torn = true;
@@ -878,7 +895,9 @@ impl SimStream {
                         return Ok(Some(0));
                     }
                 }
-                None if self.close.is_some() => {
+                // A hang-up that shows a gap may have overtaken data
+                // still in flight; the gap is final once none is.
+                None if self.close.is_some() && !self.gap_in_flight() => {
                     return Err(self.tear("peer hung up past a lost segment"));
                 }
                 None => return Ok(None),
@@ -1484,6 +1503,53 @@ mod tests {
         assert_eq!(net.stats().bytes, (SEGMENT_HEADER + 5) as u64);
         let faults = net.fault_stats().unwrap();
         assert_eq!((faults.sent, faults.delivered), (1, 1));
+    }
+
+    /// Under a profile with latency and reorder jitter, a half that writes
+    /// three segments and hangs up: a scheduled reader gets all twelve
+    /// bytes, then EOF. Its FIN may arrive before the data; that gap is
+    /// not a loss while the data is still on its way.
+    #[test]
+    fn a_fin_never_overtakes_data_for_a_scheduled_reader() {
+        let profile = FaultProfile {
+            min_latency: 1,
+            max_latency: 4,
+            reorder: 0.25,
+            reorder_jitter: 3,
+            ..FaultProfile::default()
+        };
+        for seed in 0..200 {
+            let net = Network::new();
+            net.enable_faults(SimClock::new(), seed, profile);
+            let mut sched = Scheduler::new(&net);
+            let (mut a, mut b) = net.connect("alice:1", "bob:1");
+            let got = Rc::new(RefCell::new((Vec::new(), None)));
+            let sink = Rc::clone(&got);
+            sched.spawn_mailbox_id(b.endpoint().id(), move |_cx: &TaskCx| {
+                let mut buf = [0u8; 16];
+                loop {
+                    let end = match b.try_read(&mut buf) {
+                        Ok(Some(0)) => Ok(()),
+                        Ok(Some(n)) => {
+                            sink.borrow_mut().0.extend_from_slice(&buf[..n]);
+                            continue;
+                        }
+                        Ok(None) => return Step::WaitMail { deadline: None },
+                        Err(e) => Err(e.to_string()),
+                    };
+                    sink.borrow_mut().1 = Some(end);
+                    return Step::Done;
+                }
+            });
+            for part in [b"one ", b"two ", b"tri "] {
+                a.write_all(part).unwrap();
+            }
+            drop(a);
+            sched.run();
+            let (bytes, end) = got.borrow().clone();
+            assert_eq!(end, Some(Ok(())), "seed {seed}: read {} of 12", bytes.len());
+            assert_eq!(bytes, b"one two tri ", "seed {seed}");
+        }
     }
 
     #[test]
