@@ -13,9 +13,10 @@
 //!    compare of the bytes the hello carried the chain in — against a
 //!    chain walk.
 //! 4. **Striping**: four pinned stripes finish the 32 KiB reference
-//!    fetch at 5% loss in ≤2/3 the simulated ticks of a single stream
-//!    (≥1.5× goodput) — the headline claim behind `striped_xfer`.
-//!    Claim 4 is tick-model arithmetic, deterministic by seed.
+//!    fetch at 5% loss, over a WAN with 1–4 s latency, in ≤2/3 the sim
+//!    seconds of a single stream (≥1.5× goodput) — the headline claim
+//!    behind `striped_xfer`. The stripes overlap their round trips on
+//!    the world's clock; deterministic by seed.
 //! 5. **Pooled poll establishment**: the full three-leg poll
 //!    establishment (hello → ServerHello → Finished) through a
 //!    [`WaveAcceptor`] wave on a warm verdict cache runs the acceptor
@@ -367,7 +368,7 @@ fn main() {
     );
 
     // --- Claim 4: 4 stripes ≥1.5× a single stream at 5% loss. ---
-    // Deterministic tick-model arithmetic through the same harness and
+    // Sim seconds on a WAN with latency, through the same harness and
     // seeds as the recorded `striped_xfer` run (32 KiB, 5% drop).
     let world = striped_world(format!("striped world {:#x}", 0x5712u64).as_bytes());
     let data = striped_payload(32 * 1024);
@@ -381,13 +382,13 @@ fn main() {
     assert_eq!(single.bytes, data, "single-stream cell corrupted payload");
     assert_eq!(four.bytes, data, "four-stripe cell corrupted payload");
     println!(
-        "[perf_guard] striped 32KiB at 5% loss: s4 {} ticks ({}B/kt) vs s1 {} ticks ({}B/kt)",
-        four.ticks, four.goodput_bpkt, single.ticks, single.goodput_bpkt
+        "[perf_guard] striped 32KiB at 5% loss: s4 {} s ({}B/s) vs s1 {} s ({}B/s)",
+        four.secs, four.goodput, single.secs, single.goodput
     );
     claim(
         &mut failures,
         "striped-4-vs-1-at-5pct-loss",
-        single.ticks as f64 / four.ticks as f64,
+        single.secs as f64 / four.secs.max(1) as f64,
         1.5,
         "striped_xfer",
     );

@@ -256,16 +256,16 @@ fn render_metrics(groups: &[MetricsGroup]) -> String {
 
 /// Render the STRIPED GOODPUT block: one row per `striped_xfer` grid
 /// cell (`striped.l<permille>.<s<N>|adaptive>.*` counters), loss ×
-/// parallelism, goodput in bytes per 1000 simulated ticks.
+/// parallelism, goodput in bytes per sim second.
 fn render_striped(groups: &[MetricsGroup]) -> String {
     let mut out = String::new();
     out.push_str(STRIPED_BEGIN);
     out.push_str("\n\n");
     out.push_str(
-        "*Regenerated by the `striped_xfer` bin; goodput is measured in \
-         simulated ticks (tick model in DESIGN.md §14), so every figure \
-         is a pure function of the seed — CI diffs this section against \
-         the committed file. Do not edit by hand.*\n",
+        "*Regenerated by the `striped_xfer` bin; time is the world's sim \
+         clock over a WAN with 1–4 s latency (DESIGN.md §14), so every \
+         figure is a pure function of the seed — CI diffs this section \
+         against the committed file. Do not edit by hand.*\n",
     );
     for g in groups {
         let mut bytes = 0u64;
@@ -294,7 +294,7 @@ fn render_striped(groups: &[MetricsGroup]) -> String {
             "\n### `{}` goodput grid ({} bytes per cell)\n\n",
             g.name, bytes
         );
-        out.push_str("| cell | loss | stripes | ticks | goodput (B/kt) | tears | sessions |\n");
+        out.push_str("| cell | loss | stripes | sim s | goodput (B/s) | tears | sessions |\n");
         out.push_str("|---|---|---|---|---|---|---|\n");
         for (cell, fields) in &cells {
             let (loss, stripes) = cell.split_once('.').unwrap_or(("?", "?"));
@@ -319,8 +319,8 @@ fn render_striped(groups: &[MetricsGroup]) -> String {
             let _ = writeln!(
                 out,
                 "| {cell} | {loss} | {stripes} | {} | {} | {} | {} |",
-                f("ticks"),
-                f("goodput_bpkt"),
+                f("secs"),
+                f("goodput_bps"),
                 f("tears"),
                 f("sessions"),
             );
@@ -605,12 +605,12 @@ mod tests {
   "group": "striped_xfer",
   "metrics": [
     {"name": "striped.bytes", "kind": "counter", "value": 32768},
-    {"name": "striped.l050.s1.ticks", "kind": "counter", "value": 728},
-    {"name": "striped.l050.s1.goodput_bpkt", "kind": "counter", "value": 45010},
+    {"name": "striped.l050.s1.secs", "kind": "counter", "value": 728},
+    {"name": "striped.l050.s1.goodput_bps", "kind": "counter", "value": 45},
     {"name": "striped.l050.s1.tears", "kind": "counter", "value": 25},
     {"name": "striped.l050.s1.sessions", "kind": "counter", "value": 26},
-    {"name": "striped.l050.adaptive.ticks", "kind": "counter", "value": 288},
-    {"name": "striped.l050.adaptive.goodput_bpkt", "kind": "counter", "value": 113777},
+    {"name": "striped.l050.adaptive.secs", "kind": "counter", "value": 288},
+    {"name": "striped.l050.adaptive.goodput_bps", "kind": "counter", "value": 113},
     {"name": "striped.l050.adaptive.tears", "kind": "counter", "value": 36},
     {"name": "striped.l050.adaptive.sessions", "kind": "counter", "value": 37}
   ]
@@ -624,11 +624,11 @@ mod tests {
         let rendered = render_striped(&[g]);
         assert!(rendered.contains("32768 bytes per cell"), "{rendered}");
         assert!(
-            rendered.contains("| l050.s1 | 5% | 1 | 728 | 45010 | 25 | 26 |"),
+            rendered.contains("| l050.s1 | 5% | 1 | 728 | 45 | 25 | 26 |"),
             "{rendered}"
         );
         assert!(
-            rendered.contains("| l050.adaptive | 5% | adaptive | 288 | 113777 | 36 | 37 |"),
+            rendered.contains("| l050.adaptive | 5% | adaptive | 288 | 113 | 36 | 37 |"),
             "{rendered}"
         );
         // Splices into its own block without touching the others.

@@ -1,14 +1,15 @@
-//! Striped-transfer goodput bench: fetch one seeded payload over the
-//! loss × parallelism grid — drop rates {1%, 5%, 10%} × pinned stripe
-//! counts {1, 2, 4, 8} — plus the adaptive AIMD controller at 5% loss,
-//! and record the tick-model goodput of every cell.
+//! Striped-transfer goodput bench: fetch one seeded payload over a WAN
+//! with 1–4 s latency across the loss × parallelism grid — drop rates
+//! {0%, 1%, 5%} × {1, 2, 4, 8 pinned stripes, the adaptive AIMD
+//! controller} — and record every cell's goodput in bytes per sim
+//! second.
 //!
-//! Time is simulated ticks (see `gridsec_gridftp::stripe`'s tick costs),
-//! so **every** figure in `BENCH_striped_xfer.json` is a pure function
-//! of the seed: CI runs a reduced-scale version twice and byte-compares
-//! the `--metrics-out` render. Wall time goes to stdout only. The
-//! ≥1.5× striping-vs-single-stream gate lives in `perf_guard`, which
-//! recomputes the same two cells through the same harness.
+//! Time is the world's sim clock, so **every** figure in
+//! `BENCH_striped_xfer.json` is a pure function of the seed: CI runs a
+//! reduced-scale version twice and byte-compares the `--metrics-out`
+//! render. Wall time goes to stdout only. The ≥1.5× striping-vs-single-
+//! stream gate lives in `perf_guard`, which recomputes the same two
+//! cells through the same harness.
 //!
 //! Usage:
 //!
@@ -24,8 +25,9 @@ use gridsec_bench::parse_u64;
 use gridsec_bench::striped::{run_get_cell, seed_file, striped_payload, striped_world};
 use gridsec_util::trace::MetricsSnapshot;
 
-const LOSSES_PERMILLE: [u64; 3] = [10, 50, 100];
-const STRIPE_COUNTS: [u32; 4] = [1, 2, 4, 8];
+const LOSSES_PERMILLE: [u64; 3] = [0, 10, 50];
+/// Pinned stripe counts; 0 is the adaptive controller.
+const STRIPE_COUNTS: [u32; 5] = [1, 2, 4, 8, 0];
 const PATH: &str = "/home/jdoe/bench.dat";
 
 /// Cell seed: isolates every (loss, stripes) cell's loss-layer and
@@ -75,16 +77,16 @@ fn main() {
             PATH,
         );
         assert_eq!(out.bytes, data, "cell {label} corrupted the payload");
-        counters.insert(format!("{label}.ticks"), out.ticks);
-        counters.insert(format!("{label}.goodput_bpkt"), out.goodput_bpkt);
+        counters.insert(format!("{label}.secs"), out.secs);
+        counters.insert(format!("{label}.goodput_bps"), out.goodput);
         counters.insert(format!("{label}.tears"), out.tears as u64);
         counters.insert(format!("{label}.sessions"), out.sessions as u64);
         counters.insert(format!("{label}.peak_stripes"), out.peak_stripes as u64);
         println!(
-            "striped_xfer: {label} loss={}% ticks={} goodput={}B/kt tears={} sessions={} peak={}",
+            "striped_xfer: {label} loss={}% secs={} goodput={}B/s tears={} sessions={} peak={}",
             loss_permille / 10,
-            out.ticks,
-            out.goodput_bpkt,
+            out.secs,
+            out.goodput,
             out.tears,
             out.sessions,
             out.peak_stripes,
@@ -93,10 +95,14 @@ fn main() {
 
     for &lp in &LOSSES_PERMILLE {
         for &s in &STRIPE_COUNTS {
-            record(format!("striped.l{lp:03}.s{s}"), lp, s);
+            let cell = if s == 0 {
+                "adaptive".to_string()
+            } else {
+                format!("s{s}")
+            };
+            record(format!("striped.l{lp:03}.{cell}"), lp, s);
         }
     }
-    record("striped.l050.adaptive".into(), 50, 0);
 
     let metrics = MetricsSnapshot {
         counters,
@@ -113,7 +119,7 @@ fn main() {
         .expect("write BENCH_striped_xfer.json");
     println!(
         "striped_xfer: seed=0x{seed:x} bytes={bytes} cells={} wall_ms={} -> {path}",
-        LOSSES_PERMILLE.len() * STRIPE_COUNTS.len() + 1,
+        LOSSES_PERMILLE.len() * STRIPE_COUNTS.len(),
         t0.elapsed().as_millis(),
     );
 }

@@ -3,18 +3,20 @@
 //! `striped_xfer` (the bench bin) and `perf_guard` (the CI gate) must
 //! measure the *same* deterministic quantity, so the world construction
 //! and per-cell runner live here: one CA/host/user world, one seeded
-//! payload, and one `run_get_cell` that fetches it over N stripes in a
-//! lossy world and reports the tick-model outcome. Everything is a pure
-//! function of the seeds — no wall clock enters the goodput figures.
+//! payload, and one `run_get_cell` that fetches it over N stripes on a
+//! WAN with latency and reports the outcome in sim seconds. Everything
+//! is a pure function of the seeds — no wall clock enters the goodput
+//! figures.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
+use gridsec_gridftp::client::XferOutcome;
 use gridsec_gridftp::congestion::AimdConfig;
 use gridsec_gridftp::poll::{Dialect, SessionTask};
-use gridsec_gridftp::stripe::{striped_get, StripeOpts, StripedOutcome};
+use gridsec_gridftp::stripe::{striped_get, StripeOpts};
 use gridsec_gridftp::GridFtpServer;
 use gridsec_pki::credential::Credential;
 use gridsec_pki::store::TrustStore;
@@ -24,7 +26,6 @@ use gridsec_testbed::net::{FaultProfile, Network, SimStream};
 use gridsec_testbed::os::{FileMode, SimOs};
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::TlsError;
 use gridsec_util::retry::RetryPolicy;
 
 use crate::bench_world;
@@ -67,15 +68,30 @@ pub fn seed_file(w: &StripedWorld, path: &str, data: &[u8]) {
         .expect("seed bench file");
 }
 
+/// The bench WAN: 1–4 s latency, a 25% chance of up to 3 s reorder
+/// jitter, and a fraction `drop` of segments lost.
+fn wan(drop: f64) -> FaultProfile {
+    FaultProfile {
+        drop,
+        duplicate: 0.0,
+        ..FaultProfile::lossy_wan()
+    }
+}
+
+/// Reply timeouts above the bench WAN's worst round trip (2 × 7 s).
+fn wan_policy() -> RetryPolicy {
+    RetryPolicy {
+        base_timeout: 16,
+        max_timeout: 64,
+        ..RetryPolicy::default()
+    }
+}
+
 /// Dialer spawning one sans-io striped server task per dial, each over a
-/// fresh connection in one world whose only fault is `drop` (seeded by
-/// `base_seed`, which isolates cells from each other); the client's
-/// reads run the tasks. No transcript is kept: the cell reads outcomes.
-fn dialer(
-    w: &StripedWorld,
-    base_seed: u64,
-    drop: f64,
-) -> impl FnMut(usize, u32) -> Result<SimStream, TlsError> {
+/// fresh connection in one world under [`wan`]`(drop)` (seeded by
+/// `base_seed`, which isolates cells from each other). No transcript is
+/// kept: the cell reads outcomes.
+fn dialer(w: &StripedWorld, base_seed: u64, drop: f64) -> impl FnMut(usize) -> SimStream {
     let task = SessionTask {
         server: Rc::clone(&w.server),
         dialect: Dialect::Striped,
@@ -83,15 +99,11 @@ fn dialer(
         plan: CrashPlan::disabled(),
     };
     let net = Network::new();
-    let profile = FaultProfile {
-        drop,
-        ..FaultProfile::default()
-    };
-    net.enable_faults(SimClock::new(), base_seed, profile);
+    net.enable_faults(SimClock::new(), base_seed, wan(drop));
     net.set_transcript_recording(false);
     let mut sched = Scheduler::new(&net);
     let mut n = 0u64;
-    move |slot, _attempt| {
+    move |slot| {
         n += 1;
         let conn = format!("{slot}-{n}");
         let (client, server) = net.connect(&format!("user:{conn}"), &format!("node1:{conn}"));
@@ -100,21 +112,21 @@ fn dialer(
             server,
             &(n + ((slot as u64) << 32)).to_be_bytes(),
         );
-        Ok(client)
+        client
     }
 }
 
-/// Fetch `path` once with `drop` loss. `stripes = Some(n)` pins the
-/// stripe count (the goodput-vs-parallelism curve); `None` lets the
-/// AIMD controller adapt. Deterministic for a given `(base_seed, drop,
-/// stripes)` triple.
+/// Fetch `path` once over the bench WAN with `drop` loss.
+/// `stripes = Some(n)` pins the stripe count (the
+/// goodput-vs-parallelism curve); `None` lets the AIMD controller adapt.
+/// Deterministic for a given `(base_seed, drop, stripes)` triple.
 pub fn run_get_cell(
     w: &StripedWorld,
     base_seed: u64,
     drop: f64,
     stripes: Option<u32>,
     path: &str,
-) -> StripedOutcome {
+) -> XferOutcome {
     let aimd = match stripes {
         Some(n) => AimdConfig::pinned_stripes(n),
         None => AimdConfig::default(),
@@ -128,6 +140,6 @@ pub fn run_get_cell(
     let mut rng = ChaChaRng::from_seed_bytes(&base_seed.to_be_bytes());
     let config = TlsConfig::new(w.user.clone(), w.trust.clone(), 100);
     let dial = dialer(w, base_seed, drop);
-    striped_get(&config, &mut rng, RetryPolicy::default(), dial, path, opts)
+    striped_get(&config, &mut rng, wan_policy(), dial, path, opts)
         .expect("striped bench cell completes")
 }

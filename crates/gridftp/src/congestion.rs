@@ -3,10 +3,10 @@
 //! Real GridFTP lets the client pick parallelism and window sizes; the
 //! paper-era servers adapted both to observed loss. This controller
 //! reproduces that loop on the simulated testbed: the striped engine
-//! reports every torn stripe connection (with the stripe's loss rate:
-//! its torn connections over the frames it has moved, both counted by
-//! the engine) and every cleanly delivered window, and the controller answers with the pull-window
-//! size and the target stripe count.
+//! reports every torn stripe connection, with the stripe's loss rate —
+//! its torn connections over the frames it has moved — and every cleanly
+//! delivered window; the controller answers with the pull-window size and
+//! the target stripe count.
 //!
 //! Window control is textbook AIMD: +1 chunk per clean window, halve on
 //! a tear. Stripe control is slower and probabilistic — after a streak
@@ -14,12 +14,10 @@
 //! over a badly lossy stripe it *may* drop one. Both draws come from a
 //! [`DetRng`] seeded by the caller, so a given seed replays the exact
 //! same decision sequence; the decision log is part of the chaos
-//! transcripts CI byte-compares across processes. Determinism holds
-//! because every input is itself deterministic: tick times come from
-//! the engine's simulated timeline, loss rates from the engine's own
-//! frame counts over the world's seeded fault layer, and the draw
-//! sequence from the seed — no wall clock,
-//! no thread scheduling, no ambient entropy.
+//! transcripts CI byte-compares across processes. Every input is
+//! deterministic: decision times are the world's sim clock, loss rates
+//! the engine's frame counts over the seeded fault layer, draws the
+//! seed's.
 
 use gridsec_util::rng::{DetRng, RngCore};
 
@@ -111,7 +109,7 @@ impl AimdController {
         self.rng.next_u64() & 0xFF
     }
 
-    /// A stripe's connection tore at simulated tick `now`;
+    /// A stripe's connection tore at sim second `now`;
     /// `loss_permille` is the stripe's observed loss rate: its torn
     /// connections over the frames it has moved. Multiplicative
     /// decrease on the window, and on a badly lossy stripe possibly one
@@ -135,7 +133,7 @@ impl AimdController {
         self.decisions.push(line);
     }
 
-    /// A full pull window was delivered with no tear at tick `now`.
+    /// A full pull window was delivered with no tear at sim second `now`.
     /// Additive increase on the window; after a clean streak the
     /// controller may add a stripe.
     pub(crate) fn on_clean_round(&mut self, stripe: usize, now: u64) {

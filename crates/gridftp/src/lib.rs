@@ -23,6 +23,7 @@
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod congestion;
 pub mod poll;
 pub mod resume;

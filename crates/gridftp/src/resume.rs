@@ -33,22 +33,17 @@
 //! client buffer for GET, the `.part` file for PUT), and the final
 //! digests prove end-to-end integrity.
 //!
-//! Tracing is client-side only (`xfer.get` / `xfer.put` spans,
-//! `xfer.resume` events, `xfer.bytes_*` / `xfer.resumes` counters), so
-//! flight-recorder dumps carry one side of the story: server sessions
-//! are scheduler tasks on the same thread and emit no trace events.
-
-use std::io::{Read, Write};
+//! The client is [`crate::client`]'s engine at one stripe.
 
 use gridsec_bignum::prime::EntropySource;
-use gridsec_crypto::sha256::sha256;
+use gridsec_testbed::net::SimStream;
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::retry::{connect_with_retry, is_transient, ConnectStats};
-use gridsec_tls::stream::SecureStream;
-use gridsec_tls::TlsError;
 use gridsec_util::retry::RetryPolicy;
-use gridsec_util::trace::{self, SpanGuard};
 
+use crate::client::{run, Job, XferOutcome};
+use crate::congestion::AimdConfig;
+use crate::poll::Dialect;
+use crate::stripe::StripeOpts;
 use crate::FtpError;
 
 /// Data-record size: every `CHUNK` bytes delivered is a restart marker.
@@ -69,285 +64,61 @@ pub(crate) fn parse_two(rest: &str) -> Option<(String, usize)> {
     Some((path, n))
 }
 
-/// Outcome of a completed resumable transfer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct XferOutcome {
-    /// Fetched bytes (GET) — empty for PUT.
-    pub bytes: Vec<u8>,
-    /// Sessions that ended in a torn connection and were resumed.
-    pub resumes: u32,
-    /// Total secure sessions established (≥ 1).
-    pub sessions: u32,
-    /// Hex SHA-256 of the transferred file, verified end to end.
-    pub sha256: String,
-}
-
-/// How one session attempt ended.
-pub(crate) enum SessionErr {
-    /// Transport tear — redial and resume from the restart marker.
-    /// Which side saw the tear first (own lost write, peer reset, or
-    /// EOF from a killed server) is scheduling-dependent, so the tear
-    /// carries no detail: nothing nondeterministic may reach the trace.
-    Torn,
-    /// Deterministic refusal (security, protocol, file) — give up.
-    Fatal(FtpError),
-}
-
-pub(crate) fn tls_err(e: TlsError) -> SessionErr {
-    if is_transient(&e) {
-        SessionErr::Torn
-    } else {
-        SessionErr::Fatal(FtpError::channel(e))
+/// One stripe that may tear `max_sessions - 1` times.
+fn one_stripe(max_sessions: u32) -> StripeOpts {
+    StripeOpts {
+        max_sessions,
+        aimd: AimdConfig::pinned_stripes(1),
+        ..StripeOpts::default()
     }
 }
 
-/// Fetch `path` with resume-on-tear. `dial` produces a fresh raw stream
-/// per attempt (sessions and handshake retries share its counter);
-/// `max_sessions` bounds how many times the transfer may resume.
-pub fn resumable_get<S, E, D>(
+/// Fetch `path` with resume-on-tear. `dial` opens a fresh connection
+/// per session; `max_sessions` bounds how many sessions the transfer
+/// may take.
+pub fn resumable_get<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,
     policy: RetryPolicy,
-    mut dial: D,
+    dial: impl FnMut(usize) -> SimStream,
     path: &str,
     max_sessions: u32,
-) -> Result<XferOutcome, FtpError>
-where
-    S: Read + Write,
-    E: EntropySource,
-    D: FnMut(u32) -> Result<S, TlsError>,
-{
-    let mut sp = trace::span_with("xfer.get", path);
-    // The restart marker (the bytes so far) and the digest they must hash to.
-    let mut got: (Vec<u8>, Option<String>) = (Vec::new(), None);
-    let (mut stream, (), sessions) = run_sessions(
-        || connect_with_retry(config, rng, policy, &mut dial),
-        max_sessions,
-        &mut sp,
-        &mut got,
-        |(buf, _)| format!("get {path} offset={}", buf.len()),
-        |stream, (buf, expected_sha)| get_once(stream, path, buf, expected_sha),
-    )?;
-    let (buf, expected_sha) = got;
-    let digest = hex(&sha256(&buf));
-    if expected_sha.as_deref() != Some(digest.as_str()) {
-        sp.fail("digest mismatch");
-        return Err(FtpError::Protocol(
-            "transferred data does not match server digest".to_string(),
-        ));
-    }
-    let _ = stream.send(b"QUIT");
-    let _ = stream.recv();
-    trace::add("xfer.bytes_got", buf.len() as u64);
-    Ok(XferOutcome {
-        bytes: buf,
-        resumes: sessions - 1,
-        sessions,
-        sha256: digest,
-    })
-}
-
-/// The session loop both resumable transfers share: check the budget,
-/// count the session — a resumed one with an `xfer.resume` event whose
-/// text `resumed` renders from `state` — connect, and run one `once`
-/// session on `state`. A tear (in the handshake or mid-session) goes
-/// round again; a refusal ends the transfer. Returns the finished
-/// session's stream and result, and the sessions it took.
-fn run_sessions<S, St, T>(
-    mut connect: impl FnMut() -> Result<(SecureStream<S>, ConnectStats), TlsError>,
-    max_sessions: u32,
-    sp: &mut SpanGuard,
-    state: &mut St,
-    resumed: impl Fn(&St) -> String,
-    mut once: impl FnMut(&mut SecureStream<S>, &mut St) -> Result<T, SessionErr>,
-) -> Result<(SecureStream<S>, T, u32), FtpError>
-where
-    S: Read + Write,
-{
-    let mut sessions = 0u32;
-    loop {
-        if sessions >= max_sessions {
-            sp.fail("resume budget exhausted");
-            return Err(FtpError::Channel("resume budget exhausted".to_string()));
-        }
-        sessions += 1;
-        if sessions > 1 {
-            trace::event("xfer.resume", &resumed(state));
-            trace::add("xfer.resumes", 1);
-        }
-        let mut stream = match connect() {
-            Ok((s, _)) => s,
-            Err(e) if is_transient(&e) => continue,
-            Err(e) => {
-                sp.fail("connect failed");
-                return Err(FtpError::channel(e));
-            }
-        };
-        match once(&mut stream, state) {
-            Ok(done) => return Ok((stream, done, sessions)),
-            Err(SessionErr::Torn) => continue,
-            Err(SessionErr::Fatal(e)) => {
-                sp.fail(&e.to_string());
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// One GET session: greet, request from the restart marker, drain
-/// chunks into `buf` until complete or the connection tears.
-fn get_once<S: Read + Write>(
-    stream: &mut SecureStream<S>,
-    path: &str,
-    buf: &mut Vec<u8>,
-    expected_sha: &mut Option<String>,
-) -> Result<(), SessionErr> {
-    greet(stream)?;
-    stream
-        .send(format!("GETR {path} {}", buf.len()).as_bytes())
-        .map_err(tls_err)?;
-    let header = recv_text(stream)?;
-    let mut it = header.split_whitespace();
-    if it.next() != Some("DATA") {
-        return Err(SessionErr::Fatal(FtpError::File(header)));
-    }
-    let total: usize = parse_field(it.next())?;
-    let offset: usize = parse_field(it.next())?;
-    let sha = it
-        .next()
-        .ok_or_else(|| SessionErr::Fatal(FtpError::Protocol("bad DATA header".to_string())))?
-        .to_string();
-    if offset != buf.len() {
-        return Err(SessionErr::Fatal(FtpError::Protocol(
-            "server ignored restart marker".to_string(),
-        )));
-    }
-    match expected_sha {
-        Some(prev) if *prev != sha => {
-            return Err(SessionErr::Fatal(FtpError::Protocol(
-                "file changed between resume sessions".to_string(),
-            )))
-        }
-        Some(_) => {}
-        None => *expected_sha = Some(sha),
-    }
-    while buf.len() < total {
-        let chunk = stream.recv().map_err(tls_err)?;
-        if buf.len() + chunk.len() > total {
-            return Err(SessionErr::Fatal(FtpError::Protocol(
-                "download overruns declared total".to_string(),
-            )));
-        }
-        buf.extend_from_slice(&chunk);
-    }
-    Ok(())
+) -> Result<XferOutcome, FtpError> {
+    let job = Job {
+        dialect: Dialect::Resumable,
+        path,
+        upload: None,
+    };
+    run(config, rng, policy, dial, job, one_stripe(max_sessions))
 }
 
 /// Store `data` at `path` with resume-on-tear; the server's durable
 /// `.part` staging file carries progress across tears and crashes.
-pub fn resumable_put<S, E, D>(
+pub fn resumable_put<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,
     policy: RetryPolicy,
-    mut dial: D,
+    dial: impl FnMut(usize) -> SimStream,
     path: &str,
     data: &[u8],
     max_sessions: u32,
-) -> Result<XferOutcome, FtpError>
-where
-    S: Read + Write,
-    E: EntropySource,
-    D: FnMut(u32) -> Result<S, TlsError>,
-{
-    let mut sp = trace::span_with("xfer.put", path);
-    let local_sha = hex(&sha256(data));
-    let (mut stream, server_sha, sessions) = run_sessions(
-        || connect_with_retry(config, rng, policy, &mut dial),
-        max_sessions,
-        &mut sp,
-        &mut (),
-        |()| format!("put {path}"),
-        |stream, ()| put_once(stream, path, data),
-    )?;
-    if server_sha != local_sha {
-        sp.fail("digest mismatch");
-        return Err(FtpError::Protocol(
-            "server stored different bytes than sent".to_string(),
-        ));
-    }
-    let _ = stream.send(b"QUIT");
-    let _ = stream.recv();
-    trace::add("xfer.bytes_put", data.len() as u64);
-    Ok(XferOutcome {
-        bytes: Vec::new(),
-        resumes: sessions - 1,
-        sessions,
-        sha256: local_sha,
-    })
-}
-
-/// One PUT session: greet, learn the durable offset, stream the
-/// remainder, collect the `STORED` digest.
-fn put_once<S: Read + Write>(
-    stream: &mut SecureStream<S>,
-    path: &str,
-    data: &[u8],
-) -> Result<String, SessionErr> {
-    greet(stream)?;
-    stream
-        .send(format!("PUTR {path} {}", data.len()).as_bytes())
-        .map_err(tls_err)?;
-    let reply = recv_text(stream)?;
-    let offset: usize = match reply.strip_prefix("OFFSET ") {
-        Some(n) => parse_field(Some(n))?,
-        None => return Err(SessionErr::Fatal(FtpError::File(reply))),
+) -> Result<XferOutcome, FtpError> {
+    let job = Job {
+        dialect: Dialect::Resumable,
+        path,
+        upload: Some(data),
     };
-    if offset > data.len() {
-        return Err(SessionErr::Fatal(FtpError::Protocol(
-            "server claims more bytes than sent".to_string(),
-        )));
-    }
-    let mut pos = offset;
-    while pos < data.len() {
-        let end = (pos + CHUNK).min(data.len());
-        stream.send(&data[pos..end]).map_err(tls_err)?;
-        pos = end;
-    }
-    let done = recv_text(stream)?;
-    match done.strip_prefix("STORED ") {
-        Some(sha) => Ok(sha.to_string()),
-        None => Err(SessionErr::Fatal(FtpError::File(done))),
-    }
-}
-
-pub(crate) fn greet<S: Read + Write>(stream: &mut SecureStream<S>) -> Result<(), SessionErr> {
-    let text = recv_text(stream)?;
-    if text.starts_with("OK") {
-        Ok(())
-    } else {
-        Err(SessionErr::Fatal(FtpError::Protocol(text)))
-    }
-}
-
-pub(crate) fn recv_text<S: Read + Write>(
-    stream: &mut SecureStream<S>,
-) -> Result<String, SessionErr> {
-    let msg = stream.recv().map_err(tls_err)?;
-    Ok(String::from_utf8_lossy(&msg).into_owned())
-}
-
-pub(crate) fn parse_field<T: std::str::FromStr>(f: Option<&str>) -> Result<T, SessionErr> {
-    f.and_then(|s| s.parse().ok())
-        .ok_or_else(|| SessionErr::Fatal(FtpError::Protocol("bad numeric field".to_string())))
+    run(config, rng, policy, dial, job, one_stripe(max_sessions))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poll::{Dialect, SessionTask};
+    use crate::poll::SessionTask;
     use crate::GridFtpServer;
     use gridsec_authz::gridmap::GridMapFile;
     use gridsec_crypto::rng::ChaChaRng;
+    use gridsec_crypto::sha256::sha256;
     use gridsec_pki::ca::CertificateAuthority;
     use gridsec_pki::credential::Credential;
     use gridsec_pki::name::DistinguishedName;
@@ -409,7 +180,7 @@ mod tests {
         plan: CrashPlan,
         base_seed: u64,
         drop: f64,
-    ) -> impl FnMut(u32) -> Result<SimStream, TlsError> {
+    ) -> impl FnMut(usize) -> SimStream {
         let task = SessionTask {
             server: Rc::clone(&w.server),
             dialect: Dialect::Resumable,
@@ -428,7 +199,7 @@ mod tests {
             n += 1;
             let (client, server) = net.connect(&format!("jane:{n}"), &format!("data1:{n}"));
             task.spawn(&mut sched, server, &n.to_be_bytes());
-            Ok(client)
+            client
         }
     }
 
@@ -478,7 +249,7 @@ mod tests {
         assert_eq!(out.sha256, hex(&sha256(&data)));
         // 4 KiB in 256-byte chunks over a 10% per-write loss stream
         // cannot complete in one session with this seed.
-        assert!(out.resumes >= 1, "expected tears, got {}", out.resumes);
+        assert!(out.tears >= 1, "expected tears, got {}", out.tears);
     }
 
     #[test]
@@ -518,7 +289,7 @@ mod tests {
             &data,
         );
         assert_eq!(out.sha256, hex(&sha256(&data)));
-        assert!(out.resumes >= 1, "expected tears, got {}", out.resumes);
+        assert!(out.tears >= 1, "expected tears, got {}", out.tears);
         let s = w.server.borrow();
         let uid = s.os().uid_of("data1", "jdoe").unwrap();
         let stored = s.os().read_file("data1", "/home/jdoe/up.dat", uid).unwrap();
@@ -541,7 +312,7 @@ mod tests {
         assert_eq!(out.bytes, data);
         assert_eq!(plan.crashes(), 1);
         assert_eq!(out.sessions, 2);
-        assert_eq!(out.resumes, 1);
+        assert_eq!(out.tears, 1);
         assert!(plan
             .transcript()
             .iter()

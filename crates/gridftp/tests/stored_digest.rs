@@ -109,7 +109,7 @@ impl World {
         let config = self.config();
         let mut rng = ChaChaRng::from_seed_bytes(b"getr client");
         let plan = CrashPlan::disabled();
-        let dial = |_| Ok(self.dial(Dialect::Resumable, &plan));
+        let dial = |_| self.dial(Dialect::Resumable, &plan);
         let out = resumable_get(&config, &mut rng, RetryPolicy::default(), dial, path, 4).unwrap();
         (out.sha256, out.bytes)
     }
@@ -117,7 +117,7 @@ impl World {
     fn putr(&mut self, path: &str, data: &[u8], plan: &CrashPlan) -> (String, u32) {
         let config = self.config();
         let mut rng = ChaChaRng::from_seed_bytes(b"putr client");
-        let dial = |_| Ok(self.dial(Dialect::Resumable, plan));
+        let dial = |_| self.dial(Dialect::Resumable, plan);
         let policy = RetryPolicy::default();
         let out = resumable_put(&config, &mut rng, policy, dial, path, data, 4).unwrap();
         (out.sha256, out.sessions)
@@ -180,7 +180,7 @@ fn getr_reports_the_digest_of_what_the_path_holds_now() {
     let mut rng = ChaChaRng::from_seed_bytes(b"striped client");
     let plan = CrashPlan::disabled();
     let before = hashed(&w);
-    let dial = |_, _| Ok(w.dial(Dialect::Striped, &plan));
+    let dial = |_| w.dial(Dialect::Striped, &plan);
     striped_put(
         &config,
         &mut rng,
@@ -211,7 +211,7 @@ fn striped_put_once(w: &mut World, path: &str, data: &[u8]) -> bool {
     let config = w.config();
     let mut rng = ChaChaRng::from_seed_bytes(b"refused striped client");
     let plan = CrashPlan::disabled();
-    let dial = |_, _| Ok(w.dial(Dialect::Striped, &plan));
+    let dial = |_| w.dial(Dialect::Striped, &plan);
     striped_put(
         &config,
         &mut rng,

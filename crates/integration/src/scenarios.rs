@@ -708,16 +708,15 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let plan = rig.plan(0xC4A5, 0.10, 2);
     let host = DataHost::new(b"chaos fig5", 4096, "/home/jdoe/results.dat");
 
-    // One sans-io server session task per dial, run inside the client's
-    // blocking reads; one client exchange is in flight at a time, so the
-    // shared crash-plan and fault-layer draws stay deterministic. The
-    // scheduler is drained before reporting.
+    // One sans-io server session task per dial, beside the client's
+    // stripe task on the rig's scheduler, which orders every crash-plan
+    // and fault-layer draw; it is drained before reporting.
     let mk_dial = |label: u64| {
         let task = host.task(Dialect::Resumable, &plan);
         let mut sched = rig.sched.clone();
         let net = rig.net.clone();
         let mut n = 0u64;
-        move |_attempt: u32| {
+        move |_stripe: usize| {
             n += 1;
             let conn = format!("{label}-{n}");
             let (client, session) = net.connect(&format!("jane:{conn}"), &format!("data1:{conn}"));
@@ -725,7 +724,7 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
                 .wrapping_add(label.wrapping_mul(1_000_003))
                 .wrapping_add(n);
             task.spawn(&mut sched, session, &rng_seed.to_be_bytes());
-            Ok::<_, gridsec_tls::TlsError>(client)
+            client
         }
     };
     let config = &host.config;
@@ -781,17 +780,19 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let mut rep = rig.report(true, &[&plan]);
     rep.lines.extend([
         format!(
-            "fig5 xfer get bytes={} sessions={} resumes={} sha={}",
+            "fig5 xfer get bytes={} sessions={} resumes={} secs={} sha={}",
             got.bytes.len(),
             got.sessions,
-            got.resumes,
+            got.tears,
+            got.secs,
             got.sha256
         ),
         format!(
-            "fig5 xfer put bytes={} sessions={} resumes={} sha={}",
+            "fig5 xfer put bytes={} sessions={} resumes={} secs={} sha={}",
             host.data.len(),
             put.sessions,
-            put.resumes,
+            put.tears,
+            put.secs,
             put.sha256
         ),
     ]);
@@ -802,9 +803,11 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 /// across adaptively many parallel connections, with the AIMD
 /// congestion controller reacting to each stripe's observed loss and a
 /// shared token bucket capping aggregate bandwidth. A GET and a PUT of
-/// an 8 KiB payload run on a loss-only network dropping 10% of
-/// segments; under `partition_all` the client host is partitioned from
-/// `data1` and the redial budget exhausts. `xfer.stripe.get.chunk`
+/// an 8 KiB payload run under `lossy_wan()` — 1–4 s latency, reorder
+/// jitter, duplicates and 10% of segments dropped — so the stripes
+/// overlap their round trips in sim time; under `partition_all` the
+/// client host is partitioned from `data1` and the redial budget
+/// exhausts. `xfer.stripe.get.chunk`
 /// / `xfer.stripe.put.chunk` / `xfer.stripe.merge` are live kill
 /// points for armed mid-stripe kills. The controller's decision log is
 /// embedded in the transcript, so the two-run CI gate byte-compares
@@ -814,20 +817,26 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     use gridsec_gridftp::stripe::{striped_get, striped_put, StripeOpts};
 
-    let mut rig = Rig::new("fig5s", seed, 0xF165_0513, loss_only(0.10), 100, opts);
+    let mut rig = Rig::new(
+        "fig5s",
+        seed,
+        0xF165_0513,
+        FaultProfile::lossy_wan(),
+        100,
+        opts,
+    );
     let plan = rig.plan(0xC4A6, 0.10, 2);
     let host = DataHost::new(b"chaos fig5s", 8192, "/home/jdoe/striped.dat");
 
     // Dialer per direction: one sans-io striped server task per dial.
-    // The client engine drives one stripe exchange at a time, so
-    // crash-plan and fault-layer draws stay causally ordered
-    // (deterministic).
+    // Client stripes and server sessions are tasks on the rig's
+    // scheduler, which orders every crash-plan and fault-layer draw.
     let mk_dial = |label: u64| {
         let task = host.task(Dialect::Striped, &plan);
         let mut sched = rig.sched.clone();
         let net = rig.net.clone();
         let mut n = 0u64;
-        move |slot: usize, _attempt: u32| {
+        move |slot: usize| {
             n += 1;
             let conn = format!("{label}-{slot}-{n}");
             let (client, session) = net.connect(&format!("jane:{conn}"), &format!("data1:{conn}"));
@@ -836,7 +845,7 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
                 .wrapping_add((slot as u64) << 40)
                 .wrapping_add(n);
             task.spawn(&mut sched, session, &rng_seed.to_be_bytes());
-            Ok::<_, gridsec_tls::TlsError>(client)
+            client
         }
     };
     let config = &host.config;
@@ -904,23 +913,23 @@ pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     let mut rep = rig.report(true, &[&plan]);
     rep.lines.extend([
         format!(
-            "fig5s xfer get bytes={} sessions={} tears={} stripes={} ticks={} goodput={} sha={}",
+            "fig5s xfer get bytes={} sessions={} tears={} stripes={} secs={} goodput={} sha={}",
             got.bytes.len(),
             got.sessions,
             got.tears,
             got.peak_stripes,
-            got.ticks,
-            got.goodput_bpkt,
+            got.secs,
+            got.goodput,
             got.sha256
         ),
         format!(
-            "fig5s xfer put bytes={} sessions={} tears={} stripes={} ticks={} goodput={} sha={}",
+            "fig5s xfer put bytes={} sessions={} tears={} stripes={} secs={} goodput={} sha={}",
             host.data.len(),
             put.sessions,
             put.tears,
             put.peak_stripes,
-            put.ticks,
-            put.goodput_bpkt,
+            put.secs,
+            put.goodput,
             put.sha256
         ),
     ]);

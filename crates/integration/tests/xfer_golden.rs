@@ -5,7 +5,7 @@
 //! Each `xfer.*` pin in `tests/golden.pins` holds the SHA-256 and length
 //! of one whole deterministic render. The `xfer.fig5s.*` pins are the
 //! striped chaos scenario (`figure5_striped`: GET + PUT of 8 KiB under
-//! 10% loss, a shared token bucket and the AIMD controller) at the chaos
+//! `lossy_wan()`, a shared token bucket and the AIMD controller) at the chaos
 //! suite's default seed, rendered as completion, kill counts, transcript
 //! (which embeds the controller's decision log) and trace dump, for four
 //! settings: no crashes, seeded crashes, the three armed mid-stripe
@@ -22,9 +22,10 @@ use std::rc::Rc;
 use gridsec_authz::gridmap::GridMapFile;
 use gridsec_crypto::rng::ChaChaRng;
 use gridsec_crypto::sha256::sha256;
+use gridsec_gridftp::client::XferOutcome;
 use gridsec_gridftp::congestion::AimdConfig;
 use gridsec_gridftp::poll::{Dialect, SessionTask};
-use gridsec_gridftp::stripe::{striped_get, striped_put, StripeOpts, StripedOutcome};
+use gridsec_gridftp::stripe::{striped_get, striped_put, StripeOpts};
 use gridsec_gridftp::GridFtpServer;
 use gridsec_integration::scenarios::{figure5_striped, ChaosOpts};
 use gridsec_integration::{basic_world, dn};
@@ -36,7 +37,6 @@ use gridsec_testbed::net::{FaultProfile, Network, SimStream};
 use gridsec_testbed::os::SimOs;
 use gridsec_testbed::sched::Scheduler;
 use gridsec_tls::handshake::TlsConfig;
-use gridsec_tls::TlsError;
 use gridsec_util::pins;
 use gridsec_util::retry::RetryPolicy;
 use gridsec_util::trace::{self, Tracer};
@@ -121,11 +121,7 @@ fn world() -> World {
 /// One sans-io striped server task per dial, each over a fresh
 /// connection in one world whose only fault is `drop`, seeded by
 /// `base_seed`, which isolates cells.
-fn dialer(
-    w: &World,
-    base_seed: u64,
-    drop: f64,
-) -> impl FnMut(usize, u32) -> Result<SimStream, TlsError> {
+fn dialer(w: &World, base_seed: u64, drop: f64) -> impl FnMut(usize) -> SimStream {
     let task = SessionTask {
         server: Rc::clone(&w.server),
         dialect: Dialect::Striped,
@@ -141,7 +137,7 @@ fn dialer(
     net.set_transcript_recording(false);
     let mut sched = Scheduler::new(&net);
     let mut n = 0u64;
-    move |slot, _attempt| {
+    move |slot| {
         n += 1;
         let conn = format!("{slot}-{n}");
         let (client, server) = net.connect(&format!("user:{conn}"), &format!("node1:{conn}"));
@@ -150,7 +146,7 @@ fn dialer(
             server,
             &(n + ((slot as u64) << 32)).to_be_bytes(),
         );
-        Ok(client)
+        client
     }
 }
 
@@ -166,19 +162,19 @@ fn opts(base_seed: u64, stripes: Option<u32>) -> StripeOpts {
     }
 }
 
-fn render_outcome(label: &str, out: &StripedOutcome, tracer: &Tracer) -> String {
+fn render_outcome(label: &str, out: &XferOutcome, tracer: &Tracer) -> String {
     let mut s = format!(
-        "{label} bytes={} sha={} sessions={} tears={} ticks={} goodput={} peak={} \
+        "{label} bytes={} sha={} sessions={} tears={} secs={} goodput={} peak={} \
          waits={} waited={}\n",
         out.bytes.len(),
         out.sha256,
         out.sessions,
         out.tears,
-        out.ticks,
-        out.goodput_bpkt,
+        out.secs,
+        out.goodput,
         out.peak_stripes,
         out.throttle_waits,
-        out.throttle_waited_ticks,
+        out.throttle_waited_secs,
     );
     for d in &out.decisions {
         s.push_str(&format!("{label} aimd {d}\n"));

@@ -207,6 +207,12 @@ impl Scheduler {
         Scheduler { core }
     }
 
+    /// The scheduler bound to `net` by [`Scheduler::new`], while it lives:
+    /// the one a foreground wait on `net` parks in.
+    pub fn bound_to(net: &Network) -> Option<Scheduler> {
+        net.driver().map(|core| Scheduler { core })
+    }
+
     /// The scheduler's clock (shared with the fault layer when armed).
     pub fn clock(&self) -> SimClock {
         self.core.borrow().clock.clone()

@@ -46,7 +46,6 @@ pub mod channel;
 pub mod handshake;
 pub mod pool;
 pub mod records;
-pub mod retry;
 pub mod session;
 pub mod stream;
 

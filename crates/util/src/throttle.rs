@@ -1,22 +1,21 @@
-//! Deterministic token-bucket bandwidth throttling.
+//! Deterministic token-bucket bandwidth throttling on the sim clock.
 //!
-//! The striped GridFTP engine measures time in simulated ticks, not
-//! wall clock, so its bandwidth cap must be a pure function of the
-//! call sequence: [`TokenBucket`] refills only when the caller hands it
-//! an explicit `now`, never by reading a clock. Two runs that present
+//! The striped GridFTP engine runs on the world's simulated clock, so
+//! its bandwidth cap must be a pure function of the call sequence:
+//! [`TokenBucket`] refills only when the caller hands it an explicit
+//! `now` in sim seconds, never by reading a clock. Two runs that present
 //! the same sequence of `(now, tokens)` requests observe byte-identical
 //! grant times, which is what lets the chaos gates byte-compare striped
 //! transcripts across processes.
 //!
 //! The bucket holds at most `burst` tokens and gains `rate` tokens per
-//! tick. [`TokenBucket::take_at`] is the blocking-shaped primitive: it
-//! returns the earliest tick at or after `now` when the request can be
-//! granted, and debits it — callers advance their own timeline to the
-//! returned tick. Rate-trace counters (grants, waits, waited ticks)
-//! accumulate inside the bucket so the transfer engine can mirror them
-//! into its metrics snapshot.
+//! sim second. [`TokenBucket::take_at`] returns the earliest second at
+//! or after `now` when a request can be granted, and debits it — the
+//! caller holds its bytes back until the clock gets there. Grants,
+//! waits and waited seconds accumulate inside the bucket so the
+//! transfer engine can report them.
 
-/// A deterministic token bucket: `rate` tokens per tick, capacity
+/// A deterministic token bucket: `rate` tokens per sim second, capacity
 /// `burst`, refilled lazily from an explicit caller-supplied clock.
 #[derive(Clone, Debug)]
 pub struct TokenBucket {
@@ -26,14 +25,14 @@ pub struct TokenBucket {
     last_refill: u64,
     granted: u64,
     waits: u64,
-    waited_ticks: u64,
+    waited_secs: u64,
 }
 
 impl TokenBucket {
-    /// Create a bucket granting `rate` tokens per tick with capacity
-    /// `burst`, starting full at tick 0. `rate` is clamped to ≥ 1 and
+    /// Create a bucket granting `rate` tokens per second with capacity
+    /// `burst`, starting full at second 0. `rate` is clamped to ≥ 1 and
     /// `burst` to ≥ `rate` so a maximal single request can always be
-    /// served within one tick of refill.
+    /// served within one second of refill.
     pub fn new(rate: u64, burst: u64) -> Self {
         let rate = rate.max(1);
         let burst = burst.max(rate);
@@ -44,11 +43,11 @@ impl TokenBucket {
             last_refill: 0,
             granted: 0,
             waits: 0,
-            waited_ticks: 0,
+            waited_secs: 0,
         }
     }
 
-    /// Configured refill rate (tokens per tick).
+    /// Configured refill rate (tokens per second).
     pub fn rate(&self) -> u64 {
         self.rate
     }
@@ -58,11 +57,11 @@ impl TokenBucket {
         self.burst
     }
 
-    /// Refill for the ticks elapsed since the last refill. A `now`
-    /// earlier than the bucket's internal frontier is a no-op: the
-    /// bucket is a shared serial resource, so callers on lagging
-    /// per-stripe timelines observe it at its frontier time.
-    pub(crate) fn advance_to(&mut self, now: u64) {
+    /// Refill for the seconds elapsed since the last refill. A `now`
+    /// earlier than the bucket's frontier is a no-op: the bucket is a
+    /// shared serial resource, so a caller behind a grant already made
+    /// for a later second is served at that frontier.
+    fn advance_to(&mut self, now: u64) {
         if now <= self.last_refill {
             return;
         }
@@ -74,21 +73,8 @@ impl TokenBucket {
         self.last_refill = now;
     }
 
-    /// Take `n` tokens at `now` if available; `false` leaves the bucket
-    /// untouched apart from the refill.
-    pub fn try_take(&mut self, now: u64, n: u64) -> bool {
-        self.advance_to(now);
-        if n <= self.tokens {
-            self.tokens -= n;
-            self.granted += n;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Earliest tick `>= max(now, frontier)` at which `n` tokens can be
-    /// granted; the tokens are debited at that tick and the grant time
+    /// Earliest second `>= max(now, frontier)` at which `n` tokens can be
+    /// granted; the tokens are debited at that second and the grant time
     /// returned. Requests larger than `burst` are clamped to `burst`
     /// (they could never be satisfied whole).
     pub fn take_at(&mut self, now: u64, n: u64) -> u64 {
@@ -107,7 +93,7 @@ impl TokenBucket {
         self.tokens -= n;
         self.granted += n;
         self.waits += 1;
-        self.waited_ticks += wait;
+        self.waited_secs += wait;
         at
     }
 
@@ -121,9 +107,9 @@ impl TokenBucket {
         self.waits
     }
 
-    /// Total ticks of imposed waiting across all delayed grants.
-    pub fn waited_ticks(&self) -> u64 {
-        self.waited_ticks
+    /// Total seconds of imposed waiting across all delayed grants.
+    pub fn waited_secs(&self) -> u64 {
+        self.waited_secs
     }
 }
 
@@ -143,30 +129,20 @@ mod tests {
     fn empty_bucket_waits_for_refill() {
         let mut b = TokenBucket::new(4, 16);
         assert_eq!(b.take_at(0, 16), 0);
-        // 8 tokens need ceil(8/4)=2 ticks of refill.
+        // 8 tokens need ceil(8/4)=2 seconds of refill.
         assert_eq!(b.take_at(0, 8), 2);
         assert_eq!(b.waits(), 1);
-        assert_eq!(b.waited_ticks(), 2);
-    }
-
-    #[test]
-    fn try_take_refuses_without_side_effects() {
-        let mut b = TokenBucket::new(1, 4);
-        assert!(b.try_take(0, 4));
-        assert!(!b.try_take(0, 1));
-        assert_eq!(b.granted(), 4);
-        // One tick later one token exists.
-        assert!(b.try_take(1, 1));
+        assert_eq!(b.waited_secs(), 2);
     }
 
     #[test]
     fn refill_caps_at_burst() {
         let mut b = TokenBucket::new(10, 20);
         assert_eq!(b.take_at(0, 20), 0);
-        // A long idle period cannot store more than `burst`.
-        b.advance_to(1_000);
-        assert!(b.try_take(1_000, 20));
-        assert!(!b.try_take(1_000, 1));
+        // A long idle period cannot store more than `burst`: the full
+        // burst is there at once, one token more waits a second.
+        assert_eq!(b.take_at(1_000, 20), 1_000);
+        assert_eq!(b.take_at(1_000, 1), 1_001);
     }
 
     #[test]

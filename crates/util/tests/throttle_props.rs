@@ -2,10 +2,10 @@
 //!
 //! Two invariants the striped-transfer engine leans on:
 //!
-//! 1. **Budget**: over *any* seeded schedule of `take_at`/`try_take`
-//!    calls, the bucket never grants more than its initial store plus
-//!    the refill budget up to its frontier tick — and grant times are
-//!    monotone even when callers hand it a non-monotone clock.
+//! 1. **Budget**: over *any* seeded schedule of `take_at` calls, the
+//!    bucket never grants more than its initial store plus the refill
+//!    budget up to its frontier second — and grant times are monotone
+//!    even when callers hand it a non-monotone clock.
 //! 2. **Convergence**: greedy draining settles onto the configured
 //!    rate — total grants land within one burst-plus-rate of the exact
 //!    `burst + rate * elapsed` budget line.
@@ -23,22 +23,21 @@ fn grants_never_exceed_the_rate_budget_on_any_schedule() {
         let ops = g.usize_in(1..80);
         for _ in 0..ops {
             // A deliberately messy clock: sometimes stalled, sometimes
-            // jumping, sometimes replaying an older tick via try_take.
+            // jumping, sometimes replaying an older second.
             now += g.u64_in(0..4);
-            if g.bool() {
-                let n = g.u64_in(1..2 * burst + 1);
-                let at = b.take_at(now, n);
-                assert!(
-                    at >= last_grant,
-                    "grant times regressed: {at} after {last_grant}"
-                );
-                last_grant = at;
-                now = now.max(at);
+            let asked = if g.bool() {
+                now
             } else {
-                let n = g.u64_in(1..burst + 1);
-                let stale = now.saturating_sub(g.u64_in(0..8));
-                let _ = b.try_take(stale, n);
-            }
+                now.saturating_sub(g.u64_in(0..8))
+            };
+            let n = g.u64_in(1..2 * burst + 1);
+            let at = b.take_at(asked, n);
+            assert!(
+                at >= last_grant,
+                "grant times regressed: {at} after {last_grant}"
+            );
+            last_grant = at;
+            now = now.max(at);
             let frontier = now.max(last_grant);
             assert!(
                 b.granted() <= burst + rate * frontier,
@@ -61,7 +60,7 @@ fn greedy_draining_converges_to_the_configured_rate() {
             now = b.take_at(now, n);
         }
         // 400 requests of ≥1 token always outrun a ≤127-token store, so
-        // the bucket has gone token-limited. Waits are whole ticks, so
+        // the bucket has gone token-limited. Waits are whole seconds, so
         // the achievable long-run rate is the quantized `n/ceil(n/rate)`
         // (equal to `rate` whenever rate divides n): greedy draining
         // must land between that floor and the exact budget line.
@@ -72,10 +71,10 @@ fn greedy_draining_converges_to_the_configured_rate() {
             "granted {} over budget {budget}",
             b.granted()
         );
-        let round_ticks = n.div_ceil(rate);
+        let round_secs = n.div_ceil(rate);
         assert!(
-            b.granted() * round_ticks >= n * now,
-            "granted {} under quantized rate floor {}/{round_ticks} per tick over {now} ticks",
+            b.granted() * round_secs >= n * now,
+            "granted {} under quantized rate floor {}/{round_secs} per second over {now} seconds",
             b.granted(),
             n
         );
