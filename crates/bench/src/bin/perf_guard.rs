@@ -116,7 +116,8 @@
 //!
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
-//! CI. Both arms of claims 3 and 5 run the one Montgomery kernel with
+//! CI. Claims 3 and 5 time their two arms round by round, one of each
+//! per round, so a noisy neighbour slows both medians alike. Both arms of claims 3 and 5 run the one Montgomery kernel with
 //! the tables their keys and group own and the one hello acceptance,
 //! so those ratios are what the pool buys (validator hits: a hash and a
 //! compare of the chain's wire bytes in place of a chain walk);
@@ -157,6 +158,21 @@ use gridsec_wsse::b64;
 use gridsec_wsse::soap::Envelope;
 use gridsec_wsse::wssc::{establish, WsscResponder};
 use gridsec_xml::Element;
+
+/// Medians of `rounds` rounds that time arm `a` once, then arm `b` once,
+/// both on `state`: a slow phase of the machine lands on both arms.
+fn interleaved_medians<S>(
+    rounds: usize,
+    state: &mut S,
+    mut a: impl FnMut(&mut S) -> u128,
+    mut b: impl FnMut(&mut S) -> u128,
+) -> (u128, u128) {
+    let (mut xs, mut ys): (Vec<u128>, Vec<u128>) =
+        (0..rounds).map(|_| (a(state), b(state))).unzip();
+    xs.sort_unstable();
+    ys.sort_unstable();
+    (xs[rounds / 2], ys[rounds / 2])
+}
 
 /// Median wall time in nanoseconds of `rounds` runs of `f`.
 fn median_ns(rounds: usize, mut f: impl FnMut()) -> u128 {
@@ -329,24 +345,31 @@ fn main() {
         .collect();
     let hello_refs: Vec<&[u8]> = hellos.iter().map(|h| h.as_slice()).collect();
 
-    let per_session = median_ns(7, || {
-        for hello in &hello_refs {
-            let answered = AcceptorContext::answer_hello(hello, server_cfg.clone(), &mut w.rng);
-            std::hint::black_box(answered.unwrap());
-        }
-    });
-
     let mut mill = HandshakeMill::new(server_cfg.clone());
     for r in mill.accept_wave(&mut w.rng, &hello_refs) {
         r.expect("warm-up wave accepts");
     }
     let walks = |mill: &HandshakeMill| mill.pool().lock().unwrap().validator().misses();
     let warm_walks = walks(&mill);
-    let batched = median_ns(7, || {
-        for r in mill.accept_wave(&mut w.rng, &hello_refs) {
-            std::hint::black_box(r.expect("timed wave accepts"));
-        }
-    });
+    let (per_session, batched) = interleaved_medians(
+        7,
+        &mut w.rng,
+        |rng| {
+            time_ns(|| {
+                for hello in &hello_refs {
+                    let answered = AcceptorContext::answer_hello(hello, server_cfg.clone(), rng);
+                    std::hint::black_box(answered.unwrap());
+                }
+            }) as u128
+        },
+        |rng| {
+            time_ns(|| {
+                for r in mill.accept_wave(rng, &hello_refs) {
+                    std::hint::black_box(r.expect("timed wave accepts"));
+                }
+            }) as u128
+        },
+    );
     let timed_walks = walks(&mill) - warm_walks;
     println!("[perf_guard] wave of {WAVE}: batched {batched}ns vs per-session {per_session}ns");
     claim(
@@ -438,37 +461,28 @@ fn main() {
         acceptor_ns + t.elapsed().as_nanos()
     };
     run_wave(&mut wave_acceptor, &mut w); // warm-up: fills the pool
-    let batched = {
-        let mut times: Vec<u128> = (0..7)
-            .map(|_| run_wave(&mut wave_acceptor, &mut w))
-            .collect();
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
-    // Baseline the same way (acceptor-side only) for a like-for-like
-    // ratio: fresh pool-less acceptor per session.
-    let per_session_acceptor = {
-        let mut times: Vec<u128> = (0..7)
-            .map(|_| {
-                let inits = mk_inits(&mut w);
-                let mut acceptor_ns = 0u128;
-                for (init, hello) in inits {
-                    let cfg = server_cfg.clone();
-                    let t = Instant::now();
-                    let (acceptor, server_hello) =
-                        AcceptorContext::answer_hello(&hello, cfg, &mut w.rng).unwrap();
-                    acceptor_ns += t.elapsed().as_nanos();
-                    let (finished, _ctx) = init.step(&server_hello).unwrap();
-                    let t = Instant::now();
-                    std::hint::black_box(acceptor.step(&finished).unwrap());
-                    acceptor_ns += t.elapsed().as_nanos();
-                }
-                acceptor_ns
-            })
-            .collect();
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
+                                          // Baseline the same way (acceptor-side only) for a like-for-like
+                                          // ratio: fresh pool-less acceptor per session.
+    let (per_session_acceptor, batched) = interleaved_medians(
+        7,
+        &mut w,
+        |w| {
+            let mut acceptor_ns = 0u128;
+            for (init, hello) in mk_inits(w) {
+                let cfg = server_cfg.clone();
+                let t = Instant::now();
+                let (acceptor, server_hello) =
+                    AcceptorContext::answer_hello(&hello, cfg, &mut w.rng).unwrap();
+                acceptor_ns += t.elapsed().as_nanos();
+                let (finished, _ctx) = init.step(&server_hello).unwrap();
+                let t = Instant::now();
+                std::hint::black_box(acceptor.step(&finished).unwrap());
+                acceptor_ns += t.elapsed().as_nanos();
+            }
+            acceptor_ns
+        },
+        |w| run_wave(&mut wave_acceptor, w),
+    );
     println!(
         "[perf_guard] poll wave of {POLL_WAVE}: batched {batched}ns vs \
          per-session {per_session_acceptor}ns (acceptor side)"

@@ -243,7 +243,7 @@ impl Xfer {
         if greeted || s.attempt.is_multiple_of(self.policy.max_attempts.max(1)) {
             self.spent += 1;
         }
-        s.slot = Slot::Dial(now + wait);
+        s.slot = Slot::Dial(now.saturating_add(wait));
         let moved = s.range.as_ref().map_or(0, |r| r.got);
         // The stripe's observed loss: torn connections per frame moved.
         let loss = s.torn * 1000 / s.frames.max(1);
@@ -318,7 +318,7 @@ enum Tls {
 /// against the transfer, and write every frame from
 /// [`take_output`](Self::take_output) once the sim clock reaches
 /// `release`.
-pub(crate) struct ClientSession {
+struct ClientSession {
     tls: Tls,
     phase: Phase,
     out: Vec<Vec<u8>>,
@@ -328,7 +328,7 @@ pub(crate) struct ClientSession {
 
 impl ClientSession {
     /// Start a connection: the client hello is the first frame out.
-    pub(crate) fn new<E: EntropySource>(config: TlsConfig, rng: &mut E) -> Self {
+    fn new<E: EntropySource>(config: TlsConfig, rng: &mut E) -> Self {
         let (connector, hello) = ClientConnector::new(config, rng);
         ClientSession {
             tls: Tls::Connecting(connector),
@@ -338,14 +338,14 @@ impl ClientSession {
         }
     }
 
-    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+    fn feed(&mut self, bytes: &[u8]) {
         match &mut self.tls {
             Tls::Connecting(c) => c.feed(bytes),
             Tls::Open(s) => s.feed(bytes),
         }
     }
 
-    pub(crate) fn take_output(&mut self) -> Vec<Vec<u8>> {
+    fn take_output(&mut self) -> Vec<Vec<u8>> {
         std::mem::take(&mut self.out)
     }
 
@@ -635,7 +635,7 @@ impl Task for StripeTask {
             }
             Ok(true) => {
                 let timeout = x.policy.timeout_for(x.stripes[i].attempt);
-                self.deadline = now.max(self.session.release) + timeout;
+                self.deadline = now.max(self.session.release).saturating_add(timeout);
             }
             Ok(false) => {}
         }
@@ -674,11 +674,13 @@ pub(crate) fn run<E: EntropySource>(
     job: Job<'_>,
     opts: StripeOpts,
 ) -> Result<XferOutcome, FtpError> {
-    let (tag, dir) = match (job.dialect, job.upload.is_some()) {
-        (Dialect::Resumable, false) => ("xfer", "get"),
-        (Dialect::Resumable, true) => ("xfer", "put"),
-        (_, false) => ("xfer.striped", "get"),
-        (_, true) => ("xfer.striped", "put"),
+    let tag = match job.dialect {
+        Dialect::Resumable => "xfer",
+        _ => "xfer.striped",
+    };
+    let (dir, moved) = match job.upload {
+        None => ("get", "bytes_got"),
+        Some(_) => ("put", "bytes_put"),
     };
     let mut sp = trace::span_with(&format!("{tag}.{dir}"), job.path);
     let (_, max_stripes, _) = opts.aimd.stripes();
@@ -733,10 +735,11 @@ pub(crate) fn run<E: EntropySource>(
                 xfer: Rc::clone(&xfer),
                 stripe: i,
                 session: ClientSession::new(config.clone(), rng),
-                deadline: sched.now() + x.policy.timeout_for(x.stripes[i].attempt),
+                deadline: sched
+                    .now()
+                    .saturating_add(x.policy.timeout_for(x.stripes[i].attempt)),
                 stream,
             };
-            drop(x);
             sched.spawn_mailbox_id(task.stream.endpoint().id(), task);
         }
         let (net, _) = world.as_ref().expect("stripe 0 is dialed first");
@@ -770,13 +773,7 @@ pub(crate) fn run<E: EntropySource>(
         Vec::new()
     };
     let secs = finished - start;
-    trace::add(
-        &format!(
-            "{tag}.bytes_{}",
-            if job.upload.is_none() { "got" } else { "put" }
-        ),
-        total as u64,
-    );
+    trace::add(&format!("{tag}.{moved}"), total as u64);
     let (waits, waited) = x
         .bucket
         .as_ref()

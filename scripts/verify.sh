@@ -229,6 +229,14 @@ stage_grep_guard() {
         echo "FAIL: a signed body is re-encoded or exposed (above); sign, verify and fingerprint through pki::signed::Signed" >&2
         exit 1
     fi
+    # The GridFTP client has one engine on one clock (DESIGN.md §14.2):
+    # no tick constant or per-stripe slot timeline beside the sim clock,
+    # and no handshake-retry driver beside the engine's own redials.
+    if grep -rEn '_TICKS\b|ready_at' crates/gridftp/src \
+        || grep -rEn 'connect_with_retry' crates/*/src; then
+        echo "FAIL: a second GridFTP clock or retry driver is back (above)" >&2
+        exit 1
+    fi
     # An MJS delegates over its LMJFS's key (DESIGN.md §11.2): neither
     # GRAM driver may generate a key or answer a DELEG-REQ itself; both
     # call GramResource::mjs_accept_delegation.
@@ -665,8 +673,9 @@ stage_deep_matrix() {
 # Montgomery modexp beats the classic window reference, the resumed
 # handshake beats the full handshake, a HandshakeMill wave on a warm
 # verdict cache is not slower than a pool-less per-session acceptor
-# (a wave is a loop over the single acceptance), and four stripes
-# beat one stream >=1.5x at 5% loss (tick-model, deterministic); a
+# (a wave is a loop over the single acceptance; both arms timed round
+# by round), and four stripes beat one stream >=1.5x at 5% loss in sim
+# seconds on a WAN with latency (deterministic); a
 # 256-bit modexp costs <=0.16x a 512-bit one and a proven 256-bit prime
 # <=40 modexps (DESIGN.md §11.4); a 512-bit key is exactly 2.000 calls
 # of generate_prime, counted by stream replay (DESIGN.md §11.5); a 16-job
@@ -734,8 +743,9 @@ stage_handshake_storm() {
 # Reduced-scale run of the striped-transfer goodput grid (the bench bin
 # defaults to 32 KiB; bench-results/after/BENCH_striped_xfer.json records
 # the full-scale run — the >=1.5x striping claim itself is gated by
-# perf_guard). The grid is tick-model arithmetic, so the entire metrics
-# render must be byte-identical across two fresh processes.
+# perf_guard). The grid runs on the world's sim clock, a pure function of
+# the seed, so the entire metrics render must be byte-identical across
+# two fresh processes.
 stage_striped_xfer() {
     for run in 1 2; do
         GRIDSEC_BENCH_DIR="$tdir" \
@@ -748,7 +758,7 @@ stage_striped_xfer() {
         diff "$tdir/striped.1" "$tdir/striped.2" | head -20 >&2 || true
         exit 1
     fi
-    if ! grep -q "^counter striped.l050.s4.goodput_bpkt = " "$tdir/striped.1"; then
+    if ! grep -q "^counter striped.l050.s4.goodput_bps = " "$tdir/striped.1"; then
         echo "FAIL: striped_xfer grid is missing the 5%-loss 4-stripe cell:" >&2
         cat "$tdir/striped.1" >&2
         exit 1
