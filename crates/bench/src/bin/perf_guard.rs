@@ -117,7 +117,8 @@
 //! Claims 1–3 and 5 use median-of-N wall times on identical inputs
 //! and require only `faster < slower`, so scheduler noise cannot flake
 //! CI. Claims 3 and 5 time their two arms round by round, one of each
-//! per round, so a noisy neighbour slows both medians alike. Both arms of claims 3 and 5 run the one Montgomery kernel with
+//! per round, so a noisy neighbour slows both medians alike. Both arms
+//! of claims 3 and 5 run the one Montgomery kernel with
 //! the tables their keys and group own and the one hello acceptance,
 //! so those ratios are what the pool buys (validator hits: a hash and a
 //! compare of the chain's wire bytes in place of a chain walk);
@@ -461,8 +462,9 @@ fn main() {
         acceptor_ns + t.elapsed().as_nanos()
     };
     run_wave(&mut wave_acceptor, &mut w); // warm-up: fills the pool
-                                          // Baseline the same way (acceptor-side only) for a like-for-like
-                                          // ratio: fresh pool-less acceptor per session.
+
+    // Baseline the same way (acceptor-side only) for a like-for-like
+    // ratio: fresh pool-less acceptor per session.
     let (per_session_acceptor, batched) = interleaved_medians(
         7,
         &mut w,

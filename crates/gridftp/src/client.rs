@@ -3,7 +3,7 @@
 //!
 //! A transfer runs as stripes, the resumable dialect as one stripe whose
 //! range is the whole file. Each connection of a stripe is a [`Scheduler`]
-//! task under its stream's endpoint: it drives a sans-io [`ClientSession`],
+//! task under its stream's endpoint: it drives a sans-io `ClientSession`,
 //! the client half of [`ServerSession`](crate::poll::ServerSession), over
 //! [`SimStream::try_read`] and parks in [`Step::WaitMail`]. The caller
 //! dials, parked in [`sched::wait`] in between.

@@ -64,7 +64,7 @@ pub(crate) fn parse_two(rest: &str) -> Option<(String, usize)> {
     Some((path, n))
 }
 
-/// One stripe that may tear `max_sessions - 1` times.
+/// One stripe, with `max_sessions` as its tear budget.
 fn one_stripe(max_sessions: u32) -> StripeOpts {
     StripeOpts {
         max_sessions,
@@ -74,8 +74,8 @@ fn one_stripe(max_sessions: u32) -> StripeOpts {
 }
 
 /// Fetch `path` with resume-on-tear. `dial` opens a fresh connection
-/// per session; `max_sessions` bounds how many sessions the transfer
-/// may take.
+/// per session; `max_sessions` is the tear budget
+/// ([`StripeOpts::max_sessions`]).
 pub fn resumable_get<E: EntropySource>(
     config: &TlsConfig,
     rng: &mut E,

@@ -56,7 +56,8 @@ const TASK_SPAN: usize = 4 * CHUNK;
 /// Knobs for a striped transfer.
 #[derive(Clone, Debug)]
 pub struct StripeOpts {
-    /// Fatal-error budget: the transfer fails at its `max_sessions`-th tear.
+    /// Tear budget: the transfer fails once this many are spent — one
+    /// per torn session, one per policy's worth of torn handshakes.
     pub max_sessions: u32,
     /// Stripe count: adaptive (the default) or pinned.
     pub aimd: AimdConfig,

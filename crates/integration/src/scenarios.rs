@@ -817,14 +817,8 @@ pub fn figure5_xfer(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
 pub fn figure5_striped(seed: u64, opts: &ChaosOpts) -> ScenarioReport {
     use gridsec_gridftp::stripe::{striped_get, striped_put, StripeOpts};
 
-    let mut rig = Rig::new(
-        "fig5s",
-        seed,
-        0xF165_0513,
-        FaultProfile::lossy_wan(),
-        100,
-        opts,
-    );
+    let wan = FaultProfile::lossy_wan();
+    let mut rig = Rig::new("fig5s", seed, 0xF165_0513, wan, 100, opts);
     let plan = rig.plan(0xC4A6, 0.10, 2);
     let host = DataHost::new(b"chaos fig5s", 8192, "/home/jdoe/striped.dat");
 

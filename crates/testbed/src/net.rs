@@ -829,11 +829,6 @@ impl SimStream {
         }
     }
 
-    /// Whether anything the peer sent this half is still in flight.
-    fn gap_in_flight(&self) -> bool {
-        self.ep.network().in_flight(&self.peer, self.ep.id())
-    }
-
     /// Record a tear; every later read and write fails with it.
     fn tear(&mut self, why: &str) -> io::Error {
         self.torn = true;
@@ -897,7 +892,9 @@ impl SimStream {
                 }
                 // A hang-up that shows a gap may have overtaken data
                 // still in flight; the gap is final once none is.
-                None if self.close.is_some() && !self.gap_in_flight() => {
+                None if self.close.is_some()
+                    && !self.ep.network().in_flight(&self.peer, self.ep.id()) =>
+                {
                     return Err(self.tear("peer hung up past a lost segment"));
                 }
                 None => return Ok(None),
